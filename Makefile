@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-gate lint lint-verbose lint-json lint-test fmt tidy check
+.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test fmt tidy check
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ bench-gate:
 	$(GO) run ./cmd/unicobench -run '^(GPFitPredict|CholeskyBlocked|Rank1Update|MappingSearchUnit|EndToEndMicro)$$' \
 		-benchtime 1x -out BENCH_ci.json
 	$(GO) run ./cmd/unicobench -diff -tol 3 BENCH_baseline.json BENCH_ci.json
+
+## bench-e2e smoke-runs the end-to-end co-search benchmark (bench/, declared
+## in BENCHMARK.json) at its smallest sizes; drop -quick for real numbers.
+bench-e2e:
+	$(GO) run ./bench -quick
 
 ## lint runs unicolint (the in-repo analysis suite under lint/) over the
 ## whole root module: all nine analyzers, failing on any unsuppressed

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -28,6 +29,7 @@ import (
 
 	"unico/internal/benchmarks"
 	"unico/internal/buildinfo"
+	"unico/internal/durable"
 	"unico/internal/perfprof"
 )
 
@@ -186,27 +188,18 @@ func runBenches(re *regexp.Regexp, stdout *os.File) (File, bool) {
 	return f, failed
 }
 
-// writeFile persists the record with an fsync before close, honoring the
-// repo's durability rule for artifacts a CI gate depends on.
+// writeFile persists the record atomically (durable.WriteFile), honoring
+// the repo's durability rule for artifacts a CI gate depends on: a crash
+// mid-write must not leave a truncated record for -diff to choke on.
 func writeFile(path string, f File) error {
 	b, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	fd, err := os.Create(path)
-	if err != nil {
+	return durable.WriteFile(durable.OS{}, path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
 		return err
-	}
-	if _, err := fd.Write(b); err != nil {
-		fd.Close()
-		return err
-	}
-	if err := fd.Sync(); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
+	})
 }
 
 // loadFile reads and validates a BENCH_*.json; any failure is "malformed

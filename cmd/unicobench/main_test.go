@@ -164,3 +164,28 @@ func TestListAndBadFlags(t *testing.T) {
 		t.Fatalf("-diff with one arg exit = %d, want 2", got)
 	}
 }
+
+// TestWriteFileReplacesInPlaceRecord: the record is written beside its
+// destination and renamed over it (it used to be created in place, so a
+// crash mid-write left a truncated file for -diff to choke on). What can be
+// seen from here: the old record is replaced whole and nothing else is left
+// in the directory.
+func TestWriteFileReplacesInPlaceRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := writeBench(t, dir, "BENCH_x.json", baseFile())
+	next := baseFile()
+	next.Benchmarks = next.Benchmarks[:1]
+	if err := writeFile(path, next); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadFile(path)
+	if err != nil || len(got.Benchmarks) != 1 {
+		t.Fatalf("loadFile = %+v, %v", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d files, want only the record", len(entries))
+	}
+	if err := writeFile(filepath.Join(dir, "missing", "BENCH_y.json"), next); err == nil {
+		t.Error("writeFile into a missing directory succeeded")
+	}
+}

@@ -1,44 +1,34 @@
 // Package checkpoint persists a co-search run's state so a crashed or
 // killed process can resume bit-identically (internal/core defines the
-// record types and the resume semantics; this package owns the bytes).
+// record types and the resume semantics; internal/durable owns the bytes).
 //
 // Two files per checkpoint path P:
 //
 //   - P is the snapshot: one JSON SnapshotRecord, replaced atomically
-//     (write tmp, fsync, rename) so a crash mid-write leaves the previous
-//     snapshot intact.
-//   - P.journal is the write-ahead journal: one framed record per completed
-//     iteration, appended and fsynced before the co-search proceeds. Each
-//     frame is an 8-byte header — payload length and IEEE CRC32, both
-//     little-endian uint32 — followed by the JSON payload. A crash mid-append
-//     leaves at most one torn trailing frame, which Load detects by length
-//     or checksum and truncates away (counted in telemetry).
+//     (durable.WriteFile) so a crash mid-write leaves the previous snapshot
+//     intact.
+//   - P.journal is the write-ahead journal: a durable.Log in CRC framing
+//     with one JSON IterationRecord per completed iteration, appended and
+//     fsynced before the co-search proceeds. A crash mid-append leaves at
+//     most one torn trailing frame, which Load truncates away (counted in
+//     telemetry).
 //
 // A successful snapshot resets the journal, so the journal only ever holds
 // the iterations since the last snapshot and both files stay bounded.
 package checkpoint
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"unico/internal/core"
+	"unico/internal/durable"
 	"unico/internal/telemetry"
 )
-
-// frameHeaderSize is the bytes of framing before each journal payload.
-const frameHeaderSize = 8
-
-// maxFrameSize bounds a single journal record (a sanity check against
-// reading a garbage length from a corrupt header, not a real limit).
-const maxFrameSize = 1 << 30
 
 // ErrNoCheckpoint reports that the checkpoint path has no snapshot to
 // resume from.
@@ -48,45 +38,33 @@ var ErrNoCheckpoint = errors.New("checkpoint: no snapshot found")
 // time; methods are serialized internally.
 type File struct {
 	mu       sync.Mutex
+	fs       durable.FS
 	snapPath string
-	journal  *os.File
+	journal  *durable.Log
 }
 
 // Create opens (or continues) the checkpoint at path. An existing journal
 // is appended to — the resume path loads and truncates it first — and an
 // existing snapshot is kept until the next WriteSnapshot replaces it.
-func Create(path string) (*File, error) {
-	j, err := os.OpenFile(journalPath(path), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+func Create(path string) (*File, error) { return create(durable.OS{}, path) }
+
+func create(fsys durable.FS, path string) (*File, error) {
+	j, err := durable.OpenLog(fsys, journalPath(path), durable.CRC, false)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open journal: %w", err)
 	}
-	return &File{snapPath: path, journal: j}, nil
+	return &File{fs: fsys, snapPath: path, journal: j}, nil
 }
 
 func journalPath(path string) string { return path + ".journal" }
 
-// AppendIteration journals one completed iteration: frame the JSON payload,
-// append, fsync. The record is durable when this returns nil.
+// AppendIteration journals one completed iteration. The record is durable
+// when this returns nil.
 func (f *File) AppendIteration(rec core.IterationRecord) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.journal == nil {
-		return errors.New("checkpoint: sink is closed")
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal iteration %d: %w", rec.Iter, err)
-	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	if _, err := f.journal.Write(frame); err != nil {
+	if err := f.journal.AppendJSON(rec); err != nil {
 		return fmt.Errorf("checkpoint: append iteration %d: %w", rec.Iter, err)
-	}
-	//unicolint:allow locksafe WAL ordering: append+fsync must be atomic under f.mu or concurrent appends could interleave frames
-	if err := f.journal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync journal: %w", err)
 	}
 	return nil
 }
@@ -98,26 +76,20 @@ func (f *File) AppendIteration(rec core.IterationRecord) error {
 func (f *File) WriteSnapshot(snap core.SnapshotRecord) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.journal == nil {
-		return errors.New("checkpoint: sink is closed")
-	}
 	payload, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal snapshot: %w", err)
 	}
-	if err := atomicWrite(f.snapPath, payload); err != nil {
+	err = durable.WriteFile(f.fs, f.snapPath, func(w io.Writer) error {
+		_, err := w.Write(payload)
 		return err
-	}
-	// Reset the journal. Truncating through a fresh handle (rather than the
-	// append handle) keeps the append offset coherent on every platform.
-	if err := f.journal.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close journal: %w", err)
-	}
-	j, err := os.OpenFile(journalPath(f.snapPath), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	})
 	if err != nil {
+		return fmt.Errorf("checkpoint: write snapshot: %w", err)
+	}
+	if err := f.journal.Reset(); err != nil {
 		return fmt.Errorf("checkpoint: reset journal: %w", err)
 	}
-	f.journal = j
 	return nil
 }
 
@@ -125,47 +97,7 @@ func (f *File) WriteSnapshot(snap core.SnapshotRecord) error {
 func (f *File) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.journal == nil {
-		return nil
-	}
-	err := f.journal.Close()
-	f.journal = nil
-	return err
-}
-
-// atomicWrite writes data to path via tmp + fsync + rename, then
-// best-effort fsyncs the directory so the rename itself is durable.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: create temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: sync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: close temp: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		//unicolint:allow durerr directory fsync is best-effort: some filesystems reject fsync on directories; file durability is carried by the checked tmp.Sync above
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+	return f.journal.Close()
 }
 
 // Exists reports whether a snapshot exists at path (i.e. Load can resume).
@@ -179,7 +111,9 @@ func Exists(path string) bool {
 // frame — the expected residue of a crash mid-append — is truncated off the
 // file and counted in telemetry; the state resumes from the last durable
 // record. Returns ErrNoCheckpoint when no snapshot exists.
-func Load(path string) (*core.ResumeState, error) {
+func Load(path string) (*core.ResumeState, error) { return load(durable.OS{}, path) }
+
+func load(fsys durable.FS, path string) (*core.ResumeState, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w at %s", ErrNoCheckpoint, path)
@@ -192,9 +126,22 @@ func Load(path string) (*core.ResumeState, error) {
 		return nil, fmt.Errorf("checkpoint: decode snapshot: %w", err)
 	}
 
-	recs, err := loadJournal(journalPath(path))
+	// A frame whose checksum holds but whose JSON does not decode is treated
+	// like a torn one: it and everything after it is dropped.
+	var recs []core.IterationRecord
+	_, dropped, err := durable.Recover(fsys, journalPath(path), durable.CRC, func(payload []byte) bool {
+		var rec core.IterationRecord
+		if json.Unmarshal(payload, &rec) != nil {
+			return false
+		}
+		recs = append(recs, rec)
+		return true
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: load journal: %w", err)
+	}
+	if dropped > 0 {
+		telemetry.CheckpointTornRecords().Inc()
 	}
 	// Keep only the contiguous run of records continuing the snapshot; a
 	// crash between snapshot-rename and journal-reset leaves records the
@@ -212,57 +159,4 @@ func Load(path string) (*core.ResumeState, error) {
 		next++
 	}
 	return rs, nil
-}
-
-// loadJournal parses every intact frame of the journal, truncating a torn
-// tail in place. A missing journal is an empty one.
-func loadJournal(path string) ([]core.IterationRecord, error) {
-	jf, err := os.OpenFile(path, os.O_RDWR, 0)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open journal: %w", err)
-	}
-	defer jf.Close()
-	data, err := io.ReadAll(jf)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read journal: %w", err)
-	}
-
-	var recs []core.IterationRecord
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return recs, nil // clean end
-		}
-		if len(rest) < frameHeaderSize {
-			break // torn header
-		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxFrameSize || len(rest) < frameHeaderSize+n {
-			break // torn or garbage payload length
-		}
-		payload := rest[frameHeaderSize : frameHeaderSize+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // torn payload
-		}
-		var rec core.IterationRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // checksum ok but undecodable: treat as corrupt tail
-		}
-		recs = append(recs, rec)
-		off += frameHeaderSize + n
-	}
-	// Torn tail: drop it so the next append starts at a frame boundary.
-	telemetry.CheckpointTornRecords().Inc()
-	if err := jf.Truncate(int64(off)); err != nil {
-		return nil, fmt.Errorf("checkpoint: truncate torn journal tail: %w", err)
-	}
-	if err := jf.Sync(); err != nil {
-		return nil, fmt.Errorf("checkpoint: sync truncated journal: %w", err)
-	}
-	return recs, nil
 }

@@ -315,13 +315,6 @@ func spanStatus(err error) string {
 	return "error"
 }
 
-// EvaluatePPA evaluates one (hardware, mapping, layer) triple remotely with
-// a background context; see EvaluatePPAContext.
-func (c *Client) EvaluatePPA(req PPARequest) (PPAResponse, error) {
-	//unicolint:allow ctxflow compatibility wrapper for the Platform interface; context-aware callers use EvaluatePPAContext
-	return c.EvaluatePPAContext(context.Background(), req)
-}
-
 // EvaluatePPAContext evaluates one (hardware, mapping, layer) triple
 // remotely. The route is a pure function of the request, so it retries on
 // retryable failures and, when Options.Cache is set, serves repeats from the
@@ -445,13 +438,6 @@ func (c *Client) CreateJobContext(ctx context.Context, spec JobSpec) (string, er
 		return "", fmt.Errorf("dist: create job: %s", resp.Error)
 	}
 	return resp.ID, nil
-}
-
-// AdvanceJob spends budget on a job with a background context; see
-// AdvanceJobContext.
-func (c *Client) AdvanceJob(id string, budget int) (JobState, error) {
-	//unicolint:allow ctxflow compatibility wrapper; context-aware callers use AdvanceJobContext
-	return c.AdvanceJobContext(context.Background(), id, budget)
 }
 
 // AdvanceJobContext spends budget on a job and returns its state (budget 0

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestPPAEndpointSpatial(t *testing.T) {
 	cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 1728, L2KB: 432, NoCBW: 128, Dataflow: hw.WeightStationary}
 	m := mapping.Spatial{TK: 1, TC: 1, TY: 1, TX: 1, TR: 1, TS: 1,
 		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
-	resp, err := c.EvaluatePPA(PPARequest{
+	resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{
 		Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l,
 	})
 	if err != nil {
@@ -51,7 +52,7 @@ func TestPPAEndpointInfeasibleFlag(t *testing.T) {
 	cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 4, L2KB: 1, NoCBW: 64, Dataflow: hw.WeightStationary}
 	m := mapping.Spatial{TK: 8, TC: 8, TY: 4, TX: 4, TR: 3, TS: 3,
 		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
-	resp, err := c.EvaluatePPA(PPARequest{
+	resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{
 		Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l,
 	})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestPPAEndpointAscend(t *testing.T) {
 	l := workload.Gemm("g", 64, 256, 64, 1)
 	cfg := hw.DefaultAscend()
 	m := mapping.Ascend{TM: cfg.CubeM, TK: cfg.CubeK, TN: cfg.CubeN, FuseDepth: 1}.Canon(l)
-	resp, err := c.EvaluatePPA(PPARequest{
+	resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{
 		Platform: "ascend", AscendHW: &cfg, AscendMapping: &m, Layer: l,
 	})
 	if err != nil {
@@ -80,12 +81,12 @@ func TestPPAEndpointAscend(t *testing.T) {
 
 func TestPPAEndpointBadRequests(t *testing.T) {
 	_, c := newWorker(t)
-	if resp, err := c.EvaluatePPA(PPARequest{Platform: "quantum"}); err != nil {
+	if resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{Platform: "quantum"}); err != nil {
 		t.Fatal(err)
 	} else if resp.Error == "" {
 		t.Error("unknown platform accepted")
 	}
-	if resp, err := c.EvaluatePPA(PPARequest{Platform: "spatial"}); err != nil {
+	if resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{Platform: "spatial"}); err != nil {
 		t.Fatal(err)
 	} else if resp.Error == "" {
 		t.Error("missing spatial payload accepted")
@@ -103,7 +104,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.AdvanceJob(id, 5)
+	st, err := c.AdvanceJobContext(context.Background(), id, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Errorf("no feasible mapping: %+v", st)
 	}
 	// Poll without budget.
-	st2, err := c.AdvanceJob(id, 0)
+	st2, err := c.AdvanceJobContext(context.Background(), id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Errorf("poll advanced the job: %+v", st2)
 	}
 	// Unknown job.
-	if _, err := c.AdvanceJob("job-999", 1); err == nil {
+	if _, err := c.AdvanceJobContext(context.Background(), "job-999", 1); err == nil {
 		t.Error("unknown job accepted")
 	}
 }
@@ -141,7 +142,7 @@ func TestJobDelete(t *testing.T) {
 	if err := c.DeleteJob(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AdvanceJob(id, 1); err == nil {
+	if _, err := c.AdvanceJobContext(context.Background(), id, 1); err == nil {
 		t.Error("deleted job still advanceable")
 	}
 	if err := c.DeleteJob(id); err == nil {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -34,7 +35,7 @@ func spatialPPARequest() PPARequest {
 func TestEvaluatePPARetriesOn500(t *testing.T) {
 	inj, c := newFaultyWorker(t, Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
 	inj.FailNext(2)
-	resp, err := c.EvaluatePPA(spatialPPARequest())
+	resp, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest())
 	if err != nil {
 		t.Fatalf("EvaluatePPA after 2 injected 500s: %v", err)
 	}
@@ -49,7 +50,7 @@ func TestEvaluatePPARetriesOn500(t *testing.T) {
 func TestEvaluatePPANoRetryBudgetFails(t *testing.T) {
 	inj, c := newFaultyWorker(t, Options{}) // MaxRetries 0
 	inj.FailNext(1)
-	if _, err := c.EvaluatePPA(spatialPPARequest()); err == nil {
+	if _, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest()); err == nil {
 		t.Fatal("EvaluatePPA succeeded with no retry budget and an injected 500")
 	}
 	if inj.Injected() != 1 {
@@ -60,7 +61,7 @@ func TestEvaluatePPANoRetryBudgetFails(t *testing.T) {
 func TestEvaluatePPARetriesConnectionReset(t *testing.T) {
 	inj, c := newFaultyWorker(t, Options{MaxRetries: 1, RetryBackoff: time.Millisecond})
 	inj.ResetNext(1)
-	resp, err := c.EvaluatePPA(spatialPPARequest())
+	resp, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest())
 	if err != nil {
 		t.Fatalf("EvaluatePPA after injected connection reset: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestClientTimeoutBoundsHangingWorker(t *testing.T) {
 
 	inj.HangNext(1, 500*time.Millisecond)
 	startT := time.Now()
-	_, err := c.EvaluatePPA(spatialPPARequest())
+	_, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest())
 	elapsed := time.Since(startT)
 	if err == nil {
 		t.Fatal("EvaluatePPA succeeded against a hanging worker")
@@ -114,7 +115,7 @@ func TestNonIdempotentRoutesNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.FailNext(1)
-	if _, err := c.AdvanceJob(id, 2); err == nil {
+	if _, err := c.AdvanceJobContext(context.Background(), id, 2); err == nil {
 		t.Fatal("AdvanceJob succeeded through an injected 500")
 	}
 	if inj.Injected() != 2 {

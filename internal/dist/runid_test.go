@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -42,7 +43,7 @@ func TestClientPropagatesRunID(t *testing.T) {
 	cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 1728, L2KB: 432, NoCBW: 128, Dataflow: hw.WeightStationary}
 	m := mapping.Spatial{TK: 1, TC: 1, TY: 1, TX: 1, TR: 1, TS: 1,
 		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
-	if _, err := c.EvaluatePPA(PPARequest{
+	if _, err := c.EvaluatePPAContext(context.Background(), PPARequest{
 		Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l,
 	}); err != nil {
 		t.Fatal(err)

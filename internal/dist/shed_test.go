@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -100,7 +101,7 @@ func TestShedZeroRetryAfterDoesNotSpin(t *testing.T) {
 			MaxRetries: 1, RetryBackoff: base, MaxBackoff: time.Second,
 		})
 		start := time.Now()
-		resp, err := c.EvaluatePPA(spatialPPARequest())
+		resp, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest())
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("Retry-After %q: EvaluatePPA after one shed: %v", retryAfter, err)
@@ -156,7 +157,7 @@ func TestClientHonorsRetryAfterCapped(t *testing.T) {
 		MaxRetries: 1, RetryBackoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond,
 	})
 	start := time.Now()
-	resp, err := c.EvaluatePPA(spatialPPARequest())
+	resp, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest())
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("EvaluatePPA after one 429: %v", err)
@@ -189,7 +190,7 @@ func TestShedRetriesOnNonIdempotentRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateJob through one shed: %v", err)
 	}
-	state, err := c.AdvanceJob(id, 2) // first advance shed with 503
+	state, err := c.AdvanceJobContext(context.Background(), id, 2) // first advance shed with 503
 	if err != nil {
 		t.Fatalf("AdvanceJob through one shed: %v", err)
 	}
@@ -207,7 +208,7 @@ func TestCorruptResponseRetriedNotCached(t *testing.T) {
 		MaxRetries: 1, RetryBackoff: time.Millisecond, Cache: cache,
 	})
 	inj.CorruptNext(1)
-	resp, err := c.EvaluatePPA(spatialPPARequest())
+	resp, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest())
 	if err != nil {
 		t.Fatalf("EvaluatePPA after one corrupt body: %v", err)
 	}
@@ -221,7 +222,7 @@ func TestCorruptResponseRetriedNotCached(t *testing.T) {
 	if st.Entries != 1 || st.Misses != 1 {
 		t.Errorf("cache stats %+v; want exactly the one good response stored", st)
 	}
-	if _, err := c.EvaluatePPA(spatialPPARequest()); err != nil {
+	if _, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest()); err != nil {
 		t.Fatalf("cached re-evaluation: %v", err)
 	}
 	if st := cache.Stats(); st.Hits != 1 {
@@ -299,12 +300,12 @@ func TestWorkerDrain(t *testing.T) {
 	if raw.Header.Get("Retry-After") == "" {
 		t.Error("draining refusal carries no Retry-After header")
 	}
-	if _, err := c.EvaluatePPA(spatialPPARequest()); err == nil {
+	if _, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest()); err == nil {
 		t.Fatal("EvaluatePPA succeeded on a draining worker with no retry budget")
 	}
 
 	// The job created before the drain still advances to completion.
-	state, err := c.AdvanceJob(id, 2)
+	state, err := c.AdvanceJobContext(context.Background(), id, 2)
 	if err != nil {
 		t.Fatalf("AdvanceJob on draining worker: %v", err)
 	}

@@ -1,12 +1,13 @@
 package disttrace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+
+	"unico/internal/durable"
 )
 
 // ParseEvents reads JSONL span events, skipping malformed lines (a torn
@@ -16,29 +17,17 @@ import (
 func ParseEvents(rd io.Reader) ([]Event, int, error) {
 	var out []Event
 	seen := map[[2]string]bool{}
-	skipped := 0
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	skipped, err := durable.ReadLines(rd, func(line []byte) error {
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil || ev.Trace == "" || ev.Span == "" ||
-			(ev.Ev != "start" && ev.Ev != "end") {
-			skipped++
-			continue
+			(ev.Ev != "start" && ev.Ev != "end") || seen[[2]string{ev.Span, ev.Ev}] {
+			return durable.ErrSkip
 		}
-		key := [2]string{ev.Span, ev.Ev}
-		if seen[key] {
-			skipped++
-			continue
-		}
-		seen[key] = true
+		seen[[2]string{ev.Span, ev.Ev}] = true
 		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return out, skipped, fmt.Errorf("disttrace: scan events: %w", err)
 	}
 	return out, skipped, nil

@@ -24,18 +24,16 @@
 package disttrace
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"unico/internal/durable"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
@@ -99,18 +97,16 @@ type Event struct {
 // oldest trace is evicted when a new one would exceed it.
 const maxStoredTraces = 8
 
-// Recorder appends span events to a JSONL log, fsyncing each line, and keeps
-// a bounded in-memory copy per trace for the /v1/spans endpoint. A nil
-// Recorder is a valid no-op.
+// Recorder appends span events to a JSONL log (a durable.Log in Lines
+// framing: one write and one fsync per event) and keeps a bounded in-memory
+// copy per trace for the /v1/spans endpoint. A nil Recorder is a valid no-op.
 type Recorder struct {
 	proc   string
 	prefix string
 	seq    atomic.Uint64
+	log    *durable.Log // nil for a memory-only recorder
 
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	err     error
+	mu      sync.Mutex // guards the in-memory store
 	byTrace map[string][]Event
 	order   []string // trace IDs, oldest first, for eviction
 }
@@ -118,15 +114,16 @@ type Recorder struct {
 // NewRecorder opens (appending) a span log at path for a process labeled
 // proc ("client", "router", "shard", "loadgen"). An empty path yields a
 // memory-only recorder, useful for in-process tests and pure serving.
-func NewRecorder(path, proc string) (*Recorder, error) {
+func NewRecorder(path, proc string) (*Recorder, error) { return newRecorder(durable.OS{}, path, proc) }
+
+func newRecorder(fsys durable.FS, path, proc string) (*Recorder, error) {
 	r := &Recorder{proc: proc, prefix: mintPrefix(), byTrace: map[string][]Event{}}
 	if path != "" {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		log, err := durable.OpenLog(fsys, path, durable.Lines, false)
 		if err != nil {
 			return nil, fmt.Errorf("disttrace: open span log: %w", err)
 		}
-		r.f = f
-		r.w = bufio.NewWriter(f)
+		r.log = log
 	}
 	return r, nil
 }
@@ -146,42 +143,30 @@ func (r *Recorder) mintID() string {
 	return "s" + r.prefix + "-" + strconv.FormatUint(r.seq.Add(1), 10)
 }
 
-// Close flushes and closes the underlying span log.
+// Close closes the underlying span log, reporting the first write error
+// the recorder latched, if any.
 func (r *Recorder) Close() error {
-	if r == nil {
+	if r == nil || r.log == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.f == nil {
-		return r.err
-	}
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
-	if err := r.f.Close(); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.f = nil
-	return r.err
+	return r.log.Close()
 }
 
 // Err returns the first write error the recorder latched, if any.
 func (r *Recorder) Err() error {
-	if r == nil {
+	if r == nil || r.log == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+	return r.log.Err()
 }
 
 // emit appends one event to the in-memory store and, when file-backed,
-// writes and fsyncs the JSONL line before returning. The fsync-per-event
-// cost is the price of the no-orphans guarantee under kill -9.
+// makes the JSONL line durable before returning. The fsync-per-event cost is
+// the price of the no-orphans guarantee under kill -9. A write failure
+// disables the log (it latches the error and refuses later appends) but not
+// the in-memory store; Err reports it.
 func (r *Recorder) emit(ev Event) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.byTrace[ev.Trace]; !ok {
 		if len(r.order) >= maxStoredTraces {
 			delete(r.byTrace, r.order[0])
@@ -190,25 +175,9 @@ func (r *Recorder) emit(ev Event) {
 		r.order = append(r.order, ev.Trace)
 	}
 	r.byTrace[ev.Trace] = append(r.byTrace[ev.Trace], ev)
-	if r.f == nil || r.err != nil {
-		return
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		r.err = err
-		return
-	}
-	if _, err := r.w.Write(append(line, '\n')); err != nil {
-		r.err = err
-		return
-	}
-	if err := r.w.Flush(); err != nil {
-		r.err = err
-		return
-	}
-	//unicolint:allow locksafe WAL ordering: the span append+fsync must be atomic under r.mu or concurrent emits could interleave records
-	if err := r.f.Sync(); err != nil {
-		r.err = err
+	r.mu.Unlock()
+	if r.log != nil {
+		_ = r.log.AppendJSON(ev) // a failure is latched in the log and surfaced by Err
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"unico/internal/camodel"
+	"unico/internal/durable"
 	"unico/internal/maestro"
 	"unico/internal/ppa"
 	"unico/internal/telemetry"
@@ -74,23 +74,19 @@ func (c *Cache) WriteJSONL(w io.Writer) error {
 }
 
 // ReadJSONL loads entries from one-JSON-object-per-line input, returning how
-// many were stored. Malformed lines are skipped and counted in telemetry (a
-// truncated final line from an interrupted save must not poison the warm
-// start); a read error aborts.
+// many were stored. Malformed and over-long lines are skipped and counted in
+// telemetry (a truncated final line from an interrupted save must not poison
+// the warm start); a read error aborts.
 func (c *Cache) ReadJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	n := 0
-	for sc.Scan() {
+	skipped, err := durable.ReadLines(r, func(line []byte) error {
 		var rec record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			telemetry.EvalCacheSkippedLines().Inc()
-			continue
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return durable.ErrSkip
 		}
 		key, ok := parseKey(rec.Key)
 		if !ok {
-			telemetry.EvalCacheSkippedLines().Inc()
-			continue
+			return durable.ErrSkip
 		}
 		e := &entry{key: key, engine: rec.Engine}
 		switch {
@@ -103,13 +99,14 @@ func (c *Cache) ReadJSONL(r io.Reader) (int, error) {
 		case rec.Metrics != nil:
 			e.met = *rec.Metrics
 		default:
-			telemetry.EvalCacheSkippedLines().Inc()
-			continue
+			return durable.ErrSkip
 		}
 		c.put(e)
 		n++
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	telemetry.EvalCacheSkippedLines().Add(uint64(skipped))
+	if err != nil {
 		return n, fmt.Errorf("evalcache: read: %w", err)
 	}
 	return n, nil
@@ -130,36 +127,12 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	return c.ReadJSONL(f)
 }
 
-// SaveFile persists the cache to path as JSONL, writing a temporary file in
-// the same directory, fsyncing it and renaming it into place, so a crash
-// mid-save never truncates an existing warm-start file and the renamed data
-// is actually on disk when SaveFile returns.
-func (c *Cache) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("evalcache: save %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := c.WriteJSONL(tmp); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("evalcache: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("evalcache: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("evalcache: save %s: %w", path, err)
-	}
-	// Best-effort directory sync makes the rename itself durable.
-	if d, err := os.Open(dir); err == nil {
-		//unicolint:allow durerr directory fsync is best-effort: some filesystems reject fsync on directories; file durability is carried by the checked tmp.Sync above
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+// SaveFile persists the cache to path as JSONL through durable.WriteFile
+// (tmp, fsync, rename), so a crash mid-save never truncates an existing
+// warm-start file and the renamed data is actually on disk when SaveFile
+// returns.
+func (c *Cache) SaveFile(path string) error { return c.saveFile(durable.OS{}, path) }
+
+func (c *Cache) saveFile(fsys durable.FS, path string) error {
+	return durable.WriteFile(fsys, path, c.WriteJSONL) // the error names the operation and the path
 }

@@ -294,7 +294,7 @@ func TestRouterDrainReroutesWithoutDuplicateEvals(t *testing.T) {
 		t.Fatalf("drain status %d", dresp.StatusCode)
 	}
 
-	state, err := client.AdvanceJob(id, 2)
+	state, err := client.AdvanceJobContext(context.Background(), id, 2)
 	if err != nil {
 		t.Fatalf("AdvanceJob with one shard draining: %v", err)
 	}

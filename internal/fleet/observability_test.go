@@ -126,7 +126,7 @@ func TestRunIDSurvivesReplayChain(t *testing.T) {
 	owner.inj.SetDown(true)
 	owner.restart(capture.wrap(dist.NewServer().Handler()))
 
-	state, err := client.AdvanceJob(id, 2)
+	state, err := client.AdvanceJobContext(context.Background(), id, 2)
 	if err != nil {
 		t.Fatalf("AdvanceJob after owner kill: %v", err)
 	}

@@ -22,8 +22,6 @@
 package flightrec
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +31,7 @@ import (
 	"strconv"
 	"sync"
 
+	"unico/internal/durable"
 	"unico/internal/perfprof"
 )
 
@@ -246,31 +245,31 @@ func (d *RunData) LastIter() int {
 	return 0
 }
 
-// Recorder is the file-backed flight recorder. Safe for use by one run at a
-// time; methods are serialized internally.
+// Recorder is the file-backed flight recorder: a durable.Log in Lines
+// framing. Safe for use by one run at a time; methods are serialized
+// internally.
 type Recorder struct {
 	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	err  error      // first write failure; latched, disables the recorder
+	log  *durable.Log
 	last *Iteration // last appended (or resumed-past) iteration, for Finish
 }
 
 // Create starts a fresh artifact at path: the file is truncated and the
 // header written (and synced) immediately, so even a run that dies in its
 // first iteration leaves an identifiable artifact behind.
-func Create(path string, hdr Header) (*Recorder, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+func Create(path string, hdr Header) (*Recorder, error) { return create(durable.OS{}, path, hdr) }
+
+func create(fsys durable.FS, path string, hdr Header) (*Recorder, error) {
+	log, err := durable.OpenLog(fsys, path, durable.Lines, true)
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: create %s: %w", path, err)
 	}
-	r := &Recorder{f: f, w: bufio.NewWriter(f)}
 	hdr.Type = TypeHeader
-	if err := r.writeLine(hdr); err != nil {
-		_ = f.Close()
-		return nil, err
+	if err := log.AppendJSON(hdr); err != nil {
+		_ = log.Close()
+		return nil, fmt.Errorf("flightrec: create %s: %w", path, err)
 	}
-	return r, nil
+	return &Recorder{log: log}, nil
 }
 
 // Resume continues the artifact at path for a run resumed from a checkpoint
@@ -286,169 +285,77 @@ func Create(path string, hdr Header) (*Recorder, error) {
 // covers only the resumed portion (documented; there is nothing durable to
 // stitch to).
 func Resume(path string, hdr Header, lastIter int) (*Recorder, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if errors.Is(err, os.ErrNotExist) {
-		return Create(path, hdr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("flightrec: open %s: %w", path, err)
-	}
-	keep, lastKept, ok := scanKeepPrefix(f, lastIter)
-	if !ok {
-		// No parseable header: start over rather than appending to garbage.
-		_ = f.Close()
-		return Create(path, hdr)
-	}
-	if err := f.Truncate(keep); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("flightrec: truncate %s: %w", path, err)
-	}
-	if _, err := f.Seek(keep, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("flightrec: seek %s: %w", path, err)
-	}
-	r := &Recorder{f: f, w: bufio.NewWriter(f), last: lastKept}
-	return r, nil
+	return resume(durable.OS{}, path, hdr, lastIter)
 }
 
-// scanKeepPrefix scans the artifact and returns the byte length of the
-// prefix to keep on resume — the header plus the contiguous iteration
-// records with Iter <= lastIter — along with the last kept iteration.
-// ok is false when the first line is not a parseable header.
-func scanKeepPrefix(f *os.File, lastIter int) (keep int64, lastKept *Iteration, ok bool) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, nil, false
-	}
-	off := int64(0)
+func resume(fsys durable.FS, path string, hdr Header, lastIter int) (*Recorder, error) {
+	var lastKept *Iteration
 	first := true
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // torn trailing line
-		}
-		line := data[:nl]
-		var probe struct {
-			Type string `json:"type"`
-			Iter int    `json:"iter"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			break
+	kept, _, err := durable.Recover(fsys, path, durable.Lines, func(line []byte) bool {
+		var it Iteration
+		if json.Unmarshal(line, &it) != nil {
+			return false
 		}
 		if first {
-			if probe.Type != TypeHeader {
-				return 0, nil, false
-			}
 			first = false
-		} else {
-			if probe.Type != TypeIteration || probe.Iter > lastIter {
-				break
-			}
-			var it Iteration
-			if err := json.Unmarshal(line, &it); err != nil {
-				break
-			}
-			lastKept = &it
+			return it.Type == TypeHeader
 		}
-		off += int64(nl) + 1
-		data = data[nl+1:]
-	}
-	if first {
-		return 0, nil, false // empty file
-	}
-	return off, lastKept, true
-}
-
-// writeLine appends one JSON line and makes it durable (flush + fsync) —
-// the crash-tolerance contract: a record is on disk before the search moves
-// past the boundary it describes.
-func (r *Recorder) writeLine(v any) error {
-	if r.f == nil {
-		return errors.New("flightrec: recorder is closed")
-	}
-	payload, err := json.Marshal(v)
+		if it.Type != TypeIteration || it.Iter > lastIter {
+			return false
+		}
+		lastKept = &it
+		return true
+	})
 	if err != nil {
-		return fmt.Errorf("flightrec: marshal: %w", err)
+		return nil, fmt.Errorf("flightrec: resume %s: %w", path, err)
 	}
-	if _, err := r.w.Write(append(payload, '\n')); err != nil {
-		return fmt.Errorf("flightrec: append: %w", err)
+	if kept == 0 {
+		// No parseable header: start over rather than appending to garbage.
+		return create(fsys, path, hdr)
 	}
-	if err := r.w.Flush(); err != nil {
-		return fmt.Errorf("flightrec: flush: %w", err)
+	log, err := durable.OpenLog(fsys, path, durable.Lines, false)
+	if err != nil {
+		return nil, fmt.Errorf("flightrec: resume %s: %w", path, err)
 	}
-	if err := r.f.Sync(); err != nil {
-		return fmt.Errorf("flightrec: sync: %w", err)
-	}
-	return nil
+	return &Recorder{log: log, last: lastKept}, nil
 }
 
-// RecordIteration appends one iteration record (implements Sink). Errors
-// are latched: the first failure disables the recorder so one bad disk does
-// not fail every subsequent iteration; Err reports it.
+// RecordIteration appends one iteration record (implements Sink) and makes
+// it durable — the crash-tolerance contract: a record is on disk before the
+// search moves past the boundary it describes. The first write failure
+// disables the recorder (the log latches it and refuses later appends), so
+// one bad disk does not fail every subsequent iteration; Err reports it.
 func (r *Recorder) RecordIteration(it Iteration) {
 	it.Type = TypeIteration
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.err != nil || r.f == nil {
-		return
+	if r.log.AppendJSON(it) == nil {
+		r.last = &it
 	}
-	if err := r.writeLine(it); err != nil {
-		r.err = err
-		return
-	}
-	cp := it
-	r.last = &cp
 }
 
 // Err returns the first write failure, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
+func (r *Recorder) Err() error { return r.log.Err() }
 
-// Finish writes the summary line and closes the recorder. Zero-valued
+// Finish writes the summary line and closes the recorder; it returns the
+// first write failure of the whole recording, if there was one. Zero-valued
 // convergence fields (Iters, SimHours, Evals, FrontSize, Hypervolume) are
 // filled from the last recorded iteration, so callers only supply what the
 // iteration stream cannot know (cache counters, interruption).
 func (r *Recorder) Finish(s Summary) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.f == nil {
-		return errors.New("flightrec: recorder is closed")
-	}
-	if r.err != nil {
-		err := r.err
-		r.closeLocked()
-		return err
-	}
 	s.Type = TypeSummary
-	s = s.fillFromLast(r.last)
-	werr := r.writeLine(s)
-	cerr := r.closeLocked()
-	if werr != nil {
-		return werr
+	err := r.log.AppendJSON(s.fillFromLast(r.last))
+	if cerr := r.log.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	return err
 }
 
 // Close releases the file without writing a summary (a killed or failed
 // run). Idempotent.
-func (r *Recorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closeLocked()
-}
-
-func (r *Recorder) closeLocked() error {
-	if r.f == nil {
-		return nil
-	}
-	_ = r.w.Flush()
-	err := r.f.Close()
-	r.f = nil
-	return err
-}
+func (r *Recorder) Close() error { return r.log.Close() }
 
 // Load reads an artifact back into a RunData. It is tolerant of the residue
 // of a crash — a torn trailing line is skipped — but a missing or malformed
@@ -465,65 +372,42 @@ func Load(path string) (*RunData, int, error) {
 
 // Read parses an artifact stream; see Load.
 func Read(rd io.Reader) (*RunData, int, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	data := &RunData{}
-	skipped := 0
 	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	skipped, err := durable.ReadLines(rd, func(line []byte) error {
 		var probe struct {
 			Type string `json:"type"`
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if first {
-				return nil, 0, fmt.Errorf("flightrec: malformed header line: %w", err)
+		err := json.Unmarshal(line, &probe)
+		if first {
+			if err != nil {
+				return fmt.Errorf("malformed header line: %w", err)
 			}
-			skipped++ // torn or corrupt line (crash residue)
-			continue
-		}
-		switch probe.Type {
-		case TypeHeader:
-			if !first {
-				skipped++
-				continue
+			if probe.Type != TypeHeader {
+				return fmt.Errorf("artifact starts with %q record, want header", probe.Type)
 			}
 			if err := json.Unmarshal(line, &data.Header); err != nil {
-				return nil, 0, fmt.Errorf("flightrec: decode header: %w", err)
+				return fmt.Errorf("decode header: %w", err)
 			}
-		case TypeIteration:
-			if first {
-				return nil, 0, errors.New("flightrec: artifact does not start with a header record")
-			}
-			var it Iteration
-			if err := json.Unmarshal(line, &it); err != nil {
-				skipped++
-				continue
-			}
-			data.Iters = append(data.Iters, it)
-		case TypeSummary:
-			if first {
-				return nil, 0, errors.New("flightrec: artifact does not start with a header record")
-			}
-			var s Summary
-			if err := json.Unmarshal(line, &s); err != nil {
-				skipped++
-				continue
-			}
-			data.Summary = &s
-		default:
-			if first {
-				return nil, 0, fmt.Errorf("flightrec: artifact starts with %q record, want header", probe.Type)
-			}
-			skipped++
+			first = false
+			return nil
 		}
-		first = false
-	}
-	if err := sc.Err(); err != nil {
-		return nil, skipped, fmt.Errorf("flightrec: read artifact: %w", err)
+		var it Iteration
+		var s Summary
+		switch {
+		case err != nil: // torn or corrupt line (crash residue)
+			return durable.ErrSkip
+		case probe.Type == TypeIteration && json.Unmarshal(line, &it) == nil:
+			data.Iters = append(data.Iters, it)
+		case probe.Type == TypeSummary && json.Unmarshal(line, &s) == nil:
+			data.Summary = &s
+		default: // a second header, an unknown type, an undecodable record
+			return durable.ErrSkip
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("flightrec: read artifact: %w", err)
 	}
 	if first {
 		return nil, 0, errors.New("flightrec: empty artifact")

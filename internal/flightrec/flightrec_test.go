@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"unico/internal/durable/faultfs"
 	"unico/internal/perfprof"
 )
 
@@ -278,14 +279,17 @@ func TestLoadSkipsTornTrailingLine(t *testing.T) {
 
 func TestRecorderErrorLatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	r, err := Create(path, testHeader())
+	// Operations: open, header write+sync, iteration 1 write+sync, then the
+	// write of iteration 2 (index 5) fails: it must latch instead of
+	// panicking, and Finish must surface it.
+	r, err := create(faultfs.Failing(5, false), path, testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.RecordIteration(testIteration(1))
-	// Close the file underneath the recorder: subsequent writes must latch an
-	// error instead of panicking, and Finish must surface it.
-	r.f.Close()
+	if r.Err() != nil {
+		t.Fatalf("iteration 1: %v", r.Err())
+	}
 	r.RecordIteration(testIteration(2))
 	if r.Err() == nil {
 		t.Fatal("write failure not latched")
@@ -293,6 +297,9 @@ func TestRecorderErrorLatches(t *testing.T) {
 	r.RecordIteration(testIteration(3)) // must be a silent no-op
 	if err := r.Finish(Summary{}); err == nil {
 		t.Error("Finish suppressed the latched error")
+	}
+	if d, _, err := Load(path); err != nil || len(d.Iters) != 1 || d.Summary != nil {
+		t.Errorf("disabled recorder kept writing: %+v, %v", d, err)
 	}
 }
 
@@ -329,7 +336,7 @@ func TestHeaderFingerprintRoundTrip(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -11,7 +11,8 @@
 //   - maporder: Go map iteration order is random, the classic way to leak
 //     nondeterminism into checkpoints, flight records and hashes.
 //   - atomicwrite: crash safety (PR 3) depends on the fsync-then-rename
-//     discipline for every persisted artifact.
+//     discipline for every persisted artifact; internal/durable is the one
+//     package that may implement it.
 //
 // Four analyzers are CFG/dataflow-based (built on unico/lint/cfg and
 // unico/lint/flow):
@@ -22,7 +23,7 @@
 //   - goleak: every go statement needs a provable exit path.
 //   - locksafe: mutexes released on every path and never held across
 //     blocking operations.
-//   - durerr: in persistence packages, Sync/Rename/Close-on-written-file
+//   - durerr: in internal/durable, Sync/Rename/Close-on-written-file
 //     errors must not be discarded.
 package checkers
 

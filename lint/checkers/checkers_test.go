@@ -47,7 +47,7 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestAtomicWrite(t *testing.T) {
-	analysistest.Run(t, checkers.NewAtomicWrite(), "atomicwrite/a", "atomicwrite/checkpoint")
+	analysistest.Run(t, checkers.NewAtomicWrite(), "atomicwrite/a", "atomicwrite/checkpoint", "atomicwrite/durable")
 }
 
 func TestCtxFlow(t *testing.T) {
@@ -66,11 +66,15 @@ func TestLockSafe(t *testing.T) {
 	analysistest.Run(t, checkers.NewLockSafe(), "locksafe/a")
 }
 
-func TestDurErr(t *testing.T) {
-	analysistest.Run(t, checkers.NewDurErr(), "durerr/checkpoint")
+func TestLockSafeSeesFsyncThroughDurableFile(t *testing.T) {
+	analysistest.Run(t, checkers.NewLockSafe(), "locksafe/durable")
 }
 
-func TestDurErrOutsidePersistencePackages(t *testing.T) {
+func TestDurErr(t *testing.T) {
+	analysistest.Run(t, checkers.NewDurErr(), "durerr/durable")
+}
+
+func TestDurErrOutsideDurable(t *testing.T) {
 	analysistest.Run(t, checkers.NewDurErr(), "durerr/a")
 }
 

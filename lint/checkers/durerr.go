@@ -9,17 +9,18 @@ import (
 	"unico/lint/flow"
 )
 
-// NewDurErr returns the durable-error analyzer. In the persistence
-// packages (checkpoint, flightrec, evalcache, disttrace — the ones whose
-// crash-safety PR 3 made contractual) the error results of the calls that
-// make data durable must not be discarded:
+// NewDurErr returns the durable-error analyzer. In internal/durable — the
+// one package atomicwrite lets make data durable, under checkpoint,
+// flightrec, evalcache and disttrace — the error results of the calls that
+// do it must not be discarded. A file is an *os.File or a durable.File; the
+// durable.FS methods count as the os calls they stand for:
 //
-//   - (*os.File).Sync: a discarded fsync error IS a lost write — the fsync
-//     return is the only durability signal the OS gives. Flagged in every
-//     form, including `_ =`.
-//   - os.Rename: the publish step of the tmp+fsync+rename protocol.
-//     Flagged in every form.
-//   - (*os.File).Close on a file opened for writing: the OS may surface a
+//   - Sync on a file, SyncDir on the FS: a discarded fsync error IS a lost
+//     write — the fsync return is the only durability signal the OS gives.
+//     Flagged in every form, including `_ =`.
+//   - os.Rename / FS.Rename: the publish step of the tmp+fsync+rename
+//     protocol. Flagged in every form.
+//   - Close on a file opened for writing: the OS may surface a
 //     deferred write error only at close. Flagged when control flow proves
 //     the file may be write-open and unsynced at the close; a close that
 //     follows a *checked* Sync, or a close of a file opened read-only, is
@@ -27,18 +28,18 @@ import (
 //     discard (the cleanup-on-error idiom) and not reported.
 //
 // The write-open fact is tracked by forward dataflow on the function's CFG:
-// os.Create / os.CreateTemp / os.OpenFile-with-write-flags gen it, a
+// os.Create / CreateTemp / OpenFile-with-write-flags (os or FS) gen it, a
 // checked Sync or checked Close kills it, and a discarded close is reported
 // only if the fact may reach it. Deferred closes are judged against the
 // facts at function exit, where the deferred call actually runs.
 func NewDurErr() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "durerr",
-		Doc: "in the persistence packages (checkpoint, flightrec, evalcache, disttrace) the errors of " +
-			"(*os.File).Sync, os.Rename, and Close-on-a-written-file must be checked, not discarded",
+		Doc: "in internal/durable (the package every persisted artifact is written through) the errors of " +
+			"Sync, SyncDir, Rename, and Close-on-a-written-file must be checked, not discarded",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		if !anySegment(pass.Path, persistSegments) {
+		if !hasPathSegment(pass.Path, durableSegment) {
 			return nil
 		}
 		for _, file := range pass.Files {
@@ -149,19 +150,15 @@ func checkDurErr(pass *analysis.Pass, names map[string]string, fname string, bod
 			if !ok {
 				return
 			}
-			if isOSRename(pass, names, call) {
+			if isRename(pass, names, call) {
 				report(n, "os.Rename error discarded in %s: the rename is the publish step of the snapshot protocol and its failure must surface", fname)
 				return
 			}
-			recv, mname, isMeth := methodCall(pass, call)
-			if !isMeth || len(call.Args) != 0 || !isOSFile(pass.TypeOf(recv)) {
+			if what, ok := fsyncCall(pass, call); ok {
+				report(n, "%s() error discarded in %s: the fsync return is the only durability signal; check it", what, fname)
 				return
 			}
-			root := renderExpr(recv)
-			switch mname {
-			case "Sync":
-				report(n, "%s.Sync() error discarded in %s: the fsync return is the only durability signal; check it", root, fname)
-			case "Close":
+			if root, ok := closeOf(pass, call); ok {
 				if b, tracked := rootBit[root]; tracked && before.Has(b) {
 					report(n, "%s.Close() error discarded in %s while the file may hold unsynced writes: the OS may report a failed write only at close", root, fname)
 				}
@@ -177,12 +174,12 @@ func checkDurErr(pass *analysis.Pass, names map[string]string, fname string, bod
 				if !ok {
 					continue
 				}
-				if isOSRename(pass, names, call) {
+				if isRename(pass, names, call) {
 					report(n, "os.Rename error explicitly discarded in %s: the publish step must not be best-effort", fname)
 					continue
 				}
-				if recv, mname, isMeth := methodCall(pass, call); isMeth && mname == "Sync" && len(call.Args) == 0 && isOSFile(pass.TypeOf(recv)) {
-					report(n, "%s.Sync() error explicitly discarded in %s: the fsync return is the only durability signal; check it", renderExpr(recv), fname)
+				if what, ok := fsyncCall(pass, call); ok {
+					report(n, "%s() error explicitly discarded in %s: the fsync return is the only durability signal; check it", what, fname)
 				}
 			}
 		}
@@ -201,19 +198,15 @@ func checkDurErr(pass *analysis.Pass, names map[string]string, fname string, bod
 	exit := flow.Forward(g, numBits, flow.Must, flow.NewSet(numBits), transfer).AtExit(g)
 	for _, d := range g.Defers {
 		call := d.Call
-		if isOSRename(pass, names, call) {
+		if isRename(pass, names, call) {
 			report(d, "deferred os.Rename discards its error in %s; rename inline and check it", fname)
 			continue
 		}
-		recv, mname, isMeth := methodCall(pass, call)
-		if !isMeth || len(call.Args) != 0 || !isOSFile(pass.TypeOf(recv)) {
+		if what, ok := fsyncCall(pass, call); ok {
+			report(d, "deferred %s() discards its error in %s; sync inline and check it", what, fname)
 			continue
 		}
-		root := renderExpr(recv)
-		switch mname {
-		case "Sync":
-			report(d, "deferred %s.Sync() discards its error in %s; sync inline and check it", root, fname)
-		case "Close":
+		if root, ok := closeOf(pass, call); ok {
 			if b, tracked := rootBit[root]; tracked && exit.Has(b) {
 				report(d, "deferred %s.Close() in %s discards the close error of a file that may hold unsynced writes; close inline after a checked Sync", root, fname)
 			}
@@ -222,8 +215,8 @@ func checkDurErr(pass *analysis.Pass, names map[string]string, fname string, bod
 }
 
 // writeOpenTargets returns the roots assigned from a write-opening call in
-// this assignment: os.Create, os.CreateTemp, or os.OpenFile with write
-// flags.
+// this assignment: os.Create, CreateTemp, or OpenFile with write flags — the
+// last two as package os functions or as durable.FS methods.
 func writeOpenTargets(pass *analysis.Pass, names map[string]string, as *ast.AssignStmt) []string {
 	if len(as.Rhs) != 1 {
 		return nil
@@ -236,8 +229,12 @@ func writeOpenTargets(pass *analysis.Pass, names map[string]string, as *ast.Assi
 	if !ok {
 		return nil
 	}
-	path, name, ok := pkgSelector(pass, names, sel)
-	if !ok || path != "os" {
+	name := sel.Sel.Name
+	if path, _, ok := pkgSelector(pass, names, sel); ok {
+		if path != "os" {
+			return nil
+		}
+	} else if name == "Create" || !isDurableFS(pass.TypeOf(sel.X)) {
 		return nil
 	}
 	switch name {
@@ -291,30 +288,52 @@ func flagText(e ast.Expr) string {
 }
 
 // syncOrCloseOf unpacks an expression of the form root.Sync() or
-// root.Close() on an *os.File, returning the root.
+// root.Close() on a file, returning the root.
 func syncOrCloseOf(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return "", false
 	}
 	recv, name, isMeth := methodCall(pass, call)
-	if !isMeth || len(call.Args) != 0 || (name != "Sync" && name != "Close") || !isOSFile(pass.TypeOf(recv)) {
+	if !isMeth || len(call.Args) != 0 || (name != "Sync" && name != "Close") || !isFile(pass.TypeOf(recv)) {
 		return "", false
 	}
 	root := renderExpr(recv)
-	if root == "" {
-		return "", false
-	}
-	return root, true
+	return root, root != ""
 }
 
-func isOSRename(pass *analysis.Pass, names map[string]string, call *ast.CallExpr) bool {
+// closeOf unpacks root.Close() on a file, returning the root.
+func closeOf(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Close" {
+		return "", false
+	}
+	return syncOrCloseOf(pass, call)
+}
+
+// fsyncCall reports whether call is an fsync — Sync() on a file or
+// SyncDir(dir) on the durable FS — rendered as "f.Sync" / "fsys.SyncDir".
+func fsyncCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	recv, name, isMeth := methodCall(pass, call)
+	if !isMeth {
+		return "", false
+	}
+	t := pass.TypeOf(recv)
+	if (name == "Sync" && len(call.Args) == 0 && isFile(t)) || (name == "SyncDir" && isDurableFS(t)) {
+		return renderExpr(recv) + "." + name, true
+	}
+	return "", false
+}
+
+// isRename reports whether call is os.Rename or Rename on the durable FS.
+func isRename(pass *analysis.Pass, names map[string]string, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || sel.Sel.Name != "Rename" {
 		return false
 	}
-	path, name, ok := pkgSelector(pass, names, sel)
-	return ok && path == "os" && name == "Rename"
+	if path, _, ok := pkgSelector(pass, names, sel); ok {
+		return path == "os"
+	}
+	return isDurableFS(pass.TypeOf(sel.X))
 }
 
 func allBlank(lhs []ast.Expr) bool {
@@ -327,8 +346,8 @@ func allBlank(lhs []ast.Expr) bool {
 	return len(lhs) > 0
 }
 
-// anyDurCall cheaply reports whether the body mentions Sync, Close or
-// Rename at all, so functions without them skip graph construction.
+// anyDurCall cheaply reports whether the body mentions Sync, SyncDir, Close
+// or Rename at all, so functions without them skip graph construction.
 func anyDurCall(pass *analysis.Pass, names map[string]string, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -339,11 +358,11 @@ func anyDurCall(pass *analysis.Pass, names map[string]string, body *ast.BlockStm
 		if !ok {
 			return true
 		}
-		if isOSRename(pass, names, call) {
+		if isRename(pass, names, call) {
 			found = true
 			return false
 		}
-		if _, name, isMeth := methodCall(pass, call); isMeth && (name == "Sync" || name == "Close") {
+		if _, name, isMeth := methodCall(pass, call); isMeth && (name == "Sync" || name == "SyncDir" || name == "Close") {
 			found = true
 			return false
 		}

@@ -1,4 +1,5 @@
-// Package a sits outside the persistence packages: durerr does not apply.
+// Package a sits outside internal/durable: durerr does not apply (that such
+// a package calls Sync or os.Rename at all is atomicwrite's finding).
 // Non-durable output (reports, scratch files) may discard close errors.
 package a
 

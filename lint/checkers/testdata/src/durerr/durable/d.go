@@ -1,8 +1,23 @@
-// Package checkpoint carries a persistence path segment, so durerr tracks
-// every durability-relevant error here.
-package checkpoint
+// Package durable carries the durable path segment — the one package
+// allowed to make data durable — so durerr tracks every durability-relevant
+// error here, on *os.File and through the File/FS seam alike.
+package durable
 
 import "os"
+
+// File and FS mirror the seam of the real internal/durable.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+type FS interface {
+	OpenFile(name string, flag int) (File, error)
+	CreateTemp(dir, pattern string) (File, string, error)
+	Rename(oldpath, newpath string) error
+	SyncDir(dir string) error
+}
 
 // Positive: a discarded Sync error is a lost write.
 func syncDiscarded(path string) {
@@ -116,4 +131,56 @@ func acknowledgedCleanup(path string) error {
 	}
 	_ = f.Close()
 	return os.Remove(path)
+}
+
+// Positive: the seam's calls count as the os calls they stand for.
+func seamSyncDiscarded(f File) {
+	f.Sync() // want `f\.Sync\(\) error discarded in seamSyncDiscarded`
+}
+
+func seamSyncDirBlanked(fsys FS, dir string) {
+	_ = fsys.SyncDir(dir) // want `fsys\.SyncDir\(\) error explicitly discarded in seamSyncDirBlanked`
+}
+
+func seamRenameDiscarded(fsys FS, tmp, dst string) {
+	fsys.Rename(tmp, dst) // want `os\.Rename error discarded in seamRenameDiscarded`
+}
+
+func seamCloseUnsynced(fsys FS, path string, b []byte) {
+	f, _ := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND)
+	f.Write(b)
+	f.Close() // want `f\.Close\(\) error discarded in seamCloseUnsynced while the file may hold unsynced writes`
+}
+
+func seamTempNeverSynced(fsys FS, dir string, b []byte) error {
+	tmp, _, err := fsys.CreateTemp(dir, "x.tmp-*")
+	if err != nil {
+		return err
+	}
+	defer tmp.Close() // want `deferred tmp\.Close\(\) in seamTempNeverSynced discards the close error`
+	_, err = tmp.Write(b)
+	return err
+}
+
+// Negative: the atomic-write protocol through the seam, every error checked
+// and the directory fsync reported to the caller.
+func seamCheckedProtocol(fsys FS, dir, dst string, b []byte) error {
+	tmp, name, err := fsys.CreateTemp(dir, "x.tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(b)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(name, dst)
+	}
+	if err != nil {
+		return err
+	}
+	return fsys.SyncDir(dir)
 }

@@ -58,8 +58,27 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool { return isNamed(t, "context", "Context") }
 
-// isOSFile reports whether t is *os.File (or os.File).
-func isOSFile(t types.Type) bool { return isNamed(t, "os", "File") }
+// durableSegment names the one package allowed to hand-roll durability
+// (internal/durable and the test double beneath it).
+const durableSegment = "durable"
+
+// isDurableNamed reports whether t (possibly behind a pointer) is the type
+// called name in a package under the durable segment.
+func isDurableNamed(t types.Type, name string) bool {
+	n := namedType(t)
+	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
+		return false
+	}
+	return n.Obj().Name() == name && hasPathSegment(n.Obj().Pkg().Path(), durableSegment)
+}
+
+// isFile reports whether t is a file handle whose Sync is an fsync:
+// *os.File, or the File interface durable writes through.
+func isFile(t types.Type) bool { return isNamed(t, "os", "File") || isDurableNamed(t, "File") }
+
+// isDurableFS reports whether t is durable's filesystem seam, whose
+// OpenFile, CreateTemp, Rename and SyncDir stand for the os calls.
+func isDurableFS(t types.Type) bool { return isDurableNamed(t, "FS") }
 
 // isMutex reports whether t is sync.Mutex or sync.RWMutex.
 func isMutex(t types.Type) bool {
@@ -159,7 +178,7 @@ type blockingKind struct {
 	chans   bool // sends, receives, select-without-default, range-over-channel
 	http    bool // client round trips
 	parpool bool // submits to internal/parpool (block until the pool drains)
-	fsync   bool // (*os.File).Sync
+	fsync   bool // Sync on a file (*os.File or durable.File)
 	wgWait  bool // (*sync.WaitGroup).Wait
 }
 
@@ -241,7 +260,7 @@ func findBlockingOps(pass *analysis.Pass, names map[string]string, body *ast.Blo
 			}
 			if recv, name, ok := methodCall(pass, n); ok && len(n.Args) == 0 {
 				switch {
-				case kind.fsync && name == "Sync" && isOSFile(pass.TypeOf(recv)):
+				case kind.fsync && name == "Sync" && isFile(pass.TypeOf(recv)):
 					ops = append(ops, blockingOp{n, "file fsync"})
 				case kind.wgWait && name == "Wait" && isNamed(pass.TypeOf(recv), "sync", "WaitGroup"):
 					ops = append(ops, blockingOp{n, "WaitGroup wait"})
