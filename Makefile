@@ -21,7 +21,7 @@ bench:
 	$(GO) run ./cmd/unicobench
 
 bench-gate:
-	$(GO) run ./cmd/unicobench -run '^(GPFitPredict|CholeskyBlocked|Rank1Update|MappingSearchUnit|EndToEndMicro)$$' \
+	$(GO) run ./cmd/unicobench -run '^(GPFitPredict|CholeskyBlocked|Rank1Update|MappingSearchUnit|AscendNewJob|SpatialNewJob|EndToEndMicro)$$' \
 		-benchtime 1x -out BENCH_ci.json
 	$(GO) run ./cmd/unicobench -diff -tol 3 BENCH_baseline.json BENCH_ci.json
 

@@ -151,6 +151,18 @@ func BenchmarkMappingSearchUnit(b *testing.B) {
 	benchmarks.MappingSearchUnit(b)
 }
 
+// BenchmarkAscendNewJob and BenchmarkSpatialNewJob measure building one
+// candidate's mapping search (job construction, PERFORMANCE.md §1). The
+// bodies live in internal/benchmarks so cmd/unicobench runs the identical
+// workloads.
+func BenchmarkAscendNewJob(b *testing.B) {
+	benchmarks.AscendNewJob(b)
+}
+
+func BenchmarkSpatialNewJob(b *testing.B) {
+	benchmarks.SpatialNewJob(b)
+}
+
 // BenchmarkGPFitPredict measures surrogate refitting plus a prediction at
 // the training sizes MOBO reaches. The body lives in internal/benchmarks
 // so cmd/unicobench runs the identical workload.

@@ -161,10 +161,19 @@ func TestFlightRecordKillResumeIdentical(t *testing.T) {
 	if !reflect.DeepEqual(wantPhases, gotPhases) {
 		t.Errorf("phase trees diverged after kill/resume:\nwant %+v\ngot  %+v", wantPhases, gotPhases)
 	}
+	newJobs := uint64(0)
 	for _, a := range wantPhases {
 		if a.Path == "iteration" && a.SimSeconds <= 0 {
 			t.Errorf("iteration phase has non-positive sim time: %+v", a)
 		}
+		if a.Path == "iteration/newjob" {
+			newJobs = a.Count
+		}
+	}
+	// Job construction is attributed once per iteration, not folded into
+	// the iteration's self time.
+	if newJobs != uint64(len(want.Iters)) {
+		t.Errorf("iteration/newjob recorded %d times over %d iterations", newJobs, len(want.Iters))
 	}
 }
 

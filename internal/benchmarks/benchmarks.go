@@ -42,6 +42,8 @@ func All() []Case {
 		{Name: "CholeskyBlocked", Fn: CholeskyBlocked},
 		{Name: "Rank1Update", Fn: Rank1Update},
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit},
+		{Name: "AscendNewJob", Fn: AscendNewJob},
+		{Name: "SpatialNewJob", Fn: SpatialNewJob},
 		{Name: "RepeatedRungWorkload/uncached", Fn: rungUncached},
 		{Name: "RepeatedRungWorkload/cached", Fn: rungCached},
 		{Name: "RepeatedRungWorkloadAscend/uncached", Fn: ascendUncached},
@@ -144,6 +146,31 @@ func MappingSearchUnit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ns.Advance(1)
+	}
+}
+
+// AscendNewJob measures building one candidate's schedule search on the
+// Ascend-like platform (DLEU, default core) — per-candidate harness cost
+// that must stay far below the simulator time the job then spends.
+func AscendNewJob(b *testing.B) {
+	p := platform.NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
+	benchNewJob(b, p, p.AscendSpace().Encode(hw.DefaultAscend()))
+}
+
+// SpatialNewJob is the open-source-platform counterpart: one candidate's
+// mapping search for MobileNet on an Edge design.
+func SpatialNewJob(b *testing.B) {
+	p := platform.NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
+	benchNewJob(b, p, p.Space().Sample(rand.New(rand.NewSource(1))))
+}
+
+func benchNewJob(b *testing.B, p core.Platform, x []float64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p.NewJob(x, int64(i)) == nil {
+			b.Fatal("nil job")
+		}
 	}
 }
 

@@ -370,9 +370,11 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			break
 		}
 		jobs := make([]mapsearch.Searcher, len(xs))
+		_, phaseNewJob := prof.StartClocked(pctx, "newjob", opt.Clock)
 		for i, x := range xs {
 			jobs[i] = p.NewJob(x, opt.Seed+int64(iter)*1_000_000+int64(i))
 		}
+		phaseNewJob.End()
 
 		var outcome sh.Outcome
 		if opt.DisableSH {

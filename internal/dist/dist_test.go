@@ -2,12 +2,18 @@ package dist
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"unico/internal/core"
 	"unico/internal/hw"
 	"unico/internal/mapping"
+	"unico/internal/mapsearch"
+	"unico/internal/platform"
 	"unico/internal/workload"
 )
 
@@ -125,6 +131,79 @@ func TestJobLifecycle(t *testing.T) {
 	// Unknown job.
 	if _, err := c.AdvanceJobContext(context.Background(), "job-999", 1); err == nil {
 		t.Error("unknown job accepted")
+	}
+}
+
+// remoteHistory creates the job on a fresh worker, advances it and returns
+// the best-so-far history the worker reports, rendered with %v (shortest
+// round-trip floats, so equal strings mean equal bits).
+func remoteHistory(t *testing.T, spec JobSpec, budget int) string {
+	t.Helper()
+	_, c := newWorker(t)
+	id, err := c.CreateJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.AdvanceJobContext(context.Background(), id, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(st.History)
+}
+
+// ascendJobGoldenDigest was captured on the commit before the depth-first
+// walk became an on-demand generator; see TestAscendJobMatchesLocalAndGolden.
+const ascendJobGoldenDigest = "cd14df1d3df253332897ce1eb725f5eced054c024a7e018b122df14407a43a27"
+
+// TestAscendJobMatchesLocalAndGolden builds one "ascend" job spec through
+// the worker and through platform.Ascend.NewJob: both must report the same
+// history, bit for bit, and it must be the one the eager walk produced.
+func TestAscendJobMatchesLocalAndGolden(t *testing.T) {
+	const budget, seed = 60, 17
+	p := platform.NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
+	x := p.Space().Sample(rand.New(rand.NewSource(3)))
+	local := p.NewJob(x, seed)
+	local.Advance(budget)
+	want := fmt.Sprint(local.History())
+
+	got := remoteHistory(t, JobSpec{
+		Platform: "ascend", Networks: []string{"DLEU"}, X: x, Algo: "depthfirst", Seed: seed,
+	}, budget)
+	if got != want {
+		t.Errorf("remote history differs from local:\n remote %s\n local  %s", got, want)
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest captured on amd64; other architectures may fuse multiply-adds")
+	}
+	if d := fmt.Sprintf("%x", sha256.Sum256([]byte(want))); d != ascendJobGoldenDigest {
+		t.Errorf("history digest %s, want %s", d, ascendJobGoldenDigest)
+	}
+}
+
+// TestTwoNetworkJobMatchesLocal pins that the worker combines a
+// multi-network spec exactly as the local platform does (workload.Combine).
+func TestTwoNetworkJobMatchesLocal(t *testing.T) {
+	const budget, seed = 12, 5
+	nets := []string{"MobileNetV3-S", "FSRCNN-120x320"}
+	ws := make([]workload.Workload, len(nets))
+	for i, n := range nets {
+		w, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	p := platform.NewSpatial(hw.Edge, ws, mapsearch.FlexTensorLike)
+	x := p.Space().Sample(rand.New(rand.NewSource(8)))
+	local := p.NewJob(x, seed)
+	local.Advance(budget)
+	want := fmt.Sprint(local.History())
+
+	got := remoteHistory(t, JobSpec{
+		Platform: "spatial", Scenario: "edge", Networks: nets, X: x, Algo: "flextensor", Seed: seed,
+	}, budget)
+	if got != want {
+		t.Errorf("remote history differs from local:\n remote %s\n local  %s", got, want)
 	}
 }
 

@@ -265,17 +265,15 @@ func (s *Server) buildSearcher(spec JobSpec) (mapsearch.Searcher, error) {
 	if len(spec.Networks) == 0 {
 		return nil, fmt.Errorf("dist: job spec names no networks")
 	}
-	var layers []workload.Layer
-	var name string
-	for _, n := range spec.Networks {
+	ws := make([]workload.Workload, len(spec.Networks))
+	for i, n := range spec.Networks {
 		wl, err := workload.ByName(n)
 		if err != nil {
 			return nil, err
 		}
-		layers = append(layers, wl.Layers...)
-		name += n + "+"
+		ws[i] = wl
 	}
-	combined := workload.Workload{Name: name, Layers: layers}
+	combined := workload.Combine(ws)
 	algo, err := parseAlgo(spec.Algo)
 	if err != nil {
 		return nil, err

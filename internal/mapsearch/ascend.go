@@ -1,8 +1,8 @@
 package mapsearch
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
@@ -91,15 +91,20 @@ func (p ascendProblem) Seeds() []mapping.Ascend {
 // walks the schedule tree depth-first, trying the deepest fusion and the
 // largest tiles first — the most buffer-hungry schedules — and backing off
 // toward shallower fusion and smaller tiles as capacity checks fail. Each
-// Step evaluates exactly one schedule; once the deterministic walk is
-// exhausted the searcher refines the incumbent by random mutation.
+// Step evaluates exactly one schedule: first the warm-start seeds, then the
+// backoff walk, which is generated one level at a time as Step reaches it
+// (building a searcher costs three tile ladders, however large the tree),
+// and once the walk is exhausted the searcher refines the incumbent by
+// random mutation.
 type DepthFirstFusion struct {
 	prob ascendProblem
 	rng  *rand.Rand
 
-	// walk is the deterministic candidate order; pos is the next node.
-	walk    []mapping.Ascend
+	// pending holds the walk nodes generated but not yet evaluated — the
+	// seeds, then one backoff level at a time; pos is the next node.
+	pending []mapping.Ascend
 	pos     int
+	walk    backoffWalk
 	bestMet ppa.Metrics
 	best    mapping.Ascend
 	hasBest bool
@@ -114,57 +119,78 @@ func NewDepthFirstFusion(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng 
 	d := &DepthFirstFusion{
 		prob: ascendProblem{eng: eng, cfg: cfg, layer: l},
 		rng:  rng,
+		walk: newBackoffWalk(l, descLadder(gm), descLadder(gk), descLadder(gn)),
 	}
 	// The warm-start seeds head the walk so feasibility is established on
 	// the first steps, then the deterministic backoff sweep takes over.
-	d.walk = append(d.prob.Seeds(),
-		buildWalk(l, []int{4, 3, 2, 1}, descLadder(gm), descLadder(gk), descLadder(gn))...)
+	d.pending = d.prob.Seeds()
 	return d
 }
 
-// buildWalk enumerates the schedule tree in backoff order: index tuples over
-// (fusion depth, TM, TK, TN, double-buffer combo) — each axis largest /
-// most aggressive first — sorted by total backoff so the walk retreats from
-// the most buffer-hungry corner one resource at a time, the practical
-// traversal order of depth-first fusion searchers.
-func buildWalk(l workload.Layer, fuses, tms, tks, tns []int) []mapping.Ascend {
-	dbufs := [][3]bool{
-		{true, true, true},
-		{true, true, false},
-		{true, false, false},
-		{false, false, false},
+const (
+	// maxFuseDepth and dbufCombos size the two fixed axes of the schedule
+	// tree: fusion depths 4..1, and the double-buffer combinations ABC, AB,
+	// A, none — like the tile ladders, most buffer-hungry first.
+	maxFuseDepth = 4
+	dbufCombos   = 4
+	// maxWalkNodes caps the walk: no realistic budget visits more than the
+	// first couple thousand nodes before mutation does better.
+	maxWalkNodes = 2048
+)
+
+// backoffWalk enumerates the schedule tree in backoff order: index tuples
+// over (fusion depth, TM, TK, TN, double-buffer combo) — each axis largest /
+// most aggressive first — ordered by total backoff (the index sum) so the
+// walk retreats from the most buffer-hungry corner one resource at a time,
+// the practical traversal order of depth-first fusion searchers. Within one
+// backoff level the tuples come in lexicographic order, which is the order
+// a stable sort of the full product by index sum would give.
+type backoffWalk struct {
+	layer         workload.Layer
+	tms, tks, tns []int
+	level         int // next backoff level to emit
+	left          int // nodes the walk may still emit
+}
+
+func newBackoffWalk(l workload.Layer, tms, tks, tns []int) backoffWalk {
+	return backoffWalk{layer: l, tms: tms, tks: tks, tns: tns, left: maxWalkNodes}
+}
+
+// appendLevel appends the next backoff level's nodes to dst. It appends
+// nothing once the last level or the node cap has been reached.
+func (w *backoffWalk) appendLevel(dst []mapping.Ascend) []mapping.Ascend {
+	c := w.level
+	// The deepest level backs every axis off to its last index.
+	last := (maxFuseDepth - 1) + (len(w.tms) - 1) + (len(w.tks) - 1) + (len(w.tns) - 1) + (dbufCombos - 1)
+	if w.left == 0 || c > last {
+		return dst
 	}
-	type node struct {
-		m    mapping.Ascend
-		cost int
-	}
-	var nodes []node
-	for fi, f := range fuses {
-		for mi, tm := range tms {
-			for ki, tk := range tks {
-				for ni, tn := range tns {
-					for di, db := range dbufs {
-						m := mapping.Ascend{
-							TM: tm, TK: tk, TN: tn, FuseDepth: f,
-							DBufA: db[0], DBufB: db[1], DBufC: db[2],
-						}.Canon(l)
-						nodes = append(nodes, node{m: m, cost: fi + mi + ki + ni + di})
+	w.level++
+	for fi := 0; fi < maxFuseDepth; fi++ {
+		for mi, tm := range w.tms {
+			for ki, tk := range w.tks {
+				for ni, tn := range w.tns {
+					di := c - fi - mi - ki - ni
+					if di < 0 {
+						break // a larger ni only overshoots further
 					}
+					if di >= dbufCombos {
+						continue
+					}
+					if w.left == 0 {
+						return dst
+					}
+					w.left--
+					// di drops one double buffer at a time: C, then B, then A.
+					dst = append(dst, mapping.Ascend{
+						TM: tm, TK: tk, TN: tn, FuseDepth: maxFuseDepth - fi,
+						DBufA: di < 3, DBufB: di < 2, DBufC: di < 1,
+					}.Canon(w.layer))
 				}
 			}
 		}
 	}
-	sort.SliceStable(nodes, func(a, b int) bool { return nodes[a].cost < nodes[b].cost })
-	// No realistic budget visits more than the first couple thousand nodes;
-	// truncating bounds per-layer memory.
-	if len(nodes) > 2048 {
-		nodes = nodes[:2048]
-	}
-	walk := make([]mapping.Ascend, len(nodes))
-	for i, n := range nodes {
-		walk[i] = n.m
-	}
-	return walk
+	return dst
 }
 
 // descLadder returns the candidate tile sizes for a bound, largest first,
@@ -172,7 +198,7 @@ func buildWalk(l workload.Layer, fuses, tms, tks, tns []int) []mapping.Ascend {
 // range (the walk must be able to back off all the way to tiny tiles for
 // huge layers).
 func descLadder(bound int) []int {
-	var vals []int
+	vals := make([]int, 0, bits.Len(uint(bound))+1)
 	for p := 1; p <= bound; p *= 2 {
 		vals = append(vals, p)
 	}
@@ -199,8 +225,12 @@ func descLadder(bound int) []int {
 func (d *DepthFirstFusion) Step() {
 	d.evals++
 	var cand mapping.Ascend
-	if d.pos < len(d.walk) {
-		cand = d.walk[d.pos]
+	if d.pos == len(d.pending) {
+		// The consumed level's storage is reused for the next one.
+		d.pending, d.pos = d.walk.appendLevel(d.pending[:0]), 0
+	}
+	if d.pos < len(d.pending) {
+		cand = d.pending[d.pos]
 		d.pos++
 	} else if d.hasBest {
 		cand = mapping.MutateAscend(d.rng, d.best, d.prob.layer)

@@ -1,14 +1,16 @@
 package mapsearch
 
 import (
+	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"unico/internal/camodel"
 	"unico/internal/hw"
 	"unico/internal/mapping"
+	"unico/internal/ppa"
 	"unico/internal/workload"
-
-	"math/rand"
 )
 
 func TestDescLadder(t *testing.T) {
@@ -73,9 +75,148 @@ func TestDepthFirstWalkImproves(t *testing.T) {
 	}
 }
 
+// buildWalk is the reference the on-demand backoffWalk is checked against:
+// the eager enumeration it replaced. It materialises the whole (fusion
+// depth, TM, TK, TN, double-buffer combo) product, stable-sorts it by total
+// backoff and truncates to the node cap.
+func buildWalk(l workload.Layer, fuses, tms, tks, tns []int) []mapping.Ascend {
+	dbufs := [][3]bool{
+		{true, true, true},
+		{true, true, false},
+		{true, false, false},
+		{false, false, false},
+	}
+	type node struct {
+		m    mapping.Ascend
+		cost int
+	}
+	var nodes []node
+	for fi, f := range fuses {
+		for mi, tm := range tms {
+			for ki, tk := range tks {
+				for ni, tn := range tns {
+					for di, db := range dbufs {
+						m := mapping.Ascend{
+							TM: tm, TK: tk, TN: tn, FuseDepth: f,
+							DBufA: db[0], DBufB: db[1], DBufC: db[2],
+						}.Canon(l)
+						nodes = append(nodes, node{m: m, cost: fi + mi + ki + ni + di})
+					}
+				}
+			}
+		}
+	}
+	sort.SliceStable(nodes, func(a, b int) bool { return nodes[a].cost < nodes[b].cost })
+	if len(nodes) > 2048 {
+		nodes = nodes[:2048]
+	}
+	walk := make([]mapping.Ascend, len(nodes))
+	for i, n := range nodes {
+		walk[i] = n.m
+	}
+	return walk
+}
+
+// drainWalk runs the generator to exhaustion, checking on the way that every
+// level but the last is non-empty (Step relies on an empty level meaning
+// "exhausted").
+func drainWalk(t *testing.T, w backoffWalk) []mapping.Ascend {
+	t.Helper()
+	var out []mapping.Ascend
+	for {
+		n := len(out)
+		out = w.appendLevel(out)
+		if len(out) == n {
+			break
+		}
+	}
+	if more := w.appendLevel(nil); len(more) != 0 {
+		t.Fatalf("walk emitted %d nodes after reporting exhaustion", len(more))
+	}
+	return out
+}
+
+// checkWalkEqualsReference holds the generated walk to the eager reference,
+// node for node, and returns it.
+func checkWalkEqualsReference(t *testing.T, name string, l workload.Layer, tms, tks, tns []int) []mapping.Ascend {
+	t.Helper()
+	want := buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)
+	got := drainWalk(t, newBackoffWalk(l, tms, tks, tns))
+	if len(got) != len(want) {
+		t.Errorf("%s: generated %d nodes, reference has %d", name, len(got), len(want))
+		return got
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: node %d = %+v, reference %+v", name, i, got[i], want[i])
+			break
+		}
+	}
+	return got
+}
+
+func layerLadders(l workload.Layer) (tms, tks, tns []int) {
+	gm, gk, gn := mapping.GemmDims(l)
+	return descLadder(gm), descLadder(gk), descLadder(gn)
+}
+
+func TestBackoffWalkMatchesReference(t *testing.T) {
+	for _, w := range workload.All() {
+		for _, l := range w.Layers {
+			tms, tks, tns := layerLadders(l)
+			checkWalkEqualsReference(t, w.Name+"/"+l.Name, l, tms, tks, tns)
+		}
+	}
+
+	// Hand-built ladders, one rung of which Canon clamps (64 > gm = 32).
+	hand := workload.Conv("c", 32, 16, 64, 64, 3, 3, 1, 1)
+	checkWalkEqualsReference(t, "hand-built", hand, []int{64, 32, 16}, []int{32, 16}, []int{128, 64})
+
+	// Degenerate GEMM: every tile ladder has one rung, so only the fusion
+	// and double-buffer axes span the tree (16 nodes, 7 levels).
+	unit := workload.Gemm("unit", 1, 1, 1, 1)
+	tms, tks, tns := layerLadders(unit)
+	if len(tms) != 1 || len(tks) != 1 || len(tns) != 1 {
+		t.Fatalf("1x1x1 ladders = %v %v %v, want one rung each", tms, tks, tns)
+	}
+	if n := len(checkWalkEqualsReference(t, "1x1x1", unit, tms, tks, tns)); n != 16 {
+		t.Errorf("1x1x1 walk has %d nodes, want 16", n)
+	}
+
+	// A 4*7*8*8*4 = 7168-node tree: the cap must cut the walk at 2048
+	// nodes, in the middle of a backoff level.
+	big := workload.Conv("big", 64, 56, 480, 1280, 3, 3, 1, 1)
+	tms, tks, tns = layerLadders(big)
+	if n := 16 * len(tms) * len(tks) * len(tns); n <= maxWalkNodes {
+		t.Fatalf("big tree has %d nodes, want more than the cap", n)
+	}
+	checkWalkEqualsReference(t, "big", big, tms, tks, tns)
+	w := newBackoffWalk(big, tms, tks, tns)
+	total, lastLevel := 0, 0
+	for {
+		n := len(w.appendLevel(nil))
+		if n == 0 {
+			break
+		}
+		total, lastLevel = total+n, n
+	}
+	if total != maxWalkNodes {
+		t.Fatalf("capped walk has %d nodes, want %d", total, maxWalkNodes)
+	}
+	uncapped := newBackoffWalk(big, tms, tks, tns)
+	uncapped.left = 1 << 30
+	var full int
+	for i := 0; i < w.level; i++ {
+		full = len(uncapped.appendLevel(nil))
+	}
+	if lastLevel >= full {
+		t.Errorf("cap did not land mid-level: last level emitted %d of %d nodes", lastLevel, full)
+	}
+}
+
 func TestBuildWalkBackoffOrder(t *testing.T) {
 	l := workload.Conv("c", 32, 16, 64, 64, 3, 3, 1, 1)
-	walk := buildWalk(l, []int{4, 3, 2, 1}, []int{64, 32, 16}, []int{32, 16}, []int{128, 64})
+	walk := drainWalk(t, newBackoffWalk(l, []int{64, 32, 16}, []int{32, 16}, []int{128, 64}))
 	if len(walk) == 0 {
 		t.Fatal("empty walk")
 	}
@@ -86,6 +227,104 @@ func TestBuildWalkBackoffOrder(t *testing.T) {
 	}
 	if first.TM != 32 { // clamped to gm = 32 output channels
 		t.Errorf("first TM = %d", first.TM)
+	}
+}
+
+// recordingEngine is a stub AscendEngine that records every schedule it is
+// asked about. Metrics are a fixed function of the schedule so the incumbent
+// changes along the walk; with feasible unset every evaluation fails.
+type recordingEngine struct {
+	feasible bool
+	seen     *[]mapping.Ascend
+}
+
+func (e recordingEngine) Evaluate(_ hw.Ascend, m mapping.Ascend, _ workload.Layer) (ppa.Metrics, error) {
+	*e.seen = append(*e.seen, m)
+	if !e.feasible || m.TM%3 == 0 {
+		return ppa.Metrics{}, errors.New("stub: infeasible")
+	}
+	lat := float64(1 + (m.TM*31+m.TK*17+m.TN*7+m.FuseDepth*3)%97)
+	return ppa.Metrics{LatencyMs: lat, PowerMW: 2, AreaMM2: 1, EnergyUJ: 2 * lat}, nil
+}
+
+func (recordingEngine) Area(hw.Ascend) float64   { return 1 }
+func (recordingEngine) EvalCostSeconds() float64 { return 1 }
+
+// eagerSteps replays the searcher as it was before the walk was generated
+// on demand — seeds, then the whole reference walk, then the rng-driven tail
+// — and returns the schedules it evaluates and the index of the first one
+// drawn from the rng.
+func eagerSteps(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.Rand, steps int) (cands []mapping.Ascend, handoff int) {
+	prob := ascendProblem{eng: eng, cfg: cfg, layer: l}
+	tms, tks, tns := layerLadders(l)
+	walk := append(prob.Seeds(), buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)...)
+	var best mapping.Ascend
+	var bestMet ppa.Metrics
+	hasBest := false
+	for i := 0; i < steps; i++ {
+		var cand mapping.Ascend
+		switch {
+		case i < len(walk):
+			cand = walk[i]
+		case hasBest:
+			cand = mapping.MutateAscend(rng, best, l)
+		default:
+			cand = mapping.RandomAscend(rng, l)
+		}
+		cands = append(cands, cand)
+		met, err := prob.Evaluate(cand)
+		if err == nil && (!hasBest || Loss(met) < Loss(bestMet)) {
+			best, bestMet, hasBest = cand, met, true
+		}
+	}
+	return cands, len(walk)
+}
+
+// TestDepthFirstStepSequenceMatchesEager pins the walk-to-mutation hand-off:
+// stepped past the end of the walk, the searcher evaluates the same
+// schedules in the same order as the eager implementation and leaves the
+// rng in the same state.
+func TestDepthFirstStepSequenceMatchesEager(t *testing.T) {
+	const steps = 2200
+	cfg := hw.DefaultAscend()
+	layers := []workload.Layer{
+		workload.Conv("big", 64, 56, 480, 1280, 3, 3, 1, 1), // capped walk
+		workload.Conv("c", 56, 12, 120, 320, 3, 3, 1, 1),
+		workload.Gemm("unit", 1, 1, 1, 1), // 16-node walk, long tail
+	}
+	for _, l := range layers {
+		for _, feasible := range []bool{true, false} {
+			var want, got []mapping.Ascend
+			refRng := rand.New(rand.NewSource(11))
+			wantSeq, handoff := eagerSteps(recordingEngine{feasible, &want}, cfg, l, refRng, steps)
+			if handoff >= steps {
+				t.Fatalf("%s: walk of %d nodes never hands off within %d steps", l.Name, handoff, steps)
+			}
+
+			rng := rand.New(rand.NewSource(11))
+			d := NewDepthFirstFusion(recordingEngine{feasible, &got}, cfg, l, rng)
+			for i := 0; i < steps; i++ {
+				d.Step()
+			}
+			if len(got) != steps || len(want) != steps {
+				t.Fatalf("%s: recorded %d / %d evaluations, want %d", l.Name, len(got), len(want), steps)
+			}
+			for i := range want {
+				if want[i] != wantSeq[i] {
+					t.Fatalf("%s: reference recorded %+v but evaluated %+v at step %d", l.Name, want[i], wantSeq[i], i)
+				}
+				if got[i] != want[i] {
+					t.Fatalf("%s feasible=%v: step %d (hand-off at %d) evaluated %+v, eager %+v",
+						l.Name, feasible, i, handoff, got[i], want[i])
+				}
+			}
+			if a, b := rng.Int63(), refRng.Int63(); a != b {
+				t.Errorf("%s feasible=%v: rng state diverged after %d steps", l.Name, feasible, steps)
+			}
+			if d.Evals() != steps {
+				t.Errorf("%s: Evals() = %d, want %d", l.Name, d.Evals(), steps)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,91 @@
+package platform
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"runtime"
+	"testing"
+
+	"unico/internal/core"
+	"unico/internal/mapsearch"
+	"unico/internal/ppa"
+	"unico/internal/workload"
+)
+
+// resultDigest is the SHA-256 of every bit of a co-search result: each
+// candidate's X, metrics, sensitivity, feasibility, iteration and whole
+// mapping-search history in evaluation order, then the front and the
+// evaluation count. The simulated hours stay out: they model how many
+// searches overlap, so they are the one field Workers legitimately moves.
+func resultDigest(res core.Result) string {
+	h := sha256.New()
+	hashCandidates(h, res.All)
+	hashCandidates(h, res.Front)
+	hashFloats(h, float64(res.Evals))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func hashFloats(h hash.Hash, vs ...float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+}
+
+func hashMetrics(h hash.Hash, m ppa.Metrics) {
+	hashFloats(h, m.LatencyMs, m.PowerMW, m.AreaMM2, m.EnergyUJ)
+}
+
+func hashCandidates(h hash.Hash, cs []core.Candidate) {
+	hashFloats(h, float64(len(cs)))
+	for _, c := range cs {
+		hashFloats(h, float64(len(c.X)))
+		hashFloats(h, c.X...)
+		hashMetrics(h, c.Metrics)
+		feasible := 0.0
+		if c.Feasible {
+			feasible = 1
+		}
+		hashFloats(h, c.Sensitivity, feasible, float64(c.Iter), float64(len(c.History)))
+		for _, pt := range c.History {
+			hashFloats(h, float64(pt.Budget), pt.Loss)
+			hashMetrics(h, pt.M)
+		}
+	}
+}
+
+// ascendGoldenDigest was captured on the commit before the depth-first walk
+// became an on-demand generator (eager buildWalk, 2 048 sorted nodes per
+// layer per candidate); the generator must not move one bit of it.
+const ascendGoldenDigest = "642c857fee35be2819ea7c7565902e19c2306bb03ebcfebc3e15d13b80e19911"
+
+// ascendGoldenHours is the simulated cost of the same run per worker count.
+var ascendGoldenHours = map[int]float64{1: 78.75416666666666, 4: 43.75416666666667}
+
+// TestAscendCoSearchGolden pins the Ascend-like co-search bit for bit — the
+// result of a small UNICO run on DLEU — and its independence from the worker
+// count.
+func TestAscendCoSearchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest captured on amd64; other architectures may fuse multiply-adds")
+	}
+	for workers, hours := range ascendGoldenHours {
+		p := NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
+		opt := core.UNICOOptions(5, 3, 40, 9)
+		opt.Workers = workers
+		res := core.Run(p, opt)
+		if len(res.All) != 15 || len(res.Front) == 0 {
+			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
+		}
+		if got := resultDigest(res); got != ascendGoldenDigest {
+			t.Errorf("workers=%d: result digest %s, want %s", workers, got, ascendGoldenDigest)
+		}
+		if res.Hours != hours {
+			t.Errorf("workers=%d: simulated hours %v, want %v", workers, res.Hours, hours)
+		}
+	}
+}

@@ -5,8 +5,6 @@
 package platform
 
 import (
-	"strings"
-
 	"unico/internal/camodel"
 	"unico/internal/evalcache"
 	"unico/internal/hw"
@@ -15,25 +13,6 @@ import (
 	"unico/internal/mobo"
 	"unico/internal/workload"
 )
-
-// combine concatenates the workload set into one layer table; the
-// co-optimization objective is then the aggregate PPA across all input
-// networks, as in the paper's multi-workload runs (Sections 4.3 and 4.4).
-func combine(ws []workload.Workload) workload.Workload {
-	if len(ws) == 1 {
-		return ws[0]
-	}
-	names := make([]string, len(ws))
-	var layers []workload.Layer
-	for i, w := range ws {
-		names[i] = w.Name
-		for _, l := range w.Layers {
-			l.Name = w.Name + "/" + l.Name
-			layers = append(layers, l)
-		}
-	}
-	return workload.Workload{Name: strings.Join(names, "+"), Layers: layers}
-}
 
 // spatialEngine picks the platform's PPA oracle: the bare analytical model,
 // or — when a process-wide evaluation cache is installed
@@ -74,7 +53,7 @@ func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Sp
 		Engine:    spatialEngine(),
 		Algo:      algo,
 		space:     hw.NewSpatialSpace(sc),
-		workloads: combine(ws),
+		workloads: workload.Combine(ws),
 	}
 }
 
@@ -142,7 +121,7 @@ func NewAscend(ws []workload.Workload, algo mapsearch.Algo) *Ascend {
 		Algo:      algo,
 		AreaCap:   200,
 		space:     hw.NewAscendSpace(),
-		workloads: combine(ws),
+		workloads: workload.Combine(ws),
 	}
 }
 

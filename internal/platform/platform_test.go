@@ -3,6 +3,7 @@ package platform
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -171,5 +172,26 @@ func TestCoSearchBitIdenticalWithCache(t *testing.T) {
 	if plain.Evals != cached.Evals || plain.Hours != cached.Hours {
 		t.Errorf("cached accounting differs: evals %d vs %d, sim %v vs %v h",
 			plain.Evals, cached.Evals, plain.Hours, cached.Hours)
+	}
+}
+
+// TestAscendNewJobAllocatesLittle keeps job construction free of
+// hardware-independent work: building the DLEU schedule search for one
+// candidate stays under 64 KiB (materialising each layer's depth-first walk
+// up front used to cost ~10 MiB per call).
+func TestAscendNewJobAllocatesLittle(t *testing.T) {
+	p := NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
+	x := p.AscendSpace().Encode(hw.DefaultAscend())
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if p.NewJob(x, int64(i)) == nil {
+			t.Fatal("nil job")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Errorf("NewJob allocates %d bytes per call, want < %d", per, 64<<10)
 	}
 }

@@ -17,7 +17,10 @@
 // exercise exactly the code paths the paper's full networks would.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // OpKind distinguishes the operator families the cost models understand.
 type OpKind int
@@ -155,6 +158,27 @@ func (l Layer) String() string {
 type Workload struct {
 	Name   string
 	Layers []Layer
+}
+
+// Combine concatenates a workload set into one layer table; the
+// co-optimization objective is then the aggregate PPA across all input
+// networks, as in the paper's multi-workload runs (Sections 4.3 and 4.4).
+// Layer names gain a "network/" prefix so they stay unique; a single
+// workload is returned as is.
+func Combine(ws []Workload) Workload {
+	if len(ws) == 1 {
+		return ws[0]
+	}
+	names := make([]string, len(ws))
+	var layers []Layer
+	for i, w := range ws {
+		names[i] = w.Name
+		for _, l := range w.Layers {
+			l.Name = w.Name + "/" + l.Name
+			layers = append(layers, l)
+		}
+	}
+	return Workload{Name: strings.Join(names, "+"), Layers: layers}
 }
 
 // MACs returns the total multiply-accumulate count of the network, including
