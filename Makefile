@@ -15,14 +15,14 @@ race:
 	cd lint && $(GO) test -race ./...
 
 ## bench records the canonical benchmarks (internal/benchmarks) into a
-## BENCH_<rev>.json trajectory point; bench-gate replays the pinned CI
-## subset and diffs it against the committed baseline.
+## BENCH_<rev>.json trajectory point; bench-gate replays the pinned subset
+## (benchmarks.Pinned, `unicobench -pinned -list`) and diffs it against the
+## committed baseline.
 bench:
 	$(GO) run ./cmd/unicobench
 
 bench-gate:
-	$(GO) run ./cmd/unicobench -run '^(GPFitPredict|CholeskyBlocked|Rank1Update|MappingSearchUnit|AscendNewJob|SpatialNewJob|EndToEndMicro)$$' \
-		-benchtime 1x -out BENCH_ci.json
+	$(GO) run ./cmd/unicobench -pinned -benchtime 1x -out BENCH_ci.json
 	$(GO) run ./cmd/unicobench -diff -tol 3 BENCH_baseline.json BENCH_ci.json
 
 ## bench-e2e smoke-runs the end-to-end co-search benchmark (bench/, declared

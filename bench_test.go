@@ -170,6 +170,14 @@ func BenchmarkGPFitPredict(b *testing.B) {
 	benchmarks.GPFitPredict(b)
 }
 
+// BenchmarkAcquisitionPool measures one acquisition maximization at the
+// paper's size (256-candidate pool, three refinement chains, four
+// objectives, n = 150). The body lives in internal/benchmarks so
+// cmd/unicobench runs the identical workload.
+func BenchmarkAcquisitionPool(b *testing.B) {
+	benchmarks.AcquisitionPool(b)
+}
+
 // BenchmarkCholeskyBlocked measures the blocked factorization on a
 // 256×256 SPD matrix. The body lives in internal/benchmarks so
 // cmd/unicobench runs the identical workload.

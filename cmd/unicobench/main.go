@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	unicobench [-run regexp] [-out file] [-benchtime 1s]   # run and record
-//	unicobench -list                                       # list bench names
+//	unicobench [-pinned] [-run regexp] [-out file] [-benchtime 1s]   # run and record
+//	unicobench [-pinned] -list                                       # list bench names
 //	unicobench -diff [-tol 0.30] OLD.json NEW.json         # tolerance gate
 //
 // Exit codes (run mode): 0 success, 1 a benchmark failed.
@@ -74,6 +74,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	var (
 		runRe     = fs.String("run", "", "regexp selecting benchmark names (default: all)")
+		pinned    = fs.Bool("pinned", false, "only the pinned kernel-gate subset (benchmarks.Pinned), the set BENCH_baseline.json records")
 		out       = fs.String("out", "", "output file (default BENCH_<rev>.json)")
 		list      = fs.Bool("list", false, "list canonical benchmark names and exit")
 		diff      = fs.Bool("diff", false, "diff mode: compare OLD.json NEW.json with the tolerance gate")
@@ -84,8 +85,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
+	cases := benchmarks.All()
+	if *pinned {
+		cases = benchmarks.Pinned()
+	}
 	if *list {
-		for _, c := range benchmarks.All() {
+		for _, c := range cases {
 			fmt.Fprintln(stdout, c.Name)
 		}
 		return 0
@@ -117,7 +122,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	f, failed := runBenches(re, stdout)
+	f, failed := runBenches(cases, re, stdout)
 	if failed {
 		return 1
 	}
@@ -133,9 +138,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// runBenches executes the selected canonical benchmarks under a fresh
-// profiler and collects results plus the aggregated phase report.
-func runBenches(re *regexp.Regexp, stdout *os.File) (File, bool) {
+// runBenches executes the cases whose names match re (all of them when re is
+// nil) under a fresh profiler and collects results plus the aggregated
+// phase report.
+func runBenches(cases []benchmarks.Case, re *regexp.Regexp, stdout *os.File) (File, bool) {
 	prof := perfprof.New()
 	restore := perfprof.SetActive(prof)
 	defer restore()
@@ -151,7 +157,7 @@ func runBenches(re *regexp.Regexp, stdout *os.File) (File, bool) {
 		},
 	}
 	failed := false
-	for _, c := range benchmarks.All() {
+	for _, c := range cases {
 		if re != nil && !re.MatchString(c.Name) {
 			continue
 		}

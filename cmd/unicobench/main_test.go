@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"unico/internal/benchmarks"
 )
 
 func writeBench(t *testing.T, dir, name string, f File) string {
@@ -153,7 +156,32 @@ func TestRunRecordsBenchAndPhases(t *testing.T) {
 	}
 }
 
+// TestBaselineRecordsThePinnedSet keeps the committed baseline in step with
+// the one definition of the pinned set: a case pinned without a baseline
+// entry would never be gated, and an entry for an unpinned case would fail
+// the gate as "vanished".
+func TestBaselineRecordsThePinnedSet(t *testing.T) {
+	f, err := loadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, r := range f.Benchmarks {
+		got = append(got, r.Name)
+	}
+	for _, c := range benchmarks.Pinned() {
+		want = append(want, c.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BENCH_baseline.json records %v, benchmarks.Pinned() is %v", got, want)
+	}
+}
+
 func TestListAndBadFlags(t *testing.T) {
+	if got := run([]string{"-pinned", "-list"}, os.Stdout, os.Stderr); got != 0 {
+		t.Fatalf("-pinned -list exit = %d, want 0", got)
+	}
+
 	if got := run([]string{"-list"}, os.Stdout, os.Stderr); got != 0 {
 		t.Fatalf("-list exit = %d, want 0", got)
 	}

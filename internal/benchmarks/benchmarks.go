@@ -8,6 +8,7 @@
 package benchmarks
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,15 +21,18 @@ import (
 	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/mapsearch"
+	"unico/internal/mobo"
 	"unico/internal/platform"
 	"unico/internal/simclock"
 	"unico/internal/workload"
 )
 
-// Case is one named canonical benchmark.
+// Case is one named canonical benchmark. Pinned marks the cases the
+// kernel gate replays against the committed BENCH_baseline.json.
 type Case struct {
-	Name string
-	Fn   func(b *testing.B)
+	Name   string
+	Fn     func(b *testing.B)
+	Pinned bool
 }
 
 // All returns the canonical benchmark registry in a fixed order: the
@@ -38,18 +42,31 @@ type Case struct {
 // testing.Benchmark does not surface sub-benchmark results.
 func All() []Case {
 	return []Case{
-		{Name: "GPFitPredict", Fn: GPFitPredict},
-		{Name: "CholeskyBlocked", Fn: CholeskyBlocked},
-		{Name: "Rank1Update", Fn: Rank1Update},
-		{Name: "MappingSearchUnit", Fn: MappingSearchUnit},
-		{Name: "AscendNewJob", Fn: AscendNewJob},
-		{Name: "SpatialNewJob", Fn: SpatialNewJob},
+		{Name: "GPFitPredict", Fn: GPFitPredict, Pinned: true},
+		{Name: "AcquisitionPool", Fn: AcquisitionPool, Pinned: true},
+		{Name: "CholeskyBlocked", Fn: CholeskyBlocked, Pinned: true},
+		{Name: "Rank1Update", Fn: Rank1Update, Pinned: true},
+		{Name: "MappingSearchUnit", Fn: MappingSearchUnit, Pinned: true},
+		{Name: "AscendNewJob", Fn: AscendNewJob, Pinned: true},
+		{Name: "SpatialNewJob", Fn: SpatialNewJob, Pinned: true},
 		{Name: "RepeatedRungWorkload/uncached", Fn: rungUncached},
 		{Name: "RepeatedRungWorkload/cached", Fn: rungCached},
 		{Name: "RepeatedRungWorkloadAscend/uncached", Fn: ascendUncached},
 		{Name: "RepeatedRungWorkloadAscend/cached", Fn: ascendCached},
-		{Name: "EndToEndMicro", Fn: EndToEndMicro},
+		{Name: "EndToEndMicro", Fn: EndToEndMicro, Pinned: true},
 	}
+}
+
+// Pinned returns the cases of the kernel gate (`unicobench -pinned`, which
+// is what `make bench-gate` and CI run): the one place the set is defined.
+func Pinned() []Case {
+	var out []Case
+	for _, c := range All() {
+		if c.Pinned {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // GPFitPredict measures surrogate refitting plus a prediction at the
@@ -74,6 +91,49 @@ func GPFitPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 		g.Predict(xs[0])
+	}
+}
+
+// AcquisitionPool measures one acquisition maximization at the size the
+// paper's setting reaches: four objectives' surrogates on a full training
+// window (n = 150), a 256-candidate pool and three 16-step refinement
+// chains, on one search worker. One SuggestBatch(1) is exactly one such
+// search; the optimizer is never updated, so every iteration sees the same
+// surrogates under a fresh scalarization.
+func AcquisitionPool(b *testing.B) {
+	const nObj, n = 4, 150
+	space := hw.NewSpatialSpace(hw.Edge)
+	cfg := mobo.DefaultConfig(nObj)
+	cfg.Rule = mobo.AllSamples
+	cfg.SearchWorkers = 1
+	o := mobo.New(space, cfg, 1)
+	rng := rand.New(rand.NewSource(1))
+	obs := make([]mobo.Observation, n)
+	for i := range obs {
+		x := space.Sample(rng)
+		y := make([]float64, nObj)
+		for j := range y {
+			// Smooth bowls with different centres and a different amount
+			// of noise per objective, so the four fits do not all land on
+			// one set of hyperparameters.
+			sum := 0.0
+			for _, v := range x {
+				d := v - 0.3 - 0.1*float64(j)
+				sum += d * d
+			}
+			y[j] = math.Exp(sum + 0.05*float64(j)*rng.NormFloat64())
+		}
+		obs[i] = mobo.Observation{X: x, Y: y}
+	}
+	if o.Update(obs) != n || o.TrainSize() != n {
+		b.Fatalf("training set has %d points, want %d", o.TrainSize(), n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(o.SuggestBatch(1)) != 1 {
+			b.Fatal("no suggestion")
+		}
 	}
 }
 

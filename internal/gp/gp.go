@@ -26,12 +26,23 @@
 // the optimizer extends surrogates incrementally. Params/Jitter expose the
 // values a caller must persist to reproduce a fitted GP exactly.
 //
+// # Tiled prediction
+//
+// PredictTile evaluates several GPs at up to TileWidth points in one call,
+// and is the only prediction routine: Predict is its one-GP, one-point case.
+// The optimizer's per-objective GPs share their training inputs and, often,
+// hyperparameters, so a tile computes the squared distances once, the kernel
+// column once per distinct lengthscale and the forward solve once per
+// distinct factor, with the tile's points as interleaved lanes of one
+// multi-right-hand-side solve. Every (GP, point) result is bit-identical to
+// evaluating that pair alone.
+//
 // # Concurrency
 //
-// A fitted GP is immutable under Predict (scratch space comes from a
-// sync.Pool, not the receiver), so concurrent Predict calls on one GP are
-// safe — the acquisition worker pool in internal/mobo relies on this.
-// Fit/Extend must not race with Predict.
+// A fitted GP is immutable under Predict and PredictTile (scratch space
+// comes from a sync.Pool, not the receiver), so concurrent calls on one GP
+// are safe — the acquisition worker pool in internal/mobo relies on this.
+// Fit/Extend must not race with either.
 package gp
 
 import (
@@ -420,40 +431,209 @@ func lmlFromChol(chol *linalg.Matrix, alpha, w []float64) float64 {
 	return -0.5*quad - 0.5*linalg.LogDetFromChol(chol) - 0.5*float64(n)*math.Log(2*math.Pi)
 }
 
-// predictScratch is the per-call working set of Predict, pooled so the
-// hot path allocates nothing and concurrent Predict calls never share
-// buffers.
-type predictScratch struct {
-	ks, v []float64
+// TileWidth is the most candidates one PredictTile call takes.
+const TileWidth = linalg.MaxLanes
+
+// tileScratch is the per-call working set of PredictTile, pooled so the hot
+// path allocates nothing and concurrent calls never share buffers. d2, ks
+// and v hold one value per (training point, lane), interleaved the way
+// linalg.SolveLowerLanesInto wants them; ss holds Σv² per (GP, lane); lead
+// holds the three leader indices of every GP.
+type tileScratch struct {
+	d2, ks, v, ss []float64
+	lead          []int
 }
 
-var predictPool = sync.Pool{New: func() any { return new(predictScratch) }}
+var tilePool = sync.Pool{New: func() any { return new(tileScratch) }}
+
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// sameInputs reports whether two training-input sets are the same points in
+// the same order, judged by identity: row i of both is the same memory. That
+// is how internal/mobo builds its per-objective GPs (every objective's rows
+// are the optimizer's own observation vectors, through fits, Extends and
+// restores alike), and it is a test that cannot be fooled into sharing
+// distances between sets that merely have equal length.
+func sameInputs(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) || (len(a[i]) > 0 && &a[i][0] != &b[i][0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// PredictTile evaluates every GP of gps at every point of xs (at most
+// TileWidth of them): mean[k*len(gps)+j] and variance[k*len(gps)+j] are
+// exactly what gps[j].Predict(xs[k]) returns, bit for bit.
+//
+// The tile does each piece of work once per distinct input rather than once
+// per (GP, point). GPs fitted on one training-input set (sameInputs) share
+// the squared distances to it; those that also share a Matérn lengthscale
+// and variance share the kernel column, built with matern52FromSq; those
+// that also share noise and jitter share the Cholesky factor — it is a
+// function of the inputs, Params and jitter only, never of the targets — so
+// they share the forward solve and Σv². Only the mean's dot product with
+// alpha is per GP. Each solve runs all the tile's points as interleaved
+// lanes of one linalg.SolveLowerLanesInto call. A GP that shares nothing
+// (other inputs, or a kernel outside the Matérn grid) is evaluated on its
+// own within the same routine.
+//
+// It is safe to call concurrently on fitted GPs, allocates nothing, and
+// deliberately carries no perfprof span: the acquisition search calls it
+// ~10³ times per suggested point from several workers, where a per-call
+// span would serialize them on the profiler mutex. The mobo.acq_* spans
+// account for this time instead.
+func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
+	m, ng := len(xs), len(gps)
+	if m < 1 || m > TileWidth {
+		panic(fmt.Sprintf("gp: PredictTile of %d points, want 1..%d", m, TileWidth))
+	}
+	if len(mean) != m*ng || len(variance) != m*ng {
+		panic(fmt.Sprintf("gp: PredictTile got %d means and %d variances for %d points × %d GPs", len(mean), len(variance), m, ng))
+	}
+	w := linalg.Lanes(m)
+	sc := tilePool.Get().(*tileScratch)
+	dist, col, fac := sc.leaders(gps)
+	sc.ss = grow(sc.ss, ng*TileWidth)
+	ss := sc.ss
+
+	for a, ga := range gps {
+		if dist[a] != a {
+			continue
+		}
+		n := len(ga.x)
+		sc.d2, sc.ks, sc.v = grow(sc.d2, n*w), grow(sc.ks, n*w), grow(sc.v, n*w)
+		d2, ks, v := sc.d2, sc.ks, sc.v
+		if ga.hasParams {
+			for i, xi := range ga.x {
+				row := d2[w*i : w*i+m]
+				for k := range row {
+					row[k] = sqDist(xi, xs[k])
+				}
+			}
+		}
+		for b := a; b < ng; b++ {
+			if dist[b] != a || col[b] != b {
+				continue
+			}
+			gps[b].kernelTile(ks, d2, xs, w)
+			for c := b; c < ng; c++ {
+				if col[c] != b {
+					continue
+				}
+				gc := gps[c]
+				// The mean's ks·alpha, in linalg.Dot's order, lane by lane.
+				for k := 0; k < m; k++ {
+					sum := 0.0
+					for i, al := range gc.alpha {
+						sum += ks[w*i+k] * al
+					}
+					mean[k*ng+c] = sum
+				}
+				if fac[c] != c {
+					continue
+				}
+				linalg.SolveLowerLanesInto(gc.chol, w, ks, v)
+				for k := 0; k < m; k++ {
+					sum := 0.0
+					for i := 0; i < n; i++ {
+						sum += v[w*i+k] * v[w*i+k]
+					}
+					ss[c*TileWidth+k] = sum
+				}
+			}
+		}
+	}
+	for j, g := range gps {
+		for k, x := range xs {
+			varS := g.kernel.Eval(x, x) + g.noise - ss[fac[j]*TileWidth+k]
+			if varS < 1e-12 {
+				varS = 1e-12
+			}
+			mean[k*ng+j] = mean[k*ng+j]*g.stdY + g.meanY
+			variance[k*ng+j] = varS * g.stdY * g.stdY
+		}
+	}
+	tilePool.Put(sc)
+}
+
+// leaders finds, for every GP, the lowest-indexed GP it can take the
+// squared distances, the kernel column and the factor solve from (itself
+// when there is none). Sharing nests: a column leader is in the same
+// distance group, a factor leader in the same column group.
+func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
+	ng := len(gps)
+	if cap(sc.lead) < 3*ng {
+		sc.lead = make([]int, 3*ng)
+	}
+	dist, col, fac = sc.lead[:ng], sc.lead[ng:2*ng], sc.lead[2*ng:3*ng]
+	for j, g := range gps {
+		dist[j], col[j], fac[j] = j, j, j
+		if !g.hasParams {
+			continue
+		}
+		for i, h := range gps[:j] {
+			if !h.hasParams || !sameInputs(g.x, h.x) {
+				continue
+			}
+			if dist[j] == j {
+				dist[j] = i
+			}
+			if h.params.Lengthscale != g.params.Lengthscale || h.params.Variance != g.params.Variance {
+				continue
+			}
+			if col[j] == j {
+				col[j] = i
+			}
+			if h.params.Noise == g.params.Noise && h.jitter == g.jitter {
+				fac[j] = i
+				break
+			}
+		}
+	}
+	return dist, col, fac
+}
+
+// kernelTile fills ks with the covariance between every training point and
+// the tile's points, zeroing the lanes past the last point. A Matérn-grid
+// GP reads the shared squared distances; any other kernel is evaluated
+// directly.
+func (g *GP) kernelTile(ks, d2 []float64, xs [][]float64, w int) {
+	m := len(xs)
+	for i := range g.x {
+		row := ks[w*i : w*i+w]
+		if g.hasParams {
+			for k, d := range d2[w*i : w*i+m] {
+				row[k] = matern52FromSq(d, g.params.Lengthscale, g.params.Variance)
+			}
+		} else {
+			for k, x := range xs {
+				row[k] = g.kernel.Eval(g.x[i], x)
+			}
+		}
+		for k := m; k < w; k++ {
+			row[k] = 0
+		}
+	}
+}
 
 // Predict returns the posterior mean and variance at x (on the original
-// target scale). It is safe to call concurrently on a fitted GP, allocates
-// nothing, and deliberately carries no perfprof span: it runs ~10⁵ times
-// per MOBO iteration inside the acquisition pool, where a per-call span
-// would serialize workers on the profiler mutex. The mobo.acq_* spans
-// account for this time instead.
+// target scale): the one-GP, one-point case of PredictTile, with the same
+// concurrency and allocation guarantees.
 func (g *GP) Predict(x []float64) (mean, variance float64) {
-	n := len(g.x)
-	sc := predictPool.Get().(*predictScratch)
-	if cap(sc.ks) < n {
-		sc.ks = make([]float64, n)
-		sc.v = make([]float64, n)
-	}
-	ks, v := sc.ks[:n], sc.v[:n]
-	for i := range g.x {
-		ks[i] = g.kernel.Eval(g.x[i], x)
-	}
-	mu := linalg.Dot(ks, g.alpha)
-	linalg.SolveLowerInto(g.chol, ks, v)
-	varS := g.kernel.Eval(x, x) + g.noise - linalg.Dot(v, v)
-	if varS < 1e-12 {
-		varS = 1e-12
-	}
-	predictPool.Put(sc)
-	return mu*g.stdY + g.meanY, varS * g.stdY * g.stdY
+	gs, xs := [1]*GP{g}, [1][]float64{x}
+	var m, v [1]float64
+	PredictTile(gs[:], xs[:], m[:], v[:])
+	return m[0], v[0]
 }
 
 // N returns the number of training points.

@@ -280,6 +280,9 @@ func TestFitAutoFromNeighborhood(t *testing.T) {
 
 // TestPredictDoesNotAllocate pins the allocation-free Predict hot path.
 func TestPredictDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
 	x, y := randomData(50, 4, 2)
 	g, err := FitAuto(x, y)
 	if err != nil {

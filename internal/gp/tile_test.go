@@ -1,0 +1,271 @@
+package gp
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"unico/internal/linalg"
+)
+
+// predictReference is Predict as it stood before prediction moved to tiles:
+// one kernel column, one dot product and one forward solve per (GP, point),
+// nothing shared. The tile tests compare against it with ==.
+func predictReference(g *GP, x []float64) (mean, variance float64) {
+	n := len(g.x)
+	ks, v := make([]float64, n), make([]float64, n)
+	for i := range g.x {
+		ks[i] = g.kernel.Eval(g.x[i], x)
+	}
+	mu := linalg.Dot(ks, g.alpha)
+	linalg.SolveLowerInto(g.chol, ks, v)
+	varS := g.kernel.Eval(x, x) + g.noise - linalg.Dot(v, v)
+	if varS < 1e-12 {
+		varS = 1e-12
+	}
+	return mu*g.stdY + g.meanY, varS * g.stdY * g.stdY
+}
+
+// tilePoints draws TileWidth query points, the first of them a training
+// point (distance zero to one row).
+func tilePoints(x [][]float64, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, TileWidth)
+	xs[0] = x[len(x)/2]
+	for k := 1; k < len(xs); k++ {
+		q := make([]float64, len(x[0]))
+		for i := range q {
+			q[i] = rng.Float64()
+		}
+		xs[k] = q
+	}
+	return xs
+}
+
+// checkTile compares PredictTile with predictReference for every tile fill
+// from one point to TileWidth.
+func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
+	t.Helper()
+	for m := 1; m <= len(xs); m++ {
+		mean := make([]float64, m*len(gps))
+		variance := make([]float64, m*len(gps))
+		PredictTile(gps, xs[:m], mean, variance)
+		for k := 0; k < m; k++ {
+			for j, g := range gps {
+				wm, wv := predictReference(g, xs[k])
+				if gm, gv := mean[k*len(gps)+j], variance[k*len(gps)+j]; gm != wm || gv != wv {
+					t.Fatalf("tile of %d, point %d, GP %d: (%v, %v), reference (%v, %v)", m, k, j, gm, gv, wm, wv)
+				}
+			}
+		}
+	}
+}
+
+// fitShared fits one GP per (Params, jitter) pair on the same input rows
+// with different targets, the way the optimizer's objectives do.
+func fitShared(t *testing.T, x [][]float64, y []float64, ps []Params, jitters []float64) []*GP {
+	t.Helper()
+	gps := make([]*GP, len(ps))
+	for j, p := range ps {
+		yj := make([]float64, len(y))
+		for i, v := range y {
+			yj[i] = v*float64(j+1) + float64(j)*x[i][0]
+		}
+		g, err := FitWithParams(append([][]float64(nil), x...), yj, p, jitters[j])
+		if err != nil {
+			t.Fatal(err)
+		}
+		gps[j] = g
+	}
+	return gps
+}
+
+func leadersOf(gps []*GP) [3][]int {
+	dist, col, fac := new(tileScratch).leaders(gps)
+	return [3][]int{dist, col, fac}
+}
+
+// TestPredictTileMatchesPredict covers the sharing patterns the optimizer's
+// GP sets show — every objective on one factor, some, none — at training
+// sizes on both sides of the factorization's panel width, and checks both
+// the results (==) and that the sharing the tile is for actually happens.
+func TestPredictTileMatchesPredict(t *testing.T) {
+	a := Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
+	b := Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
+	c := Params{Lengthscale: 0.3, Variance: 1, Noise: 0.05}
+	aQuiet := Params{Lengthscale: 0.6, Variance: 1, Noise: 1e-4}
+	cases := []struct {
+		name    string
+		ps      []Params
+		jitters []float64
+		lead    [3][]int
+	}{
+		{"all-equal", []Params{a, a, a, a}, []float64{0, 0, 0, 0},
+			[3][]int{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}},
+		{"partly-equal", []Params{a, b, c, a}, []float64{0, 0, 0, 0},
+			[3][]int{{0, 0, 0, 0}, {0, 1, 2, 0}, {0, 1, 2, 0}}},
+		{"same-column-other-noise-or-jitter", []Params{a, aQuiet, a, aQuiet}, []float64{0, 0, 1e-8, 0},
+			[3][]int{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 1, 2, 1}}},
+		{"all-distinct", []Params{a, b, c, aQuiet}, []float64{0, 0, 0, 0},
+			[3][]int{{0, 0, 0, 0}, {0, 1, 2, 0}, {0, 1, 2, 3}}},
+		{"single", []Params{b}, []float64{1e-10}, [3][]int{{0}, {0}, {0}}},
+	}
+	for _, n := range []int{5, 70, 150} {
+		x, y := randomData(n+3, 6, int64(n))
+		xs := tilePoints(x[:n], 11)
+		for _, tc := range cases {
+			gps := fitShared(t, x[:n], y[:n], tc.ps, tc.jitters)
+			if got := leadersOf(gps); !reflect.DeepEqual(got, tc.lead) {
+				t.Fatalf("n=%d %s: leaders %v, want %v", n, tc.name, got, tc.lead)
+			}
+			checkTile(t, gps, xs)
+
+			// Grown by Extend on shared rows, the set still shares and
+			// still matches.
+			for i := n; i < n+3; i++ {
+				for j, g := range gps {
+					if err := g.Extend(x[i], y[i]*float64(j+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := leadersOf(gps); !reflect.DeepEqual(got, tc.lead) {
+				t.Fatalf("n=%d %s after Extend: leaders %v, want %v", n, tc.name, got, tc.lead)
+			}
+			checkTile(t, gps, xs)
+		}
+	}
+}
+
+// TestPredictTileRefusesToShareAcrossInputs is the guard: GPs share
+// distances only when their training inputs are the same rows. Sets of
+// different length, of equal length but other points, and even equal-valued
+// copies are evaluated on their own distances and still match Predict.
+func TestPredictTileRefusesToShareAcrossInputs(t *testing.T) {
+	x, y := randomData(40, 4, 21)
+	p := Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-2}
+	fit := func(x [][]float64, y []float64) *GP {
+		g, err := FitWithParams(x, y, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	other, _ := randomData(40, 4, 22)
+	copied := make([][]float64, len(x))
+	for i := range x {
+		copied[i] = append([]float64(nil), x[i]...)
+	}
+	gps := []*GP{fit(x, y), fit(x[:30], y[:30]), fit(other, y), fit(copied, y), fit(x, y)}
+	want := [3][]int{{0, 1, 2, 3, 0}, {0, 1, 2, 3, 0}, {0, 1, 2, 3, 0}}
+	if got := leadersOf(gps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("leaders %v, want %v", got, want)
+	}
+	checkTile(t, gps, tilePoints(x, 5))
+}
+
+// TestPredictTileMixedKernels puts GPs from outside the Matérn grid (no
+// Params to compare) next to Matérn ones: they share nothing and match.
+func TestPredictTileMixedKernels(t *testing.T) {
+	x, y := randomData(30, 3, 31)
+	fit := func(k Kernel) *GP {
+		g, err := Fit(x, y, k, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	gps := []*GP{
+		fit(RBF{Lengthscale: 0.5, Variance: 1}),
+		fit(Matern52{Lengthscale: 0.5, Variance: 2}),
+		fit(RBF{Lengthscale: 0.5, Variance: 1}),
+		fit(Matern52{Lengthscale: 0.5, Variance: 2}),
+	}
+	want := [3][]int{{0, 1, 2, 1}, {0, 1, 2, 1}, {0, 1, 2, 1}}
+	if got := leadersOf(gps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("leaders %v, want %v", got, want)
+	}
+	checkTile(t, gps, tilePoints(x, 6))
+}
+
+func TestPredictTilePanicsOnBadShapes(t *testing.T) {
+	x, y := randomData(10, 2, 1)
+	g, err := FitAuto(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gps := []*GP{g}
+	for name, fn := range map[string]func(){
+		"no points": func() { PredictTile(gps, nil, nil, nil) },
+		"too many points": func() {
+			PredictTile(gps, make([][]float64, TileWidth+1), make([]float64, TileWidth+1), make([]float64, TileWidth+1))
+		},
+		"short output": func() { PredictTile(gps, x[:2], make([]float64, 1), make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestPredictTileDoesNotAllocate pins the allocation-free tile path, full
+// and partly filled.
+func TestPredictTileDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	x, y := randomData(50, 4, 2)
+	a := Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
+	b := Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
+	gps := fitShared(t, x, y, []Params{a, b, a, b}, []float64{0, 0, 0, 1e-8})
+	xs := tilePoints(x, 3)
+	mean := make([]float64, len(xs)*len(gps))
+	variance := make([]float64, len(xs)*len(gps))
+	for _, m := range []int{TileWidth, 3} {
+		run := func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], variance[:m*len(gps)]) }
+		run() // warm the pool
+		if n := testing.AllocsPerRun(200, run); n > 0 {
+			t.Fatalf("PredictTile of %d points allocates %.1f objects per call", m, n)
+		}
+	}
+}
+
+// TestConcurrentPredictTileIsDeterministic hammers one GP set from several
+// goroutines with tiles of different fills (so pooled scratch changes width
+// between uses) and checks every result matches the serial value.
+func TestConcurrentPredictTileIsDeterministic(t *testing.T) {
+	x, y := randomData(60, 4, 8)
+	a := Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
+	b := Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
+	gps := fitShared(t, x, y, []Params{a, b, a}, []float64{0, 0, 0})
+	xs := tilePoints(x, 4)
+	ng := len(gps)
+	want := make([][2][]float64, TileWidth+1)
+	for m := 1; m <= TileWidth; m++ {
+		want[m] = [2][]float64{make([]float64, m*ng), make([]float64, m*ng)}
+		PredictTile(gps, xs[:m], want[m][0], want[m][1])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mean, variance := make([]float64, TileWidth*ng), make([]float64, TileWidth*ng)
+			for r := 0; r < 50; r++ {
+				m := 1 + (w+r)%TileWidth
+				PredictTile(gps, xs[:m], mean[:m*ng], variance[:m*ng])
+				if !reflect.DeepEqual(mean[:m*ng], want[m][0]) || !reflect.DeepEqual(variance[:m*ng], want[m][1]) {
+					t.Errorf("concurrent PredictTile of %d points diverged", m)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

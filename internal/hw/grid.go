@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 )
 
 // Axis is one discrete hardware parameter with its admissible values in
@@ -145,8 +146,24 @@ func (g Grid) Encode(idx []int) []float64 {
 
 // Key returns a canonical comparable key of the lattice cell containing x,
 // used to deduplicate hardware candidates.
+//
+// The key is the per-axis value indices in fmt's slice form, "[3 0 12]",
+// assembled by hand into one buffer: the acquisition search asks for ~10⁴
+// keys per suggested batch, and fmt.Sprint of a slice costs a reflection
+// walk each.
 func (g Grid) Key(x []float64) string {
-	return fmt.Sprint(g.Indices(x))
+	if len(x) != g.Dim() {
+		panic(fmt.Sprintf("hw: Key: got %d coords, want %d", len(x), g.Dim()))
+	}
+	var stack [64]byte
+	buf := append(stack[:0], '[')
+	for i, a := range g.axes {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendInt(buf, int64(a.index(x[i])), 10)
+	}
+	return string(append(buf, ']'))
 }
 
 // Neighbor returns a copy of x with one uniformly chosen axis moved one step

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -242,5 +243,32 @@ func TestDefaultAscendEncodable(t *testing.T) {
 func TestDataflowString(t *testing.T) {
 	if WeightStationary.String() != "WS" || OutputStationary.String() != "OS" {
 		t.Errorf("dataflow strings: %v %v", WeightStationary, OutputStationary)
+	}
+}
+
+// TestGridKeyMatchesSprintOfIndices pins the hand-assembled key to the
+// string it replaced, fmt.Sprint of the index slice, on random (off-lattice
+// and out-of-range) points of both design spaces.
+func TestGridKeyMatchesSprintOfIndices(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for name, g := range map[string]Grid{
+		"spatial-edge":  NewSpatialSpace(Edge).grid,
+		"spatial-cloud": NewSpatialSpace(Cloud).grid,
+		"ascend":        NewAscendSpace().grid,
+	} {
+		for trial := 0; trial < 2000; trial++ {
+			x := make([]float64, g.Dim())
+			for i := range x {
+				x[i] = rng.Float64()*1.2 - 0.1
+			}
+			if got, want := g.Key(x), fmt.Sprint(g.Indices(x)); got != want {
+				t.Fatalf("%s: Key(%v) = %q, want %q", name, x, got, want)
+			}
+		}
+	}
+	g := testGrid()
+	x := g.Encode([]int{0, 0, 0})
+	if n := testing.AllocsPerRun(100, func() { _ = g.Key(x) }); n > 1 {
+		t.Errorf("Key allocates %.0f objects per call, want 1 (the string)", n)
 	}
 }

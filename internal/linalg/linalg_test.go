@@ -423,3 +423,71 @@ func TestSolveIntoVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveLowerLanesMatchesSingleSolve pins the multi-right-hand-side
+// forward solve to SolveLowerInto lane by lane, exactly: sizes straddle the
+// factorization's panel width, a partly filled tile leaves its zero lanes
+// zero, and the in-place (aliased) form gives the same bits.
+func TestSolveLowerLanesMatchesSingleSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 3, 64, 65, 150} {
+		l, err := Cholesky(randomSPD(n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4, MaxLanes} {
+			for _, filled := range []int{w, (w + 1) / 2} {
+				b := make([]float64, w*n)
+				for i := 0; i < n; i++ {
+					for c := 0; c < filled; c++ {
+						b[w*i+c] = rng.NormFloat64()
+					}
+				}
+				x := make([]float64, w*n)
+				SolveLowerLanesInto(l, w, b, x)
+				aliased := append([]float64(nil), b...)
+				SolveLowerLanesInto(l, w, aliased, aliased)
+				lane, want := make([]float64, n), make([]float64, n)
+				for c := 0; c < w; c++ {
+					for i := range lane {
+						lane[i] = b[w*i+c]
+					}
+					SolveLowerInto(l, lane, want)
+					for i := range want {
+						if x[w*i+c] != want[i] || aliased[w*i+c] != want[i] {
+							t.Fatalf("n=%d w=%d lane %d row %d: tile %v, aliased %v, single %v",
+								n, w, c, i, x[w*i+c], aliased[w*i+c], want[i])
+						}
+						if c >= filled && x[w*i+c] != 0 {
+							t.Fatalf("n=%d w=%d: empty lane %d row %d = %v", n, w, c, i, x[w*i+c])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestLanes(t *testing.T) {
+	want := []int{1: 1, 2: 4, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
+	for m := 1; m <= MaxLanes; m++ {
+		if got := Lanes(m); got != want[m] {
+			t.Errorf("Lanes(%d) = %d, want %d", m, got, want[m])
+		}
+	}
+	for _, fn := range []func(){
+		func() { Lanes(0) },
+		func() { Lanes(MaxLanes + 1) },
+		func() { SolveLowerLanesInto(New(2, 2), 3, make([]float64, 6), make([]float64, 6)) },
+		func() { SolveLowerLanesInto(New(2, 2), 4, make([]float64, 7), make([]float64, 8)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -22,17 +22,23 @@
 // gp.FitWithParams instead of re-running (and possibly re-deciding) the
 // grid search.
 //
-// # Parallel acquisition, deterministic results
+// # Tiled acquisition, deterministic results
 //
-// SuggestBatch scores its candidate pool and refines its incumbent chains
-// on a bounded worker pool (Config.SearchWorkers, internal/parpool). The
-// result is bit-identical for every worker count: all draws from the
-// optimizer's counted RNG happen serially before the fan-out (the pool
-// samples, plus one seed per refinement chain), workers write scores into
-// slots indexed by candidate, chains use private RNGs built from their
-// pre-drawn seeds, and the merge scans slots in index order with
-// strictly-lower-wins ties. The optimizer's RNG is consumed only inside
-// SuggestBatch, never in Update — the checkpoint/resume contract.
+// The acquisition search scores candidates a tile at a time: up to
+// gp.TileWidth candidates go through all the objectives' GPs in one
+// gp.PredictTile call, which shares the distance pass, the kernel columns
+// and the factor solves the objectives have in common. SuggestBatch fans
+// the candidate pool's tiles out over a bounded worker pool
+// (Config.SearchWorkers, internal/parpool); the incumbent refinement chains
+// advance in lock-step, one tile holding the current step of every chain.
+// The result is bit-identical for every worker count, and to scoring each
+// candidate alone: all draws from the optimizer's counted RNG happen
+// serially before the fan-out (the pool samples, plus one seed per
+// refinement chain), workers write scores into slots indexed by candidate,
+// chains use private RNGs built from their pre-drawn seeds, and the merge
+// scans slots in index order with strictly-lower-wins ties. The optimizer's
+// RNG is consumed only inside SuggestBatch, never in Update — the
+// checkpoint/resume contract.
 package mobo
 
 import (
@@ -115,7 +121,7 @@ type Config struct {
 	// default (5). Marginal-likelihood degradation or training-set
 	// eviction forces an early refit regardless.
 	RefitEvery int
-	// SearchWorkers bounds the goroutines scoring acquisition candidates in
+	// SearchWorkers bounds the goroutines scoring candidate-pool tiles in
 	// SuggestBatch. Results are bit-identical for every value; <= 1 runs
 	// serially. It deliberately stays out of the core run fingerprint so
 	// checkpoints resume across different worker counts.
@@ -276,18 +282,21 @@ const (
 	acqSteps  = 16
 )
 
+// One step of every chain must fit one tile.
+var _ [gp.TileWidth - acqChains]struct{}
+
 // maximizeAcquisition searches the candidate pool plus local neighbourhoods
 // of the incumbents for the point with the best (lowest) scalarized
 // lower-confidence bound under the weights lambda.
 //
-// The search fans out over Config.SearchWorkers goroutines yet is
-// bit-identical for every worker count: every draw from the optimizer's
-// counted RNG happens up front on the calling goroutine (fallback sample,
-// pool samples, one seed per chain — a fixed number of draws), workers
-// score candidates into slots indexed by candidate, each chain hill-climbs
-// with a private RNG seeded from its pre-drawn seed, and the serial merge
-// scans slots in index order accepting only strictly better scores — the
-// same tie-break the serial loop applied.
+// The pool is scored in tiles fanned out over Config.SearchWorkers
+// goroutines, yet the search is bit-identical for every worker count: every
+// draw from the optimizer's counted RNG happens up front on the calling
+// goroutine (fallback sample, pool samples, one seed per chain — a fixed
+// number of draws), workers score tiles into slots indexed by candidate,
+// each chain hill-climbs with a private RNG seeded from its pre-drawn seed,
+// and the serial merge scans slots in index order accepting only strictly
+// better scores — the same tie-break a serial loop applies.
 func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]bool) []float64 {
 	// Serial phase: all counted-RNG draws, in a schedule-independent order.
 	best := o.space.Sample(o.rng)
@@ -301,17 +310,9 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 		seeds[i] = o.rng.Int63()
 	}
 
-	// Parallel phase 1: score the pool into indexed slots.
-	scores := make([]float64, len(pool))
+	// Phase 1: score the pool into slots indexed by candidate.
 	sp := perfprof.Begin("mobo.acq_pool")
-	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
-	parpool.ForEach(o.cfg.SearchWorkers, len(pool), func(i int) {
-		if o.excluded(pool[i], exclude) {
-			scores[i] = math.Inf(1)
-			return
-		}
-		scores[i] = o.acquisition(pool[i], lambda)
-	})
+	scores := o.scorePool(pool, lambda, exclude)
 	sp.End()
 	bestA := math.Inf(1)
 	for i, a := range scores {
@@ -320,38 +321,77 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 		}
 	}
 
-	// Parallel phase 2: local refinement around the best training points
-	// under this lambda, one chain per incumbent, each on a private RNG.
-	type chainBest struct {
-		x []float64
-		a float64
-	}
-	chains := make([]chainBest, len(incumbents))
+	// Phase 2: local refinement around the best training points under this
+	// lambda, one chain per incumbent, each on a private RNG.
 	sp = perfprof.Begin("mobo.acq_refine")
-	parpool.ForEach(o.cfg.SearchWorkers, len(incumbents), func(c int) {
-		crng := rand.New(rand.NewSource(seeds[c]))
-		x := incumbents[c]
-		ax := o.acquisition(x, lambda)
-		cb := chainBest{a: math.Inf(1)}
-		for step := 0; step < acqSteps; step++ {
-			y := o.space.Neighbor(x, crng)
-			ay := o.acquisition(y, lambda)
-			if ay < cb.a && !o.excluded(y, exclude) {
-				cb = chainBest{x: y, a: ay}
-			}
-			if ay < ax {
-				x, ax = y, ay
-			}
-		}
-		chains[c] = cb
-	})
+	chainX, chainA := o.refineChains(incumbents, seeds, lambda, exclude)
 	sp.End()
-	for _, cb := range chains {
-		if cb.a < bestA {
-			best, bestA = cb.x, cb.a
+	for c, a := range chainA {
+		if a < bestA {
+			best, bestA = chainX[c], a
 		}
 	}
 	return best
+}
+
+// refineChains hill-climbs acqSteps lattice steps from each incumbent, chain
+// c drawing its moves from a private RNG seeded with seeds[c], and returns
+// the best non-excluded point each chain visited with its acquisition value
+// (+Inf when it found none). The chains advance in lock-step — step s of
+// all of them is scored as one tile — but share nothing else: each is the
+// walk it would be on its own.
+func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda []float64, exclude map[string]bool) (bestX [][]float64, bestA []float64) {
+	nc := len(incumbents)
+	post := make([]float64, 2*nc*o.NumObjectives())
+	crng := make([]*rand.Rand, nc)
+	for c := range crng {
+		crng[c] = rand.New(rand.NewSource(seeds[c]))
+	}
+	x, ax := append([][]float64(nil), incumbents...), make([]float64, nc)
+	o.scoreTile(x, lambda, post, ax)
+	y, ay := make([][]float64, nc), make([]float64, nc)
+	bestX, bestA = make([][]float64, nc), make([]float64, nc)
+	for c := range bestA {
+		bestA[c] = math.Inf(1)
+	}
+	for step := 0; step < acqSteps; step++ {
+		for c := range y {
+			y[c] = o.space.Neighbor(x[c], crng[c])
+		}
+		o.scoreTile(y, lambda, post, ay)
+		for c := range y {
+			if ay[c] < bestA[c] && !o.excluded(y[c], exclude) {
+				bestX[c], bestA[c] = y[c], ay[c]
+			}
+			if ay[c] < ax[c] {
+				x[c], ax[c] = y[c], ay[c]
+			}
+		}
+	}
+	return bestX, bestA
+}
+
+// scorePool returns the acquisition value of every pool candidate, +Inf for
+// the excluded ones. Tiles of gp.TileWidth candidates fan out over
+// Config.SearchWorkers goroutines; each writes only its own candidates'
+// slots and its own stretch of the posterior scratch.
+func (o *Optimizer) scorePool(pool [][]float64, lambda []float64, exclude map[string]bool) []float64 {
+	scores := make([]float64, len(pool))
+	perPoint := 2 * o.NumObjectives()
+	post := make([]float64, len(pool)*perPoint)
+	nTiles := (len(pool) + gp.TileWidth - 1) / gp.TileWidth
+	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
+	parpool.ForEach(o.cfg.SearchWorkers, nTiles, func(t int) {
+		lo := t * gp.TileWidth
+		hi := min(lo+gp.TileWidth, len(pool))
+		o.scoreTile(pool[lo:hi], lambda, post[lo*perPoint:hi*perPoint], scores[lo:hi])
+		for i := lo; i < hi; i++ {
+			if o.excluded(pool[i], exclude) {
+				scores[i] = math.Inf(1)
+			}
+		}
+	})
+	return scores
 }
 
 // excluded reports whether x is already evaluated or already in the batch
@@ -362,37 +402,30 @@ func (o *Optimizer) excluded(x []float64, exclude map[string]bool) bool {
 	return exclude[k] || o.seen[k]
 }
 
-// acquisition is the scalarized lower-confidence bound: scalarize the
-// per-objective posterior means (normalized log space) with the augmented
-// Tchebycheff form, minus an exploration bonus from the scalarized standard
-// deviation. Lower is better.
-func (o *Optimizer) acquisition(x []float64, lambda []float64) float64 {
-	mu, sigma := o.predictNorm(x)
-	s := scalarize(mu, lambda, o.cfg.Rho)
-	var varSum float64
-	for j := range sigma {
-		v := lambda[j] * sigma[j]
-		varSum += v * v
-	}
-	return s - o.cfg.Explore*math.Sqrt(varSum)
-}
-
-// predictNorm returns the normalized-log-space posterior mean and standard
-// deviation per objective.
-func (o *Optimizer) predictNorm(x []float64) (mu, sigma []float64) {
-	n := o.NumObjectives()
-	mu = make([]float64, n)
-	sigma = make([]float64, n)
-	for j, g := range o.gps {
-		m, v := g.Predict(x)
-		mu[j] = o.normalize(j, m)
-		span := o.hi[j] - o.lo[j]
-		if span <= 0 {
-			span = 1
+// scoreTile writes the acquisition value of each candidate of xs (at most
+// gp.TileWidth of them) into out. The acquisition is the scalarized
+// lower-confidence bound: the per-objective posterior means (normalized log
+// space) scalarized with the augmented Tchebycheff form, minus an
+// exploration bonus from the scalarized standard deviation. Lower is
+// better. post is scratch for the posterior, 2·len(xs)·NumObjectives long.
+func (o *Optimizer) scoreTile(xs [][]float64, lambda, post, out []float64) {
+	nObj := o.NumObjectives()
+	mean, variance := post[:len(xs)*nObj], post[len(xs)*nObj:]
+	gp.PredictTile(o.gps, xs, mean, variance)
+	for k := range xs {
+		mu, v := mean[k*nObj:(k+1)*nObj], variance[k*nObj:(k+1)*nObj]
+		var varSum float64
+		for j := range mu {
+			mu[j] = o.normalize(j, mu[j])
+			span := o.hi[j] - o.lo[j]
+			if span <= 0 {
+				span = 1
+			}
+			sd := lambda[j] * (math.Sqrt(v[j]) / span)
+			varSum += sd * sd
 		}
-		sigma[j] = math.Sqrt(v) / span
+		out[k] = scalarize(mu, lambda, o.cfg.Rho) - o.cfg.Explore*math.Sqrt(varSum)
 	}
-	return mu, sigma
 }
 
 // topTrain returns the inputs of the best k training points under lambda.
@@ -402,8 +435,9 @@ func (o *Optimizer) topTrain(k int, lambda []float64) [][]float64 {
 		v float64
 	}
 	items := make([]scored, 0, len(o.train))
+	norm := make([]float64, o.NumObjectives())
 	for _, ob := range o.train {
-		items = append(items, scored{ob.X, o.scalarizeObs(ob.Y, lambda)})
+		items = append(items, scored{ob.X, o.scalarizeObs(ob.Y, lambda, norm)})
 	}
 	sort.Slice(items, func(a, b int) bool { return items[a].v < items[b].v })
 	if k > len(items) {
@@ -424,11 +458,12 @@ func (o *Optimizer) topTrain(k int, lambda []float64) [][]float64 {
 // with ŷ the normalized log objectives.
 func (o *Optimizer) ScalarizeParEGO(y []float64) float64 {
 	defer perfprof.Begin("mobo.scalarize").End()
-	return o.scalarizeObs(y, o.cfg.Weights)
+	return o.scalarizeObs(y, o.cfg.Weights, make([]float64, len(y)))
 }
 
-func (o *Optimizer) scalarizeObs(y []float64, lambda []float64) float64 {
-	norm := make([]float64, len(y))
+// scalarizeObs scalarizes a raw objective vector under lambda; norm is
+// scratch of len(y), so loops over many observations reuse one buffer.
+func (o *Optimizer) scalarizeObs(y, lambda, norm []float64) float64 {
 	for j := range y {
 		norm[j] = o.normalize(j, logc(y[j]))
 	}
@@ -527,13 +562,16 @@ func (o *Optimizer) evictStale() bool {
 		return false
 	}
 	elite := max / 4
+	// Scalarize each point once, not twice per comparison: every
+	// ScalarizeParEGO call is a profiler span, and a sort makes thousands.
 	idx := make([]int, len(o.train))
-	for i := range idx {
+	v := make([]float64, len(o.train))
+	norm := make([]float64, o.NumObjectives())
+	for i, ob := range o.train {
 		idx[i] = i
+		v[i] = o.scalarizeObs(ob.Y, o.cfg.Weights, norm)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return o.ScalarizeParEGO(o.train[idx[a]].Y) < o.ScalarizeParEGO(o.train[idx[b]].Y)
-	})
+	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
 	keep := map[int]bool{}
 	for _, i := range idx[:elite] {
 		keep[i] = true

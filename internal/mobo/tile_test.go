@@ -1,0 +1,230 @@
+package mobo
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"unico/internal/gp"
+	"unico/internal/hw"
+)
+
+// acquisitionReference is the acquisition as it was computed before scoring
+// moved to tiles: one candidate, one objective's surrogate at a time, the
+// normalized moments collected in fresh slices. The tile tests compare
+// against it with ==.
+func acquisitionReference(o *Optimizer, x, lambda []float64) float64 {
+	n := o.NumObjectives()
+	mu, sigma := make([]float64, n), make([]float64, n)
+	for j, surrogate := range o.gps {
+		m, v := surrogate.Predict(x)
+		mu[j] = o.normalize(j, m)
+		span := o.hi[j] - o.lo[j]
+		if span <= 0 {
+			span = 1
+		}
+		sigma[j] = math.Sqrt(v) / span
+	}
+	s := scalarize(mu, lambda, o.cfg.Rho)
+	var varSum float64
+	for j := range sigma {
+		v := lambda[j] * sigma[j]
+		varSum += v * v
+	}
+	return s - o.cfg.Explore*math.Sqrt(varSum)
+}
+
+// trained returns a four-objective optimizer whose surrogates went through
+// full fits and incremental extends (and so hold a mix of shared and
+// distinct hyperparameters).
+func trained(t *testing.T, seed int64) *Optimizer {
+	t.Helper()
+	o := New(hw.NewSpatialSpace(hw.Edge), DefaultConfig(4), seed)
+	drive(o, 4, 12, 4)
+	if o.gps == nil {
+		t.Fatal("optimizer holds no surrogates after four updates")
+	}
+	return o
+}
+
+// throughJSON restores o from its exported state after a JSON round trip,
+// as a checkpoint resume does.
+func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
+	t.Helper()
+	raw, err := json.Marshal(o.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st State
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(o.space, cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestScorePoolMatchesPerCandidate checks tiled pool scoring against the
+// per-candidate reference for pool sizes on every side of the tile and pool
+// boundaries, at several worker counts, on a live optimizer and on one
+// rebuilt by Restore; excluded candidates read +Inf.
+func TestScorePoolMatchesPerCandidate(t *testing.T) {
+	live := trained(t, 11)
+	lambda := []float64{0.4, 0.3, 0.2, 0.1}
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{1, 3, 255, 256, 257} {
+		pool := make([][]float64, size)
+		for i := range pool {
+			pool[i] = live.space.Sample(rng)
+		}
+		exclude := map[string]bool{live.space.Key(pool[size/2]): true}
+		pool[0] = live.train[0].X // already evaluated: excluded through o.seen
+		for _, workers := range []int{1, 2, 8} {
+			cfg := live.cfg
+			cfg.SearchWorkers = workers
+			for name, o := range map[string]*Optimizer{"live": live, "restored": throughJSON(t, live, cfg)} {
+				o.cfg.SearchWorkers = workers
+				got := o.scorePool(pool, lambda, exclude)
+				for i, x := range pool {
+					want := acquisitionReference(o, x, lambda)
+					if o.excluded(x, exclude) {
+						want = math.Inf(1)
+					}
+					if got[i] != want {
+						t.Fatalf("%s, pool of %d, %d workers: candidate %d scored %v, reference %v",
+							name, size, workers, i, got[i], want)
+					}
+				}
+				if !math.IsInf(got[0], 1) || !math.IsInf(got[size/2], 1) {
+					t.Fatalf("%s, pool of %d: excluded candidates scored %v and %v, want +Inf", name, size, got[0], got[size/2])
+				}
+			}
+		}
+	}
+}
+
+// TestRefineChainsMatchSerialWalks checks the lock-step refinement against
+// the walks it replaced: each chain run start to finish on its own, one
+// candidate scored at a time.
+func TestRefineChainsMatchSerialWalks(t *testing.T) {
+	o := trained(t, 12)
+	lambda := []float64{0.1, 0.2, 0.3, 0.4}
+	incumbents := o.topTrain(acqChains, lambda)
+	seeds := []int64{101, 202, 303}
+	// Exclude one point a chain is known to visit, so the "best visited"
+	// and "current" positions of that chain part ways.
+	probe := rand.New(rand.NewSource(seeds[1]))
+	exclude := map[string]bool{o.space.Key(o.space.Neighbor(incumbents[1], probe)): true}
+
+	gotX, gotA := o.refineChains(incumbents, seeds, lambda, exclude)
+	for c := range incumbents {
+		crng := rand.New(rand.NewSource(seeds[c]))
+		x := incumbents[c]
+		ax := acquisitionReference(o, x, lambda)
+		var wantX []float64
+		wantA := math.Inf(1)
+		for step := 0; step < acqSteps; step++ {
+			y := o.space.Neighbor(x, crng)
+			ay := acquisitionReference(o, y, lambda)
+			if ay < wantA && !o.excluded(y, exclude) {
+				wantX, wantA = y, ay
+			}
+			if ay < ax {
+				x, ax = y, ay
+			}
+		}
+		if gotA[c] != wantA || !reflect.DeepEqual(gotX[c], wantX) {
+			t.Fatalf("chain %d: lock-step best %v at %v, serial walk %v at %v", c, gotA[c], gotX[c], wantA, wantX)
+		}
+	}
+}
+
+// TestScoreTileDoesNotAllocate pins the allocation-free scoring path: with
+// the posterior scratch handed in, a tile costs no objects.
+func TestScoreTileDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	o := trained(t, 13)
+	lambda := []float64{0.25, 0.25, 0.25, 0.25}
+	rng := rand.New(rand.NewSource(1))
+	xs := make([][]float64, gp.TileWidth)
+	for i := range xs {
+		xs[i] = o.space.Sample(rng)
+	}
+	post := make([]float64, 2*len(xs)*o.NumObjectives())
+	out := make([]float64, len(xs))
+	for _, m := range []int{gp.TileWidth, acqChains} {
+		run := func() { o.scoreTile(xs[:m], lambda, post[:2*m*o.NumObjectives()], out[:m]) }
+		run() // warm the pool
+		if n := testing.AllocsPerRun(100, run); n > 0 {
+			t.Fatalf("scoreTile of %d candidates allocates %.1f objects per call", m, n)
+		}
+	}
+}
+
+// evictStaleReference is evictStale as it stood before the scalars were
+// hoisted out of the sort: ScalarizeParEGO evaluated twice per comparison.
+func evictStaleReference(o *Optimizer) []Observation {
+	max := o.cfg.MaxTrain
+	elite := max / 4
+	idx := make([]int, len(o.train))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		return o.ScalarizeParEGO(o.train[idx[a]].Y) < o.ScalarizeParEGO(o.train[idx[b]].Y)
+	})
+	keep := map[int]bool{}
+	for _, i := range idx[:elite] {
+		keep[i] = true
+	}
+	for i := len(o.train) - 1; i >= 0 && len(keep) < max; i-- {
+		keep[i] = true
+	}
+	var next []Observation
+	for i, ob := range o.train {
+		if keep[i] {
+			next = append(next, ob)
+		}
+	}
+	return next
+}
+
+// TestEvictStaleKeepsTheSamePoints runs the eviction on a seeded 200-point
+// training set with repeated objective vectors (ties in the sort) and
+// requires the survivors, in order, that the per-comparison scalarization
+// chose.
+func TestEvictStaleKeepsTheSamePoints(t *testing.T) {
+	o := New(testSpace(), DefaultConfig(3), 1)
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 200; i++ {
+		x := o.space.Sample(rng)
+		y := synthObjectives(x, 3)
+		if i%7 == 3 {
+			y = append([]float64(nil), o.all[i-2].Y...)
+		}
+		o.all = append(o.all, Observation{X: x, Y: y})
+	}
+	o.train = append([]Observation(nil), o.all...)
+	o.refreshBounds()
+
+	want := evictStaleReference(o)
+	if !o.evictStale() {
+		t.Fatal("evictStale reported no change on a 200-point set")
+	}
+	if len(o.train) != o.cfg.MaxTrain {
+		t.Fatalf("kept %d points, want %d", len(o.train), o.cfg.MaxTrain)
+	}
+	if !reflect.DeepEqual(o.train, want) {
+		t.Fatal("evictStale kept different points than the per-comparison scalarization")
+	}
+	if o.evictStale() {
+		t.Fatal("evictStale changed a set already at MaxTrain")
+	}
+}
