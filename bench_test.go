@@ -15,12 +15,7 @@ import (
 	"unico/internal/benchmarks"
 	"unico/internal/experiments"
 	"unico/internal/hw"
-	"unico/internal/maestro"
-	"unico/internal/mapping"
 	"unico/internal/pareto"
-	"unico/internal/workload"
-
-	"unico/internal/camodel"
 )
 
 // BenchmarkTable1_Edge regenerates Table 1: HASCO vs NSGA-II vs UNICO on the
@@ -112,36 +107,16 @@ func BenchmarkFigure11_Ascend(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
-// BenchmarkMaestroEvaluate measures one analytical PPA evaluation, the
-// innermost operation of the whole co-search.
+// BenchmarkMaestroEvaluate and BenchmarkCAModelEvaluate measure one PPA
+// evaluation on each engine, the innermost operation of the whole co-search.
+// The bodies live in internal/benchmarks so cmd/unicobench runs the
+// identical workloads.
 func BenchmarkMaestroEvaluate(b *testing.B) {
-	eng := maestro.Engine{}
-	cfg := hw.Spatial{PEX: 12, PEY: 12, L1Bytes: 1728, L2KB: 432, NoCBW: 128,
-		Dataflow: hw.WeightStationary}
-	l := workload.ResNet().Layers[5]
-	m := mapping.Spatial{TK: 8, TC: 8, TY: 4, TX: 4, TR: 3, TS: 3,
-		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Evaluate(cfg, m, l); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarks.MaestroEvaluate(b)
 }
 
-// BenchmarkCAModelEvaluate measures one cycle-level simulation.
 func BenchmarkCAModelEvaluate(b *testing.B) {
-	eng := camodel.Engine{}
-	cfg := hw.DefaultAscend()
-	w, _ := workload.ByName("FSRCNN-120x320")
-	l := w.Layers[0]
-	m := mapping.Ascend{TM: 56, TK: 25, TN: 4096, FuseDepth: 2, DBufA: true, DBufB: true}.Canon(l)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Evaluate(cfg, m, l); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarks.CAModelEvaluate(b)
 }
 
 // BenchmarkMappingSearchUnit measures one network-level budget unit of the

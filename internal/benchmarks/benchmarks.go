@@ -46,6 +46,8 @@ func All() []Case {
 		{Name: "AcquisitionPool", Fn: AcquisitionPool, Pinned: true},
 		{Name: "CholeskyBlocked", Fn: CholeskyBlocked, Pinned: true},
 		{Name: "Rank1Update", Fn: Rank1Update, Pinned: true},
+		{Name: "MaestroEvaluate", Fn: MaestroEvaluate, Pinned: true},
+		{Name: "CAModelEvaluate", Fn: CAModelEvaluate, Pinned: true},
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit, Pinned: true},
 		{Name: "AscendNewJob", Fn: AscendNewJob, Pinned: true},
 		{Name: "SpatialNewJob", Fn: SpatialNewJob, Pinned: true},
@@ -191,6 +193,39 @@ func Rank1Update(b *testing.B) {
 		copy(l.Data, base.Data)
 		copy(vv, v)
 		if err := linalg.CholeskyUpdate(l, vv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// MaestroEvaluate measures one analytical PPA evaluation, the innermost
+// operation of the whole co-search.
+func MaestroEvaluate(b *testing.B) {
+	eng := maestro.Engine{}
+	cfg := hw.Spatial{PEX: 12, PEY: 12, L1Bytes: 1728, L2KB: 432, NoCBW: 128,
+		Dataflow: hw.WeightStationary}
+	l := workload.ResNet().Layers[5]
+	m := mapping.Spatial{TK: 8, TC: 8, TY: 4, TX: 4, TR: 3, TS: 3,
+		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Evaluate(cfg, m, l); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// CAModelEvaluate measures one cycle-level simulation.
+func CAModelEvaluate(b *testing.B) {
+	eng := camodel.Engine{}
+	cfg := hw.DefaultAscend()
+	w, _ := workload.ByName("FSRCNN-120x320")
+	l := w.Layers[0]
+	m := mapping.Ascend{TM: 56, TK: 25, TN: 4096, FuseDepth: 2, DBufA: true, DBufB: true}.Canon(l)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Evaluate(cfg, m, l); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,7 +89,8 @@ type engineState struct {
 	dmaA, dmaB, cube, vec, dmaOut float64
 }
 
-// evalCount and evalInfeasible meter the simulator's hot path.
+// evalCount and evalInfeasible meter the simulator's hot path exactly;
+// evalSeconds sees one call in telemetry.PPAEvalSampleEvery.
 var (
 	evalCount      = telemetry.PPAEvals("camodel")
 	evalInfeasible = telemetry.PPAInfeasible("camodel")
@@ -98,9 +99,10 @@ var (
 
 // Evaluate simulates one layer under schedule m on core c.
 func (e Engine) Evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.Metrics, error) {
-	evalCount.Inc()
-	//unicolint:allow detclock host-side eval-latency metric; simulated search cost is charged via simclock
-	defer func(start time.Time) { evalSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
+	if evalCount.Next()%telemetry.PPAEvalSampleEvery == 0 {
+		start := time.Now() //unicolint:allow detclock host-side eval-latency sample; simulated search cost is charged via simclock
+		defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
+	}
 	met, err := e.evaluate(c, m, l)
 	if err != nil && errors.Is(err, ErrInfeasible) {
 		evalInfeasible.Inc()

@@ -354,9 +354,12 @@ func (c *Client) EvaluatePPAContext(ctx context.Context, req PPARequest) (PPARes
 	return PPAResponse{}, err
 }
 
+// evalSeconds times every remote evaluation round trip, retries included.
+var evalSeconds = telemetry.PPAEvalSeconds("dist")
+
 func (c *Client) evaluatePPA(ctx context.Context, req PPARequest) (PPAResponse, error) {
 	start := time.Now() //unicolint:allow detclock host-side eval-latency metric on the remote transport path
-	defer func() { telemetry.PPAEvalSeconds("dist").Observe(time.Since(start).Seconds()) }()
+	defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
 	var resp PPAResponse
 	if err := c.postIdempotent(ctx, "/v1/ppa", req, &resp); err != nil {
 		return PPAResponse{}, err

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -66,6 +69,42 @@ func TestPPAEndpointInfeasibleFlag(t *testing.T) {
 	}
 	if !resp.Infeasible {
 		t.Errorf("infeasible mapping not flagged: %+v", resp)
+	}
+}
+
+// TestPPAEndpointInfeasibleWireText pins the bytes a worker answers a
+// capacity rejection with, for both of maestro's: the error's text is built
+// when the server asks for it, and what it builds must not have moved.
+func TestPPAEndpointInfeasibleWireText(t *testing.T) {
+	srv, _ := newWorker(t)
+	l := workload.Conv("c", 64, 64, 28, 28, 3, 3, 1, 1)
+	m := mapping.Spatial{TK: 8, TC: 8, TY: 4, TX: 4, TR: 3, TS: 3,
+		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
+	const zero = `{"metrics":{"LatencyMs":0,"PowerMW":0,"AreaMM2":0,"EnergyUJ":0},"infeasible":true,"error":`
+	for _, tc := range []struct {
+		l1Bytes, l2KB int
+		want          string
+	}{
+		{4, 1, zero + `"maestro: mapping infeasible on hardware: L1 tile 2240 B \u003e 4 B"}` + "\n"},
+		{1 << 20, 1, zero + `"maestro: mapping infeasible on hardware: L2 working set 14528 B \u003e 1024 B"}` + "\n"},
+	} {
+		cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: tc.l1Bytes, L2KB: tc.l2KB, NoCBW: 64, Dataflow: hw.WeightStationary}
+		body, err := json.Marshal(PPARequest{Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/v1/ppa", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("L1 %d B, L2 %d KB: wire body %q, want %q", tc.l1Bytes, tc.l2KB, got, tc.want)
+		}
 	}
 }
 

@@ -106,21 +106,20 @@ const (
 	opOutput
 )
 
-// depends reports whether the operand's footprint varies with loop dimension
-// d. Depthwise convolutions couple the input to K instead of C.
-func depends(p operand, d mapping.Dim, depthwise bool) bool {
-	switch p {
-	case opInput:
-		if depthwise {
-			return d != mapping.DimC
-		}
-		return d != mapping.DimK
-	case opWeight:
-		return d == mapping.DimK || d == mapping.DimC
-	case opOutput:
-		return d != mapping.DimC
-	}
-	panic(fmt.Sprintf("maestro: bad operand %d", p))
+// dependence[depthwise][p][d] reports whether operand p's footprint varies
+// with loop dimension d. Depthwise convolutions couple the input to K instead
+// of C. A table, not a function: the model reads it ~40 times per evaluation.
+var dependence = [2][3][4]bool{
+	{
+		opInput:  {mapping.DimC: true, mapping.DimY: true, mapping.DimX: true},
+		opWeight: {mapping.DimK: true, mapping.DimC: true},
+		opOutput: {mapping.DimK: true, mapping.DimY: true, mapping.DimX: true},
+	},
+	{
+		opInput:  {mapping.DimK: true, mapping.DimY: true, mapping.DimX: true},
+		opWeight: {mapping.DimK: true, mapping.DimC: true},
+		opOutput: {mapping.DimK: true, mapping.DimY: true, mapping.DimX: true},
+	},
 }
 
 // Report is the detailed account behind one evaluation: where the cycles
@@ -145,7 +144,31 @@ type Report struct {
 	EnergyPJ map[string]float64
 }
 
-// evalCount and evalInfeasible meter the engine's hot path.
+// breakdown is what the model works out on its way to the metrics: the
+// per-resource stream times, the traffic volumes and the dynamic energy by
+// source. Explain decorates it into a Report; Evaluate drops it.
+type breakdown struct {
+	computeCycles, nocCycles, dramCycles float64
+	nocBytes, dramBytes                  float64
+	macPJ, l1PJ, nocPJ, dramPJ           float64
+}
+
+// capacityError is the ErrInfeasible of a tile that does not fit its buffer.
+// A mapping search rejects a few hundred thousand of these per co-search and
+// reads none of them, so the text is formatted only when Error is called.
+type capacityError struct {
+	what       string // "L1 tile" or "L2 working set"
+	need, have int    // bytes
+}
+
+func (e *capacityError) Error() string {
+	return fmt.Sprintf("%v: %s %d B > %d B", ErrInfeasible, e.what, e.need, e.have)
+}
+
+func (e *capacityError) Unwrap() error { return ErrInfeasible }
+
+// evalCount and evalInfeasible meter the engine's hot path exactly;
+// evalSeconds sees one call in telemetry.PPAEvalSampleEvery.
 var (
 	evalCount      = telemetry.PPAEvals("maestro")
 	evalInfeasible = telemetry.PPAInfeasible("maestro")
@@ -154,26 +177,70 @@ var (
 
 // Evaluate returns the PPA of running one layer with mapping m on hardware c.
 func (e Engine) Evaluate(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, error) {
-	evalCount.Inc()
-	//unicolint:allow detclock host-side eval-latency metric; simulated search cost is charged via simclock
-	defer func(start time.Time) { evalSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
-	rep, err := e.Explain(c, m, l)
+	if evalCount.Next()%telemetry.PPAEvalSampleEvery == 0 {
+		start := time.Now() //unicolint:allow detclock host-side eval-latency sample; simulated search cost is charged via simclock
+		defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
+	}
+	met, _, err := e.model(c, m, l)
 	if err != nil {
-		if errors.Is(err, ErrInfeasible) {
+		if _, ok := err.(*capacityError); ok {
 			evalInfeasible.Inc()
 		}
 		return ppa.Metrics{}, err
 	}
-	return rep.Metrics, nil
+	return met, nil
 }
 
 // Explain evaluates like Evaluate but returns the full Report.
 func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Report, error) {
-	if err := l.Validate(); err != nil {
+	met, b, err := e.model(c, m, l)
+	if err != nil {
 		return Report{}, err
+	}
+	rep := Report{
+		Metrics:       met,
+		ComputeCycles: b.computeCycles,
+		NoCCycles:     b.nocCycles,
+		DRAMCycles:    b.dramCycles,
+		NoCBytes:      b.nocBytes,
+		DRAMBytes:     b.dramBytes,
+		EnergyPJ: map[string]float64{
+			"mac":     b.macPJ,
+			"l1":      b.l1PJ,
+			"noc+l2":  b.nocPJ,
+			"dram":    b.dramPJ,
+			"leakage": leakageMW(c) * met.LatencyMs * 1e6,
+		},
+	}
+	switch {
+	case b.computeCycles >= b.nocCycles && b.computeCycles >= b.dramCycles:
+		rep.Bottleneck = "compute"
+	case b.nocCycles >= b.dramCycles:
+		rep.Bottleneck = "noc"
+	default:
+		rep.Bottleneck = "dram"
+	}
+	if b.computeCycles > 0 {
+		rep.PEUtilization = float64(l.MACs()) / (float64(c.PEs()) * b.computeCycles)
+		if rep.PEUtilization > 1 {
+			rep.PEUtilization = 1
+		}
+	}
+	return rep, nil
+}
+
+// model is the one implementation of the cost model's arithmetic. It
+// allocates nothing on a feasible triple and one capacityError otherwise.
+func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, breakdown, error) {
+	if err := l.Validate(); err != nil {
+		return ppa.Metrics{}, breakdown{}, err
 	}
 	m = m.Canon(l)
 	depthwise := l.Kind == workload.DWConv2D
+	depends := &dependence[0]
+	if depthwise {
+		depends = &dependence[1]
+	}
 
 	// Per-PE tile footprints in bytes (int8 activations/weights, int32
 	// partial sums held as 2 bytes after requantization headroom). The
@@ -192,36 +259,30 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 
 	// Double-buffered L1 residency.
 	if 2*(inTile+wTile+outTile) > float64(c.L1Bytes) {
-		return Report{}, fmt.Errorf("%w: L1 tile %d B > %d B", ErrInfeasible,
-			int(2*(inTile+wTile+outTile)), c.L1Bytes)
+		return ppa.Metrics{}, breakdown{}, &capacityError{
+			what: "L1 tile", need: int(2 * (inTile + wTile + outTile)), have: c.L1Bytes}
 	}
 
-	// Spatial extents and per-dimension trip counts. Dim-indexed arrays, not
-	// maps: Explain runs ~10⁵ times per search iteration, and the map
-	// allocations plus hashed lookups were a top profile entry. The loops
-	// below iterate dimensions and operands in fixed declaration order; every
-	// summed term is an exactly-represented integer-valued float64, so the
-	// totals match the previous map-ordered accumulation bit-for-bit.
+	// Loop bounds, tile sizes and spatial extents per dimension. Dim-indexed
+	// arrays, not maps, closures or switches: the model runs ~10⁵ times per
+	// search iteration. The loops below iterate dimensions and operands in
+	// fixed declaration order, which fixes the floating-point operation
+	// order the golden digests pin.
 	bounds := [4]int{mapping.DimK: l.K, mapping.DimC: l.C, mapping.DimY: l.Y, mapping.DimX: l.X}
 	if depthwise {
 		bounds[mapping.DimC] = 1
 	}
-	extent := func(d mapping.Dim) int {
-		switch d {
-		case m.SpatX:
-			return c.PEX
-		case m.SpatY:
-			return c.PEY
-		}
-		return 1
-	}
-	// tileTrips is the number of per-PE tiles along d; temporalTrips folds
-	// the spatial extent in (tiles executed concurrently across the array).
-	var tileTrips, temporalTrips [4]float64
-	for _, d := range mapping.AllDims {
-		tt := math.Ceil(float64(bounds[d]) / float64(m.Tile(d)))
-		tileTrips[d] = tt
-		temporalTrips[d] = math.Ceil(tt / float64(extent(d)))
+	tile := [4]int{mapping.DimK: m.TK, mapping.DimC: m.TC, mapping.DimY: m.TY, mapping.DimX: m.TX}
+	extent := [4]int{1, 1, 1, 1}
+	extent[m.SpatY] = c.PEY
+	extent[m.SpatX] = c.PEX // Canon keeps the two distinct
+
+	// temporalTrips is the number of per-PE tiles along d with the spatial
+	// extent folded in (tiles executed concurrently across the array).
+	var temporalTrips [4]float64
+	for d := range temporalTrips {
+		tileTrips := math.Ceil(float64(bounds[d]) / float64(tile[d]))
+		temporalTrips[d] = math.Ceil(tileTrips / float64(extent[d]))
 	}
 
 	// Kernel-window trips: R and S nest innermost (below the Orders
@@ -230,49 +291,37 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 	tripsS := math.Ceil(float64(l.S) / float64(m.TS))
 
 	// Compute time: every temporal step runs one tile on each active PE.
-	macsPerTile := float64(m.Tile(mapping.DimK)) * float64(m.Tile(mapping.DimC)) *
-		float64(m.Tile(mapping.DimY)) * float64(m.Tile(mapping.DimX)) *
+	macsPerTile := float64(m.TK) * float64(m.TC) * float64(m.TY) * float64(m.TX) *
 		float64(m.TR) * float64(m.TS)
 	if depthwise {
-		macsPerTile = float64(m.Tile(mapping.DimK)) * float64(m.Tile(mapping.DimY)) *
-			float64(m.Tile(mapping.DimX)) * float64(m.TR) * float64(m.TS)
+		macsPerTile = float64(m.TK) * float64(m.TY) * float64(m.TX) * float64(m.TR) * float64(m.TS)
 	}
 	steps := float64(l.N) * tripsR * tripsS
-	for _, d := range mapping.AllDims {
-		steps *= temporalTrips[d]
+	for _, t := range temporalTrips {
+		steps *= t
 	}
 	computeCycles := steps * macsPerTile
 
 	// L2 macro-tile residency: the working set concurrently held for the
 	// PE array (per-PE tile × spatial extent per dimension).
-	span := func(d mapping.Dim) float64 {
-		s := float64(m.Tile(d) * extent(d))
-		if s > float64(bounds[d]) {
-			s = float64(bounds[d])
-		}
-		return s
+	var span [4]float64
+	for d := range span {
+		span[d] = float64(min(tile[d]*extent[d], bounds[d]))
 	}
-	inHaloY := (span(mapping.DimY)-1)*float64(l.Stride) + float64(m.TR)
-	inHaloX := (span(mapping.DimX)-1)*float64(l.Stride) + float64(m.TS)
-	inChan := span(mapping.DimC)
+	inHaloY := (span[mapping.DimY]-1)*float64(l.Stride) + float64(m.TR)
+	inHaloX := (span[mapping.DimX]-1)*float64(l.Stride) + float64(m.TS)
+	inChan := span[mapping.DimC]
 	if depthwise {
-		inChan = span(mapping.DimK)
+		inChan = span[mapping.DimK]
 	}
 	macroIn := inChan * inHaloY * inHaloX
-	macroW := span(mapping.DimK) * span(mapping.DimC) * float64(m.TR) * float64(m.TS)
-	macroOut := 2 * span(mapping.DimK) * span(mapping.DimY) * span(mapping.DimX)
+	macroW := span[mapping.DimK] * span[mapping.DimC] * float64(m.TR) * float64(m.TS)
+	macroOut := 2 * span[mapping.DimK] * span[mapping.DimY] * span[mapping.DimX]
 	l2Need := 2 * (macroIn + macroW + macroOut)
 	l2Cap := float64(c.L2KB) * 1024
 	if l2Need > l2Cap {
-		return Report{}, fmt.Errorf("%w: L2 working set %d B > %d B", ErrInfeasible,
-			int(l2Need), int(l2Cap))
-	}
-
-	// Operand footprints (full layer).
-	footprint := [3]float64{
-		opInput:  float64(l.InputBytes()),
-		opWeight: float64(l.WeightBytes()),
-		opOutput: float64(l.OutputBytes()),
+		return ppa.Metrics{}, breakdown{}, &capacityError{
+			what: "L2 working set", need: int(l2Need), have: int(l2Cap)}
 	}
 
 	// L2 -> L1 (NoC) traffic. An operand's tile is fetched once per trip of
@@ -281,14 +330,12 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 	nocBytes := 0.0
 	tiles := [3]float64{opInput: inTile, opWeight: wTile, opOutput: outTile}
 	for p := opInput; p <= opOutput; p++ {
-		tile := tiles[p]
+		pinned := (c.Dataflow == hw.WeightStationary && p == opWeight) ||
+			(c.Dataflow == hw.OutputStationary && p == opOutput)
 		trips := float64(l.N)
-		for _, d := range mapping.AllDims {
-			dep := depends(p, d, depthwise)
-			pinned := (c.Dataflow == hw.WeightStationary && p == opWeight) ||
-				(c.Dataflow == hw.OutputStationary && p == opOutput)
-			if dep || !pinned {
-				trips *= temporalTrips[d]
+		for d, t := range temporalTrips {
+			if depends[p][d] || !pinned {
+				trips *= t
 			}
 		}
 		// Kernel-window trips: inputs and weights depend on R/S; outputs
@@ -300,28 +347,27 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 		// distinct data; along independent dimensions the NoC multicasts,
 		// so only one copy crosses the L2 port.
 		spatialCopies := 1.0
-		for _, d := range []mapping.Dim{m.SpatX, m.SpatY} {
-			if depends(p, d, depthwise) {
-				spatialCopies *= float64(extent(d))
-			}
+		if depends[p][m.SpatX] {
+			spatialCopies *= float64(c.PEX)
+		}
+		if depends[p][m.SpatY] {
+			spatialCopies *= float64(c.PEY)
 		}
 		factor := 1.0
-		if p == opOutput {
-			factor = 2 // partial sums written back and re-read
-			if c.Dataflow == hw.OutputStationary {
-				factor = 1 // accumulated in place, written once
-			}
+		if p == opOutput && c.Dataflow != hw.OutputStationary {
+			factor = 2 // partial sums written back and re-read, not accumulated in place
 		}
-		nocBytes += trips * tile * spatialCopies * factor
+		nocBytes += trips * tiles[p] * spatialCopies * factor
 	}
 
 	// DRAM -> L2 traffic. An operand that fits in L2 alongside the others
 	// streams once; otherwise it is refetched once per macro trip of each
 	// loop it does not depend on that is ordered outside its own loops.
 	order := mapping.Orders[m.Order]
-	macroTrips := func(d mapping.Dim) float64 {
-		span := float64(m.Tile(d) * extent(d))
-		return math.Ceil(float64(bounds[d]) / span)
+	footprint := [3]float64{
+		opInput:  float64(l.InputBytes()),
+		opWeight: float64(l.WeightBytes()),
+		opOutput: float64(l.OutputBytes()),
 	}
 	dramBytes := 0.0
 	for p := opInput; p <= opOutput; p++ {
@@ -332,27 +378,18 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 		}
 		reload := 1.0
 		if resident > l2Cap/3 {
-			// Find the outermost loop the operand depends on; loops ordered
-			// outside it that the operand does not depend on force reloads.
-			outermostDep := len(order)
-			for i, d := range order {
-				if depends(p, d, depthwise) {
-					outermostDep = i
+			// Loops ordered outside the outermost loop the operand depends
+			// on force a reload per macro trip.
+			for _, d := range order {
+				if depends[p][d] {
 					break
 				}
-			}
-			for i, d := range order {
-				if i < outermostDep && !depends(p, d, depthwise) {
-					reload *= macroTrips(d)
-				}
+				reload *= math.Ceil(float64(bounds[d]) / float64(tile[d]*extent[d]))
 			}
 		}
 		factor := 1.0
-		if p == opOutput {
-			factor = 1
-			if reload > 1 {
-				factor = 2 // read-modify-write of spilled partial sums
-			}
+		if p == opOutput && reload > 1 {
+			factor = 2 // read-modify-write of spilled partial sums
 		}
 		dramBytes += fp * reload * factor
 	}
@@ -360,7 +397,7 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 	// Latency: perfect double buffering overlaps the three streams.
 	nocCycles := nocBytes / float64(c.NoCBW)
 	dramCycles := dramBytes / dramBWBytesPerCycle
-	cycles := math.Max(computeCycles, math.Max(nocCycles, dramCycles))
+	cycles := max(computeCycles, nocCycles, dramCycles)
 	// Pipeline fill/drain: one tile of latency per temporal step wave.
 	cycles += 64 + math.Sqrt(steps)
 	latencyMs := cycles / (ClockGHz * 1e6)
@@ -368,14 +405,17 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 	// Energy.
 	usefulMACs := float64(l.MACs())
 	l1Bytes := usefulMACs * 3 * l1RegReuse
-	macPJ := usefulMACs * macEnergyPJ
-	l1PJ := l1Bytes * l1EnergyPJ
-	nocPJ := nocBytes * l2EnergyPJ
-	dramPJ := dramBytes * dramEnergyPJ
-	energyUJ := (macPJ + l1PJ + nocPJ + dramPJ) * 1e-6
+	b := breakdown{
+		computeCycles: computeCycles, nocCycles: nocCycles, dramCycles: dramCycles,
+		nocBytes: nocBytes, dramBytes: dramBytes,
+		macPJ:  usefulMACs * macEnergyPJ,
+		l1PJ:   l1Bytes * l1EnergyPJ,
+		nocPJ:  nocBytes * l2EnergyPJ,
+		dramPJ: dramBytes * dramEnergyPJ,
+	}
+	energyUJ := (b.macPJ + b.l1PJ + b.nocPJ + b.dramPJ) * 1e-6
 	leak := leakageMW(c)
 	powerMW := energyUJ/latencyMs + leak
-	leakPJ := leak * latencyMs * 1e6
 	energyUJ += leak * latencyMs // fold leakage into total energy
 
 	met := ppa.Metrics{
@@ -385,39 +425,9 @@ func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Repo
 		EnergyUJ:  energyUJ,
 	}
 	if !met.Valid() {
-		return Report{}, fmt.Errorf("maestro: produced invalid metrics %+v for %v / %v", met, c, l)
+		return ppa.Metrics{}, breakdown{}, fmt.Errorf("maestro: produced invalid metrics %+v for %v / %v", met, c, l)
 	}
-
-	rep := Report{
-		Metrics:       met,
-		ComputeCycles: computeCycles,
-		NoCCycles:     nocCycles,
-		DRAMCycles:    dramCycles,
-		NoCBytes:      nocBytes,
-		DRAMBytes:     dramBytes,
-		EnergyPJ: map[string]float64{
-			"mac":     macPJ,
-			"l1":      l1PJ,
-			"noc+l2":  nocPJ,
-			"dram":    dramPJ,
-			"leakage": leakPJ,
-		},
-	}
-	switch {
-	case computeCycles >= nocCycles && computeCycles >= dramCycles:
-		rep.Bottleneck = "compute"
-	case nocCycles >= dramCycles:
-		rep.Bottleneck = "noc"
-	default:
-		rep.Bottleneck = "dram"
-	}
-	if computeCycles > 0 {
-		rep.PEUtilization = usefulMACs / (float64(c.PEs()) * computeCycles)
-		if rep.PEUtilization > 1 {
-			rep.PEUtilization = 1
-		}
-	}
-	return rep, nil
+	return met, b, nil
 }
 
 // EvaluateWorkload sums per-layer metrics, each scaled by its repeat count,

@@ -57,12 +57,8 @@ func (m Ascend) Valid(l workload.Layer) bool {
 // RandomAscend draws a uniformly random well-formed schedule for the layer.
 func RandomAscend(rng *rand.Rand, l workload.Layer) Ascend {
 	gm, gk, gn := GemmDims(l)
-	pick := func(bound int) int {
-		ladder := tileLadder(bound)
-		return ladder[rng.Intn(len(ladder))]
-	}
 	return Ascend{
-		TM: pick(gm), TK: pick(gk), TN: pick(gn),
+		TM: tileLadder(gm).pick(rng), TK: tileLadder(gk).pick(rng), TN: tileLadder(gn).pick(rng),
 		FuseDepth: 1 + rng.Intn(4),
 		DBufA:     rng.Intn(2) == 0,
 		DBufB:     rng.Intn(2) == 0,
@@ -74,23 +70,13 @@ func RandomAscend(rng *rand.Rand, l workload.Layer) Ascend {
 func MutateAscend(rng *rand.Rand, m Ascend, l workload.Layer) Ascend {
 	out := m
 	gm, gk, gn := GemmDims(l)
-	moveTile := func(cur, bound int) int {
-		ladder := tileLadder(bound)
-		i := nearestLadderIndex(ladder, cur)
-		if rng.Intn(2) == 0 && i > 0 {
-			i--
-		} else if i < len(ladder)-1 {
-			i++
-		}
-		return ladder[i]
-	}
 	switch rng.Intn(6) {
 	case 0:
-		out.TM = moveTile(out.TM, gm)
+		out.TM = tileLadder(gm).move(rng, out.TM)
 	case 1:
-		out.TK = moveTile(out.TK, gk)
+		out.TK = tileLadder(gk).move(rng, out.TK)
 	case 2:
-		out.TN = moveTile(out.TN, gn)
+		out.TN = tileLadder(gn).move(rng, out.TN)
 	case 3:
 		out.FuseDepth = 1 + rng.Intn(4)
 	case 4:

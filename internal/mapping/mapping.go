@@ -12,8 +12,8 @@ package mapping
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sync"
 
 	"unico/internal/workload"
 )
@@ -107,17 +107,10 @@ func (m *Spatial) setTile(d Dim, v int) {
 // and mutation funnels through Canon so downstream code can assume a
 // well-formed schedule.
 func (m Spatial) Canon(l workload.Layer) Spatial {
-	bounds := dimBounds(l)
-	for _, d := range AllDims {
-		t := m.Tile(d)
-		if t < 1 {
-			t = 1
-		}
-		if t > bounds[d] {
-			t = bounds[d]
-		}
-		m.setTile(d, t)
-	}
+	m.TK = min(max(m.TK, 1), l.K)
+	m.TC = min(max(m.TC, 1), l.C)
+	m.TY = min(max(m.TY, 1), l.Y)
+	m.TX = min(max(m.TX, 1), l.X)
 	m.TR = clampTile(m.TR, l.R)
 	m.TS = clampTile(m.TS, l.S)
 	if m.Order < 0 || m.Order >= len(Orders) {
@@ -173,42 +166,90 @@ func dimBounds(l workload.Layer) [4]int {
 	return [4]int{DimK: l.K, DimC: l.C, DimY: l.Y, DimX: l.X}
 }
 
-// ladderCache memoizes tileLadder per bound. Layer bounds repeat across the
-// millions of mutation steps of a search, and rebuilding the ladder (with
-// its dedup set) on every step was a top allocation site. Cached slices are
-// shared — callers must treat them as read-only.
-var ladderCache sync.Map // int -> []int
+// ladderRungs is the unclipped tile ladder {2^i, 3·2^i} in the order
+// FlexTensor enumerates split factors: 1, 3, 2, 6, 4, 12, 8, 24, …
+var ladderRungs = func() (r [124]int) {
+	for i := range r {
+		r[i] = (1 + 2*(i&1)) << (i >> 1)
+	}
+	return r
+}()
 
-// tileLadder returns the candidate tile sizes for a loop of the given bound:
-// the {2^i, 3*2^i} ladder clipped to the bound, plus the bound itself. This
-// mirrors the split-factor candidates FlexTensor enumerates. The returned
-// slice is shared and must not be modified.
-func tileLadder(bound int) []int {
+// ladder is the candidate tile sizes for a loop of one bound: the rungs of
+// ladderRungs that fit, in enumeration order, then the bound itself unless it
+// is a rung. 3·2^i stops fitting one or two steps before 2^i does, so the
+// rungs that fit are a prefix of ladderRungs and then at most two powers of
+// two. A ladder is those few words: one is built per mutation step, so it
+// must cost no allocation, no shared lookup and no loop over the rungs.
+type ladder struct {
+	prefix int    // the first prefix entries of ladderRungs
+	rest   [3]int // then the last powers of two, then the bound
+	n      int    // number of tile sizes: prefix + the used part of rest
+}
+
+// tileLadder returns the candidate tile sizes for a loop of the given bound.
+// This mirrors the split-factor candidates FlexTensor enumerates.
+func tileLadder(bound int) ladder {
 	if bound < 1 {
-		bound = 0
+		return ladder{prefix: 1, n: 1} // the one tile size 1
 	}
-	if v, ok := ladderCache.Load(bound); ok {
-		return v.([]int)
+	a := bits.Len(uint(bound)) - 1 // 2^a is the largest power of two that fits
+	b := a - 1                     // 3·2^b is the largest three-times-one that does
+	if b >= 0 && 3<<b > bound {
+		b--
 	}
-	var vals []int
-	if bound < 1 {
-		vals = []int{1}
-	} else {
-		seen := map[int]bool{}
-		add := func(v int) {
-			if v >= 1 && v <= bound && !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
+	l := ladder{prefix: 2 * (b + 1)}
+	k := 0
+	for p := b + 1; p <= a; p++ {
+		l.rest[k] = 1 << p
+		k++
+	}
+	if bound != 1<<a && (b < 0 || bound != 3<<b) {
+		l.rest[k] = bound
+		k++
+	}
+	l.n = l.prefix + k
+	return l
+}
+
+// at returns the i-th tile size, 0 <= i < l.n.
+func (l ladder) at(i int) int {
+	if i < l.prefix {
+		return ladderRungs[i]
+	}
+	return l.rest[i-l.prefix]
+}
+
+// pick draws one tile size uniformly.
+func (l ladder) pick(rng *rand.Rand) int { return l.at(rng.Intn(l.n)) }
+
+// move returns the tile size one step down or up the ladder from the one
+// nearest cur. A down draw on the first rung steps up instead; an up draw on
+// the last stays put.
+func (l ladder) move(rng *rand.Rand, cur int) int {
+	i := l.nearest(cur)
+	if rng.Intn(2) == 0 && i > 0 {
+		i--
+	} else if i < l.n-1 {
+		i++
+	}
+	return l.at(i)
+}
+
+// nearest returns the index of the tile size closest to v (the first of
+// equally close ones).
+func (l ladder) nearest(v int) int {
+	best, bestDist := 0, -1
+	for i := 0; i < l.n; i++ {
+		d := l.at(i) - v
+		if d < 0 {
+			d = -d
 		}
-		for p := 1; p <= bound; p *= 2 {
-			add(p)
-			add(3 * p)
+		if bestDist < 0 || d < bestDist {
+			best, bestDist = i, d
 		}
-		add(bound)
 	}
-	actual, _ := ladderCache.LoadOrStore(bound, vals)
-	return actual.([]int)
+	return best
 }
 
 // RandomSpatial draws a uniformly random well-formed schedule for the layer.
@@ -219,13 +260,10 @@ func RandomSpatial(rng *rand.Rand, l workload.Layer) Spatial {
 		Order: rng.Intn(len(Orders)),
 	}
 	for _, d := range AllDims {
-		ladder := tileLadder(dimBounds(l)[d])
-		m.setTile(d, ladder[rng.Intn(len(ladder))])
+		m.setTile(d, tileLadder(dimBounds(l)[d]).pick(rng))
 	}
-	rLadder := tileLadder(l.R)
-	sLadder := tileLadder(l.S)
-	m.TR = rLadder[rng.Intn(len(rLadder))]
-	m.TS = sLadder[rng.Intn(len(sLadder))]
+	m.TR = tileLadder(l.R).pick(rng)
+	m.TS = tileLadder(l.S).pick(rng)
 	return m.Canon(l)
 }
 
@@ -234,25 +272,15 @@ func RandomSpatial(rng *rand.Rand, l workload.Layer) Spatial {
 // order changed.
 func MutateSpatial(rng *rand.Rand, m Spatial, l workload.Layer) Spatial {
 	out := m
-	move := func(cur, bound int) int {
-		ladder := tileLadder(bound)
-		i := nearestLadderIndex(ladder, cur)
-		if rng.Intn(2) == 0 && i > 0 {
-			i--
-		} else if i < len(ladder)-1 {
-			i++
-		}
-		return ladder[i]
-	}
 	switch rng.Intn(5) {
 	case 0, 1: // move one tile size one ladder step (most productive move)
 		d := AllDims[rng.Intn(len(AllDims))]
-		out.setTile(d, move(out.Tile(d), dimBounds(l)[d]))
+		out.setTile(d, tileLadder(dimBounds(l)[d]).move(rng, out.Tile(d)))
 	case 2: // move a kernel-window tile
 		if rng.Intn(2) == 0 {
-			out.TR = move(out.TR, l.R)
+			out.TR = tileLadder(l.R).move(rng, out.TR)
 		} else {
-			out.TS = move(out.TS, l.S)
+			out.TS = tileLadder(l.S).move(rng, out.TS)
 		}
 	case 3: // re-pick a spatial dimension
 		if rng.Intn(2) == 0 {
@@ -295,19 +323,4 @@ func CrossoverSpatial(rng *rand.Rand, a, b Spatial, l workload.Layer) Spatial {
 		out.Order = b.Order
 	}
 	return out.Canon(l)
-}
-
-// nearestLadderIndex returns the index of the ladder value closest to v.
-func nearestLadderIndex(ladder []int, v int) int {
-	best, bestDist := 0, -1
-	for i, w := range ladder {
-		d := w - v
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
 }

@@ -87,25 +87,75 @@ func TestMutateEventuallyMoves(t *testing.T) {
 	}
 }
 
+// enumeratedLadder is the tile ladder as it is defined: walk the powers of
+// two up to the bound, keep each 2^i and 3·2^i that fits, then add the bound
+// itself, all without duplicates. tileLadder must give exactly this sequence.
+func enumeratedLadder(bound int) []int {
+	if bound < 1 {
+		return []int{1}
+	}
+	var vals []int
+	seen := map[int]bool{}
+	add := func(v int) {
+		if v >= 1 && v <= bound && !seen[v] {
+			seen[v] = true
+			vals = append(vals, v)
+		}
+	}
+	for p := 1; p <= bound && p > 0; p *= 2 {
+		add(p)
+		add(3 * p)
+	}
+	add(bound)
+	return vals
+}
+
+// TestTileLadder holds the closed-form ladder to the enumeration, size for
+// size, on every small bound and on bounds around the large powers.
 func TestTileLadder(t *testing.T) {
-	ladder := tileLadder(28)
-	if ladder[0] != 1 {
-		t.Errorf("ladder does not start at 1: %v", ladder)
+	bounds := []int{-3, 25088, 460800, 1<<31 - 1, 1 << 40, 1<<40 + 5, 3 << 40, 3<<40 - 1, 1 << 61, 3 << 60}
+	for b := 0; b <= 5000; b++ {
+		bounds = append(bounds, b)
 	}
-	hasBound := false
-	for _, v := range ladder {
-		if v < 1 || v > 28 {
-			t.Errorf("ladder value %d out of [1,28]", v)
+	for _, bound := range bounds {
+		want := enumeratedLadder(bound)
+		got := tileLadder(bound)
+		if got.n != len(want) {
+			t.Fatalf("tileLadder(%d) has %d sizes, want %d: %v", bound, got.n, len(want), want)
 		}
-		if v == 28 {
-			hasBound = true
+		for i, w := range want {
+			if got.at(i) != w {
+				t.Fatalf("tileLadder(%d)[%d] = %d, want %d of %v", bound, i, got.at(i), w, want)
+			}
 		}
 	}
-	if !hasBound {
-		t.Errorf("ladder misses the bound: %v", ladder)
+}
+
+func TestTileLadderNearestAndMove(t *testing.T) {
+	l := tileLadder(28) // 1 3 2 6 4 12 8 24 16 28
+	for _, tc := range []struct{ v, want int }{
+		{1, 0}, {3, 1}, {5, 3}, {7, 3}, {10, 5}, {20, 7}, {26, 7}, {27, 9}, {100, 9}, {-4, 0},
+	} {
+		if got := l.nearest(tc.v); got != tc.want {
+			t.Errorf("nearest(%d) = %d, want %d", tc.v, got, tc.want)
+		}
 	}
-	if got := tileLadder(0); len(got) != 1 || got[0] != 1 {
-		t.Errorf("tileLadder(0) = %v", got)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		// The first rung only moves up, the last moves down or stays, and
+		// a middle rung lands on a neighbour in enumeration order.
+		if got := l.move(rng, 1); got != 3 {
+			t.Fatalf("move from 1 gave %d", got)
+		}
+		if got := l.move(rng, 28); got != 16 && got != 28 {
+			t.Fatalf("move from 28 gave %d", got)
+		}
+		if got := l.move(rng, 6); got != 2 && got != 4 {
+			t.Fatalf("move from 6 gave %d", got)
+		}
+		if got := l.pick(rng); got < 1 || got > 28 {
+			t.Fatalf("pick gave %d", got)
+		}
 	}
 }
 

@@ -267,7 +267,7 @@ func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, alg
 	repeats := make([]int, len(w.Layers))
 	weights := make([]float64, len(w.Layers))
 	for i, l := range w.Layers {
-		rng := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
+		rng := newLayerRand(seed, i)
 		prob := ascendProblem{eng: eng, cfg: cfg, layer: l}
 		switch algo {
 		case FlexTensorLike:

@@ -3,6 +3,7 @@ package mapsearch
 import (
 	"context"
 	"math"
+	"math/rand"
 
 	"unico/internal/perfprof"
 	"unico/internal/ppa"
@@ -72,6 +73,35 @@ func AdvanceSearcher(ctx context.Context, s Searcher, budget int) {
 		return
 	}
 	s.Advance(budget)
+}
+
+// lazySource is rand.NewSource(seed) that puts off the seeding — 607 words of
+// additive-lagged-Fibonacci state, most of what building a layer search
+// costs — until the first draw: the same seed gives the same stream, but the
+// work leaves job construction, which the co-search runs serially, for the
+// layer's first random step, which successive halving runs in parallel.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+// newLayerRand returns layer i's generator of a network search seeded with
+// seed: rand.New(rand.NewSource(seed + i·1 000 003)), seeded on first draw.
+func newLayerRand(seed int64, i int) *rand.Rand {
+	return rand.New(&lazySource{seed: seed + int64(i)*1_000_003})
+}
+
+func (s *lazySource) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.seeded().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.seeded().Uint64() }
+func (s *lazySource) Seed(seed int64) {
+	s.seed, s.src = seed, nil
 }
 
 // NetworkSearcher drives one LayerSearcher per distinct layer shape and

@@ -120,7 +120,7 @@ func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, 
 	weights := make([]float64, len(w.Layers))
 	for i, l := range w.Layers {
 		prob := spatialProblem{eng: eng, cfg: cfg, layer: l}
-		rng := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
+		rng := newLayerRand(seed, i)
 		switch algo {
 		case GammaLike:
 			layers[i] = NewGenetic[mapping.Spatial](prob, 16, rng)

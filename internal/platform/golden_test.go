@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"unico/internal/core"
+	"unico/internal/hw"
 	"unico/internal/mapsearch"
 	"unico/internal/ppa"
 	"unico/internal/workload"
@@ -83,6 +84,38 @@ func TestAscendCoSearchGolden(t *testing.T) {
 		}
 		if got := resultDigest(res); got != ascendGoldenDigest {
 			t.Errorf("workers=%d: result digest %s, want %s", workers, got, ascendGoldenDigest)
+		}
+		if res.Hours != hours {
+			t.Errorf("workers=%d: simulated hours %v, want %v", workers, res.Hours, hours)
+		}
+	}
+}
+
+// spatialGoldenDigest was captured on the commit before maestro.Evaluate
+// stopped building a Report per call and the per-layer rand sources became
+// first-draw seeded; neither may move one bit of it.
+const spatialGoldenDigest = "08bc33a7ff67d92c3da367cac47b2e70aa952e944bb3bcdba31602218e6e9fa2"
+
+// spatialGoldenHours is the simulated cost of the same run per worker count.
+var spatialGoldenHours = map[int]float64{1: 0.12416666666666666, 4: 0.07083333333333333}
+
+// TestSpatialCoSearchGolden is TestAscendCoSearchGolden's twin on the
+// open-source platform: a small UNICO run on Edge MobileNet, bit for bit and
+// at either worker count.
+func TestSpatialCoSearchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest captured on amd64; other architectures may fuse multiply-adds")
+	}
+	for workers, hours := range spatialGoldenHours {
+		p := NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
+		opt := core.UNICOOptions(5, 3, 40, 9)
+		opt.Workers = workers
+		res := core.Run(p, opt)
+		if len(res.All) != 15 || len(res.Front) == 0 {
+			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
+		}
+		if got := resultDigest(res); got != spatialGoldenDigest {
+			t.Errorf("workers=%d: result digest %s, want %s", workers, got, spatialGoldenDigest)
 		}
 		if res.Hours != hours {
 			t.Errorf("workers=%d: simulated hours %v, want %v", workers, res.Hours, hours)

@@ -39,8 +39,15 @@ var ppaEvalBuckets = []float64{
 	1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
+// PPAEvalSampleEvery is the sampling period of the in-process engines'
+// latency histogram: an analytical evaluation costs about as much as reading
+// the clock twice and observing the result, so "maestro" and "camodel" time
+// the calls whose PPAEvals count is a multiple of it. The counters stay exact.
+const PPAEvalSampleEvery = 64
+
 // PPAEvalSeconds observes host-side (wall-clock, not simulated) PPA
-// evaluation latency for one engine ("maestro", "camodel", "dist").
+// evaluation latency for one engine: every "dist" request, and one
+// "maestro" or "camodel" call in PPAEvalSampleEvery.
 func PPAEvalSeconds(engine string) *Histogram {
 	ppaEvalSecondsMu.Lock()
 	defer ppaEvalSecondsMu.Unlock()

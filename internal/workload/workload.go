@@ -126,24 +126,32 @@ func (l Layer) OutputBytes() int64 {
 }
 
 // Validate reports an error if any loop bound is non-positive or the shape is
-// internally inconsistent.
+// internally inconsistent. Both engines call it once per evaluation, so a
+// well-formed layer costs ten comparisons and the message is built only for
+// a bad one.
 func (l Layer) Validate() error {
-	dims := []struct {
+	if l.N <= 0 || l.K <= 0 || l.C <= 0 || l.Y <= 0 || l.X <= 0 ||
+		l.R <= 0 || l.S <= 0 || l.Stride <= 0 || l.Repeat <= 0 ||
+		(l.Kind == DWConv2D && l.C != 1) {
+		return l.invalid()
+	}
+	return nil
+}
+
+// invalid names the first offending field of a layer Validate rejected.
+func (l Layer) invalid() error {
+	for _, d := range []struct {
 		name string
 		v    int
 	}{
 		{"N", l.N}, {"K", l.K}, {"C", l.C}, {"Y", l.Y}, {"X", l.X},
 		{"R", l.R}, {"S", l.S}, {"stride", l.Stride}, {"repeat", l.Repeat},
-	}
-	for _, d := range dims {
+	} {
 		if d.v <= 0 {
 			return fmt.Errorf("workload: layer %q: %s = %d, want > 0", l.Name, d.name, d.v)
 		}
 	}
-	if l.Kind == DWConv2D && l.C != 1 {
-		return fmt.Errorf("workload: depthwise layer %q has C = %d, want 1", l.Name, l.C)
-	}
-	return nil
+	return fmt.Errorf("workload: depthwise layer %q has C = %d, want 1", l.Name, l.C)
 }
 
 func (l Layer) String() string {

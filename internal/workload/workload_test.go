@@ -109,6 +109,41 @@ func TestValidateRejectsBadLayers(t *testing.T) {
 	}
 }
 
+// TestValidateErrorText pins Layer.Validate's message for each offending
+// field — the first one in N, K, C, Y, X, R, S, stride, repeat order wins —
+// and for the depthwise C != 1 case.
+func TestValidateErrorText(t *testing.T) {
+	ok := Layer{Name: "l", Kind: Conv2D, N: 1, K: 2, C: 3, Y: 4, X: 5, R: 3, S: 3, Stride: 1, Repeat: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("well-formed layer rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Layer)
+		want string
+	}{
+		{"N", func(l *Layer) { l.N = 0 }, `workload: layer "l": N = 0, want > 0`},
+		{"K", func(l *Layer) { l.K = -2 }, `workload: layer "l": K = -2, want > 0`},
+		{"C", func(l *Layer) { l.C = 0 }, `workload: layer "l": C = 0, want > 0`},
+		{"Y", func(l *Layer) { l.Y = 0 }, `workload: layer "l": Y = 0, want > 0`},
+		{"X", func(l *Layer) { l.X = -1 }, `workload: layer "l": X = -1, want > 0`},
+		{"R", func(l *Layer) { l.R = 0 }, `workload: layer "l": R = 0, want > 0`},
+		{"S", func(l *Layer) { l.S = 0 }, `workload: layer "l": S = 0, want > 0`},
+		{"stride", func(l *Layer) { l.Stride = 0 }, `workload: layer "l": stride = 0, want > 0`},
+		{"repeat", func(l *Layer) { l.Repeat = -7 }, `workload: layer "l": repeat = -7, want > 0`},
+		{"first of two", func(l *Layer) { l.X, l.K = 0, 0 }, `workload: layer "l": K = 0, want > 0`},
+		{"depthwise C", func(l *Layer) { l.Kind, l.C = DWConv2D, 3 }, `workload: depthwise layer "l" has C = 3, want 1`},
+		{"depthwise and zero", func(l *Layer) { l.Kind, l.C, l.S = DWConv2D, 3, 0 }, `workload: layer "l": S = 0, want > 0`},
+	} {
+		l := ok
+		tc.edit(&l)
+		err := l.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	w, err := ByName("ResNet")
 	if err != nil || w.Name != "ResNet" {
