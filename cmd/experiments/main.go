@@ -22,16 +22,12 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"unico/internal/buildinfo"
-	"unico/internal/disttrace"
-	"unico/internal/evalcache"
+	"unico/internal/cliflags"
+	"unico/internal/core"
 	"unico/internal/experiments"
-	"unico/internal/flightrec"
 	"unico/internal/hw"
-	"unico/internal/logx"
-	"unico/internal/perfprof"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
@@ -42,104 +38,35 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the scale's seed (0 keeps default)")
 	searchWorkers := flag.Int("search-workers", 0, "parallel acquisition workers inside each suggestion step (0 keeps the engine default; results identical at every setting)")
 	traceFile := flag.String("trace", "", "write search events of every run as Chrome-trace JSONL to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 	progress := flag.Bool("progress", false, "print per-iteration convergence of every run to stderr")
-	useCache := flag.Bool("cache", false, "serve repeated PPA evaluations from a content-addressed cache shared by all runs")
-	cacheSize := flag.Int("cache-size", 0, "evaluation-cache entry bound (0 = default ~1M; implies -cache)")
-	cacheFile := flag.String("cache-file", "", "warm-start the cache from this JSONL file and save it back on exit (implies -cache)")
 	checkpointDir := flag.String("checkpoint-dir", "", "write per-run crash-safe checkpoints into this directory")
 	resume := flag.Bool("resume", false, "continue runs from existing checkpoints in -checkpoint-dir")
 	flightDir := flag.String("flight-record", "", "write one flight-record artifact per co-search run (<run>.run.jsonl) into this directory; view with unicoreport")
-	logFormat := flag.String("log-format", "text", "log output format: text | json")
-	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
-	pprofDir := flag.String("pprof-dir", "", "write run-ID-stamped pprof CPU/heap profiles to this directory (enables GET /debug/unico/capture when -metrics-addr is set)")
-	pprofInterval := flag.Duration("pprof-interval", 0, "capture a heap and CPU profile every interval for the sweep's duration (requires -pprof-dir)")
-	spanLog := flag.String("span-log", "", "record distributed-trace spans of every run as JSONL to this file; analyze with unicotrace")
+	shared := cliflags.Register(flag.CommandLine,
+		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics|cliflags.Cache)
 	flag.Parse()
-
-	logger, err := logx.Setup(*logFormat, *logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	// One sweep = one correlation ID across all its runs and dist requests.
-	runid.Set(runid.New())
-	buildinfo.Publish()
-
-	if *spanLog != "" {
-		rec, err := disttrace.NewRecorder(*spanLog, "client")
-		if err != nil {
-			logger.Error("span log setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		disttrace.Enable(rec)
-		defer rec.Close()
-	}
 
 	// SIGINT/SIGTERM cancel in-flight co-searches; with -checkpoint-dir set,
 	// each interrupted run leaves a resumable checkpoint behind.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if *pprofInterval > 0 && *pprofDir == "" {
-		logger.Error("-pprof-interval requires -pprof-dir")
+	if err := shared.Start(ctx, "client"); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	var capture *perfprof.Capture
-	if *pprofDir != "" {
-		capture, err = perfprof.NewCapture(*pprofDir)
-		if err != nil {
-			logger.Error("pprof capture setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		if *pprofInterval > 0 {
-			go capture.Every(ctx, *pprofInterval, func(err error) {
-				logger.Warn("interval pprof capture failed", slog.Any("err", err))
-			})
-		}
-	}
+	defer shared.Close()
+	logger := shared.Logger
+	// One sweep = one correlation ID across all its runs and dist requests.
+	runid.Set(runid.New())
+	buildinfo.Publish()
 
-	if *metricsAddr != "" {
-		flightrec.SetLive(flightrec.NewLive())
-		debug := telemetry.NewDebugServer(*metricsAddr, nil)
-		debug.Mux().Handle("GET /debug/unico", flightrec.DashboardHandler(flightrec.ActiveLive()))
-		debug.Mux().Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
-		if capture != nil {
-			debug.Mux().Handle("GET /debug/unico/capture", capture.Handler())
-		}
-		debug.Start(func(err error) {
-			logger.Error("metrics server failed", slog.Any("err", err))
-		})
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = debug.Shutdown(sctx)
-		}()
+	cache, err := shared.OpenCache()
+	if err != nil {
+		logger.Error("cache setup failed", slog.Any("err", err))
+		os.Exit(1)
 	}
-	if *useCache || *cacheSize > 0 || *cacheFile != "" {
-		cache := evalcache.New(*cacheSize)
-		if *cacheFile != "" {
-			n, err := cache.LoadFile(*cacheFile)
-			if err != nil {
-				logger.Error("cache warm-start failed", slog.Any("err", err))
-				os.Exit(1)
-			}
-			logger.Info("warm-started cache", slog.Int("entries", n), slog.String("file", *cacheFile))
-			defer func() {
-				if err := cache.SaveFile(*cacheFile); err != nil {
-					logger.Error("cache save failed", slog.Any("err", err))
-				}
-			}()
-		}
-		// The runners build their platforms deep inside; the process-wide
-		// cache hook reaches them all (mirroring the default-tracer pattern).
-		evalcache.SetProcess(cache)
-		defer func() {
-			st := cache.Stats()
-			logger.Info("evaluation cache totals",
-				slog.Uint64("hits", st.Hits), slog.Uint64("misses", st.Misses))
-		}()
-	}
+	var tracer *telemetry.Tracer
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
@@ -147,17 +74,8 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		tr := telemetry.NewTracer(f)
-		defer tr.Flush()
-		// The runners construct their own core.Options deep inside; the
-		// process-wide fallback tracer reaches them all.
-		telemetry.SetDefaultTracer(tr)
-	}
-	if *progress {
-		telemetry.SetDefaultProgress(func(p telemetry.SearchProgress) {
-			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  front %d  evals %d\n",
-				p.Iter, p.SimHours, p.Hypervolume, p.FrontSize, p.Evals)
-		})
+		tracer = telemetry.NewTracer(f)
+		defer tracer.Flush()
 	}
 
 	var s experiments.Scale
@@ -176,20 +94,25 @@ func main() {
 	s.SearchWorkers = *searchWorkers
 	s.Context = ctx
 	s.Resume = *resume
-	if *checkpointDir != "" {
-		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-			logger.Error("checkpoint dir setup failed", slog.Any("err", err))
+	// Every run of the sweep shares one cache, one trace file and one
+	// dashboard store (which shows the run in flight).
+	s.Cache, s.Tracer, s.Live = cache, tracer, shared.Live
+	if *progress {
+		s.Progress = func(p core.Progress) {
+			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  front %d  evals %d\n",
+				p.Iter, p.SimHours, p.Hypervolume, p.FrontSize, p.Evals)
+		}
+	}
+	for _, dir := range []string{*checkpointDir, *flightDir} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			logger.Error("artifact dir setup failed", slog.Any("err", err))
 			os.Exit(1)
 		}
-		s.CheckpointDir = *checkpointDir
 	}
-	if *flightDir != "" {
-		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
-			logger.Error("flight-record dir setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		s.FlightDir = *flightDir
-	}
+	s.CheckpointDir, s.FlightDir = *checkpointDir, *flightDir
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*run, ",") {

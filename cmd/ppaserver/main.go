@@ -67,8 +67,8 @@ import (
 
 	"unico/internal/buildinfo"
 	"unico/internal/camodel"
+	"unico/internal/cliflags"
 	"unico/internal/dist"
-	"unico/internal/disttrace"
 	"unico/internal/evalcache"
 	"unico/internal/fleet"
 	"unico/internal/logx"
@@ -81,18 +81,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second,
 		"how long to drain in-flight requests on SIGINT/SIGTERM")
-	useCache := flag.Bool("cache", false,
-		"serve repeated PPA evaluations from a content-addressed cache")
-	cacheSize := flag.Int("cache-size", 0,
-		"evaluation-cache entry bound (0 = default ~1M; implies -cache)")
-	cacheFile := flag.String("cache-file", "",
-		"warm-start the cache from this JSONL file and save it back on shutdown (implies -cache)")
 	checkpointEvery := flag.Duration("checkpoint-every", 0,
 		"also save -cache-file periodically at this interval (atomic tmp+rename; 0 = only on shutdown), so a crash loses at most one interval of cache entries")
-	logFormat := flag.String("log-format", "text", "log output format: text | json")
-	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
-	pprofDir := flag.String("pprof-dir", "", "write run-ID-stamped pprof CPU/heap profiles to this directory (enables GET /debug/unico/capture)")
-	pprofInterval := flag.Duration("pprof-interval", 0, "capture a heap and CPU profile every interval while serving (requires -pprof-dir)")
 	shards := flag.String("shards", "",
 		"comma-separated shard base URLs; when set, run as a fleet router over these ppaserver shards instead of evaluating locally")
 	shardCapacity := flag.Int("shard-capacity", fleet.DefaultShardCapacity,
@@ -111,53 +101,34 @@ func main() {
 		"router: per-forwarded-request timeout; must exceed the longest budget installment")
 	virtualNodes := flag.Int("virtual-nodes", fleet.DefaultVirtualNodes,
 		"router: hash-ring virtual nodes per shard")
-	spanLog := flag.String("span-log", "",
-		"record distributed-trace spans (shard/engine, or router queue/forward/replay) as JSONL to this file; analyze with unicotrace")
 	fleetMetrics := flag.Bool("fleet-metrics", false,
 		"router: serve the aggregated GET /metrics/fleet exposition and the GET /debug/unico/fleet health dashboard")
+	shared := cliflags.Register(flag.CommandLine,
+		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Cache)
 	flag.Parse()
 
-	logger, err := logx.Setup(*logFormat, *logLevel)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
+	spanProc := "shard"
+	if *shards != "" {
+		spanProc = "router"
+	}
+	if err := shared.Start(ctx, spanProc); err != nil {
 		fmt.Fprintln(os.Stderr, "ppaserver:", err)
 		os.Exit(1)
 	}
+	logger, capture := shared.Logger, shared.Capture
 	buildinfo.Publish()
-
-	if *spanLog != "" {
-		proc := "shard"
-		if *shards != "" {
-			proc = "router"
-		}
-		rec, err := disttrace.NewRecorder(*spanLog, proc)
-		if err != nil {
-			logger.Error("span log setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		disttrace.Enable(rec)
-		defer rec.Close()
-	}
-
-	if *pprofInterval > 0 && *pprofDir == "" {
-		logger.Error("-pprof-interval requires -pprof-dir")
-		os.Exit(1)
-	}
-	var capture *perfprof.Capture
-	if *pprofDir != "" {
-		capture, err = perfprof.NewCapture(*pprofDir)
-		if err != nil {
-			logger.Error("pprof capture setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-	}
 
 	var (
 		handler http.Handler
 		router  *fleet.Router
 		cache   *evalcache.Cache
+		err     error
 	)
 	if *shards != "" {
-		if *useCache || *cacheSize > 0 || *cacheFile != "" {
+		if shared.CacheWanted() {
 			logger.Error("-cache/-cache-size/-cache-file apply to shards, not the router; set them on each ppaserver shard")
 			os.Exit(1)
 		}
@@ -185,16 +156,11 @@ func main() {
 		handler = router.Handler()
 	} else {
 		server := dist.NewServer()
-		if *useCache || *cacheSize > 0 || *cacheFile != "" {
-			cache = evalcache.New(*cacheSize)
-			if *cacheFile != "" {
-				n, err := cache.LoadFile(*cacheFile)
-				if err != nil {
-					logger.Error("cache warm-start failed", slog.Any("err", err))
-					os.Exit(1)
-				}
-				logger.Info("warm-started cache", slog.Int("entries", n), slog.String("file", *cacheFile))
-			}
+		if cache, err = shared.OpenCache(); err != nil {
+			logger.Error("cache setup failed", slog.Any("err", err))
+			os.Exit(1)
+		}
+		if cache != nil {
 			server = dist.NewServerWith(
 				evalcache.Spatial{Inner: maestro.Engine{}, Cache: cache},
 				evalcache.Ascend{Inner: camodel.Engine{}, Cache: cache},
@@ -228,20 +194,11 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	if router != nil {
 		router.Start(ctx)
 	}
 
-	if capture != nil && *pprofInterval > 0 {
-		go capture.Every(ctx, *pprofInterval, func(err error) {
-			logger.Warn("interval pprof capture failed", slog.Any("err", err))
-		})
-	}
-
-	if cache != nil && *cacheFile != "" && *checkpointEvery > 0 {
+	if cache != nil && shared.CacheFile != "" && *checkpointEvery > 0 {
 		go func() {
 			//unicolint:allow detclock real-time periodic cache persistence in the server main, not search state
 			tick := time.NewTicker(*checkpointEvery)
@@ -251,7 +208,7 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if err := cache.SaveFile(*cacheFile); err != nil {
+					if err := cache.SaveFile(shared.CacheFile); err != nil {
 						logger.Error("periodic cache save failed", slog.Any("err", err))
 					}
 				}
@@ -280,13 +237,7 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Error("listener error", slog.Any("err", err))
 		}
-		if cache != nil && *cacheFile != "" {
-			if err := cache.SaveFile(*cacheFile); err != nil {
-				logger.Error("cache save failed", slog.Any("err", err))
-			} else {
-				logger.Info("saved cache", slog.Int("entries", cache.Len()), slog.String("file", *cacheFile))
-			}
-		}
+		shared.Close() // saves the cache to -cache-file, closes the span log
 		logger.Info("stopped")
 	}
 }

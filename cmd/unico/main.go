@@ -20,14 +20,10 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"unico"
 	"unico/internal/buildinfo"
-	"unico/internal/disttrace"
-	"unico/internal/flightrec"
-	"unico/internal/logx"
-	"unico/internal/perfprof"
+	"unico/internal/cliflags"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
@@ -48,23 +44,12 @@ func main() {
 		jsonNets      = flag.String("workload-json", "", "comma-separated JSON workload files (overrides -networks)")
 
 		traceFile    = flag.String("trace", "", "write search events as Chrome-trace JSONL to this file")
-		spanLog      = flag.String("span-log", "", "record distributed-trace spans (client, attempt, backoff per remote call) as JSONL to this file; analyze with unicotrace")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and the /debug/unico dashboard on this address while running")
 		progress     = flag.Bool("progress", false, "print per-iteration convergence to stderr")
 		flightRecord = flag.String("flight-record", "", "write the run's flight record (header, per-iteration convergence, summary) as JSONL to this file; view with unicoreport")
-		logFormat    = flag.String("log-format", "text", "log output format: text | json")
-		logLevel     = flag.String("log-level", "info", "log level: debug | info | warn | error")
-
-		pprofDir      = flag.String("pprof-dir", "", "write run-ID-stamped pprof CPU/heap profiles to this directory (enables GET /debug/unico/capture when -metrics-addr is set)")
-		pprofInterval = flag.Duration("pprof-interval", 0, "capture a heap and CPU profile every interval for the run's duration (requires -pprof-dir)")
 
 		checkpointFile  = flag.String("checkpoint", "", "crash-safe checkpoint file: journal every iteration, snapshot periodically, final state on SIGINT/SIGTERM")
 		checkpointEvery = flag.Int("checkpoint-every", 0, "snapshot cadence in iterations (0 = default 10)")
 		resume          = flag.Bool("resume", false, "continue from the -checkpoint file if it exists (fresh start otherwise)")
-
-		useCache  = flag.Bool("cache", false, "serve repeated PPA evaluations from a content-addressed cache")
-		cacheSize = flag.Int("cache-size", 0, "evaluation-cache entry bound (0 = default ~1M; implies -cache)")
-		cacheFile = flag.String("cache-file", "", "warm-start the cache from this JSONL file and save it back on exit (implies -cache)")
 
 		remoteWorkers  = flag.String("remote-workers", "", "comma-separated ppaserver URLs; run mapping searches remotely (edge/cloud scenarios)")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request timeout against remote workers (0 = 30s default)")
@@ -72,60 +57,29 @@ func main() {
 		retryBackoff   = flag.Duration("retry-backoff", 0, "initial delay between remote retries (0 = 50ms default)")
 		maxBackoff     = flag.Duration("max-backoff", 0, "cap on the remote retry delay, including server Retry-After hints (0 = 2s default)")
 	)
+	shared := cliflags.Register(flag.CommandLine,
+		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics|cliflags.Cache)
 	flag.Parse()
 
-	logger, err := logx.Setup(*logFormat, *logLevel)
-	if err != nil {
+	// SIGINT/SIGTERM cancel the run: in-flight work aborts, the current
+	// partial batch is discarded, a final checkpoint is written (when
+	// -checkpoint is set), and the partial result prints before exit. A
+	// second signal kills the process immediately (stop() restores default
+	// signal handling).
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	if err := shared.Start(ctx, "client"); err != nil {
 		fmt.Fprintln(os.Stderr, "unico:", err)
 		os.Exit(1)
 	}
+	defer shared.Close()
+	logger := shared.Logger
 	// One run per invocation: generate the correlation ID up front so every
 	// log record — and every dist request and the flight-record header —
 	// carries it from the first line.
 	runid.Set(runid.New())
 	buildinfo.Publish()
-
-	if *spanLog != "" {
-		rec, err := disttrace.NewRecorder(*spanLog, "client")
-		if err != nil {
-			logger.Error("span log setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		disttrace.Enable(rec)
-		defer rec.Close()
-	}
-
-	if *pprofInterval > 0 && *pprofDir == "" {
-		logger.Error("-pprof-interval requires -pprof-dir")
-		os.Exit(1)
-	}
-	var capture *perfprof.Capture
-	if *pprofDir != "" {
-		capture, err = perfprof.NewCapture(*pprofDir)
-		if err != nil {
-			logger.Error("pprof capture setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-	}
-
-	var debug *telemetry.DebugServer
-	if *metricsAddr != "" {
-		flightrec.SetLive(flightrec.NewLive())
-		debug = telemetry.NewDebugServer(*metricsAddr, nil)
-		debug.Mux().Handle("GET /debug/unico", flightrec.DashboardHandler(flightrec.ActiveLive()))
-		debug.Mux().Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
-		if capture != nil {
-			debug.Mux().Handle("GET /debug/unico/capture", capture.Handler())
-		}
-		debug.Start(func(err error) {
-			logger.Error("metrics server failed", slog.Any("err", err))
-		})
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = debug.Shutdown(sctx)
-		}()
-	}
 
 	if *list {
 		for _, n := range unico.Networks() {
@@ -136,6 +90,7 @@ func main() {
 
 	nets := strings.Split(*networks, ",")
 	var p *unico.Platform
+	var err error
 	if *remoteWorkers != "" {
 		urls := strings.Split(*remoteWorkers, ",")
 		opts := unico.RemoteOptions{
@@ -205,14 +160,15 @@ func main() {
 		SearchWorkers:     *searchWorkers,
 		Seed:              *seed,
 		DisableRobustness: *noR,
-		Cache:             *useCache,
-		CacheSize:         *cacheSize,
-		CacheFile:         *cacheFile,
+		Cache:             shared.Cache,
+		CacheSize:         shared.CacheSize,
+		CacheFile:         shared.CacheFile,
 		CheckpointFile:    *checkpointFile,
 		CheckpointEvery:   *checkpointEvery,
 		Resume:            *resume,
 		FlightRecordFile:  *flightRecord,
 		RunID:             runid.Current(),
+		Dashboard:         shared.Live,
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -232,20 +188,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  uul %s  front %d  evals %d\n",
 				p.Iter, p.SimHours, p.Hypervolume, uul, p.FrontSize, p.Evaluations)
 		}
-	}
-
-	// SIGINT/SIGTERM cancel the run: in-flight work aborts, the current
-	// partial batch is discarded, a final checkpoint is written (when
-	// -checkpoint is set), and the partial result prints before exit. A
-	// second signal kills the process immediately (stop() restores default
-	// signal handling).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if capture != nil && *pprofInterval > 0 {
-		go capture.Every(ctx, *pprofInterval, func(err error) {
-			logger.Warn("interval pprof capture failed", slog.Any("err", err))
-		})
 	}
 
 	logger.Info("starting co-search",

@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"unico/internal/cliflags"
 	"unico/internal/dist"
 	"unico/internal/disttrace"
 	"unico/internal/hw"
@@ -61,22 +62,20 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	sloP99 := flag.Duration("slo-p99", 0, "fail if served-request p99 latency exceeds this at any rate (0 = off)")
 	sloGoodput := flag.Float64("slo-goodput", 0, "fail if served/offered falls below this fraction at any rate after subtracting sheds (0 = off)")
-	spanLog := flag.String("span-log", "", "record one distributed-trace client span per fired request as JSONL to this file; analyze with unicotrace")
+	shared := cliflags.Register(flag.CommandLine, cliflags.SpanLog)
 	flag.Parse()
 
 	if *target == "" {
 		fmt.Fprintln(os.Stderr, "unicoload: -target is required")
 		os.Exit(2)
 	}
-	if *spanLog != "" {
-		rec, err := disttrace.NewRecorder(*spanLog, "loadgen")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "unicoload:", err)
-			os.Exit(2)
-		}
-		disttrace.Enable(rec)
-		defer rec.Close()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := shared.Start(ctx, "loadgen"); err != nil {
+		fmt.Fprintln(os.Stderr, "unicoload:", err)
+		os.Exit(2)
 	}
+	defer shared.Close()
 	var rateList []float64
 	for _, f := range strings.Split(*rates, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
@@ -89,8 +88,6 @@ func main() {
 
 	reqs := requestPool(*seed, *pool)
 	client := &http.Client{Timeout: *timeout}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	fmt.Printf("target=%s pool=%d runs=%d duration=%s seed=%d\n",
 		*target, len(reqs), *runs, *duration, *seed)

@@ -13,7 +13,6 @@ package baselines
 import (
 	"unico/internal/core"
 	"unico/internal/mobo"
-	"unico/internal/simclock"
 )
 
 // HASCOOptions returns the HASCO-like configuration: Bayesian-optimization
@@ -34,14 +33,6 @@ func HASCOOptions(batch, maxIter, bmax int, seed int64) core.Options {
 	}
 }
 
-// HASCO runs the HASCO-like baseline.
-func HASCO(p core.Platform, batch, maxIter, bmax int, seed int64, clock *simclock.Clock, timeBudgetHours float64) core.Result {
-	opt := HASCOOptions(batch, maxIter, bmax, seed)
-	opt.Clock = clock
-	opt.TimeBudgetHours = timeBudgetHours
-	return core.Run(p, opt)
-}
-
 // MOBOHBOptions returns the multi-objective BOHB configuration: MOBO
 // hardware sampling with *default* successive halving (no AUC promotion),
 // model updates from all evaluated samples, parallel jobs, no robustness
@@ -57,14 +48,6 @@ func MOBOHBOptions(batch, maxIter, bmax int, seed int64) core.Options {
 		Workers:        8,
 		Seed:           seed,
 	}
-}
-
-// MOBOHB runs the multi-objective BOHB baseline.
-func MOBOHB(p core.Platform, batch, maxIter, bmax int, seed int64, clock *simclock.Clock, timeBudgetHours float64) core.Result {
-	opt := MOBOHBOptions(batch, maxIter, bmax, seed)
-	opt.Clock = clock
-	opt.TimeBudgetHours = timeBudgetHours
-	return core.Run(p, opt)
 }
 
 // SHChampionOptions returns the "SH + ChampionUpdate" ablation of Fig. 10:

@@ -51,7 +51,7 @@ func TestAblationPresets(t *testing.T) {
 }
 
 func TestHASCORunSmoke(t *testing.T) {
-	res := HASCO(testPlatform(), 4, 2, 15, 3, nil, 0)
+	res := core.Run(testPlatform(), HASCOOptions(4, 2, 15, 3))
 	if len(res.All) != 8 {
 		t.Errorf("HASCO evaluated %d candidates, want 8", len(res.All))
 	}

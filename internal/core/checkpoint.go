@@ -145,6 +145,17 @@ func (rs *ResumeState) LastIter() int {
 	return rs.Snapshot.Iter
 }
 
+// Check reports whether the state was checkpointed by a run of this
+// (platform, options) pair; the error wraps ErrResumeMismatch. RunContext
+// refuses a mismatched state itself — callers that open other artifacts of
+// the run for writing check first, so a refused resume touches nothing.
+func (rs *ResumeState) Check(p Platform, opt Options) error {
+	if want := FingerprintFor(p, opt); rs.Snapshot.Fingerprint != want {
+		return fmt.Errorf("%w: checkpoint %+v, run %+v", ErrResumeMismatch, rs.Snapshot.Fingerprint, want)
+	}
+	return nil
+}
+
 // resumeRun reconstructs the mid-flight run state from a loaded checkpoint:
 // the explorer restored from the snapshot with the journal tail replayed
 // through Update (consuming no RNG), the result's candidate list, trace and
@@ -152,10 +163,8 @@ func (rs *ResumeState) LastIter() int {
 // the last recorded stream position. Returns the restored explorer, the
 // partial result, and the last completed iteration.
 func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo.Optimizer, Result, int, error) {
-	want := fingerprintOf(p, opt)
-	if rs.Snapshot.Fingerprint != want {
-		return nil, Result{}, 0, fmt.Errorf("%w: checkpoint %+v, run %+v",
-			ErrResumeMismatch, rs.Snapshot.Fingerprint, want)
+	if err := rs.Check(p, opt); err != nil {
+		return nil, Result{}, 0, err
 	}
 	explorer, err := mobo.Restore(p.Space(), cfg, rs.Snapshot.Explorer)
 	if err != nil {

@@ -91,22 +91,19 @@ type Options struct {
 	TimeBudgetHours float64
 	// Alpha is the robustness sub-optimal percentile (default 0.05).
 	Alpha float64
-	// Tracer receives search events as Chrome-trace spans; nil falls back
-	// to telemetry.DefaultTracer() (nil = tracing off, zero overhead).
-	// Tracing never influences the search: results are bit-identical with
-	// and without it.
+	// Tracer receives search events as Chrome-trace spans (nil = tracing
+	// off, zero overhead). Tracing never influences the search: results are
+	// bit-identical with and without it.
 	Tracer *telemetry.Tracer
 	// Progress, if non-nil, is invoked after every MOBO iteration with the
 	// convergence snapshot of that moment (hypervolume, UUL, front size,
-	// simulated hours). The process-wide telemetry.EmitProgress sink fires
-	// regardless.
+	// simulated hours).
 	Progress ProgressFunc
 	// Flight, if non-nil, receives one flight record per completed iteration
 	// (hypervolume, UUL, feasible front, SH survivor curve), emitted at the
 	// same boundary as the checkpoint journal — and durably *before* it, so
 	// a flight artifact is never behind the checkpoint it resumes against.
-	// Like tracing and checkpointing, it never influences the search. The
-	// process-wide flightrec live store (dashboard) is fed regardless.
+	// Like tracing and checkpointing, it never influences the search.
 	Flight flightrec.Sink
 	// Checkpoint, if non-nil, receives a journal record after every
 	// completed iteration and an atomic snapshot every CheckpointEvery
@@ -124,11 +121,30 @@ type Options struct {
 }
 
 // Progress is the per-iteration convergence snapshot delivered to
-// Options.Progress.
-type Progress = telemetry.SearchProgress
+// Options.Progress: the signal of the paper's Fig. 7/10 curves, surfaced
+// live.
+type Progress struct {
+	// Iter is the MOBO iteration (1-based).
+	Iter int
+	// SimHours is the simulated search cost so far.
+	SimHours float64
+	// Hypervolume is the feasible front's hypervolume against the running
+	// nadir reference (componentwise max of all feasible PPA points ×1.1).
+	Hypervolume float64
+	// UUL is the current Upper Update Limit of the high-fidelity rule
+	// (+Inf until the first update).
+	UUL float64
+	// FrontSize is the feasible Pareto front size.
+	FrontSize int
+	// Evals is the cumulative mapping-evaluation budget spent.
+	Evals int
+	// Admitted is how many of this iteration's samples entered the
+	// surrogate training set.
+	Admitted int
+}
 
 // ProgressFunc consumes per-iteration progress reports.
-type ProgressFunc = telemetry.ProgressFunc
+type ProgressFunc func(Progress)
 
 func (o Options) normalize() Options {
 	if o.BatchSize <= 0 {
@@ -253,9 +269,6 @@ func Run(p Platform, opt Options) Result {
 func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	opt = opt.normalize()
 	tr := opt.Tracer
-	if tr == nil {
-		tr = telemetry.DefaultTracer()
-	}
 	nObj := 3
 	if opt.UseRobustness {
 		nObj = 4
@@ -451,25 +464,23 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		// BEFORE the checkpoint journal entry: at any crash the artifact then
 		// covers every journaled iteration, which is what lets flightrec.Resume
 		// stitch at the replay boundary without gaps.
-		flightIt := flightrec.Iteration{
-			Iter:          iter,
-			SimHours:      opt.Clock.Hours(),
-			Hypervolume:   hv,
-			UUL:           flightrec.ExtFloat(explorer.UUL()),
-			Evals:         res.Evals,
-			Admitted:      admitted,
-			TrainSize:     explorer.TrainSize(),
-			BatchFeasible: batchFeasible,
-			Best:          bestObjectives(res.Front),
-			Front:         frontPPA(res.Front),
-			RungAlive:     outcome.RungAlive,
-			Phases:        prof.TakeWindow(),
-			TraceSpan:     traceSpanID,
-		}
 		if opt.Flight != nil {
-			opt.Flight.RecordIteration(flightIt)
+			opt.Flight.RecordIteration(flightrec.Iteration{
+				Iter:          iter,
+				SimHours:      opt.Clock.Hours(),
+				Hypervolume:   hv,
+				UUL:           flightrec.ExtFloat(explorer.UUL()),
+				Evals:         res.Evals,
+				Admitted:      admitted,
+				TrainSize:     explorer.TrainSize(),
+				BatchFeasible: batchFeasible,
+				Best:          bestObjectives(res.Front),
+				Front:         frontPPA(res.Front),
+				RungAlive:     outcome.RungAlive,
+				Phases:        prof.TakeWindow(),
+				TraceSpan:     traceSpanID,
+			})
 		}
-		flightrec.EmitLive(flightIt)
 
 		// The iteration is complete: journal it, then snapshot on cadence.
 		lastIter = iter
@@ -495,19 +506,17 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			}
 		}
 
-		prog := Progress{
-			Iter:        iter,
-			SimHours:    opt.Clock.Hours(),
-			Hypervolume: hv,
-			UUL:         explorer.UUL(),
-			FrontSize:   len(res.Front),
-			Evals:       res.Evals,
-			Admitted:    admitted,
-		}
 		if opt.Progress != nil {
-			opt.Progress(prog)
+			opt.Progress(Progress{
+				Iter:        iter,
+				SimHours:    opt.Clock.Hours(),
+				Hypervolume: hv,
+				UUL:         explorer.UUL(),
+				FrontSize:   len(res.Front),
+				Evals:       res.Evals,
+				Admitted:    admitted,
+			})
 		}
-		telemetry.EmitProgress(prog)
 		iterSpan.End(opt.Clock.Seconds(), map[string]any{
 			"iter": iter, "front": len(res.Front), "evals": res.Evals, "hv": hv,
 		})

@@ -283,16 +283,3 @@ func (c *Cache) snapshot() []*entry {
 	}
 	return out
 }
-
-// process is the optional process-wide cache the platform constructors
-// consult, mirroring telemetry's default-tracer pattern so deeply nested
-// runners (internal/experiments) can be cached from a single flag.
-var process atomic.Pointer[Cache]
-
-// SetProcess installs c as the process-wide cache picked up by platform
-// constructors (nil uninstalls). Intended for binaries (cmd/experiments,
-// cmd/ppaserver); library users pass caches explicitly instead.
-func SetProcess(c *Cache) { process.Store(c) }
-
-// Process returns the process-wide cache, or nil if none is installed.
-func Process() *Cache { return process.Load() }

@@ -330,18 +330,6 @@ func TestSaveAndLoadFile(t *testing.T) {
 	}
 }
 
-func TestProcessHook(t *testing.T) {
-	if Process() != nil {
-		t.Fatal("process cache unexpectedly set")
-	}
-	cache := New(0)
-	SetProcess(cache)
-	defer SetProcess(nil)
-	if Process() != cache {
-		t.Error("SetProcess did not install the cache")
-	}
-}
-
 // countingSpatial wraps the analytical engine with an evaluation counter, so
 // the tests can prove a cache hit performs no engine recomputation.
 type countingSpatial struct {

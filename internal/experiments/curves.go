@@ -75,31 +75,33 @@ type methodSpec struct {
 	run  func(p core.Platform, seed int64, budgetHours float64) core.Result
 }
 
+// coreMethod is a comparison method that runs on the shared iteration
+// engine: the preset's options at the equal-cost budget, through Scale.run
+// as "<run>-seed<seed>".
+func (s Scale) coreMethod(name, run string, preset func(batch, maxIter, bmax int, seed int64) core.Options, iters int) methodSpec {
+	return methodSpec{name, func(p core.Platform, seed int64, budget float64) core.Result {
+		opt := preset(s.Batch, iters, s.BMax, seed)
+		opt.TimeBudgetHours = budget
+		return s.run(fmt.Sprintf("%s-seed%d", run, seed), p, opt)
+	}}
+}
+
 // RunHypervolumeCurves reproduces Fig. 7: hypervolume difference versus
 // simulated wall-clock for HASCO, NSGA-II, MOBOHB and UNICO, averaged over
 // the Table 1/2 networks of the given scenario.
 func RunHypervolumeCurves(w io.Writer, sc hw.Scenario, s Scale) CurveResult {
 	const manyIters = 400
+	run := "fig7-" + sc.String() + "-"
 	methods := []methodSpec{
-		{"HASCO", func(p core.Platform, seed int64, _ float64) core.Result {
-			return baselines.HASCO(p, s.Batch, s.HASCOIter, s.BMax, seed, nil, 0)
-		}},
+		s.coreMethod("HASCO", run+"hasco", baselines.HASCOOptions, s.HASCOIter),
 		{"NSGAII", func(p core.Platform, seed int64, budget float64) core.Result {
 			return baselines.NSGAII(p, baselines.NSGAIIOptions{
 				Pop: s.NSGAPop, Generations: manyIters, BMax: s.BMax, Seed: seed,
 				TimeBudgetHours: budget,
 			})
 		}},
-		{"MOBOHB", func(p core.Platform, seed int64, budget float64) core.Result {
-			opt := baselines.MOBOHBOptions(s.Batch, manyIters, s.BMax, seed)
-			opt.TimeBudgetHours = budget
-			return s.run(fmt.Sprintf("fig7-%s-mobohb-seed%d", sc, seed), p, opt)
-		}},
-		{"UNICO", func(p core.Platform, seed int64, budget float64) core.Result {
-			opt := core.UNICOOptions(s.Batch, manyIters, s.BMax, seed)
-			opt.TimeBudgetHours = budget
-			return s.run(fmt.Sprintf("fig7-%s-unico-seed%d", sc, seed), p, opt)
-		}},
+		s.coreMethod("MOBOHB", run+"mobohb", baselines.MOBOHBOptions, manyIters),
+		s.coreMethod("UNICO", run+"unico", core.UNICOOptions, manyIters),
 	}
 	nets := workload.Table12Networks()
 	res := traceComparison(sc, nets, methods, s)
@@ -113,24 +115,10 @@ func RunHypervolumeCurves(w io.Writer, sc hw.Scenario, s Scale) CurveResult {
 func RunAblation(w io.Writer, s Scale) CurveResult {
 	const manyIters = 400
 	methods := []methodSpec{
-		{"HASCO", func(p core.Platform, seed int64, _ float64) core.Result {
-			return baselines.HASCO(p, s.Batch, s.HASCOIter, s.BMax, seed, nil, 0)
-		}},
-		{"SH+Champion", func(p core.Platform, seed int64, budget float64) core.Result {
-			opt := baselines.SHChampionOptions(s.Batch, manyIters, s.BMax, seed)
-			opt.TimeBudgetHours = budget
-			return s.run(fmt.Sprintf("fig10-shchampion-seed%d", seed), p, opt)
-		}},
-		{"MSH+Champion", func(p core.Platform, seed int64, budget float64) core.Result {
-			opt := baselines.MSHChampionOptions(s.Batch, manyIters, s.BMax, seed)
-			opt.TimeBudgetHours = budget
-			return s.run(fmt.Sprintf("fig10-mshchampion-seed%d", seed), p, opt)
-		}},
-		{"UNICO", func(p core.Platform, seed int64, budget float64) core.Result {
-			opt := core.UNICOOptions(s.Batch, manyIters, s.BMax, seed)
-			opt.TimeBudgetHours = budget
-			return s.run(fmt.Sprintf("fig10-unico-seed%d", seed), p, opt)
-		}},
+		s.coreMethod("HASCO", "fig10-hasco", baselines.HASCOOptions, s.HASCOIter),
+		s.coreMethod("SH+Champion", "fig10-shchampion", baselines.SHChampionOptions, manyIters),
+		s.coreMethod("MSH+Champion", "fig10-mshchampion", baselines.MSHChampionOptions, manyIters),
+		s.coreMethod("UNICO", "fig10-unico", core.UNICOOptions, manyIters),
 	}
 	nets := []workload.Workload{workload.UNet(), workload.SRGAN(), workload.BERT(), workload.ViT()}
 	res := traceComparison(hw.Edge, nets, methods, s)
@@ -182,7 +170,7 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 	bests := make([]float64, len(nets))
 
 	for ni, net := range nets {
-		p := spatialPlatform(sc, net)
+		p := s.spatialPlatform(sc, net)
 		var pool [][]float64
 		results := make([]core.Result, len(methods))
 		budget := 0.0

@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,14 +20,16 @@ import (
 	"path/filepath"
 	"time"
 
-	"unico/internal/checkpoint"
 	"unico/internal/core"
+	"unico/internal/evalcache"
 	"unico/internal/flightrec"
 	"unico/internal/hw"
+	"unico/internal/lifecycle"
 	"unico/internal/mapsearch"
 	"unico/internal/pareto"
 	"unico/internal/platform"
 	"unico/internal/runid"
+	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -78,12 +81,25 @@ type Scale struct {
 	// Results are bit-identical at every setting, so comparative tables are
 	// unaffected — it only changes how long they take to produce.
 	SearchWorkers int
+	// Cache, when non-nil, serves the PPA evaluations of every platform the
+	// runners build (results are bit-identical with and without it).
+	Cache *evalcache.Cache
+	// Tracer, Progress and Live, when non-nil, observe every core co-search
+	// run; the dashboard store shows the run in flight.
+	Tracer   *telemetry.Tracer
+	Progress core.ProgressFunc
+	Live     *flightrec.Live
 }
 
-// run executes one core co-search under the scale's cancellation context
-// and, when CheckpointDir is set, with a crash-safe checkpoint named after
-// the run. Checkpoint failures degrade to an uncheckpointed run (reported
-// on stderr) rather than failing the experiment.
+// run executes one core co-search — UNICO, its ablations and the HASCO and
+// MOBOHB baselines alike — through the run lifecycle: cancellable, observed,
+// and, when CheckpointDir/FlightDir are set, with <name>.ckpt and
+// <name>.run.jsonl artifacts. An artifact that cannot be opened degrades to
+// a run without persistence (reported on stderr) rather than failing the
+// experiment; a checkpoint from a different configuration is refused,
+// untouched, with an empty Result whose CheckpointErr wraps
+// core.ErrResumeMismatch. NSGA-II keeps its own generation loop
+// (baselines.NSGAII): it is not cancellable, checkpointed or recorded.
 func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
 	ctx := s.Context
 	if ctx == nil {
@@ -93,77 +109,38 @@ func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
 	if s.SearchWorkers > 0 {
 		opt.SearchWorkers = s.SearchWorkers
 	}
+	spec := lifecycle.Spec{
+		// The run name doubles as the header's method field — it already
+		// encodes the experiment and algorithm ("fig7-edge-unico-seed1").
+		Header: flightrec.Header{
+			RunID:     runid.Current(),
+			StartedAt: now().UTC().Format(time.RFC3339),
+			Method:    name,
+		},
+		Resume:   s.Resume,
+		Cache:    s.Cache,
+		Tracer:   s.Tracer,
+		Progress: s.Progress,
+		Live:     s.Live,
+	}
 	if s.CheckpointDir != "" {
-		path := filepath.Join(s.CheckpointDir, name+".ckpt")
-		if s.Resume && checkpoint.Exists(path) {
-			if rs, err := checkpoint.Load(path); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: load checkpoint %s: %v (starting fresh)\n", path, err)
-			} else {
-				opt.Resume = rs
-			}
-		}
-		if sink, err := checkpoint.Create(path); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: open checkpoint %s: %v (running without)\n", path, err)
-		} else {
-			defer sink.Close()
-			opt.Checkpoint = sink
-		}
+		spec.CheckpointPath = filepath.Join(s.CheckpointDir, name+".ckpt")
 	}
-
-	// Flight recording, one artifact per run named like the checkpoint. The
-	// run name doubles as the header's method field — it already encodes the
-	// experiment and algorithm ("fig7-edge-unico-seed1").
-	hdr := flightrec.Header{
-		RunID:       runid.Current(),
-		StartedAt:   now().UTC().Format(time.RFC3339),
-		Method:      name,
-		Seed:        opt.Seed,
-		Batch:       opt.BatchSize,
-		MaxIter:     opt.MaxIter,
-		BMax:        opt.BMax,
-		Fingerprint: core.FingerprintFor(p, opt),
-	}
-	if wp, ok := p.(interface{ Workload() workload.Workload }); ok {
-		hdr.Workload = wp.Workload().Name
-	}
-	flightLive := false
-	var flight *flightrec.Recorder
 	if s.FlightDir != "" {
-		fpath := filepath.Join(s.FlightDir, name+".run.jsonl")
-		var err error
-		if opt.Resume != nil {
-			flight, err = flightrec.Resume(fpath, hdr, opt.Resume.LastIter())
-		} else {
-			flight, err = flightrec.Create(fpath, hdr)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: open flight record %s: %v (running without)\n", fpath, err)
-			flight = nil
-		} else {
-			opt.Flight = flight
-		}
+		spec.FlightPath = filepath.Join(s.FlightDir, name+".run.jsonl")
 	}
-	// Announce the run to the live dashboard store regardless of whether a
-	// durable recorder is attached (no-op when no store is installed).
-	if opt.Resume != nil && s.FlightDir != "" {
-		if d, _, err := flightrec.Load(filepath.Join(s.FlightDir, name+".run.jsonl")); err == nil {
-			flightrec.EmitLiveResume(hdr, d.Iters)
-			flightLive = true
-		}
+	res, err := lifecycle.Run(ctx, p, opt, spec)
+	if errors.Is(err, core.ErrResumeMismatch) {
+		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
+		return core.Result{CheckpointErr: err}
 	}
-	if !flightLive {
-		flightrec.EmitLiveStart(hdr)
+	if errors.As(err, new(lifecycle.NotStarted)) {
+		fmt.Fprintf(os.Stderr, "experiments: %s: %v (running without persistence)\n", name, err)
+		spec.CheckpointPath, spec.FlightPath = "", ""
+		res, err = lifecycle.Run(ctx, p, opt, spec)
 	}
-
-	res := core.RunContext(ctx, p, opt)
-	if flight != nil {
-		if err := flight.Finish(flightrec.Summary{Interrupted: ctx.Err() != nil}); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: flight record: %v\n", name, err)
-		}
-	}
-	flightrec.EmitLiveFinish(flightrec.Summary{Interrupted: ctx.Err() != nil})
-	if res.CheckpointErr != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, res.CheckpointErr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 	}
 	return res
 }
@@ -191,16 +168,17 @@ func SmallScale() Scale {
 	}
 }
 
-// spatialPlatform builds the open-source platform for a workload set.
-func spatialPlatform(sc hw.Scenario, ws ...workload.Workload) *platform.Spatial {
-	return platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike)
+// spatialPlatform builds the open-source platform for a workload set, behind
+// the scale's evaluation cache when it has one.
+func (s Scale) spatialPlatform(sc hw.Scenario, ws ...workload.Workload) *platform.Spatial {
+	return platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike).EnableCache(s.Cache)
 }
 
 // evalHWOnNetwork runs an individual software-mapping search for the
 // hardware at x on a single network and returns the achieved metrics — the
 // validation procedure of Sections 4.3 and 4.4.
-func evalHWOnNetwork(sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
-	p := spatialPlatform(sc, net)
+func (s Scale) evalHWOnNetwork(sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
+	p := s.spatialPlatform(sc, net)
 	job := p.NewJob(x, seed)
 	job.Advance(bmax)
 	met, ok := job.Best()

@@ -2,13 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"unico/internal/baselines"
+	"unico/internal/checkpoint"
+	"unico/internal/core"
 	"unico/internal/flightrec"
 	"unico/internal/hw"
+	"unico/internal/workload"
 )
 
 // tinyScale keeps the runners fast enough for unit tests while still
@@ -25,7 +33,9 @@ func tinyScale() Scale {
 
 func TestRunEdgeCloudTable(t *testing.T) {
 	var buf bytes.Buffer
-	res := RunEdgeCloudTable(&buf, hw.Edge, tinyScale())
+	s := tinyScale()
+	s.CheckpointDir, s.FlightDir = t.TempDir(), t.TempDir()
+	res := RunEdgeCloudTable(&buf, hw.Edge, s)
 	if len(res.Rows) != 7*3 {
 		t.Fatalf("rows = %d, want 21 (7 networks x 3 methods)", len(res.Rows))
 	}
@@ -54,6 +64,80 @@ func TestRunEdgeCloudTable(t *testing.T) {
 		if speedup <= 1 {
 			t.Errorf("%s: UNICO not cheaper than HASCO (speedup %.2fx)", net, speedup)
 		}
+	}
+	// The HASCO baseline runs through the same lifecycle as UNICO, so it
+	// leaves the same resumable, reportable artifacts.
+	for _, net := range workload.Table12Networks() {
+		name := "table-edge-" + net.Name + "-hasco"
+		rs, err := checkpoint.Load(filepath.Join(s.CheckpointDir, name+".ckpt"))
+		if err != nil {
+			t.Fatalf("%s checkpoint: %v", name, err)
+		}
+		if rs.LastIter() != s.HASCOIter {
+			t.Errorf("%s checkpoint ends at iteration %d, want %d", name, rs.LastIter(), s.HASCOIter)
+		}
+		d, skipped, err := flightrec.Load(filepath.Join(s.FlightDir, name+".run.jsonl"))
+		if err != nil || skipped != 0 {
+			t.Fatalf("%s flight record: %v (%d lines skipped)", name, err, skipped)
+		}
+		if len(d.Iters) != s.HASCOIter || d.Summary == nil || d.Summary.Interrupted {
+			t.Errorf("%s flight record: %d iterations, summary %+v", name, len(d.Iters), d.Summary)
+		}
+	}
+}
+
+// A cancelled sweep must not sit through its slowest baseline: HASCO (full
+// budget, one worker) stops at the same safe points as UNICO.
+func TestCancelledBaselineRunsNoIteration(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := tinyScale()
+	s.Context = ctx
+	p := s.spatialPlatform(hw.Edge, workload.MobileNetV3Small())
+	res := s.run("cancelled-hasco", p, baselines.HASCOOptions(s.Batch, s.HASCOIter, s.BMax, s.Seed))
+	if len(res.Trace) != 0 || len(res.All) != 0 || res.Evals != 0 {
+		t.Errorf("cancelled HASCO completed %d iterations (%d candidates, %d evals)",
+			len(res.Trace), len(res.All), res.Evals)
+	}
+}
+
+// A resume refused for a fingerprint mismatch must be read-only: the
+// checkpoint, its journal and the flight record of the run it belongs to
+// stay byte-identical, and the dashboard is told nothing.
+func TestRefusedResumeTouchesNothing(t *testing.T) {
+	s := tinyScale()
+	s.CheckpointDir, s.FlightDir = t.TempDir(), t.TempDir()
+	p := s.spatialPlatform(hw.Edge, workload.MobileNetV3Small())
+	if res := s.run("run", p, core.UNICOOptions(s.Batch, s.MaxIter, s.BMax, 1)); res.CheckpointErr != nil {
+		t.Fatal(res.CheckpointErr)
+	}
+	files := []string{
+		filepath.Join(s.CheckpointDir, "run.ckpt"),
+		filepath.Join(s.CheckpointDir, "run.ckpt.journal"),
+		filepath.Join(s.FlightDir, "run.run.jsonl"),
+	}
+	before := make([][]byte, len(files))
+	for i, f := range files {
+		var err error
+		if before[i], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s.Resume, s.Live = true, flightrec.NewLive()
+	res := s.run("run", p, core.UNICOOptions(s.Batch, s.MaxIter, s.BMax, 2))
+	if !errors.Is(res.CheckpointErr, core.ErrResumeMismatch) || len(res.All) != 0 {
+		t.Fatalf("resume at another seed: err %v, %d candidates; want ErrResumeMismatch and none",
+			res.CheckpointErr, len(res.All))
+	}
+	for i, f := range files {
+		after, err := os.ReadFile(f)
+		if err != nil || !bytes.Equal(before[i], after) {
+			t.Errorf("%s changed under a refused resume (err=%v)", filepath.Base(f), err)
+		}
+	}
+	if d := s.Live.Snapshot(); !reflect.DeepEqual(d, flightrec.RunData{}) {
+		t.Errorf("dashboard heard of a run that never started: %+v", d)
 	}
 }
 

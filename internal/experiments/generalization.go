@@ -44,14 +44,14 @@ func RunGeneralization(w io.Writer, s Scale) GeneralizationResult {
 		workload.MobileNetV3Large(), workload.MobileNetV3Small(),
 		workload.NASNetMobile(), workload.EfficientNetV2(), workload.ConvNeXt(),
 	}
-	p := spatialPlatform(hw.Edge, train...)
+	p := s.spatialPlatform(hw.Edge, train...)
 
 	// Stable sensitivity estimates need minimum budgets even at small
 	// scales (R is a distributional statistic of the mapping search).
 	iters, bmax := max(s.MaxIter, 8), max(s.BMax, 80)
 	s.BMax = bmax
 	unicoRes := s.run("fig9-unico", p, core.UNICOOptions(s.Batch, iters, bmax, s.Seed))
-	hascoRes := baselines.HASCO(p, s.Batch, max(s.HASCOIter, 8), bmax, s.Seed+7, nil, 0)
+	hascoRes := s.run("fig9-hasco", p, baselines.HASCOOptions(s.Batch, max(s.HASCOIter, 8), bmax, s.Seed+7))
 
 	out := GeneralizationResult{}
 	// Representative selection uses a normalization pool shared by both
@@ -84,8 +84,8 @@ func RunGeneralization(w io.Writer, s Scale) GeneralizationResult {
 	for vi, net := range validation {
 		// Validation searches get double budget so the comparison reflects
 		// the hardware, not residual search noise.
-		uc, uok := evalHWOnNetwork(hw.Edge, uRep.X, net, 2*s.BMax, s.Seed+1000+int64(vi))
-		hc, hok := evalHWOnNetwork(hw.Edge, hRep.X, net, 2*s.BMax, s.Seed+2000+int64(vi))
+		uc, uok := s.evalHWOnNetwork(hw.Edge, uRep.X, net, 2*s.BMax, s.Seed+1000+int64(vi))
+		hc, hok := s.evalHWOnNetwork(hw.Edge, hRep.X, net, 2*s.BMax, s.Seed+2000+int64(vi))
 		if !uok || !hok {
 			fprintf(w, "%-16s infeasible (unico=%v hasco=%v)\n", net.Name, uok, hok)
 			continue

@@ -40,7 +40,7 @@ func RunEdgeCloudTable(w io.Writer, sc hw.Scenario, s Scale) TableResult {
 		"Network", "Method", "Latency(ms)", "Power(mW)", "Area(mm2)", "Cost(h)", "HW")
 	for ni, net := range workload.Table12Networks() {
 		seed := s.Seed + int64(ni)*101
-		p := spatialPlatform(sc, net)
+		p := s.spatialPlatform(sc, net)
 
 		uIter := s.UNICOIter
 		if uIter <= 0 {
@@ -50,7 +50,8 @@ func RunEdgeCloudTable(w io.Writer, sc hw.Scenario, s Scale) TableResult {
 			name string
 			res  core.Result
 		}{
-			{"HASCO", baselines.HASCO(p, s.Batch, s.HASCOIter, s.BMax, seed, nil, 0)},
+			{"HASCO", s.run(fmt.Sprintf("table-%s-%s-hasco", sc, net.Name), p,
+				baselines.HASCOOptions(s.Batch, s.HASCOIter, s.BMax, seed))},
 			{"NSGAII", baselines.NSGAII(p, baselines.NSGAIIOptions{
 				Pop: s.NSGAPop, Generations: s.NSGAGen, BMax: s.BMax, Seed: seed + 1,
 			})},

@@ -230,6 +230,17 @@ type Sink interface {
 	RecordIteration(it Iteration)
 }
 
+// Tee returns a sink that hands every record to a, then to b — how one run
+// feeds its durable recorder and its dashboard store.
+func Tee(a, b Sink) Sink { return tee{a, b} }
+
+type tee struct{ a, b Sink }
+
+func (t tee) RecordIteration(it Iteration) {
+	t.a.RecordIteration(it)
+	t.b.RecordIteration(it)
+}
+
 // RunData is a fully loaded (or live-snapshot) artifact.
 type RunData struct {
 	Header  Header

@@ -1,9 +1,6 @@
 package flightrec
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Live is the in-memory flight record of the current run, feeding the
 // `/debug/unico` dashboard while a search executes. It implements Sink (the
@@ -21,21 +18,13 @@ type Live struct {
 func NewLive() *Live { return &Live{} }
 
 // StartRun begins a new run: the header is recorded and any previous run's
-// records are dropped.
-func (l *Live) StartRun(hdr Header) {
+// records are dropped. A resumed run passes the already-completed iterations
+// its durable artifact kept, so the dashboard shows the whole history, not
+// just the resumed suffix.
+func (l *Live) StartRun(hdr Header, kept ...Iteration) {
 	hdr.Type = TypeHeader
 	l.mu.Lock()
-	l.data = RunData{Header: hdr}
-	l.mu.Unlock()
-}
-
-// ResumeRun begins a resumed run: like StartRun, but seeds the store with
-// the already-completed iterations loaded from the durable artifact so the
-// dashboard shows the whole history, not just the resumed suffix.
-func (l *Live) ResumeRun(hdr Header, iters []Iteration) {
-	hdr.Type = TypeHeader
-	l.mu.Lock()
-	l.data = RunData{Header: hdr, Iters: append([]Iteration(nil), iters...)}
+	l.data = RunData{Header: hdr, Iters: append([]Iteration(nil), kept...)}
 	l.mu.Unlock()
 }
 
@@ -77,45 +66,4 @@ func (l *Live) Snapshot() RunData {
 		out.Summary = &s
 	}
 	return out
-}
-
-// activeLive is the process-wide live store, nil until a CLI installs one
-// (mirroring telemetry's default-tracer pattern: deeply nested runners feed
-// the dashboard without threading a handle through every signature).
-var activeLive atomic.Pointer[Live]
-
-// SetLive installs (or, with nil, removes) the process-wide live store.
-func SetLive(l *Live) { activeLive.Store(l) }
-
-// ActiveLive returns the process-wide live store, or nil.
-func ActiveLive() *Live { return activeLive.Load() }
-
-// EmitLive forwards one iteration record to the process-wide live store, if
-// installed. The co-optimizer calls this after every completed iteration
-// regardless of whether a durable recorder is attached.
-func EmitLive(it Iteration) {
-	if l := activeLive.Load(); l != nil {
-		l.RecordIteration(it)
-	}
-}
-
-// EmitLiveStart forwards a run header to the process-wide live store.
-func EmitLiveStart(hdr Header) {
-	if l := activeLive.Load(); l != nil {
-		l.StartRun(hdr)
-	}
-}
-
-// EmitLiveResume forwards a resumed run's header and replayed history.
-func EmitLiveResume(hdr Header, iters []Iteration) {
-	if l := activeLive.Load(); l != nil {
-		l.ResumeRun(hdr, iters)
-	}
-}
-
-// EmitLiveFinish forwards a run summary to the process-wide live store.
-func EmitLiveFinish(s Summary) {
-	if l := activeLive.Load(); l != nil {
-		l.FinishRun(s)
-	}
 }

@@ -1,5 +1,5 @@
 // The HTML faces of a flight record: the live `/debug/unico` dashboard
-// (auto-refreshing, rendered from the process-wide Live store) and the
+// (auto-refreshing, rendered from a run's Live store) and the
 // self-contained offline report unicoreport produces from a run.jsonl.
 // Both are the same ReportHTML markup; the dashboard only adds the refresh
 // header.

@@ -124,13 +124,11 @@ func TestDashboardHandler(t *testing.T) {
 }
 
 // TestLiveConcurrentEmitAndRender exercises the dashboard's real concurrency
-// shape under -race: one writer appending iterations through the process-wide
-// emit path while readers snapshot and render the full HTML page.
+// shape under -race: one writer appending iterations while readers snapshot
+// and render the full HTML page.
 func TestLiveConcurrentEmitAndRender(t *testing.T) {
 	l := NewLive()
-	SetLive(l)
-	defer SetLive(nil)
-	EmitLiveStart(testHeader())
+	l.StartRun(testHeader())
 
 	const iters = 200
 	var wg sync.WaitGroup
@@ -138,9 +136,9 @@ func TestLiveConcurrentEmitAndRender(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; i <= iters; i++ {
-			EmitLive(testIteration(i))
+			l.RecordIteration(testIteration(i))
 		}
-		EmitLiveFinish(Summary{})
+		l.FinishRun(Summary{})
 	}()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -176,7 +174,7 @@ func TestLiveResumeAndDedup(t *testing.T) {
 		it.Type = TypeIteration
 		history = append(history, it)
 	}
-	l.ResumeRun(testHeader(), history)
+	l.StartRun(testHeader(), history...)
 	// A defensive replay of iteration 3 must replace, not duplicate.
 	l.RecordIteration(testIteration(3))
 	l.RecordIteration(testIteration(4))
@@ -188,17 +186,6 @@ func TestLiveResumeAndDedup(t *testing.T) {
 		if it.Iter != i+1 {
 			t.Errorf("position %d holds iteration %d", i, it.Iter)
 		}
-	}
-}
-
-func TestEmitWithoutStoreIsNoop(t *testing.T) {
-	SetLive(nil)
-	// Must not panic.
-	EmitLiveStart(testHeader())
-	EmitLive(testIteration(1))
-	EmitLiveFinish(Summary{})
-	if ActiveLive() != nil {
-		t.Error("store appeared from nowhere")
 	}
 }
 

@@ -14,30 +14,12 @@ import (
 	"unico/internal/workload"
 )
 
-// spatialEngine picks the platform's PPA oracle: the bare analytical model,
-// or — when a process-wide evaluation cache is installed
-// (evalcache.SetProcess) — the model behind a content-addressed cache.
-func spatialEngine() mapsearch.SpatialEngine {
-	if c := evalcache.Process(); c != nil {
-		return evalcache.Spatial{Inner: maestro.Engine{}, Cache: c}
-	}
-	return maestro.Engine{}
-}
-
-// ascendEngine mirrors spatialEngine for the cycle-level simulator.
-func ascendEngine() mapsearch.AscendEngine {
-	if c := evalcache.Process(); c != nil {
-		return evalcache.Ascend{Inner: camodel.Engine{}, Cache: c}
-	}
-	return camodel.Engine{}
-}
-
 // Spatial is the open-source spatial-accelerator platform: the Fig. 1
 // template searched over MAESTRO-like analytical PPA.
 type Spatial struct {
 	// Engine is the PPA oracle mapping searches evaluate against. The
-	// constructor installs maestro.Engine (cache-wrapped when a process-wide
-	// evalcache is set); replace it to substitute a stub or add a cache.
+	// constructor installs maestro.Engine; replace it to substitute a stub
+	// or add a cache.
 	Engine    mapsearch.SpatialEngine
 	Algo      mapsearch.Algo
 	space     *hw.SpatialSpace
@@ -50,7 +32,7 @@ func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Sp
 		panic("platform: NewSpatial needs at least one workload")
 	}
 	return &Spatial{
-		Engine:    spatialEngine(),
+		Engine:    maestro.Engine{},
 		Algo:      algo,
 		space:     hw.NewSpatialSpace(sc),
 		workloads: workload.Combine(ws),
@@ -58,12 +40,14 @@ func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Sp
 }
 
 // EnableCache replaces the platform's engine with the same engine behind c
-// and returns the platform (nil c is a no-op). Wrapping is idempotent in
-// effect: hits on an already-cached engine simply resolve in the outer cache.
+// and returns the platform. A nil c, or an engine already behind c, is a
+// no-op — so a caller that builds its platforms cached can still hand the
+// cache to the run lifecycle.
 func (p *Spatial) EnableCache(c *evalcache.Cache) *Spatial {
-	if c != nil {
-		p.Engine = evalcache.Spatial{Inner: p.Engine, Cache: c}
+	if cur, ok := p.Engine.(evalcache.Spatial); c == nil || ok && cur.Cache == c {
+		return p
 	}
+	p.Engine = evalcache.Spatial{Inner: p.Engine, Cache: c}
 	return p
 }
 
@@ -102,8 +86,8 @@ func (p *Spatial) AreaCapMM2() float64 { return 0 }
 // constraint of paper Section 4.6.
 type Ascend struct {
 	// Engine is the PPA oracle schedule searches evaluate against. The
-	// constructor installs camodel.Engine (cache-wrapped when a process-wide
-	// evalcache is set); replace it to substitute a stub or add a cache.
+	// constructor installs camodel.Engine; replace it to substitute a stub
+	// or add a cache.
 	Engine    mapsearch.AscendEngine
 	Algo      mapsearch.Algo
 	AreaCap   float64
@@ -117,7 +101,7 @@ func NewAscend(ws []workload.Workload, algo mapsearch.Algo) *Ascend {
 		panic("platform: NewAscend needs at least one workload")
 	}
 	return &Ascend{
-		Engine:    ascendEngine(),
+		Engine:    camodel.Engine{},
 		Algo:      algo,
 		AreaCap:   200,
 		space:     hw.NewAscendSpace(),
@@ -126,11 +110,13 @@ func NewAscend(ws []workload.Workload, algo mapsearch.Algo) *Ascend {
 }
 
 // EnableCache replaces the platform's engine with the same engine behind c
-// and returns the platform (nil c is a no-op).
+// and returns the platform (a nil c, or an engine already behind c, is a
+// no-op).
 func (p *Ascend) EnableCache(c *evalcache.Cache) *Ascend {
-	if c != nil {
-		p.Engine = evalcache.Ascend{Inner: p.Engine, Cache: c}
+	if cur, ok := p.Engine.(evalcache.Ascend); c == nil || ok && cur.Cache == c {
+		return p
 	}
+	p.Engine = evalcache.Ascend{Inner: p.Engine, Cache: c}
 	return p
 }
 

@@ -126,13 +126,3 @@ func (d *DebugServer) Shutdown(ctx context.Context) error {
 
 // Close stops the listener immediately.
 func (d *DebugServer) Close() error { return d.srv.Close() }
-
-// ServeDebug starts a background HTTP server exposing DebugMux on addr and
-// returns its handle so the caller's signal path can shut it down. Errors
-// are reported through errf (may be nil) rather than failing the main
-// program.
-func ServeDebug(addr string, reg *Registry, errf func(error)) *DebugServer {
-	d := NewDebugServer(addr, reg)
-	d.Start(errf)
-	return d
-}

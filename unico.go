@@ -30,12 +30,12 @@ import (
 
 	"unico/internal/baselines"
 	"unico/internal/buildinfo"
-	"unico/internal/checkpoint"
 	"unico/internal/core"
 	"unico/internal/dist"
 	"unico/internal/evalcache"
 	"unico/internal/flightrec"
 	"unico/internal/hw"
+	"unico/internal/lifecycle"
 	"unico/internal/mapsearch"
 	"unico/internal/platform"
 	"unico/internal/runid"
@@ -308,6 +308,10 @@ type Config struct {
 	// with a convergence snapshot (UNICO, HASCO and MOBOHB; NSGA-II does
 	// not run on the shared iteration engine).
 	Progress func(IterationProgress)
+	// Dashboard, if non-nil, is the live store behind a `/debug/unico`
+	// dashboard (cmd/unico's -metrics-addr): it receives the run header,
+	// every iteration record and the summary as the search produces them.
+	Dashboard *flightrec.Live
 }
 
 // IterationProgress is one per-iteration convergence snapshot.
@@ -396,9 +400,11 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 		return nil, fmt.Errorf("unico: nil platform")
 	}
 	cfg = cfg.normalize()
-	clock := &simclock.Clock{}
+	opt, err := cfg.options()
+	if err != nil {
+		return nil, err
+	}
 
-	inner := p.inner
 	var cache *evalcache.Cache
 	if cfg.Cache || cfg.CacheSize > 0 || cfg.CacheFile != "" {
 		cache = evalcache.New(cfg.CacheSize)
@@ -407,35 +413,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 				return nil, err
 			}
 		}
-		inner = withCache(inner, cache)
-	}
-
-	var sink *checkpoint.File
-	var resume *core.ResumeState
-	if cfg.CheckpointFile != "" {
-		if cfg.Method == MethodNSGAII {
-			return nil, fmt.Errorf("unico: checkpointing is not supported for MethodNSGAII")
-		}
-		if cfg.Resume && checkpoint.Exists(cfg.CheckpointFile) {
-			rs, err := checkpoint.Load(cfg.CheckpointFile)
-			if err != nil {
-				return nil, err
-			}
-			resume = rs
-		}
-		var err error
-		sink, err = checkpoint.Create(cfg.CheckpointFile)
-		if err != nil {
-			return nil, err
-		}
-		defer sink.Close()
-	}
-	applyCheckpoint := func(opt *core.Options) {
-		if sink != nil {
-			opt.Checkpoint = sink
-		}
-		opt.CheckpointEvery = cfg.CheckpointEvery
-		opt.Resume = resume
 	}
 
 	runID := cfg.RunID
@@ -447,141 +424,55 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 	}
 	runid.Set(runID)
 
-	if cfg.FlightRecordFile != "" && cfg.Method == MethodNSGAII {
-		return nil, fmt.Errorf("unico: flight recording is not supported for MethodNSGAII")
-	}
-	var flight *flightrec.Recorder
-	defer func() {
-		if flight != nil {
-			_ = flight.Close() // no-op after Finish; releases the file on early error paths
-		}
-	}()
-	// applyFlight stamps the run header (identity + the same fingerprint the
-	// checkpoint contract validates), opens the durable recorder when
-	// configured, and announces the run to the live dashboard store. It runs
-	// after applyCheckpoint so the resume boundary is known.
-	applyFlight := func(opt *core.Options) error {
-		hdr := flightrec.Header{
-			RunID:       runID,
-			StartedAt:   time.Now().UTC().Format(time.RFC3339), //unicolint:allow detclock wall-clock run metadata in the flight header; excluded from resume identity
-			Revision:    buildinfo.Revision(),
-			Method:      cfg.Method.String(),
-			Workload:    workloadName(p.inner),
-			Seed:        cfg.Seed,
-			Batch:       cfg.BatchSize,
-			MaxIter:     cfg.Iterations,
-			BMax:        cfg.BudgetMax,
-			Fingerprint: core.FingerprintFor(inner, *opt),
-		}
-		if cfg.FlightRecordFile == "" {
-			flightrec.EmitLiveStart(hdr)
-			return nil
-		}
-		var err error
-		if resume != nil {
-			flight, err = flightrec.Resume(cfg.FlightRecordFile, hdr, resume.LastIter())
-			if err != nil {
-				return err
-			}
-			// Seed the dashboard with the replayed history the artifact kept,
-			// so the live curve covers the whole run, not just the suffix.
-			if d, _, lerr := flightrec.Load(cfg.FlightRecordFile); lerr == nil {
-				flightrec.EmitLiveResume(hdr, d.Iters)
-			} else {
-				flightrec.EmitLiveStart(hdr)
-			}
-		} else {
-			flight, err = flightrec.Create(cfg.FlightRecordFile, hdr)
-			if err != nil {
-				return err
-			}
-			flightrec.EmitLiveStart(hdr)
-		}
-		var fsink flightrec.Sink = flight
-		if cache != nil {
-			fsink = cacheStampSink{inner: flight, cache: cache}
-		}
-		opt.Flight = fsink
-		return nil
-	}
-
-	var tracer *telemetry.Tracer
-	if cfg.TraceWriter != nil {
-		tracer = telemetry.NewTracer(cfg.TraceWriter)
-		defer tracer.Flush()
-	}
-	var progress core.ProgressFunc
-	if cfg.Progress != nil {
-		progress = func(p core.Progress) {
-			cfg.Progress(IterationProgress{
-				Iter:        p.Iter,
-				SimHours:    p.SimHours,
-				Hypervolume: p.Hypervolume,
-				UUL:         p.UUL,
-				FrontSize:   p.FrontSize,
-				Evaluations: p.Evals,
-			})
-		}
-	}
-
 	var res core.Result
-	switch cfg.Method {
-	case MethodUNICO:
-		opt := core.UNICOOptions(cfg.BatchSize, cfg.Iterations, cfg.BudgetMax, cfg.Seed)
-		opt.UseRobustness = !cfg.DisableRobustness
-		opt.Workers = cfg.Workers
-		opt.SearchWorkers = cfg.SearchWorkers
-		opt.Clock = clock
-		opt.TimeBudgetHours = cfg.TimeBudgetHours
-		opt.Tracer = tracer
-		opt.Progress = progress
-		applyCheckpoint(&opt)
-		if err := applyFlight(&opt); err != nil {
-			return nil, err
-		}
-		res = core.RunContext(ctx, inner, opt)
-	case MethodHASCO:
-		opt := baselines.HASCOOptions(cfg.BatchSize, cfg.Iterations, cfg.BudgetMax, cfg.Seed)
-		opt.SearchWorkers = cfg.SearchWorkers
-		opt.Clock = clock
-		opt.TimeBudgetHours = cfg.TimeBudgetHours
-		opt.Tracer = tracer
-		opt.Progress = progress
-		applyCheckpoint(&opt)
-		if err := applyFlight(&opt); err != nil {
-			return nil, err
-		}
-		res = core.RunContext(ctx, inner, opt)
-	case MethodMOBOHB:
-		opt := baselines.MOBOHBOptions(cfg.BatchSize, cfg.Iterations, cfg.BudgetMax, cfg.Seed)
-		opt.Workers = cfg.Workers
-		opt.SearchWorkers = cfg.SearchWorkers
-		opt.Clock = clock
-		opt.TimeBudgetHours = cfg.TimeBudgetHours
-		opt.Tracer = tracer
-		opt.Progress = progress
-		applyCheckpoint(&opt)
-		if err := applyFlight(&opt); err != nil {
-			return nil, err
-		}
-		res = core.RunContext(ctx, inner, opt)
-	case MethodNSGAII:
-		res = baselines.NSGAII(inner, baselines.NSGAIIOptions{
+	var runErr error
+	if cfg.Method == MethodNSGAII {
+		res = baselines.NSGAII(lifecycle.WithCache(p.inner, cache), baselines.NSGAIIOptions{
 			Pop:             cfg.BatchSize,
 			Generations:     cfg.Iterations,
 			BMax:            cfg.BudgetMax,
 			Workers:         cfg.Workers,
 			Seed:            cfg.Seed,
-			Clock:           clock,
+			Clock:           opt.Clock,
 			TimeBudgetHours: cfg.TimeBudgetHours,
 		})
-	default:
-		return nil, fmt.Errorf("unico: unknown method %v", cfg.Method)
-	}
-	if res.CheckpointErr != nil && errors.Is(res.CheckpointErr, core.ErrResumeMismatch) {
-		// The run never started: the checkpoint belongs to a different
-		// configuration and continuing would corrupt both.
-		return nil, res.CheckpointErr
+	} else {
+		spec := lifecycle.Spec{
+			Header: flightrec.Header{
+				RunID:     runID,
+				StartedAt: time.Now().UTC().Format(time.RFC3339), //unicolint:allow detclock wall-clock run metadata in the flight header; excluded from resume identity
+				Revision:  buildinfo.Revision(),
+				Method:    cfg.Method.String(),
+			},
+			CheckpointPath: cfg.CheckpointFile,
+			Resume:         cfg.Resume,
+			FlightPath:     cfg.FlightRecordFile,
+			Cache:          cache,
+			Live:           cfg.Dashboard,
+		}
+		if cfg.TraceWriter != nil {
+			spec.Tracer = telemetry.NewTracer(cfg.TraceWriter)
+			defer spec.Tracer.Flush()
+		}
+		if cfg.Progress != nil {
+			spec.Progress = func(p core.Progress) {
+				cfg.Progress(IterationProgress{
+					Iter:        p.Iter,
+					SimHours:    p.SimHours,
+					Hypervolume: p.Hypervolume,
+					UUL:         p.UUL,
+					FrontSize:   p.FrontSize,
+					Evaluations: p.Evals,
+				})
+			}
+		}
+		res, runErr = lifecycle.Run(ctx, p.inner, opt, spec)
+		if errors.As(runErr, new(lifecycle.NotStarted)) {
+			// Nothing ran: an artifact could not be opened, or the checkpoint
+			// belongs to a different configuration and continuing would
+			// corrupt both.
+			return nil, runErr
+		}
 	}
 
 	out := &Result{SimulatedHours: res.Hours, Evaluations: res.Evals}
@@ -602,65 +493,42 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 			}
 		}
 	}
-	// Seal the flight record: the summary's convergence fields are filled
-	// from the last iteration by the recorder; we supply what the iteration
-	// stream cannot know. A write failure is non-fatal to the search, like a
-	// checkpoint failure.
-	var flightErr error
-	if cfg.Method != MethodNSGAII {
-		sum := flightrec.Summary{Interrupted: ctx.Err() != nil}
-		sum.CacheHits, sum.CacheMisses = out.CacheHits, out.CacheMisses
-		if flight != nil {
-			flightErr = flight.Finish(sum)
+	// A mid-run checkpoint or flight-record write failure is non-fatal to
+	// the search; hand back the result along with it so callers know resume
+	// coverage is incomplete.
+	return out, runErr
+}
+
+// options maps the config onto the shared iteration engine's options (a
+// method preset plus the knobs every preset honours), and rejects what the
+// method cannot do. MethodNSGAII runs its own loop and takes only the clock.
+func (c Config) options() (core.Options, error) {
+	var opt core.Options
+	switch c.Method {
+	case MethodUNICO:
+		opt = core.UNICOOptions(c.BatchSize, c.Iterations, c.BudgetMax, c.Seed)
+		opt.UseRobustness = !c.DisableRobustness
+		opt.Workers = c.Workers
+	case MethodHASCO:
+		opt = baselines.HASCOOptions(c.BatchSize, c.Iterations, c.BudgetMax, c.Seed)
+	case MethodMOBOHB:
+		opt = baselines.MOBOHBOptions(c.BatchSize, c.Iterations, c.BudgetMax, c.Seed)
+		opt.Workers = c.Workers
+	case MethodNSGAII:
+		if c.CheckpointFile != "" {
+			return opt, fmt.Errorf("unico: checkpointing is not supported for MethodNSGAII")
 		}
-		flightrec.EmitLiveFinish(sum)
+		if c.FlightRecordFile != "" {
+			return opt, fmt.Errorf("unico: flight recording is not supported for MethodNSGAII")
+		}
+	default:
+		return opt, fmt.Errorf("unico: unknown method %v", c.Method)
 	}
-
-	// A mid-run checkpoint write failure is non-fatal to the search; hand
-	// back the result along with it so callers know resume coverage is
-	// incomplete.
-	if res.CheckpointErr != nil {
-		return out, res.CheckpointErr
-	}
-	return out, flightErr
-}
-
-// cacheStampSink forwards flight records with the evaluation cache's
-// cumulative counters stamped on: the cache lives at this facade layer, so
-// core cannot fill these fields itself.
-type cacheStampSink struct {
-	inner flightrec.Sink
-	cache *evalcache.Cache
-}
-
-func (s cacheStampSink) RecordIteration(it flightrec.Iteration) {
-	st := s.cache.Stats()
-	it.CacheHits, it.CacheMisses = st.Hits, st.Misses
-	s.inner.RecordIteration(it)
-}
-
-// workloadName extracts the platform's combined workload name, when exposed.
-func workloadName(p core.Platform) string {
-	if wp, ok := p.(interface{ Workload() workload.Workload }); ok {
-		return wp.Workload().Name
-	}
-	return ""
-}
-
-// withCache returns a platform whose PPA engines are wrapped with c, leaving
-// the caller's platform untouched. Platforms without local engines (the
-// remote master-side platform) pass through: their caching lives worker-side
-// or in the worker clients.
-func withCache(inner core.Platform, c *evalcache.Cache) core.Platform {
-	switch pl := inner.(type) {
-	case *platform.Spatial:
-		cp := *pl
-		return cp.EnableCache(c)
-	case *platform.Ascend:
-		cp := *pl
-		return cp.EnableCache(c)
-	}
-	return inner
+	opt.SearchWorkers = c.SearchWorkers
+	opt.Clock = &simclock.Clock{}
+	opt.TimeBudgetHours = c.TimeBudgetHours
+	opt.CheckpointEvery = c.CheckpointEvery
+	return opt, nil
 }
 
 func design(p *Platform, c core.Candidate) Design {
