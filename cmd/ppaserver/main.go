@@ -9,17 +9,17 @@
 // With -shards it instead runs as a fleet router (internal/fleet): the
 // same API surface, but every request is consistent-hashed onto one of the
 // named ppaserver shards with per-shard admission control, load shedding
-// (429/503 + Retry-After), health-checked membership, and deterministic
-// job replay when a shard dies mid-search:
+// (429/503 + Retry-After) and health-checked membership. The router keeps
+// no job state: when a shard dies mid-search the next one along the ring
+// answers the same advance by rebuilding the job from the spec it carries:
 //
 //	ppaserver -addr :8080 -shards http://h1:9301,http://h2:9301,http://h3:9301
 //
 // Endpoints:
 //
 //	POST   /v1/ppa           evaluate one (hardware, mapping, layer) triple
-//	POST   /v1/jobs          create a mapping-search job
-//	POST   /v1/jobs/advance  spend budget on a job
-//	DELETE /v1/jobs/{id}     release a finished job
+//	POST   /v1/jobs/advance  bring the job a spec describes to a cumulative budget
+//	DELETE /v1/jobs/{id}     release a finished job (id: the state's "id")
 //	GET    /v1/healthz       liveness probe ("ok" or "draining")
 //	POST   /v1/drain         stop accepting new work, finish in-flight jobs
 //	POST   /v1/undrain       resume accepting new work
@@ -30,7 +30,7 @@
 //	GET    /debug/unico/capture  write a pprof profile to -pprof-dir (?profile=cpu|heap)
 //
 // With -span-log every request hop is additionally recorded as distributed-
-// trace spans (shard + engine spans here; queue/forward/replay spans in
+// trace spans (shard, engine and replay spans here; queue/forward spans in
 // router mode) to a JSONL file, served back per run via GET /v1/spans?run=
 // and analyzed with unicotrace.
 //

@@ -53,7 +53,7 @@ func main() {
 
 		remoteWorkers  = flag.String("remote-workers", "", "comma-separated ppaserver URLs; run mapping searches remotely (edge/cloud scenarios)")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request timeout against remote workers (0 = 30s default)")
-		retries        = flag.Int("retries", 0, "retries for idempotent remote requests (exponential backoff with jitter)")
+		retries        = flag.Int("retries", 0, "retries for remote requests (exponential backoff with jitter)")
 		retryBackoff   = flag.Duration("retry-backoff", 0, "initial delay between remote retries (0 = 50ms default)")
 		maxBackoff     = flag.Duration("max-backoff", 0, "cap on the remote retry delay, including server Retry-After hints (0 = 2s default)")
 	)

@@ -40,14 +40,12 @@ type Options struct {
 	// itself (ignored when an explicit *http.Client is passed).
 	// <= 0 means DefaultTimeout.
 	Timeout time.Duration
-	// MaxRetries is how many times an idempotent request (EvaluatePPA) is
-	// retried after a retryable failure — 5xx status, transport error, or
-	// truncated response. Non-idempotent routes (CreateJob, AdvanceJob) are
-	// never retried after such ambiguous failures: a retry could create a
-	// duplicate job or spend budget twice. The one exception on every route
-	// is a load shed (429/503 with Retry-After): the server rejected the
-	// request before processing it, so a retry is unambiguous and waits out
-	// the advertised delay, capped by MaxBackoff.
+	// MaxRetries is how many times a request is retried after a retryable
+	// failure — 5xx status, transport error, truncated response, or a load
+	// shed (429/503 with Retry-After, which waits out the advertised delay
+	// capped by MaxBackoff). Every route is idempotent — an evaluation is a
+	// pure function of its triple, a job of its spec and cumulative budget —
+	// so a retry after an ambiguous failure changes no result.
 	MaxRetries int
 	// RetryBackoff is the initial retry delay (doubling per retry, with
 	// jitter). <= 0 means DefaultRetryBackoff.
@@ -101,10 +99,9 @@ func NewClientOptions(base string, httpClient *http.Client, opts Options) *Clien
 // Base returns the worker's base URL.
 func (c *Client) Base() string { return c.base }
 
-// retryableError marks a failure that is safe and worthwhile to retry on an
-// idempotent route: the request may never have reached the worker (transport
-// error), the worker declared itself broken (5xx), or the response was cut
-// off mid-body (decode error).
+// retryableError marks a failure that is worthwhile to retry: the request
+// may never have reached the worker (transport error), the worker declared
+// itself broken (5xx), or the response was cut off mid-body (decode error).
 type retryableError struct{ err error }
 
 func (e *retryableError) Error() string { return e.err.Error() }
@@ -112,11 +109,14 @@ func (e *retryableError) Unwrap() error { return e.err }
 
 func retryable(err error) error { return &retryableError{err: err} }
 
+func isRetryable(err error) bool {
+	var r *retryableError
+	return errors.As(err, &r)
+}
+
 // shedError is a load-shed response: 429 Too Many Requests or
 // 503 Service Unavailable, rejected by the fleet router or a draining
-// worker *before* any processing happened. That pre-processing guarantee is
-// what makes a shed safe to retry even on non-idempotent routes — nothing
-// was created and no budget was spent. retryAfter carries the server's
+// worker before any processing happened. retryAfter carries the server's
 // advertised backoff and advertised whether the header parsed at all; the
 // client clamps an advertised delay into [RetryBackoff, MaxBackoff] (see
 // retryDelay), so a zero, negative, or past-dated advertisement cannot turn
@@ -129,7 +129,7 @@ type shedError struct {
 }
 
 func (e *shedError) Error() string {
-	return fmt.Sprintf("dist: post %s: shed with %s (retry after %v)", e.path, e.status, e.retryAfter)
+	return fmt.Sprintf("dist: %s: shed with %s (retry after %v)", e.path, e.status, e.retryAfter)
 }
 
 // parseRetryAfter parses a Retry-After header value: delay seconds
@@ -180,20 +180,22 @@ func (c *Client) retryDelay(backoff time.Duration, err error) time.Duration {
 	return d
 }
 
-// do sends one POST and decodes the JSON response, classifying failures as
-// retryable or not. 4xx responses carry a JSON error body the caller
+// do sends one request and decodes the JSON response, classifying failures
+// as retryable or not. 4xx responses carry a JSON error body the caller
 // inspects, so they decode normally and are never retried. The request is
 // bound to ctx, so cancellation aborts an in-flight round trip promptly.
 // parent, when valid, rides along as trace headers so the receiving hop's
 // spans nest under this attempt.
-func (c *Client) do(ctx context.Context, path string, body []byte, resp any, parent disttrace.SpanContext) error {
+func (c *Client) do(ctx context.Context, method, path string, body []byte, resp any, parent disttrace.SpanContext) error {
 	_, span := perfprof.Start(ctx, "dist.transport")
 	defer span.End()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("dist: build request %s: %w", path, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	// Correlate every worker request with the client's run, so a ppaserver
 	// request log line is attributable to the exact co-search that issued it.
 	if id := runid.Current(); id != "" {
@@ -204,9 +206,9 @@ func (c *Client) do(ctx context.Context, path string, body []byte, resp any, par
 	if err != nil {
 		if ctx.Err() != nil {
 			// Deliberate cancellation is never retryable.
-			return fmt.Errorf("dist: post %s: %w", path, ctx.Err())
+			return fmt.Errorf("dist: %s %s: %w", method, path, ctx.Err())
 		}
-		return retryable(fmt.Errorf("dist: post %s: %w", path, err))
+		return retryable(fmt.Errorf("dist: %s %s: %w", method, path, err))
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode == http.StatusTooManyRequests || httpResp.StatusCode == http.StatusServiceUnavailable {
@@ -216,7 +218,7 @@ func (c *Client) do(ctx context.Context, path string, body []byte, resp any, par
 		return retryable(&shedError{path: path, status: httpResp.Status, retryAfter: delay, advertised: ok})
 	}
 	if httpResp.StatusCode >= 500 {
-		return retryable(fmt.Errorf("dist: post %s: worker returned %s", path, httpResp.Status))
+		return retryable(fmt.Errorf("dist: %s %s: worker returned %s", method, path, httpResp.Status))
 	}
 	if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
 		return retryable(fmt.Errorf("dist: decode %s: %w", path, err))
@@ -224,60 +226,46 @@ func (c *Client) do(ctx context.Context, path string, body []byte, resp any, par
 	return nil
 }
 
-// post sends req as JSON and decodes the response into resp. The route may
-// not be idempotent, so genuine failures are never retried — but load sheds
-// (429/503 with Retry-After, see shedError) are rejected before any
-// processing and retry safely on every route, up to MaxRetries.
-func (c *Client) post(ctx context.Context, path string, req, resp any) error {
-	return c.send(ctx, path, req, resp, func(err error) bool {
-		var shed *shedError
-		return errors.As(err, &shed)
-	})
-}
-
-// postIdempotent is post with up to MaxRetries retries on every retryable
-// failure (transport errors, 5xx, truncated responses, sheds), backing off
-// exponentially with jitter so a pool of masters does not hammer a
-// recovering worker in lockstep. Cancelling ctx aborts both in-flight
-// requests and backoff sleeps.
-func (c *Client) postIdempotent(ctx context.Context, path string, req, resp any) error {
-	return c.send(ctx, path, req, resp, func(err error) bool {
-		var r *retryableError
-		return errors.As(err, &r)
-	})
-}
-
-// send is the shared retry loop: failures selected by retryOn are retried
-// up to MaxRetries times. The delay between attempts is exponential with
-// jitter, except after a load shed that advertised Retry-After — then the
-// advertised delay is honored clamped into [RetryBackoff, MaxBackoff], so
-// a misbehaving server can neither park the client for minutes nor spin it
-// (see retryDelay).
+// send is the one request path: req (nil for a bodiless DELETE) goes out as
+// JSON, the response decodes into resp, and every retryable failure
+// (transport errors, 5xx, truncated responses, sheds) is retried up to
+// MaxRetries times. The delay between attempts is exponential with jitter,
+// so a pool of masters does not hammer a recovering worker in lockstep —
+// except after a load shed that advertised Retry-After: then the advertised
+// delay is honored clamped into [RetryBackoff, MaxBackoff], so a
+// misbehaving server can neither park the client for minutes nor spin it
+// (see retryDelay). Cancelling ctx aborts both in-flight requests and
+// backoff sleeps. route names the call in spans: path with any job key
+// folded to {id}.
 //
 // When tracing is enabled the whole logical call is one "client" span, each
 // HTTP try an "attempt" child (whose context is what propagates to the
 // server), and each retry wait a "backoff" child.
-func (c *Client) send(ctx context.Context, path string, req, resp any, retryOn func(error) bool) error {
-	_, ser := perfprof.Start(ctx, "dist.serialize")
-	body, err := json.Marshal(req)
-	ser.End()
-	if err != nil {
-		return fmt.Errorf("dist: marshal %s: %w", path, err)
+func (c *Client) send(ctx context.Context, method, route, path string, req, resp any) error {
+	var body []byte
+	if req != nil {
+		_, ser := perfprof.Start(ctx, "dist.serialize")
+		var err error
+		body, err = json.Marshal(req)
+		ser.End()
+		if err != nil {
+			return fmt.Errorf("dist: marshal %s: %w", route, err)
+		}
 	}
-	span := disttrace.StartSpan(runid.Current(), disttrace.CurrentParent(), "client", path)
+	span := disttrace.StartSpan(runid.Current(), disttrace.CurrentParent(), "client", route)
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		att := disttrace.StartSpan("", span.Context(), "attempt", path)
-		err := c.do(ctx, path, body, resp, att.Context())
+		att := disttrace.StartSpan("", span.Context(), "attempt", route)
+		err := c.do(ctx, method, path, body, resp, att.Context())
 		att.End(spanStatus(err), nil)
-		if err == nil || attempt >= c.opts.MaxRetries || !retryOn(err) {
+		if err == nil || attempt >= c.opts.MaxRetries || !isRetryable(err) {
 			span.End(spanStatus(err), map[string]string{"attempts": strconv.Itoa(attempt + 1)})
 			return err
 		}
 		telemetry.DistRetries().Inc()
 		delay := c.retryDelay(backoff, err)
 		wait := perfprof.NewTimer()
-		bo := disttrace.StartSpan("", span.Context(), "backoff", path)
+		bo := disttrace.StartSpan("", span.Context(), "backoff", route)
 		timer := time.NewTimer(delay) //unicolint:allow detclock retry backoff waits real time between attempts; results stay deterministic
 		select {
 		case <-ctx.Done():
@@ -285,7 +273,7 @@ func (c *Client) send(ctx context.Context, path string, req, resp any, retryOn f
 			wait.ObserveVolatileAs("dist.retry_wait")
 			bo.End("canceled", nil)
 			span.End("canceled", nil)
-			return fmt.Errorf("dist: post %s: %w", path, ctx.Err())
+			return fmt.Errorf("dist: %s %s: %w", method, route, ctx.Err())
 		case <-timer.C:
 		}
 		bo.End("ok", nil)
@@ -305,8 +293,7 @@ func spanStatus(err error) string {
 	if errors.As(err, &shed) {
 		return "shed"
 	}
-	var r *retryableError
-	if errors.As(err, &r) {
+	if isRetryable(err) {
 		return "retryable"
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -361,7 +348,7 @@ func (c *Client) evaluatePPA(ctx context.Context, req PPARequest) (PPAResponse, 
 	start := time.Now() //unicolint:allow detclock host-side eval-latency metric on the remote transport path
 	defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
 	var resp PPAResponse
-	if err := c.postIdempotent(ctx, "/v1/ppa", req, &resp); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/ppa", "/v1/ppa", req, &resp); err != nil {
 		return PPAResponse{}, err
 	}
 	return resp, nil
@@ -423,36 +410,18 @@ func cacheKeyFor(req *PPARequest) (evalcache.Key, string, bool) {
 	return evalcache.Key{}, "", false
 }
 
-// CreateJob creates a mapping-search job on the worker with a background
-// context; see CreateJobContext.
-func (c *Client) CreateJob(spec JobSpec) (string, error) {
-	//unicolint:allow ctxflow compatibility wrapper; context-aware callers use CreateJobContext
-	return c.CreateJobContext(context.Background(), spec)
-}
-
-// CreateJobContext creates a mapping-search job on the worker. Not retried:
-// after an ambiguous failure a retry could leave an orphaned duplicate job.
-func (c *Client) CreateJobContext(ctx context.Context, spec JobSpec) (string, error) {
-	var resp JobCreateResponse
-	if err := c.post(ctx, "/v1/jobs", spec, &resp); err != nil {
-		return "", err
-	}
-	if resp.Error != "" {
-		return "", fmt.Errorf("dist: create job: %s", resp.Error)
-	}
-	return resp.ID, nil
-}
-
-// AdvanceJobContext spends budget on a job and returns its state (budget 0
-// just polls). Not retried: a retry after an ambiguous failure could spend
-// the budget twice.
-func (c *Client) AdvanceJobContext(ctx context.Context, id string, budget int) (JobState, error) {
+// AdvanceJobContext brings the job req.Spec describes to the cumulative
+// req.Budget on the worker and returns its state there (a Budget the job
+// has already reached just polls). The worker builds the job if it does not
+// hold it, so there is nothing to create first and nothing a retry can
+// spend twice.
+func (c *Client) AdvanceJobContext(ctx context.Context, req AdvanceRequest) (JobState, error) {
 	var state JobState
-	if err := c.post(ctx, "/v1/jobs/advance", AdvanceRequest{ID: id, Budget: budget}, &state); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", req, &state); err != nil {
 		return JobState{}, err
 	}
 	if state.Error != "" {
-		return JobState{}, fmt.Errorf("dist: advance job %s: %s", id, state.Error)
+		return JobState{}, fmt.Errorf("dist: advance job: %s", state.Error)
 	}
 	return state, nil
 }
@@ -460,37 +429,18 @@ func (c *Client) AdvanceJobContext(ctx context.Context, id string, budget int) (
 // DeleteJob releases a finished job's state on the worker with a background
 // context; see DeleteJobContext.
 func (c *Client) DeleteJob(id string) error {
-	//unicolint:allow ctxflow compatibility wrapper mirroring CreateJob/AdvanceJob; context-aware callers use DeleteJobContext
+	//unicolint:allow ctxflow compatibility wrapper; context-aware callers use DeleteJobContext
 	return c.DeleteJobContext(context.Background(), id)
 }
 
-// DeleteJobContext releases a finished job's state on the worker.
-// Cancelling ctx aborts the in-flight request; the delete is idempotent on
-// the worker, so a caller may safely retry after a cancellation.
+// DeleteJobContext releases the state the worker holds for the job whose
+// JobSpec.Key is id. Releasing a job the worker does not hold is an error
+// (the worker's 404), which is also what a delete sent again after a lost
+// answer reports.
 func (c *Client) DeleteJobContext(ctx context.Context, id string) error {
-	span := disttrace.StartSpan(runid.Current(), disttrace.CurrentParent(), "client", "/v1/jobs/{id}")
-	err := c.deleteJob(ctx, id, span.Context())
-	span.End(spanStatus(err), nil)
-	return err
-}
-
-func (c *Client) deleteJob(ctx context.Context, id string, parent disttrace.SpanContext) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return fmt.Errorf("dist: delete job %s: %w", id, err)
-	}
-	if rid := runid.Current(); rid != "" {
-		req.Header.Set(runid.Header, rid)
-	}
-	disttrace.Inject(req.Header, parent)
-	httpResp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("dist: delete job %s: %w", id, err)
-	}
-	defer httpResp.Body.Close()
 	var resp JobDeleteResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return fmt.Errorf("dist: decode delete %s: %w", id, err)
+	if err := c.send(ctx, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil, &resp); err != nil {
+		return err
 	}
 	if resp.Error != "" {
 		return fmt.Errorf("dist: delete job %s: %s", id, resp.Error)
@@ -534,85 +484,4 @@ func (c *Client) HealthContext(ctx context.Context) (HealthResponse, error) {
 		return HealthResponse{}, fmt.Errorf("dist: health %s: %w", c.base, err)
 	}
 	return h, nil
-}
-
-// remoteJob adapts a worker-side job to the mapsearch.Searcher interface, so
-// the master's successive-halving scheduler drives remote jobs exactly like
-// local ones.
-type remoteJob struct {
-	client *Client
-	id     string
-	state  JobState
-	err    error
-	closed bool
-}
-
-// NewRemoteJob creates a job on the worker and returns its master-side
-// handle.
-func NewRemoteJob(client *Client, spec JobSpec) (*remoteJob, error) {
-	id, err := client.CreateJob(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &remoteJob{client: client, id: id}, nil
-}
-
-// Advance spends budget on the remote job. Transport errors latch: the job
-// reports no feasible result afterwards, which the co-optimizer treats as an
-// infeasible candidate rather than crashing the whole search.
-func (j *remoteJob) Advance(budget int) {
-	//unicolint:allow ctxflow compatibility wrapper for the mapsearch.Searcher interface; the scheduler drives AdvanceContext
-	j.AdvanceContext(context.Background(), budget)
-}
-
-// AdvanceContext implements mapsearch.ContextAdvancer: cancelling ctx aborts
-// the in-flight worker round trip. A cancellation does not latch — the job
-// stays usable, so a resumed run can keep driving it.
-func (j *remoteJob) AdvanceContext(ctx context.Context, budget int) {
-	if j.err != nil || ctx.Err() != nil {
-		return
-	}
-	state, err := j.client.AdvanceJobContext(ctx, j.id, budget)
-	if err != nil {
-		if ctx.Err() == nil {
-			// The candidate's remaining budget is unrecoverable: the
-			// co-optimizer will score it infeasible. Counted so the chaos
-			// gates can assert a fleet run lost nothing.
-			telemetry.DistLostEvals().Inc()
-			j.err = err
-		}
-		return
-	}
-	j.state = state
-}
-
-// History returns the last-seen remote history.
-func (j *remoteJob) History() ppa.History { return j.state.History }
-
-// RawHistory returns the last-seen remote raw sample trajectory.
-func (j *remoteJob) RawHistory() ppa.History { return j.state.Raw }
-
-// Spent returns the last-seen remote budget spent.
-func (j *remoteJob) Spent() int { return j.state.Spent }
-
-// Best returns the last-seen remote best metrics.
-func (j *remoteJob) Best() (ppa.Metrics, bool) {
-	if j.err != nil || !j.state.Feasible {
-		return ppa.Metrics{}, false
-	}
-	return j.state.Best, true
-}
-
-// Err returns the latched transport error, if any.
-func (j *remoteJob) Err() error { return j.err }
-
-// Close deletes the job's worker-side state. The co-optimizer calls it once
-// a candidate's search is complete, so worker memory stays bounded by the
-// in-flight batch. Idempotent; the last-seen state remains readable.
-func (j *remoteJob) Close() error {
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.client.DeleteJob(j.id)
 }

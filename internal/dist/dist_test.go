@@ -9,14 +9,19 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"unico/internal/camodel"
 	"unico/internal/core"
 	"unico/internal/hw"
+	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/mapsearch"
 	"unico/internal/platform"
+	"unico/internal/ppa"
 	"unico/internal/workload"
 )
 
@@ -25,6 +30,33 @@ func newWorker(t *testing.T) (*httptest.Server, *Client) {
 	srv := httptest.NewServer(NewServer().Handler())
 	t.Cleanup(srv.Close)
 	return srv, NewClient(srv.URL, srv.Client())
+}
+
+// testSpec is a small valid job: MobileNetV3-S on a 4x4 Edge array.
+func testSpec(seed int64) JobSpec {
+	x := hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	return JobSpec{
+		Platform: "spatial", Scenario: "edge",
+		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: seed,
+	}
+}
+
+// countingSpatial counts the engine calls a worker makes.
+type countingSpatial struct {
+	maestro.Engine
+	calls *atomic.Int64
+}
+
+func (e countingSpatial) Evaluate(h hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, error) {
+	e.calls.Add(1)
+	return e.Engine.Evaluate(h, m, l)
+}
+
+// newCountingWorker starts a worker whose spatial engine counts its calls.
+func newCountingWorker(t *testing.T) (*Server, *atomic.Int64) {
+	t.Helper()
+	calls := new(atomic.Int64)
+	return NewServerWith(countingSpatial{calls: calls}, camodel.Engine{}), calls
 }
 
 func TestHealthz(t *testing.T) {
@@ -139,51 +171,63 @@ func TestPPAEndpointBadRequests(t *testing.T) {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	_, c := newWorker(t)
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 6, PEY: 6, L1Bytes: 1728, L2KB: 432, NoCBW: 128})
-	id, err := c.CreateJob(JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	})
+	s, calls := newCountingWorker(t)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL, srv.Client())
+	spec := testSpec(1)
+	// The first advance builds the job: there is nothing to create.
+	st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.AdvanceJobContext(context.Background(), id, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Spent != 5 || len(st.History) != 5 {
+	if st.ID != spec.Key() || st.Spent != 5 || len(st.History) != 5 {
 		t.Errorf("state after 5 units: %+v", st)
 	}
 	if !st.Feasible || !st.Best.Valid() {
 		t.Errorf("no feasible mapping: %+v", st)
 	}
-	// Poll without budget.
-	st2, err := c.AdvanceJobContext(context.Background(), id, 0)
+	// The same target again polls: nothing is spent, the answer is the same.
+	before := calls.Load()
+	st2, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Spent != 5 {
-		t.Errorf("poll advanced the job: %+v", st2)
+	if !reflect.DeepEqual(st2, st) || calls.Load() != before {
+		t.Errorf("poll advanced the job (%d engine calls): %+v", calls.Load()-before, st2)
 	}
-	// Unknown job.
-	if _, err := c.AdvanceJobContext(context.Background(), "job-999", 1); err == nil {
-		t.Error("unknown job accepted")
+	// The budget is cumulative: 8 after 5 spends 3 more, and the state is
+	// the one a single advance to 8 reaches.
+	st8, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: 8, Seen: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st8.Spent != 8 || !reflect.DeepEqual(st8.History[:5], st.History) {
+		t.Errorf("state after 8 units does not extend the state after 5: %+v", st8)
+	}
+	// A target behind the held job is answered from the spec, not refused.
+	st3, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3.Spent != 3 || !reflect.DeepEqual(st3.History, st.History[:3]) {
+		t.Errorf("state at an earlier target: %+v", st3)
+	}
+	if n := s.JobCount(); n != 1 {
+		t.Errorf("worker holds %d jobs for one spec, want 1", n)
+	}
+	if _, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: -1}); err == nil {
+		t.Error("negative budget accepted")
 	}
 }
 
-// remoteHistory creates the job on a fresh worker, advances it and returns
-// the best-so-far history the worker reports, rendered with %v (shortest
+// remoteHistory advances the job on a fresh worker and returns the
+// best-so-far history the worker reports, rendered with %v (shortest
 // round-trip floats, so equal strings mean equal bits).
 func remoteHistory(t *testing.T, spec JobSpec, budget int) string {
 	t.Helper()
 	_, c := newWorker(t)
-	id, err := c.CreateJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.AdvanceJobContext(context.Background(), id, budget)
+	st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,23 +291,21 @@ func TestTwoNetworkJobMatchesLocal(t *testing.T) {
 }
 
 func TestJobDelete(t *testing.T) {
-	_, c := newWorker(t)
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 6, PEY: 6, L1Bytes: 1728, L2KB: 432, NoCBW: 128})
-	id, err := c.CreateJob(JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	})
+	s := NewServer()
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL, srv.Client())
+	st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: testSpec(1), Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteJob(id); err != nil {
+	if err := c.DeleteJob(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AdvanceJobContext(context.Background(), id, 1); err == nil {
-		t.Error("deleted job still advanceable")
+	if n := s.JobCount(); n != 0 {
+		t.Errorf("worker holds %d jobs after the delete", n)
 	}
-	if err := c.DeleteJob(id); err == nil {
+	if err := c.DeleteJob(st.ID); err == nil {
 		t.Error("double delete not reported")
 	}
 	if err := c.DeleteJob("job-999"); err == nil {
@@ -295,17 +337,21 @@ func TestServerReleasesJobsAfterRun(t *testing.T) {
 	}
 }
 
-func TestRemoteJobCloseIdempotent(t *testing.T) {
-	_, c := newWorker(t)
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	job, err := NewRemoteJob(c, JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	})
+// newPoolJob returns a job of a platform over the given workers, as
+// core.Run gets them from NewJob.
+func newPoolJob(t *testing.T, workers ...*Client) *remoteJob {
+	t.Helper()
+	p, err := NewRemoteSpatialPlatform(workers, hw.Edge, []string{"MobileNetV3-S"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := testSpec(1)
+	return p.NewJob(spec.X, spec.Seed).(*remoteJob)
+}
+
+func TestRemoteJobCloseIdempotent(t *testing.T) {
+	_, c := newWorker(t)
+	job := newPoolJob(t, c)
 	job.Advance(2)
 	if err := job.Close(); err != nil {
 		t.Fatal(err)
@@ -320,7 +366,10 @@ func TestRemoteJobCloseIdempotent(t *testing.T) {
 }
 
 func TestJobSpecValidation(t *testing.T) {
-	_, c := newWorker(t)
+	s := NewServer()
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL, srv.Client())
 	cases := []JobSpec{
 		{Platform: "spatial", Scenario: "edge", Networks: nil, Algo: "flextensor"},
 		{Platform: "spatial", Scenario: "mars", Networks: []string{"ResNet"}, X: make([]float64, 6)},
@@ -330,9 +379,12 @@ func TestJobSpecValidation(t *testing.T) {
 		{Platform: "spatial", Scenario: "edge", Networks: []string{"ResNet"}, X: make([]float64, 6), Algo: "psychic"},
 	}
 	for i, spec := range cases {
-		if _, err := c.CreateJob(spec); err == nil {
+		if _, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: 1}); err == nil {
 			t.Errorf("case %d: bad spec accepted: %+v", i, spec)
 		}
+	}
+	if n := s.JobCount(); n != 0 {
+		t.Errorf("rejected specs left %d jobs behind", n)
 	}
 }
 
@@ -369,15 +421,7 @@ func TestRemotePlatformValidation(t *testing.T) {
 
 func TestRemoteJobDeadWorker(t *testing.T) {
 	srv, c := newWorker(t)
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	job, err := NewRemoteJob(c, JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := newPoolJob(t, c)
 	srv.Close()
 	job.Advance(3) // must latch the transport error, not panic
 	if job.Err() == nil {
@@ -386,11 +430,14 @@ func TestRemoteJobDeadWorker(t *testing.T) {
 	if _, ok := job.Best(); ok {
 		t.Error("dead job reported a feasible result")
 	}
+	if err := job.Close(); err != nil {
+		t.Errorf("Close of a job no worker answered for: %v", err)
+	}
 }
 
 func TestRemotePlatformFailsOver(t *testing.T) {
-	// Two workers; kill one. Job creation must fail over to the survivor
-	// and the co-optimization must keep producing feasible candidates.
+	// Two workers; kill one. Every job's first advance must fail over to
+	// the survivor and keep producing feasible candidates.
 	srv1, c1 := newWorker(t)
 	_, c2 := newWorker(t)
 	p, err := NewRemoteSpatialPlatform([]*Client{c1, c2}, hw.Edge, []string{"MobileNetV3-S"})

@@ -4,13 +4,22 @@
 // RemotePlatform that lets the master's co-optimizer fan software-mapping
 // jobs out across a pool of workers over HTTP.
 //
-// The wire protocol is plain JSON over net/http. Job state lives on the
-// worker: the master creates a job, then advances it in budget installments
-// exactly as the local successive-halving scheduler does, so early-stopped
-// candidates never waste worker time.
+// The wire protocol is plain JSON over net/http. A mapping-search job is a
+// pure function of its spec and the cumulative budget spent on it, and the
+// protocol says exactly that: an advance names the spec and the budget to
+// reach, and whichever worker receives it holds the job from then on —
+// building it first when it has none. Nothing is created, no handle is
+// minted, and every request can be sent again (to the same worker or
+// another) without changing any result. The master raises the target in
+// the same installments the local successive-halving scheduler uses, so
+// early-stopped candidates never waste worker time.
 package dist
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+
 	"unico/internal/hw"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
@@ -54,10 +63,21 @@ type JobSpec struct {
 	Seed int64 `json:"seed"`
 }
 
+// Key is the job's identity on every hop: the SHA-256 of the spec's fields
+// in a fixed rendering (so a client's JSON whitespace or key order cannot
+// split one job in two; %v prints the shortest decimal that round-trips a
+// float64). Workers index their live searchers by it, routers hash it onto
+// the ring, and release names it.
+func (s JobSpec) Key() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%q %q %q %v %q %d", s.Platform, s.Scenario, s.Networks, s.X, s.Algo, s.Seed)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // HealthResponse is the /v1/healthz body. Status is "ok" or "draining"; a
-// draining worker still answers health probes and finishes in-flight jobs
-// but refuses new work, so routers take it out of the hash ring instead of
-// counting it dead.
+// draining worker still answers health probes and finishes the jobs it
+// holds but refuses new work, so routers stop hashing new work to it
+// instead of counting it dead.
 type HealthResponse struct {
 	Status string `json:"status"`
 	Jobs   int    `json:"jobs"`
@@ -69,11 +89,9 @@ const (
 	StatusDraining = "draining"
 )
 
-// JobCreateResponse returns the worker-side job handle.
-type JobCreateResponse struct {
-	ID    string `json:"id"`
-	Error string `json:"error,omitempty"`
-}
+// MaxBodyBytes bounds the request bodies workers and routers decode; far
+// above any legitimate PPA request or job spec.
+const MaxBodyBytes = 4 << 20
 
 // JobDeleteResponse acknowledges a job deletion.
 type JobDeleteResponse struct {
@@ -82,13 +100,24 @@ type JobDeleteResponse struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// AdvanceRequest spends more budget on an existing job.
+// AdvanceRequest brings the job Spec describes to a cumulative Budget and
+// asks for its state there. A worker holding the job at or below Budget
+// spends the difference; one that holds none (first contact, a restart, a
+// fail-over from a lost worker) or holds it already past Budget (an earlier
+// installment sent again, a second master behind the first) builds it from
+// the spec and spends all of Budget.
 type AdvanceRequest struct {
-	ID     string `json:"id"`
-	Budget int    `json:"budget"`
+	Spec JobSpec `json:"spec"`
+	// Budget is the cumulative target, not an installment.
+	Budget int `json:"budget"`
+	// Seen is the cumulative budget the caller has already watched this job
+	// reach. It changes no result; a worker that has to build the job counts
+	// Seen > 0 as a replay, since that much search is being done twice.
+	Seen int `json:"seen,omitempty"`
 }
 
-// JobState mirrors the mapsearch.Searcher accessors over the wire.
+// JobState mirrors the mapsearch.Searcher accessors over the wire. ID is
+// the job's JobSpec.Key, the name DELETE /v1/jobs/{id} releases it by.
 type JobState struct {
 	ID       string      `json:"id"`
 	Spent    int         `json:"spent"`

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,11 +17,11 @@ import (
 // Defaults for the master's worker-health policy (see the corresponding
 // RemoteSpatialPlatform fields).
 const (
-	// DefaultEvictAfter is how many consecutive job-creation failures evict
-	// a worker from the rotation.
+	// DefaultEvictAfter is how many consecutive failed advances evict a
+	// worker from the rotation.
 	DefaultEvictAfter = 3
-	// DefaultProbeEvery is how many NewJob calls pass between health probes
-	// of evicted workers.
+	// DefaultProbeEvery is how many new jobs pass between health probes of
+	// evicted workers.
 	DefaultProbeEvery = 8
 )
 
@@ -35,11 +37,13 @@ type workerHealth struct {
 // software-mapping job executes on a worker — the master/slave deployment
 // of paper Fig. 6b. Jobs are assigned to workers round-robin.
 //
-// Workers that repeatedly fail job creation are evicted from the rotation so
-// a dead node stops eating timeouts on every batch; evicted workers are
-// probed periodically (counted in NewJob calls, so behavior is deterministic
-// — no background goroutines) and re-admitted when their health endpoint
-// answers again.
+// A job is its spec and a cumulative budget, so any worker can take it over
+// at any advance: the pool's health policy runs where requests are made.
+// Workers that repeatedly fail advances are evicted from the rotation so a
+// dead node stops eating timeouts on every batch; evicted workers are probed
+// periodically (counted in new jobs, so behavior is deterministic — no
+// background goroutines) and re-admitted when their health endpoint answers
+// again.
 type RemoteSpatialPlatform struct {
 	space    *hw.SpatialSpace
 	scenario hw.Scenario
@@ -49,16 +53,16 @@ type RemoteSpatialPlatform struct {
 
 	mu      sync.Mutex
 	workers []*workerHealth
-	calls   int // NewJob calls; drives round-robin and probe cadence
+	calls   int // NewJob calls; each job's turn in the rotation
 
 	// PerEvalSeconds is the simulated cost of one PPA evaluation on a
 	// worker (default: the analytical engine's 0.08 s).
 	PerEvalSeconds float64
-	// EvictAfter is how many consecutive job-creation failures evict a
-	// worker (default DefaultEvictAfter).
+	// EvictAfter is how many consecutive failed advances evict a worker
+	// (default DefaultEvictAfter).
 	EvictAfter int
-	// ProbeEvery is how many NewJob calls pass between probes of evicted
-	// workers (default DefaultProbeEvery).
+	// ProbeEvery is how many new jobs pass between probes of evicted workers
+	// (default DefaultProbeEvery).
 	ProbeEvery int
 }
 
@@ -96,26 +100,64 @@ func NewRemoteSpatialPlatform(workers []*Client, sc hw.Scenario, networks []stri
 // Space returns the hardware design space.
 func (p *RemoteSpatialPlatform) Space() mobo.Space { return p.space }
 
-// NewJob creates the mapping search on the next non-evicted worker
-// (round-robin), failing over to the remaining ones when a worker refuses
-// the job. Failures count toward eviction; if every active worker fails, the
-// evicted ones are probed as a last resort. Only when no worker at all can
-// take the job does the candidate become a dead job, which the co-optimizer
-// scores as infeasible — one lost candidate, not a lost run.
+// NewJob names the mapping search and takes its turn in the round-robin; it
+// does no I/O. The job reaches a worker at its first advance.
 func (p *RemoteSpatialPlatform) NewJob(x []float64, seed int64) mapsearch.Searcher {
-	spec := JobSpec{
+	p.mu.Lock()
+	p.calls++
+	turn := p.calls
+	p.mu.Unlock()
+	return &remoteJob{pool: p, turn: turn, spec: JobSpec{
 		Platform: "spatial",
 		Scenario: p.scenario.String(),
 		Networks: p.networks,
 		X:        x,
 		Algo:     p.algo,
 		Seed:     seed,
-	}
+	}}
+}
 
+// errNoWorker is advance's error when every worker is evicted and none
+// answers its probe.
+var errNoWorker = errors.New("dist: no worker in rotation")
+
+// advance sends req to j's holder, then to each other worker in the
+// rotation, until one answers; the one that does holds the job from then on
+// (building it from the spec if it has to, so the state is the same
+// whoever answers). Failures count toward eviction; if every worker in the
+// rotation fails, the evicted ones are probed and the rotation tried once
+// more as a last resort. Only when no worker at all answers does the error
+// come back, which latches the job: one lost candidate, not a lost run.
+func (p *RemoteSpatialPlatform) advance(ctx context.Context, j *remoteJob, req AdvanceRequest) (JobState, error) {
+	err := errNoWorker
+	for _, lastResort := range []bool{false, true} {
+		for _, w := range p.rotation(j, lastResort) {
+			var state JobState
+			state, err = w.client.AdvanceJobContext(ctx, req)
+			if err == nil {
+				p.noteSuccess(w)
+				j.holder = w
+				return state, nil
+			}
+			if !isRetryable(err) {
+				// The worker answered (a spec it rejects) or ctx ended: no
+				// other worker would do differently.
+				return JobState{}, err
+			}
+			p.noteFailure(w)
+		}
+	}
+	return JobState{}, err
+}
+
+// rotation lists the workers to try for j: its holder, then the others
+// round-robin from the job's turn, evicted ones left out. Evicted workers
+// are health-probed first when a new job's turn falls on the ProbeEvery
+// cadence, or as the last resort.
+func (p *RemoteSpatialPlatform) rotation(j *remoteJob, lastResort bool) []*workerHealth {
 	p.mu.Lock()
-	p.calls++
-	start := p.calls
-	if p.ProbeEvery > 0 && p.calls%p.ProbeEvery == 0 {
+	defer p.mu.Unlock()
+	if lastResort || (j.holder == nil && p.ProbeEvery > 0 && j.turn%p.ProbeEvery == 0) {
 		p.probeEvictedLocked()
 	}
 	var active []*workerHealth
@@ -124,39 +166,16 @@ func (p *RemoteSpatialPlatform) NewJob(x []float64, seed int64) mapsearch.Search
 			active = append(active, w)
 		}
 	}
-	p.mu.Unlock()
-
-	for attempt := 0; attempt < len(active); attempt++ {
-		w := active[(start+attempt)%len(active)]
-		job, err := NewRemoteJob(w.client, spec)
-		if err == nil {
-			p.noteSuccess(w)
-			return job
-		}
-		p.noteFailure(w)
+	out := make([]*workerHealth, 0, len(active))
+	if h := j.holder; h != nil && !h.evicted {
+		out = append(out, h)
 	}
-
-	// Every active worker failed (or all are evicted): probe the evicted
-	// pool immediately rather than returning a dead job while a recovered
-	// worker sits idle.
-	p.mu.Lock()
-	p.probeEvictedLocked()
-	var revived []*workerHealth
-	for _, w := range p.workers {
-		if !w.evicted {
-			revived = append(revived, w)
+	for i := range active {
+		if w := active[(j.turn+i)%len(active)]; w != j.holder {
+			out = append(out, w)
 		}
 	}
-	p.mu.Unlock()
-	for _, w := range revived {
-		if job, err := NewRemoteJob(w.client, spec); err == nil {
-			p.noteSuccess(w)
-			return job
-		}
-		p.noteFailure(w)
-	}
-	telemetry.DistLostEvals().Inc()
-	return deadJob{}
+	return out
 }
 
 // noteSuccess clears a worker's failure streak.
@@ -166,8 +185,8 @@ func (p *RemoteSpatialPlatform) noteSuccess(w *workerHealth) {
 	p.mu.Unlock()
 }
 
-// noteFailure records a job-creation failure, evicting the worker once the
-// streak reaches EvictAfter.
+// noteFailure records a failed advance, evicting the worker once the streak
+// reaches EvictAfter.
 func (p *RemoteSpatialPlatform) noteFailure(w *workerHealth) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -239,11 +258,78 @@ func (p *RemoteSpatialPlatform) PowerCapMW() float64 { return p.scenario.PowerCa
 // AreaCapMM2 is unconstrained on the open-source platform.
 func (p *RemoteSpatialPlatform) AreaCapMM2() float64 { return 0 }
 
-// deadJob is the null searcher returned when a worker is unreachable.
-type deadJob struct{}
+// remoteJob adapts a job on the worker pool to the mapsearch.Searcher
+// interface, so the master's successive-halving scheduler drives remote
+// jobs exactly like local ones.
+type remoteJob struct {
+	pool   *RemoteSpatialPlatform
+	spec   JobSpec
+	turn   int           // the NewJob call that made it: its slot in the rotation
+	holder *workerHealth // the worker that answered the last advance; nil before the first
+	state  JobState
+	err    error
+	closed bool
+}
 
-func (deadJob) Advance(int)               {}
-func (deadJob) History() ppa.History      { return nil }
-func (deadJob) RawHistory() ppa.History   { return nil }
-func (deadJob) Spent() int                { return 0 }
-func (deadJob) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
+// Advance spends budget on the remote job. Transport errors latch: the job
+// reports no feasible result afterwards, which the co-optimizer treats as an
+// infeasible candidate rather than crashing the whole search.
+func (j *remoteJob) Advance(budget int) {
+	//unicolint:allow ctxflow compatibility wrapper for the mapsearch.Searcher interface; the scheduler drives AdvanceContext
+	j.AdvanceContext(context.Background(), budget)
+}
+
+// AdvanceContext implements mapsearch.ContextAdvancer: cancelling ctx aborts
+// the in-flight worker round trip. A cancellation does not latch — the job
+// stays usable, so a resumed run can keep driving it.
+func (j *remoteJob) AdvanceContext(ctx context.Context, budget int) {
+	if j.err != nil || ctx.Err() != nil {
+		return
+	}
+	state, err := j.pool.advance(ctx, j, AdvanceRequest{
+		Spec: j.spec, Budget: j.state.Spent + budget, Seen: j.state.Spent,
+	})
+	if err != nil {
+		if ctx.Err() == nil {
+			// The candidate's remaining budget is unrecoverable: the
+			// co-optimizer will score it infeasible. Counted so the chaos
+			// gates can assert a fleet run lost nothing.
+			telemetry.DistLostEvals().Inc()
+			j.err = err
+		}
+		return
+	}
+	j.state = state
+}
+
+// History returns the last-seen remote history.
+func (j *remoteJob) History() ppa.History { return j.state.History }
+
+// RawHistory returns the last-seen remote raw sample trajectory.
+func (j *remoteJob) RawHistory() ppa.History { return j.state.Raw }
+
+// Spent returns the last-seen remote budget spent.
+func (j *remoteJob) Spent() int { return j.state.Spent }
+
+// Best returns the last-seen remote best metrics.
+func (j *remoteJob) Best() (ppa.Metrics, bool) {
+	if j.err != nil || !j.state.Feasible {
+		return ppa.Metrics{}, false
+	}
+	return j.state.Best, true
+}
+
+// Err returns the latched transport error, if any.
+func (j *remoteJob) Err() error { return j.err }
+
+// Close releases the job's state on the worker holding it (a job no worker
+// ever answered for has none). The co-optimizer calls it once a candidate's
+// search is complete, so worker memory stays bounded by the in-flight
+// batch. Idempotent; the last-seen state remains readable.
+func (j *remoteJob) Close() error {
+	if j.closed || j.holder == nil {
+		return nil
+	}
+	j.closed = true
+	return j.holder.client.DeleteJob(j.state.ID)
+}

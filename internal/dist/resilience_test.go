@@ -1,16 +1,21 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unico/internal/core"
 	"unico/internal/hw"
 	"unico/internal/mapping"
+	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -93,33 +98,105 @@ func TestClientTimeoutBoundsHangingWorker(t *testing.T) {
 	}
 }
 
-func TestNonIdempotentRoutesNotRetried(t *testing.T) {
-	inj, c := newFaultyWorker(t, Options{MaxRetries: 3, RetryBackoff: time.Millisecond})
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	spec := JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	}
-
-	inj.FailNext(1)
-	if _, err := c.CreateJob(spec); err == nil {
-		t.Fatal("CreateJob succeeded through an injected 500")
-	}
-	if inj.Injected() != 1 {
-		t.Fatalf("CreateJob consumed %d faults, want 1 (no retries)", inj.Injected())
-	}
-
-	id, err := c.CreateJob(spec)
+// TestAdvanceRidesRetries: an advance names its spec and cumulative budget,
+// so a transient failure on the route is retried like any other — the
+// answer is the fault-free one and the candidate is not lost. (Before the
+// advance was idempotent one 500 latched the job dead.)
+func TestAdvanceRidesRetries(t *testing.T) {
+	req := AdvanceRequest{Spec: testSpec(1), Budget: 3}
+	_, ref := newWorker(t)
+	want, err := ref.AdvanceJobContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.FailNext(1)
-	if _, err := c.AdvanceJobContext(context.Background(), id, 2); err == nil {
-		t.Fatal("AdvanceJob succeeded through an injected 500")
+	faults := map[string]func(*FaultInjector){
+		"500":     func(inj *FaultInjector) { inj.FailNext(1) },
+		"reset":   func(inj *FaultInjector) { inj.ResetNext(1) },
+		"corrupt": func(inj *FaultInjector) { inj.CorruptNext(1) },
 	}
-	if inj.Injected() != 2 {
-		t.Errorf("AdvanceJob consumed %d total faults, want 2 (no retries)", inj.Injected())
+	for name, inject := range faults {
+		inj, c := newFaultyWorker(t, Options{MaxRetries: 1, RetryBackoff: time.Millisecond})
+		inject(inj)
+		got, err := c.AdvanceJobContext(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: advance through one injected fault: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: state after a retried advance differs from the fault-free one:\n got %+v\nwant %+v", name, got, want)
+		}
+		if inj.Injected() != 1 {
+			t.Errorf("%s: injected %d faults, want 1", name, inj.Injected())
+		}
+
+		// Through the platform the same fault costs no evaluation.
+		inj, c = newFaultyWorker(t, Options{MaxRetries: 1, RetryBackoff: time.Millisecond})
+		job := newPoolJob(t, c)
+		lost := telemetry.DistLostEvals().Value()
+		inject(inj)
+		job.Advance(3)
+		if job.Err() != nil || job.Spent() != 3 {
+			t.Errorf("%s: job after a retried advance: spent %d, err %v", name, job.Spent(), job.Err())
+		}
+		if d := telemetry.DistLostEvals().Value() - lost; d != 0 {
+			t.Errorf("%s: %d evaluations counted lost", name, d)
+		}
+	}
+}
+
+// dropResponses lets the wrapped worker process each of the next n requests
+// in full and then answers with a truncated body: the work happened, the
+// client never learned it.
+type dropResponses struct {
+	next http.Handler
+	n    atomic.Int64
+}
+
+func (d *dropResponses) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if d.n.Add(-1) < 0 {
+		d.next.ServeHTTP(w, r)
+		return
+	}
+	d.next.ServeHTTP(httptest.NewRecorder(), r)
+	_, _ = w.Write([]byte(`{"id":"`))
+}
+
+// TestAdvanceResentSpendsNothingTwice: when the answer to an advance is
+// lost after the worker did the work, sending the advance again finds the
+// job already at its target — Spent equals the target, the state is the
+// fault-free one, and the engine is not called a second time. The same
+// holds when the lost answer is FaultInjector.CorruptNext's, which drops
+// the request before the worker sees it.
+func TestAdvanceResentSpendsNothingTwice(t *testing.T) {
+	req := AdvanceRequest{Spec: testSpec(1), Budget: 4}
+	refSrv, refCalls := newCountingWorker(t)
+	ref := httptest.NewServer(refSrv.Handler())
+	t.Cleanup(ref.Close)
+	want, err := NewClient(ref.URL, ref.Client()).AdvanceJobContext(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	worker, calls := newCountingWorker(t)
+	drop := &dropResponses{next: worker.Handler()}
+	inj := NewFaultInjector(drop)
+	srv := httptest.NewServer(inj)
+	t.Cleanup(srv.Close)
+	c := NewClientOptions(srv.URL, srv.Client(), Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
+
+	inj.CorruptNext(1) // attempt 1: never reaches the worker
+	drop.n.Store(1)    // attempt 2: the worker advances, the answer is lost
+	got, err := c.AdvanceJobContext(context.Background(), req)
+	if err != nil {
+		t.Fatalf("advance through two lost answers: %v", err)
+	}
+	if got.Spent != req.Budget || !reflect.DeepEqual(got, want) {
+		t.Errorf("state after the advance was sent three times:\n got %+v\nwant %+v", got, want)
+	}
+	if calls.Load() != refCalls.Load() {
+		t.Errorf("engine called %d times, want the fault-free %d: a resent advance spent budget twice", calls.Load(), refCalls.Load())
+	}
+	if n := worker.JobCount(); n != 1 {
+		t.Errorf("worker holds %d jobs after resends, want 1", n)
 	}
 }
 
@@ -140,8 +217,8 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
 
 	inj.FailNext(1)
-	job := p.NewJob(x, 1) // flaky fails -> evicted; good takes the job
-	job.Advance(1)
+	job := p.NewJob(x, 1)
+	job.Advance(1) // flaky fails -> evicted; good takes the job
 	if job.Spent() != 1 {
 		t.Fatalf("failover job spent %d, want 1", job.Spent())
 	}
@@ -149,8 +226,9 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 		t.Fatalf("evicted workers after failure = %d, want 1", n)
 	}
 
-	// The next NewJob hits the probe cadence (calls=2); the injector is out
-	// of faults, so the health probe answers and the worker is re-admitted.
+	// The next job's turn hits the probe cadence (calls=2) at its first
+	// advance; the injector is out of faults, so the health probe answers and
+	// the worker is re-admitted.
 	job = p.NewJob(x, 2)
 	job.Advance(1)
 	if job.Spent() != 1 {
@@ -214,5 +292,69 @@ func TestDeadWorkerDoesNotStallCoSearch(t *testing.T) {
 	}
 	if n := p.EvictedWorkers(); n != 1 {
 		t.Errorf("evicted workers = %d, want 1 (the dead node)", n)
+	}
+}
+
+// TestPoolWorkerKilledMidJobBitIdentical is the direct-pool twin of the
+// fleet's shard-kill check: two workers behind a RemoteSpatialPlatform, one
+// killed for good at the moment a job it holds comes back for more budget.
+// The job's advance fails over to the survivor, which builds it from the
+// spec and replays the budget the dead worker had spent — so the co-search
+// ends bit-identical to a single-worker run, with nothing lost.
+func TestPoolWorkerKilledMidJobBitIdentical(t *testing.T) {
+	opt := core.UNICOOptions(4, 3, 10, 3)
+	opt.Workers = 2
+	nets := []string{"MobileNetV3-S"}
+
+	_, solo := newWorker(t)
+	ref, err := NewRemoteSpatialPlatform([]*Client{solo}, hw.Edge, nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Run(ref, opt)
+
+	_, survivor := newWorker(t)
+	inj := NewFaultInjector(NewServer().Handler())
+	var killed atomic.Bool
+	victimSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Die on the first advance of a job already under way: the request
+		// that triggers the kill is itself lost.
+		if body, err := io.ReadAll(r.Body); err == nil {
+			var req AdvanceRequest
+			if json.Unmarshal(body, &req) == nil && req.Seen > 0 && killed.CompareAndSwap(false, true) {
+				inj.SetDown(true)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inj.ServeHTTP(w, r)
+	}))
+	t.Cleanup(victimSrv.Close)
+	victim := NewClient(victimSrv.URL, victimSrv.Client())
+
+	p, err := NewRemoteSpatialPlatform([]*Client{survivor, victim}, hw.Edge, nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := telemetry.DistLostEvals().Value()
+	replays := telemetry.FleetReplays().Value()
+	got := core.Run(p, opt)
+
+	if !killed.Load() {
+		t.Fatal("the victim never saw a job come back for more budget; the kill exercised nothing")
+	}
+	if d := telemetry.DistLostEvals().Value() - lost; d != 0 {
+		t.Errorf("lost %d evaluations to the killed worker", d)
+	}
+	if d := telemetry.FleetReplays().Value() - replays; d == 0 {
+		t.Error("no replay counted although a job under way changed workers")
+	}
+	if !reflect.DeepEqual(got.Front, want.Front) {
+		t.Errorf("Pareto front with a worker killed mid-job differs from the single-worker run:\n got %+v\nwant %+v", got.Front, want.Front)
+	}
+	if !reflect.DeepEqual(got.All, want.All) {
+		t.Error("full evaluation history with a worker killed mid-job differs from the single-worker run")
+	}
+	if n := p.EvictedWorkers(); n != 1 {
+		t.Errorf("evicted workers = %d, want 1 (the killed one)", n)
 	}
 }

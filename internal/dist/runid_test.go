@@ -48,19 +48,16 @@ func TestClientPropagatesRunID(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 6, PEY: 6, L1Bytes: 1728, L2KB: 432, NoCBW: 128})
-	jobID, err := c.CreateJob(JobSpec{Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1})
+	st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: testSpec(1), Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = c.DeleteJob(jobID)
+	_ = c.DeleteJob(st.ID)
 
 	mu.Lock()
 	defer mu.Unlock()
 	if len(seen) < 3 {
-		t.Fatalf("captured %d requests, want >= 3 (ppa, job create, job delete)", len(seen))
+		t.Fatalf("captured %d requests, want >= 3 (ppa, job advance, job delete)", len(seen))
 	}
 	for i, h := range seen {
 		if h != id {

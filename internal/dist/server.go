@@ -28,16 +28,17 @@ type Server struct {
 	spatial mapsearch.SpatialEngine
 	ascend  mapsearch.AscendEngine
 
-	// draining: the shard finishes in-flight jobs (advance/delete still
-	// answer) but refuses new evaluations and job creations with
+	// draining: the shard finishes the jobs it holds (advance/delete still
+	// answer) but refuses new evaluations and jobs it does not hold with
 	// 503 + Retry-After, and reports "draining" on its health endpoint.
 	draining atomic.Bool
 
-	mu     sync.Mutex
-	nextID int
-	jobs   map[string]*serverJob
+	mu   sync.Mutex
+	jobs map[string]*serverJob // by JobSpec.Key
 }
 
+// serverJob is one held job. mu serializes the advances on it; searcher is
+// nil from the moment the job is indexed until its first advance builds it.
 type serverJob struct {
 	mu       sync.Mutex
 	searcher mapsearch.Searcher
@@ -60,8 +61,7 @@ func NewServerWith(spatial mapsearch.SpatialEngine, ascend mapsearch.AscendEngin
 // in telemetry.DefaultRegistry):
 //
 //	POST   /v1/ppa          evaluate one (hw, mapping, layer) triple
-//	POST   /v1/jobs         create a mapping-search job
-//	POST   /v1/jobs/advance spend budget on a job
+//	POST   /v1/jobs/advance bring the job a spec describes to a cumulative budget
 //	DELETE /v1/jobs/{id}    release a finished job's server-side state
 //	GET    /v1/healthz      liveness probe (status "ok" or "draining")
 //	POST   /v1/drain        start draining: finish in-flight jobs, refuse new work
@@ -70,7 +70,6 @@ func NewServerWith(spatial mapsearch.SpatialEngine, ascend mapsearch.AscendEngin
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ppa", s.handlePPA)
-	mux.HandleFunc("POST /v1/jobs", s.handleCreateJob)
 	mux.HandleFunc("POST /v1/jobs/advance", s.handleAdvance)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
 	mux.Handle("GET /v1/spans", disttrace.SpansHandler())
@@ -102,7 +101,7 @@ func routeLabel(r *http.Request) string {
 		return "/v1/jobs/{id}"
 	}
 	switch r.URL.Path {
-	case "/v1/ppa", "/v1/jobs", "/v1/jobs/advance", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans":
+	case "/v1/ppa", "/v1/jobs/advance", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans":
 		return r.URL.Path
 	}
 	return "other"
@@ -131,7 +130,7 @@ const drainRetryAfterSeconds = 1
 
 // refuseDraining answers a request refused because the worker is draining:
 // 503 with Retry-After, the shed contract clients and routers understand
-// (the dist client retries it on every route after the advertised delay).
+// (the dist client retries it after the advertised delay).
 func refuseDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(drainRetryAfterSeconds))
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "worker draining"})
@@ -144,7 +143,7 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/ppa")
 	var req PPARequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		sp.End("error", nil)
 		writeJSON(w, http.StatusBadRequest, PPAResponse{Error: "bad request: " + err.Error()})
 		return
@@ -204,38 +203,10 @@ func ppaResponse(met ppa.Metrics, err error, infeasible error) PPAResponse {
 	return PPAResponse{Metrics: met}
 }
 
-func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		refuseDraining(w)
-		return
-	}
-	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/jobs")
-	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, JobCreateResponse{Error: "bad request: " + err.Error()})
-		return
-	}
-	searcher, err := s.buildSearcher(spec)
-	if err != nil {
-		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, JobCreateResponse{Error: err.Error()})
-		return
-	}
-	defer sp.End("ok", nil)
-	s.mu.Lock()
-	s.nextID++
-	id := "job-" + strconv.Itoa(s.nextID)
-	s.jobs[id] = &serverJob{searcher: searcher}
-	telemetry.DistJobs().Set(float64(len(s.jobs)))
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, JobCreateResponse{ID: id})
-}
-
 // handleDeleteJob frees a job's server-side state. Masters call it when the
 // co-optimizer is done with a candidate, so worker memory stays bounded by
-// the in-flight batch instead of growing with the whole search (the jobs
-// map never shrank before this route existed).
+// the in-flight batch instead of growing with the whole search. An advance
+// in flight on the job finishes on the searcher it already has.
 func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/jobs/{id}")
 	id := r.PathValue("id")
@@ -325,38 +296,92 @@ func parseAlgo(a string) (mapsearch.Algo, error) {
 	}
 }
 
+// hold returns the job indexed under key, indexing an empty one when the
+// worker has none — unless it is draining: a draining worker finishes what
+// it holds and takes nothing new (nil).
+func (s *Server) hold(key string) *serverJob {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job := s.jobs[key]
+	if job == nil && !s.Draining() {
+		job = &serverJob{}
+		s.jobs[key] = job
+		telemetry.DistJobs().Set(float64(len(s.jobs)))
+	}
+	return job
+}
+
+// drop removes job from the index if it is still what key names there.
+func (s *Server) drop(key string, job *serverJob) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jobs[key] == job {
+		delete(s.jobs, key)
+		telemetry.DistJobs().Set(float64(len(s.jobs)))
+	}
+}
+
+// handleAdvance is the whole job protocol: bring the job the spec describes
+// to the cumulative budget and report its state there. The worker builds
+// the searcher when it holds none or holds one already past the target, and
+// otherwise spends the difference — so sending a request again, here or to
+// another worker, spends nothing twice and answers the same.
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/jobs/advance")
-	var req AdvanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	reject := func(msg string) {
 		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, JobState{Error: "bad request: " + err.Error()})
-		return
+		writeJSON(w, http.StatusBadRequest, JobState{Error: msg})
 	}
-	s.mu.Lock()
-	job := s.jobs[req.ID]
-	s.mu.Unlock()
-	if job == nil {
-		sp.End("error", nil)
-		writeJSON(w, http.StatusNotFound, JobState{ID: req.ID, Error: "unknown job"})
+	var req AdvanceRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		reject("bad request: " + err.Error())
 		return
 	}
 	if req.Budget < 0 {
-		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, JobState{ID: req.ID, Error: "negative budget"})
+		reject("negative budget")
+		return
+	}
+	key := req.Spec.Key()
+	job := s.hold(key)
+	if job == nil {
+		sp.End("shed", nil)
+		refuseDraining(w)
 		return
 	}
 	job.mu.Lock()
 	defer job.mu.Unlock()
+	parent := sp.Context()
+	var replay *disttrace.Span
+	if job.searcher == nil || job.searcher.Spent() > req.Budget {
+		searcher, err := s.buildSearcher(req.Spec)
+		if err != nil {
+			s.drop(key, job) // a spec that cannot build leaves nothing behind
+			reject(err.Error())
+			return
+		}
+		job.searcher = searcher
+		if req.Seen > 0 {
+			// The caller already watched this job reach Seen somewhere that
+			// no longer answers for it: that much search runs a second time.
+			// The span nests the engine work so a waterfall shows the cost.
+			telemetry.FleetReplays().Inc()
+			replay = disttrace.StartSpan("", parent, "replay", "/v1/jobs/advance")
+			if sc := replay.Context(); sc.Valid() {
+				parent = sc
+			}
+		}
+	}
 	// The engine span covers budget spend AND state assembly, and is
-	// recorded even for budget-0 polls: unicotrace's chain-completeness
-	// rule (every ok eval has an engine descendant) stays uniform.
-	eng := disttrace.StartSpan("", sp.Context(), "engine", "advance")
-	if req.Budget > 0 {
-		job.searcher.Advance(req.Budget)
+	// recorded even when there is nothing to spend: unicotrace's
+	// chain-completeness rule (every ok eval has an engine descendant)
+	// stays uniform.
+	eng := disttrace.StartSpan("", parent, "engine", "advance")
+	spend := req.Budget - job.searcher.Spent()
+	if spend > 0 {
+		job.searcher.Advance(spend)
 	}
 	state := JobState{
-		ID:      req.ID,
+		ID:      key,
 		Spent:   job.searcher.Spent(),
 		History: job.searcher.History(),
 		Raw:     job.searcher.RawHistory(),
@@ -365,9 +390,16 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		state.Best = met
 		state.Feasible = true
 	}
-	eng.End("ok", map[string]string{"budget": strconv.Itoa(req.Budget)})
+	eng.End("ok", map[string]string{"budget": strconv.Itoa(spend)})
+	replay.End("ok", map[string]string{"seen": strconv.Itoa(req.Seen)})
 	sp.End("ok", nil)
 	writeJSON(w, http.StatusOK, state)
+}
+
+// decodeBody decodes a JSON request body of at most MaxBodyBytes into v; a
+// longer one is a decode error, not an allocation.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +13,6 @@ import (
 	"time"
 
 	"unico/internal/evalcache"
-	"unico/internal/hw"
 )
 
 func TestParseRetryAfter(t *testing.T) {
@@ -173,32 +174,6 @@ func TestClientHonorsRetryAfterCapped(t *testing.T) {
 	}
 }
 
-// TestShedRetriesOnNonIdempotentRoutes: 429/503 sheds are pre-processing
-// rejections, so even CreateJob and AdvanceJob — never retried after
-// ambiguous failures — retry them.
-func TestShedRetriesOnNonIdempotentRoutes(t *testing.T) {
-	c := newSheddingWorker(t, http.StatusServiceUnavailable, "0", Options{
-		MaxRetries: 1, RetryBackoff: time.Millisecond,
-	})
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	spec := JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	}
-	id, err := c.CreateJob(spec) // first attempt shed with 503
-	if err != nil {
-		t.Fatalf("CreateJob through one shed: %v", err)
-	}
-	state, err := c.AdvanceJobContext(context.Background(), id, 2) // first advance shed with 503
-	if err != nil {
-		t.Fatalf("AdvanceJob through one shed: %v", err)
-	}
-	if state.Spent != 2 {
-		t.Errorf("spent %d, want 2", state.Spent)
-	}
-}
-
 // TestCorruptResponseRetriedNotCached is the satellite-2 regression: a 200
 // with a truncated body must be retried like a transport failure and must
 // never poison the client-side cache.
@@ -263,14 +238,9 @@ func TestProbabilisticFaultsReproducible(t *testing.T) {
 func TestWorkerDrain(t *testing.T) {
 	srv, c := newWorker(t)
 
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	spec := JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	}
-	id, err := c.CreateJob(spec)
-	if err != nil {
+	// A job the worker holds before the drain.
+	held := AdvanceRequest{Spec: testSpec(1), Budget: 1}
+	if _, err := c.AdvanceJobContext(context.Background(), held); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,37 +250,45 @@ func TestWorkerDrain(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if h, err := c.Health(); err != nil || h.Status != StatusDraining {
-		t.Fatalf("health after drain = %+v, %v; want draining", h, err)
+	if h, err := c.Health(); err != nil || h.Status != StatusDraining || h.Jobs != 1 {
+		t.Fatalf("health after drain = %+v, %v; want draining with 1 job", h, err)
 	}
 	if c.Healthy() {
 		t.Error("Healthy() true for a draining worker; routers would keep sending it new work")
 	}
 
-	// New work is refused with a shed the client can wait out.
-	raw, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"platform":"spatial"}`))
+	// New work — a job it does not hold, an evaluation — is refused with a
+	// shed the client can wait out, and leaves nothing behind.
+	body, err := json.Marshal(AdvanceRequest{Spec: testSpec(2), Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := srv.Client().Post(srv.URL+"/v1/jobs/advance", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Body.Close()
 	if raw.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("CreateJob on draining worker = %d, want 503", raw.StatusCode)
+		t.Fatalf("advance of an unheld job on a draining worker = %d, want 503", raw.StatusCode)
 	}
 	if raw.Header.Get("Retry-After") == "" {
 		t.Error("draining refusal carries no Retry-After header")
+	}
+	if h, _ := c.Health(); h.Jobs != 1 {
+		t.Errorf("draining worker holds %d jobs after refusing one, want 1", h.Jobs)
 	}
 	if _, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest()); err == nil {
 		t.Fatal("EvaluatePPA succeeded on a draining worker with no retry budget")
 	}
 
-	// The job created before the drain still advances to completion.
-	state, err := c.AdvanceJobContext(context.Background(), id, 2)
+	// The job held before the drain still advances to completion.
+	held.Budget, held.Seen = 3, 1
+	state, err := c.AdvanceJobContext(context.Background(), held)
 	if err != nil {
 		t.Fatalf("AdvanceJob on draining worker: %v", err)
 	}
-	if state.Spent != 2 {
-		t.Errorf("spent %d, want 2", state.Spent)
+	if state.Spent != 3 {
+		t.Errorf("spent %d, want 3", state.Spent)
 	}
 
 	resp, err = srv.Client().Post(srv.URL+"/v1/undrain", "application/json", strings.NewReader("{}"))

@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync/atomic"
@@ -159,5 +163,73 @@ func TestChaosFlappingShardProbabilistic(t *testing.T) {
 	}
 	if shards[2].inj.Injected() == 0 {
 		t.Log("note: no faults fired this run; chaos exercised nothing (seeded draws)")
+	}
+}
+
+// TestChaosRouterReplacedMidRun: the router holds nothing a job needs, so a
+// co-search whose router is replaced mid-run — by a fresh Router over the
+// same shards, the moment the first job comes back for more budget — must
+// finish bit-identical to the fault-free run, with nothing lost and nothing
+// rebuilt. (A router that kept a job table answered "unknown job fj-N" to
+// every job under way.)
+func TestChaosRouterReplacedMidRun(t *testing.T) {
+	opt := core.UNICOOptions(4, 2, 10, 3)
+	opt.Workers = 2
+	nets := []string{"MobileNetV3-S"}
+
+	refSrv := httptest.NewServer(dist.NewServer().Handler())
+	t.Cleanup(refSrv.Close)
+	ref, err := dist.NewRemoteSpatialPlatform([]*dist.Client{dist.NewClient(refSrv.URL, refSrv.Client())}, hw.Edge, nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Run(ref, opt)
+
+	router, _, shards := newTestFleet(t, 3, Options{}, nil)
+	urls := make([]string, len(shards))
+	for i, sh := range shards {
+		urls[i] = sh.url
+	}
+	front := newSwappable(router.Handler())
+	var replaced atomic.Bool
+	fsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if body, err := io.ReadAll(r.Body); err == nil {
+			var req dist.AdvanceRequest
+			if json.Unmarshal(body, &req) == nil && req.Seen > 0 && replaced.CompareAndSwap(false, true) {
+				fresh, err := NewRouter(urls, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				front.v.Store(fresh.Handler())
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		front.ServeHTTP(w, r)
+	}))
+	t.Cleanup(fsrv.Close)
+
+	p, err := dist.NewRemoteSpatialPlatform([]*dist.Client{dist.NewClient(fsrv.URL, nil)}, hw.Edge, nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := telemetry.DistLostEvals().Value()
+	replays := telemetry.FleetReplays().Value()
+	got := core.Run(p, opt)
+
+	if !replaced.Load() {
+		t.Fatal("no job came back for more budget; the router was never replaced")
+	}
+	if d := telemetry.DistLostEvals().Value() - lost; d != 0 {
+		t.Errorf("lost %d evaluations to the router replacement", d)
+	}
+	if d := telemetry.FleetReplays().Value() - replays; d != 0 {
+		t.Errorf("%d jobs rebuilt although every shard kept its state", d)
+	}
+	if !reflect.DeepEqual(got.Front, want.Front) {
+		t.Errorf("Pareto front across a router replacement differs from fault-free run:\n got %+v\nwant %+v", got.Front, want.Front)
+	}
+	if !reflect.DeepEqual(got.All, want.All) {
+		t.Error("full evaluation history across a router replacement differs from fault-free run")
 	}
 }

@@ -19,11 +19,13 @@
 //   - Health-checks membership: shards that fail probes or forwards leave
 //     the hash ring (down), re-join when probes answer again, and can be
 //     drained — in-flight jobs finish, new work re-hashes elsewhere.
-//   - Replays lost jobs deterministically: a mapping-search job is a pure
-//     function of (spec, cumulative budget), so when a shard dies or
-//     restarts mid-search the router re-creates the job on the next shard
-//     along the ring and replays its spent budget. The master observes
-//     bounded extra latency, never a lost or double-counted evaluation.
+//   - Holds no job state: a mapping-search job is a pure function of
+//     (spec, cumulative budget) and every advance names both, so the router
+//     hashes the spec and forwards along the ring. When a shard dies or
+//     restarts mid-search the next shard along the ring answers the same
+//     request by building the job up to the budget asked for — and so does
+//     a replaced router. The master observes bounded extra latency, never a
+//     lost or double-counted evaluation.
 //
 // Everything is stdlib-only and instrumented through internal/telemetry
 // (unico_fleet_* series; see that package's well-known metrics).
@@ -116,8 +118,8 @@ func (o Options) withDefaults() Options {
 //	draining ──(undrain / shard reports "ok")──▶ active
 //	draining ──(probes fail)───────────────────▶ down
 //
-// Only active members are on the hash ring. Draining members still serve
-// the jobs they hold (advance/delete); down members serve nothing.
+// Only active members take new work. Draining members still serve the jobs
+// they hold (advance/delete); down members serve nothing.
 type shardState int
 
 const (
@@ -146,6 +148,7 @@ type member struct {
 	// Guarded by Router.mu (state participates in ring membership).
 	state       shardState
 	consecFails int
+	jobs        int          // jobs the shard reported holding at its last answered probe
 	timeline    []ProbeEvent // ring buffer of recent probe outcomes
 }
 
@@ -167,10 +170,14 @@ type ShardTimeline struct {
 	Events []ProbeEvent `json:"events"`
 }
 
-// recordProbe appends one probe outcome to m's timeline.
-func (r *Router) recordProbe(m *member, ok bool) {
+// recordProbe appends one probe outcome to m's timeline and, when the shard
+// answered, keeps the job count it reported.
+func (r *Router) recordProbe(m *member, ok bool, jobs int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if ok {
+		m.jobs = jobs
+	}
 	m.timeline = append(m.timeline, ProbeEvent{
 		//unicolint:allow detclock health timelines are wall-clock observability, not search state
 		UnixMS: time.Now().UnixMilli(),
@@ -206,8 +213,6 @@ type Router struct {
 	mu      sync.Mutex
 	members []*member // fixed set, configuration order
 	ring    []ringEntry
-	jobs    map[string]*jobRecord
-	nextJob int
 }
 
 // NewRouter builds a router over the given shard base URLs.
@@ -220,7 +225,6 @@ func NewRouter(shards []string, opts Options) (*Router, error) {
 		opts:    opts,
 		forward: &http.Client{Timeout: opts.ForwardTimeout},
 		probe:   &http.Client{Timeout: opts.ProbeTimeout},
-		jobs:    map[string]*jobRecord{},
 	}
 	seen := map[string]bool{}
 	for _, s := range shards {
@@ -246,17 +250,13 @@ type MemberStatus struct {
 	State       string `json:"state"`
 	ConsecFails int    `json:"consec_fails"`
 	QueueDepth  int    `json:"queue_depth"`
-	Jobs        int    `json:"jobs"` // router-tracked jobs currently owned
+	Jobs        int    `json:"jobs"` // jobs the shard reported at its last answered health probe
 }
 
 // Members snapshots every shard's status in configuration order.
 func (r *Router) Members() []MemberStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	owned := map[*member]int{}
-	for _, rec := range r.jobs {
-		owned[rec.shard]++
-	}
 	out := make([]MemberStatus, len(r.members))
 	for i, m := range r.members {
 		out[i] = MemberStatus{
@@ -264,7 +264,7 @@ func (r *Router) Members() []MemberStatus {
 			State:       m.state.String(),
 			ConsecFails: m.consecFails,
 			QueueDepth:  m.adm.depth(),
-			Jobs:        owned[m],
+			Jobs:        m.jobs,
 		}
 	}
 	return out
@@ -282,19 +282,22 @@ func (r *Router) memberByID(id string) *member {
 	return nil
 }
 
-// setState transitions a member, rebuilding the ring (and counting a
-// rebalance) when the transition changes ring membership.
+// setState transitions a member, rebuilding the ring when it goes down or
+// comes back and counting a rebalance when the transition moves its key
+// range (it stops or starts taking new work).
 func (r *Router) setState(m *member, s shardState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m.state == s {
 		return
 	}
-	wasOnRing := m.state == shardActive
+	wasActive, wasDown := m.state == shardActive, m.state == shardDown
 	m.state = s
 	m.consecFails = 0
-	if wasOnRing != (s == shardActive) {
+	if wasDown != (s == shardDown) {
 		r.rebuildRingLocked()
+	}
+	if wasActive != (s == shardActive) {
 		telemetry.FleetRebalances().Inc()
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/runid"
+	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -84,7 +85,30 @@ func newTestFleet(t *testing.T, n int, opts Options, mk func() http.Handler) (*R
 	return router, rsrv, shards
 }
 
-func spatialPPABody(t *testing.T, k int) []byte {
+// edgeJob is a small valid job spec, distinct per seed.
+func edgeJob(seed int64) dist.JobSpec {
+	x := hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	return dist.JobSpec{
+		Platform: "spatial", Scenario: "edge",
+		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: seed,
+	}
+}
+
+// jobHomedAt returns a job spec (seeds from*1000 up) whose ring walk starts
+// at the shard with the given URL.
+func jobHomedAt(t *testing.T, r *Router, url string, from int64) dist.JobSpec {
+	t.Helper()
+	for seed := from * 1000; seed < from*1000+256; seed++ {
+		spec := edgeJob(seed)
+		if r.holders(hashBytes([]byte(spec.Key())))[0].id == url {
+			return spec
+		}
+	}
+	t.Fatalf("no job among 256 seeds hashes to %s", url)
+	return dist.JobSpec{}
+}
+
+func spatialPPABody(t testing.TB, k int) []byte {
 	t.Helper()
 	// Vary the layer's K dim, not just its name: the canonical eval key
 	// hashes the layer's shape, so each k must be a genuinely distinct key.
@@ -231,7 +255,9 @@ func TestRouterShedsOnQueueFull(t *testing.T) {
 // TestRouterDrainReroutesWithoutDuplicateEvals is satellite 3: draining a
 // shard finishes its in-flight job, re-hashes new PPA work to the
 // survivor, and — proven by a cache shared across both shards — no
-// evaluation runs twice in the process.
+// evaluation runs twice in the process. The drained shard refuses a job it
+// does not hold, and with FailAfter 1 that refusal would take it down if it
+// counted as a failure.
 func TestRouterDrainReroutesWithoutDuplicateEvals(t *testing.T) {
 	shared := evalcache.New(0)
 	mk := func() http.Handler {
@@ -240,29 +266,9 @@ func TestRouterDrainReroutesWithoutDuplicateEvals(t *testing.T) {
 			evalcache.Ascend{Inner: camodel.Engine{}, Cache: shared},
 		).Handler()
 	}
-	router, rsrv, shards := newTestFleet(t, 2, Options{}, mk)
+	router, rsrv, shards := newTestFleet(t, 2, Options{FailAfter: 1}, mk)
 	client := dist.NewClientOptions(rsrv.URL, nil,
 		dist.Options{Timeout: 30 * time.Second, MaxRetries: 3, RetryBackoff: 2 * time.Millisecond})
-
-	// A job created before the drain...
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	id, err := client.CreateJob(dist.JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobOwner string
-	for _, m := range router.Members() {
-		if m.Jobs == 1 {
-			jobOwner = m.ID
-		}
-	}
-	if jobOwner == "" {
-		t.Fatal("no shard owns the created job")
-	}
 
 	// Seed the cache through the router, noting which shard owns the key.
 	body := spatialPPABody(t, 0)
@@ -282,8 +288,24 @@ func TestRouterDrainReroutesWithoutDuplicateEvals(t *testing.T) {
 		t.Fatal("no shard served the pre-drain eval")
 	}
 
-	// Drain the shard owning the PPA key AND verify the job still advances
-	// wherever it lives (a draining owner must finish what it holds).
+	// A job under way on that shard before the drain...
+	held := dist.AdvanceRequest{Spec: jobHomedAt(t, router, keyOwner.url, 1), Budget: 1}
+	if _, err := client.AdvanceJobContext(context.Background(), held); err != nil {
+		t.Fatal(err)
+	}
+	router.ProbeAll(context.Background())
+	var jobOwner string
+	for _, m := range router.Members() {
+		if m.Jobs == 1 {
+			jobOwner = m.ID
+		}
+	}
+	if jobOwner != keyOwner.url {
+		t.Fatalf("job held by %q, want its ring owner %s", jobOwner, keyOwner.url)
+	}
+
+	// Drain the shard owning the PPA key AND verify the job it holds still
+	// advances there (a draining owner must finish what it holds).
 	dresp, err := http.Post(rsrv.URL+"/v1/fleet/drain?shard="+keyOwner.url, "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -294,20 +316,59 @@ func TestRouterDrainReroutesWithoutDuplicateEvals(t *testing.T) {
 		t.Fatalf("drain status %d", dresp.StatusCode)
 	}
 
-	state, err := client.AdvanceJobContext(context.Background(), id, 2)
+	replays := telemetry.FleetReplays().Value()
+	jobHits := keyOwner.hits.Load()
+	held.Budget, held.Seen = 2, 1
+	state, err := client.AdvanceJobContext(context.Background(), held)
 	if err != nil {
 		t.Fatalf("AdvanceJob with one shard draining: %v", err)
 	}
 	if state.Spent != 2 {
 		t.Errorf("spent %d, want 2", state.Spent)
 	}
+	if keyOwner.hits.Load() != jobHits+1 || telemetry.FleetReplays().Value() != replays {
+		t.Errorf("the held job was not finished where it lives: %d requests to the draining owner, %d replays",
+			keyOwner.hits.Load()-jobHits, telemetry.FleetReplays().Value()-replays)
+	}
+
+	// A job the draining shard does not hold is refused there (503 +
+	// Retry-After), built on the survivor, and the refusal is not a failure.
+	direct, err := json.Marshal(dist.AdvanceRequest{Spec: jobHomedAt(t, router, keyOwner.url, 2), Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused, err := http.Post(keyOwner.url+"/v1/jobs/advance", "application/json", bytes.NewReader(direct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, refused.Body)
+	refused.Body.Close()
+	if refused.StatusCode != http.StatusServiceUnavailable || refused.Header.Get("Retry-After") == "" {
+		t.Fatalf("draining shard answered an unheld job with %d (Retry-After %q), want 503 with Retry-After",
+			refused.StatusCode, refused.Header.Get("Retry-After"))
+	}
+	fresh := dist.AdvanceRequest{Spec: jobHomedAt(t, router, keyOwner.url, 3), Budget: 1}
+	if _, err := client.AdvanceJobContext(context.Background(), fresh); err != nil {
+		t.Fatalf("new job homed at the draining shard: %v", err)
+	}
+	for _, m := range router.Members() {
+		if m.ID == keyOwner.url && (m.State != "draining" || m.ConsecFails != 0) {
+			t.Errorf("refusing a job it does not hold cost the draining shard: %+v", m)
+		}
+	}
+	router.ProbeAll(context.Background())
+	for _, m := range router.Members() {
+		if want := 1; m.Jobs != want {
+			t.Errorf("shard %s holds %d jobs, want %d (the held one there, the new one on the survivor)", m.ID, m.Jobs, want)
+		}
+	}
 
 	// The drained shard refuses direct new work with 503 + Retry-After.
-	direct := postPPA(t, keyOwner.url, body, "run-a")
-	io.Copy(io.Discard, direct.Body)
-	direct.Body.Close()
-	if direct.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining shard answered %d directly, want 503", direct.StatusCode)
+	directPPA := postPPA(t, keyOwner.url, body, "run-a")
+	io.Copy(io.Discard, directPPA.Body)
+	directPPA.Body.Close()
+	if directPPA.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining shard answered %d directly, want 503", directPPA.StatusCode)
 	}
 
 	// The same key through the router re-hashes to the survivor — served

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"unico/internal/dist"
@@ -19,29 +18,13 @@ import (
 	"unico/internal/telemetry"
 )
 
-// maxBodyBytes bounds request bodies the router will buffer; far above any
-// legitimate PPA request or job spec.
-const maxBodyBytes = 4 << 20
-
-// jobRecord is the router's view of one mapping-search job: everything
-// needed to re-create it from scratch on another shard.
-type jobRecord struct {
-	mu       sync.Mutex
-	spec     []byte  // canonical JSON of the JobSpec, for replay
-	point    uint64  // ring coordinate
-	shard    *member // current owner
-	remoteID string  // job ID on the owner
-	spent    int     // cumulative budget confirmed spent
-}
-
 // Handler returns the router's HTTP API: the full internal/dist worker
-// surface (/v1/ppa, /v1/jobs, /v1/jobs/advance, DELETE /v1/jobs/{id},
+// surface (/v1/ppa, /v1/jobs/advance, DELETE /v1/jobs/{id},
 // /v1/healthz) plus the fleet admin endpoints /v1/fleet/members and
 // /v1/fleet/{drain,undrain}?shard=<id>.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ppa", r.handlePPA)
-	mux.HandleFunc("POST /v1/jobs", r.handleCreateJob)
 	mux.HandleFunc("POST /v1/jobs/advance", r.handleAdvance)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.handleDeleteJob)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, req *http.Request) {
@@ -66,7 +49,7 @@ func fleetRouteLabel(req *http.Request) string {
 		return "/v1/jobs/{id}"
 	}
 	switch req.URL.Path {
-	case "/v1/ppa", "/v1/jobs", "/v1/jobs/advance", "/v1/healthz", "/v1/spans",
+	case "/v1/ppa", "/v1/jobs/advance", "/v1/healthz", "/v1/spans",
 		"/v1/fleet/members", "/v1/fleet/drain", "/v1/fleet/undrain":
 		return req.URL.Path
 	}
@@ -99,9 +82,9 @@ func (r *Router) shed(w http.ResponseWriter, status int, reason string) {
 	writeJSON(w, status, map[string]string{"error": "fleet overloaded: " + reason})
 }
 
-// shedEmptyRing rejects a request when no shard is active: "draining" when
-// the emptiness is operator-induced, "unhealthy" when shards are dead.
-func (r *Router) shedEmptyRing(w http.ResponseWriter) {
+// shedUnserved rejects a request no shard would take: "draining" when that
+// is operator-induced, "unhealthy" when shards are dead or failing.
+func (r *Router) shedUnserved(w http.ResponseWriter) {
 	if r.anyDraining() {
 		r.shed(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -113,7 +96,7 @@ func (r *Router) shedEmptyRing(w http.ResponseWriter) {
 // shard owning its canonical key, failing over along the ring when the
 // owner misbehaves.
 func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(req.Body, dist.MaxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, dist.PPAResponse{Error: "read request: " + err.Error()})
 		return
@@ -133,7 +116,7 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 	}
 	succ := r.successors(point)
 	if len(succ) == 0 {
-		r.shedEmptyRing(w)
+		r.shedUnserved(w)
 		return
 	}
 	run := req.Header.Get(runid.Header)
@@ -155,14 +138,12 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		q.End("ok", nil)
-		status, rbody, err := r.forwardTo(req.Context(), m, "/v1/ppa", body, run, parent)
+		status, rbody, err := r.forwardTo(req.Context(), m, http.MethodPost, "/v1/ppa", "/v1/ppa", body, run, parent)
 		m.adm.release()
-		if err == nil && status < http.StatusInternalServerError {
-			r.noteSuccess(m)
+		if r.answered(m, status, err) {
 			relay(w, status, rbody)
 			return
 		}
-		r.noteFailure(m)
 		if req.Context().Err() != nil {
 			return
 		}
@@ -170,227 +151,80 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 	r.shed(w, http.StatusServiceUnavailable, "unhealthy")
 }
 
-// handleCreateJob places a new mapping-search job on the shard owning its
-// spec's ring coordinate and records enough to replay it elsewhere later.
-func (r *Router) handleCreateJob(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.JobCreateResponse{Error: "read request: " + err.Error()})
-		return
-	}
-	var spec dist.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.JobCreateResponse{Error: "decode request: " + err.Error()})
-		return
-	}
-	// Re-marshal so the ring coordinate depends on the canonical field
-	// order, not the client's whitespace or key ordering.
-	canon, err := json.Marshal(spec)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.JobCreateResponse{Error: "encode spec: " + err.Error()})
-		return
-	}
-	point := hashBytes(canon)
-	succ := r.successors(point)
-	if len(succ) == 0 {
-		r.shedEmptyRing(w)
-		return
-	}
-	run := req.Header.Get(runid.Header)
-	parent := disttrace.Extract(req.Header)
-	for _, m := range succ {
-		status, rbody, err := r.forwardTo(req.Context(), m, "/v1/jobs", canon, run, parent)
-		if err != nil || status >= http.StatusInternalServerError {
-			r.noteFailure(m)
-			if req.Context().Err() != nil {
-				return
-			}
-			continue
-		}
+// errRefused is forwardTo's report of a 503 carrying Retry-After: the shard
+// is alive and draining, and will not take work it does not already hold.
+var errRefused = errors.New("fleet: shard refused the request (draining)")
+
+// answered reports whether a forward brought back something to relay. When
+// it did not, the shard is charged a failure — unless it refused, which is
+// a healthy shard saying "not here" and must not count toward FailAfter.
+func (r *Router) answered(m *member, status int, err error) bool {
+	switch {
+	case err == nil && status < http.StatusInternalServerError:
 		r.noteSuccess(m)
-		if status != http.StatusOK {
-			relay(w, status, rbody) // deterministic spec rejection
-			return
-		}
-		var cresp dist.JobCreateResponse
-		if err := json.Unmarshal(rbody, &cresp); err != nil || cresp.ID == "" {
-			r.noteFailure(m)
-			continue
-		}
-		r.mu.Lock()
-		r.nextJob++
-		id := "fj-" + strconv.Itoa(r.nextJob)
-		r.jobs[id] = &jobRecord{spec: canon, point: point, shard: m, remoteID: cresp.ID}
-		r.mu.Unlock()
-		writeJSON(w, http.StatusOK, dist.JobCreateResponse{ID: id})
-		return
+		return true
+	case !errors.Is(err, errRefused):
+		r.noteFailure(m)
 	}
-	r.shed(w, http.StatusServiceUnavailable, "unhealthy")
+	return false
 }
 
-// handleAdvance forwards a budget installment to the job's owner; if the
-// owner is gone (dead, restarted without state, or marked down) the job is
-// replayed deterministically on the next shard along the ring.
+// handleAdvance forwards an advance along the ring walk of its spec. The
+// router keeps nothing about the job: the request names the spec and the
+// cumulative budget, so whichever shard answers — the one that has held the
+// job all along, or the next one after that shard was lost — reports the
+// same state, and a shard's deterministic rejection of the spec is relayed
+// like any other answer.
 func (r *Router) handleAdvance(w http.ResponseWriter, req *http.Request) {
+	body, err := io.ReadAll(io.LimitReader(req.Body, dist.MaxBodyBytes))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, dist.JobState{Error: "read request: " + err.Error()})
+		return
+	}
 	var areq dist.AdvanceRequest
-	if err := json.NewDecoder(io.LimitReader(req.Body, maxBodyBytes)).Decode(&areq); err != nil {
+	if err := json.Unmarshal(body, &areq); err != nil {
 		writeJSON(w, http.StatusBadRequest, dist.JobState{Error: "decode request: " + err.Error()})
 		return
 	}
-	r.mu.Lock()
-	rec := r.jobs[areq.ID]
-	r.mu.Unlock()
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, dist.JobState{ID: areq.ID, Error: "unknown job " + areq.ID})
-		return
-	}
-	run := req.Header.Get(runid.Header)
-	parent := disttrace.Extract(req.Header)
-	// One installment at a time per job: advances on the same job are
-	// serialized so replay sees a consistent spent count.
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-
-	// First try the current owner. A draining owner still serves the jobs
-	// it holds — that is the whole point of draining.
-	if owner := rec.shard; owner != nil && r.stateOf(owner) != shardDown {
-		state, ok := r.advanceOn(req.Context(), owner, rec.remoteID, areq.Budget, run, parent)
-		if ok {
-			r.noteSuccess(owner)
-			if state.Error == "" {
-				rec.spent = state.Spent
-			}
-			state.ID = areq.ID
-			writeJSON(w, http.StatusOK, state)
-			return
-		}
-		r.noteFailure(owner)
-		if req.Context().Err() != nil {
-			return
-		}
-	}
-
-	// Owner lost: replay spec + cumulative budget on the ring successors.
-	// The search is a pure function of both, so the state that comes back
-	// is bit-identical to what the dead owner would have produced.
-	for _, m := range r.successors(rec.point) {
-		if m == rec.shard {
-			continue // just failed above
-		}
-		state, ok := r.replayOn(req.Context(), m, rec, areq.Budget, run, parent)
-		if ok {
-			r.noteSuccess(m)
-			state.ID = areq.ID
-			writeJSON(w, http.StatusOK, state)
-			return
-		}
-		r.noteFailure(m)
-		if req.Context().Err() != nil {
-			return
-		}
-	}
-	r.shed(w, http.StatusServiceUnavailable, "unhealthy")
+	r.forwardJob(w, req, areq.Spec.Key(), http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", body)
 }
 
-// stateOf reads a member's state under the router lock.
-func (r *Router) stateOf(m *member) shardState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return m.state
-}
-
-// advanceOn spends budget on an existing remote job. ok is false when the
-// shard failed in a way that warrants replay elsewhere (transport error,
-// 5xx, or the shard no longer knows the job).
-func (r *Router) advanceOn(ctx context.Context, m *member, remoteID string, budget int, run string, parent disttrace.SpanContext) (dist.JobState, bool) {
-	body, _ := json.Marshal(dist.AdvanceRequest{ID: remoteID, Budget: budget})
-	status, rbody, err := r.forwardTo(ctx, m, "/v1/jobs/advance", body, run, parent)
-	if err != nil || status >= http.StatusInternalServerError || status == http.StatusNotFound {
-		return dist.JobState{}, false
-	}
-	var state dist.JobState
-	if err := json.Unmarshal(rbody, &state); err != nil {
-		return dist.JobState{}, false
-	}
-	return state, true
-}
-
-// replayOn re-creates rec's job on shard m and advances it by the job's
-// confirmed spent budget plus the new installment in one call. On success
-// the record's ownership moves to m. When tracing is on, the whole replay —
-// job re-creation, cumulative re-advance, and any cleanup — nests under one
-// "replay" span, so a waterfall shows exactly what shard loss cost.
-func (r *Router) replayOn(ctx context.Context, m *member, rec *jobRecord, budget int, run string, parent disttrace.SpanContext) (dist.JobState, bool) {
-	rp := disttrace.StartSpan(run, parent, "replay", m.id)
-	if sc := rp.Context(); sc.Valid() {
-		parent = sc
-	}
-	status, rbody, err := r.forwardTo(ctx, m, "/v1/jobs", rec.spec, run, parent)
-	if err != nil || status != http.StatusOK {
-		rp.End("error", nil)
-		return dist.JobState{}, false
-	}
-	var cresp dist.JobCreateResponse
-	if err := json.Unmarshal(rbody, &cresp); err != nil || cresp.ID == "" {
-		rp.End("error", nil)
-		return dist.JobState{}, false
-	}
-	state, ok := r.advanceOn(ctx, m, cresp.ID, rec.spent+budget, run, parent)
-	if !ok {
-		// Best effort: don't leak the half-made job on m.
-		r.deleteOn(ctx, m, cresp.ID, run, parent)
-		rp.End("error", nil)
-		return dist.JobState{}, false
-	}
-	rec.shard = m
-	rec.remoteID = cresp.ID
-	if state.Error == "" {
-		rec.spent = state.Spent
-	}
-	telemetry.FleetReplays().Inc()
-	rp.End("ok", map[string]string{"spent": strconv.Itoa(rec.spent)})
-	return state, true
-}
-
-// handleDeleteJob removes a job from its owner and the router's table.
+// handleDeleteJob releases a job on the first shard along its walk that
+// holds it.
 func (r *Router) handleDeleteJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r.mu.Lock()
-	rec := r.jobs[id]
-	delete(r.jobs, id)
-	r.mu.Unlock()
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, dist.JobDeleteResponse{ID: id, Error: "unknown job " + id})
-		return
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	run := req.Header.Get(runid.Header)
-	if rec.shard != nil && r.stateOf(rec.shard) != shardDown {
-		r.deleteOn(req.Context(), rec.shard, rec.remoteID, run, disttrace.Extract(req.Header))
-	}
-	writeJSON(w, http.StatusOK, dist.JobDeleteResponse{ID: id, Deleted: true})
+	r.forwardJob(w, req, id, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil)
 }
 
-// deleteOn best-effort deletes a remote job.
-func (r *Router) deleteOn(ctx context.Context, m *member, remoteID, run string, parent disttrace.SpanContext) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, m.id+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
+// forwardJob sends a job request along the ring walk of the job's key —
+// active members, and draining ones in their place, since they still answer
+// for the jobs they hold — and relays the first answer. A shard that fails
+// is charged and passed over; one that refuses (draining, and not holding
+// the job) or answers 404 (a release of a job it does not hold) is just
+// passed over.
+func (r *Router) forwardJob(w http.ResponseWriter, req *http.Request, key, method, route, path string, body []byte) {
+	run := req.Header.Get(runid.Header)
+	parent := disttrace.Extract(req.Header)
+	var notFound []byte
+	for _, m := range r.holders(hashBytes([]byte(key))) {
+		status, rbody, err := r.forwardTo(req.Context(), m, method, route, path, body, run, parent)
+		switch {
+		case !r.answered(m, status, err):
+			if req.Context().Err() != nil {
+				return
+			}
+		case status == http.StatusNotFound:
+			notFound = rbody
+		default:
+			relay(w, status, rbody)
+			return
+		}
+	}
+	if notFound != nil {
+		relay(w, http.StatusNotFound, notFound)
 		return
 	}
-	if run != "" {
-		req.Header.Set(runid.Header, run)
-	}
-	fwd := disttrace.StartSpan(run, parent, "forward", "/v1/jobs/{id}")
-	injectForward(req.Header, fwd, parent)
-	resp, err := r.forward.Do(req)
-	if err != nil {
-		fwd.End("error", nil)
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	fwd.End("ok", nil)
+	r.shedUnserved(w)
 }
 
 // handleDrain moves a shard in or out of the draining state and forwards
@@ -414,27 +248,32 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request, drain boo
 	}
 	// Best effort: the router's own routing no longer sends the shard new
 	// work either way.
-	if _, _, err := r.forwardTo(req.Context(), m, path, []byte("{}"), req.Header.Get(runid.Header), disttrace.Extract(req.Header)); err == nil {
+	if _, _, err := r.forwardTo(req.Context(), m, http.MethodPost, path, path, []byte("{}"), req.Header.Get(runid.Header), disttrace.Extract(req.Header)); err == nil {
 		r.noteSuccess(m)
 	}
 	writeJSON(w, http.StatusOK, r.Members())
 }
 
-// forwardTo POSTs body to one shard and returns the status and response
-// body. The round trip is observed in unico_fleet_forward_seconds{shard}
-// and, when tracing is on, recorded as a "forward" span whose context the
-// shard parents onto; with router tracing off, the caller's context passes
-// through untouched so the client→shard chain stays linked.
-func (r *Router) forwardTo(ctx context.Context, m *member, path string, body []byte, run string, parent disttrace.SpanContext) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.id+path, bytes.NewReader(body))
+// forwardTo sends one request (body nil for a DELETE) to one shard and
+// returns the status and response body; err is errRefused when the shard
+// answered 503 with Retry-After. route names the call in spans: path with
+// any job key folded to {id}. The round trip is observed in
+// unico_fleet_forward_seconds{shard} and, when tracing is on, recorded as a
+// "forward" span whose context the shard parents onto; with router tracing
+// off, the caller's context passes through untouched so the client→shard
+// chain stays linked.
+func (r *Router) forwardTo(ctx context.Context, m *member, method, route, path string, body []byte, run string, parent disttrace.SpanContext) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, m.id+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if run != "" {
 		req.Header.Set(runid.Header, run)
 	}
-	fwd := disttrace.StartSpan(run, parent, "forward", path)
+	fwd := disttrace.StartSpan(run, parent, "forward", route)
 	injectForward(req.Header, fwd, parent)
 	start := time.Now() //unicolint:allow detclock forward latency is measured against the real clock by definition
 	resp, err := r.forward.Do(req)
@@ -444,12 +283,15 @@ func (r *Router) forwardTo(ctx context.Context, m *member, path string, body []b
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	rbody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	rbody, err := io.ReadAll(io.LimitReader(resp.Body, dist.MaxBodyBytes))
 	if err != nil {
 		fwd.End("error", nil)
 		return 0, nil, err
 	}
 	fwd.End("ok", map[string]string{"status": strconv.Itoa(resp.StatusCode)})
+	if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
+		return resp.StatusCode, rbody, errRefused
+	}
 	return resp.StatusCode, rbody, nil
 }
 

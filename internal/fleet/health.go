@@ -52,7 +52,7 @@ func (r *Router) ProbeAll(ctx context.Context) {
 		}
 		// Record after the state machine has applied the result, so the
 		// timeline shows the state each probe left the shard in.
-		r.recordProbe(m, err == nil)
+		r.recordProbe(m, err == nil, h.Jobs)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"unico/internal/dist"
 )
 
 // FleetMetricsHandler serves GET /metrics/fleet: every member's /metrics
@@ -55,7 +57,7 @@ func (r *Router) scrapeMember(req *http.Request, id string) (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("fleet: scrape %s: %s", id, resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, dist.MaxBodyBytes))
 	if err != nil {
 		return "", err
 	}

@@ -17,6 +17,7 @@ import (
 	"unico/internal/disttrace"
 	"unico/internal/hw"
 	"unico/internal/runid"
+	"unico/internal/telemetry"
 )
 
 // runCapture records the X-Unico-Run-ID header of every request each shard
@@ -79,9 +80,10 @@ func enableTrace(t *testing.T, path string) *disttrace.Recorder {
 }
 
 // TestRunIDSurvivesReplayChain: the run ID set by the client must arrive on
-// the shard through the router not just on the direct forward, but on every
-// request the router synthesizes itself — the job re-creation and the
-// cumulative re-advance of a replay after the owner is killed.
+// the shard through the router not just on the first hop to a job's owner
+// but on the hop that replaces it — the same advance forwarded to the next
+// shard along the ring after the owner is killed, where the job is rebuilt
+// and its spent budget replayed.
 func TestRunIDSurvivesReplayChain(t *testing.T) {
 	capture := newRunCapture()
 	mk := func() http.Handler { return capture.wrap(dist.NewServer().Handler()) }
@@ -92,17 +94,13 @@ func TestRunIDSurvivesReplayChain(t *testing.T) {
 	client := dist.NewClientOptions(rsrv.URL, nil,
 		dist.Options{Timeout: 30 * time.Second, MaxRetries: 3, RetryBackoff: 2 * time.Millisecond})
 
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
-	id, err := client.CreateJob(dist.JobSpec{
-		Platform: "spatial", Scenario: "edge",
-		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: 1,
-	})
-	if err != nil {
+	req := dist.AdvanceRequest{Spec: edgeJob(1), Budget: 1}
+	if _, err := client.AdvanceJobContext(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 
 	// Find the owner and the survivor.
+	router.ProbeAll(context.Background())
 	var owner, survivor *testShard
 	for _, m := range router.Members() {
 		for _, sh := range shards {
@@ -120,38 +118,37 @@ func TestRunIDSurvivesReplayChain(t *testing.T) {
 		t.Fatalf("could not identify job owner and survivor among %d shards", len(shards))
 	}
 
-	// Kill the owner with total state loss; the next advance must replay the
-	// job on the survivor (FailAfter 1 takes the owner off the ring at the
-	// first failed forward).
+	// Kill the owner with total state loss; the next advance must be
+	// answered by the survivor (FailAfter 1 takes the owner off the ring at
+	// the first failed forward), which replays the budget already spent.
 	owner.inj.SetDown(true)
 	owner.restart(capture.wrap(dist.NewServer().Handler()))
 
-	state, err := client.AdvanceJobContext(context.Background(), id, 2)
+	replays := telemetry.FleetReplays().Value()
+	req.Budget, req.Seen = 3, 1
+	state, err := client.AdvanceJobContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("AdvanceJob after owner kill: %v", err)
 	}
-	if state.Spent != 2 {
-		t.Errorf("spent %d, want 2", state.Spent)
+	if state.Spent != 3 {
+		t.Errorf("spent %d, want 3", state.Spent)
+	}
+	if d := telemetry.FleetReplays().Value() - replays; d != 1 {
+		t.Errorf("%d replays counted for one job rebuilt on the survivor, want 1", d)
 	}
 
-	// The replayed create and advance on the survivor are router-synthesized
-	// requests; both must still carry the client's run ID.
-	for _, path := range []string{"/v1/jobs", "/v1/jobs/advance"} {
-		got := capture.runs(survivor.url, path)
+	// Both legs carried the client's run ID: the owner's first advance and
+	// the advance the router moved to the survivor.
+	for name, sh := range map[string]*testShard{"owner": owner, "survivor": survivor} {
+		got := capture.runs(sh.url, "/v1/jobs/advance")
 		if len(got) == 0 {
-			t.Errorf("survivor saw no %s request; replay did not happen", path)
-			continue
+			t.Errorf("%s saw no /v1/jobs/advance request", name)
 		}
 		for i, run := range got {
 			if run != myRun {
-				t.Errorf("survivor %s request %d carried run ID %q, want %q", path, i, run, myRun)
+				t.Errorf("%s advance %d carried run ID %q, want %q", name, i, run, myRun)
 			}
 		}
-	}
-	// And the original create on the owner carried it too (the single-hop
-	// leg of the chain).
-	if got := capture.runs(owner.url, "/v1/jobs"); len(got) == 0 || got[0] != myRun {
-		t.Errorf("owner /v1/jobs runs = %v, want [%q ...]", got, myRun)
 	}
 }
 

@@ -27,13 +27,15 @@ func ringPoints(id string, replicas int) []uint64 {
 	return pts
 }
 
-// rebuildRingLocked reassembles the ring from the currently active
-// members. Callers must hold r.mu. Ties on a point (astronomically
-// unlikely) break by member ID so the layout stays deterministic.
+// rebuildRingLocked reassembles the ring from the members that are not
+// down: draining ones keep their place so the jobs they hold still find
+// them (walk leaves them out for everything else). Callers must hold r.mu.
+// Ties on a point (astronomically unlikely) break by member ID so the
+// layout stays deterministic.
 func (r *Router) rebuildRingLocked() {
 	r.ring = r.ring[:0]
 	for _, m := range r.members {
-		if m.state != shardActive {
+		if m.state == shardDown {
 			continue
 		}
 		for _, p := range m.points {
@@ -52,19 +54,27 @@ func (r *Router) rebuildRingLocked() {
 // first: the owner, then each fallback met walking clockwise around the
 // ring. Deterministic for a fixed membership — two routers (or one router
 // before and after a shard bounce) route the same key the same way.
-func (r *Router) successors(h uint64) []*member {
+func (r *Router) successors(h uint64) []*member { return r.walk(h, false) }
+
+// holders is successors for a job request: draining members stay in the
+// walk, in their ring position, because a draining shard still answers for
+// the jobs it holds (and refuses the ones it does not, which moves the
+// request on).
+func (r *Router) holders(h uint64) []*member { return r.walk(h, true) }
+
+func (r *Router) walk(h uint64, draining bool) []*member {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
-		return nil
-	}
 	start := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].point >= h })
 	seen := make(map[*member]bool, len(r.members))
 	var out []*member
 	for i := 0; i < len(r.ring) && len(seen) < len(r.members); i++ {
 		e := r.ring[(start+i)%len(r.ring)]
-		if !seen[e.m] {
-			seen[e.m] = true
+		if seen[e.m] {
+			continue
+		}
+		seen[e.m] = true
+		if draining || e.m.state == shardActive {
 			out = append(out, e.m)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"unico/internal/dist"
 	"unico/internal/disttrace"
 	"unico/internal/telemetry"
 )
@@ -72,7 +73,7 @@ func (r *Router) pullSpans(req *http.Request, buf *bytes.Buffer, id, run string)
 	if resp.StatusCode != http.StatusOK {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, dist.MaxBodyBytes))
 	if err != nil {
 		return
 	}

@@ -531,9 +531,9 @@ var fleetProbeBuckets = []float64{
 func fleetMetrics() {
 	fleetOnce.Do(func() {
 		fleetRebalances = DefaultRegistry.Counter("unico_fleet_rebalances_total",
-			"Hash-ring rebuilds after a shard joined, left, drained or recovered.", nil)
+			"Key-range moves after a shard stopped or started taking new work (down, drained, recovered).", nil)
 		fleetReplays = DefaultRegistry.Counter("unico_fleet_replays_total",
-			"Mapping-search jobs re-created on a new shard and replayed to their spent budget.", nil)
+			"Mapping-search jobs a worker built for a caller that had already seen budget spent on them (the holder was lost) and replayed to that budget.", nil)
 		fleetProbe = DefaultRegistry.Histogram("unico_fleet_health_probe_seconds",
 			"Fleet health-probe round-trip latency.", fleetProbeBuckets, nil)
 	})
@@ -620,11 +620,13 @@ func TraceOrphans() *Counter {
 	return traceOrphans
 }
 
-// FleetRebalances counts hash-ring rebuilds caused by membership changes.
+// FleetRebalances counts key-range moves caused by membership changes.
 func FleetRebalances() *Counter { fleetMetrics(); return fleetRebalances }
 
-// FleetReplays counts jobs deterministically replayed onto a new shard
-// after their owner died or restarted.
+// FleetReplays counts jobs a worker had to build for a caller that had
+// already seen budget spent on them — the holder died, restarted or was
+// passed over — and so replayed to that budget. Counted where the rebuild
+// happens: on the worker.
 func FleetReplays() *Counter { fleetMetrics(); return fleetReplays }
 
 // FleetProbeSeconds observes health-probe round-trip latency.

@@ -157,7 +157,7 @@ type RemoteOptions struct {
 	// RequestTimeout bounds each worker request (default 30 s). A dead
 	// worker then costs one timeout instead of a hung co-search.
 	RequestTimeout time.Duration
-	// MaxRetries retries idempotent requests (PPA evaluations) after
+	// MaxRetries retries requests (every worker route is idempotent) after
 	// retryable failures, with exponential backoff and jitter.
 	MaxRetries int
 	// RetryBackoff is the initial retry delay (default 50 ms, doubling up
