@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test fmt tidy check
+.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test allows fmt tidy check
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,23 @@ lint-json:
 lint-test:
 	cd lint && $(GO) vet ./... && $(GO) test ./...
 
+## allows prints how many //unicolint:allow directives the non-test code
+## outside bench/ and lint/ carries, per analyzer, and fails when an analyzer
+## is over its budget: a new suppression has to retire an old one. The CI
+## lint job runs it.
+ALLOW_BUDGET = ctxflow=8 detclock=33
+allows:
+	@grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=lint --exclude-dir=bench \
+		'//unicolint:allow [a-z]+' . | sort | uniq -c | awk -v budget='$(ALLOW_BUDGET)' ' \
+		BEGIN { n = split(budget, b, /[ =]/); for (i = 1; i < n; i += 2) max[b[i]] = b[i+1] } \
+		{ \
+			line = sprintf("%-10s %3d", $$3, $$1); \
+			if ($$3 in max) line = line sprintf("  (budget %d)", max[$$3]); \
+			print line; \
+			if ($$3 in max && $$1 > max[$$3]) over = over " " $$3; \
+		} \
+		END { if (over != "") { print "over the allow budget:" over > "/dev/stderr"; exit 1 } }'
+
 fmt:
 	gofmt -l .
 
@@ -55,4 +72,4 @@ tidy:
 	$(GO) mod tidy -diff
 	cd lint && $(GO) mod tidy -diff
 
-check: fmt tidy build test race lint-test lint
+check: fmt tidy build test race lint-test lint allows

@@ -51,14 +51,15 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
+	// One sweep = one correlation ID across all its runs, log records and
+	// dist requests.
+	ctx = runid.With(ctx, runid.New())
 	if err := shared.Start(ctx, "client"); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	defer shared.Close()
 	logger := shared.Logger
-	// One sweep = one correlation ID across all its runs and dist requests.
-	runid.Set(runid.New())
 	buildinfo.Publish()
 
 	cache, err := shared.OpenCache()

@@ -48,8 +48,8 @@ func TestFig8GoldenWithAndWithoutHooks(t *testing.T) {
 		t.Errorf("hooked run diverged from the golden:\n%s", stdout)
 	}
 	const iters = 8 // fig8 floors MaxIter at 8
-	if b, err := os.ReadFile(trace); err != nil || bytes.Count(b, []byte(`"name":"mobo_iteration"`)) != iters {
-		t.Errorf("trace: %v, %d mobo_iteration events, want %d", err, bytes.Count(b, []byte(`"name":"mobo_iteration"`)), iters)
+	if b, err := os.ReadFile(trace); err != nil || bytes.Count(b, []byte(`"name":"iteration"`)) != iters {
+		t.Errorf("trace: %v, %d iteration events, want %d", err, bytes.Count(b, []byte(`"name":"iteration"`)), iters)
 	}
 	if n := len(regexp.MustCompile(`(?m)^iter +\d+ `).FindAllString(stderr, -1)); n != iters {
 		t.Errorf("%d progress lines on stderr, want %d", n, iters)

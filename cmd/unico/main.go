@@ -69,16 +69,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// One run per invocation: generate the correlation ID up front so every
+	// log record — and every dist request and the flight-record header —
+	// carries it from the first line.
+	ctx = runid.With(ctx, runid.New())
 	if err := shared.Start(ctx, "client"); err != nil {
 		fmt.Fprintln(os.Stderr, "unico:", err)
 		os.Exit(1)
 	}
 	defer shared.Close()
 	logger := shared.Logger
-	// One run per invocation: generate the correlation ID up front so every
-	// log record — and every dist request and the flight-record header —
-	// carries it from the first line.
-	runid.Set(runid.New())
 	buildinfo.Publish()
 
 	if *list {
@@ -167,7 +167,6 @@ func main() {
 		CheckpointEvery:   *checkpointEvery,
 		Resume:            *resume,
 		FlightRecordFile:  *flightRecord,
-		RunID:             runid.Current(),
 		Dashboard:         shared.Live,
 	}
 	if *traceFile != "" {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -20,13 +21,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Start three worker nodes (stand-ins for slave machines).
 	var workers []*dist.Client
 	for i := 0; i < 3; i++ {
 		srv := httptest.NewServer(dist.NewServer().Handler())
 		defer srv.Close()
 		client := dist.NewClient(srv.URL, srv.Client())
-		if !client.Healthy() {
+		if !client.HealthyContext(ctx) {
 			log.Fatalf("worker %d failed its health check", i)
 		}
 		workers = append(workers, client)
@@ -41,7 +43,7 @@ func main() {
 
 	opt := core.UNICOOptions(9, 4, 50, 21)
 	opt.Workers = len(workers)
-	res := core.Run(p, opt)
+	res := core.RunContext(ctx, p, opt)
 
 	fmt.Printf("\ndistributed run: %d candidates evaluated, %.2f simulated hours\n",
 		len(res.All), res.Hours)

@@ -18,6 +18,7 @@ import (
 	"unico/internal/flightrec"
 	"unico/internal/logx"
 	"unico/internal/perfprof"
+	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
 
@@ -88,10 +89,12 @@ func (s *Shared) CacheWanted() bool {
 
 // Start validates the parsed flags and starts what they ask for. spanProc
 // names this process in its span log ("client", "shard", "router", …). The
-// periodic profile capture of -pprof-interval stops when ctx is done.
+// run ID ctx carries, if any (runid.With), stamps every log record and
+// profile file name. The periodic profile capture of -pprof-interval stops
+// when ctx is done.
 func (s *Shared) Start(ctx context.Context, spanProc string) error {
 	var err error
-	if s.Logger, err = logx.Setup(s.logFormat, s.logLevel); err != nil {
+	if s.Logger, err = logx.Setup(s.logFormat, s.logLevel, runid.From(ctx)); err != nil {
 		return err
 	}
 	if s.pprofInterval > 0 && s.pprofDir == "" {
@@ -106,7 +109,7 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 		s.closers = append(s.closers, func() { rec.Close() })
 	}
 	if s.pprofDir != "" {
-		if s.Capture, err = perfprof.NewCapture(s.pprofDir); err != nil {
+		if s.Capture, err = perfprof.NewCapture(s.pprofDir, runid.From(ctx)); err != nil {
 			s.Close()
 			return fmt.Errorf("pprof capture setup: %w", err)
 		}

@@ -244,6 +244,66 @@ func TestCancelMidIterationDiscardsPartialBatch(t *testing.T) {
 	sameResult(t, ref, got)
 }
 
+// waitForCancelPlatform hands out, from NewJob call number `from` on,
+// searchers whose cancellable advance cancels the run and then waits for the
+// cancellation to arrive — an abort landing while a batch is searching. Their
+// plain Advance is the wrapped searcher's, which no context can stop.
+type waitForCancelPlatform struct {
+	Platform
+	cancel context.CancelFunc
+	from   int32
+	calls  int32
+}
+
+func (p *waitForCancelPlatform) NewJob(x []float64, seed int64) mapsearch.Searcher {
+	job := p.Platform.NewJob(x, seed)
+	if atomic.AddInt32(&p.calls, 1) < p.from {
+		return job
+	}
+	return &waitForCancel{Searcher: job, cancel: p.cancel}
+}
+
+type waitForCancel struct {
+	mapsearch.Searcher
+	cancel context.CancelFunc
+}
+
+func (j *waitForCancel) AdvanceContext(ctx context.Context, budget int) {
+	j.cancel()
+	<-ctx.Done()
+}
+
+// TestCancelMidIterationWithoutSHDiscardsPartialBatch: the no-early-stopping
+// regime advances its batch the way a rung does — on the pool, through the
+// cancellable advance — so a cancellation mid-search ends the run at once
+// with the batch discarded, instead of after the whole batch has run to
+// b_max behind a context-less Advance.
+func TestCancelMidIterationWithoutSHDiscardsPartialBatch(t *testing.T) {
+	opt := smallOpts(8)
+	opt.DisableSH = true
+	ms := &memSink{}
+	opt.Checkpoint = ms
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cp := &waitForCancelPlatform{
+		Platform: testPlatform(),
+		cancel:   cancel,
+		from:     int32(opt.BatchSize + 1), // iteration 2's jobs
+	}
+	partial := RunContext(ctx, cp, opt)
+	if ctx.Err() == nil {
+		t.Fatal("the batch was not advanced through the cancellable path: nothing cancelled the run")
+	}
+	if len(partial.All) != opt.BatchSize || partial.Evals != opt.BatchSize*opt.BMax {
+		t.Fatalf("partial batch leaked: %d candidates, %d evals; want iteration 1's %d and %d",
+			len(partial.All), partial.Evals, opt.BatchSize, opt.BatchSize*opt.BMax)
+	}
+	if final := ms.snaps[len(ms.snaps)-1]; final.Iter != 1 || final.ClockSeconds != ms.recs[0].ClockSeconds {
+		t.Fatalf("final snapshot at iteration %d, clock %v; want the iteration-1 boundary (clock %v)",
+			final.Iter, final.ClockSeconds, ms.recs[0].ClockSeconds)
+	}
+}
+
 func TestResumeFingerprintMismatch(t *testing.T) {
 	opt := smallOpts(5)
 	ms := &memSink{}

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"unico/internal/disttrace"
+	"unico/internal/durable"
 	"unico/internal/flightrec"
 	"unico/internal/mapsearch"
 	"unico/internal/mobo"
@@ -91,10 +92,6 @@ type Options struct {
 	TimeBudgetHours float64
 	// Alpha is the robustness sub-optimal percentile (default 0.05).
 	Alpha float64
-	// Tracer receives search events as Chrome-trace spans (nil = tracing
-	// off, zero overhead). Tracing never influences the search: results are
-	// bit-identical with and without it.
-	Tracer *telemetry.Tracer
 	// Progress, if non-nil, is invoked after every MOBO iteration with the
 	// convergence snapshot of that moment (hypervolume, UUL, front size,
 	// simulated hours).
@@ -266,9 +263,13 @@ func Run(p Platform, opt Options) Result {
 // iteration completed before the cancellation. With Options.Checkpoint set,
 // a final snapshot captures that same completed-iteration boundary, so a
 // resumed run continues bit-identically to an uninterrupted one.
+//
+// What the run owns besides its options rides ctx: its run ID (runid.With)
+// names its requests and its distributed trace, and its Chrome tracer
+// (perfprof.WithTracer) receives every clocked phase below as a trace event.
+// Neither influences the search: results are bit-identical with and without.
 func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	opt = opt.normalize()
-	tr := opt.Tracer
 	nObj := 3
 	if opt.UseRobustness {
 		nObj = 4
@@ -342,12 +343,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		Workers:         opt.Workers,
 		EvalCostSeconds: p.EvalCostSeconds(),
 		Clock:           opt.Clock,
-		Tracer:          tr,
-	}
-	if opt.DisableSH {
-		// Degenerate schedule: everyone runs to full budget in one round.
-		shCfg.KFrac = 0.999
-		shCfg.PFrac = 0
 	}
 
 	// Phase attribution: per-iteration window deltas from the active
@@ -358,7 +353,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 	// One distributed-trace run per core.Run call: iteration spans get
 	// deterministic IDs ("r<run>-it<iter>") whether or not tracing is on.
-	disttrace.BeginRun()
+	traceRun := disttrace.BeginRun()
 
 	for iter := lastIter + 1; iter <= opt.MaxIter; iter++ {
 		if ctx.Err() != nil {
@@ -368,18 +363,16 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			break
 		}
 		prof.TakeWindow() // discard activity since the previous iteration
-		endTrace, traceSpanID := disttrace.BeginIteration(iter)
-		pctx, phaseIter := prof.StartClocked(ctx, "iteration", opt.Clock)
-		iterSpan := tr.StartSpan("mobo_iteration", "core", 0, opt.Clock.Seconds())
-		suggestSpan := tr.StartSpan("suggest_batch", "mobo", 0, opt.Clock.Seconds())
+		// The iteration's trace span is the parent of every request the
+		// iteration sends; its phase span is the parent of every phase.
+		ictx, traceSpan := disttrace.BeginIteration(ctx, traceRun, iter)
+		pctx, phaseIter := prof.StartClocked(ictx, "iteration", opt.Clock)
 		_, phaseSuggest := prof.StartClocked(pctx, "suggest", opt.Clock)
 		xs := explorer.SuggestBatch(opt.BatchSize)
-		phaseSuggest.End()
-		suggestSpan.End(opt.Clock.Seconds(), map[string]any{"batch": len(xs)})
+		phaseSuggest.EndWith(map[string]any{"batch": len(xs)})
 		if len(xs) == 0 {
-			phaseIter.End()
-			iterSpan.End(opt.Clock.Seconds(), map[string]any{"iter": iter, "exhausted": true})
-			endTrace()
+			phaseIter.EndWith(map[string]any{"iter": iter, "exhausted": true})
+			traceSpan.End("ok", nil)
 			break
 		}
 		jobs := make([]mapsearch.Searcher, len(xs))
@@ -391,9 +384,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 		var outcome sh.Outcome
 		if opt.DisableSH {
-			_, phaseFull := prof.StartClocked(pctx, "sh.full_budget", opt.Clock)
-			outcome = runFullBudget(jobs, shCfg)
-			phaseFull.End()
+			outcome = sh.FullBudget(pctx, jobs, shCfg)
 		} else {
 			outcome = sh.Run(pctx, jobs, shCfg)
 		}
@@ -402,9 +393,8 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			// incomplete and must not enter the result, the surrogate or
 			// the checkpoint. Discard it; resume re-runs the iteration.
 			closeJobs(jobs)
-			phaseIter.End()
-			iterSpan.End(opt.Clock.Seconds(), map[string]any{"iter": iter, "canceled": true})
-			endTrace()
+			phaseIter.EndWith(map[string]any{"iter": iter, "canceled": true})
+			traceSpan.End("ok", nil)
 			break
 		}
 		res.Evals += outcome.TotalEvals
@@ -430,16 +420,12 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			obs[i] = mobo.Observation{X: x, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
 		}
 		closeJobs(jobs)
-		fitSpan := tr.StartSpan("gp_fit", "mobo", 0, opt.Clock.Seconds())
 		_, phaseUpdate := prof.StartClocked(pctx, "update", opt.Clock)
 		admitted := explorer.Update(obs)
 		// Surrogate refit overhead on the master (paper Fig. 6b): seconds,
 		// negligible next to PPA evaluation but accounted for.
 		opt.Clock.Advance(5)
-		phaseUpdate.End()
-		fitSpan.End(opt.Clock.Seconds(), map[string]any{
-			"admitted": admitted, "train": explorer.TrainSize(),
-		})
+		phaseUpdate.EndWith(map[string]any{"admitted": admitted, "train": explorer.TrainSize()})
 
 		res.Front = paretoFront(res.All)
 		res.Trace = append(res.Trace, TracePoint{
@@ -449,16 +435,16 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		})
 		telemetry.MOBOIterations().Inc()
 
-		hvSpan := tr.StartSpan("hypervolume", "core", 0, opt.Clock.Seconds())
-		_, phaseHV := prof.Start(pctx, "hypervolume")
+		_, phaseHV := prof.StartClocked(pctx, "hypervolume", opt.Clock)
 		hv := runningHypervolume(res.Front)
-		phaseHV.End()
-		hvSpan.End(opt.Clock.Seconds(), map[string]any{"hv": hv, "front": len(res.Front)})
-		phaseIter.End()
+		phaseHV.EndWith(map[string]any{"hv": hv, "front": len(res.Front)})
+		phaseIter.EndWith(map[string]any{
+			"iter": iter, "front": len(res.Front), "evals": res.Evals, "hv": hv,
+		})
 		// End the iteration's trace span before recording the flight line,
 		// so the span log's end event is durable by the time the flight
 		// record that references it is.
-		endTrace()
+		traceSpan.End("ok", nil)
 
 		// Flight record at the completed-iteration boundary, durably written
 		// BEFORE the checkpoint journal entry: at any crash the artifact then
@@ -469,7 +455,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				Iter:          iter,
 				SimHours:      opt.Clock.Hours(),
 				Hypervolume:   hv,
-				UUL:           flightrec.ExtFloat(explorer.UUL()),
+				UUL:           durable.ExtFloat(explorer.UUL()),
 				Evals:         res.Evals,
 				Admitted:      admitted,
 				TrainSize:     explorer.TrainSize(),
@@ -478,7 +464,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				Front:         frontPPA(res.Front),
 				RungAlive:     outcome.RungAlive,
 				Phases:        prof.TakeWindow(),
-				TraceSpan:     traceSpanID,
+				TraceSpan:     traceSpan.Context().Span,
 			})
 		}
 
@@ -517,9 +503,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				Admitted:    admitted,
 			})
 		}
-		iterSpan.End(opt.Clock.Seconds(), map[string]any{
-			"iter": iter, "front": len(res.Front), "evals": res.Evals, "hv": hv,
-		})
 	}
 	// Final snapshot at the last completed-iteration boundary, with the RNG
 	// position and clock reading of that boundary (not of any discarded
@@ -570,47 +553,6 @@ func runningHypervolume(front []Candidate) float64 {
 		}
 	}
 	return pareto.Hypervolume(pts, ref)
-}
-
-// runFullBudget advances every job to BMax with the configured parallelism,
-// charging the clock — the no-early-stopping regime.
-func runFullBudget(jobs []mapsearch.Searcher, cfg sh.Config) sh.Outcome {
-	// A single-round schedule: reuse sh.Run with one round by passing a
-	// candidate list it cannot halve. sh.Run computes rounds from N, so we
-	// instead advance directly.
-	simStart := 0.0
-	if cfg.Clock != nil {
-		simStart = cfg.Clock.Seconds()
-	}
-	// Count what each job actually spends, not the planned budget: a dead
-	// remote job never advances, and phantom budget would inflate the
-	// result's Evals.
-	total := 0
-	for _, j := range jobs {
-		before := j.Spent()
-		j.Advance(cfg.BMax)
-		total += j.Spent() - before
-	}
-	if cfg.Clock != nil && len(jobs) > 0 {
-		cfg.Clock.AdvanceParallel(len(jobs), float64(cfg.BMax)*cfg.EvalCostSeconds, cfg.Workers)
-	}
-	if cfg.Tracer != nil && cfg.Clock != nil {
-		simEnd := cfg.Clock.Seconds()
-		cfg.Tracer.Complete("full_budget_round", "sh", 0, simStart, simEnd,
-			map[string]any{"candidates": len(jobs), "budget": cfg.BMax})
-		for i := range jobs {
-			cfg.Tracer.Complete("candidate_eval", "sh", int64(i+1), simStart, simEnd,
-				map[string]any{"candidate": i, "budget": cfg.BMax})
-		}
-	}
-	hist := make([]ppa.History, len(jobs))
-	surv := make([]int, len(jobs))
-	for i, j := range jobs {
-		hist[i] = j.History()
-		surv[i] = i
-	}
-	return sh.Outcome{Histories: hist, Survivors: surv, TotalEvals: total, Rounds: 1,
-		RungAlive: []int{len(jobs)}}
 }
 
 // withinCaps applies the platform's power and area constraints.

@@ -9,7 +9,6 @@ import (
 	"unico/internal/pareto"
 	"unico/internal/platform"
 	"unico/internal/ppa"
-	"unico/internal/sh"
 	"unico/internal/simclock"
 	"unico/internal/workload"
 )
@@ -234,12 +233,29 @@ func (stuckSearcher) RawHistory() ppa.History   { return nil }
 func (stuckSearcher) Spent() int                { return 0 }
 func (stuckSearcher) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
 
+// deadWorkerPlatform hands out searchers that advance and searchers that
+// never do, alternating.
+type deadWorkerPlatform struct {
+	Platform
+	jobs int
+}
+
+func (p *deadWorkerPlatform) NewJob([]float64, int64) mapsearch.Searcher {
+	p.jobs++
+	if p.jobs%2 == 0 {
+		return stuckSearcher{}
+	}
+	return &spendCounter{}
+}
+
 // TestRunFullBudgetCountsActualSpend pins the no-early-stopping accounting:
 // a job that cannot advance contributes zero evaluations, not BMax.
 func TestRunFullBudgetCountsActualSpend(t *testing.T) {
-	jobs := []mapsearch.Searcher{&spendCounter{}, stuckSearcher{}}
-	out := runFullBudget(jobs, sh.Config{BMax: 5, Workers: 2})
-	if out.TotalEvals != 5 {
-		t.Errorf("TotalEvals = %d, want 5 (one live job x BMax)", out.TotalEvals)
+	opt := smallOpts(1)
+	opt.DisableSH = true
+	opt.MaxIter = 1
+	res := Run(&deadWorkerPlatform{Platform: testPlatform()}, opt)
+	if want := opt.BatchSize / 2 * opt.BMax; res.Evals != want {
+		t.Errorf("Evals = %d, want %d (the live half of the batch x BMax)", res.Evals, want)
 	}
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"unico/internal/perfprof"
 	"unico/internal/telemetry"
 )
 
@@ -59,10 +61,10 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 
 	var buf bytes.Buffer
 	opt := smallOpts(11)
-	opt.Tracer = telemetry.NewTracer(&buf)
+	tr := telemetry.NewTracer(&buf)
 	opt.Progress = func(Progress) {}
-	traced := Run(testPlatform(), opt)
-	opt.Tracer.Flush()
+	traced := RunContext(perfprof.WithTracer(context.Background(), tr), testPlatform(), opt)
+	tr.Flush()
 
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatal("tracing/progress changed the search result")
@@ -72,15 +74,16 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunEmitsExpectedSpans checks the trace stream contains the span
-// vocabulary the ISSUE promises (MOBO iterations, SH rungs, candidate
-// evals, GP fits, HV computations) with simulated-time stamps.
+// TestRunEmitsExpectedSpans checks the trace stream of a run whose context
+// carries a tracer: one event per clocked phase, named as in the phase tree
+// (iterations, suggestion, job construction, SH rungs, surrogate updates, HV
+// computations), plus the per-candidate lanes, with simulated-time stamps.
 func TestRunEmitsExpectedSpans(t *testing.T) {
 	var buf bytes.Buffer
 	opt := smallOpts(5)
-	opt.Tracer = telemetry.NewTracer(&buf)
-	res := Run(testPlatform(), opt)
-	opt.Tracer.Flush()
+	tr := telemetry.NewTracer(&buf)
+	res := RunContext(perfprof.WithTracer(context.Background(), tr), testPlatform(), opt)
+	tr.Flush()
 
 	type ev struct {
 		Name string         `json:"name"`
@@ -100,13 +103,15 @@ func TestRunEmitsExpectedSpans(t *testing.T) {
 			maxTS = e.TS
 		}
 	}
-	for _, want := range []string{"mobo_iteration", "sh_rung", "candidate_eval", "gp_fit", "hypervolume", "suggest_batch"} {
+	for _, want := range []string{"sh.rung", "candidate_eval"} {
 		if count[want] == 0 {
 			t.Errorf("no %q spans in trace; got %v", want, count)
 		}
 	}
-	if count["mobo_iteration"] != len(res.Trace) {
-		t.Errorf("mobo_iteration spans = %d, iterations = %d", count["mobo_iteration"], len(res.Trace))
+	for _, perIter := range []string{"iteration", "suggest", "newjob", "update", "hypervolume"} {
+		if count[perIter] != len(res.Trace) {
+			t.Errorf("%s spans = %d, iterations = %d", perIter, count[perIter], len(res.Trace))
+		}
 	}
 	// Simulated timestamps should reach the run's simulated span (µs).
 	if wantUS := res.Hours * 3600 * 1e6; maxTS < wantUS/2 {

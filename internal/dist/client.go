@@ -196,9 +196,10 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, resp 
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Correlate every worker request with the client's run, so a ppaserver
-	// request log line is attributable to the exact co-search that issued it.
-	if id := runid.Current(); id != "" {
+	// Correlate every worker request with the run ctx belongs to, so a
+	// ppaserver request log line is attributable to the exact co-search that
+	// issued it and the fleet router queues it under that run.
+	if id := runid.From(ctx); id != "" {
 		req.Header.Set(runid.Header, id)
 	}
 	disttrace.Inject(req.Header, parent)
@@ -238,9 +239,10 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, resp 
 // backoff sleeps. route names the call in spans: path with any job key
 // folded to {id}.
 //
-// When tracing is enabled the whole logical call is one "client" span, each
-// HTTP try an "attempt" child (whose context is what propagates to the
-// server), and each retry wait a "backoff" child.
+// When tracing is enabled the whole logical call is one "client" span in
+// ctx's run's trace, under the span ctx runs in (the co-search iteration);
+// each HTTP try is an "attempt" child (whose context is what propagates to
+// the server), and each retry wait a "backoff" child.
 func (c *Client) send(ctx context.Context, method, route, path string, req, resp any) error {
 	var body []byte
 	if req != nil {
@@ -252,7 +254,7 @@ func (c *Client) send(ctx context.Context, method, route, path string, req, resp
 			return fmt.Errorf("dist: marshal %s: %w", route, err)
 		}
 	}
-	span := disttrace.StartSpan(runid.Current(), disttrace.CurrentParent(), "client", route)
+	span := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "client", route)
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		att := disttrace.StartSpan("", span.Context(), "attempt", route)
@@ -426,13 +428,6 @@ func (c *Client) AdvanceJobContext(ctx context.Context, req AdvanceRequest) (Job
 	return state, nil
 }
 
-// DeleteJob releases a finished job's state on the worker with a background
-// context; see DeleteJobContext.
-func (c *Client) DeleteJob(id string) error {
-	//unicolint:allow ctxflow compatibility wrapper; context-aware callers use DeleteJobContext
-	return c.DeleteJobContext(context.Background(), id)
-}
-
 // DeleteJobContext releases the state the worker holds for the job whose
 // JobSpec.Key is id. Releasing a job the worker does not hold is an error
 // (the worker's 404), which is also what a delete sent again after a lost
@@ -448,19 +443,12 @@ func (c *Client) DeleteJobContext(ctx context.Context, id string) error {
 	return nil
 }
 
-// Healthy reports whether the worker answers its health endpoint and is
-// accepting new work (a draining worker answers but reports "draining", and
-// must not be handed new jobs).
-func (c *Client) Healthy() bool {
-	h, err := c.Health()
+// HealthyContext reports whether the worker answers its health endpoint and
+// is accepting new work (a draining worker answers but reports "draining",
+// and must not be handed new jobs).
+func (c *Client) HealthyContext(ctx context.Context) bool {
+	h, err := c.HealthContext(ctx)
 	return err == nil && h.Status == StatusOK
-}
-
-// Health fetches the worker's health status with a background context; see
-// HealthContext.
-func (c *Client) Health() (HealthResponse, error) {
-	//unicolint:allow ctxflow compatibility wrapper; context-aware callers (the fleet router's probes) use HealthContext
-	return c.HealthContext(context.Background())
 }
 
 // HealthContext fetches the worker's health status. Cancelling ctx aborts

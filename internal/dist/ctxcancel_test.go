@@ -67,24 +67,3 @@ func TestHealthContextCancelAbortsWedgedWorker(t *testing.T) {
 		t.Fatalf("HealthContext took %v to honor a 50ms deadline", elapsed)
 	}
 }
-
-// The compatibility wrappers must still work against a live worker — the
-// context plumbing must not change observable behavior on the happy path.
-func TestDeleteAndHealthWrappersStillWork(t *testing.T) {
-	srv := httptest.NewServer(NewServer().Handler())
-	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL, srv.Client())
-
-	h, err := c.Health()
-	if err != nil {
-		t.Fatalf("Health: %v", err)
-	}
-	if h.Status != StatusOK {
-		t.Fatalf("Health status = %q, want %q", h.Status, StatusOK)
-	}
-	// Deleting an unknown job surfaces the worker's error body, proving the
-	// request made the round trip.
-	if err := c.DeleteJob("no-such-job"); err == nil {
-		t.Fatal("DeleteJob of unknown job returned nil error")
-	}
-}

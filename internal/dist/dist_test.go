@@ -61,11 +61,11 @@ func newCountingWorker(t *testing.T) (*Server, *atomic.Int64) {
 
 func TestHealthz(t *testing.T) {
 	_, c := newWorker(t)
-	if !c.Healthy() {
+	if !c.HealthyContext(context.Background()) {
 		t.Error("worker not healthy")
 	}
 	dead := NewClient("http://127.0.0.1:1", nil)
-	if dead.Healthy() {
+	if dead.HealthyContext(context.Background()) {
 		t.Error("unreachable worker reported healthy")
 	}
 }
@@ -299,16 +299,16 @@ func TestJobDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteJob(st.ID); err != nil {
+	if err := c.DeleteJobContext(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.JobCount(); n != 0 {
 		t.Errorf("worker holds %d jobs after the delete", n)
 	}
-	if err := c.DeleteJob(st.ID); err == nil {
+	if err := c.DeleteJobContext(context.Background(), st.ID); err == nil {
 		t.Error("double delete not reported")
 	}
-	if err := c.DeleteJob("job-999"); err == nil {
+	if err := c.DeleteJobContext(context.Background(), "job-999"); err == nil {
 		t.Error("unknown job delete not reported")
 	}
 }
@@ -444,11 +444,11 @@ func TestRemotePlatformFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.HealthyWorkers(); got != 2 {
+	if got := p.HealthyWorkers(context.Background()); got != 2 {
 		t.Fatalf("HealthyWorkers = %d, want 2", got)
 	}
 	srv1.Close()
-	if got := p.HealthyWorkers(); got != 1 {
+	if got := p.HealthyWorkers(context.Background()); got != 1 {
 		t.Fatalf("HealthyWorkers after kill = %d, want 1", got)
 	}
 	space := hw.NewSpatialSpace(hw.Edge)

@@ -131,7 +131,7 @@ var errNoWorker = errors.New("dist: no worker in rotation")
 func (p *RemoteSpatialPlatform) advance(ctx context.Context, j *remoteJob, req AdvanceRequest) (JobState, error) {
 	err := errNoWorker
 	for _, lastResort := range []bool{false, true} {
-		for _, w := range p.rotation(j, lastResort) {
+		for _, w := range p.rotation(ctx, j, lastResort) {
 			var state JobState
 			state, err = w.client.AdvanceJobContext(ctx, req)
 			if err == nil {
@@ -154,11 +154,11 @@ func (p *RemoteSpatialPlatform) advance(ctx context.Context, j *remoteJob, req A
 // round-robin from the job's turn, evicted ones left out. Evicted workers
 // are health-probed first when a new job's turn falls on the ProbeEvery
 // cadence, or as the last resort.
-func (p *RemoteSpatialPlatform) rotation(j *remoteJob, lastResort bool) []*workerHealth {
+func (p *RemoteSpatialPlatform) rotation(ctx context.Context, j *remoteJob, lastResort bool) []*workerHealth {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if lastResort || (j.holder == nil && p.ProbeEvery > 0 && j.turn%p.ProbeEvery == 0) {
-		p.probeEvictedLocked()
+		p.probeEvictedLocked(ctx)
 	}
 	var active []*workerHealth
 	for _, w := range p.workers {
@@ -203,9 +203,9 @@ func (p *RemoteSpatialPlatform) noteFailure(w *workerHealth) {
 
 // probeEvictedLocked re-admits every evicted worker whose health endpoint
 // answers. Callers must hold p.mu.
-func (p *RemoteSpatialPlatform) probeEvictedLocked() {
+func (p *RemoteSpatialPlatform) probeEvictedLocked(ctx context.Context) {
 	for _, w := range p.workers {
-		if w.evicted && w.client.Healthy() {
+		if w.evicted && w.client.HealthyContext(ctx) {
 			w.evicted = false
 			w.consecFails = 0
 			telemetry.DistWorkerReadmissions().Inc()
@@ -229,14 +229,14 @@ func (p *RemoteSpatialPlatform) EvictedWorkers() int {
 
 // HealthyWorkers returns how many workers currently answer their health
 // endpoint — an operational check for the master before a long run.
-func (p *RemoteSpatialPlatform) HealthyWorkers() int {
+func (p *RemoteSpatialPlatform) HealthyWorkers(ctx context.Context) int {
 	p.mu.Lock()
 	ws := make([]*workerHealth, len(p.workers))
 	copy(ws, p.workers)
 	p.mu.Unlock()
 	n := 0
 	for _, w := range ws {
-		if w.client.Healthy() {
+		if w.client.HealthyContext(ctx) {
 			n++
 		}
 	}
@@ -266,9 +266,13 @@ type remoteJob struct {
 	spec   JobSpec
 	turn   int           // the NewJob call that made it: its slot in the rotation
 	holder *workerHealth // the worker that answered the last advance; nil before the first
-	state  JobState
-	err    error
-	closed bool
+	// closeCtx is the last advance's context minus its cancellation: what
+	// Close, whose signature has no context, sends its release under, so the
+	// request still carries the run's ID and trace parent.
+	closeCtx context.Context
+	state    JobState
+	err      error
+	closed   bool
 }
 
 // Advance spends budget on the remote job. Transport errors latch: the job
@@ -286,6 +290,7 @@ func (j *remoteJob) AdvanceContext(ctx context.Context, budget int) {
 	if j.err != nil || ctx.Err() != nil {
 		return
 	}
+	j.closeCtx = context.WithoutCancel(ctx)
 	state, err := j.pool.advance(ctx, j, AdvanceRequest{
 		Spec: j.spec, Budget: j.state.Spent + budget, Seen: j.state.Spent,
 	})
@@ -331,5 +336,5 @@ func (j *remoteJob) Close() error {
 		return nil
 	}
 	j.closed = true
-	return j.holder.client.DeleteJob(j.state.ID)
+	return j.holder.client.DeleteJobContext(j.closeCtx, j.state.ID)
 }

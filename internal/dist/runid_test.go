@@ -15,15 +15,14 @@ import (
 )
 
 // TestClientPropagatesRunID pins the cross-boundary correlation contract:
-// every request a dist client issues carries the process run ID in the
-// X-Unico-Run-ID header, and the worker's handler counts requests under that
-// run ID — so a ppaserver log line or metric is attributable to the exact
+// every request a dist client issues carries the run ID of the context it
+// was issued under in the X-Unico-Run-ID header — two runs sharing one client
+// each send their own — and the worker's handler counts requests under that
+// run ID, so a ppaserver log line or metric is attributable to the exact
 // co-search run that caused it.
 func TestClientPropagatesRunID(t *testing.T) {
 	const id = "testrun01"
-	prev := runid.Current()
-	runid.Set(id)
-	defer runid.Set(prev)
+	ctx := runid.With(context.Background(), id)
 
 	var mu sync.Mutex
 	var seen []string
@@ -43,39 +42,45 @@ func TestClientPropagatesRunID(t *testing.T) {
 	cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 1728, L2KB: 432, NoCBW: 128, Dataflow: hw.WeightStationary}
 	m := mapping.Spatial{TK: 1, TC: 1, TY: 1, TX: 1, TR: 1, TS: 1,
 		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
-	if _, err := c.EvaluatePPAContext(context.Background(), PPARequest{
+	if _, err := c.EvaluatePPAContext(ctx, PPARequest{
 		Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: testSpec(1), Budget: 1})
+	st, err := c.AdvanceJobContext(ctx, AdvanceRequest{Spec: testSpec(1), Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = c.DeleteJob(st.ID)
+	_ = c.DeleteJobContext(ctx, st.ID)
+	// The same client under another run's context sends that run's ID.
+	const other = "testrun02"
+	if _, err := c.AdvanceJobContext(runid.With(ctx, other), AdvanceRequest{Spec: testSpec(2), Budget: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) < 3 {
-		t.Fatalf("captured %d requests, want >= 3 (ppa, job advance, job delete)", len(seen))
+	if len(seen) != 4 {
+		t.Fatalf("captured %d requests, want 4 (ppa, job advance, job delete, the other run's advance)", len(seen))
 	}
 	for i, h := range seen {
-		if h != id {
-			t.Errorf("request %d carried run ID %q, want %q", i, h, id)
+		want := id
+		if i == 3 {
+			want = other
+		}
+		if h != want {
+			t.Errorf("request %d carried run ID %q, want %q", i, h, want)
 		}
 	}
-	if got := telemetry.DistRunRequests(id).Value(); got < before+uint64(len(seen)) {
-		t.Errorf("unico_dist_run_requests_total{run_id=%s} = %d, want >= %d", id, got, before+uint64(len(seen)))
+	if got := telemetry.DistRunRequests(id).Value(); got != before+3 {
+		t.Errorf("unico_dist_run_requests_total{run_id=%s} = %d, want %d", id, got, before+3)
 	}
 }
 
-// TestRunIDHeaderAbsentWithoutProcessID: with no process run ID installed,
-// clients send no header and the server folds the count under "unknown".
+// TestRunIDHeaderAbsentWithoutProcessID: under a context that belongs to no
+// run — there is no process-wide ID to fall back on — clients send no header
+// and the server folds the count under "unknown".
 func TestRunIDHeaderAbsentWithoutProcessID(t *testing.T) {
-	prev := runid.Current()
-	runid.Set("")
-	defer runid.Set(prev)
-
 	var got string
 	hit := false
 	inner := NewServer().Handler()
@@ -87,7 +92,7 @@ func TestRunIDHeaderAbsentWithoutProcessID(t *testing.T) {
 	defer srv.Close()
 
 	before := telemetry.DistRunRequests("").Value()
-	if !NewClient(srv.URL, srv.Client()).Healthy() {
+	if !NewClient(srv.URL, srv.Client()).HealthyContext(context.Background()) {
 		t.Fatal("worker not healthy")
 	}
 	if !hit {

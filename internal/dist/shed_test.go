@@ -250,10 +250,10 @@ func TestWorkerDrain(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if h, err := c.Health(); err != nil || h.Status != StatusDraining || h.Jobs != 1 {
+	if h, err := c.HealthContext(context.Background()); err != nil || h.Status != StatusDraining || h.Jobs != 1 {
 		t.Fatalf("health after drain = %+v, %v; want draining with 1 job", h, err)
 	}
-	if c.Healthy() {
+	if c.HealthyContext(context.Background()) {
 		t.Error("Healthy() true for a draining worker; routers would keep sending it new work")
 	}
 
@@ -274,7 +274,7 @@ func TestWorkerDrain(t *testing.T) {
 	if raw.Header.Get("Retry-After") == "" {
 		t.Error("draining refusal carries no Retry-After header")
 	}
-	if h, _ := c.Health(); h.Jobs != 1 {
+	if h, _ := c.HealthContext(context.Background()); h.Jobs != 1 {
 		t.Errorf("draining worker holds %d jobs after refusing one, want 1", h.Jobs)
 	}
 	if _, err := c.EvaluatePPAContext(context.Background(), spatialPPARequest()); err == nil {
@@ -296,7 +296,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !c.Healthy() {
+	if !c.HealthyContext(context.Background()) {
 		t.Error("Healthy() false after undrain")
 	}
 }

@@ -2,7 +2,9 @@
 // /v1/* evaluation protocol. A trace is one co-search run (trace ID = run
 // ID); spans cover every hop an eval takes — the client call with its
 // retries and backoff waits, router admission queueing and forwards, shard
-// handling, and the engine evaluation itself.
+// handling, and the engine evaluation itself. On the client side both the
+// trace ID and the parent span ride the request's context.Context, so
+// co-searches sharing a process keep separate span trees.
 //
 // Span records are two JSONL events — "start" and "end" — appended to a
 // per-process span log with the same write-then-fsync discipline as flight
@@ -24,6 +26,7 @@
 package disttrace
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -286,45 +289,42 @@ func StartFromHeader(h http.Header, kind, name string) *Span {
 // CI comparisons.
 var runSeq atomic.Int64
 
-// iterParent holds the current iteration's SpanContext as the process-wide
-// parent for client spans. One co-search per process; core runs iterations
-// serially, so a plain atomic slot suffices.
-var iterParent atomic.Value // SpanContext
-
-// BeginRun marks the start of one co-search run for iteration-span naming.
-// Call once per core.Run invocation, traced or not.
-func BeginRun() { runSeq.Add(1) }
+// BeginRun returns the ordinal of a co-search run starting now, for its
+// iteration spans' IDs. Call once per core.Run invocation, traced or not.
+func BeginRun() int64 { return runSeq.Add(1) }
 
 // IterationSpanID returns the deterministic span ID for an iteration of the
-// current run.
-func IterationSpanID(iter int) string {
-	return "r" + strconv.FormatInt(runSeq.Load(), 10) + "-it" + strconv.Itoa(iter)
+// run with ordinal run.
+func IterationSpanID(run int64, iter int) string {
+	return "r" + strconv.FormatInt(run, 10) + "-it" + strconv.Itoa(iter)
 }
 
-// BeginIteration opens the per-iteration root span and installs it as the
-// process-wide parent for client spans. The returned func ends the span;
-// spanID is empty when tracing is disabled or no run ID is set, so callers
-// can assign it straight into the flight record's omitempty field.
-func BeginIteration(iter int) (end func(), spanID string) {
+type parentKey struct{}
+
+// WithParent returns a context whose outgoing requests parent their client
+// spans on sc.
+func WithParent(ctx context.Context, sc SpanContext) context.Context {
+	return context.WithValue(ctx, parentKey{}, sc)
+}
+
+// Parent returns the span context ctx's requests parent on, or zero when ctx
+// runs under no span.
+func Parent(ctx context.Context) SpanContext {
+	sc, _ := ctx.Value(parentKey{}).(SpanContext)
+	return sc
+}
+
+// BeginIteration opens the per-iteration root span of the run ctx belongs to
+// (trace ID = runid.From(ctx)) and returns a context carrying it as the
+// parent of the iteration's client spans. With tracing disabled or no run ID
+// on ctx it returns ctx and a nil span, whose Context().Span is empty — so
+// callers can assign that straight into the flight record's omitempty field.
+func BeginIteration(ctx context.Context, run int64, iter int) (context.Context, *Span) {
 	rec := Active()
-	trace := runid.Current()
+	trace := runid.From(ctx)
 	if rec == nil || trace == "" {
-		return func() {}, ""
+		return ctx, nil
 	}
-	id := IterationSpanID(iter)
-	s := rec.startWithID(id, trace, SpanContext{}, "iteration", "iter "+strconv.Itoa(iter))
-	iterParent.Store(s.Context())
-	return func() {
-		iterParent.Store(SpanContext{})
-		s.End("ok", nil)
-	}, id
-}
-
-// CurrentParent returns the in-flight iteration's span context, or zero
-// outside an iteration.
-func CurrentParent() SpanContext {
-	if sc, ok := iterParent.Load().(SpanContext); ok {
-		return sc
-	}
-	return SpanContext{}
+	s := rec.startWithID(IterationSpanID(run, iter), trace, SpanContext{}, "iteration", "iter "+strconv.Itoa(iter))
+	return WithParent(ctx, s.Context()), s
 }

@@ -1,6 +1,7 @@
 package disttrace
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -40,10 +41,11 @@ func TestDisabledTracingIsInert(t *testing.T) {
 	if sc := s.Context(); sc.Valid() {
 		t.Errorf("nil span context = %+v, want zero", sc)
 	}
-	end, id := BeginIteration(3)
-	end()
-	if id != "" {
-		t.Errorf("BeginIteration span ID with tracing disabled = %q, want empty", id)
+	ctx := runid.With(context.Background(), "run-1")
+	ictx, it := BeginIteration(ctx, BeginRun(), 3)
+	it.End("ok", nil)
+	if it != nil || ictx != ctx || Parent(ictx).Valid() {
+		t.Errorf("BeginIteration with tracing disabled = %v, parent %+v; want the ctx unchanged and a nil span", it, Parent(ictx))
 	}
 }
 
@@ -219,25 +221,29 @@ func TestInjectExtractRoundTrip(t *testing.T) {
 
 func TestIterationSpanIDsDeterministic(t *testing.T) {
 	enable(t, "", "client")
-	prevRun := runid.Current()
-	runid.Set("run-det")
-	defer runid.Set(prevRun)
-	BeginRun()
-	end, id := BeginIteration(4)
-	if id != IterationSpanID(4) || !strings.HasSuffix(id, "-it4") {
+	ctx := runid.With(context.Background(), "run-det")
+	run := BeginRun()
+	ictx, it := BeginIteration(ctx, run, 4)
+	id := it.Context().Span
+	if id != IterationSpanID(run, 4) || !strings.HasSuffix(id, "-it4") {
 		t.Fatalf("iteration span ID %q", id)
 	}
-	if got := CurrentParent(); got.Span != id || got.Trace != "run-det" {
-		t.Fatalf("CurrentParent during iteration = %+v", got)
+	// The parent rides the iteration's context and nothing else: the run's
+	// own context — and any other run's — sees none.
+	if got := Parent(ictx); got.Span != id || got.Trace != "run-det" {
+		t.Fatalf("Parent under the iteration = %+v", got)
 	}
-	end()
-	if got := CurrentParent(); got.Valid() {
-		t.Fatalf("CurrentParent after end = %+v, want zero", got)
+	if got := Parent(ctx); got.Valid() {
+		t.Fatalf("Parent outside the iteration = %+v, want zero", got)
 	}
-	// A second run re-derives a distinct deterministic prefix.
-	BeginRun()
-	if id2 := IterationSpanID(4); id2 == id {
+	it.End("ok", nil)
+	// A second run derives a distinct deterministic prefix, and a context
+	// without a run ID opens no span.
+	if id2 := IterationSpanID(BeginRun(), 4); id2 == id {
 		t.Fatalf("run 2 iteration ID %q collides with run 1", id2)
+	}
+	if _, it := BeginIteration(context.Background(), run, 5); it != nil {
+		t.Fatalf("BeginIteration without a run ID opened %+v", it.Context())
 	}
 }
 

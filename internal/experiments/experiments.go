@@ -64,7 +64,8 @@ type Scale struct {
 	// Seed makes every runner deterministic.
 	Seed int64
 	// Context, when non-nil, cancels in-flight co-search runs (SIGINT
-	// handling in cmd/experiments); nil behaves like context.Background().
+	// handling in cmd/experiments) and carries the sweep's run ID
+	// (runid.With); nil behaves like context.Background().
 	Context context.Context
 	// CheckpointDir, when set, gives every core co-search run within an
 	// experiment a crash-safe checkpoint file named after the run.
@@ -113,7 +114,7 @@ func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
 		// The run name doubles as the header's method field — it already
 		// encodes the experiment and algorithm ("fig7-edge-unico-seed1").
 		Header: flightrec.Header{
-			RunID:     runid.Current(),
+			RunID:     runid.From(ctx),
 			StartedAt: now().UTC().Format(time.RFC3339),
 			Method:    name,
 		},

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -402,5 +404,63 @@ func TestRouterDrainReroutesWithoutDuplicateEvals(t *testing.T) {
 	resp.Body.Close()
 	if got := keyOwner.ppaHits.Load(); got != before+1 {
 		t.Errorf("undrained shard served %d new requests, want its key back (1)", got-before)
+	}
+}
+
+// TestRouterAdmitsJobAdvancesPerRun: the only traffic a co-search sends —
+// job advances — goes through the owning shard's admission gate like a PPA
+// evaluation: one in flight on a capacity-1 shard, the rest queued and
+// dequeued round-robin across run IDs, and past the queue 429 + Retry-After.
+func TestRouterAdmitsJobAdvancesPerRun(t *testing.T) {
+	var mu sync.Mutex
+	var arrived []string
+	gate := make(chan struct{})
+	mk := func() http.Handler {
+		inner := dist.NewServer().Handler()
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/jobs/advance" {
+				mu.Lock()
+				arrived = append(arrived, r.Header.Get(runid.Header))
+				mu.Unlock()
+				<-gate
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	router, rsrv, _ := newTestFleet(t, 1, Options{ShardCapacity: 1, ShardQueue: 3}, mk)
+	client := dist.NewClient(rsrv.URL, nil)
+	advance := func(run string, seed int64) error {
+		_, err := client.AdvanceJobContext(runid.With(context.Background(), run),
+			dist.AdvanceRequest{Spec: edgeJob(seed), Budget: 1})
+		return err
+	}
+
+	// run-a takes the slot and two queue entries before run-b's one arrives.
+	results := make(chan error, 4)
+	for i, run := range []string{"run-a", "run-a", "run-a", "run-b"} {
+		go func() { results <- advance(run, int64(i)) }()
+		waitUntil(t, func() bool { return router.Members()[0].QueueDepth == i+1 })
+	}
+	if err := advance("run-b", 4); err == nil || !strings.Contains(err.Error(), "429") {
+		t.Errorf("advance past a full queue = %v, want a 429 shed", err)
+	}
+
+	for n := 1; n <= 4; n++ {
+		waitUntil(t, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(arrived) == n
+		})
+		gate <- struct{}{}
+	}
+	for i := 0; i < 4; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("queued advance failed: %v", err)
+		}
+	}
+	// One at a time, and run-b's single request is not made to wait behind
+	// all of run-a's.
+	if want := []string{"run-a", "run-a", "run-b", "run-a"}; !reflect.DeepEqual(arrived, want) {
+		t.Errorf("shard saw advances of %v, want %v", arrived, want)
 	}
 }

@@ -122,22 +122,9 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 	run := req.Header.Get(runid.Header)
 	parent := disttrace.Extract(req.Header)
 	for _, m := range succ {
-		// Queue wait is its own span so the waterfall separates admission
-		// time from the forward round trip.
-		q := disttrace.StartSpan(run, parent, "queue", m.id)
-		if err := m.adm.acquire(req.Context(), run); err != nil {
-			if errors.Is(err, errShed) {
-				q.End("shed", nil)
-				// Queue-full on the owner is overload, not failure: shed
-				// rather than spill onto other shards (which would wreck
-				// their cache locality and hide the overload).
-				r.shed(w, http.StatusTooManyRequests, "queue-full")
-			} else {
-				q.End("canceled", nil)
-			}
+		if !r.admit(w, req, m, run, parent) {
 			return
 		}
-		q.End("ok", nil)
 		status, rbody, err := r.forwardTo(req.Context(), m, http.MethodPost, "/v1/ppa", "/v1/ppa", body, run, parent)
 		m.adm.release()
 		if r.answered(m, status, err) {
@@ -149,6 +136,31 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	r.shed(w, http.StatusServiceUnavailable, "unhealthy")
+}
+
+// admit takes one of m's forward slots for req, waiting in m's queue — fair
+// across run IDs — when all are taken; the caller releases it. When the queue
+// is full too it sheds the request with 429 + Retry-After, and when the
+// caller goes away first it answers nothing: either way it reports false and
+// the request is finished.
+func (r *Router) admit(w http.ResponseWriter, req *http.Request, m *member, run string, parent disttrace.SpanContext) bool {
+	// Queue wait is its own span so the waterfall separates admission
+	// time from the forward round trip.
+	q := disttrace.StartSpan(run, parent, "queue", m.id)
+	err := m.adm.acquire(req.Context(), run)
+	switch {
+	case err == nil:
+		q.End("ok", nil)
+	case errors.Is(err, errShed):
+		q.End("shed", nil)
+		// Queue-full on the owner is overload, not failure: shed rather
+		// than spill onto other shards (which would wreck their cache
+		// locality, build a second copy of a job, and hide the overload).
+		r.shed(w, http.StatusTooManyRequests, "queue-full")
+	default:
+		q.End("canceled", nil)
+	}
+	return err == nil
 }
 
 // errRefused is forwardTo's report of a 503 carrying Retry-After: the shard
@@ -198,16 +210,20 @@ func (r *Router) handleDeleteJob(w http.ResponseWriter, req *http.Request) {
 
 // forwardJob sends a job request along the ring walk of the job's key —
 // active members, and draining ones in their place, since they still answer
-// for the jobs they hold — and relays the first answer. A shard that fails
-// is charged and passed over; one that refuses (draining, and not holding
-// the job) or answers 404 (a release of a job it does not hold) is just
-// passed over.
+// for the jobs they hold — through each member's admission gate, like a PPA
+// evaluation, and relays the first answer. A shard that fails is charged and
+// passed over; one that refuses (draining, and not holding the job) or
+// answers 404 (a release of a job it does not hold) is just passed over.
 func (r *Router) forwardJob(w http.ResponseWriter, req *http.Request, key, method, route, path string, body []byte) {
 	run := req.Header.Get(runid.Header)
 	parent := disttrace.Extract(req.Header)
 	var notFound []byte
 	for _, m := range r.holders(hashBytes([]byte(key))) {
+		if !r.admit(w, req, m, run, parent) {
+			return
+		}
 		status, rbody, err := r.forwardTo(req.Context(), m, method, route, path, body, run, parent)
+		m.adm.release()
 		switch {
 		case !r.answered(m, status, err):
 			if req.Context().Err() != nil {

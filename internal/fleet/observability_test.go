@@ -54,15 +54,6 @@ func (c *runCapture) runs(shardURL, path string) []string {
 	return append([]string(nil), c.seen[host][path]...)
 }
 
-// setRunID installs a process-wide run ID for the test and restores the
-// previous one afterwards.
-func setRunID(t *testing.T, id string) {
-	t.Helper()
-	prev := runid.Current()
-	runid.Set(id)
-	t.Cleanup(func() { runid.Set(prev) })
-}
-
 // enableTrace installs a span recorder for the test, tracing off afterwards.
 func enableTrace(t *testing.T, path string) *disttrace.Recorder {
 	t.Helper()
@@ -90,12 +81,12 @@ func TestRunIDSurvivesReplayChain(t *testing.T) {
 	router, rsrv, shards := newTestFleet(t, 2, Options{FailAfter: 1}, mk)
 
 	const myRun = "prop-run-7f3a"
-	setRunID(t, myRun)
+	ctx := runid.With(context.Background(), myRun)
 	client := dist.NewClientOptions(rsrv.URL, nil,
 		dist.Options{Timeout: 30 * time.Second, MaxRetries: 3, RetryBackoff: 2 * time.Millisecond})
 
 	req := dist.AdvanceRequest{Spec: edgeJob(1), Budget: 1}
-	if _, err := client.AdvanceJobContext(context.Background(), req); err != nil {
+	if _, err := client.AdvanceJobContext(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +117,7 @@ func TestRunIDSurvivesReplayChain(t *testing.T) {
 
 	replays := telemetry.FleetReplays().Value()
 	req.Budget, req.Seen = 3, 1
-	state, err := client.AdvanceJobContext(context.Background(), req)
+	state, err := client.AdvanceJobContext(ctx, req)
 	if err != nil {
 		t.Fatalf("AdvanceJob after owner kill: %v", err)
 	}
@@ -163,7 +154,7 @@ func TestFleetTraceChainCompleteUnderChaos(t *testing.T) {
 	spanLog := filepath.Join(t.TempDir(), "spans.jsonl")
 	enableTrace(t, spanLog)
 	const run = "trace-chaos-run"
-	setRunID(t, run)
+	ctx := runid.With(context.Background(), run)
 
 	opt := core.UNICOOptions(4, 2, 10, 3)
 	opt.Workers = 2
@@ -178,7 +169,7 @@ func TestFleetTraceChainCompleteUnderChaos(t *testing.T) {
 	}
 
 	done := make(chan core.Result, 1)
-	go func() { done <- core.Run(p, opt) }()
+	go func() { done <- core.RunContext(ctx, p, opt) }()
 
 	victim := shards[1]
 	waitUntil(t, func() bool { return victim.hits.Load() >= 1 })
@@ -407,5 +398,128 @@ func TestTimelinesRecordProbeHistory(t *testing.T) {
 	hbody, _ := io.ReadAll(hresp.Body)
 	if !strings.Contains(string(hbody), "Fleet health") || !strings.Contains(string(hbody), `class="fail"`) {
 		t.Errorf("debug HTML missing health table or failed-probe marker")
+	}
+}
+
+// requestsByRun counts the requests every shard saw, by the run ID they
+// carried.
+func (c *runCapture) requestsByRun() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[string]int{}
+	for _, byPath := range c.seen {
+		for _, runs := range byPath {
+			for _, run := range runs {
+				out[run]++
+			}
+		}
+	}
+	return out
+}
+
+// TestTwoCoSearchesOneFleet runs two co-searches concurrently through one
+// router and two shards, sharing one client, one platform and one span
+// recorder, and requires each run's identity to stay its own all the way
+// down: every request a shard receives carries its issuer's run ID (as many
+// per run as that run sends alone), every client span sits in its run's
+// trace under one of that run's iteration spans, and no span is orphaned.
+// Nothing process-wide is left to say which run a request belongs to — its
+// context does.
+func TestTwoCoSearchesOneFleet(t *testing.T) {
+	spanLog := filepath.Join(t.TempDir(), "spans.jsonl")
+	enableTrace(t, spanLog)
+	capture := newRunCapture()
+	_, rsrv, _ := newTestFleet(t, 2, Options{},
+		func() http.Handler { return capture.wrap(dist.NewServer().Handler()) })
+	client := dist.NewClientOptions(rsrv.URL, nil, dist.Options{Timeout: 30 * time.Second})
+	p, err := dist.NewRemoteSpatialPlatform([]*dist.Client{client}, hw.Edge, []string{"MobileNetV3-S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(id string, seed int64) core.Result {
+		opt := core.UNICOOptions(4, 2, 10, seed)
+		opt.Workers = 2
+		return core.RunContext(runid.With(context.Background(), id), p, opt)
+	}
+
+	seeds := []int64{3, 4}
+	solo := make([]core.Result, len(seeds))
+	for i, seed := range seeds {
+		solo[i] = search(fmt.Sprintf("solo-%d", i), seed)
+	}
+	both := make([]core.Result, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			both[i] = search(fmt.Sprintf("both-%d", i), seed)
+		}()
+	}
+	wg.Wait()
+
+	requests := capture.requestsByRun()
+	total := 0
+	for i := range seeds {
+		if both[i].Evals == 0 || both[i].Evals != solo[i].Evals || both[i].Hours != solo[i].Hours {
+			t.Errorf("run %d: %d evals, %v h next to another run; %d evals, %v h alone",
+				i, both[i].Evals, both[i].Hours, solo[i].Evals, solo[i].Hours)
+		}
+		alone, together := requests[fmt.Sprintf("solo-%d", i)], requests[fmt.Sprintf("both-%d", i)]
+		if alone == 0 || together != alone {
+			t.Errorf("run %d: shards saw %d requests under its ID next to another run, %d alone", i, together, alone)
+		}
+		total += alone + together
+	}
+	for run, n := range requests {
+		total -= n
+		if !strings.HasPrefix(run, "solo-") && !strings.HasPrefix(run, "both-") {
+			t.Errorf("shards saw %d requests under run ID %q, which no run has", n, run)
+		}
+	}
+	if total != 0 {
+		t.Errorf("request counts by run ID are off by %d", total)
+	}
+
+	events, skipped, err := disttrace.LoadFiles(spanLog)
+	if err != nil || skipped != 0 {
+		t.Fatalf("span log: %v, %d lines skipped", err, skipped)
+	}
+	traces := map[string]*disttrace.Trace{}
+	for _, tr := range disttrace.BuildTraces(events) {
+		traces[tr.ID] = tr
+	}
+	if len(traces) != 2*len(seeds) {
+		t.Errorf("%d traces in the span log, want one per run (%d)", len(traces), 2*len(seeds))
+	}
+	for i := range seeds {
+		id := fmt.Sprintf("both-%d", i)
+		tr := traces[id]
+		if tr == nil {
+			t.Errorf("no trace %q in the span log", id)
+			continue
+		}
+		if len(tr.Orphans) != 0 || len(tr.Incomplete) != 0 {
+			t.Errorf("trace %s: %d orphan and %d incomplete spans, want none", id, len(tr.Orphans), len(tr.Incomplete))
+		}
+		kind := map[string]string{}
+		for _, s := range tr.Spans {
+			kind[s.ID] = s.Kind
+		}
+		clients := 0
+		for _, s := range tr.Spans {
+			if s.Kind != "client" {
+				continue
+			}
+			clients++
+			if kind[s.Parent] != "iteration" {
+				t.Errorf("trace %s: client span %s (%s) has parent %q of kind %q, want one of the run's iteration spans",
+					id, s.ID, s.Name, s.Parent, kind[s.Parent])
+			}
+		}
+		// No retries and no failover here, so a client span is a request.
+		if clients != requests[id] {
+			t.Errorf("trace %s holds %d client spans; the shards saw %d requests under that ID", id, clients, requests[id])
+		}
 	}
 }

@@ -26,9 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
 	"sync"
 
 	"unico/internal/durable"
@@ -41,56 +39,6 @@ const (
 	TypeIteration = "iteration"
 	TypeSummary   = "summary"
 )
-
-// ExtFloat is a float64 whose JSON form survives ±Inf and NaN (encoded as
-// the strings "+Inf", "-Inf", "NaN"), for fields like the UUL threshold
-// that are +Inf until the first surrogate update.
-type ExtFloat float64
-
-// MarshalJSON encodes non-finite values as quoted strings.
-func (f ExtFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON decodes both plain numbers and the quoted non-finite forms.
-func (f *ExtFloat) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "+Inf", "Inf":
-			*f = ExtFloat(math.Inf(1))
-		case "-Inf":
-			*f = ExtFloat(math.Inf(-1))
-		case "NaN":
-			*f = ExtFloat(math.NaN())
-		default:
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return fmt.Errorf("flightrec: bad ExtFloat %q", s)
-			}
-			*f = ExtFloat(v)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = ExtFloat(v)
-	return nil
-}
 
 // Header is the artifact's first line: the run's identity. StartedAt is
 // wall-clock and RunID is random, so comparisons between artifacts (the
@@ -138,7 +86,7 @@ type Iteration struct {
 	Hypervolume float64 `json:"hypervolume"`
 	// UUL is the high-fidelity rule's Upper Update Limit (+Inf until the
 	// first surrogate update).
-	UUL ExtFloat `json:"uul"`
+	UUL durable.ExtFloat `json:"uul"`
 	// Evals is the cumulative mapping budget spent.
 	Evals int `json:"evals"`
 	// Admitted is how many of this batch's samples entered the surrogate

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"unico/internal/durable"
 	"unico/internal/durable/faultfs"
 	"unico/internal/perfprof"
 )
@@ -32,7 +33,7 @@ func testIteration(i int) Iteration {
 		Iter:          i,
 		SimHours:      float64(i) * 1.5,
 		Hypervolume:   0.1 * float64(i),
-		UUL:           ExtFloat(math.Inf(1)),
+		UUL:           durable.ExtFloat(math.Inf(1)),
 		Evals:         10 * i,
 		Admitted:      i,
 		TrainSize:     2 * i,
@@ -46,27 +47,6 @@ func testIteration(i int) Iteration {
 			{Path: "iteration/sh.rung/mapsearch.advance", Count: uint64(4 * i)},
 			{Path: "iteration/update", Count: 1, SimSeconds: 5},
 		},
-	}
-}
-
-func TestExtFloatRoundTrip(t *testing.T) {
-	for _, v := range []float64{0, 1.5, -2.25, math.Inf(1), math.Inf(-1), math.NaN()} {
-		b, err := json.Marshal(ExtFloat(v))
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var got ExtFloat
-		if err := json.Unmarshal(b, &got); err != nil {
-			t.Fatalf("unmarshal %s: %v", b, err)
-		}
-		g := float64(got)
-		if math.IsNaN(v) {
-			if !math.IsNaN(g) {
-				t.Errorf("NaN round-tripped to %v", g)
-			}
-		} else if g != v {
-			t.Errorf("%v round-tripped to %v (wire %s)", v, g, b)
-		}
 	}
 }
 

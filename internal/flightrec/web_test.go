@@ -23,7 +23,7 @@ func goldenData() RunData {
 		it := testIteration(i)
 		it.Type = TypeIteration
 		if i == 2 {
-			it.UUL = ExtFloat(1.25) // first surrogate update: UUL becomes finite
+			it.UUL = 1.25 // first surrogate update: UUL becomes finite
 		}
 		d.Iters = append(d.Iters, it)
 	}

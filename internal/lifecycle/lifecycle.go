@@ -23,7 +23,9 @@ import (
 	"unico/internal/core"
 	"unico/internal/evalcache"
 	"unico/internal/flightrec"
+	"unico/internal/perfprof"
 	"unico/internal/platform"
+	"unico/internal/runid"
 	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
@@ -32,7 +34,8 @@ import (
 type Spec struct {
 	// Header carries the identity the caller knows: RunID, StartedAt,
 	// Revision, Method. Run fills in the workload, the sizes and the
-	// fingerprint the checkpoint contract validates.
+	// fingerprint the checkpoint contract validates, and attaches RunID to
+	// the context the search runs under.
 	Header flightrec.Header
 	// CheckpointPath, when set, journals and snapshots the run there; with
 	// Resume the run continues from the checkpoint found there, if any.
@@ -43,7 +46,8 @@ type Spec struct {
 	// Cache, when non-nil, serves the platform's PPA evaluations and stamps
 	// its cumulative counters on every flight record and the summary.
 	Cache *evalcache.Cache
-	// Tracer and Progress become the run's core.Options hooks.
+	// Tracer, when non-nil, receives the run's phases as Chrome trace events;
+	// it rides the run's context. Progress becomes the core.Options hook.
 	Tracer   *telemetry.Tracer
 	Progress core.ProgressFunc
 	// Live, when non-nil, is the dashboard store the run reports to.
@@ -61,7 +65,7 @@ func (e NotStarted) Unwrap() error { return e.error }
 // mid-run, which never changes the search.
 func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (core.Result, error) {
 	p = WithCache(p, spec.Cache)
-	opt.Tracer, opt.Progress = spec.Tracer, spec.Progress
+	opt.Progress = spec.Progress
 
 	if spec.CheckpointPath != "" {
 		if spec.Resume && checkpoint.Exists(spec.CheckpointPath) {
@@ -124,7 +128,9 @@ func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (cor
 		opt.Flight = cacheStamp{opt.Flight, spec.Cache}
 	}
 
-	res := core.RunContext(ctx, p, opt)
+	// The run's identity and tracer ride its context: the run ID names its
+	// requests and its distributed trace.
+	res := core.RunContext(perfprof.WithTracer(runid.With(ctx, hdr.RunID), spec.Tracer), p, opt)
 
 	// The recorder and the store fill the summary's convergence fields from
 	// the last iteration; this side supplies what that stream cannot know.

@@ -1,16 +1,16 @@
 // Package logx is the shared slog setup of the unico binaries: one Setup
 // call turns the -log-format/-log-level flag pair into a configured
-// *slog.Logger (installed as the process default), and every record carries
-// the current run ID (internal/runid) so a log line anywhere — client,
-// experiment sweep, ppaserver — is attributable to the run that caused it.
+// *slog.Logger (installed as the process default) whose every record carries
+// the run ID of the process's run, if it has one (internal/runid), so a log
+// line of a client or an experiment sweep is attributable to its run.
 // It also provides the HTTP access-log middleware ppaserver wraps its
 // handler with, which logs each request with the caller's run ID taken from
 // the X-Unico-Run-ID header.
 package logx
 
 import (
-	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -19,25 +19,6 @@ import (
 
 	"unico/internal/runid"
 )
-
-// runIDHandler decorates every record with the process-wide run ID, read at
-// log time so records emitted before a run starts simply omit it.
-type runIDHandler struct{ slog.Handler }
-
-func (h runIDHandler) Handle(ctx context.Context, r slog.Record) error {
-	if id := runid.Current(); id != "" {
-		r.AddAttrs(slog.String("run_id", id))
-	}
-	return h.Handler.Handle(ctx, r)
-}
-
-func (h runIDHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return runIDHandler{h.Handler.WithAttrs(attrs)}
-}
-
-func (h runIDHandler) WithGroup(name string) slog.Handler {
-	return runIDHandler{h.Handler.WithGroup(name)}
-}
 
 // ParseLevel converts a -log-level flag value to a slog.Level.
 func ParseLevel(s string) (slog.Level, error) {
@@ -57,7 +38,17 @@ func ParseLevel(s string) (slog.Level, error) {
 // Setup builds the logger the -log-format ("text" or "json") and -log-level
 // flags describe, writing to stderr, and installs it as both the slog and
 // the stdlib log default so third-party log.Printf calls flow through it.
-func Setup(format, level string) (*slog.Logger, error) {
+// A non-empty runID is the process's run: every record carries it as run_id.
+func Setup(format, level, runID string) (*slog.Logger, error) {
+	logger, err := newLogger(os.Stderr, format, level, runID)
+	if err != nil {
+		return nil, err
+	}
+	slog.SetDefault(logger)
+	return logger, nil
+}
+
+func newLogger(w io.Writer, format, level, runID string) (*slog.Logger, error) {
 	lvl, err := ParseLevel(level)
 	if err != nil {
 		return nil, err
@@ -66,14 +57,16 @@ func Setup(format, level string) (*slog.Logger, error) {
 	var h slog.Handler
 	switch strings.ToLower(format) {
 	case "", "text":
-		h = slog.NewTextHandler(os.Stderr, opts)
+		h = slog.NewTextHandler(w, opts)
 	case "json":
-		h = slog.NewJSONHandler(os.Stderr, opts)
+		h = slog.NewJSONHandler(w, opts)
 	default:
 		return nil, fmt.Errorf("logx: unknown log format %q (text|json)", format)
 	}
-	logger := slog.New(runIDHandler{h})
-	slog.SetDefault(logger)
+	logger := slog.New(h)
+	if runID != "" {
+		logger = logger.With("run_id", runID)
+	}
 	return logger, nil
 }
 

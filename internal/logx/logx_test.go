@@ -12,8 +12,15 @@ import (
 	"unico/internal/runid"
 )
 
-func jsonLogger(buf *bytes.Buffer) *slog.Logger {
-	return slog.New(runIDHandler{slog.NewJSONHandler(buf, nil)})
+// jsonLogger is the logger Setup would build for a process whose run is
+// runID, writing to buf instead of stderr.
+func jsonLogger(t *testing.T, buf *bytes.Buffer, runID string) *slog.Logger {
+	t.Helper()
+	logger, err := newLogger(buf, "json", "info", runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logger
 }
 
 func TestParseLevel(t *testing.T) {
@@ -32,39 +39,31 @@ func TestParseLevel(t *testing.T) {
 }
 
 func TestSetupRejectsBadInputs(t *testing.T) {
-	if _, err := Setup("xml", "info"); err == nil {
+	if _, err := Setup("xml", "info", ""); err == nil {
 		t.Error("unknown format accepted")
 	}
-	if _, err := Setup("text", "loud"); err == nil {
+	if _, err := Setup("text", "loud", ""); err == nil {
 		t.Error("unknown level accepted")
 	}
 }
 
-func TestRunIDAttachedAtLogTime(t *testing.T) {
-	prev := runid.Current()
-	defer runid.Set(prev)
+// TestRunIDAttachedAtSetup: the run ID is the logger's, given when it is
+// built — a process with no run logs no run_id, and nothing process-wide can
+// change either afterwards.
+func TestRunIDAttachedAtSetup(t *testing.T) {
+	var bare, run bytes.Buffer
+	jsonLogger(t, &bare, "").Info("no run")
+	jsonLogger(t, &run, "deadbeef").Info("during run")
 
-	var buf bytes.Buffer
-	logger := jsonLogger(&buf)
-
-	runid.Set("")
-	logger.Info("before run")
-	runid.Set("deadbeef")
-	logger.Info("during run")
-
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("%d log lines, want 2", len(lines))
-	}
 	var first, second map[string]any
-	if err := json.Unmarshal(lines[0], &first); err != nil {
+	if err := json.Unmarshal(bytes.TrimSpace(bare.Bytes()), &first); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(lines[1], &second); err != nil {
+	if err := json.Unmarshal(bytes.TrimSpace(run.Bytes()), &second); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := first["run_id"]; ok {
-		t.Errorf("pre-run record carries run_id: %v", first)
+		t.Errorf("record of a process without a run carries run_id: %v", first)
 	}
 	if second["run_id"] != "deadbeef" {
 		t.Errorf("run_id = %v, want deadbeef", second["run_id"])
@@ -72,31 +71,25 @@ func TestRunIDAttachedAtLogTime(t *testing.T) {
 }
 
 func TestRunIDSurvivesWithAttrsAndGroup(t *testing.T) {
-	prev := runid.Current()
-	runid.Set("cafe0123")
-	defer runid.Set(prev)
-
 	var buf bytes.Buffer
-	logger := jsonLogger(&buf).With("component", "test").WithGroup("g")
+	logger := jsonLogger(t, &buf, "cafe0123").With("component", "test").WithGroup("g")
 	logger.LogAttrs(context.Background(), slog.LevelInfo, "m", slog.String("k", "v"))
 
 	var rec map[string]any
 	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec["component"] != "test" {
-		t.Errorf("WithAttrs lost: %v", rec)
+	if rec["component"] != "test" || rec["run_id"] != "cafe0123" {
+		t.Errorf("run_id or component lost after With/WithGroup: %v", rec)
 	}
-	// The run ID is added per-record inside the active group — what matters
-	// is that the derived handlers still pass through runIDHandler at all.
-	if g, ok := rec["g"].(map[string]any); !ok || g["run_id"] != "cafe0123" {
-		t.Errorf("run_id missing after WithAttrs/WithGroup: %v", rec)
+	if g, ok := rec["g"].(map[string]any); !ok || g["k"] != "v" {
+		t.Errorf("grouped attribute lost: %v", rec)
 	}
 }
 
 func TestAccessLogCarriesClientRunID(t *testing.T) {
 	var buf bytes.Buffer
-	logger := jsonLogger(&buf)
+	logger := jsonLogger(t, &buf, "")
 	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))

@@ -1,11 +1,10 @@
 package mobo
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 
+	"unico/internal/durable"
 	"unico/internal/gp"
 )
 
@@ -59,50 +58,6 @@ func (o *Optimizer) SeekRNG(pos uint64) error {
 	return nil
 }
 
-// ExtFloat is a float64 whose JSON form round-trips ±Inf (as the strings
-// "+Inf" and "-Inf"), which encoding/json rejects for plain floats. The
-// optimizer's v_best and UUL start at +Inf, so a state exported before the
-// first surrogate update needs it.
-type ExtFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f ExtFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *ExtFloat) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		switch s {
-		case "+Inf":
-			*f = ExtFloat(math.Inf(1))
-		case "-Inf":
-			*f = ExtFloat(math.Inf(-1))
-		case "NaN":
-			*f = ExtFloat(math.NaN())
-		default:
-			return fmt.Errorf("mobo: bad ExtFloat %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = ExtFloat(v)
-	return nil
-}
-
 // SurrogateState pins one objective's fitted surrogate: the
 // hyperparameters and jitter that rebuild its factor bit-identically via
 // gp.FitWithParams, plus the per-point marginal-likelihood reference the
@@ -134,11 +89,11 @@ type State struct {
 	// All is every observation ever ingested, in ingestion order.
 	All []Observation `json:"all"`
 	// VBest is the best ParEGO scalar seen by the high-fidelity rule.
-	VBest ExtFloat `json:"v_best"`
+	VBest durable.ExtFloat `json:"v_best"`
 	// DSet is the distance set the Upper Update Limit is quantiled from.
 	DSet []float64 `json:"d_set"`
 	// UUL is the current Upper Update Limit.
-	UUL ExtFloat `json:"uul"`
+	UUL durable.ExtFloat `json:"uul"`
 	// Surrogates pins each objective's fitted GP (nil when the optimizer
 	// held no fitted model at export time).
 	Surrogates []SurrogateState `json:"surrogates,omitempty"`
@@ -154,9 +109,9 @@ func (o *Optimizer) Export() State {
 		RNGPos:     o.src.pos,
 		Train:      cloneObservations(o.train),
 		All:        cloneObservations(o.all),
-		VBest:      ExtFloat(o.vBest),
+		VBest:      durable.ExtFloat(o.vBest),
 		DSet:       append([]float64(nil), o.dSet...),
-		UUL:        ExtFloat(o.uul),
+		UUL:        durable.ExtFloat(o.uul),
 		SinceRefit: o.sinceRefit,
 	}
 	if o.gps != nil {

@@ -10,16 +10,14 @@ import (
 	"runtime/pprof"
 	"sync"
 	"time"
-
-	"unico/internal/runid"
 )
 
 // Capture writes pprof CPU and heap profiles into a directory, stamping
-// each filename with the current run ID so profiles from concurrent or
+// each filename with the run ID it was built with so profiles from
 // successive runs never collide. Only one CPU profile can run at a time
 // (a Go runtime restriction); concurrent requests get ErrBusy.
 type Capture struct {
-	dir string
+	dir, id string
 
 	mu  sync.Mutex
 	seq int
@@ -29,12 +27,16 @@ type Capture struct {
 // ErrBusy reports that a CPU profile is already being collected.
 var ErrBusy = errors.New("perfprof: CPU profile already in progress")
 
-// NewCapture returns a Capture writing into dir, creating it if needed.
-func NewCapture(dir string) (*Capture, error) {
+// NewCapture returns a Capture writing into dir, creating it if needed, for
+// the process's run runID ("" names the files "norun").
+func NewCapture(dir, runID string) (*Capture, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("perfprof: create profile dir: %w", err)
 	}
-	return &Capture{dir: dir}, nil
+	if runID == "" {
+		runID = "norun"
+	}
+	return &Capture{dir: dir, id: runID}, nil
 }
 
 // nextPath reserves the next sequence number and builds the profile path:
@@ -44,11 +46,7 @@ func (c *Capture) nextPath(kind string) string {
 	c.seq++
 	n := c.seq
 	c.mu.Unlock()
-	id := runid.Current()
-	if id == "" {
-		id = "norun"
-	}
-	return filepath.Join(c.dir, fmt.Sprintf("%s-%s-%03d.pprof", id, kind, n))
+	return filepath.Join(c.dir, fmt.Sprintf("%s-%s-%03d.pprof", c.id, kind, n))
 }
 
 // CPUProfile collects a CPU profile for d and returns the written path.

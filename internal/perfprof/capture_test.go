@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"unico/internal/runid"
 )
 
 // isGzip reports whether the file starts with the gzip magic bytes; pprof
@@ -23,7 +21,7 @@ func isGzip(t *testing.T, path string) bool {
 }
 
 func TestCaptureWritesReadableProfiles(t *testing.T) {
-	c, err := NewCapture(t.TempDir())
+	c, err := NewCapture(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +42,7 @@ func TestCaptureWritesReadableProfiles(t *testing.T) {
 }
 
 func TestCaptureFilenamesCarryRunID(t *testing.T) {
-	old := runid.Current()
-	runid.Set("feedc0defeedc0de")
-	defer runid.Set(old)
-
-	c, err := NewCapture(t.TempDir())
+	c, err := NewCapture(t.TempDir(), "feedc0defeedc0de")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +56,7 @@ func TestCaptureFilenamesCarryRunID(t *testing.T) {
 }
 
 func TestCaptureHandler(t *testing.T) {
-	c, err := NewCapture(t.TempDir())
+	c, err := NewCapture(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +89,7 @@ func TestCaptureHandler(t *testing.T) {
 }
 
 func TestCPUProfileBusy(t *testing.T) {
-	c, err := NewCapture(t.TempDir())
+	c, err := NewCapture(t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +112,7 @@ func TestCPUProfileBusy(t *testing.T) {
 
 func TestEveryCapturesUntilCancelled(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCapture(dir)
+	c, err := NewCapture(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,8 @@
 // Nesting is carried through context.Context: Start returns a derived
 // context whose spans become children ("iteration/sh.rung/mapsearch.advance").
 // Begin opens a root-level phase for call sites with no context (gp.Predict).
+// The same context value carries the run's Chrome tracer (WithTracer), so a
+// site is bracketed once and the span feeds both the phase tree and the trace.
 // Like the tracer and the flight recorder, the profiler is observation-only:
 // it never influences search decisions, verified by the existing
 // bit-identity determinism tests.
@@ -103,27 +105,45 @@ func SetActive(p *Profiler) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// ctxKey carries the parent phase path through a context.
+// ctxKey carries a scope through a context.
 type ctxKey struct{}
 
-func parentPath(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	s, _ := ctx.Value(ctxKey{}).(string)
-	return s
+// scope is what a run's context carries for its spans: the parent phase path
+// and, when the run writes a Chrome trace, the tracer its clocked spans
+// report to.
+type scope struct {
+	path   string
+	tracer *telemetry.Tracer
 }
+
+func scopeOf(ctx context.Context) scope {
+	sc, _ := ctx.Value(ctxKey{}).(scope)
+	return sc
+}
+
+// WithTracer returns a context whose clocked spans also write themselves to
+// tr as Chrome trace events (a nil tr writes nothing).
+func WithTracer(ctx context.Context, tr *telemetry.Tracer) context.Context {
+	sc := scopeOf(ctx)
+	sc.tracer = tr
+	return context.WithValue(ctx, ctxKey{}, sc)
+}
+
+// Tracer returns the Chrome tracer ctx's run writes to, or nil — for events
+// that are not phases (the per-candidate lanes of a successive-halving rung).
+func Tracer(ctx context.Context) *telemetry.Tracer { return scopeOf(ctx).tracer }
 
 // Span is one open phase observation. A nil *Span is valid: End is a no-op,
 // so call sites need no nil checks. Spans are not safe for concurrent use;
 // each belongs to the goroutine that opened it.
 type Span struct {
-	p     *Profiler
-	path  string
-	start time.Time
-	clock *simclock.Clock
-	sim0  float64
-	done  bool
+	p      *Profiler
+	path   string
+	start  time.Time
+	clock  *simclock.Clock
+	sim0   float64
+	tracer *telemetry.Tracer // clocked spans only
+	done   bool
 }
 
 // Start opens a nested phase span: the returned context carries the new
@@ -133,49 +153,68 @@ func (p *Profiler) Start(ctx context.Context, name string) (context.Context, *Sp
 }
 
 // StartClocked is Start for call sites that hold the run's simulated clock:
-// the span records the simulated-clock delta alongside wall time. Only
+// the span records the simulated-clock delta alongside wall time, and — when
+// ctx carries a tracer — writes itself as a Chrome trace event on End. Only
 // clocked spans contribute simulated seconds to phase totals.
 func (p *Profiler) StartClocked(ctx context.Context, name string, c *simclock.Clock) (context.Context, *Span) {
 	return p.startSpan(ctx, name, c)
 }
 
 func (p *Profiler) startSpan(ctx context.Context, name string, c *simclock.Clock) (context.Context, *Span) {
-	path := name
-	if parent := parentPath(ctx); parent != "" {
-		path = parent + Separator + name
+	sc := scopeOf(ctx)
+	if sc.path != "" {
+		sc.path += Separator + name
+	} else {
+		sc.path = name
 	}
+	s := p.open(sc.path, c)
+	if c != nil {
+		s.tracer = sc.tracer
+	}
+	return context.WithValue(ctx, ctxKey{}, sc), s
+}
+
+func (p *Profiler) open(path string, c *simclock.Clock) *Span {
 	s := &Span{p: p, path: path, clock: c,
 		start: time.Now()} //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
 	if c != nil {
 		s.sim0 = c.Seconds()
 	}
-	if ctx == nil {
-		//unicolint:allow ctxflow nil-ctx fallback for Begin call sites; the profiler context only carries the span path, never cancellation
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, ctxKey{}, path), s
+	return s
 }
 
 // Begin opens a root-level phase span for call sites with no context to
 // thread (gp.Fit, mobo internals). Idiom: defer p.Begin("gp.fit").End()
-func (p *Profiler) Begin(name string) *Span {
-	_, s := p.startSpan(nil, name, nil)
-	return s
-}
+func (p *Profiler) Begin(name string) *Span { return p.open(name, nil) }
 
 // End closes the span and records it. Safe on nil spans; a second End is a
 // no-op, and a span never ended records nothing.
-func (s *Span) End() {
+func (s *Span) End() { s.EndWith(nil) }
+
+// EndWith is End with arguments for the span's Chrome trace event: a clocked
+// span opened under WithTracer writes one complete event named after the
+// phase, placed on the simulated timeline it already measures, with args
+// plus the wall milliseconds (real_ms) it already measures. Without a tracer
+// args are dropped.
+func (s *Span) EndWith(args map[string]any) {
 	if s == nil || s.done {
 		return
 	}
 	s.done = true
 	wall := time.Since(s.start).Seconds() //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
-	sim := 0.0
+	simEnd := s.sim0
 	if s.clock != nil {
-		sim = s.clock.Seconds() - s.sim0
+		simEnd = s.clock.Seconds()
 	}
-	s.p.record(s.path, wall, sim, false)
+	s.p.record(s.path, wall, simEnd-s.sim0, false)
+	if s.tracer != nil {
+		if args == nil {
+			args = map[string]any{}
+		}
+		args["real_ms"] = wall * 1e3
+		name := s.path[strings.LastIndex(s.path, Separator)+1:]
+		s.tracer.Complete(name, "phase", 0, s.sim0, simEnd, args)
+	}
 }
 
 // Timer measures an interval for call sites that decide the phase name only

@@ -1,16 +1,15 @@
-// Package runid generates and holds the per-run correlation ID that ties a
-// co-search's observability surfaces together: every slog record, the flight
-// record header, and every internal/dist request (as the Header HTTP header,
-// which ppaserver echoes into its request logs and metrics). One ID is
-// generated when a run starts and installed process-wide, so deeply nested
-// code — HTTP clients, engines — can attach it without threading it through
-// every signature.
+// Package runid generates the per-run correlation ID that ties a co-search's
+// observability surfaces together — every slog record, the flight record
+// header, the distributed-trace ID, and every internal/dist request (as the
+// Header HTTP header, which ppaserver echoes into its request logs and
+// metrics and the fleet router fair-queues on) — and carries it on the run's
+// context.Context, so two co-searches in one process each keep their own.
 package runid
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"sync/atomic"
 )
 
 // Header is the HTTP header carrying the run ID across the dist boundary.
@@ -27,16 +26,15 @@ func New() string {
 	return hex.EncodeToString(b[:])
 }
 
-// current is the process-wide run ID ("" until a run starts).
-var current atomic.Value
+type ctxKey struct{}
 
-// Set installs the process-wide current run ID.
-func Set(id string) { current.Store(id) }
+// With returns a context carrying id as its run's ID.
+func With(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, ctxKey{}, id)
+}
 
-// Current returns the process-wide run ID, or "" when no run has started.
-func Current() string {
-	if v, ok := current.Load().(string); ok {
-		return v
-	}
-	return ""
+// From returns the run ID ctx carries, or "" when it belongs to no run.
+func From(ctx context.Context) string {
+	id, _ := ctx.Value(ctxKey{}).(string)
+	return id
 }

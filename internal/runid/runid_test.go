@@ -1,6 +1,9 @@
 package runid
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestNewIsUniqueAndWellFormed(t *testing.T) {
 	a, b := New(), New()
@@ -17,15 +20,18 @@ func TestNewIsUniqueAndWellFormed(t *testing.T) {
 	}
 }
 
-func TestSetCurrentRoundTrip(t *testing.T) {
-	prev := Current()
-	defer Set(prev)
-	Set("roundtrip")
-	if got := Current(); got != "roundtrip" {
-		t.Errorf("Current() = %q after Set", got)
+func TestWithFromRoundTrip(t *testing.T) {
+	root := context.Background()
+	if got := From(root); got != "" {
+		t.Errorf("From(background) = %q, want empty", got)
 	}
-	Set("")
-	if got := Current(); got != "" {
-		t.Errorf("Current() = %q after clearing", got)
+	a := With(root, "run-a")
+	b, cancel := context.WithCancel(With(a, "run-b"))
+	defer cancel()
+	if From(a) != "run-a" || From(b) != "run-b" {
+		t.Errorf("From = %q, %q; want run-a, run-b (the nearest With wins, derived contexts inherit)", From(a), From(b))
+	}
+	if got := From(context.WithoutCancel(b)); got != "run-b" {
+		t.Errorf("From(WithoutCancel) = %q, want run-b", got)
 	}
 }

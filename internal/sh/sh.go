@@ -52,9 +52,6 @@ type Config struct {
 	EvalCostSeconds float64
 	// Clock, if non-nil, accrues the simulated wall-clock cost.
 	Clock *simclock.Clock
-	// Tracer, if non-nil, records one span per rung and per advanced
-	// candidate (nil = off; tracing never affects scheduling decisions).
-	Tracer *telemetry.Tracer
 }
 
 // Default returns the paper's MSH configuration.
@@ -107,6 +104,8 @@ type Outcome struct {
 // (zero budget spent). Canceling ctx stops the schedule between (and, for
 // cancelable jobs, within) rounds; the outcome then reflects the budget
 // actually spent, so callers can checkpoint or discard the partial batch.
+// When ctx carries a Chrome tracer (perfprof.WithTracer) every rung and
+// every advanced candidate is written to it.
 func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 	cfg = cfg.normalize()
 	n := len(jobs)
@@ -126,102 +125,105 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 		cumBudget[r] = int(math.Max(1, math.Floor(b)))
 	}
 
-	alive := make([]int, n)
-	for i := range alive {
-		alive[i] = i
-	}
+	alive := allOf(n)
 	totalEvals := 0
 	rungAlive := []int{n}
-	for r := 0; r < rounds; r++ {
-		if ctx.Err() != nil {
-			break
-		}
-		target := cumBudget[r]
-		simStart := simNow(cfg.Clock)
+	for r := 0; r < rounds && ctx.Err() == nil; r++ {
 		rctx, rungSpan := perfprof.StartClocked(ctx, "sh.rung", cfg.Clock)
-		// Advance all alive candidates to the round's cumulative budget on
-		// the bounded worker pool; charge the makespan to the simulated
-		// clock. Each worker touches only its own candidate's searcher, so
-		// results are independent of the worker count and schedule.
-		advanced := make([]int, 0, len(alive))
-		deltas := make([]int, 0, len(alive))
-		preSpent := make(map[int]int, len(alive))
-		for _, ji := range alive {
-			d := target - jobs[ji].Spent()
-			if d <= 0 {
-				continue
-			}
-			preSpent[ji] = jobs[ji].Spent()
-			advanced = append(advanced, ji)
-			deltas = append(deltas, d)
+		evals := advance(rctx, jobs, alive, cumBudget[r], cfg)
+		totalEvals += evals
+		if r < rounds-1 {
+			alive = Promote(jobs, alive, cfg)
+			rungAlive = append(rungAlive, len(alive))
 		}
-		parpool.ForEach(cfg.Workers, len(advanced), func(i int) {
-			mapsearch.AdvanceSearcher(rctx, jobs[advanced[i]], deltas[i])
+		rungSpan.EndWith(map[string]any{
+			"rung": r + 1, "budget": cumBudget[r], "alive": len(alive), "evals": evals,
 		})
-		// Count what the jobs actually spent, not what was requested: a dead
-		// remote job never advances, and charging its planned budget would
-		// inflate TotalEvals and the simulated clock with phantom work.
-		delta := 0
-		for _, ji := range advanced {
-			delta += jobs[ji].Spent() - preSpent[ji]
-		}
-		totalEvals += delta
-		if cfg.Clock != nil && len(alive) > 0 && delta > 0 {
-			// Makespan: candidates advance in parallel waves over Workers;
-			// each costs its budget delta (averaged here) in eval time.
-			perCand := float64(delta) / float64(len(alive)) * cfg.EvalCostSeconds
-			cfg.Clock.AdvanceParallel(len(alive), perCand, cfg.Workers)
-		}
-		if cfg.Tracer != nil {
-			simEnd := simNow(cfg.Clock)
-			for _, ji := range advanced {
-				cfg.Tracer.Complete("candidate_eval", "sh", int64(ji+1), simStart, simEnd,
-					map[string]any{"candidate": ji, "spent": jobs[ji].Spent()})
-			}
-		}
-		if r == rounds-1 {
-			rungSpan.End()
-			telemetry.SHRungs().Inc()
-			telemetry.SHSurvivors().Set(float64(len(alive)))
-			cfg.Tracer.Complete("sh_rung", "sh", 0, simStart, simNow(cfg.Clock), map[string]any{
-				"rung": r + 1, "budget": target, "alive": len(alive), "evals": delta,
-			})
-			break
-		}
-		alive = Promote(jobs, alive, cfg)
-		rungAlive = append(rungAlive, len(alive))
-		rungSpan.End()
 		telemetry.SHRungs().Inc()
 		telemetry.SHSurvivors().Set(float64(len(alive)))
-		cfg.Tracer.Complete("sh_rung", "sh", 0, simStart, simNow(cfg.Clock), map[string]any{
-			"rung": r + 1, "budget": target, "alive": len(alive), "evals": delta,
-		})
-		if len(alive) <= 1 {
+		if len(alive) <= 1 && r < rounds-1 {
 			// Run the lone survivor to full budget.
 			fctx, fullSpan := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
-			last := rounds - 1
-			for _, ji := range alive {
-				d := cumBudget[last] - jobs[ji].Spent()
-				if d > 0 {
-					before := jobs[ji].Spent()
-					mapsearch.AdvanceSearcher(fctx, jobs[ji], d)
-					spent := jobs[ji].Spent() - before
-					totalEvals += spent
-					if cfg.Clock != nil && spent > 0 {
-						cfg.Clock.Advance(float64(spent) * cfg.EvalCostSeconds)
-					}
-				}
-			}
+			totalEvals += advance(fctx, jobs, alive, cfg.BMax, cfg)
 			fullSpan.End()
 			break
 		}
 	}
+	return Outcome{Histories: histories(jobs), Survivors: alive, TotalEvals: totalEvals, Rounds: rounds, RungAlive: rungAlive}
+}
 
-	hist := make([]ppa.History, n)
+// FullBudget is the schedule without early stopping — the HASCO-like regime
+// of the paper's Fig. 10: one rung that brings every job to BMax, on the same
+// worker pool and with the same accounting and cancellation as a rung of Run.
+func FullBudget(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
+	cfg = cfg.normalize()
+	n := len(jobs)
+	if n == 0 {
+		return Outcome{}
+	}
+	alive := allOf(n)
+	fctx, span := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
+	evals := advance(fctx, jobs, alive, cfg.BMax, cfg)
+	span.EndWith(map[string]any{"budget": cfg.BMax, "alive": n, "evals": evals})
+	return Outcome{Histories: histories(jobs), Survivors: alive, TotalEvals: evals, Rounds: 1, RungAlive: []int{n}}
+}
+
+// advance brings the alive candidates to the cumulative budget target on the
+// bounded worker pool, charges the makespan to the simulated clock, and
+// returns the evaluations spent. Each pool task touches only its own
+// candidate's searcher, so results are independent of the worker count and
+// schedule.
+func advance(ctx context.Context, jobs []mapsearch.Searcher, alive []int, target int, cfg Config) int {
+	simStart := simNow(cfg.Clock)
+	advanced := make([]int, 0, len(alive))
+	preSpent := make([]int, 0, len(alive))
+	for _, ji := range alive {
+		if spent := jobs[ji].Spent(); spent < target {
+			advanced = append(advanced, ji)
+			preSpent = append(preSpent, spent)
+		}
+	}
+	parpool.ForEach(cfg.Workers, len(advanced), func(i int) {
+		mapsearch.AdvanceSearcher(ctx, jobs[advanced[i]], target-preSpent[i])
+	})
+	// Count what the jobs actually spent, not what was requested: a dead
+	// remote job never advances, and charging its planned budget would
+	// inflate TotalEvals and the simulated clock with phantom work.
+	evals := 0
+	for i, ji := range advanced {
+		evals += jobs[ji].Spent() - preSpent[i]
+	}
+	if cfg.Clock != nil && evals > 0 {
+		// Makespan: candidates advance in parallel waves over Workers;
+		// each costs its budget delta (averaged here) in eval time.
+		perCand := float64(evals) / float64(len(alive)) * cfg.EvalCostSeconds
+		cfg.Clock.AdvanceParallel(len(alive), perCand, cfg.Workers)
+	}
+	if tr := perfprof.Tracer(ctx); tr != nil {
+		simEnd := simNow(cfg.Clock)
+		for _, ji := range advanced {
+			tr.Complete("candidate_eval", "sh", int64(ji+1), simStart, simEnd,
+				map[string]any{"candidate": ji, "spent": jobs[ji].Spent()})
+		}
+	}
+	return evals
+}
+
+// allOf is the candidate index list 0..n-1.
+func allOf(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+func histories(jobs []mapsearch.Searcher) []ppa.History {
+	hist := make([]ppa.History, len(jobs))
 	for i, j := range jobs {
 		hist[i] = j.History()
 	}
-	return Outcome{Histories: hist, Survivors: alive, TotalEvals: totalEvals, Rounds: rounds, RungAlive: rungAlive}
+	return hist
 }
 
 // Promote selects the surviving candidate indices for the next round: the

@@ -248,3 +248,34 @@ func TestRunCountsActualEvalsNotPlannedBudget(t *testing.T) {
 		t.Error("live candidates advanced but the clock did not")
 	}
 }
+
+// TestFullBudgetIsOneRungToBMax: the schedule without early stopping brings
+// every job to b_max in one round, charges the clock the parallel makespan
+// of exactly that (waves × b_max × cost), and counts a job that cannot
+// advance as nothing — the accounting of a rung, not a second copy of it.
+func TestFullBudgetIsOneRungToBMax(t *testing.T) {
+	jobs := []mapsearch.Searcher{constLoss(1), constLoss(2), constLoss(3), constLoss(4), constLoss(5)}
+	var clk simclock.Clock
+	out := FullBudget(context.Background(), jobs, Config{BMax: 12, Workers: 2, EvalCostSeconds: 0.5, Clock: &clk})
+	for i, j := range jobs {
+		if j.Spent() != 12 || len(out.Histories[i]) != 12 {
+			t.Errorf("job %d spent %d with a %d-point history, want 12 and 12", i, j.Spent(), len(out.Histories[i]))
+		}
+	}
+	if out.TotalEvals != 60 || out.Rounds != 1 || len(out.Survivors) != 5 || len(out.RungAlive) != 1 || out.RungAlive[0] != 5 {
+		t.Errorf("outcome %+v, want 60 evals in 1 round, all 5 alive", out)
+	}
+	if want := 3 * 12 * 0.5; clk.Seconds() != want { // ceil(5/2) waves
+		t.Errorf("clock charged %v s, want %v", clk.Seconds(), want)
+	}
+
+	clk.Reset()
+	out = FullBudget(context.Background(), []mapsearch.Searcher{constLoss(1), deadSearcher{}},
+		Config{BMax: 12, Workers: 2, EvalCostSeconds: 0.5, Clock: &clk})
+	if out.TotalEvals != 12 {
+		t.Errorf("TotalEvals = %d with one dead job, want the live job's 12", out.TotalEvals)
+	}
+	if out := FullBudget(context.Background(), nil, Config{BMax: 12}); out.TotalEvals != 0 || out.Rounds != 0 {
+		t.Errorf("empty batch: %+v", out)
+	}
+}

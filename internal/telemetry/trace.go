@@ -5,24 +5,26 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 )
 
 // Tracer records search events as Chrome trace_event objects, one JSON
-// object per line (JSONL). Each line is a complete "X" (complete span) or
-// "i" (instant) event whose timeline (ts/dur, microseconds) runs on the
-// *simulated* clock, so a multi-hour co-search renders at its true simulated
-// proportions in a trace viewer; the real elapsed milliseconds ride along in
-// args.real_ms. `jq -s . trace.jsonl` converts the stream to the JSON-array
-// form chrome://tracing and Perfetto ingest directly.
+// object per line (JSONL). Each line is a complete "X" event whose timeline
+// (ts/dur, microseconds) runs on the *simulated* clock, so a multi-hour
+// co-search renders at its true simulated proportions in a trace viewer; the
+// real elapsed milliseconds of a phase ride along in args.real_ms.
+// `jq -s . trace.jsonl` converts the stream to the JSON-array form
+// chrome://tracing and Perfetto ingest directly.
+//
+// A run's tracer rides its context (perfprof.WithTracer): the clocked phase
+// spans of internal/perfprof write themselves here, so the event names are
+// the phase names of the flight records and /debug/unico/phases.
 //
 // A nil *Tracer is a valid disabled tracer: every method no-ops, which is
 // the zero-overhead fast path the instrumented packages rely on.
 type Tracer struct {
-	mu    sync.Mutex
-	w     *bufio.Writer
-	enc   *json.Encoder
-	start time.Time
+	mu  sync.Mutex
+	w   *bufio.Writer
+	enc *json.Encoder
 }
 
 // traceEvent is one Chrome trace_event object.
@@ -40,7 +42,7 @@ type traceEvent struct {
 // NewTracer returns a tracer writing JSONL events to w.
 func NewTracer(w io.Writer) *Tracer {
 	bw := bufio.NewWriter(w)
-	t := &Tracer{w: bw, enc: json.NewEncoder(bw), start: time.Now()} //unicolint:allow detclock trace events carry real time alongside simulated time
+	t := &Tracer{w: bw, enc: json.NewEncoder(bw)}
 	t.emit(traceEvent{
 		Name: "process_name", Ph: "M", PID: 1,
 		Args: map[string]any{"name": "unico co-search (simulated time)"},
@@ -54,49 +56,9 @@ func (t *Tracer) emit(ev traceEvent) {
 	_ = t.enc.Encode(ev) // Encode appends the newline: one event per line
 }
 
-// Span is an in-flight span started by StartSpan. A nil *Span no-ops.
-type Span struct {
-	t         *Tracer
-	name, cat string
-	tid       int64
-	simStart  float64
-	realStart time.Time
-}
-
-// StartSpan opens a span at simulated time simSec (seconds) on the virtual
-// thread tid. Returns nil — still safe to End — when the tracer is nil.
-func (t *Tracer) StartSpan(name, cat string, tid int64, simSec float64) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{t: t, name: name, cat: cat, tid: tid, simStart: simSec, realStart: time.Now()} //unicolint:allow detclock trace events carry real time alongside simulated time
-}
-
-// End closes the span at simulated time simSec, attaching args (real
-// elapsed milliseconds and the simulated end time in hours are added).
-func (s *Span) End(simSec float64, args map[string]any) {
-	if s == nil {
-		return
-	}
-	if args == nil {
-		args = map[string]any{}
-	}
-	args["real_ms"] = float64(time.Since(s.realStart)) / float64(time.Millisecond) //unicolint:allow detclock trace events carry real time alongside simulated time
-	args["sim_hours"] = simSec / 3600
-	dur := (simSec - s.simStart) * 1e6
-	if dur < 0 {
-		dur = 0
-	}
-	s.t.emit(traceEvent{
-		Name: s.name, Cat: s.cat, Ph: "X",
-		TS: s.simStart * 1e6, Dur: dur,
-		PID: 1, TID: s.tid, Args: args,
-	})
-}
-
-// Complete records a whole span in one call, for work whose simulated
-// bounds are known only after the fact (e.g. per-candidate evaluations
-// inside a parallel rung).
+// Complete records a whole span from simStartSec to simEndSec (simulated
+// seconds) on the virtual thread tid; args gains the simulated end time in
+// hours (sim_hours).
 func (t *Tracer) Complete(name, cat string, tid int64, simStartSec, simEndSec float64, args map[string]any) {
 	if t == nil {
 		return
@@ -113,17 +75,6 @@ func (t *Tracer) Complete(name, cat string, tid int64, simStartSec, simEndSec fl
 		Name: name, Cat: cat, Ph: "X",
 		TS: simStartSec * 1e6, Dur: dur,
 		PID: 1, TID: tid, Args: args,
-	})
-}
-
-// Instant records a zero-duration event at simulated time simSec.
-func (t *Tracer) Instant(name, cat string, tid int64, simSec float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.emit(traceEvent{
-		Name: name, Cat: cat, Ph: "i",
-		TS: simSec * 1e6, PID: 1, TID: tid, Args: args,
 	})
 }
 

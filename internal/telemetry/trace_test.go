@@ -14,17 +14,15 @@ func TestTraceJSONLWellFormed(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 
-	sp := tr.StartSpan("mobo_iteration", "core", 0, 10)
 	tr.Complete("candidate_eval", "sh", 3, 10, 25, map[string]any{"candidate": 2})
-	tr.Instant("note", "core", 0, 12, nil)
-	sp.End(40, map[string]any{"front": 4})
+	tr.Complete("iteration", "phase", 0, 10, 40, map[string]any{"front": 4})
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 4 { // metadata + complete + instant + span-end
-		t.Fatalf("got %d lines, want 4:\n%s", len(lines), buf.String())
+	if len(lines) != 3 { // metadata + two complete events
+		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
 	}
 	names := map[string]bool{}
 	for i, line := range lines {
@@ -39,7 +37,7 @@ func TestTraceJSONLWellFormed(t *testing.T) {
 		}
 		names[ev["name"].(string)] = true
 	}
-	for _, want := range []string{"process_name", "mobo_iteration", "candidate_eval", "note"} {
+	for _, want := range []string{"process_name", "iteration", "candidate_eval"} {
 		if !names[want] {
 			t.Errorf("missing event %q", want)
 		}
@@ -74,17 +72,11 @@ func TestTraceSimulatedTimestamps(t *testing.T) {
 	}
 }
 
-// TestNilTracerNoOps exercises the disabled fast path: a nil tracer (and
-// the nil span it returns) must be safe everywhere.
+// TestNilTracerNoOps exercises the disabled fast path: a nil tracer must be
+// safe everywhere.
 func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartSpan("x", "y", 0, 1)
-	if sp != nil {
-		t.Fatal("nil tracer returned a non-nil span")
-	}
-	sp.End(2, nil)
 	tr.Complete("x", "y", 0, 1, 2, nil)
-	tr.Instant("x", "y", 0, 1, nil)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}

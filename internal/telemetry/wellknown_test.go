@@ -51,9 +51,9 @@ func TestDistRunRequestsLabelCap(t *testing.T) {
 	if other != DistRunRequests("cap-flood-overflow-b") {
 		t.Error("post-cap run IDs not folded into one counter")
 	}
-	runReqMu.Lock()
-	n := len(runReqs)
-	runReqMu.Unlock()
+	distRunRequests.mu.Lock()
+	n := len(distRunRequests.byValue)
+	distRunRequests.mu.Unlock()
 	if n > maxRunIDLabels+1 { // the cap plus the "other" bucket
 		t.Errorf("label set grew to %d entries, cap is %d", n, maxRunIDLabels)
 	}

@@ -99,12 +99,11 @@ func withoutPhases(iters []flightrec.Iteration) []flightrec.Iteration {
 // file, and requires each to observe exactly what it observes running alone:
 // nothing a run reports through is process-wide any more.
 //
-// Three things still are, and this test steps around them: the perfprof
-// phase window (so concurrent runs' flight records mix their `phases`
-// deltas — compared without that field), disttrace's active recorder (off
-// here), and runid.Set (the last caller wins the process-wide log/request
-// ID; each flight header and dashboard still carries its own Config.RunID).
-// bench/ compiles against the first two; ROADMAP [one-seam] carries all three.
+// Two things still are, and this test steps around them: the perfprof phase
+// window (so concurrent runs' flight records mix their `phases` deltas —
+// compared without that field) and disttrace's active recorder (off here;
+// internal/fleet's TestTwoCoSearchesOneFleet runs two co-searches under one).
+// bench/ compiles against both; ROADMAP [one-seam] carries them.
 func TestTwoCoSearchesOneProcess(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {
@@ -146,8 +145,8 @@ func TestTwoCoSearchesOneProcess(t *testing.T) {
 		if got.progress != iters {
 			t.Errorf("%s: %d progress callbacks, want %d", ids[i], got.progress, iters)
 		}
-		if n := strings.Count(got.trace.String(), `"name":"mobo_iteration"`); n != iters {
-			t.Errorf("%s: %d mobo_iteration trace events, want %d", ids[i], n, iters)
+		if n := strings.Count(got.trace.String(), `"name":"iteration"`); n != iters {
+			t.Errorf("%s: %d iteration trace events, want %d", ids[i], n, iters)
 		}
 		live := got.dashboard.Snapshot()
 		if live.Header.RunID != ids[i] || len(live.Iters) != iters || live.Summary == nil {

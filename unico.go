@@ -296,13 +296,15 @@ type Config struct {
 	// search result. Not supported for MethodNSGAII.
 	FlightRecordFile string
 	// RunID is the correlation ID stamped on the flight-record header and
-	// installed process-wide (internal/runid) so log records and dist
-	// requests carry it. Empty uses the already-installed process ID, or
+	// carried by the run (on its context, internal/runid) so its dist
+	// requests and distributed-trace spans carry it — two co-searches in one
+	// process keep theirs apart. Empty uses the ID ctx already carries, or
 	// generates a fresh one.
 	RunID string
-	// TraceWriter, if non-nil, receives the run's search events as Chrome
-	// trace_event JSONL (open with a trace viewer after `jq -s .`, or read
-	// line-by-line). Tracing never changes the search result.
+	// TraceWriter, if non-nil, receives the run's phases as Chrome
+	// trace_event JSONL, named as in the flight record's phase tree (open
+	// with a trace viewer after `jq -s .`, or read line-by-line). Tracing
+	// never changes the search result.
 	TraceWriter io.Writer
 	// Progress, if non-nil, is invoked after every optimizer iteration
 	// with a convergence snapshot (UNICO, HASCO and MOBOHB; NSGA-II does
@@ -417,12 +419,11 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 
 	runID := cfg.RunID
 	if runID == "" {
-		runID = runid.Current()
+		runID = runid.From(ctx)
 	}
 	if runID == "" {
 		runID = runid.New()
 	}
-	runid.Set(runID)
 
 	var res core.Result
 	var runErr error
