@@ -43,7 +43,7 @@ func main() {
 	resume := flag.Bool("resume", false, "continue runs from existing checkpoints in -checkpoint-dir")
 	flightDir := flag.String("flight-record", "", "write one flight-record artifact per co-search run (<run>.run.jsonl) into this directory; view with unicoreport")
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics|cliflags.Cache)
+		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics)
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel in-flight co-searches; with -checkpoint-dir set,
@@ -62,11 +62,6 @@ func main() {
 	logger := shared.Logger
 	buildinfo.Publish()
 
-	cache, err := shared.OpenCache()
-	if err != nil {
-		logger.Error("cache setup failed", slog.Any("err", err))
-		os.Exit(1)
-	}
 	var tracer *telemetry.Tracer
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -95,9 +90,9 @@ func main() {
 	s.SearchWorkers = *searchWorkers
 	s.Context = ctx
 	s.Resume = *resume
-	// Every run of the sweep shares one cache, one trace file and one
-	// dashboard store (which shows the run in flight).
-	s.Cache, s.Tracer, s.Live = cache, tracer, shared.Live
+	// Every run of the sweep shares one trace file and one dashboard store
+	// (which shows the run in flight).
+	s.Tracer, s.Live = tracer, shared.Live
 	if *progress {
 		s.Progress = func(p core.Progress) {
 			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  front %d  evals %d\n",

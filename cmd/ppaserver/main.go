@@ -66,13 +66,10 @@ import (
 	"time"
 
 	"unico/internal/buildinfo"
-	"unico/internal/camodel"
 	"unico/internal/cliflags"
 	"unico/internal/dist"
-	"unico/internal/evalcache"
 	"unico/internal/fleet"
 	"unico/internal/logx"
-	"unico/internal/maestro"
 	"unico/internal/perfprof"
 	"unico/internal/telemetry"
 )
@@ -81,8 +78,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second,
 		"how long to drain in-flight requests on SIGINT/SIGTERM")
-	checkpointEvery := flag.Duration("checkpoint-every", 0,
-		"also save -cache-file periodically at this interval (atomic tmp+rename; 0 = only on shutdown), so a crash loses at most one interval of cache entries")
 	shards := flag.String("shards", "",
 		"comma-separated shard base URLs; when set, run as a fleet router over these ppaserver shards instead of evaluating locally")
 	shardCapacity := flag.Int("shard-capacity", fleet.DefaultShardCapacity,
@@ -104,7 +99,7 @@ func main() {
 	fleetMetrics := flag.Bool("fleet-metrics", false,
 		"router: serve the aggregated GET /metrics/fleet exposition and the GET /debug/unico/fleet health dashboard")
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Cache)
+		cliflags.Log|cliflags.Pprof|cliflags.SpanLog)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -124,14 +119,9 @@ func main() {
 	var (
 		handler http.Handler
 		router  *fleet.Router
-		cache   *evalcache.Cache
 		err     error
 	)
 	if *shards != "" {
-		if shared.CacheWanted() {
-			logger.Error("-cache/-cache-size/-cache-file apply to shards, not the router; set them on each ppaserver shard")
-			os.Exit(1)
-		}
 		var list []string
 		for _, s := range strings.Split(*shards, ",") {
 			if s = strings.TrimSpace(s); s != "" {
@@ -155,18 +145,7 @@ func main() {
 		logger.Info("fleet router mode", slog.Int("shards", len(list)))
 		handler = router.Handler()
 	} else {
-		server := dist.NewServer()
-		if cache, err = shared.OpenCache(); err != nil {
-			logger.Error("cache setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		if cache != nil {
-			server = dist.NewServerWith(
-				evalcache.Spatial{Inner: maestro.Engine{}, Cache: cache},
-				evalcache.Ascend{Inner: camodel.Engine{}, Cache: cache},
-			)
-		}
-		handler = server.Handler()
+		handler = dist.NewServer().Handler()
 	}
 
 	mux := http.NewServeMux()
@@ -198,24 +177,6 @@ func main() {
 		router.Start(ctx)
 	}
 
-	if cache != nil && shared.CacheFile != "" && *checkpointEvery > 0 {
-		go func() {
-			//unicolint:allow detclock real-time periodic cache persistence in the server main, not search state
-			tick := time.NewTicker(*checkpointEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if err := cache.SaveFile(shared.CacheFile); err != nil {
-						logger.Error("periodic cache save failed", slog.Any("err", err))
-					}
-				}
-			}
-		}()
-	}
-
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening", slog.String("addr", *addr))
@@ -237,7 +198,7 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Error("listener error", slog.Any("err", err))
 		}
-		shared.Close() // saves the cache to -cache-file, closes the span log
+		shared.Close() // closes the span log
 		logger.Info("stopped")
 	}
 }

@@ -58,7 +58,7 @@ func main() {
 		maxBackoff     = flag.Duration("max-backoff", 0, "cap on the remote retry delay, including server Retry-After hints (0 = 2s default)")
 	)
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics|cliflags.Cache)
+		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics)
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the run: in-flight work aborts, the current
@@ -160,9 +160,6 @@ func main() {
 		SearchWorkers:     *searchWorkers,
 		Seed:              *seed,
 		DisableRobustness: *noR,
-		Cache:             shared.Cache,
-		CacheSize:         shared.CacheSize,
-		CacheFile:         shared.CacheFile,
 		CheckpointFile:    *checkpointFile,
 		CheckpointEvery:   *checkpointEvery,
 		Resume:            *resume,
@@ -198,8 +195,8 @@ func main() {
 			logger.Error("co-search failed", slog.Any("err", err))
 			os.Exit(1)
 		}
-		// The search finished; only a post-run step (cache save) or a
-		// recorder sink (checkpoint, flight record) failed.
+		// The search finished; only a recorder sink (checkpoint, flight
+		// record) failed.
 		logger.Warn("post-run step failed", slog.Any("err", err))
 	}
 	if ctx.Err() != nil {
@@ -213,11 +210,6 @@ func main() {
 
 	fmt.Printf("method=%s networks=%s scenario=%s\n", m, *networks, *scenario)
 	fmt.Printf("simulated search cost: %.2f h (%d budget units)\n", res.SimulatedHours, res.Evaluations)
-	if res.CacheHits+res.CacheMisses > 0 {
-		fmt.Printf("evaluation cache: %d hits / %d misses (%.1f%% hit rate)\n",
-			res.CacheHits, res.CacheMisses,
-			100*float64(res.CacheHits)/float64(res.CacheHits+res.CacheMisses))
-	}
 	if *remoteWorkers != "" {
 		// Zero unless a worker failure was truly unrecoverable; chaos CI
 		// greps this line to prove no evaluation was silently dropped.

@@ -45,7 +45,7 @@ import (
 	"unico/internal/workload"
 )
 
-// latencyBuckets spans sub-millisecond cache hits to multi-second overload
+// latencyBuckets spans sub-millisecond evaluations to multi-second overload
 // queueing.
 var latencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -57,7 +57,7 @@ func main() {
 	rates := flag.String("rates", "50", "comma-separated offered rates to sweep, requests/second")
 	duration := flag.Duration("duration", 10*time.Second, "how long to offer each rate")
 	runs := flag.Int("runs", 4, "distinct synthetic run IDs issuing traffic (exercises per-client fair queuing)")
-	pool := flag.Int("pool", 64, "distinct requests in the generated pool (smaller = hotter shard caches)")
+	pool := flag.Int("pool", 64, "distinct requests in the generated pool (smaller = fewer distinct eval keys, so a more skewed shard load)")
 	seed := flag.Int64("seed", 1, "request-pool and arrival-jitter seed (same seed = identical offered workload)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	sloP99 := flag.Duration("slo-p99", 0, "fail if served-request p99 latency exceeds this at any rate (0 = off)")
@@ -244,8 +244,8 @@ func fire(ctx context.Context, client *http.Client, target string, body []byte, 
 
 // requestPool generates n distinct, valid spatial PPA requests from the
 // seed: varied hardware points and layer shapes over the same canonical
-// encoding the servers cache on, so repeated picks hit shard caches the
-// way a real co-search's re-evaluations do.
+// encoding the router hashes on, so repeated picks land on the same shard
+// the way a real co-search's re-evaluations do.
 func requestPool(seed int64, n int) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	pes := []int{2, 4, 8, 16}

@@ -238,34 +238,6 @@ func TestFlightRecordIdenticalAcrossSearchWorkers(t *testing.T) {
 	}
 }
 
-// TestFlightRecordCacheCounters: with the evaluation cache on, the durable
-// iteration records carry the cache's cumulative counters (stamped at the
-// facade layer, where the cache lives).
-func TestFlightRecordCacheCounters(t *testing.T) {
-	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := flightConfig(t.TempDir())
-	cfg.Cache = true
-	res, err := Optimize(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := flightrec.Load(cfg.FlightRecordFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := d.Iters[len(d.Iters)-1]
-	if last.CacheHits+last.CacheMisses == 0 {
-		t.Error("iteration records carry no cache counters despite Cache=true")
-	}
-	if d.Summary.CacheHits != res.CacheHits || d.Summary.CacheMisses != res.CacheMisses {
-		t.Errorf("summary cache counters %d/%d, result says %d/%d",
-			d.Summary.CacheHits, d.Summary.CacheMisses, res.CacheHits, res.CacheMisses)
-	}
-}
-
 func TestFlightRecordNSGAIIRejected(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {

@@ -1,7 +1,9 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +66,7 @@ func TestHASCORunSmoke(t *testing.T) {
 }
 
 func TestNSGAIIRunSmoke(t *testing.T) {
-	res := NSGAII(testPlatform(), NSGAIIOptions{Pop: 8, Generations: 3, BMax: 15, Seed: 5})
+	res := NSGAII(context.Background(), testPlatform(), NSGAIIOptions{Pop: 8, Generations: 3, BMax: 15, Seed: 5})
 	// Initial pop + 3 offspring generations.
 	if want := 8 * 4; len(res.All) != want {
 		t.Errorf("NSGA-II evaluated %d candidates, want %d", len(res.All), want)
@@ -90,8 +92,8 @@ func TestNSGAIIRunSmoke(t *testing.T) {
 
 func TestNSGAIIDeterministic(t *testing.T) {
 	o := NSGAIIOptions{Pop: 6, Generations: 2, BMax: 10, Seed: 9}
-	a := NSGAII(testPlatform(), o)
-	b := NSGAII(testPlatform(), o)
+	a := NSGAII(context.Background(), testPlatform(), o)
+	b := NSGAII(context.Background(), testPlatform(), o)
 	if len(a.All) != len(b.All) {
 		t.Fatal("structure diverged")
 	}
@@ -103,11 +105,53 @@ func TestNSGAIIDeterministic(t *testing.T) {
 }
 
 func TestNSGAIITimeBudget(t *testing.T) {
-	res := NSGAII(testPlatform(), NSGAIIOptions{
+	res := NSGAII(context.Background(), testPlatform(), NSGAIIOptions{
 		Pop: 6, Generations: 50, BMax: 10, Seed: 2, TimeBudgetHours: 0.0001,
 	})
 	if len(res.Trace) >= 51 {
 		t.Error("time budget ignored")
+	}
+}
+
+// cancelAtJob is a platform that cancels its run while building its n-th job.
+type cancelAtJob struct {
+	core.Platform
+	n, built int
+	cancel   context.CancelFunc
+}
+
+func (p *cancelAtJob) NewJob(x []float64, seed int64) mapsearch.Searcher {
+	if p.built++; p.built == p.n {
+		p.cancel()
+	}
+	return p.Platform.NewJob(x, seed)
+}
+
+// TestNSGAIICancelledMidGenerationKeepsLastComplete: a generation cut short
+// by ctx is discarded whole — the result (candidates, front, trace, evals,
+// hours) is exactly that of a run that stopped one generation earlier.
+func TestNSGAIICancelledMidGenerationKeepsLastComplete(t *testing.T) {
+	o := NSGAIIOptions{Pop: 6, Generations: 3, BMax: 10, Workers: 2, Seed: 9}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Jobs 1–6 are generation 0, 7–12 generation 1; the 15th is built while
+	// generation 2 is being set up.
+	got := NSGAII(ctx, &cancelAtJob{Platform: testPlatform(), n: 15, cancel: cancel}, o)
+
+	o.Generations = 1
+	want := NSGAII(context.Background(), testPlatform(), o)
+	if len(want.All) != 12 || want.Evals != 12*10 {
+		t.Fatalf("reference run: %d candidates, %d evals", len(want.All), want.Evals)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cancelled run = %v, want the one-generation run %v", got, want)
+	}
+
+	// Cancelled before the initial population finished: nothing to report.
+	ctx0, cancel0 := context.WithCancel(context.Background())
+	cancel0()
+	if got := NSGAII(ctx0, testPlatform(), o); !reflect.DeepEqual(got, core.Result{}) {
+		t.Errorf("run cancelled at the start = %v, want the zero Result", got)
 	}
 }
 

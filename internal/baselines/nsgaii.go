@@ -1,14 +1,15 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
-	"sync"
 
 	"unico/internal/core"
+	"unico/internal/mapsearch"
 	"unico/internal/pareto"
-	"unico/internal/ppa"
 	"unico/internal/robust"
+	"unico/internal/sh"
 	"unico/internal/simclock"
 )
 
@@ -66,10 +67,9 @@ func (o NSGAIIOptions) normalize(dim int) NSGAIIOptions {
 	return o
 }
 
-// individual is one population member with its evaluation.
+// individual is one population member with its objective vector.
 type individual struct {
 	x    []float64
-	cand core.Candidate
 	obj  []float64
 	rank int
 	cd   float64
@@ -77,43 +77,36 @@ type individual struct {
 
 // NSGAII runs the NSGA-II baseline co-search on the platform: every
 // individual's fitness is the PPA of its best software mapping found with
-// the full b_max budget.
-func NSGAII(p core.Platform, o NSGAIIOptions) core.Result {
+// the full b_max budget, so a generation is one sh.FullBudget batch — the
+// pool, the clock charge and the spend count of the HASCO-like regime.
+// Cancelling ctx discards the generation in flight, as core discards a
+// batch: the Result is that of the last complete generation.
+func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 	space := p.Space()
 	o = o.normalize(space.Dim())
 	rng := rand.New(rand.NewSource(o.Seed))
+	shCfg := sh.Config{BMax: o.BMax, Workers: o.Workers, EvalCostSeconds: p.EvalCostSeconds(), Clock: o.Clock}
 
 	var res core.Result
-	evaluate := func(xs [][]float64, gen int) []individual {
-		inds := make([]individual, len(xs))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, o.Workers)
+	// evaluate runs one generation's searches to full budget and folds them
+	// into res; ok is false, and res untouched, when ctx cut it short.
+	evaluate := func(xs [][]float64, gen int) (inds []individual, ok bool) {
+		jobs := make([]mapsearch.Searcher, len(xs))
 		for i, x := range xs {
-			wg.Add(1)
-			//unicolint:allow ctxflow bounded local semaphore: every slot is released by a worker goroutine that always terminates; no remote peer can wedge the send
-			sem <- struct{}{}
-			go func(i int, x []float64) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				job := p.NewJob(x, o.Seed+int64(gen)*1_000_000+int64(i))
-				job.Advance(o.BMax)
-				cand := core.Candidate{X: x, History: job.History(), Iter: gen}
-				if met, ok := job.Best(); ok {
-					cand.Metrics = met
-					cand.Sensitivity = robust.Sensitivity(job.RawHistory(), robust.DefaultAlpha)
-					cand.Feasible = met.PowerMW <= capOr(p.PowerCapMW()) && met.AreaMM2 <= capOr(p.AreaCapMM2())
-				} else {
-					cand.Metrics = penaltyMetrics()
-					cand.Sensitivity = robust.RInfeasible
-				}
-				inds[i] = individual{x: x, cand: cand, obj: cand.Objectives(false)}
-			}(i, x)
+			jobs[i] = p.NewJob(x, o.Seed+int64(gen)*1_000_000+int64(i))
 		}
-		wg.Wait()
-		o.Clock.AdvanceParallel(len(xs), float64(o.BMax)*p.EvalCostSeconds(), o.Workers)
-		res.Evals += len(xs) * o.BMax
-		res.All = append(res.All, candsOf(inds)...)
-		return inds
+		outcome := sh.FullBudget(ctx, jobs, shCfg)
+		if ctx.Err() != nil {
+			return nil, false
+		}
+		res.Evals += outcome.TotalEvals
+		inds = make([]individual, len(xs))
+		for i, cand := range res.Absorb(p, xs, jobs, gen, robust.DefaultAlpha) {
+			inds[i] = individual{x: cand.X, obj: cand.Objectives(false)}
+		}
+		res.Trace = append(res.Trace, tracePoint(gen, o.Clock, res.Front))
+		res.Hours = o.Clock.Hours()
+		return inds, true
 	}
 
 	// Initial population.
@@ -121,10 +114,11 @@ func NSGAII(p core.Platform, o NSGAIIOptions) core.Result {
 	for i := range xs {
 		xs[i] = space.Sample(rng)
 	}
-	pop := evaluate(xs, 0)
+	pop, ok := evaluate(xs, 0)
+	if !ok {
+		return res
+	}
 	assignRanks(pop)
-	res.Front = frontOf(res.All)
-	res.Trace = append(res.Trace, tracePoint(0, o.Clock, res.Front))
 
 	for gen := 1; gen <= o.Generations; gen++ {
 		if o.TimeBudgetHours > 0 && o.Clock.Hours() >= o.TimeBudgetHours {
@@ -141,59 +135,17 @@ func NSGAII(p core.Platform, o NSGAIIOptions) core.Result {
 			children = append(children, space.Clip(c1), space.Clip(c2))
 		}
 		children = children[:o.Pop]
-		offspring := evaluate(children, gen)
+		offspring, ok := evaluate(children, gen)
+		if !ok {
+			break
+		}
 
 		// Environmental selection over parents ∪ offspring.
 		union := append(append([]individual(nil), pop...), offspring...)
 		pop = selectNext(union, o.Pop)
 		assignRanks(pop)
-
-		res.Front = frontOf(res.All)
-		res.Trace = append(res.Trace, tracePoint(gen, o.Clock, res.Front))
 	}
-	res.Hours = o.Clock.Hours()
 	return res
-}
-
-// capOr turns a zero cap into +Inf for comparisons.
-func capOr(cap float64) float64 {
-	if cap <= 0 {
-		return math.Inf(1)
-	}
-	return cap
-}
-
-func penaltyMetrics() ppa.Metrics {
-	return ppa.Metrics{LatencyMs: 1e9, PowerMW: 1e7, AreaMM2: 1e5, EnergyUJ: 1e16}
-}
-
-func candsOf(inds []individual) []core.Candidate {
-	out := make([]core.Candidate, len(inds))
-	for i, ind := range inds {
-		out[i] = ind.cand
-	}
-	return out
-}
-
-// frontOf extracts the feasible Pareto front of all evaluated candidates.
-func frontOf(all []core.Candidate) []core.Candidate {
-	var feas []core.Candidate
-	var pts [][]float64
-	for _, c := range all {
-		if c.Feasible {
-			feas = append(feas, c)
-			pts = append(pts, c.Objectives(false))
-		}
-	}
-	if len(feas) == 0 {
-		return nil
-	}
-	idx := pareto.Front(pts)
-	front := make([]core.Candidate, len(idx))
-	for i, j := range idx {
-		front[i] = feas[j]
-	}
-	return front
 }
 
 func tracePoint(gen int, clock *simclock.Clock, front []core.Candidate) core.TracePoint {

@@ -14,7 +14,6 @@ import (
 
 	"unico/internal/camodel"
 	"unico/internal/core"
-	"unico/internal/evalcache"
 	"unico/internal/gp"
 	"unico/internal/hw"
 	"unico/internal/linalg"
@@ -37,9 +36,7 @@ type Case struct {
 
 // All returns the canonical benchmark registry in a fixed order: the
 // substrate micro-benches first, the end-to-end micro run last (it is the
-// slowest and dominates the recorded phase tree). The rung-workload cases
-// are the leaf variants rather than the b.Run parents, because
-// testing.Benchmark does not surface sub-benchmark results.
+// slowest and dominates the recorded phase tree).
 func All() []Case {
 	return []Case{
 		{Name: "GPFitPredict", Fn: GPFitPredict, Pinned: true},
@@ -51,10 +48,6 @@ func All() []Case {
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit, Pinned: true},
 		{Name: "AscendNewJob", Fn: AscendNewJob, Pinned: true},
 		{Name: "SpatialNewJob", Fn: SpatialNewJob, Pinned: true},
-		{Name: "RepeatedRungWorkload/uncached", Fn: rungUncached},
-		{Name: "RepeatedRungWorkload/cached", Fn: rungCached},
-		{Name: "RepeatedRungWorkloadAscend/uncached", Fn: ascendUncached},
-		{Name: "RepeatedRungWorkloadAscend/cached", Fn: ascendCached},
 		{Name: "EndToEndMicro", Fn: EndToEndMicro, Pinned: true},
 	}
 }
@@ -267,144 +260,6 @@ func benchNewJob(b *testing.B, p core.Platform, x []float64) {
 			b.Fatal("nil job")
 		}
 	}
-}
-
-// rungTriple models what successive halving actually does to the PPA
-// engine: a batch of hardware candidates whose surviving mapping searches
-// are re-advanced rung after rung, re-evaluating the same warm-start and
-// incumbent schedules every time.
-type rungTriple struct {
-	cfg hw.Spatial
-	m   mapping.Spatial
-	l   workload.Layer
-}
-
-func rungWorkload() []rungTriple {
-	space := hw.NewSpatialSpace(hw.Edge)
-	rng := rand.New(rand.NewSource(7))
-	layers := workload.MobileNet().Layers
-	if len(layers) > 8 {
-		layers = layers[:8]
-	}
-	var triples []rungTriple
-	for cand := 0; cand < 4; cand++ {
-		cfg := space.Decode(space.Sample(rng))
-		for _, l := range layers {
-			for s := 0; s < 8; s++ {
-				m := mapping.RandomSpatial(rng, l).Canon(l)
-				triples = append(triples, rungTriple{cfg: cfg, m: m, l: l})
-			}
-		}
-	}
-	return triples
-}
-
-// RepeatedRungWorkload measures the hit-rate win of the evaluation cache on
-// a repeated-rung pattern: each "rung" revisits the identical (hardware,
-// mapping, layer) triples, so with the cache only the first rung pays for
-// engine computation.
-func RepeatedRungWorkload(b *testing.B) {
-	b.Run("uncached", rungUncached)
-	b.Run("cached", rungCached)
-}
-
-// rungs is the number of times each repeated-rung workload revisits its
-// triples per benchmark iteration.
-const rungs = 4
-
-func rungUncached(b *testing.B) {
-	triples := rungWorkload()
-	eng := maestro.Engine{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rungs; r++ {
-			for _, tr := range triples {
-				_, _ = eng.Evaluate(tr.cfg, tr.m, tr.l)
-			}
-		}
-	}
-	b.ReportMetric(0, "hit-rate")
-}
-
-func rungCached(b *testing.B) {
-	triples := rungWorkload()
-	// One cache across all b.N iterations: after the first rung every
-	// evaluation is a hit, which is exactly the warm-start regime.
-	eng := evalcache.Spatial{Inner: maestro.Engine{}, Cache: evalcache.New(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rungs; r++ {
-			for _, tr := range triples {
-				_, _ = eng.Evaluate(tr.cfg, tr.m, tr.l)
-			}
-		}
-	}
-	b.ReportMetric(eng.Cache.Stats().HitRate(), "hit-rate")
-}
-
-// ascendTriple mirrors rungTriple on the Ascend-like platform, where each
-// evaluation runs the cycle-level simulator — the regime the cache is
-// really for (a hit saves simulation, not just arithmetic).
-type ascendTriple struct {
-	cfg hw.Ascend
-	m   mapping.Ascend
-	l   workload.Layer
-}
-
-func ascendRungWorkload() []ascendTriple {
-	space := hw.NewAscendSpace()
-	rng := rand.New(rand.NewSource(7))
-	layers := workload.DLEU().Layers
-	if len(layers) > 4 {
-		layers = layers[:4]
-	}
-	var triples []ascendTriple
-	for cand := 0; cand < 2; cand++ {
-		cfg := space.Decode(space.Sample(rng))
-		for _, l := range layers {
-			for s := 0; s < 4; s++ {
-				m := mapping.RandomAscend(rng, l).Canon(l)
-				triples = append(triples, ascendTriple{cfg: cfg, m: m, l: l})
-			}
-		}
-	}
-	return triples
-}
-
-// RepeatedRungWorkloadAscend is the cycle-level variant of
-// RepeatedRungWorkload: the simulator costs orders of magnitude more than a
-// key hash, so the cached ns/op tracks the miss fraction.
-func RepeatedRungWorkloadAscend(b *testing.B) {
-	b.Run("uncached", ascendUncached)
-	b.Run("cached", ascendCached)
-}
-
-func ascendUncached(b *testing.B) {
-	triples := ascendRungWorkload()
-	eng := camodel.Engine{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rungs; r++ {
-			for _, tr := range triples {
-				_, _ = eng.Evaluate(tr.cfg, tr.m, tr.l)
-			}
-		}
-	}
-	b.ReportMetric(0, "hit-rate")
-}
-
-func ascendCached(b *testing.B) {
-	triples := ascendRungWorkload()
-	eng := evalcache.Ascend{Inner: camodel.Engine{}, Cache: evalcache.New(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rungs; r++ {
-			for _, tr := range triples {
-				_, _ = eng.Evaluate(tr.cfg, tr.m, tr.l)
-			}
-		}
-	}
-	b.ReportMetric(eng.Cache.Stats().HitRate(), "hit-rate")
 }
 
 // EndToEndMicro runs a Table-1-style micro co-search end to end — a small

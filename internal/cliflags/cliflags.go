@@ -1,8 +1,7 @@
 // Package cliflags declares, once, the flag groups the binaries under cmd/
 // share, and starts what they configure: the logger, pprof capture, the span
-// log, the debug server with its dashboard, and the evaluation cache with its
-// warm-start file. Only cmd/* imports it — the library takes these things as
-// values.
+// log, and the debug server with its dashboard. Only cmd/* imports it — the
+// library takes these things as values.
 package cliflags
 
 import (
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"unico/internal/disttrace"
-	"unico/internal/evalcache"
 	"unico/internal/flightrec"
 	"unico/internal/logx"
 	"unico/internal/perfprof"
@@ -30,18 +28,11 @@ const (
 	Pprof                     // -pprof-dir, -pprof-interval
 	SpanLog                   // -span-log
 	Metrics                   // -metrics-addr
-	Cache                     // -cache, -cache-size, -cache-file
 )
 
 // Shared holds the parsed values of the registered groups and, after Start,
 // what they opened.
 type Shared struct {
-	// The cache flags as given, for a binary that forwards them instead of
-	// calling OpenCache.
-	Cache     bool
-	CacheSize int
-	CacheFile string
-
 	logFormat, logLevel  string
 	pprofDir             string
 	pprofInterval        time.Duration
@@ -74,17 +65,7 @@ func Register(fs *flag.FlagSet, groups Group) *Shared {
 	if groups&Metrics != 0 {
 		fs.StringVar(&s.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and the /debug/unico dashboard on this address while running")
 	}
-	if groups&Cache != 0 {
-		fs.BoolVar(&s.Cache, "cache", false, "serve repeated PPA evaluations from a content-addressed cache")
-		fs.IntVar(&s.CacheSize, "cache-size", 0, "evaluation-cache entry bound (0 = default ~1M; implies -cache)")
-		fs.StringVar(&s.CacheFile, "cache-file", "", "warm-start the cache from this JSONL file and save it back on exit (implies -cache)")
-	}
 	return s
-}
-
-// CacheWanted reports whether -cache, or a flag that implies it, is set.
-func (s *Shared) CacheWanted() bool {
-	return s.Cache || s.CacheSize > 0 || s.CacheFile != ""
 }
 
 // Start validates the parsed flags and starts what they ask for. spanProc
@@ -140,37 +121,7 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 	return nil
 }
 
-// OpenCache builds the evaluation cache the cache flags ask for (nil when
-// they ask for none), warm-started from -cache-file when that file exists.
-// Close logs its totals and saves it back there.
-func (s *Shared) OpenCache() (*evalcache.Cache, error) {
-	if !s.CacheWanted() {
-		return nil, nil
-	}
-	cache := evalcache.New(s.CacheSize)
-	if s.CacheFile != "" {
-		n, err := cache.LoadFile(s.CacheFile)
-		if err != nil {
-			return nil, fmt.Errorf("cache warm-start: %w", err)
-		}
-		s.Logger.Info("warm-started cache", slog.Int("entries", n), slog.String("file", s.CacheFile))
-	}
-	s.closers = append(s.closers, func() {
-		st := cache.Stats()
-		s.Logger.Info("evaluation cache totals", slog.Uint64("hits", st.Hits), slog.Uint64("misses", st.Misses))
-		if s.CacheFile == "" {
-			return
-		}
-		if err := cache.SaveFile(s.CacheFile); err != nil {
-			s.Logger.Error("cache save failed", slog.Any("err", err))
-			return
-		}
-		s.Logger.Info("saved cache", slog.Int("entries", cache.Len()), slog.String("file", s.CacheFile))
-	})
-	return cache, nil
-}
-
-// Close releases what Start and OpenCache opened, newest first.
+// Close releases what Start opened, newest first.
 func (s *Shared) Close() {
 	for i := len(s.closers) - 1; i >= 0; i-- {
 		s.closers[i]()

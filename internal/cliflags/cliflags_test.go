@@ -4,12 +4,7 @@ import (
 	"context"
 	"flag"
 	"io"
-	"path/filepath"
-	"reflect"
 	"testing"
-
-	"unico/internal/evalcache"
-	"unico/internal/ppa"
 )
 
 func parse(t *testing.T, groups Group, args ...string) *Shared {
@@ -36,12 +31,11 @@ func TestRegisteredNamesAndDefaults(t *testing.T) {
 		{Pprof, []decl{{"pprof-dir", ""}, {"pprof-interval", "0s"}}},
 		{SpanLog, []decl{{"span-log", ""}}},
 		{Metrics, []decl{{"metrics-addr", ""}}},
-		{Cache, []decl{{"cache", "false"}, {"cache-size", "0"}, {"cache-file", ""}}},
 	}
 	binaries := map[string]Group{
-		"unico":       Log | Pprof | SpanLog | Metrics | Cache,
-		"experiments": Log | Pprof | SpanLog | Metrics | Cache,
-		"ppaserver":   Log | Pprof | SpanLog | Cache,
+		"unico":       Log | Pprof | SpanLog | Metrics,
+		"experiments": Log | Pprof | SpanLog | Metrics,
+		"ppaserver":   Log | Pprof | SpanLog,
 		"unicoload":   SpanLog,
 	}
 	for bin, groups := range binaries {
@@ -66,22 +60,6 @@ func TestRegisteredNamesAndDefaults(t *testing.T) {
 	}
 }
 
-func TestCacheWanted(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want bool
-	}{
-		{nil, false},
-		{[]string{"-cache"}, true},
-		{[]string{"-cache-size", "64"}, true},
-		{[]string{"-cache-file", "ppa.jsonl"}, true},
-	} {
-		if got := parse(t, Cache, tc.args...).CacheWanted(); got != tc.want {
-			t.Errorf("%v: CacheWanted = %v, want %v", tc.args, got, tc.want)
-		}
-	}
-}
-
 func TestStartRejectsIntervalWithoutDir(t *testing.T) {
 	if err := parse(t, Pprof, "-pprof-interval", "30s").Start(context.Background(), "client"); err == nil {
 		t.Error("-pprof-interval without -pprof-dir accepted")
@@ -95,50 +73,5 @@ func TestStartRejectsIntervalWithoutDir(t *testing.T) {
 	defer s.Close()
 	if s.Capture == nil || s.Live != nil {
 		t.Errorf("Capture %v, Live %v; want a capture and no dashboard store", s.Capture, s.Live)
-	}
-}
-
-// A cache warm-started from -cache-file is saved back there on Close, with
-// what the process added to it.
-func TestCacheFileRoundTrip(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "ppa.jsonl")
-	keys := []evalcache.Key{{1}, {2}}
-	met := ppa.Metrics{LatencyMs: 9, PowerMW: 8, AreaMM2: 7, EnergyUJ: 6}
-
-	for i, key := range keys {
-		s := parse(t, Cache, "-cache-file", file)
-		if err := s.Start(context.Background(), "client"); err != nil {
-			t.Fatal(err)
-		}
-		cache, err := s.OpenCache()
-		if err != nil || cache == nil {
-			t.Fatalf("OpenCache = %v, %v", cache, err)
-		}
-		if cache.Len() != i {
-			t.Errorf("process %d warm-started %d entries, want %d", i, cache.Len(), i)
-		}
-		if _, err := cache.Do(key, evalcache.EngineMaestro, func() (ppa.Metrics, error) { return met, nil }); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-	}
-
-	saved := evalcache.New(0)
-	if n, err := saved.LoadFile(file); n != len(keys) || err != nil {
-		t.Fatalf("saved file holds %d entries (%v), want %d", n, err, len(keys))
-	}
-	for _, key := range keys {
-		if got, err, ok := saved.Get(key); !ok || err != nil || !reflect.DeepEqual(got, met) {
-			t.Errorf("key %v: %v, %v, %v", key, got, err, ok)
-		}
-	}
-
-	s := parse(t, Cache)
-	if err := s.Start(context.Background(), "client"); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if cache, err := s.OpenCache(); cache != nil || err != nil {
-		t.Errorf("no cache flag: OpenCache = %v, %v", cache, err)
 	}
 }

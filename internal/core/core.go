@@ -401,23 +401,11 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 		obs := make([]mobo.Observation, len(xs))
 		batchFeasible := 0
-		for i, x := range xs {
-			hist := outcome.Histories[i]
-			met, ok := jobs[i].Best()
-			cand := Candidate{X: x, History: hist, Iter: iter}
-			if ok {
-				cand.Metrics = met
-				cand.Sensitivity = robust.Sensitivity(jobs[i].RawHistory(), opt.Alpha)
-				cand.Feasible = withinCaps(p, met)
-			} else {
-				cand.Metrics = penaltyMetrics
-				cand.Sensitivity = robust.RInfeasible
-			}
+		for i, cand := range res.Absorb(p, xs, jobs, iter, opt.Alpha) {
 			if cand.Feasible {
 				batchFeasible++
 			}
-			res.All = append(res.All, cand)
-			obs[i] = mobo.Observation{X: x, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
+			obs[i] = mobo.Observation{X: cand.X, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
 		}
 		closeJobs(jobs)
 		_, phaseUpdate := prof.StartClocked(pctx, "update", opt.Clock)
@@ -427,7 +415,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		opt.Clock.Advance(5)
 		phaseUpdate.EndWith(map[string]any{"admitted": admitted, "train": explorer.TrainSize()})
 
-		res.Front = paretoFront(res.All)
 		res.Trace = append(res.Trace, TracePoint{
 			Iter:     iter,
 			Hours:    opt.Clock.Hours(),
@@ -525,6 +512,30 @@ func closeJobs(jobs []mapsearch.Searcher) {
 			_ = c.Close()
 		}
 	}
+}
+
+// Absorb folds one evaluated batch into the result: jobs[i] is the finished
+// mapping search of the hardware at xs[i], evaluated in iteration (or
+// generation) iter. The batch's candidates — scored by the best mapping each
+// search found, its sensitivity at percentile alpha and the platform's caps,
+// or by the penalty point when it found none — are appended to r.All and
+// returned, and r.Front is refreshed. Every search method builds its
+// candidates here, so "feasible" and "front" mean one thing across them.
+func (r *Result) Absorb(p Platform, xs [][]float64, jobs []mapsearch.Searcher, iter int, alpha float64) []Candidate {
+	for i, x := range xs {
+		cand := Candidate{X: x, History: jobs[i].History(), Iter: iter}
+		if met, ok := jobs[i].Best(); ok {
+			cand.Metrics = met
+			cand.Sensitivity = robust.Sensitivity(jobs[i].RawHistory(), alpha)
+			cand.Feasible = withinCaps(p, met)
+		} else {
+			cand.Metrics = penaltyMetrics
+			cand.Sensitivity = robust.RInfeasible
+		}
+		r.All = append(r.All, cand)
+	}
+	r.Front = paretoFront(r.All)
+	return r.All[len(r.All)-len(xs):]
 }
 
 // runningHypervolume is the live convergence signal reported to Progress:

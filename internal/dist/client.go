@@ -11,12 +11,9 @@ import (
 	"strconv"
 	"time"
 
-	"unico/internal/camodel"
 	"unico/internal/disttrace"
 	"unico/internal/evalcache"
-	"unico/internal/maestro"
 	"unico/internal/perfprof"
-	"unico/internal/ppa"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
@@ -34,7 +31,7 @@ const (
 )
 
 // Options tunes a Client's resilience behavior. The zero value means:
-// DefaultTimeout, no retries, no cache.
+// DefaultTimeout, no retries.
 type Options struct {
 	// Timeout bounds each request when NewClientOptions builds the transport
 	// itself (ignored when an explicit *http.Client is passed).
@@ -52,10 +49,6 @@ type Options struct {
 	RetryBackoff time.Duration
 	// MaxBackoff caps the delay between retries. <= 0 means DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// Cache, when non-nil, serves EvaluatePPA from a content-addressed
-	// evaluation cache, skipping the network round trip entirely on a hit.
-	// Transport errors are never cached.
-	Cache *evalcache.Cache
 }
 
 // Client talks to one worker node.
@@ -95,9 +88,6 @@ func NewClientOptions(base string, httpClient *http.Client, opts Options) *Clien
 	}
 	return &Client{base: base, hc: httpClient, opts: opts}
 }
-
-// Base returns the worker's base URL.
-func (c *Client) Base() string { return c.base }
 
 // retryableError marks a failure that is worthwhile to retry: the request
 // may never have reached the worker (transport error), the worker declared
@@ -304,49 +294,15 @@ func spanStatus(err error) string {
 	return "error"
 }
 
-// EvaluatePPAContext evaluates one (hardware, mapping, layer) triple
-// remotely. The route is a pure function of the request, so it retries on
-// retryable failures and, when Options.Cache is set, serves repeats from the
-// content-addressed cache without touching the network. The returned error
-// covers transport only; evaluation failures arrive in PPAResponse.Error.
-// Cancelling ctx aborts in-flight requests and retry backoffs.
-func (c *Client) EvaluatePPAContext(ctx context.Context, req PPARequest) (PPAResponse, error) {
-	if c.opts.Cache == nil {
-		return c.evaluatePPA(ctx, req)
-	}
-	key, engine, ok := cacheKeyFor(&req)
-	if !ok {
-		return c.evaluatePPA(ctx, req)
-	}
-	met, err := c.opts.Cache.Do(key, engine, func() (ppa.Metrics, error) {
-		resp, err := c.evaluatePPA(ctx, req)
-		if err != nil {
-			// A network failure says nothing about the triple — do not cache.
-			return ppa.Metrics{}, evalcache.Uncachable(err)
-		}
-		if resp.Error != "" {
-			return ppa.Metrics{}, newRemoteEvalError(resp, engine)
-		}
-		return resp.Metrics, nil
-	})
-	if err == nil {
-		return PPAResponse{Metrics: met}, nil
-	}
-	var re *remoteEvalError
-	switch {
-	case errors.As(err, &re):
-		return PPAResponse{Error: re.msg, Infeasible: re.sentinel != nil}, nil
-	case errors.Is(err, maestro.ErrInfeasible), errors.Is(err, camodel.ErrInfeasible):
-		// Infeasibility reloaded from a persisted cache file.
-		return PPAResponse{Error: err.Error(), Infeasible: true}, nil
-	}
-	return PPAResponse{}, err
-}
-
 // evalSeconds times every remote evaluation round trip, retries included.
 var evalSeconds = telemetry.PPAEvalSeconds("dist")
 
-func (c *Client) evaluatePPA(ctx context.Context, req PPARequest) (PPAResponse, error) {
+// EvaluatePPAContext evaluates one (hardware, mapping, layer) triple
+// remotely. The route is a pure function of the request, so it retries on
+// retryable failures. The returned error covers transport only; evaluation
+// failures arrive in PPAResponse.Error. Cancelling ctx aborts in-flight
+// requests and retry backoffs.
+func (c *Client) EvaluatePPAContext(ctx context.Context, req PPARequest) (PPAResponse, error) {
 	start := time.Now() //unicolint:allow detclock host-side eval-latency metric on the remote transport path
 	defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
 	var resp PPAResponse
@@ -356,60 +312,26 @@ func (c *Client) evaluatePPA(ctx context.Context, req PPARequest) (PPAResponse, 
 	return resp, nil
 }
 
-// remoteEvalError carries a worker-reported evaluation failure through the
-// client-side cache so the PPAResponse can be reconstructed on a hit.
-type remoteEvalError struct {
-	msg      string
-	sentinel error // the engine's ErrInfeasible, or nil
-}
-
-func (e *remoteEvalError) Error() string { return e.msg }
-
-// Unwrap exposes the infeasibility sentinel so errors.Is — and JSONL
-// persistence of the cache — see the failure kind.
-func (e *remoteEvalError) Unwrap() error { return e.sentinel }
-
-func newRemoteEvalError(resp PPAResponse, engine string) *remoteEvalError {
-	e := &remoteEvalError{msg: resp.Error}
-	if resp.Infeasible {
-		switch engine {
-		case evalcache.EngineMaestro:
-			e.sentinel = maestro.ErrInfeasible
-		case evalcache.EngineCAModel:
-			e.sentinel = camodel.ErrInfeasible
-		}
-	}
-	return e
-}
-
-// CanonicalEvalKey returns the content address of a PPA request — the same
-// SHA-256 key the evaluation cache uses, which makes it the coordinate the
-// fleet router consistent-hashes on (so repeats of a triple land on the
-// shard whose LRU already holds it). The engine name is "maestro" or
-// "camodel"; ok is false for malformed requests.
-func CanonicalEvalKey(req *PPARequest) (evalcache.Key, string, bool) {
-	return cacheKeyFor(req)
-}
-
-// cacheKeyFor derives the content address of a PPA request; ok is false for
-// malformed requests, which skip the cache and let the worker report the
-// error.
-func cacheKeyFor(req *PPARequest) (evalcache.Key, string, bool) {
+// CanonicalEvalKey returns the content address of a PPA request: the SHA-256
+// of its canonicalized triple, the coordinate the fleet router
+// consistent-hashes on, so repeats of a triple land on one shard. ok is
+// false for malformed requests, which the worker reports as errors.
+func CanonicalEvalKey(req *PPARequest) (key evalcache.Key, ok bool) {
 	switch req.Platform {
 	case "spatial":
 		if req.SpatialHW == nil || req.SpatialMapping == nil {
-			return evalcache.Key{}, "", false
+			return evalcache.Key{}, false
 		}
 		m := req.SpatialMapping.Canon(req.Layer)
-		return evalcache.SpatialKey(*req.SpatialHW, m, req.Layer), evalcache.EngineMaestro, true
+		return evalcache.SpatialKey(*req.SpatialHW, m, req.Layer), true
 	case "ascend":
 		if req.AscendHW == nil || req.AscendMapping == nil {
-			return evalcache.Key{}, "", false
+			return evalcache.Key{}, false
 		}
 		m := req.AscendMapping.Canon(req.Layer)
-		return evalcache.AscendKey(*req.AscendHW, m, req.Layer), evalcache.EngineCAModel, true
+		return evalcache.AscendKey(*req.AscendHW, m, req.Layer), true
 	}
-	return evalcache.Key{}, "", false
+	return evalcache.Key{}, false
 }
 
 // AdvanceJobContext brings the job req.Spec describes to the cumulative

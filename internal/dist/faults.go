@@ -71,8 +71,8 @@ func (f *FaultInjector) ResetNext(n int) {
 
 // CorruptNext makes the next n requests answer 200 OK with a truncated,
 // malformed JSON body — the worker crashed mid-write, or a proxy mangled
-// the response. Clients must treat the undecodable body as retryable, never
-// cache it, and never surface it as an evaluation result.
+// the response. Clients must treat the undecodable body as retryable and
+// never surface it as an evaluation result.
 func (f *FaultInjector) CorruptNext(n int) {
 	f.mu.Lock()
 	f.corruptNext += n

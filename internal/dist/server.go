@@ -49,9 +49,8 @@ func NewServer() *Server {
 	return NewServerWith(maestro.Engine{}, camodel.Engine{})
 }
 
-// NewServerWith builds a worker over explicit engines — typically
-// evalcache-wrapped ones (cmd/ppaserver's -cache flag), or counting stubs in
-// tests.
+// NewServerWith builds a worker over explicit engines — instrumented ones
+// in bench/, counting stubs in tests.
 func NewServerWith(spatial mapsearch.SpatialEngine, ascend mapsearch.AscendEngine) *Server {
 	return &Server{spatial: spatial, ascend: ascend, jobs: map[string]*serverJob{}}
 }
@@ -108,7 +107,7 @@ func routeLabel(r *http.Request) string {
 }
 
 // SetDraining flips the worker's drain state. Draining is reversible: a
-// shard taken out for maintenance rejoins with its caches warm.
+// shard taken out for maintenance rejoins with the jobs it holds.
 func (s *Server) SetDraining(d bool) { s.draining.Store(d) }
 
 // Draining reports whether the worker is draining.

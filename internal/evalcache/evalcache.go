@@ -1,15 +1,10 @@
 // Package evalcache is a concurrency-safe, content-addressed cache for PPA
 // evaluations.
 //
-// UNICO's outer MOBO loop re-evaluates many near-identical
-// (hardware, mapping, layer) points: ParEGO batches cluster around the
-// Pareto front, successive-halving rungs revisit candidates, warm-start seed
-// schedules repeat deterministically per layer, and repeated experiment runs
-// (cmd/experiments) replay whole searches under the same seed. Both PPA
-// engines — the analytical model (internal/maestro) and the cycle-level
-// simulator (internal/camodel) — are pure functions of their inputs, so
-// every one of those evaluations can be served from a cache keyed by the
-// content of the triple instead of recomputed.
+// Both PPA engines — the analytical model (internal/maestro) and the
+// cycle-level simulator (internal/camodel) — are pure functions of their
+// inputs, so an evaluation can be served from a cache keyed by the content
+// of its (hardware, mapping, layer) triple instead of recomputed.
 //
 // The cache is:
 //
@@ -27,19 +22,23 @@
 //     contains duplicate hardware suggestions.
 //   - Observable: hits, misses, in-flight joins and the entry count are
 //     mirrored into internal/telemetry's default registry.
-//   - Persistent (optionally): entries round-trip through a JSONL file so
-//     cmd/experiments and the CLIs can warm-start across runs (persist.go).
+//   - Persistent (optionally): entries round-trip through a JSONL file
+//     (persist.go).
 //
 // Correctness contract: because the engines are deterministic, a co-search
-// with the cache enabled returns bit-identical results to one without it —
-// the integration tests verify this. Errors are cached too (an infeasible
-// mapping is just as deterministic as a feasible one), except errors marked
-// transient with Uncachable, which pass through unstored.
+// over cached engines returns bit-identical results to one without — bench/
+// checks this on every run. Errors are cached too (an infeasible
+// mapping is just as deterministic as a feasible one).
+//
+// No run path consults the cache: measured inside a co-search it costs more
+// host time than the engines it fronts (PERFORMANCE.md §6), and the simulated
+// clock charges a hit like a miss. The package stays for bench/'s
+// cloud_mapping_cached workload and probes, and for the content address
+// (Key) the fleet ring hashes on.
 package evalcache
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -148,23 +147,6 @@ func (c *Cache) Stats() Stats {
 // Len returns the number of stored entries.
 func (c *Cache) Len() int { return int(c.size.Load()) }
 
-// uncachableError marks a transient failure Do must not store.
-type uncachableError struct{ err error }
-
-func (u *uncachableError) Error() string { return u.err.Error() }
-func (u *uncachableError) Unwrap() error { return u.err }
-
-// Uncachable marks err as transient: Do returns it to the caller (and to any
-// waiters joined on the same key) without storing it, so the next lookup
-// recomputes. Use it for transport failures on the remote evaluation path —
-// a network error says nothing about the triple being evaluated.
-func Uncachable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &uncachableError{err: err}
-}
-
 // shardFor maps a key to its shard by the key's first byte (the key is a
 // SHA-256 digest, so any byte is uniformly distributed).
 func (c *Cache) shardFor(k Key) *shard { return &c.shards[int(k[0])%numShards] }
@@ -174,7 +156,7 @@ func (c *Cache) shardFor(k Key) *shard { return &c.shards[int(k[0])%numShards] }
 // ("maestro" or "camodel") and is recorded for JSONL persistence. Identical
 // concurrent calls are deduplicated: one runs compute, the rest block until
 // it finishes and share its result. An error returned by compute is cached
-// like a value (deterministic infeasibility) unless wrapped with Uncachable.
+// like a value (deterministic infeasibility).
 func (c *Cache) Do(key Key, engine string, compute func() (ppa.Metrics, error)) (ppa.Metrics, error) {
 	// Phase attribution: hit/miss/wait classification depends on goroutine
 	// scheduling (a concurrent duplicate waits where a later one hits), so
@@ -210,18 +192,11 @@ func (c *Cache) Do(key Key, engine string, compute func() (ppa.Metrics, error)) 
 	defer t.ObserveVolatileAs("evalcache.miss")
 
 	met, err := compute()
-	var transient *uncachableError
-	cacheIt := !errors.As(err, &transient)
-	if !cacheIt {
-		err = transient.err // hand the underlying error back unwrapped
-	}
 	cl.met, cl.err = met, err
 
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if cacheIt {
-		c.store(s, &entry{key: key, engine: engine, met: met, err: err})
-	}
+	c.store(s, &entry{key: key, engine: engine, met: met, err: err})
 	s.mu.Unlock()
 	close(cl.done)
 	return met, err

@@ -162,33 +162,6 @@ func TestDoCachesDeterministicErrors(t *testing.T) {
 	}
 }
 
-func TestUncachableErrorsAreNotStored(t *testing.T) {
-	cache := New(0)
-	c, m, l := testTriple()
-	key := SpatialKey(c, m, l)
-	transport := errors.New("connection refused")
-	computes := 0
-	for i := 0; i < 2; i++ {
-		_, err := cache.Do(key, EngineMaestro, func() (ppa.Metrics, error) {
-			computes++
-			return ppa.Metrics{}, Uncachable(transport)
-		})
-		// The caller sees the underlying error, not the marker wrapper.
-		if err != transport {
-			t.Fatalf("Do #%d err = %v, want the unwrapped transport error", i, err)
-		}
-	}
-	if computes != 2 {
-		t.Errorf("transient failure computed %d times, want 2 (never cached)", computes)
-	}
-	if cache.Len() != 0 {
-		t.Errorf("transient failure stored: %d entries", cache.Len())
-	}
-	if Uncachable(nil) != nil {
-		t.Error("Uncachable(nil) != nil")
-	}
-}
-
 func TestLRUBound(t *testing.T) {
 	// Capacity 64 over 64 shards = 1 entry per shard.
 	cache := New(64)

@@ -54,7 +54,7 @@ func RunAscend(w io.Writer, s Scale) AscendResult {
 	var sumPow float64
 	var n int
 	for ni, net := range nets {
-		p := platform.NewAscend([]workload.Workload{net}, mapsearch.DepthFirst).EnableCache(s.Cache)
+		p := platform.NewAscend([]workload.Workload{net}, mapsearch.DepthFirst)
 		seed := s.Seed + int64(ni)*31
 
 		// Expert default, same schedule-search budget.

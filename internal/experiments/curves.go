@@ -95,7 +95,7 @@ func RunHypervolumeCurves(w io.Writer, sc hw.Scenario, s Scale) CurveResult {
 	methods := []methodSpec{
 		s.coreMethod("HASCO", run+"hasco", baselines.HASCOOptions, s.HASCOIter),
 		{"NSGAII", func(p core.Platform, seed int64, budget float64) core.Result {
-			return baselines.NSGAII(p, baselines.NSGAIIOptions{
+			return baselines.NSGAII(s.ctx(), p, baselines.NSGAIIOptions{
 				Pop: s.NSGAPop, Generations: manyIters, BMax: s.BMax, Seed: seed,
 				TimeBudgetHours: budget,
 			})
@@ -170,7 +170,7 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 	bests := make([]float64, len(nets))
 
 	for ni, net := range nets {
-		p := s.spatialPlatform(sc, net)
+		p := spatialPlatform(sc, net)
 		var pool [][]float64
 		results := make([]core.Result, len(methods))
 		budget := 0.0

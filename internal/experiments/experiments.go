@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"unico/internal/core"
-	"unico/internal/evalcache"
 	"unico/internal/flightrec"
 	"unico/internal/hw"
 	"unico/internal/lifecycle"
@@ -82,9 +81,6 @@ type Scale struct {
 	// Results are bit-identical at every setting, so comparative tables are
 	// unaffected — it only changes how long they take to produce.
 	SearchWorkers int
-	// Cache, when non-nil, serves the PPA evaluations of every platform the
-	// runners build (results are bit-identical with and without it).
-	Cache *evalcache.Cache
 	// Tracer, Progress and Live, when non-nil, observe every core co-search
 	// run; the dashboard store shows the run in flight.
 	Tracer   *telemetry.Tracer
@@ -100,13 +96,10 @@ type Scale struct {
 // experiment; a checkpoint from a different configuration is refused,
 // untouched, with an empty Result whose CheckpointErr wraps
 // core.ErrResumeMismatch. NSGA-II keeps its own generation loop
-// (baselines.NSGAII): it is not cancellable, checkpointed or recorded.
+// (baselines.NSGAII under s.ctx()): cancellable, but not checkpointed or
+// recorded.
 func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
-	ctx := s.Context
-	if ctx == nil {
-		//unicolint:allow ctxflow explicit opt-out: a nil Scale.Context means the experiment owns its lifetime end-to-end
-		ctx = context.Background()
-	}
+	ctx := s.ctx()
 	if s.SearchWorkers > 0 {
 		opt.SearchWorkers = s.SearchWorkers
 	}
@@ -119,7 +112,6 @@ func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
 			Method:    name,
 		},
 		Resume:   s.Resume,
-		Cache:    s.Cache,
 		Tracer:   s.Tracer,
 		Progress: s.Progress,
 		Live:     s.Live,
@@ -146,6 +138,15 @@ func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
 	return res
 }
 
+// ctx is the context every search of the sweep runs under.
+func (s Scale) ctx() context.Context {
+	if s.Context == nil {
+		//unicolint:allow ctxflow explicit opt-out: a nil Scale.Context means the experiment owns its lifetime end-to-end
+		return context.Background()
+	}
+	return s.Context
+}
+
 // PaperScale returns the paper's experimental settings (Section 4.1/4.6).
 func PaperScale() Scale {
 	return Scale{
@@ -169,17 +170,16 @@ func SmallScale() Scale {
 	}
 }
 
-// spatialPlatform builds the open-source platform for a workload set, behind
-// the scale's evaluation cache when it has one.
-func (s Scale) spatialPlatform(sc hw.Scenario, ws ...workload.Workload) *platform.Spatial {
-	return platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike).EnableCache(s.Cache)
+// spatialPlatform builds the open-source platform for a workload set.
+func spatialPlatform(sc hw.Scenario, ws ...workload.Workload) *platform.Spatial {
+	return platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike)
 }
 
 // evalHWOnNetwork runs an individual software-mapping search for the
 // hardware at x on a single network and returns the achieved metrics — the
 // validation procedure of Sections 4.3 and 4.4.
-func (s Scale) evalHWOnNetwork(sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
-	p := s.spatialPlatform(sc, net)
+func evalHWOnNetwork(sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
+	p := spatialPlatform(sc, net)
 	job := p.NewJob(x, seed)
 	job.Advance(bmax)
 	met, ok := job.Best()

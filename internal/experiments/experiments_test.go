@@ -93,7 +93,7 @@ func TestCancelledBaselineRunsNoIteration(t *testing.T) {
 	cancel()
 	s := tinyScale()
 	s.Context = ctx
-	p := s.spatialPlatform(hw.Edge, workload.MobileNetV3Small())
+	p := spatialPlatform(hw.Edge, workload.MobileNetV3Small())
 	res := s.run("cancelled-hasco", p, baselines.HASCOOptions(s.Batch, s.HASCOIter, s.BMax, s.Seed))
 	if len(res.Trace) != 0 || len(res.All) != 0 || res.Evals != 0 {
 		t.Errorf("cancelled HASCO completed %d iterations (%d candidates, %d evals)",
@@ -107,7 +107,7 @@ func TestCancelledBaselineRunsNoIteration(t *testing.T) {
 func TestRefusedResumeTouchesNothing(t *testing.T) {
 	s := tinyScale()
 	s.CheckpointDir, s.FlightDir = t.TempDir(), t.TempDir()
-	p := s.spatialPlatform(hw.Edge, workload.MobileNetV3Small())
+	p := spatialPlatform(hw.Edge, workload.MobileNetV3Small())
 	if res := s.run("run", p, core.UNICOOptions(s.Batch, s.MaxIter, s.BMax, 1)); res.CheckpointErr != nil {
 		t.Fatal(res.CheckpointErr)
 	}

@@ -44,7 +44,7 @@ func RunGeneralization(w io.Writer, s Scale) GeneralizationResult {
 		workload.MobileNetV3Large(), workload.MobileNetV3Small(),
 		workload.NASNetMobile(), workload.EfficientNetV2(), workload.ConvNeXt(),
 	}
-	p := s.spatialPlatform(hw.Edge, train...)
+	p := spatialPlatform(hw.Edge, train...)
 
 	// Stable sensitivity estimates need minimum budgets even at small
 	// scales (R is a distributional statistic of the mapping search).
@@ -84,8 +84,8 @@ func RunGeneralization(w io.Writer, s Scale) GeneralizationResult {
 	for vi, net := range validation {
 		// Validation searches get double budget so the comparison reflects
 		// the hardware, not residual search noise.
-		uc, uok := s.evalHWOnNetwork(hw.Edge, uRep.X, net, 2*s.BMax, s.Seed+1000+int64(vi))
-		hc, hok := s.evalHWOnNetwork(hw.Edge, hRep.X, net, 2*s.BMax, s.Seed+2000+int64(vi))
+		uc, uok := evalHWOnNetwork(hw.Edge, uRep.X, net, 2*s.BMax, s.Seed+1000+int64(vi))
+		hc, hok := evalHWOnNetwork(hw.Edge, hRep.X, net, 2*s.BMax, s.Seed+2000+int64(vi))
 		if !uok || !hok {
 			fprintf(w, "%-16s infeasible (unico=%v hasco=%v)\n", net.Name, uok, hok)
 			continue

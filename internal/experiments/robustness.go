@@ -52,7 +52,7 @@ func RunRobustnessIndicator(w io.Writer, s Scale) RobustnessResult {
 	validation := []workload.Workload{
 		workload.ResNet(), workload.ResUNet(), workload.ViT(), workload.MobileNet(),
 	}
-	p := s.spatialPlatform(hw.Edge, train...)
+	p := spatialPlatform(hw.Edge, train...)
 
 	// The pair study needs a reasonably dense Pareto front and stable R
 	// estimates; enforce minimum budgets even under small scales.
@@ -102,7 +102,7 @@ func RunRobustnessIndicator(w io.Writer, s Scale) RobustnessResult {
 				// not residual search-seed noise.
 				lat, edp := math.Inf(1), math.Inf(1)
 				for rep := int64(0); rep < 2; rep++ {
-					cand, ok := s.evalHWOnNetwork(hw.Edge, members[mi].X, net, 2*s.BMax,
+					cand, ok := evalHWOnNetwork(hw.Edge, members[mi].X, net, 2*s.BMax,
 						s.Seed+int64(pi)*1000+int64(mi)*100+int64(vi)+rep*7919)
 					if ok && cand.Metrics.EDP() < edp {
 						lat, edp = cand.Metrics.LatencyMs, cand.Metrics.EDP()

@@ -40,7 +40,7 @@ func RunEdgeCloudTable(w io.Writer, sc hw.Scenario, s Scale) TableResult {
 		"Network", "Method", "Latency(ms)", "Power(mW)", "Area(mm2)", "Cost(h)", "HW")
 	for ni, net := range workload.Table12Networks() {
 		seed := s.Seed + int64(ni)*101
-		p := s.spatialPlatform(sc, net)
+		p := spatialPlatform(sc, net)
 
 		uIter := s.UNICOIter
 		if uIter <= 0 {
@@ -52,7 +52,7 @@ func RunEdgeCloudTable(w io.Writer, sc hw.Scenario, s Scale) TableResult {
 		}{
 			{"HASCO", s.run(fmt.Sprintf("table-%s-%s-hasco", sc, net.Name), p,
 				baselines.HASCOOptions(s.Batch, s.HASCOIter, s.BMax, seed))},
-			{"NSGAII", baselines.NSGAII(p, baselines.NSGAIIOptions{
+			{"NSGAII", baselines.NSGAII(s.ctx(), p, baselines.NSGAIIOptions{
 				Pop: s.NSGAPop, Generations: s.NSGAGen, BMax: s.BMax, Seed: seed + 1,
 			})},
 			{"UNICO", s.run(fmt.Sprintf("table-%s-%s-unico", sc, net.Name), p,

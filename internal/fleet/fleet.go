@@ -7,10 +7,10 @@
 // worker API of internal/dist (so a dist.Client pointed at a router cannot
 // tell it from a worker) and behind it:
 //
-//   - Consistent-hashes canonical evaluation keys — the same SHA-256
-//     content addresses internal/evalcache uses — across the shards, so
-//     each shard's LRU stays hot for its slice of the design space.
-//     Mapping-search jobs hash on their canonical spec encoding.
+//   - Consistent-hashes canonical evaluation keys — the SHA-256 content
+//     address of the canonicalized (hardware, mapping, layer) triple,
+//     evalcache.Key — across the shards, so repeats of a triple land on one
+//     shard. Mapping-search jobs hash on their canonical spec encoding.
 //   - Bounds admission per shard: a fixed number of concurrent forwards
 //     plus a bounded wait queue with per-client fair dequeueing (keyed by
 //     the X-Unico-Run-ID header), so one greedy run cannot starve the

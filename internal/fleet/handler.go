@@ -107,7 +107,7 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var point uint64
-	if key, _, ok := dist.CanonicalEvalKey(&preq); ok {
+	if key, ok := dist.CanonicalEvalKey(&preq); ok {
 		point = key.Uint64()
 	} else {
 		// Malformed requests have no canonical key; route by raw bytes so
@@ -154,8 +154,8 @@ func (r *Router) admit(w http.ResponseWriter, req *http.Request, m *member, run 
 	case errors.Is(err, errShed):
 		q.End("shed", nil)
 		// Queue-full on the owner is overload, not failure: shed rather
-		// than spill onto other shards (which would wreck their cache
-		// locality, build a second copy of a job, and hide the overload).
+		// than spill onto other shards (which would build a second copy of
+		// a job and hide the overload).
 		r.shed(w, http.StatusTooManyRequests, "queue-full")
 	default:
 		q.End("canceled", nil)

@@ -2,13 +2,16 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,8 +174,19 @@ func TestFleetTraceChainCompleteUnderChaos(t *testing.T) {
 	done := make(chan core.Result, 1)
 	go func() { done <- core.RunContext(ctx, p, opt) }()
 
-	victim := shards[1]
-	waitUntil(t, func() bool { return victim.hits.Load() >= 1 })
+	// The victim is whichever shard the search reaches first: shard ports,
+	// and with them ring placement, differ from run to run, and a fixed index
+	// may own none of this small search's eight jobs.
+	var victim *testShard
+	waitUntil(t, func() bool {
+		for _, sh := range shards {
+			if sh.hits.Load() >= 1 {
+				victim = sh
+				return true
+			}
+		}
+		return false
+	})
 	victim.inj.SetDown(true)
 	victim.restart(dist.NewServer().Handler())
 	time.Sleep(50 * time.Millisecond)
@@ -269,6 +283,45 @@ func TestHandleSpansMergesShardSpans(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("GET /v1/spans without run = %d, want 400", bad.StatusCode)
+	}
+}
+
+// TestHandleSpansEscapesRunID: a run ID is free text (Config.RunID), so the
+// pull from each shard must carry it query-escaped. Unescaped, "a b&c=d"
+// either fails to build the request or asks the shards for run "a b", and the
+// merged view silently loses their spans.
+func TestHandleSpansEscapesRunID(t *testing.T) {
+	const run = "a b&c=d"
+	var shardN atomic.Int32
+	_, rsrv, _ := newTestFleet(t, 2, Options{}, func() http.Handler {
+		span := fmt.Sprintf("shard%d-1", shardN.Add(1))
+		worker := dist.NewServer().Handler()
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/spans" {
+				worker.ServeHTTP(w, r)
+				return
+			}
+			if r.URL.Query().Get("run") == run {
+				_ = json.NewEncoder(w).Encode(disttrace.Event{Ev: "start", Trace: run, Span: span, Kind: "shard"})
+			}
+		})
+	})
+
+	resp, err := http.Get(rsrv.URL + "/v1/spans?run=" + url.QueryEscape(run))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events, _, err := disttrace.ParseEvents(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, ev := range events {
+		got[ev.Span] = ev.Trace == run
+	}
+	if len(events) != 2 || !got["shard1-1"] || !got["shard2-1"] {
+		t.Errorf("merged stream for run %q = %+v, want one event from each shard", run, events)
 	}
 }
 

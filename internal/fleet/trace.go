@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 
 	"unico/internal/dist"
 	"unico/internal/disttrace"
@@ -61,7 +62,7 @@ func (r *Router) memberIDs() []string {
 // pullSpans appends one member's span events for run to buf; best effort.
 func (r *Router) pullSpans(req *http.Request, buf *bytes.Buffer, id, run string) {
 	preq, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
-		id+"/v1/spans?run="+run, nil)
+		id+"/v1/spans?run="+url.QueryEscape(run), nil)
 	if err != nil {
 		return
 	}

@@ -2,8 +2,8 @@
 // crash-tolerant `run.jsonl` artifact that captures how a search converged —
 // the run's identity (seed, platform, options fingerprint, run ID), one
 // record per completed optimizer iteration (objective bests, feasible-front
-// points, hypervolume, UUL, successive-halving survivor curve, eval and
-// cache counters), and a final summary — plus the tools that read it back:
+// points, hypervolume, UUL, successive-halving survivor curve, eval
+// counters), and a final summary — plus the tools that read it back:
 // an in-memory live store feeding the `/debug/unico` dashboard, server-side
 // SVG/HTML rendering shared by the dashboard and the offline `unicoreport`
 // tool, and run-diff math for regression gating.
@@ -103,10 +103,6 @@ type Iteration struct {
 	// RungAlive is the successive-halving survivor curve of this batch: the
 	// candidate count alive after each rung, starting with the full batch.
 	RungAlive []int `json:"rung_alive,omitempty"`
-	// CacheHits/CacheMisses snapshot the evaluation cache's cumulative
-	// counters (zero when no cache is attached).
-	CacheHits   uint64 `json:"cache_hits,omitempty"`
-	CacheMisses uint64 `json:"cache_misses,omitempty"`
 	// Phases is this iteration's phase-attribution delta: per-phase span
 	// counts and simulated-clock seconds (internal/perfprof), sorted by
 	// path. Wall times are deliberately absent — every field here is a
@@ -136,9 +132,6 @@ type Summary struct {
 	// FrontSize and Hypervolume describe the final feasible front.
 	FrontSize   int     `json:"front_size"`
 	Hypervolume float64 `json:"hypervolume"`
-	// CacheHits/CacheMisses are the run's evaluation-cache counters.
-	CacheHits   uint64 `json:"cache_hits,omitempty"`
-	CacheMisses uint64 `json:"cache_misses,omitempty"`
 	// Interrupted records that the run was cancelled (SIGINT/SIGTERM) before
 	// MaxIter; the artifact then covers the completed prefix.
 	Interrupted bool `json:"interrupted,omitempty"`
@@ -146,7 +139,7 @@ type Summary struct {
 
 // fillFromLast completes a summary's zero-valued convergence fields from the
 // last recorded iteration, so writers only supply what the iteration stream
-// cannot know (cache counters, interruption). Shared by the durable recorder
+// cannot know (interruption). Shared by the durable recorder
 // and the live store, keeping their summaries consistent.
 func (s Summary) fillFromLast(last *Iteration) Summary {
 	if last == nil {
@@ -300,7 +293,7 @@ func (r *Recorder) Err() error { return r.log.Err() }
 // first write failure of the whole recording, if there was one. Zero-valued
 // convergence fields (Iters, SimHours, Evals, FrontSize, Hypervolume) are
 // filled from the last recorded iteration, so callers only supply what the
-// iteration stream cannot know (cache counters, interruption).
+// iteration stream cannot know (interruption).
 func (r *Recorder) Finish(s Summary) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -67,12 +67,8 @@ func ReportHTML(d RunData, title string) []byte {
 		if s.Interrupted {
 			state = "interrupted"
 		}
-		fmt.Fprintf(&b, `<p class="state">%s after %d iterations — %s simulated hours, %d evals, front %d, hypervolume %s`,
+		fmt.Fprintf(&b, `<p class="state">%s after %d iterations — %s simulated hours, %d evals, front %d, hypervolume %s</p>`,
 			state, s.Iters, fnum(s.SimHours), s.Evals, s.FrontSize, fnum(s.Hypervolume))
-		if s.CacheHits+s.CacheMisses > 0 {
-			fmt.Fprintf(&b, `, cache %d/%d hits`, s.CacheHits, s.CacheHits+s.CacheMisses)
-		}
-		b.WriteString(`</p>`)
 	case len(d.Iters) > 0:
 		last := d.Iters[len(d.Iters)-1]
 		fmt.Fprintf(&b, `<p class="state">running — iteration %d, %s simulated hours, %d evals, front %d, hypervolume %s, UUL %s</p>`,

@@ -27,7 +27,7 @@ func goldenData() RunData {
 		}
 		d.Iters = append(d.Iters, it)
 	}
-	s := Summary{Type: TypeSummary, CacheHits: 3, CacheMisses: 9}.fillFromLast(&d.Iters[3])
+	s := Summary{Type: TypeSummary}.fillFromLast(&d.Iters[3])
 	d.Summary = &s
 	return d
 }
@@ -49,6 +49,31 @@ func TestReportHTMLGolden(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("rendered report differs from %s (regenerate with -update if the change is intended)\ngot:\n%s", path, got)
+	}
+}
+
+// TestArtifactWithCacheCountersStillLoads: testdata/cached_before_pr21.run.jsonl
+// was written by `unico -cache -flight-record` before the evaluation cache
+// left the run path; its iteration and summary lines carry cache_hits and
+// cache_misses, which nothing reads any more. It must load whole and render.
+func TestArtifactWithCacheCountersStillLoads(t *testing.T) {
+	path := filepath.Join("testdata", "cached_before_pr21.run.jsonl")
+	if raw, err := os.ReadFile(path); err != nil || !strings.Contains(string(raw), `"cache_hits":`) {
+		t.Fatalf("fixture lost its cache counters (%v)", err)
+	}
+	d, skipped, err := Load(path)
+	if err != nil || skipped != 0 {
+		t.Fatalf("Load: %v, %d lines skipped", err, skipped)
+	}
+	if len(d.Iters) != 2 || d.Iters[1].Evals != 32 || len(d.Iters[1].Front) != 4 {
+		t.Errorf("iterations mangled: %+v", d.Iters)
+	}
+	if d.Summary == nil || d.Summary.Iters != 2 || d.Summary.Evals != 32 || d.Summary.FrontSize != 4 {
+		t.Errorf("summary mangled: %+v", d.Summary)
+	}
+	html := string(ReportHTML(*d, "old artifact"))
+	if !strings.Contains(html, "finished after 2 iterations") || strings.Contains(html, "cache") {
+		t.Errorf("report of the old artifact:\n%s", html)
 	}
 }
 

@@ -21,10 +21,8 @@ import (
 
 	"unico/internal/checkpoint"
 	"unico/internal/core"
-	"unico/internal/evalcache"
 	"unico/internal/flightrec"
 	"unico/internal/perfprof"
-	"unico/internal/platform"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 	"unico/internal/workload"
@@ -43,9 +41,6 @@ type Spec struct {
 	Resume         bool
 	// FlightPath, when set, records the run's flight artifact there.
 	FlightPath string
-	// Cache, when non-nil, serves the platform's PPA evaluations and stamps
-	// its cumulative counters on every flight record and the summary.
-	Cache *evalcache.Cache
 	// Tracer, when non-nil, receives the run's phases as Chrome trace events;
 	// it rides the run's context. Progress becomes the core.Options hook.
 	Tracer   *telemetry.Tracer
@@ -64,7 +59,6 @@ func (e NotStarted) Unwrap() error { return e.error }
 // comes with the finished Result: a checkpoint or flight-record write failed
 // mid-run, which never changes the search.
 func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (core.Result, error) {
-	p = WithCache(p, spec.Cache)
 	opt.Progress = spec.Progress
 
 	if spec.CheckpointPath != "" {
@@ -124,9 +118,6 @@ func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (cor
 			opt.Flight = spec.Live
 		}
 	}
-	if spec.Cache != nil && opt.Flight != nil {
-		opt.Flight = cacheStamp{opt.Flight, spec.Cache}
-	}
 
 	// The run's identity and tracer ride its context: the run ID names its
 	// requests and its distributed trace.
@@ -135,10 +126,6 @@ func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (cor
 	// The recorder and the store fill the summary's convergence fields from
 	// the last iteration; this side supplies what that stream cannot know.
 	sum := flightrec.Summary{Interrupted: ctx.Err() != nil}
-	if spec.Cache != nil {
-		st := spec.Cache.Stats()
-		sum.CacheHits, sum.CacheMisses = st.Hits, st.Misses
-	}
 	err := res.CheckpointErr
 	if flight != nil {
 		if ferr := flight.Finish(sum); err == nil {
@@ -149,36 +136,4 @@ func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (cor
 		spec.Live.FinishRun(sum)
 	}
 	return res, err
-}
-
-// cacheStamp stamps the evaluation cache's cumulative counters on flight
-// records: the cache sits outside core, so core cannot fill them itself.
-type cacheStamp struct {
-	flightrec.Sink
-	cache *evalcache.Cache
-}
-
-func (s cacheStamp) RecordIteration(it flightrec.Iteration) {
-	st := s.cache.Stats()
-	it.CacheHits, it.CacheMisses = st.Hits, st.Misses
-	s.Sink.RecordIteration(it)
-}
-
-// WithCache returns a copy of p whose PPA engine sits behind c (p itself for
-// a nil c). Platforms without a local engine (the remote master-side
-// platform) pass through: their caching lives worker-side or in the worker
-// clients. Run applies it; searches that bypass Run (NSGA-II) call it.
-func WithCache(p core.Platform, c *evalcache.Cache) core.Platform {
-	if c == nil {
-		return p
-	}
-	switch pl := p.(type) {
-	case *platform.Spatial:
-		cp := *pl
-		return cp.EnableCache(c)
-	case *platform.Ascend:
-		cp := *pl
-		return cp.EnableCache(c)
-	}
-	return p
 }

@@ -58,7 +58,7 @@ type phase struct {
 	// (a cumulative-minus-baseline difference loses run-dependent ulps).
 	maxWall  float64
 	hist     *telemetry.Histogram // standalone, for p50/p95
-	volatile bool                 // excluded from Totals/DeltaSince (racy count)
+	volatile bool                 // excluded from TakeWindow (racy count)
 
 	// mirrored process-wide registry instruments (mirroring profilers only)
 	mWall *telemetry.Histogram
@@ -231,19 +231,11 @@ func NewTimer() Timer {
 		start: time.Now()} //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
 }
 
-// ObserveAs records the elapsed wall time as one observation of path.
-func (t Timer) ObserveAs(path string) {
-	if t.p == nil {
-		return
-	}
-	t.p.record(path, time.Since(t.start).Seconds(), 0, false) //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
-}
-
-// ObserveVolatileAs is ObserveAs for phases whose count depends on
-// goroutine scheduling (an evalcache singleflight wait, a dist retry wait):
-// the phase is kept out of Totals/DeltaSince — and therefore out of flight
-// records, whose per-iteration deltas must be deterministic — but still
-// appears in Report and the metrics mirror.
+// ObserveVolatileAs records the elapsed wall time as one observation of
+// path, a phase whose count depends on goroutine scheduling (an evalcache
+// singleflight wait, a dist retry wait): the phase is kept out of TakeWindow
+// — and therefore out of flight records, whose per-iteration deltas must be
+// deterministic — but still appears in Report and the metrics mirror.
 func (t Timer) ObserveVolatileAs(path string) {
 	if t.p == nil {
 		return
@@ -282,30 +274,6 @@ func (p *Profiler) record(path string, wall, sim float64, volatile bool) {
 	}
 }
 
-// Total is one path's deterministic accumulator snapshot.
-type Total struct {
-	Count      uint64
-	SimSeconds float64
-}
-
-// Totals snapshots the deterministic (count, simulated-seconds) accumulators
-// of every non-volatile phase — the baseline DeltaSince subtracts.
-func (p *Profiler) Totals() Totals {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(Totals, len(p.phases))
-	for path, ph := range p.phases {
-		if ph.volatile {
-			continue
-		}
-		out[path] = Total{Count: ph.count, SimSeconds: ph.sim}
-	}
-	return out
-}
-
-// Totals maps phase path to its deterministic accumulators.
-type Totals map[string]Total
-
 // PhaseDelta is the per-iteration flight-record form of one phase: path,
 // observation count, and simulated seconds — all deterministic functions of
 // the run configuration, never wall time.
@@ -313,31 +281,6 @@ type PhaseDelta struct {
 	Path       string  `json:"path"`
 	Count      uint64  `json:"count"`
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
-}
-
-// DeltaSince returns the per-phase growth since base, sorted by path, with
-// unchanged phases omitted. Volatile phases never appear.
-func (p *Profiler) DeltaSince(base Totals) []PhaseDelta {
-	now := p.Totals()
-	paths := make([]string, 0, len(now))
-	for path := range now {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	var out []PhaseDelta
-	for _, path := range paths {
-		cur := now[path]
-		prev := base[path]
-		if cur.Count == prev.Count && cur.SimSeconds == prev.SimSeconds {
-			continue
-		}
-		out = append(out, PhaseDelta{
-			Path:       path,
-			Count:      cur.Count - prev.Count,
-			SimSeconds: cur.SimSeconds - prev.SimSeconds,
-		})
-	}
-	return out
 }
 
 // TakeWindow returns the per-phase activity since the last TakeWindow call

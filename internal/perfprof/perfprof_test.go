@@ -13,6 +13,15 @@ import (
 	"unico/internal/telemetry"
 )
 
+// window drains p's phase window and indexes it by path.
+func window(p *Profiler) map[string]PhaseDelta {
+	out := map[string]PhaseDelta{}
+	for _, d := range p.TakeWindow() {
+		out[d.Path] = d
+	}
+	return out
+}
+
 func TestSpanNestingBuildsPaths(t *testing.T) {
 	p := New()
 	ctx, outer := p.Start(context.Background(), "iteration")
@@ -22,7 +31,7 @@ func TestSpanNestingBuildsPaths(t *testing.T) {
 	mid.End()
 	outer.End()
 
-	tot := p.Totals()
+	tot := window(p)
 	for _, want := range []string{
 		"iteration",
 		"iteration/sh.rung",
@@ -40,7 +49,7 @@ func TestClockedSpanRecordsSimDelta(t *testing.T) {
 	_, s := p.StartClocked(context.Background(), "sh.rung", c)
 	c.Advance(42)
 	s.End()
-	got := p.Totals()["sh.rung"]
+	got := window(p)["sh.rung"]
 	if got.SimSeconds != 42 {
 		t.Fatalf("sim seconds = %v, want 42", got.SimSeconds)
 	}
@@ -105,7 +114,7 @@ func TestClockedSpanWritesItsTraceEvent(t *testing.T) {
 		t.Errorf("sh.rung args %v lost the EndWith argument", got[0].Args)
 	}
 	// Both brackets fed the phase tree as well, tracer or not.
-	if tot := p.Totals(); tot["iteration"].Count != 2 || tot["iteration/sh.rung"].SimSeconds != 1800 {
+	if tot := window(p); tot["iteration"].Count != 2 || tot["iteration/sh.rung"].SimSeconds != 1800 {
 		t.Errorf("phase totals %v", tot)
 	}
 }
@@ -118,27 +127,8 @@ func TestNilAndDoubleEndAreSafe(t *testing.T) {
 	_, sp := p.Start(context.Background(), "x")
 	sp.End()
 	sp.End() // second End is a no-op
-	if got := p.Totals()["x"].Count; got != 1 {
+	if got := window(p)["x"].Count; got != 1 {
 		t.Fatalf("count after double End = %d, want 1", got)
-	}
-}
-
-func TestDeltaSinceSortedAndOmitsUnchanged(t *testing.T) {
-	p := New()
-	p.Begin("b.phase").End()
-	p.Begin("a.phase").End()
-	base := p.Totals()
-
-	p.Begin("b.phase").End()
-	p.Begin("c.phase").End()
-
-	got := p.DeltaSince(base)
-	want := []PhaseDelta{
-		{Path: "b.phase", Count: 1},
-		{Path: "c.phase", Count: 1},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DeltaSince = %+v, want %+v", got, want)
 	}
 }
 
@@ -148,17 +138,12 @@ func TestVolatilePhasesExcludedFromTotalsButReported(t *testing.T) {
 	defer restore()
 
 	NewTimer().ObserveVolatileAs("x.volatile")
-	NewTimer().ObserveAs("x.normal")
+	Begin("x.normal").End()
 
-	tot := p.Totals()
-	if _, ok := tot["x.volatile"]; ok {
-		t.Error("volatile phase leaked into Totals")
-	}
-	if tot["x.normal"].Count != 1 {
-		t.Errorf("x.normal count = %d, want 1", tot["x.normal"].Count)
-	}
-	if ds := p.DeltaSince(Totals{}); len(ds) != 1 || ds[0].Path != "x.normal" {
-		t.Errorf("DeltaSince = %+v, want only x.normal", ds)
+	// The deterministic totals a flight record takes (TakeWindow) leave the
+	// volatile phase out.
+	if ds := p.TakeWindow(); len(ds) != 1 || ds[0].Path != "x.normal" || ds[0].Count != 1 {
+		t.Errorf("TakeWindow = %+v, want only x.normal, once", ds)
 	}
 
 	var paths []string
@@ -213,7 +198,6 @@ func TestConcurrentSpans(t *testing.T) {
 				outer.End()
 				p.Begin("gp.predict").End()
 				if i%50 == 0 {
-					p.Totals()
 					p.Report()
 				}
 			}
@@ -221,7 +205,7 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	wg.Wait()
 
-	tot := p.Totals()
+	tot := window(p)
 	if got := tot["iteration"].Count; got != 8*200 {
 		t.Errorf("iteration count = %d, want %d", got, 8*200)
 	}

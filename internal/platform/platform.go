@@ -6,7 +6,6 @@ package platform
 
 import (
 	"unico/internal/camodel"
-	"unico/internal/evalcache"
 	"unico/internal/hw"
 	"unico/internal/maestro"
 	"unico/internal/mapsearch"
@@ -18,8 +17,7 @@ import (
 // template searched over MAESTRO-like analytical PPA.
 type Spatial struct {
 	// Engine is the PPA oracle mapping searches evaluate against. The
-	// constructor installs maestro.Engine; replace it to substitute a stub
-	// or add a cache.
+	// constructor installs maestro.Engine; replace it to substitute a stub.
 	Engine    mapsearch.SpatialEngine
 	Algo      mapsearch.Algo
 	space     *hw.SpatialSpace
@@ -39,23 +37,8 @@ func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Sp
 	}
 }
 
-// EnableCache replaces the platform's engine with the same engine behind c
-// and returns the platform. A nil c, or an engine already behind c, is a
-// no-op — so a caller that builds its platforms cached can still hand the
-// cache to the run lifecycle.
-func (p *Spatial) EnableCache(c *evalcache.Cache) *Spatial {
-	if cur, ok := p.Engine.(evalcache.Spatial); c == nil || ok && cur.Cache == c {
-		return p
-	}
-	p.Engine = evalcache.Spatial{Inner: p.Engine, Cache: c}
-	return p
-}
-
 // Space returns the hardware design space.
 func (p *Spatial) Space() mobo.Space { return p.space }
-
-// SpatialSpace returns the concrete space for decoding.
-func (p *Spatial) SpatialSpace() *hw.SpatialSpace { return p.space }
 
 // Workload returns the (combined) workload under co-optimization.
 func (p *Spatial) Workload() workload.Workload { return p.workloads }
@@ -86,8 +69,7 @@ func (p *Spatial) AreaCapMM2() float64 { return 0 }
 // constraint of paper Section 4.6.
 type Ascend struct {
 	// Engine is the PPA oracle schedule searches evaluate against. The
-	// constructor installs camodel.Engine; replace it to substitute a stub
-	// or add a cache.
+	// constructor installs camodel.Engine; replace it to substitute a stub.
 	Engine    mapsearch.AscendEngine
 	Algo      mapsearch.Algo
 	AreaCap   float64
@@ -107,17 +89,6 @@ func NewAscend(ws []workload.Workload, algo mapsearch.Algo) *Ascend {
 		space:     hw.NewAscendSpace(),
 		workloads: workload.Combine(ws),
 	}
-}
-
-// EnableCache replaces the platform's engine with the same engine behind c
-// and returns the platform (a nil c, or an engine already behind c, is a
-// no-op).
-func (p *Ascend) EnableCache(c *evalcache.Cache) *Ascend {
-	if cur, ok := p.Engine.(evalcache.Ascend); c == nil || ok && cur.Cache == c {
-		return p
-	}
-	p.Engine = evalcache.Ascend{Inner: p.Engine, Cache: c}
-	return p
 }
 
 // Space returns the hardware design space.

@@ -120,14 +120,14 @@ func (e countingSpatialEngine) Evaluate(c hw.Spatial, m mapping.Spatial, l workl
 func (e countingSpatialEngine) Area(c hw.Spatial) float64 { return e.inner.Area(c) }
 func (e countingSpatialEngine) EvalCostSeconds() float64  { return e.inner.EvalCostSeconds() }
 
-// TestCachedJobPerformsNoRecomputation is the acceptance check for the
-// evaluation cache: re-running the identical (x, seed) mapping search must be
+// TestCachedJobPerformsNoRecomputation: an evalcache wrapper installed as the
+// platform's Engine (what bench/'s cloud_mapping_cached does) is consulted by
+// the jobs the platform builds — re-running the identical (x, seed) mapping search must be
 // served entirely from the cache, with zero engine calls.
 func TestCachedJobPerformsNoRecomputation(t *testing.T) {
 	var calls atomic.Int64
 	p := NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
-	p.Engine = countingSpatialEngine{calls: &calls}
-	p.EnableCache(evalcache.New(0))
+	p.Engine = evalcache.Spatial{Inner: countingSpatialEngine{calls: &calls}, Cache: evalcache.New(0)}
 
 	x := p.Space().Sample(rand.New(rand.NewSource(5)))
 
@@ -149,7 +149,8 @@ func TestCachedJobPerformsNoRecomputation(t *testing.T) {
 }
 
 // TestCoSearchBitIdenticalWithCache pins the cache's correctness contract:
-// a full co-search returns bit-identical results with the cache on and off.
+// a full co-search returns bit-identical results over a cached engine and a
+// bare one.
 func TestCoSearchBitIdenticalWithCache(t *testing.T) {
 	opt := core.UNICOOptions(4, 2, 8, 3)
 	opt.Workers = 2
@@ -157,7 +158,7 @@ func TestCoSearchBitIdenticalWithCache(t *testing.T) {
 	run := func(cached bool) core.Result {
 		p := NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
 		if cached {
-			p.EnableCache(evalcache.New(0))
+			p.Engine = evalcache.Spatial{Inner: p.Engine, Cache: evalcache.New(0)}
 		}
 		return core.Run(p, opt)
 	}

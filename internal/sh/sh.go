@@ -27,7 +27,6 @@ import (
 	"unico/internal/mapsearch"
 	"unico/internal/parpool"
 	"unico/internal/perfprof"
-	"unico/internal/ppa"
 	"unico/internal/simclock"
 	"unico/internal/telemetry"
 )
@@ -52,11 +51,6 @@ type Config struct {
 	EvalCostSeconds float64
 	// Clock, if non-nil, accrues the simulated wall-clock cost.
 	Clock *simclock.Clock
-}
-
-// Default returns the paper's MSH configuration.
-func Default(bmax int) Config {
-	return Config{Eta: 2, KFrac: 0.5, PFrac: 0.15, BMax: bmax, Workers: 8}
 }
 
 // normalize fills zero fields with defaults and validates.
@@ -84,9 +78,6 @@ func (c Config) normalize() Config {
 
 // Outcome reports a finished run.
 type Outcome struct {
-	// Histories holds each candidate's final search history, indexed as the
-	// input jobs (eliminated candidates keep their truncated histories).
-	Histories []ppa.History
 	// Survivors lists the candidate indices alive after the last round.
 	Survivors []int
 	// TotalEvals is the number of mapping evaluations spent across all
@@ -149,7 +140,7 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 			break
 		}
 	}
-	return Outcome{Histories: histories(jobs), Survivors: alive, TotalEvals: totalEvals, Rounds: rounds, RungAlive: rungAlive}
+	return Outcome{Survivors: alive, TotalEvals: totalEvals, Rounds: rounds, RungAlive: rungAlive}
 }
 
 // FullBudget is the schedule without early stopping — the HASCO-like regime
@@ -165,7 +156,7 @@ func FullBudget(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outc
 	fctx, span := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
 	evals := advance(fctx, jobs, alive, cfg.BMax, cfg)
 	span.EndWith(map[string]any{"budget": cfg.BMax, "alive": n, "evals": evals})
-	return Outcome{Histories: histories(jobs), Survivors: alive, TotalEvals: evals, Rounds: 1, RungAlive: []int{n}}
+	return Outcome{Survivors: alive, TotalEvals: evals, Rounds: 1, RungAlive: []int{n}}
 }
 
 // advance brings the alive candidates to the cumulative budget target on the
@@ -216,14 +207,6 @@ func allOf(n int) []int {
 		idx[i] = i
 	}
 	return idx
-}
-
-func histories(jobs []mapsearch.Searcher) []ppa.History {
-	hist := make([]ppa.History, len(jobs))
-	for i, j := range jobs {
-		hist[i] = j.History()
-	}
-	return hist
 }
 
 // Promote selects the surviving candidate indices for the next round: the

@@ -84,7 +84,7 @@ func TestRunSingleJobGetsFullBudget(t *testing.T) {
 
 func TestRunEmpty(t *testing.T) {
 	out := Run(context.Background(), nil, Config{BMax: 10})
-	if out.TotalEvals != 0 || len(out.Histories) != 0 {
+	if out.TotalEvals != 0 || out.Rounds != 0 || len(out.Survivors) != 0 {
 		t.Errorf("empty run produced %+v", out)
 	}
 }
@@ -258,8 +258,8 @@ func TestFullBudgetIsOneRungToBMax(t *testing.T) {
 	var clk simclock.Clock
 	out := FullBudget(context.Background(), jobs, Config{BMax: 12, Workers: 2, EvalCostSeconds: 0.5, Clock: &clk})
 	for i, j := range jobs {
-		if j.Spent() != 12 || len(out.Histories[i]) != 12 {
-			t.Errorf("job %d spent %d with a %d-point history, want 12 and 12", i, j.Spent(), len(out.Histories[i]))
+		if j.Spent() != 12 || len(j.History()) != 12 {
+			t.Errorf("job %d spent %d with a %d-point history, want 12 and 12", i, j.Spent(), len(j.History()))
 		}
 	}
 	if out.TotalEvals != 60 || out.Rounds != 1 || len(out.Survivors) != 5 || len(out.RungAlive) != 1 || out.RungAlive[0] != 5 {

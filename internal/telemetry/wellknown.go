@@ -184,7 +184,7 @@ var (
 		1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5,
 	}
 	// fleetForwardBuckets span router→shard forward round trips from a
-	// loopback cache hit (sub-ms) through a long budget installment advancing
+	// loopback evaluation (sub-ms) through a long budget installment advancing
 	// a mapping-search job (minutes).
 	fleetForwardBuckets = []float64{
 		1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,

@@ -32,7 +32,6 @@ import (
 	"unico/internal/buildinfo"
 	"unico/internal/core"
 	"unico/internal/dist"
-	"unico/internal/evalcache"
 	"unico/internal/flightrec"
 	"unico/internal/hw"
 	"unico/internal/lifecycle"
@@ -152,7 +151,7 @@ func loadJSON(paths []string) ([]workload.Workload, error) {
 
 // RemoteOptions tunes the resilient worker clients built by
 // RemoteOpenSourcePlatform. The zero value uses the dist package defaults:
-// a 30 s request timeout, no retries, no client-side cache.
+// a 30 s request timeout and no retries.
 type RemoteOptions struct {
 	// RequestTimeout bounds each worker request (default 30 s). A dead
 	// worker then costs one timeout instead of a hung co-search.
@@ -167,12 +166,6 @@ type RemoteOptions struct {
 	// the client honors a server's Retry-After hint when a router or worker
 	// sheds load (429/503).
 	MaxBackoff time.Duration
-	// Cache enables a shared client-side evaluation cache for direct PPA
-	// requests (mapping-search jobs run worker-side; cache those with
-	// ppaserver's -cache flag instead).
-	Cache bool
-	// CacheSize bounds the client-side cache (entries; 0 = default ~1M).
-	CacheSize int
 }
 
 // RemoteOpenSourcePlatform builds the open-source platform over a pool of
@@ -183,10 +176,6 @@ func RemoteOpenSourcePlatform(sc Scenario, workers []string, opts RemoteOptions,
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("unico: no worker URLs given")
 	}
-	var cache *evalcache.Cache
-	if opts.Cache || opts.CacheSize > 0 {
-		cache = evalcache.New(opts.CacheSize)
-	}
 	clients := make([]*dist.Client, len(workers))
 	for i, u := range workers {
 		clients[i] = dist.NewClientOptions(u, nil, dist.Options{
@@ -194,7 +183,6 @@ func RemoteOpenSourcePlatform(sc Scenario, workers []string, opts RemoteOptions,
 			MaxRetries:   opts.MaxRetries,
 			RetryBackoff: opts.RetryBackoff,
 			MaxBackoff:   opts.MaxBackoff,
-			Cache:        cache,
 		})
 	}
 	rp, err := dist.NewRemoteSpatialPlatform(clients, sc, networks)
@@ -259,18 +247,14 @@ type Config struct {
 	DisableRobustness bool
 	// TimeBudgetHours stops the search once the simulated clock passes it.
 	TimeBudgetHours float64
-	// Cache serves repeated PPA evaluations from a content-addressed cache
-	// instead of recomputing them. The engines are pure, so results are
-	// bit-identical with and without it — only faster. (The simulated-clock
-	// cost accounting is unchanged: the clock models the paper's evaluation
-	// budget, not host CPU time.)
+	// Cache is ignored. It used to put a content-addressed evaluation cache
+	// in front of the PPA engines; measured inside a co-search that cost more
+	// host time than the engines it fronted at every hit rate the searches
+	// reach (PERFORMANCE.md §6), and it never could change a result or the
+	// simulated cost. The field stays declared only because bench/, which a
+	// change to the library may not edit, sets it on its local
+	// cloud_mapping_cached workload.
 	Cache bool
-	// CacheSize bounds the evaluation cache (entries; 0 = default ~1M).
-	// Setting it implies Cache.
-	CacheSize int
-	// CacheFile warm-starts the cache from this JSONL file when it exists
-	// and saves the cache back on completion. Setting it implies Cache.
-	CacheFile string
 	// CheckpointFile enables crash-safe checkpointing: a write-ahead journal
 	// at CheckpointFile+".journal" records every completed iteration, and an
 	// atomic snapshot at CheckpointFile is refreshed every CheckpointEvery
@@ -288,7 +272,7 @@ type Config struct {
 	// FlightRecordFile enables the flight recorder: a durable run.jsonl
 	// artifact at this path with the run header (run ID, method, seed,
 	// options fingerprint), one record per completed iteration (hypervolume,
-	// UUL, feasible front, SH survivor curve, eval/cache counters) and a
+	// UUL, feasible front, SH survivor curve, eval counters) and a
 	// final summary — readable with cmd/unicoreport or flightrec.Load. With
 	// Resume, the recorder appends past the checkpoint replay boundary
 	// without duplicating records, so a kill/resume run leaves an artifact
@@ -379,9 +363,6 @@ type Result struct {
 	SimulatedHours float64
 	// Evaluations is the number of mapping budget units spent.
 	Evaluations int
-	// CacheHits and CacheMisses report the evaluation cache's counters for
-	// this run (both zero when Config.Cache was off).
-	CacheHits, CacheMisses uint64
 }
 
 // Optimize runs the selected co-optimization method on the platform with a
@@ -396,7 +377,8 @@ func Optimize(p *Platform, cfg Config) (*Result, error) {
 // partial result; with Config.CheckpointFile set, a final checkpoint is
 // written first, so a later run with Config.Resume continues exactly where
 // this one stopped. (MethodNSGAII does not run on the shared iteration
-// engine and ignores ctx and checkpointing.)
+// engine: cancelling ctx returns its last complete generation, and it has no
+// checkpointing.)
 func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("unico: nil platform")
@@ -405,16 +387,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 	opt, err := cfg.options()
 	if err != nil {
 		return nil, err
-	}
-
-	var cache *evalcache.Cache
-	if cfg.Cache || cfg.CacheSize > 0 || cfg.CacheFile != "" {
-		cache = evalcache.New(cfg.CacheSize)
-		if cfg.CacheFile != "" {
-			if _, err := cache.LoadFile(cfg.CacheFile); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	runID := cfg.RunID
@@ -428,7 +400,7 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 	var res core.Result
 	var runErr error
 	if cfg.Method == MethodNSGAII {
-		res = baselines.NSGAII(lifecycle.WithCache(p.inner, cache), baselines.NSGAIIOptions{
+		res = baselines.NSGAII(runid.With(ctx, runID), p.inner, baselines.NSGAIIOptions{
 			Pop:             cfg.BatchSize,
 			Generations:     cfg.Iterations,
 			BMax:            cfg.BudgetMax,
@@ -448,7 +420,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 			CheckpointPath: cfg.CheckpointFile,
 			Resume:         cfg.Resume,
 			FlightPath:     cfg.FlightRecordFile,
-			Cache:          cache,
 			Live:           cfg.Dashboard,
 		}
 		if cfg.TraceWriter != nil {
@@ -482,17 +453,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 	}
 	if rep, ok := core.Representative(res.Front); ok {
 		out.Best = design(p, rep)
-	}
-	if cache != nil {
-		st := cache.Stats()
-		out.CacheHits, out.CacheMisses = st.Hits, st.Misses
-		if cfg.CacheFile != "" {
-			if err := cache.SaveFile(cfg.CacheFile); err != nil {
-				// The search itself succeeded; hand back the result along
-				// with the save failure.
-				return out, err
-			}
-		}
 	}
 	// A mid-run checkpoint or flight-record write failure is non-fatal to
 	// the search; hand back the result along with it so callers know resume

@@ -2,10 +2,11 @@ package unico
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"unico/internal/telemetry"
 )
 
 func TestNetworksListsZoo(t *testing.T) {
@@ -176,83 +177,34 @@ func TestOpenSourcePlatformFromJSON(t *testing.T) {
 	}
 }
 
+// TestOptimizeCacheBitIdentical: Config.Cache is inert. On both platform
+// kinds the result with it set equals the result without, field for field,
+// and no evaluation reaches a cache (the process-wide evalcache counters do
+// not move).
 func TestOptimizeCacheBitIdentical(t *testing.T) {
-	run := func(cfg Config) *Result {
-		p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
-		if err != nil {
-			t.Fatal(err)
+	platforms := map[string]func() (*Platform, error){
+		"spatial": func() (*Platform, error) { return OpenSourcePlatform(Edge, "MobileNetV3-S") },
+		"ascend":  func() (*Platform, error) { return AscendLikePlatform("DLEU") },
+	}
+	for name, build := range platforms {
+		run := func(cache bool) *Result {
+			p, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Optimize(p, Config{BatchSize: 4, Iterations: 2, BudgetMax: 10, Seed: 3, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		res, err := Optimize(p, cfg)
-		if err != nil {
-			t.Fatal(err)
+		hits, misses := telemetry.EvalCacheHits().Value(), telemetry.EvalCacheMisses().Value()
+		plain, cached := run(false), run(true)
+		if len(plain.Front) == 0 || !reflect.DeepEqual(plain, cached) {
+			t.Errorf("%s: Cache=true changed the result:\n off %+v\n on  %+v", name, plain, cached)
 		}
-		return res
-	}
-
-	base := Config{BatchSize: 4, Iterations: 2, BudgetMax: 10, Seed: 3}
-	plain := run(base)
-
-	withCache := base
-	withCache.Cache = true
-	cached := run(withCache)
-
-	if cached.CacheHits == 0 {
-		t.Error("cached run recorded no cache hits")
-	}
-	if !reflect.DeepEqual(plain.Front, cached.Front) {
-		t.Errorf("cached front differs:\n off %+v\n on  %+v", plain.Front, cached.Front)
-	}
-	if plain.Evaluations != cached.Evaluations || plain.SimulatedHours != cached.SimulatedHours {
-		t.Errorf("cached accounting differs: evals %d vs %d, sim %v vs %v h",
-			plain.Evaluations, cached.Evaluations, plain.SimulatedHours, cached.SimulatedHours)
-	}
-
-	// Optimize must not mutate the caller's platform when enabling the cache.
-	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Optimize(p, withCache); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Optimize(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.CacheHits != 0 || again.CacheMisses != 0 {
-		t.Error("cache leaked into a cache-off run on the same platform value")
-	}
-}
-
-func TestOptimizeCacheFileWarmStart(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "cache.jsonl")
-	cfg := Config{BatchSize: 4, Iterations: 2, BudgetMax: 10, Seed: 3, CacheFile: file}
-
-	run := func() *Result {
-		p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
-		if err != nil {
-			t.Fatal(err)
+		if h, m := telemetry.EvalCacheHits().Value(), telemetry.EvalCacheMisses().Value(); h != hits || m != misses {
+			t.Errorf("%s: evalcache counters moved (hits %d -> %d, misses %d -> %d)", name, hits, h, misses, m)
 		}
-		res, err := Optimize(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	cold := run()
-	if cold.CacheMisses == 0 {
-		t.Fatal("cold run recorded no misses")
-	}
-	if _, err := os.Stat(file); err != nil {
-		t.Fatalf("cache file not saved: %v", err)
-	}
-
-	warm := run()
-	if warm.CacheMisses != 0 {
-		t.Errorf("warm-started run recomputed %d evaluations", warm.CacheMisses)
-	}
-	if !reflect.DeepEqual(cold.Front, warm.Front) {
-		t.Error("warm-started front differs from cold run")
 	}
 }
