@@ -3,11 +3,13 @@ package baselines
 import (
 	"context"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"unico/internal/core"
+	"unico/internal/dist"
 	"unico/internal/hw"
 	"unico/internal/mapsearch"
 	"unico/internal/mobo"
@@ -154,6 +156,76 @@ func TestNSGAIICancelledMidGenerationKeepsLastComplete(t *testing.T) {
 		t.Errorf("run cancelled at the start = %v, want the zero Result", got)
 	}
 }
+
+// TestNSGAIIReleasesRemoteJobs runs NSGA-II against a dist.Server: a
+// generation's worker-side searchers are deleted once it is absorbed, and
+// also when ctx cuts it short, so the worker holds nothing when the run
+// returns. (It held Pop jobs per generation before evaluate released them.)
+func TestNSGAIIReleasesRemoteJobs(t *testing.T) {
+	worker := dist.NewServer()
+	srv := httptest.NewServer(worker.Handler())
+	defer srv.Close()
+	remote, err := dist.NewRemoteSpatialPlatform(
+		[]*dist.Client{dist.NewClient(srv.URL, srv.Client())}, hw.Edge, []string{"MobileNetV3-S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker: a request cancelled in flight can leave a job the worker
+	// built and the client never heard of, which is the worker's to bound,
+	// not the run's to release.
+	o := NSGAIIOptions{Pop: 4, Generations: 2, BMax: 6, Workers: 1, Seed: 3}
+
+	res := NSGAII(context.Background(), remote, o)
+	if len(res.All) != 12 || res.Evals != 12*6 {
+		t.Fatalf("remote run: %d candidates, %d evals, want 12 and %d", len(res.All), res.Evals, 12*6)
+	}
+	if n := worker.JobCount(); n != 0 {
+		t.Errorf("a completed run left %d jobs on the worker", n)
+	}
+
+	// Cut generation 1 short once its searches have reached the worker: the
+	// sixth job is built while generation 1 is set up, and cancelling at the
+	// first progress of its search leaves jobs the worker has already built.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := NSGAII(ctx, &cancelAfterAdvance{Platform: remote, n: 6, cancel: cancel}, o)
+	if len(cut.All) != 4 {
+		t.Fatalf("cut run kept %d candidates, want generation 0's 4", len(cut.All))
+	}
+	if n := worker.JobCount(); n != 0 {
+		t.Errorf("a cancelled run left %d jobs on the worker", n)
+	}
+}
+
+// cancelAfterAdvance is a platform whose n-th job cancels the run right
+// after its first Advance — once the worker holds it.
+type cancelAfterAdvance struct {
+	core.Platform
+	n, built int
+	cancel   context.CancelFunc
+}
+
+func (p *cancelAfterAdvance) NewJob(x []float64, seed int64) mapsearch.Searcher {
+	j := p.Platform.NewJob(x, seed)
+	if p.built++; p.built == p.n {
+		return &cancellingJob{Searcher: j, cancel: p.cancel}
+	}
+	return j
+}
+
+type cancellingJob struct {
+	mapsearch.Searcher
+	cancel context.CancelFunc
+}
+
+func (j *cancellingJob) Advance(budget int) { j.AdvanceContext(context.Background(), budget) }
+
+func (j *cancellingJob) AdvanceContext(ctx context.Context, budget int) {
+	j.Searcher.(mapsearch.ContextAdvancer).AdvanceContext(ctx, budget)
+	j.cancel()
+}
+
+func (j *cancellingJob) Close() error { return j.Searcher.(interface{ Close() error }).Close() }
 
 func TestSBXAndMutationStayInUnitCube(t *testing.T) {
 	f := func(seed int64) bool {

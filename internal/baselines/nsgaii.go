@@ -89,12 +89,14 @@ func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 
 	var res core.Result
 	// evaluate runs one generation's searches to full budget and folds them
-	// into res; ok is false, and res untouched, when ctx cut it short.
+	// into res; ok is false, and res untouched, when ctx cut it short. Either
+	// way the generation's jobs are released before it returns.
 	evaluate := func(xs [][]float64, gen int) (inds []individual, ok bool) {
 		jobs := make([]mapsearch.Searcher, len(xs))
 		for i, x := range xs {
 			jobs[i] = p.NewJob(x, o.Seed+int64(gen)*1_000_000+int64(i))
 		}
+		defer core.CloseJobs(jobs)
 		outcome := sh.FullBudget(ctx, jobs, shCfg)
 		if ctx.Err() != nil {
 			return nil, false

@@ -392,7 +392,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			// The batch was interrupted mid-search: its evaluations are
 			// incomplete and must not enter the result, the surrogate or
 			// the checkpoint. Discard it; resume re-runs the iteration.
-			closeJobs(jobs)
+			CloseJobs(jobs)
 			phaseIter.EndWith(map[string]any{"iter": iter, "canceled": true})
 			traceSpan.End("ok", nil)
 			break
@@ -407,7 +407,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			}
 			obs[i] = mobo.Observation{X: cand.X, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
 		}
-		closeJobs(jobs)
+		CloseJobs(jobs)
 		_, phaseUpdate := prof.StartClocked(pctx, "update", opt.Clock)
 		admitted := explorer.Update(obs)
 		// Surrogate refit overhead on the master (paper Fig. 6b): seconds,
@@ -503,10 +503,12 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	return res
 }
 
-// closeJobs releases jobs that hold external resources (remote jobs delete
+// CloseJobs releases jobs that hold external resources (remote jobs delete
 // their worker-side state so worker memory does not grow with search
-// length); local searchers implement no Close and are skipped.
-func closeJobs(jobs []mapsearch.Searcher) {
+// length); local searchers implement no Close and are skipped. Whoever
+// builds a batch of jobs with Platform.NewJob calls it once the batch is
+// absorbed or discarded — Run does, and so does every other search method.
+func CloseJobs(jobs []mapsearch.Searcher) {
 	for _, j := range jobs {
 		if c, ok := j.(interface{ Close() error }); ok {
 			_ = c.Close()

@@ -35,7 +35,10 @@
 // column once per distinct lengthscale and the forward solve once per
 // distinct factor, with the tile's points as interleaved lanes of one
 // multi-right-hand-side solve. Every (GP, point) result is bit-identical to
-// evaluating that pair alone.
+// evaluating that pair alone. Asked for means only (a nil variance), a tile
+// skips the solves — the O(n²) part — and MaxVariance says how large the
+// variance it did not compute can be; internal/mobo ranks candidates on that
+// before paying for any solve.
 //
 // # Concurrency
 //
@@ -475,6 +478,11 @@ func sameInputs(a, b [][]float64) bool {
 // TileWidth of them): mean[k*len(gps)+j] and variance[k*len(gps)+j] are
 // exactly what gps[j].Predict(xs[k]) returns, bit for bit.
 //
+// A nil variance asks for the means only: the forward solves and Σv² — the
+// O(n²) part of a tile — are skipped, and every mean is the same operations
+// in the same order, so the same bits. GP.MaxVariance bounds what was not
+// computed.
+//
 // The tile does each piece of work once per distinct input rather than once
 // per (GP, point). GPs fitted on one training-input set (sameInputs) share
 // the squared distances to it; those that also share a Matérn lengthscale
@@ -497,7 +505,7 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 	if m < 1 || m > TileWidth {
 		panic(fmt.Sprintf("gp: PredictTile of %d points, want 1..%d", m, TileWidth))
 	}
-	if len(mean) != m*ng || len(variance) != m*ng {
+	if len(mean) != m*ng || (variance != nil && len(variance) != m*ng) {
 		panic(fmt.Sprintf("gp: PredictTile got %d means and %d variances for %d points × %d GPs", len(mean), len(variance), m, ng))
 	}
 	w := linalg.Lanes(m)
@@ -539,7 +547,7 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 					}
 					mean[k*ng+c] = sum
 				}
-				if fac[c] != c {
+				if variance == nil || fac[c] != c {
 					continue
 				}
 				linalg.SolveLowerLanesInto(gc.chol, w, ks, v)
@@ -555,15 +563,32 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 	}
 	for j, g := range gps {
 		for k, x := range xs {
-			varS := g.kernel.Eval(x, x) + g.noise - ss[fac[j]*TileWidth+k]
-			if varS < 1e-12 {
-				varS = 1e-12
-			}
 			mean[k*ng+j] = mean[k*ng+j]*g.stdY + g.meanY
-			variance[k*ng+j] = varS * g.stdY * g.stdY
+			if variance != nil {
+				variance[k*ng+j] = g.scaledVariance(g.kernel.Eval(x, x) + g.noise - ss[fac[j]*TileWidth+k])
+			}
 		}
 	}
 	tilePool.Put(sc)
+}
+
+// scaledVariance clamps a standardized posterior variance away from zero and
+// puts it on the original target scale.
+func (g *GP) scaledVariance(varS float64) float64 {
+	if varS < 1e-12 {
+		varS = 1e-12
+	}
+	return varS * g.stdY * g.stdY
+}
+
+// MaxVariance returns the largest variance Predict can report at x: the
+// prior variance k(x,x)+noise, from which the posterior only ever subtracts
+// Σv² ≥ 0. Subtraction, the clamp and the scaling are each monotone in
+// floating point, so Predict's variance at x is <= MaxVariance(x) exactly,
+// not up to a tolerance — what lets the acquisition search bound a candidate
+// from its posterior mean alone and solve only for those that can still win.
+func (g *GP) MaxVariance(x []float64) float64 {
+	return g.scaledVariance(g.kernel.Eval(x, x) + g.noise)
 }
 
 // leaders finds, for every GP, the lowest-indexed GP it can take the

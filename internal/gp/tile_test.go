@@ -44,18 +44,27 @@ func tilePoints(x [][]float64, seed int64) [][]float64 {
 }
 
 // checkTile compares PredictTile with predictReference for every tile fill
-// from one point to TileWidth.
+// from one point to TileWidth: the full form, the means-only form (the same
+// means, bit for bit), and MaxVariance, which no variance may exceed.
 func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 	t.Helper()
 	for m := 1; m <= len(xs); m++ {
 		mean := make([]float64, m*len(gps))
 		variance := make([]float64, m*len(gps))
+		meanOnly := make([]float64, m*len(gps))
 		PredictTile(gps, xs[:m], mean, variance)
+		PredictTile(gps, xs[:m], meanOnly, nil)
 		for k := 0; k < m; k++ {
 			for j, g := range gps {
 				wm, wv := predictReference(g, xs[k])
 				if gm, gv := mean[k*len(gps)+j], variance[k*len(gps)+j]; gm != wm || gv != wv {
 					t.Fatalf("tile of %d, point %d, GP %d: (%v, %v), reference (%v, %v)", m, k, j, gm, gv, wm, wv)
+				}
+				if gm := meanOnly[k*len(gps)+j]; gm != wm {
+					t.Fatalf("means-only tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gm, wm)
+				}
+				if top := g.MaxVariance(xs[k]); !(wv <= top) {
+					t.Fatalf("point %d, GP %d: variance %v above MaxVariance %v", k, j, wv, top)
 				}
 			}
 		}
@@ -201,7 +210,8 @@ func TestPredictTilePanicsOnBadShapes(t *testing.T) {
 		"too many points": func() {
 			PredictTile(gps, make([][]float64, TileWidth+1), make([]float64, TileWidth+1), make([]float64, TileWidth+1))
 		},
-		"short output": func() { PredictTile(gps, x[:2], make([]float64, 1), make([]float64, 2)) },
+		"short output":    func() { PredictTile(gps, x[:2], make([]float64, 1), make([]float64, 2)) },
+		"short variances": func() { PredictTile(gps, x[:2], make([]float64, 2), make([]float64, 1)) },
 	} {
 		func() {
 			defer func() {
@@ -215,7 +225,7 @@ func TestPredictTilePanicsOnBadShapes(t *testing.T) {
 }
 
 // TestPredictTileDoesNotAllocate pins the allocation-free tile path, full
-// and partly filled.
+// and partly filled, with variances and means-only.
 func TestPredictTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -228,10 +238,14 @@ func TestPredictTileDoesNotAllocate(t *testing.T) {
 	mean := make([]float64, len(xs)*len(gps))
 	variance := make([]float64, len(xs)*len(gps))
 	for _, m := range []int{TileWidth, 3} {
-		run := func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], variance[:m*len(gps)]) }
-		run() // warm the pool
-		if n := testing.AllocsPerRun(200, run); n > 0 {
-			t.Fatalf("PredictTile of %d points allocates %.1f objects per call", m, n)
+		for name, run := range map[string]func(){
+			"PredictTile":            func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], variance[:m*len(gps)]) },
+			"means-only PredictTile": func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], nil) },
+		} {
+			run() // warm the pool
+			if n := testing.AllocsPerRun(200, run); n > 0 {
+				t.Fatalf("%s of %d points allocates %.1f objects per call", name, m, n)
+			}
 		}
 	}
 }

@@ -1,0 +1,494 @@
+package mobo
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"unico/internal/gp"
+)
+
+// scorePoolReference is the exhaustive pool scoring the acquisition search
+// ran before it bounded candidates first: an exact score for every pool
+// candidate, +Inf for the excluded ones.
+func scorePoolReference(o *Optimizer, pool [][]float64, lambda []float64, exclude map[string]bool) []float64 {
+	scores := make([]float64, len(pool))
+	post := make([]float64, 2*gp.TileWidth*o.NumObjectives())
+	for lo := 0; lo < len(pool); lo += gp.TileWidth {
+		hi := min(lo+gp.TileWidth, len(pool))
+		o.scoreTile(pool[lo:hi], lambda, post[:2*(hi-lo)*o.NumObjectives()], scores[lo:hi])
+		for i := lo; i < hi; i++ {
+			if o.excluded(pool[i], exclude) {
+				scores[i] = math.Inf(1)
+			}
+		}
+	}
+	return scores
+}
+
+// refineChainsReference is refineChains without the memo: every step of
+// every chain predicted afresh.
+func refineChainsReference(o *Optimizer, incumbents [][]float64, seeds []int64, lambda []float64, exclude map[string]bool) (bestX [][]float64, bestA []float64) {
+	nc := len(incumbents)
+	post := make([]float64, 2*nc*o.NumObjectives())
+	crng := make([]*rand.Rand, nc)
+	for c := range crng {
+		crng[c] = rand.New(rand.NewSource(seeds[c]))
+	}
+	x, ax := append([][]float64(nil), incumbents...), make([]float64, nc)
+	o.scoreTile(x, lambda, post, ax)
+	y, ay := make([][]float64, nc), make([]float64, nc)
+	bestX, bestA = make([][]float64, nc), make([]float64, nc)
+	for c := range bestA {
+		bestA[c] = math.Inf(1)
+	}
+	for step := 0; step < acqSteps; step++ {
+		for c := range y {
+			y[c] = o.space.Neighbor(x[c], crng[c])
+		}
+		o.scoreTile(y, lambda, post, ay)
+		for c := range y {
+			if ay[c] < bestA[c] && !o.excluded(y[c], exclude) {
+				bestX[c], bestA[c] = y[c], ay[c]
+			}
+			if ay[c] < ax[c] {
+				x[c], ax[c] = y[c], ay[c]
+			}
+		}
+	}
+	return bestX, bestA
+}
+
+// maximizeAcquisitionReference is maximizeAcquisition as it stood before the
+// bound: the same draws, every pool candidate scored, the chains walked after
+// the pool, the same merge. It also reports the winning value and the chains'
+// results, which the crafted cases below are built from.
+func maximizeAcquisitionReference(o *Optimizer, lambda []float64, exclude map[string]bool) (best []float64, bestA float64, chainX [][]float64, chainA []float64) {
+	best = o.space.Sample(o.rng)
+	pool := make([][]float64, o.cfg.PoolSize)
+	for i := range pool {
+		pool[i] = o.space.Sample(o.rng)
+	}
+	incumbents := o.topTrain(acqChains, lambda)
+	seeds := make([]int64, len(incumbents))
+	for i := range seeds {
+		seeds[i] = o.rng.Int63()
+	}
+	bestA = math.Inf(1)
+	for i, a := range scorePoolReference(o, pool, lambda, exclude) {
+		if a < bestA {
+			best, bestA = pool[i], a
+		}
+	}
+	chainX, chainA = refineChainsReference(o, incumbents, seeds, lambda, exclude)
+	for c, a := range chainA {
+		if a < bestA {
+			best, bestA = chainX[c], a
+		}
+	}
+	return best, bestA, chainX, chainA
+}
+
+// handBuilt returns an optimizer holding the given surrogates and log
+// bounds, for tests that need GP sets a driven optimizer never produces.
+func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
+	o := New(testSpace(), DefaultConfig(len(gps)), 1)
+	o.gps = gps
+	copy(o.lo, lo)
+	copy(o.hi, hi)
+	return o
+}
+
+// TestBoundNeverExceedsScore is the property the pruning rests on: for every
+// candidate, boundTile's value <= scoreTile's, compared on the floats with no
+// tolerance. The GP sets cover shared and distinct hyperparameters, a
+// non-Matérn kernel of signal variance 2.5 (k(x,x) is not 1), a training set
+// of 3, an objective whose span is 0, and noise-free GPs queried on their own
+// training inputs, where the variance clamps to 1e-12; the candidates are
+// lattice samples, off-lattice points and the training inputs themselves.
+//
+// It was shown to catch bounding with half the largest variance (MaxVariance
+// returning scaledVariance((k(x,x)+noise)/2)): far from the data the
+// posterior variance is nearly the prior's, and the first set already has a
+// candidate whose bound exceeds its score in the third decimal.
+func TestBoundNeverExceedsScore(t *testing.T) {
+	space := testSpace()
+	rng := rand.New(rand.NewSource(17))
+	inputs := func(n int) ([][]float64, [][]float64) {
+		x := make([][]float64, n)
+		y := make([][]float64, n)
+		for i := range x {
+			x[i] = space.Sample(rng)
+			y[i] = synthObjectives(x[i], 4)
+		}
+		return x, y
+	}
+	column := func(y [][]float64, j int) []float64 {
+		out := make([]float64, len(y))
+		for i := range y {
+			out[i] = logc(y[i][j])
+		}
+		return out
+	}
+	withParams := func(x, y [][]float64, ps ...gp.Params) []*gp.GP {
+		gps := make([]*gp.GP, len(ps))
+		for j, p := range ps {
+			g, err := gp.FitWithParams(x, column(y, j), p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gps[j] = g
+		}
+		return gps
+	}
+	withKernel := func(x, y [][]float64, noise float64, ks ...gp.Kernel) []*gp.GP {
+		gps := make([]*gp.GP, len(ks))
+		for j, k := range ks {
+			g, err := gp.Fit(x, column(y, j), k, noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gps[j] = g
+		}
+		return gps
+	}
+	a := gp.Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
+	b := gp.Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
+	c := gp.Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-2}
+	unit := func(n int) ([]float64, []float64) {
+		lo, hi := make([]float64, n), make([]float64, n)
+		for j := range hi {
+			hi[j] = 1.5
+		}
+		return lo, hi
+	}
+
+	type gpSet struct {
+		name    string
+		o       *Optimizer
+		train   [][]float64
+		clamped bool // every variance at a training input must clamp
+	}
+	var sets []gpSet
+	add := func(name string, gps []*gp.GP, train [][]float64, flatObjective, clamped bool) {
+		lo, hi := unit(len(gps))
+		if flatObjective {
+			hi[1] = lo[1]
+		}
+		sets = append(sets, gpSet{name, handBuilt(gps, lo, hi), train, clamped})
+	}
+	x40, y40 := inputs(40)
+	add("shared", withParams(x40, y40, a, a, a, a), x40, false, false)
+	add("distinct", withParams(x40, y40, a, b, c, a), x40, false, false)
+	add("span-0", withParams(x40, y40, a, b, c), x40, true, false)
+	add("rbf", withKernel(x40, y40, 1e-3, gp.RBF{Lengthscale: 0.4, Variance: 2.5}, gp.Matern52{Lengthscale: 0.3, Variance: 1}), x40, false, false)
+	x3, y3 := inputs(3)
+	add("three-points", withParams(x3, y3, a, b), x3, false, false)
+	x5, y5 := inputs(5)
+	add("noise-free", withKernel(x5, y5, 0, gp.Matern52{Lengthscale: 0.3, Variance: 1}, gp.Matern52{Lengthscale: 0.3, Variance: 1}), x5, false, true)
+
+	for _, set := range sets {
+		o := set.o
+		nObj := o.NumObjectives()
+		cands := append([][]float64(nil), set.train...)
+		for i := 0; i < 200; i++ {
+			x := space.Sample(rng)
+			if i%2 == 1 {
+				for d := range x {
+					x[d] = rng.Float64()
+				}
+			}
+			cands = append(cands, x)
+		}
+		for trial := 0; trial < 4; trial++ {
+			lambda := o.randomSimplex()
+			if trial == 3 {
+				lambda[0], lambda[1] = lambda[0]+lambda[1], 0
+			}
+			for lo := 0; lo < len(cands); lo += gp.TileWidth {
+				xs := cands[lo:min(lo+gp.TileWidth, len(cands))]
+				post := make([]float64, 2*len(xs)*nObj)
+				bound, score := make([]float64, len(xs)), make([]float64, len(xs))
+				o.boundTile(xs, lambda, post, bound)
+				o.scoreTile(xs, lambda, post, score)
+				for k := range xs {
+					if !(bound[k] <= score[k]) {
+						t.Fatalf("%s, lambda %v, candidate %d: bound %v exceeds score %v", set.name, lambda, lo+k, bound[k], score[k])
+					}
+				}
+			}
+		}
+		if set.clamped {
+			for j, g := range o.gps {
+				_, v := g.Predict(set.train[0])
+				_, vFar := g.Predict(cands[len(cands)-1])
+				if v >= vFar*1e-9 {
+					t.Fatalf("%s: GP %d has variance %v on a training input (%v away from the data), want it clamped", set.name, j, v, vFar)
+				}
+			}
+		}
+	}
+}
+
+// scriptedSpace is a Space whose Sample hands back scripted points: the i-th
+// call returns script[i] when that is non-nil, after drawing — and
+// discarding — the real sample, so the RNG moves as it would unscripted.
+// It also records every point Neighbor returns.
+type scriptedSpace struct {
+	Space
+	script  [][]float64
+	calls   int
+	visited [][]float64
+}
+
+func (s *scriptedSpace) Sample(rng *rand.Rand) []float64 {
+	x := s.Space.Sample(rng)
+	if s.calls < len(s.script) && s.script[s.calls] != nil {
+		x = s.script[s.calls]
+	}
+	s.calls++
+	return x
+}
+
+func (s *scriptedSpace) Neighbor(x []float64, rng *rand.Rand) []float64 {
+	y := s.Space.Neighbor(x, rng)
+	s.visited = append(s.visited, y)
+	return y
+}
+
+// TestMaximizeAcquisitionMatchesExhaustive requires the bounded search to
+// return what scoring everything returns — the same point from the same
+// place (a pool slot, a chain, the fallback sample), at the same RNG position
+// — for SearchWorkers 1, 2 and 8, on plain draws and on pools crafted around
+// the search's edges.
+func TestMaximizeAcquisitionMatchesExhaustive(t *testing.T) {
+	base := trained(t, 21)
+	real := base.space
+	lambda := []float64{0.3, 0.1, 0.4, 0.2}
+	side := rand.New(rand.NewSource(9))
+
+	// clone returns base's twin on a scripted space.
+	clone := func(workers int, script [][]float64) (*Optimizer, *scriptedSpace) {
+		cfg := base.cfg
+		cfg.SearchWorkers = workers
+		o := throughJSON(t, base, cfg)
+		sp := &scriptedSpace{Space: real, script: script}
+		o.space = sp
+		return o, sp
+	}
+	// A plain pool, its reference scores and the chains' walk over it:
+	// what the crafted cases are cut from. script[0] is the fallback sample,
+	// script[1+i] pool candidate i.
+	plain := make([][]float64, 1+base.cfg.PoolSize)
+	for i := range plain {
+		plain[i] = real.Sample(side)
+	}
+	probe, probeSpace := clone(1, plain)
+	_, _, chainX, chainA := maximizeAcquisitionReference(probe, lambda, nil)
+	poolScores := scorePoolReference(probe, plain[1:], lambda, nil)
+	bestChain, bestPool := 0, 0
+	for c := range chainA {
+		if chainA[c] < chainA[bestChain] {
+			bestChain = c
+		}
+	}
+	for i := range poolScores {
+		if poolScores[i] < poolScores[bestPool] {
+			bestPool = i
+		}
+	}
+	keysOf := func(points [][]float64, into map[string]bool) map[string]bool {
+		for _, x := range points {
+			into[real.Key(x)] = true
+		}
+		return into
+	}
+	rescript := func(edit func(script [][]float64)) [][]float64 {
+		script := append([][]float64(nil), plain...)
+		edit(script)
+		return script
+	}
+	copyOf := func(x []float64) []float64 { return append([]float64(nil), x...) }
+
+	type origin struct {
+		kind string // "pool", "chain" or "fallback"
+		slot int
+	}
+	cases := []struct {
+		name    string
+		script  [][]float64
+		exclude map[string]bool
+		want    *origin // nil: whatever the reference says
+	}{
+		{name: "plain draws"},
+		{name: "plain pool", script: plain},
+		{
+			// The would-be winners are out: exclusion has to reach the
+			// bound, or a candidate that may not win sets the threshold.
+			name:   "best pool candidates excluded",
+			script: plain,
+			exclude: func() map[string]bool {
+				ex := map[string]bool{}
+				for i, a := range poolScores {
+					if a <= poolScores[bestPool]+0.05 {
+						ex[real.Key(plain[1+i])] = true
+					}
+				}
+				return ex
+			}(),
+		},
+		{
+			// The pool's best moved out of its slot and copied into two
+			// others, with the chains silenced so the pool decides: the
+			// lower index wins the tie.
+			name: "identical pool candidates tie",
+			script: rescript(func(script [][]float64) {
+				script[1+bestPool] = plain[1+200]
+				script[1+40], script[1+130] = copyOf(plain[1+bestPool]), copyOf(plain[1+bestPool])
+			}),
+			exclude: keysOf(probeSpace.visited, map[string]bool{}),
+			want:    &origin{"pool", 40},
+		},
+		{
+			// A copy of the chains' best point in the pool, every better
+			// pool candidate excluded: equal scores, and the pool is merged
+			// first.
+			name: "pool candidate ties the chains' best",
+			script: rescript(func(script [][]float64) {
+				script[1+77] = copyOf(chainX[bestChain])
+			}),
+			exclude: func() map[string]bool {
+				ex := map[string]bool{}
+				for i, a := range poolScores {
+					if a <= chainA[bestChain] {
+						ex[real.Key(plain[1+i])] = true
+					}
+				}
+				return ex
+			}(),
+			want: &origin{"pool", 77},
+		},
+		{
+			name:    "all-excluded pool, chains decide",
+			script:  plain,
+			exclude: keysOf(plain[1:], map[string]bool{}),
+			want:    &origin{"chain", bestChain},
+		},
+		{
+			name:    "chains find nothing",
+			script:  plain,
+			exclude: keysOf(probeSpace.visited, map[string]bool{}),
+			want:    &origin{"pool", bestPool},
+		},
+		{
+			name:    "nothing to choose: the fallback sample",
+			script:  plain,
+			exclude: keysOf(probeSpace.visited, keysOf(plain[1:], map[string]bool{})),
+			want:    &origin{"fallback", 0},
+		},
+	}
+	for _, tc := range cases {
+		ref, _ := clone(1, tc.script)
+		want, wantA, refChainX, _ := maximizeAcquisitionReference(ref, lambda, tc.exclude)
+		originOf := func(x []float64) origin {
+			for i, p := range tc.script {
+				if p != nil && &p[0] == &x[0] {
+					if i == 0 {
+						return origin{"fallback", 0}
+					}
+					return origin{"pool", i - 1}
+				}
+			}
+			for c, p := range refChainX {
+				if reflect.DeepEqual(p, x) {
+					return origin{"chain", c}
+				}
+			}
+			return origin{"unscripted", 0}
+		}
+		if tc.want != nil && originOf(want) != *tc.want {
+			t.Fatalf("%s: the case is miscrafted — the exhaustive search returns %+v (value %v), the case wants %+v",
+				tc.name, originOf(want), wantA, *tc.want)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			o, _ := clone(workers, tc.script)
+			got := o.maximizeAcquisition(lambda, tc.exclude)
+			if !reflect.DeepEqual(got, want) || originOf(got) != originOf(want) {
+				t.Fatalf("%s, %d workers: bounded search returned %v (%+v), exhaustive %v (%+v)",
+					tc.name, workers, got, originOf(got), want, originOf(want))
+			}
+			if o.RNGPos() != ref.RNGPos() {
+				t.Fatalf("%s, %d workers: RNG at %d, exhaustive at %d", tc.name, workers, o.RNGPos(), ref.RNGPos())
+			}
+		}
+	}
+}
+
+// TestMaximizeAcquisitionMatchesExhaustiveAcrossBatches walks whole batches —
+// a growing exclusion set, the memo filling up slot after slot — on twin
+// optimizers, one searching with the bound and one exhaustively, through
+// several surrogate updates.
+func TestMaximizeAcquisitionMatchesExhaustiveAcrossBatches(t *testing.T) {
+	const nObj = 4
+	cfg := DefaultConfig(nObj)
+	cfg.SearchWorkers = 2
+	o := New(testSpace(), cfg, 31)
+	drive(o, 2, 10, nObj)
+	ref := throughJSON(t, o, cfg)
+	for round := 0; round < 4; round++ {
+		o.acq.dropMemo()
+		exclude := map[string]bool{}
+		var obs []Observation
+		for slot := 0; slot < 10; slot++ {
+			lambda := o.randomSimplex()
+			if refLambda := ref.randomSimplex(); !reflect.DeepEqual(lambda, refLambda) {
+				t.Fatalf("round %d slot %d: the twins drew different weights", round, slot)
+			}
+			got := o.maximizeAcquisition(lambda, exclude)
+			want, _, _, _ := maximizeAcquisitionReference(ref, lambda, exclude)
+			if !reflect.DeepEqual(got, want) || o.RNGPos() != ref.RNGPos() {
+				t.Fatalf("round %d slot %d: bounded search returned %v at RNG %d, exhaustive %v at %d",
+					round, slot, got, o.RNGPos(), want, ref.RNGPos())
+			}
+			exclude[o.space.Key(got)] = true
+			obs = append(obs, Observation{X: got, Y: synthObjectives(got, nObj)})
+		}
+		o.Update(obs)
+		ref.Update(obs)
+	}
+}
+
+// TestMemoKeysOnCoordinatesNotCells feeds an off-centre observation through
+// Update — it becomes a training input, where the chains start — and reads it
+// and its cell's centre through the memo in one batch: one lattice cell, two
+// posteriors, in either order.
+func TestMemoKeysOnCoordinatesNotCells(t *testing.T) {
+	o := trained(t, 14)
+	rng := rand.New(rand.NewSource(2))
+	centre := o.space.Sample(rng)
+	off := append([]float64(nil), centre...)
+	off[0] += 1e-3
+	if o.space.Key(off) != o.space.Key(centre) {
+		t.Fatal("the off-centre point left its lattice cell; shrink the offset")
+	}
+	o.Update([]Observation{{X: off, Y: synthObjectives(off, 4)}})
+
+	lambda := []float64{0.25, 0.25, 0.25, 0.25}
+	post := make([]float64, 2*2*o.NumObjectives())
+	for _, xs := range [][][]float64{{off, centre}, {centre, off}} {
+		o.acq.dropMemo()
+		var cold, warm [2]float64
+		o.scoreMemoized(xs[:1], lambda, post[:len(post)/2], cold[:1])
+		o.scoreMemoized(xs[1:], lambda, post[:len(post)/2], cold[1:])
+		o.scoreMemoized(xs, lambda, post, warm[:])
+		for k, x := range xs {
+			if want := acquisitionReference(o, x, lambda); cold[k] != want || warm[k] != want {
+				t.Fatalf("point %v scored %v cold and %v from the memo, reference %v", x, cold[k], warm[k], want)
+			}
+		}
+		if warm[0] == warm[1] {
+			t.Fatalf("a training input and its cell centre scored the same %v: the case tests nothing", warm[0])
+		}
+	}
+}

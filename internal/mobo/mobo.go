@@ -27,24 +27,37 @@
 // The acquisition search scores candidates a tile at a time: up to
 // gp.TileWidth candidates go through all the objectives' GPs in one
 // gp.PredictTile call, which shares the distance pass, the kernel columns
-// and the factor solves the objectives have in common. SuggestBatch fans
-// the candidate pool's tiles out over a bounded worker pool
-// (Config.SearchWorkers, internal/parpool); the incumbent refinement chains
-// advance in lock-step, one tile holding the current step of every chain.
-// The result is bit-identical for every worker count, and to scoring each
-// candidate alone: all draws from the optimizer's counted RNG happen
-// serially before the fan-out (the pool samples, plus one seed per
-// refinement chain), workers write scores into slots indexed by candidate,
-// chains use private RNGs built from their pre-drawn seeds, and the merge
-// scans slots in index order with strictly-lower-wins ties. The optimizer's
-// RNG is consumed only inside SuggestBatch, never in Update — the
-// checkpoint/resume contract.
+// and the factor solves the objectives have in common. And it solves only
+// for candidates that can win. The acquisition subtracts an exploration
+// bonus that grows with the posterior variances, and a variance is at most
+// the prior's (gp.GP.MaxVariance), so the posterior means alone — a tile
+// without its O(n²) solves — give every pool candidate a lower bound on its
+// score that holds exactly in floating point. One fan-out over a bounded
+// worker pool (Config.SearchWorkers, internal/parpool) bounds the pool's
+// tiles while the incumbent refinement chains run beside them (in
+// lock-step, one tile holding the current step of every chain, their
+// posteriors read through a memo that lives for one SuggestBatch); the
+// lowest bounds are then scored exactly, and a second fan-out scores whoever
+// else has a bound no higher than the best score seen. A candidate left
+// unscored could neither have won nor tied.
+//
+// The result is bit-identical for every worker count, to scoring every
+// candidate, and to scoring each candidate alone: all draws from the
+// optimizer's counted RNG happen serially before the fan-out (the pool
+// samples, plus one seed per refinement chain), workers write bounds and
+// scores into slots indexed by candidate, chains use private RNGs built from
+// their pre-drawn seeds, and the merge scans slots in index order with
+// strictly-lower-wins ties. The optimizer's RNG is consumed only inside
+// SuggestBatch, never in Update — the checkpoint/resume contract.
 package mobo
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"unico/internal/gp"
@@ -109,6 +122,9 @@ type Config struct {
 	// PoolSize is the random candidate pool per acquisition maximization.
 	PoolSize int
 	// Explore is the UCB-style exploration bonus weight in the acquisition.
+	// It is a bonus, never a penalty — the acquisition search prunes on
+	// uncertainty only ever lowering a score — so a negative value reads
+	// as 0.
 	Explore float64
 	// MaxTrain caps the surrogate training set: when exceeded, the oldest
 	// non-elite points are evicted (cubic-cost Gaussian processes need a
@@ -121,10 +137,10 @@ type Config struct {
 	// default (5). Marginal-likelihood degradation or training-set
 	// eviction forces an early refit regardless.
 	RefitEvery int
-	// SearchWorkers bounds the goroutines scoring candidate-pool tiles in
-	// SuggestBatch. Results are bit-identical for every value; <= 1 runs
-	// serially. It deliberately stays out of the core run fingerprint so
-	// checkpoints resume across different worker counts.
+	// SearchWorkers bounds the goroutines of the acquisition search's
+	// fan-outs in SuggestBatch. Results are bit-identical for every value;
+	// <= 1 runs serially. It deliberately stays out of the core run
+	// fingerprint so checkpoints resume across different worker counts.
 	SearchWorkers int
 }
 
@@ -177,6 +193,8 @@ type Optimizer struct {
 
 	// Log-objective normalization bounds over all observations.
 	lo, hi []float64
+
+	acq acqScratch
 }
 
 // New builds an optimizer over the space.
@@ -192,6 +210,9 @@ func New(space Space, cfg Config, seed int64) *Optimizer {
 	}
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 256
+	}
+	if cfg.Explore < 0 {
+		cfg.Explore = 0
 	}
 	if cfg.MaxTrain <= 0 {
 		cfg.MaxTrain = 150
@@ -215,6 +236,7 @@ func New(space Space, cfg Config, seed int64) *Optimizer {
 		uul:   math.Inf(1),
 		lo:    make([]float64, nObj),
 		hi:    make([]float64, nObj),
+		acq:   newAcqScratch(cfg.PoolSize, nObj),
 	}
 }
 
@@ -243,6 +265,7 @@ func (o *Optimizer) SuggestBatch(n int) [][]float64 {
 		return true
 	}
 	useModel := o.gps != nil
+	o.acq.dropMemo()
 	for tries := 0; len(batch) < n && tries < 200*n; tries++ {
 		if !useModel {
 			add(o.space.Sample(o.rng))
@@ -289,11 +312,21 @@ var _ [gp.TileWidth - acqChains]struct{}
 // of the incumbents for the point with the best (lowest) scalarized
 // lower-confidence bound under the weights lambda.
 //
-// The pool is scored in tiles fanned out over Config.SearchWorkers
-// goroutines, yet the search is bit-identical for every worker count: every
-// draw from the optimizer's counted RNG happens up front on the calling
-// goroutine (fallback sample, pool samples, one seed per chain — a fixed
-// number of draws), workers score tiles into slots indexed by candidate,
+// Only candidates that can still win pay for a variance. One fan-out runs
+// the refinement chains (item 0) next to the pool's tiles, which are scored
+// from their posterior means alone into lower bounds (boundTile). The
+// candidates are then ordered by (bound, index), the tile of lowest bounds is
+// scored exactly, and threshold = min(that tile's best, the chains' best)
+// decides who else is: the run of the order whose bound is <= threshold,
+// regrouped into full tiles for a second fan-out. A pruned candidate has
+// score >= bound > threshold >= the winner's score, so it can neither win
+// nor tie, and the merge below picks the point scoring every candidate
+// would have picked.
+//
+// The search is bit-identical for every worker count: every draw from the
+// optimizer's counted RNG happens up front on the calling goroutine
+// (fallback sample, pool samples, one seed per chain — a fixed number of
+// draws), workers write bounds and scores into slots indexed by candidate,
 // each chain hill-climbs with a private RNG seeded from its pre-drawn seed,
 // and the serial merge scans slots in index order accepting only strictly
 // better scores — the same tie-break a serial loop applies.
@@ -310,22 +343,77 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 		seeds[i] = o.rng.Int63()
 	}
 
-	// Phase 1: score the pool into slots indexed by candidate.
+	// Phase 1: local refinement around the best training points under this
+	// lambda, one chain per incumbent, each on a private RNG — next to a
+	// lower bound for every pool candidate, +Inf for the excluded ones.
 	sp := perfprof.Begin("mobo.acq_pool")
-	scores := o.scorePool(pool, lambda, exclude)
+	sc := &o.acq
+	bounds, scores := sc.bounds, sc.scores
+	var chainX [][]float64
+	var chainA []float64
+	nTiles := (len(pool) + gp.TileWidth - 1) / gp.TileWidth
+	o.fanOut(1+nTiles, func(t int) {
+		if t == 0 {
+			rs := perfprof.Begin("mobo.acq_refine")
+			chainX, chainA = o.refineChains(incumbents, seeds, lambda, exclude)
+			rs.End()
+			return
+		}
+		lo := (t - 1) * gp.TileWidth
+		hi := min(lo+gp.TileWidth, len(pool))
+		o.boundTile(pool[lo:hi], lambda, sc.tilePost(t-1, hi-lo), bounds[lo:hi])
+		for i := lo; i < hi; i++ {
+			if o.excluded(pool[i], exclude) {
+				bounds[i] = math.Inf(1)
+			}
+		}
+	})
+
+	// Phase 2: exact scores for the candidates that can still win. A bound
+	// is finite or, past a degenerate surrogate, NaN; a NaN candidate scores
+	// NaN and never wins, so it is left out with the excluded ones.
+	order := sc.order[:0]
+	for i, b := range bounds {
+		scores[i] = math.Inf(1)
+		if b < math.Inf(1) {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(bounds[a], bounds[b]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	first := order[:min(gp.TileWidth, len(order))]
+	o.scoreCandidates(pool, first, lambda)
+	threshold := math.Inf(1)
+	for _, i := range first {
+		if scores[i] < threshold {
+			threshold = scores[i]
+		}
+	}
+	for _, a := range chainA {
+		if a < threshold {
+			threshold = a
+		}
+	}
+	solved := len(first)
+	for solved < len(order) && bounds[order[solved]] <= threshold {
+		solved++
+	}
+	o.scoreCandidates(pool, order[len(first):solved], lambda)
 	sp.End()
+	telemetry.MOBOAcqBounded().Add(uint64(len(pool)))
+	telemetry.MOBOAcqSolved().Add(uint64(solved))
+
+	// Merge: the pool in index order, then the chains, strictly lower wins.
 	bestA := math.Inf(1)
 	for i, a := range scores {
 		if a < bestA {
 			best, bestA = pool[i], a
 		}
 	}
-
-	// Phase 2: local refinement around the best training points under this
-	// lambda, one chain per incumbent, each on a private RNG.
-	sp = perfprof.Begin("mobo.acq_refine")
-	chainX, chainA := o.refineChains(incumbents, seeds, lambda, exclude)
-	sp.End()
 	for c, a := range chainA {
 		if a < bestA {
 			best, bestA = chainX[c], a
@@ -334,12 +422,42 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	return best
 }
 
+// fanOut runs fn(i) for every i in [0, n) over Config.SearchWorkers
+// goroutines — the one worker pool both phases of the acquisition search
+// share. fn writes only slots owned by its index.
+func (o *Optimizer) fanOut(n int, fn func(i int)) {
+	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
+	parpool.ForEach(o.cfg.SearchWorkers, n, fn)
+}
+
+// scoreCandidates writes the exact acquisition value of pool[i] into
+// acq.scores[i] for every i of idx, gathered into full tiles fanned out over
+// the worker pool. Which tile a candidate lands in does not touch its score
+// (gp.PredictTile is bit-identical per point).
+func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float64) {
+	sc := &o.acq
+	o.fanOut((len(idx)+gp.TileWidth-1)/gp.TileWidth, func(t int) {
+		tile := idx[t*gp.TileWidth : min((t+1)*gp.TileWidth, len(idx))]
+		var xs [gp.TileWidth][]float64
+		var out [gp.TileWidth]float64
+		for k, i := range tile {
+			xs[k] = pool[i]
+		}
+		o.scoreTile(xs[:len(tile)], lambda, sc.tilePost(t, len(tile)), out[:len(tile)])
+		for k, i := range tile {
+			sc.scores[i] = out[k]
+		}
+	})
+}
+
 // refineChains hill-climbs acqSteps lattice steps from each incumbent, chain
 // c drawing its moves from a private RNG seeded with seeds[c], and returns
 // the best non-excluded point each chain visited with its acquisition value
 // (+Inf when it found none). The chains advance in lock-step — step s of
 // all of them is scored as one tile — but share nothing else: each is the
-// walk it would be on its own.
+// walk it would be on its own. Posteriors come through the batch's memo
+// (scoreMemoized): the posterior at a point does not depend on lambda, and
+// the chains of a batch's slots start from the same few incumbents.
 func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda []float64, exclude map[string]bool) (bestX [][]float64, bestA []float64) {
 	nc := len(incumbents)
 	post := make([]float64, 2*nc*o.NumObjectives())
@@ -348,7 +466,7 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 		crng[c] = rand.New(rand.NewSource(seeds[c]))
 	}
 	x, ax := append([][]float64(nil), incumbents...), make([]float64, nc)
-	o.scoreTile(x, lambda, post, ax)
+	o.scoreMemoized(x, lambda, post, ax)
 	y, ay := make([][]float64, nc), make([]float64, nc)
 	bestX, bestA = make([][]float64, nc), make([]float64, nc)
 	for c := range bestA {
@@ -358,7 +476,7 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 		for c := range y {
 			y[c] = o.space.Neighbor(x[c], crng[c])
 		}
-		o.scoreTile(y, lambda, post, ay)
+		o.scoreMemoized(y, lambda, post, ay)
 		for c := range y {
 			if ay[c] < bestA[c] && !o.excluded(y[c], exclude) {
 				bestX[c], bestA[c] = y[c], ay[c]
@@ -371,29 +489,6 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 	return bestX, bestA
 }
 
-// scorePool returns the acquisition value of every pool candidate, +Inf for
-// the excluded ones. Tiles of gp.TileWidth candidates fan out over
-// Config.SearchWorkers goroutines; each writes only its own candidates'
-// slots and its own stretch of the posterior scratch.
-func (o *Optimizer) scorePool(pool [][]float64, lambda []float64, exclude map[string]bool) []float64 {
-	scores := make([]float64, len(pool))
-	perPoint := 2 * o.NumObjectives()
-	post := make([]float64, len(pool)*perPoint)
-	nTiles := (len(pool) + gp.TileWidth - 1) / gp.TileWidth
-	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
-	parpool.ForEach(o.cfg.SearchWorkers, nTiles, func(t int) {
-		lo := t * gp.TileWidth
-		hi := min(lo+gp.TileWidth, len(pool))
-		o.scoreTile(pool[lo:hi], lambda, post[lo*perPoint:hi*perPoint], scores[lo:hi])
-		for i := lo; i < hi; i++ {
-			if o.excluded(pool[i], exclude) {
-				scores[i] = math.Inf(1)
-			}
-		}
-	})
-	return scores
-}
-
 // excluded reports whether x is already evaluated or already in the batch
 // being assembled. Safe for concurrent use while the maps are read-only
 // (during maximizeAcquisition's fan-out).
@@ -403,16 +498,39 @@ func (o *Optimizer) excluded(x []float64, exclude map[string]bool) bool {
 }
 
 // scoreTile writes the acquisition value of each candidate of xs (at most
-// gp.TileWidth of them) into out. The acquisition is the scalarized
-// lower-confidence bound: the per-objective posterior means (normalized log
-// space) scalarized with the augmented Tchebycheff form, minus an
-// exploration bonus from the scalarized standard deviation. Lower is
-// better. post is scratch for the posterior, 2·len(xs)·NumObjectives long.
+// gp.TileWidth of them) into out, from one gp.PredictTile call. post is
+// scratch for the posterior, 2·len(xs)·NumObjectives long.
 func (o *Optimizer) scoreTile(xs [][]float64, lambda, post, out []float64) {
-	nObj := o.NumObjectives()
-	mean, variance := post[:len(xs)*nObj], post[len(xs)*nObj:]
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
 	gp.PredictTile(o.gps, xs, mean, variance)
-	for k := range xs {
+	o.acquisition(mean, variance, lambda, out)
+}
+
+// boundTile is scoreTile without the solves: each candidate's posterior
+// means with every variance at the most it can be (gp.GP.MaxVariance)
+// through the same expression. Every step of that expression is monotone in
+// the variances, so out[k] <= what scoreTile writes, exactly.
+func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64) {
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	gp.PredictTile(o.gps, xs, mean, nil)
+	nObj := o.NumObjectives()
+	for k, x := range xs {
+		for j, g := range o.gps {
+			variance[k*nObj+j] = g.MaxVariance(x)
+		}
+	}
+	o.acquisition(mean, variance, lambda, out)
+}
+
+// acquisition turns posteriors (mean[k*nObj+j], variance[k*nObj+j] for
+// candidate k, objective j) into acquisition values. The acquisition is the
+// scalarized lower-confidence bound: the per-objective posterior means
+// (normalized log space) scalarized with the augmented Tchebycheff form,
+// minus an exploration bonus from the scalarized standard deviation. Lower
+// is better. mean is normalized in place.
+func (o *Optimizer) acquisition(mean, variance, lambda, out []float64) {
+	nObj := o.NumObjectives()
+	for k := range out {
 		mu, v := mean[k*nObj:(k+1)*nObj], variance[k*nObj:(k+1)*nObj]
 		var varSum float64
 		for j := range mu {
@@ -426,6 +544,105 @@ func (o *Optimizer) scoreTile(xs [][]float64, lambda, post, out []float64) {
 		}
 		out[k] = scalarize(mu, lambda, o.cfg.Rho) - o.cfg.Explore*math.Sqrt(varSum)
 	}
+}
+
+// scoreMemoized is scoreTile through the posterior memo: the lanes whose
+// point the memo lacks go through one gp.PredictTile call of their own and
+// are remembered, then every lane reads its posterior from the memo. Only
+// the goroutine running the refinement chains calls it, so the memo needs no
+// lock.
+func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, post, out []float64) {
+	sc := &o.acq
+	nObj := o.NumObjectives()
+	var (
+		at    [gp.TileWidth]int
+		miss  [gp.TileWidth][]float64
+		nMiss int
+	)
+	for k, x := range xs {
+		key := sc.memoKey(x)
+		var ok bool
+		if at[k], ok = sc.memo[string(key)]; !ok {
+			// Claim the slot the prediction below fills.
+			at[k] = len(sc.memoPost) + nMiss*2*nObj
+			sc.memo[string(key)] = at[k]
+			miss[nMiss] = x
+			nMiss++
+		}
+	}
+	if nMiss > 0 {
+		mean, variance := post[:nMiss*nObj], post[nMiss*nObj:2*nMiss*nObj]
+		gp.PredictTile(o.gps, miss[:nMiss], mean, variance)
+		for r := 0; r < nMiss; r++ {
+			sc.memoPost = append(sc.memoPost, mean[r*nObj:(r+1)*nObj]...)
+			sc.memoPost = append(sc.memoPost, variance[r*nObj:(r+1)*nObj]...)
+		}
+	}
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	for k := range xs {
+		copy(mean[k*nObj:(k+1)*nObj], sc.memoPost[at[k]:])
+		copy(variance[k*nObj:(k+1)*nObj], sc.memoPost[at[k]+nObj:])
+	}
+	o.acquisition(mean, variance, lambda, out)
+}
+
+// acqScratch is the acquisition search's working set, kept on the Optimizer
+// so a maximization allocates the points it draws and little else.
+type acqScratch struct {
+	// post is posterior scratch, perPoint = 2·NumObjectives values per pool
+	// candidate: tile t of either fan-out owns the stretch tilePost(t, ·).
+	post     []float64
+	perPoint int
+	// bounds[i] is the lower bound on pool candidate i's score and scores[i]
+	// its exact score, both +Inf where there is none; order holds the
+	// bounded candidates' indices by (bound, index).
+	bounds, scores []float64
+	order          []int
+
+	// memo maps a point — its coordinates bit for bit, not its lattice
+	// cell: an off-centre training input shares a cell with the centre but
+	// not a posterior — to where memoPost holds its posterior under the
+	// current surrogates, NumObjectives means then as many variances. It
+	// lives for one SuggestBatch (whose slots' chains keep revisiting the
+	// same points) and is dropped whenever the surrogates change. key is the
+	// lookup key's buffer.
+	memo     map[string]int
+	memoPost []float64
+	key      []byte
+}
+
+// newAcqScratch sizes the scratch for pools of n candidates under nObj
+// objectives.
+func newAcqScratch(n, nObj int) acqScratch {
+	return acqScratch{
+		post:     make([]float64, n*2*nObj),
+		perPoint: 2 * nObj,
+		bounds:   make([]float64, n),
+		scores:   make([]float64, n),
+		order:    make([]int, 0, n),
+		memo:     map[string]int{},
+	}
+}
+
+// tilePost returns tile t's stretch of the posterior scratch, for m
+// candidates.
+func (sc *acqScratch) tilePost(t, m int) []float64 {
+	at := t * gp.TileWidth * sc.perPoint
+	return sc.post[at : at+m*sc.perPoint]
+}
+
+func (sc *acqScratch) memoKey(x []float64) []byte {
+	sc.key = sc.key[:0]
+	for _, v := range x {
+		sc.key = binary.LittleEndian.AppendUint64(sc.key, math.Float64bits(v))
+	}
+	return sc.key
+}
+
+// dropMemo forgets every memoized posterior, keeping the memory.
+func (sc *acqScratch) dropMemo() {
+	clear(sc.memo)
+	sc.memoPost = sc.memoPost[:0]
 }
 
 // topTrain returns the inputs of the best k training points under lambda.
@@ -661,7 +878,9 @@ const lmlDegradeTol = 0.5
 // point; a full warm-started grid search runs on the RefitEvery cadence,
 // on marginal-likelihood degradation, after eviction, or whenever there is
 // no fitted model to extend. Neither path draws from the optimizer's RNG.
+// Either way the posteriors the acquisition search memoized are stale.
 func (o *Optimizer) refit(added int, evicted bool) {
+	o.acq.dropMemo()
 	if len(o.train) < 3 {
 		o.clearSurrogates()
 		return

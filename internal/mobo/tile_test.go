@@ -69,10 +69,13 @@ func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
 	return r
 }
 
-// TestScorePoolMatchesPerCandidate checks tiled pool scoring against the
-// per-candidate reference for pool sizes on every side of the tile and pool
-// boundaries, at several worker counts, on a live optimizer and on one
-// rebuilt by Restore; excluded candidates read +Inf.
+// TestScorePoolMatchesPerCandidate checks both ways a pool candidate gets an
+// exact score against the per-candidate reference — scoreCandidates, the
+// search's own regrouped tiles, over every candidate in a shuffled order, and
+// scorePoolReference, the exhaustive scoring the search tests lean on — for
+// pool sizes on every side of the tile and pool boundaries, at several worker
+// counts, on a live optimizer and on one rebuilt by Restore; excluded
+// candidates read +Inf from the exhaustive scoring.
 func TestScorePoolMatchesPerCandidate(t *testing.T) {
 	live := trained(t, 11)
 	lambda := []float64{0.4, 0.3, 0.2, 0.1}
@@ -89,31 +92,37 @@ func TestScorePoolMatchesPerCandidate(t *testing.T) {
 			cfg.SearchWorkers = workers
 			for name, o := range map[string]*Optimizer{"live": live, "restored": throughJSON(t, live, cfg)} {
 				o.cfg.SearchWorkers = workers
-				got := o.scorePool(pool, lambda, exclude)
+				o.acq = newAcqScratch(size, o.NumObjectives())
+				o.scoreCandidates(pool, rng.Perm(size), lambda)
+				exhaustive := scorePoolReference(o, pool, lambda, exclude)
 				for i, x := range pool {
 					want := acquisitionReference(o, x, lambda)
+					if got := o.acq.scores[i]; got != want {
+						t.Fatalf("%s, pool of %d, %d workers: candidate %d scored %v, reference %v",
+							name, size, workers, i, got, want)
+					}
 					if o.excluded(x, exclude) {
 						want = math.Inf(1)
 					}
-					if got[i] != want {
-						t.Fatalf("%s, pool of %d, %d workers: candidate %d scored %v, reference %v",
-							name, size, workers, i, got[i], want)
+					if exhaustive[i] != want {
+						t.Fatalf("%s, pool of %d: exhaustive scoring gave candidate %d %v, reference %v",
+							name, size, i, exhaustive[i], want)
 					}
 				}
-				if !math.IsInf(got[0], 1) || !math.IsInf(got[size/2], 1) {
-					t.Fatalf("%s, pool of %d: excluded candidates scored %v and %v, want +Inf", name, size, got[0], got[size/2])
+				if !math.IsInf(exhaustive[0], 1) || !math.IsInf(exhaustive[size/2], 1) {
+					t.Fatalf("%s, pool of %d: excluded candidates scored %v and %v, want +Inf",
+						name, size, exhaustive[0], exhaustive[size/2])
 				}
 			}
 		}
 	}
 }
 
-// TestRefineChainsMatchSerialWalks checks the lock-step refinement against
-// the walks it replaced: each chain run start to finish on its own, one
-// candidate scored at a time.
-func TestRefineChainsMatchSerialWalks(t *testing.T) {
-	o := trained(t, 12)
-	lambda := []float64{0.1, 0.2, 0.3, 0.4}
+// checkChainsMatchSerialWalks compares refineChains with the walks it
+// replaced: each chain run start to finish on its own, one candidate scored
+// at a time, nothing remembered.
+func checkChainsMatchSerialWalks(t *testing.T, o *Optimizer, lambda []float64) {
+	t.Helper()
 	incumbents := o.topTrain(acqChains, lambda)
 	seeds := []int64{101, 202, 303}
 	// Exclude one point a chain is known to visit, so the "best visited"
@@ -144,8 +153,39 @@ func TestRefineChainsMatchSerialWalks(t *testing.T) {
 	}
 }
 
-// TestScoreTileDoesNotAllocate pins the allocation-free scoring path: with
-// the posterior scratch handed in, a tile costs no objects.
+// TestRefineChainsMatchSerialWalks checks the lock-step, memoized refinement
+// against serial walks: on a cold memo, again on the memo the first call
+// filled (under another lambda: a posterior does not depend on it), and
+// after an Update, when everything the memo held is a posterior of
+// surrogates that no longer exist. Calling refineChains directly matters —
+// SuggestBatch starts by dropping the memo and would hide an Update that
+// does not.
+func TestRefineChainsMatchSerialWalks(t *testing.T) {
+	o := trained(t, 12)
+	checkChainsMatchSerialWalks(t, o, []float64{0.1, 0.2, 0.3, 0.4})
+	if len(o.acq.memo) == 0 {
+		t.Fatal("refineChains left the memo empty")
+	}
+	held := len(o.acq.memoPost)
+	checkChainsMatchSerialWalks(t, o, []float64{0.1, 0.2, 0.3, 0.4})
+	if len(o.acq.memoPost) != held {
+		t.Fatalf("the same walks again predicted %d more values instead of reading the memo", len(o.acq.memoPost)-held)
+	}
+	checkChainsMatchSerialWalks(t, o, []float64{0.4, 0.3, 0.2, 0.1})
+
+	rng := rand.New(rand.NewSource(5))
+	obs := make([]Observation, 4)
+	for i := range obs {
+		x := o.space.Sample(rng)
+		obs[i] = Observation{X: x, Y: synthObjectives(x, 4)}
+	}
+	o.Update(obs)
+	checkChainsMatchSerialWalks(t, o, []float64{0.1, 0.2, 0.3, 0.4})
+}
+
+// TestScoreTileDoesNotAllocate pins the allocation-free scoring paths: with
+// the posterior scratch handed in, a tile costs no objects — scored exactly,
+// bounded from its means, or read back from the memo.
 func TestScoreTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -159,11 +199,17 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 	}
 	post := make([]float64, 2*len(xs)*o.NumObjectives())
 	out := make([]float64, len(xs))
-	for _, m := range []int{gp.TileWidth, acqChains} {
-		run := func() { o.scoreTile(xs[:m], lambda, post[:2*m*o.NumObjectives()], out[:m]) }
-		run() // warm the pool
-		if n := testing.AllocsPerRun(100, run); n > 0 {
-			t.Fatalf("scoreTile of %d candidates allocates %.1f objects per call", m, n)
+	for name, score := range map[string]func(xs [][]float64, lambda, post, out []float64){
+		"scoreTile":     o.scoreTile,
+		"boundTile":     o.boundTile,
+		"scoreMemoized": o.scoreMemoized,
+	} {
+		for _, m := range []int{gp.TileWidth, acqChains} {
+			run := func() { score(xs[:m], lambda, post[:2*m*o.NumObjectives()], out[:m]) }
+			run() // warm the pool, fill the memo
+			if n := testing.AllocsPerRun(100, run); n > 0 {
+				t.Fatalf("%s of %d candidates allocates %.1f objects per call", name, m, n)
+			}
 		}
 	}
 }

@@ -20,6 +20,11 @@ var (
 		"Candidates alive after the most recent successive-halving rung.", nil)
 	distJobs = DefaultRegistry.Gauge("unico_dist_jobs", "Mapping-search jobs currently held by this worker.", nil)
 
+	moboAcqBounded = DefaultRegistry.Counter("unico_mobo_acq_bounded_total",
+		"Acquisition pool candidates bounded from their posterior means.", nil)
+	moboAcqSolved = DefaultRegistry.Counter("unico_mobo_acq_solved_total",
+		"Acquisition pool candidates whose bound could still win and that paid for an exact score.", nil)
+
 	evalCacheHits = DefaultRegistry.Counter("unico_evalcache_hits_total",
 		"PPA evaluations served from the content-addressed cache.", nil)
 	evalCacheMisses = DefaultRegistry.Counter("unico_evalcache_misses_total",
@@ -80,6 +85,15 @@ func MOBOTrainSize() *Gauge { return moboTrainSize }
 
 // MOBOUUL gauges the current Upper Update Limit of the high-fidelity rule.
 func MOBOUUL() *Gauge { return moboUUL }
+
+// MOBOAcqBounded counts the pool candidates the acquisition search bounded
+// from their posterior means — every candidate of every pool.
+func MOBOAcqBounded() *Counter { return moboAcqBounded }
+
+// MOBOAcqSolved counts the pool candidates whose bound could still win, the
+// ones that went on to pay the variance solve for an exact score. Solved over
+// bounded is the share of the pool the bound did not prune.
+func MOBOAcqSolved() *Counter { return moboAcqSolved }
 
 // SHRungs counts successive-halving rungs executed.
 func SHRungs() *Counter { return shRungs }
