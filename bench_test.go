@@ -9,6 +9,7 @@
 package unico
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -171,7 +172,7 @@ func BenchmarkRank1Update(b *testing.B) {
 // internal/benchmarks end to end — the bench whose phase breakdown
 // cmd/unicobench records in BENCH_*.json.
 func BenchmarkEndToEndMicro(b *testing.B) {
-	benchmarks.EndToEndMicro(b)
+	benchmarks.EndToEndMicro(context.Background(), b)
 }
 
 // BenchmarkHypervolume3D measures the exact WFG hypervolume on a

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -85,9 +86,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	cases := benchmarks.All()
+	cases := benchmarks.All(context.Background())
 	if *pinned {
-		cases = benchmarks.Pinned()
+		cases = benchmarks.Pinned(context.Background())
 	}
 	if *list {
 		for _, c := range cases {

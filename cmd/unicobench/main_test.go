@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -169,11 +170,11 @@ func TestBaselineRecordsThePinnedSet(t *testing.T) {
 	for _, r := range f.Benchmarks {
 		got = append(got, r.Name)
 	}
-	for _, c := range benchmarks.Pinned() {
+	for _, c := range benchmarks.Pinned(context.Background()) {
 		want = append(want, c.Name)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BENCH_baseline.json records %v, benchmarks.Pinned() is %v", got, want)
+		t.Fatalf("BENCH_baseline.json records %v, benchmarks.Pinned is %v", got, want)
 	}
 }
 

@@ -59,7 +59,7 @@ func main() {
 	runs := flag.Int("runs", 4, "distinct synthetic run IDs issuing traffic (exercises per-client fair queuing)")
 	pool := flag.Int("pool", 64, "distinct requests in the generated pool (smaller = fewer distinct eval keys, so a more skewed shard load)")
 	seed := flag.Int64("seed", 1, "request-pool and arrival-jitter seed (same seed = identical offered workload)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
+	timeout := flag.Duration("timeout", dist.DefaultTimeout, "per-request timeout")
 	sloP99 := flag.Duration("slo-p99", 0, "fail if served-request p99 latency exceeds this at any rate (0 = off)")
 	sloGoodput := flag.Float64("slo-goodput", 0, "fail if served/offered falls below this fraction at any rate after subtracting sheds (0 = off)")
 	shared := cliflags.Register(flag.CommandLine, cliflags.SpanLog)
@@ -87,7 +87,7 @@ func main() {
 	}
 
 	reqs := requestPool(*seed, *pool)
-	client := &http.Client{Timeout: *timeout}
+	client := dist.NewClientOptions(*target, nil, dist.Options{Timeout: *timeout})
 
 	fmt.Printf("target=%s pool=%d runs=%d duration=%s seed=%d\n",
 		*target, len(reqs), *runs, *duration, *seed)
@@ -100,7 +100,7 @@ func main() {
 		if ctx.Err() != nil {
 			break
 		}
-		rep := offer(ctx, client, *target, reqs, rate, *duration, *runs, *seed+int64(i))
+		rep := offer(ctx, client, reqs, rate, *duration, *runs, *seed+int64(i))
 		fmt.Printf("%8.0f %7d %6d %4d %6d %7.3f %6.1f %6.1f %6.1f\n",
 			rate, rep.offered, rep.served, rep.shed, rep.errors, rep.goodput(),
 			rep.p(0.50)*1000, rep.p(0.95)*1000, rep.p(0.99)*1000)
@@ -149,7 +149,7 @@ func (r *report) p(q float64) float64 { return r.latency.Quantile(q) }
 
 // offer fires requests at the target on a fixed open-loop clock for the
 // given duration and collects the outcomes.
-func offer(ctx context.Context, client *http.Client, target string, reqs [][]byte, rate float64, d time.Duration, runs int, seed int64) *report {
+func offer(ctx context.Context, client *dist.Client, reqs [][]byte, rate float64, d time.Duration, runs int, seed int64) *report {
 	reg := telemetry.NewRegistry()
 	rep := &report{
 		latency: reg.Histogram("unico_loadgen_request_seconds",
@@ -182,16 +182,13 @@ loop:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				//unicolint:allow detclock request latency is measured against the real clock by definition
-				start := time.Now()
-				status, err := fire(ctx, client, target, body, run)
-				switch {
+				answer, err := fire(ctx, client, body, run)
+				switch status := answer.Status; {
 				case err != nil:
 					errs.Add(1)
 				case status == http.StatusOK:
 					served.Add(1)
-					//unicolint:allow detclock request latency is measured against the real clock by definition
-					rep.latency.Observe(time.Since(start).Seconds())
+					rep.latency.Observe(answer.Seconds)
 				case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
 					shed.Add(1)
 				default:
@@ -206,40 +203,22 @@ loop:
 	return rep
 }
 
-// fire issues one PPA evaluation and reports the status code. With tracing
-// on, each request is a root "client" span in its synthetic run's trace, so
-// a load sweep's span log shows router queue/forward time per request.
-func fire(ctx context.Context, client *http.Client, target string, body []byte, run string) (status int, err error) {
+// fire issues one PPA evaluation under the synthetic run's ID. With tracing
+// on, each request is a root "client" span in that run's trace, so a load
+// sweep's span log shows router queue/forward time per request.
+func fire(ctx context.Context, client *dist.Client, body []byte, run string) (dist.Reply, error) {
 	span := disttrace.StartSpan(run, disttrace.SpanContext{}, "client", "/v1/ppa")
-	defer func() {
-		switch {
-		case err != nil:
-			span.End("error", nil)
-		case status == http.StatusOK:
-			span.End("ok", nil)
-		default:
-			span.End("shed", map[string]string{"status": strconv.Itoa(status)})
-		}
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/ppa", strings.NewReader(string(body)))
-	if err != nil {
-		return 0, err
+	ctx = disttrace.WithParent(runid.With(ctx, run), span.Context())
+	rep, err := client.Exchange(ctx, http.MethodPost, "/v1/ppa", body)
+	switch {
+	case err != nil:
+		span.End("error", nil)
+	case rep.Status == http.StatusOK:
+		span.End("ok", nil)
+	default:
+		span.End("shed", map[string]string{"status": strconv.Itoa(rep.Status)})
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(runid.Header, run)
-	disttrace.Inject(req.Header, span.Context())
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 4096)
-	for {
-		if _, err := resp.Body.Read(buf); err != nil {
-			break
-		}
-	}
-	return resp.StatusCode, nil
+	return rep, err
 }
 
 // requestPool generates n distinct, valid spatial PPA requests from the

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,8 +50,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, errA := unico.EvaluateOn(vp, withR.Best, 60, 101)
-		b, errB := unico.EvaluateOn(vp, withoutR.Best, 60, 102)
+		a, errA := unico.EvaluateOn(context.Background(), vp, withR.Best, 60, 101)
+		b, errB := unico.EvaluateOn(context.Background(), vp, withoutR.Best, 60, 102)
 		if errA != nil || errB != nil {
 			fmt.Printf("%-12s infeasible (%v / %v)\n", net, errA, errB)
 			continue

@@ -55,7 +55,7 @@ func TestAblationPresets(t *testing.T) {
 }
 
 func TestHASCORunSmoke(t *testing.T) {
-	res := core.Run(testPlatform(), HASCOOptions(4, 2, 15, 3))
+	res := core.RunContext(context.Background(), testPlatform(), HASCOOptions(4, 2, 15, 3))
 	if len(res.All) != 8 {
 		t.Errorf("HASCO evaluated %d candidates, want 8", len(res.All))
 	}
@@ -292,14 +292,11 @@ func keyOf(o []float64) string {
 }
 
 func TestNormalizeDefaults(t *testing.T) {
-	o := NSGAIIOptions{}.normalize(6)
+	o := NSGAIIOptions{}.normalize()
 	if o.Pop != 20 || o.Generations != 10 || o.BMax != 300 {
 		t.Errorf("defaults: %+v", o)
 	}
-	if o.MutationRate != 1.0/6 {
-		t.Errorf("mutation rate %v", o.MutationRate)
-	}
-	odd := NSGAIIOptions{Pop: 7}.normalize(6)
+	odd := NSGAIIOptions{Pop: 7}.normalize()
 	if odd.Pop%2 != 0 {
 		t.Error("odd population not rounded up")
 	}

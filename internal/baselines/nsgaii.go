@@ -29,14 +29,16 @@ type NSGAIIOptions struct {
 	Clock *simclock.Clock
 	// TimeBudgetHours stops the run once the clock passes it (0 = no cap).
 	TimeBudgetHours float64
-	// EtaC and EtaM are the SBX and polynomial-mutation distribution
-	// indices (defaults 15 and 20).
-	EtaC, EtaM float64
-	// MutationRate is the per-gene mutation probability (default 1/dim).
-	MutationRate float64
 }
 
-func (o NSGAIIOptions) normalize(dim int) NSGAIIOptions {
+// The variation operators' parameters: the SBX and polynomial-mutation
+// distribution indices. The per-gene mutation probability is 1/dim.
+const (
+	etaC = 15
+	etaM = 20
+)
+
+func (o NSGAIIOptions) normalize() NSGAIIOptions {
 	if o.Pop < 4 {
 		o.Pop = 20
 	}
@@ -51,15 +53,6 @@ func (o NSGAIIOptions) normalize(dim int) NSGAIIOptions {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 8
-	}
-	if o.EtaC <= 0 {
-		o.EtaC = 15
-	}
-	if o.EtaM <= 0 {
-		o.EtaM = 20
-	}
-	if o.MutationRate <= 0 {
-		o.MutationRate = 1 / float64(dim)
 	}
 	if o.Clock == nil {
 		o.Clock = &simclock.Clock{}
@@ -83,7 +76,8 @@ type individual struct {
 // batch: the Result is that of the last complete generation.
 func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 	space := p.Space()
-	o = o.normalize(space.Dim())
+	o = o.normalize()
+	mutationRate := 1 / float64(space.Dim())
 	rng := rand.New(rand.NewSource(o.Seed))
 	shCfg := sh.Config{BMax: o.BMax, Workers: o.Workers, EvalCostSeconds: p.EvalCostSeconds(), Clock: o.Clock}
 
@@ -131,9 +125,9 @@ func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 		for len(children) < o.Pop {
 			p1 := tournament(pop, rng)
 			p2 := tournament(pop, rng)
-			c1, c2 := sbx(pop[p1].x, pop[p2].x, o.EtaC, rng)
-			c1 = polyMutate(c1, o.MutationRate, o.EtaM, rng)
-			c2 = polyMutate(c2, o.MutationRate, o.EtaM, rng)
+			c1, c2 := sbx(pop[p1].x, pop[p2].x, etaC, rng)
+			c1 = polyMutate(c1, mutationRate, etaM, rng)
+			c2 = polyMutate(c2, mutationRate, etaM, rng)
 			children = append(children, space.Clip(c1), space.Clip(c2))
 		}
 		children = children[:o.Pop]

@@ -8,6 +8,7 @@
 package benchmarks
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,8 +37,9 @@ type Case struct {
 
 // All returns the canonical benchmark registry in a fixed order: the
 // substrate micro-benches first, the end-to-end micro run last (it is the
-// slowest and dominates the recorded phase tree).
-func All() []Case {
+// slowest and dominates the recorded phase tree). ctx is what that co-search
+// runs under.
+func All(ctx context.Context) []Case {
 	return []Case{
 		{Name: "GPFitPredict", Fn: GPFitPredict, Pinned: true},
 		{Name: "AcquisitionPool", Fn: AcquisitionPool, Pinned: true},
@@ -48,15 +50,15 @@ func All() []Case {
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit, Pinned: true},
 		{Name: "AscendNewJob", Fn: AscendNewJob, Pinned: true},
 		{Name: "SpatialNewJob", Fn: SpatialNewJob, Pinned: true},
-		{Name: "EndToEndMicro", Fn: EndToEndMicro, Pinned: true},
+		{Name: "EndToEndMicro", Fn: func(b *testing.B) { EndToEndMicro(ctx, b) }, Pinned: true},
 	}
 }
 
 // Pinned returns the cases of the kernel gate (`unicobench -pinned`, which
 // is what `make bench-gate` and CI run): the one place the set is defined.
-func Pinned() []Case {
+func Pinned(ctx context.Context) []Case {
 	var out []Case
-	for _, c := range All() {
+	for _, c := range All(ctx) {
 		if c.Pinned {
 			out = append(out, c)
 		}
@@ -265,10 +267,10 @@ func benchNewJob(b *testing.B, p core.Platform, x []float64) {
 // EndToEndMicro runs a Table-1-style micro co-search end to end — a small
 // MOBO loop with successive halving on the open-source edge platform — the
 // workload whose phase breakdown answers "what do we optimize first."
-func EndToEndMicro(b *testing.B) {
+func EndToEndMicro(ctx context.Context, b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := platform.NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
-		res := core.Run(p, core.Options{
+		res := core.RunContext(ctx, p, core.Options{
 			BatchSize: 4,
 			MaxIter:   2,
 			BMax:      10,

@@ -276,7 +276,7 @@ func sameResult(t *testing.T, want, got core.Result) {
 // firing, so resume exercises the journal-replay path through real JSON.
 func killAndResume(t *testing.T, newP func() core.Platform, opt core.Options, killAt, checkpointEvery int) {
 	t.Helper()
-	ref := core.Run(newP(), opt)
+	ref := core.RunContext(context.Background(), newP(), opt)
 	if len(ref.All) != opt.MaxIter*opt.BatchSize {
 		t.Fatalf("reference run evaluated %d candidates, want %d",
 			len(ref.All), opt.MaxIter*opt.BatchSize)
@@ -371,13 +371,13 @@ func (s *dropSnapshotsSink) WriteSnapshot(snap core.SnapshotRecord) error {
 func TestResumeFromTornJournalBitIdentical(t *testing.T) {
 	opt := core.UNICOOptions(6, 3, 20, 31)
 	opt.Workers = 4
-	ref := core.Run(spatialTestPlatform(), opt)
+	ref := core.RunContext(context.Background(), spatialTestPlatform(), opt)
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	inner := mustCreate(t, path)
 	iopt := opt
 	iopt.Checkpoint = &dropSnapshotsSink{f: inner}
-	crashed := core.Run(spatialTestPlatform(), iopt)
+	crashed := core.RunContext(context.Background(), spatialTestPlatform(), iopt)
 	inner.Close()
 	if crashed.CheckpointErr != nil {
 		t.Fatalf("CheckpointErr = %v", crashed.CheckpointErr)

@@ -46,7 +46,7 @@ func TestFaultMatrixThroughCoSearch(t *testing.T) {
 	opt := core.UNICOOptions(3, 3, 8, 31)
 	opt.Workers = 2
 	opt.CheckpointEvery = 2
-	ref := core.Run(spatialTestPlatform(), opt)
+	ref := core.RunContext(context.Background(), spatialTestPlatform(), opt)
 
 	faultfs.Matrix(t, func(t *testing.T, fsys *faultfs.FS, fault faultfs.Op) {
 		path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -57,7 +57,7 @@ func TestFaultMatrixThroughCoSearch(t *testing.T) {
 		sink := &ackSink{f: f}
 		iopt := opt
 		iopt.Checkpoint = sink
-		got := core.Run(spatialTestPlatform(), iopt)
+		got := core.RunContext(context.Background(), spatialTestPlatform(), iopt)
 		cerr := f.Close()
 		sameResult(t, ref, got)
 

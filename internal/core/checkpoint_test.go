@@ -72,13 +72,13 @@ func sameResult(t *testing.T, want, got Result) {
 
 func TestCheckpointSinkDoesNotPerturbSearch(t *testing.T) {
 	opt := smallOpts(3)
-	ref := Run(testPlatform(), opt)
+	ref := RunContext(context.Background(), testPlatform(), opt)
 
 	ms := &memSink{}
 	copt := opt
 	copt.Checkpoint = ms
 	copt.CheckpointEvery = 2
-	got := Run(testPlatform(), copt)
+	got := RunContext(context.Background(), testPlatform(), copt)
 	if got.CheckpointErr != nil {
 		t.Fatalf("CheckpointErr = %v", got.CheckpointErr)
 	}
@@ -107,7 +107,7 @@ func TestCheckpointSinkDoesNotPerturbSearch(t *testing.T) {
 func TestResumeFromSnapshotBitIdentical(t *testing.T) {
 	opt := smallOpts(5)
 	opt.MaxIter = 4
-	ref := Run(testPlatform(), opt)
+	ref := RunContext(context.Background(), testPlatform(), opt)
 
 	ms := &memSink{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -135,7 +135,7 @@ func TestResumeFromSnapshotBitIdentical(t *testing.T) {
 	}
 	ropt := opt
 	ropt.Resume = rs
-	got := Run(testPlatform(), ropt)
+	got := RunContext(context.Background(), testPlatform(), ropt)
 	if got.CheckpointErr != nil {
 		t.Fatalf("CheckpointErr = %v", got.CheckpointErr)
 	}
@@ -149,7 +149,7 @@ func TestResumeReplaysJournalTail(t *testing.T) {
 	opt := smallOpts(5)
 	opt.MaxIter = 4
 
-	ref := Run(testPlatform(), opt)
+	ref := RunContext(context.Background(), testPlatform(), opt)
 
 	ms := &memSink{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -170,7 +170,7 @@ func TestResumeReplaysJournalTail(t *testing.T) {
 	}
 	ropt := opt
 	ropt.Resume = rs
-	got := Run(testPlatform(), ropt)
+	got := RunContext(context.Background(), testPlatform(), ropt)
 	if got.CheckpointErr != nil {
 		t.Fatalf("CheckpointErr = %v", got.CheckpointErr)
 	}
@@ -200,7 +200,7 @@ func (p *cancelOnJobPlatform) NewJob(x []float64, seed int64) mapsearch.Searcher
 func TestCancelMidIterationDiscardsPartialBatch(t *testing.T) {
 	opt := smallOpts(8)
 	opt.MaxIter = 4
-	ref := Run(testPlatform(), opt)
+	ref := RunContext(context.Background(), testPlatform(), opt)
 
 	ms := &memSink{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -237,7 +237,7 @@ func TestCancelMidIterationDiscardsPartialBatch(t *testing.T) {
 	// platform's concrete type), with a threshold that never fires.
 	ropt := opt
 	ropt.Resume = ms.resumeState()
-	got := Run(&cancelOnJobPlatform{Platform: testPlatform(), cancel: func() {}, after: -1}, ropt)
+	got := RunContext(context.Background(), &cancelOnJobPlatform{Platform: testPlatform(), cancel: func() {}, after: -1}, ropt)
 	if got.CheckpointErr != nil {
 		t.Fatalf("CheckpointErr = %v", got.CheckpointErr)
 	}
@@ -309,11 +309,11 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	ms := &memSink{}
 	copt := opt
 	copt.Checkpoint = ms
-	Run(testPlatform(), copt)
+	RunContext(context.Background(), testPlatform(), copt)
 
 	other := smallOpts(6) // different seed: a different trajectory entirely
 	other.Resume = ms.resumeState()
-	res := Run(testPlatform(), other)
+	res := RunContext(context.Background(), testPlatform(), other)
 	if !errors.Is(res.CheckpointErr, ErrResumeMismatch) {
 		t.Fatalf("CheckpointErr = %v, want ErrResumeMismatch", res.CheckpointErr)
 	}
@@ -327,12 +327,12 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 // is bit-identical to an uncheckpointed run.
 func TestCheckpointWriteFailureLatchesAndContinues(t *testing.T) {
 	opt := smallOpts(4)
-	ref := Run(testPlatform(), opt)
+	ref := RunContext(context.Background(), testPlatform(), opt)
 
 	ms := &memSink{appendErr: errors.New("disk full")}
 	copt := opt
 	copt.Checkpoint = ms
-	got := Run(testPlatform(), copt)
+	got := RunContext(context.Background(), testPlatform(), copt)
 	if got.CheckpointErr == nil {
 		t.Fatal("append failure was not latched in CheckpointErr")
 	}
@@ -361,7 +361,7 @@ func TestInfeasibleCandidatesTakePenaltyPath(t *testing.T) {
 	opt.MaxIter = 2
 	ms := &memSink{}
 	opt.Checkpoint = ms
-	res := Run(infeasiblePlatform{testPlatform()}, opt)
+	res := RunContext(context.Background(), infeasiblePlatform{testPlatform()}, opt)
 	if res.CheckpointErr != nil {
 		t.Fatalf("CheckpointErr = %v", res.CheckpointErr)
 	}

@@ -250,13 +250,6 @@ var penaltyMetrics = ppa.Metrics{
 	EnergyUJ:  1e16,
 }
 
-// Run executes Algorithm 1 on the platform with a background context; see
-// RunContext.
-func Run(p Platform, opt Options) Result {
-	//unicolint:allow ctxflow compatibility wrapper; cancellable callers use RunContext
-	return RunContext(context.Background(), p, opt)
-}
-
 // RunContext executes Algorithm 1 on the platform. Cancelling ctx stops the
 // run at the next safe point — in-flight mapping searches abort promptly,
 // the partially-evaluated batch is discarded, and the Result reflects every
@@ -514,6 +507,18 @@ func CloseJobs(jobs []mapsearch.Searcher) {
 			_ = c.Close()
 		}
 	}
+}
+
+// SearchAt runs one mapping search for the hardware at x outside any
+// co-search — the validation procedure of the paper's generalization studies
+// — and returns the finished job, already released (its results stay
+// readable). The search runs under ctx, so on a remote platform the advance
+// carries the run's ID and trace parent and stops when ctx does.
+func SearchAt(ctx context.Context, p Platform, x []float64, seed int64, budget int) mapsearch.Searcher {
+	job := p.NewJob(x, seed)
+	defer CloseJobs([]mapsearch.Searcher{job})
+	mapsearch.AdvanceSearcher(ctx, job, budget)
+	return job
 }
 
 // Absorb folds one evaluated batch into the result: jobs[i] is the finished

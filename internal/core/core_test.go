@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"unico/internal/hw"
@@ -25,7 +26,7 @@ func smallOpts(seed int64) Options {
 }
 
 func TestRunProducesFeasibleFront(t *testing.T) {
-	res := Run(testPlatform(), smallOpts(1))
+	res := RunContext(context.Background(), testPlatform(), smallOpts(1))
 	if len(res.All) == 0 {
 		t.Fatal("no candidates evaluated")
 	}
@@ -55,8 +56,8 @@ func TestRunProducesFeasibleFront(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(testPlatform(), smallOpts(7))
-	b := Run(testPlatform(), smallOpts(7))
+	a := RunContext(context.Background(), testPlatform(), smallOpts(7))
+	b := RunContext(context.Background(), testPlatform(), smallOpts(7))
 	if len(a.All) != len(b.All) || a.Evals != b.Evals {
 		t.Fatalf("structure diverged: %v vs %v", a, b)
 	}
@@ -68,7 +69,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestTraceMonotoneHours(t *testing.T) {
-	res := Run(testPlatform(), smallOpts(2))
+	res := RunContext(context.Background(), testPlatform(), smallOpts(2))
 	if len(res.Trace) == 0 {
 		t.Fatal("no trace")
 	}
@@ -90,7 +91,7 @@ func TestDisableSHSpendsFullBudget(t *testing.T) {
 	opt.DisableSH = true
 	opt.BatchSize = 4
 	opt.MaxIter = 2
-	res := Run(testPlatform(), opt)
+	res := RunContext(context.Background(), testPlatform(), opt)
 	// Every candidate runs to BMax: evals = iters * batch * bmax.
 	want := 2 * 4 * opt.BMax
 	if res.Evals != want {
@@ -102,8 +103,8 @@ func TestSHSpendsLess(t *testing.T) {
 	full := smallOpts(4)
 	full.DisableSH = true
 	early := smallOpts(4)
-	a := Run(testPlatform(), full)
-	b := Run(testPlatform(), early)
+	a := RunContext(context.Background(), testPlatform(), full)
+	b := RunContext(context.Background(), testPlatform(), early)
 	if b.Evals >= a.Evals {
 		t.Errorf("successive halving spent %d >= full budget %d", b.Evals, a.Evals)
 	}
@@ -116,8 +117,8 @@ func TestSequentialCostsMoreWallClock(t *testing.T) {
 	par := smallOpts(5)
 	par.Workers = 8
 	par.DisableSH = true
-	a := Run(testPlatform(), seq)
-	b := Run(testPlatform(), par)
+	a := RunContext(context.Background(), testPlatform(), seq)
+	b := RunContext(context.Background(), testPlatform(), par)
 	if b.Hours >= a.Hours {
 		t.Errorf("parallel hours %v >= sequential %v", b.Hours, a.Hours)
 	}
@@ -127,14 +128,14 @@ func TestTimeBudgetStopsEarly(t *testing.T) {
 	opt := smallOpts(6)
 	opt.MaxIter = 50
 	opt.TimeBudgetHours = 0.001
-	res := Run(testPlatform(), opt)
+	res := RunContext(context.Background(), testPlatform(), opt)
 	if len(res.Trace) >= 50 {
 		t.Errorf("time budget ignored: %d iterations ran", len(res.Trace))
 	}
 }
 
 func TestRobustnessObjectiveRecorded(t *testing.T) {
-	res := Run(testPlatform(), smallOpts(8))
+	res := RunContext(context.Background(), testPlatform(), smallOpts(8))
 	seen := false
 	for _, c := range res.All {
 		if c.Feasible && c.Sensitivity >= 0 {
@@ -156,7 +157,7 @@ func TestRepresentative(t *testing.T) {
 	if _, ok := Representative(nil); ok {
 		t.Error("Representative of empty front succeeded")
 	}
-	res := Run(testPlatform(), smallOpts(9))
+	res := RunContext(context.Background(), testPlatform(), smallOpts(9))
 	rep, ok := Representative(res.Front)
 	if !ok {
 		t.Fatal("no representative")
@@ -167,7 +168,7 @@ func TestRepresentative(t *testing.T) {
 }
 
 func TestHypervolumeOfResult(t *testing.T) {
-	res := Run(testPlatform(), smallOpts(10))
+	res := RunContext(context.Background(), testPlatform(), smallOpts(10))
 	ref := []float64{1e6, 1e6, 1e4}
 	if hv := res.Hypervolume(ref); hv <= 0 {
 		t.Errorf("Hypervolume = %v", hv)
@@ -209,7 +210,7 @@ func TestExternalClockShared(t *testing.T) {
 	clk := &simclock.Clock{}
 	opt := smallOpts(11)
 	opt.Clock = clk
-	Run(testPlatform(), opt)
+	RunContext(context.Background(), testPlatform(), opt)
 	if clk.Hours() <= 0 {
 		t.Error("external clock not advanced")
 	}
@@ -254,7 +255,7 @@ func TestRunFullBudgetCountsActualSpend(t *testing.T) {
 	opt := smallOpts(1)
 	opt.DisableSH = true
 	opt.MaxIter = 1
-	res := Run(&deadWorkerPlatform{Platform: testPlatform()}, opt)
+	res := RunContext(context.Background(), &deadWorkerPlatform{Platform: testPlatform()}, opt)
 	if want := opt.BatchSize / 2 * opt.BMax; res.Evals != want {
 		t.Errorf("Evals = %d, want %d (the live half of the batch x BMax)", res.Evals, want)
 	}

@@ -20,7 +20,7 @@ func TestProgressFiresPerIteration(t *testing.T) {
 	var reports []Progress
 	opt := smallOpts(3)
 	opt.Progress = func(p Progress) { reports = append(reports, p) }
-	res := Run(testPlatform(), opt)
+	res := RunContext(context.Background(), testPlatform(), opt)
 
 	if len(reports) != len(res.Trace) {
 		t.Fatalf("progress fired %d times, trace has %d iterations", len(reports), len(res.Trace))
@@ -57,7 +57,7 @@ func TestProgressFiresPerIteration(t *testing.T) {
 // tracer and progress enabled must be bit-identical to the same seed run
 // with both disabled.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
-	plain := Run(testPlatform(), smallOpts(11))
+	plain := RunContext(context.Background(), testPlatform(), smallOpts(11))
 
 	var buf bytes.Buffer
 	opt := smallOpts(11)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -170,89 +171,126 @@ func (c *Client) retryDelay(backoff time.Duration, err error) time.Duration {
 	return d
 }
 
-// do sends one request and decodes the JSON response, classifying failures
-// as retryable or not. 4xx responses carry a JSON error body the caller
-// inspects, so they decode normally and are never retried. The request is
-// bound to ctx, so cancellation aborts an in-flight round trip promptly.
-// parent, when valid, rides along as trace headers so the receiving hop's
-// spans nest under this attempt.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, resp any, parent disttrace.SpanContext) error {
+// Reply is what one Exchange brought back: status and headers as the peer
+// sent them, the whole body, and the wall seconds of the round trip — request
+// out to body read — on perfprof's clock (set on a failed exchange too, so a
+// latency histogram sees the time to failure).
+type Reply struct {
+	Status  int
+	Header  http.Header
+	Body    []byte
+	Seconds float64
+}
+
+// roundTrip is the one place this module makes an HTTP exchange: it builds
+// the request, stamps the run ID and the trace parent ctx carries (so the
+// receiving hop's log lines, fair queue and spans attribute it to the exact
+// co-search that issued it), sends it, and hands the response to read with
+// its body behind the MaxBodyBytes cap — a longer body is a read error, never
+// a truncation. The seconds it returns are the "dist.transport" phase it
+// records. A request that got no answer is retryable unless ctx ended, since
+// it may never have reached the peer; what an answer means is read's call.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, read func(resp *http.Response, body io.Reader) error) (seconds float64, err error) {
 	_, span := perfprof.Start(ctx, "dist.transport")
-	defer span.End()
+	defer func() { seconds = span.End() }() // whatever the returns below say
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("dist: build request %s: %w", path, err)
+		return 0, fmt.Errorf("dist: build request %s: %w", path, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Correlate every worker request with the run ctx belongs to, so a
-	// ppaserver request log line is attributable to the exact co-search that
-	// issued it and the fleet router queues it under that run.
 	if id := runid.From(ctx); id != "" {
 		req.Header.Set(runid.Header, id)
 	}
-	disttrace.Inject(req.Header, parent)
-	httpResp, err := c.hc.Do(req)
+	disttrace.Inject(req.Header, disttrace.Parent(ctx))
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Deliberate cancellation is never retryable.
-			return fmt.Errorf("dist: %s %s: %w", method, path, ctx.Err())
+			return 0, fmt.Errorf("dist: %s %s: %w", method, path, ctx.Err())
 		}
-		return retryable(fmt.Errorf("dist: %s %s: %w", method, path, err))
+		return 0, retryable(fmt.Errorf("dist: %s %s: %w", method, path, err))
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode == http.StatusTooManyRequests || httpResp.StatusCode == http.StatusServiceUnavailable {
-		// Load shed (fleet router queue-full, draining worker): honor the
-		// advertised Retry-After instead of treating it as a generic failure.
-		delay, ok := parseRetryAfter(httpResp.Header.Get("Retry-After"))
-		return retryable(&shedError{path: path, status: httpResp.Status, retryAfter: delay, advertised: ok})
-	}
-	if httpResp.StatusCode >= 500 {
-		return retryable(fmt.Errorf("dist: %s %s: worker returned %s", method, path, httpResp.Status))
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
-		return retryable(fmt.Errorf("dist: decode %s: %w", path, err))
-	}
-	return nil
+	defer resp.Body.Close()
+	return 0, read(resp, http.MaxBytesReader(nil, resp.Body, MaxBodyBytes))
+}
+
+// Exchange makes one round trip to the peer — any /v1 route, or /metrics —
+// and returns the answer unjudged: the fleet router relays it, probes and
+// scrapes interpret the status themselves. An error means there is no usable
+// answer (transport failure, ctx ended, or a body past MaxBodyBytes).
+func (c *Client) Exchange(ctx context.Context, method, path string, body []byte) (Reply, error) {
+	var rep Reply
+	var err error
+	rep.Seconds, err = c.roundTrip(ctx, method, path, body, func(resp *http.Response, body io.Reader) error {
+		rep.Status, rep.Header = resp.StatusCode, resp.Header
+		var err error
+		if rep.Body, err = io.ReadAll(body); err != nil {
+			return retryable(fmt.Errorf("dist: read %s %s: %w", method, path, err))
+		}
+		return nil
+	})
+	return rep, err
+}
+
+// do makes one exchange and decodes the JSON answer into resp, classifying
+// failures as retryable or not. 4xx responses carry a JSON error body the
+// caller inspects, so they decode normally and are never retried.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, resp any) (float64, error) {
+	return c.roundTrip(ctx, method, path, body, func(r *http.Response, body io.Reader) error {
+		if r.StatusCode == http.StatusTooManyRequests || r.StatusCode == http.StatusServiceUnavailable {
+			// Load shed (fleet router queue-full, draining worker): honor the
+			// advertised Retry-After instead of treating it as a generic failure.
+			delay, ok := parseRetryAfter(r.Header.Get("Retry-After"))
+			return retryable(&shedError{path: path, status: r.Status, retryAfter: delay, advertised: ok})
+		}
+		if r.StatusCode >= 500 {
+			return retryable(fmt.Errorf("dist: %s %s: worker returned %s", method, path, r.Status))
+		}
+		if err := json.NewDecoder(body).Decode(resp); err != nil {
+			return retryable(fmt.Errorf("dist: decode %s: %w", path, err))
+		}
+		return nil
+	})
 }
 
 // send is the one request path: req (nil for a bodiless DELETE) goes out as
 // JSON, the response decodes into resp, and every retryable failure
-// (transport errors, 5xx, truncated responses, sheds) is retried up to
-// MaxRetries times. The delay between attempts is exponential with jitter,
-// so a pool of masters does not hammer a recovering worker in lockstep —
-// except after a load shed that advertised Retry-After: then the advertised
-// delay is honored clamped into [RetryBackoff, MaxBackoff], so a
+// (transport errors, 5xx, truncated or oversized responses, sheds) is retried
+// up to MaxRetries times. The delay between attempts is exponential with
+// jitter, so a pool of masters does not hammer a recovering worker in
+// lockstep — except after a load shed that advertised Retry-After: then the
+// advertised delay is honored clamped into [RetryBackoff, MaxBackoff], so a
 // misbehaving server can neither park the client for minutes nor spin it
 // (see retryDelay). Cancelling ctx aborts both in-flight requests and
 // backoff sleeps. route names the call in spans: path with any job key
-// folded to {id}.
+// folded to {id}. seconds sums the attempts' round trips, waits left out.
 //
 // When tracing is enabled the whole logical call is one "client" span in
 // ctx's run's trace, under the span ctx runs in (the co-search iteration);
 // each HTTP try is an "attempt" child (whose context is what propagates to
 // the server), and each retry wait a "backoff" child.
-func (c *Client) send(ctx context.Context, method, route, path string, req, resp any) error {
+func (c *Client) send(ctx context.Context, method, route, path string, req, resp any) (seconds float64, err error) {
 	var body []byte
 	if req != nil {
 		_, ser := perfprof.Start(ctx, "dist.serialize")
-		var err error
 		body, err = json.Marshal(req)
 		ser.End()
 		if err != nil {
-			return fmt.Errorf("dist: marshal %s: %w", route, err)
+			return 0, fmt.Errorf("dist: marshal %s: %w", route, err)
 		}
 	}
 	span := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "client", route)
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		att := disttrace.StartSpan("", span.Context(), "attempt", route)
-		err := c.do(ctx, method, path, body, resp, att.Context())
+		took, err := c.do(disttrace.WithParent(ctx, att.Context()), method, path, body, resp)
+		seconds += took
 		att.End(spanStatus(err), nil)
 		if err == nil || attempt >= c.opts.MaxRetries || !isRetryable(err) {
 			span.End(spanStatus(err), map[string]string{"attempts": strconv.Itoa(attempt + 1)})
-			return err
+			return seconds, err
 		}
 		telemetry.DistRetries().Inc()
 		delay := c.retryDelay(backoff, err)
@@ -265,7 +303,7 @@ func (c *Client) send(ctx context.Context, method, route, path string, req, resp
 			wait.ObserveVolatileAs("dist.retry_wait")
 			bo.End("canceled", nil)
 			span.End("canceled", nil)
-			return fmt.Errorf("dist: %s %s: %w", method, route, ctx.Err())
+			return seconds, fmt.Errorf("dist: %s %s: %w", method, route, ctx.Err())
 		case <-timer.C:
 		}
 		bo.End("ok", nil)
@@ -294,7 +332,8 @@ func spanStatus(err error) string {
 	return "error"
 }
 
-// evalSeconds times every remote evaluation round trip, retries included.
+// evalSeconds times every remote evaluation's round trips, retries included
+// (the waits between them are dist.retry_wait's).
 var evalSeconds = telemetry.PPAEvalSeconds("dist")
 
 // EvaluatePPAContext evaluates one (hardware, mapping, layer) triple
@@ -303,10 +342,10 @@ var evalSeconds = telemetry.PPAEvalSeconds("dist")
 // failures arrive in PPAResponse.Error. Cancelling ctx aborts in-flight
 // requests and retry backoffs.
 func (c *Client) EvaluatePPAContext(ctx context.Context, req PPARequest) (PPAResponse, error) {
-	start := time.Now() //unicolint:allow detclock host-side eval-latency metric on the remote transport path
-	defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
 	var resp PPAResponse
-	if err := c.send(ctx, http.MethodPost, "/v1/ppa", "/v1/ppa", req, &resp); err != nil {
+	seconds, err := c.send(ctx, http.MethodPost, "/v1/ppa", "/v1/ppa", req, &resp)
+	evalSeconds.Observe(seconds)
+	if err != nil {
 		return PPAResponse{}, err
 	}
 	return resp, nil
@@ -341,7 +380,7 @@ func CanonicalEvalKey(req *PPARequest) (key evalcache.Key, ok bool) {
 // spend twice.
 func (c *Client) AdvanceJobContext(ctx context.Context, req AdvanceRequest) (JobState, error) {
 	var state JobState
-	if err := c.send(ctx, http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", req, &state); err != nil {
+	if _, err := c.send(ctx, http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", req, &state); err != nil {
 		return JobState{}, err
 	}
 	if state.Error != "" {
@@ -356,7 +395,7 @@ func (c *Client) AdvanceJobContext(ctx context.Context, req AdvanceRequest) (Job
 // answer reports.
 func (c *Client) DeleteJobContext(ctx context.Context, id string) error {
 	var resp JobDeleteResponse
-	if err := c.send(ctx, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil, &resp); err != nil {
+	if _, err := c.send(ctx, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil, &resp); err != nil {
 		return err
 	}
 	if resp.Error != "" {
@@ -377,20 +416,15 @@ func (c *Client) HealthyContext(ctx context.Context) bool {
 // the probe — health checks against a wedged worker must not outlive the
 // prober's own deadline.
 func (c *Client) HealthContext(ctx context.Context) (HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
-	if err != nil {
-		return HealthResponse{}, fmt.Errorf("dist: health %s: %w", c.base, err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return HealthResponse{}, fmt.Errorf("dist: health %s: %w", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return HealthResponse{}, fmt.Errorf("dist: health %s: %s", c.base, resp.Status)
-	}
 	var h HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	rep, err := c.Exchange(ctx, http.MethodGet, "/v1/healthz", nil)
+	if err == nil && rep.Status != http.StatusOK {
+		err = fmt.Errorf("answered %d", rep.Status)
+	}
+	if err == nil {
+		err = json.Unmarshal(rep.Body, &h)
+	}
+	if err != nil {
 		return HealthResponse{}, fmt.Errorf("dist: health %s: %w", c.base, err)
 	}
 	return h, nil

@@ -328,7 +328,7 @@ func TestServerReleasesJobsAfterRun(t *testing.T) {
 	}
 	opt := core.UNICOOptions(3, 2, 8, 9)
 	opt.Workers = 2
-	res := core.Run(p, opt)
+	res := core.RunContext(context.Background(), p, opt)
 	if len(res.All) == 0 {
 		t.Fatal("no candidates evaluated")
 	}
@@ -400,7 +400,7 @@ func TestRemotePlatformEndToEnd(t *testing.T) {
 	}
 	opt := core.UNICOOptions(4, 2, 10, 3)
 	opt.Workers = 2
-	res := core.Run(p, opt)
+	res := core.RunContext(context.Background(), p, opt)
 	if len(res.All) != 8 {
 		t.Fatalf("evaluated %d candidates, want 8", len(res.All))
 	}
@@ -444,12 +444,12 @@ func TestRemotePlatformFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.HealthyWorkers(context.Background()); got != 2 {
-		t.Fatalf("HealthyWorkers = %d, want 2", got)
+	if !c1.HealthyContext(context.Background()) || !c2.HealthyContext(context.Background()) {
+		t.Fatal("a fresh worker does not answer its health endpoint")
 	}
 	srv1.Close()
-	if got := p.HealthyWorkers(context.Background()); got != 1 {
-		t.Fatalf("HealthyWorkers after kill = %d, want 1", got)
+	if c1.HealthyContext(context.Background()) {
+		t.Fatal("a killed worker still reports healthy")
 	}
 	space := hw.NewSpatialSpace(hw.Edge)
 	for i := 0; i < 4; i++ {

@@ -3,20 +3,22 @@ package dist
 import (
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
 
 // FaultInjector wraps a worker handler with scriptable failures, so
 // resilience tests can make a real httptest worker return 500s, hang past
-// the client timeout, reset connections mid-request, or emit truncated
-// garbage — without touching the worker implementation.
+// the client timeout, reset connections mid-request, emit truncated garbage,
+// or answer with more bytes than any hop may read — without touching the
+// worker implementation.
 //
 // Two scripting styles compose:
 //
 //   - Counted faults are consumed in a fixed order (down, then fail, then
-//     hang, then reset, then corrupt) one per request until the scripted
-//     counts are exhausted, after which requests pass through.
+//     hang, then reset, then corrupt, then oversize) one per request until
+//     the scripted counts are exhausted, after which requests pass through.
 //   - Probabilistic faults (Probabilistic) draw each request's fate from a
 //     seeded RNG, so chaos runs see an irregular but reproducible fault mix.
 //
@@ -32,6 +34,7 @@ type FaultInjector struct {
 	hangFor     time.Duration
 	resetNext   int
 	corruptNext int
+	oversize    int
 	rng         *rand.Rand
 	pFail       float64
 	pReset      float64
@@ -79,6 +82,15 @@ func (f *FaultInjector) CorruptNext(n int) {
 	f.mu.Unlock()
 }
 
+// OversizeNext makes the next n requests answer 200 OK with a well-formed
+// JSON object one byte longer than MaxBodyBytes. Every reader of a response
+// must refuse it — an error, never a truncated body passed on as the answer.
+func (f *FaultInjector) OversizeNext(n int) {
+	f.mu.Lock()
+	f.oversize += n
+	f.mu.Unlock()
+}
+
 // SetDown kills (true) or restarts (false) the worker at the HTTP layer:
 // while down, every request aborts with a connection reset. The wrapped
 // handler's state survives — pair SetDown with swapping in a fresh handler
@@ -118,6 +130,7 @@ const (
 	faultHang
 	faultReset
 	faultCorrupt
+	faultOversize
 )
 
 // decide consumes the next scripted or drawn fault. Callers must hold f.mu.
@@ -142,6 +155,10 @@ func (f *FaultInjector) decide() (faultKind, time.Duration) {
 		f.corruptNext--
 		f.injected++
 		return faultCorrupt, 0
+	case f.oversize > 0:
+		f.oversize--
+		f.injected++
+		return faultOversize, 0
 	}
 	if f.rng != nil {
 		switch {
@@ -180,6 +197,10 @@ func (f *FaultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// A syntactically broken prefix of a plausible response: decoding
 		// must fail no matter which route's schema the client expects.
 		_, _ = w.Write([]byte(`{"metrics":{"latency_ms":12.`))
+	case faultOversize:
+		w.Header().Set("Content-Type", "application/json")
+		const head, tail = `{"pad":"`, `"}`
+		_, _ = w.Write([]byte(head + strings.Repeat("a", MaxBodyBytes+1-len(head)-len(tail)) + tail))
 	default:
 		f.next.ServeHTTP(w, r)
 	}

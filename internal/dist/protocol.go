@@ -89,8 +89,9 @@ const (
 	StatusDraining = "draining"
 )
 
-// MaxBodyBytes bounds the request bodies workers and routers decode; far
-// above any legitimate PPA request or job spec.
+// MaxBodyBytes bounds every body read off the wire — the requests workers and
+// routers decode, and the responses every exchange reads; far above any
+// legitimate PPA request, job spec or job state. A longer one is an error.
 const MaxBodyBytes = 4 << 20
 
 // JobDeleteResponse acknowledges a job deletion.

@@ -8,10 +8,9 @@ import (
 
 	"unico/internal/hw"
 	"unico/internal/mapsearch"
-	"unico/internal/mobo"
+	"unico/internal/platform"
 	"unico/internal/ppa"
 	"unico/internal/telemetry"
-	"unico/internal/workload"
 )
 
 // Defaults for the master's worker-health policy (see the corresponding
@@ -45,19 +44,18 @@ type workerHealth struct {
 // background goroutines) and re-admitted when their health endpoint answers
 // again.
 type RemoteSpatialPlatform struct {
-	space    *hw.SpatialSpace
+	// Spatial is the platform the workers search, held here for everything
+	// but the search itself: the design space, the workload, the caps and
+	// the simulated cost are the local platform's, so a remote run and a
+	// local one account alike by construction. NewJob below shadows its.
+	*platform.Spatial
 	scenario hw.Scenario
 	networks []string
-	layerN   int
-	algo     string
 
 	mu      sync.Mutex
 	workers []*workerHealth
 	calls   int // NewJob calls; each job's turn in the rotation
 
-	// PerEvalSeconds is the simulated cost of one PPA evaluation on a
-	// worker (default: the analytical engine's 0.08 s).
-	PerEvalSeconds float64
 	// EvictAfter is how many consecutive failed advances evict a worker
 	// (default DefaultEvictAfter).
 	EvictAfter int
@@ -72,33 +70,23 @@ func NewRemoteSpatialPlatform(workers []*Client, sc hw.Scenario, networks []stri
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("dist: no workers")
 	}
-	layerN := 0
-	for _, n := range networks {
-		wl, err := workload.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		layerN += len(wl.Layers)
+	ws, err := lookupNetworks(networks)
+	if err != nil {
+		return nil, err
 	}
 	hs := make([]*workerHealth, len(workers))
 	for i, w := range workers {
 		hs[i] = &workerHealth{client: w}
 	}
 	return &RemoteSpatialPlatform{
-		workers:        hs,
-		space:          hw.NewSpatialSpace(sc),
-		scenario:       sc,
-		networks:       networks,
-		layerN:         layerN,
-		algo:           "flextensor",
-		PerEvalSeconds: 0.08,
-		EvictAfter:     DefaultEvictAfter,
-		ProbeEvery:     DefaultProbeEvery,
+		Spatial:    platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike),
+		workers:    hs,
+		scenario:   sc,
+		networks:   networks,
+		EvictAfter: DefaultEvictAfter,
+		ProbeEvery: DefaultProbeEvery,
 	}, nil
 }
-
-// Space returns the hardware design space.
-func (p *RemoteSpatialPlatform) Space() mobo.Space { return p.space }
 
 // NewJob names the mapping search and takes its turn in the round-robin; it
 // does no I/O. The job reaches a worker at its first advance.
@@ -112,7 +100,7 @@ func (p *RemoteSpatialPlatform) NewJob(x []float64, seed int64) mapsearch.Search
 		Scenario: p.scenario.String(),
 		Networks: p.networks,
 		X:        x,
-		Algo:     p.algo,
+		Algo:     "flextensor",
 		Seed:     seed,
 	}}
 }
@@ -226,37 +214,6 @@ func (p *RemoteSpatialPlatform) EvictedWorkers() int {
 	}
 	return n
 }
-
-// HealthyWorkers returns how many workers currently answer their health
-// endpoint — an operational check for the master before a long run.
-func (p *RemoteSpatialPlatform) HealthyWorkers(ctx context.Context) int {
-	p.mu.Lock()
-	ws := make([]*workerHealth, len(p.workers))
-	copy(ws, p.workers)
-	p.mu.Unlock()
-	n := 0
-	for _, w := range ws {
-		if w.client.HealthyContext(ctx) {
-			n++
-		}
-	}
-	return n
-}
-
-// EvalCostSeconds is the per-budget-unit simulated cost (one engine call
-// per layer).
-func (p *RemoteSpatialPlatform) EvalCostSeconds() float64 {
-	return p.PerEvalSeconds * float64(p.layerN)
-}
-
-// Describe renders the hardware at x.
-func (p *RemoteSpatialPlatform) Describe(x []float64) string { return p.space.Describe(x) }
-
-// PowerCapMW is the scenario's power constraint.
-func (p *RemoteSpatialPlatform) PowerCapMW() float64 { return p.scenario.PowerCapMW() }
-
-// AreaCapMM2 is unconstrained on the open-source platform.
-func (p *RemoteSpatialPlatform) AreaCapMM2() float64 { return 0 }
 
 // remoteJob adapts a job on the worker pool to the mapsearch.Searcher
 // interface, so the master's successive-halving scheduler drives remote

@@ -267,7 +267,7 @@ func TestDeadWorkerDoesNotStallCoSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(ref, opt)
+	want := core.RunContext(context.Background(), ref, opt)
 
 	p, err := NewRemoteSpatialPlatform([]*Client{good, dead}, hw.Edge, []string{"MobileNetV3-S"})
 	if err != nil {
@@ -276,7 +276,7 @@ func TestDeadWorkerDoesNotStallCoSearch(t *testing.T) {
 	p.EvictAfter = 1
 
 	done := make(chan core.Result, 1)
-	go func() { done <- core.Run(p, opt) }()
+	go func() { done <- core.RunContext(context.Background(), p, opt) }()
 	var got core.Result
 	select {
 	case got = <-done:
@@ -311,7 +311,7 @@ func TestPoolWorkerKilledMidJobBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(ref, opt)
+	want := core.RunContext(context.Background(), ref, opt)
 
 	_, survivor := newWorker(t)
 	inj := NewFaultInjector(NewServer().Handler())
@@ -337,7 +337,7 @@ func TestPoolWorkerKilledMidJobBitIdentical(t *testing.T) {
 	}
 	lost := telemetry.DistLostEvals().Value()
 	replays := telemetry.FleetReplays().Value()
-	got := core.Run(p, opt)
+	got := core.RunContext(context.Background(), p, opt)
 
 	if !killed.Load() {
 		t.Fatal("the victim never saw a job come back for more budget; the kill exercised nothing")

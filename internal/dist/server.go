@@ -4,18 +4,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
-
-	"strings"
 
 	"unico/internal/camodel"
 	"unico/internal/disttrace"
 	"unico/internal/hw"
 	"unico/internal/maestro"
 	"unico/internal/mapsearch"
+	"unico/internal/mobo"
+	"unico/internal/platform"
 	"unico/internal/ppa"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
@@ -73,15 +76,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
 	mux.Handle("GET /v1/spans", disttrace.SpansHandler())
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.health())
+		WriteJSON(w, http.StatusOK, s.health())
 	})
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
 		s.SetDraining(true)
-		writeJSON(w, http.StatusOK, s.health())
+		WriteJSON(w, http.StatusOK, s.health())
 	})
 	mux.HandleFunc("POST /v1/undrain", func(w http.ResponseWriter, r *http.Request) {
 		s.SetDraining(false)
-		writeJSON(w, http.StatusOK, s.health())
+		WriteJSON(w, http.StatusOK, s.health())
 	})
 	// Attribute request volume to the originating client run via the
 	// X-Unico-Run-ID header (capped label cardinality; see DistRunRequests).
@@ -89,21 +92,25 @@ func (s *Server) Handler() http.Handler {
 		telemetry.DistRunRequests(r.Header.Get(runid.Header)).Inc()
 		mux.ServeHTTP(w, r)
 	})
-	return telemetry.InstrumentHandler(telemetry.DefaultRegistry, routeLabel, counted)
+	return telemetry.InstrumentHandler(telemetry.DefaultRegistry, RouteLabel(), counted)
 }
 
-// routeLabel folds per-job paths into one route and any unregistered path
-// into "other", so the metric label set stays bounded no matter how many
-// jobs a search creates or what paths a scanner probes.
-func routeLabel(r *http.Request) string {
-	if p, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && p != "" && p != "advance" {
-		return "/v1/jobs/{id}"
+// RouteLabel returns the metric route label of a worker-API server: per-job
+// paths fold into one route and any path that is neither a worker route nor
+// one of extra (a router's admin endpoints) into "other", so the label set
+// stays bounded no matter how many jobs a search creates or what paths a
+// scanner probes.
+func RouteLabel(extra ...string) func(*http.Request) string {
+	known := append([]string{"/v1/ppa", "/v1/jobs/advance", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans"}, extra...)
+	return func(r *http.Request) string {
+		if p, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && p != "" && p != "advance" {
+			return "/v1/jobs/{id}"
+		}
+		if slices.Contains(known, r.URL.Path) {
+			return r.URL.Path
+		}
+		return "other"
 	}
-	switch r.URL.Path {
-	case "/v1/ppa", "/v1/jobs/advance", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans":
-		return r.URL.Path
-	}
-	return "other"
 }
 
 // SetDraining flips the worker's drain state. Draining is reversible: a
@@ -132,7 +139,7 @@ const drainRetryAfterSeconds = 1
 // (the dist client retries it after the advertised delay).
 func refuseDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(drainRetryAfterSeconds))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "worker draining"})
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "worker draining"})
 }
 
 func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
@@ -142,9 +149,9 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/ppa")
 	var req PPARequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if _, err := DecodeBody(w, r, &req); err != nil {
 		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, PPAResponse{Error: "bad request: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	var resp PPAResponse
@@ -152,7 +159,7 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 	case "spatial":
 		if req.SpatialHW == nil || req.SpatialMapping == nil {
 			sp.End("error", nil)
-			writeJSON(w, http.StatusBadRequest, PPAResponse{Error: "spatial_hw and spatial_mapping required"})
+			WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: "spatial_hw and spatial_mapping required"})
 			return
 		}
 		eng := disttrace.StartSpan("", sp.Context(), "engine", "maestro")
@@ -162,7 +169,7 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 	case "ascend":
 		if req.AscendHW == nil || req.AscendMapping == nil {
 			sp.End("error", nil)
-			writeJSON(w, http.StatusBadRequest, PPAResponse{Error: "ascend_hw and ascend_mapping required"})
+			WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: "ascend_hw and ascend_mapping required"})
 			return
 		}
 		eng := disttrace.StartSpan("", sp.Context(), "engine", "camodel")
@@ -171,11 +178,11 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 		eng.End(engineStatus(resp), nil)
 	default:
 		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, PPAResponse{Error: fmt.Sprintf("unknown platform %q", req.Platform)})
+		WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: fmt.Sprintf("unknown platform %q", req.Platform)})
 		return
 	}
 	sp.End("ok", nil)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // engineStatus labels an engine span: an infeasible or failed evaluation is
@@ -216,11 +223,11 @@ func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if !ok {
 		sp.End("error", nil)
-		writeJSON(w, http.StatusNotFound, JobDeleteResponse{ID: id, Error: "unknown job"})
+		WriteJSON(w, http.StatusNotFound, JobDeleteResponse{ID: id, Error: "unknown job"})
 		return
 	}
 	sp.End("ok", nil)
-	writeJSON(w, http.StatusOK, JobDeleteResponse{ID: id, Deleted: true})
+	WriteJSON(w, http.StatusOK, JobDeleteResponse{ID: id, Deleted: true})
 }
 
 // JobCount returns how many jobs the worker currently holds.
@@ -230,55 +237,69 @@ func (s *Server) JobCount() int {
 	return len(s.jobs)
 }
 
-// buildSearcher materializes the job's network searcher from the spec.
-func (s *Server) buildSearcher(spec JobSpec) (mapsearch.Searcher, error) {
-	if len(spec.Networks) == 0 {
-		return nil, fmt.Errorf("dist: job spec names no networks")
+// lookupNetworks resolves zoo names to their workloads.
+func lookupNetworks(names []string) ([]workload.Workload, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("dist: no networks named")
 	}
-	ws := make([]workload.Workload, len(spec.Networks))
-	for i, n := range spec.Networks {
+	ws := make([]workload.Workload, len(names))
+	for i, n := range names {
 		wl, err := workload.ByName(n)
 		if err != nil {
 			return nil, err
 		}
 		ws[i] = wl
 	}
-	combined := workload.Combine(ws)
+	return ws, nil
+}
+
+// buildSearcher materializes the job's network searcher from the spec: every
+// field is checked here, since the spec is outside input, and the search
+// itself is the platform's own NewJob over the server's engine — the same
+// call a local run makes.
+func (s *Server) buildSearcher(spec JobSpec) (mapsearch.Searcher, error) {
+	ws, err := lookupNetworks(spec.Networks)
+	if err != nil {
+		return nil, err
+	}
 	algo, err := parseAlgo(spec.Algo)
 	if err != nil {
 		return nil, err
 	}
+	var p interface {
+		Space() mobo.Space
+		NewJob(x []float64, seed int64) mapsearch.Searcher
+	}
 	switch spec.Platform {
 	case "spatial":
-		space, err := spatialSpace(spec.Scenario)
+		sc, err := parseScenario(spec.Scenario)
 		if err != nil {
 			return nil, err
 		}
-		if len(spec.X) != space.Dim() {
-			return nil, fmt.Errorf("dist: x has %d coords, want %d", len(spec.X), space.Dim())
-		}
-		cfg := space.Decode(spec.X)
-		return mapsearch.NewSpatialSearcher(s.spatial, cfg, combined, algo, spec.Seed), nil
+		sp := platform.NewSpatial(sc, ws, algo)
+		sp.Engine = s.spatial
+		p = sp
 	case "ascend":
-		space := hw.NewAscendSpace()
-		if len(spec.X) != space.Dim() {
-			return nil, fmt.Errorf("dist: x has %d coords, want %d", len(spec.X), space.Dim())
-		}
-		cfg := space.Decode(spec.X)
-		return mapsearch.NewAscendSearcher(s.ascend, cfg, combined, algo, spec.Seed), nil
+		ap := platform.NewAscend(ws, algo)
+		ap.Engine = s.ascend
+		p = ap
 	default:
 		return nil, fmt.Errorf("dist: unknown platform %q", spec.Platform)
 	}
+	if dim := p.Space().Dim(); len(spec.X) != dim {
+		return nil, fmt.Errorf("dist: x has %d coords, want %d", len(spec.X), dim)
+	}
+	return p.NewJob(spec.X, spec.Seed), nil
 }
 
-func spatialSpace(scenario string) (*hw.SpatialSpace, error) {
+func parseScenario(scenario string) (hw.Scenario, error) {
 	switch scenario {
 	case "edge", "":
-		return hw.NewSpatialSpace(hw.Edge), nil
+		return hw.Edge, nil
 	case "cloud":
-		return hw.NewSpatialSpace(hw.Cloud), nil
+		return hw.Cloud, nil
 	default:
-		return nil, fmt.Errorf("dist: unknown scenario %q", scenario)
+		return 0, fmt.Errorf("dist: unknown scenario %q", scenario)
 	}
 }
 
@@ -329,10 +350,10 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/jobs/advance")
 	reject := func(msg string) {
 		sp.End("error", nil)
-		writeJSON(w, http.StatusBadRequest, JobState{Error: msg})
+		WriteJSON(w, http.StatusBadRequest, JobState{Error: msg})
 	}
 	var req AdvanceRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if _, err := DecodeBody(w, r, &req); err != nil {
 		reject("bad request: " + err.Error())
 		return
 	}
@@ -392,16 +413,22 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	eng.End("ok", map[string]string{"budget": strconv.Itoa(spend)})
 	replay.End("ok", map[string]string{"seen": strconv.Itoa(req.Seen)})
 	sp.End("ok", nil)
-	writeJSON(w, http.StatusOK, state)
+	WriteJSON(w, http.StatusOK, state)
 }
 
-// decodeBody decodes a JSON request body of at most MaxBodyBytes into v; a
-// longer one is a decode error, not an allocation.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+// DecodeBody reads a JSON request body of at most MaxBodyBytes into v and
+// returns the bytes it read (what a router forwards); a longer body is an
+// error, not an allocation, and so is anything after the one JSON value.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		return nil, err
+	}
+	return raw, json.Unmarshal(raw, v)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as the JSON body under the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)

@@ -302,8 +302,13 @@ func IterationSpanID(run int64, iter int) string {
 type parentKey struct{}
 
 // WithParent returns a context whose outgoing requests parent their client
-// spans on sc.
+// spans on sc. An invalid sc — the context of a span opened with tracing off
+// — returns ctx as it is, so a hop that records nothing still hands on the
+// parent it was given and the chain around it stays linked.
 func WithParent(ctx context.Context, sc SpanContext) context.Context {
+	if !sc.Valid() {
+		return ctx
+	}
 	return context.WithValue(ctx, parentKey{}, sc)
 }
 

@@ -59,9 +59,7 @@ func RunAscend(w io.Writer, s Scale) AscendResult {
 
 		// Expert default, same schedule-search budget.
 		defX := p.AscendSpace().Encode(def)
-		defJob := p.NewJob(defX, seed)
-		defJob.Advance(s.AscendBMax)
-		defMet, defOK := defJob.Best()
+		defMet, defOK := core.SearchAt(s.ctx(), p, defX, seed, s.AscendBMax).Best()
 
 		// UNICO co-optimization; power and latency are the goals under the
 		// area cap. The representative is selected relative to the default

@@ -178,10 +178,8 @@ func spatialPlatform(sc hw.Scenario, ws ...workload.Workload) *platform.Spatial 
 // evalHWOnNetwork runs an individual software-mapping search for the
 // hardware at x on a single network and returns the achieved metrics — the
 // validation procedure of Sections 4.3 and 4.4.
-func evalHWOnNetwork(sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
-	p := spatialPlatform(sc, net)
-	job := p.NewJob(x, seed)
-	job.Advance(bmax)
+func evalHWOnNetwork(ctx context.Context, sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
+	job := core.SearchAt(ctx, spatialPlatform(sc, net), x, seed, bmax)
 	met, ok := job.Best()
 	if !ok {
 		return core.Candidate{X: x}, false

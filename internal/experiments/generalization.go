@@ -84,8 +84,8 @@ func RunGeneralization(w io.Writer, s Scale) GeneralizationResult {
 	for vi, net := range validation {
 		// Validation searches get double budget so the comparison reflects
 		// the hardware, not residual search noise.
-		uc, uok := evalHWOnNetwork(hw.Edge, uRep.X, net, 2*s.BMax, s.Seed+1000+int64(vi))
-		hc, hok := evalHWOnNetwork(hw.Edge, hRep.X, net, 2*s.BMax, s.Seed+2000+int64(vi))
+		uc, uok := evalHWOnNetwork(s.ctx(), hw.Edge, uRep.X, net, 2*s.BMax, s.Seed+1000+int64(vi))
+		hc, hok := evalHWOnNetwork(s.ctx(), hw.Edge, hRep.X, net, 2*s.BMax, s.Seed+2000+int64(vi))
 		if !uok || !hok {
 			fprintf(w, "%-16s infeasible (unico=%v hasco=%v)\n", net.Name, uok, hok)
 			continue

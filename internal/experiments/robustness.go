@@ -71,8 +71,7 @@ func RunRobustnessIndicator(w io.Writer, s Scale) RobustnessResult {
 	// search on the training set (the co-search histories are too short for
 	// early-stopped candidates to estimate R reliably).
 	reEstimate := func(c *core.Candidate, seed int64) {
-		job := p.NewJob(c.X, seed)
-		job.Advance(2 * s.BMax)
+		job := core.SearchAt(s.ctx(), p, c.X, seed, 2*s.BMax)
 		c.Sensitivity = robust.Sensitivity(job.RawHistory(), robust.DefaultAlpha)
 	}
 	front := append([]core.Candidate(nil), res.Front...)
@@ -102,7 +101,7 @@ func RunRobustnessIndicator(w io.Writer, s Scale) RobustnessResult {
 				// not residual search-seed noise.
 				lat, edp := math.Inf(1), math.Inf(1)
 				for rep := int64(0); rep < 2; rep++ {
-					cand, ok := evalHWOnNetwork(hw.Edge, members[mi].X, net, 2*s.BMax,
+					cand, ok := evalHWOnNetwork(s.ctx(), hw.Edge, members[mi].X, net, 2*s.BMax,
 						s.Seed+int64(pi)*1000+int64(mi)*100+int64(vi)+rep*7919)
 					if ok && cand.Metrics.EDP() < edp {
 						lat, edp = cand.Metrics.LatencyMs, cand.Metrics.EDP()

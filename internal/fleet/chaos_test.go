@@ -40,7 +40,7 @@ func TestChaosShardKillRestartBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(ref, opt)
+	want := core.RunContext(context.Background(), ref, opt)
 
 	// The fleet under chaos: 3 shards, first failure takes a shard off the
 	// ring (FailAfter 1) so failover is immediate.
@@ -60,7 +60,7 @@ func TestChaosShardKillRestartBitIdentical(t *testing.T) {
 	done := make(chan core.Result, 1)
 	var finished atomic.Bool
 	go func() {
-		res := core.Run(p, opt)
+		res := core.RunContext(context.Background(), p, opt)
 		finished.Store(true)
 		done <- res
 	}()
@@ -118,7 +118,7 @@ func TestChaosFlappingShardProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(ref, opt)
+	want := core.RunContext(context.Background(), ref, opt)
 
 	router, rsrv, shards := newTestFleet(t, 3, Options{FailAfter: 2}, nil)
 	shards[2].inj.Probabilistic(7, 0.10, 0.05, 0)
@@ -133,7 +133,7 @@ func TestChaosFlappingShardProbabilistic(t *testing.T) {
 
 	lostBefore := telemetry.DistLostEvals().Value()
 	done := make(chan core.Result, 1)
-	go func() { done <- core.Run(p, opt) }()
+	go func() { done <- core.RunContext(context.Background(), p, opt) }()
 	// Keep re-admitting the flapping shard so faults keep landing on it.
 	probeCtx, stopProbes := context.WithCancel(context.Background())
 	defer stopProbes()
@@ -183,7 +183,7 @@ func TestChaosRouterReplacedMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(ref, opt)
+	want := core.RunContext(context.Background(), ref, opt)
 
 	router, _, shards := newTestFleet(t, 3, Options{}, nil)
 	urls := make([]string, len(shards))
@@ -215,7 +215,7 @@ func TestChaosRouterReplacedMidRun(t *testing.T) {
 	}
 	lost := telemetry.DistLostEvals().Value()
 	replays := telemetry.FleetReplays().Value()
-	got := core.Run(p, opt)
+	got := core.RunContext(context.Background(), p, opt)
 
 	if !replaced.Load() {
 		t.Fatal("no job came back for more budget; the router was never replaced")

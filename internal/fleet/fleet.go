@@ -33,10 +33,10 @@ package fleet
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
+	"unico/internal/dist"
 	"unico/internal/telemetry"
 )
 
@@ -141,9 +141,11 @@ func (s shardState) String() string {
 
 // member is one shard in the fleet.
 type member struct {
-	id     string   // base URL, e.g. "http://127.0.0.1:19301"
-	points []uint64 // its virtual-node ring coordinates (precomputed)
-	adm    *admission
+	id      string       // base URL, e.g. "http://127.0.0.1:19301"
+	points  []uint64     // its virtual-node ring coordinates (precomputed)
+	forward *dist.Client // forwards; bounded by ForwardTimeout
+	probe   *dist.Client // health probes, span pulls, scrapes; bounded by ProbeTimeout
+	adm     *admission
 
 	// Guarded by Router.mu (state participates in ring membership).
 	state       shardState
@@ -206,12 +208,10 @@ func (r *Router) Timelines() []ShardTimeline {
 // Router is the fleet coordinator. Create with NewRouter; serve its
 // Handler; optionally Start the background health prober.
 type Router struct {
-	opts    Options
-	forward *http.Client // bounded by ForwardTimeout
-	probe   *http.Client // bounded by ProbeTimeout
+	opts Options
 
 	mu      sync.Mutex
-	members []*member // fixed set, configuration order
+	members []*member // fixed set, configuration order: the slice and each id and client never change
 	ring    []ringEntry
 }
 
@@ -221,11 +221,7 @@ func NewRouter(shards []string, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("fleet: no shards")
 	}
 	opts = opts.withDefaults()
-	r := &Router{
-		opts:    opts,
-		forward: &http.Client{Timeout: opts.ForwardTimeout},
-		probe:   &http.Client{Timeout: opts.ProbeTimeout},
-	}
+	r := &Router{opts: opts}
 	seen := map[string]bool{}
 	for _, s := range shards {
 		if s == "" || seen[s] {
@@ -233,10 +229,12 @@ func NewRouter(shards []string, opts Options) (*Router, error) {
 		}
 		seen[s] = true
 		r.members = append(r.members, &member{
-			id:     s,
-			points: ringPoints(s, opts.VirtualNodes),
-			adm:    newAdmission(s, opts.ShardCapacity, opts.ShardQueue),
-			state:  shardActive,
+			id:      s,
+			points:  ringPoints(s, opts.VirtualNodes),
+			forward: dist.NewClientOptions(s, nil, dist.Options{Timeout: opts.ForwardTimeout}),
+			probe:   dist.NewClientOptions(s, nil, dist.Options{Timeout: opts.ProbeTimeout}),
+			adm:     newAdmission(s, opts.ShardCapacity, opts.ShardQueue),
+			state:   shardActive,
 		})
 	}
 	r.rebuildRingLocked()

@@ -1,15 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"unico/internal/dist"
@@ -28,10 +24,10 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs/advance", r.handleAdvance)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.handleDeleteJob)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.health())
+		dist.WriteJSON(w, http.StatusOK, r.health())
 	})
 	mux.HandleFunc("GET /v1/fleet/members", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Members())
+		dist.WriteJSON(w, http.StatusOK, r.Members())
 	})
 	mux.HandleFunc("POST /v1/fleet/drain", func(w http.ResponseWriter, req *http.Request) {
 		r.handleDrain(w, req, true)
@@ -40,20 +36,17 @@ func (r *Router) Handler() http.Handler {
 		r.handleDrain(w, req, false)
 	})
 	mux.HandleFunc("GET /v1/spans", r.handleSpans)
-	return telemetry.InstrumentHandler(telemetry.DefaultRegistry, fleetRouteLabel, mux)
+	return telemetry.InstrumentHandler(telemetry.DefaultRegistry,
+		dist.RouteLabel("/v1/fleet/members", "/v1/fleet/drain", "/v1/fleet/undrain"), mux)
 }
 
-// fleetRouteLabel keeps the router's route label set bounded.
-func fleetRouteLabel(req *http.Request) string {
-	if p, ok := strings.CutPrefix(req.URL.Path, "/v1/jobs/"); ok && p != "" && p != "advance" {
-		return "/v1/jobs/{id}"
-	}
-	switch req.URL.Path {
-	case "/v1/ppa", "/v1/jobs/advance", "/v1/healthz", "/v1/spans",
-		"/v1/fleet/members", "/v1/fleet/drain", "/v1/fleet/undrain":
-		return req.URL.Path
-	}
-	return "other"
+// hopContext is req's context carrying what its headers name — the run the
+// request belongs to and the span it runs under — which is where the
+// exchange with a shard reads them back, so both pass through the router
+// unchanged.
+func hopContext(req *http.Request) context.Context {
+	ctx := runid.With(req.Context(), req.Header.Get(runid.Header))
+	return disttrace.WithParent(ctx, disttrace.Extract(req.Header))
 }
 
 // health summarizes the fleet as one worker-compatible health body: "ok"
@@ -79,7 +72,7 @@ func (r *Router) shed(w http.ResponseWriter, status int, reason string) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, status, map[string]string{"error": "fleet overloaded: " + reason})
+	dist.WriteJSON(w, status, map[string]string{"error": "fleet overloaded: " + reason})
 }
 
 // shedUnserved rejects a request no shard would take: "draining" when that
@@ -96,14 +89,10 @@ func (r *Router) shedUnserved(w http.ResponseWriter) {
 // shard owning its canonical key, failing over along the ring when the
 // owner misbehaves.
 func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, dist.MaxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.PPAResponse{Error: "read request: " + err.Error()})
-		return
-	}
 	var preq dist.PPARequest
-	if err := json.Unmarshal(body, &preq); err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.PPAResponse{Error: "decode request: " + err.Error()})
+	body, err := dist.DecodeBody(w, req, &preq)
+	if err != nil {
+		dist.WriteJSON(w, http.StatusBadRequest, dist.PPAResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	var point uint64
@@ -114,40 +103,20 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 		// the owning shard reports the error.
 		point = hashBytes(body)
 	}
-	succ := r.successors(point)
-	if len(succ) == 0 {
-		r.shedUnserved(w)
-		return
-	}
-	run := req.Header.Get(runid.Header)
-	parent := disttrace.Extract(req.Header)
-	for _, m := range succ {
-		if !r.admit(w, req, m, run, parent) {
-			return
-		}
-		status, rbody, err := r.forwardTo(req.Context(), m, http.MethodPost, "/v1/ppa", "/v1/ppa", body, run, parent)
-		m.adm.release()
-		if r.answered(m, status, err) {
-			relay(w, status, rbody)
-			return
-		}
-		if req.Context().Err() != nil {
-			return
-		}
-	}
-	r.shed(w, http.StatusServiceUnavailable, "unhealthy")
+	r.route(w, req, r.successors(point), false, http.MethodPost, "/v1/ppa", "/v1/ppa", body)
 }
 
-// admit takes one of m's forward slots for req, waiting in m's queue — fair
+// admit takes one of m's forward slots for ctx's request, waiting in m's queue — fair
 // across run IDs — when all are taken; the caller releases it. When the queue
 // is full too it sheds the request with 429 + Retry-After, and when the
 // caller goes away first it answers nothing: either way it reports false and
 // the request is finished.
-func (r *Router) admit(w http.ResponseWriter, req *http.Request, m *member, run string, parent disttrace.SpanContext) bool {
+func (r *Router) admit(ctx context.Context, w http.ResponseWriter, m *member) bool {
+	run := runid.From(ctx)
 	// Queue wait is its own span so the waterfall separates admission
 	// time from the forward round trip.
-	q := disttrace.StartSpan(run, parent, "queue", m.id)
-	err := m.adm.acquire(req.Context(), run)
+	q := disttrace.StartSpan(run, disttrace.Parent(ctx), "queue", m.id)
+	err := m.adm.acquire(ctx, run)
 	switch {
 	case err == nil:
 		q.End("ok", nil)
@@ -188,51 +157,48 @@ func (r *Router) answered(m *member, status int, err error) bool {
 // same state, and a shard's deterministic rejection of the spec is relayed
 // like any other answer.
 func (r *Router) handleAdvance(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, dist.MaxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.JobState{Error: "read request: " + err.Error()})
-		return
-	}
 	var areq dist.AdvanceRequest
-	if err := json.Unmarshal(body, &areq); err != nil {
-		writeJSON(w, http.StatusBadRequest, dist.JobState{Error: "decode request: " + err.Error()})
+	body, err := dist.DecodeBody(w, req, &areq)
+	if err != nil {
+		dist.WriteJSON(w, http.StatusBadRequest, dist.JobState{Error: "bad request: " + err.Error()})
 		return
 	}
-	r.forwardJob(w, req, areq.Spec.Key(), http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", body)
+	r.route(w, req, r.holders(hashBytes([]byte(areq.Spec.Key()))), true, http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", body)
 }
 
 // handleDeleteJob releases a job on the first shard along its walk that
 // holds it.
 func (r *Router) handleDeleteJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r.forwardJob(w, req, id, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil)
+	r.route(w, req, r.holders(hashBytes([]byte(id))), true, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil)
 }
 
-// forwardJob sends a job request along the ring walk of the job's key —
-// active members, and draining ones in their place, since they still answer
-// for the jobs they hold — through each member's admission gate, like a PPA
-// evaluation, and relays the first answer. A shard that fails is charged and
-// passed over; one that refuses (draining, and not holding the job) or
-// answers 404 (a release of a job it does not hold) is just passed over.
-func (r *Router) forwardJob(w http.ResponseWriter, req *http.Request, key, method, route, path string, body []byte) {
-	run := req.Header.Get(runid.Header)
-	parent := disttrace.Extract(req.Header)
+// route sends one request along walk, through each member's admission gate,
+// and relays the first answer. A shard that fails is charged and passed
+// over; one that refuses (draining, and not holding the job) is just passed
+// over — and so, when skip404, is one that answers 404 (a release of a job it
+// does not hold), whose answer is relayed if no shard has a better one. PPA
+// evaluations walk successors, the active members; job requests walk
+// holders, which keeps draining members in their place, since they still
+// answer for the jobs they hold.
+func (r *Router) route(w http.ResponseWriter, req *http.Request, walk []*member, skip404 bool, method, route, path string, body []byte) {
+	ctx := hopContext(req)
 	var notFound []byte
-	for _, m := range r.holders(hashBytes([]byte(key))) {
-		if !r.admit(w, req, m, run, parent) {
+	for _, m := range walk {
+		if !r.admit(ctx, w, m) {
 			return
 		}
-		status, rbody, err := r.forwardTo(req.Context(), m, method, route, path, body, run, parent)
+		rep, err := r.forwardTo(ctx, m, method, route, path, body)
 		m.adm.release()
 		switch {
-		case !r.answered(m, status, err):
-			if req.Context().Err() != nil {
+		case !r.answered(m, rep.Status, err):
+			if ctx.Err() != nil {
 				return
 			}
-		case status == http.StatusNotFound:
-			notFound = rbody
+		case skip404 && rep.Status == http.StatusNotFound:
+			notFound = rep.Body
 		default:
-			relay(w, status, rbody)
+			relay(w, rep.Status, rep.Body)
 			return
 		}
 	}
@@ -250,76 +216,46 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request, drain boo
 	id := req.URL.Query().Get("shard")
 	m := r.memberByID(id)
 	if m == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown shard %q", id)})
+		dist.WriteJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown shard %q", id)})
 		return
-	}
-	if drain {
-		r.setState(m, shardDraining)
-	} else {
-		r.setState(m, shardActive)
 	}
 	path := "/v1/undrain"
 	if drain {
+		r.setState(m, shardDraining)
 		path = "/v1/drain"
+	} else {
+		r.setState(m, shardActive)
 	}
 	// Best effort: the router's own routing no longer sends the shard new
 	// work either way.
-	if _, _, err := r.forwardTo(req.Context(), m, http.MethodPost, path, path, []byte("{}"), req.Header.Get(runid.Header), disttrace.Extract(req.Header)); err == nil {
+	if _, err := r.forwardTo(hopContext(req), m, http.MethodPost, path, path, []byte("{}")); err == nil {
 		r.noteSuccess(m)
 	}
-	writeJSON(w, http.StatusOK, r.Members())
+	dist.WriteJSON(w, http.StatusOK, r.Members())
 }
 
-// forwardTo sends one request (body nil for a DELETE) to one shard and
-// returns the status and response body; err is errRefused when the shard
-// answered 503 with Retry-After. route names the call in spans: path with
-// any job key folded to {id}. The round trip is observed in
-// unico_fleet_forward_seconds{shard} and, when tracing is on, recorded as a
-// "forward" span whose context the shard parents onto; with router tracing
-// off, the caller's context passes through untouched so the client→shard
-// chain stays linked.
-func (r *Router) forwardTo(ctx context.Context, m *member, method, route, path string, body []byte, run string, parent disttrace.SpanContext) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, m.id+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if run != "" {
-		req.Header.Set(runid.Header, run)
-	}
-	fwd := disttrace.StartSpan(run, parent, "forward", route)
-	injectForward(req.Header, fwd, parent)
-	start := time.Now() //unicolint:allow detclock forward latency is measured against the real clock by definition
-	resp, err := r.forward.Do(req)
-	telemetry.FleetForwardSeconds(m.id).Observe(time.Since(start).Seconds()) //unicolint:allow detclock forward latency is measured against the real clock by definition
+// forwardTo makes one exchange (body nil for a DELETE) with one shard under
+// ctx's run and returns the answer; err is errRefused when the shard answered
+// 503 with Retry-After, and the exchange's own when there is no answer to
+// relay (transport failure, or a body past dist.MaxBodyBytes). route names
+// the call in spans: path with any job key folded to {id}. The round trip is
+// observed in unico_fleet_forward_seconds{shard} and, when tracing is on,
+// recorded as a "forward" span the shard parents onto; with router tracing
+// off the span is nil and the caller's parent rides ctx through untouched, so
+// the client→shard chain stays linked.
+func (r *Router) forwardTo(ctx context.Context, m *member, method, route, path string, body []byte) (dist.Reply, error) {
+	fwd := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "forward", route)
+	rep, err := m.forward.Exchange(disttrace.WithParent(ctx, fwd.Context()), method, path, body)
+	telemetry.FleetForwardSeconds(m.id).Observe(rep.Seconds)
 	if err != nil {
 		fwd.End("error", nil)
-		return 0, nil, err
+		return rep, err
 	}
-	defer resp.Body.Close()
-	rbody, err := io.ReadAll(io.LimitReader(resp.Body, dist.MaxBodyBytes))
-	if err != nil {
-		fwd.End("error", nil)
-		return 0, nil, err
+	fwd.End("ok", map[string]string{"status": strconv.Itoa(rep.Status)})
+	if rep.Status == http.StatusServiceUnavailable && rep.Header.Get("Retry-After") != "" {
+		return rep, errRefused
 	}
-	fwd.End("ok", map[string]string{"status": strconv.Itoa(resp.StatusCode)})
-	if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
-		return resp.StatusCode, rbody, errRefused
-	}
-	return resp.StatusCode, rbody, nil
-}
-
-// injectForward propagates span context downstream: the router's own
-// forward span when tracing is on here, otherwise the upstream caller's
-// context unchanged — a tracing-disabled router must not break the chain.
-func injectForward(h http.Header, fwd *disttrace.Span, parent disttrace.SpanContext) {
-	if sc := fwd.Context(); sc.Valid() {
-		disttrace.Inject(h, sc)
-		return
-	}
-	disttrace.Inject(h, parent)
+	return rep, nil
 }
 
 // relay writes a shard's response through unchanged.
@@ -327,11 +263,4 @@ func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-}
-
-// writeJSON encodes v as the response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -3,7 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"io"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -35,11 +35,7 @@ func (r *Router) Start(ctx context.Context) {
 // results: "ok" re-activates, "draining" drains, and FailAfter consecutive
 // probe failures mark a shard down.
 func (r *Router) ProbeAll(ctx context.Context) {
-	r.mu.Lock()
-	members := make([]*member, len(r.members))
-	copy(members, r.members)
-	r.mu.Unlock()
-	for _, m := range members {
+	for _, m := range r.members {
 		h, err := r.probeOne(ctx, m)
 		switch {
 		case err != nil:
@@ -59,34 +55,14 @@ func (r *Router) ProbeAll(ctx context.Context) {
 // probeOne fetches one shard's health, observing the round trip in
 // unico_fleet_health_probe_seconds.
 func (r *Router) probeOne(ctx context.Context, m *member) (dist.HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.id+"/v1/healthz", nil)
-	if err != nil {
-		return dist.HealthResponse{}, err
-	}
-	//unicolint:allow detclock probe latency is measured against the real clock by definition
-	start := time.Now()
-	resp, err := r.probe.Do(req)
-	//unicolint:allow detclock probe latency is measured against the real clock by definition
-	telemetry.FleetProbeSeconds().Observe(time.Since(start).Seconds())
-	if err != nil {
-		return dist.HealthResponse{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return dist.HealthResponse{}, err
-	}
 	var h dist.HealthResponse
-	if resp.StatusCode != http.StatusOK {
-		return h, &probeError{status: resp.Status}
+	rep, err := m.probe.Exchange(ctx, http.MethodGet, "/v1/healthz", nil)
+	telemetry.FleetProbeSeconds().Observe(rep.Seconds)
+	switch {
+	case err != nil:
+		return h, err
+	case rep.Status != http.StatusOK:
+		return h, fmt.Errorf("fleet: health probe answered %d", rep.Status)
 	}
-	if err := json.Unmarshal(body, &h); err != nil {
-		return dist.HealthResponse{}, err
-	}
-	return h, nil
+	return h, json.Unmarshal(rep.Body, &h)
 }
-
-// probeError reports a non-200 health answer.
-type probeError struct{ status string }
-
-func (e *probeError) Error() string { return "fleet: health probe answered " + e.status }

@@ -24,14 +24,14 @@ func (r *Router) FleetMetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		agg := newFamilyAgg()
 		var okLines []string
-		for _, id := range r.memberIDs() {
-			text, err := r.scrapeMember(req, id)
+		for _, m := range r.members {
+			rep, err := m.probe.Exchange(req.Context(), http.MethodGet, "/metrics", nil)
 			up := 0
-			if err == nil {
-				agg.addExposition(text, id)
+			if err == nil && rep.Status == http.StatusOK {
+				agg.addExposition(string(rep.Body), m.id)
 				up = 1
 			}
-			okLines = append(okLines, fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} %d", id, up))
+			okLines = append(okLines, fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} %d", m.id, up))
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		agg.write(w)
@@ -41,27 +41,6 @@ func (r *Router) FleetMetricsHandler() http.Handler {
 			fmt.Fprintln(w, l)
 		}
 	})
-}
-
-// scrapeMember fetches one member's /metrics text.
-func (r *Router) scrapeMember(req *http.Request, id string) (string, error) {
-	preq, err := http.NewRequestWithContext(req.Context(), http.MethodGet, id+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := r.probe.Do(preq)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("fleet: scrape %s: %s", id, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, dist.MaxBodyBytes))
-	if err != nil {
-		return "", err
-	}
-	return string(body), nil
 }
 
 // familyAgg regroups sample lines from several expositions by metric
@@ -172,7 +151,7 @@ func (r *Router) DebugHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		tls := r.Timelines()
 		if req.URL.Query().Get("format") == "json" {
-			writeJSON(w, http.StatusOK, tls)
+			dist.WriteJSON(w, http.StatusOK, tls)
 			return
 		}
 		var b bytes.Buffer

@@ -1,0 +1,205 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"unico/internal/dist"
+	"unico/internal/disttrace"
+	"unico/internal/runid"
+)
+
+// TestRouterFaultMatrix: every fault the injector knows, the oversized
+// answer included, on the first shard of a two-shard fleet × every exchange
+// the router makes with a shard. Each cell asserts what that caller
+// documents:
+//
+//   - forward: a shard that fails, hangs, resets or answers with more than
+//     dist.MaxBodyBytes is charged one failure and passed over — the next
+//     shard answers; a corrupt 200 is an answer, relayed untouched for the
+//     client to judge.
+//   - probe: anything but a decodable 200 is a failed probe.
+//   - span pull: a member without a usable answer is skipped; the others'
+//     spans still come back.
+//   - metrics scrape: unico_fleet_scrape_ok says 0 for a member whose scrape
+//     failed; the others' series still come back.
+//
+// The oversize column is the response cap. Before the router's exchanges
+// were dist's, a forward relayed the first 4 MiB of an over-long answer as a
+// 200 and a span pull or scrape merged it in.
+func TestRouterFaultMatrix(t *testing.T) {
+	faults := []struct {
+		name    string
+		timeout time.Duration // forward and probe; short only where the fault is a hang
+		script  func(*dist.FaultInjector)
+	}{
+		{"fail", time.Minute, func(f *dist.FaultInjector) { f.FailNext(1) }},
+		{"hang", 40 * time.Millisecond, func(f *dist.FaultInjector) { f.HangNext(1, 150*time.Millisecond) }},
+		{"reset", time.Minute, func(f *dist.FaultInjector) { f.ResetNext(1) }},
+		{"corrupt", time.Minute, func(f *dist.FaultInjector) { f.CorruptNext(1) }},
+		{"oversize", time.Minute, func(f *dist.FaultInjector) { f.OversizeNext(1) }},
+	}
+	const run = "matrix-run"
+	// Each shard serves the worker API plus a /metrics and a /v1/spans that
+	// name it, so the merged views show whose answer went in.
+	shardN := 0
+	mk := func() http.Handler {
+		shardN++
+		name := fmt.Sprintf("shard%d", shardN)
+		mux := http.NewServeMux()
+		mux.Handle("/", dist.NewServer().Handler())
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, "# TYPE unico_test_gauge gauge\nunico_test_gauge{from=%q} 1\n", name)
+		})
+		mux.HandleFunc("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(disttrace.Event{Ev: "start", Trace: run, Span: name, Kind: "shard"})
+		})
+		return mux
+	}
+	get := func(t *testing.T, h http.Handler, target string) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		return rec.Code, rec.Body.String()
+	}
+	for _, fault := range faults {
+		setup := func(t *testing.T) (*Router, *httptest.Server, []*testShard) {
+			shardN = 0
+			return newTestFleet(t, 2, Options{ForwardTimeout: fault.timeout, ProbeTimeout: fault.timeout}, mk)
+		}
+		charged := func(t *testing.T, r *Router, want int) {
+			t.Helper()
+			ms := r.Members()
+			if ms[0].ConsecFails != want || ms[1].ConsecFails != 0 {
+				t.Fatalf("failures charged: %d and %d, want %d and 0", ms[0].ConsecFails, ms[1].ConsecFails, want)
+			}
+		}
+
+		t.Run("forward/"+fault.name, func(t *testing.T) {
+			router, rsrv, shards := setup(t)
+			body, err := json.Marshal(dist.AdvanceRequest{Spec: jobHomedAt(t, router, shards[0].url, 1), Budget: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.script(shards[0].inj)
+			resp, err := http.Post(rsrv.URL+"/v1/jobs/advance", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			answer, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var state dist.JobState
+			decodeErr := json.Unmarshal(answer, &state)
+			if fault.name == "corrupt" {
+				if resp.StatusCode != http.StatusOK || decodeErr == nil {
+					t.Fatalf("corrupt answer not relayed as it came: %d %q", resp.StatusCode, answer)
+				}
+				charged(t, router, 0)
+				return
+			}
+			if resp.StatusCode != http.StatusOK || decodeErr != nil || state.Spent != 2 {
+				t.Fatalf("router answered %d %.80q, want the next shard's state at budget 2", resp.StatusCode, answer)
+			}
+			charged(t, router, 1)
+			if shards[1].hits.Load() != 1 {
+				t.Fatalf("next shard saw %d requests, want 1", shards[1].hits.Load())
+			}
+		})
+
+		t.Run("probe/"+fault.name, func(t *testing.T) {
+			router, _, shards := setup(t)
+			fault.script(shards[0].inj)
+			router.ProbeAll(context.Background())
+			charged(t, router, 1)
+			tls := router.Timelines()
+			if tls[0].Events[0].OK || !tls[1].Events[0].OK {
+				t.Fatalf("probe outcomes %+v / %+v, want failed / ok", tls[0].Events[0], tls[1].Events[0])
+			}
+		})
+
+		t.Run("spans/"+fault.name, func(t *testing.T) {
+			router, _, shards := setup(t)
+			fault.script(shards[0].inj)
+			code, body := get(t, router.Handler(), "/v1/spans?run="+run)
+			events, _, err := disttrace.ParseEvents(strings.NewReader(body))
+			if code != http.StatusOK || err != nil {
+				t.Fatalf("GET /v1/spans = %d, %v", code, err)
+			}
+			if len(events) != 1 || events[0].Span != "shard2" {
+				t.Fatalf("merged spans %+v, want shard2's only", events)
+			}
+			if len(body) > 1<<10 {
+				t.Fatalf("%d bytes of the skipped member's answer were merged in", len(body))
+			}
+		})
+
+		t.Run("scrape/"+fault.name, func(t *testing.T) {
+			router, _, shards := setup(t)
+			fault.script(shards[0].inj)
+			_, body := get(t, router.FleetMetricsHandler(), "/metrics/fleet")
+			up := 0
+			if fault.name == "corrupt" {
+				up = 1 // answered 200: a scrape that found no series, not a failed one
+			}
+			for _, want := range []string{
+				fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} %d", shards[0].url, up),
+				fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} 1", shards[1].url),
+				fmt.Sprintf("unico_test_gauge{shard=%q,from=\"shard2\"} 1", shards[1].url),
+			} {
+				if !strings.Contains(body, want) {
+					t.Errorf("missing %q in:\n%.400s", want, body)
+				}
+			}
+			if strings.Contains(body, `from="shard1"`) {
+				t.Errorf("the faulted member's series were merged in:\n%.400s", body)
+			}
+		})
+	}
+}
+
+// TestRouterPassesTraceParentThroughUntraced: a router that records no spans
+// is still a link in the chain — the run ID and the trace parent a request
+// arrives with are the ones its forward carries, so a traced client and a
+// traced shard stay connected across it.
+func TestRouterPassesTraceParentThroughUntraced(t *testing.T) {
+	if disttrace.Active() != nil {
+		t.Fatal("tracing is on")
+	}
+	var got http.Header
+	_, rsrv, _ := newTestFleet(t, 1, Options{}, func() http.Handler {
+		worker := dist.NewServer().Handler()
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			got = r.Header.Clone()
+			worker.ServeHTTP(w, r)
+		})
+	})
+	req, err := http.NewRequest(http.MethodPost, rsrv.URL+"/v1/ppa", bytes.NewReader(spatialPPABody(t, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := disttrace.SpanContext{Trace: "run-7", Span: "attempt-3"}
+	req.Header.Set(runid.Header, want.Trace)
+	disttrace.Inject(req.Header, want)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if sc := disttrace.Extract(got); sc != want || got.Get(runid.Header) != want.Trace {
+		t.Fatalf("shard saw parent %+v and run %q, want %+v", sc, got.Get(runid.Header), want)
+	}
+}

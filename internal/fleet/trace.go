@@ -3,11 +3,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/url"
 
-	"unico/internal/dist"
 	"unico/internal/disttrace"
 	"unico/internal/telemetry"
 )
@@ -32,9 +30,17 @@ func (r *Router) handleSpans(w http.ResponseWriter, req *http.Request) {
 			break
 		}
 	}
-	ids := r.memberIDs()
-	for _, id := range ids {
-		r.pullSpans(req, &buf, id, run)
+	for _, m := range r.members {
+		// Best effort: a member that fails to answer, or answers with more
+		// than dist.MaxBodyBytes, is skipped.
+		rep, err := m.probe.Exchange(req.Context(), http.MethodGet, "/v1/spans?run="+url.QueryEscape(run), nil)
+		if err != nil || rep.Status != http.StatusOK {
+			continue
+		}
+		buf.Write(rep.Body)
+		if n := len(rep.Body); n > 0 && rep.Body[n-1] != '\n' {
+			buf.WriteByte('\n')
+		}
 	}
 	events, _, err := disttrace.ParseEvents(bytes.NewReader(buf.Bytes()))
 	if err == nil {
@@ -46,40 +52,4 @@ func (r *Router) handleSpans(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	_, _ = w.Write(buf.Bytes())
-}
-
-// memberIDs snapshots member IDs in config order under the router lock.
-func (r *Router) memberIDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.members))
-	for _, m := range r.members {
-		ids = append(ids, m.id)
-	}
-	return ids
-}
-
-// pullSpans appends one member's span events for run to buf; best effort.
-func (r *Router) pullSpans(req *http.Request, buf *bytes.Buffer, id, run string) {
-	preq, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
-		id+"/v1/spans?run="+url.QueryEscape(run), nil)
-	if err != nil {
-		return
-	}
-	resp, err := r.probe.Do(preq)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, dist.MaxBodyBytes))
-	if err != nil {
-		return
-	}
-	buf.Write(body)
-	if len(body) > 0 && body[len(body)-1] != '\n' {
-		buf.WriteByte('\n')
-	}
 }

@@ -29,7 +29,9 @@ func newFuzzFleet(t *testing.T) *fuzzFleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router.forward = &http.Client{Transport: f}
+	for _, m := range router.members {
+		m.forward = dist.NewClient(m.id, &http.Client{Transport: f})
+	}
 	f.router = router
 	return f
 }

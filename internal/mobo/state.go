@@ -136,15 +136,15 @@ func (o *Optimizer) Export() State {
 // SuggestBatch/Update behaviour is bit-identical to the original's.
 func Restore(space Space, cfg Config, st State) (*Optimizer, error) {
 	o := New(space, cfg, st.Seed)
-	n := o.NumObjectives()
-	for i, ob := range st.All {
-		if len(ob.Y) != n {
-			return nil, fmt.Errorf("mobo: restore: observation %d has %d objectives, config wants %d", i, len(ob.Y), n)
-		}
-	}
-	for _, ob := range st.Train {
-		if len(ob.Y) != n {
-			return nil, fmt.Errorf("mobo: restore: training point has %d objectives, config wants %d", len(ob.Y), n)
+	n, dim := o.NumObjectives(), space.Dim()
+	for _, list := range [][]Observation{st.All, st.Train} {
+		for i, ob := range list {
+			if len(ob.Y) != n {
+				return nil, fmt.Errorf("mobo: restore: observation %d has %d objectives, config wants %d", i, len(ob.Y), n)
+			}
+			if len(ob.X) != dim {
+				return nil, fmt.Errorf("mobo: restore: observation %d has %d coordinates, space has %d", i, len(ob.X), dim)
+			}
 		}
 	}
 	o.all = cloneObservations(st.All)

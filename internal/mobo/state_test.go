@@ -171,3 +171,46 @@ func TestWarmRefitCadence(t *testing.T) {
 		t.Errorf("RefitEvery=1: sinceRefit = %d, want 0", o1.sinceRefit)
 	}
 }
+
+// fuzzRestoreCap keeps FuzzRestore on the decoder: a state that decodes to
+// more observations than this (a surrogate rebuild is cubic in the training
+// points), or to an RNG position further than 2^20 draws out, is skipped, not
+// run.
+const fuzzRestoreCap = 16
+
+// FuzzRestore feeds arbitrary bytes, decoded as the checkpoint decodes them,
+// to Restore: it must not panic, and an optimizer it does return stands where
+// the state says — same training set, same RNG position — and exports a state
+// a second Restore accepts.
+func FuzzRestore(f *testing.F) {
+	const nObj = 3
+	cfg := DefaultConfig(nObj)
+	warm := New(testSpace(), cfg, 7)
+	drive(warm, 2, 6, nObj)
+	for _, o := range []*Optimizer{New(testSpace(), cfg, 1), warm} {
+		raw, err := json.Marshal(o.Export())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"seed":1,"train":[{"X":[0.5],"Y":[1,2,3]}],"all":[{"X":[],"Y":[1,2,3]}]}`))
+	f.Add([]byte(`{"seed":1,"train":[{"X":[0.1,0.2,0.3,0.4,0.5,0.6],"Y":[1,2,3]}],"surrogates":[{"lengthscale":0},{"variance":-1},{"noise":1e308}]}`))
+	f.Add([]byte(`{"seed":1,"rng_pos":18446744073709551615,"d_set":[null]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var st State
+		if json.Unmarshal(raw, &st) != nil || len(st.Train) > fuzzRestoreCap || len(st.All) > fuzzRestoreCap || st.RNGPos > 1<<20 {
+			t.Skip()
+		}
+		o, err := Restore(testSpace(), cfg, st)
+		if err != nil {
+			return
+		}
+		if o.TrainSize() != len(st.Train) || o.RNGPos() != st.RNGPos {
+			t.Fatalf("restored at train=%d rng=%d, state says %d and %d", o.TrainSize(), o.RNGPos(), len(st.Train), st.RNGPos)
+		}
+		if _, err := Restore(testSpace(), cfg, o.Export()); err != nil {
+			t.Fatalf("Restore refuses what the restored optimizer exports: %v", err)
+		}
+	})
+}

@@ -187,18 +187,20 @@ func (p *Profiler) open(path string, c *simclock.Clock) *Span {
 // thread (gp.Fit, mobo internals). Idiom: defer p.Begin("gp.fit").End()
 func (p *Profiler) Begin(name string) *Span { return p.open(name, nil) }
 
-// End closes the span and records it. Safe on nil spans; a second End is a
-// no-op, and a span never ended records nothing.
-func (s *Span) End() { s.EndWith(nil) }
+// End closes the span and records it, returning the wall seconds recorded —
+// how a call site feeds a latency histogram without reading the clock itself.
+// Safe on nil spans; a second End is a no-op returning 0, and a span never
+// ended records nothing.
+func (s *Span) End() float64 { return s.EndWith(nil) }
 
 // EndWith is End with arguments for the span's Chrome trace event: a clocked
 // span opened under WithTracer writes one complete event named after the
 // phase, placed on the simulated timeline it already measures, with args
 // plus the wall milliseconds (real_ms) it already measures. Without a tracer
 // args are dropped.
-func (s *Span) EndWith(args map[string]any) {
+func (s *Span) EndWith(args map[string]any) float64 {
 	if s == nil || s.done {
-		return
+		return 0
 	}
 	s.done = true
 	wall := time.Since(s.start).Seconds() //unicolint:allow detclock the profiler is the module's one sanctioned wall-clock boundary
@@ -215,6 +217,7 @@ func (s *Span) EndWith(args map[string]any) {
 		name := s.path[strings.LastIndex(s.path, Separator)+1:]
 		s.tracer.Complete(name, "phase", 0, s.sim0, simEnd, args)
 	}
+	return wall
 }
 
 // Timer measures an interval for call sites that decide the phase name only

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -78,7 +79,7 @@ func TestAscendCoSearchGolden(t *testing.T) {
 		p := NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
 		opt := core.UNICOOptions(5, 3, 40, 9)
 		opt.Workers = workers
-		res := core.Run(p, opt)
+		res := core.RunContext(context.Background(), p, opt)
 		if len(res.All) != 15 || len(res.Front) == 0 {
 			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
 		}
@@ -110,7 +111,7 @@ func TestSpatialCoSearchGolden(t *testing.T) {
 		p := NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
 		opt := core.UNICOOptions(5, 3, 40, 9)
 		opt.Workers = workers
-		res := core.Run(p, opt)
+		res := core.RunContext(context.Background(), p, opt)
 		if len(res.All) != 15 || len(res.Front) == 0 {
 			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
 		}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -160,7 +161,7 @@ func TestCoSearchBitIdenticalWithCache(t *testing.T) {
 		if cached {
 			p.Engine = evalcache.Spatial{Inner: p.Engine, Cache: evalcache.New(0)}
 		}
-		return core.Run(p, opt)
+		return core.RunContext(context.Background(), p, opt)
 	}
 
 	plain, cached := run(false), run(true)

@@ -5,7 +5,7 @@
 //     observes simulated time (internal/simclock) and seeded *rand.Rand.
 //   - nodefaultclient: the dist transport hang fixed in PR 2 came from
 //     http.DefaultClient's missing timeout; only internal/dist may build
-//     HTTP clients, and always with a timeout.
+//     HTTP clients (always with a timeout), build requests or send them.
 //   - metricname: the telemetry contract (PR 1) names every series
 //     unico_*; duplicate registrations silently merge families.
 //   - maporder: Go map iteration order is random, the classic way to leak

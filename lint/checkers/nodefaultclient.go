@@ -15,15 +15,19 @@ var packageLevelGets = map[string]bool{
 }
 
 // NewNoDefaultClient returns the HTTP-client hygiene analyzer. Everything
-// outside internal/dist is forbidden from constructing HTTP clients at all:
+// outside internal/dist is forbidden from making HTTP exchanges of its own:
 // http.DefaultClient (in any expression), the package-level Get/Post/Head/
-// PostForm helpers, and http.Client composite literals that do not set
-// Timeout. internal/dist is the one sanctioned transport and is exempt.
+// PostForm helpers, http.Client composite literals that do not set Timeout,
+// and — since a hand-rolled exchange is where the run-ID, trace-parent and
+// body-cap rules drift — building a request (http.NewRequest,
+// http.NewRequestWithContext) or sending one ((*http.Client).Do).
+// internal/dist is the one sanctioned transport and is exempt.
 func NewNoDefaultClient() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "nodefaultclient",
-		Doc: "forbid http.DefaultClient, http.Get/Post/Head/PostForm and zero-timeout http.Client " +
-			"literals outside internal/dist; the dist package is the only sanctioned HTTP transport",
+		Doc: "forbid http.DefaultClient, http.Get/Post/Head/PostForm, zero-timeout http.Client " +
+			"literals, http.NewRequest* and (*http.Client).Do outside internal/dist; " +
+			"the dist package is the only sanctioned HTTP transport",
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		if hasPathSegment(pass.Path, "dist") {
@@ -45,6 +49,16 @@ func NewNoDefaultClient() *analysis.Analyzer {
 					if packageLevelGets[name] {
 						pass.Reportf(n.Pos(),
 							"http.%s uses http.DefaultClient (no timeout); use internal/dist or a client with an explicit Timeout", name)
+					}
+					if name == "NewRequest" || name == "NewRequestWithContext" {
+						pass.Reportf(n.Pos(),
+							"http.%s hand-rolls an exchange outside the sanctioned transport; call a dist.Client", name)
+					}
+				case *ast.CallExpr:
+					recv, name, ok := methodCall(pass, n)
+					if ok && name == "Do" && pass.TypesInfo != nil && isNamed(pass.TypesInfo.TypeOf(recv), "net/http", "Client") {
+						pass.Reportf(n.Pos(),
+							"(*http.Client).Do hand-rolls an exchange outside the sanctioned transport; call a dist.Client")
 					}
 				case *ast.CompositeLit:
 					sel, ok := n.Type.(*ast.SelectorExpr)

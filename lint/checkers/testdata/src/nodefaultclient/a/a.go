@@ -3,6 +3,7 @@
 package a
 
 import (
+	"context"
 	"net/http"
 	"time"
 )
@@ -18,7 +19,23 @@ func violations() {
 	_ = http.Client{CheckRedirect: nil}      // want `http\.Client literal without Timeout`
 }
 
+// handRolled: building or sending a request outside the sanctioned transport
+// fires even on a client with a timeout.
+func handRolled(ctx context.Context, c *http.Client) {
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "u", nil) // want `http\.NewRequestWithContext hand-rolls an exchange`
+	_, _ = http.NewRequest(http.MethodGet, "u", nil)                    // want `http\.NewRequest hand-rolls an exchange`
+	_, _ = c.Do(req)                                                    // want `\(\*http\.Client\)\.Do hand-rolls an exchange`
+	byValue := http.Client{Timeout: time.Second}
+	_, _ = byValue.Do(req) // want `\(\*http\.Client\)\.Do hand-rolls an exchange`
+}
+
+// doer's Do is not an HTTP client's.
+type doer struct{}
+
+func (doer) Do(*http.Request) {}
+
 func fine() {
+	doer{}.Do(nil)
 	c := &http.Client{Timeout: 10 * time.Second}
 	_ = c
 	// Server-side types are not clients.

@@ -7,5 +7,7 @@ import "net/http"
 func sanctioned() {
 	_, _ = http.Get("http://example.com")
 	_ = http.DefaultClient
-	_ = &http.Client{}
+	c := &http.Client{}
+	req, _ := http.NewRequest(http.MethodGet, "http://example.com", nil)
+	_, _ = c.Do(req)
 }

@@ -505,14 +505,14 @@ func design(p *Platform, c core.Candidate) Design {
 
 // EvaluateOn runs an individual software-mapping search for an existing
 // design on a (possibly unseen) network and returns the achieved PPA — the
-// validation procedure of the paper's generalization studies.
-func EvaluateOn(p *Platform, d Design, budget int, seed int64) (Design, error) {
+// validation procedure of the paper's generalization studies. The search
+// runs under ctx (on a remote platform its requests carry the run ID ctx
+// holds and stop when ctx does) and releases its job when done.
+func EvaluateOn(ctx context.Context, p *Platform, d Design, budget int, seed int64) (Design, error) {
 	if budget <= 0 {
 		budget = 300
 	}
-	job := p.inner.NewJob(d.X, seed)
-	job.Advance(budget)
-	met, ok := job.Best()
+	met, ok := core.SearchAt(ctx, p.inner, d.X, seed, budget).Best()
 	if !ok {
 		return Design{}, fmt.Errorf("unico: no feasible mapping for %s on this platform", d.HW)
 	}

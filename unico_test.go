@@ -1,11 +1,18 @@
 package unico
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"unico/internal/dist"
+	"unico/internal/hw"
+	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
 
@@ -91,6 +98,54 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
+// TestEvaluateOnRemoteRunsUnderItsContext: a validation search on a remote
+// platform is part of the run that asks for it — its advance carries the run
+// ID on ctx — and it releases its job, so the worker holds nothing afterwards.
+// (Before EvaluateOn took a ctx it advanced under context.Background: no run
+// ID on the wire, and one job left on the worker per call.)
+func TestEvaluateOnRemoteRunsUnderItsContext(t *testing.T) {
+	worker := dist.NewServer()
+	handler := worker.Handler()
+	var mu sync.Mutex
+	runs := map[string][]string{} // path -> run IDs seen
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		runs[r.URL.Path] = append(runs[r.URL.Path], r.Header.Get(runid.Header))
+		mu.Unlock()
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	p, err := RemoteOpenSourcePlatform(Edge, []string{srv.URL}, RemoteOptions{}, "MobileNetV3-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	design := Design{HW: p.Describe(x), X: x}
+	got, err := EvaluateOn(runid.With(context.Background(), "validation-run"), p, design, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvaluateOn(context.Background(), local, design, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("remote validation %+v, local %+v", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if adv := runs["/v1/jobs/advance"]; len(adv) != 1 || adv[0] != "validation-run" {
+		t.Errorf("advances carried run IDs %q, want one under validation-run", adv)
+	}
+	if n := worker.JobCount(); n != 0 {
+		t.Errorf("worker holds %d jobs after the validation search, want 0", n)
+	}
+}
+
 func TestEvaluateOnUnseenNetwork(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {
@@ -104,7 +159,7 @@ func TestEvaluateOnUnseenNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := EvaluateOn(vp, res.Best, 12, 4)
+	d, err := EvaluateOn(context.Background(), vp, res.Best, 12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
