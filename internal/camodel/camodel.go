@@ -84,6 +84,25 @@ func (Engine) Area(c hw.Ascend) float64 {
 	return fixedAreaMM2 + cubeMACs*cubeAreaMM2PerMAC + float64(c.TotalSRAMKB())*sramAreaMM2KB
 }
 
+// capacityError is the ErrInfeasible of a schedule that overflows one of the
+// core's buffers. A schedule search rejects thousands of these per candidate
+// and reads none of them, so the text is formatted only when Error is called.
+type capacityError struct {
+	what   string // "L0A", "L0B", "L0C", "L1", "UB" or "PB"
+	need   int    // bytes
+	haveKB int
+	fuse   int // fusion depth, reported for L1 only
+}
+
+func (e *capacityError) Error() string {
+	if e.what == "L1" {
+		return fmt.Sprintf("%v: L1 needs %d B > %d KB (fuse=%d)", ErrInfeasible, e.need, e.haveKB, e.fuse)
+	}
+	return fmt.Sprintf("%v: %s needs %d B > %d KB", ErrInfeasible, e.what, e.need, e.haveKB)
+}
+
+func (e *capacityError) Unwrap() error { return ErrInfeasible }
+
 // engineState tracks when each pipeline engine becomes free (in cycles).
 type engineState struct {
 	dmaA, dmaB, cube, vec, dmaOut float64
@@ -104,7 +123,7 @@ func (e Engine) Evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 		defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
 	}
 	met, err := e.evaluate(c, m, l)
-	if err != nil && errors.Is(err, ErrInfeasible) {
+	if _, ok := err.(*capacityError); ok {
 		evalInfeasible.Inc()
 	}
 	return met, err
@@ -139,13 +158,13 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 		bufC *= 2
 	}
 	if bufA > float64(c.L0AKB)*1024 {
-		return ppa.Metrics{}, fmt.Errorf("%w: L0A needs %d B > %d KB", ErrInfeasible, int(bufA), c.L0AKB)
+		return ppa.Metrics{}, &capacityError{what: "L0A", need: int(bufA), haveKB: c.L0AKB}
 	}
 	if bufB > float64(c.L0BKB)*1024 {
-		return ppa.Metrics{}, fmt.Errorf("%w: L0B needs %d B > %d KB", ErrInfeasible, int(bufB), c.L0BKB)
+		return ppa.Metrics{}, &capacityError{what: "L0B", need: int(bufB), haveKB: c.L0BKB}
 	}
 	if bufC > float64(c.L0CKB)*1024 {
-		return ppa.Metrics{}, fmt.Errorf("%w: L0C needs %d B > %d KB", ErrInfeasible, int(bufC), c.L0CKB)
+		return ppa.Metrics{}, &capacityError{what: "L0C", need: int(bufC), haveKB: c.L0CKB}
 	}
 
 	// L1 residency: the M×K and K×N tiles plus the output tile, times the
@@ -156,17 +175,16 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 	tileOut := float64(m.TM * m.TN)
 	l1Need := (tileA + tileB + tileOut) * float64(m.FuseDepth)
 	if l1Need > float64(c.L1KB)*1024 {
-		return ppa.Metrics{}, fmt.Errorf("%w: L1 needs %d B > %d KB (fuse=%d)",
-			ErrInfeasible, int(l1Need), c.L1KB, m.FuseDepth)
+		return ppa.Metrics{}, &capacityError{what: "L1", need: int(l1Need), haveKB: c.L1KB, fuse: m.FuseDepth}
 	}
 	// UB must hold one output tile for vector post-processing.
 	if tileOut > float64(c.UBKB)*1024 {
-		return ppa.Metrics{}, fmt.Errorf("%w: UB needs %d B > %d KB", ErrInfeasible, int(tileOut), c.UBKB)
+		return ppa.Metrics{}, &capacityError{what: "UB", need: int(tileOut), haveKB: c.UBKB}
 	}
 	// Parameter buffer holds the per-layer scale/bias vectors (4 B per
 	// output channel).
 	if 4*float64(l.K) > float64(c.PBKB)*1024 {
-		return ppa.Metrics{}, fmt.Errorf("%w: PB needs %d B > %d KB", ErrInfeasible, 4*l.K, c.PBKB)
+		return ppa.Metrics{}, &capacityError{what: "PB", need: 4 * l.K, haveKB: c.PBKB}
 	}
 
 	// Tile trip counts.
@@ -234,7 +252,7 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 	// Partial-sum spills: when the reduction is split across L1 tiles
 	// (tilesK > 1) and L0C cannot hold the live accumulators, every output
 	// tile round-trips through the vector path once more per K tile.
-	cResident := float64(c.L0CKB)*1024 >= math.Min(float64(subM*subN), 64)*bufC
+	cResident := float64(c.L0CKB)*1024 >= min(float64(subM*subN), 64)*bufC
 	drainFactor := 1.0
 	if tilesK > 1 && !cResident {
 		drainFactor = float64(tilesK)
@@ -260,22 +278,22 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 	warmup := 0.0
 	for step := 0; step < explicit; step++ {
 		// DMA engines fetch the next A/B tiles.
-		aReady := math.Max(st.dmaA, now) + dmaACycles
-		bReady := math.Max(st.dmaB, now) + dmaBCycles
+		aReady := max(st.dmaA, now) + dmaACycles
+		bReady := max(st.dmaB, now) + dmaBCycles
 		st.dmaA, st.dmaB = aReady, bReady
 		// Cube starts when operands are in and the unit is free; with
 		// double buffering the fetch of step s+1 overlaps compute of s,
 		// modeled by letting the DMA ready times lag one step behind.
-		start := math.Max(st.cube, math.Max(aReady, bReady))
+		start := max(st.cube, aReady, bReady)
 		if m.DBufA && c.L0ABanks >= 2 && m.DBufB && c.L0BBanks >= 2 && step > 0 {
-			start = math.Max(st.cube, now)
+			start = max(st.cube, now)
 		}
 		st.cube = start + cubeCycles + icachePenalty
 		// Vector unit post-processes once the K-reduction of this output
 		// tile completes (every tilesK-th step).
 		if (step+1)%max(tilesK, 1) == 0 {
-			st.vec = math.Max(st.vec, st.cube) + vecCycles
-			st.dmaOut = math.Max(st.dmaOut, st.vec) + dmaOutCycles
+			st.vec = max(st.vec, st.cube) + vecCycles
+			st.dmaOut = max(st.dmaOut, st.vec) + dmaOutCycles
 		}
 		now = st.cube
 		if step == explicit/4 {
@@ -298,7 +316,7 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 	wBytes := float64(l.WeightBytes()) * math.Ceil(float64(tilesM)/8) // weight refetch per M stripe group
 	ddrBytes := inBytes + outBytes + wBytes
 	ddrCycles := ddrBytes / ddrBWBytesPerCycle
-	cycles = math.Max(cycles, ddrCycles)
+	cycles = max(cycles, ddrCycles)
 
 	latencyMs := cycles / (clockGHz * 1e6)
 
@@ -329,7 +347,7 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 
 // finish returns the completion time of the whole pipeline.
 func finish(st engineState) float64 {
-	return math.Max(st.cube, math.Max(st.vec, st.dmaOut))
+	return max(st.cube, st.vec, st.dmaOut)
 }
 
 // EvaluateWorkload sums per-layer metrics, each scaled by its repeat count,

@@ -263,10 +263,14 @@ func (d *DepthFirstFusion) Evals() int { return d.evals }
 // NewAscendSearcher builds the network-level schedule search for one
 // Ascend-like core configuration.
 func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, algo Algo, seed int64) *NetworkSearcher {
-	layers := make([]LayerSearcher, len(w.Layers))
-	repeats := make([]int, len(w.Layers))
-	weights := make([]float64, len(w.Layers))
-	for i, l := range w.Layers {
+	return NewNetwork(w).Ascend(eng, cfg, algo, seed)
+}
+
+// Ascend builds the network's schedule search for one Ascend-like core
+// configuration, as NewAscendSearcher does.
+func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, algo Algo, seed int64) *NetworkSearcher {
+	layers := make([]LayerSearcher, len(n.w.Layers))
+	for i, l := range n.w.Layers {
 		rng := newLayerRand(seed, i)
 		prob := ascendProblem{eng: eng, cfg: cfg, layer: l}
 		switch algo {
@@ -277,8 +281,6 @@ func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, alg
 		default:
 			layers[i] = NewDepthFirstFusion(eng, cfg, l, rng)
 		}
-		repeats[i] = l.Repeat
-		weights[i] = float64(l.MACs() * int64(l.Repeat))
 	}
-	return NewNetworkSearcher(layers, repeats, weights, eng.Area(cfg))
+	return n.searcher(layers, eng.Area(cfg))
 }

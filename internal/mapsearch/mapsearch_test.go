@@ -3,7 +3,6 @@ package mapsearch
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -317,49 +316,5 @@ func TestAlgoString(t *testing.T) {
 	if FlexTensorLike.String() != "flextensor" || GammaLike.String() != "gamma" ||
 		DepthFirst.String() != "depthfirst" {
 		t.Error("algo strings wrong")
-	}
-}
-
-// TestLazySourceMatchesEagerSource holds the first-draw-seeded source to the
-// stream of rand.NewSource: same seed, same values, whichever method draws
-// first and however the draws are mixed.
-func TestLazySourceMatchesEagerSource(t *testing.T) {
-	seeds := []int64{0, 1, -1, -987654321, math.MaxInt64, math.MinInt64, 1 << 31, 1<<31 - 1}
-	for i := 0; i < 6; i++ {
-		seeds = append(seeds, 9+int64(i)*1_000_003)
-	}
-	for _, seed := range seeds {
-		for first := 0; first < 5; first++ {
-			lazy := rand.New(&lazySource{seed: seed})
-			eager := rand.New(rand.NewSource(seed))
-			for n := 0; n < 10_000; n++ {
-				var got, want any
-				switch (first + n) % 5 {
-				case 0:
-					got, want = lazy.Intn(n+1), eager.Intn(n+1)
-				case 1:
-					got, want = lazy.Float64(), eager.Float64()
-				case 2:
-					got, want = lazy.Int63(), eager.Int63()
-				case 3:
-					got, want = lazy.Uint64(), eager.Uint64()
-				default:
-					got, want = fmt.Sprint(lazy.Perm(n%7+1)), fmt.Sprint(eager.Perm(n%7+1))
-				}
-				if got != want {
-					t.Fatalf("seed %d, draw %d (first method %d): lazy %v, eager %v", seed, n, first, got, want)
-				}
-			}
-		}
-		// Re-seeding restarts the stream, as it does for the eager source.
-		lazy := rand.New(&lazySource{seed: seed})
-		lazy.Int63()
-		lazy.Seed(seed + 1)
-		if got, want := lazy.Int63(), rand.New(rand.NewSource(seed+1)).Int63(); got != want {
-			t.Fatalf("seed %d: after Seed lazy draws %d, eager %d", seed, got, want)
-		}
-	}
-	if rng := newLayerRand(9, 3); rng.Int63() != rand.New(rand.NewSource(9+3*1_000_003)).Int63() {
-		t.Fatal("newLayerRand(9, 3) is not the seed + i·1_000_003 stream")
 	}
 }

@@ -3,11 +3,12 @@ package mapsearch
 import (
 	"context"
 	"math"
-	"math/rand"
+	"sync"
 
 	"unico/internal/perfprof"
 	"unico/internal/ppa"
 	"unico/internal/telemetry"
+	"unico/internal/workload"
 )
 
 // stepCount is the global layer-step counter (one increment per
@@ -75,35 +76,6 @@ func AdvanceSearcher(ctx context.Context, s Searcher, budget int) {
 	s.Advance(budget)
 }
 
-// lazySource is rand.NewSource(seed) that puts off the seeding — 607 words of
-// additive-lagged-Fibonacci state, most of what building a layer search
-// costs — until the first draw: the same seed gives the same stream, but the
-// work leaves job construction, which the co-search runs serially, for the
-// layer's first random step, which successive halving runs in parallel.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-// newLayerRand returns layer i's generator of a network search seeded with
-// seed: rand.New(rand.NewSource(seed + i·1 000 003)), seeded on first draw.
-func newLayerRand(seed int64, i int) *rand.Rand {
-	return rand.New(&lazySource{seed: seed + int64(i)*1_000_003})
-}
-
-func (s *lazySource) seeded() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	}
-	return s.src
-}
-
-func (s *lazySource) Int63() int64   { return s.seeded().Int63() }
-func (s *lazySource) Uint64() uint64 { return s.seeded().Uint64() }
-func (s *lazySource) Seed(seed int64) {
-	s.seed, s.src = seed, nil
-}
-
 // NetworkSearcher drives one LayerSearcher per distinct layer shape and
 // exposes the aggregate network metrics.
 //
@@ -111,14 +83,14 @@ func (s *lazySource) Seed(seed int64) {
 // steps, so a budget of b explores b schedule candidates per layer — the
 // budget convention of the paper (b_max = 300 candidate schedules). Within a
 // unit, steps are distributed across layers proportionally to their share of
-// the network's total MACs (a large layer deserves more schedule tuning) via
-// a deficit-round-robin credit scheme; the very first unit steps every layer
-// exactly once so the seed schedules establish feasibility immediately.
+// the network's total MACs (a large layer deserves more schedule tuning) in
+// the deficit-round-robin order of layerOrder; the very first unit steps
+// every layer exactly once so the seed schedules establish feasibility
+// immediately.
 type NetworkSearcher struct {
 	layers  []LayerSearcher
 	repeats []int
-	weights []float64
-	credits []float64
+	order   *layerOrder
 	area    float64 // hardware area, constant across mappings
 	spent   int
 	hist    ppa.History
@@ -132,35 +104,122 @@ func NewNetworkSearcher(layers []LayerSearcher, repeats []int, weights []float64
 	if len(layers) != len(repeats) || len(layers) != len(weights) {
 		panic("mapsearch: layers, repeats and weights must be parallel")
 	}
+	return &NetworkSearcher{layers: layers, repeats: repeats, order: newLayerOrder(weights), area: area}
+}
+
+// layerOrder is the deficit-round-robin step order of one workload: each
+// step, every layer earns its MAC share in credit and the richest layer
+// steps, paying one. The order is a pure function of the shares — not of the
+// hardware, the seed or anything a search finds — so every searcher of a
+// workload reads one copy. It grows under mu as far as the furthest searcher
+// has needed, and is read without copying: a unit once written never
+// changes.
+type layerOrder struct {
+	mu      sync.Mutex
+	shares  []float64
+	credits []float64
+	// units[k] lists the layers unit k+2 steps, in order: the first unit is
+	// the bootstrap pass, which steps every layer once and takes no credit.
+	units [][]int32
+}
+
+// newLayerOrder builds the order for per-layer MAC weights (any positive
+// scale).
+func newLayerOrder(weights []float64) *layerOrder {
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
-	norm := make([]float64, len(weights))
+	shares := make([]float64, len(weights))
 	for i, w := range weights {
 		if total > 0 {
-			norm[i] = w / total
+			shares[i] = w / total
 		} else {
-			norm[i] = 1 / float64(len(weights))
+			shares[i] = 1 / float64(len(weights))
 		}
 		// Every layer keeps a minimum share so small layers still converge.
-		norm[i] = math.Max(norm[i], 0.25/float64(len(weights)))
+		shares[i] = math.Max(shares[i], 0.25/float64(len(weights)))
 	}
-	return &NetworkSearcher{
-		layers:  layers,
-		repeats: repeats,
-		weights: norm,
-		credits: make([]float64, len(layers)),
-		area:    area,
+	return &layerOrder{shares: shares, credits: make([]float64, len(weights))}
+}
+
+// upTo returns the step order of the first n units after the bootstrap,
+// computing any not yet known.
+func (o *layerOrder) upTo(n int) [][]int32 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if have := len(o.units); n > have {
+		l := len(o.shares)
+		steps := make([]int32, (n-have)*l)
+		for j := range steps {
+			best := 0
+			for i, share := range o.shares {
+				o.credits[i] += share
+				if o.credits[i] > o.credits[best] {
+					best = i
+				}
+			}
+			o.credits[best]--
+			steps[j] = int32(best)
+		}
+		for k := 0; k < n-have; k++ {
+			o.units = append(o.units, steps[k*l:(k+1)*l:(k+1)*l])
+		}
 	}
+	return o.units[:n:n]
+}
+
+// Network is the hardware-independent half of a workload's mapping search:
+// its layers, their repeat counts and the order budget units step them in.
+// Build it once per workload and hand it to every searcher of that workload,
+// from any goroutine.
+type Network struct {
+	w       workload.Workload
+	repeats []int
+	order   *layerOrder
+}
+
+// NewNetwork prepares the mapping searches of workload w.
+func NewNetwork(w workload.Workload) *Network {
+	repeats := make([]int, len(w.Layers))
+	weights := make([]float64, len(w.Layers))
+	for i, l := range w.Layers {
+		repeats[i] = l.Repeat
+		weights[i] = float64(l.MACs() * int64(l.Repeat))
+	}
+	return &Network{w: w, repeats: repeats, order: newLayerOrder(weights)}
+}
+
+// Workload returns the workload the network searches.
+func (n *Network) Workload() workload.Workload { return n.w }
+
+// searcher assembles a network search over one searcher per layer.
+func (n *Network) searcher(layers []LayerSearcher, area float64) *NetworkSearcher {
+	return &NetworkSearcher{layers: layers, repeats: n.repeats, order: n.order, area: area}
 }
 
 // Advance spends budget more units (budget × len(layers) layer steps).
-func (n *NetworkSearcher) Advance(budget int) {
-	if budget > 0 {
-		stepCount.Add(uint64(budget) * uint64(len(n.layers)))
+func (n *NetworkSearcher) Advance(budget int) { n.advance(budget, nil) }
+
+// AdvanceContext spends up to budget units, stopping between units once ctx
+// is canceled. Uncanceled it is identical to Advance, unit for unit, so
+// enabling cancellation never perturbs a run's determinism.
+func (n *NetworkSearcher) AdvanceContext(ctx context.Context, budget int) {
+	n.advance(budget, ctx.Err)
+}
+
+// advance spends up to budget units, checking canceled (when not nil)
+// before each.
+func (n *NetworkSearcher) advance(budget int, canceled func() error) {
+	if budget <= 0 {
+		return
 	}
+	order := n.order.upTo(n.spent + budget - 1)
 	for u := 0; u < budget; u++ {
+		if canceled != nil && canceled() != nil {
+			return
+		}
+		stepCount.Add(uint64(len(n.layers)))
 		if n.spent == 0 {
 			// Bootstrap pass: every layer evaluates its first (seed)
 			// schedule, establishing feasibility in one unit.
@@ -168,8 +227,8 @@ func (n *NetworkSearcher) Advance(budget int) {
 				ls.Step()
 			}
 		} else {
-			for s := 0; s < len(n.layers); s++ {
-				n.layers[n.nextLayer()].Step()
+			for _, i := range order[n.spent-1] {
+				n.layers[i].Step()
 			}
 		}
 		n.spent++
@@ -200,18 +259,6 @@ func (n *NetworkSearcher) Advance(budget int) {
 	}
 }
 
-// AdvanceContext spends up to budget units, stopping between units once ctx
-// is canceled. Uncanceled it is identical to Advance, unit for unit, so
-// enabling cancellation never perturbs a run's determinism.
-func (n *NetworkSearcher) AdvanceContext(ctx context.Context, budget int) {
-	for u := 0; u < budget; u++ {
-		if ctx.Err() != nil {
-			return
-		}
-		n.Advance(1)
-	}
-}
-
 // rawAggregate sums each layer's last evaluated candidate, using the
 // layer's best as stand-in when the last evaluation was infeasible; ok is
 // false while any layer has neither.
@@ -239,19 +286,6 @@ func (n *NetworkSearcher) PPAEvals() int {
 		total += ls.Evals()
 	}
 	return total
-}
-
-// nextLayer implements deficit round-robin over MAC shares.
-func (n *NetworkSearcher) nextLayer() int {
-	best := 0
-	for i := range n.credits {
-		n.credits[i] += n.weights[i]
-		if n.credits[i] > n.credits[best] {
-			best = i
-		}
-	}
-	n.credits[best] -= 1
-	return best
 }
 
 // aggregate sums the per-layer bests (scaled by repeats); ok is false while

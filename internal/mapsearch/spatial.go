@@ -115,10 +115,14 @@ func (p spatialProblem) Seeds() []mapping.Spatial {
 // hardware configuration. Layer searches are seeded deterministically from
 // seed so co-search runs are reproducible.
 func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, algo Algo, seed int64) *NetworkSearcher {
-	layers := make([]LayerSearcher, len(w.Layers))
-	repeats := make([]int, len(w.Layers))
-	weights := make([]float64, len(w.Layers))
-	for i, l := range w.Layers {
+	return NewNetwork(w).Spatial(eng, cfg, algo, seed)
+}
+
+// Spatial builds the network's mapping search for one spatial hardware
+// configuration, as NewSpatialSearcher does.
+func (n *Network) Spatial(eng SpatialEngine, cfg hw.Spatial, algo Algo, seed int64) *NetworkSearcher {
+	layers := make([]LayerSearcher, len(n.w.Layers))
+	for i, l := range n.w.Layers {
 		prob := spatialProblem{eng: eng, cfg: cfg, layer: l}
 		rng := newLayerRand(seed, i)
 		switch algo {
@@ -127,8 +131,6 @@ func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, 
 		default:
 			layers[i] = NewAnnealer[mapping.Spatial](prob, rng)
 		}
-		repeats[i] = l.Repeat
-		weights[i] = float64(l.MACs() * int64(l.Repeat))
 	}
-	return NewNetworkSearcher(layers, repeats, weights, eng.Area(cfg))
+	return n.searcher(layers, eng.Area(cfg))
 }

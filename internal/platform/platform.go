@@ -18,10 +18,12 @@ import (
 type Spatial struct {
 	// Engine is the PPA oracle mapping searches evaluate against. The
 	// constructor installs maestro.Engine; replace it to substitute a stub.
-	Engine    mapsearch.SpatialEngine
-	Algo      mapsearch.Algo
-	space     *hw.SpatialSpace
-	workloads workload.Workload
+	Engine mapsearch.SpatialEngine
+	Algo   mapsearch.Algo
+	space  *hw.SpatialSpace
+	// net is the combined workload's search, built once: its layer order is
+	// the same for every hardware candidate, so every job shares it.
+	net *mapsearch.Network
 }
 
 // NewSpatial builds the platform for a deployment scenario and workload set.
@@ -30,10 +32,10 @@ func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Sp
 		panic("platform: NewSpatial needs at least one workload")
 	}
 	return &Spatial{
-		Engine:    maestro.Engine{},
-		Algo:      algo,
-		space:     hw.NewSpatialSpace(sc),
-		workloads: workload.Combine(ws),
+		Engine: maestro.Engine{},
+		Algo:   algo,
+		space:  hw.NewSpatialSpace(sc),
+		net:    mapsearch.NewNetwork(workload.Combine(ws)),
 	}
 }
 
@@ -41,18 +43,18 @@ func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Sp
 func (p *Spatial) Space() mobo.Space { return p.space }
 
 // Workload returns the (combined) workload under co-optimization.
-func (p *Spatial) Workload() workload.Workload { return p.workloads }
+func (p *Spatial) Workload() workload.Workload { return p.net.Workload() }
 
 // NewJob builds the mapping search for the hardware at x.
 func (p *Spatial) NewJob(x []float64, seed int64) mapsearch.Searcher {
 	cfg := p.space.Decode(x)
-	return mapsearch.NewSpatialSearcher(p.Engine, cfg, p.workloads, p.Algo, seed)
+	return p.net.Spatial(p.Engine, cfg, p.Algo, seed)
 }
 
 // EvalCostSeconds is the simulated cost of one budget unit: one network
 // mapping evaluation, i.e. one analytical-model call per layer.
 func (p *Spatial) EvalCostSeconds() float64 {
-	return p.Engine.EvalCostSeconds() * float64(len(p.workloads.Layers))
+	return p.Engine.EvalCostSeconds() * float64(len(p.net.Workload().Layers))
 }
 
 // Describe renders the hardware at x.
@@ -70,11 +72,11 @@ func (p *Spatial) AreaCapMM2() float64 { return 0 }
 type Ascend struct {
 	// Engine is the PPA oracle schedule searches evaluate against. The
 	// constructor installs camodel.Engine; replace it to substitute a stub.
-	Engine    mapsearch.AscendEngine
-	Algo      mapsearch.Algo
-	AreaCap   float64
-	space     *hw.AscendSpace
-	workloads workload.Workload
+	Engine  mapsearch.AscendEngine
+	Algo    mapsearch.Algo
+	AreaCap float64
+	space   *hw.AscendSpace
+	net     *mapsearch.Network // shared by every job, as on Spatial
 }
 
 // NewAscend builds the Ascend-like platform for a workload set.
@@ -83,11 +85,11 @@ func NewAscend(ws []workload.Workload, algo mapsearch.Algo) *Ascend {
 		panic("platform: NewAscend needs at least one workload")
 	}
 	return &Ascend{
-		Engine:    camodel.Engine{},
-		Algo:      algo,
-		AreaCap:   200,
-		space:     hw.NewAscendSpace(),
-		workloads: workload.Combine(ws),
+		Engine:  camodel.Engine{},
+		Algo:    algo,
+		AreaCap: 200,
+		space:   hw.NewAscendSpace(),
+		net:     mapsearch.NewNetwork(workload.Combine(ws)),
 	}
 }
 
@@ -98,18 +100,18 @@ func (p *Ascend) Space() mobo.Space { return p.space }
 func (p *Ascend) AscendSpace() *hw.AscendSpace { return p.space }
 
 // Workload returns the (combined) workload under co-optimization.
-func (p *Ascend) Workload() workload.Workload { return p.workloads }
+func (p *Ascend) Workload() workload.Workload { return p.net.Workload() }
 
 // NewJob builds the schedule search for the core at x.
 func (p *Ascend) NewJob(x []float64, seed int64) mapsearch.Searcher {
 	cfg := p.space.Decode(x)
-	return mapsearch.NewAscendSearcher(p.Engine, cfg, p.workloads, p.Algo, seed)
+	return p.net.Ascend(p.Engine, cfg, p.Algo, seed)
 }
 
 // EvalCostSeconds is the simulated cost of one budget unit: one network
 // schedule evaluation, i.e. one CAModel call (minutes each) per layer.
 func (p *Ascend) EvalCostSeconds() float64 {
-	return p.Engine.EvalCostSeconds() * float64(len(p.workloads.Layers))
+	return p.Engine.EvalCostSeconds() * float64(len(p.net.Workload().Layers))
 }
 
 // Describe renders the core at x.

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -145,14 +145,36 @@ func TestValidateErrorText(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	w, err := ByName("ResNet")
-	if err != nil || w.Name != "ResNet" {
-		t.Fatalf("ByName(ResNet) = %v, %v", w.Name, err)
+	all := All()
+	if len(all) != 19 {
+		t.Fatalf("All() has %d networks, want 19", len(all))
 	}
-	if _, err := ByName("NoSuchNet"); err == nil {
-		t.Fatal("ByName accepted an unknown name")
-	} else if !strings.Contains(err.Error(), "available") {
-		t.Errorf("error should list available networks: %v", err)
+	for _, want := range all {
+		got, err := ByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %v, %v; want All()'s entry", want.Name, got.Name, err)
+		}
+	}
+	const unknown = `workload: unknown network "NoSuchNet" (available: [Bert ConvNeXt DLEU EfficientNetV2 ` +
+		`FSRCNN-120x320 FSRCNN-240x640 FSRCNN-480x960 MobileNet MobileNetV2 MobileNetV3-L MobileNetV3-S ` +
+		`NASNetMobile ResNet ResUNet SRGAN UNet VGG VIT Xception])`
+	if _, err := ByName("NoSuchNet"); err == nil || err.Error() != unknown {
+		t.Errorf("ByName(NoSuchNet) error = %v, want %s", err, unknown)
+	}
+}
+
+// TestByNameBuildsOnlyTheNamedNetwork pins what a fleet worker pays per job
+// to resolve a network: the allocations of that network's constructor, not
+// the zoo's.
+func TestByNameBuildsOnlyTheNamedNetwork(t *testing.T) {
+	own := testing.AllocsPerRun(100, func() { MobileNet() })
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("MobileNet"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > own {
+		t.Errorf("ByName(MobileNet) allocates %.0f objects, MobileNet() %.0f", got, own)
 	}
 }
 

@@ -429,18 +429,35 @@ func DLEU() Workload {
 	}}
 }
 
-// ByName returns the named workload from the zoo, or an error listing the
-// available names. Resolution-parameterized networks use fixed instances
-// (FSRCNN-120x320).
+// zoo names every network of All, in All's order, with its constructor.
+// Resolution-parameterized networks have fixed instances (FSRCNN-120x320).
+var zoo = []struct {
+	name  string
+	build func() Workload
+}{
+	{"Bert", BERT}, {"MobileNet", MobileNet}, {"MobileNetV2", MobileNetV2},
+	{"ResNet", ResNet}, {"SRGAN", SRGAN}, {"UNet", UNet}, {"VIT", ViT},
+	{"Xception", Xception}, {"VGG", VGG}, {"ResUNet", ResUNet},
+	{"MobileNetV3-L", MobileNetV3Large}, {"MobileNetV3-S", MobileNetV3Small},
+	{"NASNetMobile", NASNetMobile}, {"EfficientNetV2", EfficientNetV2},
+	{"ConvNeXt", ConvNeXt},
+	{"FSRCNN-120x320", func() Workload { return FSRCNN(120, 320) }},
+	{"FSRCNN-240x640", func() Workload { return FSRCNN(240, 640) }},
+	{"FSRCNN-480x960", func() Workload { return FSRCNN(480, 960) }},
+	{"DLEU", DLEU},
+}
+
+// ByName builds the named workload of the zoo, and only that one, or returns
+// an error listing the available names.
 func ByName(name string) (Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
+	for _, z := range zoo {
+		if z.name == name {
+			return z.build(), nil
 		}
 	}
-	names := make([]string, 0, len(All()))
-	for _, w := range All() {
-		names = append(names, w.Name)
+	names := make([]string, len(zoo))
+	for i, z := range zoo {
+		names[i] = z.name
 	}
 	sort.Strings(names)
 	return Workload{}, fmt.Errorf("workload: unknown network %q (available: %v)", name, names)
@@ -448,12 +465,11 @@ func ByName(name string) (Workload, error) {
 
 // All returns every workload in the zoo.
 func All() []Workload {
-	return []Workload{
-		BERT(), MobileNet(), MobileNetV2(), ResNet(), SRGAN(), UNet(), ViT(),
-		Xception(), VGG(), ResUNet(), MobileNetV3Large(), MobileNetV3Small(),
-		NASNetMobile(), EfficientNetV2(), ConvNeXt(),
-		FSRCNN(120, 320), FSRCNN(240, 640), FSRCNN(480, 960), DLEU(),
+	ws := make([]Workload, len(zoo))
+	for i, z := range zoo {
+		ws[i] = z.build()
 	}
+	return ws
 }
 
 // Table12Networks returns the seven networks of Tables 1 and 2.
