@@ -32,7 +32,7 @@
 // With -span-log every request hop is additionally recorded as distributed-
 // trace spans (shard, engine and replay spans here; queue/forward spans in
 // router mode) to a JSONL file, served back per run via GET /v1/spans?run=
-// and analyzed with unicotrace.
+// and analyzed with unicoreport.
 //
 // Router mode adds:
 //

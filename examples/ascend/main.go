@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 
 	// Paper settings are N=8, MaxIter=30, b_max=200; this example shrinks
 	// them to stay interactive.
-	res, err := unico.Optimize(p, unico.Config{
+	res, err := unico.OptimizeContext(context.Background(), p, unico.Config{
 		BatchSize:  6,
 		Iterations: 5,
 		BudgetMax:  40,

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 				// still finishes first — the cost asymmetry of Tables 1-2.
 				iters = 12
 			}
-			res, err := unico.Optimize(p, unico.Config{
+			res, err := unico.OptimizeContext(context.Background(), p, unico.Config{
 				Method:     m,
 				BatchSize:  10,
 				Iterations: iters,

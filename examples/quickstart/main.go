@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 
 	// Run UNICO. Small settings keep the example fast; the zero Config
 	// would use the paper's defaults (N = 30, b_max = 300).
-	res, err := unico.Optimize(p, unico.Config{
+	res, err := unico.OptimizeContext(context.Background(), p, unico.Config{
 		BatchSize:  12,
 		Iterations: 6,
 		BudgetMax:  80,

@@ -26,7 +26,7 @@ func main() {
 	cfg := unico.Config{BatchSize: 10, Iterations: 6, BudgetMax: 60, Seed: 3}
 
 	fmt.Println("co-optimizing WITH the robustness objective R ...")
-	withR, err := unico.Optimize(p, cfg)
+	withR, err := unico.OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 	cfgNoR := cfg
 	cfgNoR.DisableRobustness = true
 	cfgNoR.Seed = 4
-	withoutR, err := unico.Optimize(p, cfgNoR)
+	withoutR, err := unico.OptimizeContext(context.Background(), p, cfgNoR)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestFlightRecordMatchesProgress(t *testing.T) {
 	cfg := flightConfig(t.TempDir())
 	var seen []IterationProgress
 	cfg.Progress = func(ip IterationProgress) { seen = append(seen, ip) }
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFlightRecordKillResumeIdentical(t *testing.T) {
 	full := flightConfig(dir)
 	full.Iterations = 4
 	full.FlightRecordFile = filepath.Join(dir, "full.jsonl")
-	if _, err := Optimize(p, full); err != nil {
+	if _, err := OptimizeContext(context.Background(), p, full); err != nil {
 		t.Fatal(err)
 	}
 	want, _, err := flightrec.Load(full.FlightRecordFile)
@@ -133,7 +133,7 @@ func TestFlightRecordKillResumeIdentical(t *testing.T) {
 	resumed.Progress = nil
 	resumed.Resume = true
 	resumed.Dashboard = flightrec.NewLive()
-	if _, err := Optimize(p, resumed); err != nil {
+	if _, err := OptimizeContext(context.Background(), p, resumed); err != nil {
 		t.Fatal(err)
 	}
 	// The dashboard of the resumed run is seeded with the history the
@@ -198,7 +198,7 @@ func TestFlightRecordIdenticalAcrossSearchWorkers(t *testing.T) {
 	serial := flightConfig(dir)
 	serial.SearchWorkers = 1
 	serial.FlightRecordFile = filepath.Join(dir, "serial.jsonl")
-	sres, err := Optimize(p, serial)
+	sres, err := OptimizeContext(context.Background(), p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFlightRecordIdenticalAcrossSearchWorkers(t *testing.T) {
 	parallel := flightConfig(dir)
 	parallel.SearchWorkers = 8
 	parallel.FlightRecordFile = filepath.Join(dir, "parallel.jsonl")
-	pres, err := Optimize(p, parallel)
+	pres, err := OptimizeContext(context.Background(), p, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFlightRecordNSGAIIRejected(t *testing.T) {
 	}
 	cfg := flightConfig(t.TempDir())
 	cfg.Method = MethodNSGAII
-	if _, err := Optimize(p, cfg); err == nil {
+	if _, err := OptimizeContext(context.Background(), p, cfg); err == nil {
 		t.Error("flight recording accepted for MethodNSGAII")
 	}
 }
@@ -258,12 +258,12 @@ func TestFlightRecordingDoesNotPerturbSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := Config{BatchSize: 6, Iterations: 3, BudgetMax: 15, Seed: 1}
-	ref, err := Optimize(p, bare)
+	ref, err := OptimizeContext(context.Background(), p, bare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := flightConfig(t.TempDir())
-	got, err := Optimize(p, rec)
+	got, err := OptimizeContext(context.Background(), p, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

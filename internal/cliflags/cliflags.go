@@ -60,7 +60,7 @@ func Register(fs *flag.FlagSet, groups Group) *Shared {
 		fs.DurationVar(&s.pprofInterval, "pprof-interval", 0, "capture a heap and CPU profile every interval while running (requires -pprof-dir)")
 	}
 	if groups&SpanLog != 0 {
-		fs.StringVar(&s.spanLog, "span-log", "", "record distributed-trace spans as JSONL to this file; analyze with unicotrace")
+		fs.StringVar(&s.spanLog, "span-log", "", "record distributed-trace spans as JSONL to this file; analyze with unicoreport")
 	}
 	if groups&Metrics != 0 {
 		fs.StringVar(&s.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and the /debug/unico dashboard on this address while running")

@@ -397,7 +397,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// The engine span covers budget spend AND state assembly, and is
-	// recorded even when there is nothing to spend: unicotrace's
+	// recorded even when there is nothing to spend: unicoreport's
 	// chain-completeness rule (every ok eval has an engine descendant)
 	// stays uniform.
 	eng := disttrace.StartSpan("", parent, "engine", "advance")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"unico/internal/durable"
 )
@@ -34,37 +35,24 @@ func ParseEvents(rd io.Reader) ([]Event, int, error) {
 }
 
 // LoadFiles merges span events from several JSONL logs (e.g. one per fleet
-// process). Duplicate (span, ev) pairs across files keep the first seen.
+// process, plus a router's /v1/spans pull) by parsing them as one stream:
+// a (span, ev) pair repeated anywhere keeps its first occurrence, and every
+// dropped line counts as skipped.
 func LoadFiles(paths ...string) ([]Event, int, error) {
-	var all []Event
-	seen := map[[2]string]bool{}
-	skipped := 0
+	var rs []io.Reader
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
-			return nil, skipped, err
+			return nil, 0, err
 		}
-		evs, sk, err := ParseEvents(f)
-		f.Close()
-		if err != nil {
-			return nil, skipped, fmt.Errorf("%s: %w", p, err)
-		}
-		skipped += sk
-		for _, ev := range evs {
-			key := [2]string{ev.Span, ev.Ev}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			all = append(all, ev)
-		}
+		defer f.Close()
+		rs = append(rs, f, strings.NewReader("\n")) // a file's torn last line stays its own
 	}
-	return all, skipped, nil
+	return ParseEvents(io.MultiReader(rs...))
 }
 
 // SpanNode is one reconstructed span in a trace tree.
 type SpanNode struct {
-	Trace    string
 	ID       string
 	Parent   string
 	Kind     string
@@ -75,7 +63,6 @@ type SpanNode struct {
 	Status   string
 	Attrs    map[string]string
 	Children []*SpanNode
-	Orphan   bool // Parent names a span absent from the trace
 }
 
 // Seconds returns the span duration; 0 for incomplete spans.
@@ -88,11 +75,10 @@ func (n *SpanNode) Seconds() float64 {
 
 // Trace is one reconstructed trace: all spans of a run, tree-linked.
 type Trace struct {
-	ID         string
-	Spans      []*SpanNode // sorted by start time, then span ID
-	Roots      []*SpanNode
-	Orphans    []*SpanNode
-	Incomplete []*SpanNode
+	ID      string
+	Spans   []*SpanNode // sorted by start time, then span ID
+	Roots   []*SpanNode
+	Orphans []*SpanNode
 }
 
 // BuildTraces groups events by trace ID and reconstructs each trace's span
@@ -111,7 +97,7 @@ func BuildTraces(events []Event) []*Trace {
 		}
 		n := m[span]
 		if n == nil {
-			n = &SpanNode{Trace: trace, ID: span}
+			n = &SpanNode{ID: span}
 			m[span] = n
 		}
 		return n
@@ -146,21 +132,18 @@ func BuildTraces(events []Event) []*Trace {
 			switch {
 			case n.StartUS == 0 && n.Kind == "":
 				// end without start: the start record never reached disk.
-				n.Orphan = true
 				t.Orphans = append(t.Orphans, n)
 			case n.Parent == "":
 				t.Roots = append(t.Roots, n)
 			default:
-				p := m[n.Parent]
-				if p == nil {
-					n.Orphan = true
+				if p := m[n.Parent]; p != nil {
+					p.Children = append(p.Children, n)
+				} else {
 					t.Orphans = append(t.Orphans, n)
-					continue
 				}
-				p.Children = append(p.Children, n)
 			}
-			if n.EndUS == 0 {
-				t.Incomplete = append(t.Incomplete, n)
+			if n.Kind == "" {
+				n.Kind = "unknown" // labelled here, once, for every view of the trace
 			}
 		}
 		out = append(out, t)
@@ -169,7 +152,7 @@ func BuildTraces(events []Event) []*Trace {
 }
 
 // evalRoutes are the client span names whose ok completion requires a
-// finished engine descendant — the chain-completeness rule unicotrace gates
+// finished engine descendant — the chain-completeness rule unicoreport gates
 // on. Budget-0 advance polls still record an engine span on the shard, so
 // the rule holds uniformly.
 var evalRoutes = map[string]bool{"/v1/ppa": true, "/v1/jobs/advance": true}
@@ -186,7 +169,6 @@ type PathStep struct {
 // route): whether its causal chain reached an engine span, where its time
 // went (self-time by span kind), and the critical path through its subtree.
 type EvalChain struct {
-	Span         *SpanNode          `json:"-"`
 	SpanID       string             `json:"span"`
 	Name         string             `json:"name"`
 	Status       string             `json:"status"`
@@ -196,7 +178,8 @@ type EvalChain struct {
 	CriticalPath []PathStep         `json:"critical_path"`
 }
 
-// Summary is the machine-readable roll-up unicotrace emits and gates on.
+// Summary is the machine-readable roll-up of one trace: what
+// `unicoreport -summary` writes and `unicoreport -gate` checks.
 type Summary struct {
 	Trace            string             `json:"trace"`
 	Spans            int                `json:"spans"`
@@ -236,15 +219,11 @@ func Analyze(t *Trace) *Analysis {
 	}}
 	var queueWaits []float64
 	for _, n := range t.Spans {
-		kind := n.Kind
-		if kind == "" {
-			kind = "unknown"
-		}
-		a.Summary.SpansByKind[kind]++
+		a.Summary.SpansByKind[n.Kind]++
 		if n.EndUS == 0 {
 			a.Summary.IncompleteSpans++
 		}
-		a.Summary.PhaseSeconds[kind] += selfSeconds(n)
+		a.Summary.PhaseSeconds[n.Kind] += selfSeconds(n)
 		if n.Kind == "queue" && n.EndUS != 0 {
 			queueWaits = append(queueWaits, n.Seconds())
 		}
@@ -256,7 +235,7 @@ func Analyze(t *Trace) *Analysis {
 			continue
 		}
 		ec := EvalChain{
-			Span: n, SpanID: n.ID, Name: n.Name, Status: n.Status,
+			SpanID: n.ID, Name: n.Name, Status: n.Status,
 			Seconds:      n.Seconds(),
 			PhaseSeconds: map[string]float64{},
 			CriticalPath: criticalPath(n),
@@ -292,11 +271,7 @@ func selfSeconds(n *SpanNode) float64 {
 }
 
 func collectPhases(n *SpanNode, into map[string]float64) {
-	kind := n.Kind
-	if kind == "" {
-		kind = "unknown"
-	}
-	into[kind] += selfSeconds(n)
+	into[n.Kind] += selfSeconds(n)
 	for _, c := range n.Children {
 		collectPhases(c, into)
 	}

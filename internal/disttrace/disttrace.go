@@ -12,7 +12,7 @@
 // durable before any child span exists, in-process and across processes
 // (headers are only injected after the local start is fsynced). A kill -9
 // therefore yields *incomplete* spans (start without end), never orphans
-// (child naming an absent parent); `unicotrace -gate` keys on that.
+// (child naming an absent parent); `unicoreport -gate` keys on that.
 //
 // Context propagates over HTTP via the X-Unico-Trace / X-Unico-Parent
 // headers. Extraction falls back to X-Unico-Run-ID for the trace ID, so a

@@ -69,15 +69,40 @@ func TestRecorderWritesDurableSpanLog(t *testing.T) {
 		t.Fatalf("traces: %+v", traces)
 	}
 	tr := traces[0]
-	if len(tr.Spans) != 2 || len(tr.Orphans) != 0 || len(tr.Incomplete) != 0 {
+	if inc := Analyze(tr).Summary.IncompleteSpans; len(tr.Spans) != 2 || len(tr.Orphans) != 0 || inc != 0 {
 		t.Fatalf("spans=%d orphans=%d incomplete=%d; want 2, 0, 0",
-			len(tr.Spans), len(tr.Orphans), len(tr.Incomplete))
+			len(tr.Spans), len(tr.Orphans), inc)
 	}
 	if len(tr.Roots) != 1 || len(tr.Roots[0].Children) != 1 {
 		t.Fatalf("tree shape: roots=%d", len(tr.Roots))
 	}
 	if got := tr.Roots[0].Attrs["attempts"]; got != "1" {
 		t.Errorf("root attrs = %v", tr.Roots[0].Attrs)
+	}
+}
+
+// TestLoadFilesCountsOverlapOnce: a per-process log merged with a pull of
+// the same spans (plus a repeat inside one file) keeps each (span, ev) pair
+// once, and every dropped line counts as skipped, wherever it repeats.
+func TestLoadFilesCountsOverlapOnce(t *testing.T) {
+	dir := t.TempDir()
+	start := `{"ev":"start","trace":"r","span":"a","kind":"client","name":"/v1/ppa","t_us":10}`
+	end := `{"ev":"end","trace":"r","span":"a","t_us":20,"status":"ok"}`
+	local := filepath.Join(dir, "client.jsonl")
+	pulled := filepath.Join(dir, "pulled.jsonl")
+	if err := os.WriteFile(local, []byte(start+"\n"+start+"\n"+end+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pulled, []byte(start+"\n"+end+"\n"+"torn{\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events, skipped, err := LoadFiles(local, pulled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || skipped != 4 {
+		t.Fatalf("got %d events, %d skipped; want 2 events and 4 skipped (1 repeat in-file, 2 across files, 1 torn)",
+			len(events), skipped)
 	}
 }
 
@@ -127,8 +152,8 @@ func TestBuildTracesFlagsOrphans(t *testing.T) {
 	if len(tr.Orphans) != 2 {
 		t.Fatalf("orphans = %d, want 2 (dangling parent + end-without-start)", len(tr.Orphans))
 	}
-	if len(tr.Incomplete) != 1 {
-		t.Fatalf("incomplete = %d, want 1 (span a)", len(tr.Incomplete))
+	if inc := Analyze(tr).Summary.IncompleteSpans; inc != 1 {
+		t.Fatalf("incomplete = %d, want 1 (span a)", inc)
 	}
 }
 

@@ -1,7 +1,6 @@
 package disttrace
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -50,7 +49,7 @@ func TestWaterfallGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -59,8 +58,8 @@ func TestWaterfallGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with `go test ./internal/disttrace -run Golden -update`)", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("rendered waterfall differs from %s (regenerate with -update if the change is intended)\ngot:\n%s", path, got)
+	if got != string(want) {
+		t.Errorf("rendered trace section differs from %s (regenerate with -update if the change is intended)\ngot:\n%s", path, got)
 	}
 }
 
@@ -69,7 +68,7 @@ func TestWaterfallGolden(t *testing.T) {
 func TestWaterfallDeterministic(t *testing.T) {
 	a := BuildTraces(goldenEvents())[0]
 	b := BuildTraces(goldenEvents())[0]
-	if !bytes.Equal(WaterfallHTML(a, Analyze(a)), WaterfallHTML(b, Analyze(b))) {
+	if WaterfallHTML(a, Analyze(a)) != WaterfallHTML(b, Analyze(b)) {
 		t.Fatal("two renders of the same trace differ")
 	}
 }

@@ -270,7 +270,7 @@ func TestHandleSpansMergesShardSpans(t *testing.T) {
 		t.Fatalf("merged stream has %d unique events, want 4", len(events))
 	}
 	traces := disttrace.BuildTraces(events)
-	if len(traces) != 1 || len(traces[0].Orphans) != 0 || len(traces[0].Incomplete) != 0 {
+	if len(traces) != 1 || len(traces[0].Orphans) != 0 || disttrace.Analyze(traces[0]).Summary.IncompleteSpans != 0 {
 		t.Fatalf("merged trace unhealthy: %+v", traces)
 	}
 
@@ -552,8 +552,8 @@ func TestTwoCoSearchesOneFleet(t *testing.T) {
 			t.Errorf("no trace %q in the span log", id)
 			continue
 		}
-		if len(tr.Orphans) != 0 || len(tr.Incomplete) != 0 {
-			t.Errorf("trace %s: %d orphan and %d incomplete spans, want none", id, len(tr.Orphans), len(tr.Incomplete))
+		if inc := disttrace.Analyze(tr).Summary.IncompleteSpans; len(tr.Orphans) != 0 || inc != 0 {
+			t.Errorf("trace %s: %d orphan and %d incomplete spans, want none", id, len(tr.Orphans), inc)
 		}
 		kind := map[string]string{}
 		for _, s := range tr.Spans {

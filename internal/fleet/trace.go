@@ -12,7 +12,7 @@ import (
 
 // handleSpans serves GET /v1/spans?run=<id>: the router's own span events
 // merged with every member's /v1/spans pull, as one JSONL stream — the
-// online collector path (the offline one is `unicotrace file...`). Members
+// online collector path (the offline one is `unicoreport file...`). Members
 // that fail to answer are skipped (their spans surface as incomplete
 // chains, which is the honest signal); members without tracing return
 // empty bodies. Each merge also counts orphan spans in the combined view

@@ -72,10 +72,9 @@ func pointsMatch(p, q []float64) bool {
 // Diff compares candidate run b against baseline run a.
 func Diff(a, b *RunData) *DiffReport {
 	r := &DiffReport{}
-	r.FinalHVA, r.EvalsA, r.ItersA, _ = finalStats(a)
-	r.FinalHVB, r.EvalsB, r.ItersB, _ = finalStats(b)
-	_, _, _, frontA := finalStats(a)
-	_, _, _, frontB := finalStats(b)
+	var frontA, frontB [][]float64
+	r.FinalHVA, r.EvalsA, r.ItersA, frontA = finalStats(a)
+	r.FinalHVB, r.EvalsB, r.ItersB, frontB = finalStats(b)
 
 	byIter := make(map[int]float64, len(a.Iters))
 	for _, it := range a.Iters {

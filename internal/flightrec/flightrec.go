@@ -189,14 +189,6 @@ type RunData struct {
 	Summary *Summary
 }
 
-// LastIter returns the last recorded iteration number (0 when none).
-func (d *RunData) LastIter() int {
-	if n := len(d.Iters); n > 0 {
-		return d.Iters[n-1].Iter
-	}
-	return 0
-}
-
 // Recorder is the file-backed flight recorder: a durable.Log in Lines
 // framing. Safe for use by one run at a time; methods are serialized
 // internally.

@@ -94,8 +94,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if !d.Summary.Interrupted {
 		t.Errorf("summary dropped caller fields: %+v", d.Summary)
 	}
-	if d.LastIter() != 3 {
-		t.Errorf("LastIter = %d, want 3", d.LastIter())
+	if last := d.Iters[len(d.Iters)-1].Iter; last != 3 {
+		t.Errorf("last iteration = %d, want 3", last)
 	}
 }
 

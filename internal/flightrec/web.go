@@ -1,8 +1,9 @@
 // The HTML faces of a flight record: the live `/debug/unico` dashboard
 // (auto-refreshing, rendered from a run's Live store) and the
 // self-contained offline report unicoreport produces from a run.jsonl.
-// Both are the same ReportHTML markup; the dashboard only adds the refresh
-// header.
+// Both are the same ReportBody markup inside the same Page skeleton; the
+// dashboard only adds the refresh header, and unicoreport may add a trace
+// section.
 
 package flightrec
 
@@ -13,15 +14,6 @@ import (
 	"strings"
 )
 
-// Source provides a consistent snapshot of a run's records for rendering.
-// *Live implements it; loaded artifacts use RunData directly.
-type Source interface {
-	Snapshot() RunData
-}
-
-// Snapshot lets a loaded RunData act as its own Source.
-func (d RunData) Snapshot() RunData { return d }
-
 // reportCSS is the inline stylesheet of every rendered page.
 const reportCSS = `body{font-family:system-ui,sans-serif;margin:16px;color:#222}
 h1{font-size:18px}h2{font-size:14px;margin:18px 0 6px}
@@ -31,17 +23,27 @@ table.rungs th{border-bottom:1px solid #bbb}
 .state{font-size:12px;color:#555}
 code{background:#f4f4f4;padding:0 3px}`
 
-// ReportHTML renders a run's flight record as one self-contained HTML page:
-// run identity, state line, hypervolume curve, the three 2-D projections of
-// the latest feasible front, and the successive-halving survivor table.
-// Deterministic for a given RunData (no wall-clock), so golden tests pin it.
-func ReportHTML(d RunData, title string) []byte {
+// Page writes the skeleton every report page shares — doctype, head, one
+// stylesheet (reportCSS followed by css), the <h1> title — around sections,
+// in order. Sections are trusted markup; the title is escaped.
+func Page(title, css string, sections ...string) []byte {
+	t := html.EscapeString(title)
+	return []byte(fmt.Sprintf("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title><style>%s%s</style></head><body><h1>%s</h1>%s</body></html>\n",
+		t, reportCSS, css, t, strings.Join(sections, "")))
+}
+
+// ReportHTML renders a run's flight record as one self-contained page:
+// ReportBody inside the shared skeleton.
+func ReportHTML(d RunData, title string) []byte { return Page(title, "", ReportBody(d)) }
+
+// ReportBody renders a run's flight record as page markup: run identity,
+// state line, hypervolume curve, the three 2-D projections of the latest
+// feasible front, the successive-halving survivor table, and the phase
+// breakdown. Deterministic for a given RunData (no wall-clock), so golden
+// tests pin it.
+func ReportBody(d RunData) string {
 	var b strings.Builder
 	h := d.Header
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title>", html.EscapeString(title))
-	fmt.Fprintf(&b, "<style>%s</style></head><body>", reportCSS)
-	fmt.Fprintf(&b, "<h1>%s</h1>", html.EscapeString(title))
-
 	b.WriteString(`<table class="meta">`)
 	metaRow := func(k, v string) {
 		if v != "" {
@@ -58,60 +60,50 @@ func ReportHTML(d RunData, title string) []byte {
 	}
 	metaRow("started", h.StartedAt)
 	metaRow("revision", h.Revision)
-	b.WriteString(`</table>`)
-
-	switch {
-	case d.Summary != nil:
-		s := d.Summary
-		state := "finished"
-		if s.Interrupted {
-			state = "interrupted"
-		}
-		fmt.Fprintf(&b, `<p class="state">%s after %d iterations — %s simulated hours, %d evals, front %d, hypervolume %s</p>`,
-			state, s.Iters, fnum(s.SimHours), s.Evals, s.FrontSize, fnum(s.Hypervolume))
-	case len(d.Iters) > 0:
-		last := d.Iters[len(d.Iters)-1]
-		fmt.Fprintf(&b, `<p class="state">running — iteration %d, %s simulated hours, %d evals, front %d, hypervolume %s, UUL %s</p>`,
-			last.Iter, fnum(last.SimHours), last.Evals, len(last.Front),
-			fnum(last.Hypervolume), fnum(float64(last.UUL)))
-	default:
-		b.WriteString(`<p class="state">waiting for the first completed iteration…</p>`)
-	}
-
+	fmt.Fprintf(&b, `</table><p class="state">%s</p>`, d.State())
 	var front [][]float64
 	if n := len(d.Iters); n > 0 {
 		front = d.Iters[n-1].Front
 	}
-	b.WriteString(`<div class="charts">`)
-	b.WriteString(HypervolumeSVG(d.Iters))
-	b.WriteString(ScatterSVG(front, 0, 1))
-	b.WriteString(ScatterSVG(front, 0, 2))
-	b.WriteString(ScatterSVG(front, 1, 2))
-	b.WriteString(`</div>`)
-
-	b.WriteString(`<h2>Successive-halving survivors</h2>`)
-	b.WriteString(RungTableHTML(d.Iters, 20))
-
-	b.WriteString(`<h2>Phase breakdown</h2>`)
-	b.WriteString(`<div class="charts">`)
-	b.WriteString(PhaseBarsSVG(d.Iters))
-	b.WriteString(`</div>`)
-	b.WriteString(PhaseTableHTML(d.Iters, 32))
-	b.WriteString("</body></html>\n")
-	return []byte(b.String())
+	b.WriteString(`<div class="charts">` + HypervolumeSVG(d.Iters) +
+		ScatterSVG(front, 0, 1) + ScatterSVG(front, 0, 2) + ScatterSVG(front, 1, 2) + `</div>`)
+	b.WriteString(`<h2>Successive-halving survivors</h2>` + RungTableHTML(d.Iters, 20))
+	b.WriteString(`<h2>Phase breakdown</h2><div class="charts">` + PhaseBarsSVG(d.Iters) + `</div>` +
+		PhaseTableHTML(d.Iters, 32))
+	return b.String()
 }
 
-// DashboardHandler serves the live dashboard from src: the ReportHTML page
+// State is the run's one-line convergence state: finished or interrupted
+// with its summary, running with its latest iteration, or waiting.
+func (d RunData) State() string {
+	if s := d.Summary; s != nil {
+		state := "finished"
+		if s.Interrupted {
+			state = "interrupted"
+		}
+		return fmt.Sprintf("%s after %d iterations — %s simulated hours, %d evals, front %d, hypervolume %s",
+			state, s.Iters, fnum(s.SimHours), s.Evals, s.FrontSize, fnum(s.Hypervolume))
+	}
+	if n := len(d.Iters); n > 0 {
+		last := d.Iters[n-1]
+		return fmt.Sprintf("running — iteration %d, %s simulated hours, %d evals, front %d, hypervolume %s, UUL %s",
+			last.Iter, fnum(last.SimHours), last.Evals, len(last.Front),
+			fnum(last.Hypervolume), fnum(float64(last.UUL)))
+	}
+	return "waiting for the first completed iteration…"
+}
+
+// DashboardHandler serves the live dashboard from l: the ReportHTML page
 // with an auto-refresh header so a browser follows a multi-hour run without
 // any client-side code. Mount it at GET /debug/unico on the telemetry debug
 // mux.
-func DashboardHandler(src Source) http.Handler {
+func DashboardHandler(l *Live) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if src == nil {
+		if l == nil {
 			http.Error(w, "no live run source installed", http.StatusServiceUnavailable)
 			return
 		}
-		d := src.Snapshot()
+		d := l.Snapshot()
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Header().Set("Refresh", "3")
 		title := "unico co-search"

@@ -2,6 +2,7 @@ package unico
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -25,7 +26,7 @@ func TestRefusedResumeTouchesNothing(t *testing.T) {
 	}
 	cfg := flightConfig(t.TempDir())
 	cfg.CheckpointFile = filepath.Join(filepath.Dir(cfg.FlightRecordFile), "run.ckpt")
-	if _, err := Optimize(p, cfg); err != nil {
+	if _, err := OptimizeContext(context.Background(), p, cfg); err != nil {
 		t.Fatal(err)
 	}
 	files := []string{cfg.CheckpointFile, cfg.CheckpointFile + ".journal", cfg.FlightRecordFile}
@@ -37,7 +38,7 @@ func TestRefusedResumeTouchesNothing(t *testing.T) {
 	}
 
 	cfg.Resume, cfg.Seed, cfg.Dashboard = true, 2, flightrec.NewLive()
-	res, err := Optimize(p, cfg)
+	res, err := OptimizeContext(context.Background(), p, cfg)
 	if res != nil || !errors.Is(err, core.ErrResumeMismatch) {
 		t.Fatalf("resume at another seed = %v, %v; want nil, ErrResumeMismatch", res, err)
 	}
@@ -73,7 +74,7 @@ func runObserved(t *testing.T, p *Platform, seed int64, runID, dir string) *obse
 		Progress:         func(IterationProgress) { o.progress++ },
 	}
 	var err error
-	if o.res, err = Optimize(p, cfg); err != nil {
+	if o.res, err = OptimizeContext(context.Background(), p, cfg); err != nil {
 		t.Error(err)
 		return o
 	}

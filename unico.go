@@ -8,7 +8,7 @@
 // and MOBOHB baselines.
 //
 // This package is the facade: it exposes platform constructors, a single
-// Optimize entry point with method presets, and design/result types that
+// OptimizeContext entry point with method presets, and design/result types that
 // hide the internal machinery. Power users can drop to the internal
 // packages (importable within this module) for full control; see DESIGN.md
 // for the system inventory.
@@ -17,7 +17,7 @@
 //
 //	p, err := unico.OpenSourcePlatform(unico.Edge, "MobileNet")
 //	if err != nil { ... }
-//	res, err := unico.Optimize(p, unico.Config{})
+//	res, err := unico.OptimizeContext(ctx, p, unico.Config{})
 //	fmt.Println(res.Best.HW, res.Best.LatencyMs)
 package unico
 
@@ -95,7 +95,7 @@ type Platform struct {
 // co-optimizes their aggregate PPA, the multi-workload regime of the
 // paper's generalization studies.
 func OpenSourcePlatform(sc Scenario, networks ...string) (*Platform, error) {
-	ws, err := lookup(networks)
+	ws, err := workloads(networks, workload.ByName, "unico: no networks given (see unico.Networks())")
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func OpenSourcePlatform(sc Scenario, networks ...string) (*Platform, error) {
 // (cycle-level CAModel, depth-first buffer-fusion schedule search, 200 mm²
 // area cap) for the named networks.
 func AscendLikePlatform(networks ...string) (*Platform, error) {
-	ws, err := lookup(networks)
+	ws, err := workloads(networks, workload.ByName, "unico: no networks given (see unico.Networks())")
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func AscendLikePlatform(networks ...string) (*Platform, error) {
 // networks defined in JSON files (see internal/workload's JSON format:
 // {"name": ..., "layers": [{"kind": "conv"|"dwconv"|"gemm", ...}]}).
 func OpenSourcePlatformFromJSON(sc Scenario, paths ...string) (*Platform, error) {
-	ws, err := loadJSON(paths)
+	ws, err := workloads(paths, workload.LoadJSONFile, "unico: no workload files given")
 	if err != nil {
 		return nil, err
 	}
@@ -127,20 +127,22 @@ func OpenSourcePlatformFromJSON(sc Scenario, paths ...string) (*Platform, error)
 // AscendLikePlatformFromJSON builds the Ascend-like platform for custom
 // networks defined in JSON files.
 func AscendLikePlatformFromJSON(paths ...string) (*Platform, error) {
-	ws, err := loadJSON(paths)
+	ws, err := workloads(paths, workload.LoadJSONFile, "unico: no workload files given")
 	if err != nil {
 		return nil, err
 	}
 	return &Platform{inner: platform.NewAscend(ws, mapsearch.DepthFirst)}, nil
 }
 
-func loadJSON(paths []string) ([]workload.Workload, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("unico: no workload files given")
+// workloads resolves each of names with get; an empty list is the error
+// none.
+func workloads(names []string, get func(string) (workload.Workload, error), none string) ([]workload.Workload, error) {
+	if len(names) == 0 {
+		return nil, errors.New(none)
 	}
-	ws := make([]workload.Workload, len(paths))
-	for i, p := range paths {
-		w, err := workload.LoadJSONFile(p)
+	ws := make([]workload.Workload, len(names))
+	for i, n := range names {
+		w, err := get(n)
 		if err != nil {
 			return nil, err
 		}
@@ -203,25 +205,10 @@ func Networks() []string {
 	return names
 }
 
-func lookup(networks []string) ([]workload.Workload, error) {
-	if len(networks) == 0 {
-		return nil, fmt.Errorf("unico: no networks given (see unico.Networks())")
-	}
-	ws := make([]workload.Workload, len(networks))
-	for i, n := range networks {
-		w, err := workload.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = w
-	}
-	return ws, nil
-}
-
 // Describe renders the hardware configuration encoded at x.
 func (p *Platform) Describe(x []float64) string { return p.inner.Describe(x) }
 
-// Config parameterizes Optimize. The zero value runs full UNICO at the
+// Config parameterizes OptimizeContext. The zero value runs full UNICO at the
 // paper's defaults (N = 30, b_max = 300).
 type Config struct {
 	// Method selects the algorithm (default MethodUNICO).
@@ -363,13 +350,6 @@ type Result struct {
 	SimulatedHours float64
 	// Evaluations is the number of mapping budget units spent.
 	Evaluations int
-}
-
-// Optimize runs the selected co-optimization method on the platform with a
-// background context; see OptimizeContext.
-func Optimize(p *Platform, cfg Config) (*Result, error) {
-	//unicolint:allow ctxflow compatibility wrapper; cancellable callers use OptimizeContext
-	return OptimizeContext(context.Background(), p, cfg)
 }
 
 // OptimizeContext runs the selected co-optimization method on the platform.

@@ -47,7 +47,7 @@ func TestOptimizeUNICO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(p, Config{BatchSize: 6, Iterations: 3, BudgetMax: 15, Seed: 1})
+	res, err := OptimizeContext(context.Background(), p, Config{BatchSize: 6, Iterations: 3, BudgetMax: 15, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestOptimizeAllMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Method{MethodUNICO, MethodHASCO, MethodMOBOHB, MethodNSGAII} {
-		res, err := Optimize(p, Config{
+		res, err := OptimizeContext(context.Background(), p, Config{
 			Method: m, BatchSize: 6, Iterations: 2, BudgetMax: 10, Seed: 2,
 		})
 		if err != nil {
@@ -89,11 +89,11 @@ func TestOptimizeAllMethods(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	if _, err := Optimize(nil, Config{}); err == nil {
+	if _, err := OptimizeContext(context.Background(), nil, Config{}); err == nil {
 		t.Error("nil platform accepted")
 	}
 	p, _ := OpenSourcePlatform(Edge, "MobileNetV3-S")
-	if _, err := Optimize(p, Config{Method: Method(42)}); err == nil {
+	if _, err := OptimizeContext(context.Background(), p, Config{Method: Method(42)}); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestEvaluateOnUnseenNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(p, Config{BatchSize: 6, Iterations: 2, BudgetMax: 12, Seed: 3})
+	res, err := OptimizeContext(context.Background(), p, Config{BatchSize: 6, Iterations: 2, BudgetMax: 12, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAscendLikePlatformOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(p, Config{BatchSize: 5, Iterations: 2, BudgetMax: 8, Seed: 5})
+	res, err := OptimizeContext(context.Background(), p, Config{BatchSize: 5, Iterations: 2, BudgetMax: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestOpenSourcePlatformFromJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(p, Config{BatchSize: 4, Iterations: 2, BudgetMax: 8, Seed: 9})
+	res, err := OptimizeContext(context.Background(), p, Config{BatchSize: 4, Iterations: 2, BudgetMax: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestOptimizeCacheBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Optimize(p, Config{BatchSize: 4, Iterations: 2, BudgetMax: 10, Seed: 3, Cache: cache})
+			res, err := OptimizeContext(context.Background(), p, Config{BatchSize: 4, Iterations: 2, BudgetMax: 10, Seed: 3, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
