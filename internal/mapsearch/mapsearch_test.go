@@ -318,3 +318,17 @@ func TestAlgoString(t *testing.T) {
 		t.Error("algo strings wrong")
 	}
 }
+
+// TestNewLayerRandStream pins layer i's stream to rand.NewSource(seed +
+// i·1 000 003), past the 607 draws where the generator's storage turns into
+// a ring.
+func TestNewLayerRandStream(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		got, want := newLayerRand(9, i), rand.New(rand.NewSource(9+int64(i)*1_000_003))
+		for n := 0; n < 700; n++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("layer %d, draw %d: %d, want %d", i, n, g, w)
+			}
+		}
+	}
+}

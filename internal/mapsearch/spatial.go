@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"unico/internal/hw"
+	"unico/internal/lfg"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
 	"unico/internal/workload"
@@ -109,6 +110,12 @@ func (p spatialProblem) Seeds() []mapping.Spatial {
 		return []mapping.Spatial{minimal}
 	}
 	return []mapping.Spatial{guided, minimal}
+}
+
+// newLayerRand returns layer i's generator of a network search seeded with
+// seed: rand.NewSource(seed + i·1 000 003)'s stream, holding only its draws.
+func newLayerRand(seed int64, i int) *rand.Rand {
+	return lfg.New(seed + int64(i)*1_000_003)
 }
 
 // NewSpatialSearcher builds the network-level mapping search for one spatial

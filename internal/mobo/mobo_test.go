@@ -265,3 +265,27 @@ func TestUpdateRuleString(t *testing.T) {
 		t.Error("rule strings wrong")
 	}
 }
+
+// TestPercentileIndexRule pins percentile to element ⌊q·(n−1)⌋ of the sorted
+// values, the rule every UUL and golden rests on. Nearest-rank would give
+// element 9 at (n 10, q 0.95) and element 1 at (n 2, q 0.95).
+func TestPercentileIndexRule(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		want float64
+	}{
+		{1, 0.5, 0}, {1, 0.95, 0},
+		{2, 0.5, 0}, {2, 0.95, 0},
+		{10, 0.5, 4}, {10, 0.95, 8},
+		{20, 0.5, 9}, {20, 0.95, 18},
+	} {
+		v := make([]float64, tc.n)
+		for i := range v {
+			v[i] = float64(i * 7 % tc.n) // 0…n−1, shuffled
+		}
+		if got := percentile(v, tc.q); got != tc.want {
+			t.Errorf("percentile of %d values at q %v = %v, want %v", tc.n, tc.q, got, tc.want)
+		}
+	}
+}

@@ -263,3 +263,105 @@ func TestNormalize(t *testing.T) {
 		t.Error("Normalize(nil) != nil")
 	}
 }
+
+// TestHypervolume4DMatchesInclusionExclusion checks the WFG recursion in
+// four dimensions — the dimension of every run with R — against the
+// definition: the volume of the union of the boxes [p, ref), by
+// inclusion–exclusion over every non-empty subset of points, a subset's
+// boxes meeting in the box at their component-wise maximum. The seeded
+// sets hold up to 9 points on a half-unit grid, so ties, duplicates,
+// dominated points and points outside ref all occur.
+// Mutation check: inclhv multiplying only the first three objectives fails
+// this test and no other in the package.
+func TestHypervolume4DMatchesInclusionExclusion(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ref := []float64{5, 5, 5, 5}
+	for trial := 0; trial < 300; trial++ {
+		pts := make([][]float64, 1+rng.Intn(9))
+		for i := range pts {
+			pts[i] = make([]float64, len(ref))
+			for j := range ref {
+				pts[i][j] = float64(rng.Intn(11)) / 2
+			}
+		}
+		got, want := Hypervolume(pts, ref), inclusionExclusion(pts, ref)
+		if math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("trial %d: Hypervolume(%v) = %v, inclusion–exclusion %v", trial, pts, got, want)
+		}
+	}
+}
+
+// inclusionExclusion is the hypervolume of pts against ref by its
+// definition, in O(2ⁿ·n·d).
+func inclusionExclusion(pts [][]float64, ref []float64) float64 {
+	total := 0.0
+	for mask := 1; mask < 1<<len(pts); mask++ {
+		vol, sign := 1.0, -1.0
+		for m := mask; m > 0; m &= m - 1 {
+			sign = -sign
+		}
+		for j := range ref {
+			corner := math.Inf(-1)
+			for i, p := range pts {
+				if mask&(1<<i) != 0 {
+					corner = math.Max(corner, p[j])
+				}
+			}
+			vol *= math.Max(0, ref[j]-corner)
+		}
+		total += sign * vol
+	}
+	return total
+}
+
+// TestNonDominatedSortMatchesRankDefinition checks every point's front
+// against the rank definition: 0 for a point nothing dominates, else one
+// more than the highest rank among the points that dominate it. Seeded 2-,
+// 3- and 4-objective sets of up to 12 points on a small grid, so
+// duplicates and long dominance chains occur.
+// Mutation check: counting a point's dominators only among lower indices
+// (j < i in NonDominatedSort's first loop) still places every point in
+// exactly one front, so TestNonDominatedSortCoversAllProperty passes, and
+// fails this test.
+func TestNonDominatedSortMatchesRankDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		pts := make([][]float64, rng.Intn(13))
+		for i := range pts {
+			pts[i] = make([]float64, 2+trial%3)
+			for j := range pts[i] {
+				pts[i][j] = float64(rng.Intn(4))
+			}
+		}
+		want := ranks(pts)
+		placed := 0
+		for r, front := range NonDominatedSort(pts) {
+			for _, i := range front {
+				if want[i] != r {
+					t.Fatalf("trial %d: point %d %v in front %d, its rank is %d", trial, i, pts[i], r, want[i])
+				}
+				placed++
+			}
+		}
+		if placed != len(pts) {
+			t.Fatalf("trial %d: %d of %d points placed", trial, placed, len(pts))
+		}
+	}
+}
+
+// ranks returns each point's non-domination rank by its definition, relaxing
+// every dominating pair until no rank changes.
+func ranks(pts [][]float64) []int {
+	rank := make([]int, len(pts))
+	for changed := true; changed; {
+		changed = false
+		for i := range pts {
+			for j := range pts {
+				if Dominates(pts[j], pts[i]) && rank[i] <= rank[j] {
+					rank[i], changed = rank[j]+1, true
+				}
+			}
+		}
+	}
+	return rank
+}
