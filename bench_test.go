@@ -139,6 +139,12 @@ func BenchmarkSpatialNewJob(b *testing.B) {
 	benchmarks.SpatialNewJob(b)
 }
 
+// BenchmarkSpatialJobFirstUnit measures a candidate's job through its first
+// searching unit, where its layers' generators make their first draws.
+func BenchmarkSpatialJobFirstUnit(b *testing.B) {
+	benchmarks.SpatialJobFirstUnit(b)
+}
+
 // BenchmarkGPFitPredict measures surrogate refitting plus a prediction at
 // the training sizes MOBO reaches. The body lives in internal/benchmarks
 // so cmd/unicobench runs the identical workload.

@@ -50,6 +50,7 @@ func All(ctx context.Context) []Case {
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit, Pinned: true},
 		{Name: "AscendNewJob", Fn: AscendNewJob, Pinned: true},
 		{Name: "SpatialNewJob", Fn: SpatialNewJob, Pinned: true},
+		{Name: "SpatialJobFirstUnit", Fn: SpatialJobFirstUnit, Pinned: true},
 		{Name: "EndToEndMicro", Fn: func(b *testing.B) { EndToEndMicro(ctx, b) }, Pinned: true},
 	}
 }
@@ -281,5 +282,20 @@ func EndToEndMicro(ctx context.Context, b *testing.B) {
 		if len(res.All) == 0 {
 			b.Fatal("end-to-end micro run produced no candidates")
 		}
+	}
+}
+
+// SpatialJobFirstUnit measures one candidate's mapping search (MobileNet,
+// Edge) built and advanced through its first searching unit, where each
+// layer makes its first random draw. SpatialNewJob cannot see a layer's
+// generator, which is made at that draw; the bootstrap unit before it only
+// evaluates the layers' seed schedules and draws nothing.
+func SpatialJobFirstUnit(b *testing.B) {
+	p := platform.NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
+	x := p.Space().Sample(rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.NewJob(x, int64(i)).Advance(2)
 	}
 }

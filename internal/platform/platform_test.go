@@ -218,3 +218,33 @@ func TestSpatialNewJobAllocatesLittle(t *testing.T) {
 		t.Errorf("NewJob allocates %d bytes per call, want < %d", per, 24<<10)
 	}
 }
+
+// TestCloudJobFirstRungAllocatesLittle holds a candidate's job on
+// cloud_mapping's six networks (93 layers), built and advanced through that
+// search's first rung (N = 30, b_max = 300, η = 2: 18 budget units), to what
+// its layer searches draw. While each layer's generator took math/rand's
+// whole 607-word register at its first draw, such a job allocated 577
+// KiB; it measures 185 KiB and must stay under 288 KiB, half the old figure.
+func TestCloudJobFirstRungAllocatesLittle(t *testing.T) {
+	var ws []workload.Workload
+	for _, name := range []string{"ResNet", "VGG", "Bert", "Xception", "UNet", "VIT"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	p := NewSpatial(hw.Cloud, ws, mapsearch.FlexTensorLike)
+	x := p.Space().Sample(rand.New(rand.NewSource(1)))
+	const jobs, firstRung = 4, 18
+	p.NewJob(x, 0).Advance(firstRung) // grows the layer order every job shares
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= jobs; i++ {
+		p.NewJob(x, int64(i)).Advance(firstRung)
+	}
+	runtime.ReadMemStats(&after)
+	if per, limit := (after.TotalAlloc-before.TotalAlloc)/jobs, uint64(288<<10); per >= limit {
+		t.Errorf("a job through its first rung allocates %d bytes, want < %d", per, limit)
+	}
+}
