@@ -47,6 +47,7 @@ func All(ctx context.Context) []Case {
 		{Name: "Rank1Update", Fn: Rank1Update, Pinned: true},
 		{Name: "MaestroEvaluate", Fn: MaestroEvaluate, Pinned: true},
 		{Name: "CAModelEvaluate", Fn: CAModelEvaluate, Pinned: true},
+		{Name: "CAModelEvaluateLong", Fn: CAModelEvaluateLong, Pinned: true},
 		{Name: "MappingSearchUnit", Fn: MappingSearchUnit, Pinned: true},
 		{Name: "AscendNewJob", Fn: AscendNewJob, Pinned: true},
 		{Name: "SpatialNewJob", Fn: SpatialNewJob, Pinned: true},
@@ -219,6 +220,24 @@ func CAModelEvaluate(b *testing.B) {
 	w, _ := workload.ByName("FSRCNN-120x320")
 	l := w.Layers[0]
 	m := mapping.Ascend{TM: 56, TK: 25, TN: 4096, FuseDepth: 2, DBufA: true, DBufB: true}.Canon(l)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Evaluate(cfg, m, l); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// CAModelEvaluateLong measures one cycle-level simulation that walks the
+// full 4 096 explicit tile steps before extrapolating: DLEU's dec1 under
+// 32×64×256 tiles is 18 225 steps with 9 K tiles per output tile, and no
+// double buffering, so no step overlaps its fetch.
+func CAModelEvaluateLong(b *testing.B) {
+	eng := camodel.Engine{}
+	cfg := hw.DefaultAscend()
+	w, _ := workload.ByName("DLEU")
+	l := w.Layers[5]
+	m := mapping.Ascend{TM: 32, TK: 64, TN: 256, FuseDepth: 1}.Canon(l)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Evaluate(cfg, m, l); err != nil {

@@ -8,12 +8,16 @@
 // operand) and L0B (right operand) buffers, accumulating into L0C; an L1
 // staging buffer between DDR and the L0s; a unified vector buffer (UB) for
 // the post-processing vector unit; a parameter buffer and an instruction
-// cache. Execution is simulated tile by tile with explicit ready-time
-// bookkeeping for the five engines (DMA-A, DMA-B, cube, vector, DMA-out):
-// double buffering overlaps a tile's loads with the previous tile's compute
-// only when the corresponding L0 buffer has at least two bank groups and the
+// cache. Execution is simulated tile by tile over five engines (DMA-A,
+// DMA-B, cube, vector, DMA-out), each modelled by its per-step cost: double
+// buffering overlaps a tile's loads with the previous tile's compute only
+// when the corresponding L0 buffer has at least two bank groups and the
 // mapping enables it, exactly the interaction the paper's search discovers
-// (shrinking L0B/L0C and growing L0A).
+// (shrinking L0B/L0C and growing L0A). Only the cube, vector and DMA-out
+// ready times are carried: a fetch for step s starts when the cube finishes
+// step s-1, after the engine's previous fetch, so a DMA ready time never
+// binds. The longer fetch is one more add on the cube chain, on every step
+// without that overlap and on step 0 with it.
 //
 // Long-running layers are simulated explicitly for a bounded number of tile
 // steps and extrapolated at the observed steady-state rate afterwards — the
@@ -103,9 +107,9 @@ func (e *capacityError) Error() string {
 
 func (e *capacityError) Unwrap() error { return ErrInfeasible }
 
-// engineState tracks when each pipeline engine becomes free (in cycles).
+// engineState tracks when each binding engine becomes free (in cycles).
 type engineState struct {
-	dmaA, dmaB, cube, vec, dmaOut float64
+	cube, vec, dmaOut float64
 }
 
 // evalCount and evalInfeasible meter the simulator's hot path exactly;
@@ -138,13 +142,12 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 
 	// L0 sub-tile shape: one cube intrinsic worth, rounded up to the cube
 	// geometry (padding wastes throughput, as in the real core).
-	m0 := c.CubeM
-	k0 := c.CubeK
-	n0 := c.CubeN
+	m0, k0, n0 := c.CubeM, c.CubeK, c.CubeN
 
 	// L0 capacity checks (bytes; fp16 inputs = 1 B in our int8-normal
-	// model, fp32 accumulators = 4 B). Double buffering doubles residency
-	// and requires >= 2 bank groups to be effective.
+	// model, fp32 accumulators = 4 B), which are also the stripe residency
+	// of one sub-tile below. Double buffering doubles residency and
+	// requires >= 2 bank groups to be effective.
 	bufA := float64(m0 * k0)
 	bufB := float64(k0 * n0)
 	bufC := 4 * float64(m0*n0)
@@ -208,20 +211,12 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 	// L0A holds the whole subK-tile stripe; otherwise each (mi, ni) pair
 	// refetches it. Symmetrically the B (activation) stripe B[*, ni] must
 	// survive across mi iterations in L0B.
-	aSub := float64(m0 * k0)
-	bSub := float64(k0 * n0)
-	if m.DBufA {
-		aSub *= 2
-	}
-	if m.DBufB {
-		bSub *= 2
-	}
 	fillsA := float64(subM * subK)
-	if float64(c.L0AKB)*1024 < float64(subK)*aSub {
+	if float64(c.L0AKB)*1024 < float64(subK)*bufA {
 		fillsA *= float64(subN)
 	}
 	fillsB := float64(subK * subN)
-	if float64(c.L0BKB)*1024 < float64(subK)*bSub {
+	if float64(c.L0BKB)*1024 < float64(subK)*bufB {
 		fillsB *= float64(subM)
 	}
 	l0FillA := fillsA * float64(m0*k0) / l1BWBytesPerCycle
@@ -269,34 +264,39 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 
 	// Explicit simulation with steady-state extrapolation.
 	totalSteps := tilesM * tilesN * tilesK
-	explicit := totalSteps
-	if explicit > maxExplicitSteps {
-		explicit = maxExplicitSteps
-	}
+	explicit := min(totalSteps, maxExplicitSteps)
+	// Every per-step cost is finite and >= 0, so each add below lands on
+	// the bits a max over all five engines' ready times would.
+	fetch := max(dmaACycles, dmaBCycles)
+	overlap := m.DBufA && c.L0ABanks >= 2 && m.DBufB && c.L0BBanks >= 2
+	warmStep := explicit / 4
+	vecEvery := max(tilesK, 1)
+	kLeft := vecEvery
 	var st engineState
-	var now float64
 	warmup := 0.0
 	for step := 0; step < explicit; step++ {
-		// DMA engines fetch the next A/B tiles.
-		aReady := max(st.dmaA, now) + dmaACycles
-		bReady := max(st.dmaB, now) + dmaBCycles
-		st.dmaA, st.dmaB = aReady, bReady
-		// Cube starts when operands are in and the unit is free; with
-		// double buffering the fetch of step s+1 overlaps compute of s,
-		// modeled by letting the DMA ready times lag one step behind.
-		start := max(st.cube, aReady, bReady)
-		if m.DBufA && c.L0ABanks >= 2 && m.DBufB && c.L0BBanks >= 2 && step > 0 {
-			start = max(st.cube, now)
+		if step == 0 || !overlap {
+			st.cube += fetch
 		}
-		st.cube = start + cubeCycles + icachePenalty
+		st.cube += cubeCycles
+		if icachePenalty > 0 {
+			st.cube += icachePenalty
+		}
 		// Vector unit post-processes once the K-reduction of this output
 		// tile completes (every tilesK-th step).
-		if (step+1)%max(tilesK, 1) == 0 {
-			st.vec = max(st.vec, st.cube) + vecCycles
-			st.dmaOut = max(st.dmaOut, st.vec) + dmaOutCycles
+		kLeft--
+		if kLeft == 0 {
+			kLeft = vecEvery
+			if st.cube > st.vec {
+				st.vec = st.cube
+			}
+			st.vec += vecCycles
+			if st.vec > st.dmaOut {
+				st.dmaOut = st.vec
+			}
+			st.dmaOut += dmaOutCycles
 		}
-		now = st.cube
-		if step == explicit/4 {
+		if step == warmStep {
 			warmup = finish(st)
 		}
 	}

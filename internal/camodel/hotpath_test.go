@@ -19,11 +19,7 @@ import (
 // everything.
 func evaluateDigest(n int) (uint64, int) {
 	var e Engine
-	space := hw.NewAscendSpace()
-	var layers []workload.Layer
-	for _, w := range workload.All() {
-		layers = append(layers, w.Layers...)
-	}
+	space, layers := hw.NewAscendSpace(), zooLayers()
 	rng := rand.New(rand.NewSource(20261015))
 	h := fnv.New64a()
 	var buf [8]byte
@@ -35,17 +31,8 @@ func evaluateDigest(n int) (uint64, int) {
 	}
 	feasible := 0
 	for i := 0; i < n; i++ {
-		c := space.Decode(space.Sample(rng))
-		l := layers[rng.Intn(len(layers))]
-		m := mapping.RandomAscend(rng, l)
-		if i%2 == 1 {
-			// Cube-sized tiles scaled by a small power of two: the schedules
-			// that fit, so the tile-step simulation is exercised too.
-			s := 1 << rng.Intn(3)
-			m.TM, m.TK, m.TN = c.CubeM*s, c.CubeK*s, c.CubeN*s
-			m = m.Canon(l)
-		}
-		met, err := e.Evaluate(c, m, l)
+		tr := drawTriple(rng, space, layers, i)
+		met, err := e.Evaluate(tr.c, tr.m, tr.l)
 		if err != nil {
 			h.Write([]byte(err.Error()))
 			continue
@@ -59,9 +46,9 @@ func evaluateDigest(n int) (uint64, int) {
 }
 
 // TestEvaluateDigest pins Evaluate bit for bit: the digest was captured
-// before the hot path lost its math.Max calls and its fmt.Errorf
-// rejections, and neither may move a bit of any result or a byte of any
-// error text.
+// before the hot path lost its math.Max calls, its fmt.Errorf rejections
+// and its DMA ready times, and none of these may move a bit of any result
+// or a byte of any error text.
 func TestEvaluateDigest(t *testing.T) {
 	const want, wantFeasible = 0x9fb39467dd690517, 19070
 	got, feasible := evaluateDigest(20000)

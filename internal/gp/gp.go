@@ -565,7 +565,7 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 		for k, x := range xs {
 			mean[k*ng+j] = mean[k*ng+j]*g.stdY + g.meanY
 			if variance != nil {
-				variance[k*ng+j] = g.scaledVariance(g.kernel.Eval(x, x) + g.noise - ss[fac[j]*TileWidth+k])
+				variance[k*ng+j] = g.scaledVariance(g.priorVariance(x) + g.noise - ss[fac[j]*TileWidth+k])
 			}
 		}
 	}
@@ -588,7 +588,17 @@ func (g *GP) scaledVariance(varS float64) float64 {
 // not up to a tolerance — what lets the acquisition search bound a candidate
 // from its posterior mean alone and solve only for those that can still win.
 func (g *GP) MaxVariance(x []float64) float64 {
-	return g.scaledVariance(g.kernel.Eval(x, x) + g.noise)
+	return g.scaledVariance(g.priorVariance(x) + g.noise)
+}
+
+// priorVariance returns k(x, x). For a Matérn GP that is exactly its signal
+// variance, read without evaluating the kernel: sqDist(x, x) is 0, so r and
+// s are 0, the polynomial is 1 and Exp(-0) is 1.
+func (g *GP) priorVariance(x []float64) float64 {
+	if g.hasParams {
+		return g.params.Variance
+	}
+	return g.kernel.Eval(x, x)
 }
 
 // leaders finds, for every GP, the lowest-indexed GP it can take the

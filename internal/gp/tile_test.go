@@ -283,3 +283,39 @@ func TestConcurrentPredictTileIsDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPriorVarianceIsSignalVariance holds a Matérn GP's prior variance, read
+// from its Params, to k(x, x) evaluated through the kernel, with ==, at
+// seeded points and at a training point, for every grid lengthscale, every
+// grid noise and signal variances other than 1 — and MaxVariance to the
+// bound computed from the kernel.
+func TestPriorVarianceIsSignalVariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := make([][]float64, 12)
+	y := make([]float64, len(x))
+	for i := range x {
+		x[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		y[i] = rng.NormFloat64()
+	}
+	seed := int64(0)
+	for _, ls := range gridLengthscales {
+		for _, nz := range gridNoises {
+			for _, v := range []float64{1, 0.37, 2.5, 1e-3} {
+				seed++
+				g, err := FitWithParams(x, y, Params{Lengthscale: ls, Variance: v, Noise: nz}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range tilePoints(x, seed) {
+					k := g.kernel.Eval(q, q)
+					if got := g.priorVariance(q); got != k {
+						t.Fatalf("ls %v, noise %v, variance %v: prior variance %v, kernel %v", ls, nz, v, got, k)
+					}
+					if got, want := g.MaxVariance(q), g.scaledVariance(k+g.noise); got != want {
+						t.Fatalf("ls %v, noise %v, variance %v: MaxVariance %v, from the kernel %v", ls, nz, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
