@@ -160,6 +160,13 @@ func BenchmarkAcquisitionPool(b *testing.B) {
 	benchmarks.AcquisitionPool(b)
 }
 
+// BenchmarkSurrogateRefit measures one warm refit of four objectives'
+// surrogates on a full training window (n = 150). The body lives in
+// internal/benchmarks so cmd/unicobench runs the identical workload.
+func BenchmarkSurrogateRefit(b *testing.B) {
+	benchmarks.SurrogateRefit(b)
+}
+
 // BenchmarkCholeskyBlocked measures the blocked factorization on a
 // 256×256 SPD matrix. The body lives in internal/benchmarks so
 // cmd/unicobench runs the identical workload.

@@ -43,6 +43,7 @@ func All(ctx context.Context) []Case {
 	return []Case{
 		{Name: "GPFitPredict", Fn: GPFitPredict, Pinned: true},
 		{Name: "AcquisitionPool", Fn: AcquisitionPool, Pinned: true},
+		{Name: "SurrogateRefit", Fn: SurrogateRefit, Pinned: true},
 		{Name: "CholeskyBlocked", Fn: CholeskyBlocked, Pinned: true},
 		{Name: "Rank1Update", Fn: Rank1Update, Pinned: true},
 		{Name: "MaestroEvaluate", Fn: MaestroEvaluate, Pinned: true},
@@ -106,15 +107,30 @@ func AcquisitionPool(b *testing.B) {
 	cfg.Rule = mobo.AllSamples
 	cfg.SearchWorkers = 1
 	o := mobo.New(space, cfg, 1)
+	obs := paperTrainingSet(space, nObj, n)
+	if o.Update(obs) != n || o.TrainSize() != n {
+		b.Fatalf("training set has %d points, want %d", o.TrainSize(), n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(o.SuggestBatch(1)) != 1 {
+			b.Fatal("no suggestion")
+		}
+	}
+}
+
+// paperTrainingSet draws n observations of nObj objectives on the space:
+// smooth bowls with different centres and a different amount of noise per
+// objective, so the objectives' fits do not all land on one set of
+// hyperparameters.
+func paperTrainingSet(space mobo.Space, nObj, n int) []mobo.Observation {
 	rng := rand.New(rand.NewSource(1))
 	obs := make([]mobo.Observation, n)
 	for i := range obs {
 		x := space.Sample(rng)
 		y := make([]float64, nObj)
 		for j := range y {
-			// Smooth bowls with different centres and a different amount
-			// of noise per objective, so the four fits do not all land on
-			// one set of hyperparameters.
 			sum := 0.0
 			for _, v := range x {
 				d := v - 0.3 - 0.1*float64(j)
@@ -124,14 +140,42 @@ func AcquisitionPool(b *testing.B) {
 		}
 		obs[i] = mobo.Observation{X: x, Y: y}
 	}
-	if o.Update(obs) != n || o.TrainSize() != n {
-		b.Fatalf("training set has %d points, want %d", o.TrainSize(), n)
+	return obs
+}
+
+// SurrogateRefit measures one warm refit of the optimizer's surrogates at
+// the paper's size: four objectives on a full training window (n = 150),
+// one shared grid fit (gp.FitAutoAll) with every objective warm-started at
+// the optimum a cold fit of the same data selected, on one worker — the
+// refit every fifth update runs, §1 "surrogate refit".
+func SurrogateRefit(b *testing.B) {
+	const nObj, n = 4, 150
+	obs := paperTrainingSet(hw.NewSpatialSpace(hw.Edge), nObj, n)
+	xs := make([][]float64, n)
+	ys := make([][]float64, nObj)
+	for j := range ys {
+		ys[j] = make([]float64, n)
+	}
+	for i, ob := range obs {
+		xs[i] = ob.X
+		for j, v := range ob.Y {
+			ys[j][i] = math.Log(v)
+		}
+	}
+	cold, err := gp.FitAutoAll(xs, ys, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm := make([]*gp.Params, nObj)
+	for j, g := range cold {
+		p, _ := g.Params()
+		warm[j] = &p
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(o.SuggestBatch(1)) != 1 {
-			b.Fatal("no suggestion")
+		if _, err := gp.FitAutoAll(xs, ys, warm, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

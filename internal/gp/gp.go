@@ -8,44 +8,66 @@
 // grid — robust and dependency-free, which is what a from-scratch surrogate
 // wants.
 //
-// # Fast refits and incremental extends
+// # One factor per distinct kernel matrix
 //
-// FitAuto shares one squared-distance matrix across every grid candidate
-// (the O(n²·d) distance pass runs once, not once per candidate) and reuses
-// two factor/alpha scratch pairs, so a refit allocates a constant number of
-// buffers. FitAutoFrom warm-starts the grid search in the ±1 lengthscale
-// neighborhood of a previous optimum — the cadence policy (when to warm-
-// refit versus full-refit) lives in the caller (internal/mobo).
+// A Matérn factor chol(K(X; ℓ) + σ_n²·I), jitter ladder included, depends on
+// the training inputs, the lengthscale and the noise — never on the
+// targets. The optimizer fits one GP per objective on the same inputs, so
+// the package computes every such factor once and lets the GPs share it:
 //
-// Extend appends one observation in O(n²) via linalg.CholeskyExtend instead
-// of refactorizing. Because the bordered extend is bit-identical to a
-// from-scratch factorization at the same jitter (see internal/linalg), a GP
-// grown by Extend equals one produced by FitWithParams on the full data
-// with the same hyperparameters and pinned jitter, bit for bit — this is
-// what keeps checkpoint/resume runs identical to uninterrupted ones while
-// the optimizer extends surrogates incrementally. Params/Jitter expose the
-// values a caller must persist to reproduce a fitted GP exactly.
+//   - FitAutoAll fits several target vectors on one input set. It builds
+//     the squared-distance matrix once, one kernel matrix per lengthscale in
+//     the union of the targets' search windows, and one factor per
+//     (lengthscale, noise) of that union; the per-lengthscale jobs run on
+//     the caller's Fanout. Each target then scans its own window in grid
+//     order with its own alpha and log marginal likelihood, so it selects
+//     exactly what a fit of that target alone selects — same Params,
+//     jitter, factor and alpha bits. FitAutoFrom (warm-started at a
+//     previous optimum, ±1 lengthscale) and FitAuto (the full grid) are its
+//     one-target cases.
+//   - GPs on the same inputs at equal Params and jitter hold one factor
+//     object. ExtendAll grows each distinct factor once per new observation
+//     in O(n²) via linalg.CholeskyExtend, the distinct factors on the
+//     caller's Fanout, then recomputes each GP's alpha; Extend is its
+//     one-GP, one-point case. Sharing is judged by value, so GPs rebuilt
+//     apart (FitWithParamsAll, a checkpoint restore) extend exactly as
+//     often as GPs fitted together.
 //
-// # Tiled prediction
+// Because the bordered extend is bit-identical to a from-scratch
+// factorization at the same jitter (see internal/linalg), a GP grown by
+// Extend equals one produced by FitWithParams on the full data with the same
+// hyperparameters and pinned jitter, bit for bit — this is what keeps
+// checkpoint/resume runs identical to uninterrupted ones while the optimizer
+// extends surrogates incrementally. Params/Jitter expose the values a caller
+// must persist to reproduce a fitted GP exactly. The cadence policy (when to
+// warm-refit versus extend) lives in the caller (internal/mobo).
+//
+// # Tiled prediction in two stages
 //
 // PredictTile evaluates several GPs at up to TileWidth points in one call,
 // and is the only prediction routine: Predict is its one-GP, one-point case.
-// The optimizer's per-objective GPs share their training inputs and, often,
-// hyperparameters, so a tile computes the squared distances once, the kernel
+// It computes the squared distances once per distinct input set, the kernel
 // column once per distinct lengthscale and the forward solve once per
 // distinct factor, with the tile's points as interleaved lanes of one
 // multi-right-hand-side solve. Every (GP, point) result is bit-identical to
-// evaluating that pair alone. Asked for means only (a nil variance), a tile
-// skips the solves — the O(n²) part — and MaxVariance says how large the
-// variance it did not compute can be; internal/mobo ranks candidates on that
-// before paying for any solve.
+// evaluating that pair alone.
+//
+// A tile runs in two stages over one column buffer. Stage 1 (PredictMeans)
+// builds the kernel columns and the means; stage 2 (PredictVariances) runs
+// the solves — the O(n²) part — and the variances. PredictTile is their
+// composition. A caller may keep stage 1's columns (ColumnsLen floats per
+// point) and run stage 2 later on any regrouping of the points: the lanes of
+// a solve are independent, so the variances carry the same bits.
+// internal/mobo bounds every pool candidate from its means (MaxVariance says
+// how large a variance can be) and runs stage 2 only for the candidates that
+// can still win, on the columns the bound pass kept.
 //
 // # Concurrency
 //
-// A fitted GP is immutable under Predict and PredictTile (scratch space
+// A fitted GP is immutable under the prediction routines (scratch space
 // comes from a sync.Pool, not the receiver), so concurrent calls on one GP
 // are safe — the acquisition worker pool in internal/mobo relies on this.
-// Fit/Extend must not race with either.
+// Fits and extends must not race with them.
 package gp
 
 import (
@@ -59,12 +81,12 @@ import (
 	"unico/internal/telemetry"
 )
 
-// fitCount counts surrogate fits process-wide (one per FitAuto/FitAutoFrom
-// call, not per grid point, so it tracks the number of refit decisions).
+// fitCount counts surrogate fits process-wide (one per target of a grid
+// fit, not per grid point, so it tracks the number of refit decisions).
 var fitCount = telemetry.GPFits()
 
-// extendCount counts incremental one-observation extends, the refits the
-// warm-start path avoided.
+// extendCount counts incremental one-observation factor extends, the
+// refactorizations the warm-start path avoided.
 var extendCount = telemetry.GPExtends()
 
 // Kernel is a positive-definite covariance function on R^d.
@@ -101,8 +123,7 @@ func (k Matern52) Eval(x, y []float64) float64 {
 // matern52FromSq evaluates the Matérn-5/2 kernel from a squared distance.
 // The expression mirrors Matern52.Eval operation for operation so values
 // computed from a shared distance matrix are bit-identical to direct Eval
-// calls — FitAuto's grid search and Extend's covariance column depend on
-// that.
+// calls — the grid search and Extend's covariance column depend on that.
 func matern52FromSq(d2, lengthscale, variance float64) float64 {
 	r := math.Sqrt(d2) / lengthscale
 	s := math.Sqrt(5) * r
@@ -129,19 +150,74 @@ type Params struct {
 	Noise       float64 `json:"noise"`
 }
 
-// GP is a fitted Gaussian-process regressor.
-type GP struct {
+// Fanout runs fn(i) for every i in [0, n), possibly on several goroutines;
+// fn writes only what index i owns. A nil Fanout runs the indices in order
+// on the calling goroutine. internal/mobo passes its search worker pool.
+type Fanout func(n int, fn func(i int))
+
+func (f Fanout) run(n int, fn func(i int)) {
+	if f == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	f(n, fn)
+}
+
+// factor is the Cholesky factor of K(x) + noise·I at a pinned jitter, with
+// the inputs and kernel it was built from. It is a function of those alone,
+// never of targets, so GPs on the same inputs at the same Params and jitter
+// share one. A factor is never modified: an extend makes a new one.
+type factor struct {
 	kernel    Kernel
 	params    Params
 	hasParams bool
 	noise     float64
 	jitter    float64
 	x         [][]float64
-	rawY      []float64
 	chol      *linalg.Matrix
-	alpha     []float64
-	meanY     float64
-	stdY      float64
+}
+
+// sameFactor reports whether two factors are the same matrix: the same
+// object, or Matérn-grid factors of the same input rows (sameInputs) at
+// equal Params and jitter.
+func sameFactor(a, b *factor) bool {
+	if a == b {
+		return true
+	}
+	return a.hasParams && b.hasParams && a.params == b.params && a.jitter == b.jitter && sameInputs(a.x, b.x)
+}
+
+// extend returns the factor grown by one input, bordered at the pinned
+// jitter.
+func (f *factor) extend(xNew []float64) (*factor, error) {
+	defer perfprof.Begin("gp.extend").End()
+	n := len(f.x)
+	k := make([]float64, n)
+	for i := range f.x {
+		k[i] = f.kernel.Eval(f.x[i], xNew)
+	}
+	d := f.kernel.Eval(xNew, xNew) + f.noise
+	chol, err := linalg.CholeskyExtend(f.chol, k, d, f.jitter)
+	if err != nil {
+		return nil, fmt.Errorf("gp: %w", err)
+	}
+	extendCount.Inc()
+	grown := *f
+	grown.x = append(f.x[:n:n], xNew)
+	grown.chol = chol
+	return &grown, nil
+}
+
+// GP is a fitted Gaussian-process regressor: a (possibly shared) factor and
+// its own standardized targets.
+type GP struct {
+	*factor
+	rawY  []float64
+	alpha []float64
+	meanY float64
+	stdY  float64
 }
 
 // ErrNoData reports a fit attempt with no training points.
@@ -150,11 +226,8 @@ var ErrNoData = errors.New("gp: no training data")
 // Fit trains a GP on (x, y) with fixed kernel hyperparameters.
 func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) {
 	defer perfprof.Begin("gp.fit").End()
-	if len(x) == 0 {
-		return nil, ErrNoData
-	}
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("gp: %d inputs vs %d targets", len(x), len(y))
+	if err := checkData(x, [][]float64{y}); err != nil {
+		return nil, err
 	}
 	n := len(x)
 	k := linalg.New(n, n)
@@ -172,17 +245,27 @@ func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) 
 	if err != nil {
 		return nil, fmt.Errorf("gp: %w", err)
 	}
-	g := &GP{
-		kernel: kernel, noise: noise, jitter: jitter,
-		x: x, chol: chol,
-		rawY: append([]float64(nil), y...),
-	}
+	f := &factor{kernel: kernel, noise: noise, jitter: jitter, x: x, chol: chol}
 	if m, ok := kernel.(Matern52); ok {
-		g.params = Params{Lengthscale: m.Lengthscale, Variance: m.Variance, Noise: noise}
-		g.hasParams = true
+		f.params = Params{Lengthscale: m.Lengthscale, Variance: m.Variance, Noise: noise}
+		f.hasParams = true
 	}
+	g := &GP{factor: f, rawY: append([]float64(nil), y...)}
 	g.refreshTargets()
 	return g, nil
+}
+
+// checkData rejects an empty input set and target vectors of another length.
+func checkData(x [][]float64, ys [][]float64) error {
+	if len(x) == 0 {
+		return ErrNoData
+	}
+	for _, y := range ys {
+		if len(y) != len(x) {
+			return fmt.Errorf("gp: %d inputs vs %d targets", len(x), len(y))
+		}
+	}
+	return nil
 }
 
 // refreshTargets (re)standardizes rawY and recomputes alpha against the
@@ -211,137 +294,279 @@ var (
 // grid search over lengthscales and noise levels, with Matérn-5/2 kernels of
 // unit signal variance on standardized targets.
 func FitAuto(x [][]float64, y []float64) (*GP, error) {
-	return fitGrid(x, y, gridLengthscales)
+	return FitAutoFrom(x, y, nil)
 }
 
 // FitAutoFrom is FitAuto warm-started at a previous optimum: the grid
 // search is restricted to the ±1 lengthscale neighborhood of prev (all
 // noise levels are always searched — the noise grid is small). A nil prev,
 // or one whose lengthscale is no longer on the grid, falls back to the
-// full grid. The selection is deterministic either way.
+// full grid. The selection is deterministic either way. It is FitAutoAll's
+// one-target case.
 func FitAutoFrom(x [][]float64, y []float64, prev *Params) (*GP, error) {
-	if prev == nil {
-		return fitGrid(x, y, gridLengthscales)
+	gps, err := FitAutoAll(x, [][]float64{y}, []*Params{prev}, nil)
+	if err != nil {
+		return nil, err
 	}
-	at := -1
-	for i, ls := range gridLengthscales {
-		if ls == prev.Lengthscale {
-			at = i
-			break
+	return gps[0], nil
+}
+
+// window returns the grid lengthscales [lo, hi) a fit warm-started at prev
+// searches.
+func window(prev *Params) (lo, hi int) {
+	if prev != nil {
+		for i, ls := range gridLengthscales {
+			if ls == prev.Lengthscale {
+				return max(i-1, 0), min(i+2, len(gridLengthscales))
+			}
 		}
 	}
-	if at < 0 {
-		return fitGrid(x, y, gridLengthscales)
+	return 0, len(gridLengthscales)
+}
+
+// target is one target vector of a grid fit: its standardization and the
+// window of grid lengthscales it searches.
+type target struct {
+	ys        []float64 // standardized
+	mean, std float64
+	lo, hi    int // the grid lengthscales searched
+}
+
+// choice is one target's best candidate at one grid lengthscale (f nil when
+// none factored or all scored -Inf or NaN).
+type choice struct {
+	f     *factor
+	alpha []float64
+	lml   float64
+}
+
+// FitAutoAll fits one GP per target vector ys[t] on the shared inputs x,
+// warm-started at warm[t] (nil warm, or a nil entry, searches the full
+// grid). GP t is exactly FitAutoFrom(x, ys[t], warm[t]) — Params, jitter,
+// factor, alpha and log marginal likelihood, bit for bit — while each kernel
+// matrix is built and factored once for all targets: one job per
+// lengthscale in the union of the targets' windows, fanned out over fan.
+// Targets that select the same candidate share its factor.
+func FitAutoAll(x [][]float64, ys [][]float64, warm []*Params, fan Fanout) ([]*GP, error) {
+	defer perfprof.Begin("gp.fit_auto").End()
+	if err := checkData(x, ys); err != nil {
+		return nil, err
 	}
-	lo, hi := at-1, at+2
-	if lo < 0 {
-		lo = 0
+	if warm != nil && len(warm) != len(ys) {
+		return nil, fmt.Errorf("gp: %d warm starts for %d targets", len(warm), len(ys))
 	}
-	if hi > len(gridLengthscales) {
-		hi = len(gridLengthscales)
+	fitCount.Add(uint64(len(ys)))
+	tgs := make([]target, len(ys))
+	union := make([]bool, len(gridLengthscales))
+	for t, y := range ys {
+		tg := &tgs[t]
+		var prev *Params
+		if warm != nil {
+			prev = warm[t]
+		}
+		tg.lo, tg.hi = window(prev)
+		for li := tg.lo; li < tg.hi; li++ {
+			union[li] = true
+		}
+		tg.mean, tg.std = meanStd(y)
+		tg.ys = make([]float64, len(y))
+		for i, v := range y {
+			tg.ys[i] = (v - tg.mean) / tg.std
+		}
 	}
-	return fitGrid(x, y, gridLengthscales[lo:hi])
+	var jobs []int
+	for li, used := range union {
+		if used {
+			jobs = append(jobs, li)
+		}
+	}
+	d2 := sqDistLower(x)
+	best := make([][]choice, len(gridLengthscales))
+	sp := &spares{n: len(x)}
+	fan.run(len(jobs), func(u int) {
+		best[jobs[u]] = fitLengthscale(x, d2, jobs[u], tgs, sp)
+	})
+
+	gps := make([]*GP, len(ys))
+	for t := range tgs {
+		tg := &tgs[t]
+		// The target's own window in grid order, strictly better wins: the
+		// order and tie-break of a fit of this target alone.
+		var win *choice
+		for li := tg.lo; li < tg.hi; li++ {
+			if c := &best[li][t]; c.f != nil && (win == nil || c.lml > win.lml) {
+				win = c
+			}
+		}
+		if win == nil {
+			return nil, fmt.Errorf("gp: all hyperparameter candidates failed to factor")
+		}
+		gps[t] = &GP{
+			factor: win.f, alpha: win.alpha,
+			rawY:  append([]float64(nil), ys[t]...),
+			meanY: tg.mean, stdY: tg.std,
+		}
+	}
+	return gps, nil
+}
+
+// spares is one FitAutoAll call's free list of n×n matrices: the jobs take
+// their kernel matrices and candidate factors from it and give back the
+// ones they are done with, so a fit allocates about as many matrices as it
+// holds at once, not one per candidate. A matrix from the list has stale
+// contents, which neither the kernel build (it writes the lower triangle,
+// all a factorization reads) nor a factorization into it reads.
+type spares struct {
+	mu   sync.Mutex
+	n    int
+	free []*linalg.Matrix
+}
+
+func (s *spares) get() *linalg.Matrix {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.free); k > 0 {
+		m := s.free[k-1]
+		s.free = s.free[:k-1]
+		return m
+	}
+	return linalg.New(s.n, s.n)
+}
+
+func (s *spares) put(m *linalg.Matrix) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.free = append(s.free, m)
+}
+
+// fitLengthscale is one job of FitAutoAll: the kernel matrix of grid
+// lengthscale li, factored once per noise level, and for every target whose
+// window holds li the best candidate by log marginal likelihood, noise
+// levels in grid order, strictly better wins. Only the factors some target
+// ends up holding are kept; the rest go back to sp.
+func fitLengthscale(x [][]float64, d2 *linalg.Matrix, li int, tgs []target, sp *spares) []choice {
+	n, ls := d2.Rows, gridLengthscales[li]
+	best := make([]choice, len(tgs))
+	alpha := make([][]float64, len(tgs)) // per-target solve scratch
+	for t := range best {
+		best[t].lml = math.Inf(-1)
+	}
+	held := func(f *factor) bool {
+		for _, c := range best {
+			if c.f == f {
+				return true
+			}
+		}
+		return false
+	}
+	k := sp.get()
+	defer sp.put(k)
+	buildMaternLower(k, d2, ls, 1, 0)
+	w := make([]float64, n)
+	var cand *linalg.Matrix
+	for _, nz := range gridNoises {
+		for i := 0; i < n; i++ {
+			k.Data[i*n+i] = 1 + nz
+		}
+		if cand == nil {
+			cand = sp.get()
+		}
+		jitter, err := linalg.CholeskyInto(cand, k)
+		if err != nil {
+			continue
+		}
+		var f *factor
+		for t := range tgs {
+			if li < tgs[t].lo || li >= tgs[t].hi {
+				continue
+			}
+			if alpha[t] == nil {
+				alpha[t] = make([]float64, n)
+			}
+			linalg.CholeskySolveInto(cand, tgs[t].ys, alpha[t])
+			lml := lmlFromChol(cand, alpha[t], w)
+			if !(lml > best[t].lml) {
+				continue
+			}
+			if f == nil {
+				f = &factor{
+					kernel: Matern52{Lengthscale: ls, Variance: 1},
+					params: Params{Lengthscale: ls, Variance: 1, Noise: nz}, hasParams: true,
+					noise: nz, jitter: jitter, x: x, chol: cand,
+				}
+			}
+			prev := best[t]
+			best[t], alpha[t] = choice{f: f, alpha: alpha[t], lml: lml}, prev.alpha
+			if prev.f != nil && !held(prev.f) {
+				sp.put(prev.f.chol)
+			}
+		}
+		if f != nil {
+			cand = nil
+		}
+	}
+	if cand != nil {
+		sp.put(cand)
+	}
+	return best
 }
 
 // FitWithParams trains a GP at exactly the given hyperparameters and
 // diagonal jitter — no grid search, no jitter retry ladder. Checkpoint
 // restores use it to rebuild a surrogate bit-identical to the one a live
 // run held (whether that run produced it by grid search or grew it with
-// Extend).
+// Extend). It is FitWithParamsAll's one-target case.
 func FitWithParams(x [][]float64, y []float64, p Params, jitter float64) (*GP, error) {
-	defer perfprof.Begin("gp.fit").End()
-	if len(x) == 0 {
-		return nil, ErrNoData
+	gps, err := FitWithParamsAll(x, [][]float64{y}, []Params{p}, []float64{jitter})
+	if err != nil {
+		return nil, err
 	}
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("gp: %d inputs vs %d targets", len(x), len(y))
-	}
-	n := len(x)
-	d2 := sqDistLower(x)
-	k := linalg.New(n, n)
-	buildMaternLower(k, d2, p.Lengthscale, p.Variance, p.Noise)
-	chol := linalg.New(n, n)
-	if err := linalg.CholeskyFixedInto(chol, k, jitter); err != nil {
-		return nil, fmt.Errorf("gp: %w", err)
-	}
-	g := &GP{
-		kernel: Matern52{Lengthscale: p.Lengthscale, Variance: p.Variance},
-		params: p, hasParams: true,
-		noise: p.Noise, jitter: jitter,
-		x: x, chol: chol,
-		rawY: append([]float64(nil), y...),
-	}
-	g.refreshTargets()
-	return g, nil
+	return gps[0], nil
 }
 
-// fitGrid runs the log-marginal-likelihood grid search over the given
-// lengthscales (× all noise levels). One squared-distance matrix is shared
-// by every candidate, the kernel matrix is rebuilt per lengthscale with
-// only the diagonal varying per noise level, and two factor/alpha scratch
-// pairs alternate so the winner's factor survives without refactorizing.
-func fitGrid(x [][]float64, y []float64, lengthscales []float64) (*GP, error) {
-	defer perfprof.Begin("gp.fit_auto").End()
-	if len(x) == 0 {
-		return nil, ErrNoData
+// FitWithParamsAll rebuilds one GP per target vector ys[t] on the shared
+// inputs x at exactly ps[t] and jitters[t]. Targets with equal Params and
+// jitter get one factor, factored once: the sharing a grid fit or
+// ExtendAll leaves them with.
+func FitWithParamsAll(x [][]float64, ys [][]float64, ps []Params, jitters []float64) ([]*GP, error) {
+	defer perfprof.Begin("gp.fit").End()
+	if err := checkData(x, ys); err != nil {
+		return nil, err
 	}
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("gp: %d inputs vs %d targets", len(x), len(y))
+	if len(ps) != len(ys) || len(jitters) != len(ys) {
+		return nil, fmt.Errorf("gp: %d params and %d jitters for %d targets", len(ps), len(jitters), len(ys))
 	}
-	fitCount.Inc()
 	n := len(x)
-	mean, std := meanStd(y)
-	ys := make([]float64, n)
-	for i, v := range y {
-		ys[i] = (v - mean) / std
-	}
-
 	d2 := sqDistLower(x)
-	k := linalg.New(n, n)
-	cand, spare := linalg.New(n, n), linalg.New(n, n)
-	candAlpha, spareAlpha := make([]float64, n), make([]float64, n)
-	w := make([]float64, n)
-
-	var (
-		found      bool
-		bestParams Params
-		bestJitter float64
-		bestLML    = math.Inf(-1)
-	)
-	for _, ls := range lengthscales {
-		buildMaternLower(k, d2, ls, 1, 0)
-		for _, nz := range gridNoises {
-			for i := 0; i < n; i++ {
-				k.Data[i*n+i] = 1 + nz
-			}
-			jitter, err := linalg.CholeskyInto(cand, k)
-			if err != nil {
-				continue
-			}
-			linalg.CholeskySolveInto(cand, ys, candAlpha)
-			lml := lmlFromChol(cand, candAlpha, w)
-			if lml > bestLML {
-				found = true
-				bestParams = Params{Lengthscale: ls, Variance: 1, Noise: nz}
-				bestJitter = jitter
-				bestLML = lml
-				cand, spare = spare, cand
-				candAlpha, spareAlpha = spareAlpha, candAlpha
+	var k *linalg.Matrix
+	gps := make([]*GP, len(ys))
+	for t, p := range ps {
+		var f *factor
+		for s := 0; s < t && f == nil; s++ {
+			if ps[s] == p && jitters[s] == jitters[t] {
+				f = gps[s].factor
 			}
 		}
+		if f == nil {
+			if k == nil {
+				k = linalg.New(n, n)
+			}
+			buildMaternLower(k, d2, p.Lengthscale, p.Variance, p.Noise)
+			chol := linalg.New(n, n)
+			if err := linalg.CholeskyFixedInto(chol, k, jitters[t]); err != nil {
+				return nil, fmt.Errorf("gp: %w", err)
+			}
+			f = &factor{
+				kernel: Matern52{Lengthscale: p.Lengthscale, Variance: p.Variance},
+				params: p, hasParams: true,
+				noise: p.Noise, jitter: jitters[t],
+				x: x, chol: chol,
+			}
+		}
+		gps[t] = &GP{factor: f, rawY: append([]float64(nil), ys[t]...)}
+		gps[t].refreshTargets()
 	}
-	if !found {
-		return nil, fmt.Errorf("gp: all hyperparameter candidates failed to factor")
-	}
-	g := &GP{
-		kernel: Matern52{Lengthscale: bestParams.Lengthscale, Variance: bestParams.Variance},
-		params: bestParams, hasParams: true,
-		noise: bestParams.Noise, jitter: bestJitter,
-		x: x, chol: spare, alpha: spareAlpha,
-		rawY:  append([]float64(nil), y...),
-		meanY: mean, stdY: std,
-	}
-	return g, nil
+	return gps, nil
 }
 
 // sqDistLower fills the lower triangle of the pairwise squared-distance
@@ -379,23 +604,64 @@ func buildMaternLower(dst, d2 *linalg.Matrix, lengthscale, variance, noise float
 // LogMarginalLikelihood). The result is bit-identical to FitWithParams on
 // the extended data at the same hyperparameters and jitter. On error the
 // receiver is unchanged and the caller should fall back to a full refit.
+// It is ExtendAll's one-GP, one-point case.
 func (g *GP) Extend(xNew []float64, yNew float64) error {
-	defer perfprof.Begin("gp.extend").End()
-	n := len(g.x)
-	k := make([]float64, n)
-	for i := range g.x {
-		k[i] = g.kernel.Eval(g.x[i], xNew)
+	return ExtendAll([]*GP{g}, [][]float64{xNew}, [][]float64{{yNew}}, nil)
+}
+
+// ExtendAll appends the observations xs to every GP of gps, GP j taking
+// targets ys[j] (one per point): each GP ends exactly as a run of Extend
+// calls would leave it, bit for bit. Each distinct factor among the GPs
+// (sameFactor) is extended once per point, the distinct factors fanned out
+// over fan, and the GPs that held it hold the extended one; then each GP
+// recomputes its alpha once. On error no GP is changed.
+func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) error {
+	if len(ys) != len(gps) {
+		return fmt.Errorf("gp: %d target vectors for %d GPs", len(ys), len(gps))
 	}
-	d := g.kernel.Eval(xNew, xNew) + g.noise
-	chol, err := linalg.CholeskyExtend(g.chol, k, d, g.jitter)
-	if err != nil {
-		return fmt.Errorf("gp: %w", err)
+	for _, y := range ys {
+		if len(y) != len(xs) {
+			return fmt.Errorf("gp: %d new inputs vs %d targets", len(xs), len(y))
+		}
 	}
-	extendCount.Inc()
-	g.chol = chol
-	g.x = append(g.x[:n:n], xNew)
-	g.rawY = append(g.rawY, yNew)
-	g.refreshTargets()
+	if len(xs) == 0 {
+		return nil
+	}
+	group := make([]int, len(gps))
+	var facs []*factor
+	for j, g := range gps {
+		group[j] = len(facs)
+		for s, f := range facs {
+			if sameFactor(f, g.factor) {
+				group[j] = s
+				break
+			}
+		}
+		if group[j] == len(facs) {
+			facs = append(facs, g.factor)
+		}
+	}
+	errs := make([]error, len(facs))
+	fan.run(len(facs), func(s int) {
+		f := facs[s]
+		for _, x := range xs {
+			var err error
+			if f, err = f.extend(x); err != nil {
+				errs[s] = err
+				return
+			}
+		}
+		facs[s] = f
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	fan.run(len(gps), func(j int) {
+		g := gps[j]
+		g.factor = facs[group[j]]
+		g.rawY = append(g.rawY, ys[j]...)
+		g.refreshTargets()
+	})
 	return nil
 }
 
@@ -437,14 +703,19 @@ func lmlFromChol(chol *linalg.Matrix, alpha, w []float64) float64 {
 // TileWidth is the most candidates one PredictTile call takes.
 const TileWidth = linalg.MaxLanes
 
-// tileScratch is the per-call working set of PredictTile, pooled so the hot
-// path allocates nothing and concurrent calls never share buffers. d2, ks
-// and v hold one value per (training point, lane), interleaved the way
-// linalg.SolveLowerLanesInto wants them; ss holds Σv² per (GP, lane); lead
-// holds the three leader indices of every GP.
+// tileScratch is the per-call working set of a tile, pooled so the hot path
+// allocates nothing and concurrent calls never share buffers. d2 and v hold
+// one value per (training point, lane) of one input set or factor at a
+// time; ks holds every distinct kernel column of the tile, column after
+// column, each row's lanes interleaved the way linalg.SolveLowerLanesInto
+// wants them; ss holds Σv² per (GP, lane); lead holds the leader indices and
+// column offsets of every GP.
 type tileScratch struct {
 	d2, ks, v, ss []float64
 	lead          []int
+	// dist, col and fac are the leaders (see leaders); off[b] is the row of
+	// ks where column leader b's column starts.
+	dist, col, fac, off []int
 }
 
 var tilePool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -476,24 +747,21 @@ func sameInputs(a, b [][]float64) bool {
 
 // PredictTile evaluates every GP of gps at every point of xs (at most
 // TileWidth of them): mean[k*len(gps)+j] and variance[k*len(gps)+j] are
-// exactly what gps[j].Predict(xs[k]) returns, bit for bit.
-//
-// A nil variance asks for the means only: the forward solves and Σv² — the
-// O(n²) part of a tile — are skipped, and every mean is the same operations
-// in the same order, so the same bits. GP.MaxVariance bounds what was not
-// computed.
+// exactly what gps[j].Predict(xs[k]) returns, bit for bit. It is
+// PredictMeans followed by PredictVariances on the same column buffer.
 //
 // The tile does each piece of work once per distinct input rather than once
 // per (GP, point). GPs fitted on one training-input set (sameInputs) share
 // the squared distances to it; those that also share a Matérn lengthscale
 // and variance share the kernel column, built with matern52FromSq; those
-// that also share noise and jitter share the Cholesky factor — it is a
-// function of the inputs, Params and jitter only, never of the targets — so
-// they share the forward solve and Σv². Only the mean's dot product with
-// alpha is per GP. Each solve runs all the tile's points as interleaved
-// lanes of one linalg.SolveLowerLanesInto call. A GP that shares nothing
-// (other inputs, or a kernel outside the Matérn grid) is evaluated on its
-// own within the same routine.
+// that also share noise and jitter share the Cholesky factor, so they share
+// the forward solve and Σv². Only the mean's dot product with alpha is per
+// GP. Each solve runs all the tile's points as interleaved lanes of one
+// linalg.SolveLowerLanesInto call, and the dot products and Σv² run
+// row-outer with one accumulator per lane — each lane still adds in
+// ascending row order, so the bits are a lone point's. A GP that shares
+// nothing (other inputs, or a kernel outside the Matérn grid) is evaluated
+// on its own within the same routine.
 //
 // It is safe to call concurrently on fitted GPs, allocates nothing, and
 // deliberately carries no perfprof span: the acquisition search calls it
@@ -501,26 +769,108 @@ func sameInputs(a, b [][]float64) bool {
 // span would serialize them on the profiler mutex. The mobo.acq_* spans
 // account for this time instead.
 func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
-	m, ng := len(xs), len(gps)
+	checkOut(len(gps), len(xs), mean, "means")
+	checkOut(len(gps), len(xs), variance, "variances")
+	sc, w := startTile(gps, len(xs))
+	sc.means(gps, xs, w, mean)
+	sc.variances(gps, xs, w, variance)
+	tilePool.Put(sc)
+}
+
+// PredictMeans is stage 1 of PredictTile: the means of every GP at every
+// point of xs, the same bits PredictTile writes, without the solves — the
+// O(n²) part of a tile; GP.MaxVariance bounds the variances it did not
+// compute. A non-nil cols keeps the tile's kernel columns for
+// PredictVariances: cols[k], ColumnsLen(gps) long, receives point k's.
+func PredictMeans(gps []*GP, xs [][]float64, mean []float64, cols [][]float64) {
+	checkOut(len(gps), len(xs), mean, "means")
+	sc, w := startTile(gps, len(xs))
+	sc.means(gps, xs, w, mean)
+	if cols != nil {
+		checkCols(cols, len(xs), len(sc.ks)/w)
+		for r := 0; r < len(sc.ks)/w; r++ {
+			row := sc.ks[r*w : r*w+len(xs)]
+			for k, c := range cols {
+				c[r] = row[k]
+			}
+		}
+	}
+	tilePool.Put(sc)
+}
+
+// PredictVariances is stage 2 of PredictTile: the variances of every GP at
+// every point of xs, from the columns PredictMeans kept for the same GPs
+// (cols[k] for xs[k]). The points may come from different PredictMeans
+// calls in any grouping: each is one lane of the same solve, so its
+// variances are the bits PredictTile writes.
+func PredictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64) {
+	checkOut(len(gps), len(xs), variance, "variances")
+	sc, w := startTile(gps, len(xs))
+	checkCols(cols, len(xs), len(sc.ks)/w)
+	for r := 0; r < len(sc.ks)/w; r++ {
+		row := sc.ks[r*w : r*w+w]
+		for k, c := range cols {
+			row[k] = c[r]
+		}
+		for k := len(cols); k < w; k++ {
+			row[k] = 0
+		}
+	}
+	sc.variances(gps, xs, w, variance)
+	tilePool.Put(sc)
+}
+
+// ColumnsLen is how many floats of kernel columns PredictMeans keeps per
+// point for gps: one column per distinct (input set, lengthscale, variance).
+func ColumnsLen(gps []*GP) int {
+	sc := tilePool.Get().(*tileScratch)
+	rows := sc.prepare(gps)
+	tilePool.Put(sc)
+	return rows
+}
+
+func checkOut(ng, m int, out []float64, what string) {
 	if m < 1 || m > TileWidth {
-		panic(fmt.Sprintf("gp: PredictTile of %d points, want 1..%d", m, TileWidth))
+		panic(fmt.Sprintf("gp: tile of %d points, want 1..%d", m, TileWidth))
 	}
-	if len(mean) != m*ng || (variance != nil && len(variance) != m*ng) {
-		panic(fmt.Sprintf("gp: PredictTile got %d means and %d variances for %d points × %d GPs", len(mean), len(variance), m, ng))
+	if len(out) != m*ng {
+		panic(fmt.Sprintf("gp: tile got %d %s for %d points × %d GPs", len(out), what, m, ng))
 	}
+}
+
+func checkCols(cols [][]float64, m, rows int) {
+	if len(cols) != m {
+		panic(fmt.Sprintf("gp: %d column sets for %d points", len(cols), m))
+	}
+	for _, c := range cols {
+		if len(c) != rows {
+			panic(fmt.Sprintf("gp: column set of %d floats, want %d", len(c), rows))
+		}
+	}
+}
+
+// startTile takes pooled scratch prepared for gps and m points, and returns
+// it with the tile's lane width.
+func startTile(gps []*GP, m int) (*tileScratch, int) {
 	w := linalg.Lanes(m)
 	sc := tilePool.Get().(*tileScratch)
-	dist, col, fac := sc.leaders(gps)
-	sc.ss = grow(sc.ss, ng*TileWidth)
-	ss := sc.ss
+	rows := sc.prepare(gps)
+	sc.ks = grow(sc.ks, rows*w)
+	sc.ss = grow(sc.ss, len(gps)*TileWidth)
+	return sc, w
+}
 
+// means is stage 1: the distances, every distinct kernel column into ks,
+// and the means.
+func (sc *tileScratch) means(gps []*GP, xs [][]float64, w int, mean []float64) {
+	m, ng := len(xs), len(gps)
 	for a, ga := range gps {
-		if dist[a] != a {
+		if sc.dist[a] != a {
 			continue
 		}
 		n := len(ga.x)
-		sc.d2, sc.ks, sc.v = grow(sc.d2, n*w), grow(sc.ks, n*w), grow(sc.v, n*w)
-		d2, ks, v := sc.d2, sc.ks, sc.v
+		sc.d2 = grow(sc.d2, n*w)
+		d2 := sc.d2
 		if ga.hasParams {
 			for i, xi := range ga.x {
 				row := d2[w*i : w*i+m]
@@ -530,46 +880,128 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 			}
 		}
 		for b := a; b < ng; b++ {
-			if dist[b] != a || col[b] != b {
+			if sc.dist[b] != a || sc.col[b] != b {
 				continue
 			}
+			ks := sc.ks[w*sc.off[b] : w*(sc.off[b]+n)]
 			gps[b].kernelTile(ks, d2, xs, w)
 			for c := b; c < ng; c++ {
-				if col[c] != b {
+				if sc.col[c] != b {
 					continue
 				}
 				gc := gps[c]
-				// The mean's ks·alpha, in linalg.Dot's order, lane by lane.
+				var dot [TileWidth]float64
+				laneDots(ks, gc.alpha, w, &dot)
 				for k := 0; k < m; k++ {
-					sum := 0.0
-					for i, al := range gc.alpha {
-						sum += ks[w*i+k] * al
-					}
-					mean[k*ng+c] = sum
-				}
-				if variance == nil || fac[c] != c {
-					continue
-				}
-				linalg.SolveLowerLanesInto(gc.chol, w, ks, v)
-				for k := 0; k < m; k++ {
-					sum := 0.0
-					for i := 0; i < n; i++ {
-						sum += v[w*i+k] * v[w*i+k]
-					}
-					ss[c*TileWidth+k] = sum
+					mean[k*ng+c] = dot[k]*gc.stdY + gc.meanY
 				}
 			}
 		}
+	}
+}
+
+// variances is stage 2: one forward solve per distinct factor against the
+// columns in ks, Σv², and the variances.
+func (sc *tileScratch) variances(gps []*GP, xs [][]float64, w int, variance []float64) {
+	ng := len(gps)
+	for c, gc := range gps {
+		if sc.fac[c] != c {
+			continue
+		}
+		n, b := len(gc.x), sc.col[c]
+		sc.v = grow(sc.v, n*w)
+		linalg.SolveLowerLanesInto(gc.chol, w, sc.ks[w*sc.off[b]:w*(sc.off[b]+n)], sc.v)
+		laneSumSq(sc.v, w, (*[TileWidth]float64)(sc.ss[c*TileWidth:]))
 	}
 	for j, g := range gps {
 		for k, x := range xs {
-			mean[k*ng+j] = mean[k*ng+j]*g.stdY + g.meanY
-			if variance != nil {
-				variance[k*ng+j] = g.scaledVariance(g.priorVariance(x) + g.noise - ss[fac[j]*TileWidth+k])
-			}
+			variance[k*ng+j] = g.scaledVariance(g.priorVariance(x) + g.noise - sc.ss[sc.fac[j]*TileWidth+k])
 		}
 	}
-	tilePool.Put(sc)
+}
+
+// laneDots writes Σᵢ a[w·i+k]·b[i] into out[k] for every lane k < w. The
+// loop is row-outer with one accumulator per lane, in named locals the
+// compiler keeps in registers (see linalg's solveLower8): each lane adds its
+// products in ascending i from 0, linalg.Dot's order, so the bits are a lone
+// lane's, while the lanes' add chains run side by side.
+func laneDots(a, b []float64, w int, out *[TileWidth]float64) {
+	switch w {
+	case 1:
+		s := 0.0
+		for i, bi := range b {
+			s += a[i] * bi
+		}
+		out[0] = s
+	case 4:
+		var s0, s1, s2, s3 float64
+		for i, bi := range b {
+			r := a[4*i : 4*i+4 : 4*i+4]
+			s0 += r[0] * bi
+			s1 += r[1] * bi
+			s2 += r[2] * bi
+			s3 += r[3] * bi
+		}
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+	case TileWidth:
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for i, bi := range b {
+			r := a[8*i : 8*i+8 : 8*i+8]
+			s0 += r[0] * bi
+			s1 += r[1] * bi
+			s2 += r[2] * bi
+			s3 += r[3] * bi
+			s4 += r[4] * bi
+			s5 += r[5] * bi
+			s6 += r[6] * bi
+			s7 += r[7] * bi
+		}
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+	default:
+		panic(fmt.Sprintf("gp: %d lanes, want 1, 4 or %d", w, TileWidth))
+	}
+}
+
+// laneSumSq writes Σᵢ v[w·i+k]² into out[k] for every lane k < w, in
+// laneDots' order.
+func laneSumSq(v []float64, w int, out *[TileWidth]float64) {
+	n := len(v) / w
+	switch w {
+	case 1:
+		s := 0.0
+		for _, x := range v {
+			s += x * x
+		}
+		out[0] = s
+	case 4:
+		var s0, s1, s2, s3 float64
+		for i := 0; i < n; i++ {
+			r := v[4*i : 4*i+4 : 4*i+4]
+			s0 += r[0] * r[0]
+			s1 += r[1] * r[1]
+			s2 += r[2] * r[2]
+			s3 += r[3] * r[3]
+		}
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+	case TileWidth:
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for i := 0; i < n; i++ {
+			r := v[8*i : 8*i+8 : 8*i+8]
+			s0 += r[0] * r[0]
+			s1 += r[1] * r[1]
+			s2 += r[2] * r[2]
+			s3 += r[3] * r[3]
+			s4 += r[4] * r[4]
+			s5 += r[5] * r[5]
+			s6 += r[6] * r[6]
+			s7 += r[7] * r[7]
+		}
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+	default:
+		panic(fmt.Sprintf("gp: %d lanes, want 1, 4 or %d", w, TileWidth))
+	}
 }
 
 // scaledVariance clamps a standardized posterior variance away from zero and
@@ -601,15 +1033,31 @@ func (g *GP) priorVariance(x []float64) float64 {
 	return g.kernel.Eval(x, x)
 }
 
+// prepare finds the leaders of gps and lays out their columns, returning
+// how many rows (training points) the tile's distinct columns hold.
+func (sc *tileScratch) prepare(gps []*GP) (rows int) {
+	ng := len(gps)
+	sc.dist, sc.col, sc.fac = sc.leaders(gps)
+	sc.off = sc.lead[3*ng : 4*ng]
+	for b, g := range gps {
+		if sc.col[b] == b {
+			sc.off[b] = rows
+			rows += len(g.x)
+		}
+	}
+	return rows
+}
+
 // leaders finds, for every GP, the lowest-indexed GP it can take the
 // squared distances, the kernel column and the factor solve from (itself
 // when there is none). Sharing nests: a column leader is in the same
 // distance group, a factor leader in the same column group.
 func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 	ng := len(gps)
-	if cap(sc.lead) < 3*ng {
-		sc.lead = make([]int, 3*ng)
+	if cap(sc.lead) < 4*ng {
+		sc.lead = make([]int, 4*ng)
 	}
+	sc.lead = sc.lead[:4*ng]
 	dist, col, fac = sc.lead[:ng], sc.lead[ng:2*ng], sc.lead[2*ng:3*ng]
 	for j, g := range gps {
 		dist[j], col[j], fac[j] = j, j, j

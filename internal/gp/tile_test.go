@@ -44,24 +44,45 @@ func tilePoints(x [][]float64, seed int64) [][]float64 {
 }
 
 // checkTile compares PredictTile with predictReference for every tile fill
-// from one point to TileWidth: the full form, the means-only form (the same
-// means, bit for bit), and MaxVariance, which no variance may exceed.
+// from one point to TileWidth: the full form; stage 1 alone (PredictMeans,
+// the same means, bit for bit), keeping its columns; stage 2 alone
+// (PredictVariances) on those columns with the tile's points in reverse, so
+// every point rides in another lane and in a tile of another fill; and
+// MaxVariance, which no variance may exceed.
 func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 	t.Helper()
+	ng, rows := len(gps), ColumnsLen(gps)
 	for m := 1; m <= len(xs); m++ {
-		mean := make([]float64, m*len(gps))
-		variance := make([]float64, m*len(gps))
-		meanOnly := make([]float64, m*len(gps))
+		mean := make([]float64, m*ng)
+		variance := make([]float64, m*ng)
+		meanOnly := make([]float64, m*ng)
 		PredictTile(gps, xs[:m], mean, variance)
-		PredictTile(gps, xs[:m], meanOnly, nil)
+		cols := make([][]float64, m)
+		for k := range cols {
+			cols[k] = make([]float64, rows)
+		}
+		PredictMeans(gps, xs[:m], meanOnly, cols)
+		// Stage 2 of the last r points, in reverse: point k is lane m-1-k.
+		r := 1 + (m-1)/2
+		back, backCols := make([][]float64, r), make([][]float64, r)
+		for q := range back {
+			back[q], backCols[q] = xs[m-1-q], cols[m-1-q]
+		}
+		staged := make([]float64, r*ng)
+		PredictVariances(gps, back, backCols, staged)
 		for k := 0; k < m; k++ {
 			for j, g := range gps {
 				wm, wv := predictReference(g, xs[k])
-				if gm, gv := mean[k*len(gps)+j], variance[k*len(gps)+j]; gm != wm || gv != wv {
+				if gm, gv := mean[k*ng+j], variance[k*ng+j]; gm != wm || gv != wv {
 					t.Fatalf("tile of %d, point %d, GP %d: (%v, %v), reference (%v, %v)", m, k, j, gm, gv, wm, wv)
 				}
-				if gm := meanOnly[k*len(gps)+j]; gm != wm {
-					t.Fatalf("means-only tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gm, wm)
+				if gm := meanOnly[k*ng+j]; gm != wm {
+					t.Fatalf("stage 1 of a tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gm, wm)
+				}
+				if q := m - 1 - k; q < r {
+					if gv := staged[q*ng+j]; gv != wv {
+						t.Fatalf("stage 2 of the kept columns, tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gv, wv)
+					}
 				}
 				if top := g.MaxVariance(xs[k]); !(wv <= top) {
 					t.Fatalf("point %d, GP %d: variance %v above MaxVariance %v", k, j, wv, top)
@@ -224,8 +245,8 @@ func TestPredictTilePanicsOnBadShapes(t *testing.T) {
 	}
 }
 
-// TestPredictTileDoesNotAllocate pins the allocation-free tile path, full
-// and partly filled, with variances and means-only.
+// TestPredictTileDoesNotAllocate pins the allocation-free tile paths, full
+// and partly filled: the whole tile and each of its stages.
 func TestPredictTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -237,10 +258,18 @@ func TestPredictTileDoesNotAllocate(t *testing.T) {
 	xs := tilePoints(x, 3)
 	mean := make([]float64, len(xs)*len(gps))
 	variance := make([]float64, len(xs)*len(gps))
+	cols := make([][]float64, len(xs))
+	for k := range cols {
+		cols[k] = make([]float64, ColumnsLen(gps))
+	}
 	for _, m := range []int{TileWidth, 3} {
 		for name, run := range map[string]func(){
-			"PredictTile":            func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], variance[:m*len(gps)]) },
-			"means-only PredictTile": func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], nil) },
+			"PredictTile":  func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], variance[:m*len(gps)]) },
+			"PredictMeans": func() { PredictMeans(gps, xs[:m], mean[:m*len(gps)], nil) },
+			"PredictMeans keeping columns": func() {
+				PredictMeans(gps, xs[:m], mean[:m*len(gps)], cols[:m])
+			},
+			"PredictVariances": func() { PredictVariances(gps, xs[:m], cols[:m], variance[:m*len(gps)]) },
 		} {
 			run() // warm the pool
 			if n := testing.AllocsPerRun(200, run); n > 0 {

@@ -9,6 +9,16 @@ import (
 	"unico/internal/gp"
 )
 
+// scoreTile is the exact scoring the acquisition search ran before exact
+// scores reused the bound pass's kernel columns: one full gp.PredictTile of
+// the candidates xs (at most gp.TileWidth), their acquisition values into
+// out. post is scratch for the posterior, 2·len(xs)·NumObjectives long.
+func (o *Optimizer) scoreTile(xs [][]float64, lambda, post, out []float64) {
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	gp.PredictTile(o.gps, xs, mean, variance)
+	o.acquisition(mean, variance, lambda, out)
+}
+
 // scorePoolReference is the exhaustive pool scoring the acquisition search
 // ran before it bounded candidates first: an exact score for every pool
 // candidate, +Inf for the excluded ones.
@@ -102,7 +112,9 @@ func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
 
 // TestBoundNeverExceedsScore is the property the pruning rests on: for every
 // candidate, boundTile's value <= scoreTile's, compared on the floats with no
-// tolerance. The GP sets cover shared and distinct hyperparameters, a
+// tolerance. And the exact score scoreKept builds — from what the bound
+// kept, or from stage 1 run again for the candidates the keep set let go —
+// is scoreTile's, with ==. The GP sets cover shared and distinct hyperparameters, a
 // non-Matérn kernel of signal variance 2.5 (k(x,x) is not 1), a training set
 // of 3, an objective whose span is 0, and noise-free GPs queried on their own
 // training inputs, where the variance clamps to 1e-12; the candidates are
@@ -206,15 +218,31 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 			if trial == 3 {
 				lambda[0], lambda[1] = lambda[0]+lambda[1], 0
 			}
+			width := nObj + gp.ColumnsLen(o.gps)
+			o.acq.keep.reset(len(cands), width)
 			for lo := 0; lo < len(cands); lo += gp.TileWidth {
-				xs := cands[lo:min(lo+gp.TileWidth, len(cands))]
+				hi := min(lo+gp.TileWidth, len(cands))
+				xs := cands[lo:hi]
 				post := make([]float64, 2*len(xs)*nObj)
-				bound, score := make([]float64, len(xs)), make([]float64, len(xs))
-				o.boundTile(xs, lambda, post, bound)
+				bound, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
+				data := make([][]float64, len(xs))
+				for k := range data {
+					data[k] = make([]float64, width)
+				}
+				o.boundTile(xs, lambda, post, bound, data)
+				o.acq.keep.offer(lo, bound, data)
 				o.scoreTile(xs, lambda, post, score)
+				tile := make([]int, len(xs))
+				for k := range tile {
+					tile[k] = hi - 1 - k // reversed: every candidate in another lane
+				}
+				o.scoreKept(cands, tile, lambda, post, kept)
 				for k := range xs {
 					if !(bound[k] <= score[k]) {
 						t.Fatalf("%s, lambda %v, candidate %d: bound %v exceeds score %v", set.name, lambda, lo+k, bound[k], score[k])
+					}
+					if got := kept[len(xs)-1-k]; got != score[k] && !(math.IsNaN(got) && math.IsNaN(score[k])) {
+						t.Fatalf("%s, lambda %v, candidate %d: scored %v from the kept columns, %v from a full tile", set.name, lambda, lo+k, got, score[k])
 					}
 				}
 			}

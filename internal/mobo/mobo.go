@@ -13,13 +13,15 @@
 //
 // Update refits the per-objective GPs incrementally when it can: newly
 // admitted observations extend the existing factors in O(n²)
-// (gp.GP.Extend), and a full hyperparameter re-selection — warm-started at
-// the previous optimum via gp.FitAutoFrom — runs only every
+// (gp.ExtendAll, once per distinct factor), and a full hyperparameter
+// re-selection — one grid fit shared by all objectives, each warm-started at
+// its previous optimum (gp.FitAutoAll) — runs only every
 // Config.RefitEvery updates, when the per-point log marginal likelihood
 // degrades past a tolerance, or when eviction rewrote the training set.
+// Both fan their independent factor work out over the search worker pool.
 // The exported State carries each surrogate's hyperparameters, jitter and
 // refit reference, so a checkpoint restore rebuilds bit-identical GPs with
-// gp.FitWithParams instead of re-running (and possibly re-deciding) the
+// gp.FitWithParamsAll instead of re-running (and possibly re-deciding) the
 // grid search.
 //
 // # Tiled acquisition, deterministic results
@@ -39,7 +41,9 @@
 // posteriors read through a memo that lives for one SuggestBatch); the
 // lowest bounds are then scored exactly, and a second fan-out scores whoever
 // else has a bound no higher than the best score seen. A candidate left
-// unscored could neither have won nor tied.
+// unscored could neither have won nor tied. An exact score reuses the kernel
+// columns and means its bound computed and runs only the solves
+// (gp.PredictVariances).
 //
 // The result is bit-identical for every worker count, to scoring every
 // candidate, and to scoring each candidate alone: all draws from the
@@ -139,7 +143,8 @@ type Config struct {
 	// eviction forces an early refit regardless.
 	RefitEvery int
 	// SearchWorkers bounds the goroutines of the acquisition search's
-	// fan-outs in SuggestBatch. Results are bit-identical for every value;
+	// fan-outs in SuggestBatch and of the surrogate refits in Update.
+	// Results are bit-identical for every value;
 	// <= 1 runs serially. It deliberately stays out of the core run
 	// fingerprint so checkpoints resume across different worker counts.
 	SearchWorkers int
@@ -315,9 +320,10 @@ var _ [gp.TileWidth - acqChains]struct{}
 //
 // Only candidates that can still win pay for a variance. One fan-out runs
 // the refinement chains (item 0) next to the pool's tiles, which are scored
-// from their posterior means alone into lower bounds (boundTile). The
-// candidates are then ordered by (bound, index), the tile of lowest bounds is
-// scored exactly, and threshold = min(that tile's best, the chains' best)
+// from their posterior means alone into lower bounds (boundTile), keeping
+// each candidate's means and kernel columns. The candidates are then ordered
+// by (bound, index), the tile of lowest bounds is scored exactly — only the
+// solves remain to be run (scoreKept) — and threshold = min(that tile's best, the chains' best)
 // decides who else is: the run of the order whose bound is <= threshold,
 // regrouped into full tiles for a second fan-out. A pruned candidate has
 // score >= bound > threshold >= the winner's score, so it can neither win
@@ -349,6 +355,7 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	// lower bound for every pool candidate, +Inf for the excluded ones.
 	sp := perfprof.Begin("mobo.acq_pool")
 	sc := &o.acq
+	sc.keep.reset(len(pool), o.NumObjectives()+gp.ColumnsLen(o.gps))
 	bounds, scores := sc.bounds, sc.scores
 	var chainX [][]float64
 	var chainA []float64
@@ -360,14 +367,7 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 			rs.End()
 			return
 		}
-		lo := (t - 1) * gp.TileWidth
-		hi := min(lo+gp.TileWidth, len(pool))
-		o.boundTile(pool[lo:hi], lambda, sc.tilePost(t-1, hi-lo), bounds[lo:hi])
-		for i := lo; i < hi; i++ {
-			if o.excluded(pool[i], exclude) {
-				bounds[i] = math.Inf(1)
-			}
-		}
+		o.boundPoolTile(pool, t-1, lambda, exclude)
 	})
 
 	// Phase 2: exact scores for the candidates that can still win. A bound
@@ -425,30 +425,88 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 
 // fanOut runs fn(i) for every i in [0, n) over Config.SearchWorkers
 // goroutines — the one worker pool both phases of the acquisition search
-// share. fn writes only slots owned by its index.
+// and the surrogates' fits and extends (as their gp.Fanout) share. fn writes
+// only slots owned by its index.
 func (o *Optimizer) fanOut(n int, fn func(i int)) {
 	//unicolint:allow ctxflow CPU-bound local scoring pool; ForEach returns when our own workers finish, there is no remote peer to hang on
 	parpool.ForEach(o.cfg.SearchWorkers, n, fn)
 }
 
+// boundPoolTile writes the bounds of pool tile t (candidates t·gp.TileWidth
+// up to the next tile or the pool's end) into acq.bounds, +Inf for the
+// excluded ones, and offers each candidate's means and kernel columns to
+// acq.keep for its exact score to reuse.
+func (o *Optimizer) boundPoolTile(pool [][]float64, t int, lambda []float64, exclude map[string]bool) {
+	sc := &o.acq
+	lo := t * gp.TileWidth
+	hi := min(lo+gp.TileWidth, len(pool))
+	buf := sc.keep.tileBuf()
+	o.boundTile(pool[lo:hi], lambda, sc.tilePost(t, hi-lo), sc.bounds[lo:hi], buf[:hi-lo])
+	for i := lo; i < hi; i++ {
+		if o.excluded(pool[i], exclude) {
+			sc.bounds[i] = math.Inf(1)
+		}
+	}
+	sc.keep.offer(lo, sc.bounds[lo:hi], buf[:hi-lo])
+	sc.keep.putTileBuf(buf)
+}
+
 // scoreCandidates writes the exact acquisition value of pool[i] into
-// acq.scores[i] for every i of idx, gathered into full tiles fanned out over
-// the worker pool. Which tile a candidate lands in does not touch its score
-// (gp.PredictTile is bit-identical per point).
+// acq.scores[i] for every i of idx, gathered into full tiles (scoreKept)
+// fanned out over the worker pool.
 func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float64) {
 	sc := &o.acq
 	o.fanOut((len(idx)+gp.TileWidth-1)/gp.TileWidth, func(t int) {
 		tile := idx[t*gp.TileWidth : min((t+1)*gp.TileWidth, len(idx))]
-		var xs [gp.TileWidth][]float64
 		var out [gp.TileWidth]float64
-		for k, i := range tile {
-			xs[k] = pool[i]
-		}
-		o.scoreTile(xs[:len(tile)], lambda, sc.tilePost(t, len(tile)), out[:len(tile)])
+		o.scoreKept(pool, tile, lambda, sc.tilePost(t, len(tile)), out[:len(tile)])
 		for k, i := range tile {
 			sc.scores[i] = out[k]
 		}
 	})
+}
+
+// scoreKept writes the exact acquisition value of pool[i], for each i of
+// tile (at most gp.TileWidth of them), into out. Each candidate must have
+// been bounded (boundPoolTile). Its score is stage 2 of the prediction
+// (gp.PredictVariances) on the means and kernel columns its bound kept, or,
+// for a candidate acq.keep let go, on stage 1 run again — the same bits.
+// Which tile a candidate lands in does not touch its score either — it is
+// one lane of the same solve — so the score is the bits a full
+// gp.PredictTile of that candidate gives. post is scratch for the
+// posterior, 2·len(tile)·NumObjectives long.
+func (o *Optimizer) scoreKept(pool [][]float64, tile []int, lambda, post, out []float64) {
+	nObj := o.NumObjectives()
+	ks := o.acq.keep
+	buf := ks.tileBuf()
+	defer ks.putTileBuf(buf)
+	var (
+		xs, data, missX, missCols [gp.TileWidth][]float64
+		miss                      [gp.TileWidth]int
+		nMiss                     int
+	)
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	for k, i := range tile {
+		xs[k] = pool[i]
+		if data[k] = ks.get(i); data[k] == nil {
+			data[k] = buf[k]
+			missX[nMiss], missCols[nMiss], miss[nMiss] = pool[i], buf[k][nObj:], k
+			nMiss++
+		}
+	}
+	if nMiss > 0 {
+		gp.PredictMeans(o.gps, missX[:nMiss], mean[:nMiss*nObj], missCols[:nMiss])
+		for r, k := range miss[:nMiss] {
+			copy(data[k][:nObj], mean[r*nObj:(r+1)*nObj])
+		}
+	}
+	var cols [gp.TileWidth][]float64
+	for k, d := range data[:len(tile)] {
+		cols[k] = d[nObj:]
+		copy(mean[k*nObj:(k+1)*nObj], d[:nObj])
+	}
+	gp.PredictVariances(o.gps, xs[:len(tile)], cols[:len(tile)], variance)
+	o.acquisition(mean, variance, lambda, out)
 }
 
 // refineChains hill-climbs acqSteps lattice steps from each incumbent, chain
@@ -498,23 +556,26 @@ func (o *Optimizer) excluded(x []float64, exclude map[string]bool) bool {
 	return exclude[k] || o.seen[k]
 }
 
-// scoreTile writes the acquisition value of each candidate of xs (at most
-// gp.TileWidth of them) into out, from one gp.PredictTile call. post is
-// scratch for the posterior, 2·len(xs)·NumObjectives long.
-func (o *Optimizer) scoreTile(xs [][]float64, lambda, post, out []float64) {
+// boundTile writes a lower bound on the acquisition value of each candidate
+// of xs (at most gp.TileWidth of them) into out: the posterior means, from
+// stage 1 of the prediction alone (gp.PredictMeans), with every variance at
+// the most it can be (gp.GP.MaxVariance) through the same expression. Every
+// step of that expression is monotone in the variances, so out[k] <= the
+// exact score, exactly. post is scratch for the posterior,
+// 2·len(xs)·NumObjectives long. kept[k] receives candidate k's raw means
+// then its kernel columns (see keepSet): what scoreKept needs to finish the
+// prediction.
+func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64, kept [][]float64) {
 	mean, variance := post[:len(post)/2], post[len(post)/2:]
-	gp.PredictTile(o.gps, xs, mean, variance)
-	o.acquisition(mean, variance, lambda, out)
-}
-
-// boundTile is scoreTile without the solves: each candidate's posterior
-// means with every variance at the most it can be (gp.GP.MaxVariance)
-// through the same expression. Every step of that expression is monotone in
-// the variances, so out[k] <= what scoreTile writes, exactly.
-func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64) {
-	mean, variance := post[:len(post)/2], post[len(post)/2:]
-	gp.PredictTile(o.gps, xs, mean, nil)
 	nObj := o.NumObjectives()
+	var cols [gp.TileWidth][]float64
+	for k, c := range kept {
+		cols[k] = c[nObj:]
+	}
+	gp.PredictMeans(o.gps, xs, mean, cols[:len(xs)])
+	for k, c := range kept {
+		copy(c[:nObj], mean[k*nObj:(k+1)*nObj])
+	}
 	for k, x := range xs {
 		for j, g := range o.gps {
 			variance[k*nObj+j] = g.MaxVariance(x)
@@ -547,11 +608,13 @@ func (o *Optimizer) acquisition(mean, variance, lambda, out []float64) {
 	}
 }
 
-// scoreMemoized is scoreTile through the posterior memo: the lanes whose
-// point the memo lacks go through one gp.PredictTile call of their own and
-// are remembered, then every lane reads its posterior from the memo. Only
-// the goroutine running the refinement chains calls it, so the memo needs no
-// lock.
+// scoreMemoized writes the exact acquisition value of each candidate of xs
+// (at most gp.TileWidth of them) into out, through the posterior memo: the
+// lanes whose point the memo lacks go through one gp.PredictTile call of
+// their own and are remembered, then every lane reads its posterior from the
+// memo. post is scratch for the posterior, 2·len(xs)·NumObjectives long.
+// Only the goroutine running the refinement chains calls it, so the memo
+// needs no lock.
 func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, post, out []float64) {
 	sc := &o.acq
 	nObj := o.NumObjectives()
@@ -599,6 +662,9 @@ type acqScratch struct {
 	// bounded candidates' indices by (bound, index).
 	bounds, scores []float64
 	order          []int
+	// keep holds what the bound pass computed for the candidates of lowest
+	// bounds, for their exact scores to reuse.
+	keep *keepSet
 
 	// memo maps a point — its coordinates bit for bit, not its lattice
 	// cell: an off-centre training input shares a cell with the centre but
@@ -621,6 +687,7 @@ func newAcqScratch(n, nObj int) acqScratch {
 		bounds:   make([]float64, n),
 		scores:   make([]float64, n),
 		order:    make([]int, 0, n),
+		keep:     new(keepSet),
 		memo:     map[string]int{},
 	}
 }
@@ -875,8 +942,8 @@ func (o *Optimizer) refreshBounds() {
 const lmlDegradeTol = 0.5
 
 // refit brings the surrogates up to date after Update appended `added`
-// training points. The cheap path extends the fitted GPs in O(n²) per
-// point; a full warm-started grid search runs on the RefitEvery cadence,
+// training points. The cheap path extends the fitted GPs' factors in O(n²)
+// per point; a full warm-started grid search runs on the RefitEvery cadence,
 // on marginal-likelihood degradation, after eviction, or whenever there is
 // no fitted model to extend. Neither path draws from the optimizer's RNG.
 // Either way the posteriors the acquisition search memoized are stale.
@@ -890,16 +957,13 @@ func (o *Optimizer) refit(added int, evicted bool) {
 		o.fitFull(o.warmParams())
 		return
 	}
-	for j, g := range o.gps {
-		for _, ob := range o.train[len(o.train)-added:] {
-			if err := g.Extend(ob.X, logc(ob.Y[j])); err != nil {
-				// A failed extend leaves some GPs ahead of others; the
-				// full refit below rebuilds every objective from o.train,
-				// so the partial state never escapes.
-				o.fitFull(o.warmParams())
-				return
-			}
-		}
+	// One bordered extend per distinct factor and admitted point, the
+	// factors on the search worker pool. A failed extend changes no GP; the
+	// full refit rebuilds every objective from o.train.
+	xs, ys := o.trainTargets(o.train[len(o.train)-added:])
+	if err := gp.ExtendAll(o.gps, xs, ys, o.fanOut); err != nil {
+		o.fitFull(o.warmParams())
+		return
 	}
 	for j, g := range o.gps {
 		if g.LogMarginalLikelihood()/float64(g.N()) < o.refLML[j]-lmlDegradeTol {
@@ -936,35 +1000,48 @@ func (o *Optimizer) clearSurrogates() {
 func (o *Optimizer) fit() { o.fitFull(nil) }
 
 // fitFull runs the full per-objective hyperparameter selection, seeded at
-// warm (one Params per objective) when non-nil.
+// warm (one Params per objective) when non-nil: one shared grid fit
+// (gp.FitAutoAll), its per-lengthscale jobs on the search worker pool.
 func (o *Optimizer) fitFull(warm []gp.Params) {
 	if len(o.train) < 3 {
 		o.clearSurrogates()
 		return
 	}
-	n := o.NumObjectives()
-	gps := make([]*gp.GP, n)
-	refLML := make([]float64, n)
-	for j := 0; j < n; j++ {
-		xs := make([][]float64, len(o.train))
-		ys := make([]float64, len(o.train))
-		for i, ob := range o.train {
-			xs[i] = ob.X
-			ys[i] = logc(ob.Y[j])
+	xs, ys := o.trainTargets(o.train)
+	var prev []*gp.Params
+	if warm != nil {
+		prev = make([]*gp.Params, len(warm))
+		for j := range warm {
+			prev[j] = &warm[j]
 		}
-		var prev *gp.Params
-		if warm != nil {
-			prev = &warm[j]
-		}
-		g, err := gp.FitAutoFrom(xs, ys, prev)
-		if err != nil {
-			o.clearSurrogates()
-			return
-		}
-		gps[j] = g
+	}
+	gps, err := gp.FitAutoAll(xs, ys, prev, o.fanOut)
+	if err != nil {
+		o.clearSurrogates()
+		return
+	}
+	refLML := make([]float64, len(gps))
+	for j, g := range gps {
 		refLML[j] = g.LogMarginalLikelihood() / float64(g.N())
 	}
 	o.gps, o.refLML, o.sinceRefit = gps, refLML, 0
+}
+
+// trainTargets splits observations into the surrogates' shared inputs and
+// one log-objective target vector per objective.
+func (o *Optimizer) trainTargets(obs []Observation) (xs [][]float64, ys [][]float64) {
+	xs = make([][]float64, len(obs))
+	for i, ob := range obs {
+		xs[i] = ob.X
+	}
+	ys = make([][]float64, o.NumObjectives())
+	for j := range ys {
+		ys[j] = make([]float64, len(obs))
+		for i, ob := range obs {
+			ys[j][i] = logc(ob.Y[j])
+		}
+	}
+	return xs, ys
 }
 
 // percentile returns element ⌊q·(n−1)⌋ (0-based) of a sorted copy of v: not

@@ -165,22 +165,21 @@ func Restore(space Space, cfg Config, st State) (*Optimizer, error) {
 		if len(st.Surrogates) != n {
 			return nil, fmt.Errorf("mobo: restore: %d surrogates, config wants %d objectives", len(st.Surrogates), n)
 		}
-		gps := make([]*gp.GP, n)
+		// Objectives pinned to equal parameters and jitter get one factor,
+		// as the live optimizer's did, so the restored run extends exactly
+		// as often as the uninterrupted one.
+		ps := make([]gp.Params, n)
+		jitters := make([]float64, n)
 		refLML := make([]float64, n)
 		for j, ss := range st.Surrogates {
-			xs := make([][]float64, len(o.train))
-			ys := make([]float64, len(o.train))
-			for i, ob := range o.train {
-				xs[i] = ob.X
-				ys[i] = logc(ob.Y[j])
-			}
-			p := gp.Params{Lengthscale: ss.Lengthscale, Variance: ss.Variance, Noise: ss.Noise}
-			g, err := gp.FitWithParams(xs, ys, p, ss.Jitter)
-			if err != nil {
-				return nil, fmt.Errorf("mobo: restore: rebuild surrogate %d: %w", j, err)
-			}
-			gps[j] = g
+			ps[j] = gp.Params{Lengthscale: ss.Lengthscale, Variance: ss.Variance, Noise: ss.Noise}
+			jitters[j] = ss.Jitter
 			refLML[j] = ss.RefLML
+		}
+		xs, ys := o.trainTargets(o.train)
+		gps, err := gp.FitWithParamsAll(xs, ys, ps, jitters)
+		if err != nil {
+			return nil, fmt.Errorf("mobo: restore: rebuild surrogates: %w", err)
 		}
 		o.gps, o.refLML, o.sinceRefit = gps, refLML, st.SinceRefit
 	} else {

@@ -70,17 +70,26 @@ func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
 }
 
 // TestScorePoolMatchesPerCandidate checks both ways a pool candidate gets an
-// exact score against the per-candidate reference — scoreCandidates, the
-// search's own regrouped tiles, over every candidate in a shuffled order, and
-// scorePoolReference, the exhaustive scoring the search tests lean on — for
-// pool sizes on every side of the tile and pool boundaries, at several worker
-// counts, on a live optimizer and on one rebuilt by Restore; excluded
-// candidates read +Inf from the exhaustive scoring.
+// exact score against the per-candidate reference (a full gp.PredictTile of
+// that candidate alone, through Predict): scoreCandidates, the search's own
+// path — every tile bounded first (boundPoolTile, which keeps the means and
+// kernel columns of the keepCap lowest bounds), then every candidate scored
+// in regrouped tiles in a shuffled order, from its kept columns or from
+// stage 1 run again — and scorePoolReference, the exhaustive scoring the
+// search tests lean on. Pool sizes sit on every side of the tile, keep-set
+// and pool boundaries, at several worker counts, on a live optimizer and on
+// one rebuilt by Restore; excluded candidates read +Inf from the exhaustive
+// scoring.
+//
+// It was shown to catch scoring the kept columns of the wrong candidate
+// (the first lane's for every lane), leaving the kept means out (the
+// normalized means of the tile's own posterior scratch), and recomputing
+// the columns of the first candidate the keep set let go for every one.
 func TestScorePoolMatchesPerCandidate(t *testing.T) {
 	live := trained(t, 11)
 	lambda := []float64{0.4, 0.3, 0.2, 0.1}
 	rng := rand.New(rand.NewSource(3))
-	for _, size := range []int{1, 3, 255, 256, 257} {
+	for _, size := range []int{1, 3, keepCap + 1, keepCap + 3, 255, 256, 257} {
 		pool := make([][]float64, size)
 		for i := range pool {
 			pool[i] = live.space.Sample(rng)
@@ -93,6 +102,17 @@ func TestScorePoolMatchesPerCandidate(t *testing.T) {
 			for name, o := range map[string]*Optimizer{"live": live, "restored": throughJSON(t, live, cfg)} {
 				o.cfg.SearchWorkers = workers
 				o.acq = newAcqScratch(size, o.NumObjectives())
+				o.acq.keep.reset(size, o.NumObjectives()+gp.ColumnsLen(o.gps))
+				o.fanOut((size+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda, exclude) })
+				kept := 0
+				for i := range pool {
+					if o.acq.keep.get(i) != nil {
+						kept++
+					}
+				}
+				if want := min(size-2, keepCap); kept != want && !(size == 1 && kept == 0) {
+					t.Fatalf("%s, pool of %d: %d candidates kept their columns, want %d", name, size, kept, want)
+				}
 				o.scoreCandidates(pool, rng.Perm(size), lambda)
 				exhaustive := scorePoolReference(o, pool, lambda, exclude)
 				for i, x := range pool {
@@ -184,8 +204,9 @@ func TestRefineChainsMatchSerialWalks(t *testing.T) {
 }
 
 // TestScoreTileDoesNotAllocate pins the allocation-free scoring paths: with
-// the posterior scratch handed in, a tile costs no objects — scored exactly,
-// bounded from its means, or read back from the memo.
+// the posterior scratch handed in, a tile costs no objects — bounded from
+// its means and kept, scored from what the bound kept, or read back from
+// the memo.
 func TestScoreTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -194,18 +215,28 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 	lambda := []float64{0.25, 0.25, 0.25, 0.25}
 	rng := rand.New(rand.NewSource(1))
 	xs := make([][]float64, gp.TileWidth)
+	idx := make([]int, len(xs))
 	for i := range xs {
 		xs[i] = o.space.Sample(rng)
+		idx[i] = len(xs) - 1 - i
 	}
-	post := make([]float64, 2*len(xs)*o.NumObjectives())
+	nObj := o.NumObjectives()
+	o.acq.keep.reset(len(xs), nObj+gp.ColumnsLen(o.gps))
+	o.boundPoolTile(xs, 0, lambda, nil) // keeps every candidate: a pool of one tile
+	post := make([]float64, 2*len(xs)*nObj)
 	out := make([]float64, len(xs))
-	for name, score := range map[string]func(xs [][]float64, lambda, post, out []float64){
-		"scoreTile":     o.scoreTile,
-		"boundTile":     o.boundTile,
-		"scoreMemoized": o.scoreMemoized,
+	for name, score := range map[string]func(m int){
+		"boundTile": func(m int) {
+			buf := o.acq.keep.tileBuf()
+			o.boundTile(xs[:m], lambda, post[:2*m*nObj], out[:m], buf[:m])
+			o.acq.keep.offer(0, out[:m], buf[:m])
+			o.acq.keep.putTileBuf(buf)
+		},
+		"scoreKept":     func(m int) { o.scoreKept(xs, idx[len(xs)-m:], lambda, post[:2*m*nObj], out[:m]) },
+		"scoreMemoized": func(m int) { o.scoreMemoized(xs[:m], lambda, post[:2*m*nObj], out[:m]) },
 	} {
 		for _, m := range []int{gp.TileWidth, acqChains} {
-			run := func() { score(xs[:m], lambda, post[:2*m*o.NumObjectives()], out[:m]) }
+			run := func() { score(m) }
 			run() // warm the pool, fill the memo
 			if n := testing.AllocsPerRun(100, run); n > 0 {
 				t.Fatalf("%s of %d candidates allocates %.1f objects per call", name, m, n)

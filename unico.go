@@ -223,10 +223,11 @@ type Config struct {
 	// HASCO-like method is sequential by definition).
 	Workers int
 	// SearchWorkers bounds the parallel acquisition scalarizations inside
-	// each surrogate suggestion step (default 8; applies to UNICO, HASCO
-	// and MOBO-HB). Unlike Workers it never enters the checkpoint
-	// fingerprint: results are bit-identical at every setting, so it is a
-	// pure wall-clock knob and may change across a kill/resume.
+	// each surrogate suggestion step and the parallel factor work of each
+	// surrogate refit (default 8; applies to UNICO, HASCO and MOBO-HB).
+	// Unlike Workers it never enters the checkpoint fingerprint: results
+	// are bit-identical at every setting, so it is a pure wall-clock knob
+	// and may change across a kill/resume.
 	SearchWorkers int
 	// Seed makes the run deterministic (default 1).
 	Seed int64
