@@ -48,19 +48,26 @@
 // and is the only prediction routine: Predict is its one-GP, one-point case.
 // It computes the squared distances once per distinct input set, the kernel
 // column once per distinct lengthscale and the forward solve once per
-// distinct factor, with the tile's points as interleaved lanes of one
-// multi-right-hand-side solve. Every (GP, point) result is bit-identical to
-// evaluating that pair alone.
+// distinct factor. Every (GP, point) result is bit-identical to evaluating
+// that pair alone.
 //
-// A tile runs in two stages over one column buffer. Stage 1 (PredictMeans)
-// builds the kernel columns and the means; stage 2 (PredictVariances) runs
-// the solves — the O(n²) part — and the variances. PredictTile is their
-// composition. A caller may keep stage 1's columns (ColumnsLen floats per
-// point) and run stage 2 later on any regrouping of the points: the lanes of
-// a solve are independent, so the variances carry the same bits.
-// internal/mobo bounds every pool candidate from its means (MaxVariance says
-// how large a variance can be) and runs stage 2 only for the candidates that
-// can still win, on the columns the bound pass kept.
+// A tile runs in two stages over each point's own kernel columns
+// (ColumnsLen floats). Stage 1 (PredictMeans) builds the columns and the
+// means; stage 2 (PredictVariances) runs the solves — the O(n²) part — and
+// the variances. PredictTile is their composition. A caller may keep stage
+// 1's columns and run stage 2 later on any regrouping of the points: each
+// point's solves are its own, so the variances carry the same bits.
+// internal/mobo bounds every pool candidate from its means (MaxVariance
+// says how large a variance can be) and runs stage 2 only for the
+// candidates that can still win, on the columns the bound pass kept.
+//
+// Stage 2 can also stop part way. PredictVariances takes an optional stop
+// function, runs the solves solveBlock rows at a time, and before each
+// block reports, for every point still solving, the variances it would
+// have if the solve ended there. Σv² only grows row by row, so each report
+// is >= the final variance exactly, and the first (no row solved) is
+// MaxVariance. A point stop lets go costs nothing more; a point that
+// completes has the bits it has in any other tile.
 //
 // # Concurrency
 //
@@ -701,21 +708,25 @@ func lmlFromChol(chol *linalg.Matrix, alpha, w []float64) float64 {
 }
 
 // TileWidth is the most candidates one PredictTile call takes.
-const TileWidth = linalg.MaxLanes
+const TileWidth = 8
 
 // tileScratch is the per-call working set of a tile, pooled so the hot path
-// allocates nothing and concurrent calls never share buffers. d2 and v hold
-// one value per (training point, lane) of one input set or factor at a
-// time; ks holds every distinct kernel column of the tile, column after
-// column, each row's lanes interleaved the way linalg.SolveLowerLanesInto
-// wants them; ss holds Σv² per (GP, lane); lead holds the leader indices and
-// column offsets of every GP.
+// allocates nothing and concurrent calls never share buffers. d2 holds the
+// squared distances of every point to one input set at a time, point after
+// point; cols (rows floats a point, sliced by colSet) holds the points'
+// kernel columns when the caller keeps none; v holds each point's forward
+// solve of every distinct factor; ss holds Σv² per (GP, point); bound holds
+// one point's report to a stopping caller; lead holds the leader indices
+// and row offsets of every GP.
 type tileScratch struct {
-	d2, ks, v, ss []float64
-	lead          []int
+	d2, cols, v, ss, bound []float64
+	colSet                 [][]float64
+	rows                   int
+	lead                   []int
 	// dist, col and fac are the leaders (see leaders); off[b] is the row of
-	// ks where column leader b's column starts.
-	dist, col, fac, off []int
+	// a point's columns where column leader b's column starts, vo[c] the row
+	// of a point's v where factor leader c's solve starts.
+	dist, col, fac, off, vo []int
 }
 
 var tilePool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -756,9 +767,7 @@ func sameInputs(a, b [][]float64) bool {
 // and variance share the kernel column, built with matern52FromSq; those
 // that also share noise and jitter share the Cholesky factor, so they share
 // the forward solve and Σv². Only the mean's dot product with alpha is per
-// GP. Each solve runs all the tile's points as interleaved lanes of one
-// linalg.SolveLowerLanesInto call, and the dot products and Σv² run
-// row-outer with one accumulator per lane — each lane still adds in
+// GP, and four points' dot products run side by side, each still adding in
 // ascending row order, so the bits are a lone point's. A GP that shares
 // nothing (other inputs, or a kernel outside the Matérn grid) is evaluated
 // on its own within the same routine.
@@ -771,9 +780,10 @@ func sameInputs(a, b [][]float64) bool {
 func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 	checkOut(len(gps), len(xs), mean, "means")
 	checkOut(len(gps), len(xs), variance, "variances")
-	sc, w := startTile(gps, len(xs))
-	sc.means(gps, xs, w, mean)
-	sc.variances(gps, xs, w, variance)
+	sc := startTile(gps)
+	cols := sc.scratchColumns(len(xs))
+	sc.means(gps, xs, cols, mean)
+	sc.variances(gps, xs, cols, variance, nil, 0)
 	tilePool.Put(sc)
 }
 
@@ -784,40 +794,57 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 // PredictVariances: cols[k], ColumnsLen(gps) long, receives point k's.
 func PredictMeans(gps []*GP, xs [][]float64, mean []float64, cols [][]float64) {
 	checkOut(len(gps), len(xs), mean, "means")
-	sc, w := startTile(gps, len(xs))
-	sc.means(gps, xs, w, mean)
-	if cols != nil {
-		checkCols(cols, len(xs), len(sc.ks)/w)
-		for r := 0; r < len(sc.ks)/w; r++ {
-			row := sc.ks[r*w : r*w+len(xs)]
-			for k, c := range cols {
-				c[r] = row[k]
-			}
-		}
+	sc := startTile(gps)
+	if cols == nil {
+		cols = sc.scratchColumns(len(xs))
+	} else {
+		checkCols(cols, len(xs), sc.rows)
 	}
+	sc.means(gps, xs, cols, mean)
 	tilePool.Put(sc)
+}
+
+// scratchColumns returns pooled column buffers for m points, ColumnsLen
+// floats each.
+func (sc *tileScratch) scratchColumns(m int) [][]float64 {
+	sc.cols = grow(sc.cols, m*sc.rows)
+	sc.colSet = sc.colSet[:0]
+	for k := 0; k < m; k++ {
+		sc.colSet = append(sc.colSet, sc.cols[k*sc.rows:(k+1)*sc.rows])
+	}
+	return sc.colSet
 }
 
 // PredictVariances is stage 2 of PredictTile: the variances of every GP at
 // every point of xs, from the columns PredictMeans kept for the same GPs
 // (cols[k] for xs[k]). The points may come from different PredictMeans
-// calls in any grouping: each is one lane of the same solve, so its
-// variances are the bits PredictTile writes.
-func PredictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64) {
+// calls in any grouping: each point's solves are its own, so its variances
+// are the bits PredictTile writes.
+//
+// A nil stop solves every point to the end. Otherwise the solves run
+// solveBlock rows at a time and, before each block, stop(k, v) is asked
+// about every point k still solving, with v[j] (scratch, valid during the
+// call) the variance GP j would report had its solve ended there:
+// scaledVariance(k(x,x) + noise − S), S the Σv² of the rows solved so far.
+// Each added term v_i² is >= 0 and rounded addition is monotone, so S never
+// exceeds the final Σv², and v[j] is >= the final variance exactly, not up
+// to a tolerance; before the first block it is MaxVariance. A point for which
+// stop returns true leaves the solve with those variances and done[k]
+// false. Every other point has done[k] true and PredictTile's bits, whoever
+// else stopped and when.
+func PredictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64, stop func(k int, variance []float64) bool) (done [TileWidth]bool) {
+	return predictVariances(gps, xs, cols, variance, stop, solveBlock)
+}
+
+// predictVariances is PredictVariances with the block length a parameter,
+// so tests can split the solves anywhere.
+func predictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64, stop func(int, []float64) bool, block int) (done [TileWidth]bool) {
 	checkOut(len(gps), len(xs), variance, "variances")
-	sc, w := startTile(gps, len(xs))
-	checkCols(cols, len(xs), len(sc.ks)/w)
-	for r := 0; r < len(sc.ks)/w; r++ {
-		row := sc.ks[r*w : r*w+w]
-		for k, c := range cols {
-			row[k] = c[r]
-		}
-		for k := len(cols); k < w; k++ {
-			row[k] = 0
-		}
-	}
-	sc.variances(gps, xs, w, variance)
+	sc := tilePool.Get().(*tileScratch)
+	checkCols(cols, len(xs), sc.prepare(gps))
+	done = sc.variances(gps, xs, cols, variance, stop, block)
 	tilePool.Put(sc)
+	return done
 }
 
 // ColumnsLen is how many floats of kernel columns PredictMeans keeps per
@@ -849,33 +876,28 @@ func checkCols(cols [][]float64, m, rows int) {
 	}
 }
 
-// startTile takes pooled scratch prepared for gps and m points, and returns
-// it with the tile's lane width.
-func startTile(gps []*GP, m int) (*tileScratch, int) {
-	w := linalg.Lanes(m)
+// startTile takes pooled scratch prepared for gps.
+func startTile(gps []*GP) *tileScratch {
 	sc := tilePool.Get().(*tileScratch)
-	rows := sc.prepare(gps)
-	sc.ks = grow(sc.ks, rows*w)
-	sc.ss = grow(sc.ss, len(gps)*TileWidth)
-	return sc, w
+	sc.rows = sc.prepare(gps)
+	return sc
 }
 
-// means is stage 1: the distances, every distinct kernel column into ks,
-// and the means.
-func (sc *tileScratch) means(gps []*GP, xs [][]float64, w int, mean []float64) {
-	m, ng := len(xs), len(gps)
+// means is stage 1: the distances, every distinct kernel column of point k
+// into cols[k], and the means.
+func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
+	ng := len(gps)
 	for a, ga := range gps {
 		if sc.dist[a] != a {
 			continue
 		}
 		n := len(ga.x)
-		sc.d2 = grow(sc.d2, n*w)
-		d2 := sc.d2
+		sc.d2 = grow(sc.d2, n*len(xs))
 		if ga.hasParams {
-			for i, xi := range ga.x {
-				row := d2[w*i : w*i+m]
-				for k := range row {
-					row[k] = sqDist(xi, xs[k])
+			for k, x := range xs {
+				d := sc.d2[k*n : (k+1)*n]
+				for i, xi := range ga.x {
+					d[i] = sqDist(xi, x)
 				}
 			}
 		}
@@ -883,16 +905,18 @@ func (sc *tileScratch) means(gps []*GP, xs [][]float64, w int, mean []float64) {
 			if sc.dist[b] != a || sc.col[b] != b {
 				continue
 			}
-			ks := sc.ks[w*sc.off[b] : w*(sc.off[b]+n)]
-			gps[b].kernelTile(ks, d2, xs, w)
+			off := sc.off[b]
+			for k, x := range xs {
+				gps[b].kernelColumn(cols[k][off:off+n], sc.d2[k*n:(k+1)*n], x)
+			}
 			for c := b; c < ng; c++ {
 				if sc.col[c] != b {
 					continue
 				}
 				gc := gps[c]
 				var dot [TileWidth]float64
-				laneDots(ks, gc.alpha, w, &dot)
-				for k := 0; k < m; k++ {
+				pointDots(cols, off, gc.alpha, dot[:len(xs)])
+				for k := range xs {
 					mean[k*ng+c] = dot[k]*gc.stdY + gc.meanY
 				}
 			}
@@ -900,107 +924,113 @@ func (sc *tileScratch) means(gps []*GP, xs [][]float64, w int, mean []float64) {
 	}
 }
 
-// variances is stage 2: one forward solve per distinct factor against the
-// columns in ks, Σv², and the variances.
-func (sc *tileScratch) variances(gps []*GP, xs [][]float64, w int, variance []float64) {
+// solveBlock is how many rows a stopping stage 2 solves between two reports.
+const solveBlock = 16
+
+// variances is stage 2 for point k of xs from its columns cols[k]: the
+// forward solve of every distinct factor, Σv², and the variances. Each
+// point's solves are its own, so its bits are the same whoever else is
+// solved with it, and a point that stops costs nothing more. With a stop
+// function the solves run block rows at a time, with a report to stop
+// before each block (see PredictVariances); without one they run whole.
+// done[k] marks the points still solving until the end.
+func (sc *tileScratch) variances(gps []*GP, xs, cols [][]float64, variance []float64, stop func(int, []float64) bool, block int) (done [TileWidth]bool) {
 	ng := len(gps)
-	for c, gc := range gps {
-		if sc.fac[c] != c {
-			continue
+	sc.ss = grow(sc.ss, ng*TileWidth)
+	rows, n := 0, 0
+	for c, g := range gps {
+		if sc.fac[c] == c {
+			sc.vo[c] = rows
+			rows += len(g.x)
+			n = max(n, len(g.x))
+			clear(sc.ss[c*TileWidth : (c+1)*TileWidth])
 		}
-		n, b := len(gc.x), sc.col[c]
-		sc.v = grow(sc.v, n*w)
-		linalg.SolveLowerLanesInto(gc.chol, w, sc.ks[w*sc.off[b]:w*(sc.off[b]+n)], sc.v)
-		laneSumSq(sc.v, w, (*[TileWidth]float64)(sc.ss[c*TileWidth:]))
 	}
-	for j, g := range gps {
+	sc.v = grow(sc.v, len(xs)*rows)
+	sc.bound = grow(sc.bound, ng)
+	for k := range xs {
+		done[k] = true
+	}
+	if stop == nil {
+		block = n
+	}
+	for r, live := 0, len(xs); r < n && live > 0; r += block {
+		r1 := min(r+block, n)
 		for k, x := range xs {
-			variance[k*ng+j] = g.scaledVariance(g.priorVariance(x) + g.noise - sc.ss[sc.fac[j]*TileWidth+k])
+			if !done[k] {
+				continue
+			}
+			// The report goes through pooled scratch: a caller's slice handed
+			// to stop would escape, and cost Predict an allocation.
+			if stop != nil {
+				sc.report(gps, x, k, sc.bound)
+				if stop(k, sc.bound) {
+					copy(variance[k*ng:(k+1)*ng], sc.bound)
+					done[k] = false
+					live--
+					continue
+				}
+			}
+			v := sc.v[k*rows : (k+1)*rows]
+			for c, g := range gps {
+				nc := len(g.x)
+				if sc.fac[c] != c || r >= nc {
+					continue
+				}
+				b, hi := sc.col[c], min(r1, nc)
+				vc := v[sc.vo[c] : sc.vo[c]+nc]
+				linalg.SolveLowerRows(g.chol, cols[k][sc.off[b]:sc.off[b]+nc], vc, r, hi)
+				ss := sc.ss[c*TileWidth+k]
+				for _, vi := range vc[r:hi] {
+					ss += vi * vi
+				}
+				sc.ss[c*TileWidth+k] = ss
+			}
 		}
+	}
+	for k, x := range xs {
+		if done[k] {
+			sc.report(gps, x, k, variance[k*ng:(k+1)*ng])
+		}
+	}
+	return done
+}
+
+// report writes into v[j] the variance of GP j at x from point k's Σv² so
+// far: the final variance once every row is solved, an upper bound on it
+// before.
+func (sc *tileScratch) report(gps []*GP, x []float64, k int, v []float64) {
+	for j, g := range gps {
+		v[j] = g.scaledVariance(g.priorVariance(x) + g.noise - sc.ss[sc.fac[j]*TileWidth+k])
 	}
 }
 
-// laneDots writes Σᵢ a[w·i+k]·b[i] into out[k] for every lane k < w. The
-// loop is row-outer with one accumulator per lane, in named locals the
-// compiler keeps in registers (see linalg's solveLower8): each lane adds its
-// products in ascending i from 0, linalg.Dot's order, so the bits are a lone
-// lane's, while the lanes' add chains run side by side.
-func laneDots(a, b []float64, w int, out *[TileWidth]float64) {
-	switch w {
-	case 1:
-		s := 0.0
-		for i, bi := range b {
-			s += a[i] * bi
-		}
-		out[0] = s
-	case 4:
+// pointDots writes Σᵢ cols[k][off+i]·alpha[i] into out[k] for every point
+// k. Four points at a time run as four accumulators in named locals, which
+// the compiler keeps in registers: each adds its products in ascending i
+// from 0, linalg.Dot's order, so the bits are a lone point's, while the add
+// chains run side by side.
+func pointDots(cols [][]float64, off int, alpha []float64, out []float64) {
+	n, k := len(alpha), 0
+	for ; k+3 < len(out); k += 4 {
+		c0, c1 := cols[k][off:off+n], cols[k+1][off:off+n]
+		c2, c3 := cols[k+2][off:off+n], cols[k+3][off:off+n]
 		var s0, s1, s2, s3 float64
-		for i, bi := range b {
-			r := a[4*i : 4*i+4 : 4*i+4]
-			s0 += r[0] * bi
-			s1 += r[1] * bi
-			s2 += r[2] * bi
-			s3 += r[3] * bi
+		for i, a := range alpha {
+			s0 += c0[i] * a
+			s1 += c1[i] * a
+			s2 += c2[i] * a
+			s3 += c3[i] * a
 		}
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-	case TileWidth:
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for i, bi := range b {
-			r := a[8*i : 8*i+8 : 8*i+8]
-			s0 += r[0] * bi
-			s1 += r[1] * bi
-			s2 += r[2] * bi
-			s3 += r[3] * bi
-			s4 += r[4] * bi
-			s5 += r[5] * bi
-			s6 += r[6] * bi
-			s7 += r[7] * bi
-		}
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-	default:
-		panic(fmt.Sprintf("gp: %d lanes, want 1, 4 or %d", w, TileWidth))
+		out[k], out[k+1], out[k+2], out[k+3] = s0, s1, s2, s3
 	}
-}
-
-// laneSumSq writes Σᵢ v[w·i+k]² into out[k] for every lane k < w, in
-// laneDots' order.
-func laneSumSq(v []float64, w int, out *[TileWidth]float64) {
-	n := len(v) / w
-	switch w {
-	case 1:
+	for ; k < len(out); k++ {
+		c := cols[k][off : off+n]
 		s := 0.0
-		for _, x := range v {
-			s += x * x
+		for i, a := range alpha {
+			s += c[i] * a
 		}
-		out[0] = s
-	case 4:
-		var s0, s1, s2, s3 float64
-		for i := 0; i < n; i++ {
-			r := v[4*i : 4*i+4 : 4*i+4]
-			s0 += r[0] * r[0]
-			s1 += r[1] * r[1]
-			s2 += r[2] * r[2]
-			s3 += r[3] * r[3]
-		}
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-	case TileWidth:
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for i := 0; i < n; i++ {
-			r := v[8*i : 8*i+8 : 8*i+8]
-			s0 += r[0] * r[0]
-			s1 += r[1] * r[1]
-			s2 += r[2] * r[2]
-			s3 += r[3] * r[3]
-			s4 += r[4] * r[4]
-			s5 += r[5] * r[5]
-			s6 += r[6] * r[6]
-			s7 += r[7] * r[7]
-		}
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-	default:
-		panic(fmt.Sprintf("gp: %d lanes, want 1, 4 or %d", w, TileWidth))
+		out[k] = s
 	}
 }
 
@@ -1019,6 +1049,7 @@ func (g *GP) scaledVariance(varS float64) float64 {
 // floating point, so Predict's variance at x is <= MaxVariance(x) exactly,
 // not up to a tolerance — what lets the acquisition search bound a candidate
 // from its posterior mean alone and solve only for those that can still win.
+// It is the first report a stopping PredictVariances makes.
 func (g *GP) MaxVariance(x []float64) float64 {
 	return g.scaledVariance(g.priorVariance(x) + g.noise)
 }
@@ -1038,7 +1069,7 @@ func (g *GP) priorVariance(x []float64) float64 {
 func (sc *tileScratch) prepare(gps []*GP) (rows int) {
 	ng := len(gps)
 	sc.dist, sc.col, sc.fac = sc.leaders(gps)
-	sc.off = sc.lead[3*ng : 4*ng]
+	sc.off, sc.vo = sc.lead[3*ng:4*ng], sc.lead[4*ng:5*ng]
 	for b, g := range gps {
 		if sc.col[b] == b {
 			sc.off[b] = rows
@@ -1054,10 +1085,10 @@ func (sc *tileScratch) prepare(gps []*GP) (rows int) {
 // distance group, a factor leader in the same column group.
 func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 	ng := len(gps)
-	if cap(sc.lead) < 4*ng {
-		sc.lead = make([]int, 4*ng)
+	if cap(sc.lead) < 5*ng {
+		sc.lead = make([]int, 5*ng)
 	}
-	sc.lead = sc.lead[:4*ng]
+	sc.lead = sc.lead[:5*ng]
 	dist, col, fac = sc.lead[:ng], sc.lead[ng:2*ng], sc.lead[2*ng:3*ng]
 	for j, g := range gps {
 		dist[j], col[j], fac[j] = j, j, j
@@ -1086,26 +1117,18 @@ func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 	return dist, col, fac
 }
 
-// kernelTile fills ks with the covariance between every training point and
-// the tile's points, zeroing the lanes past the last point. A Matérn-grid
-// GP reads the shared squared distances; any other kernel is evaluated
-// directly.
-func (g *GP) kernelTile(ks, d2 []float64, xs [][]float64, w int) {
-	m := len(xs)
-	for i := range g.x {
-		row := ks[w*i : w*i+w]
-		if g.hasParams {
-			for k, d := range d2[w*i : w*i+m] {
-				row[k] = matern52FromSq(d, g.params.Lengthscale, g.params.Variance)
-			}
-		} else {
-			for k, x := range xs {
-				row[k] = g.kernel.Eval(g.x[i], x)
-			}
+// kernelColumn fills col with the covariance between every training point
+// and x. A Matérn-grid GP reads the squared distances d2 to its inputs; any
+// other kernel is evaluated directly.
+func (g *GP) kernelColumn(col, d2, x []float64) {
+	if g.hasParams {
+		for i, d := range d2 {
+			col[i] = matern52FromSq(d, g.params.Lengthscale, g.params.Variance)
 		}
-		for k := m; k < w; k++ {
-			row[k] = 0
-		}
+		return
+	}
+	for i, xi := range g.x {
+		col[i] = g.kernel.Eval(xi, x)
 	}
 }
 

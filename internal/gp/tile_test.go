@@ -47,7 +47,7 @@ func tilePoints(x [][]float64, seed int64) [][]float64 {
 // from one point to TileWidth: the full form; stage 1 alone (PredictMeans,
 // the same means, bit for bit), keeping its columns; stage 2 alone
 // (PredictVariances) on those columns with the tile's points in reverse, so
-// every point rides in another lane and in a tile of another fill; and
+// every point sits at another index of a tile of another fill; and
 // MaxVariance, which no variance may exceed.
 func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 	t.Helper()
@@ -62,14 +62,14 @@ func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 			cols[k] = make([]float64, rows)
 		}
 		PredictMeans(gps, xs[:m], meanOnly, cols)
-		// Stage 2 of the last r points, in reverse: point k is lane m-1-k.
+		// Stage 2 of the last r points, in reverse: point k is at m-1-k.
 		r := 1 + (m-1)/2
 		back, backCols := make([][]float64, r), make([][]float64, r)
 		for q := range back {
 			back[q], backCols[q] = xs[m-1-q], cols[m-1-q]
 		}
 		staged := make([]float64, r*ng)
-		PredictVariances(gps, back, backCols, staged)
+		PredictVariances(gps, back, backCols, staged, nil)
 		for k := 0; k < m; k++ {
 			for j, g := range gps {
 				wm, wv := predictReference(g, xs[k])
@@ -269,7 +269,7 @@ func TestPredictTileDoesNotAllocate(t *testing.T) {
 			"PredictMeans keeping columns": func() {
 				PredictMeans(gps, xs[:m], mean[:m*len(gps)], cols[:m])
 			},
-			"PredictVariances": func() { PredictVariances(gps, xs[:m], cols[:m], variance[:m*len(gps)]) },
+			"PredictVariances": func() { PredictVariances(gps, xs[:m], cols[:m], variance[:m*len(gps)], nil) },
 		} {
 			run() // warm the pool
 			if n := testing.AllocsPerRun(200, run); n > 0 {
@@ -347,4 +347,107 @@ func TestPriorVarianceIsSignalVariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkStops runs stopping stage 2 on the kept columns of xs with seeded
+// stop decisions — every point at the first report, none, and at random —
+// with the points shuffled into tiles of every fill and the solves
+// split into blocks of 1, 5, solveBlock and the whole length. Every report
+// must be >= the point's final variance, the first one MaxVariance; a point
+// that completes must have predictReference's bits; a point that stops must
+// keep the report it stopped at; and a point that completes must have seen
+// one report per block of the given length.
+func checkStops(t *testing.T, name string, gps []*GP, xs [][]float64, seed int64) {
+	t.Helper()
+	ng, rows := len(gps), ColumnsLen(gps)
+	n := 0
+	for _, g := range gps {
+		n = max(n, g.N())
+	}
+	cols := make([][]float64, len(xs))
+	for k := range cols {
+		cols[k] = make([]float64, rows)
+	}
+	PredictMeans(gps, xs, make([]float64, len(xs)*ng), cols)
+	want := make([][]float64, len(xs))
+	for k, x := range xs {
+		want[k] = make([]float64, ng)
+		for j, g := range gps {
+			_, want[k][j] = predictReference(g, x)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for _, block := range []int{1, 5, solveBlock, n} {
+		for m := 1; m <= len(xs); m++ {
+			for _, p := range []float64{1, 0, 0.2} {
+				perm := rng.Perm(len(xs))[:m]
+				tx, tc := make([][]float64, m), make([][]float64, m)
+				for k, i := range perm {
+					tx[k], tc[k] = xs[i], cols[i]
+				}
+				reports := make([]int, m)
+				last := make([][]float64, m)
+				stop := func(k int, v []float64) bool {
+					i := perm[k]
+					for j, g := range gps {
+						if reports[k] == 0 && v[j] != g.MaxVariance(xs[i]) {
+							t.Fatalf("%s: first report for GP %d is %v, MaxVariance %v", name, j, v[j], g.MaxVariance(xs[i]))
+						}
+						if !(v[j] >= want[i][j]) {
+							t.Fatalf("%s, blocks of %d: report %d for GP %d is %v, below the variance %v", name, block, reports[k], j, v[j], want[i][j])
+						}
+					}
+					reports[k]++
+					last[k] = append(last[k][:0], v...)
+					return rng.Float64() < p
+				}
+				variance := make([]float64, m*ng)
+				done := predictVariances(gps, tx, tc, variance, stop, block)
+				for k, i := range perm {
+					got := variance[k*ng : (k+1)*ng]
+					switch {
+					case done[k] && !reflect.DeepEqual(got, want[i]):
+						t.Fatalf("%s, blocks of %d, tile of %d: completed point %d has %v, reference %v", name, block, m, i, got, want[i])
+					case done[k] && reports[k] != (n+block-1)/block:
+						t.Fatalf("%s, blocks of %d: a completed point saw %d reports for %d rows", name, block, reports[k], n)
+					case !done[k] && !reflect.DeepEqual(got, last[k]):
+						t.Fatalf("%s, blocks of %d: stopped point %d has %v, its last report %v", name, block, i, got, last[k])
+					case p == 1 && (done[k] || reports[k] != 1), p == 0 && !done[k]:
+						t.Fatalf("%s, blocks of %d: stopping with probability %v gave done %v after %d reports", name, block, p, done[k], reports[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredictVariancesStopsExactly holds stopping stage 2 (checkStops) to
+// the reference on the sharing patterns of the tile tests: one factor for
+// every GP, some shared, none, at training sizes on both sides of the
+// block length; and GPs on input sets of different lengths with a kernel
+// outside the Matérn grid, whose solves end at different rows.
+//
+// It was shown to catch a Σv² that restarts from zero in every block, and
+// reports that read the first point's Σv² for every point.
+func TestPredictVariancesStopsExactly(t *testing.T) {
+	a := Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
+	b := Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
+	c := Params{Lengthscale: 0.3, Variance: 1.7, Noise: 1e-2}
+	for _, n := range []int{5, 16, 17, 150} {
+		x, y := randomData(n, 6, int64(n))
+		xs := tilePoints(x, int64(n)+1)
+		checkStops(t, "shared", fitShared(t, x, y, []Params{a, a, a, a}, []float64{0, 0, 0, 0}), xs, 1)
+		checkStops(t, "partly shared", fitShared(t, x, y, []Params{a, b, c, a}, []float64{0, 0, 0, 1e-8}), xs, 2)
+	}
+	x, y := randomData(40, 4, 7)
+	gps := fitShared(t, x, y, []Params{a, b}, []float64{0, 0})
+	short, err := FitWithParams(x[:23], y[:23], c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbf, err := Fit(x[:31], y[:31], RBF{Lengthscale: 0.4, Variance: 2.5}, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStops(t, "mixed", []*GP{gps[0], short, rbf, gps[1]}, tilePoints(x, 9), 3)
 }

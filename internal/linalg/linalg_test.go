@@ -424,62 +424,63 @@ func TestSolveIntoVariants(t *testing.T) {
 	}
 }
 
-// TestSolveLowerLanesMatchesSingleSolve pins the multi-right-hand-side
-// forward solve to SolveLowerInto lane by lane, exactly: sizes straddle the
-// factorization's panel width, a partly filled tile leaves its zero lanes
-// zero, and the in-place (aliased) form gives the same bits.
-func TestSolveLowerLanesMatchesSingleSolve(t *testing.T) {
+// solveTextbook is forward substitution as the textbook writes it, one row
+// at a time: the reference the four-row recurrence is held to.
+func solveTextbook(l *Matrix, b []float64) []float64 {
+	x := make([]float64, l.Rows)
+	for i := range x {
+		sum := b[i]
+		for k := 0; k < i; k++ {
+			sum -= l.At(i, k) * x[k]
+		}
+		x[i] = sum / l.At(i, i)
+	}
+	return x
+}
+
+// TestSolveLowerRowsMatchesTextbook pins the forward solve, which takes its
+// rows four at a time, to solveTextbook bit for bit: at sizes on every side
+// of a multiple of four and of the factorization's panel width, whole
+// (SolveLowerInto), in place, and split into row ranges at seeded points —
+// empty ranges and ranges of every length mod 4 among them — resumed in
+// place (SolveLowerRows). Bad shapes and ranges panic.
+//
+// It was shown to catch a group's last row subtracting the terms of the
+// group's rows above it out of column order (row 3 of n = 7 off in the last
+// bit).
+func TestSolveLowerRowsMatchesTextbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 3, 64, 65, 150} {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 65, 150} {
 		l, err := Cholesky(randomSPD(n, rng))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 4, MaxLanes} {
-			for _, filled := range []int{w, (w + 1) / 2} {
-				b := make([]float64, w*n)
-				for i := 0; i < n; i++ {
-					for c := 0; c < filled; c++ {
-						b[w*i+c] = rng.NormFloat64()
-					}
-				}
-				x := make([]float64, w*n)
-				SolveLowerLanesInto(l, w, b, x)
-				aliased := append([]float64(nil), b...)
-				SolveLowerLanesInto(l, w, aliased, aliased)
-				lane, want := make([]float64, n), make([]float64, n)
-				for c := 0; c < w; c++ {
-					for i := range lane {
-						lane[i] = b[w*i+c]
-					}
-					SolveLowerInto(l, lane, want)
-					for i := range want {
-						if x[w*i+c] != want[i] || aliased[w*i+c] != want[i] {
-							t.Fatalf("n=%d w=%d lane %d row %d: tile %v, aliased %v, single %v",
-								n, w, c, i, x[w*i+c], aliased[w*i+c], want[i])
-						}
-						if c >= filled && x[w*i+c] != 0 {
-							t.Fatalf("n=%d w=%d: empty lane %d row %d = %v", n, w, c, i, x[w*i+c])
-						}
-					}
-				}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want := solveTextbook(l, b)
+		whole := make([]float64, n)
+		SolveLowerInto(l, b, whole)
+		aliased := append([]float64(nil), b...)
+		SolveLowerInto(l, aliased, aliased)
+		split := append([]float64(nil), b...)
+		for r0 := 0; r0 < n; {
+			r1 := r0 + rng.Intn(min(n-r0, 6)+1)
+			SolveLowerRows(l, split, split, r0, r1)
+			r0 = r1
+		}
+		for i := range want {
+			if whole[i] != want[i] || aliased[i] != want[i] || split[i] != want[i] {
+				t.Fatalf("n=%d row %d: whole %v, aliased %v, split %v, textbook %v", n, i, whole[i], aliased[i], split[i], want[i])
 			}
 		}
 	}
-}
-
-func TestLanes(t *testing.T) {
-	want := []int{1: 1, 2: 4, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
-	for m := 1; m <= MaxLanes; m++ {
-		if got := Lanes(m); got != want[m] {
-			t.Errorf("Lanes(%d) = %d, want %d", m, got, want[m])
-		}
-	}
 	for _, fn := range []func(){
-		func() { Lanes(0) },
-		func() { Lanes(MaxLanes + 1) },
-		func() { SolveLowerLanesInto(New(2, 2), 3, make([]float64, 6), make([]float64, 6)) },
-		func() { SolveLowerLanesInto(New(2, 2), 4, make([]float64, 7), make([]float64, 8)) },
+		func() { SolveLowerRows(New(2, 2), make([]float64, 3), make([]float64, 2), 0, 2) },
+		func() { SolveLowerRows(New(2, 2), make([]float64, 2), make([]float64, 2), 0, 3) },
+		func() { SolveLowerRows(New(2, 2), make([]float64, 2), make([]float64, 2), 2, 1) },
+		func() { SolveLowerRows(New(2, 2), make([]float64, 2), make([]float64, 2), -1, 1) },
 	} {
 		func() {
 			defer func() {

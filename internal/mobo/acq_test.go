@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"unico/internal/gp"
@@ -112,13 +113,16 @@ func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
 
 // TestBoundNeverExceedsScore is the property the pruning rests on: for every
 // candidate, boundTile's value <= scoreTile's, compared on the floats with no
-// tolerance. And the exact score scoreKept builds — from what the bound
-// kept, or from stage 1 run again for the candidates the keep set let go —
-// is scoreTile's, with ==. The GP sets cover shared and distinct hyperparameters, a
-// non-Matérn kernel of signal variance 2.5 (k(x,x) is not 1), a training set
-// of 3, an objective whose span is 0, and noise-free GPs queried on their own
-// training inputs, where the variance clamps to 1e-12; the candidates are
-// lattice samples, off-lattice points and the training inputs themselves.
+// tolerance — and so is every partial bound a stopping solve reports (the
+// acquisition at the variances of each gp.PredictVariances report), the
+// first of them boundTile's value itself. And the exact score scoreKept
+// builds — from what the bound kept, or from stage 1 run again for the
+// candidates the keep set let go — is scoreTile's, with ==. The GP sets
+// cover shared and distinct hyperparameters, a non-Matérn kernel of signal
+// variance 2.5 (k(x,x) is not 1), a training set of 3, an objective whose
+// span is 0, and noise-free GPs queried on their own training inputs, where
+// the variance clamps to 1e-12; the candidates are lattice samples,
+// off-lattice points and the training inputs themselves.
 //
 // It was shown to catch bounding with half the largest variance (MaxVariance
 // returning scaledVariance((k(x,x)+noise)/2)): far from the data the
@@ -236,7 +240,26 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 				for k := range tile {
 					tile[k] = hi - 1 - k // reversed: every candidate in another lane
 				}
-				o.scoreKept(cands, tile, lambda, post, kept)
+				o.scoreKept(cands, tile, lambda, math.Inf(1), post, kept)
+				var (
+					s    [gp.TileWidth]float64
+					cols [gp.TileWidth][]float64
+				)
+				for k, d := range data {
+					s[k], cols[k] = o.meanTerm(append([]float64(nil), d[:nObj]...), lambda), d[nObj:]
+				}
+				reports := make([]int, len(xs))
+				gp.PredictVariances(o.gps, xs, cols[:len(xs)], make([]float64, len(xs)*nObj), func(k int, v []float64) bool {
+					partial := s[k] - o.bonus(v, lambda)
+					if reports[k] == 0 && partial != bound[k] {
+						t.Fatalf("%s, candidate %d: first partial bound %v, boundTile %v", set.name, lo+k, partial, bound[k])
+					}
+					if !(partial <= score[k]) {
+						t.Fatalf("%s, lambda %v, candidate %d: partial bound %d, %v, exceeds score %v", set.name, lambda, lo+k, reports[k], partial, score[k])
+					}
+					reports[k]++
+					return false
+				})
 				for k := range xs {
 					if !(bound[k] <= score[k]) {
 						t.Fatalf("%s, lambda %v, candidate %d: bound %v exceeds score %v", set.name, lambda, lo+k, bound[k], score[k])
@@ -507,9 +530,9 @@ func TestMemoKeysOnCoordinatesNotCells(t *testing.T) {
 	for _, xs := range [][][]float64{{off, centre}, {centre, off}} {
 		o.acq.dropMemo()
 		var cold, warm [2]float64
-		o.scoreMemoized(xs[:1], lambda, post[:len(post)/2], cold[:1])
-		o.scoreMemoized(xs[1:], lambda, post[:len(post)/2], cold[1:])
-		o.scoreMemoized(xs, lambda, post, warm[:])
+		o.scoreMemoized(xs[:1], lambda, noLimit[:1], post[:len(post)/2], cold[:1])
+		o.scoreMemoized(xs[1:], lambda, noLimit[:1], post[:len(post)/2], cold[1:])
+		o.scoreMemoized(xs, lambda, noLimit[:2], post, warm[:])
 		for k, x := range xs {
 			if want := acquisitionReference(o, x, lambda); cold[k] != want || warm[k] != want {
 				t.Fatalf("point %v scored %v cold and %v from the memo, reference %v", x, cold[k], warm[k], want)
@@ -518,5 +541,129 @@ func TestMemoKeysOnCoordinatesNotCells(t *testing.T) {
 		if warm[0] == warm[1] {
 			t.Fatalf("a training input and its cell centre scored the same %v: the case tests nothing", warm[0])
 		}
+	}
+}
+
+// TestStepLimitStopsOnlyNoOps holds stepLimit to what a chain step does
+// with its value ay: whenever ay is above the limit, neither update of
+// refineChains fires — not the move (ay < ax) and not the new best
+// (ay < bestA at a point not excluded). The values are the limits' own
+// floats, their neighbours, ties, both infinities and NaN.
+//
+// It was shown to catch min(ax, bestA) for the max, and a limit that
+// leaves bestA out (ax alone for every point).
+func TestStepLimitStopsOnlyNoOps(t *testing.T) {
+	inf := math.Inf(1)
+	base := []float64{-0.5, 0, 0.25, 1, inf, math.NaN()}
+	var vals []float64
+	for _, v := range base {
+		vals = append(vals, v, math.Nextafter(v, -inf), math.Nextafter(v, inf))
+	}
+	vals = append(vals, -inf)
+	for _, ax := range vals {
+		for _, bestA := range vals {
+			for _, excluded := range []bool{false, true} {
+				limit := stepLimit(ax, bestA, excluded)
+				for _, ay := range vals {
+					if ay > limit && (ay < ax || ay < bestA && !excluded) {
+						t.Fatalf("ax %v, bestA %v, excluded %v: limit %v stops ay %v, which changes the chain", ax, bestA, excluded, limit, ay)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStoppedScoresExceedTheirLimits runs the stopping scorers against
+// limits cut from the reference scores — below them all, at quartiles, at a
+// reference score exactly, above them all and +Inf — and requires every
+// candidate to score its reference bits or +Inf, and +Inf only when its
+// reference is above its limit: scoreCandidates over a bounded pool at
+// several worker counts, and scoreMemoized lane by lane with limits of its
+// own, twice, so the second pass meets the points whose solves stopped as
+// means and bounds in the memo. Each scorer must stop some candidate and
+// complete another, or the case tests nothing.
+//
+// It was shown to catch stopping on the scalarized means alone, without the
+// exploration bonus: in solveScores, and in the memo's bound on a stopped
+// point.
+func TestStoppedScoresExceedTheirLimits(t *testing.T) {
+	live := trained(t, 15)
+	lambda := []float64{0.1, 0.4, 0.3, 0.2}
+	rng := rand.New(rand.NewSource(8))
+	pool := make([][]float64, 120)
+	ref := make([]float64, len(pool))
+	for i := range pool {
+		pool[i] = live.space.Sample(rng)
+		ref[i] = acquisitionReference(live, pool[i], lambda)
+	}
+	sorted := append([]float64(nil), ref...)
+	slices.Sort(sorted)
+	limits := []float64{sorted[0] - 1, sorted[len(sorted)/4], sorted[len(sorted)/2], sorted[len(sorted)/2] + 1e-9, sorted[len(sorted)-1] + 1, math.Inf(1)}
+	check := func(what string, i int, got, limit float64) (stopped bool) {
+		t.Helper()
+		if got == math.Inf(1) && ref[i] != got {
+			if !(ref[i] > limit) {
+				t.Fatalf("%s, limit %v: candidate %d stopped with reference %v", what, limit, i, ref[i])
+			}
+			return true
+		}
+		if got != ref[i] {
+			t.Fatalf("%s, limit %v: candidate %d scored %v, reference %v", what, limit, i, got, ref[i])
+		}
+		return false
+	}
+	var stopped, completed int
+	for _, workers := range []int{1, 2, 8} {
+		o := live
+		o.cfg.SearchWorkers = workers
+		for _, limit := range limits {
+			o.acq = newAcqScratch(len(pool), o.NumObjectives())
+			o.acq.keep.reset(len(pool), o.NumObjectives()+gp.ColumnsLen(o.gps))
+			o.fanOut((len(pool)+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda, nil) })
+			done := o.scoreCandidates(pool, rng.Perm(len(pool)), lambda, limit)
+			n := 0
+			for i := range pool {
+				if check("scoreCandidates", i, o.acq.scores[i], limit) {
+					stopped++
+				} else {
+					n++
+				}
+			}
+			if done != n {
+				t.Fatalf("limit %v: scoreCandidates counted %d completed solves, %d candidates have their scores", limit, done, n)
+			}
+			completed += n
+		}
+	}
+	if stopped == 0 || completed == 0 {
+		t.Fatalf("scoreCandidates: %d stopped and %d completed; the limits test nothing", stopped, completed)
+	}
+
+	stopped, completed = 0, 0
+	o := live
+	o.acq.dropMemo()
+	nObj := o.NumObjectives()
+	post := make([]float64, 2*gp.TileWidth*nObj)
+	var out [gp.TileWidth]float64
+	for pass := 0; pass < 2; pass++ {
+		for lo := 0; lo < len(pool); lo += acqChains {
+			xs := pool[lo : lo+acqChains]
+			var lim [gp.TileWidth]float64
+			for k := range xs {
+				lim[k] = limits[rng.Intn(len(limits))]
+			}
+			o.scoreMemoized(xs, lambda, lim[:len(xs)], post[:2*len(xs)*nObj], out[:len(xs)])
+			for k := range xs {
+				if check("scoreMemoized", lo+k, out[k], lim[k]) {
+					stopped++
+				} else {
+					completed++
+				}
+			}
+		}
+	}
+	if stopped == 0 || completed == 0 {
+		t.Fatalf("scoreMemoized: %d stopped and %d completed; the limits test nothing", stopped, completed)
 	}
 }

@@ -43,7 +43,12 @@
 // else has a bound no higher than the best score seen. A candidate left
 // unscored could neither have won nor tied. An exact score reuses the kernel
 // columns and means its bound computed and runs only the solves
-// (gp.PredictVariances).
+// (gp.PredictVariances), and only as far as the candidate can still win: the
+// solves run in row blocks, each block's partial variances are upper bounds
+// on the final ones, so the acquisition at them bounds the score from below
+// ever more tightly, and a solve stops once that bound passes the score to
+// beat. The chains' steps stop the same way, against the values a step must
+// beat to move its chain.
 //
 // The result is bit-identical for every worker count, to scoring every
 // candidate, and to scoring each candidate alone: all draws from the
@@ -63,6 +68,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"unico/internal/gp"
 	"unico/internal/lfg"
@@ -323,12 +329,15 @@ var _ [gp.TileWidth - acqChains]struct{}
 // from their posterior means alone into lower bounds (boundTile), keeping
 // each candidate's means and kernel columns. The candidates are then ordered
 // by (bound, index), the tile of lowest bounds is scored exactly — only the
-// solves remain to be run (scoreKept) — and threshold = min(that tile's best, the chains' best)
-// decides who else is: the run of the order whose bound is <= threshold,
-// regrouped into full tiles for a second fan-out. A pruned candidate has
-// score >= bound > threshold >= the winner's score, so it can neither win
-// nor tie, and the merge below picks the point scoring every candidate
-// would have picked.
+// solves remain to be run (scoreKept) — and threshold = min(that tile's best,
+// the chains' best) decides who else is: the run of the order whose bound is
+// <= threshold, regrouped into full tiles for a second fan-out. A pruned
+// candidate has score >= bound > threshold >= the winner's score, so it can
+// neither win nor tie, and the merge below picks the point scoring every
+// candidate would have picked. The exact scores stop the same way part way
+// through their solves, and score +Inf: the first tile once a candidate is
+// sure to score above the chains' best, the second fan-out once it is sure
+// to score above threshold.
 //
 // The search is bit-identical for every worker count: every draw from the
 // optimizer's counted RNG happens up front on the calling goroutine
@@ -386,27 +395,29 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 		}
 		return a - b
 	})
+	chainBest := math.Inf(1)
+	for _, a := range chainA {
+		if a < chainBest {
+			chainBest = a
+		}
+	}
 	first := order[:min(gp.TileWidth, len(order))]
-	o.scoreCandidates(pool, first, lambda)
-	threshold := math.Inf(1)
+	completed := o.scoreCandidates(pool, first, lambda, chainBest)
+	threshold := chainBest
 	for _, i := range first {
 		if scores[i] < threshold {
 			threshold = scores[i]
-		}
-	}
-	for _, a := range chainA {
-		if a < threshold {
-			threshold = a
 		}
 	}
 	solved := len(first)
 	for solved < len(order) && bounds[order[solved]] <= threshold {
 		solved++
 	}
-	o.scoreCandidates(pool, order[len(first):solved], lambda)
+	completed += o.scoreCandidates(pool, order[len(first):solved], lambda, threshold)
 	sp.End()
 	telemetry.MOBOAcqBounded().Add(uint64(len(pool)))
 	telemetry.MOBOAcqSolved().Add(uint64(solved))
+	telemetry.MOBOAcqCompleted().Add(uint64(completed))
 
 	// Merge: the pool in index order, then the chains, strictly lower wins.
 	bestA := math.Inf(1)
@@ -452,30 +463,31 @@ func (o *Optimizer) boundPoolTile(pool [][]float64, t int, lambda []float64, exc
 }
 
 // scoreCandidates writes the exact acquisition value of pool[i] into
-// acq.scores[i] for every i of idx, gathered into full tiles (scoreKept)
-// fanned out over the worker pool.
-func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float64) {
+// acq.scores[i] for every i of idx, or +Inf once it is sure to exceed limit,
+// gathered into full tiles (scoreKept) fanned out over the worker pool. It
+// returns how many solves ran to the last row.
+func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float64, limit float64) int {
 	sc := &o.acq
+	var completed atomic.Int64
 	o.fanOut((len(idx)+gp.TileWidth-1)/gp.TileWidth, func(t int) {
 		tile := idx[t*gp.TileWidth : min((t+1)*gp.TileWidth, len(idx))]
 		var out [gp.TileWidth]float64
-		o.scoreKept(pool, tile, lambda, sc.tilePost(t, len(tile)), out[:len(tile)])
+		completed.Add(int64(o.scoreKept(pool, tile, lambda, limit, sc.tilePost(t, len(tile)), out[:len(tile)])))
 		for k, i := range tile {
 			sc.scores[i] = out[k]
 		}
 	})
+	return int(completed.Load())
 }
 
 // scoreKept writes the exact acquisition value of pool[i], for each i of
-// tile (at most gp.TileWidth of them), into out. Each candidate must have
-// been bounded (boundPoolTile). Its score is stage 2 of the prediction
-// (gp.PredictVariances) on the means and kernel columns its bound kept, or,
-// for a candidate acq.keep let go, on stage 1 run again — the same bits.
-// Which tile a candidate lands in does not touch its score either — it is
-// one lane of the same solve — so the score is the bits a full
-// gp.PredictTile of that candidate gives. post is scratch for the
-// posterior, 2·len(tile)·NumObjectives long.
-func (o *Optimizer) scoreKept(pool [][]float64, tile []int, lambda, post, out []float64) {
+// tile (at most gp.TileWidth of them), into out, or +Inf once it is sure to
+// exceed limit (solveScores), and returns how many solves completed. Each
+// candidate must have been bounded (boundPoolTile). Its score is stage 2 of
+// the prediction on the means and kernel columns its bound kept, or, for a
+// candidate acq.keep let go, on stage 1 run again — the same bits. post is
+// scratch for the posterior, 2·len(tile)·NumObjectives long.
+func (o *Optimizer) scoreKept(pool [][]float64, tile []int, lambda []float64, limit float64, post, out []float64) (completed int) {
 	nObj := o.NumObjectives()
 	ks := o.acq.keep
 	buf := ks.tileBuf()
@@ -500,13 +512,53 @@ func (o *Optimizer) scoreKept(pool [][]float64, tile []int, lambda, post, out []
 			copy(data[k][:nObj], mean[r*nObj:(r+1)*nObj])
 		}
 	}
-	var cols [gp.TileWidth][]float64
+	var (
+		cols [gp.TileWidth][]float64
+		lim  [gp.TileWidth]float64
+	)
 	for k, d := range data[:len(tile)] {
-		cols[k] = d[nObj:]
+		cols[k], lim[k] = d[nObj:], limit
 		copy(mean[k*nObj:(k+1)*nObj], d[:nObj])
 	}
-	gp.PredictVariances(o.gps, xs[:len(tile)], cols[:len(tile)], variance)
-	o.acquisition(mean, variance, lambda, out)
+	done := o.solveScores(xs[:len(tile)], cols[:len(tile)], lambda, lim[:len(tile)], mean, variance, out)
+	for _, d := range done[:len(tile)] {
+		if d {
+			completed++
+		}
+	}
+	return completed
+}
+
+// solveScores finishes the acquisition values of the candidates xs (at
+// most gp.TileWidth of them) from their raw posterior means (mean, which it
+// normalizes in place) and kernel columns (cols): stage 2 of the
+// prediction, gp.PredictVariances, where candidate k's solve stops once its
+// acquisition at the reported variances exceeds limit[k]. Those variances
+// are >= the final ones and the acquisition only falls as a variance grows
+// (bonus), so a candidate stops only when its score would exceed limit[k]
+// too; it scores +Inf. A candidate that completes scores the bits a full
+// gp.PredictTile of it gives, whatever tile it rode in. variance receives
+// the posterior variances, and done tells which solves completed.
+func (o *Optimizer) solveScores(xs, cols [][]float64, lambda, limit, mean, variance, out []float64) (done [gp.TileWidth]bool) {
+	nObj := o.NumObjectives()
+	var s [gp.TileWidth]float64
+	canStop := false
+	for k := range xs {
+		s[k] = o.meanTerm(mean[k*nObj:(k+1)*nObj], lambda)
+		canStop = canStop || limit[k] < math.Inf(1)
+	}
+	var stop func(k int, v []float64) bool
+	if canStop {
+		stop = func(k int, v []float64) bool { return s[k]-o.bonus(v, lambda) > limit[k] }
+	}
+	done = gp.PredictVariances(o.gps, xs, cols, variance, stop)
+	for k := range xs {
+		out[k] = math.Inf(1)
+		if done[k] {
+			out[k] = s[k] - o.bonus(variance[k*nObj:(k+1)*nObj], lambda)
+		}
+	}
+	return done
 }
 
 // refineChains hill-climbs acqSteps lattice steps from each incumbent, chain
@@ -517,6 +569,9 @@ func (o *Optimizer) scoreKept(pool [][]float64, tile []int, lambda, post, out []
 // walk it would be on its own. Posteriors come through the batch's memo
 // (scoreMemoized): the posterior at a point does not depend on lambda, and
 // the chains of a batch's slots start from the same few incumbents.
+//
+// A step's solve stops once the step is sure to change nothing (stepLimit),
+// and it scores +Inf, which changes nothing either.
 func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda []float64, exclude map[string]bool) (bestX [][]float64, bestA []float64) {
 	nc := len(incumbents)
 	post := make([]float64, 2*nc*o.NumObjectives())
@@ -525,7 +580,11 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 		crng[c] = lfg.New(seeds[c])
 	}
 	x, ax := append([][]float64(nil), incumbents...), make([]float64, nc)
-	o.scoreMemoized(x, lambda, post, ax)
+	limit := make([]float64, nc)
+	for c := range limit {
+		limit[c] = math.Inf(1)
+	}
+	o.scoreMemoized(x, lambda, limit, post, ax)
 	y, ay := make([][]float64, nc), make([]float64, nc)
 	bestX, bestA = make([][]float64, nc), make([]float64, nc)
 	for c := range bestA {
@@ -534,8 +593,11 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 	for step := 0; step < acqSteps; step++ {
 		for c := range y {
 			y[c] = o.space.Neighbor(x[c], crng[c])
+			// Exclusion moves the limit only when bestA[c] is the larger,
+			// and a lookup builds a key: ask only then.
+			limit[c] = stepLimit(ax[c], bestA[c], bestA[c] > ax[c] && o.excluded(y[c], exclude))
 		}
-		o.scoreMemoized(y, lambda, post, ay)
+		o.scoreMemoized(y, lambda, limit, post, ay)
 		for c := range y {
 			if ay[c] < bestA[c] && !o.excluded(y[c], exclude) {
 				bestX[c], bestA[c] = y[c], ay[c]
@@ -546,6 +608,22 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 		}
 	}
 	return bestX, bestA
+}
+
+// stepLimit is the limit a chain step is scored against (scoreMemoized),
+// from the chain's current value ax, its best bestA and whether the step's
+// point is excluded: a step at or above max(ax, bestA), or ax alone for an
+// excluded point, changes nothing. A solve stops strictly above its limit,
+// and "at least L" is "above the float below L".
+func stepLimit(ax, bestA float64, excluded bool) float64 {
+	l := ax
+	if !excluded && bestA > l {
+		l = bestA
+	}
+	if l < math.Inf(1) {
+		l = math.Nextafter(l, math.Inf(-1))
+	}
+	return l
 }
 
 // excluded reports whether x is already evaluated or already in the batch
@@ -593,61 +671,119 @@ func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64, kept 
 func (o *Optimizer) acquisition(mean, variance, lambda, out []float64) {
 	nObj := o.NumObjectives()
 	for k := range out {
-		mu, v := mean[k*nObj:(k+1)*nObj], variance[k*nObj:(k+1)*nObj]
-		var varSum float64
-		for j := range mu {
-			mu[j] = o.normalize(j, mu[j])
-			span := o.hi[j] - o.lo[j]
-			if span <= 0 {
-				span = 1
-			}
-			sd := lambda[j] * (math.Sqrt(v[j]) / span)
-			varSum += sd * sd
-		}
-		out[k] = scalarize(mu, lambda, o.cfg.Rho) - o.cfg.Explore*math.Sqrt(varSum)
+		out[k] = o.meanTerm(mean[k*nObj:(k+1)*nObj], lambda) - o.bonus(variance[k*nObj:(k+1)*nObj], lambda)
 	}
 }
 
+// meanTerm normalizes one candidate's posterior means mu in place and
+// returns their scalarization, the first term of its acquisition.
+func (o *Optimizer) meanTerm(mu, lambda []float64) float64 {
+	for j := range mu {
+		mu[j] = o.normalize(j, mu[j])
+	}
+	return scalarize(mu, lambda, o.cfg.Rho)
+}
+
+// bonus is the exploration bonus of one candidate with posterior variances
+// v, the term its acquisition subtracts. Each step — √, ÷ span, × λ_j ≥ 0,
+// squaring a non-negative, the sum, √ and × Explore ≥ 0 — keeps <= in
+// floating point, so a larger variance never gives a smaller bonus.
+func (o *Optimizer) bonus(v, lambda []float64) float64 {
+	var varSum float64
+	for j := range v {
+		span := o.hi[j] - o.lo[j]
+		if span <= 0 {
+			span = 1
+		}
+		sd := lambda[j] * (math.Sqrt(v[j]) / span)
+		varSum += sd * sd
+	}
+	return o.cfg.Explore * math.Sqrt(varSum)
+}
+
 // scoreMemoized writes the exact acquisition value of each candidate of xs
-// (at most gp.TileWidth of them) into out, through the posterior memo: the
-// lanes whose point the memo lacks go through one gp.PredictTile call of
-// their own and are remembered, then every lane reads its posterior from the
-// memo. post is scratch for the posterior, 2·len(xs)·NumObjectives long.
-// Only the goroutine running the refinement chains calls it, so the memo
-// needs no lock.
-func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, post, out []float64) {
+// (at most gp.TileWidth of them) into out, or +Inf once it is sure to
+// exceed limit[k], through the posterior memo. A point whose last solve
+// completed is read from the memo. One whose last solve stopped is first
+// bounded from its means and the variances it stopped at, which are >= its
+// variances: when that bound already exceeds the limit, it costs nothing.
+// Every other lane runs stage 1 of the prediction and then solveScores, in
+// one tile, and the memo keeps what it computed. post is scratch for the
+// posterior, 2·len(xs)·NumObjectives long. Only the goroutine running the
+// refinement chains calls it, so the memo needs no lock.
+func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []float64) {
 	sc := &o.acq
 	nObj := o.NumObjectives()
+	if sc.width == 0 {
+		sc.width = gp.ColumnsLen(o.gps)
+	}
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	fresh := len(sc.memoFull) // entries from here on are this call's
 	var (
-		at    [gp.TileWidth]int
-		miss  [gp.TileWidth][]float64
-		nMiss int
+		at      [gp.TileWidth]int // lane -> memo entry
+		whole   [gp.TileWidth]bool
+		miss    [gp.TileWidth]int // lanes to predict
+		missX   [gp.TileWidth][]float64
+		missLim [gp.TileWidth]float64
+		nMiss   int
 	)
 	for k, x := range xs {
 		key := sc.memoKey(x)
-		var ok bool
-		if at[k], ok = sc.memo[string(key)]; !ok {
-			// Claim the slot the prediction below fills.
-			at[k] = len(sc.memoPost) + nMiss*2*nObj
-			sc.memo[string(key)] = at[k]
-			miss[nMiss] = x
-			nMiss++
+		e, ok := sc.memo[string(key)]
+		if !ok {
+			e = sc.claim(nObj)
+			sc.memo[string(key)] = e
 		}
+		at[k] = e
+		if whole[k] = e < fresh && sc.memoFull[e]; whole[k] {
+			continue
+		}
+		if e < fresh {
+			mu, v := mean[k*nObj:(k+1)*nObj], variance[k*nObj:(k+1)*nObj]
+			copy(mu, sc.memoPost[2*nObj*e:])
+			copy(v, sc.memoPost[2*nObj*e+nObj:2*nObj*(e+1)])
+			if o.meanTerm(mu, lambda)-o.bonus(v, lambda) > limit[k] {
+				out[k] = math.Inf(1)
+				continue
+			}
+		}
+		miss[nMiss], missX[nMiss], missLim[nMiss] = k, x, limit[k]
+		nMiss++
 	}
 	if nMiss > 0 {
-		mean, variance := post[:nMiss*nObj], post[nMiss*nObj:2*nMiss*nObj]
-		gp.PredictTile(o.gps, miss[:nMiss], mean, variance)
-		for r := 0; r < nMiss; r++ {
-			sc.memoPost = append(sc.memoPost, mean[r*nObj:(r+1)*nObj]...)
-			sc.memoPost = append(sc.memoPost, variance[r*nObj:(r+1)*nObj]...)
+		sc.cols = grow(sc.cols, nMiss*sc.width)
+		var cols [gp.TileWidth][]float64
+		for r := range cols[:nMiss] {
+			cols[r] = sc.cols[r*sc.width : (r+1)*sc.width]
+		}
+		mu, v := mean[:nMiss*nObj], variance[:nMiss*nObj]
+		gp.PredictMeans(o.gps, missX[:nMiss], mu, cols[:nMiss])
+		for r, k := range miss[:nMiss] {
+			copy(sc.memoPost[2*nObj*at[k]:], mu[r*nObj:(r+1)*nObj])
+		}
+		var missOut [gp.TileWidth]float64
+		done := o.solveScores(missX[:nMiss], cols[:nMiss], lambda, missLim[:nMiss], mu, v, missOut[:nMiss])
+		for r, k := range miss[:nMiss] {
+			out[k] = missOut[r]
+			copy(sc.memoPost[2*nObj*at[k]+nObj:], v[r*nObj:(r+1)*nObj])
+			sc.memoFull[at[k]] = done[r]
 		}
 	}
-	mean, variance := post[:len(post)/2], post[len(post)/2:]
-	for k := range xs {
-		copy(mean[k*nObj:(k+1)*nObj], sc.memoPost[at[k]:])
-		copy(variance[k*nObj:(k+1)*nObj], sc.memoPost[at[k]+nObj:])
+	for k, e := range at[:len(xs)] {
+		if whole[k] {
+			mu, v := mean[:nObj], variance[:nObj]
+			copy(mu, sc.memoPost[2*nObj*e:])
+			copy(v, sc.memoPost[2*nObj*e+nObj:])
+			o.acquisition(mu, v, lambda, out[k:k+1])
+		}
 	}
-	o.acquisition(mean, variance, lambda, out)
+}
+
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // acqScratch is the acquisition search's working set, kept on the Optimizer
@@ -668,14 +804,20 @@ type acqScratch struct {
 
 	// memo maps a point — its coordinates bit for bit, not its lattice
 	// cell: an off-centre training input shares a cell with the centre but
-	// not a posterior — to where memoPost holds its posterior under the
-	// current surrogates, NumObjectives means then as many variances. It
-	// lives for one SuggestBatch (whose slots' chains keep revisiting the
-	// same points) and is dropped whenever the surrogates change. key is the
-	// lookup key's buffer.
+	// not a posterior — to its entry e under the current surrogates:
+	// memoPost[2·NumObjectives·e:] holds its NumObjectives means, then as
+	// many variances: exact when memoFull[e] (its last solve completed),
+	// the upper bounds it stopped at otherwise. It lives for one
+	// SuggestBatch (whose slots' chains keep revisiting the same points) and
+	// is dropped whenever the surrogates change. key is the lookup key's
+	// buffer, cols the kernel columns of the lanes the memo cannot answer,
+	// width = gp.ColumnsLen floats each (0 until the memo first needs it).
 	memo     map[string]int
 	memoPost []float64
+	memoFull []bool
 	key      []byte
+	cols     []float64
+	width    int
 }
 
 // newAcqScratch sizes the scratch for pools of n candidates under nObj
@@ -707,10 +849,18 @@ func (sc *acqScratch) memoKey(x []float64) []byte {
 	return sc.key
 }
 
+// claim adds a memo entry, its contents unset, and returns it.
+func (sc *acqScratch) claim(nObj int) int {
+	n := len(sc.memoPost)
+	sc.memoPost = slices.Grow(sc.memoPost, 2*nObj)[:n+2*nObj]
+	sc.memoFull = append(sc.memoFull, false)
+	return len(sc.memoFull) - 1
+}
+
 // dropMemo forgets every memoized posterior, keeping the memory.
 func (sc *acqScratch) dropMemo() {
 	clear(sc.memo)
-	sc.memoPost = sc.memoPost[:0]
+	sc.memoPost, sc.memoFull, sc.width = sc.memoPost[:0], sc.memoFull[:0], 0
 }
 
 // topTrain returns the inputs of the best k training points under lambda.

@@ -5,12 +5,16 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"unico/internal/gp"
 	"unico/internal/hw"
 )
+
+// noLimit is a tile's worth of limits no score exceeds: no solve stops.
+var noLimit = [gp.TileWidth]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
 
 // acquisitionReference is the acquisition as it was computed before scoring
 // moved to tiles: one candidate, one objective's surrogate at a time, the
@@ -113,7 +117,7 @@ func TestScorePoolMatchesPerCandidate(t *testing.T) {
 				if want := min(size-2, keepCap); kept != want && !(size == 1 && kept == 0) {
 					t.Fatalf("%s, pool of %d: %d candidates kept their columns, want %d", name, size, kept, want)
 				}
-				o.scoreCandidates(pool, rng.Perm(size), lambda)
+				o.scoreCandidates(pool, rng.Perm(size), lambda, math.Inf(1))
 				exhaustive := scorePoolReference(o, pool, lambda, exclude)
 				for i, x := range pool {
 					want := acquisitionReference(o, x, lambda)
@@ -206,7 +210,7 @@ func TestRefineChainsMatchSerialWalks(t *testing.T) {
 // TestScoreTileDoesNotAllocate pins the allocation-free scoring paths: with
 // the posterior scratch handed in, a tile costs no objects — bounded from
 // its means and kept, scored from what the bound kept, or read back from
-// the memo.
+// the memo, with solves that complete or stop part way.
 func TestScoreTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -214,10 +218,10 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 	o := trained(t, 13)
 	lambda := []float64{0.25, 0.25, 0.25, 0.25}
 	rng := rand.New(rand.NewSource(1))
-	xs := make([][]float64, gp.TileWidth)
+	xs, ys := make([][]float64, gp.TileWidth), make([][]float64, gp.TileWidth)
 	idx := make([]int, len(xs))
 	for i := range xs {
-		xs[i] = o.space.Sample(rng)
+		xs[i], ys[i] = o.space.Sample(rng), o.space.Sample(rng)
 		idx[i] = len(xs) - 1 - i
 	}
 	nObj := o.NumObjectives()
@@ -225,6 +229,14 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 	o.boundPoolTile(xs, 0, lambda, nil) // keeps every candidate: a pool of one tile
 	post := make([]float64, 2*len(xs)*nObj)
 	out := make([]float64, len(xs))
+	// A limit some of the candidates score above: their solves stop.
+	o.scoreKept(xs, idx, lambda, math.Inf(1), post, out)
+	slices.Sort(out)
+	mid := out[len(out)/2]
+	var midLimit [gp.TileWidth]float64
+	for k := range midLimit {
+		midLimit[k] = mid
+	}
 	for name, score := range map[string]func(m int){
 		"boundTile": func(m int) {
 			buf := o.acq.keep.tileBuf()
@@ -232,8 +244,17 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 			o.acq.keep.offer(0, out[:m], buf[:m])
 			o.acq.keep.putTileBuf(buf)
 		},
-		"scoreKept":     func(m int) { o.scoreKept(xs, idx[len(xs)-m:], lambda, post[:2*m*nObj], out[:m]) },
-		"scoreMemoized": func(m int) { o.scoreMemoized(xs[:m], lambda, post[:2*m*nObj], out[:m]) },
+		"scoreKept":     func(m int) { o.scoreKept(xs, idx[len(xs)-m:], lambda, math.Inf(1), post[:2*m*nObj], out[:m]) },
+		"scoreMemoized": func(m int) { o.scoreMemoized(xs[:m], lambda, noLimit[:m], post[:2*m*nObj], out[:m]) },
+		"scoreKept, stopping": func(m int) {
+			o.scoreKept(xs, idx[len(xs)-m:], lambda, mid, post[:2*m*nObj], out[:m])
+		},
+		// Points of their own: once the warm-up call has stopped some, the
+		// memo holds only their means, and every later call bounds them
+		// from those or predicts them again.
+		"scoreMemoized, stopping": func(m int) {
+			o.scoreMemoized(ys[:m], lambda, midLimit[:m], post[:2*m*nObj], out[:m])
+		},
 	} {
 		for _, m := range []int{gp.TileWidth, acqChains} {
 			run := func() { score(m) }
@@ -242,6 +263,9 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%s of %d candidates allocates %.1f objects per call", name, m, n)
 			}
 		}
+	}
+	if !slices.Contains(o.acq.memoFull, false) {
+		t.Fatal("no memoized solve stopped: the stopping cases test nothing")
 	}
 }
 

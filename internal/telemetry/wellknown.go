@@ -24,6 +24,8 @@ var (
 		"Acquisition pool candidates bounded from their posterior means.", nil)
 	moboAcqSolved = DefaultRegistry.Counter("unico_mobo_acq_solved_total",
 		"Acquisition pool candidates whose bound could still win and that paid for an exact score.", nil)
+	moboAcqCompleted = DefaultRegistry.Counter("unico_mobo_acq_completed_total",
+		"Exact-scored acquisition pool candidates whose variance solve ran to the last row.", nil)
 
 	evalCacheHits = DefaultRegistry.Counter("unico_evalcache_hits_total",
 		"PPA evaluations served from the content-addressed cache.", nil)
@@ -98,6 +100,12 @@ func MOBOAcqBounded() *Counter { return moboAcqBounded }
 // ones that went on to pay the variance solve for an exact score. Solved over
 // bounded is the share of the pool the bound did not prune.
 func MOBOAcqSolved() *Counter { return moboAcqSolved }
+
+// MOBOAcqCompleted counts the solved pool candidates whose variance solve
+// ran to the last row; the others stopped once their score could no longer
+// win. Completed over solved is the share of the scoring solves that ran
+// whole.
+func MOBOAcqCompleted() *Counter { return moboAcqCompleted }
 
 // SHRungs counts successive-halving rungs executed.
 func SHRungs() *Counter { return shRungs }
