@@ -54,29 +54,44 @@ func (m Ascend) Valid(l workload.Layer) bool {
 		m.FuseDepth >= 1 && m.FuseDepth <= 4
 }
 
-// RandomAscend draws a uniformly random well-formed schedule for the layer.
-func RandomAscend(rng *rand.Rand, l workload.Layer) Ascend {
+// AscendMoves is one layer's schedule neighbourhood on the Ascend-like
+// core: the tile ladders of its GEMM-normal dimensions, built once, and the
+// moves that read them. Like SpatialMoves it is shared and only read.
+type AscendMoves struct {
+	layer   workload.Layer
+	m, k, n ladder
+}
+
+// NewAscendMoves builds the layer's tile ladders.
+func NewAscendMoves(l workload.Layer) AscendMoves {
 	gm, gk, gn := GemmDims(l)
+	return AscendMoves{layer: l, m: tileLadder(gm), k: tileLadder(gk), n: tileLadder(gn)}
+}
+
+// Layer returns the layer the moves are for.
+func (mv *AscendMoves) Layer() workload.Layer { return mv.layer }
+
+// Random draws a uniformly random well-formed schedule for the layer.
+func (mv *AscendMoves) Random(rng *rand.Rand) Ascend {
 	return Ascend{
-		TM: tileLadder(gm).pick(rng), TK: tileLadder(gk).pick(rng), TN: tileLadder(gn).pick(rng),
+		TM: mv.m.pick(rng), TK: mv.k.pick(rng), TN: mv.n.pick(rng),
 		FuseDepth: 1 + rng.Intn(4),
 		DBufA:     rng.Intn(2) == 0,
 		DBufB:     rng.Intn(2) == 0,
 		DBufC:     rng.Intn(2) == 0,
-	}.Canon(l)
+	}.Canon(mv.layer)
 }
 
-// MutateAscend returns a neighbouring schedule with one field changed.
-func MutateAscend(rng *rand.Rand, m Ascend, l workload.Layer) Ascend {
+// Mutate returns a neighbouring schedule with one field changed.
+func (mv *AscendMoves) Mutate(rng *rand.Rand, m Ascend) Ascend {
 	out := m
-	gm, gk, gn := GemmDims(l)
 	switch rng.Intn(6) {
 	case 0:
-		out.TM = tileLadder(gm).move(rng, out.TM)
+		out.TM = mv.m.move(rng, out.TM)
 	case 1:
-		out.TK = tileLadder(gk).move(rng, out.TK)
+		out.TK = mv.k.move(rng, out.TK)
 	case 2:
-		out.TN = tileLadder(gn).move(rng, out.TN)
+		out.TN = mv.n.move(rng, out.TN)
 	case 3:
 		out.FuseDepth = 1 + rng.Intn(4)
 	case 4:
@@ -88,7 +103,35 @@ func MutateAscend(rng *rand.Rand, m Ascend, l workload.Layer) Ascend {
 			out.DBufC = !out.DBufC
 		}
 	}
-	return out.Canon(l)
+	return out.Canon(mv.layer)
+}
+
+// Crossover recombines two schedules field-wise (uniform crossover).
+func (mv *AscendMoves) Crossover(rng *rand.Rand, a, b Ascend) Ascend {
+	out := a
+	if rng.Intn(2) == 0 {
+		out.TM = b.TM
+	}
+	if rng.Intn(2) == 0 {
+		out.TK = b.TK
+	}
+	if rng.Intn(2) == 0 {
+		out.TN = b.TN
+	}
+	if rng.Intn(2) == 0 {
+		out.FuseDepth = b.FuseDepth
+	}
+	if rng.Intn(2) == 0 {
+		out.DBufA, out.DBufB, out.DBufC = b.DBufA, b.DBufB, b.DBufC
+	}
+	return out.Canon(mv.layer)
+}
+
+// RandomAscend is Random for a one-off draw, building the layer's moves for
+// it; a search holds an AscendMoves per layer instead.
+func RandomAscend(rng *rand.Rand, l workload.Layer) Ascend {
+	mv := NewAscendMoves(l)
+	return mv.Random(rng)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -106,7 +106,11 @@ func (m *Spatial) setTile(d Dim, v int) {
 // choices (equal spatial dimensions, out-of-range order). Every generator
 // and mutation funnels through Canon so downstream code can assume a
 // well-formed schedule.
-func (m Spatial) Canon(l workload.Layer) Spatial {
+func (m Spatial) Canon(l workload.Layer) Spatial { return m.canon(&l) }
+
+// canon is Canon reading the layer in place: a search's moves canonicalize
+// every schedule they return, and the layer is twelve words to copy.
+func (m Spatial) canon(l *workload.Layer) Spatial {
 	m.TK = min(max(m.TK, 1), l.K)
 	m.TC = min(max(m.TC, 1), l.C)
 	m.TY = min(max(m.TY, 1), l.Y)
@@ -179,8 +183,8 @@ var ladderRungs = func() (r [124]int) {
 // ladderRungs that fit, in enumeration order, then the bound itself unless it
 // is a rung. 3·2^i stops fitting one or two steps before 2^i does, so the
 // rungs that fit are a prefix of ladderRungs and then at most two powers of
-// two. A ladder is those few words: one is built per mutation step, so it
-// must cost no allocation, no shared lookup and no loop over the rungs.
+// two. A ladder depends only on its bound, so a layer's moves (SpatialMoves,
+// AscendMoves) build theirs once.
 type ladder struct {
 	prefix int    // the first prefix entries of ladderRungs
 	rest   [3]int // then the last powers of two, then the bound
@@ -213,7 +217,7 @@ func tileLadder(bound int) ladder {
 }
 
 // at returns the i-th tile size, 0 <= i < l.n.
-func (l ladder) at(i int) int {
+func (l *ladder) at(i int) int {
 	if i < l.prefix {
 		return ladderRungs[i]
 	}
@@ -221,12 +225,12 @@ func (l ladder) at(i int) int {
 }
 
 // pick draws one tile size uniformly.
-func (l ladder) pick(rng *rand.Rand) int { return l.at(rng.Intn(l.n)) }
+func (l *ladder) pick(rng *rand.Rand) int { return l.at(rng.Intn(l.n)) }
 
 // move returns the tile size one step down or up the ladder from the one
 // nearest cur. A down draw on the first rung steps up instead; an up draw on
 // the last stays put.
-func (l ladder) move(rng *rand.Rand, cur int) int {
+func (l *ladder) move(rng *rand.Rand, cur int) int {
 	i := l.nearest(cur)
 	if rng.Intn(2) == 0 && i > 0 {
 		i--
@@ -237,8 +241,13 @@ func (l ladder) move(rng *rand.Rand, cur int) int {
 }
 
 // nearest returns the index of the tile size closest to v (the first of
-// equally close ones).
-func (l ladder) nearest(v int) int {
+// equally close ones). The sizes are distinct, so a v on the ladder — every
+// tile a search's moves produce — is its own nearest and is found without a
+// scan.
+func (l *ladder) nearest(v int) int {
+	if i, ok := l.index(v); ok {
+		return i
+	}
 	best, bestDist := 0, -1
 	for i := 0; i < l.n; i++ {
 		d := l.at(i) - v
@@ -252,35 +261,87 @@ func (l ladder) nearest(v int) int {
 	return best
 }
 
-// RandomSpatial draws a uniformly random well-formed schedule for the layer.
-func RandomSpatial(rng *rand.Rand, l workload.Layer) Spatial {
+// index returns the position of v on the ladder, if v is one of its sizes:
+// 2^p is rung 2p and 3·2^p rung 2p+1 when the prefix reaches them, and the
+// rest are compared.
+func (l *ladder) index(v int) (int, bool) {
+	if v < 1 {
+		return 0, false
+	}
+	p := bits.TrailingZeros(uint(v))
+	switch i := 2 * p; v >> p {
+	case 1:
+		if i < l.prefix {
+			return i, true
+		}
+	case 3:
+		if i+1 < l.prefix {
+			return i + 1, true
+		}
+	}
+	for k := 0; k < l.n-l.prefix; k++ {
+		if l.rest[k] == v {
+			return l.prefix + k, true
+		}
+	}
+	return 0, false
+}
+
+// SpatialMoves is one layer's schedule neighbourhood on the spatial
+// accelerator: the tile ladders of its six tiled loops, built once, and the
+// sampling, mutation and crossover moves that read them. A search builds one
+// per layer of its workload and shares it across hardware candidates; the
+// methods only read it, so it is safe for concurrent use.
+type SpatialMoves struct {
+	layer workload.Layer
+	tiles [4]ladder // indexed by Dim
+	r, s  ladder    // kernel window
+}
+
+// NewSpatialMoves builds the layer's tile ladders.
+func NewSpatialMoves(l workload.Layer) SpatialMoves {
+	mv := SpatialMoves{layer: l, r: tileLadder(l.R), s: tileLadder(l.S)}
+	for d, bound := range dimBounds(l) {
+		mv.tiles[d] = tileLadder(bound)
+	}
+	return mv
+}
+
+// Layer returns the layer the moves are for.
+func (mv *SpatialMoves) Layer() workload.Layer { return mv.layer }
+
+// Canon is Spatial.Canon for the moves' layer.
+func (mv *SpatialMoves) Canon(m Spatial) Spatial { return m.canon(&mv.layer) }
+
+// Random draws a uniformly random well-formed schedule for the layer.
+func (mv *SpatialMoves) Random(rng *rand.Rand) Spatial {
 	m := Spatial{
 		SpatX: AllDims[rng.Intn(len(AllDims))],
 		SpatY: AllDims[rng.Intn(len(AllDims))],
 		Order: rng.Intn(len(Orders)),
 	}
 	for _, d := range AllDims {
-		m.setTile(d, tileLadder(dimBounds(l)[d]).pick(rng))
+		m.setTile(d, mv.tiles[d].pick(rng))
 	}
-	m.TR = tileLadder(l.R).pick(rng)
-	m.TS = tileLadder(l.S).pick(rng)
-	return m.Canon(l)
+	m.TR = mv.r.pick(rng)
+	m.TS = mv.s.pick(rng)
+	return m.canon(&mv.layer)
 }
 
-// MutateSpatial returns a neighbouring schedule: one field changed — a tile
-// size moved along its ladder, a spatial dimension swapped, or the loop
-// order changed.
-func MutateSpatial(rng *rand.Rand, m Spatial, l workload.Layer) Spatial {
+// Mutate returns a neighbouring schedule: one field changed — a tile size
+// moved along its ladder, a spatial dimension swapped, or the loop order
+// changed.
+func (mv *SpatialMoves) Mutate(rng *rand.Rand, m Spatial) Spatial {
 	out := m
 	switch rng.Intn(5) {
 	case 0, 1: // move one tile size one ladder step (most productive move)
 		d := AllDims[rng.Intn(len(AllDims))]
-		out.setTile(d, tileLadder(dimBounds(l)[d]).move(rng, out.Tile(d)))
+		out.setTile(d, mv.tiles[d].move(rng, out.Tile(d)))
 	case 2: // move a kernel-window tile
 		if rng.Intn(2) == 0 {
-			out.TR = tileLadder(l.R).move(rng, out.TR)
+			out.TR = mv.r.move(rng, out.TR)
 		} else {
-			out.TS = tileLadder(l.S).move(rng, out.TS)
+			out.TS = mv.s.move(rng, out.TS)
 		}
 	case 3: // re-pick a spatial dimension
 		if rng.Intn(2) == 0 {
@@ -291,12 +352,12 @@ func MutateSpatial(rng *rand.Rand, m Spatial, l workload.Layer) Spatial {
 	case 4: // change loop order
 		out.Order = rng.Intn(len(Orders))
 	}
-	return out.Canon(l)
+	return out.canon(&mv.layer)
 }
 
-// CrossoverSpatial recombines two schedules field-wise (uniform crossover),
-// the GAMMA-style genetic operator.
-func CrossoverSpatial(rng *rand.Rand, a, b Spatial, l workload.Layer) Spatial {
+// Crossover recombines two schedules field-wise (uniform crossover), the
+// GAMMA-style genetic operator.
+func (mv *SpatialMoves) Crossover(rng *rand.Rand, a, b Spatial) Spatial {
 	out := a
 	if rng.Intn(2) == 0 {
 		out.TK = b.TK
@@ -322,5 +383,19 @@ func CrossoverSpatial(rng *rand.Rand, a, b Spatial, l workload.Layer) Spatial {
 	if rng.Intn(2) == 0 {
 		out.Order = b.Order
 	}
-	return out.Canon(l)
+	return out.canon(&mv.layer)
+}
+
+// RandomSpatial is Random for a one-off draw, building the layer's moves for
+// it; a search holds a SpatialMoves per layer instead.
+func RandomSpatial(rng *rand.Rand, l workload.Layer) Spatial {
+	mv := NewSpatialMoves(l)
+	return mv.Random(rng)
+}
+
+// MutateSpatial is Mutate for a one-off move, building the layer's moves for
+// it; a search holds a SpatialMoves per layer instead.
+func MutateSpatial(rng *rand.Rand, m Spatial, l workload.Layer) Spatial {
+	mv := NewSpatialMoves(l)
+	return mv.Mutate(rng, m)
 }

@@ -62,9 +62,10 @@ func TestCrossoverSpatialValidProperty(t *testing.T) {
 	l := testLayer()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := RandomSpatial(rng, l)
-		b := RandomSpatial(rng, l)
-		return CrossoverSpatial(rng, a, b, l).Valid(l)
+		mv := NewSpatialMoves(l)
+		a := mv.Random(rng)
+		b := mv.Random(rng)
+		return mv.Crossover(rng, a, b).Valid(l)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -202,12 +203,13 @@ func TestRandomAscendValidProperty(t *testing.T) {
 	l := testLayer()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := RandomAscend(rng, l)
+		mv := NewAscendMoves(l)
+		m := mv.Random(rng)
 		if !m.Valid(l) {
 			return false
 		}
 		for i := 0; i < 10; i++ {
-			m = MutateAscend(rng, m, l)
+			m = mv.Mutate(rng, m)
 			if !m.Valid(l) {
 				return false
 			}

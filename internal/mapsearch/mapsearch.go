@@ -10,10 +10,15 @@
 //   - DepthFirstFusion (in ascend.go): the depth-first buffer-fusion search
 //     used on the Ascend-like platform (Section 4.1).
 //
-// All searchers honour the mature-tool contract of paper Section 3.1: one
-// Step costs exactly one PPA evaluation, the best-so-far loss is monotone
-// non-increasing in budget, and searches are resumable so successive halving
-// can hand out budget in installments.
+// All searchers honour the mature-tool contract of paper Section 3.1: a Step
+// spends one unit of evaluation budget and calls Problem.Evaluate at most
+// once, the best-so-far loss is monotone non-increasing in budget, and
+// searches are resumable so successive halving can hand out budget in
+// installments. A Step does only new work: a layer's moves are built once
+// per workload (Network), seeds are computed at the first Step, and the
+// annealer takes a proposal equal to its current schedule at the metrics it
+// already holds — engines are pure, so that is the engine's answer, and the
+// step's budget is spent all the same.
 //
 // A NetworkSearcher aggregates per-layer searchers into the network-level
 // search the co-optimizer drives: each budget unit advances one layer
@@ -58,10 +63,10 @@ func seedsOf[M any](p Problem[M]) []M {
 	return nil
 }
 
-// LayerSearcher is a resumable single-layer mapping search. Implementations
-// must make every Step cost exactly one Problem.Evaluate call.
+// LayerSearcher is a resumable single-layer mapping search. A Step spends
+// one unit of evaluation budget and calls Problem.Evaluate at most once.
 type LayerSearcher interface {
-	// Step spends one evaluation.
+	// Step spends one unit of evaluation budget.
 	Step()
 	// Best returns the metrics of the best feasible mapping found, and
 	// whether any feasible mapping has been found yet.
@@ -69,7 +74,7 @@ type LayerSearcher interface {
 	// Last returns the metrics of the most recently evaluated candidate
 	// (feasible or not): the raw sample the robustness metric observes.
 	Last() (ppa.Metrics, bool)
-	// Evals returns the number of evaluations spent.
+	// Evals returns the units of evaluation budget spent: the steps taken.
 	Evals() int
 }
 
@@ -81,12 +86,13 @@ func Loss(m ppa.Metrics) float64 { return m.EDP() }
 // Annealer is a simulated-annealing mapping search with periodic restarts,
 // standing in for FlexTensor. The acceptance temperature is set relative to
 // the running loss scale so the schedule is workload-independent.
-type Annealer[M any] struct {
+type Annealer[M comparable] struct {
 	prob Problem[M]
 	rng  *rand.Rand
 
 	cur      M
 	curLoss  float64
+	curMet   ppa.Metrics // cur's metrics: a proposal equal to cur reuses them
 	hasCur   bool
 	best     M
 	bestLoss float64
@@ -104,17 +110,23 @@ type Annealer[M any] struct {
 }
 
 // NewAnnealer builds an annealing searcher over the problem.
-func NewAnnealer[M any](prob Problem[M], rng *rand.Rand) *Annealer[M] {
+func NewAnnealer[M comparable](prob Problem[M], rng *rand.Rand) *Annealer[M] {
 	return &Annealer[M]{
 		prob: prob, rng: rng,
 		curLoss: math.Inf(1), bestLoss: math.Inf(1),
 		restartEvery: 60,
-		seeds:        seedsOf(prob),
 	}
 }
 
-// Step spends one evaluation.
+// Step spends one unit of evaluation budget. A proposal equal to the current
+// schedule takes the current schedule's metrics instead of calling the
+// engine. That is exact: engines are pure, cur is only ever a feasible
+// result, and the step then runs as the engine's answer would have run it —
+// the same loss, so the same acceptance and the same draws.
 func (a *Annealer[M]) Step() {
+	if a.evals == 0 {
+		a.seeds = seedsOf(a.prob)
+	}
 	var cand M
 	switch {
 	case a.evals < len(a.seeds):
@@ -126,7 +138,13 @@ func (a *Annealer[M]) Step() {
 		cand = a.prob.Mutate(a.rng, a.cur)
 	}
 	a.evals++
-	met, err := a.prob.Evaluate(cand)
+	var met ppa.Metrics
+	var err error
+	if a.hasCur && cand == a.cur {
+		met = a.curMet
+	} else {
+		met, err = a.prob.Evaluate(cand)
+	}
 	if err != nil {
 		a.lastOK = false
 		a.sinceImprove++
@@ -142,7 +160,7 @@ func (a *Annealer[M]) Step() {
 		accept = a.rng.Float64() < math.Exp(-(loss-a.curLoss)/temp)
 	}
 	if accept {
-		a.cur, a.curLoss, a.hasCur = cand, loss, true
+		a.cur, a.curLoss, a.curMet, a.hasCur = cand, loss, met, true
 	}
 	if loss < a.bestLoss {
 		a.best, a.bestLoss, a.bestMet, a.hasBest = cand, loss, met, true
@@ -161,7 +179,7 @@ func (a *Annealer[M]) Last() (ppa.Metrics, bool) { return a.lastMet, a.lastOK }
 // BestCandidate returns the best mapping found so far.
 func (a *Annealer[M]) BestCandidate() (M, bool) { return a.best, a.hasBest }
 
-// Evals returns the number of evaluations spent.
+// Evals returns the units of evaluation budget spent.
 func (a *Annealer[M]) Evals() int { return a.evals }
 
 // Genetic is a steady-state genetic algorithm, standing in for GAMMA: a
@@ -194,11 +212,14 @@ func NewGenetic[M any](prob Problem[M], popSize int, rng *rand.Rand) *Genetic[M]
 	if popSize < 2 {
 		popSize = 2
 	}
-	return &Genetic[M]{prob: prob, rng: rng, popSize: popSize, seeds: seedsOf(prob)}
+	return &Genetic[M]{prob: prob, rng: rng, popSize: popSize}
 }
 
 // Step spends one evaluation: seed the population first, then evolve.
 func (g *Genetic[M]) Step() {
+	if g.evals == 0 {
+		g.seeds = seedsOf(g.prob)
+	}
 	g.evals++
 	var cand M
 	if len(g.pop) < g.popSize {

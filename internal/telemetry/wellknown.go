@@ -258,10 +258,14 @@ func (l *labelled[M]) get(value string) *M {
 	return m
 }
 
-// PPAEvals counts PPA-engine evaluations for one engine
-// ("maestro", "camodel", ...).
+// PPAEvals counts PPA-engine calls for one engine ("maestro", "camodel",
+// ...). A mapping-search layer step calls its engine at most once, so the
+// count is at most the layer steps (unico_mapsearch_steps_total): an
+// annealer's proposal equal to its current schedule reuses that schedule's
+// metrics and spends budget without a call.
 func PPAEvals(engine string) *Counter {
-	return DefaultRegistry.Counter("unico_ppa_evals_total", "PPA-engine evaluations by engine.", Labels{"engine": engine})
+	return DefaultRegistry.Counter("unico_ppa_evals_total",
+		"PPA-engine calls by engine; at most the mapping-search layer steps, which spend the evaluation budget.", Labels{"engine": engine})
 }
 
 // PPAInfeasible counts PPA evaluations rejected as infeasible, per engine.
