@@ -8,7 +8,6 @@ import (
 	"unico/internal/core"
 	"unico/internal/mapsearch"
 	"unico/internal/pareto"
-	"unico/internal/robust"
 	"unico/internal/sh"
 	"unico/internal/simclock"
 )
@@ -97,7 +96,7 @@ func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 		}
 		res.Evals += outcome.TotalEvals
 		inds = make([]individual, len(xs))
-		for i, cand := range res.Absorb(p, xs, jobs, gen, robust.DefaultAlpha) {
+		for i, cand := range res.Absorb(p, xs, jobs, gen) {
 			inds[i] = individual{x: cand.X, obj: cand.Objectives(false)}
 		}
 		res.Trace = append(res.Trace, tracePoint(gen, o.Clock, res.Front))

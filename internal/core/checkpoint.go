@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"unico/internal/mobo"
+	"unico/internal/robust"
 )
 
 // ErrResumeMismatch reports that a checkpoint was produced by a run with a
@@ -44,7 +45,10 @@ type Fingerprint struct {
 	UseRobustness  bool            `json:"use_robustness"`
 	UpdateRule     mobo.UpdateRule `json:"update_rule"`
 	Workers        int             `json:"workers"`
-	Alpha          float64         `json:"alpha"`
+	// Alpha is robust.DefaultAlpha in every run. It stays in the record so
+	// fingerprints keep their bytes, and checkpoints written while it was an
+	// option still resume.
+	Alpha float64 `json:"alpha"`
 }
 
 // fingerprintOf derives the fingerprint of a normalized (platform, options)
@@ -63,7 +67,7 @@ func fingerprintOf(p Platform, opt Options) Fingerprint {
 		UseRobustness:  opt.UseRobustness,
 		UpdateRule:     opt.UpdateRule,
 		Workers:        opt.Workers,
-		Alpha:          opt.Alpha,
+		Alpha:          robust.DefaultAlpha,
 	}
 }
 

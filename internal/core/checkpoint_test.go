@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"unico/internal/hw"
 	"unico/internal/mapsearch"
+	"unico/internal/platform"
 	"unico/internal/robust"
+	"unico/internal/workload"
 )
 
 // memSink is the in-memory CheckpointSink used to test the checkpoint
@@ -319,6 +323,35 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 	if len(res.All) != 0 || len(res.Front) != 0 {
 		t.Errorf("mismatched resume still produced candidates: %v", res)
+	}
+}
+
+// TestFingerprintBytes pins the JSON bytes of the paper's UNICO fingerprint
+// on a spatial Edge/MobileNet platform and on the Ascend-like one. They were
+// captured when the robustness percentile was still an Options field, so a
+// checkpoint written then resumes now: a resume compares fingerprints by
+// value, and these are the values it reads back.
+//
+// It was shown to catch Fingerprint.Alpha filled with 0 instead of
+// robust.DefaultAlpha.
+func TestFingerprintBytes(t *testing.T) {
+	mobileNet := []workload.Workload{workload.MobileNet()}
+	for _, tc := range []struct {
+		p    Platform
+		want string
+	}{
+		{platform.NewSpatial(hw.Edge, mobileNet, mapsearch.FlexTensorLike),
+			`{"platform":"*platform.Spatial","space_dim":6,"seed":1,"batch_size":30,"b_max":300,"msh_promote_frac":0.15,"disable_sh":false,"use_robustness":true,"update_rule":0,"workers":8,"alpha":0.1}`},
+		{platform.NewAscend(mobileNet, mapsearch.DepthFirst),
+			`{"platform":"*platform.Ascend","space_dim":13,"seed":1,"batch_size":30,"b_max":300,"msh_promote_frac":0.15,"disable_sh":false,"use_robustness":true,"update_rule":0,"workers":8,"alpha":0.1}`},
+	} {
+		got, err := json.Marshal(FingerprintFor(tc.p, UNICOOptions(30, 10, 300, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("fingerprint\n got %s\nwant %s", got, tc.want)
+		}
 	}
 }
 

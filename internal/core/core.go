@@ -91,8 +91,6 @@ type Options struct {
 	// TimeBudgetHours stops the run once the simulated clock passes this
 	// many hours (0 = no time cap; MaxIter still applies).
 	TimeBudgetHours float64
-	// Alpha is the robustness sub-optimal percentile (default 0.05).
-	Alpha float64
 	// Progress, if non-nil, is invoked after every MOBO iteration with the
 	// convergence snapshot of that moment (hypervolume, UUL, front size,
 	// simulated hours).
@@ -162,9 +160,6 @@ func (o Options) normalize() Options {
 	}
 	if o.SearchWorkers <= 0 {
 		o.SearchWorkers = 8
-	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
-		o.Alpha = robust.DefaultAlpha
 	}
 	if o.Clock == nil {
 		o.Clock = &simclock.Clock{}
@@ -330,8 +325,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	}
 
 	shCfg := sh.Config{
-		Eta:             2,
-		KFrac:           0.5,
 		PFrac:           opt.MSHPromoteFrac,
 		BMax:            opt.BMax,
 		Workers:         opt.Workers,
@@ -395,7 +388,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 		obs := make([]mobo.Observation, len(xs))
 		batchFeasible := 0
-		for i, cand := range res.Absorb(p, xs, jobs, iter, opt.Alpha) {
+		for i, cand := range res.Absorb(p, xs, jobs, iter) {
 			if cand.Feasible {
 				batchFeasible++
 			}
@@ -525,16 +518,17 @@ func SearchAt(ctx context.Context, p Platform, x []float64, seed int64, budget i
 // Absorb folds one evaluated batch into the result: jobs[i] is the finished
 // mapping search of the hardware at xs[i], evaluated in iteration (or
 // generation) iter. The batch's candidates — scored by the best mapping each
-// search found, its sensitivity at percentile alpha and the platform's caps,
-// or by the penalty point when it found none — are appended to r.All and
+// search found, its sensitivity at the paper's percentile robust.DefaultAlpha
+// and the platform's caps, or by the penalty point when it found none — are
+// appended to r.All and
 // returned, and r.Front is refreshed. Every search method builds its
 // candidates here, so "feasible" and "front" mean one thing across them.
-func (r *Result) Absorb(p Platform, xs [][]float64, jobs []mapsearch.Searcher, iter int, alpha float64) []Candidate {
+func (r *Result) Absorb(p Platform, xs [][]float64, jobs []mapsearch.Searcher, iter int) []Candidate {
 	for i, x := range xs {
 		cand := Candidate{X: x, History: jobs[i].History(), Iter: iter}
 		if met, ok := jobs[i].Best(); ok {
 			cand.Metrics = met
-			cand.Sensitivity = robust.Sensitivity(jobs[i].RawHistory(), alpha)
+			cand.Sensitivity = robust.Sensitivity(jobs[i].RawHistory(), robust.DefaultAlpha)
 			cand.Feasible = withinCaps(p, met)
 		} else {
 			cand.Metrics = penaltyMetrics

@@ -13,8 +13,7 @@ import (
 	"unico/internal/telemetry"
 )
 
-// Defaults for the master's worker-health policy (see the corresponding
-// RemoteSpatialPlatform fields).
+// The master's worker-health policy (see RemoteSpatialPlatform).
 const (
 	// DefaultEvictAfter is how many consecutive failed advances evict a
 	// worker from the rotation.
@@ -38,11 +37,11 @@ type workerHealth struct {
 //
 // A job is its spec and a cumulative budget, so any worker can take it over
 // at any advance: the pool's health policy runs where requests are made.
-// Workers that repeatedly fail advances are evicted from the rotation so a
-// dead node stops eating timeouts on every batch; evicted workers are probed
-// periodically (counted in new jobs, so behavior is deterministic — no
-// background goroutines) and re-admitted when their health endpoint answers
-// again.
+// Workers that fail DefaultEvictAfter advances in a row are evicted from the
+// rotation so a dead node stops eating timeouts on every batch; evicted
+// workers are probed every DefaultProbeEvery new jobs (counted in jobs, so
+// behavior is deterministic — no background goroutines) and re-admitted
+// when their health endpoint answers again.
 type RemoteSpatialPlatform struct {
 	// Spatial is the platform the workers search, held here for everything
 	// but the search itself: the design space, the workload, the caps and
@@ -55,13 +54,6 @@ type RemoteSpatialPlatform struct {
 	mu      sync.Mutex
 	workers []*workerHealth
 	calls   int // NewJob calls; each job's turn in the rotation
-
-	// EvictAfter is how many consecutive failed advances evict a worker
-	// (default DefaultEvictAfter).
-	EvictAfter int
-	// ProbeEvery is how many new jobs pass between probes of evicted workers
-	// (default DefaultProbeEvery).
-	ProbeEvery int
 }
 
 // NewRemoteSpatialPlatform builds the master-side platform. The networks
@@ -79,12 +71,10 @@ func NewRemoteSpatialPlatform(workers []*Client, sc hw.Scenario, networks []stri
 		hs[i] = &workerHealth{client: w}
 	}
 	return &RemoteSpatialPlatform{
-		Spatial:    platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike),
-		workers:    hs,
-		scenario:   sc,
-		networks:   networks,
-		EvictAfter: DefaultEvictAfter,
-		ProbeEvery: DefaultProbeEvery,
+		Spatial:  platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike),
+		workers:  hs,
+		scenario: sc,
+		networks: networks,
 	}, nil
 }
 
@@ -140,12 +130,12 @@ func (p *RemoteSpatialPlatform) advance(ctx context.Context, j *remoteJob, req A
 
 // rotation lists the workers to try for j: its holder, then the others
 // round-robin from the job's turn, evicted ones left out. Evicted workers
-// are health-probed first when a new job's turn falls on the ProbeEvery
-// cadence, or as the last resort.
+// are health-probed first when a new job's turn falls on the
+// DefaultProbeEvery cadence, or as the last resort.
 func (p *RemoteSpatialPlatform) rotation(ctx context.Context, j *remoteJob, lastResort bool) []*workerHealth {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if lastResort || (j.holder == nil && p.ProbeEvery > 0 && j.turn%p.ProbeEvery == 0) {
+	if lastResort || (j.holder == nil && j.turn%DefaultProbeEvery == 0) {
 		p.probeEvictedLocked(ctx)
 	}
 	var active []*workerHealth
@@ -174,16 +164,12 @@ func (p *RemoteSpatialPlatform) noteSuccess(w *workerHealth) {
 }
 
 // noteFailure records a failed advance, evicting the worker once the streak
-// reaches EvictAfter.
+// reaches DefaultEvictAfter.
 func (p *RemoteSpatialPlatform) noteFailure(w *workerHealth) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w.consecFails++
-	limit := p.EvictAfter
-	if limit <= 0 {
-		limit = DefaultEvictAfter
-	}
-	if !w.evicted && w.consecFails >= limit {
+	if !w.evicted && w.consecFails >= DefaultEvictAfter {
 		w.evicted = true
 		telemetry.DistWorkerEvictions().Inc()
 	}

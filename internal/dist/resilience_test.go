@@ -204,41 +204,39 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 	_, good := newWorker(t)
 	inj, flaky := newFaultyWorker(t, Options{})
 
-	// Round-robin starts at workers[calls%len]: with calls=1 the flaky
-	// worker (index 1) is tried first, so the injected failure lands on it.
+	// Round-robin starts at workers[turn%len]: a job with an odd turn tries
+	// the flaky worker (index 1) first, so jobs 1, 3 and 5 each take one
+	// injected failure and fail over to the good worker, and the third
+	// failure in a row evicts the flaky one. Jobs with even turns never
+	// reach it, so they do not break the streak.
 	p, err := NewRemoteSpatialPlatform([]*Client{good, flaky}, hw.Edge, []string{"MobileNetV3-S"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.EvictAfter = 1
-	p.ProbeEvery = 2
-
 	space := hw.NewSpatialSpace(hw.Edge)
 	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
 
-	inj.FailNext(1)
-	job := p.NewJob(x, 1)
-	job.Advance(1) // flaky fails -> evicted; good takes the job
-	if job.Spent() != 1 {
-		t.Fatalf("failover job spent %d, want 1", job.Spent())
+	inj.FailNext(DefaultEvictAfter)
+	evictedAt := 2*DefaultEvictAfter - 1
+	for turn := 1; turn <= DefaultProbeEvery; turn++ {
+		job := p.NewJob(x, int64(turn))
+		job.Advance(1)
+		if job.Spent() != 1 {
+			t.Fatalf("job %d spent %d, want 1", turn, job.Spent())
+		}
+		want := 0
+		if turn >= evictedAt && turn < DefaultProbeEvery {
+			want = 1
+		}
+		// Job DefaultProbeEvery's turn hits the probe cadence at its first
+		// advance; the injector is out of faults, so the health probe
+		// answers and the worker is re-admitted.
+		if n := p.EvictedWorkers(); n != want {
+			t.Fatalf("evicted workers after job %d = %d, want %d", turn, n, want)
+		}
 	}
-	if n := p.EvictedWorkers(); n != 1 {
-		t.Fatalf("evicted workers after failure = %d, want 1", n)
-	}
-
-	// The next job's turn hits the probe cadence (calls=2) at its first
-	// advance; the injector is out of faults, so the health probe answers and
-	// the worker is re-admitted.
-	job = p.NewJob(x, 2)
-	job.Advance(1)
-	if job.Spent() != 1 {
-		t.Fatalf("post-probe job spent %d, want 1", job.Spent())
-	}
-	if n := p.EvictedWorkers(); n != 0 {
-		t.Errorf("evicted workers after probe = %d, want 0", n)
-	}
-	if inj.Injected() != 1 {
-		t.Errorf("injected %d faults, want 1", inj.Injected())
+	if inj.Injected() != DefaultEvictAfter {
+		t.Errorf("injected %d faults, want %d", inj.Injected(), DefaultEvictAfter)
 	}
 }
 
@@ -273,7 +271,6 @@ func TestDeadWorkerDoesNotStallCoSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.EvictAfter = 1
 
 	done := make(chan core.Result, 1)
 	go func() { done <- core.RunContext(context.Background(), p, opt) }()

@@ -6,7 +6,10 @@
 // Cholesky, and hyperparameters (a shared lengthscale, signal variance and
 // noise) are selected by maximizing the log marginal likelihood over a small
 // grid — robust and dependency-free, which is what a from-scratch surrogate
-// wants.
+// wants. The kernel is Matérn-5/2, the usual BO choice: rougher than a
+// squared exponential, a better fit for hardware cost surfaces with
+// ceil-division kinks. It is the package's only kernel, so every GP is
+// described by its Params.
 //
 // # One factor per distinct kernel matrix
 //
@@ -96,41 +99,11 @@ var fitCount = telemetry.GPFits()
 // refactorizations the warm-start path avoided.
 var extendCount = telemetry.GPExtends()
 
-// Kernel is a positive-definite covariance function on R^d.
-type Kernel interface {
-	// Eval returns k(x, y).
-	Eval(x, y []float64) float64
-}
-
-// RBF is the squared-exponential kernel
-// k(x,y) = σ²·exp(-‖x-y‖² / (2ℓ²)).
-type RBF struct {
-	Lengthscale float64
-	Variance    float64
-}
-
-// Eval returns k(x, y).
-func (k RBF) Eval(x, y []float64) float64 {
-	return k.Variance * math.Exp(-sqDist(x, y)/(2*k.Lengthscale*k.Lengthscale))
-}
-
-// Matern52 is the Matérn-5/2 kernel, the default surrogate kernel in most
-// BO frameworks: rougher than RBF, a better fit for hardware cost surfaces
-// with ceil-division kinks.
-type Matern52 struct {
-	Lengthscale float64
-	Variance    float64
-}
-
-// Eval returns k(x, y).
-func (k Matern52) Eval(x, y []float64) float64 {
-	return matern52FromSq(sqDist(x, y), k.Lengthscale, k.Variance)
-}
-
-// matern52FromSq evaluates the Matérn-5/2 kernel from a squared distance.
-// The expression mirrors Matern52.Eval operation for operation so values
-// computed from a shared distance matrix are bit-identical to direct Eval
-// calls — the grid search and Extend's covariance column depend on that.
+// matern52FromSq evaluates the Matérn-5/2 kernel, the package's one
+// covariance function, from a squared distance:
+// k = σ²·(1 + √5·r + 5r²/3)·exp(−√5·r) with r = d/ℓ. At d² = 0 it is σ²
+// exactly (r and s are 0, the polynomial is 1 and Exp(−0) is 1), which is
+// why the diagonal of every kernel matrix is written as the variance.
 func matern52FromSq(d2, lengthscale, variance float64) float64 {
 	r := math.Sqrt(d2) / lengthscale
 	s := math.Sqrt(5) * r
@@ -172,40 +145,35 @@ func (f Fanout) run(n int, fn func(i int)) {
 	f(n, fn)
 }
 
-// factor is the Cholesky factor of K(x) + noise·I at a pinned jitter, with
-// the inputs and kernel it was built from. It is a function of those alone,
-// never of targets, so GPs on the same inputs at the same Params and jitter
-// share one. A factor is never modified: an extend makes a new one.
+// factor is the Cholesky factor of K(x; ℓ, σ²) + σ_n²·I at a pinned jitter,
+// with the inputs and Params it was built from. It is a function of those
+// alone, never of targets, so GPs on the same inputs at the same Params and
+// jitter share one. A factor is never modified: an extend makes a new one.
 type factor struct {
-	kernel    Kernel
-	params    Params
-	hasParams bool
-	noise     float64
-	jitter    float64
-	x         [][]float64
-	chol      *linalg.Matrix
+	params Params
+	jitter float64
+	x      [][]float64
+	chol   *linalg.Matrix
 }
 
 // sameFactor reports whether two factors are the same matrix: the same
-// object, or Matérn-grid factors of the same input rows (sameInputs) at
-// equal Params and jitter.
+// object, or factors of the same input rows (sameInputs) at equal Params and
+// jitter.
 func sameFactor(a, b *factor) bool {
-	if a == b {
-		return true
-	}
-	return a.hasParams && b.hasParams && a.params == b.params && a.jitter == b.jitter && sameInputs(a.x, b.x)
+	return a == b || a.params == b.params && a.jitter == b.jitter && sameInputs(a.x, b.x)
 }
 
 // extend returns the factor grown by one input, bordered at the pinned
-// jitter.
+// jitter. The new column and diagonal are the values buildMaternLower writes
+// for the same rows, so the result is a from-scratch factor's bits.
 func (f *factor) extend(xNew []float64) (*factor, error) {
 	defer perfprof.Begin("gp.extend").End()
 	n := len(f.x)
 	k := make([]float64, n)
-	for i := range f.x {
-		k[i] = f.kernel.Eval(f.x[i], xNew)
+	for i, xi := range f.x {
+		k[i] = matern52FromSq(sqDist(xi, xNew), f.params.Lengthscale, f.params.Variance)
 	}
-	d := f.kernel.Eval(xNew, xNew) + f.noise
+	d := f.params.Variance + f.params.Noise
 	chol, err := linalg.CholeskyExtend(f.chol, k, d, f.jitter)
 	if err != nil {
 		return nil, fmt.Errorf("gp: %w", err)
@@ -229,38 +197,6 @@ type GP struct {
 
 // ErrNoData reports a fit attempt with no training points.
 var ErrNoData = errors.New("gp: no training data")
-
-// Fit trains a GP on (x, y) with fixed kernel hyperparameters.
-func Fit(x [][]float64, y []float64, kernel Kernel, noise float64) (*GP, error) {
-	defer perfprof.Begin("gp.fit").End()
-	if err := checkData(x, [][]float64{y}); err != nil {
-		return nil, err
-	}
-	n := len(x)
-	k := linalg.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := kernel.Eval(x[i], x[j])
-			if i == j {
-				v += noise
-			}
-			k.Set(i, j, v)
-			k.Set(j, i, v)
-		}
-	}
-	chol, jitter, err := linalg.CholeskyWithJitter(k)
-	if err != nil {
-		return nil, fmt.Errorf("gp: %w", err)
-	}
-	f := &factor{kernel: kernel, noise: noise, jitter: jitter, x: x, chol: chol}
-	if m, ok := kernel.(Matern52); ok {
-		f.params = Params{Lengthscale: m.Lengthscale, Variance: m.Variance, Noise: noise}
-		f.hasParams = true
-	}
-	g := &GP{factor: f, rawY: append([]float64(nil), y...)}
-	g.refreshTargets()
-	return g, nil
-}
 
 // checkData rejects an empty input set and target vectors of another length.
 func checkData(x [][]float64, ys [][]float64) error {
@@ -496,11 +432,7 @@ func fitLengthscale(x [][]float64, d2 *linalg.Matrix, li int, tgs []target, sp *
 				continue
 			}
 			if f == nil {
-				f = &factor{
-					kernel: Matern52{Lengthscale: ls, Variance: 1},
-					params: Params{Lengthscale: ls, Variance: 1, Noise: nz}, hasParams: true,
-					noise: nz, jitter: jitter, x: x, chol: cand,
-				}
+				f = &factor{params: Params{Lengthscale: ls, Variance: 1, Noise: nz}, jitter: jitter, x: x, chol: cand}
 			}
 			prev := best[t]
 			best[t], alpha[t] = choice{f: f, alpha: alpha[t], lml: lml}, prev.alpha
@@ -563,12 +495,7 @@ func FitWithParamsAll(x [][]float64, ys [][]float64, ps []Params, jitters []floa
 			if err := linalg.CholeskyFixedInto(chol, k, jitters[t]); err != nil {
 				return nil, fmt.Errorf("gp: %w", err)
 			}
-			f = &factor{
-				kernel: Matern52{Lengthscale: p.Lengthscale, Variance: p.Variance},
-				params: p, hasParams: true,
-				noise: p.Noise, jitter: jitters[t],
-				x: x, chol: chol,
-			}
+			f = &factor{params: p, jitter: jitters[t], x: x, chol: chol}
 		}
 		gps[t] = &GP{factor: f, rawY: append([]float64(nil), ys[t]...)}
 		gps[t].refreshTargets()
@@ -672,10 +599,9 @@ func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) error {
 	return nil
 }
 
-// Params reports the hyperparameters the GP was fitted with, when it was
-// produced by the Matérn grid (FitAuto, FitAutoFrom, FitWithParams, or Fit
-// with a Matern52 kernel).
-func (g *GP) Params() (Params, bool) { return g.params, g.hasParams }
+// Params reports the hyperparameters the GP was fitted with. Every GP has
+// them, so the bool is always true.
+func (g *GP) Params() (Params, bool) { return g.params, true }
 
 // Jitter reports the diagonal jitter baked into the current factor.
 // Persist it alongside Params to rebuild the GP exactly via FitWithParams.
@@ -769,8 +695,7 @@ func sameInputs(a, b [][]float64) bool {
 // the forward solve and Σv². Only the mean's dot product with alpha is per
 // GP, and four points' dot products run side by side, each still adding in
 // ascending row order, so the bits are a lone point's. A GP that shares
-// nothing (other inputs, or a kernel outside the Matérn grid) is evaluated
-// on its own within the same routine.
+// nothing is evaluated on its own within the same routine.
 //
 // It is safe to call concurrently on fitted GPs, allocates nothing, and
 // deliberately carries no perfprof span: the acquisition search calls it
@@ -893,21 +818,22 @@ func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
 		}
 		n := len(ga.x)
 		sc.d2 = grow(sc.d2, n*len(xs))
-		if ga.hasParams {
-			for k, x := range xs {
-				d := sc.d2[k*n : (k+1)*n]
-				for i, xi := range ga.x {
-					d[i] = sqDist(xi, x)
-				}
+		for k, x := range xs {
+			d := sc.d2[k*n : (k+1)*n]
+			for i, xi := range ga.x {
+				d[i] = sqDist(xi, x)
 			}
 		}
 		for b := a; b < ng; b++ {
 			if sc.dist[b] != a || sc.col[b] != b {
 				continue
 			}
-			off := sc.off[b]
-			for k, x := range xs {
-				gps[b].kernelColumn(cols[k][off:off+n], sc.d2[k*n:(k+1)*n], x)
+			off, p := sc.off[b], gps[b].params
+			for k := range xs {
+				col := cols[k][off : off+n]
+				for i, d := range sc.d2[k*n : (k+1)*n] {
+					col[i] = matern52FromSq(d, p.Lengthscale, p.Variance)
+				}
 			}
 			for c := b; c < ng; c++ {
 				if sc.col[c] != b {
@@ -956,14 +882,14 @@ func (sc *tileScratch) variances(gps []*GP, xs, cols [][]float64, variance []flo
 	}
 	for r, live := 0, len(xs); r < n && live > 0; r += block {
 		r1 := min(r+block, n)
-		for k, x := range xs {
+		for k := range xs {
 			if !done[k] {
 				continue
 			}
 			// The report goes through pooled scratch: a caller's slice handed
 			// to stop would escape, and cost Predict an allocation.
 			if stop != nil {
-				sc.report(gps, x, k, sc.bound)
+				sc.report(gps, k, sc.bound)
 				if stop(k, sc.bound) {
 					copy(variance[k*ng:(k+1)*ng], sc.bound)
 					done[k] = false
@@ -988,20 +914,20 @@ func (sc *tileScratch) variances(gps []*GP, xs, cols [][]float64, variance []flo
 			}
 		}
 	}
-	for k, x := range xs {
+	for k := range xs {
 		if done[k] {
-			sc.report(gps, x, k, variance[k*ng:(k+1)*ng])
+			sc.report(gps, k, variance[k*ng:(k+1)*ng])
 		}
 	}
 	return done
 }
 
-// report writes into v[j] the variance of GP j at x from point k's Σv² so
+// report writes into v[j] the variance of GP j at point k from its Σv² so
 // far: the final variance once every row is solved, an upper bound on it
 // before.
-func (sc *tileScratch) report(gps []*GP, x []float64, k int, v []float64) {
+func (sc *tileScratch) report(gps []*GP, k int, v []float64) {
 	for j, g := range gps {
-		v[j] = g.scaledVariance(g.priorVariance(x) + g.noise - sc.ss[sc.fac[j]*TileWidth+k])
+		v[j] = g.scaledVariance(g.priorVariance() - sc.ss[sc.fac[j]*TileWidth+k])
 	}
 }
 
@@ -1051,17 +977,13 @@ func (g *GP) scaledVariance(varS float64) float64 {
 // from its posterior mean alone and solve only for those that can still win.
 // It is the first report a stopping PredictVariances makes.
 func (g *GP) MaxVariance(x []float64) float64 {
-	return g.scaledVariance(g.priorVariance(x) + g.noise)
+	return g.scaledVariance(g.priorVariance())
 }
 
-// priorVariance returns k(x, x). For a Matérn GP that is exactly its signal
-// variance, read without evaluating the kernel: sqDist(x, x) is 0, so r and
-// s are 0, the polynomial is 1 and Exp(-0) is 1.
-func (g *GP) priorVariance(x []float64) float64 {
-	if g.hasParams {
-		return g.params.Variance
-	}
-	return g.kernel.Eval(x, x)
+// priorVariance returns k(x, x) + σ_n², the same at every x: k(x, x) is the
+// signal variance exactly (see matern52FromSq).
+func (g *GP) priorVariance() float64 {
+	return g.params.Variance + g.params.Noise
 }
 
 // prepare finds the leaders of gps and lays out their columns, returning
@@ -1092,11 +1014,8 @@ func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 	dist, col, fac = sc.lead[:ng], sc.lead[ng:2*ng], sc.lead[2*ng:3*ng]
 	for j, g := range gps {
 		dist[j], col[j], fac[j] = j, j, j
-		if !g.hasParams {
-			continue
-		}
 		for i, h := range gps[:j] {
-			if !h.hasParams || !sameInputs(g.x, h.x) {
+			if !sameInputs(g.x, h.x) {
 				continue
 			}
 			if dist[j] == j {
@@ -1115,21 +1034,6 @@ func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 		}
 	}
 	return dist, col, fac
-}
-
-// kernelColumn fills col with the covariance between every training point
-// and x. A Matérn-grid GP reads the squared distances d2 to its inputs; any
-// other kernel is evaluated directly.
-func (g *GP) kernelColumn(col, d2, x []float64) {
-	if g.hasParams {
-		for i, d := range d2 {
-			col[i] = matern52FromSq(d, g.params.Lengthscale, g.params.Variance)
-		}
-		return
-	}
-	for i, xi := range g.x {
-		col[i] = g.kernel.Eval(xi, x)
-	}
 }
 
 // Predict returns the posterior mean and variance at x (on the original

@@ -6,29 +6,38 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"unico/internal/linalg"
 )
 
 func TestKernelsBasicProperties(t *testing.T) {
-	kernels := []Kernel{
-		RBF{Lengthscale: 0.5, Variance: 2},
-		Matern52{Lengthscale: 0.5, Variance: 2},
-	}
+	k := func(x, y []float64) float64 { return matern52FromSq(sqDist(x, y), 0.5, 2) }
 	x := []float64{0.3, 0.7}
 	y := []float64{0.5, 0.1}
-	for _, k := range kernels {
-		if got := k.Eval(x, x); math.Abs(got-2) > 1e-12 {
-			t.Errorf("%T: k(x,x) = %v, want variance 2", k, got)
-		}
-		if k.Eval(x, y) != k.Eval(y, x) {
-			t.Errorf("%T: kernel not symmetric", k)
-		}
-		if k.Eval(x, y) >= k.Eval(x, x) {
-			t.Errorf("%T: k(x,y) >= k(x,x) for x != y", k)
-		}
-		if k.Eval(x, y) <= 0 {
-			t.Errorf("%T: kernel not positive", k)
-		}
+	if got := k(x, x); math.Abs(got-2) > 1e-12 {
+		t.Errorf("k(x,x) = %v, want variance 2", got)
 	}
+	if k(x, y) != k(y, x) {
+		t.Error("kernel not symmetric")
+	}
+	if k(x, y) >= k(x, x) {
+		t.Error("k(x,y) >= k(x,x) for x != y")
+	}
+	if k(x, y) <= 0 {
+		t.Error("kernel not positive")
+	}
+}
+
+// fitAt is a GP at fixed Params, with the jitter linalg.CholeskyWithJitter
+// settles on for its kernel matrix: what a one-off fit at those Params holds.
+func fitAt(x [][]float64, y []float64, p Params) (*GP, error) {
+	k := linalg.New(len(x), len(x))
+	buildMaternLower(k, sqDistLower(x), p.Lengthscale, p.Variance, p.Noise)
+	_, jitter, err := linalg.CholeskyWithJitter(k)
+	if err != nil {
+		return nil, err
+	}
+	return FitWithParams(x, y, p, jitter)
 }
 
 func trainingData(n int, f func(x float64) float64) ([][]float64, []float64) {
@@ -44,7 +53,7 @@ func trainingData(n int, f func(x float64) float64) ([][]float64, []float64) {
 
 func TestFitInterpolatesTrainingPoints(t *testing.T) {
 	xs, ys := trainingData(9, func(x float64) float64 { return math.Sin(4 * x) })
-	g, err := Fit(xs, ys, Matern52{Lengthscale: 0.3, Variance: 1}, 1e-6)
+	g, err := fitAt(xs, ys, Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestFitInterpolatesTrainingPoints(t *testing.T) {
 
 func TestVarianceShrinksNearData(t *testing.T) {
 	xs, ys := trainingData(6, func(x float64) float64 { return x * x })
-	g, err := Fit(xs, ys, Matern52{Lengthscale: 0.3, Variance: 1}, 1e-4)
+	g, err := fitAt(xs, ys, Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +97,15 @@ func TestFitAutoSelectsReasonableModel(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, nil, RBF{Lengthscale: 1, Variance: 1}, 1e-4); err == nil {
-		t.Error("Fit accepted no data")
+	p := Params{Lengthscale: 1, Variance: 1, Noise: 1e-4}
+	if _, err := FitWithParams(nil, nil, p, 0); err == nil {
+		t.Error("FitWithParams accepted no data")
 	}
 	if _, err := FitAuto(nil, nil); err == nil {
 		t.Error("FitAuto accepted no data")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, RBF{Lengthscale: 1, Variance: 1}, 1e-4); err == nil {
-		t.Error("Fit accepted mismatched lengths")
+	if _, err := FitWithParams([][]float64{{1}}, []float64{1, 2}, p, 0); err == nil {
+		t.Error("FitWithParams accepted mismatched lengths")
 	}
 }
 
@@ -142,8 +152,8 @@ func TestLMLPrefersBetterFit(t *testing.T) {
 	// The marginal likelihood of a model with a sensible lengthscale must
 	// exceed that of an absurd one on smooth data.
 	xs, ys := trainingData(10, func(x float64) float64 { return math.Sin(3 * x) })
-	good, err1 := Fit(xs, ys, Matern52{Lengthscale: 0.3, Variance: 1}, 1e-4)
-	bad, err2 := Fit(xs, ys, Matern52{Lengthscale: 1e-4, Variance: 1}, 1e-4)
+	good, err1 := fitAt(xs, ys, Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-4})
+	bad, err2 := fitAt(xs, ys, Params{Lengthscale: 1e-4, Variance: 1, Noise: 1e-4})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -210,7 +220,7 @@ func TestExtendMatchesRefitBitwise(t *testing.T) {
 }
 
 // TestFitAutoMatchesExplicitGrid checks the shared-distance-matrix grid
-// search selects the same model as running Fit per candidate explicitly.
+// search selects the same model as fitting every candidate explicitly.
 func TestFitAutoMatchesExplicitGrid(t *testing.T) {
 	x, y := randomData(30, 3, 5)
 	g, err := FitAuto(x, y)
@@ -221,7 +231,7 @@ func TestFitAutoMatchesExplicitGrid(t *testing.T) {
 	bestLML := math.Inf(-1)
 	for _, ls := range gridLengthscales {
 		for _, nz := range gridNoises {
-			cand, err := Fit(x, y, Matern52{Lengthscale: ls, Variance: 1}, nz)
+			cand, err := fitAt(x, y, Params{Lengthscale: ls, Variance: 1, Noise: nz})
 			if err != nil {
 				continue
 			}

@@ -36,7 +36,7 @@ func fitReference(t *testing.T, x [][]float64, y []float64, prev *Params) *GP {
 			k := linalg.New(n, n)
 			for i := 0; i < n; i++ {
 				for j := 0; j < i; j++ {
-					k.Set(i, j, Matern52{Lengthscale: ls, Variance: 1}.Eval(x[i], x[j]))
+					k.Set(i, j, matern52FromSq(sqDist(x[i], x[j]), ls, 1))
 				}
 				k.Set(i, i, 1+nz)
 			}
@@ -50,9 +50,8 @@ func fitReference(t *testing.T, x [][]float64, y []float64, prev *Params) *GP {
 			if lml := lmlFromChol(chol, alpha, make([]float64, n)); lml > bestLML {
 				p := Params{Lengthscale: ls, Variance: 1, Noise: nz}
 				best = &GP{
-					factor: &factor{kernel: Matern52{Lengthscale: ls, Variance: 1}, params: p, hasParams: true,
-						noise: nz, jitter: jitter, x: x, chol: chol},
-					rawY: append([]float64(nil), y...), alpha: alpha, meanY: mean, stdY: std,
+					factor: &factor{params: p, jitter: jitter, x: x, chol: chol},
+					rawY:   append([]float64(nil), y...), alpha: alpha, meanY: mean, stdY: std,
 				}
 				bestLML = lml
 			}
@@ -69,9 +68,9 @@ func fitReference(t *testing.T, x [][]float64, y []float64, prev *Params) *GP {
 // likelihood. It returns "" when they are the same.
 func sameGP(a, b *GP) string {
 	switch {
-	case a.params != b.params || a.hasParams != b.hasParams:
+	case a.params != b.params:
 		return "params"
-	case a.jitter != b.jitter || a.noise != b.noise:
+	case a.jitter != b.jitter:
 		return "jitter"
 	case !sameInputs(a.x, b.x):
 		return "inputs"

@@ -15,12 +15,15 @@ import (
 func predictReference(g *GP, x []float64) (mean, variance float64) {
 	n := len(g.x)
 	ks, v := make([]float64, n), make([]float64, n)
+	kernel := func(a, b []float64) float64 {
+		return matern52FromSq(sqDist(a, b), g.params.Lengthscale, g.params.Variance)
+	}
 	for i := range g.x {
-		ks[i] = g.kernel.Eval(g.x[i], x)
+		ks[i] = kernel(g.x[i], x)
 	}
 	mu := linalg.Dot(ks, g.alpha)
 	linalg.SolveLowerInto(g.chol, ks, v)
-	varS := g.kernel.Eval(x, x) + g.noise - linalg.Dot(v, v)
+	varS := kernel(x, x) + g.params.Noise - linalg.Dot(v, v)
 	if varS < 1e-12 {
 		varS = 1e-12
 	}
@@ -195,30 +198,6 @@ func TestPredictTileRefusesToShareAcrossInputs(t *testing.T) {
 	checkTile(t, gps, tilePoints(x, 5))
 }
 
-// TestPredictTileMixedKernels puts GPs from outside the Matérn grid (no
-// Params to compare) next to Matérn ones: they share nothing and match.
-func TestPredictTileMixedKernels(t *testing.T) {
-	x, y := randomData(30, 3, 31)
-	fit := func(k Kernel) *GP {
-		g, err := Fit(x, y, k, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	gps := []*GP{
-		fit(RBF{Lengthscale: 0.5, Variance: 1}),
-		fit(Matern52{Lengthscale: 0.5, Variance: 2}),
-		fit(RBF{Lengthscale: 0.5, Variance: 1}),
-		fit(Matern52{Lengthscale: 0.5, Variance: 2}),
-	}
-	want := [3][]int{{0, 1, 2, 1}, {0, 1, 2, 1}, {0, 1, 2, 1}}
-	if got := leadersOf(gps); !reflect.DeepEqual(got, want) {
-		t.Fatalf("leaders %v, want %v", got, want)
-	}
-	checkTile(t, gps, tilePoints(x, 6))
-}
-
 func TestPredictTilePanicsOnBadShapes(t *testing.T) {
 	x, y := randomData(10, 2, 1)
 	g, err := FitAuto(x, y)
@@ -313,11 +292,12 @@ func TestConcurrentPredictTileIsDeterministic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPriorVarianceIsSignalVariance holds a Matérn GP's prior variance, read
-// from its Params, to k(x, x) evaluated through the kernel, with ==, at
-// seeded points and at a training point, for every grid lengthscale, every
-// grid noise and signal variances other than 1 — and MaxVariance to the
-// bound computed from the kernel.
+// TestPriorVarianceIsSignalVariance holds k(x, x), evaluated through the
+// kernel, to the signal variance with ==, and a GP's prior variance, read
+// from its Params, to k(x, x) + σ_n², at seeded points and at a training
+// point, for every grid lengthscale, every grid noise and signal variances
+// other than 1 — and MaxVariance to the bound computed from the kernel.
+// Extend's diagonal and the kernel matrices' diagonals rely on the first.
 func TestPriorVarianceIsSignalVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := make([][]float64, 12)
@@ -336,11 +316,14 @@ func TestPriorVarianceIsSignalVariance(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, q := range tilePoints(x, seed) {
-					k := g.kernel.Eval(q, q)
-					if got := g.priorVariance(q); got != k {
-						t.Fatalf("ls %v, noise %v, variance %v: prior variance %v, kernel %v", ls, nz, v, got, k)
+					k := matern52FromSq(sqDist(q, q), ls, v)
+					if k != v {
+						t.Fatalf("ls %v, variance %v: k(x, x) = %v", ls, v, k)
 					}
-					if got, want := g.MaxVariance(q), g.scaledVariance(k+g.noise); got != want {
+					if got := g.priorVariance(); got != k+nz {
+						t.Fatalf("ls %v, noise %v, variance %v: prior variance %v, kernel %v", ls, nz, v, got, k+nz)
+					}
+					if got, want := g.MaxVariance(q), g.scaledVariance(k+nz); got != want {
 						t.Fatalf("ls %v, noise %v, variance %v: MaxVariance %v, from the kernel %v", ls, nz, v, got, want)
 					}
 				}
@@ -424,8 +407,8 @@ func checkStops(t *testing.T, name string, gps []*GP, xs [][]float64, seed int64
 // TestPredictVariancesStopsExactly holds stopping stage 2 (checkStops) to
 // the reference on the sharing patterns of the tile tests: one factor for
 // every GP, some shared, none, at training sizes on both sides of the
-// block length; and GPs on input sets of different lengths with a kernel
-// outside the Matérn grid, whose solves end at different rows.
+// block length; and GPs on input sets of different lengths, whose solves
+// end at different rows.
 //
 // It was shown to catch a Σv² that restarts from zero in every block, and
 // reports that read the first point's Σv² for every point.
@@ -445,9 +428,9 @@ func TestPredictVariancesStopsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbf, err := Fit(x[:31], y[:31], RBF{Lengthscale: 0.4, Variance: 2.5}, 1e-3)
+	mid, err := FitWithParams(x[:31], y[:31], Params{Lengthscale: 0.4, Variance: 2.5, Noise: 1e-3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStops(t, "mixed", []*GP{gps[0], short, rbf, gps[1]}, tilePoints(x, 9), 3)
+	checkStops(t, "mixed", []*GP{gps[0], short, mid, gps[1]}, tilePoints(x, 9), 3)
 }

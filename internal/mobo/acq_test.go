@@ -77,7 +77,7 @@ func refineChainsReference(o *Optimizer, incumbents [][]float64, seeds []int64, 
 // results, which the crafted cases below are built from.
 func maximizeAcquisitionReference(o *Optimizer, lambda []float64, exclude map[string]bool) (best []float64, bestA float64, chainX [][]float64, chainA []float64) {
 	best = o.space.Sample(o.rng)
-	pool := make([][]float64, o.cfg.PoolSize)
+	pool := make([][]float64, poolSize)
 	for i := range pool {
 		pool[i] = o.space.Sample(o.rng)
 	}
@@ -118,8 +118,8 @@ func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
 // first of them boundTile's value itself. And the exact score scoreKept
 // builds — from what the bound kept, or from stage 1 run again for the
 // candidates the keep set let go — is scoreTile's, with ==. The GP sets
-// cover shared and distinct hyperparameters, a non-Matérn kernel of signal
-// variance 2.5 (k(x,x) is not 1), a training set of 3, an objective whose
+// cover shared and distinct hyperparameters, a signal variance of 2.5
+// (k(x,x) is not 1), a training set of 3, an objective whose
 // span is 0, and noise-free GPs queried on their own training inputs, where
 // the variance clamps to 1e-12; the candidates are lattice samples,
 // off-lattice points and the training inputs themselves.
@@ -158,17 +158,6 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 		}
 		return gps
 	}
-	withKernel := func(x, y [][]float64, noise float64, ks ...gp.Kernel) []*gp.GP {
-		gps := make([]*gp.GP, len(ks))
-		for j, k := range ks {
-			g, err := gp.Fit(x, column(y, j), k, noise)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gps[j] = g
-		}
-		return gps
-	}
 	a := gp.Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
 	b := gp.Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
 	c := gp.Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-2}
@@ -198,11 +187,14 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 	add("shared", withParams(x40, y40, a, a, a, a), x40, false, false)
 	add("distinct", withParams(x40, y40, a, b, c, a), x40, false, false)
 	add("span-0", withParams(x40, y40, a, b, c), x40, true, false)
-	add("rbf", withKernel(x40, y40, 1e-3, gp.RBF{Lengthscale: 0.4, Variance: 2.5}, gp.Matern52{Lengthscale: 0.3, Variance: 1}), x40, false, false)
+	add("variance-2.5", withParams(x40, y40, gp.Params{Lengthscale: 0.4, Variance: 2.5, Noise: 1e-3}, c), x40, false, false)
 	x3, y3 := inputs(3)
 	add("three-points", withParams(x3, y3, a, b), x3, false, false)
 	x5, y5 := inputs(5)
-	add("noise-free", withKernel(x5, y5, 0, gp.Matern52{Lengthscale: 0.3, Variance: 1}, gp.Matern52{Lengthscale: 0.3, Variance: 1}), x5, false, true)
+	// Noise 0 factors at jitter 0 on these five points, the jitter
+	// linalg.CholeskyWithJitter settles on.
+	noiseFree := gp.Params{Lengthscale: 0.3, Variance: 1}
+	add("noise-free", withParams(x5, y5, noiseFree, noiseFree), x5, false, true)
 
 	for _, set := range sets {
 		o := set.o
@@ -331,7 +323,7 @@ func TestMaximizeAcquisitionMatchesExhaustive(t *testing.T) {
 	// A plain pool, its reference scores and the chains' walk over it:
 	// what the crafted cases are cut from. script[0] is the fallback sample,
 	// script[1+i] pool candidate i.
-	plain := make([][]float64, 1+base.cfg.PoolSize)
+	plain := make([][]float64, 1+poolSize)
 	for i := range plain {
 		plain[i] = real.Sample(side)
 	}

@@ -15,9 +15,9 @@
 // admitted observations extend the existing factors in O(n²)
 // (gp.ExtendAll, once per distinct factor), and a full hyperparameter
 // re-selection — one grid fit shared by all objectives, each warm-started at
-// its previous optimum (gp.FitAutoAll) — runs only every
-// Config.RefitEvery updates, when the per-point log marginal likelihood
-// degrades past a tolerance, or when eviction rewrote the training set.
+// its previous optimum (gp.FitAutoAll) — runs only every refitEvery (5)
+// updates, when the per-point log marginal likelihood degrades past a
+// tolerance, or when eviction rewrote the training set.
 // Both fan their independent factor work out over the search worker pool.
 // The exported State carries each surrogate's hyperparameters, jitter and
 // refit reference, so a checkpoint restore rebuilds bit-identical GPs with
@@ -118,36 +118,39 @@ func (u UpdateRule) String() string {
 	}
 }
 
+// The optimizer's fixed settings: the paper's values (Section 3.2) and the
+// acquisition search's.
+const (
+	// rho is the ParEGO augmentation coefficient of Eq. 1.
+	rho = 0.2
+	// uulQuantile is the D-set percentile that refreshes the Upper Update
+	// Limit.
+	uulQuantile = 0.95
+	// poolSize is the random candidate pool per acquisition maximization.
+	poolSize = 256
+	// explore is the weight of the UCB-style exploration bonus the
+	// acquisition subtracts. It is a bonus, never a penalty: the search
+	// prunes on uncertainty only ever lowering a score.
+	explore = 1.0
+	// refitEvery is the hyperparameter re-selection cadence: a full
+	// (warm-started) grid search runs every refitEvery surrogate updates;
+	// in between, new observations extend the fitted GPs incrementally.
+	// Marginal-likelihood degradation or training-set eviction forces an
+	// early refit regardless.
+	refitEvery = 5
+)
+
 // Config parameterizes the optimizer.
 type Config struct {
 	// Weights are the ParEGO importance weights w_j (must sum to 1); their
 	// length fixes the number of objectives.
 	Weights []float64
-	// Rho is the ParEGO augmentation coefficient (paper default 0.2).
-	Rho float64
-	// UULQuantile is the D-set quantile refreshing the Upper Update Limit
-	// (paper: 0.95).
-	UULQuantile float64
 	// Rule selects the surrogate update rule.
 	Rule UpdateRule
-	// PoolSize is the random candidate pool per acquisition maximization.
-	PoolSize int
-	// Explore is the UCB-style exploration bonus weight in the acquisition.
-	// It is a bonus, never a penalty — the acquisition search prunes on
-	// uncertainty only ever lowering a score — so a negative value reads
-	// as 0.
-	Explore float64
 	// MaxTrain caps the surrogate training set: when exceeded, the oldest
 	// non-elite points are evicted (cubic-cost Gaussian processes need a
 	// sliding window on long runs).
 	MaxTrain int
-	// RefitEvery is the hyperparameter re-selection cadence: a full
-	// (warm-started) grid search runs every RefitEvery surrogate updates;
-	// in between, new observations extend the fitted GPs incrementally.
-	// 1 disables warm-starting (every update is a full refit); 0 means the
-	// default (5). Marginal-likelihood degradation or training-set
-	// eviction forces an early refit regardless.
-	RefitEvery int
 	// SearchWorkers bounds the goroutines of the acquisition search's
 	// fan-outs in SuggestBatch and of the surrogate refits in Update.
 	// Results are bit-identical for every value;
@@ -163,16 +166,7 @@ func DefaultConfig(nObj int) Config {
 	for i := range w {
 		w[i] = 1 / float64(nObj)
 	}
-	return Config{
-		Weights:     w,
-		Rho:         0.2,
-		UULQuantile: 0.95,
-		Rule:        HighFidelity,
-		PoolSize:    256,
-		Explore:     1.0,
-		MaxTrain:    150,
-		RefitEvery:  5,
-	}
+	return Config{Weights: w, Rule: HighFidelity, MaxTrain: 150}
 }
 
 // Optimizer is the MOBO hardware explorer.
@@ -214,23 +208,8 @@ func New(space Space, cfg Config, seed int64) *Optimizer {
 	if len(cfg.Weights) == 0 {
 		panic("mobo: Config.Weights must be non-empty")
 	}
-	if cfg.Rho <= 0 {
-		cfg.Rho = 0.2
-	}
-	if cfg.UULQuantile <= 0 || cfg.UULQuantile >= 1 {
-		cfg.UULQuantile = 0.95
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 256
-	}
-	if cfg.Explore < 0 {
-		cfg.Explore = 0
-	}
 	if cfg.MaxTrain <= 0 {
 		cfg.MaxTrain = 150
-	}
-	if cfg.RefitEvery <= 0 {
-		cfg.RefitEvery = 5
 	}
 	if cfg.SearchWorkers <= 0 {
 		cfg.SearchWorkers = 1
@@ -248,7 +227,7 @@ func New(space Space, cfg Config, seed int64) *Optimizer {
 		uul:   math.Inf(1),
 		lo:    make([]float64, nObj),
 		hi:    make([]float64, nObj),
-		acq:   newAcqScratch(cfg.PoolSize, nObj),
+		acq:   newAcqScratch(poolSize, nObj),
 	}
 }
 
@@ -349,7 +328,7 @@ var _ [gp.TileWidth - acqChains]struct{}
 func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]bool) []float64 {
 	// Serial phase: all counted-RNG draws, in a schedule-independent order.
 	best := o.space.Sample(o.rng)
-	pool := make([][]float64, o.cfg.PoolSize)
+	pool := make([][]float64, poolSize)
 	for i := range pool {
 		pool[i] = o.space.Sample(o.rng)
 	}
@@ -681,12 +660,12 @@ func (o *Optimizer) meanTerm(mu, lambda []float64) float64 {
 	for j := range mu {
 		mu[j] = o.normalize(j, mu[j])
 	}
-	return scalarize(mu, lambda, o.cfg.Rho)
+	return scalarize(mu, lambda, rho)
 }
 
 // bonus is the exploration bonus of one candidate with posterior variances
 // v, the term its acquisition subtracts. Each step — √, ÷ span, × λ_j ≥ 0,
-// squaring a non-negative, the sum, √ and × Explore ≥ 0 — keeps <= in
+// squaring a non-negative, the sum, √ and × explore ≥ 0 — keeps <= in
 // floating point, so a larger variance never gives a smaller bonus.
 func (o *Optimizer) bonus(v, lambda []float64) float64 {
 	var varSum float64
@@ -698,7 +677,7 @@ func (o *Optimizer) bonus(v, lambda []float64) float64 {
 		sd := lambda[j] * (math.Sqrt(v[j]) / span)
 		varSum += sd * sd
 	}
-	return o.cfg.Explore * math.Sqrt(varSum)
+	return explore * math.Sqrt(varSum)
 }
 
 // scoreMemoized writes the exact acquisition value of each candidate of xs
@@ -902,7 +881,7 @@ func (o *Optimizer) scalarizeObs(y, lambda, norm []float64) float64 {
 	for j := range y {
 		norm[j] = o.normalize(j, logc(y[j]))
 	}
-	return scalarize(norm, lambda, o.cfg.Rho)
+	return scalarize(norm, lambda, rho)
 }
 
 // scalarize is the augmented Tchebycheff form on already-normalized values.
@@ -1030,7 +1009,7 @@ func (o *Optimizer) evictStale() bool {
 //	Step 1: v = v_ParEGO(Y) for each sample of the batch;
 //	Step 2: d = ‖v − v_best‖₂ against the best scalar seen so far;
 //	Step 3: admit samples with d ≤ UUL, adding their d to the set D;
-//	Step 4: UUL ← the UULQuantile (95%) percentile of D.
+//	Step 4: UUL ← the uulQuantile (95%) percentile of D.
 func (o *Optimizer) highFidelitySelect(batch []Observation) []Observation {
 	type scored struct {
 		ob Observation
@@ -1064,7 +1043,7 @@ func (o *Optimizer) highFidelitySelect(batch []Observation) []Observation {
 		admitted = []Observation{items[best].ob}
 		o.dSet = append(o.dSet, items[best].d)
 	}
-	o.uul = percentile(o.dSet, o.cfg.UULQuantile)
+	o.uul = percentile(o.dSet, uulQuantile)
 	return admitted
 }
 
@@ -1093,7 +1072,7 @@ const lmlDegradeTol = 0.5
 
 // refit brings the surrogates up to date after Update appended `added`
 // training points. The cheap path extends the fitted GPs' factors in O(n²)
-// per point; a full warm-started grid search runs on the RefitEvery cadence,
+// per point; a full warm-started grid search runs on the refitEvery cadence,
 // on marginal-likelihood degradation, after eviction, or whenever there is
 // no fitted model to extend. Neither path draws from the optimizer's RNG.
 // Either way the posteriors the acquisition search memoized are stale.
@@ -1103,7 +1082,7 @@ func (o *Optimizer) refit(added int, evicted bool) {
 		o.clearSurrogates()
 		return
 	}
-	if o.gps == nil || evicted || o.sinceRefit+1 >= o.cfg.RefitEvery {
+	if o.gps == nil || evicted || o.sinceRefit+1 >= refitEvery {
 		o.fitFull(o.warmParams())
 		return
 	}

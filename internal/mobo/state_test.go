@@ -134,9 +134,7 @@ func TestSuggestBatchIdenticalAcrossWorkers(t *testing.T) {
 // full refits and the cadence forces periodic re-selection.
 func TestWarmRefitCadence(t *testing.T) {
 	const nObj, batch = 2, 6
-	cfg := DefaultConfig(nObj)
-	cfg.RefitEvery = 3
-	o := New(testSpace(), cfg, 7)
+	o := New(testSpace(), DefaultConfig(nObj), 7)
 	sawExtend := false
 	sawReset := false
 	prev := 0
@@ -151,8 +149,8 @@ func TestWarmRefitCadence(t *testing.T) {
 		if o.sinceRefit == 0 && prev > 0 {
 			sawReset = true
 		}
-		if o.sinceRefit >= cfg.RefitEvery {
-			t.Fatalf("sinceRefit %d exceeded RefitEvery %d", o.sinceRefit, cfg.RefitEvery)
+		if o.sinceRefit >= refitEvery {
+			t.Fatalf("sinceRefit %d exceeded refitEvery %d", o.sinceRefit, refitEvery)
 		}
 		prev = o.sinceRefit
 	}
@@ -161,14 +159,6 @@ func TestWarmRefitCadence(t *testing.T) {
 	}
 	if !sawReset {
 		t.Error("cadence never forced a full refit")
-	}
-	// RefitEvery=1 must disable the incremental path entirely.
-	cfg1 := DefaultConfig(nObj)
-	cfg1.RefitEvery = 1
-	o1 := New(testSpace(), cfg1, 7)
-	drive(o1, 5, batch, nObj)
-	if o1.gps != nil && o1.sinceRefit != 0 {
-		t.Errorf("RefitEvery=1: sinceRefit = %d, want 0", o1.sinceRefit)
 	}
 }
 

@@ -32,13 +32,13 @@ func acquisitionReference(o *Optimizer, x, lambda []float64) float64 {
 		}
 		sigma[j] = math.Sqrt(v) / span
 	}
-	s := scalarize(mu, lambda, o.cfg.Rho)
+	s := scalarize(mu, lambda, rho)
 	var varSum float64
 	for j := range sigma {
 		v := lambda[j] * sigma[j]
 		varSum += v * v
 	}
-	return s - o.cfg.Explore*math.Sqrt(varSum)
+	return s - explore*math.Sqrt(varSum)
 }
 
 // trained returns a four-objective optimizer whose surrogates went through

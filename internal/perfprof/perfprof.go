@@ -184,7 +184,7 @@ func (p *Profiler) open(path string, c *simclock.Clock) *Span {
 }
 
 // Begin opens a root-level phase span for call sites with no context to
-// thread (gp.Fit, mobo internals). Idiom: defer p.Begin("gp.fit").End()
+// thread (gp fits, mobo internals). Idiom: defer p.Begin("gp.fit").End()
 func (p *Profiler) Begin(name string) *Span { return p.open(name, nil) }
 
 // End closes the span and records it, returning the wall seconds recorded —

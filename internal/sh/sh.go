@@ -4,8 +4,11 @@
 // candidates by terminal value (TV) and by the area under the convergence
 // curve (AUC), giving steeply-converging hardware a second chance.
 //
-// Setting PFrac = 0 makes MSH degenerate to the default SH exactly, the
-// property paper Section 3.3 states and the tests verify.
+// The halving schedule is the paper's and fixed: rate η = 2 (eta) and
+// k = ⌊0.5·N⌋ survivors a round (kFrac). Only the AUC share p/N (PFrac), the
+// budget and the worker count are settable. Setting PFrac = 0 makes MSH
+// degenerate to the default SH exactly, the property paper Section 3.3
+// states and the tests verify.
 //
 // # Pool determinism
 //
@@ -20,7 +23,6 @@ package sh
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -31,15 +33,20 @@ import (
 	"unico/internal/telemetry"
 )
 
+// The paper's fixed halving schedule (Algorithm 1 and Section 3.3).
+const (
+	// eta is the halving rate η: each earlier rung's budget is 1/η of the
+	// next one's.
+	eta = 2
+	// kFrac is the fraction of the current candidates surviving each round,
+	// k = ⌊0.5·N⌋.
+	kFrac = 0.5
+)
+
 // Config parameterizes a successive-halving run.
 type Config struct {
-	// Eta is the halving rate (paper and defaults: 2).
-	Eta float64
-	// KFrac is the fraction of the current candidates surviving each round
-	// (paper: k = ⌊0.5·N⌋).
-	KFrac float64
 	// PFrac is the fraction of the current candidates promoted by AUC
-	// (paper: p = ⌊0.15·N⌋; 0 recovers default SH).
+	// (paper: p = ⌊0.15·N⌋; 0 recovers default SH). It is at most kFrac.
 	PFrac float64
 	// BMax is the maximum per-candidate software-mapping budget b_max.
 	BMax int
@@ -55,18 +62,7 @@ type Config struct {
 
 // normalize fills zero fields with defaults and validates.
 func (c Config) normalize() Config {
-	if c.Eta < 1.5 {
-		c.Eta = 2
-	}
-	if c.KFrac <= 0 || c.KFrac >= 1 {
-		c.KFrac = 0.5
-	}
-	if c.PFrac < 0 {
-		c.PFrac = 0
-	}
-	if c.PFrac > c.KFrac {
-		c.PFrac = c.KFrac
-	}
+	c.PFrac = min(max(c.PFrac, 0), kFrac)
 	if c.BMax < 1 {
 		c.BMax = 1
 	}
@@ -106,13 +102,13 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 	// Budget ladder: the final round reaches BMax per survivor; earlier
 	// rounds receive geometrically smaller cumulative budgets
 	// (b_r = BMax·η^(r-s), Algorithm 1 lines 2 and 6).
-	rounds := int(math.Ceil(math.Log(float64(n)) / math.Log(cfg.Eta)))
+	rounds := int(math.Ceil(math.Log(float64(n)) / math.Log(eta)))
 	if rounds < 1 {
 		rounds = 1
 	}
 	cumBudget := make([]int, rounds)
 	for r := 0; r < rounds; r++ {
-		b := float64(cfg.BMax) * math.Pow(cfg.Eta, float64(r+1-rounds))
+		b := float64(cfg.BMax) * math.Pow(eta, float64(r+1-rounds))
 		cumBudget[r] = int(math.Max(1, math.Floor(b)))
 	}
 
@@ -215,7 +211,7 @@ func allOf(n int) []int {
 func Promote(jobs []mapsearch.Searcher, alive []int, cfg Config) []int {
 	cfg = cfg.normalize()
 	nAlive := len(alive)
-	k := int(cfg.KFrac * float64(nAlive))
+	k := int(kFrac * float64(nAlive))
 	if k < 1 {
 		k = 1
 	}
@@ -278,8 +274,4 @@ func simNow(c *simclock.Clock) float64 {
 		return 0
 	}
 	return c.Seconds()
-}
-
-func (c Config) String() string {
-	return fmt.Sprintf("sh{eta=%.3g k=%.2f p=%.2f bmax=%d}", c.Eta, c.KFrac, c.PFrac, c.BMax)
 }

@@ -54,7 +54,7 @@ func TestRunBudgetLadder(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = constLoss(float64(i + 1))
 	}
-	out := Run(context.Background(), jobs, Config{Eta: 2, KFrac: 0.5, PFrac: 0, BMax: 64, Workers: 4})
+	out := Run(context.Background(), jobs, Config{PFrac: 0, BMax: 64, Workers: 4})
 	if out.Rounds != 3 { // ceil(log2(8))
 		t.Errorf("Rounds = %d, want 3", out.Rounds)
 	}
@@ -96,7 +96,7 @@ func TestPromoteDefaultSHKeepsTopHalfByTV(t *testing.T) {
 		jobs[i].Advance(4)
 	}
 	alive := []int{0, 1, 2, 3, 4, 5}
-	next := Promote(jobs, alive, Config{KFrac: 0.5, PFrac: 0, BMax: 8})
+	next := Promote(jobs, alive, Config{PFrac: 0, BMax: 8})
 	if len(next) != 3 {
 		t.Fatalf("survivors = %v, want 3", next)
 	}
@@ -118,13 +118,13 @@ func TestMSHPromotesSteepConverger(t *testing.T) {
 		j.Advance(4)
 	}
 	alive := []int{0, 1, 2, 3, 4}
-	sh := Promote(jobs, alive, Config{KFrac: 0.5, PFrac: 0, BMax: 8})
+	sh := Promote(jobs, alive, Config{PFrac: 0, BMax: 8})
 	for _, i := range sh {
 		if i == 4 {
 			t.Fatal("default SH kept the poor-TV candidate; test premise broken")
 		}
 	}
-	msh := Promote(jobs, alive, Config{KFrac: 0.6, PFrac: 0.3, BMax: 8})
+	msh := Promote(jobs, alive, Config{PFrac: 0.3, BMax: 8})
 	kept := false
 	for _, i := range msh {
 		if i == 4 {
@@ -149,8 +149,8 @@ func TestMSHDegeneratesToSHAtPZero(t *testing.T) {
 		return jobs
 	}
 	alive := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	a := Promote(mk(), alive, Config{KFrac: 0.5, PFrac: 0, BMax: 12})
-	b := Promote(mk(), alive, Config{KFrac: 0.5, PFrac: 0, BMax: 12})
+	a := Promote(mk(), alive, Config{PFrac: 0, BMax: 12})
+	b := Promote(mk(), alive, Config{PFrac: 0, BMax: 12})
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic promotion: %v vs %v", a, b)
 	}
@@ -171,7 +171,7 @@ func TestTVAndAUCSetsDisjoint(t *testing.T) {
 	for _, j := range jobs {
 		j.Advance(5)
 	}
-	next := Promote(jobs, []int{0, 1, 2, 3, 4, 5}, Config{KFrac: 0.5, PFrac: 0.34, BMax: 10})
+	next := Promote(jobs, []int{0, 1, 2, 3, 4, 5}, Config{PFrac: 0.34, BMax: 10})
 	seen := map[int]bool{}
 	for _, i := range next {
 		if seen[i] {
@@ -205,14 +205,14 @@ func TestClockChargesParallelMakespan(t *testing.T) {
 
 func TestConfigNormalizeDefaults(t *testing.T) {
 	c := Config{}.normalize()
-	if c.Eta != 2 || c.KFrac != 0.5 || c.BMax != 1 || c.Workers != 1 {
+	if c.BMax != 1 || c.Workers != 1 {
 		t.Errorf("normalize() = %+v", c)
 	}
-	if got := (Config{PFrac: 0.9, KFrac: 0.5}).normalize(); got.PFrac > got.KFrac {
-		t.Errorf("PFrac not clamped to KFrac: %+v", got)
+	if got := (Config{PFrac: 0.9}).normalize(); got.PFrac != kFrac {
+		t.Errorf("PFrac not clamped to kFrac: %+v", got)
 	}
-	if (Config{}).String() == "" {
-		t.Error("empty String()")
+	if got := (Config{PFrac: -0.1}).normalize(); got.PFrac != 0 {
+		t.Errorf("negative PFrac not clamped to 0: %+v", got)
 	}
 }
 
@@ -233,7 +233,7 @@ func (deadSearcher) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
 func TestRunCountsActualEvalsNotPlannedBudget(t *testing.T) {
 	jobs := []mapsearch.Searcher{constLoss(1), constLoss(2), constLoss(3), deadSearcher{}}
 	var clk simclock.Clock
-	out := Run(context.Background(), jobs, Config{Eta: 2, KFrac: 0.5, PFrac: 0, BMax: 8, Workers: 2,
+	out := Run(context.Background(), jobs, Config{PFrac: 0, BMax: 8, Workers: 2,
 		EvalCostSeconds: 1, Clock: &clk})
 
 	actual := 0
