@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test allows fmt tidy check
+.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test deadapi allows fmt tidy check
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,12 @@ lint-json:
 lint-test:
 	cd lint && $(GO) vet ./... && $(GO) test ./...
 
+## deadapi is the dead-API census (lint/cmd/deadapi): it fails on any
+## exported function or method of the root module that no non-test code
+## calls, and lists the ones only bench/ calls. The CI lint job runs it.
+deadapi:
+	cd lint && $(GO) run ./cmd/deadapi -C ..
+
 ## allows prints how many //unicolint:allow directives the non-test code
 ## outside bench/ and lint/ carries, per analyzer, and fails when an analyzer
 ## is over its budget: a new suppression has to retire an old one. The CI
@@ -72,4 +78,4 @@ tidy:
 	$(GO) mod tidy -diff
 	cd lint && $(GO) mod tidy -diff
 
-check: fmt tidy build test race lint-test lint allows
+check: fmt tidy build test race lint-test lint deadapi allows

@@ -349,21 +349,3 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 func finish(st engineState) float64 {
 	return max(st.cube, st.vec, st.dmaOut)
 }
-
-// EvaluateWorkload sums per-layer metrics, each scaled by its repeat count,
-// for a fixed per-layer schedule assignment.
-func (e Engine) EvaluateWorkload(c hw.Ascend, ms []mapping.Ascend, w workload.Workload) (ppa.Metrics, error) {
-	if len(ms) != len(w.Layers) {
-		return ppa.Metrics{}, fmt.Errorf("camodel: %d schedules for %d layers", len(ms), len(w.Layers))
-	}
-	var total ppa.Metrics
-	for i, l := range w.Layers {
-		met, err := e.Evaluate(c, ms[i], l)
-		if err != nil {
-			return ppa.Metrics{}, fmt.Errorf("layer %q: %w", l.Name, err)
-		}
-		total = total.Add(met.Scale(l.Repeat))
-	}
-	total.AreaMM2 = e.Area(c)
-	return total, nil
-}

@@ -163,26 +163,6 @@ func TestExtrapolationBoundsSimulationTime(t *testing.T) {
 	}
 }
 
-func TestEvaluateWorkloadSums(t *testing.T) {
-	var e Engine
-	c := hw.DefaultAscend()
-	w := workload.Workload{Name: "w", Layers: []workload.Layer{
-		workload.Conv("a", 16, 8, 30, 40, 3, 3, 1, 3),
-		workload.Gemm("b", 64, 128, 32, 1),
-	}}
-	ms := []mapping.Ascend{minimalSchedule(c, w.Layers[0]), minimalSchedule(c, w.Layers[1])}
-	total, err := e.EvaluateWorkload(c, ms, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := e.Evaluate(c, ms[0], w.Layers[0])
-	b, _ := e.Evaluate(c, ms[1], w.Layers[1])
-	want := a.LatencyMs*3 + b.LatencyMs
-	if diff := total.LatencyMs - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("workload latency %v, want %v", total.LatencyMs, want)
-	}
-}
-
 func TestEvalCostIsMinutes(t *testing.T) {
 	cost := (Engine{}).EvalCostSeconds()
 	if cost < 120 || cost > 600 {

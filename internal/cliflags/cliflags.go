@@ -87,7 +87,13 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 			return fmt.Errorf("span log setup: %w", err)
 		}
 		disttrace.Enable(rec)
-		s.closers = append(s.closers, func() { rec.Close() })
+		s.closers = append(s.closers, func() {
+			// Close returns the first write failure the log latched: the
+			// log stopped recording there, and a reader of it must know.
+			if err := rec.Close(); err != nil {
+				s.Logger.Error("span log failed", slog.Any("err", err))
+			}
+		})
 	}
 	if s.pprofDir != "" {
 		if s.Capture, err = perfprof.NewCapture(s.pprofDir, runid.From(ctx)); err != nil {

@@ -4,7 +4,12 @@ import (
 	"context"
 	"flag"
 	"io"
+	"log/slog"
+	"os"
+	"strings"
 	"testing"
+
+	"unico/internal/disttrace"
 )
 
 func parse(t *testing.T, groups Group, args ...string) *Shared {
@@ -73,5 +78,40 @@ func TestStartRejectsIntervalWithoutDir(t *testing.T) {
 	defer s.Close()
 	if s.Capture == nil || s.Live != nil {
 		t.Errorf("Capture %v, Live %v; want a capture and no dashboard store", s.Capture, s.Live)
+	}
+}
+
+// TestCloseLogsSpanLogWriteFailure: a span log that stopped recording
+// mid-run is reported on the log when the process closes it, not dropped.
+// /dev/full takes the open and refuses every write.
+func TestCloseLogsSpanLogWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	stderr, err := os.Create(t.TempDir() + "/stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	savedStderr, savedLogger, savedRec := os.Stderr, slog.Default(), disttrace.Active()
+	t.Cleanup(func() {
+		os.Stderr = savedStderr
+		slog.SetDefault(savedLogger)
+		disttrace.Enable(savedRec)
+	})
+	os.Stderr = stderr // Start's logger writes here
+
+	s := parse(t, Log|SpanLog, "-span-log", "/dev/full")
+	if err := s.Start(context.Background(), "client"); err != nil {
+		t.Fatal(err)
+	}
+	disttrace.StartSpan("run-1", disttrace.SpanContext{}, "client", "/v1/ppa").End("ok", nil)
+	s.Close()
+
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "span log failed") || !strings.Contains(string(out), "no space left") {
+		t.Errorf("closing a span log that could not write logged:\n%s", out)
 	}
 }

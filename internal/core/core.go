@@ -641,12 +641,6 @@ func Representative(front []Candidate) (Candidate, bool) {
 	return front[pareto.MinEuclid(pts)], true
 }
 
-// Hypervolume returns the hypervolume of a result's front with respect to
-// ref over (latency, power, area).
-func (r Result) Hypervolume(ref []float64) float64 {
-	return pareto.Hypervolume(frontPPA(r.Front), ref)
-}
-
 func (r Result) String() string {
 	return fmt.Sprintf("core.Result{front=%d all=%d evals=%d hours=%.2f}",
 		len(r.Front), len(r.All), r.Evals, r.Hours)

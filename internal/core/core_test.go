@@ -170,7 +170,7 @@ func TestRepresentative(t *testing.T) {
 func TestHypervolumeOfResult(t *testing.T) {
 	res := RunContext(context.Background(), testPlatform(), smallOpts(10))
 	ref := []float64{1e6, 1e6, 1e4}
-	if hv := res.Hypervolume(ref); hv <= 0 {
+	if hv := pareto.Hypervolume(frontPPA(res.Front), ref); hv <= 0 {
 		t.Errorf("Hypervolume = %v", hv)
 	}
 }

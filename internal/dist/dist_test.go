@@ -35,7 +35,9 @@ func newWorker(t *testing.T) (*httptest.Server, *Client) {
 
 // testSpec is a small valid job: MobileNetV3-S on a 4x4 Edge array.
 func testSpec(seed int64) JobSpec {
-	x := hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	// The Edge-space point of hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96,
+	// NoCBW: 64}: each coordinate is the centre of its axis level's cell.
+	x := []float64{3.5 / 12, 3.5 / 12, 26.5 / 28, 18.5 / 28, 0.25, 0.25}
 	return JobSpec{
 		Platform: "spatial", Scenario: "edge",
 		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: seed,
@@ -446,7 +448,7 @@ func TestRemoteJobDeadWorker(t *testing.T) {
 	job := newPoolJob(t, c)
 	srv.Close()
 	job.Advance(3) // must latch the transport error, not panic
-	if job.Err() == nil {
+	if job.err == nil {
 		t.Error("transport error not latched")
 	}
 	if _, ok := job.Best(); ok {
@@ -473,9 +475,9 @@ func TestRemotePlatformFailsOver(t *testing.T) {
 	if c1.HealthyContext(context.Background()) {
 		t.Fatal("a killed worker still reports healthy")
 	}
-	space := hw.NewSpatialSpace(hw.Edge)
 	for i := 0; i < 4; i++ {
-		x := space.Encode(hw.Spatial{PEX: 4 + i, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+		x := testSpec(0).X
+		x[0] = (3.5 + float64(i)) / 12 // a (4+i)×4 array
 		job := p.NewJob(x, int64(i))
 		job.Advance(3)
 		if _, ok := job.Best(); !ok {
@@ -492,7 +494,8 @@ func TestRemotePlatformFailsOver(t *testing.T) {
 func TestJobsOfOneShapeShareAPlatform(t *testing.T) {
 	s := NewServer()
 	a, b := testSpec(1), testSpec(2)
-	b.X = hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 8, PEY: 2, L1Bytes: 1728, L2KB: 192, NoCBW: 128})
+	// hw.Spatial{PEX: 8, PEY: 2, L1Bytes: 1728, L2KB: 192, NoCBW: 128}
+	b.X = []float64{7.5 / 12, 1.5 / 12, 27.5 / 28, 21.5 / 28, 0.75, 0.25}
 	pa, err := s.platform(a)
 	if err != nil {
 		t.Fatal(err)

@@ -187,20 +187,6 @@ func (p *RemoteSpatialPlatform) probeEvictedLocked(ctx context.Context) {
 	}
 }
 
-// EvictedWorkers returns how many workers are currently evicted from the
-// rotation.
-func (p *RemoteSpatialPlatform) EvictedWorkers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, w := range p.workers {
-		if w.evicted {
-			n++
-		}
-	}
-	return n
-}
-
 // remoteJob adapts a job on the worker pool to the mapsearch.Searcher
 // interface, so the master's successive-halving scheduler drives remote
 // jobs exactly like local ones.
@@ -269,9 +255,6 @@ func (j *remoteJob) Best() (ppa.Metrics, bool) {
 	}
 	return j.state.Best, true
 }
-
-// Err returns the latched transport error, if any.
-func (j *remoteJob) Err() error { return j.err }
 
 // Close releases the job's state on the worker holding it (a job no worker
 // ever answered for has none). The co-optimizer calls it once a candidate's

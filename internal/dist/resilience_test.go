@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"unico/internal/core"
+	"unico/internal/dist/disttest"
 	"unico/internal/hw"
 	"unico/internal/mapping"
 	"unico/internal/telemetry"
@@ -21,9 +22,9 @@ import (
 
 // newFaultyWorker starts a real worker behind a FaultInjector and returns a
 // client built with the given resilience options.
-func newFaultyWorker(t *testing.T, opts Options) (*FaultInjector, *Client) {
+func newFaultyWorker(t *testing.T, opts Options) (*disttest.FaultInjector, *Client) {
 	t.Helper()
-	inj := NewFaultInjector(NewServer().Handler())
+	inj := disttest.NewFaultInjector(NewServer().Handler())
 	srv := httptest.NewServer(inj)
 	t.Cleanup(srv.Close)
 	return inj, NewClientOptions(srv.URL, srv.Client(), opts)
@@ -79,7 +80,7 @@ func TestEvaluatePPARetriesConnectionReset(t *testing.T) {
 }
 
 func TestClientTimeoutBoundsHangingWorker(t *testing.T) {
-	inj := NewFaultInjector(NewServer().Handler())
+	inj := disttest.NewFaultInjector(NewServer().Handler())
 	srv := httptest.NewServer(inj)
 	t.Cleanup(srv.Close)
 	// nil httpClient: the client must build its own timeout-bounded
@@ -109,10 +110,10 @@ func TestAdvanceRidesRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := map[string]func(*FaultInjector){
-		"500":     func(inj *FaultInjector) { inj.FailNext(1) },
-		"reset":   func(inj *FaultInjector) { inj.ResetNext(1) },
-		"corrupt": func(inj *FaultInjector) { inj.CorruptNext(1) },
+	faults := map[string]func(*disttest.FaultInjector){
+		"500":     func(inj *disttest.FaultInjector) { inj.FailNext(1) },
+		"reset":   func(inj *disttest.FaultInjector) { inj.ResetNext(1) },
+		"corrupt": func(inj *disttest.FaultInjector) { inj.CorruptNext(1) },
 	}
 	for name, inject := range faults {
 		inj, c := newFaultyWorker(t, Options{MaxRetries: 1, RetryBackoff: time.Millisecond})
@@ -134,8 +135,8 @@ func TestAdvanceRidesRetries(t *testing.T) {
 		lost := telemetry.DistLostEvals().Value()
 		inject(inj)
 		job.Advance(3)
-		if job.Err() != nil || job.Spent() != 3 {
-			t.Errorf("%s: job after a retried advance: spent %d, err %v", name, job.Spent(), job.Err())
+		if job.err != nil || job.Spent() != 3 {
+			t.Errorf("%s: job after a retried advance: spent %d, err %v", name, job.Spent(), job.err)
 		}
 		if d := telemetry.DistLostEvals().Value() - lost; d != 0 {
 			t.Errorf("%s: %d evaluations counted lost", name, d)
@@ -164,7 +165,7 @@ func (d *dropResponses) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // lost after the worker did the work, sending the advance again finds the
 // job already at its target — Spent equals the target, the state is the
 // fault-free one, and the engine is not called a second time. The same
-// holds when the lost answer is FaultInjector.CorruptNext's, which drops
+// holds when the lost answer is disttest.FaultInjector.CorruptNext's, which drops
 // the request before the worker sees it.
 func TestAdvanceResentSpendsNothingTwice(t *testing.T) {
 	req := AdvanceRequest{Spec: testSpec(1), Budget: 4}
@@ -178,7 +179,7 @@ func TestAdvanceResentSpendsNothingTwice(t *testing.T) {
 
 	worker, calls := newCountingWorker(t)
 	drop := &dropResponses{next: worker.Handler()}
-	inj := NewFaultInjector(drop)
+	inj := disttest.NewFaultInjector(drop)
 	srv := httptest.NewServer(inj)
 	t.Cleanup(srv.Close)
 	c := NewClientOptions(srv.URL, srv.Client(), Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
@@ -213,8 +214,7 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := hw.NewSpatialSpace(hw.Edge)
-	x := space.Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	x := testSpec(0).X
 
 	inj.FailNext(DefaultEvictAfter)
 	evictedAt := 2*DefaultEvictAfter - 1
@@ -231,7 +231,7 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 		// Job DefaultProbeEvery's turn hits the probe cadence at its first
 		// advance; the injector is out of faults, so the health probe
 		// answers and the worker is re-admitted.
-		if n := p.EvictedWorkers(); n != want {
+		if n := evictedWorkers(p); n != want {
 			t.Fatalf("evicted workers after job %d = %d, want %d", turn, n, want)
 		}
 	}
@@ -287,7 +287,7 @@ func TestDeadWorkerDoesNotStallCoSearch(t *testing.T) {
 	if !reflect.DeepEqual(got.Front, want.Front) {
 		t.Errorf("front with dead worker differs from healthy-only front:\n got %+v\nwant %+v", got.Front, want.Front)
 	}
-	if n := p.EvictedWorkers(); n != 1 {
+	if n := evictedWorkers(p); n != 1 {
 		t.Errorf("evicted workers = %d, want 1 (the dead node)", n)
 	}
 }
@@ -311,7 +311,7 @@ func TestPoolWorkerKilledMidJobBitIdentical(t *testing.T) {
 	want := core.RunContext(context.Background(), ref, opt)
 
 	_, survivor := newWorker(t)
-	inj := NewFaultInjector(NewServer().Handler())
+	inj := disttest.NewFaultInjector(NewServer().Handler())
 	var killed atomic.Bool
 	victimSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Die on the first advance of a job already under way: the request
@@ -351,7 +351,21 @@ func TestPoolWorkerKilledMidJobBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got.All, want.All) {
 		t.Error("full evaluation history with a worker killed mid-job differs from the single-worker run")
 	}
-	if n := p.EvictedWorkers(); n != 1 {
+	if n := evictedWorkers(p); n != 1 {
 		t.Errorf("evicted workers = %d, want 1 (the killed one)", n)
 	}
+}
+
+// evictedWorkers returns how many workers are currently evicted from p's
+// rotation.
+func evictedWorkers(p *RemoteSpatialPlatform) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, w := range p.workers {
+		if w.evicted {
+			n++
+		}
+	}
+	return n
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"unico/internal/core"
+	"unico/internal/dist/disttest"
 	"unico/internal/hw"
 	"unico/internal/mapsearch"
 	"unico/internal/platform"
@@ -22,13 +23,13 @@ import (
 var seamFaults = []struct {
 	name    string
 	timeout time.Duration
-	script  func(*FaultInjector)
+	script  func(*disttest.FaultInjector)
 }{
-	{"fail", time.Minute, func(f *FaultInjector) { f.FailNext(1) }},
-	{"hang", 40 * time.Millisecond, func(f *FaultInjector) { f.HangNext(1, 150*time.Millisecond) }},
-	{"reset", time.Minute, func(f *FaultInjector) { f.ResetNext(1) }},
-	{"corrupt", time.Minute, func(f *FaultInjector) { f.CorruptNext(1) }},
-	{"oversize", time.Minute, func(f *FaultInjector) { f.OversizeNext(1) }},
+	{"fail", time.Minute, func(f *disttest.FaultInjector) { f.FailNext(1) }},
+	{"hang", 40 * time.Millisecond, func(f *disttest.FaultInjector) { f.HangNext(1, 150*time.Millisecond) }},
+	{"reset", time.Minute, func(f *disttest.FaultInjector) { f.ResetNext(1) }},
+	{"corrupt", time.Minute, func(f *disttest.FaultInjector) { f.CorruptNext(1) }},
+	{"oversize", time.Minute, func(f *disttest.FaultInjector) { f.OversizeNext(1, MaxBodyBytes) }},
 }
 
 // TestClientFaultMatrix: every fault the injector knows × every call a
@@ -72,7 +73,7 @@ func TestClientFaultMatrix(t *testing.T) {
 	for _, fault := range seamFaults {
 		for _, call := range calls {
 			t.Run(call.name+"/"+fault.name, func(t *testing.T) {
-				inj := NewFaultInjector(NewServer().Handler())
+				inj := disttest.NewFaultInjector(NewServer().Handler())
 				srv := httptest.NewServer(inj)
 				defer srv.Close()
 				hc := &http.Client{Timeout: fault.timeout}
@@ -94,7 +95,7 @@ func TestClientFaultMatrix(t *testing.T) {
 			})
 		}
 		t.Run("health/"+fault.name, func(t *testing.T) {
-			inj := NewFaultInjector(NewServer().Handler())
+			inj := disttest.NewFaultInjector(NewServer().Handler())
 			srv := httptest.NewServer(inj)
 			defer srv.Close()
 			c := NewClient(srv.URL, &http.Client{Timeout: fault.timeout})

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"unico/internal/dist/disttest"
 )
 
 func TestParseRetryAfter(t *testing.T) {
@@ -193,7 +195,7 @@ func TestCorruptResponseRetried(t *testing.T) {
 // inject the same fault sequence — chaos runs are irregular, never flaky.
 func TestProbabilisticFaultsReproducible(t *testing.T) {
 	sequence := func() []int {
-		inj := NewFaultInjector(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inj := disttest.NewFaultInjector(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusOK)
 		}))
 		inj.Probabilistic(42, 0.3, 0, 0) // only 500s: no panics, no hangs

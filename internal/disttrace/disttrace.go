@@ -155,19 +155,11 @@ func (r *Recorder) Close() error {
 	return r.log.Close()
 }
 
-// Err returns the first write error the recorder latched, if any.
-func (r *Recorder) Err() error {
-	if r == nil || r.log == nil {
-		return nil
-	}
-	return r.log.Err()
-}
-
 // emit appends one event to the in-memory store and, when file-backed,
 // makes the JSONL line durable before returning. The fsync-per-event cost is
 // the price of the no-orphans guarantee under kill -9. A write failure
 // disables the log (it latches the error and refuses later appends) but not
-// the in-memory store; Err reports it.
+// the in-memory store; Close reports it.
 func (r *Recorder) emit(ev Event) {
 	r.mu.Lock()
 	if _, ok := r.byTrace[ev.Trace]; !ok {
@@ -180,7 +172,7 @@ func (r *Recorder) emit(ev Event) {
 	r.byTrace[ev.Trace] = append(r.byTrace[ev.Trace], ev)
 	r.mu.Unlock()
 	if r.log != nil {
-		_ = r.log.AppendJSON(ev) // a failure is latched in the log and surfaced by Err
+		_ = r.log.AppendJSON(ev) // a failure is latched in the log and surfaced by Close
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // TestFaultMatrix breaks the span log at every filesystem operation of a
 // parent/child/grandchild trace. Whatever fails: every event emitted while
-// Err() was nil is in the log, every event in the log is one that was
+// the log's latched error was nil is in the log, every event in the log is one that was
 // emitted (whole), the log never holds an orphan, and the failure is
-// reported by NewRecorder, Err or Close.
+// reported by NewRecorder, the log's latched error or Close.
 func TestFaultMatrix(t *testing.T) {
 	faultfs.Matrix(t, func(t *testing.T, fsys *faultfs.FS, fault faultfs.Op) {
 		path := filepath.Join(t.TempDir(), "spans.jsonl")
@@ -23,7 +23,7 @@ func TestFaultMatrix(t *testing.T) {
 		}
 		acked := 0 // events emitted before the first failure
 		note := func() {
-			if r.Err() == nil {
+			if r.log.Err() == nil {
 				acked++
 			}
 		}
@@ -37,7 +37,7 @@ func TestFaultMatrix(t *testing.T) {
 			s.End("ok", map[string]string{"k": "v"})
 			note()
 		}
-		failed := r.Err() != nil
+		failed := r.log.Err() != nil
 		if r.Close() != nil {
 			failed = true
 		}

@@ -105,15 +105,15 @@ func FuzzReadJSONL(f *testing.F) {
 				lines++
 			}
 		}
-		if n+skipped != lines || cache.Len() > n {
-			t.Fatalf("%d non-blank lines, but %d stored (%d distinct) + %d skipped", lines, n, cache.Len(), skipped)
+		if n+skipped != lines || int(cache.size.Load()) > n {
+			t.Fatalf("%d non-blank lines, but %d stored (%d distinct) + %d skipped", lines, n, int(cache.size.Load()), skipped)
 		}
 		var out bytes.Buffer
 		if err := cache.WriteJSONL(&out); err != nil {
 			t.Fatal(err)
 		}
-		if back, err := New(0).ReadJSONL(&out); err != nil || back != cache.Len() {
-			t.Fatalf("stored entries do not round-trip: %d of %d (%v)", back, cache.Len(), err)
+		if back, err := New(0).ReadJSONL(&out); err != nil || back != int(cache.size.Load()) {
+			t.Fatalf("stored entries do not round-trip: %d of %d (%v)", back, int(cache.size.Load()), err)
 		}
 	})
 }

@@ -144,9 +144,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len returns the number of stored entries.
-func (c *Cache) Len() int { return int(c.size.Load()) }
-
 // shardFor maps a key to its shard by the key's first byte (the key is a
 // SHA-256 digest, so any byte is uniformly distributed).
 func (c *Cache) shardFor(k Key) *shard { return &c.shards[int(k[0])%numShards] }
@@ -219,20 +216,6 @@ func (c *Cache) store(s *shard, e *entry) {
 		c.size.Add(-1)
 	}
 	telemetry.EvalCacheEntries().Set(float64(c.size.Load()))
-}
-
-// Get returns the stored result for key without computing on a miss.
-func (c *Cache) Get(key Key) (ppa.Metrics, error, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return ppa.Metrics{}, nil, false
-	}
-	s.lru.MoveToFront(el)
-	e := el.Value.(*entry)
-	return e.met, e.err, true
 }
 
 // put stores a fully formed entry (used by the JSONL loader).

@@ -173,8 +173,8 @@ func TestLRUBound(t *testing.T) {
 		keys = append(keys, key)
 		cache.put(&entry{key: key, engine: EngineMaestro, met: ppa.Metrics{LatencyMs: float64(i)}})
 	}
-	if cache.Len() > 64 {
-		t.Errorf("cache holds %d entries, bound is 64", cache.Len())
+	if int(cache.size.Load()) > 64 {
+		t.Errorf("cache holds %d entries, bound is 64", int(cache.size.Load()))
 	}
 	// Find two keys in the same shard: the later insert must have evicted
 	// the earlier one.
@@ -183,7 +183,7 @@ func TestLRUBound(t *testing.T) {
 	for i := 0; i < len(keys) && !found; i++ {
 		for j := i + 1; j < len(keys); j++ {
 			if shardOf(keys[i]) == shardOf(keys[j]) {
-				if _, _, ok := cache.Get(keys[i]); ok {
+				if _, _, ok := lookup(cache, keys[i]); ok {
 					t.Errorf("older same-shard entry survived past the bound")
 				}
 				found = true
@@ -196,20 +196,33 @@ func TestLRUBound(t *testing.T) {
 	}
 }
 
+// lookup returns the stored result for key without computing on a miss.
+func lookup(c *Cache, key Key) (ppa.Metrics, error, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok {
+		return ppa.Metrics{}, nil, false
+	}
+	e := el.Value.(*entry)
+	return e.met, e.err, true
+}
+
 func TestGetMissAndHit(t *testing.T) {
 	cache := New(0)
 	c, m, l := testTriple()
 	key := SpatialKey(c, m, l)
-	if _, _, ok := cache.Get(key); ok {
+	if _, _, ok := lookup(cache, key); ok {
 		t.Fatal("hit on empty cache")
 	}
 	want := ppa.Metrics{LatencyMs: 3}
 	if _, err := cache.Do(key, EngineMaestro, func() (ppa.Metrics, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
-	met, err, ok := cache.Get(key)
+	met, err, ok := lookup(cache, key)
 	if !ok || err != nil || met != want {
-		t.Fatalf("Get = %v, %v, %v", met, err, ok)
+		t.Fatalf("lookup = %v, %v, %v", met, err, ok)
 	}
 }
 
@@ -246,19 +259,19 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("ReadJSONL = %d, %v", n, err)
 	}
 
-	met, err, ok := loaded.Get(okKey)
+	met, err, ok := lookup(loaded, okKey)
 	if !ok || err != nil || met != wantMet {
 		t.Fatalf("metrics entry = %v, %v, %v", met, err, ok)
 	}
-	if _, err, ok := loaded.Get(spatialInf); !ok || !errors.Is(err, maestro.ErrInfeasible) {
+	if _, err, ok := lookup(loaded, spatialInf); !ok || !errors.Is(err, maestro.ErrInfeasible) {
 		t.Errorf("spatial infeasibility lost its sentinel: %v (ok=%v)", err, ok)
 	} else if err.Error() != "mapping does not fit L1: "+maestro.ErrInfeasible.Error() {
 		t.Errorf("spatial infeasibility lost its message: %q", err)
 	}
-	if _, err, ok := loaded.Get(ascendInf); !ok || !errors.Is(err, camodel.ErrInfeasible) {
+	if _, err, ok := lookup(loaded, ascendInf); !ok || !errors.Is(err, camodel.ErrInfeasible) {
 		t.Errorf("ascend infeasibility lost its sentinel: %v (ok=%v)", err, ok)
 	}
-	if _, err, ok := loaded.Get(plainErr); !ok || err == nil ||
+	if _, err, ok := lookup(loaded, plainErr); !ok || err == nil ||
 		errors.Is(err, maestro.ErrInfeasible) || errors.Is(err, camodel.ErrInfeasible) {
 		t.Errorf("plain error entry = %v (ok=%v)", err, ok)
 	}
@@ -298,7 +311,7 @@ func TestSaveAndLoadFile(t *testing.T) {
 	if n, err := warm.LoadFile(path); n != 1 || err != nil {
 		t.Fatalf("LoadFile = %d, %v", n, err)
 	}
-	if met, err, ok := warm.Get(key); !ok || err != nil || met.LatencyMs != 9 {
+	if met, err, ok := lookup(warm, key); !ok || err != nil || met.LatencyMs != 9 {
 		t.Fatalf("warm entry = %v, %v, %v", met, err, ok)
 	}
 }

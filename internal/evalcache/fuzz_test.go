@@ -157,8 +157,8 @@ func TestReadJSONLToleratesTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSONL on truncated input errored: %v", err)
 	}
-	if n != 1 || warm.Len() != 1 {
-		t.Fatalf("loaded %d entries (cache %d), want exactly the intact line", n, warm.Len())
+	if n != 1 || int(warm.size.Load()) != 1 {
+		t.Fatalf("loaded %d entries (cache %d), want exactly the intact line", n, int(warm.size.Load()))
 	}
 	if got := telemetry.EvalCacheSkippedLines().Value(); got != before+1 {
 		t.Errorf("skipped-line counter advanced by %d, want 1", got-before)

@@ -60,7 +60,7 @@ func hashInts(tag byte, fields ...int64) Key {
 
 // layerFields lists the layer fields the cost models read. Name and Repeat
 // are deliberately excluded: metrics depend only on the operator shape
-// (EvaluateWorkload applies Repeat outside the per-layer evaluation), so
+// (network-level sums apply Repeat outside the per-layer evaluation), so
 // identical shapes across networks — common among the zoo's conv blocks —
 // share one cache entry.
 func layerFields(l workload.Layer) []int64 {

@@ -47,25 +47,6 @@ type CurveResult struct {
 	Curves   []MethodCurve
 }
 
-// HoursToReach returns the first time the method's hypervolume difference
-// drops to at most level, or +Inf if it never does — the statistic behind
-// the "finds HASCO-quality designs up to 4× faster" claim.
-func (r CurveResult) HoursToReach(method string, level float64) float64 {
-	for _, c := range r.Curves {
-		if c.Method != method {
-			continue
-		}
-		for i, v := range c.HVDiff {
-			if v <= level {
-				return c.Hours[i]
-			}
-		}
-	}
-	return inf()
-}
-
-func inf() float64 { return 1e308 }
-
 // methodSpec is one co-search method under trace comparison. The first
 // method of a comparison (HASCO) sets the reference wall-clock budget; the
 // others receive it as budgetHours and run until they have spent the same

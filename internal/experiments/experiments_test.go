@@ -60,9 +60,16 @@ func TestRunEdgeCloudTable(t *testing.T) {
 		t.Error("printed table missing UNICO rows")
 	}
 	// UNICO must be cheaper than HASCO on every network (the cost shape).
-	for net, speedup := range res.SpeedupSummary() {
-		if speedup <= 1 {
-			t.Errorf("%s: UNICO not cheaper than HASCO (speedup %.2fx)", net, speedup)
+	cost := map[string]map[string]float64{}
+	for _, r := range res.Rows {
+		if cost[r.Network] == nil {
+			cost[r.Network] = map[string]float64{}
+		}
+		cost[r.Network][r.Method] = r.CostHours
+	}
+	for net, byMethod := range cost {
+		if u, h := byMethod["UNICO"], byMethod["HASCO"]; u > 0 && h > 0 && u >= h {
+			t.Errorf("%s: UNICO not cheaper than HASCO (%.2f h vs %.2f h)", net, u, h)
 		}
 	}
 	// The HASCO baseline runs through the same lifecycle as UNICO, so it
@@ -200,13 +207,6 @@ func TestCurveHelpers(t *testing.T) {
 	}
 	if (MethodCurve{}).Final() != 0 {
 		t.Error("empty Final != 0")
-	}
-	r := CurveResult{Curves: []MethodCurve{c}}
-	if got := r.HoursToReach("X", 0.2); got != 2 {
-		t.Errorf("HoursToReach = %v, want 2", got)
-	}
-	if got := r.HoursToReach("X", 0.01); got != inf() {
-		t.Errorf("unreachable level = %v, want inf", got)
 	}
 	if relImprove(10, 7) != 30 {
 		t.Errorf("relImprove = %v", relImprove(10, 7))

@@ -126,24 +126,3 @@ func representativeIn(front []core.Candidate, pool [][]float64) (core.Candidate,
 	}
 	return front[best], true
 }
-
-// SpeedupSummary reports, per network, UNICO's search-cost advantage over
-// the slowest baseline — the headline "up to 4× faster" claim.
-func (t TableResult) SpeedupSummary() map[string]float64 {
-	cost := map[string]map[string]float64{}
-	for _, r := range t.Rows {
-		if cost[r.Network] == nil {
-			cost[r.Network] = map[string]float64{}
-		}
-		cost[r.Network][r.Method] = r.CostHours
-	}
-	out := map[string]float64{}
-	for net, byMethod := range cost {
-		u := byMethod["UNICO"]
-		h := byMethod["HASCO"]
-		if u > 0 && h > 0 {
-			out[net] = h / u
-		}
-	}
-	return out
-}

@@ -17,6 +17,7 @@ import (
 
 	"unico/internal/camodel"
 	"unico/internal/dist"
+	"unico/internal/dist/disttest"
 	"unico/internal/evalcache"
 	"unico/internal/hw"
 	"unico/internal/maestro"
@@ -44,7 +45,7 @@ func (s *swappable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // counters so tests can see where the router sent traffic.
 type testShard struct {
 	url     string
-	inj     *dist.FaultInjector
+	inj     *disttest.FaultInjector
 	inner   *swappable
 	hits    atomic.Int64 // all requests
 	ppaHits atomic.Int64 // /v1/ppa requests
@@ -65,7 +66,7 @@ func newTestFleet(t *testing.T, n int, opts Options, mk func() http.Handler) (*R
 	urls := make([]string, n)
 	for i := range shards {
 		sh := &testShard{inner: newSwappable(mk())}
-		sh.inj = dist.NewFaultInjector(sh.inner)
+		sh.inj = disttest.NewFaultInjector(sh.inner)
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			sh.hits.Add(1)
 			if r.URL.Path == "/v1/ppa" {
@@ -89,7 +90,9 @@ func newTestFleet(t *testing.T, n int, opts Options, mk func() http.Handler) (*R
 
 // edgeJob is a small valid job spec, distinct per seed.
 func edgeJob(seed int64) dist.JobSpec {
-	x := hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	// The Edge-space point of hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96,
+	// NoCBW: 64}: each coordinate is the centre of its axis level's cell.
+	x := []float64{3.5 / 12, 3.5 / 12, 26.5 / 28, 18.5 / 28, 0.25, 0.25}
 	return dist.JobSpec{
 		Platform: "spatial", Scenario: "edge",
 		Networks: []string{"MobileNetV3-S"}, X: x, Algo: "flextensor", Seed: seed,

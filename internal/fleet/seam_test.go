@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"unico/internal/dist"
+	"unico/internal/dist/disttest"
 	"unico/internal/disttrace"
 	"unico/internal/runid"
 )
@@ -39,13 +40,13 @@ func TestRouterFaultMatrix(t *testing.T) {
 	faults := []struct {
 		name    string
 		timeout time.Duration // forward and probe; short only where the fault is a hang
-		script  func(*dist.FaultInjector)
+		script  func(*disttest.FaultInjector)
 	}{
-		{"fail", time.Minute, func(f *dist.FaultInjector) { f.FailNext(1) }},
-		{"hang", 40 * time.Millisecond, func(f *dist.FaultInjector) { f.HangNext(1, 150*time.Millisecond) }},
-		{"reset", time.Minute, func(f *dist.FaultInjector) { f.ResetNext(1) }},
-		{"corrupt", time.Minute, func(f *dist.FaultInjector) { f.CorruptNext(1) }},
-		{"oversize", time.Minute, func(f *dist.FaultInjector) { f.OversizeNext(1) }},
+		{"fail", time.Minute, func(f *disttest.FaultInjector) { f.FailNext(1) }},
+		{"hang", 40 * time.Millisecond, func(f *disttest.FaultInjector) { f.HangNext(1, 150*time.Millisecond) }},
+		{"reset", time.Minute, func(f *disttest.FaultInjector) { f.ResetNext(1) }},
+		{"corrupt", time.Minute, func(f *disttest.FaultInjector) { f.CorruptNext(1) }},
+		{"oversize", time.Minute, func(f *disttest.FaultInjector) { f.OversizeNext(1, dist.MaxBodyBytes) }},
 	}
 	const run = "matrix-run"
 	// Each shard serves the worker API plus a /metrics and a /v1/spans that

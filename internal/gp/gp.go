@@ -934,8 +934,8 @@ func (sc *tileScratch) report(gps []*GP, k int, v []float64) {
 // pointDots writes Σᵢ cols[k][off+i]·alpha[i] into out[k] for every point
 // k. Four points at a time run as four accumulators in named locals, which
 // the compiler keeps in registers: each adds its products in ascending i
-// from 0, linalg.Dot's order, so the bits are a lone point's, while the add
-// chains run side by side.
+// from 0, a textbook dot product's order, so the bits are a lone point's,
+// while the add chains run side by side.
 func pointDots(cols [][]float64, off int, alpha []float64, out []float64) {
 	n, k := len(alpha), 0
 	for ; k+3 < len(out); k += 4 {

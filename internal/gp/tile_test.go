@@ -21,13 +21,22 @@ func predictReference(g *GP, x []float64) (mean, variance float64) {
 	for i := range g.x {
 		ks[i] = kernel(g.x[i], x)
 	}
-	mu := linalg.Dot(ks, g.alpha)
+	mu := dot(ks, g.alpha)
 	linalg.SolveLowerInto(g.chol, ks, v)
-	varS := kernel(x, x) + g.params.Noise - linalg.Dot(v, v)
+	varS := kernel(x, x) + g.params.Noise - dot(v, v)
 	if varS < 1e-12 {
 		varS = 1e-12
 	}
 	return mu*g.stdY + g.meanY, varS * g.stdY * g.stdY
+}
+
+// dot is the textbook inner product, summed in ascending index.
+func dot(a, b []float64) float64 {
+	sum := 0.0
+	for i := range a {
+		sum += a[i] * b[i]
+	}
+	return sum
 }
 
 // tilePoints draws TileWidth query points, the first of them a training

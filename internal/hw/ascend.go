@@ -87,9 +87,6 @@ func NewAscendSpace() *AscendSpace {
 // Dim returns the encoded dimensionality.
 func (s *AscendSpace) Dim() int { return s.grid.Dim() }
 
-// Size returns the number of configurations in the space.
-func (s *AscendSpace) Size() float64 { return s.grid.Size() }
-
 // Sample draws a uniformly random configuration point.
 func (s *AscendSpace) Sample(rng *rand.Rand) []float64 { return s.grid.Sample(rng) }
 

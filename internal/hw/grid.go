@@ -75,16 +75,6 @@ func (g Grid) Dim() int { return len(g.axes) }
 // Axes returns the grid's axes.
 func (g Grid) Axes() []Axis { return g.axes }
 
-// Size returns the number of lattice points as a float64 (design spaces can
-// exceed int64).
-func (g Grid) Size() float64 {
-	size := 1.0
-	for _, a := range g.axes {
-		size *= float64(a.levels())
-	}
-	return size
-}
-
 // Sample draws a uniformly random lattice point, returned as cell-center
 // coordinates in [0,1]^d.
 func (g Grid) Sample(rng *rand.Rand) []float64 {

@@ -46,10 +46,14 @@ func testGrid() Grid {
 	)
 }
 
-func TestGridSize(t *testing.T) {
-	if got := testGrid().Size(); got != 24 {
-		t.Errorf("Size() = %v, want 24", got)
+// gridSize returns the number of lattice points of g as a float64 (design
+// spaces can exceed int64).
+func gridSize(g Grid) float64 {
+	size := 1.0
+	for _, a := range g.Axes() {
+		size *= float64(len(a.Values))
 	}
+	return size
 }
 
 func TestGridEncodeDecodeRoundTripProperty(t *testing.T) {
@@ -163,14 +167,15 @@ func TestSpatialSpaceSizes(t *testing.T) {
 	edge := NewSpatialSpace(Edge)
 	cloud := NewSpatialSpace(Cloud)
 	// Paper: edge space ~1e5, cloud ~1e9 (orders of magnitude apart).
-	if edge.Size() < 1e4 || edge.Size() > 1e7 {
-		t.Errorf("edge size = %g", edge.Size())
+	edgeSize, cloudSize := gridSize(edge.grid), gridSize(cloud.grid)
+	if edgeSize < 1e4 || edgeSize > 1e7 {
+		t.Errorf("edge size = %g", edgeSize)
 	}
-	if cloud.Size() < 1e6 {
-		t.Errorf("cloud size = %g", cloud.Size())
+	if cloudSize < 1e6 {
+		t.Errorf("cloud size = %g", cloudSize)
 	}
-	if cloud.Size() < 50*edge.Size() {
-		t.Errorf("cloud (%g) should dwarf edge (%g)", cloud.Size(), edge.Size())
+	if cloudSize < 50*edgeSize {
+		t.Errorf("cloud (%g) should dwarf edge (%g)", cloudSize, edgeSize)
 	}
 }
 
@@ -194,24 +199,10 @@ func TestSpatialDecodeFieldsInRange(t *testing.T) {
 	}
 }
 
-func TestSpatialEncodeDecodeRoundTrip(t *testing.T) {
-	s := NewSpatialSpace(Edge)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		x := s.Sample(rng)
-		c := s.Decode(x)
-		x2 := s.Encode(c)
-		c2 := s.Decode(x2)
-		if c != c2 {
-			t.Fatalf("round trip changed config: %v -> %v", c, c2)
-		}
-	}
-}
-
 func TestAscendSpace(t *testing.T) {
 	s := NewAscendSpace()
-	if s.Size() < 1e8 {
-		t.Errorf("ascend space size = %g, want ~1e9", s.Size())
+	if size := gridSize(s.grid); size < 1e8 {
+		t.Errorf("ascend space size = %g, want ~1e9", size)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {

@@ -110,9 +110,6 @@ func (s *SpatialSpace) Scenario() Scenario { return s.scenario }
 // Dim returns the encoded dimensionality.
 func (s *SpatialSpace) Dim() int { return s.grid.Dim() }
 
-// Size returns the number of configurations in the space.
-func (s *SpatialSpace) Size() float64 { return s.grid.Size() }
-
 // Sample draws a uniformly random configuration point.
 func (s *SpatialSpace) Sample(rng *rand.Rand) []float64 { return s.grid.Sample(rng) }
 
@@ -136,17 +133,6 @@ func (s *SpatialSpace) Decode(x []float64) Spatial {
 		NoCBW:    v[4],
 		Dataflow: Dataflow(v[5]),
 	}
-}
-
-// Encode returns the point representing the given configuration, snapping
-// each field to the nearest admissible axis value.
-func (s *SpatialSpace) Encode(c Spatial) []float64 {
-	fields := []int{c.PEX, c.PEY, c.L1Bytes, c.L2KB, c.NoCBW, int(c.Dataflow)}
-	idx := make([]int, len(fields))
-	for i, a := range s.grid.Axes() {
-		idx[i] = nearestIndex(a.Values, fields[i])
-	}
-	return s.grid.Encode(idx)
 }
 
 // Describe renders the configuration at x for logs and reports.

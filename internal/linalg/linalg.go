@@ -78,13 +78,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // Cholesky computes the lower-triangular L with A = L·Lᵀ for a symmetric
 // matrix A. A small diagonal jitter is added progressively (up to jitterMax)
 // if the factorization fails, the standard GP numerical safeguard. The input
@@ -291,13 +284,6 @@ func CholeskyUpdate(l *Matrix, v []float64) error {
 	return nil
 }
 
-// SolveLower solves L·x = b for lower-triangular L by forward substitution.
-func SolveLower(l *Matrix, b []float64) []float64 {
-	x := make([]float64, l.Rows)
-	SolveLowerInto(l, b, x)
-	return x
-}
-
 // SolveLowerInto solves L·x = b into x, which must have length n and may
 // alias b. It is SolveLowerRows over every row.
 func SolveLowerInto(l *Matrix, b, x []float64) {
@@ -369,13 +355,6 @@ func solveLowerInto(l *Matrix, b, x []float64, r0, r1 int) {
 	}
 }
 
-// SolveLowerT solves Lᵀ·x = b for lower-triangular L by back substitution.
-func SolveLowerT(l *Matrix, b []float64) []float64 {
-	x := make([]float64, l.Rows)
-	SolveLowerTInto(l, b, x)
-	return x
-}
-
 // SolveLowerTInto solves Lᵀ·x = b into x, which must have length n and may
 // alias b. The loop is the row-oriented ("saxpy") form of back substitution
 // so the inner loop walks a contiguous row of L instead of striding a
@@ -398,13 +377,6 @@ func SolveLowerTInto(l *Matrix, b, x []float64) {
 	}
 }
 
-// CholeskySolve solves A·x = b given the Cholesky factor L of A.
-func CholeskySolve(l *Matrix, b []float64) []float64 {
-	x := make([]float64, l.Rows)
-	CholeskySolveInto(l, b, x)
-	return x
-}
-
 // CholeskySolveInto solves A·x = b into x given the Cholesky factor L of A;
 // x may alias b. No intermediate buffer is needed: the forward solve lands
 // in x and the transposed solve runs in place.
@@ -420,29 +392,4 @@ func LogDetFromChol(l *Matrix) float64 {
 		sum += math.Log(l.At(i, i))
 	}
 	return 2 * sum
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Dot of lengths %d and %d", len(a), len(b)))
-	}
-	sum := 0.0
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum
-}
-
-// MulVec returns A·x.
-func MulVec(a *Matrix, x []float64) []float64 {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("linalg: MulVec got %d entries, want %d", len(x), a.Cols))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		out[i] = Dot(row, x)
-	}
-	return out
 }

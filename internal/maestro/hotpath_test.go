@@ -63,10 +63,6 @@ func TestEvaluateMetering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Explain is not an evaluation the search made; it moves no meter.
-	if _, err := e.Explain(c, m, l); err != nil {
-		t.Fatal(err)
-	}
 	if got := evalCount.Value() - evals; got != calls {
 		t.Errorf("unico_ppa_evals_total moved by %d, want %d", got, calls)
 	}

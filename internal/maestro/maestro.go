@@ -122,31 +122,9 @@ var dependence = [2][3][4]bool{
 	},
 }
 
-// Report is the detailed account behind one evaluation: where the cycles
-// and the energy went, and which resource bound the latency. It is the
-// design-insight surface analytical models like MAESTRO are used for.
-type Report struct {
-	Metrics ppa.Metrics
-
-	// ComputeCycles, NoCCycles and DRAMCycles are the per-resource stream
-	// times; latency is their maximum (perfect double buffering).
-	ComputeCycles, NoCCycles, DRAMCycles float64
-	// Bottleneck names the binding resource: "compute", "noc" or "dram".
-	Bottleneck string
-
-	// NoCBytes and DRAMBytes are the total traffic volumes.
-	NoCBytes, DRAMBytes float64
-	// PEUtilization is useful MACs / (PEs × compute cycles): the fraction
-	// of MAC slots doing real work under this mapping.
-	PEUtilization float64
-	// EnergyPJ breaks the dynamic+static energy down by source:
-	// "mac", "l1", "noc+l2", "dram", "leakage".
-	EnergyPJ map[string]float64
-}
-
 // breakdown is what the model works out on its way to the metrics: the
 // per-resource stream times, the traffic volumes and the dynamic energy by
-// source. Explain decorates it into a Report; Evaluate drops it.
+// source. Evaluate drops it; the package's tests read it.
 type breakdown struct {
 	computeCycles, nocCycles, dramCycles float64
 	nocBytes, dramBytes                  float64
@@ -189,44 +167,6 @@ func (e Engine) Evaluate(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa
 		return ppa.Metrics{}, err
 	}
 	return met, nil
-}
-
-// Explain evaluates like Evaluate but returns the full Report.
-func (e Engine) Explain(c hw.Spatial, m mapping.Spatial, l workload.Layer) (Report, error) {
-	met, b, err := e.model(c, m, l)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{
-		Metrics:       met,
-		ComputeCycles: b.computeCycles,
-		NoCCycles:     b.nocCycles,
-		DRAMCycles:    b.dramCycles,
-		NoCBytes:      b.nocBytes,
-		DRAMBytes:     b.dramBytes,
-		EnergyPJ: map[string]float64{
-			"mac":     b.macPJ,
-			"l1":      b.l1PJ,
-			"noc+l2":  b.nocPJ,
-			"dram":    b.dramPJ,
-			"leakage": leakageMW(c) * met.LatencyMs * 1e6,
-		},
-	}
-	switch {
-	case b.computeCycles >= b.nocCycles && b.computeCycles >= b.dramCycles:
-		rep.Bottleneck = "compute"
-	case b.nocCycles >= b.dramCycles:
-		rep.Bottleneck = "noc"
-	default:
-		rep.Bottleneck = "dram"
-	}
-	if b.computeCycles > 0 {
-		rep.PEUtilization = float64(l.MACs()) / (float64(c.PEs()) * b.computeCycles)
-		if rep.PEUtilization > 1 {
-			rep.PEUtilization = 1
-		}
-	}
-	return rep, nil
 }
 
 // model is the one implementation of the cost model's arithmetic. It
@@ -428,23 +368,4 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 		return ppa.Metrics{}, breakdown{}, fmt.Errorf("maestro: produced invalid metrics %+v for %v / %v", met, c, l)
 	}
 	return met, b, nil
-}
-
-// EvaluateWorkload sums per-layer metrics, each scaled by its repeat count,
-// for a fixed per-layer mapping assignment. The mappings slice must be
-// parallel to w.Layers.
-func (e Engine) EvaluateWorkload(c hw.Spatial, ms []mapping.Spatial, w workload.Workload) (ppa.Metrics, error) {
-	if len(ms) != len(w.Layers) {
-		return ppa.Metrics{}, fmt.Errorf("maestro: %d mappings for %d layers", len(ms), len(w.Layers))
-	}
-	var total ppa.Metrics
-	for i, l := range w.Layers {
-		met, err := e.Evaluate(c, ms[i], l)
-		if err != nil {
-			return ppa.Metrics{}, fmt.Errorf("layer %q: %w", l.Name, err)
-		}
-		total = total.Add(met.Scale(l.Repeat))
-	}
-	total.AreaMM2 = e.Area(c)
-	return total, nil
 }

@@ -149,28 +149,6 @@ func TestDepthwiseCheaperThanDense(t *testing.T) {
 	}
 }
 
-func TestEvaluateWorkloadSums(t *testing.T) {
-	var e Engine
-	w := workload.Workload{Name: "w", Layers: []workload.Layer{
-		workload.Conv("a", 8, 8, 14, 14, 3, 3, 1, 2),
-		workload.Conv("b", 16, 8, 14, 14, 1, 1, 1, 1),
-	}}
-	ms := []mapping.Spatial{minimalMapping(w.Layers[0]), minimalMapping(w.Layers[1])}
-	total, err := e.EvaluateWorkload(testHW(), ms, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := e.Evaluate(testHW(), ms[0], w.Layers[0])
-	b, _ := e.Evaluate(testHW(), ms[1], w.Layers[1])
-	want := a.LatencyMs*2 + b.LatencyMs
-	if diff := total.LatencyMs - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("workload latency %v, want %v", total.LatencyMs, want)
-	}
-	if _, err := e.EvaluateWorkload(testHW(), ms[:1], w); err == nil {
-		t.Error("accepted mismatched mapping count")
-	}
-}
-
 func TestEvalCostSeconds(t *testing.T) {
 	if (Engine{}).EvalCostSeconds() <= 0 {
 		t.Error("default eval cost not positive")
@@ -227,53 +205,43 @@ func TestDataflowChangesCost(t *testing.T) {
 	}
 }
 
-func TestExplainBreakdown(t *testing.T) {
+// TestModelBreakdown: the breakdown behind a metric is consistent with it.
+func TestModelBreakdown(t *testing.T) {
 	var e Engine
-	l := testLayer()
+	c, l := testHW(), testLayer()
 	m := minimalMapping(l)
-	rep, err := e.Explain(testHW(), m, l)
+	met, b, err := e.model(c, m, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The metrics must match Evaluate exactly.
-	met, _ := e.Evaluate(testHW(), m, l)
-	if rep.Metrics != met {
-		t.Errorf("Explain metrics %+v != Evaluate %+v", rep.Metrics, met)
-	}
 	// Latency equals the max resource stream (plus the pipeline-fill term),
-	// so the bottleneck's cycles cannot exceed latency-in-cycles.
-	latCycles := rep.Metrics.LatencyMs * ClockGHz * 1e6
+	// so no stream's cycles can exceed latency-in-cycles.
+	latCycles := met.LatencyMs * ClockGHz * 1e6
 	for name, cyc := range map[string]float64{
-		"compute": rep.ComputeCycles, "noc": rep.NoCCycles, "dram": rep.DRAMCycles,
+		"compute": b.computeCycles, "noc": b.nocCycles, "dram": b.dramCycles,
 	} {
 		if cyc > latCycles {
 			t.Errorf("%s cycles %v exceed latency %v", name, cyc, latCycles)
 		}
 	}
-	if rep.Bottleneck != "compute" && rep.Bottleneck != "noc" && rep.Bottleneck != "dram" {
-		t.Errorf("bottleneck = %q", rep.Bottleneck)
+	if util := float64(l.MACs()) / (float64(c.PEs()) * b.computeCycles); util <= 0 || util > 1 {
+		t.Errorf("utilization = %v", util)
 	}
-	if rep.PEUtilization <= 0 || rep.PEUtilization > 1 {
-		t.Errorf("utilization = %v", rep.PEUtilization)
+	// The energy breakdown plus leakage must sum to the reported total.
+	sum := b.macPJ + b.l1PJ + b.nocPJ + b.dramPJ + leakageMW(c)*met.LatencyMs*1e6
+	if diff := sum*1e-6 - met.EnergyUJ; diff > 1e-6*met.EnergyUJ || diff < -1e-6*met.EnergyUJ {
+		t.Errorf("energy breakdown sums to %v µJ, total %v µJ", sum*1e-6, met.EnergyUJ)
 	}
-	// The energy breakdown must sum to the reported total.
-	sum := 0.0
-	for _, v := range rep.EnergyPJ {
-		sum += v
-	}
-	if diff := sum*1e-6 - rep.Metrics.EnergyUJ; diff > 1e-6*rep.Metrics.EnergyUJ || diff < -1e-6*rep.Metrics.EnergyUJ {
-		t.Errorf("energy breakdown sums to %v µJ, total %v µJ", sum*1e-6, rep.Metrics.EnergyUJ)
-	}
-	if rep.NoCBytes <= 0 || rep.DRAMBytes <= 0 {
-		t.Errorf("traffic volumes: noc=%v dram=%v", rep.NoCBytes, rep.DRAMBytes)
+	if b.nocBytes <= 0 || b.dramBytes <= 0 {
+		t.Errorf("traffic volumes: noc=%v dram=%v", b.nocBytes, b.dramBytes)
 	}
 }
 
-func TestExplainBottleneckShifts(t *testing.T) {
+// TestModelBottleneckShifts: a 1x1-kernel layer with huge channel counts is
+// bound by the array on a one-PE machine, and by the NoC or DRAM on a wide
+// array with a narrow NoC.
+func TestModelBottleneckShifts(t *testing.T) {
 	var e Engine
-	// A 1x1-kernel layer with huge channel counts on a tiny-bandwidth
-	// machine should be memory-bound; the same layer on a huge-bandwidth
-	// machine with a tiny array should be compute-bound.
 	l := workload.Conv("ch", 512, 512, 14, 14, 1, 1, 1, 1)
 	m := minimalMapping(l)
 	slowNoC := testHW()
@@ -282,15 +250,15 @@ func TestExplainBottleneckShifts(t *testing.T) {
 	fast := testHW()
 	fast.PEX, fast.PEY = 1, 1
 	fast.NoCBW = 128
-	a, err1 := e.Explain(slowNoC, m, l)
-	b, err2 := e.Explain(fast, m, l)
+	_, a, err1 := e.model(slowNoC, m, l)
+	_, b, err2 := e.model(fast, m, l)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if b.Bottleneck != "compute" {
-		t.Errorf("1-PE machine bottleneck = %s, want compute", b.Bottleneck)
+	if b.computeCycles < b.nocCycles || b.computeCycles < b.dramCycles {
+		t.Errorf("1-PE machine is not compute-bound: %+v", b)
 	}
-	if a.Bottleneck == "compute" && a.ComputeCycles < a.NoCCycles {
-		t.Errorf("inconsistent bottleneck classification: %+v", a)
+	if a.computeCycles >= a.nocCycles && a.computeCycles >= a.dramCycles {
+		t.Errorf("24x24 array on a narrow NoC is compute-bound: %+v", a)
 	}
 }

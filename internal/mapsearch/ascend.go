@@ -253,9 +253,6 @@ func (d *DepthFirstFusion) Best() (ppa.Metrics, bool) { return d.bestMet, d.hasB
 // Last returns the most recent evaluation's metrics.
 func (d *DepthFirstFusion) Last() (ppa.Metrics, bool) { return d.lastMet, d.lastOK }
 
-// BestCandidate returns the best schedule found so far.
-func (d *DepthFirstFusion) BestCandidate() (mapping.Ascend, bool) { return d.best, d.hasBest }
-
 // Evals returns the number of evaluations spent.
 func (d *DepthFirstFusion) Evals() int { return d.evals }
 

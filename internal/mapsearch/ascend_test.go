@@ -51,8 +51,8 @@ func TestDepthFirstFusionFindsFeasible(t *testing.T) {
 	if d.Evals() == 0 {
 		t.Error("Evals() = 0")
 	}
-	if m, ok := d.BestCandidate(); !ok || !m.Valid(l) {
-		t.Errorf("BestCandidate invalid: %+v ok=%v", m, ok)
+	if !d.hasBest || !d.best.Valid(l) {
+		t.Errorf("best schedule invalid: %+v ok=%v", d.best, d.hasBest)
 	}
 }
 

@@ -176,9 +176,6 @@ func (a *Annealer[M]) Best() (ppa.Metrics, bool) { return a.bestMet, a.hasBest }
 // Last returns the most recent evaluation's metrics.
 func (a *Annealer[M]) Last() (ppa.Metrics, bool) { return a.lastMet, a.lastOK }
 
-// BestCandidate returns the best mapping found so far.
-func (a *Annealer[M]) BestCandidate() (M, bool) { return a.best, a.hasBest }
-
 // Evals returns the units of evaluation budget spent.
 func (a *Annealer[M]) Evals() int { return a.evals }
 
@@ -281,9 +278,6 @@ func (g *Genetic[M]) Best() (ppa.Metrics, bool) { return g.bestMet, g.hasBest }
 
 // Last returns the most recent evaluation's metrics.
 func (g *Genetic[M]) Last() (ppa.Metrics, bool) { return g.lastMet, g.lastOK }
-
-// BestCandidate returns the best mapping found so far.
-func (g *Genetic[M]) BestCandidate() (M, bool) { return g.best, g.hasBest }
 
 // Evals returns the number of evaluations spent.
 func (g *Genetic[M]) Evals() int { return g.evals }

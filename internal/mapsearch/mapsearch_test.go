@@ -60,8 +60,8 @@ func TestAnnealerConvergesOnQuadratic(t *testing.T) {
 	if a.Evals() != 400 {
 		t.Errorf("Evals() = %d, want 400", a.Evals())
 	}
-	if best, ok := a.BestCandidate(); !ok || best < 10 || best > 24 {
-		t.Errorf("BestCandidate() = %d, want near 17", best)
+	if !a.hasBest || a.best < 10 || a.best > 24 {
+		t.Errorf("best candidate = %d, want near 17", a.best)
 	}
 }
 
@@ -168,14 +168,18 @@ func (f *fakeLayer) Evals() int                { return f.evals }
 
 func TestNetworkSearcherBudgetSemantics(t *testing.T) {
 	layers := []LayerSearcher{&fakeLayer{loss: 100}, &fakeLayer{loss: 50}, &fakeLayer{loss: 10}}
-	ns := NewNetworkSearcher(layers, []int{1, 2, 1}, []float64{100, 10, 1}, 3.5)
+	ns := &NetworkSearcher{layers: layers, repeats: []int{1, 2, 1}, order: newLayerOrder([]float64{100, 10, 1}), area: 3.5}
 	ns.Advance(10)
 	if ns.Spent() != 10 {
 		t.Errorf("Spent() = %d", ns.Spent())
 	}
 	// One budget unit = len(layers) layer steps.
-	if got := ns.PPAEvals(); got != 30 {
-		t.Errorf("PPAEvals() = %d, want 30", got)
+	steps := 0
+	for _, l := range layers {
+		steps += l.Evals()
+	}
+	if steps != 30 {
+		t.Errorf("%d layer steps, want 30", steps)
 	}
 	// The first (bootstrap) unit must touch every layer once.
 	for i, l := range layers {
@@ -234,8 +238,7 @@ func TestNetworkSearcherOnePointPerUnit(t *testing.T) {
 func TestNetworkSearcherWeightsBiasBudget(t *testing.T) {
 	heavy := &fakeLayer{loss: 100}
 	light := &fakeLayer{loss: 100}
-	ns := NewNetworkSearcher(
-		[]LayerSearcher{heavy, light}, []int{1, 1}, []float64{100, 1}, 1)
+	ns := &NetworkSearcher{layers: []LayerSearcher{heavy, light}, repeats: []int{1, 1}, order: newLayerOrder([]float64{100, 1}), area: 1}
 	ns.Advance(50)
 	if heavy.evals <= light.evals {
 		t.Errorf("heavy layer got %d evals <= light %d", heavy.evals, light.evals)
@@ -243,15 +246,6 @@ func TestNetworkSearcherWeightsBiasBudget(t *testing.T) {
 	if light.evals == 0 {
 		t.Error("light layer starved")
 	}
-}
-
-func TestNetworkSearcherPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched slices accepted")
-		}
-	}()
-	NewNetworkSearcher([]LayerSearcher{&fakeLayer{}}, []int{1, 2}, []float64{1}, 1)
 }
 
 func TestSpatialSearcherEndToEnd(t *testing.T) {

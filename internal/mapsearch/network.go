@@ -98,16 +98,6 @@ type NetworkSearcher struct {
 	rawHist ppa.History
 }
 
-// NewNetworkSearcher assembles a network-level searcher. weights must be the
-// per-layer MAC shares (any positive scale); area is the hardware area
-// reported in aggregate metrics.
-func NewNetworkSearcher(layers []LayerSearcher, repeats []int, weights []float64, area float64) *NetworkSearcher {
-	if len(layers) != len(repeats) || len(layers) != len(weights) {
-		panic("mapsearch: layers, repeats and weights must be parallel")
-	}
-	return &NetworkSearcher{layers: layers, repeats: repeats, order: newLayerOrder(weights), area: area}
-}
-
 // layerOrder is the deficit-round-robin step order of one workload: each
 // step, every layer earns its MAC share in credit and the richest layer
 // steps, paying one. The order is a pure function of the shares — not of the
@@ -309,16 +299,6 @@ func (n *NetworkSearcher) rawAggregate() (ppa.Metrics, bool) {
 	}
 	total.AreaMM2 = n.area
 	return total, true
-}
-
-// PPAEvals returns the evaluation budget spent: budget units times layers,
-// one per layer step. The engine calls it took are at most that many.
-func (n *NetworkSearcher) PPAEvals() int {
-	total := 0
-	for _, ls := range n.layers {
-		total += ls.Evals()
-	}
-	return total
 }
 
 // aggregate sums the per-layer bests (scaled by repeats); ok is false while

@@ -140,9 +140,8 @@ func TestAnnealerReuseMatchesAlwaysEvaluating(t *testing.T) {
 		steps, reuses := 0, 0
 		for i, ls := range got.layers {
 			a, ref := ls.(*Annealer[mapping.Spatial]), refs[i]
-			gc, gok := a.BestCandidate()
-			if gc != ref.best || gok != ref.hasBest {
-				t.Fatalf("trial %d layer %d: BestCandidate %v %v, always evaluating %v %v", trial, i, gc, gok, ref.best, ref.hasBest)
+			if a.best != ref.best || a.hasBest != ref.hasBest {
+				t.Fatalf("trial %d layer %d: best candidate %v %v, always evaluating %v %v", trial, i, a.best, a.hasBest, ref.best, ref.hasBest)
 			}
 			if a.Evals() != ref.Evals() {
 				t.Fatalf("trial %d layer %d: %d steps, always evaluating %d", trial, i, a.Evals(), ref.Evals())

@@ -207,33 +207,3 @@ func MinEuclid(points [][]float64) int {
 	}
 	return best
 }
-
-// Normalize returns points scaled so each objective's maximum over the set
-// is one. Objectives with zero range are passed through unchanged.
-func Normalize(points [][]float64) [][]float64 {
-	if len(points) == 0 {
-		return nil
-	}
-	d := len(points[0])
-	scale := make([]float64, d)
-	for _, p := range points {
-		for j, v := range p {
-			if v > scale[j] {
-				scale[j] = v
-			}
-		}
-	}
-	out := make([][]float64, len(points))
-	for i, p := range points {
-		q := make([]float64, d)
-		for j, v := range p {
-			if scale[j] > 0 {
-				q[j] = v / scale[j]
-			} else {
-				q[j] = v
-			}
-		}
-		out[i] = q
-	}
-	return out
-}

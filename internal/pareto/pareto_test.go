@@ -250,20 +250,6 @@ func TestNonDominatedSortCoversAllProperty(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	pts := [][]float64{{2, 10}, {4, 5}}
-	norm := Normalize(pts)
-	if norm[1][0] != 1 || norm[0][1] != 1 {
-		t.Errorf("Normalize = %v", norm)
-	}
-	if norm[0][0] != 0.5 || norm[1][1] != 0.5 {
-		t.Errorf("Normalize = %v", norm)
-	}
-	if Normalize(nil) != nil {
-		t.Error("Normalize(nil) != nil")
-	}
-}
-
 // TestHypervolume4DMatchesInclusionExclusion checks the WFG recursion in
 // four dimensions — the dimension of every run with R — against the
 // definition: the volume of the union of the boxes [p, ref), by

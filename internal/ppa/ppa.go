@@ -129,12 +129,3 @@ func (h History) AUC() float64 {
 	}
 	return area
 }
-
-// Truncate returns the prefix of the history with Budget <= b.
-func (h History) Truncate(b int) History {
-	n := 0
-	for n < len(h) && h[n].Budget <= b {
-		n++
-	}
-	return h[:n]
-}

@@ -121,19 +121,6 @@ func TestHistoryAUCSteeperIsLarger(t *testing.T) {
 	}
 }
 
-func TestHistoryTruncate(t *testing.T) {
-	h := History{{Budget: 1, Loss: 3}, {Budget: 2, Loss: 2}, {Budget: 5, Loss: 1}}
-	if got := h.Truncate(2); len(got) != 2 || got.Last().Loss != 2 {
-		t.Errorf("Truncate(2) = %+v", got)
-	}
-	if got := h.Truncate(0); len(got) != 0 {
-		t.Errorf("Truncate(0) = %+v", got)
-	}
-	if got := h.Truncate(10); len(got) != 3 {
-		t.Errorf("Truncate(10) = %+v", got)
-	}
-}
-
 // TestAUCNonNegativeProperty checks AUC >= 0 for any monotone history
 // constructed from random non-negative decrements.
 func TestAUCNonNegativeProperty(t *testing.T) {
@@ -155,7 +142,7 @@ func TestAUCNonNegativeProperty(t *testing.T) {
 }
 
 // TestMonotoneAfterTruncateProperty checks the monotone contract survives
-// truncation at any budget.
+// truncation to any prefix.
 func TestMonotoneAfterTruncateProperty(t *testing.T) {
 	f := func(decs []uint8, cut uint8) bool {
 		loss := 1000.0
@@ -164,7 +151,7 @@ func TestMonotoneAfterTruncateProperty(t *testing.T) {
 			loss -= float64(d)
 			h = append(h, Point{Budget: i + 1, Loss: loss})
 		}
-		return h.Truncate(int(cut)).Monotone()
+		return h[:min(int(cut), len(h))].Monotone()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -189,16 +189,6 @@ func Combine(ws []Workload) Workload {
 	return Workload{Name: strings.Join(names, "+"), Layers: layers}
 }
 
-// MACs returns the total multiply-accumulate count of the network, including
-// layer repeats.
-func (w Workload) MACs() int64 {
-	var total int64
-	for _, l := range w.Layers {
-		total += l.MACs() * int64(l.Repeat)
-	}
-	return total
-}
-
 // Validate checks every layer.
 func (w Workload) Validate() error {
 	if w.Name == "" {

@@ -6,13 +6,23 @@ import (
 	"testing/quick"
 )
 
+// totalMACs returns the multiply-accumulate count of a network, including
+// layer repeats.
+func totalMACs(w Workload) int64 {
+	var total int64
+	for _, l := range w.Layers {
+		total += l.MACs() * int64(l.Repeat)
+	}
+	return total
+}
+
 func TestZooValidates(t *testing.T) {
 	for _, w := range All() {
 		if err := w.Validate(); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
 		}
-		if w.MACs() <= 0 {
-			t.Errorf("%s: MACs() = %d", w.Name, w.MACs())
+		if totalMACs(w) <= 0 {
+			t.Errorf("%s: MACs() = %d", w.Name, totalMACs(w))
 		}
 	}
 }
@@ -41,7 +51,7 @@ func TestZooSizesPlausible(t *testing.T) {
 		if !ok {
 			continue
 		}
-		m := float64(w.MACs())
+		m := float64(totalMACs(w))
 		if m < bounds.lo || m > bounds.hi {
 			t.Errorf("%s: MACs = %.3g, want within [%.3g, %.3g]", w.Name, m, bounds.lo, bounds.hi)
 		}
@@ -194,8 +204,8 @@ func TestTable12Networks(t *testing.T) {
 func TestFSRCNNResolutionScaling(t *testing.T) {
 	small := FSRCNN(120, 320)
 	big := FSRCNN(240, 640)
-	if big.MACs() < 3*small.MACs() {
-		t.Errorf("4x-pixel FSRCNN should have ~4x MACs: %d vs %d", big.MACs(), small.MACs())
+	if totalMACs(big) < 3*totalMACs(small) {
+		t.Errorf("4x-pixel FSRCNN should have ~4x MACs: %d vs %d", totalMACs(big), totalMACs(small))
 	}
 }
 

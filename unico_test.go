@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"unico/internal/dist"
-	"unico/internal/hw"
 	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
@@ -123,7 +122,9 @@ func TestEvaluateOnRemoteRunsUnderItsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := hw.NewSpatialSpace(hw.Edge).Encode(hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96, NoCBW: 64})
+	// The Edge-space point of hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 864, L2KB: 96,
+	// NoCBW: 64}: each coordinate is the centre of its axis level's cell.
+	x := []float64{3.5 / 12, 3.5 / 12, 26.5 / 28, 18.5 / 28, 0.25, 0.25}
 	design := Design{HW: p.Describe(x), X: x}
 	got, err := EvaluateOn(runid.With(context.Background(), "validation-run"), p, design, 6, 9)
 	if err != nil {
