@@ -71,7 +71,6 @@ func main() {
 		}
 		defer f.Close()
 		tracer = telemetry.NewTracer(f)
-		defer tracer.Flush()
 	}
 
 	var s experiments.Scale
@@ -149,5 +148,8 @@ func main() {
 	if !ran {
 		logger.Error("nothing matched", slog.String("run", *run))
 		os.Exit(1)
+	}
+	if err := tracer.Flush(); err != nil {
+		logger.Error("trace write failed", slog.Any("err", err))
 	}
 }

@@ -196,7 +196,7 @@ func main() {
 			os.Exit(1)
 		}
 		// The search finished; only a recorder sink (checkpoint, flight
-		// record) failed.
+		// record, trace) failed.
 		logger.Warn("post-run step failed", slog.Any("err", err))
 	}
 	if ctx.Err() != nil {

@@ -14,7 +14,7 @@
 //     telemetry).
 //
 // A successful snapshot resets the journal, so the journal only ever holds
-// the iterations since the last snapshot and both files stay bounded.
+// the iterations since the last snapshot; the snapshot grows with the run.
 package checkpoint
 
 import (

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,7 +21,7 @@ import (
 func rec(iter int) core.IterationRecord {
 	return core.IterationRecord{
 		Iter:         iter,
-		Suggested:    [][]float64{{float64(iter), 0.5}},
+		Candidates:   []core.Candidate{{X: []float64{float64(iter), 0.5}, Iter: iter}},
 		Evals:        iter * 10,
 		ClockSeconds: float64(iter) * 3.5,
 		RNGPos:       uint64(iter) * 7,
@@ -166,7 +167,7 @@ func TestSnapshotSubsumesJournal(t *testing.T) {
 	if err := f.WriteSnapshot(core.SnapshotRecord{Iter: 2, Evals: 20}); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot reset the journal; the files stay bounded.
+	// The snapshot reset the journal, so the journal stays bounded.
 	if fi, err := os.Stat(journalPath(path)); err != nil || fi.Size() != 0 {
 		t.Fatalf("journal not reset after snapshot: size %d, err %v", fi.Size(), err)
 	}
@@ -408,6 +409,49 @@ func TestResumeFromTornJournalBitIdentical(t *testing.T) {
 	ropt.Resume = rs
 	got := core.RunContext(context.Background(), spatialTestPlatform(), ropt)
 	sink2.Close()
+	if got.CheckpointErr != nil {
+		t.Fatalf("resumed run CheckpointErr = %v", got.CheckpointErr)
+	}
+	sameResult(t, ref, got)
+}
+
+// TestParentCheckpointResumes resumes the checkpoint a killed run of an
+// older commit left in testdata/parent. That commit's records also stored
+// each candidate's mapping-search history, each iteration's suggested
+// points and observations, and the explorer's observation history, which
+// resume now ignores or derives. The resumed run must still finish exactly
+// as an uninterrupted run of this code does.
+func TestParentCheckpointResumes(t *testing.T) {
+	src := filepath.Join("testdata", "parent")
+	dir := t.TempDir()
+	for name, field := range map[string]string{"parent.ckpt": `"History"`, "parent.ckpt.journal": `"observations"`} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(b, []byte(field)) {
+			t.Fatalf("%s holds no %s: it is not the older format", name, field)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := Load(filepath.Join(dir, "parent.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Snapshot.Iter != 3 || rs.LastIter() != 5 {
+		t.Fatalf("snapshot %d, last iteration %d; want the snapshot of 3 and the journal of 4 and 5", rs.Snapshot.Iter, rs.LastIter())
+	}
+
+	newP := func() core.Platform {
+		return platform.NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
+	}
+	opt := core.UNICOOptions(4, 6, 10, 3)
+	ref := core.RunContext(context.Background(), newP(), opt)
+	ropt := opt
+	ropt.Resume = rs
+	got := core.RunContext(context.Background(), newP(), ropt)
 	if got.CheckpointErr != nil {
 		t.Fatalf("resumed run CheckpointErr = %v", got.CheckpointErr)
 	}

@@ -8,10 +8,10 @@
 // consumes RNG only inside SuggestBatch, never in Update, and every other
 // stage of an iteration (successive halving with per-job seeds, GP refits,
 // Pareto extraction) is a deterministic function of its inputs. Replaying
-// the journal therefore needs only each iteration's observations — Update
-// rebuilds the surrogate state — plus the recorded RNG stream position to
-// fast-forward the generator past the suggestion draws that are not
-// re-executed.
+// the journal therefore needs only each iteration's candidates — Update
+// rebuilds the surrogate state from their observations — plus the recorded
+// RNG stream position to fast-forward the generator past the suggestion
+// draws that are not re-executed.
 package core
 
 import (
@@ -85,13 +85,9 @@ func FingerprintFor(p Platform, opt Options) Fingerprint {
 type IterationRecord struct {
 	// Iter is the 1-based iteration index.
 	Iter int `json:"iter"`
-	// Suggested holds the batch of hardware points the explorer proposed.
-	Suggested [][]float64 `json:"suggested"`
-	// Observations are the normalized objective vectors fed to the
-	// explorer's Update for this batch, in suggestion order.
-	Observations []mobo.Observation `json:"observations"`
-	// Candidates are the evaluated candidates of this iteration (penalty
-	// metrics and R_infeasible for candidates with no feasible mapping).
+	// Candidates are the evaluated candidates of this iteration, in
+	// suggestion order (penalty metrics and R_infeasible for candidates with
+	// no feasible mapping): the explorer's suggestions and observations.
 	Candidates []Candidate `json:"candidates"`
 	// Evals is the cumulative PPA evaluation count after this iteration.
 	Evals int `json:"evals"`
@@ -110,10 +106,10 @@ type SnapshotRecord struct {
 	Fingerprint Fingerprint `json:"fingerprint"`
 	// Iter is the last completed iteration (0 for a genesis snapshot).
 	Iter int `json:"iter"`
-	// Explorer is the MOBO optimizer's full serialized state.
+	// Explorer is the MOBO optimizer's state, less the observations of All.
 	Explorer mobo.State `json:"explorer"`
 	// All holds every candidate evaluated so far, in evaluation order. The
-	// Pareto front is recomputed from it on resume.
+	// front and the explorer's observations are recomputed from it on resume.
 	All []Candidate `json:"all"`
 	// Trace is the per-iteration convergence trace so far.
 	Trace []TracePoint `json:"trace"`
@@ -170,7 +166,7 @@ func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo
 	if err := rs.Check(p, opt); err != nil {
 		return nil, Result{}, 0, err
 	}
-	explorer, err := mobo.Restore(p.Space(), cfg, rs.Snapshot.Explorer)
+	explorer, err := mobo.Restore(p.Space(), cfg, rs.Snapshot.Explorer, observations(rs.Snapshot.All, opt.UseRobustness))
 	if err != nil {
 		return nil, Result{}, 0, fmt.Errorf("core: resume: %w", err)
 	}
@@ -188,7 +184,7 @@ func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo
 		}
 		res.All = append(res.All, rec.Candidates...)
 		res.Evals = rec.Evals
-		explorer.Update(rec.Observations)
+		explorer.Update(observations(rec.Candidates, opt.UseRobustness))
 		// The original iteration consumed RNG in SuggestBatch, which replay
 		// skips; catch the stream up to where the iteration left it.
 		if err := explorer.SeekRNG(rec.RNGPos); err != nil {

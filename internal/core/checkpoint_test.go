@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -438,5 +439,54 @@ func TestCanceledContextYieldsEmptyResult(t *testing.T) {
 	// starts from scratch deterministically.
 	if len(ms.snaps) != 2 || ms.snaps[0].Iter != 0 || ms.snaps[1].Iter != 0 {
 		t.Errorf("snapshots = %+v, want two iteration-0 snapshots", len(ms.snaps))
+	}
+}
+
+// jsonKeys returns the sorted top-level keys of v's JSON object.
+func jsonKeys(t *testing.T, v any) []string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestRecordShape pins the keys a real two-iteration run writes into its
+// journal and snapshot. Each record holds every fact once: candidates carry
+// no mapping-search history, and neither the journal nor the explorer state
+// stores the points or observations the candidates already determine. A
+// field added back to a record has to change this test.
+func TestRecordShape(t *testing.T) {
+	opt := smallOpts(5)
+	opt.MaxIter = 2
+	ms := &memSink{}
+	opt.Checkpoint = ms
+	if res := RunContext(context.Background(), testPlatform(), opt); res.CheckpointErr != nil {
+		t.Fatalf("CheckpointErr = %v", res.CheckpointErr)
+	}
+	snap := ms.snaps[len(ms.snaps)-1]
+	for _, tc := range []struct {
+		name string
+		v    any
+		want []string
+	}{
+		{"IterationRecord", ms.recs[1], []string{"candidates", "clock_seconds", "evals", "iter", "rng_pos"}},
+		{"SnapshotRecord", snap, []string{"all", "clock_seconds", "evals", "explorer", "fingerprint", "iter", "trace"}},
+		{"explorer", snap.Explorer, []string{"d_set", "rng_pos", "seed", "since_refit", "surrogates", "train", "uul", "v_best"}},
+		{"Candidate", snap.All[0], []string{"Feasible", "Iter", "Metrics", "Sensitivity", "X"}},
+	} {
+		if got := jsonKeys(t, tc.v); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s keys %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

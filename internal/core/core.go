@@ -189,7 +189,6 @@ type Candidate struct {
 	X           []float64
 	Metrics     ppa.Metrics
 	Sensitivity float64
-	History     ppa.History
 	// Feasible means a feasible mapping exists AND the power/area caps
 	// hold; only feasible candidates enter the Pareto front.
 	Feasible bool
@@ -386,17 +385,16 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		}
 		res.Evals += outcome.TotalEvals
 
-		obs := make([]mobo.Observation, len(xs))
+		batch := res.Absorb(p, xs, jobs, iter)
 		batchFeasible := 0
-		for i, cand := range res.Absorb(p, xs, jobs, iter) {
+		for _, cand := range batch {
 			if cand.Feasible {
 				batchFeasible++
 			}
-			obs[i] = mobo.Observation{X: cand.X, Y: NormalizeObjectives(cand.Objectives(opt.UseRobustness))}
 		}
 		CloseJobs(jobs)
 		_, phaseUpdate := prof.StartClocked(pctx, "update", opt.Clock)
-		admitted := explorer.Update(obs)
+		admitted := explorer.Update(observations(batch, opt.UseRobustness))
 		// Surrogate refit overhead on the master (paper Fig. 6b): seconds,
 		// negligible next to PPA evaluation but accounted for.
 		opt.Clock.Advance(5)
@@ -449,9 +447,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		if sink != nil {
 			err := sink.AppendIteration(IterationRecord{
 				Iter:         iter,
-				Suggested:    xs,
-				Observations: obs,
-				Candidates:   res.All[len(res.All)-len(xs):],
+				Candidates:   batch,
 				Evals:        res.Evals,
 				ClockSeconds: lastSeconds,
 				RNGPos:       lastRNGPos,
@@ -520,12 +516,11 @@ func SearchAt(ctx context.Context, p Platform, x []float64, seed int64, budget i
 // generation) iter. The batch's candidates — scored by the best mapping each
 // search found, its sensitivity at the paper's percentile robust.DefaultAlpha
 // and the platform's caps, or by the penalty point when it found none — are
-// appended to r.All and
-// returned, and r.Front is refreshed. Every search method builds its
-// candidates here, so "feasible" and "front" mean one thing across them.
+// appended to r.All and returned, and r.Front is refreshed. Every search
+// method builds its candidates here, so "feasible" and "front" mean one thing.
 func (r *Result) Absorb(p Platform, xs [][]float64, jobs []mapsearch.Searcher, iter int) []Candidate {
 	for i, x := range xs {
-		cand := Candidate{X: x, History: jobs[i].History(), Iter: iter}
+		cand := Candidate{X: x, Iter: iter}
 		if met, ok := jobs[i].Best(); ok {
 			cand.Metrics = met
 			cand.Sensitivity = robust.Sensitivity(jobs[i].RawHistory(), robust.DefaultAlpha)
@@ -644,6 +639,16 @@ func Representative(front []Candidate) (Candidate, bool) {
 func (r Result) String() string {
 	return fmt.Sprintf("core.Result{front=%d all=%d evals=%d hours=%.2f}",
 		len(r.Front), len(r.All), r.Evals, r.Hours)
+}
+
+// observations is what the explorer learns from candidates: the live loop,
+// journal replay and snapshot restore all derive the explorer's input here.
+func observations(cands []Candidate, withR bool) []mobo.Observation {
+	obs := make([]mobo.Observation, len(cands))
+	for i, c := range cands {
+		obs[i] = mobo.Observation{X: c.X, Y: NormalizeObjectives(c.Objectives(withR))}
+	}
+	return obs
 }
 
 // NormalizeObjectives guards against non-finite objective values before they

@@ -20,8 +20,8 @@ import (
 // position (a mapsearch.NetworkSearcher appends exactly one point to each
 // history per budget unit) and equal neighbours folded into runs — the
 // best-so-far History stays constant between improvements, so it is a few
-// runs. ppa.History's own JSON, which checkpoints and flight records write,
-// is not this and does not change.
+// runs. This is the only serialized form of a ppa.History: no checkpoint or
+// flight record stores one.
 
 // jobAnswer is the JSON body of an advance's answer: the job's state at
 // Spent, carrying the points after From, the request's Seen. A rejected

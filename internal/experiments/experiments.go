@@ -179,12 +179,8 @@ func spatialPlatform(sc hw.Scenario, ws ...workload.Workload) *platform.Spatial 
 // hardware at x on a single network and returns the achieved metrics — the
 // validation procedure of Sections 4.3 and 4.4.
 func evalHWOnNetwork(ctx context.Context, sc hw.Scenario, x []float64, net workload.Workload, bmax int, seed int64) (core.Candidate, bool) {
-	job := core.SearchAt(ctx, spatialPlatform(sc, net), x, seed, bmax)
-	met, ok := job.Best()
-	if !ok {
-		return core.Candidate{X: x}, false
-	}
-	return core.Candidate{X: x, Metrics: met, History: job.History(), Feasible: true}, true
+	met, ok := core.SearchAt(ctx, spatialPlatform(sc, net), x, seed, bmax).Best()
+	return core.Candidate{X: x, Metrics: met, Feasible: ok}, ok
 }
 
 // minEuclidDistance returns the normalized distance-to-origin of a PPA

@@ -70,8 +70,9 @@ type SurrogateState struct {
 	RefLML      float64 `json:"ref_lml"`
 }
 
-// State is the serializable state of an Optimizer: everything Restore needs
-// to rebuild an explorer that behaves bit-identically to the original. The
+// State is the serializable state of an Optimizer: with its observation
+// history, which the caller keeps, everything Restore needs to rebuild an
+// explorer that behaves bit-identically to the original. The
 // duplicate-suppression set and normalization bounds are not stored — they
 // are deterministic functions of the observation lists and are recomputed
 // on restore. The Gaussian processes are rebuilt from Surrogates: a live
@@ -86,8 +87,6 @@ type State struct {
 	RNGPos uint64 `json:"rng_pos"`
 	// Train is the surrogate training set, in admission order.
 	Train []Observation `json:"train"`
-	// All is every observation ever ingested, in ingestion order.
-	All []Observation `json:"all"`
 	// VBest is the best ParEGO scalar seen by the high-fidelity rule.
 	VBest durable.ExtFloat `json:"v_best"`
 	// DSet is the distance set the Upper Update Limit is quantiled from.
@@ -108,7 +107,6 @@ func (o *Optimizer) Export() State {
 		Seed:       o.seed,
 		RNGPos:     o.src.pos,
 		Train:      cloneObservations(o.train),
-		All:        cloneObservations(o.all),
 		VBest:      durable.ExtFloat(o.vBest),
 		DSet:       append([]float64(nil), o.dSet...),
 		UUL:        durable.ExtFloat(o.uul),
@@ -130,14 +128,14 @@ func (o *Optimizer) Export() State {
 	return st
 }
 
-// Restore rebuilds an optimizer from an exported State. space and cfg must
-// match the ones the state was exported under; the observation lists are
-// validated against cfg's objective count. The restored optimizer's future
-// SuggestBatch/Update behaviour is bit-identical to the original's.
-func Restore(space Space, cfg Config, st State) (*Optimizer, error) {
+// Restore rebuilds an optimizer from an exported State and all, every
+// observation it ingested, in order. space and cfg must match the export's;
+// the observation lists are validated against cfg's objective count. The
+// restored optimizer's future SuggestBatch/Update is bit-identical.
+func Restore(space Space, cfg Config, st State, all []Observation) (*Optimizer, error) {
 	o := New(space, cfg, st.Seed)
 	n, dim := o.NumObjectives(), space.Dim()
-	for _, list := range [][]Observation{st.All, st.Train} {
+	for _, list := range [][]Observation{all, st.Train} {
 		for i, ob := range list {
 			if len(ob.Y) != n {
 				return nil, fmt.Errorf("mobo: restore: observation %d has %d objectives, config wants %d", i, len(ob.Y), n)
@@ -147,7 +145,7 @@ func Restore(space Space, cfg Config, st State) (*Optimizer, error) {
 			}
 		}
 	}
-	o.all = cloneObservations(st.All)
+	o.all = cloneObservations(all)
 	o.train = cloneObservations(st.Train)
 	for _, ob := range o.all {
 		o.seen[o.space.Key(ob.X)] = true

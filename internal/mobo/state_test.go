@@ -46,7 +46,7 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("unmarshal state: %v", err)
 	}
-	restored, err := Restore(testSpace(), cfg, back)
+	restored, err := Restore(testSpace(), cfg, back, cut.all)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestExportBeforeFirstUpdate(t *testing.T) {
 	if !math.IsInf(float64(back.VBest), 1) || !math.IsInf(float64(back.UUL), 1) {
 		t.Fatalf("Inf fields did not round-trip: vBest=%v uul=%v", back.VBest, back.UUL)
 	}
-	if _, err := Restore(testSpace(), DefaultConfig(3), back); err != nil {
+	if _, err := Restore(testSpace(), DefaultConfig(3), back, nil); err != nil {
 		t.Fatalf("restore fresh state: %v", err)
 	}
 }
@@ -89,7 +89,7 @@ func TestRestoreRejectsObjectiveMismatch(t *testing.T) {
 	o := New(testSpace(), DefaultConfig(4), 1)
 	drive(o, 1, 4, 4)
 	st := o.Export()
-	if _, err := Restore(testSpace(), DefaultConfig(3), st); err == nil {
+	if _, err := Restore(testSpace(), DefaultConfig(3), st, o.all); err == nil {
 		t.Fatal("restore with mismatched objective count succeeded")
 	}
 }
@@ -168,6 +168,13 @@ func TestWarmRefitCadence(t *testing.T) {
 // run.
 const fuzzRestoreCap = 16
 
+// restoreInput is a State together with the observation history Restore
+// takes beside it, decoded from one JSON object.
+type restoreInput struct {
+	State
+	All []Observation `json:"all"`
+}
+
 // FuzzRestore feeds arbitrary bytes, decoded as the checkpoint decodes them,
 // to Restore: it must not panic, and an optimizer it does return stands where
 // the state says — same training set, same RNG position — and exports a state
@@ -178,7 +185,7 @@ func FuzzRestore(f *testing.F) {
 	warm := New(testSpace(), cfg, 7)
 	drive(warm, 2, 6, nObj)
 	for _, o := range []*Optimizer{New(testSpace(), cfg, 1), warm} {
-		raw, err := json.Marshal(o.Export())
+		raw, err := json.Marshal(restoreInput{State: o.Export(), All: o.all})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -188,18 +195,19 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte(`{"seed":1,"train":[{"X":[0.1,0.2,0.3,0.4,0.5,0.6],"Y":[1,2,3]}],"surrogates":[{"lengthscale":0},{"variance":-1},{"noise":1e308}]}`))
 	f.Add([]byte(`{"seed":1,"rng_pos":18446744073709551615,"d_set":[null]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var st State
-		if json.Unmarshal(raw, &st) != nil || len(st.Train) > fuzzRestoreCap || len(st.All) > fuzzRestoreCap || st.RNGPos > 1<<20 {
+		var in restoreInput
+		st := &in.State
+		if json.Unmarshal(raw, &in) != nil || len(st.Train) > fuzzRestoreCap || len(in.All) > fuzzRestoreCap || st.RNGPos > 1<<20 {
 			t.Skip()
 		}
-		o, err := Restore(testSpace(), cfg, st)
+		o, err := Restore(testSpace(), cfg, *st, in.All)
 		if err != nil {
 			return
 		}
 		if o.TrainSize() != len(st.Train) || o.RNGPos() != st.RNGPos {
 			t.Fatalf("restored at train=%d rng=%d, state says %d and %d", o.TrainSize(), o.RNGPos(), len(st.Train), st.RNGPos)
 		}
-		if _, err := Restore(testSpace(), cfg, o.Export()); err != nil {
+		if _, err := Restore(testSpace(), cfg, o.Export(), o.all); err != nil {
 			t.Fatalf("Restore refuses what the restored optimizer exports: %v", err)
 		}
 	})

@@ -66,7 +66,7 @@ func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(o.space, cfg, st)
+	r, err := Restore(o.space, cfg, st, o.all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,47 @@ import (
 	"unico/internal/workload"
 )
 
+// jobRecorder keeps every job NewJob returns, in call order. A co-search
+// builds one job per candidate in evaluation order, so jobs[i] is the
+// mapping search behind the run's All[i].
+type jobRecorder struct {
+	core.Platform
+	jobs []mapsearch.Searcher
+}
+
+func (p *jobRecorder) NewJob(x []float64, seed int64) mapsearch.Searcher {
+	job := p.Platform.NewJob(x, seed)
+	p.jobs = append(p.jobs, job)
+	return job
+}
+
+// run executes opt on p and returns the result with the jobs behind its
+// candidates.
+func run(t *testing.T, p core.Platform, opt core.Options) (core.Result, []mapsearch.Searcher) {
+	t.Helper()
+	rec := &jobRecorder{Platform: p}
+	res := core.RunContext(context.Background(), rec, opt)
+	if len(rec.jobs) != len(res.All) {
+		t.Fatalf("%d jobs for %d candidates", len(rec.jobs), len(res.All))
+	}
+	return res, rec.jobs
+}
+
 // resultDigest is the SHA-256 of every bit of a co-search result: each
 // candidate's X, metrics, sensitivity, feasibility, iteration and whole
-// mapping-search history in evaluation order, then the front and the
-// evaluation count. The simulated hours stay out: they model how many
-// searches overlap, so they are the one field Workers legitimately moves.
-func resultDigest(res core.Result) string {
+// mapping-search history (read from its job) in evaluation order, then the
+// front and the evaluation count. The simulated hours stay out: they model
+// how many searches overlap, so they are the one field Workers legitimately
+// moves.
+func resultDigest(res core.Result, jobs []mapsearch.Searcher) string {
+	// A front candidate shares its X with the All entry it was copied from.
+	jobOf := make(map[*float64]mapsearch.Searcher, len(res.All))
+	for i, c := range res.All {
+		jobOf[&c.X[0]] = jobs[i]
+	}
 	h := sha256.New()
-	hashCandidates(h, res.All)
-	hashCandidates(h, res.Front)
+	hashCandidates(h, res.All, jobOf)
+	hashCandidates(h, res.Front, jobOf)
 	hashFloats(h, float64(res.Evals))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -42,9 +74,10 @@ func hashMetrics(h hash.Hash, m ppa.Metrics) {
 	hashFloats(h, m.LatencyMs, m.PowerMW, m.AreaMM2, m.EnergyUJ)
 }
 
-func hashCandidates(h hash.Hash, cs []core.Candidate) {
+func hashCandidates(h hash.Hash, cs []core.Candidate, jobOf map[*float64]mapsearch.Searcher) {
 	hashFloats(h, float64(len(cs)))
 	for _, c := range cs {
+		history := jobOf[&c.X[0]].History()
 		hashFloats(h, float64(len(c.X)))
 		hashFloats(h, c.X...)
 		hashMetrics(h, c.Metrics)
@@ -52,8 +85,8 @@ func hashCandidates(h hash.Hash, cs []core.Candidate) {
 		if c.Feasible {
 			feasible = 1
 		}
-		hashFloats(h, c.Sensitivity, feasible, float64(c.Iter), float64(len(c.History)))
-		for _, pt := range c.History {
+		hashFloats(h, c.Sensitivity, feasible, float64(c.Iter), float64(len(history)))
+		for _, pt := range history {
 			hashFloats(h, float64(pt.Budget), pt.Loss)
 			hashMetrics(h, pt.M)
 		}
@@ -79,11 +112,11 @@ func TestAscendCoSearchGolden(t *testing.T) {
 		p := NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
 		opt := core.UNICOOptions(5, 3, 40, 9)
 		opt.Workers = workers
-		res := core.RunContext(context.Background(), p, opt)
+		res, jobs := run(t, p, opt)
 		if len(res.All) != 15 || len(res.Front) == 0 {
 			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
 		}
-		if got := resultDigest(res); got != ascendGoldenDigest {
+		if got := resultDigest(res, jobs); got != ascendGoldenDigest {
 			t.Errorf("workers=%d: result digest %s, want %s", workers, got, ascendGoldenDigest)
 		}
 		if res.Hours != hours {
@@ -111,11 +144,11 @@ func TestSpatialCoSearchGolden(t *testing.T) {
 		p := NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
 		opt := core.UNICOOptions(5, 3, 40, 9)
 		opt.Workers = workers
-		res := core.RunContext(context.Background(), p, opt)
+		res, jobs := run(t, p, opt)
 		if len(res.All) != 15 || len(res.Front) == 0 {
 			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
 		}
-		if got := resultDigest(res); got != spatialGoldenDigest {
+		if got := resultDigest(res, jobs); got != spatialGoldenDigest {
 			t.Errorf("workers=%d: result digest %s, want %s", workers, got, spatialGoldenDigest)
 		}
 		if res.Hours != hours {
@@ -157,11 +190,11 @@ func TestSpatialCloudCoSearchGolden(t *testing.T) {
 			p := NewSpatial(hw.Cloud, ws, algo)
 			opt := core.UNICOOptions(5, 3, 40, 9)
 			opt.Workers = workers
-			res := core.RunContext(context.Background(), p, opt)
+			res, jobs := run(t, p, opt)
 			if len(res.All) != 15 || len(res.Front) == 0 {
 				t.Fatalf("%v workers=%d: %d candidates, front of %d", algo, workers, len(res.All), len(res.Front))
 			}
-			if got := resultDigest(res); got != digest {
+			if got := resultDigest(res, jobs); got != digest {
 				t.Errorf("%v workers=%d: result digest %s, want %s", algo, workers, got, digest)
 			}
 			if res.Hours != hours {

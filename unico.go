@@ -405,7 +405,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 		}
 		if cfg.TraceWriter != nil {
 			spec.Tracer = telemetry.NewTracer(cfg.TraceWriter)
-			defer spec.Tracer.Flush()
 		}
 		if cfg.Progress != nil {
 			spec.Progress = func(p core.Progress) {
@@ -420,6 +419,9 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 			}
 		}
 		res, runErr = lifecycle.Run(ctx, p.inner, opt, spec)
+		if err := spec.Tracer.Flush(); err != nil {
+			runErr = errors.Join(runErr, fmt.Errorf("unico: write trace: %w", err))
+		}
 		if errors.As(runErr, new(lifecycle.NotStarted)) {
 			// Nothing ran: an artifact could not be opened, or the checkpoint
 			// belongs to a different configuration and continuing would
@@ -435,9 +437,9 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 	if rep, ok := core.Representative(res.Front); ok {
 		out.Best = design(p, rep)
 	}
-	// A mid-run checkpoint or flight-record write failure is non-fatal to
-	// the search; hand back the result along with it so callers know resume
-	// coverage is incomplete.
+	// A mid-run checkpoint, flight-record or trace write failure is
+	// non-fatal to the search; hand back the result along with it so callers
+	// know an artifact is incomplete.
 	return out, runErr
 }
 

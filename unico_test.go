@@ -2,6 +2,7 @@ package unico
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -262,5 +263,36 @@ func TestOptimizeCacheBitIdentical(t *testing.T) {
 		if h, m := telemetry.EvalCacheHits().Value(), telemetry.EvalCacheMisses().Value(); h != hits || m != misses {
 			t.Errorf("%s: evalcache counters moved (hits %d -> %d, misses %d -> %d)", name, hits, h, misses, m)
 		}
+	}
+}
+
+// errTraceFull is the write error of failingWriter.
+var errTraceFull = errors.New("trace device full")
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errTraceFull }
+
+// TestTraceWriteFailureIsReported: a trace whose writes failed is an
+// incomplete artifact, reported with the result like a failed checkpoint or
+// flight record. The search itself is untouched.
+func TestTraceWriteFailureIsReported(t *testing.T) {
+	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{BatchSize: 3, Iterations: 2, BudgetMax: 8, Seed: 4}
+	want, err := OptimizeContext(context.Background(), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TraceWriter = failingWriter{}
+	got, err := OptimizeContext(context.Background(), p, cfg)
+	if !errors.Is(err, errTraceFull) {
+		t.Fatalf("err = %v, want the trace write error", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("a failing trace changed the result:\n got  %+v\n want %+v", got, want)
 	}
 }
