@@ -3,8 +3,10 @@ package unico
 import (
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"unico/internal/flightrec"
@@ -75,10 +77,10 @@ func TestFlightRecordMatchesProgress(t *testing.T) {
 	if d.Summary.Interrupted {
 		t.Error("uninterrupted run marked interrupted")
 	}
-	if d.Summary.Iters != cfg.Iterations || d.Summary.Evals != res.Evaluations ||
-		d.Summary.SimHours != res.SimulatedHours {
-		t.Errorf("summary %+v does not match result {iters %d evals %d hours %v}",
-			d.Summary, cfg.Iterations, res.Evaluations, res.SimulatedHours)
+	if last := d.Iters[len(d.Iters)-1]; last.Iter != cfg.Iterations || last.Evals != res.Evaluations ||
+		last.SimHours != res.SimulatedHours {
+		t.Errorf("last iteration {iter %d evals %d hours %v} does not match result {iters %d evals %d hours %v}",
+			last.Iter, last.Evals, last.SimHours, cfg.Iterations, res.Evaluations, res.SimulatedHours)
 	}
 }
 
@@ -269,5 +271,72 @@ func TestFlightRecordingDoesNotPerturbSearch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Front, got.Front) || ref.SimulatedHours != got.SimulatedHours {
 		t.Error("flight recording changed the search result")
+	}
+}
+
+// TestParentFlightRecordReadsTheSame: testdata/parent/flight.jsonl is the
+// flightConfig run's record as an older commit wrote it, with each
+// iteration's objective bests and a summary that repeated the last
+// iteration's totals (see testdata/parent/README.md). It must still load
+// whole, and its state line, report and diffs must read exactly as this
+// code's record of the same run does.
+func TestParentFlightRecordReadsTheSame(t *testing.T) {
+	path := filepath.Join("testdata", "parent", "flight.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"best":`, `"front_size":`} {
+		if !strings.Contains(string(raw), field) {
+			t.Fatalf("%s holds no %s: it is not the older format", path, field)
+		}
+	}
+	old, skipped, err := flightrec.Load(path)
+	if err != nil || skipped != 0 {
+		t.Fatalf("Load: %v, %d lines skipped", err, skipped)
+	}
+
+	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := flightConfig(t.TempDir())
+	if _, err := OptimizeContext(context.Background(), p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cur, _, err := flightrec.Load(cfg.FlightRecordFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The run ID, start time and build revision are per process.
+	wantHdr, gotHdr := cur.Header, old.Header
+	for _, h := range []*flightrec.Header{&wantHdr, &gotHdr} {
+		h.RunID, h.StartedAt, h.Revision = "", "", ""
+	}
+	if !reflect.DeepEqual(gotHdr, wantHdr) {
+		t.Errorf("header %+v, this code's %+v", gotHdr, wantHdr)
+	}
+	old.Header = cur.Header
+	if !reflect.DeepEqual(old.Iters, cur.Iters) {
+		t.Errorf("iteration records differ:\nolder %+v\nnow   %+v", old.Iters, cur.Iters)
+	}
+	if old.Summary == nil || cur.Summary == nil || *old.Summary != *cur.Summary {
+		t.Errorf("summary %+v, this code's %+v", old.Summary, cur.Summary)
+	}
+	if got, want := old.State(), cur.State(); got != want {
+		t.Errorf("State = %q, this code's %q", got, want)
+	}
+	if got, want := flightrec.ReportBody(*old), flightrec.ReportBody(*cur); got != want {
+		t.Errorf("ReportBody differs:\n%s\nthis code's:\n%s", got, want)
+	}
+	want := flightrec.Diff(cur, cur).Render()
+	for name, r := range map[string]*flightrec.DiffReport{
+		"older as baseline":  flightrec.Diff(old, cur),
+		"older as candidate": flightrec.Diff(cur, old),
+	} {
+		if got := r.Render(); got != want {
+			t.Errorf("Diff with the %s:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }

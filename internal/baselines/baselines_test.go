@@ -90,6 +90,11 @@ func TestNSGAIIRunSmoke(t *testing.T) {
 	if len(res.Trace) != 4 {
 		t.Errorf("trace length %d, want 4", len(res.Trace))
 	}
+	// Generation 0 is the initial population; Fronts derives each
+	// generation's front, and the last is the run's.
+	if fronts := res.Fronts(); len(fronts) != 4 || !reflect.DeepEqual(fronts[3], res.Front) {
+		t.Errorf("derived fronts %d, last equals the run's front: %v", len(fronts), len(fronts) == 4 && reflect.DeepEqual(fronts[3], res.Front))
+	}
 }
 
 func TestNSGAIIDeterministic(t *testing.T) {

@@ -99,7 +99,7 @@ func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 		for i, cand := range res.Absorb(p, xs, jobs, gen) {
 			inds[i] = individual{x: cand.X, obj: cand.Objectives(false)}
 		}
-		res.Trace = append(res.Trace, tracePoint(gen, o.Clock, res.Front))
+		res.Trace = append(res.Trace, core.TracePoint{Iter: gen, Hours: o.Clock.Hours()})
 		res.Hours = o.Clock.Hours()
 		return inds, true
 	}
@@ -141,14 +141,6 @@ func NSGAII(ctx context.Context, p core.Platform, o NSGAIIOptions) core.Result {
 		assignRanks(pop)
 	}
 	return res
-}
-
-func tracePoint(gen int, clock *simclock.Clock, front []core.Candidate) core.TracePoint {
-	pts := make([][]float64, len(front))
-	for i, c := range front {
-		pts[i] = c.Objectives(false)
-	}
-	return core.TracePoint{Iter: gen, Hours: clock.Hours(), FrontPPA: pts}
 }
 
 // assignRanks computes non-domination ranks and crowding distances.

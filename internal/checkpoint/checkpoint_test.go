@@ -268,6 +268,9 @@ func sameResult(t *testing.T, want, got core.Result) {
 	if !reflect.DeepEqual(want.Trace, got.Trace) {
 		t.Errorf("Trace diverged: %d vs %d points", len(got.Trace), len(want.Trace))
 	}
+	if !reflect.DeepEqual(want.Fronts(), got.Fronts()) {
+		t.Error("per-iteration fronts diverged")
+	}
 }
 
 // killAndResume runs the keystone scenario on one platform: a reference run,
@@ -420,7 +423,9 @@ func TestResumeFromTornJournalBitIdentical(t *testing.T) {
 // each candidate's mapping-search history, each iteration's suggested
 // points and observations, and the explorer's observation history, which
 // resume now ignores or derives. The resumed run must still finish exactly
-// as an uninterrupted run of this code does.
+// as an uninterrupted run of this code does. Its snapshot also stored the
+// front after each iteration, which the resumed run now derives: the derived
+// fronts must be the stored ones.
 func TestParentCheckpointResumes(t *testing.T) {
 	src := filepath.Join("testdata", "parent")
 	dir := t.TempDir()
@@ -456,4 +461,34 @@ func TestParentCheckpointResumes(t *testing.T) {
 		t.Fatalf("resumed run CheckpointErr = %v", got.CheckpointErr)
 	}
 	sameResult(t, ref, got)
+
+	raw, err := os.ReadFile(filepath.Join(src, "parent.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Trace []struct {
+			Iter     int
+			FrontPPA [][]float64
+		} `json:"trace"`
+	}
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if len(stored.Trace) != 3 {
+		t.Fatalf("parent snapshot stores %d trace points, want 3", len(stored.Trace))
+	}
+	fronts := got.Fronts()
+	for k, tp := range stored.Trace {
+		if len(tp.FrontPPA) == 0 {
+			t.Fatalf("parent trace point %d stores no front", tp.Iter)
+		}
+		ppa := make([][]float64, len(fronts[k]))
+		for i, c := range fronts[k] {
+			ppa[i] = c.Objectives(false)
+		}
+		if got.Trace[k].Iter != tp.Iter || !reflect.DeepEqual(ppa, tp.FrontPPA) {
+			t.Errorf("iteration %d: derived front %v, parent stored %v", tp.Iter, ppa, tp.FrontPPA)
+		}
+	}
 }

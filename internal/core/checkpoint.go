@@ -109,9 +109,9 @@ type SnapshotRecord struct {
 	// Explorer is the MOBO optimizer's state, less the observations of All.
 	Explorer mobo.State `json:"explorer"`
 	// All holds every candidate evaluated so far, in evaluation order. The
-	// front and the explorer's observations are recomputed from it on resume.
+	// fronts and the explorer's observations are recomputed from it on resume.
 	All []Candidate `json:"all"`
-	// Trace is the per-iteration convergence trace so far.
+	// Trace is each completed iteration's end on the simulated clock.
 	Trace []TracePoint `json:"trace"`
 	// Evals is the cumulative PPA evaluation count.
 	Evals int `json:"evals"`
@@ -159,9 +159,9 @@ func (rs *ResumeState) Check(p Platform, opt Options) error {
 // resumeRun reconstructs the mid-flight run state from a loaded checkpoint:
 // the explorer restored from the snapshot with the journal tail replayed
 // through Update (consuming no RNG), the result's candidate list, trace and
-// eval count extended from the tail records, and the RNG fast-forwarded to
-// the last recorded stream position. Returns the restored explorer, the
-// partial result, and the last completed iteration.
+// eval count extended from the tail records, its front derived from them, and
+// the RNG fast-forwarded to the last recorded stream position. Returns the
+// restored explorer, the partial result, and the last completed iteration.
 func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo.Optimizer, Result, int, error) {
 	if err := rs.Check(p, opt); err != nil {
 		return nil, Result{}, 0, err
@@ -190,16 +190,13 @@ func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo
 		if err := explorer.SeekRNG(rec.RNGPos); err != nil {
 			return nil, Result{}, 0, fmt.Errorf("core: resume: iteration %d: %w", rec.Iter, err)
 		}
-		res.Front = paretoFront(res.All)
-		res.Trace = append(res.Trace, TracePoint{
-			Iter:     rec.Iter,
-			Hours:    rec.ClockSeconds / 3600,
-			FrontPPA: frontPPA(res.Front),
-		})
+		res.Trace = append(res.Trace, TracePoint{Iter: rec.Iter, Hours: rec.ClockSeconds / 3600})
 		lastIter = rec.Iter
 		lastSeconds = rec.ClockSeconds
 	}
-	res.Front = paretoFront(res.All)
+	if fronts := res.Fronts(); len(fronts) > 0 {
+		res.Front = fronts[len(fronts)-1]
+	}
 
 	// Fast-forward the simulated clock to the recorded reading.
 	opt.Clock.Reset()

@@ -73,6 +73,9 @@ func sameResult(t *testing.T, want, got Result) {
 	if !reflect.DeepEqual(want.Trace, got.Trace) {
 		t.Errorf("Trace diverged: %d vs %d points", len(got.Trace), len(want.Trace))
 	}
+	if !reflect.DeepEqual(want.Fronts(), got.Fronts()) {
+		t.Error("per-iteration fronts diverged")
+	}
 }
 
 func TestCheckpointSinkDoesNotPerturbSearch(t *testing.T) {
@@ -463,9 +466,10 @@ func jsonKeys(t *testing.T, v any) []string {
 
 // TestRecordShape pins the keys a real two-iteration run writes into its
 // journal and snapshot. Each record holds every fact once: candidates carry
-// no mapping-search history, and neither the journal nor the explorer state
-// stores the points or observations the candidates already determine. A
-// field added back to a record has to change this test.
+// no mapping-search history, neither the journal nor the explorer state
+// stores the points or observations the candidates already determine, and a
+// trace point stores no front. A field added back to a record has to change
+// this test.
 func TestRecordShape(t *testing.T) {
 	opt := smallOpts(5)
 	opt.MaxIter = 2
@@ -484,6 +488,7 @@ func TestRecordShape(t *testing.T) {
 		{"SnapshotRecord", snap, []string{"all", "clock_seconds", "evals", "explorer", "fingerprint", "iter", "trace"}},
 		{"explorer", snap.Explorer, []string{"d_set", "rng_pos", "seed", "since_refit", "surrogates", "train", "uul", "v_best"}},
 		{"Candidate", snap.All[0], []string{"Feasible", "Iter", "Metrics", "Sensitivity", "X"}},
+		{"TracePoint", snap.Trace[0], []string{"Hours", "Iter"}},
 	} {
 		if got := jsonKeys(t, tc.v); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s keys %v, want %v", tc.name, got, tc.want)

@@ -206,14 +206,12 @@ func (c Candidate) Objectives(withR bool) []float64 {
 	return y
 }
 
-// TracePoint snapshots convergence after one MOBO iteration, for the
-// hypervolume-vs-cost curves of Figs. 7 and 10.
+// TracePoint marks the end of one MOBO iteration on the simulated clock, for
+// the hypervolume-vs-cost curves of Figs. 7 and 10. The front at that moment
+// is not stored: Result.Fronts derives it from the candidates.
 type TracePoint struct {
 	Iter  int
 	Hours float64
-	// FrontPPA holds the (latency, power, area) vectors of the feasible
-	// Pareto front at this moment.
-	FrontPPA [][]float64
 }
 
 // Result is the outcome of a co-optimization run.
@@ -222,7 +220,8 @@ type Result struct {
 	Front []Candidate
 	// All holds every candidate evaluated, in evaluation order.
 	All []Candidate
-	// Trace records the front after every MOBO iteration.
+	// Trace records the end of every MOBO iteration; Fronts gives the front
+	// at each.
 	Trace []TracePoint
 	// Hours is the total simulated search cost.
 	Hours float64
@@ -400,11 +399,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		opt.Clock.Advance(5)
 		phaseUpdate.EndWith(map[string]any{"admitted": admitted, "train": explorer.TrainSize()})
 
-		res.Trace = append(res.Trace, TracePoint{
-			Iter:     iter,
-			Hours:    opt.Clock.Hours(),
-			FrontPPA: frontPPA(res.Front),
-		})
+		res.Trace = append(res.Trace, TracePoint{Iter: iter, Hours: opt.Clock.Hours()})
 		telemetry.MOBOIterations().Inc()
 
 		_, phaseHV := prof.StartClocked(pctx, "hypervolume", opt.Clock)
@@ -432,7 +427,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				Admitted:      admitted,
 				TrainSize:     explorer.TrainSize(),
 				BatchFeasible: batchFeasible,
-				Best:          bestObjectives(res.Front),
 				Front:         frontPPA(res.Front),
 				RungAlive:     outcome.RungAlive,
 				Phases:        prof.TakeWindow(),
@@ -516,8 +510,9 @@ func SearchAt(ctx context.Context, p Platform, x []float64, seed int64, budget i
 // generation) iter. The batch's candidates — scored by the best mapping each
 // search found, its sensitivity at the paper's percentile robust.DefaultAlpha
 // and the platform's caps, or by the penalty point when it found none — are
-// appended to r.All and returned, and r.Front is refreshed. Every search
-// method builds its candidates here, so "feasible" and "front" mean one thing.
+// appended to r.All and returned, and r.Front is refreshed by nextFront. Every
+// search method builds its candidates here, so "feasible" and "front" mean one
+// thing.
 func (r *Result) Absorb(p Platform, xs [][]float64, jobs []mapsearch.Searcher, iter int) []Candidate {
 	for i, x := range xs {
 		cand := Candidate{X: x, Iter: iter}
@@ -531,8 +526,28 @@ func (r *Result) Absorb(p Platform, xs [][]float64, jobs []mapsearch.Searcher, i
 		}
 		r.All = append(r.All, cand)
 	}
-	r.Front = paretoFront(r.All)
-	return r.All[len(r.All)-len(xs):]
+	batch := r.All[len(r.All)-len(xs):]
+	r.Front = nextFront(r.Front, batch)
+	return batch
+}
+
+// Fronts returns the feasible Pareto front at each trace point: the front of
+// every candidate of that iteration or earlier. It folds the batches in with
+// nextFront, as Absorb does live, so the last front is r.Front.
+func (r Result) Fronts() [][]Candidate {
+	fronts := make([][]Candidate, len(r.Trace))
+	var front []Candidate
+	i := 0
+	for k, tp := range r.Trace {
+		j := i
+		for j < len(r.All) && r.All[j].Iter <= tp.Iter {
+			j++
+		}
+		front = nextFront(front, r.All[i:j])
+		fronts[k] = front
+		i = j
+	}
+	return fronts
 }
 
 // runningHypervolume is the live convergence signal reported to Progress:
@@ -574,8 +589,17 @@ func withinCaps(p Platform, m ppa.Metrics) bool {
 	return true
 }
 
+// nextFront is the front after a batch: the front before it plus the batch,
+// reduced by paretoFront. A candidate the old front left out is dominated by
+// one it kept, or repeats an earlier one, so this equals paretoFront over
+// every candidate so far — the same candidates in the same order — at the
+// cost of the front and the batch alone.
+func nextFront(front, batch []Candidate) []Candidate {
+	return paretoFront(append(front[:len(front):len(front)], batch...))
+}
+
 // paretoFront extracts the feasible non-dominated candidates over
-// (latency, power, area).
+// (latency, power, area). Of exact duplicates it keeps the first.
 func paretoFront(all []Candidate) []Candidate {
 	var feas []Candidate
 	var pts [][]float64
@@ -594,23 +618,6 @@ func paretoFront(all []Candidate) []Candidate {
 		front[i] = feas[j]
 	}
 	return front
-}
-
-// bestObjectives is the componentwise best (minimum) of each PPA objective
-// over the feasible front — the "objective bests" line of a flight record.
-func bestObjectives(front []Candidate) []float64 {
-	if len(front) == 0 {
-		return nil
-	}
-	best := append([]float64(nil), front[0].Objectives(false)...)
-	for _, c := range front[1:] {
-		for j, v := range c.Objectives(false) {
-			if v < best[j] {
-				best[j] = v
-			}
-		}
-	}
-	return best
 }
 
 // frontPPA extracts the PPA vectors of a front.

@@ -90,7 +90,7 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resumed, skipped, err := flightrec.Load(filepath.Join(dir, "parent.flight.jsonl")); err != nil || skipped != 0 ||
-		len(resumed.Iters) != 2 || resumed.Summary == nil || resumed.Summary.Iters != 2 {
+		len(resumed.Iters) != 2 || resumed.Summary == nil {
 		t.Errorf("resumed flight record: %+v (%d skipped, %v)", resumed, skipped, err)
 	}
 

@@ -140,9 +140,6 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 		sums[i] = make([]float64, gridN)
 	}
 	var maxHours float64
-	type netRun struct {
-		traces []core.TracePoint
-	}
 	allRuns := make([][]netRun, len(methods))
 	for i := range allRuns {
 		allRuns[i] = make([]netRun, len(nets))
@@ -167,7 +164,7 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 			if h := results[mi].Hours; h > maxHours {
 				maxHours = h
 			}
-			allRuns[mi][ni] = netRun{traces: results[mi].Trace}
+			allRuns[mi][ni] = netRun{trace: results[mi].Trace, fronts: results[mi].Fronts()}
 		}
 		refs[ni] = refPoint(pool)
 		bests[ni] = normHV(pool, refs[ni])
@@ -185,7 +182,7 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 			hours[g] = t
 			sum := 0.0
 			for ni := range nets {
-				hv := hvAt(allRuns[mi][ni].traces, t, refs[ni])
+				hv := hvAt(allRuns[mi][ni], t, refs[ni])
 				d := bests[ni] - hv
 				if d < 0 {
 					d = 0
@@ -199,14 +196,25 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 	return CurveResult{Scenario: sc, Curves: curves}
 }
 
-// hvAt returns the normalized hypervolume of the latest trace snapshot at or
-// before time t (0 before the first snapshot).
-func hvAt(trace []core.TracePoint, t float64, ref []float64) float64 {
-	idx := sort.Search(len(trace), func(i int) bool { return trace[i].Hours > t }) - 1
+// netRun is one method's run on one network: its trace and the front at each
+// trace point (core.Result.Fronts).
+type netRun struct {
+	trace  []core.TracePoint
+	fronts [][]core.Candidate
+}
+
+// hvAt returns the normalized hypervolume of the front at the latest trace
+// point at or before time t (0 before the first).
+func hvAt(r netRun, t float64, ref []float64) float64 {
+	idx := sort.Search(len(r.trace), func(i int) bool { return r.trace[i].Hours > t }) - 1
 	if idx < 0 {
 		return 0
 	}
-	return normHV(trace[idx].FrontPPA, ref)
+	pts := make([][]float64, len(r.fronts[idx]))
+	for i, c := range r.fronts[idx] {
+		pts[i] = c.Objectives(false)
+	}
+	return normHV(pts, ref)
 }
 
 func printCurves(w io.Writer, title string, res CurveResult) {

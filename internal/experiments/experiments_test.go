@@ -339,3 +339,20 @@ func TestScales(t *testing.T) {
 		t.Errorf("SmallScale not smaller: %+v", s)
 	}
 }
+
+// TestAblationMatchesGolden: the Fig. 10 ablation at small scale prints
+// byte for byte what testdata/fig10_small.golden holds. The golden was
+// captured when every trace point stored its front; the curves now read
+// fronts core.Result.Fronts derives, and must not move. A change that moves
+// the curves on purpose re-captures the file and says why.
+func TestAblationMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "fig10_small.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	RunAblation(&got, SmallScale())
+	if got.String() != string(want) {
+		t.Errorf("ablation output diverged from the golden:\n%s", got.String())
+	}
+}

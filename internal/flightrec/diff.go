@@ -22,8 +22,7 @@ type IterDelta struct {
 type DiffReport struct {
 	// HV holds one entry per iteration number present in both runs, ordered.
 	HV []IterDelta
-	// FinalHVA/FinalHVB are the last recorded hypervolumes of each run
-	// (summary when present, else the last iteration).
+	// FinalHVA/FinalHVB are the hypervolumes of each run's last iteration.
 	FinalHVA, FinalHVB float64
 	// Gained holds final-front points of B with no tolerance-match in A's
 	// final front; Lost the reverse.
@@ -35,14 +34,11 @@ type DiffReport struct {
 }
 
 // finalStats extracts a run's closing hypervolume, evals, iteration count,
-// and front, preferring the summary record over the last iteration.
+// and front from its last iteration.
 func finalStats(d *RunData) (hv float64, evals, iters int, front [][]float64) {
 	if n := len(d.Iters); n > 0 {
 		last := d.Iters[n-1]
 		hv, evals, iters, front = last.Hypervolume, last.Evals, last.Iter, last.Front
-	}
-	if s := d.Summary; s != nil {
-		hv, evals, iters = s.Hypervolume, s.Evals, s.Iters
 	}
 	return hv, evals, iters, front
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func runDataFor(hvs []float64, front [][]float64, sum *Summary) *RunData {
-	d := &RunData{Header: testHeader(), Summary: sum}
+func runDataFor(hvs []float64, front [][]float64) *RunData {
+	d := &RunData{Header: testHeader()}
 	for i, hv := range hvs {
 		it := Iteration{Iter: i + 1, Hypervolume: hv, Evals: 10 * (i + 1)}
 		if i == len(hvs)-1 {
@@ -18,8 +18,8 @@ func runDataFor(hvs []float64, front [][]float64, sum *Summary) *RunData {
 }
 
 func TestDiffHVDeltas(t *testing.T) {
-	a := runDataFor([]float64{0.1, 0.2, 0.3}, nil, nil)
-	b := runDataFor([]float64{0.1, 0.25, 0.35, 0.4}, nil, nil)
+	a := runDataFor([]float64{0.1, 0.2, 0.3}, nil)
+	b := runDataFor([]float64{0.1, 0.25, 0.35, 0.4}, nil)
 	r := Diff(a, b)
 	if len(r.HV) != 3 {
 		t.Fatalf("%d shared iterations, want 3", len(r.HV))
@@ -41,21 +41,12 @@ func TestDiffHVDeltas(t *testing.T) {
 	}
 }
 
-func TestDiffPrefersSummaryStats(t *testing.T) {
-	a := runDataFor([]float64{0.1}, nil, &Summary{Hypervolume: 0.9, Evals: 123, Iters: 7})
-	b := runDataFor([]float64{0.1}, nil, nil)
-	r := Diff(a, b)
-	if r.FinalHVA != 0.9 || r.EvalsA != 123 || r.ItersA != 7 {
-		t.Errorf("summary stats ignored: %+v", r)
-	}
-}
-
 func TestDiffFrontGainsAndLosses(t *testing.T) {
 	shared := []float64{1.5, 200, 3}
-	a := runDataFor([]float64{0.1}, [][]float64{shared, {9, 9, 9}}, nil)
+	a := runDataFor([]float64{0.1}, [][]float64{shared, {9, 9, 9}})
 	// The shared point differs only by a sub-tolerance wiggle; it must match.
 	wiggled := []float64{1.5 * (1 + 1e-9), 200, 3}
-	b := runDataFor([]float64{0.1}, [][]float64{wiggled, {4, 4, 4}}, nil)
+	b := runDataFor([]float64{0.1}, [][]float64{wiggled, {4, 4, 4}})
 	r := Diff(a, b)
 	if len(r.Gained) != 1 || r.Gained[0][0] != 4 {
 		t.Errorf("Gained = %v, want [[4 4 4]]", r.Gained)
@@ -87,8 +78,8 @@ func TestRegressedGate(t *testing.T) {
 }
 
 func TestDiffRender(t *testing.T) {
-	a := runDataFor([]float64{0.1, 0.2}, [][]float64{{9, 9, 9}}, nil)
-	b := runDataFor([]float64{0.1, 0.3}, [][]float64{{4, 4, 4}}, nil)
+	a := runDataFor([]float64{0.1, 0.2}, [][]float64{{9, 9, 9}})
+	b := runDataFor([]float64{0.1, 0.3}, [][]float64{{4, 4, 4}})
 	out := Diff(a, b).Render()
 	for _, want := range []string{
 		"iterations: baseline 2, candidate 2",

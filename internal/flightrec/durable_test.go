@@ -130,7 +130,7 @@ func TestResumeHeaderlessFileStartsOver(t *testing.T) {
 // for the rest.
 func FuzzRead(f *testing.F) {
 	var good bytes.Buffer
-	for _, v := range []any{withHeaderType(testHeader()), withType(testIteration(1)), withType(testIteration(2)), Summary{Type: TypeSummary, Iters: 2}} {
+	for _, v := range []any{withHeaderType(testHeader()), withType(testIteration(1)), withType(testIteration(2)), Summary{Type: TypeSummary}} {
 		good.WriteString(mustJSON(f, v) + "\n")
 	}
 	f.Add(good.Bytes())

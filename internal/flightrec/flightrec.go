@@ -1,9 +1,9 @@
 // Package flightrec is the co-search flight recorder: a per-run, durable,
 // crash-tolerant `run.jsonl` artifact that captures how a search converged —
 // the run's identity (seed, platform, options fingerprint, run ID), one
-// record per completed optimizer iteration (objective bests, feasible-front
-// points, hypervolume, UUL, successive-halving survivor curve, eval
-// counters), and a final summary — plus the tools that read it back:
+// record per completed optimizer iteration (feasible-front points,
+// hypervolume, UUL, successive-halving survivor curve, eval counters), and a
+// final summary marking the run finished — plus the tools that read it back:
 // an in-memory live store feeding the `/debug/unico` dashboard, server-side
 // SVG/HTML rendering shared by the dashboard and the offline `unicoreport`
 // tool, and run-diff math for regression gating.
@@ -95,9 +95,6 @@ type Iteration struct {
 	TrainSize int `json:"train_size,omitempty"`
 	// BatchFeasible counts this batch's feasible candidates.
 	BatchFeasible int `json:"batch_feasible"`
-	// Best is the componentwise best (minimum) of each objective over the
-	// feasible front: latency ms, power mW, area mm².
-	Best []float64 `json:"best,omitempty"`
 	// Front holds the feasible Pareto front's (latency, power, area) points.
 	Front [][]float64 `json:"front,omitempty"`
 	// RungAlive is the successive-halving survivor curve of this batch: the
@@ -118,49 +115,18 @@ type Iteration struct {
 	TraceSpan string `json:"trace_span,omitempty"`
 }
 
-// Summary is the artifact's final line, written when a run returns. A killed
-// run leaves no summary; resuming truncates any summary before appending, so
-// a finished artifact always has exactly one, matching an uninterrupted run.
+// Summary is the artifact's final line, written when a run returns: its
+// presence marks the run finished. A killed run leaves no summary; resuming
+// truncates any summary before appending, so a finished artifact always has
+// exactly one, matching an uninterrupted run. The run's totals are those of
+// its last iteration record, so the summary holds only what the iteration
+// stream cannot know. (Artifacts written before this also carried the totals
+// here; readers ignore them.)
 type Summary struct {
 	Type string `json:"type"`
-	// Iters is the last completed iteration.
-	Iters int `json:"iters"`
-	// SimHours is the total simulated search cost.
-	SimHours float64 `json:"sim_hours"`
-	// Evals is the total mapping budget spent.
-	Evals int `json:"evals"`
-	// FrontSize and Hypervolume describe the final feasible front.
-	FrontSize   int     `json:"front_size"`
-	Hypervolume float64 `json:"hypervolume"`
 	// Interrupted records that the run was cancelled (SIGINT/SIGTERM) before
 	// MaxIter; the artifact then covers the completed prefix.
 	Interrupted bool `json:"interrupted,omitempty"`
-}
-
-// fillFromLast completes a summary's zero-valued convergence fields from the
-// last recorded iteration, so writers only supply what the iteration stream
-// cannot know (interruption). Shared by the durable recorder
-// and the live store, keeping their summaries consistent.
-func (s Summary) fillFromLast(last *Iteration) Summary {
-	if last == nil {
-		return s
-	}
-	if s.Iters == 0 {
-		s.Iters = last.Iter
-	}
-	if s.SimHours == 0 {
-		s.SimHours = last.SimHours
-	}
-	if s.Evals == 0 {
-		s.Evals = last.Evals
-	}
-	if s.FrontSize == 0 {
-		s.FrontSize = len(last.Front)
-	}
-	if s.Hypervolume == 0 {
-		s.Hypervolume = last.Hypervolume
-	}
-	return s
 }
 
 // Sink receives per-iteration flight records from a running co-search.
@@ -193,9 +159,8 @@ type RunData struct {
 // framing. Safe for use by one run at a time; methods are serialized
 // internally.
 type Recorder struct {
-	mu   sync.Mutex
-	log  *durable.Log
-	last *Iteration // last appended (or resumed-past) iteration, for Finish
+	mu  sync.Mutex
+	log *durable.Log
 }
 
 // Create starts a fresh artifact at path: the file is truncated and the
@@ -233,7 +198,6 @@ func Resume(path string, hdr Header, lastIter int) (*Recorder, error) {
 }
 
 func resume(fsys durable.FS, path string, hdr Header, lastIter int) (*Recorder, error) {
-	var lastKept *Iteration
 	first := true
 	kept, _, err := durable.Recover(fsys, path, durable.Lines, func(line []byte) bool {
 		var it Iteration
@@ -244,11 +208,7 @@ func resume(fsys durable.FS, path string, hdr Header, lastIter int) (*Recorder, 
 			first = false
 			return it.Type == TypeHeader
 		}
-		if it.Type != TypeIteration || it.Iter > lastIter {
-			return false
-		}
-		lastKept = &it
-		return true
+		return it.Type == TypeIteration && it.Iter <= lastIter
 	})
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: resume %s: %w", path, err)
@@ -261,7 +221,7 @@ func resume(fsys durable.FS, path string, hdr Header, lastIter int) (*Recorder, 
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: resume %s: %w", path, err)
 	}
-	return &Recorder{log: log, last: lastKept}, nil
+	return &Recorder{log: log}, nil
 }
 
 // RecordIteration appends one iteration record (implements Sink) and makes
@@ -273,24 +233,19 @@ func (r *Recorder) RecordIteration(it Iteration) {
 	it.Type = TypeIteration
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.log.AppendJSON(it) == nil {
-		r.last = &it
-	}
+	_ = r.log.AppendJSON(it)
 }
 
 // Err returns the first write failure, if any.
 func (r *Recorder) Err() error { return r.log.Err() }
 
 // Finish writes the summary line and closes the recorder; it returns the
-// first write failure of the whole recording, if there was one. Zero-valued
-// convergence fields (Iters, SimHours, Evals, FrontSize, Hypervolume) are
-// filled from the last recorded iteration, so callers only supply what the
-// iteration stream cannot know (interruption).
+// first write failure of the whole recording, if there was one.
 func (r *Recorder) Finish(s Summary) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s.Type = TypeSummary
-	err := r.log.AppendJSON(s.fillFromLast(r.last))
+	err := r.log.AppendJSON(s)
 	if cerr := r.log.Close(); err == nil {
 		err = cerr
 	}

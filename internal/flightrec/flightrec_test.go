@@ -38,7 +38,6 @@ func testIteration(i int) Iteration {
 		Admitted:      i,
 		TrainSize:     2 * i,
 		BatchFeasible: i,
-		Best:          []float64{1.0 / float64(i), 100, 2},
 		Front:         [][]float64{{1.0 / float64(i), 100, 2}, {2, 50, 1}},
 		RungAlive:     []int{6, 3, 1},
 		Phases: []perfprof.PhaseDelta{
@@ -87,12 +86,12 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if d.Summary == nil {
 		t.Fatal("no summary")
 	}
-	// Finish fills convergence fields from the last iteration.
-	if d.Summary.Iters != 3 || d.Summary.Evals != 30 || d.Summary.FrontSize != 2 {
-		t.Errorf("summary not filled from last iteration: %+v", d.Summary)
-	}
 	if !d.Summary.Interrupted {
 		t.Errorf("summary dropped caller fields: %+v", d.Summary)
+	}
+	// The run's totals are read from the last iteration.
+	if got := d.State(); !strings.HasPrefix(got, "interrupted after 3 iterations — 4.5 simulated hours, 30 evals, front 2,") {
+		t.Errorf("State = %q", got)
 	}
 	if last := d.Iters[len(d.Iters)-1].Iter; last != 3 {
 		t.Errorf("last iteration = %d, want 3", last)
@@ -192,8 +191,8 @@ func TestResumeTruncatesBeyondBoundary(t *testing.T) {
 	if d.Iters[2].Iter != 3 {
 		t.Errorf("last iteration = %d, want 3", d.Iters[2].Iter)
 	}
-	if d.Summary == nil || d.Summary.Iters != 3 {
-		t.Errorf("summary = %+v, want filled at iteration 3", d.Summary)
+	if d.Summary == nil {
+		t.Error("no summary after the resumed run finished")
 	}
 }
 
@@ -280,17 +279,6 @@ func TestRecorderErrorLatches(t *testing.T) {
 	}
 	if d, _, err := Load(path); err != nil || len(d.Iters) != 1 || d.Summary != nil {
 		t.Errorf("disabled recorder kept writing: %+v, %v", d, err)
-	}
-}
-
-func TestSummaryFillRespectsExplicitFields(t *testing.T) {
-	last := testIteration(4)
-	s := Summary{Iters: 9, SimHours: 99}.fillFromLast(&last)
-	if s.Iters != 9 || s.SimHours != 99 {
-		t.Errorf("explicit fields overwritten: %+v", s)
-	}
-	if s.Evals != last.Evals || s.FrontSize != len(last.Front) || s.Hypervolume != last.Hypervolume {
-		t.Errorf("zero fields not filled: %+v", s)
 	}
 }
 

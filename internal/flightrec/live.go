@@ -42,14 +42,10 @@ func (l *Live) RecordIteration(it Iteration) {
 	l.mu.Unlock()
 }
 
-// FinishRun records the run's summary, completing zero-valued convergence
-// fields from the last recorded iteration like the durable recorder does.
+// FinishRun records the run's summary.
 func (l *Live) FinishRun(s Summary) {
 	s.Type = TypeSummary
 	l.mu.Lock()
-	if n := len(l.data.Iters); n > 0 {
-		s = s.fillFromLast(&l.data.Iters[n-1])
-	}
 	l.data.Summary = &s
 	l.mu.Unlock()
 }

@@ -74,18 +74,22 @@ func ReportBody(d RunData) string {
 }
 
 // State is the run's one-line convergence state: finished or interrupted
-// with its summary, running with its latest iteration, or waiting.
+// with its last iteration's totals, running with its latest iteration, or
+// waiting.
 func (d RunData) State() string {
+	var last Iteration
+	if n := len(d.Iters); n > 0 {
+		last = d.Iters[n-1]
+	}
 	if s := d.Summary; s != nil {
 		state := "finished"
 		if s.Interrupted {
 			state = "interrupted"
 		}
 		return fmt.Sprintf("%s after %d iterations — %s simulated hours, %d evals, front %d, hypervolume %s",
-			state, s.Iters, fnum(s.SimHours), s.Evals, s.FrontSize, fnum(s.Hypervolume))
+			state, last.Iter, fnum(last.SimHours), last.Evals, len(last.Front), fnum(last.Hypervolume))
 	}
-	if n := len(d.Iters); n > 0 {
-		last := d.Iters[n-1]
+	if len(d.Iters) > 0 {
 		return fmt.Sprintf("running — iteration %d, %s simulated hours, %d evals, front %d, hypervolume %s, UUL %s",
 			last.Iter, fnum(last.SimHours), last.Evals, len(last.Front),
 			fnum(last.Hypervolume), fnum(float64(last.UUL)))
