@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -412,6 +413,72 @@ func TestJobSpecValidation(t *testing.T) {
 	}
 }
 
+// TestAdvanceAlgoContract: each platform runs one mapping searcher, so a
+// spec's algo is empty or names it — "flextensor" on spatial, "depthfirst"
+// on ascend. Any other algo is a bad spec, answered 400 with no job held,
+// and an empty one builds the platform's searcher: its answer equals the
+// answer to the spec that names the searcher.
+func TestAdvanceAlgoContract(t *testing.T) {
+	const budget = 60
+	ascendX := platform.NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst).
+		Space().Sample(rand.New(rand.NewSource(3)))
+	specs := map[string]JobSpec{
+		"spatial": testSpec(1),
+		"ascend":  {Platform: "ascend", Networks: []string{"DLEU"}, X: ascendX, Seed: 17},
+	}
+	named := map[string]JobState{} // each platform's answer to the spec naming its searcher
+	for _, tc := range []struct {
+		platform, algo string
+		want           int
+	}{
+		{"spatial", "flextensor", http.StatusOK},
+		{"spatial", "", http.StatusOK},
+		{"spatial", "gamma", http.StatusBadRequest},
+		{"spatial", "depthfirst", http.StatusBadRequest},
+		{"ascend", "depthfirst", http.StatusOK},
+		{"ascend", "", http.StatusOK},
+		{"ascend", "gamma", http.StatusBadRequest},
+		{"ascend", "flextensor", http.StatusBadRequest},
+	} {
+		spec := specs[tc.platform]
+		spec.Algo = tc.algo
+		req := AdvanceRequest{Spec: spec, Budget: budget}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/advance", bytes.NewReader(body)))
+		held := 0
+		if tc.want == http.StatusOK {
+			held = 1
+		}
+		if rec.Code != tc.want || s.JobCount() != held {
+			t.Errorf("%s %q: answered %d holding %d jobs, want %d holding %d",
+				tc.platform, tc.algo, rec.Code, s.JobCount(), tc.want, held)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		st, err := decodeAnswer(rec.Body.Bytes(), req)
+		if err != nil {
+			t.Fatalf("%s %q: %v", tc.platform, tc.algo, err)
+		}
+		st.ID = "" // the key covers the algo as sent
+		want, ok := named[tc.platform]
+		if !ok {
+			named[tc.platform] = st
+			continue
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Errorf("%s %q: answer differs from the named searcher's (final loss %v, want %v)",
+				tc.platform, tc.algo, st.History.Last().Loss, want.History.Last().Loss)
+		}
+	}
+}
+
 func TestRemotePlatformEndToEnd(t *testing.T) {
 	var clients []*Client
 	for i := 0; i < 2; i++ {
@@ -510,7 +577,7 @@ func TestJobsOfOneShapeShareAPlatform(t *testing.T) {
 	}
 
 	c := testSpec(1)
-	c.Scenario, c.Algo = "cloud", "gamma"
+	c.Scenario, c.Networks = "cloud", []string{"ResNet"}
 	pc, err := s.platform(c)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,11 @@ type JobSpec struct {
 	Networks []string `json:"networks"`
 	// X is the encoded hardware configuration.
 	X []float64 `json:"x"`
-	// Algo is "flextensor", "gamma" or "depthfirst".
+	// Algo names the platform's one mapping searcher, "flextensor" on
+	// "spatial" and "depthfirst" on "ascend", or is empty; a worker refuses
+	// any other value. It stays in the key, so keys and ring placement are
+	// what they were: a spec that names the searcher and one that leaves
+	// it empty are two jobs with equal answers.
 	Algo string `json:"algo"`
 	// Seed makes the job deterministic.
 	Seed int64 `json:"seed"`

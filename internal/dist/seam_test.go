@@ -191,8 +191,8 @@ func TestServerSearchIsThePlatforms(t *testing.T) {
 		local core.Platform
 		spec  JobSpec
 	}{
-		{"spatial-edge", platform.NewSpatial(hw.Edge, ws, mapsearch.GammaLike),
-			JobSpec{Platform: "spatial", Scenario: "edge", Networks: nets, Algo: "gamma"}},
+		{"spatial-edge", platform.NewSpatial(hw.Edge, ws, mapsearch.FlexTensorLike),
+			JobSpec{Platform: "spatial", Scenario: "edge", Networks: nets}},
 		{"spatial-cloud", platform.NewSpatial(hw.Cloud, ws, mapsearch.FlexTensorLike),
 			JobSpec{Platform: "spatial", Scenario: "cloud", Networks: nets, Algo: "flextensor"}},
 		{"ascend", platform.NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst),

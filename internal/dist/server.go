@@ -308,26 +308,37 @@ func (s *Server) newPlatform(spec JobSpec) (jobPlatform, error) {
 	if err != nil {
 		return nil, err
 	}
-	algo, err := parseAlgo(spec.Algo)
-	if err != nil {
-		return nil, err
-	}
 	switch spec.Platform {
 	case "spatial":
 		sc, err := parseScenario(spec.Scenario)
 		if err != nil {
 			return nil, err
 		}
-		sp := platform.NewSpatial(sc, ws, algo)
+		if err := checkAlgo(spec.Algo, mapsearch.FlexTensorLike); err != nil {
+			return nil, err
+		}
+		sp := platform.NewSpatial(sc, ws, mapsearch.FlexTensorLike)
 		sp.Engine = s.spatial
 		return sp, nil
 	case "ascend":
-		ap := platform.NewAscend(ws, algo)
+		if err := checkAlgo(spec.Algo, mapsearch.DepthFirst); err != nil {
+			return nil, err
+		}
+		ap := platform.NewAscend(ws, mapsearch.DepthFirst)
 		ap.Engine = s.ascend
 		return ap, nil
 	default:
 		return nil, fmt.Errorf("dist: unknown platform %q", spec.Platform)
 	}
+}
+
+// checkAlgo accepts a spec's algo if it is empty or names the platform's one
+// searcher.
+func checkAlgo(algo string, searcher mapsearch.Algo) error {
+	if algo != "" && algo != searcher.String() {
+		return fmt.Errorf("dist: algo %q, want %q or none", algo, searcher)
+	}
+	return nil
 }
 
 func parseScenario(scenario string) (hw.Scenario, error) {
@@ -338,19 +349,6 @@ func parseScenario(scenario string) (hw.Scenario, error) {
 		return hw.Cloud, nil
 	default:
 		return 0, fmt.Errorf("dist: unknown scenario %q", scenario)
-	}
-}
-
-func parseAlgo(a string) (mapsearch.Algo, error) {
-	switch a {
-	case "flextensor", "":
-		return mapsearch.FlexTensorLike, nil
-	case "gamma":
-		return mapsearch.GammaLike, nil
-	case "depthfirst":
-		return mapsearch.DepthFirst, nil
-	default:
-		return 0, fmt.Errorf("dist: unknown algo %q", a)
 	}
 }
 

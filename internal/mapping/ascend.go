@@ -106,27 +106,6 @@ func (mv *AscendMoves) Mutate(rng *rand.Rand, m Ascend) Ascend {
 	return out.Canon(mv.layer)
 }
 
-// Crossover recombines two schedules field-wise (uniform crossover).
-func (mv *AscendMoves) Crossover(rng *rand.Rand, a, b Ascend) Ascend {
-	out := a
-	if rng.Intn(2) == 0 {
-		out.TM = b.TM
-	}
-	if rng.Intn(2) == 0 {
-		out.TK = b.TK
-	}
-	if rng.Intn(2) == 0 {
-		out.TN = b.TN
-	}
-	if rng.Intn(2) == 0 {
-		out.FuseDepth = b.FuseDepth
-	}
-	if rng.Intn(2) == 0 {
-		out.DBufA, out.DBufB, out.DBufC = b.DBufA, b.DBufB, b.DBufC
-	}
-	return out.Canon(mv.layer)
-}
-
 // RandomAscend is Random for a one-off draw, building the layer's moves for
 // it; a search holds an AscendMoves per layer instead.
 func RandomAscend(rng *rand.Rand, l workload.Layer) Ascend {

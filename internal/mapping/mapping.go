@@ -1,6 +1,6 @@
 // Package mapping defines software-mapping (schedule) representations for
-// both accelerator platforms, together with the sampling, mutation and
-// crossover moves the mapping-search tools (internal/mapsearch) operate on.
+// both accelerator platforms, together with the sampling and mutation moves
+// the mapping-search tools (internal/mapsearch) operate on.
 //
 // A mapping fixes how the 7D operator loop nest (paper Fig. 1) is split
 // across the memory hierarchy and the PE array: which loops are tiled with
@@ -289,7 +289,7 @@ func (l *ladder) index(v int) (int, bool) {
 
 // SpatialMoves is one layer's schedule neighbourhood on the spatial
 // accelerator: the tile ladders of its six tiled loops, built once, and the
-// sampling, mutation and crossover moves that read them. A search builds one
+// sampling and mutation moves that read them. A search builds one
 // per layer of its workload and shares it across hardware candidates; the
 // methods only read it, so it is safe for concurrent use.
 type SpatialMoves struct {
@@ -351,37 +351,6 @@ func (mv *SpatialMoves) Mutate(rng *rand.Rand, m Spatial) Spatial {
 		}
 	case 4: // change loop order
 		out.Order = rng.Intn(len(Orders))
-	}
-	return out.canon(&mv.layer)
-}
-
-// Crossover recombines two schedules field-wise (uniform crossover), the
-// GAMMA-style genetic operator.
-func (mv *SpatialMoves) Crossover(rng *rand.Rand, a, b Spatial) Spatial {
-	out := a
-	if rng.Intn(2) == 0 {
-		out.TK = b.TK
-	}
-	if rng.Intn(2) == 0 {
-		out.TC = b.TC
-	}
-	if rng.Intn(2) == 0 {
-		out.TY = b.TY
-	}
-	if rng.Intn(2) == 0 {
-		out.TX = b.TX
-	}
-	if rng.Intn(2) == 0 {
-		out.TR, out.TS = b.TR, b.TS
-	}
-	if rng.Intn(2) == 0 {
-		out.SpatX = b.SpatX
-	}
-	if rng.Intn(2) == 0 {
-		out.SpatY = b.SpatY
-	}
-	if rng.Intn(2) == 0 {
-		out.Order = b.Order
 	}
 	return out.canon(&mv.layer)
 }

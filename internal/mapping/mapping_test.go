@@ -58,20 +58,6 @@ func TestMutateSpatialValidProperty(t *testing.T) {
 	}
 }
 
-func TestCrossoverSpatialValidProperty(t *testing.T) {
-	l := testLayer()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mv := NewSpatialMoves(l)
-		a := mv.Random(rng)
-		b := mv.Random(rng)
-		return mv.Crossover(rng, a, b).Valid(l)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMutateEventuallyMoves(t *testing.T) {
 	l := testLayer()
 	rng := rand.New(rand.NewSource(7))

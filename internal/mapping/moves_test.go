@@ -85,35 +85,6 @@ func oracleMutateSpatial(rng *rand.Rand, m Spatial, l workload.Layer) Spatial {
 	return out.Canon(l)
 }
 
-func oracleCrossoverSpatial(rng *rand.Rand, a, b Spatial, l workload.Layer) Spatial {
-	out := a
-	if rng.Intn(2) == 0 {
-		out.TK = b.TK
-	}
-	if rng.Intn(2) == 0 {
-		out.TC = b.TC
-	}
-	if rng.Intn(2) == 0 {
-		out.TY = b.TY
-	}
-	if rng.Intn(2) == 0 {
-		out.TX = b.TX
-	}
-	if rng.Intn(2) == 0 {
-		out.TR, out.TS = b.TR, b.TS
-	}
-	if rng.Intn(2) == 0 {
-		out.SpatX = b.SpatX
-	}
-	if rng.Intn(2) == 0 {
-		out.SpatY = b.SpatY
-	}
-	if rng.Intn(2) == 0 {
-		out.Order = b.Order
-	}
-	return out.Canon(l)
-}
-
 func oracleRandomAscend(rng *rand.Rand, l workload.Layer) Ascend {
 	gm, gk, gn := GemmDims(l)
 	return Ascend{
@@ -145,26 +116,6 @@ func oracleMutateAscend(rng *rand.Rand, m Ascend, l workload.Layer) Ascend {
 		} else {
 			out.DBufC = !out.DBufC
 		}
-	}
-	return out.Canon(l)
-}
-
-func oracleCrossoverAscend(rng *rand.Rand, a, b Ascend, l workload.Layer) Ascend {
-	out := a
-	if rng.Intn(2) == 0 {
-		out.TM = b.TM
-	}
-	if rng.Intn(2) == 0 {
-		out.TK = b.TK
-	}
-	if rng.Intn(2) == 0 {
-		out.TN = b.TN
-	}
-	if rng.Intn(2) == 0 {
-		out.FuseDepth = b.FuseDepth
-	}
-	if rng.Intn(2) == 0 {
-		out.DBufA, out.DBufB, out.DBufC = b.DBufA, b.DBufB, b.DBufC
 	}
 	return out.Canon(l)
 }
@@ -203,9 +154,9 @@ func moveLayers() []workload.Layer {
 }
 
 // TestSpatialMovesMatchPerCallOracle holds the prebuilt-ladder moves to the
-// per-call ones: the same schedule from every Random, Mutate and Crossover,
-// on seeded schedules with off-ladder tiles, and the generator at the same
-// position after them.
+// per-call ones: the same schedule from every Random and Mutate, on seeded
+// schedules with off-ladder tiles, and the generator at the same position
+// after them.
 func TestSpatialMovesMatchPerCallOracle(t *testing.T) {
 	for li, l := range moveLayers() {
 		mv := NewSpatialMoves(l)
@@ -223,12 +174,8 @@ func TestSpatialMovesMatchPerCallOracle(t *testing.T) {
 				if g, w := mv.Mutate(got, m), oracleMutateSpatial(want, m, l); g != w {
 					t.Fatalf("%s seed %d step %d: Mutate(%v) = %v, per-call %v", l.Name, seed, step, m, g, w)
 				}
-				g, w := mv.Random(got), oracleRandomSpatial(want, l)
-				if g != w {
+				if g, w := mv.Random(got), oracleRandomSpatial(want, l); g != w {
 					t.Fatalf("%s seed %d step %d: Random = %v, per-call %v", l.Name, seed, step, g, w)
-				}
-				if g, w := mv.Crossover(got, m, g), oracleCrossoverSpatial(want, m, w, l); g != w {
-					t.Fatalf("%s seed %d step %d: Crossover = %v, per-call %v", l.Name, seed, step, g, w)
 				}
 			}
 			if g, w := got.Int63(), want.Int63(); g != w {
@@ -256,12 +203,8 @@ func TestAscendMovesMatchPerCallOracle(t *testing.T) {
 				if g, w := mv.Mutate(got, m), oracleMutateAscend(want, m, l); g != w {
 					t.Fatalf("%s seed %d step %d: Mutate(%v) = %v, per-call %v", l.Name, seed, step, m, g, w)
 				}
-				g, w := mv.Random(got), oracleRandomAscend(want, l)
-				if g != w {
+				if g, w := mv.Random(got), oracleRandomAscend(want, l); g != w {
 					t.Fatalf("%s seed %d step %d: Random = %v, per-call %v", l.Name, seed, step, g, w)
-				}
-				if g, w := mv.Crossover(got, m, g), oracleCrossoverAscend(want, m, w, l); g != w {
-					t.Fatalf("%s seed %d step %d: Crossover = %v, per-call %v", l.Name, seed, step, g, w)
 				}
 			}
 			if g, w := got.Int63(), want.Int63(); g != w {

@@ -27,10 +27,10 @@ func newAscendLayer(l workload.Layer) ascendLayer {
 	}
 }
 
-// ascendProblem adapts one layer on one Ascend-like core configuration to
-// the generic Problem interface (used by the annealer/genetic searchers and
-// as the evaluation oracle of the depth-first search). Like spatialProblem,
-// a job's problems are one slice and its searchers hold pointers into it.
+// ascendProblem is one layer on one Ascend-like core configuration: the
+// moves, evaluation oracle and seeds of its depth-first search. Like
+// spatialProblem, a job's problems are one slice and its searchers hold
+// pointers into it.
 type ascendProblem struct {
 	eng   AscendEngine
 	cfg   hw.Ascend
@@ -43,10 +43,6 @@ func (p *ascendProblem) Random(rng *rand.Rand) mapping.Ascend {
 
 func (p *ascendProblem) Mutate(rng *rand.Rand, m mapping.Ascend) mapping.Ascend {
 	return p.layer.moves.Mutate(rng, m)
-}
-
-func (p *ascendProblem) Crossover(rng *rand.Rand, a, b mapping.Ascend) mapping.Ascend {
-	return p.layer.moves.Crossover(rng, a, b)
 }
 
 func (p *ascendProblem) Evaluate(m mapping.Ascend) (ppa.Metrics, error) {
@@ -257,28 +253,21 @@ func (d *DepthFirstFusion) Last() (ppa.Metrics, bool) { return d.lastMet, d.last
 func (d *DepthFirstFusion) Evals() int { return d.evals }
 
 // NewAscendSearcher builds the network-level schedule search for one
-// Ascend-like core configuration.
-func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, algo Algo, seed int64) *NetworkSearcher {
-	return NewNetwork(w).Ascend(eng, cfg, algo, seed)
+// Ascend-like core configuration. The Algo is ignored (see Algo).
+func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, _ Algo, seed int64) *NetworkSearcher {
+	return NewNetwork(w).Ascend(eng, cfg, seed)
 }
 
 // Ascend builds the network's schedule search for one Ascend-like core
-// configuration, as NewAscendSearcher does.
-func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, algo Algo, seed int64) *NetworkSearcher {
+// configuration, one depth-first search per layer, as NewAscendSearcher
+// does.
+func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, seed int64) *NetworkSearcher {
 	lays := n.ascendLayers()
 	probs := make([]ascendProblem, len(lays))
 	layers := make([]LayerSearcher, len(probs))
 	for i := range probs {
 		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: &lays[i]}
-		rng := newLayerRand(seed, i)
-		switch algo {
-		case FlexTensorLike:
-			layers[i] = NewAnnealer[mapping.Ascend](&probs[i], rng)
-		case GammaLike:
-			layers[i] = NewGenetic[mapping.Ascend](&probs[i], 16, rng)
-		default:
-			layers[i] = newDepthFirstFusion(&probs[i], rng)
-		}
+		layers[i] = newDepthFirstFusion(&probs[i], newLayerRand(seed, i))
 	}
 	return n.searcher(layers, eng.Area(cfg))
 }

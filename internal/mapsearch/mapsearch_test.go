@@ -33,7 +33,7 @@ func (quadProblem) Mutate(rng *rand.Rand, v int) int {
 	}
 	return out
 }
-func (quadProblem) Crossover(rng *rand.Rand, a, b int) int { return (a + b) / 2 }
+func (quadProblem) Seeds() []int { return nil }
 func (p quadProblem) Evaluate(v int) (ppa.Metrics, error) {
 	if v < p.infeasibleBelow {
 		return ppa.Metrics{}, errors.New("infeasible")
@@ -65,34 +65,14 @@ func TestAnnealerConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestGeneticConvergesOnQuadratic(t *testing.T) {
-	p := quadProblem{}
-	g := NewGenetic[int](p, 12, rand.New(rand.NewSource(2)))
-	for i := 0; i < 400; i++ {
-		g.Step()
-	}
-	met, ok := g.Best()
-	if !ok {
-		t.Fatal("no feasible candidate found")
-	}
-	if Loss(met) > 30 {
-		t.Errorf("genetic final loss %v too high", Loss(met))
-	}
-}
-
 func TestSearchersToleratePartialInfeasibility(t *testing.T) {
 	p := quadProblem{infeasibleBelow: 30} // optimum at boundary v = 30
 	a := NewAnnealer[int](p, rand.New(rand.NewSource(3)))
-	g := NewGenetic[int](p, 8, rand.New(rand.NewSource(4)))
 	for i := 0; i < 300; i++ {
 		a.Step()
-		g.Step()
 	}
 	if _, ok := a.Best(); !ok {
 		t.Error("annealer found nothing with 50% infeasible space")
-	}
-	if _, ok := g.Best(); !ok {
-		t.Error("genetic found nothing with 50% infeasible space")
 	}
 }
 
@@ -117,14 +97,6 @@ func TestSeedsEvaluatedFirst(t *testing.T) {
 	a.Step()
 	if len(log) < 2 || log[0] != 40 || log[1] != 41 {
 		t.Errorf("seed order = %v, want [40 41 ...]", log)
-	}
-
-	log = nil
-	g := NewGenetic[int](Problem[int](p), 6, rand.New(rand.NewSource(6)))
-	g.Step()
-	g.Step()
-	if len(log) < 2 || log[0] != 40 || log[1] != 41 {
-		t.Errorf("genetic seed order = %v, want [40 41 ...]", log)
 	}
 }
 
@@ -252,25 +224,23 @@ func TestSpatialSearcherEndToEnd(t *testing.T) {
 	eng := maestro.Engine{}
 	cfg := hw.Spatial{PEX: 6, PEY: 6, L1Bytes: 1728, L2KB: 432, NoCBW: 128, Dataflow: hw.OutputStationary}
 	w := workload.MobileNet()
-	for _, algo := range []Algo{FlexTensorLike, GammaLike} {
-		ns := NewSpatialSearcher(eng, cfg, w, algo, 11)
-		ns.Advance(20)
-		met, ok := ns.Best()
-		if !ok {
-			t.Fatalf("%v: no feasible network mapping", algo)
-		}
-		if !met.Valid() {
-			t.Fatalf("%v: invalid metrics %+v", algo, met)
-		}
-		if !ns.History().Monotone() {
-			t.Errorf("%v: non-monotone history", algo)
-		}
-		// Resumability: advancing more must not worsen the best.
-		before := ns.History().Last().Loss
-		ns.Advance(20)
-		if after := ns.History().Last().Loss; after > before {
-			t.Errorf("%v: loss rose from %v to %v after more budget", algo, before, after)
-		}
+	ns := NewSpatialSearcher(eng, cfg, w, FlexTensorLike, 11)
+	ns.Advance(20)
+	met, ok := ns.Best()
+	if !ok {
+		t.Fatal("no feasible network mapping")
+	}
+	if !met.Valid() {
+		t.Fatalf("invalid metrics %+v", met)
+	}
+	if !ns.History().Monotone() {
+		t.Error("non-monotone history")
+	}
+	// Resumability: advancing more must not worsen the best.
+	before := ns.History().Last().Loss
+	ns.Advance(20)
+	if after := ns.History().Last().Loss; after > before {
+		t.Errorf("loss rose from %v to %v after more budget", before, after)
 	}
 }
 
@@ -307,8 +277,7 @@ func TestHistoryMonotoneProperty(t *testing.T) {
 }
 
 func TestAlgoString(t *testing.T) {
-	if FlexTensorLike.String() != "flextensor" || GammaLike.String() != "gamma" ||
-		DepthFirst.String() != "depthfirst" {
+	if FlexTensorLike.String() != "flextensor" || DepthFirst.String() != "depthfirst" {
 		t.Error("algo strings wrong")
 	}
 }

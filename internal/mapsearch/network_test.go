@@ -129,10 +129,9 @@ func TestNetworkSharedBySearchers(t *testing.T) {
 	spatial := NewNetwork(mobile)
 	for i := 0; i < 6; i++ {
 		cfg := space.Decode(space.Sample(cfgRng))
-		algo := []Algo{FlexTensorLike, GammaLike}[i%2]
 		jobs = append(jobs, job{
-			shared: spatial.Spatial(maestro.Engine{}, cfg, algo, int64(i)),
-			solo:   NewSpatialSearcher(maestro.Engine{}, cfg, mobile, algo, int64(i)),
+			shared: spatial.Spatial(maestro.Engine{}, cfg, int64(i)),
+			solo:   NewSpatialSearcher(maestro.Engine{}, cfg, mobile, FlexTensorLike, int64(i)),
 		})
 	}
 	ascend := NewNetwork(dleu)
@@ -140,7 +139,7 @@ func TestNetworkSharedBySearchers(t *testing.T) {
 		cfg := hw.DefaultAscend()
 		cfg.L1KB <<= i
 		jobs = append(jobs, job{
-			shared: ascend.Ascend(camodel.Engine{}, cfg, DepthFirst, int64(i)),
+			shared: ascend.Ascend(camodel.Engine{}, cfg, int64(i)),
 			solo:   NewAscendSearcher(camodel.Engine{}, cfg, dleu, DepthFirst, int64(i)),
 		})
 	}

@@ -50,7 +50,7 @@ type refAnnealer struct {
 
 func newRefAnnealer(prob Problem[mapping.Spatial], rng *rand.Rand) *refAnnealer {
 	return &refAnnealer{prob: prob, rng: rng, curLoss: math.Inf(1), bestLoss: math.Inf(1),
-		restartEvery: 60, seeds: seedsOf(prob)}
+		restartEvery: 60, seeds: prob.Seeds()}
 }
 
 func (a *refAnnealer) Step() {
@@ -113,7 +113,7 @@ func TestAnnealerReuseMatchesAlwaysEvaluating(t *testing.T) {
 		seed := int64(trial + 1)
 
 		var calls, refCalls atomic.Int64
-		got := net.Spatial(countingEngine{calls: &calls}, cfg, FlexTensorLike, seed)
+		got := net.Spatial(countingEngine{calls: &calls}, cfg, seed)
 		refs := make([]*refAnnealer, len(net.spatialMoves()))
 		layers := make([]LayerSearcher, len(refs))
 		for i := range refs {

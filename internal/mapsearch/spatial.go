@@ -10,26 +10,29 @@ import (
 	"unico/internal/workload"
 )
 
-// Algo selects the mapping-search tool, mirroring the pluggable "SW Mapping
-// Explorer" component of paper Fig. 6a.
+// Algo names a platform's mapping-search tool, mirroring the "SW Mapping
+// Explorer" component of paper Fig. 6a. Each platform runs one: the
+// annealer on the spatial platform, the depth-first search on the
+// Ascend-like one. The constructors that take an Algo ignore it; the
+// parameter stays only because bench/, which a change to the library may
+// not edit, passes one to NewSpatialSearcher, NewAscendSearcher,
+// platform.NewSpatial and platform.NewAscend.
 type Algo int
 
 const (
-	// FlexTensorLike is the annealing searcher (FlexTensor stand-in).
+	// FlexTensorLike is the annealing searcher (FlexTensor stand-in) of the
+	// spatial platform.
 	FlexTensorLike Algo = iota
-	// GammaLike is the genetic searcher (GAMMA stand-in).
-	GammaLike
-	// DepthFirst is the depth-first buffer-fusion search used on the
-	// Ascend-like platform.
+	// DepthFirst is the depth-first buffer-fusion search of the Ascend-like
+	// platform.
 	DepthFirst
 )
 
+// String is the searcher's name on the wire (dist.JobSpec.Algo).
 func (a Algo) String() string {
 	switch a {
 	case FlexTensorLike:
 		return "flextensor"
-	case GammaLike:
-		return "gamma"
 	case DepthFirst:
 		return "depthfirst"
 	default:
@@ -38,7 +41,7 @@ func (a Algo) String() string {
 }
 
 // spatialProblem adapts one layer on one spatial-accelerator configuration
-// to the generic Problem interface. A job's problems are one slice, built by
+// to the Problem interface. A job's problems are one slice, built by
 // Network.Spatial, and its searchers hold pointers into it; the layer's moves
 // are the Network's, shared by every job of the workload.
 type spatialProblem struct {
@@ -53,10 +56,6 @@ func (p *spatialProblem) Random(rng *rand.Rand) mapping.Spatial {
 
 func (p *spatialProblem) Mutate(rng *rand.Rand, m mapping.Spatial) mapping.Spatial {
 	return p.moves.Mutate(rng, m)
-}
-
-func (p *spatialProblem) Crossover(rng *rand.Rand, a, b mapping.Spatial) mapping.Spatial {
-	return p.moves.Crossover(rng, a, b)
 }
 
 func (p *spatialProblem) Evaluate(m mapping.Spatial) (ppa.Metrics, error) {
@@ -122,26 +121,20 @@ func newLayerRand(seed int64, i int) *rand.Rand {
 
 // NewSpatialSearcher builds the network-level mapping search for one spatial
 // hardware configuration. Layer searches are seeded deterministically from
-// seed so co-search runs are reproducible.
-func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, algo Algo, seed int64) *NetworkSearcher {
-	return NewNetwork(w).Spatial(eng, cfg, algo, seed)
+// seed so co-search runs are reproducible. The Algo is ignored (see Algo).
+func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, _ Algo, seed int64) *NetworkSearcher {
+	return NewNetwork(w).Spatial(eng, cfg, seed)
 }
 
 // Spatial builds the network's mapping search for one spatial hardware
-// configuration, as NewSpatialSearcher does.
-func (n *Network) Spatial(eng SpatialEngine, cfg hw.Spatial, algo Algo, seed int64) *NetworkSearcher {
+// configuration, one annealer per layer, as NewSpatialSearcher does.
+func (n *Network) Spatial(eng SpatialEngine, cfg hw.Spatial, seed int64) *NetworkSearcher {
 	moves := n.spatialMoves()
 	probs := make([]spatialProblem, len(moves))
 	layers := make([]LayerSearcher, len(probs))
 	for i := range probs {
 		probs[i] = spatialProblem{eng: eng, cfg: cfg, moves: &moves[i]}
-		rng := newLayerRand(seed, i)
-		switch algo {
-		case GammaLike:
-			layers[i] = NewGenetic[mapping.Spatial](&probs[i], 16, rng)
-		default:
-			layers[i] = NewAnnealer[mapping.Spatial](&probs[i], rng)
-		}
+		layers[i] = NewAnnealer[mapping.Spatial](&probs[i], newLayerRand(seed, i))
 	}
 	return n.searcher(layers, eng.Area(cfg))
 }

@@ -157,22 +157,17 @@ func TestSpatialCoSearchGolden(t *testing.T) {
 	}
 }
 
-// cloudGoldenDigests pins a small UNICO run on Cloud ResNet + Bert for each
-// searcher of the open-source platform. Cloud's layer bounds run past every
-// tile ladder Edge MobileNet reaches, and the genetic searcher exercises
-// Crossover and Mutate, which TestSpatialCoSearchGolden never calls. Captured
+// cloudGoldenDigest pins a small UNICO run on Cloud ResNet + Bert. Cloud's
+// layer bounds run past every tile ladder Edge MobileNet reaches. Captured
 // on the commit before each layer's tile ladders were built once per
 // workload and an annealer stopped re-evaluating its current schedule.
-var cloudGoldenDigests = map[mapsearch.Algo]string{
-	mapsearch.FlexTensorLike: "c80c12003e16085ccf0dc6ebfa53419e84e468895352c5771de44852b86def2c",
-	mapsearch.GammaLike:      "654d94da7d69890ec3fe7d9876dbebfea391210c7e9f32f3f98767004912d540",
-}
+const cloudGoldenDigest = "c80c12003e16085ccf0dc6ebfa53419e84e468895352c5771de44852b86def2c"
 
-// cloudGoldenHours is the simulated cost of either run per worker count.
+// cloudGoldenHours is the simulated cost of the run per worker count.
 var cloudGoldenHours = map[int]float64{1: 0.17816666666666664, 4: 0.10083333333333332}
 
-// TestSpatialCloudCoSearchGolden holds the Cloud co-search of both spatial
-// searchers bit for bit, at either worker count.
+// TestSpatialCloudCoSearchGolden holds the Cloud co-search bit for bit, at
+// either worker count.
 func TestSpatialCloudCoSearchGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest captured on amd64; other architectures may fuse multiply-adds")
@@ -185,21 +180,19 @@ func TestSpatialCloudCoSearchGolden(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	for algo, digest := range cloudGoldenDigests {
-		for workers, hours := range cloudGoldenHours {
-			p := NewSpatial(hw.Cloud, ws, algo)
-			opt := core.UNICOOptions(5, 3, 40, 9)
-			opt.Workers = workers
-			res, jobs := run(t, p, opt)
-			if len(res.All) != 15 || len(res.Front) == 0 {
-				t.Fatalf("%v workers=%d: %d candidates, front of %d", algo, workers, len(res.All), len(res.Front))
-			}
-			if got := resultDigest(res, jobs); got != digest {
-				t.Errorf("%v workers=%d: result digest %s, want %s", algo, workers, got, digest)
-			}
-			if res.Hours != hours {
-				t.Errorf("%v workers=%d: simulated hours %v, want %v", algo, workers, res.Hours, hours)
-			}
+	for workers, hours := range cloudGoldenHours {
+		p := NewSpatial(hw.Cloud, ws, mapsearch.FlexTensorLike)
+		opt := core.UNICOOptions(5, 3, 40, 9)
+		opt.Workers = workers
+		res, jobs := run(t, p, opt)
+		if len(res.All) != 15 || len(res.Front) == 0 {
+			t.Fatalf("workers=%d: %d candidates, front of %d", workers, len(res.All), len(res.Front))
+		}
+		if got := resultDigest(res, jobs); got != cloudGoldenDigest {
+			t.Errorf("workers=%d: result digest %s, want %s", workers, got, cloudGoldenDigest)
+		}
+		if res.Hours != hours {
+			t.Errorf("workers=%d: simulated hours %v, want %v", workers, res.Hours, hours)
 		}
 	}
 }

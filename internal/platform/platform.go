@@ -19,7 +19,6 @@ type Spatial struct {
 	// Engine is the PPA oracle mapping searches evaluate against. The
 	// constructor installs maestro.Engine; replace it to substitute a stub.
 	Engine mapsearch.SpatialEngine
-	Algo   mapsearch.Algo
 	space  *hw.SpatialSpace
 	// net is the combined workload's search, built once: its layer order is
 	// the same for every hardware candidate, so every job shares it.
@@ -27,13 +26,14 @@ type Spatial struct {
 }
 
 // NewSpatial builds the platform for a deployment scenario and workload set.
-func NewSpatial(sc hw.Scenario, ws []workload.Workload, algo mapsearch.Algo) *Spatial {
+// Its mapping searcher is the annealer; the Algo is ignored (see
+// mapsearch.Algo).
+func NewSpatial(sc hw.Scenario, ws []workload.Workload, _ mapsearch.Algo) *Spatial {
 	if len(ws) == 0 {
 		panic("platform: NewSpatial needs at least one workload")
 	}
 	return &Spatial{
 		Engine: maestro.Engine{},
-		Algo:   algo,
 		space:  hw.NewSpatialSpace(sc),
 		net:    mapsearch.NewNetwork(workload.Combine(ws)),
 	}
@@ -48,7 +48,7 @@ func (p *Spatial) Workload() workload.Workload { return p.net.Workload() }
 // NewJob builds the mapping search for the hardware at x.
 func (p *Spatial) NewJob(x []float64, seed int64) mapsearch.Searcher {
 	cfg := p.space.Decode(x)
-	return p.net.Spatial(p.Engine, cfg, p.Algo, seed)
+	return p.net.Spatial(p.Engine, cfg, seed)
 }
 
 // EvalCostSeconds is the simulated cost of one budget unit: one network
@@ -72,24 +72,25 @@ func (p *Spatial) AreaCapMM2() float64 { return 0 }
 type Ascend struct {
 	// Engine is the PPA oracle schedule searches evaluate against. The
 	// constructor installs camodel.Engine; replace it to substitute a stub.
-	Engine  mapsearch.AscendEngine
-	Algo    mapsearch.Algo
-	AreaCap float64
-	space   *hw.AscendSpace
-	net     *mapsearch.Network // shared by every job, as on Spatial
+	Engine mapsearch.AscendEngine
+	space  *hw.AscendSpace
+	net    *mapsearch.Network // shared by every job, as on Spatial
 }
 
-// NewAscend builds the Ascend-like platform for a workload set.
-func NewAscend(ws []workload.Workload, algo mapsearch.Algo) *Ascend {
+// ascendAreaCapMM2 is the edge-chip area constraint of paper Section 4.6.
+const ascendAreaCapMM2 = 200
+
+// NewAscend builds the Ascend-like platform for a workload set. Its schedule
+// searcher is the depth-first buffer-fusion search; the Algo is ignored (see
+// mapsearch.Algo).
+func NewAscend(ws []workload.Workload, _ mapsearch.Algo) *Ascend {
 	if len(ws) == 0 {
 		panic("platform: NewAscend needs at least one workload")
 	}
 	return &Ascend{
-		Engine:  camodel.Engine{},
-		Algo:    algo,
-		AreaCap: 200,
-		space:   hw.NewAscendSpace(),
-		net:     mapsearch.NewNetwork(workload.Combine(ws)),
+		Engine: camodel.Engine{},
+		space:  hw.NewAscendSpace(),
+		net:    mapsearch.NewNetwork(workload.Combine(ws)),
 	}
 }
 
@@ -105,7 +106,7 @@ func (p *Ascend) Workload() workload.Workload { return p.net.Workload() }
 // NewJob builds the schedule search for the core at x.
 func (p *Ascend) NewJob(x []float64, seed int64) mapsearch.Searcher {
 	cfg := p.space.Decode(x)
-	return p.net.Ascend(p.Engine, cfg, p.Algo, seed)
+	return p.net.Ascend(p.Engine, cfg, seed)
 }
 
 // EvalCostSeconds is the simulated cost of one budget unit: one network
@@ -121,4 +122,4 @@ func (p *Ascend) Describe(x []float64) string { return p.space.Describe(x) }
 func (p *Ascend) PowerCapMW() float64 { return 0 }
 
 // AreaCapMM2 is the 200 mm² edge-chip constraint.
-func (p *Ascend) AreaCapMM2() float64 { return p.AreaCap }
+func (p *Ascend) AreaCapMM2() float64 { return ascendAreaCapMM2 }
