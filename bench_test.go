@@ -181,6 +181,13 @@ func BenchmarkAcquisitionPool(b *testing.B) {
 	benchmarks.AcquisitionPool(b)
 }
 
+// BenchmarkAcquisitionEdge measures one acquisition maximization on the
+// surrogates five iterations of an edge_paper-shaped search leave. The body
+// lives in internal/benchmarks so cmd/unicobench runs the identical workload.
+func BenchmarkAcquisitionEdge(b *testing.B) {
+	benchmarks.AcquisitionEdge(context.Background(), b)
+}
+
 // BenchmarkSurrogateRefit measures one warm refit of four objectives'
 // surrogates on a full training window (n = 150). The body lives in
 // internal/benchmarks so cmd/unicobench runs the identical workload.

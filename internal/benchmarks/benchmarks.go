@@ -43,6 +43,7 @@ func All(ctx context.Context) []Case {
 	return []Case{
 		{Name: "GPFitPredict", Fn: GPFitPredict, Pinned: true},
 		{Name: "AcquisitionPool", Fn: AcquisitionPool, Pinned: true},
+		{Name: "AcquisitionEdge", Fn: func(b *testing.B) { AcquisitionEdge(ctx, b) }, Pinned: true},
 		{Name: "SurrogateRefit", Fn: SurrogateRefit, Pinned: true},
 		{Name: "CholeskyBlocked", Fn: CholeskyBlocked, Pinned: true},
 		{Name: "Rank1Update", Fn: Rank1Update, Pinned: true},
@@ -118,6 +119,49 @@ func AcquisitionPool(b *testing.B) {
 			b.Fatal("no suggestion")
 		}
 	}
+}
+
+// AcquisitionEdge measures one acquisition maximization on the surrogates a
+// real search leaves: an edge_paper-shaped co-search (Edge, MobileNet,
+// N = 30, b_max = 300, seed 1) stopped after 5 iterations, under ctx and
+// outside the timer, its optimizer rebuilt from the run's final snapshot
+// and searched with one worker. A real run's objectives prune less than
+// AcquisitionPool's smooth bowls.
+func AcquisitionEdge(ctx context.Context, b *testing.B) {
+	p := platform.NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
+	opt := core.UNICOOptions(30, 5, 300, 1)
+	opt.Workers = 2
+	sink := new(lastSnapshot)
+	opt.Checkpoint = sink
+	if res := core.RunContext(ctx, p, opt); res.CheckpointErr != nil {
+		b.Fatal(res.CheckpointErr)
+	}
+	cfg := mobo.DefaultConfig(4)
+	cfg.SearchWorkers = 1
+	obs := make([]mobo.Observation, len(sink.snap.All))
+	for i, c := range sink.snap.All {
+		obs[i] = mobo.Observation{X: c.X, Y: core.NormalizeObjectives(c.Objectives(true))}
+	}
+	o, err := mobo.Restore(p.Space(), cfg, sink.snap.Explorer, obs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(o.SuggestBatch(1)) != 1 {
+			b.Fatal("no suggestion")
+		}
+	}
+}
+
+// lastSnapshot is a checkpoint sink that keeps only the last snapshot.
+type lastSnapshot struct{ snap core.SnapshotRecord }
+
+func (s *lastSnapshot) AppendIteration(core.IterationRecord) error { return nil }
+func (s *lastSnapshot) WriteSnapshot(snap core.SnapshotRecord) error {
+	s.snap = snap
+	return nil
 }
 
 // paperTrainingSet draws n observations of nObj objectives on the space:

@@ -402,12 +402,20 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		res.Trace = append(res.Trace, TracePoint{Iter: iter, Hours: opt.Clock.Hours()})
 		telemetry.MOBOIterations().Inc()
 
-		_, phaseHV := prof.StartClocked(pctx, "hypervolume", opt.Clock)
-		hv := runningHypervolume(res.Front)
-		phaseHV.EndWith(map[string]any{"hv": hv, "front": len(res.Front)})
-		phaseIter.EndWith(map[string]any{
-			"iter": iter, "front": len(res.Front), "evals": res.Evals, "hv": hv,
-		})
+		// The running hypervolume is for observers: a Progress callback, the
+		// flight record and a Chrome trace's phase events read it, nothing
+		// else does, and it is a fresh WFG over the whole front. A run with
+		// none of them skips it and its phase. (The process-wide profiler is
+		// always on and would record only the phase's time.)
+		iterArgs := map[string]any{"iter": iter, "front": len(res.Front), "evals": res.Evals}
+		var hv float64
+		if opt.Progress != nil || opt.Flight != nil || perfprof.Tracer(pctx) != nil {
+			_, phaseHV := prof.StartClocked(pctx, "hypervolume", opt.Clock)
+			hv = runningHypervolume(res.Front)
+			phaseHV.EndWith(map[string]any{"hv": hv, "front": len(res.Front)})
+			iterArgs["hv"] = hv
+		}
+		phaseIter.EndWith(iterArgs)
 		// End the iteration's trace span before recording the flight line,
 		// so the span log's end event is durable by the time the flight
 		// record that references it is.

@@ -118,3 +118,43 @@ func TestRunEmitsExpectedSpans(t *testing.T) {
 		t.Errorf("max trace ts %v µs is far below the simulated run length %v µs", maxTS, wantUS)
 	}
 }
+
+// TestHypervolumeOnlyWhenRead checks that a run computes its running
+// hypervolume only for an observer: with no Progress callback, flight
+// record or Chrome tracer the phase tree holds no hypervolume phase, while
+// a Progress callback gets one phase per iteration and the values it
+// reports, and the result is the same either way.
+func TestHypervolumeOnlyWhenRead(t *testing.T) {
+	hvPhases := func(opt Options) (uint64, Result) {
+		prof := perfprof.New()
+		restore := perfprof.SetActive(prof)
+		defer restore()
+		res := RunContext(context.Background(), testPlatform(), opt)
+		for _, st := range prof.Report() {
+			if strings.HasSuffix(st.Path, "hypervolume") {
+				return st.Count, res
+			}
+		}
+		return 0, res
+	}
+	n, bare := hvPhases(smallOpts(4))
+	if n != 0 {
+		t.Fatalf("a run with no observer computed the hypervolume %d times", n)
+	}
+	opt := smallOpts(4)
+	var hvs []float64
+	opt.Progress = func(p Progress) { hvs = append(hvs, p.Hypervolume) }
+	n, watched := hvPhases(opt)
+	if n != uint64(len(watched.Trace)) || len(hvs) != len(watched.Trace) {
+		t.Fatalf("a watched run of %d iterations had %d hypervolume phases and %d reports", len(watched.Trace), n, len(hvs))
+	}
+	fronts := watched.Fronts()
+	for i, hv := range hvs {
+		if want := runningHypervolume(fronts[i]); hv != want || hv <= 0 {
+			t.Fatalf("iteration %d reported hypervolume %v, want %v", i+1, hv, want)
+		}
+	}
+	if !reflect.DeepEqual(bare, watched) {
+		t.Fatal("watching the run changed its result")
+	}
+}

@@ -233,6 +233,8 @@ func refPoint(points [][]float64) []float64 {
 
 // normHV computes the hypervolume of front after scaling every objective by
 // ref (so the reference point becomes the unit corner and HV ∈ [0, 1]).
+// It scores the whole front: a score of a subset could fall as a method
+// finds more designs, and the regret curves would rise.
 func normHV(front [][]float64, ref []float64) float64 {
 	if len(front) == 0 || len(ref) == 0 {
 		return 0
@@ -249,43 +251,7 @@ func normHV(front [][]float64, ref []float64) float64 {
 		}
 		scaled = append(scaled, q)
 	}
-	// Large fronts make exact hypervolume slow; thin by crowding distance
-	// first (keeps the extremes and the best-spread interior points).
-	scaled = thinFront(scaled, 24)
 	return pareto.Hypervolume(scaled, unit)
-}
-
-// thinFront keeps at most n front points, preferring high crowding
-// distance.
-func thinFront(points [][]float64, n int) [][]float64 {
-	points = pareto.FrontPoints(points)
-	if len(points) <= n {
-		return points
-	}
-	cds := pareto.CrowdingDistance(points)
-	type scored struct {
-		p  []float64
-		cd float64
-	}
-	items := make([]scored, len(points))
-	for i := range points {
-		items[i] = scored{points[i], cds[i]}
-	}
-	// Selection sort of the top n by descending crowding distance.
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < len(items); j++ {
-			if items[j].cd > items[best].cd {
-				best = j
-			}
-		}
-		items[i], items[best] = items[best], items[i]
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = items[i].p
-	}
-	return out
 }
 
 // fprintf writes formatted output, ignoring nil writers so runners can be

@@ -296,30 +296,6 @@ func TestHypervolumeHelpers(t *testing.T) {
 	}
 }
 
-func TestThinFront(t *testing.T) {
-	var pts [][]float64
-	for i := 0; i < 40; i++ {
-		pts = append(pts, []float64{float64(i), float64(40 - i)})
-	}
-	thinned := thinFront(pts, 10)
-	if len(thinned) != 10 {
-		t.Errorf("thinned to %d, want 10", len(thinned))
-	}
-	// Extremes (infinite crowding distance) must survive.
-	hasFirst, hasLast := false, false
-	for _, p := range thinned {
-		if p[0] == 0 {
-			hasFirst = true
-		}
-		if p[0] == 39 {
-			hasLast = true
-		}
-	}
-	if !hasFirst || !hasLast {
-		t.Error("thinning dropped a boundary point")
-	}
-}
-
 func TestMinEuclidDistance(t *testing.T) {
 	pool := [][]float64{{10, 100}, {20, 50}}
 	d1 := minEuclidDistance([]float64{10, 100}, pool)
@@ -354,5 +330,32 @@ func TestAblationMatchesGolden(t *testing.T) {
 	RunAblation(&got, SmallScale())
 	if got.String() != string(want) {
 		t.Errorf("ablation output diverged from the golden:\n%s", got.String())
+	}
+}
+
+// checkNonIncreasing requires every curve of res to be non-increasing: a
+// method's front only grows with time, so its regret can only fall.
+func checkNonIncreasing(t *testing.T, what string, res CurveResult) {
+	t.Helper()
+	for _, c := range res.Curves {
+		for g := 1; g < len(c.HVDiff); g++ {
+			if c.HVDiff[g] > c.HVDiff[g-1] {
+				t.Errorf("%s, %s: regret rises from %v to %v at %.3f h", what, c.Method, c.HVDiff[g-1], c.HVDiff[g], c.Hours[g])
+				break
+			}
+		}
+	}
+}
+
+// TestRegretCurvesNeverRise checks every Fig. 10 curve at SmallScale and
+// every Fig. 7 curve on both scenarios at SmallScale with a HASCO budget of
+// two iterations, the least at which a hypervolume of a thinned front made
+// curves rise on both (UNICO's Fig. 10 curve rose from 0 at seed 1).
+func TestRegretCurvesNeverRise(t *testing.T) {
+	checkNonIncreasing(t, "Fig. 10", RunAblation(nil, SmallScale()))
+	s := SmallScale()
+	s.HASCOIter = 2
+	for _, sc := range []hw.Scenario{hw.Edge, hw.Cloud} {
+		checkNonIncreasing(t, "Fig. 7 "+sc.String(), RunHypervolumeCurves(nil, sc, s))
 	}
 }

@@ -57,12 +57,12 @@
 // A tile runs in two stages over each point's own kernel columns
 // (ColumnsLen floats). Stage 1 (PredictMeans) builds the columns and the
 // means; stage 2 (PredictVariances) runs the solves — the O(n²) part — and
-// the variances. PredictTile is their composition. A caller may keep stage
-// 1's columns and run stage 2 later on any regrouping of the points: each
-// point's solves are its own, so the variances carry the same bits.
-// internal/mobo bounds every pool candidate from its means (MaxVariance
-// says how large a variance can be) and runs stage 2 only for the
-// candidates that can still win, on the columns the bound pass kept.
+// the variances, on any regrouping of the points, to the same bits.
+// PredictTile is their composition. Before either, EnvelopeMeans bounds
+// every mean from below without one exponential, and MaxVariance bounds
+// every variance from above: internal/mobo computes the means only of
+// candidates whose bounds can still win, and solves only for those whose
+// means can.
 //
 // Stage 2 can also stop part way. PredictVariances takes an optional stop
 // function, runs the solves solveBlock rows at a time, and before each
@@ -114,6 +114,7 @@ func sqDist(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("gp: dimension mismatch %d vs %d", len(x), len(y)))
 	}
+	y = y[:len(x)] // no bounds check in the loop
 	sum := 0.0
 	for i := range x {
 		d := x[i] - y[i]
@@ -193,6 +194,9 @@ type GP struct {
 	alpha []float64
 	meanY float64
 	stdY  float64
+	// pos, neg and slack are what EnvelopeMeans reads (see splitAlpha).
+	pos, neg []float64
+	slack    float64
 }
 
 // ErrNoData reports a fit attempt with no training points.
@@ -225,6 +229,7 @@ func (g *GP) refreshTargets() {
 	}
 	g.alpha = g.alpha[:n]
 	linalg.CholeskySolveInto(g.chol, ys, g.alpha)
+	g.splitAlpha()
 }
 
 // gridLengthscales and gridNoises are FitAuto's hyperparameter grid.
@@ -349,6 +354,7 @@ func FitAutoAll(x [][]float64, ys [][]float64, warm []*Params, fan Fanout) ([]*G
 			rawY:  append([]float64(nil), ys[t]...),
 			meanY: tg.mean, stdY: tg.std,
 		}
+		gps[t].splitAlpha()
 	}
 	return gps, nil
 }
@@ -642,13 +648,14 @@ const TileWidth = 8
 // point; cols (rows floats a point, sliced by colSet) holds the points'
 // kernel columns when the caller keeps none; v holds each point's forward
 // solve of every distinct factor; ss holds Σv² per (GP, point); bound holds
-// one point's report to a stopping caller; lead holds the leader indices
-// and row offsets of every GP.
+// one point's report to a stopping caller; lo and hi hold one point's kernel
+// bounds for EnvelopeMeans; lead holds the leader indices and row offsets of
+// every GP.
 type tileScratch struct {
-	d2, cols, v, ss, bound []float64
-	colSet                 [][]float64
-	rows                   int
-	lead                   []int
+	d2, cols, v, ss, bound, lo, hi []float64
+	colSet                         [][]float64
+	rows                           int
+	lead                           []int
 	// dist, col and fac are the leaders (see leaders); off[b] is the row of
 	// a point's columns where column leader b's column starts, vo[c] the row
 	// of a point's v where factor leader c's solve starts.
@@ -808,6 +815,20 @@ func startTile(gps []*GP) *tileScratch {
 	return sc
 }
 
+// distances fills sc.d2 with the squared distances of every point of xs to
+// the training inputs of g, point after point, and returns len(g.x).
+func (sc *tileScratch) distances(g *GP, xs [][]float64) int {
+	n := len(g.x)
+	sc.d2 = grow(sc.d2, n*len(xs))
+	for k, x := range xs {
+		d := sc.d2[k*n : (k+1)*n]
+		for i, xi := range g.x {
+			d[i] = sqDist(xi, x)
+		}
+	}
+	return n
+}
+
 // means is stage 1: the distances, every distinct kernel column of point k
 // into cols[k], and the means.
 func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
@@ -816,14 +837,7 @@ func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
 		if sc.dist[a] != a {
 			continue
 		}
-		n := len(ga.x)
-		sc.d2 = grow(sc.d2, n*len(xs))
-		for k, x := range xs {
-			d := sc.d2[k*n : (k+1)*n]
-			for i, xi := range ga.x {
-				d[i] = sqDist(xi, x)
-			}
-		}
+		n := sc.distances(ga, xs)
 		for b := a; b < ng; b++ {
 			if sc.dist[b] != a || sc.col[b] != b {
 				continue
@@ -847,6 +861,117 @@ func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
 				}
 			}
 		}
+	}
+}
+
+// EnvelopeMeans writes into mean a lower bound on every mean PredictMeans
+// writes for the same gps and xs, <= its bits exactly, with no math.Exp and
+// no square root. The kernel is σ²·f(u), f(u) = (1+s+s²/3)·e^{−s}, s = √u,
+// u = 5d²/ℓ²; in u, f falls with slope −(1+s)·e^{−s}/6 and curves up by
+// e^{−s}/12, so on each step of envTable the chord bounds it from above and
+// the next step's chord, extended, from below. A training point's term takes
+// the lower kernel bound where its alpha is positive and the upper one where
+// it is negative, and the sum drops slack (splitAlpha). A GP whose alpha or
+// signal variance is not finite bounds -Inf, so a caller pruning on the
+// bound still computes its means.
+func EnvelopeMeans(gps []*GP, xs [][]float64, mean []float64) {
+	checkOut(len(gps), len(xs), mean, "means")
+	sc := startTile(gps)
+	ng := len(gps)
+	for a, ga := range gps {
+		if sc.dist[a] != a {
+			continue
+		}
+		n := sc.distances(ga, xs)
+		sc.lo, sc.hi = grow(sc.lo, n), grow(sc.hi, n)
+		for b := a; b < ng; b++ {
+			if sc.dist[b] != a || sc.col[b] != b {
+				continue
+			}
+			p := gps[b].params
+			for k := range xs {
+				envColumn(sc.d2[k*n:(k+1)*n], 5/(p.Lengthscale*p.Lengthscale)/envStep, sc.lo, sc.hi)
+				for c := b; c < ng; c++ {
+					if gc := gps[c]; sc.col[c] == b {
+						m := math.Inf(-1)
+						if gc.slack < math.Inf(1) {
+							m = (p.Variance*envDot(sc.lo, sc.hi, gc.pos, gc.neg)-gc.slack)*gc.stdY + gc.meanY
+						}
+						mean[k*ng+c] = m
+					}
+				}
+			}
+		}
+	}
+	tilePool.Put(sc)
+}
+
+// envTable holds f(j·envStep) for j <= envLast+1, then twice the last: 64
+// KiB for every lengthscale. envStep is a power of two, so a point's step
+// and its place in the step are exact.
+const (
+	envStep = 1.0 / 8
+	envLast = 8189
+)
+
+var envTable = func() *[envLast + 3]float64 {
+	t := new([envLast + 3]float64)
+	for j := 0; j <= envLast+1; j++ {
+		s := math.Sqrt(float64(j) * envStep)
+		t[j] = (1 + s + s*s/3) * math.Exp(-s)
+	}
+	t[envLast+2] = 2 * t[envLast+1]
+	return t
+}()
+
+// envColumn writes f's bounds lo[i] <= f(u) <= hi[i] at u = d2[i]·scale
+// (in steps of envStep). Past the table u is held at envLast, where hi is
+// f there, which bounds f beyond as f decreases, and lo is exactly 0 (the
+// last entry is twice the one before).
+func envColumn(d2 []float64, scale float64, lo, hi []float64) {
+	t := envTable
+	lo, hi = lo[:len(d2)], hi[:len(d2)]
+	for i, d := range d2 {
+		u := d * scale
+		if !(u < envLast) {
+			u = envLast
+		}
+		j := int(u)
+		f := u - float64(j)
+		a, b, c := t[j], t[j+1], t[j+2]
+		hi[i] = a + (b-a)*f
+		lo[i] = b + (c-b)*(f-1)
+	}
+}
+
+// envDot returns Σ lo[i]·pos[i] + hi[i]·neg[i], the two sums side by side.
+func envDot(lo, hi, pos, neg []float64) float64 {
+	lo, hi, neg = lo[:len(pos)], hi[:len(pos)], neg[:len(pos)]
+	var sp, sn float64
+	for i, p := range pos {
+		sp += lo[i] * p
+		sn += hi[i] * neg[i]
+	}
+	return sp + sn
+}
+
+// splitAlpha derives EnvelopeMeans' view of alpha, once per fit or extend:
+// its positive and negative parts, and slack = (8n+256)·2⁻⁵²·Σ|α|·σ². Each
+// kernel value and table bound is within a few units of 2⁻⁵³·σ² of f's
+// true value and each n-term sum within n units of 2⁻⁵³·Σ|α|·σ² of its
+// exact one, so slack covers them with room to spare. A non-finite alpha or
+// signal variance leaves slack +Inf or NaN: no bound.
+func (g *GP) splitAlpha() {
+	n := len(g.alpha)
+	g.pos, g.neg = grow(g.pos, n), grow(g.neg, n)
+	abs := 0.0
+	for i, a := range g.alpha {
+		g.pos[i], g.neg[i] = max(a, 0), min(a, 0)
+		abs += math.Abs(a)
+	}
+	g.slack = math.Inf(1)
+	if v := g.params.Variance; v > 0 && v < math.Inf(1) {
+		g.slack = float64(8*n+256) * 0x1p-52 * abs * v
 	}
 }
 
@@ -972,10 +1097,9 @@ func (g *GP) scaledVariance(varS float64) float64 {
 // MaxVariance returns the largest variance Predict can report at x: the
 // prior variance k(x,x)+noise, from which the posterior only ever subtracts
 // Σv² ≥ 0. Subtraction, the clamp and the scaling are each monotone in
-// floating point, so Predict's variance at x is <= MaxVariance(x) exactly,
-// not up to a tolerance — what lets the acquisition search bound a candidate
-// from its posterior mean alone and solve only for those that can still win.
-// It is the first report a stopping PredictVariances makes.
+// floating point, so Predict's variance at x is <= MaxVariance(x) exactly:
+// the variance half of the acquisition search's bounds, and the first
+// report a stopping PredictVariances makes.
 func (g *GP) MaxVariance(x []float64) float64 {
 	return g.scaledVariance(g.priorVariance())
 }

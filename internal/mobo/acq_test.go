@@ -111,13 +111,14 @@ func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
 	return o
 }
 
-// TestBoundNeverExceedsScore is the property the pruning rests on: for every
-// candidate, boundTile's value <= scoreTile's, compared on the floats with no
-// tolerance — and so is every partial bound a stopping solve reports (the
-// acquisition at the variances of each gp.PredictVariances report), the
-// first of them boundTile's value itself. And the exact score scoreKept
-// builds — from what the bound kept, or from stage 1 run again for the
-// candidates the keep set let go — is scoreTile's, with ==. The GP sets
+// TestBoundNeverExceedsScore is the chain of bounds the pruning rests on,
+// compared on the floats with no tolerance: for every candidate, boundTile's
+// value (the envelope means) <= the exact bound (the exact means, every
+// variance at MaxVariance) <= every partial bound a stopping solve reports
+// (the acquisition at the variances of each gp.PredictVariances report, the
+// first of them the exact bound itself) <= scoreTile's score. And the exact
+// score scorePoolTile builds, in another lane of another tile, is
+// scoreTile's, with ==. The GP sets
 // cover shared and distinct hyperparameters, a signal variance of 2.5
 // (k(x,x) is not 1), a training set of 3, an objective whose
 // span is 0, and noise-free GPs queried on their own training inputs, where
@@ -214,37 +215,39 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 			if trial == 3 {
 				lambda[0], lambda[1] = lambda[0]+lambda[1], 0
 			}
-			width := nObj + gp.ColumnsLen(o.gps)
-			o.acq.keep.reset(len(cands), width)
+			o.acq.colsFor(o.gps)
+			width := o.acq.width
 			for lo := 0; lo < len(cands); lo += gp.TileWidth {
 				hi := min(lo+gp.TileWidth, len(cands))
 				xs := cands[lo:hi]
 				post := make([]float64, 2*len(xs)*nObj)
-				bound, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
-				data := make([][]float64, len(xs))
-				for k := range data {
-					data[k] = make([]float64, width)
+				bound, exact, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
+				o.boundTile(xs, lambda, post, bound)
+				cols := make([][]float64, len(xs))
+				for k := range cols {
+					cols[k] = make([]float64, width)
 				}
-				o.boundTile(xs, lambda, post, bound, data)
-				o.acq.keep.offer(lo, bound, data)
+				means := make([]float64, len(xs)*nObj)
+				gp.PredictMeans(o.gps, xs, means, cols)
+				mean, variance := post[:len(post)/2], post[len(post)/2:]
+				copy(mean, means)
+				o.maxVariances(xs, variance)
+				o.acquisition(mean, variance, lambda, exact)
 				o.scoreTile(xs, lambda, post, score)
 				tile := make([]int, len(xs))
 				for k := range tile {
 					tile[k] = hi - 1 - k // reversed: every candidate in another lane
 				}
-				o.scoreKept(cands, tile, lambda, math.Inf(1), post, kept)
-				var (
-					s    [gp.TileWidth]float64
-					cols [gp.TileWidth][]float64
-				)
-				for k, d := range data {
-					s[k], cols[k] = o.meanTerm(append([]float64(nil), d[:nObj]...), lambda), d[nObj:]
+				o.scorePoolTile(cands, tile, lambda, math.Inf(1), post, kept)
+				var s [gp.TileWidth]float64
+				for k := range xs {
+					s[k] = o.meanTerm(append([]float64(nil), means[k*nObj:(k+1)*nObj]...), lambda)
 				}
 				reports := make([]int, len(xs))
-				gp.PredictVariances(o.gps, xs, cols[:len(xs)], make([]float64, len(xs)*nObj), func(k int, v []float64) bool {
+				gp.PredictVariances(o.gps, xs, cols, make([]float64, len(xs)*nObj), func(k int, v []float64) bool {
 					partial := s[k] - o.bonus(v, lambda)
-					if reports[k] == 0 && partial != bound[k] {
-						t.Fatalf("%s, candidate %d: first partial bound %v, boundTile %v", set.name, lo+k, partial, bound[k])
+					if reports[k] == 0 && partial != exact[k] {
+						t.Fatalf("%s, candidate %d: first partial bound %v, exact bound %v", set.name, lo+k, partial, exact[k])
 					}
 					if !(partial <= score[k]) {
 						t.Fatalf("%s, lambda %v, candidate %d: partial bound %d, %v, exceeds score %v", set.name, lambda, lo+k, reports[k], partial, score[k])
@@ -253,11 +256,14 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 					return false
 				})
 				for k := range xs {
-					if !(bound[k] <= score[k]) {
-						t.Fatalf("%s, lambda %v, candidate %d: bound %v exceeds score %v", set.name, lambda, lo+k, bound[k], score[k])
+					if !(bound[k] <= exact[k]) {
+						t.Fatalf("%s, lambda %v, candidate %d: envelope bound %v exceeds exact bound %v", set.name, lambda, lo+k, bound[k], exact[k])
+					}
+					if !(exact[k] <= score[k]) {
+						t.Fatalf("%s, lambda %v, candidate %d: bound %v exceeds score %v", set.name, lambda, lo+k, exact[k], score[k])
 					}
 					if got := kept[len(xs)-1-k]; got != score[k] && !(math.IsNaN(got) && math.IsNaN(score[k])) {
-						t.Fatalf("%s, lambda %v, candidate %d: scored %v from the kept columns, %v from a full tile", set.name, lambda, lo+k, got, score[k])
+						t.Fatalf("%s, lambda %v, candidate %d: scored %v in another tile, %v from a full tile", set.name, lambda, lo+k, got, score[k])
 					}
 				}
 			}
@@ -611,8 +617,6 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 		o.cfg.SearchWorkers = workers
 		for _, limit := range limits {
 			o.acq = newAcqScratch(len(pool), o.NumObjectives())
-			o.acq.keep.reset(len(pool), o.NumObjectives()+gp.ColumnsLen(o.gps))
-			o.fanOut((len(pool)+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda, nil) })
 			done := o.scoreCandidates(pool, rng.Perm(len(pool)), lambda, limit)
 			n := 0
 			for i := range pool {
@@ -657,5 +661,23 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 	}
 	if stopped == 0 || completed == 0 {
 		t.Fatalf("scoreMemoized: %d stopped and %d completed; the limits test nothing", stopped, completed)
+	}
+}
+
+// TestBrokenSurrogateTakesTheExactPath checks the search's half of what
+// happens to a surrogate whose alpha holds a NaN or an Inf: gp.EnvelopeMeans
+// bounds its mean -Inf (the gp half, TestEnvelopeOfBrokenAlphaIsMinusInf),
+// and a -Inf mean gives a candidate a bound below +Inf — not the NaN an
+// exact bound from a NaN mean gives — so maximizeAcquisition orders it and
+// scores it exactly instead of dropping it unseen.
+func TestBrokenSurrogateTakesTheExactPath(t *testing.T) {
+	o := handBuilt(make([]*gp.GP, 2), []float64{0, 0}, []float64{1.5, 1.5})
+	lambda := []float64{0.5, 0.5}
+	var out [1]float64
+	for _, broken := range []float64{math.Inf(-1), math.NaN()} {
+		o.acquisition([]float64{broken, 0.7}, []float64{0.2, 0.1}, lambda, out[:])
+		if dropped := !(out[0] < math.Inf(1)); dropped != math.IsNaN(broken) {
+			t.Fatalf("a mean of %v gives the bound %v", broken, out[0])
+		}
 	}
 }

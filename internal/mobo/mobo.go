@@ -27,28 +27,28 @@
 // # Tiled acquisition, deterministic results
 //
 // The acquisition search scores candidates a tile at a time: up to
-// gp.TileWidth candidates go through all the objectives' GPs in one
-// gp.PredictTile call, which shares the distance pass, the kernel columns
-// and the factor solves the objectives have in common. And it solves only
-// for candidates that can win. The acquisition subtracts an exploration
-// bonus that grows with the posterior variances, and a variance is at most
-// the prior's (gp.GP.MaxVariance), so the posterior means alone — a tile
-// without its O(n²) solves — give every pool candidate a lower bound on its
-// score that holds exactly in floating point. One fan-out over a bounded
+// gp.TileWidth candidates go through all the objectives' GPs at once, which
+// shares the distance pass, the kernel columns and the factor solves the
+// objectives have in common. And it pays only for candidates that can win.
+// The acquisition rises with each posterior mean and falls as a variance
+// grows, so lower bounds on the means (gp.EnvelopeMeans, which runs no
+// exponential) and the largest variances (gp.GP.MaxVariance) bound every
+// score from below, exactly in floating point. One fan-out over a bounded
 // worker pool (Config.SearchWorkers, internal/parpool) bounds the pool's
 // tiles while the incumbent refinement chains run beside them (in
 // lock-step, one tile holding the current step of every chain, their
 // posteriors read through a memo that lives for one SuggestBatch); the
 // lowest bounds are then scored exactly, and a second fan-out scores whoever
 // else has a bound no higher than the best score seen. A candidate left
-// unscored could neither have won nor tied. An exact score reuses the kernel
-// columns and means its bound computed and runs only the solves
-// (gp.PredictVariances), and only as far as the candidate can still win: the
-// solves run in row blocks, each block's partial variances are upper bounds
-// on the final ones, so the acquisition at them bounds the score from below
-// ever more tightly, and a solve stops once that bound passes the score to
-// beat. The chains' steps stop the same way, against the values a step must
-// beat to move its chain.
+// unscored could neither have won nor tied. An exact score computes the
+// means and kernel columns, then runs the solves only as far as the
+// candidate can still win: they run in row blocks, each block's partial
+// variances are upper bounds on the final ones, so the acquisition at them
+// bounds the score from below ever more tightly (the first, at the exact
+// means, already stops a candidate whose means lose), and a solve stops
+// once that bound passes the score to beat. The chains' steps are bounded
+// and stop the same way, against the values a step must beat to move its
+// chain.
 //
 // The result is bit-identical for every worker count, to scoring every
 // candidate, and to scoring each candidate alone: all draws from the
@@ -68,6 +68,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"unico/internal/gp"
@@ -303,14 +304,14 @@ var _ [gp.TileWidth - acqChains]struct{}
 // of the incumbents for the point with the best (lowest) scalarized
 // lower-confidence bound under the weights lambda.
 //
-// Only candidates that can still win pay for a variance. One fan-out runs
-// the refinement chains (item 0) next to the pool's tiles, which are scored
-// from their posterior means alone into lower bounds (boundTile), keeping
-// each candidate's means and kernel columns. The candidates are then ordered
-// by (bound, index), the tile of lowest bounds is scored exactly — only the
-// solves remain to be run (scoreKept) — and threshold = min(that tile's best,
-// the chains' best) decides who else is: the run of the order whose bound is
-// <= threshold, regrouped into full tiles for a second fan-out. A pruned
+// Only candidates that can still win pay for their means and variances. One
+// fan-out runs the refinement chains (item 0) next to the pool's tiles,
+// which are bounded from below with no exponential and no solve
+// (boundTile). The candidates are then ordered by (bound, index), the tile
+// of lowest bounds is scored exactly (scoreCandidates), and threshold =
+// min(that tile's best, the chains' best) decides who else is: the run of
+// the order whose bound is <= threshold, regrouped into full tiles for a
+// second fan-out. A pruned
 // candidate has score >= bound > threshold >= the winner's score, so it can
 // neither win nor tie, and the merge below picks the point scoring every
 // candidate would have picked. The exact scores stop the same way part way
@@ -343,7 +344,6 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	// lower bound for every pool candidate, +Inf for the excluded ones.
 	sp := perfprof.Begin("mobo.acq_pool")
 	sc := &o.acq
-	sc.keep.reset(len(pool), o.NumObjectives()+gp.ColumnsLen(o.gps))
 	bounds, scores := sc.bounds, sc.scores
 	var chainX [][]float64
 	var chainA []float64
@@ -424,34 +424,31 @@ func (o *Optimizer) fanOut(n int, fn func(i int)) {
 
 // boundPoolTile writes the bounds of pool tile t (candidates t·gp.TileWidth
 // up to the next tile or the pool's end) into acq.bounds, +Inf for the
-// excluded ones, and offers each candidate's means and kernel columns to
-// acq.keep for its exact score to reuse.
+// excluded ones.
 func (o *Optimizer) boundPoolTile(pool [][]float64, t int, lambda []float64, exclude map[string]bool) {
 	sc := &o.acq
 	lo := t * gp.TileWidth
 	hi := min(lo+gp.TileWidth, len(pool))
-	buf := sc.keep.tileBuf()
-	o.boundTile(pool[lo:hi], lambda, sc.tilePost(t, hi-lo), sc.bounds[lo:hi], buf[:hi-lo])
+	o.boundTile(pool[lo:hi], lambda, sc.tilePost(t, hi-lo), sc.bounds[lo:hi])
 	for i := lo; i < hi; i++ {
 		if o.excluded(pool[i], exclude) {
 			sc.bounds[i] = math.Inf(1)
 		}
 	}
-	sc.keep.offer(lo, sc.bounds[lo:hi], buf[:hi-lo])
-	sc.keep.putTileBuf(buf)
 }
 
 // scoreCandidates writes the exact acquisition value of pool[i] into
 // acq.scores[i] for every i of idx, or +Inf once it is sure to exceed limit,
-// gathered into full tiles (scoreKept) fanned out over the worker pool. It
-// returns how many solves ran to the last row.
+// gathered into full tiles (scorePoolTile) fanned out over the worker pool.
+// It returns how many solves ran to the last row.
 func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float64, limit float64) int {
 	sc := &o.acq
+	sc.colsFor(o.gps)
 	var completed atomic.Int64
 	o.fanOut((len(idx)+gp.TileWidth-1)/gp.TileWidth, func(t int) {
 		tile := idx[t*gp.TileWidth : min((t+1)*gp.TileWidth, len(idx))]
 		var out [gp.TileWidth]float64
-		completed.Add(int64(o.scoreKept(pool, tile, lambda, limit, sc.tilePost(t, len(tile)), out[:len(tile)])))
+		completed.Add(int64(o.scorePoolTile(pool, tile, lambda, limit, sc.tilePost(t, len(tile)), out[:len(tile)])))
 		for k, i := range tile {
 			sc.scores[i] = out[k]
 		}
@@ -459,48 +456,26 @@ func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float6
 	return int(completed.Load())
 }
 
-// scoreKept writes the exact acquisition value of pool[i], for each i of
+// scorePoolTile writes the exact acquisition value of pool[i], for each i of
 // tile (at most gp.TileWidth of them), into out, or +Inf once it is sure to
-// exceed limit (solveScores), and returns how many solves completed. Each
-// candidate must have been bounded (boundPoolTile). Its score is stage 2 of
-// the prediction on the means and kernel columns its bound kept, or, for a
-// candidate acq.keep let go, on stage 1 run again — the same bits. post is
-// scratch for the posterior, 2·len(tile)·NumObjectives long.
-func (o *Optimizer) scoreKept(pool [][]float64, tile []int, lambda []float64, limit float64, post, out []float64) (completed int) {
-	nObj := o.NumObjectives()
-	ks := o.acq.keep
-	buf := ks.tileBuf()
-	defer ks.putTileBuf(buf)
+// exceed limit, and returns how many solves completed: stage 1 of the
+// prediction, then solveScores. post is scratch for the posterior,
+// 2·len(tile)·NumObjectives long; acq.colsFor must have sized the columns.
+func (o *Optimizer) scorePoolTile(pool [][]float64, tile []int, lambda []float64, limit float64, post, out []float64) (completed int) {
 	var (
-		xs, data, missX, missCols [gp.TileWidth][]float64
-		miss                      [gp.TileWidth]int
-		nMiss                     int
+		xs  [gp.TileWidth][]float64
+		lim [gp.TileWidth]float64
 	)
-	mean, variance := post[:len(post)/2], post[len(post)/2:]
 	for k, i := range tile {
-		xs[k] = pool[i]
-		if data[k] = ks.get(i); data[k] == nil {
-			data[k] = buf[k]
-			missX[nMiss], missCols[nMiss], miss[nMiss] = pool[i], buf[k][nObj:], k
-			nMiss++
-		}
+		xs[k], lim[k] = pool[i], limit
 	}
-	if nMiss > 0 {
-		gp.PredictMeans(o.gps, missX[:nMiss], mean[:nMiss*nObj], missCols[:nMiss])
-		for r, k := range miss[:nMiss] {
-			copy(data[k][:nObj], mean[r*nObj:(r+1)*nObj])
-		}
-	}
-	var (
-		cols [gp.TileWidth][]float64
-		lim  [gp.TileWidth]float64
-	)
-	for k, d := range data[:len(tile)] {
-		cols[k], lim[k] = d[nObj:], limit
-		copy(mean[k*nObj:(k+1)*nObj], d[:nObj])
-	}
-	done := o.solveScores(xs[:len(tile)], cols[:len(tile)], lambda, lim[:len(tile)], mean, variance, out)
-	for _, d := range done[:len(tile)] {
+	m := len(tile)
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	cols := o.acq.tileCols()
+	defer o.acq.colBufs.Put(cols)
+	gp.PredictMeans(o.gps, xs[:m], mean, cols[:m])
+	done := o.solveScores(xs[:m], cols[:m], lambda, lim[:m], mean, variance, out)
+	for _, d := range done[:m] {
 		if d {
 			completed++
 		}
@@ -614,31 +589,27 @@ func (o *Optimizer) excluded(x []float64, exclude map[string]bool) bool {
 }
 
 // boundTile writes a lower bound on the acquisition value of each candidate
-// of xs (at most gp.TileWidth of them) into out: the posterior means, from
-// stage 1 of the prediction alone (gp.PredictMeans), with every variance at
-// the most it can be (gp.GP.MaxVariance) through the same expression. Every
-// step of that expression is monotone in the variances, so out[k] <= the
-// exact score, exactly. post is scratch for the posterior,
-// 2·len(xs)·NumObjectives long. kept[k] receives candidate k's raw means
-// then its kernel columns (see keepSet): what scoreKept needs to finish the
-// prediction.
-func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64, kept [][]float64) {
+// of xs (at most gp.TileWidth of them) into out, with no exponential and no
+// solve: the acquisition at lower bounds on the means (gp.EnvelopeMeans) and
+// the largest variances (gp.GP.MaxVariance). It never falls as a mean grows
+// (normalizing, λ_j >= 0, max and sum are monotone) nor rises as a variance
+// does (bonus), so out[k] <= the exact score, exactly. post is scratch for
+// the posterior, 2·len(xs)·NumObjectives long.
+func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64) {
 	mean, variance := post[:len(post)/2], post[len(post)/2:]
+	gp.EnvelopeMeans(o.gps, xs, mean)
+	o.maxVariances(xs, variance)
+	o.acquisition(mean, variance, lambda, out)
+}
+
+// maxVariances writes each surrogate's MaxVariance at each point of xs.
+func (o *Optimizer) maxVariances(xs [][]float64, variance []float64) {
 	nObj := o.NumObjectives()
-	var cols [gp.TileWidth][]float64
-	for k, c := range kept {
-		cols[k] = c[nObj:]
-	}
-	gp.PredictMeans(o.gps, xs, mean, cols[:len(xs)])
-	for k, c := range kept {
-		copy(c[:nObj], mean[k*nObj:(k+1)*nObj])
-	}
 	for k, x := range xs {
 		for j, g := range o.gps {
 			variance[k*nObj+j] = g.MaxVariance(x)
 		}
 	}
-	o.acquisition(mean, variance, lambda, out)
 }
 
 // acquisition turns posteriors (mean[k*nObj+j], variance[k*nObj+j] for
@@ -683,28 +654,26 @@ func (o *Optimizer) bonus(v, lambda []float64) float64 {
 // scoreMemoized writes the exact acquisition value of each candidate of xs
 // (at most gp.TileWidth of them) into out, or +Inf once it is sure to
 // exceed limit[k], through the posterior memo. A point whose last solve
-// completed is read from the memo. One whose last solve stopped is first
-// bounded from its means and the variances it stopped at, which are >= its
-// variances: when that bound already exceeds the limit, it costs nothing.
-// Every other lane runs stage 1 of the prediction and then solveScores, in
-// one tile, and the memo keeps what it computed. post is scratch for the
-// posterior, 2·len(xs)·NumObjectives long. Only the goroutine running the
-// refinement chains calls it, so the memo needs no lock.
+// completed is read from the memo. A new point enters it with lower bounds
+// on its means (gp.EnvelopeMeans) and its largest variances, as if its solve
+// had stopped before the first row. A point whose solve stopped is bounded
+// from what the memo holds: when that bound exceeds the limit, it costs
+// nothing more. Every other lane runs stage 1 of the prediction and then
+// solveScores, in one tile, and the memo keeps what it computed. post is
+// scratch for the posterior, 2·len(xs)·NumObjectives long. Only the
+// goroutine running the refinement chains calls it: the memo takes no lock.
 func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []float64) {
 	sc := &o.acq
+	sc.colsFor(o.gps)
 	nObj := o.NumObjectives()
-	if sc.width == 0 {
-		sc.width = gp.ColumnsLen(o.gps)
-	}
 	mean, variance := post[:len(post)/2], post[len(post)/2:]
-	fresh := len(sc.memoFull) // entries from here on are this call's
 	var (
 		at      [gp.TileWidth]int // lane -> memo entry
 		whole   [gp.TileWidth]bool
-		miss    [gp.TileWidth]int // lanes to predict
-		missX   [gp.TileWidth][]float64
+		lanes   [gp.TileWidth]int // new points, then lanes to predict
+		laneX   [gp.TileWidth][]float64
 		missLim [gp.TileWidth]float64
-		nMiss   int
+		n       int
 	)
 	for k, x := range xs {
 		key := sc.memoKey(x)
@@ -712,37 +681,47 @@ func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []flo
 		if !ok {
 			e = sc.claim(nObj)
 			sc.memo[string(key)] = e
+			lanes[n], laneX[n] = k, x
+			n++
 		}
 		at[k] = e
-		if whole[k] = e < fresh && sc.memoFull[e]; whole[k] {
+	}
+	if n > 0 {
+		mu, v := mean[:n*nObj], variance[:n*nObj]
+		gp.EnvelopeMeans(o.gps, laneX[:n], mu)
+		o.maxVariances(laneX[:n], v)
+		for r, k := range lanes[:n] {
+			copy(sc.memoPost[2*nObj*at[k]:], mu[r*nObj:(r+1)*nObj])
+			copy(sc.memoPost[2*nObj*at[k]+nObj:], v[r*nObj:(r+1)*nObj])
+		}
+	}
+	n = 0
+	for k, x := range xs {
+		e := at[k]
+		if whole[k] = sc.memoFull[e]; whole[k] {
 			continue
 		}
-		if e < fresh {
-			mu, v := mean[k*nObj:(k+1)*nObj], variance[k*nObj:(k+1)*nObj]
-			copy(mu, sc.memoPost[2*nObj*e:])
-			copy(v, sc.memoPost[2*nObj*e+nObj:2*nObj*(e+1)])
-			if o.meanTerm(mu, lambda)-o.bonus(v, lambda) > limit[k] {
-				out[k] = math.Inf(1)
-				continue
-			}
+		mu, v := mean[k*nObj:(k+1)*nObj], variance[k*nObj:(k+1)*nObj]
+		copy(mu, sc.memoPost[2*nObj*e:])
+		copy(v, sc.memoPost[2*nObj*e+nObj:2*nObj*(e+1)])
+		if o.meanTerm(mu, lambda)-o.bonus(v, lambda) > limit[k] {
+			out[k] = math.Inf(1)
+			continue
 		}
-		miss[nMiss], missX[nMiss], missLim[nMiss] = k, x, limit[k]
-		nMiss++
+		lanes[n], laneX[n], missLim[n] = k, x, limit[k]
+		n++
 	}
-	if nMiss > 0 {
-		sc.cols = grow(sc.cols, nMiss*sc.width)
-		var cols [gp.TileWidth][]float64
-		for r := range cols[:nMiss] {
-			cols[r] = sc.cols[r*sc.width : (r+1)*sc.width]
-		}
-		mu, v := mean[:nMiss*nObj], variance[:nMiss*nObj]
-		gp.PredictMeans(o.gps, missX[:nMiss], mu, cols[:nMiss])
-		for r, k := range miss[:nMiss] {
+	if n > 0 {
+		cols := sc.tileCols()
+		mu, v := mean[:n*nObj], variance[:n*nObj]
+		gp.PredictMeans(o.gps, laneX[:n], mu, cols[:n])
+		for r, k := range lanes[:n] {
 			copy(sc.memoPost[2*nObj*at[k]:], mu[r*nObj:(r+1)*nObj])
 		}
 		var missOut [gp.TileWidth]float64
-		done := o.solveScores(missX[:nMiss], cols[:nMiss], lambda, missLim[:nMiss], mu, v, missOut[:nMiss])
-		for r, k := range miss[:nMiss] {
+		done := o.solveScores(laneX[:n], cols[:n], lambda, missLim[:n], mu, v, missOut[:n])
+		sc.colBufs.Put(cols)
+		for r, k := range lanes[:n] {
 			out[k] = missOut[r]
 			copy(sc.memoPost[2*nObj*at[k]+nObj:], v[r*nObj:(r+1)*nObj])
 			sc.memoFull[at[k]] = done[r]
@@ -777,26 +756,45 @@ type acqScratch struct {
 	// bounded candidates' indices by (bound, index).
 	bounds, scores []float64
 	order          []int
-	// keep holds what the bound pass computed for the candidates of lowest
-	// bounds, for their exact scores to reuse.
-	keep *keepSet
+	// colBufs holds tileCols' scratch, width = gp.ColumnsLen floats a
+	// candidate (0 until colsFor sets it).
+	colBufs *sync.Pool
+	width   int
 
 	// memo maps a point — its coordinates bit for bit, not its lattice
 	// cell: an off-centre training input shares a cell with the centre but
 	// not a posterior — to its entry e under the current surrogates:
 	// memoPost[2·NumObjectives·e:] holds its NumObjectives means, then as
 	// many variances: exact when memoFull[e] (its last solve completed),
-	// the upper bounds it stopped at otherwise. It lives for one
-	// SuggestBatch (whose slots' chains keep revisiting the same points) and
-	// is dropped whenever the surrogates change. key is the lookup key's
-	// buffer, cols the kernel columns of the lanes the memo cannot answer,
-	// width = gp.ColumnsLen floats each (0 until the memo first needs it).
+	// else bounds on them (the variances a solve stopped at, or envelope
+	// means and the largest variances). It lives for one SuggestBatch
+	// (whose slots' chains keep revisiting the same points) and is dropped
+	// whenever the surrogates change; key is the lookup key's buffer.
 	memo     map[string]int
 	memoPost []float64
 	memoFull []bool
 	key      []byte
-	cols     []float64
-	width    int
+}
+
+// colsFor sizes the column scratch for gps, once per change of surrogates.
+// Call it before a fan-out whose tiles take columns.
+func (sc *acqScratch) colsFor(gps []*gp.GP) {
+	if sc.width == 0 {
+		sc.width = gp.ColumnsLen(gps)
+	}
+}
+
+// tileCols returns kernel-column scratch for one tile, one column set a
+// candidate; give it back to colBufs.
+func (sc *acqScratch) tileCols() *[gp.TileWidth][]float64 {
+	b, _ := sc.colBufs.Get().(*[gp.TileWidth][]float64)
+	if b == nil {
+		b = new([gp.TileWidth][]float64)
+	}
+	for k := range b {
+		b[k] = grow(b[k], sc.width)
+	}
+	return b
 }
 
 // newAcqScratch sizes the scratch for pools of n candidates under nObj
@@ -808,7 +806,7 @@ func newAcqScratch(n, nObj int) acqScratch {
 		bounds:   make([]float64, n),
 		scores:   make([]float64, n),
 		order:    make([]int, 0, n),
-		keep:     new(keepSet),
+		colBufs:  new(sync.Pool),
 		memo:     map[string]int{},
 	}
 }

@@ -76,24 +76,19 @@ func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
 // TestScorePoolMatchesPerCandidate checks both ways a pool candidate gets an
 // exact score against the per-candidate reference (a full gp.PredictTile of
 // that candidate alone, through Predict): scoreCandidates, the search's own
-// path — every tile bounded first (boundPoolTile, which keeps the means and
-// kernel columns of the keepCap lowest bounds), then every candidate scored
-// in regrouped tiles in a shuffled order, from its kept columns or from
-// stage 1 run again — and scorePoolReference, the exhaustive scoring the
-// search tests lean on. Pool sizes sit on every side of the tile, keep-set
-// and pool boundaries, at several worker counts, on a live optimizer and on
-// one rebuilt by Restore; excluded candidates read +Inf from the exhaustive
-// scoring.
-//
-// It was shown to catch scoring the kept columns of the wrong candidate
-// (the first lane's for every lane), leaving the kept means out (the
-// normalized means of the tile's own posterior scratch), and recomputing
-// the columns of the first candidate the keep set let go for every one.
+// path — every candidate scored in regrouped tiles in a shuffled order, each
+// tile's means and kernel columns computed in the tile and its solves run on
+// them — and scorePoolReference, the exhaustive scoring the search tests lean
+// on. Before it, the bound pass (boundPoolTile) must give every candidate a
+// bound no higher than its reference and the excluded ones +Inf. Pool sizes
+// sit on every side of the tile and pool boundaries, at several worker
+// counts, on a live optimizer and on one rebuilt by Restore; excluded
+// candidates read +Inf from the exhaustive scoring.
 func TestScorePoolMatchesPerCandidate(t *testing.T) {
 	live := trained(t, 11)
 	lambda := []float64{0.4, 0.3, 0.2, 0.1}
 	rng := rand.New(rand.NewSource(3))
-	for _, size := range []int{1, 3, keepCap + 1, keepCap + 3, 255, 256, 257} {
+	for _, size := range []int{1, 3, 129, 131, 255, 256, 257} {
 		pool := make([][]float64, size)
 		for i := range pool {
 			pool[i] = live.space.Sample(rng)
@@ -106,16 +101,16 @@ func TestScorePoolMatchesPerCandidate(t *testing.T) {
 			for name, o := range map[string]*Optimizer{"live": live, "restored": throughJSON(t, live, cfg)} {
 				o.cfg.SearchWorkers = workers
 				o.acq = newAcqScratch(size, o.NumObjectives())
-				o.acq.keep.reset(size, o.NumObjectives()+gp.ColumnsLen(o.gps))
 				o.fanOut((size+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda, exclude) })
-				kept := 0
-				for i := range pool {
-					if o.acq.keep.get(i) != nil {
-						kept++
+				for i, x := range pool {
+					b := o.acq.bounds[i]
+					if o.excluded(x, exclude) {
+						if b != math.Inf(1) {
+							t.Fatalf("%s, pool of %d: excluded candidate %d bounded %v, want +Inf", name, size, i, b)
+						}
+					} else if ref := acquisitionReference(o, x, lambda); !(b <= ref) {
+						t.Fatalf("%s, pool of %d: candidate %d bounded %v above its score %v", name, size, i, b, ref)
 					}
-				}
-				if want := min(size-2, keepCap); kept != want && !(size == 1 && kept == 0) {
-					t.Fatalf("%s, pool of %d: %d candidates kept their columns, want %d", name, size, kept, want)
 				}
 				o.scoreCandidates(pool, rng.Perm(size), lambda, math.Inf(1))
 				exhaustive := scorePoolReference(o, pool, lambda, exclude)
@@ -209,8 +204,8 @@ func TestRefineChainsMatchSerialWalks(t *testing.T) {
 
 // TestScoreTileDoesNotAllocate pins the allocation-free scoring paths: with
 // the posterior scratch handed in, a tile costs no objects — bounded from
-// its means and kept, scored from what the bound kept, or read back from
-// the memo, with solves that complete or stop part way.
+// its envelope, scored from its own means and columns, or read back from the
+// memo, with solves that complete or stop part way.
 func TestScoreTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -225,12 +220,11 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 		idx[i] = len(xs) - 1 - i
 	}
 	nObj := o.NumObjectives()
-	o.acq.keep.reset(len(xs), nObj+gp.ColumnsLen(o.gps))
-	o.boundPoolTile(xs, 0, lambda, nil) // keeps every candidate: a pool of one tile
+	o.acq.colsFor(o.gps)
 	post := make([]float64, 2*len(xs)*nObj)
 	out := make([]float64, len(xs))
 	// A limit some of the candidates score above: their solves stop.
-	o.scoreKept(xs, idx, lambda, math.Inf(1), post, out)
+	o.scorePoolTile(xs, idx, lambda, math.Inf(1), post, out)
 	slices.Sort(out)
 	mid := out[len(out)/2]
 	var midLimit [gp.TileWidth]float64
@@ -238,16 +232,11 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 		midLimit[k] = mid
 	}
 	for name, score := range map[string]func(m int){
-		"boundTile": func(m int) {
-			buf := o.acq.keep.tileBuf()
-			o.boundTile(xs[:m], lambda, post[:2*m*nObj], out[:m], buf[:m])
-			o.acq.keep.offer(0, out[:m], buf[:m])
-			o.acq.keep.putTileBuf(buf)
-		},
-		"scoreKept":     func(m int) { o.scoreKept(xs, idx[len(xs)-m:], lambda, math.Inf(1), post[:2*m*nObj], out[:m]) },
+		"boundTile":     func(m int) { o.boundTile(xs[:m], lambda, post[:2*m*nObj], out[:m]) },
+		"scorePoolTile": func(m int) { o.scorePoolTile(xs, idx[len(xs)-m:], lambda, math.Inf(1), post[:2*m*nObj], out[:m]) },
 		"scoreMemoized": func(m int) { o.scoreMemoized(xs[:m], lambda, noLimit[:m], post[:2*m*nObj], out[:m]) },
-		"scoreKept, stopping": func(m int) {
-			o.scoreKept(xs, idx[len(xs)-m:], lambda, mid, post[:2*m*nObj], out[:m])
+		"scorePoolTile, stopping": func(m int) {
+			o.scorePoolTile(xs, idx[len(xs)-m:], lambda, mid, post[:2*m*nObj], out[:m])
 		},
 		// Points of their own: once the warm-up call has stopped some, the
 		// memo holds only their means, and every later call bounds them

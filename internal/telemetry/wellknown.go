@@ -21,9 +21,9 @@ var (
 	distJobs = DefaultRegistry.Gauge("unico_dist_jobs", "Mapping-search jobs currently held by this worker.", nil)
 
 	moboAcqBounded = DefaultRegistry.Counter("unico_mobo_acq_bounded_total",
-		"Acquisition pool candidates bounded from their posterior means.", nil)
+		"Acquisition pool candidates bounded with no exponential and no solve (envelope means, largest variances).", nil)
 	moboAcqSolved = DefaultRegistry.Counter("unico_mobo_acq_solved_total",
-		"Acquisition pool candidates whose bound could still win and that paid for an exact score.", nil)
+		"Acquisition pool candidates whose bound could still win and that paid for exact means and a variance solve.", nil)
 	moboAcqCompleted = DefaultRegistry.Counter("unico_mobo_acq_completed_total",
 		"Exact-scored acquisition pool candidates whose variance solve ran to the last row.", nil)
 
@@ -93,12 +93,14 @@ func MOBOTrainSize() *Gauge { return moboTrainSize }
 func MOBOUUL() *Gauge { return moboUUL }
 
 // MOBOAcqBounded counts the pool candidates the acquisition search bounded
-// from their posterior means — every candidate of every pool.
+// with no exponential and no solve (gp.EnvelopeMeans, gp.GP.MaxVariance) —
+// every candidate of every pool.
 func MOBOAcqBounded() *Counter { return moboAcqBounded }
 
 // MOBOAcqSolved counts the pool candidates whose bound could still win, the
-// ones that went on to pay the variance solve for an exact score. Solved over
-// bounded is the share of the pool the bound did not prune.
+// ones that went on to pay for their exact means (kernel columns with their
+// exponentials) and a variance solve for an exact score. Solved over bounded
+// is the share of the pool the bound did not prune.
 func MOBOAcqSolved() *Counter { return moboAcqSolved }
 
 // MOBOAcqCompleted counts the solved pool candidates whose variance solve
