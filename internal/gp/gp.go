@@ -58,18 +58,18 @@
 // (ColumnsLen floats). Stage 1 (PredictMeans) builds the columns and the
 // means; stage 2 (PredictVariances) runs the solves — the O(n²) part — and
 // the variances, on any regrouping of the points, to the same bits.
-// PredictTile is their composition. Before either, EnvelopeMeans bounds
-// every mean from below without one exponential, and MaxVariance bounds
-// every variance from above: internal/mobo computes the means only of
-// candidates whose bounds can still win, and solves only for those whose
-// means can.
+// PredictTile is their composition. Before either, Envelope bounds every
+// mean from below and every variance from above without one exponential or
+// solve — the variance from the nearest training input: internal/mobo
+// computes the means only of candidates whose bounds can still win, and
+// solves only for those whose means can.
 //
 // Stage 2 can also stop part way. PredictVariances takes an optional stop
 // function, runs the solves solveBlock rows at a time, and before each
 // block reports, for every point still solving, the variances it would
 // have if the solve ended there. Σv² only grows row by row, so each report
-// is >= the final variance exactly, and the first (no row solved) is
-// MaxVariance. A point stop lets go costs nothing more; a point that
+// is >= the final variance exactly, and the first (no row solved) is the
+// prior variance. A point stop lets go costs nothing more; a point that
 // completes has the bits it has in any other tile.
 //
 // # Concurrency
@@ -154,7 +154,39 @@ type factor struct {
 	params Params
 	jitter float64
 	x      [][]float64
-	chol   *linalg.Matrix
+	// xt is x dimension-major, xt[d·len(x)+i] = x[i][d], the layout the
+	// envelope's distance pass streams; the factors on one input set share
+	// one copy.
+	xt   []float64
+	chol *linalg.Matrix
+	// diag[i] bounds M_ii = Σ_j L_ij² of the matrix M = L·Lᵀ the factor
+	// represents from above (rowBound), and keep is 1 − the relative slack
+	// of the envelope's variance bound (see varianceBound).
+	diag []float64
+	keep float64
+}
+
+// newFactor wraps a factor of the inputs x (dimension-major in xt) and
+// derives what the envelope's variance bound reads from it.
+func newFactor(p Params, jitter float64, x [][]float64, xt []float64, chol *linalg.Matrix) *factor {
+	f := &factor{params: p, jitter: jitter, x: x, xt: xt, chol: chol, keep: keepFor(len(x))}
+	f.diag = make([]float64, len(x))
+	for i := range f.diag {
+		f.diag[i] = rowBound(chol, i)
+	}
+	return f
+}
+
+// transposed returns the rows x dimension-major: out[d·len(x)+i] = x[i][d].
+func transposed(x [][]float64) []float64 {
+	n := len(x)
+	out := make([]float64, n*len(x[0]))
+	for i, row := range x {
+		for d, v := range row {
+			out[d*n+i] = v
+		}
+	}
+	return out
 }
 
 // sameFactor reports whether two factors are the same matrix: the same
@@ -182,7 +214,10 @@ func (f *factor) extend(xNew []float64) (*factor, error) {
 	extendCount.Inc()
 	grown := *f
 	grown.x = append(f.x[:n:n], xNew)
+	grown.xt = nil // ExtendAll transposes the final inputs once
 	grown.chol = chol
+	grown.diag = append(f.diag[:n:n], rowBound(chol, n))
+	grown.keep = keepFor(n + 1)
 	return &grown, nil
 }
 
@@ -194,7 +229,7 @@ type GP struct {
 	alpha []float64
 	meanY float64
 	stdY  float64
-	// pos, neg and slack are what EnvelopeMeans reads (see splitAlpha).
+	// pos, neg and slack are what Envelope's means read (see splitAlpha).
 	pos, neg []float64
 	slack    float64
 }
@@ -328,11 +363,11 @@ func FitAutoAll(x [][]float64, ys [][]float64, warm []*Params, fan Fanout) ([]*G
 			jobs = append(jobs, li)
 		}
 	}
-	d2 := sqDistLower(x)
+	d2, xt := sqDistLower(x), transposed(x)
 	best := make([][]choice, len(gridLengthscales))
 	sp := &spares{n: len(x)}
 	fan.run(len(jobs), func(u int) {
-		best[jobs[u]] = fitLengthscale(x, d2, jobs[u], tgs, sp)
+		best[jobs[u]] = fitLengthscale(x, xt, d2, jobs[u], tgs, sp)
 	})
 
 	gps := make([]*GP, len(ys))
@@ -393,7 +428,7 @@ func (s *spares) put(m *linalg.Matrix) {
 // window holds li the best candidate by log marginal likelihood, noise
 // levels in grid order, strictly better wins. Only the factors some target
 // ends up holding are kept; the rest go back to sp.
-func fitLengthscale(x [][]float64, d2 *linalg.Matrix, li int, tgs []target, sp *spares) []choice {
+func fitLengthscale(x [][]float64, xt []float64, d2 *linalg.Matrix, li int, tgs []target, sp *spares) []choice {
 	n, ls := d2.Rows, gridLengthscales[li]
 	best := make([]choice, len(tgs))
 	alpha := make([][]float64, len(tgs)) // per-target solve scratch
@@ -438,7 +473,7 @@ func fitLengthscale(x [][]float64, d2 *linalg.Matrix, li int, tgs []target, sp *
 				continue
 			}
 			if f == nil {
-				f = &factor{params: Params{Lengthscale: ls, Variance: 1, Noise: nz}, jitter: jitter, x: x, chol: cand}
+				f = newFactor(Params{Lengthscale: ls, Variance: 1, Noise: nz}, jitter, x, xt, cand)
 			}
 			prev := best[t]
 			best[t], alpha[t] = choice{f: f, alpha: alpha[t], lml: lml}, prev.alpha
@@ -482,7 +517,7 @@ func FitWithParamsAll(x [][]float64, ys [][]float64, ps []Params, jitters []floa
 		return nil, fmt.Errorf("gp: %d params and %d jitters for %d targets", len(ps), len(jitters), len(ys))
 	}
 	n := len(x)
-	d2 := sqDistLower(x)
+	d2, xt := sqDistLower(x), transposed(x)
 	var k *linalg.Matrix
 	gps := make([]*GP, len(ys))
 	for t, p := range ps {
@@ -501,7 +536,7 @@ func FitWithParamsAll(x [][]float64, ys [][]float64, ps []Params, jitters []floa
 			if err := linalg.CholeskyFixedInto(chol, k, jitters[t]); err != nil {
 				return nil, fmt.Errorf("gp: %w", err)
 			}
-			f = &factor{params: p, jitter: jitters[t], x: x, chol: chol}
+			f = newFactor(p, jitters[t], x, xt, chol)
 		}
 		gps[t] = &GP{factor: f, rawY: append([]float64(nil), ys[t]...)}
 		gps[t].refreshTargets()
@@ -596,6 +631,18 @@ func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) error {
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
+	// Every factor is a new one; those on one input set share its transpose.
+	for s, f := range facs {
+		for _, e := range facs[:s] {
+			if sameInputs(e.x, f.x) {
+				f.xt = e.xt
+				break
+			}
+		}
+		if f.xt == nil {
+			f.xt = transposed(f.x)
+		}
+	}
 	fan.run(len(gps), func(j int) {
 		g := gps[j]
 		g.factor = facs[group[j]]
@@ -645,21 +692,24 @@ const TileWidth = 8
 // tileScratch is the per-call working set of a tile, pooled so the hot path
 // allocates nothing and concurrent calls never share buffers. d2 holds the
 // squared distances of every point to one input set at a time, point after
-// point; cols (rows floats a point, sliced by colSet) holds the points'
-// kernel columns when the caller keeps none; v holds each point's forward
-// solve of every distinct factor; ss holds Σv² per (GP, point); bound holds
-// one point's report to a stopping caller; lo and hi hold one point's kernel
-// bounds for EnvelopeMeans; lead holds the leader indices and row offsets of
-// every GP.
+// point, and near each point's nearest row of that set; cols (rows floats a
+// point, sliced by colSet) holds the points' kernel columns when the caller
+// keeps none; v holds each point's forward solve of every distinct factor;
+// ss holds Σv² per (GP, point); bound holds one point's report to a stopping
+// caller; lo and hi hold one point's kernel bounds for Envelope; lead holds
+// the leader indices and row offsets of every GP.
 type tileScratch struct {
 	d2, cols, v, ss, bound, lo, hi []float64
 	colSet                         [][]float64
+	near                           [TileWidth]int
 	rows                           int
 	lead                           []int
 	// dist, col and fac are the leaders (see leaders); off[b] is the row of
 	// a point's columns where column leader b's column starts, vo[c] the row
 	// of a point's v where factor leader c's solve starts.
 	dist, col, fac, off, vo []int
+	// facs are the factors the layout above was found for (see prepare).
+	facs []*factor
 }
 
 var tilePool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -721,9 +771,9 @@ func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
 
 // PredictMeans is stage 1 of PredictTile: the means of every GP at every
 // point of xs, the same bits PredictTile writes, without the solves — the
-// O(n²) part of a tile; GP.MaxVariance bounds the variances it did not
-// compute. A non-nil cols keeps the tile's kernel columns for
-// PredictVariances: cols[k], ColumnsLen(gps) long, receives point k's.
+// O(n²) part of a tile; Envelope bounds the variances it did not compute.
+// A non-nil cols keeps the tile's kernel columns for PredictVariances:
+// cols[k], ColumnsLen(gps) long, receives point k's.
 func PredictMeans(gps []*GP, xs [][]float64, mean []float64, cols [][]float64) {
 	checkOut(len(gps), len(xs), mean, "means")
 	sc := startTile(gps)
@@ -760,10 +810,11 @@ func (sc *tileScratch) scratchColumns(m int) [][]float64 {
 // scaledVariance(k(x,x) + noise − S), S the Σv² of the rows solved so far.
 // Each added term v_i² is >= 0 and rounded addition is monotone, so S never
 // exceeds the final Σv², and v[j] is >= the final variance exactly, not up
-// to a tolerance; before the first block it is MaxVariance. A point for which
-// stop returns true leaves the solve with those variances and done[k]
-// false. Every other point has done[k] true and PredictTile's bits, whoever
-// else stopped and when.
+// to a tolerance; before the first block it is the prior variance
+// scaledVariance(k(x,x) + noise). A point for which stop returns true
+// leaves the solve with those variances and done[k] false. Every other
+// point has done[k] true and PredictTile's bits, whoever else stopped and
+// when.
 func PredictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64, stop func(k int, variance []float64) bool) (done [TileWidth]bool) {
 	return predictVariances(gps, xs, cols, variance, stop, solveBlock)
 }
@@ -811,20 +862,47 @@ func checkCols(cols [][]float64, m, rows int) {
 // startTile takes pooled scratch prepared for gps.
 func startTile(gps []*GP) *tileScratch {
 	sc := tilePool.Get().(*tileScratch)
-	sc.rows = sc.prepare(gps)
+	sc.prepare(gps)
 	return sc
 }
 
 // distances fills sc.d2 with the squared distances of every point of xs to
-// the training inputs of g, point after point, and returns len(g.x).
+// the training inputs of g, point after point, sc.near[k] with the row
+// nearest point k (the first of equals), and returns len(g.x). It streams
+// the inputs dimension-major: into a zeroed row it adds (x_{i,d} − q_d)² for
+// d = 0…dim−1, sqDist's squares added in sqDist's order, so every distance
+// has sqDist's bits; the last dimension's pass tracks the nearest row.
 func (sc *tileScratch) distances(g *GP, xs [][]float64) int {
-	n := len(g.x)
+	n, xt := len(g.x), g.xt
 	sc.d2 = grow(sc.d2, n*len(xs))
-	for k, x := range xs {
-		d := sc.d2[k*n : (k+1)*n]
-		for i, xi := range g.x {
-			d[i] = sqDist(xi, x)
+	for k, q := range xs {
+		if len(q)*n != len(xt) {
+			panic(fmt.Sprintf("gp: dimension mismatch %d vs %d", len(xt)/n, len(q)))
 		}
+		d := sc.d2[k*n : (k+1)*n]
+		clear(d)
+		near, last := 0, len(q)-1
+		for j, qj := range q {
+			col := xt[j*n : (j+1)*n]
+			d := d[:len(col)]
+			if j < last {
+				for i, v := range col {
+					t := v - qj
+					d[i] += t * t
+				}
+				continue
+			}
+			best := math.Inf(1)
+			for i, v := range col {
+				t := v - qj
+				s := d[i] + t*t
+				d[i] = s
+				if s < best {
+					best, near = s, i
+				}
+			}
+		}
+		sc.near[k] = near
 	}
 	return n
 }
@@ -864,18 +942,23 @@ func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
 	}
 }
 
-// EnvelopeMeans writes into mean a lower bound on every mean PredictMeans
-// writes for the same gps and xs, <= its bits exactly, with no math.Exp and
-// no square root. The kernel is σ²·f(u), f(u) = (1+s+s²/3)·e^{−s}, s = √u,
-// u = 5d²/ℓ²; in u, f falls with slope −(1+s)·e^{−s}/6 and curves up by
-// e^{−s}/12, so on each step of envTable the chord bounds it from above and
-// the next step's chord, extended, from below. A training point's term takes
-// the lower kernel bound where its alpha is positive and the upper one where
-// it is negative, and the sum drops slack (splitAlpha). A GP whose alpha or
+// Envelope bounds what PredictTile writes for the same gps and xs, with no
+// math.Exp, no square root and no solve: into mean a lower bound on every
+// mean, <= its bits exactly, and into variance an upper bound on every
+// variance, >= its bits exactly.
+//
+// The kernel is σ²·f(u), f(u) = (1+s+s²/3)·e^{−s}, s = √u, u = 5d²/ℓ²; in u,
+// f falls with slope −(1+s)·e^{−s}/6 and curves up by e^{−s}/12, so on each
+// step of envTable the chord bounds it from above and the next step's chord,
+// extended, from below. For the mean, a training point's term takes the
+// lower kernel bound where its alpha is positive and the upper one where it
+// is negative, and the sum drops slack (splitAlpha). A GP whose alpha or
 // signal variance is not finite bounds -Inf, so a caller pruning on the
-// bound still computes its means.
-func EnvelopeMeans(gps []*GP, xs [][]float64, mean []float64) {
+// bound still computes its means. The variance is bounded from the point's
+// nearest training input alone (varianceBound).
+func Envelope(gps []*GP, xs [][]float64, mean, variance []float64) {
 	checkOut(len(gps), len(xs), mean, "means")
+	checkOut(len(gps), len(xs), variance, "variances")
 	sc := startTile(gps)
 	ng := len(gps)
 	for a, ga := range gps {
@@ -891,6 +974,8 @@ func EnvelopeMeans(gps []*GP, xs [][]float64, mean []float64) {
 			p := gps[b].params
 			for k := range xs {
 				envColumn(sc.d2[k*n:(k+1)*n], 5/(p.Lengthscale*p.Lengthscale)/envStep, sc.lo, sc.hi)
+				near := sc.near[k]
+				kLo := p.Variance * (sc.lo[near] - envKernelSlack)
 				for c := b; c < ng; c++ {
 					if gc := gps[c]; sc.col[c] == b {
 						m := math.Inf(-1)
@@ -898,6 +983,7 @@ func EnvelopeMeans(gps []*GP, xs [][]float64, mean []float64) {
 							m = (p.Variance*envDot(sc.lo, sc.hi, gc.pos, gc.neg)-gc.slack)*gc.stdY + gc.meanY
 						}
 						mean[k*ng+c] = m
+						variance[k*ng+c] = gc.varianceBound(kLo, near)
 					}
 				}
 			}
@@ -955,12 +1041,12 @@ func envDot(lo, hi, pos, neg []float64) float64 {
 	return sp + sn
 }
 
-// splitAlpha derives EnvelopeMeans' view of alpha, once per fit or extend:
-// its positive and negative parts, and slack = (8n+256)·2⁻⁵²·Σ|α|·σ². Each
+// splitAlpha derives Envelope's view of alpha, once per fit or extend: its
+// positive and negative parts, and slack = (8n+256)·2⁻⁵²·Σ|α|·σ². Each
 // kernel value and table bound is within a few units of 2⁻⁵³·σ² of f's
-// true value and each n-term sum within n units of 2⁻⁵³·Σ|α|·σ² of its
-// exact one, so slack covers them with room to spare. A non-finite alpha or
-// signal variance leaves slack +Inf or NaN: no bound.
+// true value (envKernelSlack) and each n-term sum within n units of
+// 2⁻⁵³·Σ|α|·σ² of its exact one, so slack covers them with room to spare. A
+// non-finite alpha or signal variance leaves slack +Inf or NaN: no bound.
 func (g *GP) splitAlpha() {
 	n := len(g.alpha)
 	g.pos, g.neg = grow(g.pos, n), grow(g.neg, n)
@@ -1094,14 +1180,82 @@ func (g *GP) scaledVariance(varS float64) float64 {
 	return varS * g.stdY * g.stdY
 }
 
-// MaxVariance returns the largest variance Predict can report at x: the
-// prior variance k(x,x)+noise, from which the posterior only ever subtracts
-// Σv² ≥ 0. Subtraction, the clamp and the scaling are each monotone in
-// floating point, so Predict's variance at x is <= MaxVariance(x) exactly:
-// the variance half of the acquisition search's bounds, and the first
-// report a stopping PredictVariances makes.
-func (g *GP) MaxVariance(x []float64) float64 {
-	return g.scaledVariance(g.priorVariance())
+// envKernelSlack is what the envelope takes off a table bound before it
+// bounds a kernel value computed in floating point: 256 units of 2⁻⁵², the
+// per-kernel part of splitAlpha's slack. A computed kernel value σ²·f̂ and a
+// table bound lo at the same squared distance are each within a few units
+// of 2⁻⁵³ (times σ² for the kernel) of f's true value there, so
+// σ²·f̂ >= σ²·(lo − envKernelSlack) with room for the product's rounding.
+const envKernelSlack = 0x1p-44
+
+// varianceBound returns an upper bound on the variance PredictTile writes
+// for g at a point whose nearest training input is row i, where lo <= f at
+// that row's squared distance (envColumn). PredictTile writes
+// scaledVariance(prior − S), S the rounded Σv̂² of the forward solve
+// L·v̂ = k̂ of the computed kernel column k̂. Subtraction, the clamp and the
+// scaling are monotone in floating point, so any q <= S gives a bound
+// scaledVariance(prior − q); q = 0 gives the prior variance, the bound
+// where nothing better is known. Here q = k²/diag[i]·keep, with k the
+// rounded σ²·(lo − envKernelSlack) <= k̂_i, and it is <= S whatever the
+// matrix's conditioning, with u = 2⁻⁵³ and γ_m = m·u/(1−m·u):
+//
+//  1. Let M = L·Lᵀ, the matrix the stored factor represents. For any
+//     symmetric positive definite M and row i, kᵀM⁻¹k >= k_i²/M_ii: by
+//     Cauchy–Schwarz, (e_iᵀk)² = (M^{1/2}e_i · M^{−1/2}k)² <= M_ii·kᵀM⁻¹k.
+//  2. Forward substitution is backward stable (Higham, Accuracy and
+//     Stability of Numerical Algorithms, Thm 8.5): (L + ΔL)·v̂ = k̂ with
+//     |ΔL| <= γ_n·|L| elementwise, in any order of each row's sum. So
+//     Σv̂² = k̂ᵀM'⁻¹k̂ exactly for M' = (L+ΔL)(L+ΔL)ᵀ, which is positive
+//     definite (the diagonal of L + ΔL is L's times 1 ± γ_n, not 0), and
+//     M'_ii <= (1+γ_n)²·M_ii. By 1, Σv̂² >= k̂_i²/((1+γ_n)²·M_ii).
+//  3. S adds n rounded squares, all >= 0, one at a time:
+//     S >= (1−u)ⁿ·Σv̂² >= (1−γ_n)·Σv̂².
+//  4. diag[i] >= M_ii (rowBound) and k̂_i >= k > 0 (envKernelSlack), and
+//     q's three roundings (k², ÷ diag[i], × keep) raise it by at most
+//     (1+u)³, so with keep = fl(1 − ε), ε = (4n+32)·2⁻⁵²,
+//     q <= k̂_i²/M_ii·(1−ε)(1+u)⁴ <= k̂_i²/M_ii·(1−γ_n)/(1+γ_n)² <= S,
+//     since (1−γ_n)/(1+γ_n)² >= 1 − 3n·u − O(n²u²) and ε is 8n+64 units
+//     of u.
+//  5. The analysis of 2 and 3 holds without underflow; gradual underflow
+//     adds at most n·2⁻¹⁰⁷⁴ to a row of the solve's residual (times at
+//     most √M_ii) and to S. q is taken only for k in [2⁻²⁰⁰, 2²⁰⁰], and
+//     diag[i] lies in [2⁻⁵⁰⁰, 2⁵⁰⁰] or is +Inf (q = 0), so q >= 2⁻⁹⁰⁰ and
+//     those terms are below 2⁻⁵⁰⁰ of k̂_i and of S for n < 2²⁰: inside
+//     ε's room. Outside the range q is 0.
+//
+// Dropping the slack, reading hi for lo, or a diag[i] of σ² that leaves
+// out the noise and the jitter each breaks the bound (FuzzEnvelopeBound).
+func (g *GP) varianceBound(k float64, i int) float64 {
+	q := 0.0
+	if k >= 0x1p-200 && k <= 0x1p200 {
+		q = k * k / g.diag[i] * g.keep
+	}
+	return g.scaledVariance(g.priorVariance() - q)
+}
+
+// keepFor is 1 − ε for a factor of n rows (varianceBound, step 4).
+func keepFor(n int) float64 {
+	return 1 - float64(4*n+32)*0x1p-52
+}
+
+// rowBound returns an upper bound on M_ii = Σ_j L_ij², row i of l: the
+// rounded sum of i+1 squares is >= (1−u)^{i+1}·M_ii, so raising it by
+// (i+5)·2⁻⁵² (covering that and the product's own rounding) bounds M_ii
+// from above; below 2⁻⁵⁰⁰ it is 2⁻⁵⁰⁰ (which also covers underflow in the
+// sum), and past 2⁵⁰⁰, or NaN, +Inf: no bound from this row.
+func rowBound(l *linalg.Matrix, i int) float64 {
+	s := 0.0
+	for _, v := range l.Data[i*l.Cols : i*l.Cols+i+1] {
+		s += v * v
+	}
+	d := s * (1 + float64(i+5)*0x1p-52)
+	switch {
+	case !(d <= 0x1p500):
+		return math.Inf(1)
+	case d < 0x1p-500:
+		return 0x1p-500
+	}
+	return d
 }
 
 // priorVariance returns k(x, x) + σ_n², the same at every x: k(x, x) is the
@@ -1111,18 +1265,41 @@ func (g *GP) priorVariance() float64 {
 }
 
 // prepare finds the leaders of gps and lays out their columns, returning
-// how many rows (training points) the tile's distinct columns hold.
+// how many rows (training points) the tile's distinct columns hold. The
+// layout is a function of the GPs' factors (their inputs, Params and
+// jitter), which never change, so a scratch whose last layout was for the
+// same factors keeps it.
 func (sc *tileScratch) prepare(gps []*GP) (rows int) {
+	if sc.sameFactors(gps) {
+		return sc.rows
+	}
 	ng := len(gps)
 	sc.dist, sc.col, sc.fac = sc.leaders(gps)
 	sc.off, sc.vo = sc.lead[3*ng:4*ng], sc.lead[4*ng:5*ng]
+	sc.facs = sc.facs[:0]
 	for b, g := range gps {
+		sc.facs = append(sc.facs, g.factor)
 		if sc.col[b] == b {
 			sc.off[b] = rows
 			rows += len(g.x)
 		}
 	}
+	sc.rows = rows
 	return rows
+}
+
+// sameFactors reports whether gps hold, in order, the factors of the
+// scratch's last layout.
+func (sc *tileScratch) sameFactors(gps []*GP) bool {
+	if len(gps) != len(sc.facs) {
+		return false
+	}
+	for j, g := range gps {
+		if g.factor != sc.facs[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // leaders finds, for every GP, the lowest-indexed GP it can take the

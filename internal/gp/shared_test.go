@@ -50,7 +50,7 @@ func fitReference(t *testing.T, x [][]float64, y []float64, prev *Params) *GP {
 			if lml := lmlFromChol(chol, alpha, make([]float64, n)); lml > bestLML {
 				p := Params{Lengthscale: ls, Variance: 1, Noise: nz}
 				best = &GP{
-					factor: &factor{params: p, jitter: jitter, x: x, chol: chol},
+					factor: newFactor(p, jitter, x, transposed(x), chol),
 					rawY:   append([]float64(nil), y...), alpha: alpha, meanY: mean, stdY: std,
 				}
 				bestLML = lml
@@ -64,20 +64,23 @@ func fitReference(t *testing.T, x [][]float64, y []float64, prev *Params) *GP {
 }
 
 // sameGP reports the first field in which two GPs differ, bit for bit:
-// Params, jitter, inputs, factor, alpha, standardization, log marginal
-// likelihood. It returns "" when they are the same.
+// Params, jitter, inputs (and their transpose), factor, the variance
+// bound's view of it, alpha, standardization, log marginal likelihood. It
+// returns "" when they are the same.
 func sameGP(a, b *GP) string {
 	switch {
 	case a.params != b.params:
 		return "params"
 	case a.jitter != b.jitter:
 		return "jitter"
-	case !sameInputs(a.x, b.x):
+	case !sameInputs(a.x, b.x) || !sameBits(a.xt, b.xt):
 		return "inputs"
 	case a.meanY != b.meanY || a.stdY != b.stdY || !sameBits(a.rawY, b.rawY):
 		return "targets"
 	case !sameBits(a.chol.Data, b.chol.Data):
 		return "factor"
+	case !sameBits(a.diag, b.diag) || a.keep != b.keep:
+		return "variance bound"
 	case !sameBits(a.alpha, b.alpha):
 		return "alpha"
 	case a.LogMarginalLikelihood() != b.LogMarginalLikelihood():

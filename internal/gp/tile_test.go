@@ -60,7 +60,7 @@ func tilePoints(x [][]float64, seed int64) [][]float64 {
 // the same means, bit for bit), keeping its columns; stage 2 alone
 // (PredictVariances) on those columns with the tile's points in reverse, so
 // every point sits at another index of a tile of another fill; and
-// MaxVariance, which no variance may exceed.
+// Envelope's variance, which no variance may exceed.
 func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 	t.Helper()
 	ng, rows := len(gps), ColumnsLen(gps)
@@ -82,6 +82,8 @@ func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 		}
 		staged := make([]float64, r*ng)
 		PredictVariances(gps, back, backCols, staged, nil)
+		envMean, envVar := make([]float64, m*ng), make([]float64, m*ng)
+		Envelope(gps, xs[:m], envMean, envVar)
 		for k := 0; k < m; k++ {
 			for j, g := range gps {
 				wm, wv := predictReference(g, xs[k])
@@ -96,8 +98,8 @@ func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 						t.Fatalf("stage 2 of the kept columns, tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gv, wv)
 					}
 				}
-				if top := g.MaxVariance(xs[k]); !(wv <= top) {
-					t.Fatalf("point %d, GP %d: variance %v above MaxVariance %v", k, j, wv, top)
+				if top := envVar[k*ng+j]; !(wv <= top) {
+					t.Fatalf("point %d, GP %d: variance %v above the envelope's %v", k, j, wv, top)
 				}
 			}
 		}
@@ -305,7 +307,8 @@ func TestConcurrentPredictTileIsDeterministic(t *testing.T) {
 // kernel, to the signal variance with ==, and a GP's prior variance, read
 // from its Params, to k(x, x) + σ_n², at seeded points and at a training
 // point, for every grid lengthscale, every grid noise and signal variances
-// other than 1 — and MaxVariance to the bound computed from the kernel.
+// other than 1 — and Envelope's variance far from the data, where it knows
+// nothing better, to the prior variance computed from the kernel.
 // Extend's diagonal and the kernel matrices' diagonals rely on the first.
 func TestPriorVarianceIsSignalVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -332,8 +335,11 @@ func TestPriorVarianceIsSignalVariance(t *testing.T) {
 					if got := g.priorVariance(); got != k+nz {
 						t.Fatalf("ls %v, noise %v, variance %v: prior variance %v, kernel %v", ls, nz, v, got, k+nz)
 					}
-					if got, want := g.MaxVariance(q), g.scaledVariance(k+nz); got != want {
-						t.Fatalf("ls %v, noise %v, variance %v: MaxVariance %v, from the kernel %v", ls, nz, v, got, want)
+					far := [][]float64{{q[0] + 100, q[1], q[2]}}
+					var mean, top [1]float64
+					Envelope([]*GP{g}, far, mean[:], top[:])
+					if want := g.scaledVariance(k + nz); top[0] != want {
+						t.Fatalf("ls %v, noise %v, variance %v: envelope variance %v far away, from the kernel %v", ls, nz, v, top[0], want)
 					}
 				}
 			}
@@ -345,7 +351,7 @@ func TestPriorVarianceIsSignalVariance(t *testing.T) {
 // stop decisions — every point at the first report, none, and at random —
 // with the points shuffled into tiles of every fill and the solves
 // split into blocks of 1, 5, solveBlock and the whole length. Every report
-// must be >= the point's final variance, the first one MaxVariance; a point
+// must be >= the point's final variance, the first one the prior; a point
 // that completes must have predictReference's bits; a point that stops must
 // keep the report it stopped at; and a point that completes must have seen
 // one report per block of the given length.
@@ -382,8 +388,8 @@ func checkStops(t *testing.T, name string, gps []*GP, xs [][]float64, seed int64
 				stop := func(k int, v []float64) bool {
 					i := perm[k]
 					for j, g := range gps {
-						if reports[k] == 0 && v[j] != g.MaxVariance(xs[i]) {
-							t.Fatalf("%s: first report for GP %d is %v, MaxVariance %v", name, j, v[j], g.MaxVariance(xs[i]))
+						if prior := g.scaledVariance(g.priorVariance()); reports[k] == 0 && v[j] != prior {
+							t.Fatalf("%s: first report for GP %d is %v, the prior variance %v", name, j, v[j], prior)
 						}
 						if !(v[j] >= want[i][j]) {
 							t.Fatalf("%s, blocks of %d: report %d for GP %d is %v, below the variance %v", name, block, reports[k], j, v[j], want[i][j])

@@ -113,22 +113,20 @@ func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
 
 // TestBoundNeverExceedsScore is the chain of bounds the pruning rests on,
 // compared on the floats with no tolerance: for every candidate, boundTile's
-// value (the envelope means) <= the exact bound (the exact means, every
-// variance at MaxVariance) <= every partial bound a stopping solve reports
-// (the acquisition at the variances of each gp.PredictVariances report, the
-// first of them the exact bound itself) <= scoreTile's score. And the exact
-// score scorePoolTile builds, in another lane of another tile, is
-// scoreTile's, with ==. The GP sets
+// value (the envelope means and variances) <= the acquisition at the exact
+// means and the envelope variances <= scoreTile's score; and every partial
+// bound a stopping solve reports (the acquisition at the variances of each
+// gp.PredictVariances report) <= the score, the first of them (at the prior
+// variances) <= the middle link. And the exact score scorePoolTile builds,
+// in another lane of another tile, is scoreTile's, with ==. The GP sets
 // cover shared and distinct hyperparameters, a signal variance of 2.5
-// (k(x,x) is not 1), a training set of 3, an objective whose
-// span is 0, and noise-free GPs queried on their own training inputs, where
-// the variance clamps to 1e-12; the candidates are lattice samples,
-// off-lattice points and the training inputs themselves.
+// (k(x,x) is not 1), a training set of 3, an objective whose span is 0, and
+// noise-free GPs queried on their own training inputs, where the variance
+// clamps to 1e-12; the candidates are lattice samples, off-lattice points
+// and the training inputs themselves.
 //
-// It was shown to catch bounding with half the largest variance (MaxVariance
-// returning scaledVariance((k(x,x)+noise)/2)): far from the data the
-// posterior variance is nearly the prior's, and the first set already has a
-// candidate whose bound exceeds its score in the third decimal.
+// It was shown to catch bounding with half the envelope's variance
+// (varianceBound returning scaledVariance((prior − q)/2)).
 func TestBoundNeverExceedsScore(t *testing.T) {
 	space := testSpace()
 	rng := rand.New(rand.NewSource(17))
@@ -221,7 +219,7 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 				hi := min(lo+gp.TileWidth, len(cands))
 				xs := cands[lo:hi]
 				post := make([]float64, 2*len(xs)*nObj)
-				bound, exact, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
+				bound, mid, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
 				o.boundTile(xs, lambda, post, bound)
 				cols := make([][]float64, len(xs))
 				for k := range cols {
@@ -230,9 +228,9 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 				means := make([]float64, len(xs)*nObj)
 				gp.PredictMeans(o.gps, xs, means, cols)
 				mean, variance := post[:len(post)/2], post[len(post)/2:]
+				gp.Envelope(o.gps, xs, mean, variance)
 				copy(mean, means)
-				o.maxVariances(xs, variance)
-				o.acquisition(mean, variance, lambda, exact)
+				o.acquisition(mean, variance, lambda, mid)
 				o.scoreTile(xs, lambda, post, score)
 				tile := make([]int, len(xs))
 				for k := range tile {
@@ -246,8 +244,8 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 				reports := make([]int, len(xs))
 				gp.PredictVariances(o.gps, xs, cols, make([]float64, len(xs)*nObj), func(k int, v []float64) bool {
 					partial := s[k] - o.bonus(v, lambda)
-					if reports[k] == 0 && partial != exact[k] {
-						t.Fatalf("%s, candidate %d: first partial bound %v, exact bound %v", set.name, lo+k, partial, exact[k])
+					if reports[k] == 0 && !(partial <= mid[k]) {
+						t.Fatalf("%s, candidate %d: first partial bound %v exceeds the bound at exact means %v", set.name, lo+k, partial, mid[k])
 					}
 					if !(partial <= score[k]) {
 						t.Fatalf("%s, lambda %v, candidate %d: partial bound %d, %v, exceeds score %v", set.name, lambda, lo+k, reports[k], partial, score[k])
@@ -256,11 +254,11 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 					return false
 				})
 				for k := range xs {
-					if !(bound[k] <= exact[k]) {
-						t.Fatalf("%s, lambda %v, candidate %d: envelope bound %v exceeds exact bound %v", set.name, lambda, lo+k, bound[k], exact[k])
+					if !(bound[k] <= mid[k]) {
+						t.Fatalf("%s, lambda %v, candidate %d: envelope bound %v exceeds the bound at exact means %v", set.name, lambda, lo+k, bound[k], mid[k])
 					}
-					if !(exact[k] <= score[k]) {
-						t.Fatalf("%s, lambda %v, candidate %d: bound %v exceeds score %v", set.name, lambda, lo+k, exact[k], score[k])
+					if !(mid[k] <= score[k]) {
+						t.Fatalf("%s, lambda %v, candidate %d: bound at exact means %v exceeds score %v", set.name, lambda, lo+k, mid[k], score[k])
 					}
 					if got := kept[len(xs)-1-k]; got != score[k] && !(math.IsNaN(got) && math.IsNaN(score[k])) {
 						t.Fatalf("%s, lambda %v, candidate %d: scored %v in another tile, %v from a full tile", set.name, lambda, lo+k, got, score[k])
@@ -373,8 +371,8 @@ func TestMaximizeAcquisitionMatchesExhaustive(t *testing.T) {
 		{name: "plain draws"},
 		{name: "plain pool", script: plain},
 		{
-			// The would-be winners are out: exclusion has to reach the
-			// bound, or a candidate that may not win sets the threshold.
+			// The would-be winners are out: the walk has to skip them,
+			// or a candidate that may not win sets the threshold.
 			name:   "best pool candidates excluded",
 			script: plain,
 			exclude: func() map[string]bool {
@@ -665,7 +663,7 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 }
 
 // TestBrokenSurrogateTakesTheExactPath checks the search's half of what
-// happens to a surrogate whose alpha holds a NaN or an Inf: gp.EnvelopeMeans
+// happens to a surrogate whose alpha holds a NaN or an Inf: gp.Envelope
 // bounds its mean -Inf (the gp half, TestEnvelopeOfBrokenAlphaIsMinusInf),
 // and a -Inf mean gives a candidate a bound below +Inf — not the NaN an
 // exact bound from a NaN mean gives — so maximizeAcquisition orders it and

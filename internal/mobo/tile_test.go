@@ -79,8 +79,8 @@ func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
 // path — every candidate scored in regrouped tiles in a shuffled order, each
 // tile's means and kernel columns computed in the tile and its solves run on
 // them — and scorePoolReference, the exhaustive scoring the search tests lean
-// on. Before it, the bound pass (boundPoolTile) must give every candidate a
-// bound no higher than its reference and the excluded ones +Inf. Pool sizes
+// on. Before it, the bound pass (boundPoolTile) must give every candidate,
+// excluded or not, a bound no higher than its reference. Pool sizes
 // sit on every side of the tile and pool boundaries, at several worker
 // counts, on a live optimizer and on one rebuilt by Restore; excluded
 // candidates read +Inf from the exhaustive scoring.
@@ -101,14 +101,9 @@ func TestScorePoolMatchesPerCandidate(t *testing.T) {
 			for name, o := range map[string]*Optimizer{"live": live, "restored": throughJSON(t, live, cfg)} {
 				o.cfg.SearchWorkers = workers
 				o.acq = newAcqScratch(size, o.NumObjectives())
-				o.fanOut((size+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda, exclude) })
+				o.fanOut((size+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda) })
 				for i, x := range pool {
-					b := o.acq.bounds[i]
-					if o.excluded(x, exclude) {
-						if b != math.Inf(1) {
-							t.Fatalf("%s, pool of %d: excluded candidate %d bounded %v, want +Inf", name, size, i, b)
-						}
-					} else if ref := acquisitionReference(o, x, lambda); !(b <= ref) {
+					if b, ref := o.acq.bounds[i], acquisitionReference(o, x, lambda); !(b <= ref) {
 						t.Fatalf("%s, pool of %d: candidate %d bounded %v above its score %v", name, size, i, b, ref)
 					}
 				}

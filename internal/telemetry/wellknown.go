@@ -93,8 +93,8 @@ func MOBOTrainSize() *Gauge { return moboTrainSize }
 func MOBOUUL() *Gauge { return moboUUL }
 
 // MOBOAcqBounded counts the pool candidates the acquisition search bounded
-// with no exponential and no solve (gp.EnvelopeMeans, gp.GP.MaxVariance) —
-// every candidate of every pool.
+// with no exponential and no solve (gp.Envelope) — every candidate of every
+// pool.
 func MOBOAcqBounded() *Counter { return moboAcqBounded }
 
 // MOBOAcqSolved counts the pool candidates whose bound could still win, the
