@@ -164,7 +164,7 @@ func envelopeMeansReference(gps []*GP, xs [][]float64) []float64 {
 }
 
 // checkEnvelope requires, for every (GP, point) of a tile, Envelope's mean
-// == envelopeMeansReference's and <= PredictMeans', and its variance >=
+// == envelopeMeansReference's and <= PredictTile's, and its variance >=
 // PredictTile's, on the floats, with no tolerance.
 func checkEnvelope(t *testing.T, gps []*GP, xs [][]float64) {
 	t.Helper()
@@ -172,7 +172,7 @@ func checkEnvelope(t *testing.T, gps []*GP, xs [][]float64) {
 	env, envVar := make([]float64, m), make([]float64, m)
 	exact, exactVar := make([]float64, m), make([]float64, m)
 	Envelope(gps, xs, env, envVar)
-	PredictTile(gps, xs, exact, exactVar)
+	PredictTile(gps, xs, exact, exactVar, nil)
 	ref := envelopeMeansReference(gps, xs)
 	for i := range env {
 		g := gps[i%len(gps)]
@@ -192,7 +192,7 @@ func checkEnvelope(t *testing.T, gps []*GP, xs [][]float64) {
 }
 
 // FuzzEnvelopeBound checks the properties the acquisition search prunes on:
-// the envelope mean is <= the bits PredictMeans writes (and is the bits the
+// the envelope mean is <= the bits PredictTile writes (and is the bits the
 // envelope wrote before its distance pass streamed), and the envelope
 // variance is >= the bits PredictTile writes. It covers every grid
 // lengthscale, grid noises and noise 0 (the jitter ladder), signal variances

@@ -45,32 +45,22 @@
 // must persist to reproduce a fitted GP exactly. The cadence policy (when to
 // warm-refit versus extend) lives in the caller (internal/mobo).
 //
-// # Tiled prediction in two stages
+// # Tiled prediction
 //
 // PredictTile evaluates several GPs at up to TileWidth points in one call,
-// and is the only prediction routine: Predict is its one-GP, one-point case.
-// It computes the squared distances once per distinct input set, the kernel
-// column once per distinct lengthscale and the forward solve once per
-// distinct factor. Every (GP, point) result is bit-identical to evaluating
-// that pair alone.
+// and is the only exact prediction routine: Predict is its one-GP,
+// one-point case. It computes the squared distances once per distinct input
+// set, the kernel column once per distinct lengthscale and the forward solve
+// once per distinct factor. Every (GP, point) result is bit-identical to
+// evaluating that pair alone.
 //
-// A tile runs in two stages over each point's own kernel columns
-// (ColumnsLen floats). Stage 1 (PredictMeans) builds the columns and the
-// means; stage 2 (PredictVariances) runs the solves — the O(n²) part — and
-// the variances, on any regrouping of the points, to the same bits.
-// PredictTile is their composition. Before either, Envelope bounds every
-// mean from below and every variance from above without one exponential or
-// solve — the variance from the nearest training input: internal/mobo
-// computes the means only of candidates whose bounds can still win, and
-// solves only for those whose means can.
-//
-// Stage 2 can also stop part way. PredictVariances takes an optional stop
-// function, runs the solves solveBlock rows at a time, and before each
-// block reports, for every point still solving, the variances it would
-// have if the solve ended there. Σv² only grows row by row, so each report
-// is >= the final variance exactly, and the first (no row solved) is the
-// prior variance. A point stop lets go costs nothing more; a point that
-// completes has the bits it has in any other tile.
+// Envelope bounds every mean from below and every variance from above
+// without one exponential or solve — the variance from the nearest training
+// input. internal/mobo computes the means only of candidates whose bounds
+// can still win, and PredictTile's predicate, asked once per point after
+// the means, lets it skip the O(n²) solve of a point whose exact means and
+// envelope variances already lose. A skipped point costs nothing more; a
+// solved one has the bits it has in any other tile.
 //
 // # Concurrency
 //
@@ -692,22 +682,19 @@ const TileWidth = 8
 // tileScratch is the per-call working set of a tile, pooled so the hot path
 // allocates nothing and concurrent calls never share buffers. d2 holds the
 // squared distances of every point to one input set at a time, point after
-// point, and near each point's nearest row of that set; cols (rows floats a
-// point, sliced by colSet) holds the points' kernel columns when the caller
-// keeps none; v holds each point's forward solve of every distinct factor;
-// ss holds Σv² per (GP, point); bound holds one point's report to a stopping
-// caller; lo and hi hold one point's kernel bounds for Envelope; lead holds
-// the leader indices and row offsets of every GP.
+// point, and near each point's nearest row of that set; cols holds the
+// points' kernel columns, rows floats a point; v holds one forward solve; ss
+// holds one point's Σv² per factor leader; lo and hi hold one point's kernel
+// bounds for Envelope; lead holds the leader indices and row offsets of
+// every GP.
 type tileScratch struct {
-	d2, cols, v, ss, bound, lo, hi []float64
-	colSet                         [][]float64
-	near                           [TileWidth]int
-	rows                           int
-	lead                           []int
+	d2, cols, v, ss, lo, hi []float64
+	near                    [TileWidth]int
+	rows                    int
+	lead                    []int
 	// dist, col and fac are the leaders (see leaders); off[b] is the row of
-	// a point's columns where column leader b's column starts, vo[c] the row
-	// of a point's v where factor leader c's solve starts.
-	dist, col, fac, off, vo []int
+	// a point's columns where column leader b's column starts.
+	dist, col, fac, off []int
 	// facs are the factors the layout above was found for (see prepare).
 	facs []*factor
 }
@@ -741,8 +728,14 @@ func sameInputs(a, b [][]float64) bool {
 
 // PredictTile evaluates every GP of gps at every point of xs (at most
 // TileWidth of them): mean[k*len(gps)+j] and variance[k*len(gps)+j] are
-// exactly what gps[j].Predict(xs[k]) returns, bit for bit. It is
-// PredictMeans followed by PredictVariances on the same column buffer.
+// exactly what gps[j].Predict(xs[k]) returns, bit for bit.
+//
+// It writes every mean first, then asks solve(k) once for each point k in
+// turn. A point for which solve returns false is not solved: its variance
+// entries keep what the caller put there. Every other point's variances are
+// Predict's bits, whoever else the tile holds or skips. A nil solve solves
+// every point. solve may read point k's means and variances and overwrite
+// its means.
 //
 // The tile does each piece of work once per distinct input rather than once
 // per (GP, point). GPs fitted on one training-input set (sameInputs) share
@@ -759,84 +752,14 @@ func sameInputs(a, b [][]float64) bool {
 // ~10³ times per suggested point from several workers, where a per-call
 // span would serialize them on the profiler mutex. The mobo.acq_* spans
 // account for this time instead.
-func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64) {
+func PredictTile(gps []*GP, xs [][]float64, mean, variance []float64, solve func(k int) bool) {
 	checkOut(len(gps), len(xs), mean, "means")
 	checkOut(len(gps), len(xs), variance, "variances")
 	sc := startTile(gps)
-	cols := sc.scratchColumns(len(xs))
-	sc.means(gps, xs, cols, mean)
-	sc.variances(gps, xs, cols, variance, nil, 0)
+	sc.cols = grow(sc.cols, len(xs)*sc.rows)
+	sc.means(gps, xs, mean)
+	sc.variances(gps, len(xs), variance, solve)
 	tilePool.Put(sc)
-}
-
-// PredictMeans is stage 1 of PredictTile: the means of every GP at every
-// point of xs, the same bits PredictTile writes, without the solves — the
-// O(n²) part of a tile; Envelope bounds the variances it did not compute.
-// A non-nil cols keeps the tile's kernel columns for PredictVariances:
-// cols[k], ColumnsLen(gps) long, receives point k's.
-func PredictMeans(gps []*GP, xs [][]float64, mean []float64, cols [][]float64) {
-	checkOut(len(gps), len(xs), mean, "means")
-	sc := startTile(gps)
-	if cols == nil {
-		cols = sc.scratchColumns(len(xs))
-	} else {
-		checkCols(cols, len(xs), sc.rows)
-	}
-	sc.means(gps, xs, cols, mean)
-	tilePool.Put(sc)
-}
-
-// scratchColumns returns pooled column buffers for m points, ColumnsLen
-// floats each.
-func (sc *tileScratch) scratchColumns(m int) [][]float64 {
-	sc.cols = grow(sc.cols, m*sc.rows)
-	sc.colSet = sc.colSet[:0]
-	for k := 0; k < m; k++ {
-		sc.colSet = append(sc.colSet, sc.cols[k*sc.rows:(k+1)*sc.rows])
-	}
-	return sc.colSet
-}
-
-// PredictVariances is stage 2 of PredictTile: the variances of every GP at
-// every point of xs, from the columns PredictMeans kept for the same GPs
-// (cols[k] for xs[k]). The points may come from different PredictMeans
-// calls in any grouping: each point's solves are its own, so its variances
-// are the bits PredictTile writes.
-//
-// A nil stop solves every point to the end. Otherwise the solves run
-// solveBlock rows at a time and, before each block, stop(k, v) is asked
-// about every point k still solving, with v[j] (scratch, valid during the
-// call) the variance GP j would report had its solve ended there:
-// scaledVariance(k(x,x) + noise − S), S the Σv² of the rows solved so far.
-// Each added term v_i² is >= 0 and rounded addition is monotone, so S never
-// exceeds the final Σv², and v[j] is >= the final variance exactly, not up
-// to a tolerance; before the first block it is the prior variance
-// scaledVariance(k(x,x) + noise). A point for which stop returns true
-// leaves the solve with those variances and done[k] false. Every other
-// point has done[k] true and PredictTile's bits, whoever else stopped and
-// when.
-func PredictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64, stop func(k int, variance []float64) bool) (done [TileWidth]bool) {
-	return predictVariances(gps, xs, cols, variance, stop, solveBlock)
-}
-
-// predictVariances is PredictVariances with the block length a parameter,
-// so tests can split the solves anywhere.
-func predictVariances(gps []*GP, xs [][]float64, cols [][]float64, variance []float64, stop func(int, []float64) bool, block int) (done [TileWidth]bool) {
-	checkOut(len(gps), len(xs), variance, "variances")
-	sc := tilePool.Get().(*tileScratch)
-	checkCols(cols, len(xs), sc.prepare(gps))
-	done = sc.variances(gps, xs, cols, variance, stop, block)
-	tilePool.Put(sc)
-	return done
-}
-
-// ColumnsLen is how many floats of kernel columns PredictMeans keeps per
-// point for gps: one column per distinct (input set, lengthscale, variance).
-func ColumnsLen(gps []*GP) int {
-	sc := tilePool.Get().(*tileScratch)
-	rows := sc.prepare(gps)
-	tilePool.Put(sc)
-	return rows
 }
 
 func checkOut(ng, m int, out []float64, what string) {
@@ -845,17 +768,6 @@ func checkOut(ng, m int, out []float64, what string) {
 	}
 	if len(out) != m*ng {
 		panic(fmt.Sprintf("gp: tile got %d %s for %d points × %d GPs", len(out), what, m, ng))
-	}
-}
-
-func checkCols(cols [][]float64, m, rows int) {
-	if len(cols) != m {
-		panic(fmt.Sprintf("gp: %d column sets for %d points", len(cols), m))
-	}
-	for _, c := range cols {
-		if len(c) != rows {
-			panic(fmt.Sprintf("gp: column set of %d floats, want %d", len(c), rows))
-		}
 	}
 }
 
@@ -907,10 +819,10 @@ func (sc *tileScratch) distances(g *GP, xs [][]float64) int {
 	return n
 }
 
-// means is stage 1: the distances, every distinct kernel column of point k
-// into cols[k], and the means.
-func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
-	ng := len(gps)
+// means computes the distances, every distinct kernel column of point k into
+// its stretch of sc.cols, and the means.
+func (sc *tileScratch) means(gps []*GP, xs [][]float64, mean []float64) {
+	ng, rows := len(gps), sc.rows
 	for a, ga := range gps {
 		if sc.dist[a] != a {
 			continue
@@ -922,7 +834,7 @@ func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
 			}
 			off, p := sc.off[b], gps[b].params
 			for k := range xs {
-				col := cols[k][off : off+n]
+				col := sc.cols[k*rows+off : k*rows+off+n]
 				for i, d := range sc.d2[k*n : (k+1)*n] {
 					col[i] = matern52FromSq(d, p.Lengthscale, p.Variance)
 				}
@@ -933,7 +845,7 @@ func (sc *tileScratch) means(gps []*GP, xs, cols [][]float64, mean []float64) {
 				}
 				gc := gps[c]
 				var dot [TileWidth]float64
-				pointDots(cols, off, gc.alpha, dot[:len(xs)])
+				pointDots(sc.cols, rows, off, gc.alpha, dot[:len(xs)])
 				for k := range xs {
 					mean[k*ng+c] = dot[k]*gc.stdY + gc.meanY
 				}
@@ -1061,97 +973,48 @@ func (g *GP) splitAlpha() {
 	}
 }
 
-// solveBlock is how many rows a stopping stage 2 solves between two reports.
-const solveBlock = 16
-
-// variances is stage 2 for point k of xs from its columns cols[k]: the
-// forward solve of every distinct factor, Σv², and the variances. Each
-// point's solves are its own, so its bits are the same whoever else is
-// solved with it, and a point that stops costs nothing more. With a stop
-// function the solves run block rows at a time, with a report to stop
-// before each block (see PredictVariances); without one they run whole.
-// done[k] marks the points still solving until the end.
-func (sc *tileScratch) variances(gps []*GP, xs, cols [][]float64, variance []float64, stop func(int, []float64) bool, block int) (done [TileWidth]bool) {
+// variances solves every point k of the tile that solve(k) lets through
+// (every point when solve is nil): the forward solve of each distinct factor
+// against the point's kernel column, Σv², and the variances
+// scaledVariance(prior − Σv²). Each point's solves are its own, so its bits
+// are the same whoever else is solved or skipped with it.
+func (sc *tileScratch) variances(gps []*GP, m int, variance []float64, solve func(int) bool) {
 	ng := len(gps)
-	sc.ss = grow(sc.ss, ng*TileWidth)
-	rows, n := 0, 0
-	for c, g := range gps {
-		if sc.fac[c] == c {
-			sc.vo[c] = rows
-			rows += len(g.x)
-			n = max(n, len(g.x))
-			clear(sc.ss[c*TileWidth : (c+1)*TileWidth])
+	sc.ss = grow(sc.ss, ng)
+	for k := 0; k < m; k++ {
+		if solve != nil && !solve(k) {
+			continue
 		}
-	}
-	sc.v = grow(sc.v, len(xs)*rows)
-	sc.bound = grow(sc.bound, ng)
-	for k := range xs {
-		done[k] = true
-	}
-	if stop == nil {
-		block = n
-	}
-	for r, live := 0, len(xs); r < n && live > 0; r += block {
-		r1 := min(r+block, n)
-		for k := range xs {
-			if !done[k] {
+		cols := sc.cols[k*sc.rows : (k+1)*sc.rows]
+		for c, g := range gps {
+			if sc.fac[c] != c {
 				continue
 			}
-			// The report goes through pooled scratch: a caller's slice handed
-			// to stop would escape, and cost Predict an allocation.
-			if stop != nil {
-				sc.report(gps, k, sc.bound)
-				if stop(k, sc.bound) {
-					copy(variance[k*ng:(k+1)*ng], sc.bound)
-					done[k] = false
-					live--
-					continue
-				}
+			n, off := len(g.x), sc.off[sc.col[c]]
+			sc.v = grow(sc.v, n)
+			linalg.SolveLowerInto(g.chol, cols[off:off+n], sc.v)
+			ss := 0.0
+			for _, vi := range sc.v {
+				ss += vi * vi
 			}
-			v := sc.v[k*rows : (k+1)*rows]
-			for c, g := range gps {
-				nc := len(g.x)
-				if sc.fac[c] != c || r >= nc {
-					continue
-				}
-				b, hi := sc.col[c], min(r1, nc)
-				vc := v[sc.vo[c] : sc.vo[c]+nc]
-				linalg.SolveLowerRows(g.chol, cols[k][sc.off[b]:sc.off[b]+nc], vc, r, hi)
-				ss := sc.ss[c*TileWidth+k]
-				for _, vi := range vc[r:hi] {
-					ss += vi * vi
-				}
-				sc.ss[c*TileWidth+k] = ss
-			}
+			sc.ss[c] = ss
 		}
-	}
-	for k := range xs {
-		if done[k] {
-			sc.report(gps, k, variance[k*ng:(k+1)*ng])
+		for j, g := range gps {
+			variance[k*ng+j] = g.scaledVariance(g.priorVariance() - sc.ss[sc.fac[j]])
 		}
-	}
-	return done
-}
-
-// report writes into v[j] the variance of GP j at point k from its Σv² so
-// far: the final variance once every row is solved, an upper bound on it
-// before.
-func (sc *tileScratch) report(gps []*GP, k int, v []float64) {
-	for j, g := range gps {
-		v[j] = g.scaledVariance(g.priorVariance() - sc.ss[sc.fac[j]*TileWidth+k])
 	}
 }
 
-// pointDots writes Σᵢ cols[k][off+i]·alpha[i] into out[k] for every point
-// k. Four points at a time run as four accumulators in named locals, which
-// the compiler keeps in registers: each adds its products in ascending i
-// from 0, a textbook dot product's order, so the bits are a lone point's,
+// pointDots writes Σᵢ cols[k·rows+off+i]·alpha[i] into out[k] for every
+// point k. Four points at a time run as four accumulators in named locals,
+// which the compiler keeps in registers: each adds its products in ascending
+// i from 0, a textbook dot product's order, so the bits are a lone point's,
 // while the add chains run side by side.
-func pointDots(cols [][]float64, off int, alpha []float64, out []float64) {
+func pointDots(cols []float64, rows, off int, alpha []float64, out []float64) {
 	n, k := len(alpha), 0
+	col := func(k int) []float64 { return cols[k*rows+off : k*rows+off+n] }
 	for ; k+3 < len(out); k += 4 {
-		c0, c1 := cols[k][off:off+n], cols[k+1][off:off+n]
-		c2, c3 := cols[k+2][off:off+n], cols[k+3][off:off+n]
+		c0, c1, c2, c3 := col(k), col(k+1), col(k+2), col(k+3)
 		var s0, s1, s2, s3 float64
 		for i, a := range alpha {
 			s0 += c0[i] * a
@@ -1162,7 +1025,7 @@ func pointDots(cols [][]float64, off int, alpha []float64, out []float64) {
 		out[k], out[k+1], out[k+2], out[k+3] = s0, s1, s2, s3
 	}
 	for ; k < len(out); k++ {
-		c := cols[k][off : off+n]
+		c := col(k)
 		s := 0.0
 		for i, a := range alpha {
 			s += c[i] * a
@@ -1264,19 +1127,20 @@ func (g *GP) priorVariance() float64 {
 	return g.params.Variance + g.params.Noise
 }
 
-// prepare finds the leaders of gps and lays out their columns, returning
+// prepare finds the leaders of gps and lays out their columns: sc.rows is
 // how many rows (training points) the tile's distinct columns hold. The
 // layout is a function of the GPs' factors (their inputs, Params and
 // jitter), which never change, so a scratch whose last layout was for the
 // same factors keeps it.
-func (sc *tileScratch) prepare(gps []*GP) (rows int) {
+func (sc *tileScratch) prepare(gps []*GP) {
 	if sc.sameFactors(gps) {
-		return sc.rows
+		return
 	}
 	ng := len(gps)
 	sc.dist, sc.col, sc.fac = sc.leaders(gps)
-	sc.off, sc.vo = sc.lead[3*ng:4*ng], sc.lead[4*ng:5*ng]
+	sc.off = sc.lead[3*ng : 4*ng]
 	sc.facs = sc.facs[:0]
+	rows := 0
 	for b, g := range gps {
 		sc.facs = append(sc.facs, g.factor)
 		if sc.col[b] == b {
@@ -1285,7 +1149,6 @@ func (sc *tileScratch) prepare(gps []*GP) (rows int) {
 		}
 	}
 	sc.rows = rows
-	return rows
 }
 
 // sameFactors reports whether gps hold, in order, the factors of the
@@ -1308,10 +1171,10 @@ func (sc *tileScratch) sameFactors(gps []*GP) bool {
 // distance group, a factor leader in the same column group.
 func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 	ng := len(gps)
-	if cap(sc.lead) < 5*ng {
-		sc.lead = make([]int, 5*ng)
+	if cap(sc.lead) < 4*ng {
+		sc.lead = make([]int, 4*ng)
 	}
-	sc.lead = sc.lead[:5*ng]
+	sc.lead = sc.lead[:4*ng]
 	dist, col, fac = sc.lead[:ng], sc.lead[ng:2*ng], sc.lead[2*ng:3*ng]
 	for j, g := range gps {
 		dist[j], col[j], fac[j] = j, j, j
@@ -1343,7 +1206,7 @@ func (sc *tileScratch) leaders(gps []*GP) (dist, col, fac []int) {
 func (g *GP) Predict(x []float64) (mean, variance float64) {
 	gs, xs := [1]*GP{g}, [1][]float64{x}
 	var m, v [1]float64
-	PredictTile(gs[:], xs[:], m[:], v[:])
+	PredictTile(gs[:], xs[:], m[:], v[:], nil)
 	return m[0], v[0]
 }
 

@@ -56,32 +56,15 @@ func tilePoints(x [][]float64, seed int64) [][]float64 {
 }
 
 // checkTile compares PredictTile with predictReference for every tile fill
-// from one point to TileWidth: the full form; stage 1 alone (PredictMeans,
-// the same means, bit for bit), keeping its columns; stage 2 alone
-// (PredictVariances) on those columns with the tile's points in reverse, so
-// every point sits at another index of a tile of another fill; and
-// Envelope's variance, which no variance may exceed.
+// from one point to TileWidth, and requires every variance to be at most
+// Envelope's.
 func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 	t.Helper()
-	ng, rows := len(gps), ColumnsLen(gps)
+	ng := len(gps)
 	for m := 1; m <= len(xs); m++ {
 		mean := make([]float64, m*ng)
 		variance := make([]float64, m*ng)
-		meanOnly := make([]float64, m*ng)
-		PredictTile(gps, xs[:m], mean, variance)
-		cols := make([][]float64, m)
-		for k := range cols {
-			cols[k] = make([]float64, rows)
-		}
-		PredictMeans(gps, xs[:m], meanOnly, cols)
-		// Stage 2 of the last r points, in reverse: point k is at m-1-k.
-		r := 1 + (m-1)/2
-		back, backCols := make([][]float64, r), make([][]float64, r)
-		for q := range back {
-			back[q], backCols[q] = xs[m-1-q], cols[m-1-q]
-		}
-		staged := make([]float64, r*ng)
-		PredictVariances(gps, back, backCols, staged, nil)
+		PredictTile(gps, xs[:m], mean, variance, nil)
 		envMean, envVar := make([]float64, m*ng), make([]float64, m*ng)
 		Envelope(gps, xs[:m], envMean, envVar)
 		for k := 0; k < m; k++ {
@@ -89,14 +72,6 @@ func checkTile(t *testing.T, gps []*GP, xs [][]float64) {
 				wm, wv := predictReference(g, xs[k])
 				if gm, gv := mean[k*ng+j], variance[k*ng+j]; gm != wm || gv != wv {
 					t.Fatalf("tile of %d, point %d, GP %d: (%v, %v), reference (%v, %v)", m, k, j, gm, gv, wm, wv)
-				}
-				if gm := meanOnly[k*ng+j]; gm != wm {
-					t.Fatalf("stage 1 of a tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gm, wm)
-				}
-				if q := m - 1 - k; q < r {
-					if gv := staged[q*ng+j]; gv != wv {
-						t.Fatalf("stage 2 of the kept columns, tile of %d, point %d, GP %d: %v, reference %v", m, k, j, gv, wv)
-					}
 				}
 				if top := envVar[k*ng+j]; !(wv <= top) {
 					t.Fatalf("point %d, GP %d: variance %v above the envelope's %v", k, j, wv, top)
@@ -217,12 +192,12 @@ func TestPredictTilePanicsOnBadShapes(t *testing.T) {
 	}
 	gps := []*GP{g}
 	for name, fn := range map[string]func(){
-		"no points": func() { PredictTile(gps, nil, nil, nil) },
+		"no points": func() { PredictTile(gps, nil, nil, nil, nil) },
 		"too many points": func() {
-			PredictTile(gps, make([][]float64, TileWidth+1), make([]float64, TileWidth+1), make([]float64, TileWidth+1))
+			PredictTile(gps, make([][]float64, TileWidth+1), make([]float64, TileWidth+1), make([]float64, TileWidth+1), nil)
 		},
-		"short output":    func() { PredictTile(gps, x[:2], make([]float64, 1), make([]float64, 2)) },
-		"short variances": func() { PredictTile(gps, x[:2], make([]float64, 2), make([]float64, 1)) },
+		"short output":    func() { PredictTile(gps, x[:2], make([]float64, 1), make([]float64, 2), nil) },
+		"short variances": func() { PredictTile(gps, x[:2], make([]float64, 2), make([]float64, 1), nil) },
 	} {
 		func() {
 			defer func() {
@@ -235,8 +210,9 @@ func TestPredictTilePanicsOnBadShapes(t *testing.T) {
 	}
 }
 
-// TestPredictTileDoesNotAllocate pins the allocation-free tile paths, full
-// and partly filled: the whole tile and each of its stages.
+// TestPredictTileDoesNotAllocate pins the allocation-free tile, full and
+// partly filled, solving every point and with a predicate that reads the
+// tile's means and skips some points.
 func TestPredictTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -246,20 +222,15 @@ func TestPredictTileDoesNotAllocate(t *testing.T) {
 	b := Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
 	gps := fitShared(t, x, y, []Params{a, b, a, b}, []float64{0, 0, 0, 1e-8})
 	xs := tilePoints(x, 3)
-	mean := make([]float64, len(xs)*len(gps))
-	variance := make([]float64, len(xs)*len(gps))
-	cols := make([][]float64, len(xs))
-	for k := range cols {
-		cols[k] = make([]float64, ColumnsLen(gps))
-	}
+	ng := len(gps)
+	mean := make([]float64, len(xs)*ng)
+	variance := make([]float64, len(xs)*ng)
 	for _, m := range []int{TileWidth, 3} {
 		for name, run := range map[string]func(){
-			"PredictTile":  func() { PredictTile(gps, xs[:m], mean[:m*len(gps)], variance[:m*len(gps)]) },
-			"PredictMeans": func() { PredictMeans(gps, xs[:m], mean[:m*len(gps)], nil) },
-			"PredictMeans keeping columns": func() {
-				PredictMeans(gps, xs[:m], mean[:m*len(gps)], cols[:m])
+			"PredictTile": func() { PredictTile(gps, xs[:m], mean[:m*ng], variance[:m*ng], nil) },
+			"PredictTile, skipping": func() {
+				PredictTile(gps, xs[:m], mean[:m*ng], variance[:m*ng], func(k int) bool { return mean[k*ng] < mean[k*ng+1] })
 			},
-			"PredictVariances": func() { PredictVariances(gps, xs[:m], cols[:m], variance[:m*len(gps)], nil) },
 		} {
 			run() // warm the pool
 			if n := testing.AllocsPerRun(200, run); n > 0 {
@@ -282,7 +253,7 @@ func TestConcurrentPredictTileIsDeterministic(t *testing.T) {
 	want := make([][2][]float64, TileWidth+1)
 	for m := 1; m <= TileWidth; m++ {
 		want[m] = [2][]float64{make([]float64, m*ng), make([]float64, m*ng)}
-		PredictTile(gps, xs[:m], want[m][0], want[m][1])
+		PredictTile(gps, xs[:m], want[m][0], want[m][1], nil)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -292,7 +263,7 @@ func TestConcurrentPredictTileIsDeterministic(t *testing.T) {
 			mean, variance := make([]float64, TileWidth*ng), make([]float64, TileWidth*ng)
 			for r := 0; r < 50; r++ {
 				m := 1 + (w+r)%TileWidth
-				PredictTile(gps, xs[:m], mean[:m*ng], variance[:m*ng])
+				PredictTile(gps, xs[:m], mean[:m*ng], variance[:m*ng], nil)
 				if !reflect.DeepEqual(mean[:m*ng], want[m][0]) || !reflect.DeepEqual(variance[:m*ng], want[m][1]) {
 					t.Errorf("concurrent PredictTile of %d points diverged", m)
 					return
@@ -347,95 +318,86 @@ func TestPriorVarianceIsSignalVariance(t *testing.T) {
 	}
 }
 
-// checkStops runs stopping stage 2 on the kept columns of xs with seeded
-// stop decisions — every point at the first report, none, and at random —
-// with the points shuffled into tiles of every fill and the solves
-// split into blocks of 1, 5, solveBlock and the whole length. Every report
-// must be >= the point's final variance, the first one the prior; a point
-// that completes must have predictReference's bits; a point that stops must
-// keep the report it stopped at; and a point that completes must have seen
-// one report per block of the given length.
-func checkStops(t *testing.T, name string, gps []*GP, xs [][]float64, seed int64) {
+// checkSkips runs PredictTile with seeded predicates — skipping every
+// point, none, and at random — on the points of xs shuffled into tiles of
+// every fill, with the variance slots preset to values of the caller's. The
+// predicate must be asked once per point, in order, after every mean of the
+// tile is predictReference's; a skipped point must keep the caller's
+// variance bits; a solved one must have predictReference's, although the
+// predicate overwrote its means.
+func checkSkips(t *testing.T, name string, gps []*GP, xs [][]float64, seed int64) {
 	t.Helper()
-	ng, rows := len(gps), ColumnsLen(gps)
-	n := 0
-	for _, g := range gps {
-		n = max(n, g.N())
-	}
-	cols := make([][]float64, len(xs))
-	for k := range cols {
-		cols[k] = make([]float64, rows)
-	}
-	PredictMeans(gps, xs, make([]float64, len(xs)*ng), cols)
-	want := make([][]float64, len(xs))
+	ng := len(gps)
+	wantM, wantV := make([][]float64, len(xs)), make([][]float64, len(xs))
 	for k, x := range xs {
-		want[k] = make([]float64, ng)
+		wantM[k], wantV[k] = make([]float64, ng), make([]float64, ng)
 		for j, g := range gps {
-			_, want[k][j] = predictReference(g, x)
+			wantM[k][j], wantV[k][j] = predictReference(g, x)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for _, block := range []int{1, 5, solveBlock, n} {
-		for m := 1; m <= len(xs); m++ {
-			for _, p := range []float64{1, 0, 0.2} {
-				perm := rng.Perm(len(xs))[:m]
-				tx, tc := make([][]float64, m), make([][]float64, m)
-				for k, i := range perm {
-					tx[k], tc[k] = xs[i], cols[i]
+	for m := 1; m <= len(xs); m++ {
+		for _, p := range []float64{1, 0, 0.3, 0.7} {
+			perm := rng.Perm(len(xs))[:m]
+			tx := make([][]float64, m)
+			for k, i := range perm {
+				tx[k] = xs[i]
+			}
+			mean, variance, preset := make([]float64, m*ng), make([]float64, m*ng), make([]float64, m*ng)
+			for i := range preset {
+				preset[i] = rng.NormFloat64()
+			}
+			copy(variance, preset)
+			asked := 0
+			skip := make([]bool, m)
+			PredictTile(gps, tx, mean, variance, func(k int) bool {
+				if k != asked {
+					t.Fatalf("%s, tile of %d: asked about point %d after %d points", name, m, k, asked)
 				}
-				reports := make([]int, m)
-				last := make([][]float64, m)
-				stop := func(k int, v []float64) bool {
-					i := perm[k]
-					for j, g := range gps {
-						if prior := g.scaledVariance(g.priorVariance()); reports[k] == 0 && v[j] != prior {
-							t.Fatalf("%s: first report for GP %d is %v, the prior variance %v", name, j, v[j], prior)
-						}
-						if !(v[j] >= want[i][j]) {
-							t.Fatalf("%s, blocks of %d: report %d for GP %d is %v, below the variance %v", name, block, reports[k], j, v[j], want[i][j])
-						}
+				asked++
+				for q, i := range perm {
+					if q >= k && !reflect.DeepEqual(mean[q*ng:(q+1)*ng], wantM[i]) {
+						t.Fatalf("%s, tile of %d: asked about point %d with point %d's means %v, reference %v", name, m, k, q, mean[q*ng:(q+1)*ng], wantM[i])
 					}
-					reports[k]++
-					last[k] = append(last[k][:0], v...)
-					return rng.Float64() < p
 				}
-				variance := make([]float64, m*ng)
-				done := predictVariances(gps, tx, tc, variance, stop, block)
-				for k, i := range perm {
-					got := variance[k*ng : (k+1)*ng]
-					switch {
-					case done[k] && !reflect.DeepEqual(got, want[i]):
-						t.Fatalf("%s, blocks of %d, tile of %d: completed point %d has %v, reference %v", name, block, m, i, got, want[i])
-					case done[k] && reports[k] != (n+block-1)/block:
-						t.Fatalf("%s, blocks of %d: a completed point saw %d reports for %d rows", name, block, reports[k], n)
-					case !done[k] && !reflect.DeepEqual(got, last[k]):
-						t.Fatalf("%s, blocks of %d: stopped point %d has %v, its last report %v", name, block, i, got, last[k])
-					case p == 1 && (done[k] || reports[k] != 1), p == 0 && !done[k]:
-						t.Fatalf("%s, blocks of %d: stopping with probability %v gave done %v after %d reports", name, block, p, done[k], reports[k])
-					}
+				for j := range gps {
+					mean[k*ng+j] = -1
+				}
+				skip[k] = rng.Float64() < p
+				return !skip[k]
+			})
+			if asked != m {
+				t.Fatalf("%s, tile of %d: asked about %d points", name, m, asked)
+			}
+			for k, i := range perm {
+				got := variance[k*ng : (k+1)*ng]
+				switch {
+				case skip[k] && !reflect.DeepEqual(got, preset[k*ng:(k+1)*ng]):
+					t.Fatalf("%s, tile of %d: skipped point %d has variances %v, the caller's %v", name, m, i, got, preset[k*ng:(k+1)*ng])
+				case !skip[k] && !reflect.DeepEqual(got, wantV[i]):
+					t.Fatalf("%s, tile of %d: solved point %d has variances %v, reference %v", name, m, i, got, wantV[i])
+				case p == 1 && !skip[k], p == 0 && skip[k]:
+					t.Fatalf("%s: skipping with probability %v left point %d skipped %v", name, p, i, skip[k])
 				}
 			}
 		}
 	}
 }
 
-// TestPredictVariancesStopsExactly holds stopping stage 2 (checkStops) to
+// TestPredictTileSkipsExactly holds PredictTile's predicate (checkSkips) to
 // the reference on the sharing patterns of the tile tests: one factor for
-// every GP, some shared, none, at training sizes on both sides of the
-// block length; and GPs on input sets of different lengths, whose solves
-// end at different rows.
-//
-// It was shown to catch a Σv² that restarts from zero in every block, and
-// reports that read the first point's Σv² for every point.
-func TestPredictVariancesStopsExactly(t *testing.T) {
+// every GP, some shared, none, at training sizes on both sides of a multiple
+// of the forward solve's four rows and of 16; and GPs on input sets of
+// different lengths, whose solves have different lengths.
+func TestPredictTileSkipsExactly(t *testing.T) {
 	a := Params{Lengthscale: 0.6, Variance: 1, Noise: 0.05}
 	b := Params{Lengthscale: 0.15, Variance: 1, Noise: 1e-4}
 	c := Params{Lengthscale: 0.3, Variance: 1.7, Noise: 1e-2}
 	for _, n := range []int{5, 16, 17, 150} {
 		x, y := randomData(n, 6, int64(n))
 		xs := tilePoints(x, int64(n)+1)
-		checkStops(t, "shared", fitShared(t, x, y, []Params{a, a, a, a}, []float64{0, 0, 0, 0}), xs, 1)
-		checkStops(t, "partly shared", fitShared(t, x, y, []Params{a, b, c, a}, []float64{0, 0, 0, 1e-8}), xs, 2)
+		checkSkips(t, "shared", fitShared(t, x, y, []Params{a, a, a, a}, []float64{0, 0, 0, 0}), xs, 1)
+		checkSkips(t, "partly shared", fitShared(t, x, y, []Params{a, b, c, a}, []float64{0, 0, 0, 1e-8}), xs, 2)
 	}
 	x, y := randomData(40, 4, 7)
 	gps := fitShared(t, x, y, []Params{a, b}, []float64{0, 0})
@@ -447,5 +409,5 @@ func TestPredictVariancesStopsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStops(t, "mixed", []*GP{gps[0], short, mid, gps[1]}, tilePoints(x, 9), 3)
+	checkSkips(t, "mixed", []*GP{gps[0], short, mid, gps[1]}, tilePoints(x, 9), 3)
 }

@@ -36,10 +36,7 @@
 //
 // SolveLowerInto, SolveLowerTInto and CholeskySolveInto are the
 // solve-into-buffer variants used on hot paths; the rhs and solution buffers
-// may alias. SolveLowerRows is the forward solve of any row range [r0, r1)
-// once the rows below r0 are solved, so a caller (gp.PredictVariances) can
-// stop a solve part way and resume it; a whole solve is the [0, n) case of
-// the same loop.
+// may alias.
 package linalg
 
 import (
@@ -241,7 +238,7 @@ func CholeskyExtend(l *Matrix, k []float64, d, jitter float64) (*Matrix, error) 
 		copy(out.Data[i*(n+1):i*(n+1)+n], l.Data[i*n:i*n+n])
 	}
 	w := out.Data[n*(n+1) : n*(n+1)+n]
-	solveLowerInto(l, k, w, 0, n)
+	SolveLowerInto(l, k, w)
 	s := d + jitter
 	for i := 0; i < n; i++ {
 		s -= w[i] * w[i]
@@ -285,43 +282,23 @@ func CholeskyUpdate(l *Matrix, v []float64) error {
 }
 
 // SolveLowerInto solves L·x = b into x, which must have length n and may
-// alias b. It is SolveLowerRows over every row.
+// alias b. Every row runs the textbook recurrence — subtract row[k]·x[k] one
+// product at a time in ascending k, then divide by the diagonal — which is
+// the factorization's order, and CholeskyExtend relies on it for
+// bit-identity. It takes the rows four at a time: their sums over the
+// columns solved before the group are four independent subtract chains, then
+// each row subtracts the terms of the group's rows above it, still in
+// ascending k. So the bits are the textbook's while four chains run at the
+// floating-point units' throughput instead of one chain's latency (at
+// n = 150, one CPU: 11.2 µs per solve a row at a time, 5.4 µs four rows at a
+// time).
 func SolveLowerInto(l *Matrix, b, x []float64) {
 	n := l.Rows
 	if len(b) != n || len(x) != n {
 		panic(fmt.Sprintf("linalg: SolveLowerInto got %d rhs and %d out entries, want %d", len(b), len(x), n))
 	}
-	solveLowerInto(l, b, x, 0, n)
-}
-
-// SolveLowerRows solves rows [r0, r1) of L·x = b into x (length n, may
-// alias b), reading the rows of x below r0 as already solved: a solve split
-// into consecutive ranges — [0, n) as one, or [0, r) then [r, n) — writes
-// the same bits, so a caller can stop a solve part way and resume it.
-func SolveLowerRows(l *Matrix, b, x []float64, r0, r1 int) {
-	n := l.Rows
-	if len(b) != n || len(x) != n {
-		panic(fmt.Sprintf("linalg: SolveLowerRows got %d rhs and %d out entries, want %d", len(b), len(x), n))
-	}
-	if r0 < 0 || r0 > r1 || r1 > n {
-		panic(fmt.Sprintf("linalg: SolveLowerRows of rows [%d, %d), want within [0, %d)", r0, r1, n))
-	}
-	solveLowerInto(l, b, x, r0, r1)
-}
-
-// solveLowerInto solves rows [r0, r1) of L·x = b. Every row runs the
-// textbook recurrence — subtract row[k]·x[k] one product at a time in
-// ascending k, then divide by the diagonal — which is the factorization's
-// order, and CholeskyExtend relies on it for bit-identity. It takes the rows
-// four at a time: their sums over the columns solved before the group are
-// four independent subtract chains, then each row subtracts the terms of
-// the group's rows above it, still in ascending k. So the bits are the
-// textbook's while four chains run at the floating-point units' throughput
-// instead of one chain's latency (at n = 150, one CPU: 11.2 µs per solve a
-// row at a time, 5.4 µs four rows at a time).
-func solveLowerInto(l *Matrix, b, x []float64, r0, r1 int) {
-	c, i := l.Cols, r0
-	for ; i+3 < r1; i += 4 {
+	c, i := l.Cols, 0
+	for ; i+3 < n; i += 4 {
 		ra := l.Data[i*c : i*c+i+1]
 		rb := l.Data[(i+1)*c : (i+1)*c+i+2]
 		rc := l.Data[(i+2)*c : (i+2)*c+i+3]
@@ -345,7 +322,7 @@ func solveLowerInto(l *Matrix, b, x []float64, r0, r1 int) {
 		sd -= rd[i+2] * xc
 		x[i], x[i+1], x[i+2], x[i+3] = xa, xb, xc, sd/rd[i+3]
 	}
-	for ; i < r1; i++ {
+	for ; i < n; i++ {
 		row := l.Data[i*c : i*c+i+1]
 		sum := b[i]
 		for k := 0; k < i; k++ {

@@ -417,17 +417,15 @@ func solveTextbook(l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// TestSolveLowerRowsMatchesTextbook pins the forward solve, which takes its
-// rows four at a time, to solveTextbook bit for bit: at sizes on every side
-// of a multiple of four and of the factorization's panel width, whole
-// (SolveLowerInto), in place, and split into row ranges at seeded points —
-// empty ranges and ranges of every length mod 4 among them — resumed in
-// place (SolveLowerRows). Bad shapes and ranges panic.
+// TestSolveLowerMatchesTextbook pins the forward solve, which takes its rows
+// four at a time, to solveTextbook bit for bit: at sizes on every side of a
+// multiple of four and of the factorization's panel width, into a fresh
+// buffer and in place. Bad shapes panic.
 //
 // It was shown to catch a group's last row subtracting the terms of the
 // group's rows above it out of column order (row 3 of n = 7 off in the last
 // bit).
-func TestSolveLowerRowsMatchesTextbook(t *testing.T) {
+func TestSolveLowerMatchesTextbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 65, 150} {
 		l, err := Cholesky(randomSPD(n, rng))
@@ -443,23 +441,16 @@ func TestSolveLowerRowsMatchesTextbook(t *testing.T) {
 		SolveLowerInto(l, b, whole)
 		aliased := append([]float64(nil), b...)
 		SolveLowerInto(l, aliased, aliased)
-		split := append([]float64(nil), b...)
-		for r0 := 0; r0 < n; {
-			r1 := r0 + rng.Intn(min(n-r0, 6)+1)
-			SolveLowerRows(l, split, split, r0, r1)
-			r0 = r1
-		}
 		for i := range want {
-			if whole[i] != want[i] || aliased[i] != want[i] || split[i] != want[i] {
-				t.Fatalf("n=%d row %d: whole %v, aliased %v, split %v, textbook %v", n, i, whole[i], aliased[i], split[i], want[i])
+			if whole[i] != want[i] || aliased[i] != want[i] {
+				t.Fatalf("n=%d row %d: whole %v, aliased %v, textbook %v", n, i, whole[i], aliased[i], want[i])
 			}
 		}
 	}
 	for _, fn := range []func(){
-		func() { SolveLowerRows(New(2, 2), make([]float64, 3), make([]float64, 2), 0, 2) },
-		func() { SolveLowerRows(New(2, 2), make([]float64, 2), make([]float64, 2), 0, 3) },
-		func() { SolveLowerRows(New(2, 2), make([]float64, 2), make([]float64, 2), 2, 1) },
-		func() { SolveLowerRows(New(2, 2), make([]float64, 2), make([]float64, 2), -1, 1) },
+		func() { SolveLowerInto(New(2, 2), make([]float64, 3), make([]float64, 2)) },
+		func() { SolveLowerInto(New(2, 2), make([]float64, 2), make([]float64, 3)) },
+		func() { SolveLowerInto(New(2, 2), make([]float64, 1), make([]float64, 1)) },
 	} {
 		func() {
 			defer func() {

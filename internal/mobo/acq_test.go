@@ -16,7 +16,7 @@ import (
 // out. post is scratch for the posterior, 2·len(xs)·NumObjectives long.
 func (o *Optimizer) scoreTile(xs [][]float64, lambda, post, out []float64) {
 	mean, variance := post[:len(post)/2], post[len(post)/2:]
-	gp.PredictTile(o.gps, xs, mean, variance)
+	gp.PredictTile(o.gps, xs, mean, variance, nil)
 	o.acquisition(mean, variance, lambda, out)
 }
 
@@ -112,13 +112,12 @@ func handBuilt(gps []*gp.GP, lo, hi []float64) *Optimizer {
 }
 
 // TestBoundNeverExceedsScore is the chain of bounds the pruning rests on,
-// compared on the floats with no tolerance: for every candidate, boundTile's
-// value (the envelope means and variances) <= the acquisition at the exact
-// means and the envelope variances <= scoreTile's score; and every partial
-// bound a stopping solve reports (the acquisition at the variances of each
-// gp.PredictVariances report) <= the score, the first of them (at the prior
-// variances) <= the middle link. And the exact score scorePoolTile builds,
-// in another lane of another tile, is scoreTile's, with ==. The GP sets
+// compared on the floats with no tolerance: for every candidate,
+// boundPoolTile's bound (the envelope means and variances) <= the
+// acquisition at the exact means and the envelope variances (what the
+// exact scorers check against their limit) <= scoreTile's score. And the
+// exact score scorePoolTile builds, in another lane of another tile, is
+// scoreTile's, with ==. The GP sets
 // cover shared and distinct hyperparameters, a signal variance of 2.5
 // (k(x,x) is not 1), a training set of 3, an objective whose span is 0, and
 // noise-free GPs queried on their own training inputs, where the variance
@@ -213,23 +212,17 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 			if trial == 3 {
 				lambda[0], lambda[1] = lambda[0]+lambda[1], 0
 			}
-			o.acq.colsFor(o.gps)
-			width := o.acq.width
+			o.acq = newAcqScratch(len(cands), nObj)
 			for lo := 0; lo < len(cands); lo += gp.TileWidth {
 				hi := min(lo+gp.TileWidth, len(cands))
 				xs := cands[lo:hi]
 				post := make([]float64, 2*len(xs)*nObj)
-				bound, mid, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
-				o.boundTile(xs, lambda, post, bound)
-				cols := make([][]float64, len(xs))
-				for k := range cols {
-					cols[k] = make([]float64, width)
-				}
-				means := make([]float64, len(xs)*nObj)
-				gp.PredictMeans(o.gps, xs, means, cols)
+				mid, score, kept := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
+				o.boundPoolTile(cands, lo/gp.TileWidth, lambda)
+				bound := o.acq.bounds[lo:hi]
 				mean, variance := post[:len(post)/2], post[len(post)/2:]
-				gp.Envelope(o.gps, xs, mean, variance)
-				copy(mean, means)
+				gp.PredictTile(o.gps, xs, mean, variance, nil)
+				copy(variance, o.acq.vars[lo*nObj:hi*nObj])
 				o.acquisition(mean, variance, lambda, mid)
 				o.scoreTile(xs, lambda, post, score)
 				tile := make([]int, len(xs))
@@ -237,22 +230,6 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 					tile[k] = hi - 1 - k // reversed: every candidate in another lane
 				}
 				o.scorePoolTile(cands, tile, lambda, math.Inf(1), post, kept)
-				var s [gp.TileWidth]float64
-				for k := range xs {
-					s[k] = o.meanTerm(append([]float64(nil), means[k*nObj:(k+1)*nObj]...), lambda)
-				}
-				reports := make([]int, len(xs))
-				gp.PredictVariances(o.gps, xs, cols, make([]float64, len(xs)*nObj), func(k int, v []float64) bool {
-					partial := s[k] - o.bonus(v, lambda)
-					if reports[k] == 0 && !(partial <= mid[k]) {
-						t.Fatalf("%s, candidate %d: first partial bound %v exceeds the bound at exact means %v", set.name, lo+k, partial, mid[k])
-					}
-					if !(partial <= score[k]) {
-						t.Fatalf("%s, lambda %v, candidate %d: partial bound %d, %v, exceeds score %v", set.name, lambda, lo+k, reports[k], partial, score[k])
-					}
-					reports[k]++
-					return false
-				})
 				for k := range xs {
 					if !(bound[k] <= mid[k]) {
 						t.Fatalf("%s, lambda %v, candidate %d: envelope bound %v exceeds the bound at exact means %v", set.name, lambda, lo+k, bound[k], mid[k])
@@ -570,19 +547,25 @@ func TestStepLimitStopsOnlyNoOps(t *testing.T) {
 	}
 }
 
-// TestStoppedScoresExceedTheirLimits runs the stopping scorers against
+// TestStoppedScoresExceedTheirLimits runs the skipping scorers against
 // limits cut from the reference scores — below them all, at quartiles, at a
 // reference score exactly, above them all and +Inf — and requires every
 // candidate to score its reference bits or +Inf, and +Inf only when its
-// reference is above its limit: scoreCandidates over a bounded pool at
-// several worker counts, and scoreMemoized lane by lane with limits of its
-// own, twice, so the second pass meets the points whose solves stopped as
-// means and bounds in the memo. Each scorer must stop some candidate and
-// complete another, or the case tests nothing.
+// reference is above its limit: scoreCandidates over a pool bounded by
+// boundPoolTile at several worker counts, and scoreMemoized lane by lane
+// with limits of its own, twice, so the second pass meets the skipped points
+// as exact means and envelope variances in the memo. Every tenth candidate
+// lies far outside the data, where the kernel underflows to 0: its exact
+// variance is the prior, which is also the envelope's, so its bound equals
+// its score, and the candidates there all tie at one score, which is one of
+// the limits. Each scorer must skip some candidate and solve another, or the
+// case tests nothing.
 //
-// It was shown to catch stopping on the scalarized means alone, without the
-// exploration bonus: in solveScores, and in the memo's bound on a stopped
-// point.
+// It was shown to catch skipping on the scalarized means alone, without the
+// exploration bonus (in exactScores, and in the memo's bound on a point not
+// solved); skipping at >= instead of >, which prunes the far candidates'
+// tie; and checking at variances of 0 instead of the envelope's (in
+// scorePoolTile and in scoreMemoized).
 func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 	live := trained(t, 15)
 	lambda := []float64{0.1, 0.4, 0.3, 0.2}
@@ -591,11 +574,17 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 	ref := make([]float64, len(pool))
 	for i := range pool {
 		pool[i] = live.space.Sample(rng)
+		if i%10 == 3 {
+			pool[i][0] += 100
+		}
 		ref[i] = acquisitionReference(live, pool[i], lambda)
+	}
+	if ref[3] != ref[13] {
+		t.Fatalf("far candidates scored %v and %v: the tie tests nothing", ref[3], ref[13])
 	}
 	sorted := append([]float64(nil), ref...)
 	slices.Sort(sorted)
-	limits := []float64{sorted[0] - 1, sorted[len(sorted)/4], sorted[len(sorted)/2], sorted[len(sorted)/2] + 1e-9, sorted[len(sorted)-1] + 1, math.Inf(1)}
+	limits := []float64{sorted[0] - 1, sorted[len(sorted)/4], sorted[len(sorted)/2], sorted[len(sorted)/2] + 1e-9, ref[3], sorted[len(sorted)-1] + 1, math.Inf(1)}
 	check := func(what string, i int, got, limit float64) (stopped bool) {
 		t.Helper()
 		if got == math.Inf(1) && ref[i] != got {
@@ -615,6 +604,7 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 		o.cfg.SearchWorkers = workers
 		for _, limit := range limits {
 			o.acq = newAcqScratch(len(pool), o.NumObjectives())
+			o.fanOut((len(pool)+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda) })
 			done := o.scoreCandidates(pool, rng.Perm(len(pool)), lambda, limit)
 			n := 0
 			for i := range pool {
@@ -625,13 +615,13 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 				}
 			}
 			if done != n {
-				t.Fatalf("limit %v: scoreCandidates counted %d completed solves, %d candidates have their scores", limit, done, n)
+				t.Fatalf("limit %v: scoreCandidates counted %d solved candidates, %d have their scores", limit, done, n)
 			}
 			completed += n
 		}
 	}
 	if stopped == 0 || completed == 0 {
-		t.Fatalf("scoreCandidates: %d stopped and %d completed; the limits test nothing", stopped, completed)
+		t.Fatalf("scoreCandidates: %d skipped and %d solved; the limits test nothing", stopped, completed)
 	}
 
 	stopped, completed = 0, 0
@@ -658,7 +648,7 @@ func TestStoppedScoresExceedTheirLimits(t *testing.T) {
 		}
 	}
 	if stopped == 0 || completed == 0 {
-		t.Fatalf("scoreMemoized: %d stopped and %d completed; the limits test nothing", stopped, completed)
+		t.Fatalf("scoreMemoized: %d skipped and %d solved; the limits test nothing", stopped, completed)
 	}
 }
 

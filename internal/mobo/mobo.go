@@ -40,14 +40,12 @@
 // memo that lives for one SuggestBatch); the lowest bounds are then scored
 // exactly, and a second fan-out scores whoever else has a bound no higher
 // than the best score seen. A candidate left unscored could neither have won
-// nor tied. An exact score computes the means and kernel columns, then runs
-// the solves only as far as the candidate can still win: they run in row
-// blocks, each block's partial variances are upper bounds on the final ones,
-// so the acquisition at them bounds the score from below ever more tightly
-// (the first, at the exact means, already stops a candidate whose means
-// lose), and a solve stops once that bound passes the score to beat. The
-// chains' steps are bounded and stop the same way, against the values a step
-// must beat to move its chain.
+// nor tied. An exact score computes the means, then runs the O(n²) solves
+// only if the candidate can still win: the acquisition at its exact means and
+// its envelope variances bounds its score from below, and a candidate whose
+// bound is above the score to beat skips its solves (gp.PredictTile's
+// predicate). The chains' steps are bounded and skipped the same way, against
+// the values a step must beat to move its chain.
 //
 // The result is bit-identical for every worker count, to scoring every
 // candidate, and to scoring each candidate alone: all draws from the
@@ -67,7 +65,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"unico/internal/gp"
@@ -313,10 +310,10 @@ var _ [gp.TileWidth - acqChains]struct{}
 // regrouped into full tiles for a second fan-out. A pruned candidate has
 // score >= bound > threshold >= the winner's score, so it can neither win
 // nor tie, and the merge below picks the point scoring every
-// candidate would have picked. The exact scores stop the same way part way
-// through their solves, and score +Inf: the first tile once a candidate is
-// sure to score above the chains' best, the second fan-out once it is sure
-// to score above threshold.
+// candidate would have picked. An exact score skips its solves the same way,
+// and scores +Inf, when its exact means and envelope variances already put
+// it above the chains' best (first tile) or above threshold (second
+// fan-out).
 //
 // The search is bit-identical for every worker count: every draw from the
 // optimizer's counted RNG happens up front on the calling goroutine
@@ -433,21 +430,23 @@ func (o *Optimizer) fanOut(n int, fn func(i int)) {
 }
 
 // boundPoolTile writes the bounds of pool tile t (candidates t·gp.TileWidth
-// up to the next tile or the pool's end) into acq.bounds.
+// up to the next tile or the pool's end) into acq.bounds, and their envelope
+// variances into acq.vars.
 func (o *Optimizer) boundPoolTile(pool [][]float64, t int, lambda []float64) {
-	sc := &o.acq
+	sc, nObj := &o.acq, o.NumObjectives()
 	lo := t * gp.TileWidth
 	hi := min(lo+gp.TileWidth, len(pool))
-	o.boundTile(pool[lo:hi], lambda, sc.tilePost(t, hi-lo), sc.bounds[lo:hi])
+	mean := sc.tilePost(t, hi-lo)[:(hi-lo)*nObj]
+	o.boundTile(pool[lo:hi], lambda, mean, sc.vars[lo*nObj:hi*nObj], sc.bounds[lo:hi])
 }
 
 // scoreCandidates writes the exact acquisition value of pool[i] into
-// acq.scores[i] for every i of idx, or +Inf once it is sure to exceed limit,
+// acq.scores[i] for every i of idx, or +Inf when it is sure to exceed limit,
 // gathered into full tiles (scorePoolTile) fanned out over the worker pool.
-// It returns how many solves ran to the last row.
+// boundPoolTile must have bounded the candidates. It returns how many were
+// solved.
 func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float64, limit float64) int {
 	sc := &o.acq
-	sc.colsFor(o.gps)
 	var completed atomic.Int64
 	o.fanOut((len(idx)+gp.TileWidth-1)/gp.TileWidth, func(t int) {
 		tile := idx[t*gp.TileWidth : min((t+1)*gp.TileWidth, len(idx))]
@@ -461,62 +460,58 @@ func (o *Optimizer) scoreCandidates(pool [][]float64, idx []int, lambda []float6
 }
 
 // scorePoolTile writes the exact acquisition value of pool[i], for each i of
-// tile (at most gp.TileWidth of them), into out, or +Inf once it is sure to
-// exceed limit, and returns how many solves completed: stage 1 of the
-// prediction, then solveScores. post is scratch for the posterior,
-// 2·len(tile)·NumObjectives long; acq.colsFor must have sized the columns.
+// tile (at most gp.TileWidth of them), into out, or +Inf when it is sure to
+// exceed limit (exactScores, from the envelope variances boundPoolTile left
+// in acq.vars), and returns how many candidates were solved. post is scratch
+// for the posterior, 2·len(tile)·NumObjectives long.
 func (o *Optimizer) scorePoolTile(pool [][]float64, tile []int, lambda []float64, limit float64, post, out []float64) (completed int) {
 	var (
 		xs  [gp.TileWidth][]float64
 		lim [gp.TileWidth]float64
 	)
+	nObj, m := o.NumObjectives(), len(tile)
+	mean, variance := post[:len(post)/2], post[len(post)/2:]
 	for k, i := range tile {
 		xs[k], lim[k] = pool[i], limit
+		copy(variance[k*nObj:(k+1)*nObj], o.acq.vars[i*nObj:(i+1)*nObj])
 	}
-	m := len(tile)
-	mean, variance := post[:len(post)/2], post[len(post)/2:]
-	cols := o.acq.tileCols()
-	defer o.acq.colBufs.Put(cols)
-	gp.PredictMeans(o.gps, xs[:m], mean, cols[:m])
-	done := o.solveScores(xs[:m], cols[:m], lambda, lim[:m], mean, variance, out)
-	for _, d := range done[:m] {
-		if d {
+	solved := o.exactScores(xs[:m], lambda, lim[:m], mean, variance, out, nil)
+	for _, s := range solved[:m] {
+		if s {
 			completed++
 		}
 	}
 	return completed
 }
 
-// solveScores finishes the acquisition values of the candidates xs (at
-// most gp.TileWidth of them) from their raw posterior means (mean, which it
-// normalizes in place) and kernel columns (cols): stage 2 of the
-// prediction, gp.PredictVariances, where candidate k's solve stops once its
-// acquisition at the reported variances exceeds limit[k]. Those variances
-// are >= the final ones and the acquisition only falls as a variance grows
-// (bonus), so a candidate stops only when its score would exceed limit[k]
-// too; it scores +Inf. A candidate that completes scores the bits a full
-// gp.PredictTile of it gives, whatever tile it rode in. variance receives
-// the posterior variances, and done tells which solves completed.
-func (o *Optimizer) solveScores(xs, cols [][]float64, lambda, limit, mean, variance, out []float64) (done [gp.TileWidth]bool) {
+// exactScores writes into out the exact acquisition value of each candidate
+// of xs (at most gp.TileWidth of them), or +Inf for one whose acquisition at
+// its exact means and the variance bounds the caller put in its variance
+// slots is above limit[k]: gp.PredictTile skips that candidate's solves, and
+// as the acquisition only falls as a variance grows (bonus), its score is
+// above limit[k] too. A solved candidate scores the bits a lone gp.Predict
+// gives, whatever tile it rode in; solved tells which were. raw, when
+// non-nil, receives each candidate's raw means in raw[k] before they are
+// normalized in place.
+func (o *Optimizer) exactScores(xs [][]float64, lambda, limit, mean, variance, out []float64, raw [][]float64) (solved [gp.TileWidth]bool) {
 	nObj := o.NumObjectives()
 	var s [gp.TileWidth]float64
-	canStop := false
-	for k := range xs {
-		s[k] = o.meanTerm(mean[k*nObj:(k+1)*nObj], lambda)
-		canStop = canStop || limit[k] < math.Inf(1)
-	}
-	var stop func(k int, v []float64) bool
-	if canStop {
-		stop = func(k int, v []float64) bool { return s[k]-o.bonus(v, lambda) > limit[k] }
-	}
-	done = gp.PredictVariances(o.gps, xs, cols, variance, stop)
+	gp.PredictTile(o.gps, xs, mean, variance, func(k int) bool {
+		mu := mean[k*nObj : (k+1)*nObj]
+		if raw != nil {
+			copy(raw[k], mu)
+		}
+		s[k] = o.meanTerm(mu, lambda)
+		solved[k] = !(s[k]-o.bonus(variance[k*nObj:(k+1)*nObj], lambda) > limit[k])
+		return solved[k]
+	})
 	for k := range xs {
 		out[k] = math.Inf(1)
-		if done[k] {
+		if solved[k] {
 			out[k] = s[k] - o.bonus(variance[k*nObj:(k+1)*nObj], lambda)
 		}
 	}
-	return done
+	return solved
 }
 
 // refineChains hill-climbs acqSteps lattice steps from each incumbent, chain
@@ -528,8 +523,8 @@ func (o *Optimizer) solveScores(xs, cols [][]float64, lambda, limit, mean, varia
 // (scoreMemoized): the posterior at a point does not depend on lambda, and
 // the chains of a batch's slots start from the same few incumbents.
 //
-// A step's solve stops once the step is sure to change nothing (stepLimit),
-// and it scores +Inf, which changes nothing either.
+// A step skips its solves when it is sure to change nothing (stepLimit), and
+// it scores +Inf, which changes nothing either.
 func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda []float64, exclude map[string]bool) (bestX [][]float64, bestA []float64) {
 	nc := len(incumbents)
 	post := make([]float64, 2*nc*o.NumObjectives())
@@ -571,8 +566,8 @@ func (o *Optimizer) refineChains(incumbents [][]float64, seeds []int64, lambda [
 // stepLimit is the limit a chain step is scored against (scoreMemoized),
 // from the chain's current value ax, its best bestA and whether the step's
 // point is excluded: a step at or above max(ax, bestA), or ax alone for an
-// excluded point, changes nothing. A solve stops strictly above its limit,
-// and "at least L" is "above the float below L".
+// excluded point, changes nothing. A step is skipped strictly above its
+// limit, and "at least L" is "above the float below L".
 func stepLimit(ax, bestA float64, excluded bool) float64 {
 	l := ax
 	if !excluded && bestA > l {
@@ -597,10 +592,10 @@ func (o *Optimizer) excluded(x []float64, exclude map[string]bool) bool {
 // solve: the acquisition at gp.Envelope's lower bounds on the means and
 // upper bounds on the variances. It never falls as a mean grows
 // (normalizing, λ_j >= 0, max and sum are monotone) nor rises as a variance
-// does (bonus), so out[k] <= the exact score, exactly. post is scratch for
-// the posterior, 2·len(xs)·NumObjectives long.
-func (o *Optimizer) boundTile(xs [][]float64, lambda, post, out []float64) {
-	mean, variance := post[:len(post)/2], post[len(post)/2:]
+// does (bonus), so out[k] <= the exact score, exactly. mean (scratch) and
+// variance, len(xs)·NumObjectives long each, receive the envelope's bounds;
+// mean is normalized in place.
+func (o *Optimizer) boundTile(xs [][]float64, lambda, mean, variance, out []float64) {
 	gp.Envelope(o.gps, xs, mean, variance)
 	o.acquisition(mean, variance, lambda, out)
 }
@@ -645,18 +640,18 @@ func (o *Optimizer) bonus(v, lambda []float64) float64 {
 }
 
 // scoreMemoized writes the exact acquisition value of each candidate of xs
-// (at most gp.TileWidth of them) into out, or +Inf once it is sure to
-// exceed limit[k], through the posterior memo. A point whose last solve
-// completed is read from the memo. A new point enters it with gp.Envelope's
-// bounds on its means and variances. A point whose solve stopped is bounded
-// from what the memo holds: when that bound exceeds the limit, it costs
-// nothing more. Every other lane runs stage 1 of the prediction and then
-// solveScores, in one tile, and the memo keeps what it computed. post is
-// scratch for the posterior, 2·len(xs)·NumObjectives long. Only the
-// goroutine running the refinement chains calls it: the memo takes no lock.
+// (at most gp.TileWidth of them) into out, or +Inf when it is sure to exceed
+// limit[k], through the posterior memo. A point whose solve ran is read from
+// the memo. A new point enters it with gp.Envelope's bounds on its means and
+// variances. A point that is not solved is bounded from what the memo holds:
+// when that bound exceeds the limit, it costs nothing more. Every other lane
+// goes through exactScores, in one tile, from the memo's variance bounds, and
+// the memo keeps its exact means and, when it was solved, its exact
+// variances. post is scratch for the posterior, 2·len(xs)·NumObjectives
+// long. Only the goroutine running the refinement chains calls it: the memo
+// takes no lock.
 func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []float64) {
 	sc := &o.acq
-	sc.colsFor(o.gps)
 	nObj := o.NumObjectives()
 	mean, variance := post[:len(post)/2], post[len(post)/2:]
 	var (
@@ -665,6 +660,7 @@ func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []flo
 		lanes   [gp.TileWidth]int // new points, then lanes to predict
 		laneX   [gp.TileWidth][]float64
 		missLim [gp.TileWidth]float64
+		raw     [gp.TileWidth][]float64
 		n       int
 	)
 	for k, x := range xs {
@@ -700,22 +696,18 @@ func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []flo
 			continue
 		}
 		lanes[n], laneX[n], missLim[n] = k, x, limit[k]
+		raw[n] = sc.memoPost[2*nObj*e : 2*nObj*e+nObj]
+		copy(variance[n*nObj:(n+1)*nObj], v)
 		n++
 	}
 	if n > 0 {
-		cols := sc.tileCols()
 		mu, v := mean[:n*nObj], variance[:n*nObj]
-		gp.PredictMeans(o.gps, laneX[:n], mu, cols[:n])
-		for r, k := range lanes[:n] {
-			copy(sc.memoPost[2*nObj*at[k]:], mu[r*nObj:(r+1)*nObj])
-		}
 		var missOut [gp.TileWidth]float64
-		done := o.solveScores(laneX[:n], cols[:n], lambda, missLim[:n], mu, v, missOut[:n])
-		sc.colBufs.Put(cols)
+		solved := o.exactScores(laneX[:n], lambda, missLim[:n], mu, v, missOut[:n], raw[:n])
 		for r, k := range lanes[:n] {
 			out[k] = missOut[r]
 			copy(sc.memoPost[2*nObj*at[k]+nObj:], v[r*nObj:(r+1)*nObj])
-			sc.memoFull[at[k]] = done[r]
+			sc.memoFull[at[k]] = solved[r]
 		}
 	}
 	for k, e := range at[:len(xs)] {
@@ -728,13 +720,6 @@ func (o *Optimizer) scoreMemoized(xs [][]float64, lambda, limit, post, out []flo
 	}
 }
 
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // acqScratch is the acquisition search's working set, kept on the Optimizer
 // so a maximization allocates the points it draws and little else.
 type acqScratch struct {
@@ -743,50 +728,25 @@ type acqScratch struct {
 	post     []float64
 	perPoint int
 	// bounds[i] is the lower bound on pool candidate i's score and scores[i]
-	// its exact score, +Inf where there is none; order holds the bounded
-	// candidates' indices by (bound, index), and first and rest those the
-	// two exact fan-outs score.
-	bounds, scores     []float64
-	order, first, rest []int
-	// colBufs holds tileCols' scratch, width = gp.ColumnsLen floats a
-	// candidate (0 until colsFor sets it).
-	colBufs *sync.Pool
-	width   int
+	// its exact score, +Inf where there is none; vars[i·NumObjectives:] holds
+	// its envelope variances; order holds the bounded candidates' indices by
+	// (bound, index), and first and rest those the two exact fan-outs score.
+	bounds, scores, vars []float64
+	order, first, rest   []int
 
 	// memo maps a point — its coordinates bit for bit, not its lattice
 	// cell: an off-centre training input shares a cell with the centre but
 	// not a posterior — to its entry e under the current surrogates:
 	// memoPost[2·NumObjectives·e:] holds its NumObjectives means, then as
-	// many variances: exact when memoFull[e] (its last solve completed),
-	// else bounds on them (the variances a solve stopped at, or
-	// gp.Envelope's). It lives for one SuggestBatch (whose slots' chains
-	// keep revisiting the same points) and is dropped whenever the
-	// surrogates change; key is the lookup key's buffer.
+	// many variances: the means exact once it went through exactScores, else
+	// gp.Envelope's bounds; the variances exact when memoFull[e] (it was
+	// solved), else gp.Envelope's bounds. It lives for one SuggestBatch
+	// (whose slots' chains keep revisiting the same points) and is dropped
+	// whenever the surrogates change; key is the lookup key's buffer.
 	memo     map[string]int
 	memoPost []float64
 	memoFull []bool
 	key      []byte
-}
-
-// colsFor sizes the column scratch for gps, once per change of surrogates.
-// Call it before a fan-out whose tiles take columns.
-func (sc *acqScratch) colsFor(gps []*gp.GP) {
-	if sc.width == 0 {
-		sc.width = gp.ColumnsLen(gps)
-	}
-}
-
-// tileCols returns kernel-column scratch for one tile, one column set a
-// candidate; give it back to colBufs.
-func (sc *acqScratch) tileCols() *[gp.TileWidth][]float64 {
-	b, _ := sc.colBufs.Get().(*[gp.TileWidth][]float64)
-	if b == nil {
-		b = new([gp.TileWidth][]float64)
-	}
-	for k := range b {
-		b[k] = grow(b[k], sc.width)
-	}
-	return b
 }
 
 // newAcqScratch sizes the scratch for pools of n candidates under nObj
@@ -797,10 +757,10 @@ func newAcqScratch(n, nObj int) acqScratch {
 		perPoint: 2 * nObj,
 		bounds:   make([]float64, n),
 		scores:   make([]float64, n),
+		vars:     make([]float64, n*nObj),
 		order:    make([]int, 0, n),
 		first:    make([]int, 0, gp.TileWidth),
 		rest:     make([]int, 0, n),
-		colBufs:  new(sync.Pool),
 		memo:     map[string]int{},
 	}
 }
@@ -831,7 +791,7 @@ func (sc *acqScratch) claim(nObj int) int {
 // dropMemo forgets every memoized posterior, keeping the memory.
 func (sc *acqScratch) dropMemo() {
 	clear(sc.memo)
-	sc.memoPost, sc.memoFull, sc.width = sc.memoPost[:0], sc.memoFull[:0], 0
+	sc.memoPost, sc.memoFull = sc.memoPost[:0], sc.memoFull[:0]
 }
 
 // topTrain returns the inputs of the best k training points under lambda.

@@ -13,7 +13,7 @@ import (
 	"unico/internal/hw"
 )
 
-// noLimit is a tile's worth of limits no score exceeds: no solve stops.
+// noLimit is a tile's worth of limits no score exceeds: no solve is skipped.
 var noLimit = [gp.TileWidth]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
 
 // acquisitionReference is the acquisition as it was computed before scoring
@@ -199,8 +199,8 @@ func TestRefineChainsMatchSerialWalks(t *testing.T) {
 
 // TestScoreTileDoesNotAllocate pins the allocation-free scoring paths: with
 // the posterior scratch handed in, a tile costs no objects — bounded from
-// its envelope, scored from its own means and columns, or read back from the
-// memo, with solves that complete or stop part way.
+// its envelope, scored exactly, or read back from the memo, with every
+// candidate solved or some skipped.
 func TestScoreTileDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -215,10 +215,10 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 		idx[i] = len(xs) - 1 - i
 	}
 	nObj := o.NumObjectives()
-	o.acq.colsFor(o.gps)
 	post := make([]float64, 2*len(xs)*nObj)
 	out := make([]float64, len(xs))
-	// A limit some of the candidates score above: their solves stop.
+	o.boundPoolTile(xs, 0, lambda)
+	// A limit some of the candidates score above: their solves are skipped.
 	o.scorePoolTile(xs, idx, lambda, math.Inf(1), post, out)
 	slices.Sort(out)
 	mid := out[len(out)/2]
@@ -226,17 +226,22 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 	for k := range midLimit {
 		midLimit[k] = mid
 	}
+	if solved := o.scorePoolTile(xs, idx, lambda, mid, post, out); solved == len(xs) {
+		t.Fatal("every candidate was solved under the middle limit: the skipping cases test nothing")
+	}
 	for name, score := range map[string]func(m int){
-		"boundTile":     func(m int) { o.boundTile(xs[:m], lambda, post[:2*m*nObj], out[:m]) },
+		"boundTile": func(m int) {
+			o.boundTile(xs[:m], lambda, post[:m*nObj], post[m*nObj:2*m*nObj], out[:m])
+		},
 		"scorePoolTile": func(m int) { o.scorePoolTile(xs, idx[len(xs)-m:], lambda, math.Inf(1), post[:2*m*nObj], out[:m]) },
 		"scoreMemoized": func(m int) { o.scoreMemoized(xs[:m], lambda, noLimit[:m], post[:2*m*nObj], out[:m]) },
-		"scorePoolTile, stopping": func(m int) {
+		"scorePoolTile, skipping": func(m int) {
 			o.scorePoolTile(xs, idx[len(xs)-m:], lambda, mid, post[:2*m*nObj], out[:m])
 		},
-		// Points of their own: once the warm-up call has stopped some, the
-		// memo holds only their means, and every later call bounds them
-		// from those or predicts them again.
-		"scoreMemoized, stopping": func(m int) {
+		// Points of their own: once the warm-up call has skipped some, the
+		// memo holds their exact means and envelope variances, and every
+		// later call bounds them from those or predicts them again.
+		"scoreMemoized, skipping": func(m int) {
 			o.scoreMemoized(ys[:m], lambda, midLimit[:m], post[:2*m*nObj], out[:m])
 		},
 	} {
@@ -249,7 +254,7 @@ func TestScoreTileDoesNotAllocate(t *testing.T) {
 		}
 	}
 	if !slices.Contains(o.acq.memoFull, false) {
-		t.Fatal("no memoized solve stopped: the stopping cases test nothing")
+		t.Fatal("no memoized solve was skipped: the skipping cases test nothing")
 	}
 }
 

@@ -21,11 +21,11 @@ var (
 	distJobs = DefaultRegistry.Gauge("unico_dist_jobs", "Mapping-search jobs currently held by this worker.", nil)
 
 	moboAcqBounded = DefaultRegistry.Counter("unico_mobo_acq_bounded_total",
-		"Acquisition pool candidates bounded with no exponential and no solve (envelope means, largest variances).", nil)
+		"Acquisition pool candidates bounded with no exponential and no solve (envelope means and variances).", nil)
 	moboAcqSolved = DefaultRegistry.Counter("unico_mobo_acq_solved_total",
-		"Acquisition pool candidates whose bound could still win and that paid for exact means and a variance solve.", nil)
+		"Acquisition pool candidates whose bound could still win and that paid for exact means.", nil)
 	moboAcqCompleted = DefaultRegistry.Counter("unico_mobo_acq_completed_total",
-		"Exact-scored acquisition pool candidates whose variance solve ran to the last row.", nil)
+		"Exact-scored acquisition pool candidates whose variance solve ran: exact means and envelope variances could still win.", nil)
 
 	evalCacheHits = DefaultRegistry.Counter("unico_evalcache_hits_total",
 		"PPA evaluations served from the content-addressed cache.", nil)
@@ -99,14 +99,14 @@ func MOBOAcqBounded() *Counter { return moboAcqBounded }
 
 // MOBOAcqSolved counts the pool candidates whose bound could still win, the
 // ones that went on to pay for their exact means (kernel columns with their
-// exponentials) and a variance solve for an exact score. Solved over bounded
-// is the share of the pool the bound did not prune.
+// exponentials) toward an exact score. Solved over bounded is the share of
+// the pool the bound did not prune.
 func MOBOAcqSolved() *Counter { return moboAcqSolved }
 
 // MOBOAcqCompleted counts the solved pool candidates whose variance solve
-// ran to the last row; the others stopped once their score could no longer
-// win. Completed over solved is the share of the scoring solves that ran
-// whole.
+// ran: those whose acquisition at their exact means and envelope variances
+// could still win. The others skipped it and scored +Inf. Completed over
+// solved is the share of exact scores that paid for the O(n²) solve.
 func MOBOAcqCompleted() *Counter { return moboAcqCompleted }
 
 // SHRungs counts successive-halving rungs executed.
