@@ -43,7 +43,7 @@ func main() {
 	resume := flag.Bool("resume", false, "continue runs from existing checkpoints in -checkpoint-dir")
 	flightDir := flag.String("flight-record", "", "write one flight-record artifact per co-search run (<run>.run.jsonl) into this directory; view with unicoreport")
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics)
+		cliflags.Log|cliflags.SpanLog|cliflags.Metrics)
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel in-flight co-searches; with -checkpoint-dir set,

@@ -24,10 +24,8 @@
 //	POST   /v1/drain         stop accepting new work, finish in-flight jobs
 //	POST   /v1/undrain       resume accepting new work
 //	GET    /metrics          Prometheus text-format metrics
-//	GET    /debug/vars       expvar JSON
 //	GET    /debug/pprof/     runtime profiles
 //	GET    /debug/unico/phases   phase-attribution breakdown (text or ?format=json)
-//	GET    /debug/unico/capture  write a pprof profile to -pprof-dir (?profile=cpu|heap)
 //
 // With -span-log every request hop is additionally recorded as distributed-
 // trace spans (shard, engine and replay spans here; queue/forward spans in
@@ -70,8 +68,6 @@ import (
 	"unico/internal/dist"
 	"unico/internal/fleet"
 	"unico/internal/logx"
-	"unico/internal/perfprof"
-	"unico/internal/telemetry"
 )
 
 func main() {
@@ -99,7 +95,7 @@ func main() {
 	fleetMetrics := flag.Bool("fleet-metrics", false,
 		"router: serve the aggregated GET /metrics/fleet exposition and the GET /debug/unico/fleet health dashboard")
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Log|cliflags.Pprof|cliflags.SpanLog)
+		cliflags.Log|cliflags.SpanLog)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -113,7 +109,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppaserver:", err)
 		os.Exit(1)
 	}
-	logger, capture := shared.Logger, shared.Capture
+	logger := shared.Logger
 	buildinfo.Publish()
 
 	var (
@@ -150,10 +146,9 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", logx.AccessLog(logger, handler))
-	debug := telemetry.DebugMux(telemetry.DefaultRegistry)
+	debug := cliflags.DebugMux(nil)
 	mux.Handle("GET /metrics", debug)
 	mux.Handle("GET /debug/", debug)
-	mux.Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
 	if *fleetMetrics {
 		if router == nil {
 			logger.Error("-fleet-metrics requires router mode (-shards)")
@@ -161,9 +156,6 @@ func main() {
 		}
 		mux.Handle("GET /metrics/fleet", router.FleetMetricsHandler())
 		mux.Handle("GET /debug/unico/fleet", router.DebugHandler())
-	}
-	if capture != nil {
-		mux.Handle("GET /debug/unico/capture", capture.Handler())
 	}
 
 	srv := &http.Server{

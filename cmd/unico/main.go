@@ -58,7 +58,7 @@ func main() {
 		maxBackoff     = flag.Duration("max-backoff", 0, "cap on the remote retry delay, including server Retry-After hints (0 = 2s default)")
 	)
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Log|cliflags.Pprof|cliflags.SpanLog|cliflags.Metrics)
+		cliflags.Log|cliflags.SpanLog|cliflags.Metrics)
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the run: in-flight work aborts, the current

@@ -124,8 +124,8 @@ func TestDoublingNeverSlower(t *testing.T) {
 // where the vector chain's updates land in the window. A seeded sweep of
 // 200 000 triples (seed 7, drawTriple) finds 137 bank and 528 UB violations,
 // every one extrapolated; aligning both steps to a K boundary removes them
-// all, but moves every Ascend golden. ROADMAP [oracles] records it. When the
-// extrapolation is fixed, this test fails: delete it then.
+// all, but moves every Ascend golden. ROADMAP [camodel-right] records it.
+// When the extrapolation is fixed, this test fails: delete it then.
 func TestExtrapolationKnownDeviation(t *testing.T) {
 	cases := []struct {
 		name   string

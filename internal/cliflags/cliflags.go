@@ -1,15 +1,16 @@
 // Package cliflags declares, once, the flag groups the binaries under cmd/
-// share, and starts what they configure: the logger, pprof capture, the span
-// log, and the debug server with its dashboard. Only cmd/* imports it — the
-// library takes these things as values.
+// share, and starts what they configure: the logger, the span log, and the
+// debug server with its dashboard. It also owns the debug route list every
+// binary serves (DebugMux). Only cmd/* imports it — the library takes these
+// things as values.
 package cliflags
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"time"
 
 	"unico/internal/disttrace"
@@ -25,7 +26,6 @@ type Group uint
 
 const (
 	Log     Group = 1 << iota // -log-format, -log-level
-	Pprof                     // -pprof-dir, -pprof-interval
 	SpanLog                   // -span-log
 	Metrics                   // -metrics-addr
 )
@@ -34,16 +34,13 @@ const (
 // what they opened.
 type Shared struct {
 	logFormat, logLevel  string
-	pprofDir             string
-	pprofInterval        time.Duration
 	spanLog, metricsAddr string
 
-	// Set by Start: the -log-* logger (also the slog default), the
-	// -pprof-dir capture and the store behind the -metrics-addr server's
-	// /debug/unico dashboard (each nil without its flag).
-	Logger  *slog.Logger
-	Capture *perfprof.Capture
-	Live    *flightrec.Live
+	// Set by Start: the -log-* logger (also the slog default) and the store
+	// behind the -metrics-addr server's /debug/unico dashboard (nil without
+	// -metrics-addr).
+	Logger *slog.Logger
+	Live   *flightrec.Live
 
 	closers []func()
 }
@@ -55,31 +52,22 @@ func Register(fs *flag.FlagSet, groups Group) *Shared {
 		fs.StringVar(&s.logFormat, "log-format", s.logFormat, "log output format: text | json")
 		fs.StringVar(&s.logLevel, "log-level", s.logLevel, "log level: debug | info | warn | error")
 	}
-	if groups&Pprof != 0 {
-		fs.StringVar(&s.pprofDir, "pprof-dir", "", "write run-ID-stamped pprof CPU/heap profiles to this directory (enables GET /debug/unico/capture)")
-		fs.DurationVar(&s.pprofInterval, "pprof-interval", 0, "capture a heap and CPU profile every interval while running (requires -pprof-dir)")
-	}
 	if groups&SpanLog != 0 {
 		fs.StringVar(&s.spanLog, "span-log", "", "record distributed-trace spans as JSONL to this file; analyze with unicoreport")
 	}
 	if groups&Metrics != 0 {
-		fs.StringVar(&s.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and the /debug/unico dashboard on this address while running")
+		fs.StringVar(&s.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof, /debug/unico/phases and the /debug/unico dashboard on this address while running")
 	}
 	return s
 }
 
 // Start validates the parsed flags and starts what they ask for. spanProc
 // names this process in its span log ("client", "shard", "router", …). The
-// run ID ctx carries, if any (runid.With), stamps every log record and
-// profile file name. The periodic profile capture of -pprof-interval stops
-// when ctx is done.
+// run ID ctx carries, if any (runid.With), stamps every log record.
 func (s *Shared) Start(ctx context.Context, spanProc string) error {
 	var err error
 	if s.Logger, err = logx.Setup(s.logFormat, s.logLevel, runid.From(ctx)); err != nil {
 		return err
-	}
-	if s.pprofInterval > 0 && s.pprofDir == "" {
-		return errors.New("-pprof-interval requires -pprof-dir")
 	}
 	if s.spanLog != "" {
 		rec, err := disttrace.NewRecorder(s.spanLog, spanProc)
@@ -95,25 +83,9 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 			}
 		})
 	}
-	if s.pprofDir != "" {
-		if s.Capture, err = perfprof.NewCapture(s.pprofDir, runid.From(ctx)); err != nil {
-			s.Close()
-			return fmt.Errorf("pprof capture setup: %w", err)
-		}
-		if s.pprofInterval > 0 {
-			go s.Capture.Every(ctx, s.pprofInterval, func(err error) {
-				s.Logger.Warn("interval pprof capture failed", slog.Any("err", err))
-			})
-		}
-	}
 	if s.metricsAddr != "" {
 		s.Live = flightrec.NewLive()
-		debug := telemetry.NewDebugServer(s.metricsAddr, nil)
-		debug.Mux().Handle("GET /debug/unico", flightrec.DashboardHandler(s.Live))
-		debug.Mux().Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
-		if s.Capture != nil {
-			debug.Mux().Handle("GET /debug/unico/capture", s.Capture.Handler())
-		}
+		debug := telemetry.NewDebugServer(s.metricsAddr, DebugMux(s.Live))
 		debug.Start(func(err error) {
 			s.Logger.Error("metrics server failed", slog.Any("err", err))
 		})
@@ -125,6 +97,21 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 		})
 	}
 	return nil
+}
+
+// DebugMux returns the debug routes every binary serves:
+//
+//	GET /metrics              Prometheus text (telemetry.DebugMux)
+//	GET /debug/pprof/...      runtime profiles (telemetry.DebugMux)
+//	GET /debug/unico/phases   the phase tree (text, or JSON with ?format=json)
+//	GET /debug/unico          the live dashboard drawn from live (non-nil only)
+func DebugMux(live *flightrec.Live) *http.ServeMux {
+	mux := telemetry.DebugMux()
+	mux.Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
+	if live != nil {
+		mux.Handle("GET /debug/unico", flightrec.DashboardHandler(live))
+	}
+	return mux
 }
 
 // Close releases what Start opened, newest first.

@@ -5,11 +5,14 @@ import (
 	"flag"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"unico/internal/disttrace"
+	"unico/internal/flightrec"
 )
 
 func parse(t *testing.T, groups Group, args ...string) *Shared {
@@ -33,14 +36,13 @@ func TestRegisteredNamesAndDefaults(t *testing.T) {
 		flags []decl
 	}{
 		{Log, []decl{{"log-format", "text"}, {"log-level", "info"}}},
-		{Pprof, []decl{{"pprof-dir", ""}, {"pprof-interval", "0s"}}},
 		{SpanLog, []decl{{"span-log", ""}}},
 		{Metrics, []decl{{"metrics-addr", ""}}},
 	}
 	binaries := map[string]Group{
-		"unico":       Log | Pprof | SpanLog | Metrics,
-		"experiments": Log | Pprof | SpanLog | Metrics,
-		"ppaserver":   Log | Pprof | SpanLog,
+		"unico":       Log | SpanLog | Metrics,
+		"experiments": Log | SpanLog | Metrics,
+		"ppaserver":   Log | SpanLog,
 		"unicoload":   SpanLog,
 	}
 	for bin, groups := range binaries {
@@ -65,19 +67,39 @@ func TestRegisteredNamesAndDefaults(t *testing.T) {
 	}
 }
 
-func TestStartRejectsIntervalWithoutDir(t *testing.T) {
-	if err := parse(t, Pprof, "-pprof-interval", "30s").Start(context.Background(), "client"); err == nil {
-		t.Error("-pprof-interval without -pprof-dir accepted")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel() // stops the interval capture
-	s := parse(t, Pprof, "-pprof-interval", "30s", "-pprof-dir", t.TempDir())
-	if err := s.Start(ctx, "client"); err != nil {
+// TestDebugMuxRouteSet pins the debug surface every binary serves: metrics,
+// runtime profiles and the phase tree always, the dashboard only with a
+// store, and no second route for any of them. Without -metrics-addr Start
+// opens no dashboard store.
+func TestDebugMuxRouteSet(t *testing.T) {
+	s := parse(t, Log|SpanLog|Metrics)
+	if err := s.Start(context.Background(), "client"); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Capture == nil || s.Live != nil {
-		t.Errorf("Capture %v, Live %v; want a capture and no dashboard store", s.Capture, s.Live)
+	if s.Live != nil {
+		t.Errorf("Live %v without -metrics-addr; want no dashboard store", s.Live)
+	}
+
+	for _, c := range []struct {
+		live *flightrec.Live
+		path string
+		code int
+	}{
+		{nil, "/metrics", http.StatusOK},
+		{nil, "/debug/pprof/", http.StatusOK},
+		{nil, "/debug/pprof/heap", http.StatusOK},
+		{nil, "/debug/unico/phases", http.StatusOK},
+		{nil, "/debug/unico", http.StatusNotFound},
+		{flightrec.NewLive(), "/debug/unico", http.StatusOK},
+		{nil, "/debug/vars", http.StatusNotFound},
+		{nil, "/debug/unico/capture", http.StatusNotFound},
+	} {
+		rec := httptest.NewRecorder()
+		DebugMux(c.live).ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
+		if rec.Code != c.code {
+			t.Errorf("GET %s (dashboard store %v) = %d, want %d", c.path, c.live != nil, rec.Code, c.code)
+		}
 	}
 }
 

@@ -2,56 +2,9 @@ package perfprof
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 )
-
-// Handler returns the on-demand capture endpoint:
-//
-//	GET ?profile=cpu&seconds=N  — collect an N-second CPU profile (default 2, cap 30)
-//	GET ?profile=heap           — write a heap profile
-//
-// The response body is the written file path (text/plain). A CPU capture
-// already in progress answers 409; bad parameters answer 400.
-func (c *Capture) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var path string
-		var err error
-		switch r.URL.Query().Get("profile") {
-		case "cpu":
-			secs := 2
-			if raw := r.URL.Query().Get("seconds"); raw != "" {
-				secs, err = strconv.Atoi(raw)
-				if err != nil || secs < 1 {
-					http.Error(w, "seconds must be a positive integer", http.StatusBadRequest)
-					return
-				}
-			}
-			if secs > 30 {
-				secs = 30
-			}
-			path, err = c.CPUProfile(time.Duration(secs) * time.Second)
-		case "heap":
-			path, err = c.HeapProfile()
-		default:
-			http.Error(w, "profile must be cpu or heap", http.StatusBadRequest)
-			return
-		}
-		if errors.Is(err, ErrBusy) {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, path)
-	})
-}
 
 // PhasesHandler serves the active profiler's phase report: a fixed-width
 // text table by default, JSON with ?format=json.

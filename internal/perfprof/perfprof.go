@@ -45,8 +45,8 @@ var phaseBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 10, 60,
 }
 
-// phase accumulates one path's observations. Wall statistics feed reports
-// and metrics; count and simulated seconds feed flight-record deltas.
+// phase accumulates one path's observations. Wall statistics feed reports;
+// count and simulated seconds feed flight-record deltas.
 type phase struct {
 	count    uint64
 	wall     float64 // cumulative wall seconds
@@ -59,10 +59,6 @@ type phase struct {
 	maxWall  float64
 	hist     *telemetry.Histogram // standalone, for p50/p95
 	volatile bool                 // excluded from TakeWindow (racy count)
-
-	// mirrored process-wide registry instruments (mirroring profilers only)
-	mWall *telemetry.Histogram
-	mSim  *telemetry.Gauge
 }
 
 // Profiler aggregates phase observations. All methods are safe for
@@ -70,29 +66,19 @@ type phase struct {
 type Profiler struct {
 	mu     sync.Mutex
 	phases map[string]*phase
-	mirror bool
 }
 
-// New returns an empty profiler that keeps its statistics to itself.
+// New returns an empty profiler.
 func New() *Profiler {
 	return &Profiler{phases: map[string]*phase{}}
 }
 
-// NewMirrored returns a profiler that additionally mirrors every
-// observation into the process-wide telemetry registry
-// (unico_phase_seconds / unico_phase_sim_seconds).
-func NewMirrored() *Profiler {
-	p := New()
-	p.mirror = true
-	return p
-}
-
 // active is the process-wide profiler. It is never nil: an always-on
-// default (mirrored into telemetry) means flight records carry phase
-// deltas identically in bare, killed, and resumed runs.
+// default means flight records carry phase deltas identically in bare,
+// killed, and resumed runs.
 var active atomic.Pointer[Profiler]
 
-func init() { active.Store(NewMirrored()) }
+func init() { active.Store(New()) }
 
 // Active returns the process-wide profiler (never nil).
 func Active() *Profiler { return active.Load() }
@@ -238,7 +224,7 @@ func NewTimer() Timer {
 // path, a phase whose count depends on goroutine scheduling (an evalcache
 // singleflight wait, a dist retry wait): the phase is kept out of TakeWindow
 // — and therefore out of flight records, whose per-iteration deltas must be
-// deterministic — but still appears in Report and the metrics mirror.
+// deterministic — but still appears in Report.
 func (t Timer) ObserveVolatileAs(path string) {
 	if t.p == nil {
 		return
@@ -251,10 +237,6 @@ func (p *Profiler) record(path string, wall, sim float64, volatile bool) {
 	ph := p.phases[path]
 	if ph == nil {
 		ph = &phase{hist: telemetry.NewHistogram(phaseBuckets), volatile: volatile}
-		if p.mirror {
-			ph.mWall = telemetry.PhaseSeconds(path)
-			ph.mSim = telemetry.PhaseSimSeconds(path)
-		}
 		p.phases[path] = ph
 	}
 	ph.count++
@@ -265,16 +247,10 @@ func (p *Profiler) record(path string, wall, sim float64, volatile bool) {
 	if wall > ph.maxWall {
 		ph.maxWall = wall
 	}
-	hist, mWall, mSim := ph.hist, ph.mWall, ph.mSim
+	hist := ph.hist
 	p.mu.Unlock()
 
 	hist.Observe(wall)
-	if mWall != nil {
-		mWall.Observe(wall)
-	}
-	if mSim != nil && sim != 0 {
-		mSim.Add(sim)
-	}
 }
 
 // PhaseDelta is the per-iteration flight-record form of one phase: path,

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -63,17 +62,11 @@ func InstrumentHandler(reg *Registry, route func(*http.Request) string, h http.H
 
 // DebugMux returns a mux exposing the standard observability endpoints:
 //
-//	GET /metrics       Prometheus text format (reg; nil = DefaultRegistry)
-//	GET /debug/vars    expvar JSON (includes the registry snapshot)
+//	GET /metrics       Prometheus text format (DefaultRegistry)
 //	GET /debug/pprof/  runtime profiles
-func DebugMux(reg *Registry) *http.ServeMux {
-	if reg == nil {
-		reg = DefaultRegistry
-	}
-	PublishExpvar()
+func DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.Handle("GET /metrics", DefaultRegistry.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -83,31 +76,24 @@ func DebugMux(reg *Registry) *http.ServeMux {
 }
 
 // DebugServer is the sidecar observability listener of the CLIs'
-// -metrics-addr flag: DebugMux plus whatever extra routes the binary mounts
-// (the /debug/unico dashboard), with an owned lifecycle — start it, then
-// Shutdown (graceful) or Close (immediate) from the signal path.
+// -metrics-addr flag, with an owned lifecycle — start it, then Shutdown
+// (graceful) or Close (immediate) from the signal path.
 type DebugServer struct {
-	mux *http.ServeMux
 	srv *http.Server
 }
 
-// NewDebugServer builds a debug server on addr without starting it, so
-// callers can mount extra routes on Mux first.
-func NewDebugServer(addr string, reg *Registry) *DebugServer {
-	mux := DebugMux(reg)
+// NewDebugServer builds a debug server serving h on addr without starting
+// it.
+func NewDebugServer(addr string, h http.Handler) *DebugServer {
 	return &DebugServer{
-		mux: mux,
 		srv: &http.Server{
 			Addr:              addr,
-			Handler:           mux,
+			Handler:           h,
 			ReadHeaderTimeout: 5 * time.Second,
 			IdleTimeout:       2 * time.Minute,
 		},
 	}
 }
-
-// Mux exposes the underlying mux for extra routes (mount before Start).
-func (d *DebugServer) Mux() *http.ServeMux { return d.mux }
 
 // Start begins serving in the background. Listener errors are reported
 // through errf (may be nil) rather than failing the main program.

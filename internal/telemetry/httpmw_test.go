@@ -53,16 +53,20 @@ func TestInstrumentHandler(t *testing.T) {
 
 func TestDebugMuxServesMetrics(t *testing.T) {
 	DefaultRegistry.Counter("unico_debugmux_test_total", "", nil).Inc()
-	srv := httptest.NewServer(DebugMux(nil))
+	srv := httptest.NewServer(DebugMux())
 	defer srv.Close()
 
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
+	for path, want := range map[string]int{
+		"/metrics":      http.StatusOK,
+		"/debug/pprof/": http.StatusOK,
+		"/debug/vars":   http.StatusNotFound,
+	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
 		resp.Body.Close()
 	}

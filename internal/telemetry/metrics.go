@@ -1,8 +1,9 @@
 // Package telemetry is the stdlib-only observability subsystem: a metrics
 // registry (atomic counters, gauges and fixed-bucket histograms rendered in
-// Prometheus text exposition format and published through expvar), a
-// search-event tracer emitting Chrome trace_event JSONL stamped with both
-// real and simulated time, and HTTP server middleware.
+// Prometheus text exposition format on GET /metrics), a search-event tracer
+// emitting Chrome trace_event JSONL stamped with both real and simulated
+// time, HTTP server middleware, and the debug server behind the CLIs'
+// -metrics-addr flag.
 //
 // Everything is dependency-free by design (the repo rule: no modules beyond
 // the standard library) and safe for concurrent use. A nil *Tracer is a
@@ -11,7 +12,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -365,46 +365,5 @@ func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
-	})
-}
-
-// Snapshot returns a plain name -> value map of every metric (histograms
-// report {count, sum}), the structure published through expvar.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		for key, m := range f.metrics {
-			name := f.name + key
-			switch m := m.(type) {
-			case *Counter:
-				out[name] = m.Value()
-			case *Gauge:
-				out[name] = m.Value()
-			case *Histogram:
-				out[name] = map[string]any{"count": m.Count(), "sum": m.Sum()}
-			}
-		}
-		f.mu.Unlock()
-	}
-	return out
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar registers the default registry under the expvar name
-// "unico_metrics" (idempotent; expvar itself serves GET /debug/vars).
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("unico_metrics", expvar.Func(func() any {
-			return DefaultRegistry.Snapshot()
-		}))
 	})
 }

@@ -146,16 +146,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// TestSnapshot spot-checks the expvar-facing map.
-func TestSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("snap_total", "", Labels{"k": "v"}).Add(7)
-	snap := reg.Snapshot()
-	if got := snap[`snap_total{k="v"}`]; got != uint64(7) {
-		t.Errorf("snapshot = %v (%T), want 7", got, got)
-	}
-}
-
 // TestLabelEscaping verifies quotes and backslashes survive rendering.
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()

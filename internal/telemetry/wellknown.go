@@ -211,9 +211,6 @@ var (
 		1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
 		1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5,
 	}
-	// phaseBuckets span phase span durations from sub-microsecond leaf spans
-	// (one GP predict) through whole-iteration spans (seconds to a minute).
-	phaseBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 10, 60}
 	// fleetProbeBuckets span health-probe round trips from loopback (sub-ms)
 	// through a congested shard answering just inside the probe timeout.
 	fleetProbeBuckets = []float64{
@@ -301,12 +298,10 @@ func BuildInfo(goVersion, vcsRev string) *Gauge {
 		Labels{"go_version": goVersion, "vcs_rev": vcsRev})
 }
 
-// Label caps of the families below. A long-lived worker sees many runs and a
-// pathological caller could mint phase paths; shards and span kinds are
-// small fixed sets, capped only against misuse.
+// Label caps of the families below. A long-lived worker sees many runs;
+// shards and span kinds are small fixed sets, capped only against misuse.
 const (
 	maxRunIDLabels     = 64
-	maxPhaseLabels     = 128
 	maxShardLabels     = 256
 	maxTraceKindLabels = 32
 )
@@ -315,14 +310,6 @@ var (
 	distRunRequests = labelled[Counter]{max: maxRunIDLabels, register: func(runID string) *Counter {
 		return DefaultRegistry.Counter("unico_dist_run_requests_total",
 			"Worker requests by originating client run ID.", Labels{"run_id": runID})
-	}}
-	phaseSeconds = labelled[Histogram]{max: maxPhaseLabels, register: func(phase string) *Histogram {
-		return DefaultRegistry.Histogram("unico_phase_seconds",
-			"Wall-clock time spent per profiler phase.", phaseBuckets, Labels{"phase": phase})
-	}}
-	phaseSimSeconds = labelled[Gauge]{max: maxPhaseLabels, register: func(phase string) *Gauge {
-		return DefaultRegistry.Gauge("unico_phase_sim_seconds",
-			"Simulated-clock seconds attributed per profiler phase.", Labels{"phase": phase})
 	}}
 	fleetQueueDepth = labelled[Gauge]{max: maxShardLabels, register: func(shard string) *Gauge {
 		return DefaultRegistry.Gauge("unico_fleet_queue_depth",
@@ -346,15 +333,6 @@ func DistRunRequests(runID string) *Counter {
 	}
 	return distRunRequests.get(runID)
 }
-
-// PhaseSeconds observes wall-clock time spent in one perfprof phase path
-// ("iteration/sh.rung", "gp.fit", ...).
-func PhaseSeconds(phase string) *Histogram { return phaseSeconds.get(phase) }
-
-// PhaseSimSeconds accumulates simulated-clock time attributed to one
-// perfprof phase path (only clocked spans move it; a gauge because the
-// attribution is additive across runs in one process).
-func PhaseSimSeconds(phase string) *Gauge { return phaseSimSeconds.get(phase) }
 
 // FleetQueueDepth gauges one shard's admission pressure: requests currently
 // forwarded plus requests waiting in its bounded admission queue.

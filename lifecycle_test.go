@@ -103,7 +103,7 @@ func withoutPhases(iters []flightrec.Iteration) []flightrec.Iteration {
 // window (so concurrent runs' flight records mix their `phases` deltas —
 // compared without that field) and disttrace's active recorder (off here;
 // internal/fleet's TestTwoCoSearchesOneFleet runs two co-searches under one).
-// bench/ compiles against both; ROADMAP [one-seam] carries them.
+// bench/ compiles against both; ROADMAP [bench-seam] carries them.
 func TestTwoCoSearchesOneProcess(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {
