@@ -189,7 +189,7 @@ func runBenches(cases []benchmarks.Case, re *regexp.Regexp, stdout *os.File) (Fi
 			}
 		}
 		f.Benchmarks = append(f.Benchmarks, res)
-		fmt.Fprintf(stdout, "ok    %-40s %12.0f ns/op %8d allocs/op\n", c.Name, res.NsPerOp, res.AllocsPerOp)
+		fmt.Fprintf(stdout, "ok    %-40s %12.0f ns/op %10d B/op %8d allocs/op\n", c.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
 	}
 	f.Phases = prof.Report()
 	return f, failed

@@ -65,6 +65,35 @@ func TestDiffWithinToleranceExitsZero(t *testing.T) {
 	}
 }
 
+// TestDiffReadsRecordsWithoutBytes keeps a record written before
+// bytes_per_op was recorded loadable and comparable on ns/op.
+func TestDiffReadsRecordsWithoutBytes(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.json")
+	rec := `{"schema":"` + Schema + `","env":{"go_version":"go1.22","revision":"abc123"},"benchmarks":[` +
+		`{"name":"GPFitPredict","runs":100,"ns_per_op":1000,"allocs_per_op":3},` +
+		`{"name":"MappingSearchUnit","runs":100,"ns_per_op":500,"allocs_per_op":1}]}`
+	if err := os.WriteFile(old, []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := loadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 2 || f.Benchmarks[0].AllocsPerOp != 3 || f.Benchmarks[0].BytesPerOp != 0 {
+		t.Fatalf("loaded %+v", f.Benchmarks)
+	}
+	cur := baseFile()
+	cur.Benchmarks[0].BytesPerOp = 4096
+	if got := diffFiles(old, writeBench(t, dir, "cur.json", cur), 0.30, os.Stdout, os.Stderr); got != 0 {
+		t.Fatalf("diff against a record without bytes: exit = %d, want 0", got)
+	}
+	cur.Benchmarks[1].NsPerOp = 1000
+	if got := diffFiles(old, writeBench(t, dir, "slow.json", cur), 0.30, os.Stdout, os.Stderr); got != 1 {
+		t.Fatalf("2x slowdown against a record without bytes: exit = %d, want 1", got)
+	}
+}
+
 func TestDiffMissingBenchmarkIsRegression(t *testing.T) {
 	dir := t.TempDir()
 	old := baseFile()
@@ -135,8 +164,8 @@ func TestRunRecordsBenchAndPhases(t *testing.T) {
 		t.Fatalf("recorded %d benchmarks, want 2", len(f.Benchmarks))
 	}
 	for _, r := range f.Benchmarks {
-		if r.NsPerOp <= 0 || r.Runs <= 0 {
-			t.Errorf("%s: NsPerOp=%v Runs=%d, want positive", r.Name, r.NsPerOp, r.Runs)
+		if r.NsPerOp <= 0 || r.Runs <= 0 || r.BytesPerOp <= 0 {
+			t.Errorf("%s: NsPerOp=%v Runs=%d BytesPerOp=%d, want positive", r.Name, r.NsPerOp, r.Runs, r.BytesPerOp)
 		}
 	}
 	if f.Env.GoVersion == "" || f.Env.Revision == "" || f.Env.NumCPU <= 0 {

@@ -22,8 +22,9 @@ func seeds(n int) []int64 {
 
 // drawCounts are where the recurrence changes what a draw reads — the tap
 // moves from register to draws at 273, the feed wraps in the register at
-// 334, both read draws from 607 — and a point far into the ring.
-var drawCounts = []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 5000}
+// 334, a draw first sums four register words at 546, both read draws from
+// 607 — and a point far into the ring.
+var drawCounts = []int{0, 1, 272, 273, 274, 333, 334, 335, 545, 546, 547, 606, 607, 608, 5000}
 
 // sameDraws compares n draws of got and want, mixing Int63 and Uint64.
 func sameDraws(got *source, want rand.Source64, n int) error {
@@ -97,24 +98,40 @@ func TestRandMethodsMatchMathRand(t *testing.T) {
 	}
 }
 
-// TestLayerRandHoldsItsDraws pins the storage rule: before its first draw a
-// source holds nothing, and after d draws it holds min(d, 607) of them in a
-// buffer of at most min(607, max(16, 2d)) words.
+// TestLayerRandHoldsItsDraws pins the storage rule: a made source allocates
+// nothing through draw 606, allocates one ring of exactly 607 words at draw
+// 607 and keeps it from then on, and drops it when re-seeded.
 func TestLayerRandHoldsItsDraws(t *testing.T) {
 	s := new(source)
+	run := func(draws int) func() {
+		return func() {
+			s.Seed(5)
+			for d := 0; d < draws; d++ {
+				s.Uint64()
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, run(regLen)); a != 0 {
+		t.Fatalf("%d draws allocate %v times, want 0", regLen, a)
+	}
+	if s.vec != nil {
+		t.Fatalf("after %d draws the source holds a buffer of %d words", regLen, cap(s.vec))
+	}
+	if a := testing.AllocsPerRun(20, run(3000)); a != 1 {
+		t.Fatalf("3000 draws allocate %v times, want 1", a)
+	}
 	s.Seed(5)
-	for d := 0; d <= 2000; d++ {
-		if want := min(d, regLen); len(s.vec) != want {
-			t.Fatalf("after %d draws the source holds %d draws, want %d", d, len(s.vec), want)
-		}
-		bound := min(regLen, max(firstCap, 2*d))
-		if d == 0 {
-			bound = 0
-		}
-		if c := cap(s.vec); c > bound {
-			t.Fatalf("after %d draws the buffer holds %d words, want at most %d", d, c, bound)
+	run(regLen + 1)()
+	ring := &s.vec[0]
+	for d := regLen + 1; d <= 3000; d++ {
+		if len(s.vec) != regLen || cap(s.vec) != regLen || &s.vec[0] != ring {
+			t.Fatalf("after %d draws the source holds %d of %d words, want the first ring of %d", d, len(s.vec), cap(s.vec), regLen)
 		}
 		s.Uint64()
+	}
+	s.Seed(6)
+	if s.vec != nil {
+		t.Fatal("a re-seed keeps the ring")
 	}
 }
 
@@ -125,6 +142,8 @@ func FuzzLayerRand(f *testing.F) {
 	f.Add(int64(1), uint16(700), []byte{0, 1, 2, 3, 4})
 	f.Add(int64(0), uint16(274), []byte{3})
 	f.Add(int64(-lehmerP), uint16(3999), []byte{2, 4, 4, 11, 5, 3})
+	f.Add(int64(7), uint16(547), []byte{3})
+	f.Add(int64(-1), uint16(881), []byte{2, 3})
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16, methods []byte) {
 		got, want := New(seed), rand.New(rand.NewSource(seed))
 		for n := 0; n < int(draws)%4000; n++ {
@@ -147,10 +166,9 @@ func FuzzLayerRand(f *testing.F) {
 var sink uint64
 
 // BenchmarkFirstDraws prices a generator as a layer search uses it: made,
-// then d draws, against math/rand's. Past about 300 draws a source computes
-// some register words twice — w[334…606] are read by the tap in draws
-// 0…272 and again by the feed in draws 334…606 — which math/rand's eager
-// seeding does not.
+// then d draws, against math/rand's. A source's first 607 draws compute two
+// to four register words each, and draw 607 computes all 607 once more to
+// fill the ring, which math/rand's eager seeding does once up front.
 func BenchmarkFirstDraws(b *testing.B) {
 	for _, d := range []int{16, 128, 607, 3000} {
 		b.Run(fmt.Sprintf("d=%d/lfg", d), func(b *testing.B) {

@@ -255,7 +255,7 @@ func (n *NetworkSearcher) advance(budget int, canceled func() error) {
 			}
 		}
 		n.spent++
-		met, ok := n.aggregate()
+		met, ok := n.aggregate(false)
 		loss := PenaltyLoss
 		if ok {
 			loss = Loss(met)
@@ -272,7 +272,7 @@ func (n *NetworkSearcher) advance(budget int, canceled func() error) {
 		// Raw sample: the aggregate of each layer's most recent candidate
 		// (falling back to its best when the last candidate was
 		// infeasible). This is the non-monotone curve R observes.
-		if raw, ok := n.rawAggregate(); ok {
+		if raw, ok := n.aggregate(true); ok {
 			n.rawHist = append(n.rawHist, ppa.Point{
 				Budget: n.spent, Loss: Loss(raw), M: raw,
 			})
@@ -282,37 +282,34 @@ func (n *NetworkSearcher) advance(budget int, canceled func() error) {
 	}
 }
 
-// rawAggregate sums each layer's last evaluated candidate, using the
-// layer's best as stand-in when the last evaluation was infeasible; ok is
+// aggregate sums latency and energy of the per-layer bests, each times its
+// layer's repeats, in layer order, and derives power from the totals; with
+// raw it sums each layer's last evaluated candidate instead, using the
+// layer's best as stand-in when the last evaluation was infeasible. ok is
 // false while any layer has neither.
-func (n *NetworkSearcher) rawAggregate() (ppa.Metrics, bool) {
-	var total ppa.Metrics
+func (n *NetworkSearcher) aggregate(raw bool) (ppa.Metrics, bool) {
+	total := ppa.Metrics{AreaMM2: n.area}
 	for i, ls := range n.layers {
-		met, ok := ls.Last()
+		var met ppa.Metrics
+		ok := false
+		if raw {
+			met, ok = ls.Last()
+		}
 		if !ok {
 			met, ok = ls.Best()
 		}
 		if !ok {
 			return ppa.Metrics{}, false
 		}
-		total = total.Add(met.Scale(n.repeats[i]))
+		// float64(…) keeps each product rounded before the sum: no fused
+		// multiply-add, so the totals are the same bits on every platform.
+		r := float64(n.repeats[i])
+		total.LatencyMs += float64(met.LatencyMs * r)
+		total.EnergyUJ += float64(met.EnergyUJ * r)
 	}
-	total.AreaMM2 = n.area
-	return total, true
-}
-
-// aggregate sums the per-layer bests (scaled by repeats); ok is false while
-// any layer lacks a feasible mapping.
-func (n *NetworkSearcher) aggregate() (ppa.Metrics, bool) {
-	var total ppa.Metrics
-	for i, ls := range n.layers {
-		met, ok := ls.Best()
-		if !ok {
-			return ppa.Metrics{}, false
-		}
-		total = total.Add(met.Scale(n.repeats[i]))
+	if total.LatencyMs > 0 {
+		total.PowerMW = total.EnergyUJ / total.LatencyMs
 	}
-	total.AreaMM2 = n.area
 	return total, true
 }
 
@@ -323,7 +320,7 @@ func (n *NetworkSearcher) History() ppa.History { return n.hist }
 func (n *NetworkSearcher) Spent() int { return n.spent }
 
 // Best returns the aggregate metrics of the per-layer bests.
-func (n *NetworkSearcher) Best() (ppa.Metrics, bool) { return n.aggregate() }
+func (n *NetworkSearcher) Best() (ppa.Metrics, bool) { return n.aggregate(false) }
 
 // RawHistory returns the non-monotone raw sample trajectory.
 func (n *NetworkSearcher) RawHistory() ppa.History { return n.rawHist }

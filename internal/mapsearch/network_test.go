@@ -198,3 +198,103 @@ func sameBits(a, b ppa.History) bool {
 	}
 	return true
 }
+
+// fixedLayer is a layer searcher whose best and last candidates are given.
+type fixedLayer struct {
+	best, last       ppa.Metrics
+	hasBest, hasLast bool
+}
+
+func (f *fixedLayer) Step()                     {}
+func (f *fixedLayer) Best() (ppa.Metrics, bool) { return f.best, f.hasBest }
+func (f *fixedLayer) Last() (ppa.Metrics, bool) { return f.last, f.hasLast }
+func (f *fixedLayer) Evals() int                { return 0 }
+
+// addScaleFold is the network aggregate as it was computed before: a fold
+// of the layer metrics, each scaled by its repeats, under an Add that sums
+// latency and energy, keeps the larger area and recomputes power from the
+// totals; the network's area then replaces the fold's.
+func addScaleFold(ms []ppa.Metrics, repeats []int, area float64) ppa.Metrics {
+	var total ppa.Metrics
+	for i, m := range ms {
+		n := float64(repeats[i])
+		scaled := ppa.Metrics{LatencyMs: float64(m.LatencyMs * n), PowerMW: m.PowerMW, AreaMM2: m.AreaMM2, EnergyUJ: float64(m.EnergyUJ * n)}
+		sum := ppa.Metrics{
+			LatencyMs: total.LatencyMs + scaled.LatencyMs,
+			EnergyUJ:  total.EnergyUJ + scaled.EnergyUJ,
+			AreaMM2:   math.Max(total.AreaMM2, scaled.AreaMM2),
+		}
+		if sum.LatencyMs > 0 {
+			sum.PowerMW = sum.EnergyUJ / sum.LatencyMs
+		}
+		total = sum
+	}
+	total.AreaMM2 = area
+	return total
+}
+
+// TestAggregateMatchesAddScaleFold holds the network aggregate, of the
+// layers' bests and of their last candidates, bit for bit to addScaleFold
+// over seeded layer metrics spanning nine decades: one layer, repeated
+// layers, zero latencies, and layers with no best or no candidate at all.
+func TestAggregateMatchesAddScaleFold(t *testing.T) {
+	cases := []struct {
+		name    string
+		repeats []int
+		edit    func(ls []*fixedLayer)
+	}{
+		{"one layer", []int{1}, nil},
+		{"one repeated layer", []int{3}, nil},
+		{"repeats", []int{1, 2, 4, 1, 3, 7}, nil},
+		{"zero latency", []int{2, 1, 1}, func(ls []*fixedLayer) {
+			ls[1].best.LatencyMs, ls[1].last.LatencyMs = 0, 0
+		}},
+		{"all zero latency", []int{1, 2}, func(ls []*fixedLayer) {
+			for _, l := range ls {
+				l.best.LatencyMs, l.last.LatencyMs = 0, 0
+			}
+		}},
+		{"no last", []int{1, 3, 1}, func(ls []*fixedLayer) { ls[0].hasLast = false }},
+		{"no best", []int{1, 2, 1}, func(ls []*fixedLayer) { ls[2].hasBest = false }},
+		{"neither", []int{2, 1}, func(ls []*fixedLayer) { ls[1].hasBest, ls[1].hasLast = false, false }},
+	}
+	rng := rand.New(rand.NewSource(45))
+	metrics := func() ppa.Metrics {
+		v := func() float64 { return rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(10)-5)) }
+		return ppa.Metrics{LatencyMs: v(), PowerMW: v(), AreaMM2: v(), EnergyUJ: v()}
+	}
+	for _, c := range cases {
+		for trial := 0; trial < 50; trial++ {
+			ls := make([]*fixedLayer, len(c.repeats))
+			layers := make([]LayerSearcher, len(ls))
+			for i := range ls {
+				ls[i] = &fixedLayer{best: metrics(), last: metrics(), hasBest: true, hasLast: true}
+				layers[i] = ls[i]
+			}
+			if c.edit != nil {
+				c.edit(ls)
+			}
+			ns := &NetworkSearcher{layers: layers, repeats: c.repeats, area: rng.Float64()}
+			for _, raw := range []bool{false, true} {
+				picked, wantOK := make([]ppa.Metrics, len(ls)), true
+				for i, l := range ls {
+					switch {
+					case raw && l.hasLast:
+						picked[i] = l.last
+					case l.hasBest:
+						picked[i] = l.best
+					default:
+						wantOK = false
+					}
+				}
+				got, ok := ns.aggregate(raw)
+				if ok != wantOK {
+					t.Fatalf("%s, trial %d, raw %v: ok %v, want %v", c.name, trial, raw, ok, wantOK)
+				}
+				if want := addScaleFold(picked, c.repeats, ns.area); ok && got != want {
+					t.Fatalf("%s, trial %d, raw %v: aggregate %+v, want %+v", c.name, trial, raw, got, want)
+				}
+			}
+		}
+	}
+}

@@ -46,32 +46,6 @@ func (m Metrics) Valid() bool {
 	return true
 }
 
-// Add accumulates another layer's metrics into m, keeping area as the maximum
-// (area is a property of the hardware, not of the workload) and recomputing
-// average power from the energy and latency totals.
-func (m Metrics) Add(o Metrics) Metrics {
-	sum := Metrics{
-		LatencyMs: m.LatencyMs + o.LatencyMs,
-		EnergyUJ:  m.EnergyUJ + o.EnergyUJ,
-		AreaMM2:   math.Max(m.AreaMM2, o.AreaMM2),
-	}
-	if sum.LatencyMs > 0 {
-		sum.PowerMW = sum.EnergyUJ / sum.LatencyMs
-	}
-	return sum
-}
-
-// Scale multiplies latency and energy by n (a layer repeat count), keeping
-// power and area unchanged.
-func (m Metrics) Scale(n int) Metrics {
-	return Metrics{
-		LatencyMs: m.LatencyMs * float64(n),
-		PowerMW:   m.PowerMW,
-		AreaMM2:   m.AreaMM2,
-		EnergyUJ:  m.EnergyUJ * float64(n),
-	}
-}
-
 func (m Metrics) String() string {
 	return fmt.Sprintf("L=%.6gms P=%.4gmW A=%.3gmm²", m.LatencyMs, m.PowerMW, m.AreaMM2)
 }

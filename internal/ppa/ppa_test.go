@@ -32,44 +32,6 @@ func TestMetricsEDP(t *testing.T) {
 	}
 }
 
-func TestMetricsAdd(t *testing.T) {
-	a := Metrics{LatencyMs: 2, PowerMW: 5, AreaMM2: 3, EnergyUJ: 10}
-	b := Metrics{LatencyMs: 3, PowerMW: 10, AreaMM2: 7, EnergyUJ: 30}
-	sum := a.Add(b)
-	if sum.LatencyMs != 5 {
-		t.Errorf("latency = %v, want 5", sum.LatencyMs)
-	}
-	if sum.EnergyUJ != 40 {
-		t.Errorf("energy = %v, want 40", sum.EnergyUJ)
-	}
-	if sum.AreaMM2 != 7 {
-		t.Errorf("area = %v, want max(3,7)=7", sum.AreaMM2)
-	}
-	if want := 40.0 / 5.0; sum.PowerMW != want {
-		t.Errorf("power = %v, want %v", sum.PowerMW, want)
-	}
-}
-
-func TestMetricsAddRecomputesPowerFromTotals(t *testing.T) {
-	// Power must be the energy-weighted average, not the sum of powers.
-	a := Metrics{LatencyMs: 1, PowerMW: 100, EnergyUJ: 100}
-	b := Metrics{LatencyMs: 9, PowerMW: 100, EnergyUJ: 900}
-	if got := a.Add(b).PowerMW; got != 100 {
-		t.Errorf("equal-power aggregation changed power to %v", got)
-	}
-}
-
-func TestMetricsScale(t *testing.T) {
-	m := Metrics{LatencyMs: 2, PowerMW: 5, AreaMM2: 3, EnergyUJ: 10}
-	s := m.Scale(4)
-	if s.LatencyMs != 8 || s.EnergyUJ != 40 {
-		t.Errorf("Scale(4) = %+v", s)
-	}
-	if s.PowerMW != 5 || s.AreaMM2 != 3 {
-		t.Errorf("Scale must keep power and area: %+v", s)
-	}
-}
-
 func TestHistoryLast(t *testing.T) {
 	var empty History
 	if p := empty.Last(); p != (Point{}) {
