@@ -19,7 +19,7 @@
 //
 //	POST   /v1/ppa           evaluate one (hardware, mapping, layer) triple
 //	POST   /v1/jobs/advance  bring the job a spec describes to a cumulative budget
-//	DELETE /v1/jobs/{id}     release a finished job (id: the state's "id")
+//	POST   /v1/jobs/release  drop the jobs {"ids":[…]} names (ids: JobSpec keys)
 //	GET    /v1/healthz       liveness probe ("ok" or "draining")
 //	POST   /v1/drain         stop accepting new work, finish in-flight jobs
 //	POST   /v1/undrain       resume accepting new work

@@ -2,13 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"unico/internal/ppa"
@@ -39,18 +39,11 @@ func answerHistory() ppa.History {
 // for bit and with their budgets, and folds only identical neighbours.
 func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 	h := answerHistory()
+	best := ppa.Metrics{LatencyMs: math.Copysign(0, -1), PowerMW: math.Inf(1), AreaMM2: 0.1 + 0.2, EnergyUJ: 7}
 	for from := 0; from <= len(h); from++ {
 		for to := from; to <= len(h); to++ {
-			a := jobAnswer{From: from, Spent: to, History: packColumns(h[from:to]), Raw: packColumns(h[from:to])}
-			body, err := json.Marshal(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back jobAnswer
-			if err := json.Unmarshal(body, &back); err != nil {
-				t.Fatal(err)
-			}
-			st, err := back.unpack(AdvanceRequest{Seen: from, Budget: to})
+			sent := JobState{ID: "k", Spent: to, History: h[from:to], Raw: h[from:to], Best: best, Feasible: to%2 == 0}
+			st, err := decodeAnswer(encodeAnswer(from, sent), AdvanceRequest{Seen: from, Budget: to})
 			if err != nil {
 				t.Fatalf("(%d, %d]: %v", from, to, err)
 			}
@@ -58,8 +51,12 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 			if to == from {
 				want = nil
 			}
-			if len(st.History) != len(want) || st.Spent != to {
-				t.Fatalf("(%d, %d]: %d points at %d", from, to, len(st.History), st.Spent)
+			if len(st.History) != len(want) || st.Spent != to || st.ID != "k" || st.Feasible != sent.Feasible {
+				t.Fatalf("(%d, %d]: %d points at %d, id %q, feasible %v", from, to, len(st.History), st.Spent, st.ID, st.Feasible)
+			}
+			if math.Float64bits(st.Best.LatencyMs) != math.Float64bits(best.LatencyMs) || st.Best.PowerMW != best.PowerMW ||
+				st.Best.AreaMM2 != best.AreaMM2 || st.Best.EnergyUJ != best.EnergyUJ {
+				t.Fatalf("(%d, %d]: best %+v, want %+v", from, to, st.Best, best)
 			}
 			for i := range want {
 				if st.History[i].Budget != want[i].Budget || !samePoint(st.History[i], want[i]) {
@@ -71,79 +68,111 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 			}
 		}
 	}
-	if runs := packColumns(h).Runs; !reflect.DeepEqual(runs, []int{2, 2, 1, 1, 2, 1}) {
-		t.Errorf("runs %v: only bit-identical neighbours fold", runs)
+	if starts := runStarts(h); !reflect.DeepEqual(starts, []int{0, 2, 4, 5, 6, 8}) {
+		t.Errorf("runs start at %v: only bit-identical neighbours fold", starts)
 	}
 }
 
-// answerBody renders a one-column answer body with the given from, spent,
-// runs and (every column's) values.
-func answerBody(from, spent string, runs, values string) []byte {
-	cols := `{"runs":` + runs + `,"loss":` + values + `,"latency":` + values + `,"power":` + values +
-		`,"area":` + values + `,"energy":` + values + `}`
-	return []byte(`{"id":"k","from":` + from + `,"spent":` + spent + `,"history":` + cols + `,"raw":` + cols +
-		`,"best":{"LatencyMs":1,"PowerMW":1,"AreaMM2":1,"EnergyUJ":1},"feasible":true}`)
+// answerBody lays out an answer by hand: the given from, spent and
+// feasible byte, then two column sets of the given runs whose every column
+// holds values.
+func answerBody(from, spent uint64, feasible byte, runs []uint32, values []float64) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, 1)
+	b = append(b, 'k')
+	b = le.AppendUint64(b, from)
+	b = le.AppendUint64(b, spent)
+	for range 4 {
+		b = le.AppendUint64(b, math.Float64bits(1))
+	}
+	b = append(b, feasible)
+	for range 2 {
+		b = le.AppendUint32(b, uint32(len(runs)))
+		for _, r := range runs {
+			b = le.AppendUint32(b, r)
+		}
+		for range 5 {
+			for _, v := range values {
+				b = le.AppendUint64(b, math.Float64bits(v))
+			}
+		}
+	}
+	return b
+}
+
+// cut returns b without the n bytes at offset at.
+func cut(b []byte, at, n int) []byte {
+	return append(append([]byte(nil), b[:at]...), b[at+n:]...)
 }
 
 // TestAnswerRejected: an answer that is not exactly the points asked for is
-// an error — from or spent not the request's, ragged columns, a run shorter
-// than 1, too few or too many points — and one claiming a billion points in
-// a few bytes allocates none of them.
+// an error — from or spent not the request's, a column short, a run shorter
+// than 1, too few or too many points, a body cut short or run on — and one
+// claiming a billion points in a few bytes allocates none of them.
 func TestAnswerRejected(t *testing.T) {
 	req := AdvanceRequest{Seen: 2, Budget: 5}
-	if _, err := decodeAnswer(answerBody("2", "5", "[1,2]", "[1,2]"), req); err != nil {
+	good := answerBody(2, 5, 1, []uint32{1, 2}, []float64{1, 2})
+	if _, err := decodeAnswer(good, req); err != nil {
 		t.Fatalf("a well-formed answer was rejected: %v", err)
 	}
+	// The first column set starts after the id and the head; its power
+	// column after its count, two runs and two columns of two values.
+	power := answerHeadBytes + 1 + 4 + 2*4 + 2*2*8
 	for name, body := range map[string][]byte{
-		"from not seen":    answerBody("0", "5", "[5]", "[1]"),
-		"negative from":    answerBody("-1", "5", "[6]", "[1]"),
-		"spent not budget": answerBody("2", "6", "[4]", "[1]"),
-		"ragged":           []byte(strings.Replace(string(answerBody("2", "5", "[1,2]", "[1,2]")), `"power":[1,2]`, `"power":[1]`, 1)),
-		"empty run":        answerBody("2", "5", "[0,3]", "[1,2]"),
-		"negative run":     answerBody("2", "5", "[-1,4]", "[1,2]"),
-		"short":            answerBody("2", "5", "[1,1]", "[1,2]"),
-		"long":             answerBody("2", "5", "[2,2]", "[1,2]"),
-		"huge run":         answerBody("2", "5", "[1000000000]", "[1]"),
-		"overflowing runs": answerBody("2", "5", "[9223372036854775807,9223372036854775807]", "[1,2]"),
-		"parent shape":     []byte(`{"id":"k","spent":5,"history":[{"Budget":1,"Loss":1,"M":{}}],"feasible":true}`),
+		"from not seen":    answerBody(0, 5, 1, []uint32{5}, []float64{1}),
+		"from past budget": answerBody(1<<63, 5, 1, []uint32{1}, []float64{1}),
+		"spent not budget": answerBody(2, 6, 1, []uint32{4}, []float64{1}),
+		"feasible byte":    answerBody(2, 5, 2, []uint32{3}, []float64{1}),
+		"ragged":           cut(good, power, 8),
+		"empty run":        answerBody(2, 5, 1, []uint32{0, 3}, []float64{1, 2}),
+		"short":            answerBody(2, 5, 1, []uint32{1, 1}, []float64{1, 2}),
+		"long":             answerBody(2, 5, 1, []uint32{2, 2}, []float64{1, 2}),
+		"huge run":         answerBody(2, 5, 1, []uint32{1_000_000_000}, []float64{1}),
+		"overflowing runs": answerBody(2, 5, 1, []uint32{math.MaxUint32, math.MaxUint32}, []float64{1, 2}),
+		"more runs":        answerBody(2, 5, 1, []uint32{1, 1, 1, 1}, []float64{1, 2, 3, 4}),
+		"truncated":        good[:len(good)-1],
+		"trailing":         append(append([]byte(nil), good...), 0),
+		"id past the end":  append(binary.LittleEndian.AppendUint32(nil, 1<<31), good[4:]...),
+		"json":             []byte(`{"id":"k","from":2,"spent":5,"feasible":true}`),
+		"empty":            nil,
 	} {
 		if st, err := decodeAnswer(body, req); err == nil || !reflect.DeepEqual(st, JobState{}) {
 			t.Errorf("%s: decoded to %+v, %v; want an error and nothing", name, st, err)
 		}
 	}
 
-	huge := answerBody("0", "40", "[1000000000]", "[1]")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := decodeAnswer(huge, AdvanceRequest{Budget: 40})
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a billion-point run in a 40-point answer was accepted")
+	// A run count the body cannot hold is refused before its runs are read.
+	huge := answerBody(0, 40, 1, []uint32{1}, []float64{1})
+	binary.LittleEndian.PutUint32(huge[answerHeadBytes+1:], 1_000_000_000)
+	for name, body := range map[string][]byte{"billion-point run": answerBody(0, 40, 1, []uint32{1_000_000_000}, []float64{1}), "billion runs": huge} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeAnswer(body, AdvanceRequest{Budget: 40})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s in a 40-point answer was accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: decoding a %d-byte answer allocated %d bytes", name, len(body), grew)
+		}
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-		t.Errorf("decoding a %d-byte answer allocated %d bytes", len(huge), grew)
-	}
-}
-
-// decodeAnswer is the client's decode of an advance answer's body, outside
-// the exchange.
-func decodeAnswer(body []byte, req AdvanceRequest) (JobState, error) {
-	var a jobAnswer
-	if err := json.Unmarshal(body, &a); err != nil {
-		return JobState{}, err
-	}
-	return a.unpack(req)
 }
 
 // FuzzAdvanceAnswer throws arbitrary answer bodies at the client's decode of
 // an advance: no panic, and an answer it accepts carries exactly the points
 // in (Seen, Budget], each with its budget.
 func FuzzAdvanceAnswer(f *testing.F) {
-	f.Add(2, 5, answerBody("2", "5", "[1,2]", "[1,2]"))
+	good := answerBody(2, 5, 1, []uint32{1, 2}, []float64{1, 2})
+	f.Add(2, 5, good)
+	f.Add(2, 5, encodeAnswer(2, JobState{ID: "k", Spent: 5, History: answerHistory()[2:5], Raw: answerHistory()[2:5]}))
+	f.Add(2, 5, good[:len(good)-3])
+	f.Add(2, 5, cut(good, answerHeadBytes+1+4+2*4+2*2*8, 8))
+	f.Add(0, 40, answerBody(0, 40, 1, []uint32{1_000_000_000}, []float64{1}))
+	claims := answerBody(0, 40, 1, []uint32{40}, []float64{1})
+	binary.LittleEndian.PutUint32(claims[answerHeadBytes+1:], 30) // 30 runs in a body holding one
+	f.Add(0, 40, claims)
+	f.Add(2, 5, append(append([]byte(nil), good...), 1, 2, 3))
 	f.Add(0, 5, []byte(`{"id":"k","spent":5,"history":[{"Budget":1,"Loss":1,"M":{}}],"feasible":true}`))
-	f.Add(2, 5, []byte(strings.Replace(string(answerBody("2", "5", "[1,2]", "[1,2]")), `"area":[1,2]`, `"area":[1,2,3]`, 1)))
-	f.Add(0, 40, answerBody("0", "40", "[1000000000]", "[1]"))
-	f.Add(0, 3, answerBody("-1", "3", "[4]", "[1]"))
 	f.Fuzz(func(t *testing.T, seen, budget int, body []byte) {
 		if seen < 0 || seen > budget || budget > 1000 {
 			t.Skip("the master asks for 0 <= seen <= budget")

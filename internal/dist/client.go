@@ -255,12 +255,13 @@ func (c *Client) Exchange(ctx context.Context, method, path string, body []byte)
 	return rep, err
 }
 
-// do makes one exchange and hands the answer's body to decode, classifying
-// failures as retryable or not: a decode error — a body cut off, or one the
-// caller finds unusable — is retryable. 4xx responses carry a JSON error
-// body the caller inspects, so they decode normally and are never retried.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, decode func([]byte) error) (float64, error) {
-	return c.roundTrip(ctx, method, path, body, func(r *http.Response, body []byte) error {
+// do makes one POST exchange and hands the answer's status and body to decode,
+// classifying failures as retryable or not: a decode error — a body cut
+// off, or one the caller finds unusable — is retryable. 4xx responses carry
+// a JSON error body the caller inspects, so they decode normally and are
+// never retried.
+func (c *Client) do(ctx context.Context, path string, body []byte, decode func(status int, body []byte) error) (float64, error) {
+	return c.roundTrip(ctx, http.MethodPost, path, body, func(r *http.Response, body []byte) error {
 		if r.StatusCode == http.StatusTooManyRequests || r.StatusCode == http.StatusServiceUnavailable {
 			// Load shed (fleet router queue-full, draining worker): honor the
 			// advertised Retry-After instead of treating it as a generic failure.
@@ -268,9 +269,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, decod
 			return retryable(&shedError{path: path, status: r.Status, retryAfter: delay, advertised: ok})
 		}
 		if r.StatusCode >= 500 {
-			return retryable(fmt.Errorf("dist: %s %s: worker returned %s", method, path, r.Status))
+			return retryable(fmt.Errorf("dist: POST %s: worker returned %s", path, r.Status))
 		}
-		if err := decode(body); err != nil {
+		if err := decode(r.StatusCode, body); err != nil {
 			return retryable(fmt.Errorf("dist: decode %s: %w", path, err))
 		}
 		return nil
@@ -279,45 +280,42 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, decod
 
 // decodeInto is the decode of a plain JSON answer, into *v zeroed first, so
 // nothing an attempt that failed decoded survives into the next.
-func decodeInto[T any](v *T) func([]byte) error {
-	return func(body []byte) error {
+func decodeInto[T any](v *T) func(int, []byte) error {
+	return func(_ int, body []byte) error {
 		var zero T
 		*v = zero
 		return json.Unmarshal(body, v)
 	}
 }
 
-// send is the one request path: req (nil for a bodiless DELETE) goes out as
-// JSON, the response's body goes to decode, and every retryable failure
-// (transport errors, 5xx, truncated, oversized or unusable responses, sheds)
-// is retried up to MaxRetries times. The delay between attempts is
-// exponential with jitter, so a pool of masters does not hammer a recovering
-// worker in lockstep — except after a load shed that advertised Retry-After:
-// then the advertised delay is honored clamped into [RetryBackoff,
-// MaxBackoff], so a misbehaving server can neither park the client for
-// minutes nor spin it (see retryDelay). Cancelling ctx aborts both in-flight requests and
-// backoff sleeps. route names the call in spans: path with any job key
-// folded to {id}. seconds sums the attempts' round trips, waits left out.
+// send is the one request path: req is POSTed as JSON, the response's status
+// and body go to decode, and every retryable failure (transport errors, 5xx,
+// truncated, oversized or unusable responses, sheds) is retried up to
+// MaxRetries times. The delay between attempts is exponential with jitter,
+// so a pool of masters does not hammer a recovering worker in lockstep —
+// except after a load shed that advertised Retry-After: then the advertised
+// delay is honored clamped into [RetryBackoff, MaxBackoff], so a misbehaving
+// server can neither park the client for minutes nor spin it (see
+// retryDelay). Cancelling ctx aborts both in-flight requests and backoff
+// sleeps. path names the call in spans. seconds sums the attempts' round
+// trips, waits left out.
 //
 // When tracing is enabled the whole logical call is one "client" span in
 // ctx's run's trace, under the span ctx runs in (the co-search iteration);
 // each HTTP try is an "attempt" child (whose context is what propagates to
 // the server), and each retry wait a "backoff" child.
-func (c *Client) send(ctx context.Context, method, route, path string, req any, decode func([]byte) error) (seconds float64, err error) {
-	var body []byte
-	if req != nil {
-		_, ser := perfprof.Start(ctx, "dist.serialize")
-		body, err = json.Marshal(req)
-		ser.End()
-		if err != nil {
-			return 0, fmt.Errorf("dist: marshal %s: %w", route, err)
-		}
+func (c *Client) send(ctx context.Context, path string, req any, decode func(int, []byte) error) (seconds float64, err error) {
+	_, ser := perfprof.Start(ctx, "dist.serialize")
+	body, err := json.Marshal(req)
+	ser.End()
+	if err != nil {
+		return 0, fmt.Errorf("dist: marshal %s: %w", path, err)
 	}
-	span := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "client", route)
+	span := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "client", path)
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		att := disttrace.StartSpan("", span.Context(), "attempt", route)
-		took, err := c.do(disttrace.WithParent(ctx, att.Context()), method, path, body, decode)
+		att := disttrace.StartSpan("", span.Context(), "attempt", path)
+		took, err := c.do(disttrace.WithParent(ctx, att.Context()), path, body, decode)
 		seconds += took
 		att.End(spanStatus(err), nil)
 		if err == nil || attempt >= c.opts.MaxRetries || !isRetryable(err) {
@@ -327,7 +325,7 @@ func (c *Client) send(ctx context.Context, method, route, path string, req any, 
 		telemetry.DistRetries().Inc()
 		delay := c.retryDelay(backoff, err)
 		wait := perfprof.NewTimer()
-		bo := disttrace.StartSpan("", span.Context(), "backoff", route)
+		bo := disttrace.StartSpan("", span.Context(), "backoff", path)
 		timer := time.NewTimer(delay) //unicolint:allow detclock retry backoff waits real time between attempts; results stay deterministic
 		select {
 		case <-ctx.Done():
@@ -335,7 +333,7 @@ func (c *Client) send(ctx context.Context, method, route, path string, req any, 
 			wait.ObserveVolatileAs("dist.retry_wait")
 			bo.End("canceled", nil)
 			span.End("canceled", nil)
-			return seconds, fmt.Errorf("dist: %s %s: %w", method, route, ctx.Err())
+			return seconds, fmt.Errorf("dist: POST %s: %w", path, ctx.Err())
 		case <-timer.C:
 		}
 		bo.End("ok", nil)
@@ -375,7 +373,7 @@ var evalSeconds = telemetry.PPAEvalSeconds("dist")
 // requests and retry backoffs.
 func (c *Client) EvaluatePPAContext(ctx context.Context, req PPARequest) (PPAResponse, error) {
 	var resp PPAResponse
-	seconds, err := c.send(ctx, http.MethodPost, "/v1/ppa", "/v1/ppa", req, decodeInto(&resp))
+	seconds, err := c.send(ctx, "/v1/ppa", req, decodeInto(&resp))
 	evalSeconds.Observe(seconds)
 	if err != nil {
 		return PPAResponse{}, err
@@ -409,39 +407,50 @@ func CanonicalEvalKey(req *PPARequest) (key evalcache.Key, ok bool) {
 // req.Budget on the worker and returns its state there, carrying the points
 // after req.Seen (a Budget the job has already reached just polls). The
 // worker builds the job if it does not hold it, so there is nothing to
-// create first and nothing a retry can spend twice. An answer that does not
-// carry exactly the points asked for is retried like a truncated one.
+// create first and nothing a retry can spend twice. A 200 answer is the
+// byte layout of answer.go; one that does not carry exactly the points
+// asked for is retried like a truncated one. Any other answer is a JSON
+// error.
 func (c *Client) AdvanceJobContext(ctx context.Context, req AdvanceRequest) (JobState, error) {
-	var answer jobAnswer
 	var state JobState
-	_, err := c.send(ctx, http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", req, func(body []byte) error {
-		if err := decodeInto(&answer)(body); err != nil || answer.Error != "" {
+	var refused errorAnswer
+	_, err := c.send(ctx, "/v1/jobs/advance", req, func(status int, body []byte) error {
+		var err error
+		state, refused = JobState{}, errorAnswer{}
+		if status != http.StatusOK {
+			if err = json.Unmarshal(body, &refused); err == nil && refused.Error == "" {
+				err = fmt.Errorf("answered %d with no error", status)
+			}
 			return err
 		}
-		var err error
-		state, err = answer.unpack(req)
+		state, err = decodeAnswer(body, req)
 		return err
 	})
 	if err != nil {
 		return JobState{}, err
 	}
-	if answer.Error != "" {
-		return JobState{}, fmt.Errorf("dist: advance job: %s", answer.Error)
+	if refused.Error != "" {
+		return JobState{}, fmt.Errorf("dist: advance job: %s", refused.Error)
 	}
 	return state, nil
 }
 
-// DeleteJobContext releases the state the worker holds for the job whose
-// JobSpec.Key is id. Releasing a job the worker does not hold is an error
-// (the worker's 404), which is also what a delete sent again after a lost
-// answer reports.
-func (c *Client) DeleteJobContext(ctx context.Context, id string) error {
-	var resp JobDeleteResponse
-	if _, err := c.send(ctx, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil, decodeInto(&resp)); err != nil {
+// errorAnswer is the JSON body of a rejected request.
+type errorAnswer struct {
+	Error string `json:"error"`
+}
+
+// ReleaseJobsContext releases the jobs whose JobSpec.Key are ids: the
+// worker drops whichever of them it holds, and a router passes the batch to
+// every shard that is not down. Naming a job nobody holds is no error, so
+// the batch can be sent again after a lost answer.
+func (c *Client) ReleaseJobsContext(ctx context.Context, ids []string) error {
+	var resp ReleaseResponse
+	if _, err := c.send(ctx, "/v1/jobs/release", ReleaseRequest{IDs: ids}, decodeInto(&resp)); err != nil {
 		return err
 	}
 	if resp.Error != "" {
-		return fmt.Errorf("dist: delete job %s: %s", id, resp.Error)
+		return fmt.Errorf("dist: release jobs: %s", resp.Error)
 	}
 	return nil
 }

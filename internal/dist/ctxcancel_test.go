@@ -22,11 +22,11 @@ func hangingWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// Regression test for deleteJob building its request with http.NewRequest:
-// the delete ignored cancellation entirely and a wedged worker pinned the
-// master for the full transport timeout. DeleteJobContext must return as
-// soon as its context does.
-func TestDeleteJobContextCancelAbortsWedgedWorker(t *testing.T) {
+// Regression test for the job release (once deleteJob) building its request
+// with http.NewRequest: it ignored cancellation entirely and a wedged worker
+// pinned the master for the full transport timeout. ReleaseJobsContext must
+// return as soon as its context does.
+func TestReleaseJobsContextCancelAbortsWedgedWorker(t *testing.T) {
 	srv := hangingWorker(t)
 	// A transport without its own timeout isolates what ctx contributes.
 	c := NewClient(srv.URL, &http.Client{})
@@ -34,15 +34,15 @@ func TestDeleteJobContextCancelAbortsWedgedWorker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := c.DeleteJobContext(ctx, "job-1")
+	err := c.ReleaseJobsContext(ctx, []string{"job-1"})
 	if err == nil {
-		t.Fatal("DeleteJobContext against a wedged worker returned nil")
+		t.Fatal("ReleaseJobsContext against a wedged worker returned nil")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DeleteJobContext error = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("ReleaseJobsContext error = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("DeleteJobContext took %v to honor a 50ms deadline", elapsed)
+		t.Fatalf("ReleaseJobsContext took %v to honor a 50ms deadline", elapsed)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"unico/internal/mapsearch"
 	"unico/internal/platform"
 	"unico/internal/ppa"
+	"unico/internal/runid"
 	"unico/internal/workload"
 )
 
@@ -315,26 +317,40 @@ func TestTwoNetworkJobMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestJobDelete: a release drops whichever of the named jobs the worker
+// holds and names the rest without error, so a batch sent again after a lost
+// answer, or naming jobs another worker held, is no failure.
 func TestJobDelete(t *testing.T) {
 	s := NewServer()
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL, srv.Client())
-	st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: testSpec(1), Budget: 1})
-	if err != nil {
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: testSpec(seed), Budget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if err := c.ReleaseJobsContext(context.Background(), ids[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteJobContext(context.Background(), st.ID); err != nil {
-		t.Fatal(err)
+	if n := s.JobCount(); n != 1 {
+		t.Errorf("worker holds %d jobs after releasing two of three", n)
+	}
+	for _, batch := range [][]string{ids, ids, {"job-999"}, nil} {
+		if err := c.ReleaseJobsContext(context.Background(), batch); err != nil {
+			t.Errorf("release of %d keys, held or not: %v", len(batch), err)
+		}
 	}
 	if n := s.JobCount(); n != 0 {
-		t.Errorf("worker holds %d jobs after the delete", n)
+		t.Errorf("worker holds %d jobs after the release", n)
 	}
-	if err := c.DeleteJobContext(context.Background(), st.ID); err == nil {
-		t.Error("double delete not reported")
-	}
-	if err := c.DeleteJobContext(context.Background(), "job-999"); err == nil {
-		t.Error("unknown job delete not reported")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/release", strings.NewReader(`{"ids":"k"}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("a malformed release answered %d, want 400", rec.Code)
 	}
 }
 
@@ -387,6 +403,63 @@ func TestRemoteJobCloseIdempotent(t *testing.T) {
 	// Last-seen state stays readable after close.
 	if job.Spent() != 2 {
 		t.Errorf("Spent after close = %d, want 2", job.Spent())
+	}
+}
+
+// TestPoolReleasesOnceNoJobIsOpen: closing a job queues its release, and
+// the pool sends the queue in one request when its last open job closes —
+// also when that job never advanced, under the run ID its other jobs
+// advanced with — or at the next NewJob, so a job that is never closed
+// holds the others back no longer than that.
+func TestPoolReleasesOnceNoJobIsOpen(t *testing.T) {
+	s := NewServer()
+	var mu sync.Mutex
+	var releases []string // the run ID of each release request
+	inner := s.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs/release" {
+			mu.Lock()
+			releases = append(releases, r.Header.Get(runid.Header))
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	p, err := NewRemoteSpatialPlatform([]*Client{NewClient(srv.URL, srv.Client())}, hw.Edge, []string{"MobileNetV3-S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := runid.With(context.Background(), "pool-run")
+	spec := testSpec(0)
+	newJob := func(seed int64, budget int) mapsearch.Searcher {
+		j := p.NewJob(spec.X, seed)
+		if budget > 0 {
+			j.(mapsearch.ContextAdvancer).AdvanceContext(ctx, budget)
+		}
+		return j
+	}
+	sent := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), releases...)
+	}
+
+	a, b, idle := newJob(1, 2), newJob(2, 2), newJob(3, 0)
+	core.CloseJobs([]mapsearch.Searcher{a, b})
+	if n, r := s.JobCount(), sent(); n != 2 || len(r) != 0 {
+		t.Fatalf("with a job still open: %d jobs held, releases %q; want 2 and none", n, r)
+	}
+	core.CloseJobs([]mapsearch.Searcher{idle})
+	if n, r := s.JobCount(), sent(); n != 0 || !reflect.DeepEqual(r, []string{"pool-run"}) {
+		t.Fatalf("after the last close: %d jobs held, releases %q; want 0 and one under the run's ID", n, r)
+	}
+
+	c := newJob(4, 1)
+	newJob(5, 1) // never closed
+	core.CloseJobs([]mapsearch.Searcher{c})
+	newJob(6, 0)
+	if n, r := s.JobCount(), sent(); n != 1 || len(r) != 2 {
+		t.Errorf("a never-closed job held back the release: %d jobs held, %d releases; want 1 and 2", n, len(r))
 	}
 }
 

@@ -4,7 +4,9 @@
 // RemotePlatform that lets the master's co-optimizer fan software-mapping
 // jobs out across a pool of workers over HTTP.
 //
-// The wire protocol is plain JSON over net/http. A mapping-search job is a
+// The wire protocol is JSON over net/http, except for the one body that
+// carries search points: a 200 answer to an advance is a fixed little-endian
+// byte layout (answer.go). A mapping-search job is a
 // pure function of its spec and the cumulative budget spent on it, and the
 // protocol says exactly that: an advance names the spec and the budget to
 // reach, and whichever worker receives it holds the job from then on —
@@ -99,11 +101,19 @@ const (
 // legitimate PPA request, job spec or job state. A longer one is an error.
 const MaxBodyBytes = 4 << 20
 
-// JobDeleteResponse acknowledges a job deletion.
-type JobDeleteResponse struct {
-	ID      string `json:"id"`
-	Deleted bool   `json:"deleted"`
-	Error   string `json:"error,omitempty"`
+// ReleaseRequest names jobs, by JobSpec.Key, whose state a worker may drop:
+// it deletes whichever of them it holds, and a router passes the batch to
+// every shard that is not down.
+type ReleaseRequest struct {
+	IDs []string `json:"ids"`
+}
+
+// ReleaseResponse answers a release with how many of the named jobs were
+// held (summed over the shards behind a router); a rejected request carries
+// only Error.
+type ReleaseResponse struct {
+	Released int    `json:"released"`
+	Error    string `json:"error,omitempty"`
 }
 
 // AdvanceRequest brings the job Spec describes to a cumulative Budget and
@@ -127,7 +137,7 @@ type AdvanceRequest struct {
 // JobState is an advance's answer as the master reads it: the
 // mapsearch.Searcher accessors at Spent, except that History and Raw hold
 // only the points after the request's Seen, each with its budget. ID is the
-// job's JobSpec.Key, the name DELETE /v1/jobs/{id} releases it by.
+// job's JobSpec.Key, the name POST /v1/jobs/release releases it by.
 type JobState struct {
 	ID       string
 	Spent    int

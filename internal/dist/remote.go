@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"unico/internal/hw"
 	"unico/internal/mapsearch"
 	"unico/internal/platform"
 	"unico/internal/ppa"
+	"unico/internal/runid"
 	"unico/internal/telemetry"
 )
 
@@ -42,6 +44,13 @@ type workerHealth struct {
 // workers are probed every DefaultProbeEvery new jobs (counted in jobs, so
 // behavior is deterministic — no background goroutines) and re-admitted
 // when their health endpoint answers again.
+//
+// Closing a job only queues its release. The pool counts the jobs NewJob
+// has handed out and not yet closed, and when the last of them closes it
+// sends every queued key in one POST /v1/jobs/release to each worker in the
+// rotation — one request per co-search iteration, however large the batch.
+// A NewJob sends whatever is still queued, so a job that is never closed
+// holds the others' release back no longer than that.
 type RemoteSpatialPlatform struct {
 	// Spatial is the platform the workers search, held here for everything
 	// but the search itself: the design space, the workload, the caps and
@@ -54,6 +63,18 @@ type RemoteSpatialPlatform struct {
 	mu      sync.Mutex
 	workers []*workerHealth
 	calls   int // NewJob calls; each job's turn in the rotation
+	open    int // jobs handed out and not yet closed
+	// queued holds the keys of closed jobs not yet released, by the run ID
+	// of the context each job last advanced under, so a release carries the
+	// identity of the co-search whose jobs it names.
+	queued map[string]*releaseBatch
+}
+
+// releaseBatch is one run's queued keys and the context they go under: the
+// last advance context, minus cancellation, of the run's latest closed job.
+type releaseBatch struct {
+	ctx context.Context
+	ids []string
 }
 
 // NewRemoteSpatialPlatform builds the master-side platform. The networks
@@ -78,13 +99,17 @@ func NewRemoteSpatialPlatform(workers []*Client, sc hw.Scenario, networks []stri
 	}, nil
 }
 
-// NewJob names the mapping search and takes its turn in the round-robin; it
-// does no I/O. The job reaches a worker at its first advance.
+// NewJob names the mapping search and takes its turn in the round-robin.
+// The job reaches a worker at its first advance; NewJob's only I/O is the
+// release of jobs closed while another was still open.
 func (p *RemoteSpatialPlatform) NewJob(x []float64, seed int64) mapsearch.Searcher {
 	p.mu.Lock()
 	p.calls++
+	p.open++
 	turn := p.calls
+	batches, workers := p.takeReleasesLocked()
 	p.mu.Unlock()
+	_ = sendReleases(batches, workers)
 	return &remoteJob{pool: p, turn: turn, spec: JobSpec{
 		Platform: "spatial",
 		Scenario: p.scenario.String(),
@@ -138,12 +163,7 @@ func (p *RemoteSpatialPlatform) rotation(ctx context.Context, j *remoteJob, last
 	if lastResort || (j.holder == nil && j.turn%DefaultProbeEvery == 0) {
 		p.probeEvictedLocked(ctx)
 	}
-	var active []*workerHealth
-	for _, w := range p.workers {
-		if !w.evicted {
-			active = append(active, w)
-		}
-	}
+	active := p.activeLocked()
 	out := make([]*workerHealth, 0, len(active))
 	if h := j.holder; h != nil && !h.evicted {
 		out = append(out, h)
@@ -154,6 +174,85 @@ func (p *RemoteSpatialPlatform) rotation(ctx context.Context, j *remoteJob, last
 		}
 	}
 	return out
+}
+
+// activeLocked lists the workers in the rotation, evicted ones left out.
+// Callers must hold p.mu.
+func (p *RemoteSpatialPlatform) activeLocked() []*workerHealth {
+	var active []*workerHealth
+	for _, w := range p.workers {
+		if !w.evicted {
+			active = append(active, w)
+		}
+	}
+	return active
+}
+
+// close counts j closed and queues its key when a worker answered for it
+// (one that none did holds nothing); once no job is open it takes every
+// queued key and sends it.
+func (p *RemoteSpatialPlatform) close(j *remoteJob) error {
+	var key string
+	if j.holder != nil {
+		key = j.spec.Key()
+	}
+	p.mu.Lock()
+	if j.closed {
+		p.mu.Unlock()
+		return nil
+	}
+	j.closed = true
+	p.open--
+	if key != "" {
+		run := runid.From(j.closeCtx)
+		if p.queued == nil {
+			p.queued = map[string]*releaseBatch{}
+		}
+		b := p.queued[run]
+		if b == nil {
+			b = &releaseBatch{}
+			p.queued[run] = b
+		}
+		b.ctx, b.ids = j.closeCtx, append(b.ids, key)
+	}
+	var batches []*releaseBatch
+	var workers []*workerHealth
+	if p.open == 0 {
+		batches, workers = p.takeReleasesLocked()
+	}
+	p.mu.Unlock()
+	return sendReleases(batches, workers)
+}
+
+// takeReleasesLocked empties the queue, returning its batches in run-ID
+// order and the rotation to send them to. Callers must hold p.mu.
+func (p *RemoteSpatialPlatform) takeReleasesLocked() ([]*releaseBatch, []*workerHealth) {
+	if len(p.queued) == 0 {
+		return nil, nil
+	}
+	runs := make([]string, 0, len(p.queued))
+	for run := range p.queued {
+		runs = append(runs, run)
+	}
+	slices.Sort(runs)
+	batches := make([]*releaseBatch, len(runs))
+	for i, run := range runs {
+		batches[i] = p.queued[run]
+	}
+	clear(p.queued)
+	return batches, p.activeLocked()
+}
+
+// sendReleases sends each batch in one request to each worker; a worker
+// that fails to answer is not charged, since releasing changes no result.
+func sendReleases(batches []*releaseBatch, workers []*workerHealth) error {
+	var errs []error
+	for _, b := range batches {
+		for _, w := range workers {
+			errs = append(errs, w.client.ReleaseJobsContext(b.ctx, b.ids))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // noteSuccess clears a worker's failure streak.
@@ -196,14 +295,15 @@ type remoteJob struct {
 	turn   int           // the NewJob call that made it: its slot in the rotation
 	holder *workerHealth // the worker that answered the last advance; nil before the first
 	// closeCtx is the last advance's context minus its cancellation: what
-	// Close, whose signature has no context, sends its release under, so the
-	// request still carries the run's ID and trace parent.
+	// the job's release, queued by Close, whose signature has no context, is
+	// sent under, so the request still carries the run's ID and trace
+	// parent.
 	closeCtx context.Context
 	// state is the last answer's, with History and Raw holding every point
 	// up to Spent: each answer's points appended to the ones before.
 	state  JobState
 	err    error
-	closed bool
+	closed bool // guarded by pool.mu
 }
 
 // Advance spends budget on the remote job. Transport errors latch: the job
@@ -256,14 +356,9 @@ func (j *remoteJob) Best() (ppa.Metrics, bool) {
 	return j.state.Best, true
 }
 
-// Close releases the job's state on the worker holding it (a job no worker
-// ever answered for has none). The co-optimizer calls it once a candidate's
-// search is complete, so worker memory stays bounded by the in-flight
-// batch. Idempotent; the last-seen state remains readable.
-func (j *remoteJob) Close() error {
-	if j.closed || j.holder == nil {
-		return nil
-	}
-	j.closed = true
-	return j.holder.client.DeleteJobContext(j.closeCtx, j.state.ID)
-}
+// Close queues the release of the job's state on the workers; the pool
+// sends it once no job of its is open (see RemoteSpatialPlatform), and the
+// error is that send's, for every job it names. The co-optimizer closes a
+// batch once its candidates are scored, so worker memory stays bounded by
+// the in-flight batch. Idempotent; the last-seen state remains readable.
+func (j *remoteJob) Close() error { return j.pool.close(j) }

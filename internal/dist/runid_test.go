@@ -51,7 +51,7 @@ func TestClientPropagatesRunID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = c.DeleteJobContext(ctx, st.ID)
+	_ = c.ReleaseJobsContext(ctx, []string{st.ID})
 	// The same client under another run's context sends that run's ID.
 	const other = "testrun02"
 	if _, err := c.AdvanceJobContext(runid.With(ctx, other), AdvanceRequest{Spec: testSpec(2), Budget: 1}); err != nil {
@@ -61,7 +61,7 @@ func TestClientPropagatesRunID(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(seen) != 4 {
-		t.Fatalf("captured %d requests, want 4 (ppa, job advance, job delete, the other run's advance)", len(seen))
+		t.Fatalf("captured %d requests, want 4 (ppa, job advance, job release, the other run's advance)", len(seen))
 	}
 	for i, h := range seen {
 		want := id

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -59,7 +60,7 @@ func TestClientFaultMatrix(t *testing.T) {
 			return !reflect.DeepEqual(st, JobState{}), err
 		}},
 		{name: "release", call: func(c *Client) (bool, error) {
-			return false, c.DeleteJobContext(ctx, advance.Spec.Key())
+			return false, c.ReleaseJobsContext(ctx, []string{advance.Spec.Key()})
 		}, prepare: func(t *testing.T, c *Client) {
 			if _, err := c.AdvanceJobContext(ctx, advance); err != nil {
 				t.Fatal(err)
@@ -115,13 +116,22 @@ func TestClientFaultMatrix(t *testing.T) {
 // client does not panic, and a body that does not decode — or a status that
 // is a failure — never comes back as a result.
 func FuzzClientResponse(f *testing.F) {
-	f.Add(200, "", answerBody("0", "1", "[1]", "[1.5]"))
-	f.Add(200, "", answerBody("0", "1", "[2]", "[1.5]"))
+	packed := answerBody(0, 1, 1, []uint32{1}, []float64{1.5})
+	f.Add(200, "", packed)
+	f.Add(200, "", packed[:len(packed)-5])
+	f.Add(200, "", cut(packed, answerHeadBytes+1+4+4+2*8, 8))
+	f.Add(200, "", answerBody(0, 1, 1, []uint32{2}, []float64{1.5}))
+	f.Add(200, "", append(binary.LittleEndian.AppendUint32(nil, 1<<20), packed[4:]...))
+	claims := answerBody(0, 1, 1, nil, nil)
+	binary.LittleEndian.PutUint32(claims[answerHeadBytes+1:], 1) // a run the body does not hold
+	f.Add(200, "", claims)
+	f.Add(200, "", append(append([]byte(nil), packed...), 0))
 	f.Add(400, "", []byte(`{"error":"seen 3 outside [0, budget 1]"}`))
 	f.Add(200, "", []byte(`{"metrics":{"latency_ms":12.`))
 	f.Add(503, "1", []byte(`{"error":"worker draining"}`))
 	f.Add(429, "Mon, 02 Jan 2006 15:04:05 GMT", []byte{})
-	f.Add(404, "-3", []byte(`{"id":"k","error":"unknown job"}`))
+	f.Add(404, "-3", []byte(`{"error":"unknown job"}`))
+	f.Add(200, "", []byte(`{"released":2}`))
 	f.Add(200, "", []byte(`{"status":"ok","jobs":1} trailing`))
 	f.Add(500, "", []byte(`null`))
 	f.Fuzz(func(t *testing.T, status int, retryAfter string, body []byte) {
@@ -155,7 +165,7 @@ func FuzzClientResponse(f *testing.F) {
 		if (err != nil || failure) && resp != (PPAResponse{}) {
 			t.Fatalf("ppa kept %+v alongside err=%v status=%d", resp, err, status)
 		}
-		if err := c.DeleteJobContext(ctx, "k"); failure && !isRetryable(err) {
+		if err := c.ReleaseJobsContext(ctx, []string{"k"}); failure && !isRetryable(err) {
 			t.Fatalf("release: status %d gave %v, want a retryable error", status, err)
 		}
 		h, err := c.HealthContext(ctx)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +30,7 @@ type Server struct {
 	spatial mapsearch.SpatialEngine
 	ascend  mapsearch.AscendEngine
 
-	// draining: the shard finishes the jobs it holds (advance/delete still
+	// draining: the shard finishes the jobs it holds (advance/release still
 	// answer) but refuses new evaluations and jobs it does not hold with
 	// 503 + Retry-After, and reports "draining" on its health endpoint.
 	draining atomic.Bool
@@ -78,7 +77,7 @@ func NewServerWith(spatial mapsearch.SpatialEngine, ascend mapsearch.AscendEngin
 //
 //	POST   /v1/ppa          evaluate one (hw, mapping, layer) triple
 //	POST   /v1/jobs/advance bring the job a spec describes to a cumulative budget
-//	DELETE /v1/jobs/{id}    release a finished job's server-side state
+//	POST   /v1/jobs/release drop whichever of the named jobs the worker holds
 //	GET    /v1/healthz      liveness probe (status "ok" or "draining")
 //	POST   /v1/drain        start draining: finish in-flight jobs, refuse new work
 //	POST   /v1/undrain      return to normal service
@@ -87,7 +86,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ppa", s.handlePPA)
 	mux.HandleFunc("POST /v1/jobs/advance", s.handleAdvance)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
+	mux.HandleFunc("POST /v1/jobs/release", s.handleRelease)
 	mux.Handle("GET /v1/spans", disttrace.SpansHandler())
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, s.health())
@@ -109,17 +108,13 @@ func (s *Server) Handler() http.Handler {
 	return telemetry.InstrumentHandler(telemetry.DefaultRegistry, RouteLabel(), counted)
 }
 
-// RouteLabel returns the metric route label of a worker-API server: per-job
-// paths fold into one route and any path that is neither a worker route nor
-// one of extra (a router's admin endpoints) into "other", so the label set
-// stays bounded no matter how many jobs a search creates or what paths a
-// scanner probes.
+// RouteLabel returns the metric route label of a worker-API server: any
+// path that is neither a worker route nor one of extra (a router's admin
+// endpoints) folds into "other", so the label set stays bounded no matter
+// what paths a scanner probes.
 func RouteLabel(extra ...string) func(*http.Request) string {
-	known := append([]string{"/v1/ppa", "/v1/jobs/advance", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans"}, extra...)
+	known := append([]string{"/v1/ppa", "/v1/jobs/advance", "/v1/jobs/release", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans"}, extra...)
 	return func(r *http.Request) string {
-		if p, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && p != "" && p != "advance" {
-			return "/v1/jobs/{id}"
-		}
 		if slices.Contains(known, r.URL.Path) {
 			return r.URL.Path
 		}
@@ -223,25 +218,32 @@ func ppaResponse(met ppa.Metrics, err error, infeasible error) PPAResponse {
 	return PPAResponse{Metrics: met}
 }
 
-// handleDeleteJob frees a job's server-side state. Masters call it when the
-// co-optimizer is done with a candidate, so worker memory stays bounded by
-// the in-flight batch instead of growing with the whole search. An advance
-// in flight on the job finishes on the searcher it already has.
-func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
-	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/jobs/{id}")
-	id := r.PathValue("id")
-	s.mu.Lock()
-	_, ok := s.jobs[id]
-	delete(s.jobs, id)
-	telemetry.DistJobs().Set(float64(len(s.jobs)))
-	s.mu.Unlock()
-	if !ok {
+// handleRelease frees the server-side state of whichever named jobs the
+// worker holds. Masters call it when the co-optimizer is done with a batch
+// of candidates, so worker memory stays bounded by the in-flight batch
+// instead of growing with the whole search; a draining worker releases
+// too. An advance in flight on a released job finishes on the searcher it
+// already has.
+func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
+	sp := disttrace.StartFromHeader(r.Header, "shard", "/v1/jobs/release")
+	var req ReleaseRequest
+	if _, err := DecodeBody(w, r, &req); err != nil {
 		sp.End("error", nil)
-		WriteJSON(w, http.StatusNotFound, JobDeleteResponse{ID: id, Error: "unknown job"})
+		WriteJSON(w, http.StatusBadRequest, ReleaseResponse{Error: "bad request: " + err.Error()})
 		return
 	}
+	released := 0
+	s.mu.Lock()
+	for _, id := range req.IDs {
+		if _, ok := s.jobs[id]; ok {
+			delete(s.jobs, id)
+			released++
+		}
+	}
+	telemetry.DistJobs().Set(float64(len(s.jobs)))
+	s.mu.Unlock()
 	sp.End("ok", nil)
-	WriteJSON(w, http.StatusOK, JobDeleteResponse{ID: id, Deleted: true})
+	WriteJSON(w, http.StatusOK, ReleaseResponse{Released: released})
 }
 
 // JobCount returns how many jobs the worker currently holds.
@@ -445,7 +447,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	eng.End("ok", map[string]string{"budget": strconv.Itoa(spend)})
 	replay.End("ok", map[string]string{"seen": strconv.Itoa(req.Seen)})
 	sp.End("ok", nil)
-	WriteJSON(w, http.StatusOK, answer)
+	writeBody(w, http.StatusOK, answerContentType, answer)
 }
 
 // DecodeBody reads a JSON request body of at most MaxBodyBytes into v and
@@ -467,7 +469,13 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	if err == nil {
 		body = append(body, '\n')
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, code, "application/json", body)
+}
+
+// writeBody answers with body under the given status and Content-Type, its
+// length declared.
+func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,52 @@ func FuzzPPAHandler(f *testing.F) {
 		NewServer().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ppa", bytes.NewReader(data)))
 		if rec.Code >= http.StatusInternalServerError {
 			t.Fatalf("status %d for %q", rec.Code, data)
+		}
+	})
+}
+
+// FuzzReleaseHandler throws arbitrary bytes at POST /v1/jobs/release on a
+// worker holding two jobs: no panic, never a 5xx, a 200 exactly when the
+// body is a release request, and afterwards the worker holds exactly the
+// jobs a 200 did not name, having counted the ones it dropped.
+func FuzzReleaseHandler(f *testing.F) {
+	held := []string{testSpec(1).Key(), testSpec(2).Key()}
+	for _, ids := range [][]string{{held[0]}, {held[0], held[1], "k", held[0]}, {}, nil} {
+		body, err := json.Marshal(ReleaseRequest{IDs: ids})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"ids":"k"}`))
+	f.Add([]byte(`{"ids":[1,null]}`))
+	f.Add([]byte(`{"ids":[`))
+	f.Add([]byte(`{"ids":[]} {}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewServer()
+		for _, k := range held {
+			s.hold(k)
+		}
+		var req ReleaseRequest
+		decodes := json.Unmarshal(data, &req) == nil
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/release", bytes.NewReader(data)))
+		if rec.Code >= http.StatusInternalServerError || (rec.Code == http.StatusOK) != decodes {
+			t.Fatalf("status %d for %q (a release request: %v)", rec.Code, data, decodes)
+		}
+		kept := 0
+		for _, k := range held {
+			if !decodes || !slices.Contains(req.IDs, k) {
+				kept++
+			}
+		}
+		if n := s.JobCount(); n != kept {
+			t.Fatalf("worker holds %d jobs after %q, want %d", n, data, kept)
+		}
+		var resp ReleaseResponse
+		if decodes && (json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Released != len(held)-kept) {
+			t.Fatalf("answered %q for %q, want %d released", rec.Body.Bytes(), data, len(held)-kept)
 		}
 	})
 }

@@ -15,7 +15,7 @@ import (
 func hopTable() string {
 	limit := fmt.Sprintf("%d MiB", dist.MaxBodyBytes>>20)
 	rows := [][4]string{
-		{"master `dist.Client` → worker or router: `POST /v1/ppa`, `POST /v1/jobs/advance`, `DELETE /v1/jobs/{id}`",
+		{"master `dist.Client` → worker or router: `POST /v1/ppa`, `POST /v1/jobs/advance`, `POST /v1/jobs/release`",
 			fmt.Sprintf("`dist.Options.Timeout`, default %v", dist.DefaultTimeout),
 			limit,
 			fmt.Sprintf("retryable error: sent again up to `MaxRetries` times (backoff from %v, doubling to %v, or the advertised `Retry-After`); an advance still failing charges the worker (%d in a row evict it) and moves to the next in the rotation",
@@ -26,7 +26,7 @@ func hopTable() string {
 		{"router forward → shard: the three routes above, `POST /v1/drain`, `POST /v1/undrain`",
 			fmt.Sprintf("`fleet.Options.ForwardTimeout`, default %v", DefaultForwardTimeout),
 			limit,
-			fmt.Sprintf("no answer, an over-cap answer or a `5xx` charges the shard a failure (%d in a row mark it down) and the request walks on to the next ring successor; `503` + `Retry-After` is a refusal, passed over uncharged; any other answer is relayed as it came", DefaultFailAfter)},
+			fmt.Sprintf("no answer, an over-cap answer or a `5xx` charges the shard a failure (%d in a row mark it down) and the request walks on to the next ring successor; `503` + `Retry-After` is a refusal, passed over uncharged; any other answer is relayed as it came, status, `Content-Type` and bytes; a release goes to every shard not down, and one without a usable answer makes the router's answer a `502`", DefaultFailAfter)},
 		{"router probe → shard: `GET /v1/healthz`",
 			fmt.Sprintf("`fleet.Options.ProbeTimeout`, default %v (every %v)", DefaultProbeTimeout, DefaultProbeInterval),
 			limit,

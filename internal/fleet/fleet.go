@@ -119,7 +119,7 @@ func (o Options) withDefaults() Options {
 //	draining ──(probes fail)───────────────────▶ down
 //
 // Only active members take new work. Draining members still serve the jobs
-// they hold (advance/delete); down members serve nothing.
+// they hold (advance/release); down members serve nothing.
 type shardState int
 
 const (

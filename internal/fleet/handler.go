@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -15,14 +16,14 @@ import (
 )
 
 // Handler returns the router's HTTP API: the full internal/dist worker
-// surface (/v1/ppa, /v1/jobs/advance, DELETE /v1/jobs/{id},
-// /v1/healthz) plus the fleet admin endpoints /v1/fleet/members and
+// surface (/v1/ppa, /v1/jobs/advance, /v1/jobs/release, /v1/healthz) plus
+// the fleet admin endpoints /v1/fleet/members and
 // /v1/fleet/{drain,undrain}?shard=<id>.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ppa", r.handlePPA)
 	mux.HandleFunc("POST /v1/jobs/advance", r.handleAdvance)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", r.handleDeleteJob)
+	mux.HandleFunc("POST /v1/jobs/release", r.handleRelease)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, req *http.Request) {
 		dist.WriteJSON(w, http.StatusOK, r.health())
 	})
@@ -103,7 +104,7 @@ func (r *Router) handlePPA(w http.ResponseWriter, req *http.Request) {
 		// the owning shard reports the error.
 		point = hashBytes(body)
 	}
-	r.route(w, req, r.successors(point), false, http.MethodPost, "/v1/ppa", "/v1/ppa", body)
+	r.route(w, req, r.successors(point), "/v1/ppa", body)
 }
 
 // admit takes one of m's forward slots for ctx's request, waiting in m's queue — fair
@@ -163,48 +164,77 @@ func (r *Router) handleAdvance(w http.ResponseWriter, req *http.Request) {
 		dist.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request: " + err.Error()})
 		return
 	}
-	r.route(w, req, r.holders(hashBytes([]byte(areq.Spec.Key()))), true, http.MethodPost, "/v1/jobs/advance", "/v1/jobs/advance", body)
+	r.route(w, req, r.holders(hashBytes([]byte(areq.Spec.Key()))), "/v1/jobs/advance", body)
 }
 
-// handleDeleteJob releases a job on the first shard along its walk that
-// holds it.
-func (r *Router) handleDeleteJob(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	r.route(w, req, r.holders(hashBytes([]byte(id))), true, http.MethodDelete, "/v1/jobs/{id}", "/v1/jobs/"+id, nil)
-}
-
-// route sends one request along walk, through each member's admission gate,
-// and relays the first answer. A shard that fails is charged and passed
-// over; one that refuses (draining, and not holding the job) is just passed
-// over — and so, when skip404, is one that answers 404 (a release of a job it
-// does not hold), whose answer is relayed if no shard has a better one. PPA
-// evaluations walk successors, the active members; job requests walk
-// holders, which keeps draining members in their place, since they still
-// answer for the jobs they hold.
-func (r *Router) route(w http.ResponseWriter, req *http.Request, walk []*member, skip404 bool, method, route, path string, body []byte) {
+// handleRelease passes a batch of job keys to every shard that is not
+// down, each through its admission gate: a job's copies are wherever its
+// advances were answered, which a shard passed over while unreachable does
+// not see, so no one shard can be named. The answer sums what the shards
+// released; a shard that gives no usable answer makes it a 502, so the
+// caller sends the batch again — releasing twice changes nothing.
+func (r *Router) handleRelease(w http.ResponseWriter, req *http.Request) {
+	var rreq dist.ReleaseRequest
+	body, err := dist.DecodeBody(w, req, &rreq)
+	if err != nil {
+		dist.WriteJSON(w, http.StatusBadRequest, dist.ReleaseResponse{Error: "bad request: " + err.Error()})
+		return
+	}
+	walk := r.holders(0) // every member not down, draining ones included
+	if len(walk) == 0 {
+		r.shedUnserved(w)
+		return
+	}
 	ctx := hopContext(req)
-	var notFound []byte
+	var sum dist.ReleaseResponse
+	var missed []string
 	for _, m := range walk {
 		if !r.admit(ctx, w, m) {
 			return
 		}
-		rep, err := r.forwardTo(ctx, m, method, route, path, body)
+		rep, err := r.forwardTo(ctx, m, "/v1/jobs/release", body)
 		m.adm.release()
+		var got dist.ReleaseResponse
 		switch {
 		case !r.answered(m, rep.Status, err):
 			if ctx.Err() != nil {
 				return
 			}
-		case skip404 && rep.Status == http.StatusNotFound:
-			notFound = rep.Body
+			missed = append(missed, m.id)
+		case rep.Status != http.StatusOK || json.Unmarshal(rep.Body, &got) != nil:
+			missed = append(missed, m.id)
 		default:
-			relay(w, rep.Status, rep.Body)
-			return
+			sum.Released += got.Released
 		}
 	}
-	if notFound != nil {
-		relay(w, http.StatusNotFound, notFound)
+	if len(missed) > 0 {
+		dist.WriteJSON(w, http.StatusBadGateway, dist.ReleaseResponse{Error: fmt.Sprintf("no release from %v", missed)})
 		return
+	}
+	dist.WriteJSON(w, http.StatusOK, sum)
+}
+
+// route sends one request along walk, through each member's admission gate,
+// and relays the first answer. A shard that fails is charged and passed
+// over; one that refuses (draining, and not holding the job) is just passed
+// over. PPA evaluations walk successors, the active members; job advances
+// walk holders, which keeps draining members in their place, since they
+// still answer for the jobs they hold.
+func (r *Router) route(w http.ResponseWriter, req *http.Request, walk []*member, path string, body []byte) {
+	ctx := hopContext(req)
+	for _, m := range walk {
+		if !r.admit(ctx, w, m) {
+			return
+		}
+		rep, err := r.forwardTo(ctx, m, path, body)
+		m.adm.release()
+		if r.answered(m, rep.Status, err) {
+			relay(w, rep)
+			return
+		}
+		if ctx.Err() != nil {
+			return
+		}
 	}
 	r.shedUnserved(w)
 }
@@ -228,24 +258,23 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request, drain boo
 	}
 	// Best effort: the router's own routing no longer sends the shard new
 	// work either way.
-	if _, err := r.forwardTo(hopContext(req), m, http.MethodPost, path, path, []byte("{}")); err == nil {
+	if _, err := r.forwardTo(hopContext(req), m, path, []byte("{}")); err == nil {
 		r.noteSuccess(m)
 	}
 	dist.WriteJSON(w, http.StatusOK, r.Members())
 }
 
-// forwardTo makes one exchange (body nil for a DELETE) with one shard under
-// ctx's run and returns the answer; err is errRefused when the shard answered
-// 503 with Retry-After, and the exchange's own when there is no answer to
-// relay (transport failure, or a body past dist.MaxBodyBytes). route names
-// the call in spans: path with any job key folded to {id}. The round trip is
+// forwardTo POSTs body to path on one shard under ctx's run and returns
+// the answer; err is errRefused when the shard answered 503 with
+// Retry-After, and the exchange's own when there is no answer to relay
+// (transport failure, or a body past dist.MaxBodyBytes). The round trip is
 // observed in unico_fleet_forward_seconds{shard} and, when tracing is on,
 // recorded as a "forward" span the shard parents onto; with router tracing
 // off the span is nil and the caller's parent rides ctx through untouched, so
 // the client→shard chain stays linked.
-func (r *Router) forwardTo(ctx context.Context, m *member, method, route, path string, body []byte) (dist.Reply, error) {
-	fwd := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "forward", route)
-	rep, err := m.forward.Exchange(disttrace.WithParent(ctx, fwd.Context()), method, path, body)
+func (r *Router) forwardTo(ctx context.Context, m *member, path string, body []byte) (dist.Reply, error) {
+	fwd := disttrace.StartSpan(runid.From(ctx), disttrace.Parent(ctx), "forward", path)
+	rep, err := m.forward.Exchange(disttrace.WithParent(ctx, fwd.Context()), http.MethodPost, path, body)
 	telemetry.FleetForwardSeconds(m.id).Observe(rep.Seconds)
 	if err != nil {
 		fwd.End("error", nil)
@@ -258,10 +287,13 @@ func (r *Router) forwardTo(ctx context.Context, m *member, method, route, path s
 	return rep, nil
 }
 
-// relay writes a shard's response through unchanged.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+// relay writes a shard's response through unchanged: its status, its
+// Content-Type — JSON, or an advance answer's bytes — and its body.
+func relay(w http.ResponseWriter, rep dist.Reply) {
+	if ct := rep.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(rep.Body)))
+	w.WriteHeader(rep.Status)
+	_, _ = w.Write(rep.Body)
 }

@@ -454,17 +454,14 @@ func TestTimelinesRecordProbeHistory(t *testing.T) {
 	}
 }
 
-// requestsByRun counts the requests every shard saw, by the run ID they
-// carried.
-func (c *runCapture) requestsByRun() map[string]int {
+// requestsByRun counts the requests on path the shards saw, by run ID.
+func (c *runCapture) requestsByRun(path string) map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := map[string]int{}
 	for _, byPath := range c.seen {
-		for _, runs := range byPath {
-			for _, run := range runs {
-				out[run]++
-			}
+		for _, run := range byPath[path] {
+			out[run]++
 		}
 	}
 	return out
@@ -474,16 +471,23 @@ func (c *runCapture) requestsByRun() map[string]int {
 // router and two shards, sharing one client, one platform and one span
 // recorder, and requires each run's identity to stay its own all the way
 // down: every request a shard receives carries its issuer's run ID (as many
-// per run as that run sends alone), every client span sits in its run's
-// trace under one of that run's iteration spans, and no span is orphaned.
-// Nothing process-wide is left to say which run a request belongs to — its
-// context does.
+// advances per run as that run sends alone, and each release on both
+// shards), every client span sits in its run's trace under one of that
+// run's iteration spans, and no span is orphaned. Nothing process-wide is
+// left to say which run a request belongs to — its context does. The pool
+// sends a run's releases once none of its jobs is open, which next to
+// another run happens at other moments than alone, so only the advances
+// are counted alike; the shards hold no job when both runs are done.
 func TestTwoCoSearchesOneFleet(t *testing.T) {
 	spanLog := filepath.Join(t.TempDir(), "spans.jsonl")
 	enableTrace(t, spanLog)
 	capture := newRunCapture()
-	_, rsrv, _ := newTestFleet(t, 2, Options{},
-		func() http.Handler { return capture.wrap(dist.NewServer().Handler()) })
+	var workers []*dist.Server
+	_, rsrv, shards := newTestFleet(t, 2, Options{}, func() http.Handler {
+		w := dist.NewServer()
+		workers = append(workers, w)
+		return capture.wrap(w.Handler())
+	})
 	client := dist.NewClientOptions(rsrv.URL, nil, dist.Options{Timeout: 30 * time.Second})
 	p, err := dist.NewRemoteSpatialPlatform([]*dist.Client{client}, hw.Edge, []string{"MobileNetV3-S"})
 	if err != nil {
@@ -511,27 +515,28 @@ func TestTwoCoSearchesOneFleet(t *testing.T) {
 	}
 	wg.Wait()
 
-	requests := capture.requestsByRun()
-	total := 0
+	advances, releases := capture.requestsByRun("/v1/jobs/advance"), capture.requestsByRun("/v1/jobs/release")
 	for i := range seeds {
 		if both[i].Evals == 0 || both[i].Evals != solo[i].Evals || both[i].Hours != solo[i].Hours {
 			t.Errorf("run %d: %d evals, %v h next to another run; %d evals, %v h alone",
 				i, both[i].Evals, both[i].Hours, solo[i].Evals, solo[i].Hours)
 		}
-		alone, together := requests[fmt.Sprintf("solo-%d", i)], requests[fmt.Sprintf("both-%d", i)]
+		alone, together := advances[fmt.Sprintf("solo-%d", i)], advances[fmt.Sprintf("both-%d", i)]
 		if alone == 0 || together != alone {
-			t.Errorf("run %d: shards saw %d requests under its ID next to another run, %d alone", i, together, alone)
-		}
-		total += alone + together
-	}
-	for run, n := range requests {
-		total -= n
-		if !strings.HasPrefix(run, "solo-") && !strings.HasPrefix(run, "both-") {
-			t.Errorf("shards saw %d requests under run ID %q, which no run has", n, run)
+			t.Errorf("run %d: shards saw %d advances under its ID next to another run, %d alone", i, together, alone)
 		}
 	}
-	if total != 0 {
-		t.Errorf("request counts by run ID are off by %d", total)
+	for _, byRun := range []map[string]int{advances, releases} {
+		for run, n := range byRun {
+			if !strings.HasPrefix(run, "solo-") && !strings.HasPrefix(run, "both-") {
+				t.Errorf("shards saw %d requests under run ID %q, which no run has", n, run)
+			}
+		}
+	}
+	for i, w := range workers {
+		if n := w.JobCount(); n != 0 {
+			t.Errorf("shard %d holds %d jobs after both runs", i, n)
+		}
 	}
 
 	events, skipped, err := disttrace.LoadFiles(spanLog)
@@ -559,20 +564,25 @@ func TestTwoCoSearchesOneFleet(t *testing.T) {
 		for _, s := range tr.Spans {
 			kind[s.ID] = s.Kind
 		}
-		clients := 0
+		clients := map[string]int{}
 		for _, s := range tr.Spans {
 			if s.Kind != "client" {
 				continue
 			}
-			clients++
+			clients[s.Name]++
 			if kind[s.Parent] != "iteration" {
 				t.Errorf("trace %s: client span %s (%s) has parent %q of kind %q, want one of the run's iteration spans",
 					id, s.ID, s.Name, s.Parent, kind[s.Parent])
 			}
 		}
-		// No retries and no failover here, so a client span is a request.
-		if clients != requests[id] {
-			t.Errorf("trace %s holds %d client spans; the shards saw %d requests under that ID", id, clients, requests[id])
+		// No retries and no failover here, so a client span is a request,
+		// and the router passes each release to both shards.
+		if n := clients["/v1/jobs/advance"]; n != advances[id] {
+			t.Errorf("trace %s holds %d advance client spans; the shards saw %d advances under that ID", id, n, advances[id])
+		}
+		if n := clients["/v1/jobs/release"]; n == 0 || releases[id] != len(shards)*n {
+			t.Errorf("trace %s holds %d release client spans; the shards saw %d releases under that ID, want %d each",
+				id, n, releases[id], len(shards))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -132,22 +133,65 @@ func (c *pointCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
-	var answer struct {
-		History, Raw struct{ Runs []int }
-	}
-	if json.Unmarshal(body, &answer) == nil {
-		c.hist.Add(sum(answer.History.Runs))
-		c.raw.Add(sum(answer.Raw.Runs))
+	if a, ok := readAnswer(body); ok {
+		c.hist.Add(sum(a.history))
+		c.raw.Add(sum(a.raw))
 	}
 	return resp, nil
 }
 
-func sum(runs []int) int64 {
+func sum(runs []uint32) int64 {
 	n := int64(0)
 	for _, r := range runs {
 		n += int64(r)
 	}
 	return n
+}
+
+// answerRuns is what the fleet's tests read of an advance's 200 answer:
+// its spent and the run lengths of its two column sets.
+type answerRuns struct {
+	spent        uint64
+	history, raw []uint32
+}
+
+// readAnswer reads an advance answer's byte layout (internal/dist/answer.go)
+// as far as the run lengths: the id, from, spent, best and feasible, then
+// per column set its run count, its runs and five columns of values. ok is
+// false unless the body is exactly that long.
+func readAnswer(b []byte) (answerRuns, bool) {
+	le := binary.LittleEndian
+	ok := true
+	skip := func(n uint64) []byte {
+		if n > uint64(len(b)) {
+			ok, b = false, nil
+			return nil
+		}
+		p := b[:n]
+		b = b[n:]
+		return p
+	}
+	u32 := func() uint32 {
+		if p := skip(4); ok {
+			return le.Uint32(p)
+		}
+		return 0
+	}
+	var a answerRuns
+	skip(uint64(u32())) // id
+	skip(8)             // from
+	if p := skip(8); ok {
+		a.spent = le.Uint64(p)
+	}
+	skip(4*8 + 1) // best, feasible
+	for _, runs := range []*[]uint32{&a.history, &a.raw} {
+		k := u32()
+		for i := uint32(0); i < k && ok; i++ {
+			*runs = append(*runs, u32())
+		}
+		skip(5 * 8 * uint64(k))
+	}
+	return a, ok && len(b) == 0
 }
 
 // twinPlatform is the master's platform with every job shadowed by the local

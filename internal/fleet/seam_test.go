@@ -100,19 +100,16 @@ func TestRouterFaultMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var state struct {
-				Spent int `json:"spent"`
-			}
-			decodeErr := json.Unmarshal(answer, &state)
+			ct := resp.Header.Get("Content-Type")
 			if fault.name == "corrupt" {
-				if resp.StatusCode != http.StatusOK || decodeErr == nil {
-					t.Fatalf("corrupt answer not relayed as it came: %d %q", resp.StatusCode, answer)
+				if resp.StatusCode != http.StatusOK || ct != "application/json" || string(answer) != `{"metrics":{"latency_ms":12.` {
+					t.Fatalf("corrupt answer not relayed as it came: %d %s %q", resp.StatusCode, ct, answer)
 				}
 				charged(t, router, 0)
 				return
 			}
-			if resp.StatusCode != http.StatusOK || decodeErr != nil || state.Spent != 2 {
-				t.Fatalf("router answered %d %.80q, want the next shard's state at budget 2", resp.StatusCode, answer)
+			if a, ok := readAnswer(answer); resp.StatusCode != http.StatusOK || ct != "application/octet-stream" || !ok || a.spent != 2 {
+				t.Fatalf("router answered %d %s %.80q, want the next shard's state at budget 2", resp.StatusCode, ct, answer)
 			}
 			charged(t, router, 1)
 			if shards[1].hits.Load() != 1 {
