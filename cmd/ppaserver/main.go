@@ -29,20 +29,16 @@
 //
 // With -span-log every request hop is additionally recorded as distributed-
 // trace spans (shard, engine and replay spans here; queue/forward spans in
-// router mode) to a JSONL file, served back per run via GET /v1/spans?run=
-// and analyzed with unicoreport.
+// router mode) to a JSONL file, one per process; unicoreport reads them
+// all at once.
 //
 // Router mode adds:
 //
 //	GET    /v1/fleet/members            per-shard state, queue depth, jobs
 //	POST   /v1/fleet/drain?shard=<id>   drain one shard (re-hash new work away)
 //	POST   /v1/fleet/undrain?shard=<id> return a drained shard to service
-//	GET    /v1/spans?run=<id>           merged span events (router + every shard)
 //
-// and, with -fleet-metrics:
-//
-//	GET    /metrics/fleet               every shard's /metrics, aggregated + shard-labeled
-//	GET    /debug/unico/fleet           per-shard health timelines (HTML or ?format=json)
+// A router's /metrics is its own; each shard serves its own /metrics.
 //
 // Every request is access-logged with the originating client's run ID (the
 // X-Unico-Run-ID header internal/dist clients attach), so a worker log line
@@ -92,8 +88,6 @@ func main() {
 		"router: per-forwarded-request timeout; must exceed the longest budget installment")
 	virtualNodes := flag.Int("virtual-nodes", fleet.DefaultVirtualNodes,
 		"router: hash-ring virtual nodes per shard")
-	fleetMetrics := flag.Bool("fleet-metrics", false,
-		"router: serve the aggregated GET /metrics/fleet exposition and the GET /debug/unico/fleet health dashboard")
 	shared := cliflags.Register(flag.CommandLine,
 		cliflags.Log|cliflags.SpanLog)
 	flag.Parse()
@@ -149,14 +143,6 @@ func main() {
 	debug := cliflags.DebugMux(nil)
 	mux.Handle("GET /metrics", debug)
 	mux.Handle("GET /debug/", debug)
-	if *fleetMetrics {
-		if router == nil {
-			logger.Error("-fleet-metrics requires router mode (-shards)")
-			os.Exit(1)
-		}
-		mux.Handle("GET /metrics/fleet", router.FleetMetricsHandler())
-		mux.Handle("GET /debug/unico/fleet", router.DebugHandler())
-	}
 
 	srv := &http.Server{
 		Addr:              *addr,

@@ -1,6 +1,6 @@
 // Command unicoreport reads a run's artifacts — its flight record (from
-// -flight-record) and any span logs (from -span-log, or a router's
-// /v1/spans) — into a text summary on stdout and, with -o, one HTML page.
+// -flight-record) and any span logs (from -span-log, one per process) —
+// into a text summary on stdout and, with -o, one HTML page.
 // It also gates CI on trace health and diffs two runs.
 //
 //	unicoreport [-o page.html] [-summary s.json] [-run id] [-gate [-max-orphans n] [-queue-p99 d]] run.jsonl spans*.jsonl

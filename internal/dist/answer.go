@@ -28,7 +28,6 @@ import (
 // A 200 answer's body is this little-endian layout, served as
 // application/octet-stream; a rejected request's answer is a JSON error.
 //
-//	u32 n, then n bytes    id: the job's JobSpec.Key
 //	u64 from, u64 spent    the request's Seen and Budget
 //	4 × f64                best: LatencyMs, PowerMW, AreaMM2, EnergyUJ
 //	u8                     feasible: 0 or 1
@@ -45,8 +44,8 @@ const answerContentType = "application/octet-stream"
 
 // Sizes of the layout's fixed parts.
 const (
-	answerHeadBytes = 4 + 8 + 8 + 4*8 + 1 // id length, from, spent, best, feasible
-	runBytes        = 4 + 5*8             // one run's length and its five values
+	answerHeadBytes = 8 + 8 + 4*8 + 1 // from, spent, best, feasible
+	runBytes        = 4 + 5*8         // one run's length and its five values
 )
 
 // runFields reads a point's five column values, in layout order.
@@ -58,11 +57,11 @@ var runFields = [5]func(ppa.Point) float64{
 	func(p ppa.Point) float64 { return p.M.EnergyUJ },
 }
 
-// packAnswer is the worker's answer for job key, whose searcher s has been
+// packAnswer is the worker's answer for a job whose searcher s has been
 // brought to the request's budget, to a caller that holds its points up to
 // from.
-func packAnswer(key string, from int, s mapsearch.Searcher) []byte {
-	st := JobState{ID: key, Spent: s.Spent(), History: s.History()[from:], Raw: s.RawHistory()[from:]}
+func packAnswer(from int, s mapsearch.Searcher) []byte {
+	st := JobState{Spent: s.Spent(), History: s.History()[from:], Raw: s.RawHistory()[from:]}
 	if met, ok := s.Best(); ok {
 		st.Best, st.Feasible = met, true
 	}
@@ -73,9 +72,7 @@ func packAnswer(key string, from int, s mapsearch.Searcher) []byte {
 // from, in one allocation.
 func encodeAnswer(from int, st JobState) []byte {
 	hist, raw := runStarts(st.History), runStarts(st.Raw)
-	b := make([]byte, 0, answerHeadBytes+len(st.ID)+2*4+(len(hist)+len(raw))*runBytes)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.ID)))
-	b = append(b, st.ID...)
+	b := make([]byte, 0, answerHeadBytes+2*4+(len(hist)+len(raw))*runBytes)
 	b = binary.LittleEndian.AppendUint64(b, uint64(from))
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Spent))
 	for _, v := range [4]float64{st.Best.LatencyMs, st.Best.PowerMW, st.Best.AreaMM2, st.Best.EnergyUJ} {
@@ -174,7 +171,6 @@ func (r *answerReader) f64() float64 { return math.Float64frombits(r.u64()) }
 // body claims.
 func decodeAnswer(body []byte, req AdvanceRequest) (JobState, error) {
 	r := answerReader{b: body}
-	id := r.take(uint64(r.u32()))
 	from, spent := r.u64(), r.u64()
 	best := ppa.Metrics{LatencyMs: r.f64(), PowerMW: r.f64(), AreaMM2: r.f64(), EnergyUJ: r.f64()}
 	feasible := r.take(1)
@@ -199,7 +195,7 @@ func decodeAnswer(body []byte, req AdvanceRequest) (JobState, error) {
 	if len(r.b) != 0 {
 		return JobState{}, fmt.Errorf("%d bytes after the raw columns", len(r.b))
 	}
-	return JobState{ID: string(id), Spent: req.Budget, History: hist, Raw: raw, Best: best, Feasible: feasible[0] == 1}, nil
+	return JobState{Spent: req.Budget, History: hist, Raw: raw, Best: best, Feasible: feasible[0] == 1}, nil
 }
 
 // points reads one column set and expands it into the n points after

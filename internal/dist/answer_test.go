@@ -42,7 +42,7 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 	best := ppa.Metrics{LatencyMs: math.Copysign(0, -1), PowerMW: math.Inf(1), AreaMM2: 0.1 + 0.2, EnergyUJ: 7}
 	for from := 0; from <= len(h); from++ {
 		for to := from; to <= len(h); to++ {
-			sent := JobState{ID: "k", Spent: to, History: h[from:to], Raw: h[from:to], Best: best, Feasible: to%2 == 0}
+			sent := JobState{Spent: to, History: h[from:to], Raw: h[from:to], Best: best, Feasible: to%2 == 0}
 			st, err := decodeAnswer(encodeAnswer(from, sent), AdvanceRequest{Seen: from, Budget: to})
 			if err != nil {
 				t.Fatalf("(%d, %d]: %v", from, to, err)
@@ -51,8 +51,8 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 			if to == from {
 				want = nil
 			}
-			if len(st.History) != len(want) || st.Spent != to || st.ID != "k" || st.Feasible != sent.Feasible {
-				t.Fatalf("(%d, %d]: %d points at %d, id %q, feasible %v", from, to, len(st.History), st.Spent, st.ID, st.Feasible)
+			if len(st.History) != len(want) || st.Spent != to || st.Feasible != sent.Feasible {
+				t.Fatalf("(%d, %d]: %d points at %d, feasible %v", from, to, len(st.History), st.Spent, st.Feasible)
 			}
 			if math.Float64bits(st.Best.LatencyMs) != math.Float64bits(best.LatencyMs) || st.Best.PowerMW != best.PowerMW ||
 				st.Best.AreaMM2 != best.AreaMM2 || st.Best.EnergyUJ != best.EnergyUJ {
@@ -78,9 +78,7 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 // holds values.
 func answerBody(from, spent uint64, feasible byte, runs []uint32, values []float64) []byte {
 	le := binary.LittleEndian
-	b := le.AppendUint32(nil, 1)
-	b = append(b, 'k')
-	b = le.AppendUint64(b, from)
+	b := le.AppendUint64(nil, from)
 	b = le.AppendUint64(b, spent)
 	for range 4 {
 		b = le.AppendUint64(b, math.Float64bits(1))
@@ -115,9 +113,9 @@ func TestAnswerRejected(t *testing.T) {
 	if _, err := decodeAnswer(good, req); err != nil {
 		t.Fatalf("a well-formed answer was rejected: %v", err)
 	}
-	// The first column set starts after the id and the head; its power
-	// column after its count, two runs and two columns of two values.
-	power := answerHeadBytes + 1 + 4 + 2*4 + 2*2*8
+	// The first column set starts after the head; its power column after
+	// its count, two runs and two columns of two values.
+	power := answerHeadBytes + 4 + 2*4 + 2*2*8
 	for name, body := range map[string][]byte{
 		"from not seen":    answerBody(0, 5, 1, []uint32{5}, []float64{1}),
 		"from past budget": answerBody(1<<63, 5, 1, []uint32{1}, []float64{1}),
@@ -132,8 +130,7 @@ func TestAnswerRejected(t *testing.T) {
 		"more runs":        answerBody(2, 5, 1, []uint32{1, 1, 1, 1}, []float64{1, 2, 3, 4}),
 		"truncated":        good[:len(good)-1],
 		"trailing":         append(append([]byte(nil), good...), 0),
-		"id past the end":  append(binary.LittleEndian.AppendUint32(nil, 1<<31), good[4:]...),
-		"json":             []byte(`{"id":"k","from":2,"spent":5,"feasible":true}`),
+		"json":             []byte(`{"from":2,"spent":5,"feasible":true}`),
 		"empty":            nil,
 	} {
 		if st, err := decodeAnswer(body, req); err == nil || !reflect.DeepEqual(st, JobState{}) {
@@ -143,7 +140,7 @@ func TestAnswerRejected(t *testing.T) {
 
 	// A run count the body cannot hold is refused before its runs are read.
 	huge := answerBody(0, 40, 1, []uint32{1}, []float64{1})
-	binary.LittleEndian.PutUint32(huge[answerHeadBytes+1:], 1_000_000_000)
+	binary.LittleEndian.PutUint32(huge[answerHeadBytes:], 1_000_000_000)
 	for name, body := range map[string][]byte{"billion-point run": answerBody(0, 40, 1, []uint32{1_000_000_000}, []float64{1}), "billion runs": huge} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -164,15 +161,15 @@ func TestAnswerRejected(t *testing.T) {
 func FuzzAdvanceAnswer(f *testing.F) {
 	good := answerBody(2, 5, 1, []uint32{1, 2}, []float64{1, 2})
 	f.Add(2, 5, good)
-	f.Add(2, 5, encodeAnswer(2, JobState{ID: "k", Spent: 5, History: answerHistory()[2:5], Raw: answerHistory()[2:5]}))
+	f.Add(2, 5, encodeAnswer(2, JobState{Spent: 5, History: answerHistory()[2:5], Raw: answerHistory()[2:5]}))
 	f.Add(2, 5, good[:len(good)-3])
-	f.Add(2, 5, cut(good, answerHeadBytes+1+4+2*4+2*2*8, 8))
+	f.Add(2, 5, cut(good, answerHeadBytes+4+2*4+2*2*8, 8))
 	f.Add(0, 40, answerBody(0, 40, 1, []uint32{1_000_000_000}, []float64{1}))
 	claims := answerBody(0, 40, 1, []uint32{40}, []float64{1})
-	binary.LittleEndian.PutUint32(claims[answerHeadBytes+1:], 30) // 30 runs in a body holding one
+	binary.LittleEndian.PutUint32(claims[answerHeadBytes:], 30) // 30 runs in a body holding one
 	f.Add(0, 40, claims)
 	f.Add(2, 5, append(append([]byte(nil), good...), 1, 2, 3))
-	f.Add(0, 5, []byte(`{"id":"k","spent":5,"history":[{"Budget":1,"Loss":1,"M":{}}],"feasible":true}`))
+	f.Add(0, 5, []byte(`{"spent":5,"history":[{"Budget":1,"Loss":1,"M":{}}],"feasible":true}`))
 	f.Fuzz(func(t *testing.T, seen, budget int, body []byte) {
 		if seen < 0 || seen > budget || budget > 1000 {
 			t.Skip("the master asks for 0 <= seen <= budget")

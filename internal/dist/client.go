@@ -241,9 +241,9 @@ func readBody(r io.Reader, length int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// Exchange makes one round trip to the peer — any /v1 route, or /metrics —
-// and returns the answer unjudged: the fleet router relays it, probes and
-// scrapes interpret the status themselves. An error means there is no usable
+// Exchange makes one round trip to the peer — any /v1 route — and returns
+// the answer unjudged: the fleet router relays it, probes interpret the
+// status themselves. An error means there is no usable
 // answer (transport failure, ctx ended, or a body past MaxBodyBytes).
 func (c *Client) Exchange(ctx context.Context, method, path string, body []byte) (Reply, error) {
 	var rep Reply

@@ -190,7 +190,7 @@ func TestJobLifecycle(t *testing.T) {
 	// answers reports whether st carries exactly the points in (seen, budget]
 	// of the job's own search.
 	answers := func(st JobState, seen, budget int) bool {
-		return st.ID == spec.Key() && st.Spent == budget &&
+		return st.Spent == budget &&
 			reflect.DeepEqual(st.History, local.History()[seen:budget]) &&
 			reflect.DeepEqual(st.Raw, local.RawHistory()[seen:budget])
 	}
@@ -327,11 +327,11 @@ func TestJobDelete(t *testing.T) {
 	c := NewClient(srv.URL, srv.Client())
 	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {
-		st, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: testSpec(seed), Budget: 1})
-		if err != nil {
+		spec := testSpec(seed)
+		if _, err := c.AdvanceJobContext(context.Background(), AdvanceRequest{Spec: spec, Budget: 1}); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, st.ID)
+		ids = append(ids, spec.Key())
 	}
 	if err := c.ReleaseJobsContext(context.Background(), ids[:2]); err != nil {
 		t.Fatal(err)
@@ -539,7 +539,6 @@ func TestAdvanceAlgoContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %q: %v", tc.platform, tc.algo, err)
 		}
-		st.ID = "" // the key covers the algo as sent
 		want, ok := named[tc.platform]
 		if !ok {
 			named[tc.platform] = st
@@ -698,5 +697,32 @@ func TestConcurrentJobsShareAPlatform(t *testing.T) {
 		if got[i] != got[0] {
 			t.Errorf("job %d built over another platform than job 0", i)
 		}
+	}
+}
+
+// TestRouteLabel: a worker route keeps its path as its metric label, and so
+// does an extra route a router names; any other path — a route this
+// protocol does not have, or a scanner's probe — folds into "other", so the
+// label set stays bounded.
+func TestRouteLabel(t *testing.T) {
+	label := RouteLabel("/v1/fleet/members")
+	for path, want := range map[string]string{
+		"/v1/ppa":           "/v1/ppa",
+		"/v1/jobs/advance":  "/v1/jobs/advance",
+		"/v1/jobs/release":  "/v1/jobs/release",
+		"/v1/healthz":       "/v1/healthz",
+		"/v1/drain":         "/v1/drain",
+		"/v1/undrain":       "/v1/undrain",
+		"/v1/fleet/members": "/v1/fleet/members",
+		"/v1/spans":         "other",
+		"/metrics/fleet":    "other",
+		"/wp-login.php":     "other",
+	} {
+		if got := label(httptest.NewRequest(http.MethodGet, path, nil)); got != want {
+			t.Errorf("%s labeled %q, want %q", path, got, want)
+		}
+	}
+	if got := RouteLabel()(httptest.NewRequest(http.MethodGet, "/v1/fleet/members", nil)); got != "other" {
+		t.Errorf("a worker labels the router's /v1/fleet/members %q, want other", got)
 	}
 }

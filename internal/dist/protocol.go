@@ -136,10 +136,8 @@ type AdvanceRequest struct {
 
 // JobState is an advance's answer as the master reads it: the
 // mapsearch.Searcher accessors at Spent, except that History and Raw hold
-// only the points after the request's Seen, each with its budget. ID is the
-// job's JobSpec.Key, the name POST /v1/jobs/release releases it by.
+// only the points after the request's Seen, each with its budget.
 type JobState struct {
-	ID       string
 	Spent    int
 	History  ppa.History
 	Raw      ppa.History

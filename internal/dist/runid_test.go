@@ -47,11 +47,10 @@ func TestClientPropagatesRunID(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.AdvanceJobContext(ctx, AdvanceRequest{Spec: testSpec(1), Budget: 1})
-	if err != nil {
+	if _, err := c.AdvanceJobContext(ctx, AdvanceRequest{Spec: testSpec(1), Budget: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_ = c.ReleaseJobsContext(ctx, []string{st.ID})
+	_ = c.ReleaseJobsContext(ctx, []string{testSpec(1).Key()})
 	// The same client under another run's context sends that run's ID.
 	const other = "testrun02"
 	if _, err := c.AdvanceJobContext(runid.With(ctx, other), AdvanceRequest{Spec: testSpec(2), Budget: 1}); err != nil {

@@ -119,11 +119,11 @@ func FuzzClientResponse(f *testing.F) {
 	packed := answerBody(0, 1, 1, []uint32{1}, []float64{1.5})
 	f.Add(200, "", packed)
 	f.Add(200, "", packed[:len(packed)-5])
-	f.Add(200, "", cut(packed, answerHeadBytes+1+4+4+2*8, 8))
+	f.Add(200, "", cut(packed, answerHeadBytes+4+4+2*8, 8))
 	f.Add(200, "", answerBody(0, 1, 1, []uint32{2}, []float64{1.5}))
-	f.Add(200, "", append(binary.LittleEndian.AppendUint32(nil, 1<<20), packed[4:]...))
+	f.Add(200, "", answerBody(1, 1, 1, nil, nil)) // from not the request's seen
 	claims := answerBody(0, 1, 1, nil, nil)
-	binary.LittleEndian.PutUint32(claims[answerHeadBytes+1:], 1) // a run the body does not hold
+	binary.LittleEndian.PutUint32(claims[answerHeadBytes:], 1) // a run the body does not hold
 	f.Add(200, "", claims)
 	f.Add(200, "", append(append([]byte(nil), packed...), 0))
 	f.Add(400, "", []byte(`{"error":"seen 3 outside [0, budget 1]"}`))

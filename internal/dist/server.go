@@ -81,13 +81,11 @@ func NewServerWith(spatial mapsearch.SpatialEngine, ascend mapsearch.AscendEngin
 //	GET    /v1/healthz      liveness probe (status "ok" or "draining")
 //	POST   /v1/drain        start draining: finish in-flight jobs, refuse new work
 //	POST   /v1/undrain      return to normal service
-//	GET    /v1/spans        span-log events for one run (disttrace collector)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ppa", s.handlePPA)
 	mux.HandleFunc("POST /v1/jobs/advance", s.handleAdvance)
 	mux.HandleFunc("POST /v1/jobs/release", s.handleRelease)
-	mux.Handle("GET /v1/spans", disttrace.SpansHandler())
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, s.health())
 	})
@@ -113,7 +111,7 @@ func (s *Server) Handler() http.Handler {
 // endpoints) folds into "other", so the label set stays bounded no matter
 // what paths a scanner probes.
 func RouteLabel(extra ...string) func(*http.Request) string {
-	known := append([]string{"/v1/ppa", "/v1/jobs/advance", "/v1/jobs/release", "/v1/healthz", "/v1/drain", "/v1/undrain", "/v1/spans"}, extra...)
+	known := append([]string{"/v1/ppa", "/v1/jobs/advance", "/v1/jobs/release", "/v1/healthz", "/v1/drain", "/v1/undrain"}, extra...)
 	return func(r *http.Request) string {
 		if slices.Contains(known, r.URL.Path) {
 			return r.URL.Path
@@ -443,7 +441,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if spend > 0 {
 		job.searcher.Advance(spend)
 	}
-	answer := packAnswer(key, req.Seen, job.searcher)
+	answer := packAnswer(req.Seen, job.searcher)
 	eng.End("ok", map[string]string{"budget": strconv.Itoa(spend)})
 	replay.End("ok", map[string]string{"seen": strconv.Itoa(req.Seen)})
 	sp.End("ok", nil)

@@ -35,7 +35,7 @@ func ParseEvents(rd io.Reader) ([]Event, int, error) {
 }
 
 // LoadFiles merges span events from several JSONL logs (e.g. one per fleet
-// process, plus a router's /v1/spans pull) by parsing them as one stream:
+// process) by parsing them as one stream:
 // a (span, ev) pair repeated anywhere keeps its first occurrence, and every
 // dropped line counts as skipped.
 func LoadFiles(paths ...string) ([]Event, int, error) {

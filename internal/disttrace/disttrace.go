@@ -29,10 +29,10 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,39 +96,31 @@ type Event struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// maxStoredTraces bounds the in-memory event store serving /v1/spans; the
-// oldest trace is evicted when a new one would exceed it.
-const maxStoredTraces = 8
-
 // Recorder appends span events to a JSONL log (a durable.Log in Lines
-// framing: one write and one fsync per event) and keeps a bounded in-memory
-// copy per trace for the /v1/spans endpoint. A nil Recorder is a valid no-op.
+// framing: one write and one fsync per event) and keeps nothing else: the
+// log is the only copy, read back by LoadFiles. A nil Recorder is a valid
+// no-op.
 type Recorder struct {
 	proc   string
 	prefix string
 	seq    atomic.Uint64
-	log    *durable.Log // nil for a memory-only recorder
-
-	mu      sync.Mutex // guards the in-memory store
-	byTrace map[string][]Event
-	order   []string // trace IDs, oldest first, for eviction
+	log    *durable.Log
 }
 
 // NewRecorder opens (appending) a span log at path for a process labeled
-// proc ("client", "router", "shard", "loadgen"). An empty path yields a
-// memory-only recorder, useful for in-process tests and pure serving.
+// proc ("client", "router", "shard", "loadgen"). An empty path is an error:
+// a recorder is its log.
 func NewRecorder(path, proc string) (*Recorder, error) { return newRecorder(durable.OS{}, path, proc) }
 
 func newRecorder(fsys durable.FS, path, proc string) (*Recorder, error) {
-	r := &Recorder{proc: proc, prefix: mintPrefix(), byTrace: map[string][]Event{}}
-	if path != "" {
-		log, err := durable.OpenLog(fsys, path, durable.Lines, false)
-		if err != nil {
-			return nil, fmt.Errorf("disttrace: open span log: %w", err)
-		}
-		r.log = log
+	if path == "" {
+		return nil, errors.New("disttrace: no span log path")
 	}
-	return r, nil
+	log, err := durable.OpenLog(fsys, path, durable.Lines, false)
+	if err != nil {
+		return nil, fmt.Errorf("disttrace: open span log: %w", err)
+	}
+	return &Recorder{proc: proc, prefix: mintPrefix(), log: log}, nil
 }
 
 func mintPrefix() string {
@@ -149,44 +141,18 @@ func (r *Recorder) mintID() string {
 // Close closes the underlying span log, reporting the first write error
 // the recorder latched, if any.
 func (r *Recorder) Close() error {
-	if r == nil || r.log == nil {
+	if r == nil {
 		return nil
 	}
 	return r.log.Close()
 }
 
-// emit appends one event to the in-memory store and, when file-backed,
-// makes the JSONL line durable before returning. The fsync-per-event cost is
-// the price of the no-orphans guarantee under kill -9. A write failure
-// disables the log (it latches the error and refuses later appends) but not
-// the in-memory store; Close reports it.
+// emit makes one event's JSONL line durable before returning. The
+// fsync-per-event cost is the price of the no-orphans guarantee under
+// kill -9. A write failure disables the log (it latches the error and
+// refuses later appends); Close reports it.
 func (r *Recorder) emit(ev Event) {
-	r.mu.Lock()
-	if _, ok := r.byTrace[ev.Trace]; !ok {
-		if len(r.order) >= maxStoredTraces {
-			delete(r.byTrace, r.order[0])
-			r.order = r.order[1:]
-		}
-		r.order = append(r.order, ev.Trace)
-	}
-	r.byTrace[ev.Trace] = append(r.byTrace[ev.Trace], ev)
-	r.mu.Unlock()
-	if r.log != nil {
-		_ = r.log.AppendJSON(ev) // a failure is latched in the log and surfaced by Close
-	}
-}
-
-// Events returns a copy of the stored events for one trace.
-func (r *Recorder) Events(trace string) []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	evs := r.byTrace[trace]
-	out := make([]Event, len(evs))
-	copy(out, evs)
-	return out
+	_ = r.log.AppendJSON(ev) // a failure is latched in the log and surfaced by Close
 }
 
 // Span is a live span handle. A nil *Span is valid and inert, so callers

@@ -3,7 +3,6 @@ package disttrace
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +45,14 @@ func TestDisabledTracingIsInert(t *testing.T) {
 	it.End("ok", nil)
 	if it != nil || ictx != ctx || Parent(ictx).Valid() {
 		t.Errorf("BeginIteration with tracing disabled = %v, parent %+v; want the ctx unchanged and a nil span", it, Parent(ictx))
+	}
+}
+
+// TestRecorderNeedsALog: a recorder keeps no events but its log's, so one
+// without a log path is refused rather than recording nothing.
+func TestRecorderNeedsALog(t *testing.T) {
+	if r, err := NewRecorder("", "client"); err == nil || r != nil {
+		t.Fatalf("NewRecorder without a path = %v, %v; want an error", r, err)
 	}
 }
 
@@ -245,7 +252,7 @@ func TestInjectExtractRoundTrip(t *testing.T) {
 }
 
 func TestIterationSpanIDsDeterministic(t *testing.T) {
-	enable(t, "", "client")
+	enable(t, filepath.Join(t.TempDir(), "spans.jsonl"), "client")
 	ctx := runid.With(context.Background(), "run-det")
 	run := BeginRun()
 	ictx, it := BeginIteration(ctx, run, 4)
@@ -269,44 +276,6 @@ func TestIterationSpanIDsDeterministic(t *testing.T) {
 	}
 	if _, it := BeginIteration(context.Background(), run, 5); it != nil {
 		t.Fatalf("BeginIteration without a run ID opened %+v", it.Context())
-	}
-}
-
-func TestSpansHandlerServesJSONL(t *testing.T) {
-	rec := enable(t, "", "shard")
-	s := rec.StartSpan("run-h", SpanContext{}, "shard", "/v1/ppa")
-	s.End("ok", nil)
-	srv := httptest.NewServer(SpansHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/spans?run=run-h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	events, skipped, err := ParseEvents(resp.Body)
-	if err != nil || skipped != 0 {
-		t.Fatalf("parse: %v, %d skipped", err, skipped)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
-	}
-	// Unknown runs and disabled tracing answer 200 with an empty body.
-	resp2, err := http.Get(srv.URL + "/v1/spans?run=unknown")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if events, _, _ := ParseEvents(resp2.Body); len(events) != 0 {
-		t.Fatalf("unknown run returned %d events", len(events))
-	}
-	// Missing the run parameter is the one client error.
-	resp3, err := http.Get(srv.URL + "/v1/spans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing run = %d, want 400", resp3.StatusCode)
 	}
 }
 

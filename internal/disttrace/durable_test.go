@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"unico/internal/durable/faultfs"
 )
@@ -14,28 +15,43 @@ import (
 // the log's latched error was nil is in the log, every event in the log is one that was
 // emitted (whole), the log never holds an orphan, and the failure is
 // reported by NewRecorder, the log's latched error or Close.
+//
+// The oracle is the test's own record of each event it caused: every field
+// the span calls determine, and for t_us the wall-clock window the call ran
+// in, since the recorder reads the clock itself.
 func TestFaultMatrix(t *testing.T) {
+	type emitted struct {
+		ev     Event // TimeUS left zero
+		lo, hi int64 // the window TimeUS must fall in
+	}
 	faultfs.Matrix(t, func(t *testing.T, fsys *faultfs.FS, fault faultfs.Op) {
 		path := filepath.Join(t.TempDir(), "spans.jsonl")
 		r, err := newRecorder(fsys, path, "client")
 		if err != nil {
 			return // surfaced: the caller never gets a recorder
 		}
+		var oracle []emitted
 		acked := 0 // events emitted before the first failure
-		note := func() {
+		record := func(ev Event, lo int64) {
+			oracle = append(oracle, emitted{ev, lo, time.Now().UnixMicro()})
 			if r.log.Err() == nil {
 				acked++
 			}
 		}
-		p := r.StartSpan("run-1", SpanContext{}, "client", "/v1/ppa")
-		note()
-		c := r.StartSpan("", p.Context(), "attempt", "/v1/ppa")
-		note()
-		g := r.StartSpan("", c.Context(), "shard", "/v1/ppa")
-		note()
+		start := func(trace string, parent *Span, kind string) *Span {
+			lo := time.Now().UnixMicro()
+			s := r.StartSpan(trace, parent.Context(), kind, "/v1/ppa")
+			record(Event{Ev: "start", Trace: "run-1", Span: s.Context().Span, Parent: parent.Context().Span,
+				Kind: kind, Name: "/v1/ppa", Proc: "client"}, lo)
+			return s
+		}
+		p := start("run-1", nil, "client")
+		c := start("", p, "attempt")
+		g := start("", c, "shard")
 		for _, s := range []*Span{g, c, p} {
+			lo := time.Now().UnixMicro()
 			s.End("ok", map[string]string{"k": "v"})
-			note()
+			record(Event{Ev: "end", Trace: "run-1", Span: s.Context().Span, Status: "ok", Attrs: map[string]string{"k": "v"}}, lo)
 		}
 		failed := r.log.Err() != nil
 		if r.Close() != nil {
@@ -45,17 +61,19 @@ func TestFaultMatrix(t *testing.T) {
 			t.Errorf("fault %q: surfaced an error = %v, want %v", fault, failed, want)
 		}
 
-		emitted := r.Events("run-1")
 		logged, _, err := LoadFiles(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(logged) < acked {
-			t.Fatalf("%d events acknowledged, %d in the log", acked, len(logged))
+		if len(logged) < acked || len(logged) > len(oracle) {
+			t.Fatalf("%d events acknowledged of %d emitted, %d in the log", acked, len(oracle), len(logged))
 		}
 		for i, ev := range logged {
-			if !reflect.DeepEqual(ev, emitted[i]) {
-				t.Errorf("log event %d = %+v, emitted %+v", i, ev, emitted[i])
+			want := oracle[i]
+			at := ev.TimeUS
+			ev.TimeUS = 0
+			if !reflect.DeepEqual(ev, want.ev) || at < want.lo || at > want.hi {
+				t.Errorf("log event %d = %+v at %d, emitted %+v in [%d, %d]", i, ev, at, want.ev, want.lo, want.hi)
 			}
 		}
 		for _, tr := range BuildTraces(logged) {

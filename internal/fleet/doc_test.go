@@ -31,12 +31,6 @@ func hopTable() string {
 			fmt.Sprintf("`fleet.Options.ProbeTimeout`, default %v (every %v)", DefaultProbeTimeout, DefaultProbeInterval),
 			limit,
 			"anything but a decodable `200` is a failure charged like a failed forward"},
-		{"router span pull → shard: `GET /v1/spans?run=`",
-			"probe timeout", limit,
-			"the member is skipped; its spans surface as incomplete chains"},
-		{"router metrics scrape → shard: `GET /metrics`",
-			"probe timeout", limit,
-			"the member is skipped and `unico_fleet_scrape_ok{shard}` says 0"},
 		{"`unicoload` → worker or router: `POST /v1/ppa`",
 			fmt.Sprintf("`-timeout`, default %v", dist.DefaultTimeout),
 			limit,

@@ -144,65 +144,20 @@ type member struct {
 	id      string       // base URL, e.g. "http://127.0.0.1:19301"
 	points  []uint64     // its virtual-node ring coordinates (precomputed)
 	forward *dist.Client // forwards; bounded by ForwardTimeout
-	probe   *dist.Client // health probes, span pulls, scrapes; bounded by ProbeTimeout
+	probe   *dist.Client // health probes; bounded by ProbeTimeout
 	adm     *admission
 
 	// Guarded by Router.mu (state participates in ring membership).
 	state       shardState
 	consecFails int
-	jobs        int          // jobs the shard reported holding at its last answered probe
-	timeline    []ProbeEvent // ring buffer of recent probe outcomes
+	jobs        int // jobs the shard reported holding at its last answered probe
 }
 
-// maxTimelineEvents bounds each member's health timeline; at the default
-// 2-second probe cadence this is roughly the last eight minutes.
-const maxTimelineEvents = 256
-
-// ProbeEvent is one health-probe outcome on a member's timeline.
-type ProbeEvent struct {
-	UnixMS int64  `json:"unix_ms"`
-	OK     bool   `json:"ok"`
-	State  string `json:"state"` // state after the probe was applied
-}
-
-// ShardTimeline is one member's recent health history.
-type ShardTimeline struct {
-	ID     string       `json:"id"`
-	State  string       `json:"state"`
-	Events []ProbeEvent `json:"events"`
-}
-
-// recordProbe appends one probe outcome to m's timeline and, when the shard
-// answered, keeps the job count it reported.
-func (r *Router) recordProbe(m *member, ok bool, jobs int) {
+// recordJobs keeps the job count m reported at an answered probe.
+func (r *Router) recordJobs(m *member, jobs int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ok {
-		m.jobs = jobs
-	}
-	m.timeline = append(m.timeline, ProbeEvent{
-		//unicolint:allow detclock health timelines are wall-clock observability, not search state
-		UnixMS: time.Now().UnixMilli(),
-		OK:     ok,
-		State:  m.state.String(),
-	})
-	if len(m.timeline) > maxTimelineEvents {
-		m.timeline = m.timeline[len(m.timeline)-maxTimelineEvents:]
-	}
-}
-
-// Timelines snapshots every member's health timeline in configuration
-// order (the /debug/unico/fleet data source).
-func (r *Router) Timelines() []ShardTimeline {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ShardTimeline, len(r.members))
-	for i, m := range r.members {
-		events := make([]ProbeEvent, len(m.timeline))
-		copy(events, m.timeline)
-		out[i] = ShardTimeline{ID: m.id, State: m.state.String(), Events: events}
-	}
-	return out
+	m.jobs = jobs
 }
 
 // Router is the fleet coordinator. Create with NewRouter; serve its

@@ -36,7 +36,6 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/undrain", func(w http.ResponseWriter, req *http.Request) {
 		r.handleDrain(w, req, false)
 	})
-	mux.HandleFunc("GET /v1/spans", r.handleSpans)
 	return telemetry.InstrumentHandler(telemetry.DefaultRegistry,
 		dist.RouteLabel("/v1/fleet/members", "/v1/fleet/drain", "/v1/fleet/undrain"), mux)
 }

@@ -46,9 +46,9 @@ func (r *Router) ProbeAll(ctx context.Context) {
 			r.noteSuccess(m)
 			r.setState(m, shardActive)
 		}
-		// Record after the state machine has applied the result, so the
-		// timeline shows the state each probe left the shard in.
-		r.recordProbe(m, err == nil, h.Jobs)
+		if err == nil {
+			r.recordJobs(m, h.Jobs)
+		}
 	}
 }
 

@@ -2,16 +2,11 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,222 +231,6 @@ func TestFleetTraceChainCompleteUnderChaos(t *testing.T) {
 	}
 	t.Logf("trace %s: %d spans, %d evals (%d complete chains), kinds %v",
 		s.Trace, s.Spans, s.Evals, s.CompleteChains, s.SpansByKind)
-}
-
-// TestHandleSpansMergesShardSpans: the router's /v1/spans collector merges
-// its own events with every member's pull into one deduplicated JSONL
-// stream (in-process, all components share one recorder, so the dedup path
-// is exactly what's exercised).
-func TestHandleSpansMergesShardSpans(t *testing.T) {
-	enableTrace(t, filepath.Join(t.TempDir(), "spans.jsonl"))
-	_, rsrv, _ := newTestFleet(t, 2, Options{}, nil)
-
-	const run = "merge-run"
-	parent := disttrace.StartSpan(run, disttrace.SpanContext{}, "client", "/v1/ppa")
-	child := disttrace.StartSpan("", parent.Context(), "attempt", "/v1/ppa")
-	child.End("ok", nil)
-	parent.End("ok", nil)
-
-	resp, err := http.Get(rsrv.URL + "/v1/spans?run=" + run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/spans status %d", resp.StatusCode)
-	}
-	events, _, err := disttrace.ParseEvents(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Router + 2 members all hold the same process-wide recorder; the merged
-	// stream must collapse the three copies into the 4 unique events.
-	if len(events) != 4 {
-		t.Fatalf("merged stream has %d unique events, want 4", len(events))
-	}
-	traces := disttrace.BuildTraces(events)
-	if len(traces) != 1 || len(traces[0].Orphans) != 0 || disttrace.Analyze(traces[0]).Summary.IncompleteSpans != 0 {
-		t.Fatalf("merged trace unhealthy: %+v", traces)
-	}
-
-	// Missing run parameter is a client error.
-	bad, err := http.Get(rsrv.URL + "/v1/spans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, bad.Body)
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("GET /v1/spans without run = %d, want 400", bad.StatusCode)
-	}
-}
-
-// TestHandleSpansEscapesRunID: a run ID is free text (Config.RunID), so the
-// pull from each shard must carry it query-escaped. Unescaped, "a b&c=d"
-// either fails to build the request or asks the shards for run "a b", and the
-// merged view silently loses their spans.
-func TestHandleSpansEscapesRunID(t *testing.T) {
-	const run = "a b&c=d"
-	var shardN atomic.Int32
-	_, rsrv, _ := newTestFleet(t, 2, Options{}, func() http.Handler {
-		span := fmt.Sprintf("shard%d-1", shardN.Add(1))
-		worker := dist.NewServer().Handler()
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/v1/spans" {
-				worker.ServeHTTP(w, r)
-				return
-			}
-			if r.URL.Query().Get("run") == run {
-				_ = json.NewEncoder(w).Encode(disttrace.Event{Ev: "start", Trace: run, Span: span, Kind: "shard"})
-			}
-		})
-	})
-
-	resp, err := http.Get(rsrv.URL + "/v1/spans?run=" + url.QueryEscape(run))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	events, _, err := disttrace.ParseEvents(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, ev := range events {
-		got[ev.Span] = ev.Trace == run
-	}
-	if len(events) != 2 || !got["shard1-1"] || !got["shard2-1"] {
-		t.Errorf("merged stream for run %q = %+v, want one event from each shard", run, events)
-	}
-}
-
-// TestFleetMetricsAggregatesAndRelabels: /metrics/fleet regroups each
-// member's exposition by family, injects shard labels, and reports scrape
-// health per member.
-func TestFleetMetricsAggregatesAndRelabels(t *testing.T) {
-	mk := func() http.Handler {
-		mux := http.NewServeMux()
-		mux.Handle("/", dist.NewServer().Handler())
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, "# HELP unico_http_requests_total Total HTTP requests.\n"+
-				"# TYPE unico_http_requests_total counter\n"+
-				"unico_http_requests_total{route=\"/v1/ppa\"} 3\n"+
-				"# HELP unico_evals_inflight Evaluations in flight.\n"+
-				"# TYPE unico_evals_inflight gauge\n"+
-				"unico_evals_inflight 1\n")
-		})
-		return mux
-	}
-	router, _, shards := newTestFleet(t, 2, Options{FailAfter: 1}, mk)
-
-	srv := httptest.NewServer(router.FleetMetricsHandler())
-	t.Cleanup(srv.Close)
-	get := func() string {
-		resp, err := http.Get(srv.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	body := get()
-	// Each family appears exactly once, with both shards' relabeled series.
-	if n := strings.Count(body, "# TYPE unico_http_requests_total counter"); n != 1 {
-		t.Errorf("family header appears %d times, want 1\n%s", n, body)
-	}
-	for _, sh := range shards {
-		labeled := fmt.Sprintf("unico_http_requests_total{shard=%q,route=\"/v1/ppa\"} 3", sh.url)
-		if !strings.Contains(body, labeled) {
-			t.Errorf("missing relabeled series %q in:\n%s", labeled, body)
-		}
-		bare := fmt.Sprintf("unico_evals_inflight{shard=%q} 1", sh.url)
-		if !strings.Contains(body, bare) {
-			t.Errorf("missing label-injected series %q in:\n%s", bare, body)
-		}
-		if ok := fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} 1", sh.url); !strings.Contains(body, ok) {
-			t.Errorf("missing %q in:\n%s", ok, body)
-		}
-	}
-
-	// A dead shard degrades to scrape_ok 0; the survivor's series remain.
-	shards[1].inj.SetDown(true)
-	body = get()
-	if down := fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} 0", shards[1].url); !strings.Contains(body, down) {
-		t.Errorf("dead shard not reported: want %q in:\n%s", down, body)
-	}
-	if up := fmt.Sprintf("unico_fleet_scrape_ok{shard=%q} 1", shards[0].url); !strings.Contains(body, up) {
-		t.Errorf("live shard not reported: want %q in:\n%s", up, body)
-	}
-}
-
-func TestRelabel(t *testing.T) {
-	cases := []struct{ line, want string }{
-		{`unico_x_total{route="/v1/ppa"} 3`, `unico_x_total{shard="s1",route="/v1/ppa"} 3`},
-		{`unico_x_total{} 3`, `unico_x_total{shard="s1"} 3`},
-		{`unico_x_total 3`, `unico_x_total{shard="s1"} 3`},
-		// A '{' after the value must not be mistaken for a label set.
-		{`unico_x_total 3 # {trace}`, `unico_x_total{shard="s1"} 3 # {trace}`},
-	}
-	for _, c := range cases {
-		if got := relabel(c.line, "s1"); got != c.want {
-			t.Errorf("relabel(%q) = %q, want %q", c.line, got, c.want)
-		}
-	}
-}
-
-// TestTimelinesRecordProbeHistory: every ProbeAll appends one event per
-// shard, bounded, reflecting the state the probe left the shard in — and
-// the debug page serves them.
-func TestTimelinesRecordProbeHistory(t *testing.T) {
-	router, _, shards := newTestFleet(t, 2, Options{FailAfter: 1}, nil)
-	router.ProbeAll(context.Background())
-	shards[1].inj.SetDown(true)
-	router.ProbeAll(context.Background())
-
-	tls := router.Timelines()
-	if len(tls) != 2 {
-		t.Fatalf("%d timelines, want 2", len(tls))
-	}
-	for i, tl := range tls {
-		if tl.ID != shards[i].url {
-			t.Errorf("timeline %d is for %s, want config order %s", i, tl.ID, shards[i].url)
-		}
-		if len(tl.Events) != 2 {
-			t.Fatalf("shard %d has %d probe events, want 2", i, len(tl.Events))
-		}
-	}
-	if ev := tls[0].Events[1]; !ev.OK || ev.State != "active" {
-		t.Errorf("healthy shard's last probe = %+v, want ok/active", ev)
-	}
-	if ev := tls[1].Events[1]; ev.OK || ev.State != "down" {
-		t.Errorf("killed shard's last probe = %+v, want failed/down", ev)
-	}
-
-	dsrv := httptest.NewServer(router.DebugHandler())
-	t.Cleanup(dsrv.Close)
-	resp, err := http.Get(dsrv.URL + "?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), `"state":"down"`) {
-		t.Errorf("debug JSON missing down shard: %s", body)
-	}
-	hresp, err := http.Get(dsrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	hbody, _ := io.ReadAll(hresp.Body)
-	if !strings.Contains(string(hbody), "Fleet health") || !strings.Contains(string(hbody), `class="fail"`) {
-		t.Errorf("debug HTML missing health table or failed-probe marker")
-	}
 }
 
 // requestsByRun counts the requests on path the shards saw, by run ID.

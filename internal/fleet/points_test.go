@@ -156,7 +156,7 @@ type answerRuns struct {
 }
 
 // readAnswer reads an advance answer's byte layout (internal/dist/answer.go)
-// as far as the run lengths: the id, from, spent, best and feasible, then
+// as far as the run lengths: from, spent, best and feasible, then
 // per column set its run count, its runs and five columns of values. ok is
 // false unless the body is exactly that long.
 func readAnswer(b []byte) (answerRuns, bool) {
@@ -178,8 +178,7 @@ func readAnswer(b []byte) (answerRuns, bool) {
 		return 0
 	}
 	var a answerRuns
-	skip(uint64(u32())) // id
-	skip(8)             // from
+	skip(8) // from
 	if p := skip(8); ok {
 		a.spent = le.Uint64(p)
 	}

@@ -66,8 +66,6 @@ var (
 		"Mapping-search jobs a worker built for a caller that had already seen budget spent on them (the holder was lost) and replayed to that budget.", nil)
 	fleetProbeSeconds = DefaultRegistry.Histogram("unico_fleet_health_probe_seconds",
 		"Fleet health-probe round-trip latency.", fleetProbeBuckets, nil)
-	traceOrphans = DefaultRegistry.Counter("unico_trace_orphans_total",
-		"Orphan spans detected at router-side trace merges.", nil)
 )
 
 // MapSearchSteps counts software-mapping layer search steps.
@@ -154,7 +152,7 @@ func DistWorkerReadmissions() *Counter { return distWorkerReadmissions }
 func DistLostEvals() *Counter { return distLostEvals }
 
 // DistBytesSent counts the request body bytes of every dist exchange this
-// process makes (master, router, prober, scraper alike).
+// process makes (master, router and prober alike).
 func DistBytesSent() *Counter { return distBytesSent }
 
 // DistBytesReceived counts the response body bytes every dist exchange of
@@ -188,13 +186,6 @@ func FleetReplays() *Counter { return fleetReplays }
 
 // FleetProbeSeconds observes health-probe round-trip latency.
 func FleetProbeSeconds() *Histogram { return fleetProbeSeconds }
-
-// TraceOrphans counts orphan spans — spans naming a parent absent from the
-// merged trace — detected when the fleet router merges member span logs. The
-// tracing write discipline (a parent's start record is fsynced before any
-// child starts) makes this zero even through shard kill -9; nonzero means a
-// span log was lost or truncated.
-func TraceOrphans() *Counter { return traceOrphans }
 
 // PPAEvalSampleEvery is the sampling period of the in-process engines'
 // latency histogram: an analytical evaluation costs about as much as reading
