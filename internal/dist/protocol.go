@@ -21,7 +21,7 @@ package dist
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
@@ -72,13 +72,37 @@ type JobSpec struct {
 
 // Key is the job's identity on every hop: the SHA-256 of the spec's fields
 // in a fixed rendering (so a client's JSON whitespace or key order cannot
-// split one job in two; %v prints the shortest decimal that round-trips a
-// float64). Workers index their live searchers by it, routers hash it onto
-// the ring, and release names it.
+// split one job in two), the bytes fmt's "%q %q %q %v %q %d" prints for
+// Platform, Scenario, Networks, X, Algo and Seed: quoted strings, the
+// networks and coordinates in brackets with spaces between, each float the
+// shortest decimal that round-trips it. Workers index their live searchers
+// by it, routers hash it onto the ring, and release names it, so the
+// rendering never changes (FuzzJobSpecKey holds it to fmt's).
 func (s JobSpec) Key() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%q %q %q %v %q %d", s.Platform, s.Scenario, s.Networks, s.X, s.Algo, s.Seed)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [256]byte
+	b := strconv.AppendQuote(buf[:0], s.Platform)
+	b = append(b, ' ')
+	b = strconv.AppendQuote(b, s.Scenario)
+	b = append(b, " ["...)
+	for i, n := range s.Networks {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendQuote(b, n)
+	}
+	b = append(b, "] ["...)
+	for i, v := range s.X {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	b = append(b, "] "...)
+	b = strconv.AppendQuote(b, s.Algo)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, s.Seed, 10)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // HealthResponse is the /v1/healthz body. Status is "ok" or "draining"; a

@@ -163,6 +163,35 @@ func TestLMLPrefersBetterFit(t *testing.T) {
 	}
 }
 
+// TestLMLFromCholMatchesColumnWalk holds lmlFromChol, which reads the
+// factor a row at a time, to Lᵀ·α summed down each column as the textbook
+// writes it, bit for bit, on fitted factors of several sizes.
+func TestLMLFromCholMatchesColumnWalk(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 33, 150} {
+		x, y := randomData(n, 3, int64(n))
+		g, err := FitWithParams(x, y, Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-2}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]float64, n)
+		for k := range w {
+			sum := 0.0
+			for j := k; j < n; j++ {
+				sum += g.chol.At(j, k) * g.alpha[j]
+			}
+			w[k] = sum
+		}
+		quad := 0.0
+		for _, v := range w {
+			quad += v * v
+		}
+		want := -0.5*quad - 0.5*linalg.LogDetFromChol(g.chol) - 0.5*float64(n)*math.Log(2*math.Pi)
+		if got := lmlFromChol(g.chol, g.alpha, make([]float64, n)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: lmlFromChol %v, column walk %v", n, got, want)
+		}
+	}
+}
+
 // randomData draws a synthetic regression set.
 func randomData(n, d int, seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))

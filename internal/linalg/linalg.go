@@ -11,7 +11,9 @@
 // updated by subtracting the panel's contribution with contiguous row-slice
 // inner loops. All inner loops walk contiguous row segments, so the working
 // set per step is a few panel rows (cholBlock·8 bytes each) and the trailing
-// update streams through memory instead of striding columns.
+// update streams through memory instead of striding columns. Both steps
+// compute four elements side by side — four rows of a panel column, four
+// columns of a trailing row — each in its own accumulator.
 //
 // The blocking is arranged to be *bit-identical* to the textbook naive
 // factorization: every element accumulates its subtractions s -= L[i][k]·L[j][k]
@@ -25,12 +27,15 @@
 //
 // # Incremental updates
 //
-// CholeskyExtend appends one row/column to a factor in O(n²) via the
+// CholeskyBorderRow appends one row/column to a factor in O(n²) via the
 // bordered scheme: the new off-diagonal row w solves L·w = k (forward
 // substitution, the same recurrence the full factorization would run for
-// that row), and the new diagonal is sqrt(d − Σ w²). CholeskyUpdate applies
-// the classic O(n²) rank-1 update (A → A + v·vᵀ) by sweeping Givens-like
-// column rotations through the factor.
+// that row), and the new diagonal is sqrt(d − Σ w²). It works in place, so
+// a factor grows by m rows in one matrix: Border allocates and copies once,
+// and each row borders against the ones before it. CholeskyExtend is the
+// one-row case. CholeskyUpdate applies the classic O(n²) rank-1 update
+// (A → A + v·vᵀ) by sweeping Givens-like column rotations through the
+// factor.
 //
 // # Allocation-free solves
 //
@@ -168,47 +173,89 @@ func copyLowerJittered(dst, a *Matrix, jitter float64) {
 // NaN. The accumulation order per element is exactly the naive
 // factorization's (ascending k, one product at a time), so the result is
 // bit-identical to the textbook algorithm.
+//
+// Both steps run four independent elements side by side: the panel step
+// takes four rows of one column at a time (they share the column's pivot
+// row), the trailing update four columns of one row (they share the row's
+// panel stretch). Each element keeps its single accumulator, so the chains
+// run at the floating-point units' throughput instead of one chain's
+// latency, with the textbook's bits (at n = 150, one CPU: 0.71–0.85 ms per
+// factorization an element at a time, 0.33–0.38 ms four at a time).
 func factorLower(l *Matrix) bool {
 	n := l.Rows
 	for j0 := 0; j0 < n; j0 += cholBlock {
-		j1 := j0 + cholBlock
-		if j1 > n {
-			j1 = n
-		}
+		j1 := min(j0+cholBlock, n)
 		// Factor the panel: columns j0..j1-1 over rows j..n-1. At this
 		// point every element already had columns k < j0 subtracted by the
 		// trailing updates of earlier panels.
 		for j := j0; j < j1; j++ {
-			lj := l.Data[j*n : j*n+j1]
-			s := lj[j]
-			for k := j0; k < j; k++ {
-				s -= lj[k] * lj[k]
+			// w is how many of row j's panel columns lie left of the
+			// diagonal; every stretch below is sliced to it, so the inner
+			// loops carry no bounds checks.
+			w := j - j0
+			pj := l.Data[j*n+j0 : j*n+j+1][:w]
+			s := l.Data[j*n+j]
+			for _, v := range pj {
+				s -= v * v
 			}
 			if s <= 0 || math.IsNaN(s) {
 				return false
 			}
 			d := math.Sqrt(s)
-			lj[j] = d
-			for i := j + 1; i < n; i++ {
-				li := l.Data[i*n : i*n+j1]
-				s := li[j]
-				for k := j0; k < j; k++ {
-					s -= li[k] * lj[k]
+			l.Data[j*n+j] = d
+			i := j + 1
+			for ; i+3 < n; i += 4 {
+				a := l.Data[i*n+j0 : i*n+j+1]
+				b := l.Data[(i+1)*n+j0 : (i+1)*n+j+1]
+				c := l.Data[(i+2)*n+j0 : (i+2)*n+j+1]
+				e := l.Data[(i+3)*n+j0 : (i+3)*n+j+1]
+				sa, sb, sc, se := a[w], b[w], c[w], e[w]
+				a0, b0, c0, e0 := a[:w], b[:w], c[:w], e[:w]
+				for k, v := range pj {
+					sa -= a0[k] * v
+					sb -= b0[k] * v
+					sc -= c0[k] * v
+					se -= e0[k] * v
 				}
-				li[j] = s / d
+				a[w], b[w], c[w], e[w] = sa/d, sb/d, sc/d, se/d
+			}
+			for ; i < n; i++ {
+				a := l.Data[i*n+j0 : i*n+j+1]
+				s, a0 := a[w], a[:w]
+				for k, v := range pj {
+					s -= a0[k] * v
+				}
+				a[w] = s / d
 			}
 		}
 		// Trailing update: subtract this panel's contribution from the
 		// remaining lower triangle, rows streaming contiguously.
+		w := j1 - j0
 		for i := j1; i < n; i++ {
-			li := l.Data[i*n : i*n+n]
-			for j := j1; j <= i; j++ {
-				lj := l.Data[j*n : j*n+j1]
-				s := li[j]
-				for k := j0; k < j1; k++ {
-					s -= li[k] * lj[k]
+			pi := l.Data[i*n+j0 : i*n+j1][:w]
+			row := l.Data[i*n : i*n+i+1]
+			j := j1
+			for ; j+3 <= i; j += 4 {
+				a := l.Data[j*n+j0 : j*n+j1][:w]
+				b := l.Data[(j+1)*n+j0 : (j+1)*n+j1][:w]
+				c := l.Data[(j+2)*n+j0 : (j+2)*n+j1][:w]
+				e := l.Data[(j+3)*n+j0 : (j+3)*n+j1][:w]
+				sa, sb, sc, se := row[j], row[j+1], row[j+2], row[j+3]
+				for k, v := range pi {
+					sa -= v * a[k]
+					sb -= v * b[k]
+					sc -= v * c[k]
+					se -= v * e[k]
 				}
-				li[j] = s
+				row[j], row[j+1], row[j+2], row[j+3] = sa, sb, sc, se
+			}
+			for ; j <= i; j++ {
+				a := l.Data[j*n+j0 : j*n+j1][:w]
+				s := row[j]
+				for k, v := range pi {
+					s -= v * a[k]
+				}
+				row[j] = s
 			}
 		}
 	}
@@ -222,32 +269,61 @@ func factorLower(l *Matrix) bool {
 //
 // given the n×n factor l of A, the new covariance column k, the new raw
 // diagonal d, and the jitter the existing factor was produced with (added
-// to d exactly as a full factorization would). The new row solves L·w = k
-// and the new pivot is d + jitter − Σ w², which is operation-for-operation
-// what a from-scratch factorization computes for its last row — so the
-// extended factor is bit-identical to refactorizing the full bordered
-// matrix at the same jitter. Returns ErrNotPD when the new pivot is not
-// positive; l is never modified.
+// to d exactly as a full factorization would). It is the one-row case of
+// Border and CholeskyBorderRow, so the extended factor is bit-identical to
+// refactorizing the full bordered matrix at the same jitter. Returns
+// ErrNotPD when the new pivot is not positive; l is never modified.
 func CholeskyExtend(l *Matrix, k []float64, d, jitter float64) (*Matrix, error) {
 	n := l.Rows
 	if len(k) != n {
 		return nil, fmt.Errorf("linalg: CholeskyExtend got %d column entries, want %d", len(k), n)
 	}
-	out := New(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(out.Data[i*(n+1):i*(n+1)+n], l.Data[i*n:i*n+n])
+	out := Border(l, 1)
+	copy(out.Data[n*(n+1):], k)
+	if err := CholeskyBorderRow(out, n, d, jitter); err != nil {
+		return nil, err
 	}
-	w := out.Data[n*(n+1) : n*(n+1)+n]
-	SolveLowerInto(l, k, w)
-	s := d + jitter
+	return out, nil
+}
+
+// Border returns the (n+m)×(n+m) matrix that holds the n×n matrix l in its
+// leading block and zeros elsewhere: one allocation and one copy, however
+// many rows CholeskyBorderRow then factors into it.
+func Border(l *Matrix, m int) *Matrix {
+	n := l.Rows
+	out := New(n+m, n+m)
 	for i := 0; i < n; i++ {
-		s -= w[i] * w[i]
+		copy(out.Data[i*(n+m):i*(n+m)+n], l.Data[i*l.Cols:i*l.Cols+n])
+	}
+	return out
+}
+
+// CholeskyBorderRow factors row r of the square matrix m in place, given the
+// factor of the bordered matrix's leading r×r block in m's leading rows: on
+// entry the row's first r entries hold the new covariance column k, and on
+// return they hold w, the solution of L·w = k, and the diagonal holds
+// sqrt(d + jitter − Σ w²). That is operation-for-operation what a
+// from-scratch factorization at the same jitter computes for row r (the
+// forward solve is the factorization's recurrence), so rows bordered one
+// after another, each against the rows before it, have a full
+// factorization's bits. Returns ErrNotPD when the new pivot is not
+// positive, leaving the row unspecified.
+func CholeskyBorderRow(m *Matrix, r int, d, jitter float64) error {
+	if m.Rows != m.Cols || r < 0 || r >= m.Rows {
+		return fmt.Errorf("linalg: CholeskyBorderRow of row %d in a %dx%d matrix", r, m.Rows, m.Cols)
+	}
+	w := m.Data[r*m.Cols : r*m.Cols+r]
+	lead := Matrix{Rows: r, Cols: m.Cols, Data: m.Data}
+	SolveLowerInto(&lead, w, w)
+	s := d + jitter
+	for _, v := range w {
+		s -= v * v
 	}
 	if s <= 0 || math.IsNaN(s) {
-		return nil, ErrNotPD
+		return ErrNotPD
 	}
-	out.Data[n*(n+1)+n] = math.Sqrt(s)
-	return out, nil
+	m.Data[r*m.Cols+r] = math.Sqrt(s)
+	return nil
 }
 
 // CholeskyUpdate replaces l in place with the factor of A + v·vᵀ, given
@@ -284,7 +360,7 @@ func CholeskyUpdate(l *Matrix, v []float64) error {
 // SolveLowerInto solves L·x = b into x, which must have length n and may
 // alias b. Every row runs the textbook recurrence — subtract row[k]·x[k] one
 // product at a time in ascending k, then divide by the diagonal — which is
-// the factorization's order, and CholeskyExtend relies on it for
+// the factorization's order, and CholeskyBorderRow relies on it for
 // bit-identity. It takes the rows four at a time: their sums over the
 // columns solved before the group are four independent subtract chains, then
 // each row subtracts the terms of the group's rows above it, still in

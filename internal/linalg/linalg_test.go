@@ -206,12 +206,26 @@ func naiveCholesky(a *Matrix) (*Matrix, float64, error) {
 	}
 }
 
+// bitwiseSizes are the sizes the blocked factorization is held to the
+// naive one at: every n mod 4 (the four-wide panel rows and trailing
+// columns, and their leftovers) on both sides of each panel edge, the
+// paper's training window and the kernel benchmark's size.
+func bitwiseSizes() []int {
+	var ns []int
+	for _, r := range [][2]int{{1, 9}, {cholBlock - 2, cholBlock + 6}, {2*cholBlock - 2, 2*cholBlock + 6}} {
+		for n := r[0]; n <= r[1]; n++ {
+			ns = append(ns, n)
+		}
+	}
+	return append(ns, 150, 256)
+}
+
 // TestBlockedMatchesNaiveBitwise asserts the blocked factorization equals
 // the naive one exactly — not within a tolerance — on random SPD matrices
-// spanning sizes below, at, and above the panel width.
+// of bitwiseSizes.
 func TestBlockedMatchesNaiveBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 3, 5, 17, cholBlock - 1, cholBlock, cholBlock + 1, 100, 2*cholBlock + 9} {
+	for _, n := range bitwiseSizes() {
 		a := randomSPD(n, rng)
 		got, gotJitter, err := CholeskyWithJitter(a)
 		if err != nil {
@@ -234,10 +248,14 @@ func TestBlockedMatchesNaiveBitwise(t *testing.T) {
 
 // TestBlockedMatchesNaiveJitterPath drives the retry ladder with a
 // singular PSD matrix (rank-deficient Gram matrix) and checks the blocked
-// code lands on the same jitter and the same bits as the naive ladder.
+// code lands on the same jitter and the same bits as the naive ladder, at
+// the bitwiseSizes of at least two rows.
 func TestBlockedMatchesNaiveJitterPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{4, 40, cholBlock + 5} {
+	for _, n := range bitwiseSizes() {
+		if n < 2 {
+			continue
+		}
 		// b is n×(n/2), so a = b·bᵀ has rank ≤ n/2 < n: PSD but singular.
 		r := n / 2
 		b := New(n, r)
@@ -312,6 +330,63 @@ func TestCholeskyExtendBitIdentical(t *testing.T) {
 			}
 		}
 		l = ext
+	}
+}
+
+// TestBorderRowsMatchRefactor grows factors by several rows in one
+// bordered matrix (Border, then CholeskyBorderRow row after row) and holds
+// each to the factorization of the whole bordered matrix at the same
+// jitter and to CholeskyExtend one row at a time, bit for bit, across panel
+// edges and every n mod 4. A pivot that is not positive is ErrNotPD, and a
+// row outside the matrix an error.
+func TestBorderRowsMatchRefactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	full := randomSPD(140, rng)
+	sub := func(n int) *Matrix {
+		a := New(n, n)
+		for i := 0; i < n; i++ {
+			copy(a.Data[i*n:i*n+n], full.Data[i*full.Cols:i*full.Cols+n])
+		}
+		return a
+	}
+	for _, c := range []struct{ n, m int }{{1, 1}, {1, 8}, {5, 3}, {60, 9}, {62, 70}, {120, 17}} {
+		for _, jitter := range []float64{0, 1e-6} {
+			l := New(c.n, c.n)
+			if err := CholeskyFixedInto(l, sub(c.n), jitter); err != nil {
+				t.Fatal(err)
+			}
+			g, each := Border(l, c.m), l
+			for r := c.n; r < c.n+c.m; r++ {
+				k := full.Data[r*full.Cols : r*full.Cols+r]
+				copy(g.Data[r*g.Cols:], k)
+				if err := CholeskyBorderRow(g, r, full.At(r, r), jitter); err != nil {
+					t.Fatalf("n=%d+%d: border row %d: %v", c.n, c.m, r, err)
+				}
+				var err error
+				if each, err = CholeskyExtend(each, k, full.At(r, r), jitter); err != nil {
+					t.Fatalf("n=%d+%d: extend to %d: %v", c.n, c.m, r+1, err)
+				}
+			}
+			want := New(c.n+c.m, c.n+c.m)
+			if err := CholeskyFixedInto(want, sub(c.n+c.m), jitter); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if g.Data[i] != want.Data[i] || each.Data[i] != want.Data[i] {
+					t.Fatalf("n=%d+%d, jitter %g: element %d bordered %v, extended %v, refactor %v",
+						c.n, c.m, jitter, i, g.Data[i], each.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	g := Border(New(2, 2), 1)
+	g.Data[0], g.Data[4] = 1, 1
+	g.Data[6], g.Data[7] = 1, 1 // w = (1, 1), so the pivot is 1 − 2
+	if err := CholeskyBorderRow(g, 2, 1, 0); !errors.Is(err, ErrNotPD) {
+		t.Errorf("non-positive pivot: err = %v, want ErrNotPD", err)
+	}
+	if err := CholeskyBorderRow(g, 3, 1, 0); err == nil {
+		t.Error("a row outside the matrix was bordered")
 	}
 }
 

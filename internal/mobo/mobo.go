@@ -747,6 +747,13 @@ type acqScratch struct {
 	memoPost []float64
 	memoFull []bool
 	key      []byte
+
+	// norm holds the training points' normalized log objectives,
+	// norm[i·NumObjectives+j] for point i, once normed: topTrain computes
+	// them on its first call after dropMemo, since neither the training set
+	// nor the bounds change while the memo lives.
+	norm   []float64
+	normed bool
 }
 
 // newAcqScratch sizes the scratch for pools of n candidates under nObj
@@ -792,18 +799,31 @@ func (sc *acqScratch) claim(nObj int) int {
 func (sc *acqScratch) dropMemo() {
 	clear(sc.memo)
 	sc.memoPost, sc.memoFull = sc.memoPost[:0], sc.memoFull[:0]
+	sc.normed = false
 }
 
-// topTrain returns the inputs of the best k training points under lambda.
+// topTrain returns the inputs of the best k training points under lambda,
+// as sort.Slice orders them from training order. The normalized objectives
+// are the memo's (acqScratch.norm), so each call after the first of a batch
+// only scalarizes them: scalarizeObs's values, bit for bit.
 func (o *Optimizer) topTrain(k int, lambda []float64) [][]float64 {
 	type scored struct {
 		x []float64
 		v float64
 	}
-	items := make([]scored, 0, len(o.train))
-	norm := make([]float64, o.NumObjectives())
-	for _, ob := range o.train {
-		items = append(items, scored{ob.X, o.scalarizeObs(ob.Y, lambda, norm)})
+	nObj, sc := o.NumObjectives(), &o.acq
+	if !sc.normed {
+		sc.norm = sc.norm[:0]
+		for _, ob := range o.train {
+			for j, y := range ob.Y {
+				sc.norm = append(sc.norm, o.normalize(j, logc(y)))
+			}
+		}
+		sc.normed = true
+	}
+	items := make([]scored, len(o.train))
+	for i, ob := range o.train {
+		items[i] = scored{ob.X, scalarize(sc.norm[i*nObj:(i+1)*nObj], lambda, rho)}
 	}
 	sort.Slice(items, func(a, b int) bool { return items[a].v < items[b].v })
 	if k > len(items) {
