@@ -29,7 +29,6 @@ import (
 	"unico/internal/experiments"
 	"unico/internal/hw"
 	"unico/internal/runid"
-	"unico/internal/telemetry"
 )
 
 func main() {
@@ -37,7 +36,6 @@ func main() {
 	scale := flag.String("scale", "small", "paper | small")
 	seed := flag.Int64("seed", 0, "override the scale's seed (0 keeps default)")
 	searchWorkers := flag.Int("search-workers", 0, "parallel acquisition workers inside each suggestion step (0 keeps the engine default; results identical at every setting)")
-	traceFile := flag.String("trace", "", "write search events of every run as Chrome-trace JSONL to this file")
 	progress := flag.Bool("progress", false, "print per-iteration convergence of every run to stderr")
 	checkpointDir := flag.String("checkpoint-dir", "", "write per-run crash-safe checkpoints into this directory")
 	resume := flag.Bool("resume", false, "continue runs from existing checkpoints in -checkpoint-dir")
@@ -62,17 +60,6 @@ func main() {
 	logger := shared.Logger
 	buildinfo.Publish()
 
-	var tracer *telemetry.Tracer
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			logger.Error("trace file setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		defer f.Close()
-		tracer = telemetry.NewTracer(f)
-	}
-
 	var s experiments.Scale
 	switch *scale {
 	case "paper":
@@ -89,9 +76,6 @@ func main() {
 	s.SearchWorkers = *searchWorkers
 	s.Context = ctx
 	s.Resume = *resume
-	// Every run of the sweep shares one trace file and one dashboard store
-	// (which shows the run in flight).
-	s.Tracer, s.Live = tracer, shared.Live
 	if *progress {
 		s.Progress = func(p core.Progress) {
 			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  front %d  evals %d\n",
@@ -148,8 +132,5 @@ func main() {
 	if !ran {
 		logger.Error("nothing matched", slog.String("run", *run))
 		os.Exit(1)
-	}
-	if err := tracer.Flush(); err != nil {
-		logger.Error("trace write failed", slog.Any("err", err))
 	}
 }

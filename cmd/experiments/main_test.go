@@ -13,8 +13,8 @@ import (
 )
 
 // TestFig8GoldenWithAndWithoutHooks drives the built binary — the only place
-// the run-scoped plumbing (tracer, progress, flight directory: all
-// values on experiments.Scale) is wired from flags. Observation must never
+// the run-scoped plumbing (progress and flight directory, both values on
+// experiments.Scale) is wired from flags. Observation must never
 // reach the results: stdout is byte-identical to the golden captured before
 // the hooks were values, with none of them on and with all of them on.
 func TestFig8GoldenWithAndWithoutHooks(t *testing.T) {
@@ -42,15 +42,12 @@ func TestFig8GoldenWithAndWithoutHooks(t *testing.T) {
 		t.Errorf("bare run diverged from the golden:\n%s", stdout)
 	}
 
-	trace, flights := filepath.Join(dir, "trace.json"), filepath.Join(dir, "flights")
-	stdout, stderr := run("-trace", trace, "-progress", "-flight-record", flights)
+	flights := filepath.Join(dir, "flights")
+	stdout, stderr := run("-progress", "-flight-record", flights)
 	if stdout != string(golden) {
 		t.Errorf("hooked run diverged from the golden:\n%s", stdout)
 	}
 	const iters = 8 // fig8 floors MaxIter at 8
-	if b, err := os.ReadFile(trace); err != nil || bytes.Count(b, []byte(`"name":"iteration"`)) != iters {
-		t.Errorf("trace: %v, %d iteration events, want %d", err, bytes.Count(b, []byte(`"name":"iteration"`)), iters)
-	}
 	if n := len(regexp.MustCompile(`(?m)^iter +\d+ `).FindAllString(stderr, -1)); n != iters {
 		t.Errorf("%d progress lines on stderr, want %d", n, iters)
 	}

@@ -140,7 +140,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", logx.AccessLog(logger, handler))
-	debug := cliflags.DebugMux(nil)
+	debug := cliflags.DebugMux()
 	mux.Handle("GET /metrics", debug)
 	mux.Handle("GET /debug/", debug)
 

@@ -43,7 +43,6 @@ func main() {
 		list          = flag.Bool("list", false, "list available networks and exit")
 		jsonNets      = flag.String("workload-json", "", "comma-separated JSON workload files (overrides -networks)")
 
-		traceFile    = flag.String("trace", "", "write search events as Chrome-trace JSONL to this file")
 		progress     = flag.Bool("progress", false, "print per-iteration convergence to stderr")
 		flightRecord = flag.String("flight-record", "", "write the run's flight record (header, per-iteration convergence, summary) as JSONL to this file; view with unicoreport")
 
@@ -164,16 +163,6 @@ func main() {
 		CheckpointEvery:   *checkpointEvery,
 		Resume:            *resume,
 		FlightRecordFile:  *flightRecord,
-		Dashboard:         shared.Live,
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			logger.Error("trace file setup failed", slog.Any("err", err))
-			os.Exit(1)
-		}
-		defer f.Close()
-		cfg.TraceWriter = f
 	}
 	if *progress {
 		cfg.Progress = func(p unico.IterationProgress) {
@@ -195,8 +184,8 @@ func main() {
 			logger.Error("co-search failed", slog.Any("err", err))
 			os.Exit(1)
 		}
-		// The search finished; only a recorder sink (checkpoint, flight
-		// record, trace) failed.
+		// The search finished; only a recorder sink (checkpoint or flight
+		// record) failed.
 		logger.Warn("post-run step failed", slog.Any("err", err))
 	}
 	if ctx.Err() != nil {

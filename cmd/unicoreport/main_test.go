@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,8 +157,8 @@ func TestRunPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(page)
-	if want := flightrec.ReportHTML(*d, "unico run report — run.jsonl"); !bytes.Equal(got, want) {
-		t.Errorf("flight-only page differs from ReportHTML:\n%s", got)
+	if want := flightrec.Page("unico run report — run.jsonl", "", flightrec.ReportBody(*d)); !bytes.Equal(got, want) {
+		t.Errorf("flight-only page differs from flightrec's report page:\n%s", got)
 	}
 
 	if code := run([]string{"-o", page, flight, spans}, &out, &out); code != 0 {
@@ -172,6 +173,58 @@ func TestRunPage(t *testing.T) {
 	}
 	if strings.Count(html, "<style>") != 1 || strings.Count(html, "<h1>") != 1 || strings.Count(html, "<!DOCTYPE") != 1 {
 		t.Errorf("combined page is not one page:\n%s", html)
+	}
+}
+
+// TestRunPageOfRunInProgress: a flight record still being written — a
+// header, some iteration records, no summary, and the torn half of the next
+// line a crash or a concurrent append leaves — reports the run as running at
+// its last whole iteration, on the page and on stdout alike.
+func TestRunPageOfRunInProgress(t *testing.T) {
+	dir := t.TempDir()
+	flight, page := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "page.html")
+	r, err := flightrec.Create(flight, flightrec.Header{RunID: "live", Method: "UNICO", Seed: 1, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 3
+	for i := 1; i <= iters; i++ {
+		r.RecordIteration(flightrec.Iteration{Iter: i, Hypervolume: 0.1 * float64(i), Evals: 10 * i,
+			Front: [][]float64{{1, 2, 3}}, RungAlive: []int{4, 2}})
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(flight, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"iteration","iter":4,"hyperv`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-o", page, flight}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	got, err := os.ReadFile(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const open = `<p class="state">`
+	html := string(got)
+	i := strings.Index(html, open)
+	j := strings.Index(html[i+len(open):], "</p>")
+	if i < 0 || j < 0 {
+		t.Fatalf("page has no state line:\n%s", html)
+	}
+	state := html[i+len(open) : i+len(open)+j]
+	if want := fmt.Sprintf("running — iteration %d,", iters); !strings.HasPrefix(state, want) {
+		t.Errorf("page state %q, want it to start %q", state, want)
+	}
+	if want := "run live: " + state + "\n"; !strings.Contains(stdout.String(), want) {
+		t.Errorf("stdout lacks the page's state line %q:\n%s", want, &stdout)
 	}
 }
 

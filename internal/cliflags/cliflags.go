@@ -1,7 +1,7 @@
 // Package cliflags declares, once, the flag groups the binaries under cmd/
 // share, and starts what they configure: the logger, the span log, and the
-// debug server with its dashboard. It also owns the debug route list every
-// binary serves (DebugMux). Only cmd/* imports it — the library takes these
+// debug server. It also owns the debug route list every binary serves
+// (DebugMux). Only cmd/* imports it — the library takes these
 // things as values.
 package cliflags
 
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"unico/internal/disttrace"
-	"unico/internal/flightrec"
 	"unico/internal/logx"
 	"unico/internal/perfprof"
 	"unico/internal/runid"
@@ -36,11 +35,8 @@ type Shared struct {
 	logFormat, logLevel  string
 	spanLog, metricsAddr string
 
-	// Set by Start: the -log-* logger (also the slog default) and the store
-	// behind the -metrics-addr server's /debug/unico dashboard (nil without
-	// -metrics-addr).
+	// Set by Start: the -log-* logger (also the slog default).
 	Logger *slog.Logger
-	Live   *flightrec.Live
 
 	closers []func()
 }
@@ -56,7 +52,7 @@ func Register(fs *flag.FlagSet, groups Group) *Shared {
 		fs.StringVar(&s.spanLog, "span-log", "", "record distributed-trace spans as JSONL to this file; analyze with unicoreport")
 	}
 	if groups&Metrics != 0 {
-		fs.StringVar(&s.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof, /debug/unico/phases and the /debug/unico dashboard on this address while running")
+		fs.StringVar(&s.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof and /debug/unico/phases on this address while running")
 	}
 	return s
 }
@@ -84,8 +80,7 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 		})
 	}
 	if s.metricsAddr != "" {
-		s.Live = flightrec.NewLive()
-		debug := telemetry.NewDebugServer(s.metricsAddr, DebugMux(s.Live))
+		debug := telemetry.NewDebugServer(s.metricsAddr, DebugMux())
 		debug.Start(func(err error) {
 			s.Logger.Error("metrics server failed", slog.Any("err", err))
 		})
@@ -104,13 +99,9 @@ func (s *Shared) Start(ctx context.Context, spanProc string) error {
 //	GET /metrics              Prometheus text (telemetry.DebugMux)
 //	GET /debug/pprof/...      runtime profiles (telemetry.DebugMux)
 //	GET /debug/unico/phases   the phase tree (text, or JSON with ?format=json)
-//	GET /debug/unico          the live dashboard drawn from live (non-nil only)
-func DebugMux(live *flightrec.Live) *http.ServeMux {
+func DebugMux() *http.ServeMux {
 	mux := telemetry.DebugMux()
 	mux.Handle("GET /debug/unico/phases", perfprof.PhasesHandler())
-	if live != nil {
-		mux.Handle("GET /debug/unico", flightrec.DashboardHandler(live))
-	}
 	return mux
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"unico/internal/disttrace"
-	"unico/internal/flightrec"
 )
 
 func parse(t *testing.T, groups Group, args ...string) *Shared {
@@ -68,37 +67,30 @@ func TestRegisteredNamesAndDefaults(t *testing.T) {
 }
 
 // TestDebugMuxRouteSet pins the debug surface every binary serves: metrics,
-// runtime profiles and the phase tree always, the dashboard only with a
-// store, and no second route for any of them. Without -metrics-addr Start
-// opens no dashboard store.
+// runtime profiles and the phase tree, and no second route for any of them.
 func TestDebugMuxRouteSet(t *testing.T) {
 	s := parse(t, Log|SpanLog|Metrics)
 	if err := s.Start(context.Background(), "client"); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Live != nil {
-		t.Errorf("Live %v without -metrics-addr; want no dashboard store", s.Live)
-	}
 
 	for _, c := range []struct {
-		live *flightrec.Live
 		path string
 		code int
 	}{
-		{nil, "/metrics", http.StatusOK},
-		{nil, "/debug/pprof/", http.StatusOK},
-		{nil, "/debug/pprof/heap", http.StatusOK},
-		{nil, "/debug/unico/phases", http.StatusOK},
-		{nil, "/debug/unico", http.StatusNotFound},
-		{flightrec.NewLive(), "/debug/unico", http.StatusOK},
-		{nil, "/debug/vars", http.StatusNotFound},
-		{nil, "/debug/unico/capture", http.StatusNotFound},
+		{"/metrics", http.StatusOK},
+		{"/debug/pprof/", http.StatusOK},
+		{"/debug/pprof/heap", http.StatusOK},
+		{"/debug/unico/phases", http.StatusOK},
+		{"/debug/unico", http.StatusNotFound},
+		{"/debug/vars", http.StatusNotFound},
+		{"/debug/unico/capture", http.StatusNotFound},
 	} {
 		rec := httptest.NewRecorder()
-		DebugMux(c.live).ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
+		DebugMux().ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
 		if rec.Code != c.code {
-			t.Errorf("GET %s (dashboard store %v) = %d, want %d", c.path, c.live != nil, rec.Code, c.code)
+			t.Errorf("GET %s = %d, want %d", c.path, rec.Code, c.code)
 		}
 	}
 }

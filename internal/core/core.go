@@ -252,9 +252,8 @@ var penaltyMetrics = ppa.Metrics{
 // resumed run continues bit-identically to an uninterrupted one.
 //
 // What the run owns besides its options rides ctx: its run ID (runid.With)
-// names its requests and its distributed trace, and its Chrome tracer
-// (perfprof.WithTracer) receives every clocked phase below as a trace event.
-// Neither influences the search: results are bit-identical with and without.
+// names its requests and its distributed trace. It does not influence the
+// search: results are bit-identical with and without.
 func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	opt = opt.normalize()
 	nObj := 3
@@ -354,9 +353,9 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		pctx, phaseIter := prof.StartClocked(ictx, "iteration", opt.Clock)
 		_, phaseSuggest := prof.StartClocked(pctx, "suggest", opt.Clock)
 		xs := explorer.SuggestBatch(opt.BatchSize)
-		phaseSuggest.EndWith(map[string]any{"batch": len(xs)})
+		phaseSuggest.End()
 		if len(xs) == 0 {
-			phaseIter.EndWith(map[string]any{"iter": iter, "exhausted": true})
+			phaseIter.End()
 			traceSpan.End("ok", nil)
 			break
 		}
@@ -378,7 +377,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			// incomplete and must not enter the result, the surrogate or
 			// the checkpoint. Discard it; resume re-runs the iteration.
 			CloseJobs(jobs)
-			phaseIter.EndWith(map[string]any{"iter": iter, "canceled": true})
+			phaseIter.End()
 			traceSpan.End("ok", nil)
 			break
 		}
@@ -397,25 +396,23 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		// Surrogate refit overhead on the master (paper Fig. 6b): seconds,
 		// negligible next to PPA evaluation but accounted for.
 		opt.Clock.Advance(5)
-		phaseUpdate.EndWith(map[string]any{"admitted": admitted, "train": explorer.TrainSize()})
+		phaseUpdate.End()
 
 		res.Trace = append(res.Trace, TracePoint{Iter: iter, Hours: opt.Clock.Hours()})
 		telemetry.MOBOIterations().Inc()
 
-		// The running hypervolume is for observers: a Progress callback, the
-		// flight record and a Chrome trace's phase events read it, nothing
-		// else does, and it is a fresh WFG over the whole front. A run with
-		// none of them skips it and its phase. (The process-wide profiler is
-		// always on and would record only the phase's time.)
-		iterArgs := map[string]any{"iter": iter, "front": len(res.Front), "evals": res.Evals}
+		// The running hypervolume is for observers: a Progress callback and
+		// the flight record read it, nothing else does, and it is a fresh WFG
+		// over the whole front. A run with neither skips it and its phase.
+		// (The process-wide profiler is always on and would record only the
+		// phase's time.)
 		var hv float64
-		if opt.Progress != nil || opt.Flight != nil || perfprof.Tracer(pctx) != nil {
+		if opt.Progress != nil || opt.Flight != nil {
 			_, phaseHV := prof.StartClocked(pctx, "hypervolume", opt.Clock)
 			hv = runningHypervolume(res.Front)
-			phaseHV.EndWith(map[string]any{"hv": hv, "front": len(res.Front)})
-			iterArgs["hv"] = hv
+			phaseHV.End()
 		}
-		phaseIter.EndWith(iterArgs)
+		phaseIter.End()
 		// End the iteration's trace span before recording the flight line,
 		// so the span log's end event is durable by the time the flight
 		// record that references it is.

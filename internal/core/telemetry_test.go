@@ -1,16 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"unico/internal/flightrec"
 	"unico/internal/perfprof"
-	"unico/internal/telemetry"
 )
 
 // TestProgressFiresPerIteration asserts the Progress callback fires exactly
@@ -53,75 +51,73 @@ func TestProgressFiresPerIteration(t *testing.T) {
 	}
 }
 
+// flightLog is a Flight sink that keeps every record in memory.
+type flightLog []flightrec.Iteration
+
+func (l *flightLog) RecordIteration(it flightrec.Iteration) { *l = append(*l, it) }
+
 // TestTelemetryPreservesDeterminism is the acceptance criterion: a run with
-// tracer and progress enabled must be bit-identical to the same seed run
-// with both disabled.
+// a flight sink and progress enabled must be bit-identical to the same seed
+// run with both disabled.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
 	plain := RunContext(context.Background(), testPlatform(), smallOpts(11))
 
-	var buf bytes.Buffer
+	var flight flightLog
 	opt := smallOpts(11)
-	tr := telemetry.NewTracer(&buf)
+	opt.Flight = &flight
 	opt.Progress = func(Progress) {}
-	traced := RunContext(perfprof.WithTracer(context.Background(), tr), testPlatform(), opt)
-	tr.Flush()
+	observed := RunContext(context.Background(), testPlatform(), opt)
 
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatal("tracing/progress changed the search result")
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatal("flight recording/progress changed the search result")
 	}
-	if buf.Len() == 0 {
-		t.Fatal("tracer captured no events")
+	if len(flight) != len(observed.Trace) {
+		t.Fatalf("flight sink received %d records for %d iterations", len(flight), len(observed.Trace))
 	}
 }
 
-// TestRunEmitsExpectedSpans checks the trace stream of a run whose context
-// carries a tracer: one event per clocked phase, named as in the phase tree
-// (iterations, suggestion, job construction, SH rungs, surrogate updates, HV
-// computations), plus the per-candidate lanes, with simulated-time stamps.
+// TestRunEmitsExpectedSpans checks each iteration's flight-record phase
+// window: one span per per-iteration clocked phase (iteration, suggestion,
+// job construction, surrogate update, HV computation), at least one SH rung,
+// and a positive simulated time.
 func TestRunEmitsExpectedSpans(t *testing.T) {
-	var buf bytes.Buffer
+	restore := perfprof.SetActive(perfprof.New())
+	defer restore()
+	var flight flightLog
 	opt := smallOpts(5)
-	tr := telemetry.NewTracer(&buf)
-	res := RunContext(perfprof.WithTracer(context.Background(), tr), testPlatform(), opt)
-	tr.Flush()
+	opt.Flight = &flight
+	res := RunContext(context.Background(), testPlatform(), opt)
+	if len(flight) != len(res.Trace) || len(flight) == 0 {
+		t.Fatalf("%d flight records for %d iterations", len(flight), len(res.Trace))
+	}
 
-	type ev struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		TS   float64        `json:"ts"`
-		Args map[string]any `json:"args"`
-	}
-	count := map[string]int{}
-	maxTS := 0.0
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		var e ev
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("bad trace line: %v\n%s", err, line)
+	for _, it := range flight {
+		count := map[string]uint64{}
+		var iterSim float64
+		for _, d := range it.Phases {
+			name := d.Path[strings.LastIndex(d.Path, perfprof.Separator)+1:]
+			count[name] += d.Count
+			if d.Path == "iteration" {
+				iterSim = d.SimSeconds
+			}
 		}
-		count[e.Name]++
-		if e.TS > maxTS {
-			maxTS = e.TS
+		for _, once := range []string{"iteration", "suggest", "newjob", "update", "hypervolume"} {
+			if count[once] != 1 {
+				t.Errorf("iteration %d: %d %q spans, want 1 (window %v)", it.Iter, count[once], once, count)
+			}
 		}
-	}
-	for _, want := range []string{"sh.rung", "candidate_eval"} {
-		if count[want] == 0 {
-			t.Errorf("no %q spans in trace; got %v", want, count)
+		if count["sh.rung"] == 0 {
+			t.Errorf("iteration %d: no sh.rung span (window %v)", it.Iter, count)
 		}
-	}
-	for _, perIter := range []string{"iteration", "suggest", "newjob", "update", "hypervolume"} {
-		if count[perIter] != len(res.Trace) {
-			t.Errorf("%s spans = %d, iterations = %d", perIter, count[perIter], len(res.Trace))
+		if iterSim <= 0 {
+			t.Errorf("iteration %d: simulated time %v, want positive", it.Iter, iterSim)
 		}
-	}
-	// Simulated timestamps should reach the run's simulated span (µs).
-	if wantUS := res.Hours * 3600 * 1e6; maxTS < wantUS/2 {
-		t.Errorf("max trace ts %v µs is far below the simulated run length %v µs", maxTS, wantUS)
 	}
 }
 
 // TestHypervolumeOnlyWhenRead checks that a run computes its running
-// hypervolume only for an observer: with no Progress callback, flight
-// record or Chrome tracer the phase tree holds no hypervolume phase, while
+// hypervolume only for an observer: with no Progress callback or flight
+// record the phase tree holds no hypervolume phase, while
 // a Progress callback gets one phase per iteration and the values it
 // reports, and the result is the same either way.
 func TestHypervolumeOnlyWhenRead(t *testing.T) {

@@ -28,7 +28,6 @@ import (
 	"unico/internal/pareto"
 	"unico/internal/platform"
 	"unico/internal/runid"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -81,11 +80,8 @@ type Scale struct {
 	// Results are bit-identical at every setting, so comparative tables are
 	// unaffected — it only changes how long they take to produce.
 	SearchWorkers int
-	// Tracer, Progress and Live, when non-nil, observe every core co-search
-	// run; the dashboard store shows the run in flight.
-	Tracer   *telemetry.Tracer
+	// Progress, when non-nil, observes every core co-search run.
 	Progress core.ProgressFunc
-	Live     *flightrec.Live
 }
 
 // run executes one core co-search — UNICO, its ablations and the HASCO and
@@ -112,9 +108,7 @@ func (s Scale) run(name string, p core.Platform, opt core.Options) core.Result {
 			Method:    name,
 		},
 		Resume:   s.Resume,
-		Tracer:   s.Tracer,
 		Progress: s.Progress,
-		Live:     s.Live,
 	}
 	if s.CheckpointDir != "" {
 		spec.CheckpointPath = filepath.Join(s.CheckpointDir, name+".ckpt")

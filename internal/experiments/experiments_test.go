@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +109,7 @@ func TestCancelledBaselineRunsNoIteration(t *testing.T) {
 
 // A resume refused for a fingerprint mismatch must be read-only: the
 // checkpoint, its journal and the flight record of the run it belongs to
-// stay byte-identical, and the dashboard is told nothing.
+// stay byte-identical.
 func TestRefusedResumeTouchesNothing(t *testing.T) {
 	s := tinyScale()
 	s.CheckpointDir, s.FlightDir = t.TempDir(), t.TempDir()
@@ -131,7 +130,7 @@ func TestRefusedResumeTouchesNothing(t *testing.T) {
 		}
 	}
 
-	s.Resume, s.Live = true, flightrec.NewLive()
+	s.Resume = true
 	res := s.run("run", p, core.UNICOOptions(s.Batch, s.MaxIter, s.BMax, 2))
 	if !errors.Is(res.CheckpointErr, core.ErrResumeMismatch) || len(res.All) != 0 {
 		t.Fatalf("resume at another seed: err %v, %d candidates; want ErrResumeMismatch and none",
@@ -142,9 +141,6 @@ func TestRefusedResumeTouchesNothing(t *testing.T) {
 		if err != nil || !bytes.Equal(before[i], after) {
 			t.Errorf("%s changed under a refused resume (err=%v)", filepath.Base(f), err)
 		}
-	}
-	if d := s.Live.Snapshot(); !reflect.DeepEqual(d, flightrec.RunData{}) {
-		t.Errorf("dashboard heard of a run that never started: %+v", d)
 	}
 }
 

@@ -4,9 +4,9 @@
 // record per completed optimizer iteration (feasible-front points,
 // hypervolume, UUL, successive-halving survivor curve, eval counters), and a
 // final summary marking the run finished — plus the tools that read it back:
-// an in-memory live store feeding the `/debug/unico` dashboard, server-side
-// SVG/HTML rendering shared by the dashboard and the offline `unicoreport`
-// tool, and run-diff math for regression gating.
+// the SVG/HTML report the offline `unicoreport` tool renders from it (of a
+// finished run or of one still writing), and run-diff math for regression
+// gating.
 //
 // The artifact is line-oriented JSON: the first line is the header, then one
 // iteration record per completed iteration in order, then (for runs that
@@ -131,24 +131,12 @@ type Summary struct {
 
 // Sink receives per-iteration flight records from a running co-search.
 // internal/core emits to it after every completed iteration, at the same
-// boundary as the checkpoint journal. Implementations must be safe for
-// concurrent use with readers (the dashboard renders while the search runs).
+// boundary as the checkpoint journal.
 type Sink interface {
 	RecordIteration(it Iteration)
 }
 
-// Tee returns a sink that hands every record to a, then to b — how one run
-// feeds its durable recorder and its dashboard store.
-func Tee(a, b Sink) Sink { return tee{a, b} }
-
-type tee struct{ a, b Sink }
-
-func (t tee) RecordIteration(it Iteration) {
-	t.a.RecordIteration(it)
-	t.b.RecordIteration(it)
-}
-
-// RunData is a fully loaded (or live-snapshot) artifact.
+// RunData is a fully loaded artifact.
 type RunData struct {
 	Header  Header
 	Iters   []Iteration

@@ -1,9 +1,9 @@
 // Server-side SVG rendering of a run's convergence views: the hypervolume
 // curve, 2-D projections of the feasible Pareto front, and the
 // successive-halving survivor table. Pure functions of RunData — no
-// JavaScript, no external assets — so the same markup serves the live
-// `/debug/unico` dashboard and the offline unicoreport HTML report, and a
-// golden-file test can pin the output byte-for-byte.
+// JavaScript, no external assets — so the unicoreport HTML report is one
+// self-contained file, and a golden-file test can pin the output
+// byte-for-byte.
 
 package flightrec
 
@@ -48,7 +48,7 @@ func scale(v, lo, hi, plo, phi float64) float64 {
 	return plo + (v-lo)/(hi-lo)*(phi-plo)
 }
 
-// HypervolumeSVG renders the hypervolume-vs-iteration curve — the live
+// HypervolumeSVG renders the hypervolume-vs-iteration curve — the per-run
 // counterpart of the paper's Fig. 7 convergence curves.
 func HypervolumeSVG(iters []Iteration) string {
 	var b strings.Builder

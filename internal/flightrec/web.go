@@ -1,8 +1,6 @@
-// The HTML faces of a flight record: the live `/debug/unico` dashboard
-// (auto-refreshing, rendered from a run's Live store) and the
-// self-contained offline report unicoreport produces from a run.jsonl.
-// Both are the same ReportBody markup inside the same Page skeleton; the
-// dashboard only adds the refresh header, and unicoreport may add a trace
+// The HTML face of a flight record: the self-contained report unicoreport
+// produces from a run.jsonl, finished or still being written. It is the
+// ReportBody markup inside the Page skeleton; unicoreport may add a trace
 // section.
 
 package flightrec
@@ -10,7 +8,6 @@ package flightrec
 import (
 	"fmt"
 	"html"
-	"net/http"
 	"strings"
 )
 
@@ -31,10 +28,6 @@ func Page(title, css string, sections ...string) []byte {
 	return []byte(fmt.Sprintf("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title><style>%s%s</style></head><body><h1>%s</h1>%s</body></html>\n",
 		t, reportCSS, css, t, strings.Join(sections, "")))
 }
-
-// ReportHTML renders a run's flight record as one self-contained page:
-// ReportBody inside the shared skeleton.
-func ReportHTML(d RunData, title string) []byte { return Page(title, "", ReportBody(d)) }
 
 // ReportBody renders a run's flight record as page markup: run identity,
 // state line, hypervolume curve, the three 2-D projections of the latest
@@ -95,25 +88,4 @@ func (d RunData) State() string {
 			fnum(last.Hypervolume), fnum(float64(last.UUL)))
 	}
 	return "waiting for the first completed iteration…"
-}
-
-// DashboardHandler serves the live dashboard from l: the ReportHTML page
-// with an auto-refresh header so a browser follows a multi-hour run without
-// any client-side code. Mount it at GET /debug/unico on the telemetry debug
-// mux.
-func DashboardHandler(l *Live) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if l == nil {
-			http.Error(w, "no live run source installed", http.StatusServiceUnavailable)
-			return
-		}
-		d := l.Snapshot()
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Header().Set("Refresh", "3")
-		title := "unico co-search"
-		if d.Header.RunID != "" {
-			title += " — run " + d.Header.RunID
-		}
-		_, _ = w.Write(ReportHTML(d, title))
-	})
 }

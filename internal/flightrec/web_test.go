@@ -4,11 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -31,8 +29,8 @@ func goldenData() RunData {
 	return d
 }
 
-func TestReportHTMLGolden(t *testing.T) {
-	got := ReportHTML(goldenData(), "unico run report — golden")
+func TestReportPageGolden(t *testing.T) {
+	got := Page("unico run report — golden", "", ReportBody(goldenData()))
 	path := filepath.Join("testdata", "report_golden.html")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -70,7 +68,7 @@ func TestArtifactWithCacheCountersStillLoads(t *testing.T) {
 	if d.Summary == nil {
 		t.Error("summary dropped")
 	}
-	html := string(ReportHTML(*d, "old artifact"))
+	html := ReportBody(*d)
 	if !strings.Contains(html, "finished after 2 iterations") || strings.Contains(html, "cache") {
 		t.Errorf("report of the old artifact:\n%s", html)
 	}
@@ -119,101 +117,7 @@ func TestRungTableNewestFirst(t *testing.T) {
 	}
 }
 
-func TestDashboardHandler(t *testing.T) {
-	l := NewLive()
-	l.StartRun(testHeader())
-	l.RecordIteration(testIteration(1))
-
-	rec := httptest.NewRecorder()
-	DashboardHandler(l).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/unico", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	if rec.Header().Get("Refresh") == "" {
-		t.Error("no auto-refresh header")
-	}
-	body := rec.Body.String()
-	if !strings.Contains(body, "run abcd1234") || !strings.Contains(body, "<svg") {
-		t.Errorf("dashboard body incomplete:\n%.400s", body)
-	}
-
-	rec = httptest.NewRecorder()
-	DashboardHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/unico", nil))
-	if rec.Code != 503 {
-		t.Errorf("nil source: status %d, want 503", rec.Code)
-	}
-}
-
-// TestLiveConcurrentEmitAndRender exercises the dashboard's real concurrency
-// shape under -race: one writer appending iterations while readers snapshot
-// and render the full HTML page.
-func TestLiveConcurrentEmitAndRender(t *testing.T) {
-	l := NewLive()
-	l.StartRun(testHeader())
-
-	const iters = 200
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= iters; i++ {
-			l.RecordIteration(testIteration(i))
-		}
-		l.FinishRun(Summary{})
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				d := l.Snapshot()
-				if html := ReportHTML(d, "race"); len(html) == 0 {
-					t.Error("empty render")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	d := l.Snapshot()
-	if len(d.Iters) != iters || d.Summary == nil {
-		t.Errorf("final live state: %d iters, summary %v", len(d.Iters), d.Summary)
-	}
-	for i, it := range d.Iters {
-		if it.Iter != i+1 {
-			t.Fatalf("iteration order broken at %d: %d", i, it.Iter)
-		}
-	}
-}
-
-func TestLiveResumeAndDedup(t *testing.T) {
-	l := NewLive()
-	var history []Iteration
-	for i := 1; i <= 3; i++ {
-		it := testIteration(i)
-		it.Type = TypeIteration
-		history = append(history, it)
-	}
-	l.StartRun(testHeader(), history...)
-	// A defensive replay of iteration 3 must replace, not duplicate.
-	l.RecordIteration(testIteration(3))
-	l.RecordIteration(testIteration(4))
-	d := l.Snapshot()
-	if len(d.Iters) != 4 {
-		t.Fatalf("%d iterations after dedup, want 4", len(d.Iters))
-	}
-	for i, it := range d.Iters {
-		if it.Iter != i+1 {
-			t.Errorf("position %d holds iteration %d", i, it.Iter)
-		}
-	}
-}
-
-func BenchmarkReportHTML(b *testing.B) {
+func BenchmarkReportPage(b *testing.B) {
 	d := goldenData()
 	for i := 5; i <= 100; i++ {
 		it := testIteration(i)
@@ -222,15 +126,15 @@ func BenchmarkReportHTML(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if out := ReportHTML(d, "bench"); len(out) == 0 {
+		if out := Page("bench", "", ReportBody(d)); len(out) == 0 {
 			b.Fatal("empty render")
 		}
 	}
 }
 
-func ExampleReportHTML() {
+func ExampleReportBody() {
 	d := RunData{Header: Header{RunID: "ex", Method: "UNICO"}}
-	html := ReportHTML(d, "example")
+	html := Page("example", "", ReportBody(d))
 	fmt.Println(strings.Contains(string(html), "waiting for the first completed iteration"))
 	// Output: true
 }

@@ -3,12 +3,11 @@
 // for writing, so the order in which a run touches the world is decided once:
 //
 //  1. validate the resume fingerprint (read-only: a refused resume leaves
-//     every file and the dashboard exactly as they were),
+//     every file exactly as it was),
 //  2. open the checkpoint,
 //  3. create or resume the flight record,
-//  4. announce the run to the dashboard store,
-//  5. core.RunContext,
-//  6. write the summary and close.
+//  4. core.RunContext,
+//  5. write the summary and close.
 //
 // Everything the run reports through is a value in the Spec; creating those
 // values, naming the files and deciding what a setup failure means stay with
@@ -22,9 +21,7 @@ import (
 	"unico/internal/checkpoint"
 	"unico/internal/core"
 	"unico/internal/flightrec"
-	"unico/internal/perfprof"
 	"unico/internal/runid"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -41,12 +38,8 @@ type Spec struct {
 	Resume         bool
 	// FlightPath, when set, records the run's flight artifact there.
 	FlightPath string
-	// Tracer, when non-nil, receives the run's phases as Chrome trace events;
-	// it rides the run's context. Progress becomes the core.Options hook.
-	Tracer   *telemetry.Tracer
+	// Progress becomes the core.Options hook.
 	Progress core.ProgressFunc
-	// Live, when non-nil, is the dashboard store the run reports to.
-	Live *flightrec.Live
 }
 
 // NotStarted wraps an error that stopped Run before the search began. A
@@ -102,38 +95,16 @@ func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (cor
 		opt.Flight = flight
 	}
 
-	if spec.Live != nil {
-		// A resumed run seeds the dashboard with the history its artifact
-		// kept, so the live curve covers the whole run, not just the suffix.
-		var kept []flightrec.Iteration
-		if flight != nil && opt.Resume != nil {
-			if d, _, err := flightrec.Load(spec.FlightPath); err == nil {
-				kept = d.Iters
-			}
-		}
-		spec.Live.StartRun(hdr, kept...)
-		if flight != nil {
-			opt.Flight = flightrec.Tee(flight, spec.Live)
-		} else {
-			opt.Flight = spec.Live
-		}
-	}
+	// The run's identity rides its context: the run ID names its requests
+	// and its distributed trace.
+	res := core.RunContext(runid.With(ctx, hdr.RunID), p, opt)
 
-	// The run's identity and tracer ride its context: the run ID names its
-	// requests and its distributed trace.
-	res := core.RunContext(perfprof.WithTracer(runid.With(ctx, hdr.RunID), spec.Tracer), p, opt)
-
-	// The recorder and the store fill the summary's convergence fields from
-	// the last iteration; this side supplies what that stream cannot know.
-	sum := flightrec.Summary{Interrupted: ctx.Err() != nil}
 	err := res.CheckpointErr
 	if flight != nil {
-		if ferr := flight.Finish(sum); err == nil {
+		// The summary holds only what the iteration stream cannot know.
+		if ferr := flight.Finish(flightrec.Summary{Interrupted: ctx.Err() != nil}); err == nil {
 			err = ferr
 		}
-	}
-	if spec.Live != nil {
-		spec.Live.FinishRun(sum)
 	}
 	return res, err
 }

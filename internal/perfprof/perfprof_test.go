@@ -1,16 +1,12 @@
 package perfprof
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"unico/internal/simclock"
-	"unico/internal/telemetry"
 )
 
 // window drains p's phase window and indexes it by path.
@@ -52,70 +48,6 @@ func TestClockedSpanRecordsSimDelta(t *testing.T) {
 	got := window(p)["sh.rung"]
 	if got.SimSeconds != 42 {
 		t.Fatalf("sim seconds = %v, want 42", got.SimSeconds)
-	}
-}
-
-// TestClockedSpanWritesItsTraceEvent: under a context carrying a tracer, a
-// clocked span is the site's one bracket — ending it records the phase and
-// writes the Chrome event, named after the phase, on the simulated timeline,
-// with the End arguments and the wall milliseconds. Unclocked spans (which
-// run in parallel and hold no clock) and spans under no tracer write nothing.
-func TestClockedSpanWritesItsTraceEvent(t *testing.T) {
-	var buf bytes.Buffer
-	tr := telemetry.NewTracer(&buf)
-	p := New()
-	c := &simclock.Clock{}
-	c.Advance(3600)
-	ctx := WithTracer(context.Background(), tr)
-	if Tracer(ctx) != tr || Tracer(context.Background()) != nil {
-		t.Fatal("Tracer(ctx) does not return what WithTracer attached")
-	}
-
-	ictx, iter := p.StartClocked(ctx, "iteration", c)
-	rctx, rung := p.StartClocked(ictx, "sh.rung", c)
-	if Tracer(rctx) != tr {
-		t.Fatal("a span's context lost the tracer")
-	}
-	_, leaf := p.Start(rctx, "mapsearch.advance")
-	leaf.End()
-	c.Advance(1800)
-	rung.EndWith(map[string]any{"rung": 1})
-	iter.End()
-	_, bare := p.StartClocked(context.Background(), "iteration", c)
-	bare.EndWith(map[string]any{"dropped": true})
-	tr.Flush()
-
-	type event struct {
-		Name string         `json:"name"`
-		TS   float64        `json:"ts"`
-		Dur  float64        `json:"dur"`
-		Args map[string]any `json:"args"`
-	}
-	var got []event
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] { // [0] is the process_name record
-		var ev event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad trace line %s: %v", line, err)
-		}
-		got = append(got, ev)
-	}
-	if len(got) != 2 || got[0].Name != "sh.rung" || got[1].Name != "iteration" {
-		t.Fatalf("trace events %+v, want sh.rung then iteration and nothing else", got)
-	}
-	for _, ev := range got {
-		if ev.TS != 3600e6 || ev.Dur != 1800e6 || ev.Args["sim_hours"] != 1.5 {
-			t.Errorf("%s: ts %v dur %v sim_hours %v, want simulated 1 h .. 1.5 h", ev.Name, ev.TS, ev.Dur, ev.Args["sim_hours"])
-		}
-		if _, ok := ev.Args["real_ms"].(float64); !ok {
-			t.Errorf("%s: no real_ms in %v", ev.Name, ev.Args)
-		}
-	}
-	if got[0].Args["rung"] != 1.0 {
-		t.Errorf("sh.rung args %v lost the EndWith argument", got[0].Args)
-	}
-	// Both brackets fed the phase tree as well, tracer or not.
-	if tot := window(p); tot["iteration"].Count != 2 || tot["iteration/sh.rung"].SimSeconds != 1800 {
-		t.Errorf("phase totals %v", tot)
 	}
 }
 

@@ -91,8 +91,6 @@ type Outcome struct {
 // (zero budget spent). Canceling ctx stops the schedule between (and, for
 // cancelable jobs, within) rounds; the outcome then reflects the budget
 // actually spent, so callers can checkpoint or discard the partial batch.
-// When ctx carries a Chrome tracer (perfprof.WithTracer) every rung and
-// every advanced candidate is written to it.
 func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 	cfg = cfg.normalize()
 	n := len(jobs)
@@ -123,9 +121,7 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 			alive = Promote(jobs, alive, cfg)
 			rungAlive = append(rungAlive, len(alive))
 		}
-		rungSpan.EndWith(map[string]any{
-			"rung": r + 1, "budget": cumBudget[r], "alive": len(alive), "evals": evals,
-		})
+		rungSpan.End()
 		telemetry.SHRungs().Inc()
 		telemetry.SHSurvivors().Set(float64(len(alive)))
 		if len(alive) <= 1 && r < rounds-1 {
@@ -151,7 +147,7 @@ func FullBudget(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outc
 	alive := allOf(n)
 	fctx, span := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
 	evals := advance(fctx, jobs, alive, cfg.BMax, cfg)
-	span.EndWith(map[string]any{"budget": cfg.BMax, "alive": n, "evals": evals})
+	span.End()
 	return Outcome{Survivors: alive, TotalEvals: evals, Rounds: 1, RungAlive: []int{n}}
 }
 
@@ -161,7 +157,6 @@ func FullBudget(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outc
 // candidate's searcher, so results are independent of the worker count and
 // schedule.
 func advance(ctx context.Context, jobs []mapsearch.Searcher, alive []int, target int, cfg Config) int {
-	simStart := simNow(cfg.Clock)
 	advanced := make([]int, 0, len(alive))
 	preSpent := make([]int, 0, len(alive))
 	for _, ji := range alive {
@@ -185,13 +180,6 @@ func advance(ctx context.Context, jobs []mapsearch.Searcher, alive []int, target
 		// each costs its budget delta (averaged here) in eval time.
 		perCand := float64(evals) / float64(len(alive)) * cfg.EvalCostSeconds
 		cfg.Clock.AdvanceParallel(len(alive), perCand, cfg.Workers)
-	}
-	if tr := perfprof.Tracer(ctx); tr != nil {
-		simEnd := simNow(cfg.Clock)
-		for _, ji := range advanced {
-			tr.Complete("candidate_eval", "sh", int64(ji+1), simStart, simEnd,
-				map[string]any{"candidate": ji, "spent": jobs[ji].Spent()})
-		}
 	}
 	return evals
 }
@@ -266,12 +254,4 @@ func terminalValue(j mapsearch.Searcher) float64 {
 // inflate it.
 func auc(j mapsearch.Searcher) float64 {
 	return mapsearch.Feasible(j.History()).AUC()
-}
-
-// simNow reads the simulated clock (0 when no clock is attached).
-func simNow(c *simclock.Clock) float64 {
-	if c == nil {
-		return 0
-	}
-	return c.Seconds()
 }

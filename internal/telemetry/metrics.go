@@ -1,14 +1,10 @@
 // Package telemetry is the stdlib-only observability subsystem: a metrics
 // registry (atomic counters, gauges and fixed-bucket histograms rendered in
-// Prometheus text exposition format on GET /metrics), a search-event tracer
-// emitting Chrome trace_event JSONL stamped with both real and simulated
-// time, HTTP server middleware, and the debug server behind the CLIs'
-// -metrics-addr flag.
+// Prometheus text exposition format on GET /metrics), HTTP server
+// middleware, and the debug server behind the CLIs' -metrics-addr flag.
 //
 // Everything is dependency-free by design (the repo rule: no modules beyond
-// the standard library) and safe for concurrent use. A nil *Tracer is a
-// valid, zero-overhead tracer: every method is a no-op, so instrumented hot
-// paths cost one pointer comparison when tracing is off.
+// the standard library) and safe for concurrent use.
 package telemetry
 
 import (

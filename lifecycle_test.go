@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -17,8 +16,7 @@ import (
 
 // TestRefusedResumeTouchesNothing: a resume refused for a fingerprint
 // mismatch "never started" — so it must leave the checkpoint, its journal and
-// the flight record of the run they belong to byte-identical, and tell the
-// dashboard nothing.
+// the flight record of the run they belong to byte-identical.
 func TestRefusedResumeTouchesNothing(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {
@@ -37,7 +35,7 @@ func TestRefusedResumeTouchesNothing(t *testing.T) {
 		}
 	}
 
-	cfg.Resume, cfg.Seed, cfg.Dashboard = true, 2, flightrec.NewLive()
+	cfg.Resume, cfg.Seed = true, 2
 	res, err := OptimizeContext(context.Background(), p, cfg)
 	if res != nil || !errors.Is(err, core.ErrResumeMismatch) {
 		t.Fatalf("resume at another seed = %v, %v; want nil, ErrResumeMismatch", res, err)
@@ -48,29 +46,22 @@ func TestRefusedResumeTouchesNothing(t *testing.T) {
 			t.Errorf("%s changed under a refused resume (err=%v)", filepath.Base(f), err)
 		}
 	}
-	if d := cfg.Dashboard.Snapshot(); !reflect.DeepEqual(d, flightrec.RunData{}) {
-		t.Errorf("dashboard heard of a run that never started: %+v", d)
-	}
 }
 
 // observedRun is everything one co-search reported through the values in its
 // Config.
 type observedRun struct {
-	res       *Result
-	progress  int
-	trace     bytes.Buffer
-	dashboard *flightrec.Live
-	flight    *flightrec.RunData
+	res      *Result
+	progress int
+	flight   *flightrec.RunData
 }
 
 func runObserved(t *testing.T, p *Platform, seed int64, runID, dir string) *observedRun {
-	o := &observedRun{dashboard: flightrec.NewLive()}
+	o := &observedRun{}
 	cfg := Config{
 		BatchSize: 6, Iterations: 3, BudgetMax: 15, Seed: seed,
 		RunID:            runID,
 		FlightRecordFile: filepath.Join(dir, runID+".jsonl"),
-		TraceWriter:      &o.trace,
-		Dashboard:        o.dashboard,
 		Progress:         func(IterationProgress) { o.progress++ },
 	}
 	var err error
@@ -95,7 +86,7 @@ func withoutPhases(iters []flightrec.Iteration) []flightrec.Iteration {
 }
 
 // TestTwoCoSearchesOneProcess runs two co-searches concurrently, each with
-// its own dashboard store, trace writer, progress callback and flight file,
+// its own progress callback and flight file,
 // and requires each to observe exactly what it observes running alone:
 // nothing a run reports through is process-wide any more.
 //
@@ -140,15 +131,6 @@ func TestTwoCoSearchesOneProcess(t *testing.T) {
 		if got.progress != iters {
 			t.Errorf("%s: %d progress callbacks, want %d", ids[i], got.progress, iters)
 		}
-		if n := strings.Count(got.trace.String(), `"name":"iteration"`); n != iters {
-			t.Errorf("%s: %d iteration trace events, want %d", ids[i], n, iters)
-		}
-		live := got.dashboard.Snapshot()
-		if live.Header.RunID != ids[i] || len(live.Iters) != iters || live.Summary == nil {
-			t.Errorf("%s: dashboard shows run %q, %d iterations, summary %v",
-				ids[i], live.Header.RunID, len(live.Iters), live.Summary)
-		}
-
 		if !reflect.DeepEqual(withoutPhases(want.flight.Iters), withoutPhases(got.flight.Iters)) {
 			t.Errorf("%s: flight iterations differ from the solo run's", ids[i])
 		}

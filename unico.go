@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"unico/internal/baselines"
@@ -39,7 +38,6 @@ import (
 	"unico/internal/platform"
 	"unico/internal/runid"
 	"unico/internal/simclock"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -273,19 +271,10 @@ type Config struct {
 	// process keep theirs apart. Empty uses the ID ctx already carries, or
 	// generates a fresh one.
 	RunID string
-	// TraceWriter, if non-nil, receives the run's phases as Chrome
-	// trace_event JSONL, named as in the flight record's phase tree (open
-	// with a trace viewer after `jq -s .`, or read line-by-line). Tracing
-	// never changes the search result.
-	TraceWriter io.Writer
 	// Progress, if non-nil, is invoked after every optimizer iteration
 	// with a convergence snapshot (UNICO, HASCO and MOBOHB; NSGA-II does
 	// not run on the shared iteration engine).
 	Progress func(IterationProgress)
-	// Dashboard, if non-nil, is the live store behind a `/debug/unico`
-	// dashboard (cmd/unico's -metrics-addr): it receives the run header,
-	// every iteration record and the summary as the search produces them.
-	Dashboard *flightrec.Live
 }
 
 // IterationProgress is one per-iteration convergence snapshot.
@@ -401,10 +390,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 			CheckpointPath: cfg.CheckpointFile,
 			Resume:         cfg.Resume,
 			FlightPath:     cfg.FlightRecordFile,
-			Live:           cfg.Dashboard,
-		}
-		if cfg.TraceWriter != nil {
-			spec.Tracer = telemetry.NewTracer(cfg.TraceWriter)
 		}
 		if cfg.Progress != nil {
 			spec.Progress = func(p core.Progress) {
@@ -419,9 +404,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 			}
 		}
 		res, runErr = lifecycle.Run(ctx, p.inner, opt, spec)
-		if err := spec.Tracer.Flush(); err != nil {
-			runErr = errors.Join(runErr, fmt.Errorf("unico: write trace: %w", err))
-		}
 		if errors.As(runErr, new(lifecycle.NotStarted)) {
 			// Nothing ran: an artifact could not be opened, or the checkpoint
 			// belongs to a different configuration and continuing would
@@ -437,7 +419,7 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 	if rep, ok := core.Representative(res.Front); ok {
 		out.Best = design(p, rep)
 	}
-	// A mid-run checkpoint, flight-record or trace write failure is
+	// A mid-run checkpoint or flight-record write failure is
 	// non-fatal to the search; hand back the result along with it so callers
 	// know an artifact is incomplete.
 	return out, runErr
