@@ -90,19 +90,35 @@ func (Engine) Area(c hw.Ascend) float64 {
 
 // capacityError is the ErrInfeasible of a schedule that overflows one of the
 // core's buffers. A schedule search rejects thousands of these per candidate
-// and reads none of them, so the text is formatted only when Error is called.
+// and reads none of them, so the text is formatted only when Error is called,
+// and the struct holds integers only — the buffer is an index into
+// bufferNames — so a rejection allocates nothing the GC must scan.
 type capacityError struct {
-	what   string // "L0A", "L0B", "L0C", "L1", "UB" or "PB"
-	need   int    // bytes
+	what   buffer
+	need   int // bytes
 	haveKB int
 	fuse   int // fusion depth, reported for L1 only
 }
 
+// buffer names one of the core's buffers in a capacityError.
+type buffer uint8
+
+const (
+	bufL0A buffer = iota
+	bufL0B
+	bufL0C
+	bufL1
+	bufUB
+	bufPB
+)
+
+var bufferNames = [...]string{bufL0A: "L0A", bufL0B: "L0B", bufL0C: "L0C", bufL1: "L1", bufUB: "UB", bufPB: "PB"}
+
 func (e *capacityError) Error() string {
-	if e.what == "L1" {
+	if e.what == bufL1 {
 		return fmt.Sprintf("%v: L1 needs %d B > %d KB (fuse=%d)", ErrInfeasible, e.need, e.haveKB, e.fuse)
 	}
-	return fmt.Sprintf("%v: %s needs %d B > %d KB", ErrInfeasible, e.what, e.need, e.haveKB)
+	return fmt.Sprintf("%v: %s needs %d B > %d KB", ErrInfeasible, bufferNames[e.what], e.need, e.haveKB)
 }
 
 func (e *capacityError) Unwrap() error { return ErrInfeasible }
@@ -161,13 +177,13 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 		bufC *= 2
 	}
 	if bufA > float64(c.L0AKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L0A", need: int(bufA), haveKB: c.L0AKB}
+		return ppa.Metrics{}, &capacityError{what: bufL0A, need: int(bufA), haveKB: c.L0AKB}
 	}
 	if bufB > float64(c.L0BKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L0B", need: int(bufB), haveKB: c.L0BKB}
+		return ppa.Metrics{}, &capacityError{what: bufL0B, need: int(bufB), haveKB: c.L0BKB}
 	}
 	if bufC > float64(c.L0CKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L0C", need: int(bufC), haveKB: c.L0CKB}
+		return ppa.Metrics{}, &capacityError{what: bufL0C, need: int(bufC), haveKB: c.L0CKB}
 	}
 
 	// L1 residency: the M×K and K×N tiles plus the output tile, times the
@@ -178,16 +194,16 @@ func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.M
 	tileOut := float64(m.TM * m.TN)
 	l1Need := (tileA + tileB + tileOut) * float64(m.FuseDepth)
 	if l1Need > float64(c.L1KB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L1", need: int(l1Need), haveKB: c.L1KB, fuse: m.FuseDepth}
+		return ppa.Metrics{}, &capacityError{what: bufL1, need: int(l1Need), haveKB: c.L1KB, fuse: m.FuseDepth}
 	}
 	// UB must hold one output tile for vector post-processing.
 	if tileOut > float64(c.UBKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "UB", need: int(tileOut), haveKB: c.UBKB}
+		return ppa.Metrics{}, &capacityError{what: bufUB, need: int(tileOut), haveKB: c.UBKB}
 	}
 	// Parameter buffer holds the per-layer scale/bias vectors (4 B per
 	// output channel).
 	if 4*float64(l.K) > float64(c.PBKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "PB", need: 4 * l.K, haveKB: c.PBKB}
+		return ppa.Metrics{}, &capacityError{what: bufPB, need: 4 * l.K, haveKB: c.PBKB}
 	}
 
 	// Tile trip counts.

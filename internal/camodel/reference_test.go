@@ -52,13 +52,13 @@ func (e Engine) referenceEvaluate(c hw.Ascend, m mapping.Ascend, l workload.Laye
 		bufC *= 2
 	}
 	if bufA > float64(c.L0AKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L0A", need: int(bufA), haveKB: c.L0AKB}
+		return ppa.Metrics{}, &capacityError{what: bufL0A, need: int(bufA), haveKB: c.L0AKB}
 	}
 	if bufB > float64(c.L0BKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L0B", need: int(bufB), haveKB: c.L0BKB}
+		return ppa.Metrics{}, &capacityError{what: bufL0B, need: int(bufB), haveKB: c.L0BKB}
 	}
 	if bufC > float64(c.L0CKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L0C", need: int(bufC), haveKB: c.L0CKB}
+		return ppa.Metrics{}, &capacityError{what: bufL0C, need: int(bufC), haveKB: c.L0CKB}
 	}
 
 	// L1 residency: the M×K and K×N tiles plus the output tile, times the
@@ -69,16 +69,16 @@ func (e Engine) referenceEvaluate(c hw.Ascend, m mapping.Ascend, l workload.Laye
 	tileOut := float64(m.TM * m.TN)
 	l1Need := (tileA + tileB + tileOut) * float64(m.FuseDepth)
 	if l1Need > float64(c.L1KB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "L1", need: int(l1Need), haveKB: c.L1KB, fuse: m.FuseDepth}
+		return ppa.Metrics{}, &capacityError{what: bufL1, need: int(l1Need), haveKB: c.L1KB, fuse: m.FuseDepth}
 	}
 	// UB must hold one output tile for vector post-processing.
 	if tileOut > float64(c.UBKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "UB", need: int(tileOut), haveKB: c.UBKB}
+		return ppa.Metrics{}, &capacityError{what: bufUB, need: int(tileOut), haveKB: c.UBKB}
 	}
 	// Parameter buffer holds the per-layer scale/bias vectors (4 B per
 	// output channel).
 	if 4*float64(l.K) > float64(c.PBKB)*1024 {
-		return ppa.Metrics{}, &capacityError{what: "PB", need: 4 * l.K, haveKB: c.PBKB}
+		return ppa.Metrics{}, &capacityError{what: bufPB, need: 4 * l.K, haveKB: c.PBKB}
 	}
 
 	// Tile trip counts.

@@ -104,13 +104,6 @@ func RunAblation(w io.Writer, s Scale) CurveResult {
 	nets := []workload.Workload{workload.UNet(), workload.SRGAN(), workload.BERT(), workload.ViT()}
 	res := traceComparison(hw.Edge, nets, methods, s)
 	printCurves(w, "Figure 10: ablation (update rule x halving variant)", res)
-	if w != nil {
-		base := meanOf(res, "HASCO")
-		for _, c := range res.Curves {
-			fprintf(w, "  convergence regret %-13s mean %.5f final %.5f (vs HASCO %+.1f%%)\n",
-				c.Method, c.Mean(), c.Final(), relImprove(base, c.Mean()))
-		}
-	}
 	return res
 }
 
@@ -217,6 +210,8 @@ func hvAt(r netRun, t float64, ref []float64) float64 {
 	return normHV(pts, ref)
 }
 
+// printCurves prints a Fig. 7 or Fig. 10 comparison: the curves on their
+// common time grid, then each method's convergence regret against HASCO's.
 func printCurves(w io.Writer, title string, res CurveResult) {
 	if w == nil {
 		return
@@ -236,5 +231,10 @@ func printCurves(w io.Writer, title string, res CurveResult) {
 			fprintf(w, " %13.4f", c.HVDiff[g])
 		}
 		fprintf(w, "\n")
+	}
+	base := meanOf(res, "HASCO")
+	for _, c := range res.Curves {
+		fprintf(w, "  convergence regret %-13s mean %.5f final %.5f (vs HASCO %+.1f%%)\n",
+			c.Method, c.Mean(), c.Final(), relImprove(base, c.Mean()))
 	}
 }

@@ -90,6 +90,9 @@ func (s *AscendSpace) Dim() int { return s.grid.Dim() }
 // Sample draws a uniformly random configuration point.
 func (s *AscendSpace) Sample(rng *rand.Rand) []float64 { return s.grid.Sample(rng) }
 
+// SampleInto draws what Sample draws into x.
+func (s *AscendSpace) SampleInto(rng *rand.Rand, x []float64) { s.grid.SampleInto(rng, x) }
+
 // Clip snaps a point to the nearest valid configuration.
 func (s *AscendSpace) Clip(x []float64) []float64 { return s.grid.Clip(x) }
 

@@ -79,10 +79,19 @@ func (g Grid) Axes() []Axis { return g.axes }
 // coordinates in [0,1]^d.
 func (g Grid) Sample(rng *rand.Rand) []float64 {
 	x := make([]float64, g.Dim())
+	g.SampleInto(rng, x)
+	return x
+}
+
+// SampleInto draws what Sample draws into x, which must hold Dim
+// coordinates.
+func (g Grid) SampleInto(rng *rand.Rand, x []float64) {
+	if len(x) != g.Dim() {
+		panic(fmt.Sprintf("hw: SampleInto: got %d coords, want %d", len(x), g.Dim()))
+	}
 	for i, a := range g.axes {
 		x[i] = a.center(rng.Intn(a.levels()))
 	}
-	return x
 }
 
 // Clip snaps an arbitrary point in R^d to the nearest cell center.

@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,33 @@ func TestGridSampleIsValid(t *testing.T) {
 			if x[d] != c[d] {
 				t.Fatalf("Sample produced off-center point %v (clip %v)", x, c)
 			}
+		}
+	}
+}
+
+// TestSampleIntoDrawsAsSample: on both spaces, SampleInto writes the point
+// Sample returns from the same generator state, leaves the generator where
+// Sample leaves it, and allocates nothing.
+func TestSampleIntoDrawsAsSample(t *testing.T) {
+	for _, s := range []interface {
+		Dim() int
+		Sample(*rand.Rand) []float64
+		SampleInto(*rand.Rand, []float64)
+	}{NewSpatialSpace(Edge), NewAscendSpace()} {
+		a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		x := make([]float64, s.Dim())
+		for i := 0; i < 100; i++ {
+			want := s.Sample(a)
+			s.SampleInto(b, x)
+			if !slices.Equal(x, want) {
+				t.Fatalf("draw %d: SampleInto wrote %v, Sample returned %v", i, x, want)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Error("SampleInto left the generator elsewhere than Sample")
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.SampleInto(b, x) }); allocs != 0 {
+			t.Errorf("SampleInto allocates %v times, want 0", allocs)
 		}
 	}
 }

@@ -113,6 +113,9 @@ func (s *SpatialSpace) Dim() int { return s.grid.Dim() }
 // Sample draws a uniformly random configuration point.
 func (s *SpatialSpace) Sample(rng *rand.Rand) []float64 { return s.grid.Sample(rng) }
 
+// SampleInto draws what Sample draws into x.
+func (s *SpatialSpace) SampleInto(rng *rand.Rand, x []float64) { s.grid.SampleInto(rng, x) }
+
 // Clip snaps a point to the nearest valid configuration.
 func (s *SpatialSpace) Clip(x []float64) []float64 { return s.grid.Clip(x) }
 

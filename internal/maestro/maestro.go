@@ -133,14 +133,26 @@ type breakdown struct {
 
 // capacityError is the ErrInfeasible of a tile that does not fit its buffer.
 // A mapping search rejects a few hundred thousand of these per co-search and
-// reads none of them, so the text is formatted only when Error is called.
+// reads none of them, so the text is formatted only when Error is called,
+// and the struct holds integers only — the buffer is an index into
+// bufferNames — so a rejection allocates nothing the GC must scan.
 type capacityError struct {
-	what       string // "L1 tile" or "L2 working set"
-	need, have int    // bytes
+	what       buffer
+	need, have int // bytes
 }
 
+// buffer names the buffer a capacityError overflows.
+type buffer uint8
+
+const (
+	bufL1Tile buffer = iota
+	bufL2WorkingSet
+)
+
+var bufferNames = [...]string{bufL1Tile: "L1 tile", bufL2WorkingSet: "L2 working set"}
+
 func (e *capacityError) Error() string {
-	return fmt.Sprintf("%v: %s %d B > %d B", ErrInfeasible, e.what, e.need, e.have)
+	return fmt.Sprintf("%v: %s %d B > %d B", ErrInfeasible, bufferNames[e.what], e.need, e.have)
 }
 
 func (e *capacityError) Unwrap() error { return ErrInfeasible }
@@ -200,7 +212,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	// Double-buffered L1 residency.
 	if 2*(inTile+wTile+outTile) > float64(c.L1Bytes) {
 		return ppa.Metrics{}, breakdown{}, &capacityError{
-			what: "L1 tile", need: int(2 * (inTile + wTile + outTile)), have: c.L1Bytes}
+			what: bufL1Tile, need: int(2 * (inTile + wTile + outTile)), have: c.L1Bytes}
 	}
 
 	// Loop bounds, tile sizes and spatial extents per dimension. Dim-indexed
@@ -261,7 +273,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	l2Cap := float64(c.L2KB) * 1024
 	if l2Need > l2Cap {
 		return ppa.Metrics{}, breakdown{}, &capacityError{
-			what: "L2 working set", need: int(l2Need), have: int(l2Cap)}
+			what: bufL2WorkingSet, need: int(l2Need), have: int(l2Cap)}
 	}
 
 	// L2 -> L1 (NoC) traffic. An operand's tile is fetched once per trip of

@@ -3,6 +3,7 @@ package mapsearch
 import (
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
@@ -11,20 +12,46 @@ import (
 )
 
 // ascendLayer is what one layer's schedule searches read but never change,
-// whatever the core: the layer's moves and the descending tile ladders the
-// depth-first walk backs off along. Network builds one per layer of its
-// workload.
+// whatever the core: the layer's moves, the descending tile ladders the
+// depth-first walk backs off along, and the walk itself. Network builds one
+// per layer of its workload, and every job of the workload shares it.
+//
+// The walk's nodes depend on the layer alone, so they are generated once:
+// walk grows one backoff level at a time, under mu, as far as the furthest
+// job has needed. A node once appended never changes, so a job keeps the
+// slice it was last handed and reads below its length without the lock.
 type ascendLayer struct {
 	moves         mapping.AscendMoves
 	tms, tks, tns []int
+
+	mu       sync.Mutex
+	gen      backoffWalk
+	walk     []mapping.Ascend
+	walkDone bool // gen has emitted its last node
 }
 
-func newAscendLayer(l workload.Layer) ascendLayer {
+func newAscendLayer(l workload.Layer) *ascendLayer {
 	gm, gk, gn := mapping.GemmDims(l)
-	return ascendLayer{
+	lay := &ascendLayer{
 		moves: mapping.NewAscendMoves(l),
 		tms:   descLadder(gm), tks: descLadder(gk), tns: descLadder(gn),
 	}
+	lay.gen = newBackoffWalk(lay)
+	return lay
+}
+
+// walkPast returns the walk as far as it is generated, first growing it by
+// one backoff level if it holds no more than n nodes, and whether it is
+// complete.
+func (lay *ascendLayer) walkPast(n int) ([]mapping.Ascend, bool) {
+	lay.mu.Lock()
+	defer lay.mu.Unlock()
+	if len(lay.walk) <= n && !lay.walkDone {
+		have := len(lay.walk)
+		lay.walk = lay.gen.appendLevel(lay.walk)
+		lay.walkDone = len(lay.walk) == have
+	}
+	return lay.walk, lay.walkDone
 }
 
 // ascendProblem is one layer on one Ascend-like core configuration: the
@@ -49,10 +76,11 @@ func (p *ascendProblem) Evaluate(m mapping.Ascend) (ppa.Metrics, error) {
 	return p.eng.Evaluate(p.cfg, m, p.layer.moves.Layer())
 }
 
-// Seeds returns the warm-start schedules: the single-intrinsic tile (always
-// the smallest legal cube granule) and a capacity-guided tile grown greedily
-// into the L1 staging buffer.
-func (p *ascendProblem) Seeds() []mapping.Ascend {
+// seeds returns the n warm-start schedules: the single-intrinsic tile
+// (always the smallest legal cube granule) and, when it differs, a
+// capacity-guided tile grown greedily into the L1 staging buffer, which
+// comes first.
+func (p *ascendProblem) seeds() (s [2]mapping.Ascend, n int) {
 	l := p.layer.moves.Layer()
 	minimal := mapping.Ascend{
 		TM: p.cfg.CubeM, TK: p.cfg.CubeK, TN: p.cfg.CubeN, FuseDepth: 1,
@@ -64,13 +92,19 @@ func (p *ascendProblem) Seeds() []mapping.Ascend {
 	}
 	for progress := true; progress; {
 		progress = false
-		for _, grow := range []func(*mapping.Ascend){
-			func(m *mapping.Ascend) { m.TM *= 2 },
-			func(m *mapping.Ascend) { m.TK *= 2 },
-			func(m *mapping.Ascend) { m.TN *= 2 },
-		} {
+		// Grow TM, then TK, then TN. A switch rather than a table of
+		// closures: a closure called through a table moves next to the
+		// heap.
+		for axis := 0; axis < 3; axis++ {
 			next := guided
-			grow(&next)
+			switch axis {
+			case 0:
+				next.TM *= 2
+			case 1:
+				next.TK *= 2
+			default:
+				next.TN *= 2
+			}
 			next = next.Canon(l)
 			if next != guided && fits(next) {
 				guided = next
@@ -79,9 +113,9 @@ func (p *ascendProblem) Seeds() []mapping.Ascend {
 		}
 	}
 	if guided == minimal {
-		return []mapping.Ascend{minimal}
+		return [2]mapping.Ascend{minimal}, 1
 	}
-	return []mapping.Ascend{guided, minimal}
+	return [2]mapping.Ascend{guided, minimal}, 2
 }
 
 // DepthFirstFusion is the depth-first buffer-fusion schedule search of the
@@ -90,30 +124,33 @@ func (p *ascendProblem) Seeds() []mapping.Ascend {
 // largest tiles first — the most buffer-hungry schedules — and backing off
 // toward shallower fusion and smaller tiles as capacity checks fail. Each
 // Step evaluates exactly one schedule: first the warm-start seeds, computed
-// at the first Step, then the backoff walk, which is generated one level at
-// a time as Step reaches it (building a searcher builds no node, however
-// large the tree), and once the walk is exhausted the searcher refines the
-// incumbent by random mutation.
+// at the first Step, then the layer's backoff walk, which the layer
+// generates one level at a time as the furthest of its searchers reaches it
+// (building a searcher builds no node, however large the tree), and once
+// the walk is exhausted the searcher refines the incumbent by random
+// mutation.
 type DepthFirstFusion struct {
 	prob *ascendProblem
 	rng  *rand.Rand
 
-	// pending holds the walk nodes generated but not yet evaluated — the
-	// seeds, then one backoff level at a time; pos is the next node.
-	pending []mapping.Ascend
+	// seeds[:nSeeds] head the walk. walk is the layer's walk as long as
+	// this searcher last saw it, pos the index of its next node, and
+	// walkDone whether walk is the whole of it.
+	seeds   [2]mapping.Ascend
+	nSeeds  int
+	walk    []mapping.Ascend
 	pos     int
-	walk    backoffWalk
 	bestMet ppa.Metrics
 	best    mapping.Ascend
-	hasBest bool
 	lastMet ppa.Metrics
-	lastOK  bool
 	evals   int
+	// The flags share one word.
+	walkDone, hasBest, lastOK bool
 }
 
 // newDepthFirstFusion builds the depth-first searcher of one layer's problem.
 func newDepthFirstFusion(prob *ascendProblem, rng *rand.Rand) *DepthFirstFusion {
-	return &DepthFirstFusion{prob: prob, rng: rng, walk: newBackoffWalk(prob.layer)}
+	return &DepthFirstFusion{prob: prob, rng: rng}
 }
 
 const (
@@ -216,17 +253,14 @@ func (d *DepthFirstFusion) Step() {
 		// The warm-start seeds head the walk so feasibility is established
 		// on the first steps, then the deterministic backoff sweep takes
 		// over.
-		d.pending = d.prob.Seeds()
+		d.seeds, d.nSeeds = d.prob.seeds()
 	}
 	d.evals++
 	var cand mapping.Ascend
-	if d.pos == len(d.pending) {
-		// The consumed level's storage is reused for the next one.
-		d.pending, d.pos = d.walk.appendLevel(d.pending[:0]), 0
-	}
-	if d.pos < len(d.pending) {
-		cand = d.pending[d.pos]
-		d.pos++
+	if d.evals <= d.nSeeds {
+		cand = d.seeds[d.evals-1]
+	} else if m, ok := d.nextNode(); ok {
+		cand = m
 	} else if d.hasBest {
 		cand = d.prob.Mutate(d.rng, d.best)
 	} else {
@@ -241,6 +275,23 @@ func (d *DepthFirstFusion) Step() {
 	if !d.hasBest || Loss(met) < Loss(d.bestMet) {
 		d.best, d.bestMet, d.hasBest = cand, met, true
 	}
+}
+
+// nextNode returns the walk's next node, or false once the walk is
+// exhausted. It takes the layer's lock only to reach past the part of the
+// walk it has seen, and never once it has seen the whole walk.
+func (d *DepthFirstFusion) nextNode() (mapping.Ascend, bool) {
+	if d.pos == len(d.walk) {
+		if d.walkDone {
+			return mapping.Ascend{}, false
+		}
+		d.walk, d.walkDone = d.prob.layer.walkPast(d.pos)
+		if d.pos == len(d.walk) {
+			return mapping.Ascend{}, false
+		}
+	}
+	d.pos++
+	return d.walk[d.pos-1], true
 }
 
 // Best returns the best feasible metrics found so far.
@@ -266,7 +317,7 @@ func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, seed int64) *NetworkSe
 	probs := make([]ascendProblem, len(lays))
 	layers := make([]LayerSearcher, len(probs))
 	for i := range probs {
-		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: &lays[i]}
+		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: lays[i]}
 		layers[i] = newDepthFirstFusion(&probs[i], newLayerRand(seed, i))
 	}
 	return n.searcher(layers, eng.Area(cfg))

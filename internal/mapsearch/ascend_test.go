@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"unico/internal/camodel"
@@ -258,8 +259,7 @@ func (recordingEngine) EvalCostSeconds() float64 { return 1 }
 
 // depthFirstOn builds the depth-first searcher of layer l on core cfg.
 func depthFirstOn(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.Rand) *DepthFirstFusion {
-	lay := newAscendLayer(l)
-	return newDepthFirstFusion(&ascendProblem{eng: eng, cfg: cfg, layer: &lay}, rng)
+	return newDepthFirstFusion(&ascendProblem{eng: eng, cfg: cfg, layer: newAscendLayer(l)}, rng)
 }
 
 // eagerSteps replays the searcher as it was before the walk was generated
@@ -267,10 +267,10 @@ func depthFirstOn(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.R
 // — and returns the schedules it evaluates and the index of the first one
 // drawn from the rng.
 func eagerSteps(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.Rand, steps int) (cands []mapping.Ascend, handoff int) {
-	lay := newAscendLayer(l)
-	prob := ascendProblem{eng: eng, cfg: cfg, layer: &lay}
+	prob := ascendProblem{eng: eng, cfg: cfg, layer: newAscendLayer(l)}
 	tms, tks, tns := layerLadders(l)
-	walk := append(prob.Seeds(), buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)...)
+	seeds, n := prob.seeds()
+	walk := append(seeds[:n:n], buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)...)
 	var best mapping.Ascend
 	var bestMet ppa.Metrics
 	hasBest := false
@@ -341,6 +341,104 @@ func TestDepthFirstStepSequenceMatchesEager(t *testing.T) {
 	}
 }
 
+// layerRecorder is recordingEngine with every schedule feasible but those
+// with TM a multiple of 3, keeping one record per layer.
+type layerRecorder map[string]*[]mapping.Ascend
+
+func (r layerRecorder) Evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.Metrics, error) {
+	if r[l.Name] == nil {
+		r[l.Name] = new([]mapping.Ascend)
+	}
+	return recordingEngine{feasible: true, seen: r[l.Name]}.Evaluate(c, m, l)
+}
+
+func (layerRecorder) Area(hw.Ascend) float64   { return 1 }
+func (layerRecorder) EvalCostSeconds() float64 { return 1 }
+
+// TestSharedWalkMatchesReference advances four jobs of one Network
+// concurrently, in installments of random size, and holds every layer's
+// evaluations in every job to its seeds and then the eager reference walk,
+// node for node, up to where the job leaves the walk for mutation. Run it
+// under -race: a layer's walk grows while the other jobs read it.
+func TestSharedWalkMatchesReference(t *testing.T) {
+	w := workload.Workload{Name: "walks", Layers: []workload.Layer{
+		workload.Conv("big", 64, 56, 480, 1280, 3, 3, 1, 1), // capped walk
+		workload.Conv("c", 56, 12, 120, 320, 3, 3, 1, 1),
+		workload.Gemm("unit", 1, 1, 1, 1), // 16-node walk, long tail
+	}}
+	net := NewNetwork(w)
+	cfg := hw.DefaultAscend()
+	const jobs, budget = 4, 900
+	recs := make([]layerRecorder, jobs)
+	var wg sync.WaitGroup
+	for j := range recs {
+		recs[j] = layerRecorder{}
+		ns := net.Ascend(recs[j], cfg, int64(j))
+		rng := rand.New(rand.NewSource(int64(j)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for left := budget; left > 0; {
+				b := min(left, 1+rng.Intn(40))
+				ns.Advance(b)
+				left -= b
+			}
+		}()
+	}
+	wg.Wait()
+	for _, l := range w.Layers {
+		seeds, n := (&ascendProblem{cfg: cfg, layer: newAscendLayer(l)}).seeds()
+		tms, tks, tns := layerLadders(l)
+		want := append(seeds[:n:n], buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)...)
+		for j, rec := range recs {
+			got := *rec[l.Name]
+			if l.Name != "c" && len(got) <= len(want) {
+				t.Fatalf("job %d stepped %s %d times, not past its %d-node walk", j, l.Name, len(got), len(want))
+			}
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("job %d, %s: step %d evaluated %+v, reference %+v", j, l.Name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// volumeEngine is a stub AscendEngine under which every schedule is
+// feasible, at a latency of its tile volume.
+type volumeEngine struct{}
+
+func (volumeEngine) Evaluate(_ hw.Ascend, m mapping.Ascend, _ workload.Layer) (ppa.Metrics, error) {
+	lat := float64(m.TM * m.TK * m.TN)
+	return ppa.Metrics{LatencyMs: lat, PowerMW: 2, AreaMM2: 1, EnergyUJ: 2 * lat}, nil
+}
+
+func (volumeEngine) Area(hw.Ascend) float64   { return 1 }
+func (volumeEngine) EvalCostSeconds() float64 { return 1 }
+
+// TestDepthFirstStepOnWalkAllocatesNothing: a step onto a feasible node of
+// a walk another searcher of the layer has already generated allocates
+// nothing.
+func TestDepthFirstStepOnWalkAllocatesNothing(t *testing.T) {
+	l := workload.Conv("c", 56, 12, 120, 320, 3, 3, 1, 1)
+	lay := newAscendLayer(l)
+	prob := ascendProblem{eng: volumeEngine{}, cfg: hw.DefaultAscend(), layer: lay}
+	ahead := newDepthFirstFusion(&prob, rand.New(rand.NewSource(1)))
+	for i := 0; i < 400; i++ {
+		ahead.Step()
+	}
+	d := newDepthFirstFusion(&prob, rand.New(rand.NewSource(2)))
+	for i := 0; i < 10; i++ {
+		d.Step()
+	}
+	if allocs := testing.AllocsPerRun(200, d.Step); allocs != 0 {
+		t.Errorf("a step on a generated walk node allocates %v times, want 0", allocs)
+	}
+	if d.Evals() >= ahead.Evals() || d.walkDone {
+		t.Fatalf("the searcher stepped %d times, past the %d nodes generated ahead of it", d.Evals(), ahead.Evals())
+	}
+}
+
 // TestAscendSearcherAlgos: the Ascend-like platform runs the depth-first
 // search whatever Algo its constructor is given, and the search finds a
 // valid schedule with a monotone history.
@@ -377,14 +475,13 @@ func TestAscendSeedsFeasibleOnDefault(t *testing.T) {
 	cfg := hw.DefaultAscend()
 	for _, w := range workload.All() {
 		for _, l := range w.Layers {
-			lay := newAscendLayer(l)
-			p := ascendProblem{eng: eng, cfg: cfg, layer: &lay}
-			seeds := p.Seeds()
-			if len(seeds) == 0 {
+			p := ascendProblem{eng: eng, cfg: cfg, layer: newAscendLayer(l)}
+			seeds, n := p.seeds()
+			if n == 0 {
 				t.Fatalf("%s/%s: no seeds", w.Name, l.Name)
 			}
 			feasible := false
-			for _, s := range seeds {
+			for _, s := range seeds[:n] {
 				if _, err := p.Evaluate(s); err == nil {
 					feasible = true
 					break

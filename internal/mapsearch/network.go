@@ -3,6 +3,7 @@ package mapsearch
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"unico/internal/mapping"
@@ -163,7 +164,8 @@ func (o *layerOrder) upTo(n int) [][]int32 {
 // Network is the hardware-independent half of a workload's mapping search:
 // its layers, their repeat counts, the order budget units step them in, and
 // each layer's moves (its tile ladders, and for the Ascend-like core the
-// depth-first walk's too). Build it once per workload and hand it to every
+// depth-first walk's ladders and the walk itself, which grows as far as the
+// furthest job has needed). Build it once per workload and hand it to every
 // searcher of that workload, from any goroutine. The moves of a platform
 // are built at the first job on it, so a network searched on one platform
 // holds only that platform's.
@@ -175,7 +177,7 @@ type Network struct {
 	spatialOnce sync.Once
 	spatial     []mapping.SpatialMoves
 	ascendOnce  sync.Once
-	ascend      []ascendLayer
+	ascend      []*ascendLayer
 }
 
 // NewNetwork prepares the mapping searches of workload w.
@@ -201,11 +203,11 @@ func (n *Network) spatialMoves() []mapping.SpatialMoves {
 	return n.spatial
 }
 
-// ascendLayers returns each layer's Ascend-like moves and walk ladders,
-// built at the first call.
-func (n *Network) ascendLayers() []ascendLayer {
+// ascendLayers returns each layer's Ascend-like moves, walk ladders and
+// shared depth-first walk, built at the first call.
+func (n *Network) ascendLayers() []*ascendLayer {
 	n.ascendOnce.Do(func() {
-		n.ascend = make([]ascendLayer, len(n.w.Layers))
+		n.ascend = make([]*ascendLayer, len(n.w.Layers))
 		for i, l := range n.w.Layers {
 			n.ascend[i] = newAscendLayer(l)
 		}
@@ -238,6 +240,8 @@ func (n *NetworkSearcher) advance(budget int, canceled func() error) {
 		return
 	}
 	order := n.order.upTo(n.spent + budget - 1)
+	n.hist = slices.Grow(n.hist, budget)
+	n.rawHist = slices.Grow(n.rawHist, budget)
 	for u := 0; u < budget; u++ {
 		if canceled != nil && canceled() != nil {
 			return

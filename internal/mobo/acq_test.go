@@ -258,7 +258,8 @@ func TestBoundNeverExceedsScore(t *testing.T) {
 // scriptedSpace is a Space whose Sample hands back scripted points: the i-th
 // call returns script[i] when that is non-nil, after drawing — and
 // discarding — the real sample, so the RNG moves as it would unscripted.
-// It also records every point Neighbor returns.
+// SampleInto counts as a call too, and copies the scripted point into its
+// destination. It also records every point Neighbor returns.
 type scriptedSpace struct {
 	Space
 	script  [][]float64
@@ -273,6 +274,14 @@ func (s *scriptedSpace) Sample(rng *rand.Rand) []float64 {
 	}
 	s.calls++
 	return x
+}
+
+func (s *scriptedSpace) SampleInto(rng *rand.Rand, x []float64) {
+	s.Space.SampleInto(rng, x)
+	if s.calls < len(s.script) && s.script[s.calls] != nil {
+		copy(x, s.script[s.calls])
+	}
+	s.calls++
 }
 
 func (s *scriptedSpace) Neighbor(x []float64, rng *rand.Rand) []float64 {
@@ -415,9 +424,15 @@ func TestMaximizeAcquisitionMatchesExhaustive(t *testing.T) {
 	for _, tc := range cases {
 		ref, _ := clone(1, tc.script)
 		want, wantA, refChainX, _ := maximizeAcquisitionReference(ref, lambda, tc.exclude)
-		originOf := func(x []float64) origin {
+		// originOf names the draw x is: a scripted slice itself (the
+		// reference's draws), or the row of o's draw scratch a scripted
+		// point was copied into (the bounded search's).
+		originOf := func(o *Optimizer, x []float64) origin {
 			for i, p := range tc.script {
-				if p != nil && &p[0] == &x[0] {
+				if p == nil {
+					continue
+				}
+				if &p[0] == &x[0] || i < len(o.acq.draws) && &o.acq.draws[i][0] == &x[0] {
 					if i == 0 {
 						return origin{"fallback", 0}
 					}
@@ -431,16 +446,17 @@ func TestMaximizeAcquisitionMatchesExhaustive(t *testing.T) {
 			}
 			return origin{"unscripted", 0}
 		}
-		if tc.want != nil && originOf(want) != *tc.want {
+		wantOrigin := originOf(ref, want)
+		if tc.want != nil && wantOrigin != *tc.want {
 			t.Fatalf("%s: the case is miscrafted — the exhaustive search returns %+v (value %v), the case wants %+v",
-				tc.name, originOf(want), wantA, *tc.want)
+				tc.name, wantOrigin, wantA, *tc.want)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			o, _ := clone(workers, tc.script)
 			got := o.maximizeAcquisition(lambda, tc.exclude)
-			if !reflect.DeepEqual(got, want) || originOf(got) != originOf(want) {
+			if !reflect.DeepEqual(got, want) || originOf(o, got) != wantOrigin {
 				t.Fatalf("%s, %d workers: bounded search returned %v (%+v), exhaustive %v (%+v)",
-					tc.name, workers, got, originOf(got), want, originOf(want))
+					tc.name, workers, got, originOf(o, got), want, wantOrigin)
 			}
 			if o.RNGPos() != ref.RNGPos() {
 				t.Fatalf("%s, %d workers: RNG at %d, exhaustive at %d", tc.name, workers, o.RNGPos(), ref.RNGPos())
@@ -469,7 +485,7 @@ func TestMaximizeAcquisitionMatchesExhaustiveAcrossBatches(t *testing.T) {
 			if refLambda := ref.randomSimplex(); !reflect.DeepEqual(lambda, refLambda) {
 				t.Fatalf("round %d slot %d: the twins drew different weights", round, slot)
 			}
-			got := o.maximizeAcquisition(lambda, exclude)
+			got := slices.Clone(o.maximizeAcquisition(lambda, exclude)) // kept in obs
 			want, _, _, _ := maximizeAcquisitionReference(ref, lambda, exclude)
 			if !reflect.DeepEqual(got, want) || o.RNGPos() != ref.RNGPos() {
 				t.Fatalf("round %d slot %d: bounded search returned %v at RNG %d, exhaustive %v at %d",

@@ -79,6 +79,8 @@ import (
 type Space interface {
 	Dim() int
 	Sample(rng *rand.Rand) []float64
+	// SampleInto makes Sample's draws into x, which holds Dim coordinates.
+	SampleInto(rng *rand.Rand, x []float64)
 	Clip(x []float64) []float64
 	Neighbor(x []float64, rng *rand.Rand) []float64
 	Key(x []float64) string
@@ -263,7 +265,7 @@ func (o *Optimizer) SuggestBatch(n int) [][]float64 {
 		// batch across the Pareto front (Knowles' batched ParEGO).
 		lambda := o.randomSimplex()
 		x := o.maximizeAcquisition(lambda, batchSeen)
-		if !add(x) {
+		if !add(slices.Clone(x)) {
 			// Acquisition landed on a duplicate: fall back to exploration.
 			add(o.space.Sample(o.rng))
 		}
@@ -322,13 +324,18 @@ var _ [gp.TileWidth - acqChains]struct{}
 // each chain hill-climbs with a private RNG seeded from its pre-drawn seed,
 // and the serial merge scans slots in index order accepting only strictly
 // better scores — the same tie-break a serial loop applies.
+//
+// The fallback sample and the pool are drawn into the optimizer's scratch,
+// so the point returned may be scratch too: it holds until the next
+// maximization, and a caller that keeps it copies it.
 func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]bool) []float64 {
 	// Serial phase: all counted-RNG draws, in a schedule-independent order.
-	best := o.space.Sample(o.rng)
-	pool := make([][]float64, poolSize)
-	for i := range pool {
-		pool[i] = o.space.Sample(o.rng)
+	sc := &o.acq
+	draws := sc.drawRows(1+poolSize, o.space.Dim())
+	for _, x := range draws {
+		o.space.SampleInto(o.rng, x)
 	}
+	best, pool := draws[0], draws[1:]
 	incumbents := o.topTrain(acqChains, lambda)
 	seeds := make([]int64, len(incumbents))
 	for i := range seeds {
@@ -339,7 +346,6 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	// lambda, one chain per incumbent, each on a private RNG — next to a
 	// lower bound for every pool candidate.
 	sp := perfprof.Begin("mobo.acq_pool")
-	sc := &o.acq
 	bounds, scores := sc.bounds, sc.scores
 	var chainX [][]float64
 	var chainA []float64
@@ -733,6 +739,9 @@ type acqScratch struct {
 	// (bound, index), and first and rest those the two exact fan-outs score.
 	bounds, scores, vars []float64
 	order, first, rest   []int
+	// draws holds a maximization's fallback sample, then its pool: rows of
+	// Dim coordinates over one backing array, drawn afresh by each.
+	draws [][]float64
 
 	// memo maps a point — its coordinates bit for bit, not its lattice
 	// cell: an off-centre training input shares a cell with the centre but
@@ -770,6 +779,19 @@ func newAcqScratch(n, nObj int) acqScratch {
 		rest:     make([]int, 0, n),
 		memo:     map[string]int{},
 	}
+}
+
+// drawRows returns n rows of dim coordinates, the draws scratch, sized at
+// the first call.
+func (sc *acqScratch) drawRows(n, dim int) [][]float64 {
+	if sc.draws == nil {
+		flat := make([]float64, n*dim)
+		sc.draws = make([][]float64, n)
+		for i := range sc.draws {
+			sc.draws[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+	}
+	return sc.draws
 }
 
 // tilePost returns tile t's stretch of the posterior scratch, for m

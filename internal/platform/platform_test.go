@@ -250,3 +250,26 @@ func TestCloudJobFirstRungAllocatesLittle(t *testing.T) {
 		t.Errorf("a job through its first rung allocates %d bytes, want < %d", per, limit)
 	}
 }
+
+// TestAscendJobFirstRungAllocatesLittle is the Ascend-like platform's
+// counterpart: a DLEU candidate's job, built and advanced through the first
+// rung of ascend_dleu's search (N = 8, b_max = 200, η = 2: 50 budget units).
+// While each job generated its own depth-first walks, and the greedy growth
+// of a layer's guided seed moved every tile it tried to the heap, such a job
+// allocated 78 KiB; now that a layer's walk is built once per workload, it
+// measures 19.3 KiB and must stay under 28 KiB.
+func TestAscendJobFirstRungAllocatesLittle(t *testing.T) {
+	p := NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
+	x := p.Space().Sample(rand.New(rand.NewSource(1)))
+	const jobs, firstRung = 4, 50
+	p.NewJob(x, 0).Advance(firstRung) // grows the layer order and walks every job shares
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= jobs; i++ {
+		p.NewJob(x, int64(i)).Advance(firstRung)
+	}
+	runtime.ReadMemStats(&after)
+	if per, limit := (after.TotalAlloc-before.TotalAlloc)/jobs, uint64(28<<10); per >= limit {
+		t.Errorf("a job through its first rung allocates %d bytes, want < %d", per, limit)
+	}
+}

@@ -23,8 +23,9 @@
 package robust
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"unico/internal/mapsearch"
 	"unico/internal/ppa"
@@ -115,10 +116,10 @@ func Sensitivity(h ppa.History, alpha float64) float64 {
 // optimalAndBand returns the minimum-loss sample and the band of samples at
 // or below the (1−α) right-tail percentile of the loss distribution — the
 // "promising region" whose performance spread defines the hardware's
-// sensitivity. The optimum itself is excluded from the band.
-func optimalAndBand(fh ppa.History, alpha float64) (optimal ppa.Point, band ppa.History) {
-	byLoss := append(ppa.History(nil), fh...)
-	sort.SliceStable(byLoss, func(i, j int) bool { return byLoss[i].Loss < byLoss[j].Loss })
+// sensitivity. The optimum itself is excluded from the band. It sorts
+// byLoss, Sensitivity's own filtered copy, in place.
+func optimalAndBand(byLoss ppa.History, alpha float64) (optimal ppa.Point, band ppa.History) {
+	slices.SortStableFunc(byLoss, func(a, b ppa.Point) int { return cmp.Compare(a.Loss, b.Loss) })
 	idx := int(math.Ceil(alpha * float64(len(byLoss)-1)))
 	if idx < 1 {
 		idx = 1
