@@ -50,7 +50,8 @@ lint-test:
 
 ## deadapi is the dead-API census (lint/cmd/deadapi): it fails on any
 ## exported function or method of the root module that no non-test code
-## calls, and lists the ones only bench/ calls. The CI lint job runs it.
+## calls, and lists the ones only bench/ or internal/benchmarks calls. The CI
+## lint job runs it.
 deadapi:
 	cd lint && $(GO) run ./cmd/deadapi -C ..
 

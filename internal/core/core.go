@@ -329,12 +329,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		Clock:           opt.Clock,
 	}
 
-	// Phase attribution: per-iteration window deltas from the active
-	// profiler. The window is drained at each loop top, so resume-replay and
-	// inter-iteration work never leak into a recorded iteration's phase tree
-	// — which is what keeps flight records bit-identical across kill/resume.
-	prof := perfprof.Active()
-
 	// One distributed-trace run per core.Run call: iteration spans get
 	// deterministic IDs ("r<run>-it<iter>") whether or not tracing is on.
 	traceRun := disttrace.BeginRun()
@@ -346,12 +340,11 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		if opt.TimeBudgetHours > 0 && opt.Clock.Hours() >= opt.TimeBudgetHours {
 			break
 		}
-		prof.TakeWindow() // discard activity since the previous iteration
 		// The iteration's trace span is the parent of every request the
 		// iteration sends; its phase span is the parent of every phase.
 		ictx, traceSpan := disttrace.BeginIteration(ctx, traceRun, iter)
-		pctx, phaseIter := prof.StartClocked(ictx, "iteration", opt.Clock)
-		_, phaseSuggest := prof.StartClocked(pctx, "suggest", opt.Clock)
+		pctx, phaseIter := perfprof.Start(ictx, "iteration")
+		_, phaseSuggest := perfprof.Start(pctx, "suggest")
 		xs := explorer.SuggestBatch(opt.BatchSize)
 		phaseSuggest.End()
 		if len(xs) == 0 {
@@ -360,7 +353,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			break
 		}
 		jobs := make([]mapsearch.Searcher, len(xs))
-		_, phaseNewJob := prof.StartClocked(pctx, "newjob", opt.Clock)
+		_, phaseNewJob := perfprof.Start(pctx, "newjob")
 		for i, x := range xs {
 			jobs[i] = p.NewJob(x, opt.Seed+int64(iter)*1_000_000+int64(i))
 		}
@@ -391,7 +384,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			}
 		}
 		CloseJobs(jobs)
-		_, phaseUpdate := prof.StartClocked(pctx, "update", opt.Clock)
+		_, phaseUpdate := perfprof.Start(pctx, "update")
 		admitted := explorer.Update(observations(batch, opt.UseRobustness))
 		// Surrogate refit overhead on the master (paper Fig. 6b): seconds,
 		// negligible next to PPA evaluation but accounted for.
@@ -408,7 +401,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		// phase's time.)
 		var hv float64
 		if opt.Progress != nil || opt.Flight != nil {
-			_, phaseHV := prof.StartClocked(pctx, "hypervolume", opt.Clock)
+			_, phaseHV := perfprof.Start(pctx, "hypervolume")
 			hv = runningHypervolume(res.Front)
 			phaseHV.End()
 		}
@@ -434,7 +427,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				BatchFeasible: batchFeasible,
 				Front:         frontPPA(res.Front),
 				RungAlive:     outcome.RungAlive,
-				Phases:        prof.TakeWindow(),
 				TraceSpan:     traceSpan.Context().Span,
 			})
 		}

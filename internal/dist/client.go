@@ -330,14 +330,14 @@ func (c *Client) send(ctx context.Context, path string, req any, decode func(int
 		select {
 		case <-ctx.Done():
 			timer.Stop()
-			wait.ObserveVolatileAs("dist.retry_wait")
+			wait.ObserveAs("dist.retry_wait")
 			bo.End("canceled", nil)
 			span.End("canceled", nil)
 			return seconds, fmt.Errorf("dist: POST %s: %w", path, ctx.Err())
 		case <-timer.C:
 		}
 		bo.End("ok", nil)
-		wait.ObserveVolatileAs("dist.retry_wait")
+		wait.ObserveAs("dist.retry_wait")
 		if backoff *= 2; backoff > c.opts.MaxBackoff {
 			backoff = c.opts.MaxBackoff
 		}

@@ -155,10 +155,6 @@ func (c *Cache) shardFor(k Key) *shard { return &c.shards[int(k[0])%numShards] }
 // it finishes and share its result. An error returned by compute is cached
 // like a value (deterministic infeasibility).
 func (c *Cache) Do(key Key, engine string, compute func() (ppa.Metrics, error)) (ppa.Metrics, error) {
-	// Phase attribution: hit/miss/wait classification depends on goroutine
-	// scheduling (a concurrent duplicate waits where a later one hits), so
-	// all three phases are volatile — visible in reports and metrics, never
-	// in deterministic flight-record deltas.
 	t := perfprof.NewTimer()
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -168,7 +164,7 @@ func (c *Cache) Do(key Key, engine string, compute func() (ppa.Metrics, error)) 
 		s.mu.Unlock()
 		c.hits.Add(1)
 		telemetry.EvalCacheHits().Inc()
-		t.ObserveVolatileAs("evalcache.hit")
+		t.ObserveAs("evalcache.hit")
 		return e.met, e.err
 	}
 	if cl, ok := s.inflight[key]; ok {
@@ -177,7 +173,7 @@ func (c *Cache) Do(key Key, engine string, compute func() (ppa.Metrics, error)) 
 		telemetry.EvalCacheInflightWaits().Inc()
 		//unicolint:allow ctxflow singleflight followers wait for the leader, whose computation carries the caller-side cancellation; the channel closes on every leader path
 		<-cl.done
-		t.ObserveVolatileAs("evalcache.wait")
+		t.ObserveAs("evalcache.wait")
 		return cl.met, cl.err
 	}
 	cl := &call{done: make(chan struct{})}
@@ -186,7 +182,7 @@ func (c *Cache) Do(key Key, engine string, compute func() (ppa.Metrics, error)) 
 
 	c.misses.Add(1)
 	telemetry.EvalCacheMisses().Inc()
-	defer t.ObserveVolatileAs("evalcache.miss")
+	defer t.ObserveAs("evalcache.miss")
 
 	met, err := compute()
 	cl.met, cl.err = met, err

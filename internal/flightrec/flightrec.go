@@ -30,7 +30,6 @@ import (
 	"sync"
 
 	"unico/internal/durable"
-	"unico/internal/perfprof"
 )
 
 // Record type tags, the "type" field of each artifact line.
@@ -100,12 +99,6 @@ type Iteration struct {
 	// RungAlive is the successive-halving survivor curve of this batch: the
 	// candidate count alive after each rung, starting with the full batch.
 	RungAlive []int `json:"rung_alive,omitempty"`
-	// Phases is this iteration's phase-attribution delta: per-phase span
-	// counts and simulated-clock seconds (internal/perfprof), sorted by
-	// path. Wall times are deliberately absent — every field here is a
-	// deterministic function of the run configuration, preserving the
-	// kill/resume bit-identity contract.
-	Phases []perfprof.PhaseDelta `json:"phases,omitempty"`
 	// TraceSpan cross-references the distributed-trace span of this
 	// iteration (internal/disttrace, "r<run>-it<iter>"). The ID is a pure
 	// function of the run ordinal and iteration number, and the field is

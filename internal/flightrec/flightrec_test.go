@@ -11,7 +11,6 @@ import (
 
 	"unico/internal/durable"
 	"unico/internal/durable/faultfs"
-	"unico/internal/perfprof"
 )
 
 func testHeader() Header {
@@ -40,12 +39,6 @@ func testIteration(i int) Iteration {
 		BatchFeasible: i,
 		Front:         [][]float64{{1.0 / float64(i), 100, 2}, {2, 50, 1}},
 		RungAlive:     []int{6, 3, 1},
-		Phases: []perfprof.PhaseDelta{
-			{Path: "iteration", Count: 1, SimSeconds: float64(i) * 5400},
-			{Path: "iteration/sh.rung", Count: 2, SimSeconds: float64(i) * 5300},
-			{Path: "iteration/sh.rung/mapsearch.advance", Count: uint64(4 * i)},
-			{Path: "iteration/update", Count: 1, SimSeconds: 5},
-		},
 	}
 }
 

@@ -31,9 +31,8 @@ func Page(title, css string, sections ...string) []byte {
 
 // ReportBody renders a run's flight record as page markup: run identity,
 // state line, hypervolume curve, the three 2-D projections of the latest
-// feasible front, the successive-halving survivor table, and the phase
-// breakdown. Deterministic for a given RunData (no wall-clock), so golden
-// tests pin it.
+// feasible front, and the successive-halving survivor table. Deterministic
+// for a given RunData (no wall-clock), so golden tests pin it.
 func ReportBody(d RunData) string {
 	var b strings.Builder
 	h := d.Header
@@ -61,8 +60,6 @@ func ReportBody(d RunData) string {
 	b.WriteString(`<div class="charts">` + HypervolumeSVG(d.Iters) +
 		ScatterSVG(front, 0, 1) + ScatterSVG(front, 0, 2) + ScatterSVG(front, 1, 2) + `</div>`)
 	b.WriteString(`<h2>Successive-halving survivors</h2>` + RungTableHTML(d.Iters, 20))
-	b.WriteString(`<h2>Phase breakdown</h2><div class="charts">` + PhaseBarsSVG(d.Iters) + `</div>` +
-		PhaseTableHTML(d.Iters, 32))
 	return b.String()
 }
 

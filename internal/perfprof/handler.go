@@ -17,11 +17,11 @@ func PhasesHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "%-44s %8s %12s %12s %12s %10s %10s %10s\n",
-			"PHASE", "COUNT", "WALL(s)", "SELF(s)", "SIM(s)", "P50(s)", "P95(s)", "MAX(s)")
+		fmt.Fprintf(w, "%-44s %8s %12s %12s %10s %10s %10s\n",
+			"PHASE", "COUNT", "WALL(s)", "SELF(s)", "P50(s)", "P95(s)", "MAX(s)")
 		for _, s := range stats {
-			fmt.Fprintf(w, "%-44s %8d %12.6f %12.6f %12.3f %10.6f %10.6f %10.6f\n",
-				s.Path, s.Count, s.WallSeconds, s.SelfWallSeconds, s.SimSeconds,
+			fmt.Fprintf(w, "%-44s %8d %12.6f %12.6f %10.6f %10.6f %10.6f\n",
+				s.Path, s.Count, s.WallSeconds, s.SelfWallSeconds,
 				s.P50Seconds, s.P95Seconds, s.MaxSeconds)
 		}
 	})

@@ -5,15 +5,13 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"unico/internal/simclock"
 )
 
-// window drains p's phase window and indexes it by path.
-func window(p *Profiler) map[string]PhaseDelta {
-	out := map[string]PhaseDelta{}
-	for _, d := range p.TakeWindow() {
-		out[d.Path] = d
+// report indexes p's phase report by path.
+func report(p *Profiler) map[string]PhaseStat {
+	out := map[string]PhaseStat{}
+	for _, s := range p.Report() {
+		out[s.Path] = s
 	}
 	return out
 }
@@ -27,7 +25,7 @@ func TestSpanNestingBuildsPaths(t *testing.T) {
 	mid.End()
 	outer.End()
 
-	tot := window(p)
+	tot := report(p)
 	for _, want := range []string{
 		"iteration",
 		"iteration/sh.rung",
@@ -39,18 +37,6 @@ func TestSpanNestingBuildsPaths(t *testing.T) {
 	}
 }
 
-func TestClockedSpanRecordsSimDelta(t *testing.T) {
-	p := New()
-	c := &simclock.Clock{}
-	_, s := p.StartClocked(context.Background(), "sh.rung", c)
-	c.Advance(42)
-	s.End()
-	got := window(p)["sh.rung"]
-	if got.SimSeconds != 42 {
-		t.Fatalf("sim seconds = %v, want 42", got.SimSeconds)
-	}
-}
-
 func TestNilAndDoubleEndAreSafe(t *testing.T) {
 	var s *Span
 	s.End() // nil-safe
@@ -59,41 +45,41 @@ func TestNilAndDoubleEndAreSafe(t *testing.T) {
 	_, sp := p.Start(context.Background(), "x")
 	sp.End()
 	sp.End() // second End is a no-op
-	if got := window(p)["x"].Count; got != 1 {
+	if got := report(p)["x"].Count; got != 1 {
 		t.Fatalf("count after double End = %d, want 1", got)
 	}
 }
 
-func TestVolatilePhasesExcludedFromTotalsButReported(t *testing.T) {
+// TestTimerObservesOnActiveProfiler: a Timer records against the profiler
+// that was active when it started, under the name given at the end.
+func TestTimerObservesOnActiveProfiler(t *testing.T) {
 	p := New()
 	restore := SetActive(p)
-	defer restore()
-
-	NewTimer().ObserveVolatileAs("x.volatile")
-	Begin("x.normal").End()
-
-	// The deterministic totals a flight record takes (TakeWindow) leave the
-	// volatile phase out.
-	if ds := p.TakeWindow(); len(ds) != 1 || ds[0].Path != "x.normal" || ds[0].Count != 1 {
-		t.Errorf("TakeWindow = %+v, want only x.normal, once", ds)
-	}
+	timer := NewTimer()
+	restore()
+	Begin("x.elsewhere").End() // the previous profiler, not p
+	timer.ObserveAs("x.timed")
+	timer.ObserveAs("x.timed")
 
 	var paths []string
 	for _, s := range p.Report() {
 		paths = append(paths, s.Path)
 	}
-	want := []string{"x.normal", "x.volatile"}
-	if !reflect.DeepEqual(paths, want) {
+	if want := []string{"x.timed"}; !reflect.DeepEqual(paths, want) {
 		t.Errorf("Report paths = %v, want %v", paths, want)
 	}
+	if got := report(p)["x.timed"].Count; got != 2 {
+		t.Errorf("x.timed count = %d, want 2", got)
+	}
+	Timer{}.ObserveAs("x.none") // the zero Timer records nothing
 }
 
 func TestReportSelfTimeSubtractsDirectChildren(t *testing.T) {
 	p := New()
 	// Drive accumulators directly: parent 10s wall, child 4s, grandchild 1s.
-	p.record("a", 10, 20, false)
-	p.record("a/b", 4, 8, false)
-	p.record("a/b/c", 1, 2, false)
+	p.record("a", 10)
+	p.record("a/b", 4)
+	p.record("a/b/c", 1)
 
 	byPath := map[string]PhaseStat{}
 	for _, s := range p.Report() {
@@ -101,9 +87,6 @@ func TestReportSelfTimeSubtractsDirectChildren(t *testing.T) {
 	}
 	if got := byPath["a"].SelfWallSeconds; got != 6 {
 		t.Errorf("a self wall = %v, want 6", got)
-	}
-	if got := byPath["a"].SelfSimSeconds; got != 12 {
-		t.Errorf("a self sim = %v, want 12", got)
 	}
 	if got := byPath["a/b"].SelfWallSeconds; got != 3 {
 		t.Errorf("a/b self wall = %v, want 3", got)
@@ -117,7 +100,6 @@ func TestReportSelfTimeSubtractsDirectChildren(t *testing.T) {
 // goroutines; run under -race this proves the profiler's locking.
 func TestConcurrentSpans(t *testing.T) {
 	p := New()
-	c := &simclock.Clock{}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -125,10 +107,10 @@ func TestConcurrentSpans(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				ctx, outer := p.Start(context.Background(), "iteration")
-				_, inner := p.StartClocked(ctx, "sh.rung", c)
+				_, inner := p.Start(ctx, "sh.rung")
 				inner.End()
 				outer.End()
-				p.Begin("gp.predict").End()
+				p.Begin("gp.fit").End()
 				if i%50 == 0 {
 					p.Report()
 				}
@@ -137,15 +119,15 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	wg.Wait()
 
-	tot := window(p)
+	tot := report(p)
 	if got := tot["iteration"].Count; got != 8*200 {
 		t.Errorf("iteration count = %d, want %d", got, 8*200)
 	}
 	if got := tot["iteration/sh.rung"].Count; got != 8*200 {
 		t.Errorf("nested count = %d, want %d", got, 8*200)
 	}
-	if got := tot["gp.predict"].Count; got != 8*200 {
-		t.Errorf("gp.predict count = %d, want %d", got, 8*200)
+	if got := tot["gp.fit"].Count; got != 8*200 {
+		t.Errorf("gp.fit count = %d, want %d", got, 8*200)
 	}
 }
 
@@ -161,41 +143,5 @@ func TestActiveNeverNilAndRestore(t *testing.T) {
 	restore()
 	if Active() == p {
 		t.Fatal("restore did not reinstate previous profiler")
-	}
-}
-
-// TestTakeWindowExactness: windowed deltas restart at zero, so identical
-// work yields bit-identical deltas regardless of prior accumulation — the
-// property flight-record kill/resume identity rests on.
-func TestTakeWindowExactness(t *testing.T) {
-	work := func(p *Profiler) []PhaseDelta {
-		p.TakeWindow()
-		for i := 0; i < 3; i++ {
-			p.record("sh.rung", 0, 16.8, false)
-		}
-		p.record("update", 0, 5, false)
-		return p.TakeWindow()
-	}
-
-	fresh := New()
-	first := work(fresh)
-
-	polluted := New()
-	// Accumulate a large, odd prior total so cumulative-difference schemes
-	// would lose ulps.
-	for i := 0; i < 1000; i++ {
-		polluted.record("sh.rung", 0, 0.1, false)
-	}
-	second := work(polluted)
-
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("windowed deltas differ under prior accumulation:\nfresh    %+v\npolluted %+v", first, second)
-	}
-	if len(first) != 2 || first[0].Path != "sh.rung" || first[0].Count != 3 {
-		t.Errorf("unexpected window contents: %+v", first)
-	}
-	// A drained window is empty until new activity arrives.
-	if again := fresh.TakeWindow(); len(again) != 0 {
-		t.Errorf("second TakeWindow = %+v, want empty", again)
 	}
 }

@@ -114,7 +114,7 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 	totalEvals := 0
 	rungAlive := []int{n}
 	for r := 0; r < rounds && ctx.Err() == nil; r++ {
-		rctx, rungSpan := perfprof.StartClocked(ctx, "sh.rung", cfg.Clock)
+		rctx, rungSpan := perfprof.Start(ctx, "sh.rung")
 		evals := advance(rctx, jobs, alive, cumBudget[r], cfg)
 		totalEvals += evals
 		if r < rounds-1 {
@@ -126,7 +126,7 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 		telemetry.SHSurvivors().Set(float64(len(alive)))
 		if len(alive) <= 1 && r < rounds-1 {
 			// Run the lone survivor to full budget.
-			fctx, fullSpan := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
+			fctx, fullSpan := perfprof.Start(ctx, "sh.full_budget")
 			totalEvals += advance(fctx, jobs, alive, cfg.BMax, cfg)
 			fullSpan.End()
 			break
@@ -145,7 +145,7 @@ func FullBudget(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outc
 		return Outcome{}
 	}
 	alive := allOf(n)
-	fctx, span := perfprof.StartClocked(ctx, "sh.full_budget", cfg.Clock)
+	fctx, span := perfprof.Start(ctx, "sh.full_budget")
 	evals := advance(fctx, jobs, alive, cfg.BMax, cfg)
 	span.End()
 	return Outcome{Survivors: alive, TotalEvals: evals, Rounds: 1, RungAlive: []int{n}}

@@ -75,26 +75,14 @@ func runObserved(t *testing.T, p *Platform, seed int64, runID, dir string) *obse
 	return o
 }
 
-// withoutPhases strips the one flight-record field fed by a process-wide
-// aggregate (see TestTwoCoSearchesOneProcess).
-func withoutPhases(iters []flightrec.Iteration) []flightrec.Iteration {
-	out := append([]flightrec.Iteration(nil), iters...)
-	for i := range out {
-		out[i].Phases = nil
-	}
-	return out
-}
-
 // TestTwoCoSearchesOneProcess runs two co-searches concurrently, each with
 // its own progress callback and flight file,
 // and requires each to observe exactly what it observes running alone:
 // nothing a run reports through is process-wide any more.
 //
-// Two things still are, and this test steps around them: the perfprof phase
-// window (so concurrent runs' flight records mix their `phases` deltas —
-// compared without that field) and disttrace's active recorder (off here;
+// One thing still is: disttrace's active recorder (off here;
 // internal/fleet's TestTwoCoSearchesOneFleet runs two co-searches under one).
-// bench/ compiles against both; ROADMAP [bench-seam] carries them.
+// bench/ compiles against it; ROADMAP [bench-seam] carries it.
 func TestTwoCoSearchesOneProcess(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {
@@ -131,7 +119,7 @@ func TestTwoCoSearchesOneProcess(t *testing.T) {
 		if got.progress != iters {
 			t.Errorf("%s: %d progress callbacks, want %d", ids[i], got.progress, iters)
 		}
-		if !reflect.DeepEqual(withoutPhases(want.flight.Iters), withoutPhases(got.flight.Iters)) {
+		if !reflect.DeepEqual(want.flight.Iters, got.flight.Iters) {
 			t.Errorf("%s: flight iterations differ from the solo run's", ids[i])
 		}
 		if !reflect.DeepEqual(want.flight.Summary, got.flight.Summary) {

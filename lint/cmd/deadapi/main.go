@@ -19,8 +19,9 @@
 //   - contract predicates: a function returning one bool that the tests of
 //     more than one package call.
 //
-// Functions whose only references are under bench/ are listed separately,
-// for information; they do not fail the census.
+// Functions of other packages whose only references are in the two
+// benchmark harnesses, bench/ and internal/benchmarks, are listed separately
+// as harness-only, for information; they do not fail the census.
 //
 // Exit status is 0 when clean, 1 when dead API was found, 2 on operational
 // errors.
@@ -77,14 +78,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, s := range c.dead {
 		fmt.Fprintf(stdout, "%s: %s: no caller outside tests\n", rel(s.pos), s.name)
 	}
-	if len(c.benchOnly) > 0 {
-		fmt.Fprintln(stdout, "bench-only (called only from bench/; for information):")
-		for _, s := range c.benchOnly {
+	if len(c.harnessOnly) > 0 {
+		fmt.Fprintln(stdout, "harness-only (called only from bench/ or internal/benchmarks; for information):")
+		for _, s := range c.harnessOnly {
 			fmt.Fprintf(stdout, "  %s: %s\n", rel(s.pos), s.name)
 		}
 	}
-	fmt.Fprintf(stderr, "deadapi: %d exported functions and methods, %d without a non-test caller, %d bench-only\n",
-		c.exported, len(c.dead), len(c.benchOnly))
+	fmt.Fprintf(stderr, "deadapi: %d exported functions and methods, %d without a non-test caller, %d harness-only\n",
+		c.exported, len(c.dead), len(c.harnessOnly))
 	if len(c.dead) > 0 {
 		return 1
 	}
@@ -98,21 +99,28 @@ type symbol struct {
 }
 
 type census struct {
-	exported  int // exported functions and methods examined
-	dead      []symbol
-	benchOnly []symbol
+	exported    int // exported functions and methods examined
+	dead        []symbol
+	harnessOnly []symbol
 }
 
 // takeCensus loads the module under dir, its tests and their imports, and
 // sorts every exported function and method of the module into alive, dead
-// or bench-only.
+// or harness-only.
 func takeCensus(dir string) (*census, error) {
 	mod, err := modulePath(dir)
 	if err != nil {
 		return nil, err
 	}
 	inModule := func(path string) bool { return path == mod || strings.HasPrefix(path, mod+"/") }
-	inBench := func(path string) bool { return path == mod+"/bench" || strings.HasPrefix(path, mod+"/bench/") }
+	inHarness := func(path string) bool {
+		for _, h := range []string{mod + "/bench", mod + "/internal/benchmarks"} {
+			if path == h || strings.HasPrefix(path, h+"/") {
+				return true
+			}
+		}
+		return false
+	}
 
 	loader := load.New(dir)
 	roots, err := loader.Roots()
@@ -189,9 +197,10 @@ func takeCensus(dir string) (*census, error) {
 				k := key(fn)
 				s := symbol{name: p.Types.Name() + strings.TrimPrefix(k, p.ImportPath), pos: loader.Fset.Position(fd.Name.Pos())}
 				switch {
-				case anyRef(refs[k], func(path string) bool { return !inBench(path) }):
+				case anyRef(refs[k], func(path string) bool { return !inHarness(path) }):
+				case len(refs[k]) > 0 && inHarness(p.ImportPath): // the harness's own API
 				case len(refs[k]) > 0:
-					c.benchOnly = append(c.benchOnly, s)
+					c.harnessOnly = append(c.harnessOnly, s)
 				case isPredicate(fn) && len(testRefs[k]) > 1:
 				default:
 					c.dead = append(c.dead, s)
@@ -199,7 +208,7 @@ func takeCensus(dir string) (*census, error) {
 			}
 		}
 	}
-	for _, list := range [][]symbol{c.dead, c.benchOnly} {
+	for _, list := range [][]symbol{c.dead, c.harnessOnly} {
 		sort.Slice(list, func(i, j int) bool {
 			a, b := list[i].pos, list[j].pos
 			if a.Filename != b.Filename {

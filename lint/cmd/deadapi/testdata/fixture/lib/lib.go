@@ -18,3 +18,10 @@ type T struct{}
 
 // Name implements Namer, so it is not reported though nothing calls it.
 func (T) Name() string { return "t" }
+
+// BenchOnly is called only from bench/: listed as harness-only.
+func BenchOnly() {}
+
+// HarnessOnly is called only from internal/benchmarks: listed as
+// harness-only.
+func HarnessOnly() {}
