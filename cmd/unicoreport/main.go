@@ -1,14 +1,15 @@
 // Command unicoreport reads a run's artifacts — its flight record (from
 // -flight-record) and any span logs (from -span-log, one per process) —
 // into a text summary on stdout and, with -o, one HTML page.
-// It also gates CI on trace health and diffs two runs.
+// It also gates CI on trace health and checks that two runs recorded the
+// same iterations (-diff, flightrec.FirstDifference).
 //
-//	unicoreport [-o page.html] [-summary s.json] [-run id] [-gate [-max-orphans n] [-queue-p99 d]] run.jsonl spans*.jsonl
-//	unicoreport -diff [-hv-tol f] base.jsonl cand.jsonl
+//	unicoreport [-o page.html] [-summary s.json] [-run id] [-gate] run.jsonl spans*.jsonl
+//	unicoreport -diff base.jsonl cand.jsonl
 //
 // Each input is classified by its first decodable record. The trace
 // analyzed is -run, else the flight record's run ID, else (span logs alone)
-// the largest. Exit codes: 0 success; 1 a hypervolume regression, a gate
+// the largest. Exit codes: 0 success; 1 two records that differ, a gate
 // violation, or a write failure; 2 unusable input — an unreadable artifact,
 // a bad header, zero iteration records, no span events, an unknown -run, or
 // bad usage.
@@ -34,14 +35,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("unicoreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	diff := fs.Bool("diff", false, "compare two runs: unicoreport -diff baseline.jsonl candidate.jsonl")
-	hvTol := fs.Float64("hv-tol", 0.0, "with -diff: tolerated relative final-hypervolume shortfall before exiting 1")
+	diff := fs.Bool("diff", false, "exit 1 unless two runs record the same iterations: unicoreport -diff baseline.jsonl candidate.jsonl")
 	out := fs.String("o", "", "write the HTML page to this file")
 	summaryOut := fs.String("summary", "", "write the trace's machine-readable JSON summary to this file")
 	runID := fs.String("run", "", "trace (run ID) to analyze; defaults to the flight record's run ID, else the largest trace")
-	gate := fs.Bool("gate", false, "exit 1 when the trace fails the health gates")
-	maxOrphans := fs.Int("max-orphans", 0, "with -gate: tolerated orphan spans")
-	queueP99 := fs.Duration("queue-p99", 0, "with -gate: fail when queue-wait p99 exceeds this (0 disables)")
+	gate := fs.Bool("gate", false, "exit 1 on any orphan span or incomplete eval chain in the trace")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -59,11 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := errors.Join(errA, errB); err != nil {
 			return fail(2, "%v", err)
 		}
-		r := flightrec.Diff(a, b)
-		fmt.Fprintf(stdout, "baseline:  %s\ncandidate: %s\n%s", fs.Arg(0), fs.Arg(1), r.Render())
-		if r.Regressed(*hvTol) {
-			return fail(1, "hypervolume regression: candidate %g < baseline %g (tolerance %g)", r.FinalHVB, r.FinalHVA, *hvTol)
+		if d := flightrec.FirstDifference(a, b); d != "" {
+			return fail(1, "%s (a) and %s (b) differ: %s", fs.Arg(0), fs.Arg(1), d)
 		}
+		fmt.Fprintf(stdout, "%s and %s record the same %d iterations\n", fs.Arg(0), fs.Arg(1), len(a.Iters))
 		return 0
 	}
 
@@ -140,14 +137,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	code := 0
-	if s := a.Summary; s.Orphans > *maxOrphans {
-		code = fail(1, "GATE: %d orphan spans (max %d)", s.Orphans, *maxOrphans)
+	if s := a.Summary; s.Orphans > 0 {
+		code = fail(1, "GATE: %d orphan spans", s.Orphans)
 	}
 	if s := a.Summary; s.IncompleteChains > 0 {
 		code = fail(1, "GATE: %d ok evals without a complete client→…→engine chain", s.IncompleteChains)
-	}
-	if s := a.Summary; *queueP99 > 0 && s.QueueWaitP99 > queueP99.Seconds() {
-		code = fail(1, "GATE: queue-wait p99 %.6fs over budget %v", s.QueueWaitP99, *queueP99)
 	}
 	if code == 0 {
 		fmt.Fprintln(stdout, "gate: ok")

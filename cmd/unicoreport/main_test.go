@@ -101,10 +101,8 @@ func TestRun(t *testing.T) {
 			stdout: []string{"run small: finished", "trace small: 5 spans", "gate: ok"}},
 		{name: "-run overrides the flight run ID", args: []string{"-run", "big", at("run.jsonl"), at("spans_a.jsonl"), at("spans_b.jsonl")}, code: 0,
 			stdout: []string{"trace big: 10 spans"}},
-		{name: "orphan fails the gate", args: []string{"-gate", "-max-orphans", "0", at("orphan.jsonl")}, code: 1,
+		{name: "orphan fails the gate", args: []string{"-gate", at("orphan.jsonl")}, code: 1,
 			stdout: []string{"1 orphans"}, noStdout: []string{"gate: ok"}},
-		{name: "tolerated orphan passes", args: []string{"-gate", "-max-orphans", "1", at("orphan.jsonl")}, code: 0,
-			stdout: []string{"gate: ok"}},
 		{name: "unknown -run", args: []string{"-run", "nope", at("spans_a.jsonl")}, code: 2},
 		{name: "flight run ID absent from the span logs", args: []string{at("worse.jsonl"), at("spans_a.jsonl")}, code: 2},
 		{name: "empty artifact", args: []string{at("empty.jsonl")}, code: 2},
@@ -115,9 +113,11 @@ func TestRun(t *testing.T) {
 		{name: "no inputs", args: nil, code: 2},
 		{name: "page write failure", args: []string{"-o", at("missing/page.html"), at("run.jsonl")}, code: 1},
 		{name: "diff self", args: []string{"-diff", at("run.jsonl"), at("run.jsonl")}, code: 0,
-			stdout: []string{"final hypervolume: baseline 0.7, candidate 0.7"}},
-		{name: "diff regression", args: []string{"-diff", at("run.jsonl"), at("worse.jsonl")}, code: 1},
-		{name: "diff regression within tolerance", args: []string{"-diff", "-hv-tol", "1", at("run.jsonl"), at("worse.jsonl")}, code: 0},
+			stdout: []string{"record the same 2 iterations"}},
+		{name: "diff regression", args: []string{"-diff", at("run.jsonl"), at("worse.jsonl")}, code: 1,
+			noStdout: []string{"the same"}},
+		{name: "diff higher candidate", args: []string{"-diff", at("worse.jsonl"), at("run.jsonl")}, code: 1,
+			noStdout: []string{"the same"}},
 		{name: "diff malformed", args: []string{"-diff", at("run.jsonl"), at("bad.jsonl")}, code: 2},
 		{name: "diff one file", args: []string{"-diff", at("run.jsonl")}, code: 2},
 	} {

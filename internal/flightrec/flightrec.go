@@ -5,8 +5,8 @@
 // hypervolume, UUL, successive-halving survivor curve, eval counters), and a
 // final summary marking the run finished — plus the tools that read it back:
 // the SVG/HTML report the offline `unicoreport` tool renders from it (of a
-// finished run or of one still writing), and run-diff math for regression
-// gating.
+// finished run or of one still writing), and the record-by-record comparison
+// of two runs behind `unicoreport -diff`.
 //
 // The artifact is line-oriented JSON: the first line is the header, then one
 // iteration record per completed iteration in order, then (for runs that
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sync"
 
 	"unico/internal/durable"
@@ -134,6 +135,39 @@ type RunData struct {
 	Header  Header
 	Iters   []Iteration
 	Summary *Summary
+}
+
+// FirstDifference reports where two artifacts first disagree: "" when both
+// hold the same iteration records in the same order and the same summary (or
+// both none), otherwise the first record that differs, both sides as JSON.
+// Headers are not compared: the run ID, start time and revision change with
+// every process, and a resumed run's configuration is already checked
+// against its checkpoint's fingerprint.
+func FirstDifference(a, b *RunData) string {
+	for i := 0; i < max(len(a.Iters), len(b.Iters)); i++ {
+		var x, y any
+		if i < len(a.Iters) {
+			x = a.Iters[i]
+		}
+		if i < len(b.Iters) {
+			y = b.Iters[i]
+		}
+		if !reflect.DeepEqual(x, y) {
+			return differs(fmt.Sprintf("iteration record %d", i+1), x, y)
+		}
+	}
+	if !reflect.DeepEqual(a.Summary, b.Summary) {
+		return differs("summary", a.Summary, b.Summary)
+	}
+	return ""
+}
+
+// differs renders one mismatched record pair; an absent record is null.
+// Records decoded from JSON encode again, so Marshal cannot fail here.
+func differs(what string, x, y any) string {
+	jx, _ := json.Marshal(x)
+	jy, _ := json.Marshal(y)
+	return fmt.Sprintf("%s differs:\n  a: %s\n  b: %s", what, jx, jy)
 }
 
 // Recorder is the file-backed flight recorder: a durable.Log in Lines

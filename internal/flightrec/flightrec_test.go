@@ -305,3 +305,52 @@ func mustJSON(t testing.TB, v any) string {
 	}
 	return string(b)
 }
+
+// TestFirstDifference: two records agree only when every iteration record
+// and the summary agree in order; the header is not compared, and the first
+// disagreement is named with both sides.
+func TestFirstDifference(t *testing.T) {
+	record := func() *RunData {
+		d := &RunData{Header: testHeader(), Summary: &Summary{}}
+		for i := 1; i <= 3; i++ {
+			d.Iters = append(d.Iters, testIteration(i))
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*RunData)
+		want   []string // substrings of the difference; none means equal
+	}{
+		{name: "equal but for the header", mutate: func(d *RunData) {
+			d.Header.RunID, d.Header.StartedAt, d.Header.Revision = "other", "", ""
+		}},
+		{name: "dropped iteration", mutate: func(d *RunData) { d.Iters = append(d.Iters[:1], d.Iters[2:]...) },
+			want: []string{"iteration record 2 differs", `"iter":2`, `"iter":3`}},
+		{name: "higher-hypervolume candidate", mutate: func(d *RunData) { d.Iters[2].Hypervolume = 0.9 },
+			want: []string{"iteration record 3 differs", `"hypervolume":0.9`}},
+		{name: "one mutated field", mutate: func(d *RunData) { d.Iters[0].Admitted++ },
+			want: []string{"iteration record 1 differs", `"admitted":1`, `"admitted":2`}},
+		{name: "missing tail", mutate: func(d *RunData) { d.Iters = d.Iters[:2] },
+			want: []string{"iteration record 3 differs", "b: null"}},
+		{name: "missing summary", mutate: func(d *RunData) { d.Summary = nil },
+			want: []string{"summary differs", `a: {"type":""}`, "b: null"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := record(), record()
+			tc.mutate(b)
+			got := FirstDifference(a, b)
+			if (got == "") != (len(tc.want) == 0) {
+				t.Fatalf("FirstDifference = %q, want a difference holding %q", got, tc.want)
+			}
+			for _, s := range tc.want {
+				if !strings.Contains(got, s) {
+					t.Errorf("FirstDifference lacks %q:\n%s", s, got)
+				}
+			}
+			if back := FirstDifference(b, a); (back == "") != (got == "") {
+				t.Errorf("FirstDifference is not symmetric: %q one way, %q the other", got, back)
+			}
+		})
+	}
+}

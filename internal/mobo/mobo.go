@@ -954,9 +954,6 @@ func (o *Optimizer) Update(batch []Observation) int {
 	o.train = append(o.train, admitted...)
 	evicted := o.evictStale()
 	o.refit(len(admitted), evicted)
-	telemetry.MOBOAdmitted().Add(uint64(len(admitted)))
-	telemetry.MOBOTrainSize().Set(float64(len(o.train)))
-	telemetry.MOBOUUL().Set(o.uul)
 	return len(admitted)
 }
 

@@ -30,7 +30,6 @@ import (
 	"unico/internal/parpool"
 	"unico/internal/perfprof"
 	"unico/internal/simclock"
-	"unico/internal/telemetry"
 )
 
 // The paper's fixed halving schedule (Algorithm 1 and Section 3.3).
@@ -122,8 +121,6 @@ func Run(ctx context.Context, jobs []mapsearch.Searcher, cfg Config) Outcome {
 			rungAlive = append(rungAlive, len(alive))
 		}
 		rungSpan.End()
-		telemetry.SHRungs().Inc()
-		telemetry.SHSurvivors().Set(float64(len(alive)))
 		if len(alive) <= 1 && r < rounds-1 {
 			// Run the lone survivor to full budget.
 			fctx, fullSpan := perfprof.Start(ctx, "sh.full_budget")

@@ -11,14 +11,7 @@ var (
 	mapSearchSteps = DefaultRegistry.Counter("unico_mapsearch_steps_total", "Software-mapping layer search steps.", nil)
 	gpFits         = DefaultRegistry.Counter("unico_gp_fits_total", "Gaussian-process surrogate fits.", nil)
 	gpExtends      = DefaultRegistry.Counter("unico_gp_extends_total", "Incremental Gaussian-process surrogate extends.", nil)
-	moboIterations = DefaultRegistry.Counter("unico_mobo_iterations_total", "Completed MOBO outer iterations.", nil)
-	moboAdmitted   = DefaultRegistry.Counter("unico_mobo_admitted_total", "Samples admitted to the surrogate training set.", nil)
-	moboTrainSize  = DefaultRegistry.Gauge("unico_mobo_train_size", "Surrogate training-set size.", nil)
-	moboUUL        = DefaultRegistry.Gauge("unico_mobo_uul", "Current Upper Update Limit of the high-fidelity rule.", nil)
-	shRungs        = DefaultRegistry.Counter("unico_sh_rungs_total", "Successive-halving rungs executed.", nil)
-	shSurvivors    = DefaultRegistry.Gauge("unico_sh_rung_survivors",
-		"Candidates alive after the most recent successive-halving rung.", nil)
-	distJobs = DefaultRegistry.Gauge("unico_dist_jobs", "Mapping-search jobs currently held by this worker.", nil)
+	distJobs       = DefaultRegistry.Gauge("unico_dist_jobs", "Mapping-search jobs currently held by this worker.", nil)
 
 	moboAcqBounded = DefaultRegistry.Counter("unico_mobo_acq_bounded_total",
 		"Acquisition pool candidates bounded with no exponential and no solve (envelope means and variances).", nil)
@@ -51,12 +44,6 @@ var (
 	distBytesReceived = DefaultRegistry.Counter("unico_dist_bytes_received_total",
 		"Response body bytes read by this process's HTTP exchanges.", nil)
 
-	checkpointRecords = DefaultRegistry.Counter("unico_checkpoint_records_total",
-		"Iteration records appended to the write-ahead journal.", nil)
-	checkpointSnapshots = DefaultRegistry.Counter("unico_checkpoint_snapshots_total", "Atomic state snapshots written.", nil)
-	checkpointResumes   = DefaultRegistry.Counter("unico_checkpoint_resumes_total", "Runs resumed from a checkpoint.", nil)
-	checkpointErrors    = DefaultRegistry.Counter("unico_checkpoint_errors_total",
-		"Checkpoint write failures (checkpointing disables itself after the first).", nil)
 	checkpointTornRecords = DefaultRegistry.Counter("unico_checkpoint_torn_records_total",
 		"Torn trailing journal records detected and truncated on load.", nil)
 
@@ -78,18 +65,6 @@ func GPFits() *Counter { return gpFits }
 // one-observation Cholesky-border updates that replaced a full refit.
 func GPExtends() *Counter { return gpExtends }
 
-// MOBOIterations counts completed MOBO outer iterations.
-func MOBOIterations() *Counter { return moboIterations }
-
-// MOBOAdmitted counts samples admitted to the surrogate training set.
-func MOBOAdmitted() *Counter { return moboAdmitted }
-
-// MOBOTrainSize gauges the surrogate training-set size.
-func MOBOTrainSize() *Gauge { return moboTrainSize }
-
-// MOBOUUL gauges the current Upper Update Limit of the high-fidelity rule.
-func MOBOUUL() *Gauge { return moboUUL }
-
 // MOBOAcqBounded counts the pool candidates the acquisition search bounded
 // with no exponential and no solve (gp.Envelope) — every candidate of every
 // pool.
@@ -106,12 +81,6 @@ func MOBOAcqSolved() *Counter { return moboAcqSolved }
 // could still win. The others skipped it and scored +Inf. Completed over
 // solved is the share of exact scores that paid for the O(n²) solve.
 func MOBOAcqCompleted() *Counter { return moboAcqCompleted }
-
-// SHRungs counts successive-halving rungs executed.
-func SHRungs() *Counter { return shRungs }
-
-// SHSurvivors gauges the candidates alive after the most recent rung.
-func SHSurvivors() *Gauge { return shSurvivors }
 
 // DistJobs gauges the mapping-search jobs currently held by a worker.
 func DistJobs() *Gauge { return distJobs }
@@ -158,18 +127,6 @@ func DistBytesSent() *Counter { return distBytesSent }
 // DistBytesReceived counts the response body bytes every dist exchange of
 // this process read.
 func DistBytesReceived() *Counter { return distBytesReceived }
-
-// CheckpointRecords counts journal records appended.
-func CheckpointRecords() *Counter { return checkpointRecords }
-
-// CheckpointSnapshots counts atomic snapshots written.
-func CheckpointSnapshots() *Counter { return checkpointSnapshots }
-
-// CheckpointResumes counts runs resumed from a checkpoint.
-func CheckpointResumes() *Counter { return checkpointResumes }
-
-// CheckpointErrors counts checkpoint write failures.
-func CheckpointErrors() *Counter { return checkpointErrors }
 
 // CheckpointTornRecords counts torn trailing journal records truncated on
 // load (the expected residue of a crash mid-append).
