@@ -30,12 +30,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -128,28 +126,8 @@ type engineState struct {
 	cube, vec, dmaOut float64
 }
 
-// evalCount and evalInfeasible meter the simulator's hot path exactly;
-// evalSeconds sees one call in telemetry.PPAEvalSampleEvery.
-var (
-	evalCount      = telemetry.PPAEvals("camodel")
-	evalInfeasible = telemetry.PPAInfeasible("camodel")
-	evalSeconds    = telemetry.PPAEvalSeconds("camodel")
-)
-
 // Evaluate simulates one layer under schedule m on core c.
 func (e Engine) Evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.Metrics, error) {
-	if evalCount.Next()%telemetry.PPAEvalSampleEvery == 0 {
-		start := time.Now() //unicolint:allow detclock host-side eval-latency sample; simulated search cost is charged via simclock
-		defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
-	}
-	met, err := e.evaluate(c, m, l)
-	if _, ok := err.(*capacityError); ok {
-		evalInfeasible.Inc()
-	}
-	return met, err
-}
-
-func (e Engine) evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.Metrics, error) {
 	if err := l.Validate(); err != nil {
 		return ppa.Metrics{}, err
 	}

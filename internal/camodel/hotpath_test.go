@@ -5,10 +5,12 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
+	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -121,5 +123,33 @@ func TestInfeasibleEvaluateAllocs(t *testing.T) {
 	t.Logf("infeasible Evaluate: %.0f allocs", n)
 	if n > 1 {
 		t.Errorf("infeasible Evaluate allocates %.0f objects per call, want <= 1", n)
+	}
+}
+
+// TestEvaluateWritesNoMetrics holds the simulator pure: a thousand calls,
+// half of them rejected, leave every series of the process's registry as it
+// was. A schedule search meters its own calls.
+func TestEvaluateWritesNoMetrics(t *testing.T) {
+	var e Engine
+	l := testLayer()
+	c := hw.DefaultAscend()
+	ok := minimalSchedule(c, l)
+	bad := mapping.Ascend{TM: 56, TK: 108, TN: 4096, FuseDepth: 4}.Canon(l)
+	var before, after strings.Builder
+	telemetry.DefaultRegistry.WritePrometheus(&before)
+	for i := 0; i < 1000; i++ {
+		if i%2 == 1 {
+			if _, err := e.Evaluate(c, bad, l); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("call %d: err = %v, want ErrInfeasible", i, err)
+			}
+			continue
+		}
+		if _, err := e.Evaluate(c, ok, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	telemetry.DefaultRegistry.WritePrometheus(&after)
+	if before.String() != after.String() {
+		t.Errorf("Evaluate moved the registry:\n%s\nbecame\n%s", before.String(), after.String())
 	}
 }

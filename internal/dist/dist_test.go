@@ -26,6 +26,7 @@ import (
 	"unico/internal/platform"
 	"unico/internal/ppa"
 	"unico/internal/runid"
+	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -47,22 +48,24 @@ func testSpec(seed int64) JobSpec {
 	}
 }
 
-// countingSpatial counts the engine calls a worker makes.
+// countingSpatial counts the engine calls a worker makes. It embeds the
+// interface, not maestro.Engine, so it does not offer the engine's Bind and
+// every call comes through Evaluate.
 type countingSpatial struct {
-	maestro.Engine
+	mapsearch.SpatialEngine
 	calls *atomic.Int64
 }
 
 func (e countingSpatial) Evaluate(h hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, error) {
 	e.calls.Add(1)
-	return e.Engine.Evaluate(h, m, l)
+	return e.SpatialEngine.Evaluate(h, m, l)
 }
 
 // newCountingWorker starts a worker whose spatial engine counts its calls.
 func newCountingWorker(t *testing.T) (*Server, *atomic.Int64) {
 	t.Helper()
 	calls := new(atomic.Int64)
-	return NewServerWith(countingSpatial{calls: calls}, camodel.Engine{}), calls
+	return NewServerWith(countingSpatial{SpatialEngine: maestro.Engine{}, calls: calls}, camodel.Engine{}), calls
 }
 
 func TestHealthz(t *testing.T) {
@@ -76,12 +79,21 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// ppaMeters reads the worker's /v1/ppa meters for maestro: calls and
+// capacity rejections.
+func ppaMeters() (evals, infeasible uint64) {
+	return telemetry.PPAEvals("maestro").Value(), telemetry.PPAInfeasible("maestro").Value()
+}
+
+// TestPPAEndpointSpatial evaluates one triple through /v1/ppa, which the
+// worker meters as one engine call.
 func TestPPAEndpointSpatial(t *testing.T) {
 	_, c := newWorker(t)
 	l := workload.Conv("c", 16, 8, 14, 14, 3, 3, 1, 1)
 	cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 1728, L2KB: 432, NoCBW: 128, Dataflow: hw.WeightStationary}
 	m := mapping.Spatial{TK: 1, TC: 1, TY: 1, TX: 1, TR: 1, TS: 1,
 		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
+	evals, infeasible := ppaMeters()
 	resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{
 		Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l,
 	})
@@ -91,6 +103,9 @@ func TestPPAEndpointSpatial(t *testing.T) {
 	if resp.Error != "" || !resp.Metrics.Valid() {
 		t.Fatalf("response: %+v", resp)
 	}
+	if e, i := ppaMeters(); e-evals != 1 || i-infeasible != 0 {
+		t.Errorf("one request moved the meters by %d calls and %d rejections, want 1 and 0", e-evals, i-infeasible)
+	}
 }
 
 func TestPPAEndpointInfeasibleFlag(t *testing.T) {
@@ -99,6 +114,7 @@ func TestPPAEndpointInfeasibleFlag(t *testing.T) {
 	cfg := hw.Spatial{PEX: 4, PEY: 4, L1Bytes: 4, L2KB: 1, NoCBW: 64, Dataflow: hw.WeightStationary}
 	m := mapping.Spatial{TK: 8, TC: 8, TY: 4, TX: 4, TR: 3, TS: 3,
 		SpatX: mapping.DimK, SpatY: mapping.DimY}.Canon(l)
+	evals, infeasible := ppaMeters()
 	resp, err := c.EvaluatePPAContext(context.Background(), PPARequest{
 		Platform: "spatial", SpatialHW: &cfg, SpatialMapping: &m, Layer: l,
 	})
@@ -107,6 +123,9 @@ func TestPPAEndpointInfeasibleFlag(t *testing.T) {
 	}
 	if !resp.Infeasible {
 		t.Errorf("infeasible mapping not flagged: %+v", resp)
+	}
+	if e, i := ppaMeters(); e-evals != 1 || i-infeasible != 1 {
+		t.Errorf("one rejected request moved the meters by %d calls and %d rejections, want 1 and 1", e-evals, i-infeasible)
 	}
 }
 

@@ -172,6 +172,7 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 		eng := disttrace.StartSpan("", sp.Context(), "engine", "maestro")
 		met, err := s.spatial.Evaluate(*req.SpatialHW, *req.SpatialMapping, req.Layer)
 		resp = ppaResponse(met, err, maestro.ErrInfeasible)
+		countPPA("maestro", resp)
 		eng.End(engineStatus(resp), nil)
 	case "ascend":
 		if req.AscendHW == nil || req.AscendMapping == nil {
@@ -182,6 +183,7 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 		eng := disttrace.StartSpan("", sp.Context(), "engine", "camodel")
 		met, err := s.ascend.Evaluate(*req.AscendHW, *req.AscendMapping, req.Layer)
 		resp = ppaResponse(met, err, camodel.ErrInfeasible)
+		countPPA("camodel", resp)
 		eng.End(engineStatus(resp), nil)
 	default:
 		sp.End("error", nil)
@@ -190,6 +192,16 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.End("ok", nil)
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// countPPA meters one /v1/ppa evaluation under its engine's label. The
+// engines write no metrics; a mapping search counts its jobs' calls, and
+// this handler counts its own.
+func countPPA(engine string, resp PPAResponse) {
+	telemetry.PPAEvals(engine).Inc()
+	if resp.Infeasible {
+		telemetry.PPAInfeasible(engine).Inc()
+	}
 }
 
 // engineStatus labels an engine span: an infeasible or failed evaluation is

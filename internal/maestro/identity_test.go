@@ -77,51 +77,67 @@ var (
 
 // TestEvaluateStreamDigest holds Evaluate to the model it had when it still
 // built a Report per call: a typed error with the capacity text on every
-// infeasible triple, and a stream digest that has not moved since.
+// infeasible triple, and a stream digest that has not moved since. The
+// bound path a mapping search takes — one Bind per configuration, the
+// triples' canonical mappings evaluated through it — must give the same
+// stream.
 func TestEvaluateStreamDigest(t *testing.T) {
 	var e Engine
 	triples := seededTriples()
 	if len(triples) < 5000 {
 		t.Fatalf("%d triples, want >= 5000", len(triples))
 	}
-	h := sha256.New()
-	var buf [8]byte
-	feasible, l1Rejects, l2Rejects := 0, 0, 0
-	for i, tr := range triples {
-		met, err := e.Evaluate(tr.cfg, tr.m, tr.l)
-		if err != nil {
-			if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("triple %d: error %v is not ErrInfeasible", i, err)
+	for _, entry := range []struct {
+		name string
+		eval func(tr *triple) (ppa.Metrics, error)
+	}{
+		{"Engine.Evaluate", func(tr *triple) (ppa.Metrics, error) { return e.Evaluate(tr.cfg, tr.m, tr.l) }},
+		{"Bound.Evaluate", func(tr *triple) (ppa.Metrics, error) {
+			b := e.Bind(tr.cfg)
+			return b.Evaluate(tr.m, &tr.l)
+		}},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			h := sha256.New()
+			var buf [8]byte
+			feasible, l1Rejects, l2Rejects := 0, 0, 0
+			for i := range triples {
+				met, err := entry.eval(&triples[i])
+				if err != nil {
+					if !errors.Is(err, ErrInfeasible) {
+						t.Fatalf("triple %d: error %v is not ErrInfeasible", i, err)
+					}
+					switch text := err.Error(); {
+					case l1Text.MatchString(text):
+						l1Rejects++
+					case l2Text.MatchString(text):
+						l2Rejects++
+					default:
+						t.Fatalf("triple %d: unexpected rejection text %q", i, text)
+					}
+					if met != (ppa.Metrics{}) {
+						t.Fatalf("triple %d: metrics %+v beside an error", i, met)
+					}
+					h.Write([]byte(err.Error()))
+					continue
+				}
+				feasible++
+				for _, v := range []float64{met.LatencyMs, met.PowerMW, met.AreaMM2, met.EnergyUJ} {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
 			}
-			switch text := err.Error(); {
-			case l1Text.MatchString(text):
-				l1Rejects++
-			case l2Text.MatchString(text):
-				l2Rejects++
-			default:
-				t.Fatalf("triple %d: unexpected rejection text %q", i, text)
+			if feasible < 1000 || l1Rejects < 100 || l2Rejects < 100 {
+				t.Fatalf("stream is lopsided: %d feasible, %d L1 and %d L2 rejections", feasible, l1Rejects, l2Rejects)
 			}
-			if met != (ppa.Metrics{}) {
-				t.Fatalf("triple %d: metrics %+v beside an error", i, met)
+			if runtime.GOARCH != "amd64" {
+				t.Skip("digest captured on amd64; other architectures may fuse multiply-adds")
 			}
-			h.Write([]byte(err.Error()))
-			continue
-		}
-		feasible++
-		for _, v := range []float64{met.LatencyMs, met.PowerMW, met.AreaMM2, met.EnergyUJ} {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
-	if feasible < 1000 || l1Rejects < 100 || l2Rejects < 100 {
-		t.Fatalf("stream is lopsided: %d feasible, %d L1 and %d L2 rejections", feasible, l1Rejects, l2Rejects)
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digest captured on amd64; other architectures may fuse multiply-adds")
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != evaluateGoldenDigest {
-		t.Errorf("stream digest %s, want %s (%d feasible, %d L1, %d L2)",
-			got, evaluateGoldenDigest, feasible, l1Rejects, l2Rejects)
+			if got := hex.EncodeToString(h.Sum(nil)); got != evaluateGoldenDigest {
+				t.Errorf("stream digest %s, want %s (%d feasible, %d L1, %d L2)",
+					got, evaluateGoldenDigest, feasible, l1Rejects, l2Rejects)
+			}
+		})
 	}
 }
 

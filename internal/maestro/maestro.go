@@ -25,12 +25,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -157,37 +155,68 @@ func (e *capacityError) Error() string {
 
 func (e *capacityError) Unwrap() error { return ErrInfeasible }
 
-// evalCount and evalInfeasible meter the engine's hot path exactly;
-// evalSeconds sees one call in telemetry.PPAEvalSampleEvery.
-var (
-	evalCount      = telemetry.PPAEvals("maestro")
-	evalInfeasible = telemetry.PPAInfeasible("maestro")
-	evalSeconds    = telemetry.PPAEvalSeconds("maestro")
-)
+// Bound is the model bound to one hardware configuration: everything the
+// arithmetic reads of the hardware, worked out once — the buffer capacities
+// and PE extents as floats, which operands the dataflow pins, the partial-sum
+// traffic factor, leakage and area. A mapping search binds once per job and
+// evaluates every candidate of every layer through it; Evaluate binds per
+// call. Both run the one arithmetic path below, so they agree bit for bit.
+type Bound struct {
+	c            hw.Spatial
+	l1Cap, l2Cap float64 // bytes
+	pex, pey     float64
+	nocBW        float64 // bytes/cycle
+	// pinned[p] reports whether the dataflow holds operand p in place:
+	// weight-stationary pins weights, output-stationary partial sums.
+	pinned [3]bool
+	// nocFactor[p] is 2 for partial sums that cross the NoC twice (written
+	// back and re-read) because the dataflow does not accumulate in place.
+	nocFactor  [3]float64
+	leak, area float64 // mW, mm²
+}
+
+// Bind works out the hardware-only part of the model for configuration c.
+func (e Engine) Bind(c hw.Spatial) Bound {
+	b := Bound{
+		c:         c,
+		l1Cap:     float64(c.L1Bytes),
+		l2Cap:     float64(c.L2KB) * 1024,
+		pex:       float64(c.PEX),
+		pey:       float64(c.PEY),
+		nocBW:     float64(c.NoCBW),
+		nocFactor: [3]float64{1, 1, 1},
+		leak:      leakageMW(c),
+		area:      e.Area(c),
+	}
+	b.pinned[opWeight] = c.Dataflow == hw.WeightStationary
+	b.pinned[opOutput] = c.Dataflow == hw.OutputStationary
+	if !b.pinned[opOutput] {
+		b.nocFactor[opOutput] = 2
+	}
+	return b
+}
 
 // Evaluate returns the PPA of running one layer with mapping m on hardware c.
 func (e Engine) Evaluate(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, error) {
-	if evalCount.Next()%telemetry.PPAEvalSampleEvery == 0 {
-		start := time.Now() //unicolint:allow detclock host-side eval-latency sample; simulated search cost is charged via simclock
-		defer func() { evalSeconds.Observe(time.Since(start).Seconds()) }()
-	}
-	met, _, err := e.model(c, m, l)
-	if err != nil {
-		if _, ok := err.(*capacityError); ok {
-			evalInfeasible.Inc()
-		}
+	if err := l.Validate(); err != nil {
 		return ppa.Metrics{}, err
 	}
-	return met, nil
+	b := e.Bind(c)
+	return b.Evaluate(m.Canon(l), &l)
+}
+
+// Evaluate returns the PPA of running layer l with mapping m on the bound
+// hardware. l must validate (workload.Layer.Validate) and m must be
+// canonical for it (mapping.Spatial.Canon), as every schedule a search's
+// moves return is; Engine.Evaluate takes any of either.
+func (b *Bound) Evaluate(m mapping.Spatial, l *workload.Layer) (ppa.Metrics, error) {
+	met, _, err := b.model(m, l)
+	return met, err
 }
 
 // model is the one implementation of the cost model's arithmetic. It
 // allocates nothing on a feasible triple and one capacityError otherwise.
-func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, breakdown, error) {
-	if err := l.Validate(); err != nil {
-		return ppa.Metrics{}, breakdown{}, err
-	}
-	m = m.Canon(l)
+func (b *Bound) model(m mapping.Spatial, l *workload.Layer) (ppa.Metrics, breakdown, error) {
 	depthwise := l.Kind == workload.DWConv2D
 	depends := &dependence[0]
 	if depthwise {
@@ -210,9 +239,9 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	outTile := 2 * float64(m.TK) * float64(m.TY) * float64(m.TX)
 
 	// Double-buffered L1 residency.
-	if 2*(inTile+wTile+outTile) > float64(c.L1Bytes) {
+	if 2*(inTile+wTile+outTile) > b.l1Cap {
 		return ppa.Metrics{}, breakdown{}, &capacityError{
-			what: bufL1Tile, need: int(2 * (inTile + wTile + outTile)), have: c.L1Bytes}
+			what: bufL1Tile, need: int(2 * (inTile + wTile + outTile)), have: b.c.L1Bytes}
 	}
 
 	// Loop bounds, tile sizes and spatial extents per dimension. Dim-indexed
@@ -226,8 +255,8 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	}
 	tile := [4]int{mapping.DimK: m.TK, mapping.DimC: m.TC, mapping.DimY: m.TY, mapping.DimX: m.TX}
 	extent := [4]int{1, 1, 1, 1}
-	extent[m.SpatY] = c.PEY
-	extent[m.SpatX] = c.PEX // Canon keeps the two distinct
+	extent[m.SpatY] = b.c.PEY
+	extent[m.SpatX] = b.c.PEX // Canon keeps the two distinct
 
 	// temporalTrips is the number of per-PE tiles along d with the spatial
 	// extent folded in (tiles executed concurrently across the array).
@@ -270,10 +299,9 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	macroW := span[mapping.DimK] * span[mapping.DimC] * float64(m.TR) * float64(m.TS)
 	macroOut := 2 * span[mapping.DimK] * span[mapping.DimY] * span[mapping.DimX]
 	l2Need := 2 * (macroIn + macroW + macroOut)
-	l2Cap := float64(c.L2KB) * 1024
-	if l2Need > l2Cap {
+	if l2Need > b.l2Cap {
 		return ppa.Metrics{}, breakdown{}, &capacityError{
-			what: bufL2WorkingSet, need: int(l2Need), have: int(l2Cap)}
+			what: bufL2WorkingSet, need: int(l2Need), have: int(b.l2Cap)}
 	}
 
 	// L2 -> L1 (NoC) traffic. An operand's tile is fetched once per trip of
@@ -282,8 +310,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	nocBytes := 0.0
 	tiles := [3]float64{opInput: inTile, opWeight: wTile, opOutput: outTile}
 	for p := opInput; p <= opOutput; p++ {
-		pinned := (c.Dataflow == hw.WeightStationary && p == opWeight) ||
-			(c.Dataflow == hw.OutputStationary && p == opOutput)
+		pinned := b.pinned[p]
 		trips := float64(l.N)
 		for d, t := range temporalTrips {
 			if depends[p][d] || !pinned {
@@ -292,7 +319,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 		}
 		// Kernel-window trips: inputs and weights depend on R/S; outputs
 		// re-circulate partial sums across the window unless pinned.
-		if p != opOutput || c.Dataflow != hw.OutputStationary {
+		if p != opOutput || !pinned {
 			trips *= tripsR * tripsS
 		}
 		// The spatial copies along dimensions the operand depends on are
@@ -300,16 +327,12 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 		// so only one copy crosses the L2 port.
 		spatialCopies := 1.0
 		if depends[p][m.SpatX] {
-			spatialCopies *= float64(c.PEX)
+			spatialCopies *= b.pex
 		}
 		if depends[p][m.SpatY] {
-			spatialCopies *= float64(c.PEY)
+			spatialCopies *= b.pey
 		}
-		factor := 1.0
-		if p == opOutput && c.Dataflow != hw.OutputStationary {
-			factor = 2 // partial sums written back and re-read, not accumulated in place
-		}
-		nocBytes += trips * tiles[p] * spatialCopies * factor
+		nocBytes += trips * tiles[p] * spatialCopies * b.nocFactor[p]
 	}
 
 	// DRAM -> L2 traffic. An operand that fits in L2 alongside the others
@@ -329,7 +352,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 			resident *= 2
 		}
 		reload := 1.0
-		if resident > l2Cap/3 {
+		if resident > b.l2Cap/3 {
 			// Loops ordered outside the outermost loop the operand depends
 			// on force a reload per macro trip.
 			for _, d := range order {
@@ -347,7 +370,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	}
 
 	// Latency: perfect double buffering overlaps the three streams.
-	nocCycles := nocBytes / float64(c.NoCBW)
+	nocCycles := nocBytes / b.nocBW
 	dramCycles := dramBytes / dramBWBytesPerCycle
 	cycles := max(computeCycles, nocCycles, dramCycles)
 	// Pipeline fill/drain: one tile of latency per temporal step wave.
@@ -357,7 +380,7 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 	// Energy.
 	usefulMACs := float64(l.MACs())
 	l1Bytes := usefulMACs * 3 * l1RegReuse
-	b := breakdown{
+	bd := breakdown{
 		computeCycles: computeCycles, nocCycles: nocCycles, dramCycles: dramCycles,
 		nocBytes: nocBytes, dramBytes: dramBytes,
 		macPJ:  usefulMACs * macEnergyPJ,
@@ -365,19 +388,18 @@ func (e Engine) model(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Me
 		nocPJ:  nocBytes * l2EnergyPJ,
 		dramPJ: dramBytes * dramEnergyPJ,
 	}
-	energyUJ := (b.macPJ + b.l1PJ + b.nocPJ + b.dramPJ) * 1e-6
-	leak := leakageMW(c)
-	powerMW := energyUJ/latencyMs + leak
-	energyUJ += leak * latencyMs // fold leakage into total energy
+	energyUJ := (bd.macPJ + bd.l1PJ + bd.nocPJ + bd.dramPJ) * 1e-6
+	powerMW := energyUJ/latencyMs + b.leak
+	energyUJ += b.leak * latencyMs // fold leakage into total energy
 
 	met := ppa.Metrics{
 		LatencyMs: latencyMs,
 		PowerMW:   powerMW,
-		AreaMM2:   e.Area(c),
+		AreaMM2:   b.area,
 		EnergyUJ:  energyUJ,
 	}
 	if !met.Valid() {
-		return ppa.Metrics{}, breakdown{}, fmt.Errorf("maestro: produced invalid metrics %+v for %v / %v", met, c, l)
+		return ppa.Metrics{}, breakdown{}, fmt.Errorf("maestro: produced invalid metrics %+v for %v / %v", met, b.c, *l)
 	}
-	return met, b, nil
+	return met, bd, nil
 }

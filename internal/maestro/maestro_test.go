@@ -8,6 +8,7 @@ import (
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
+	"unico/internal/ppa"
 	"unico/internal/workload"
 )
 
@@ -205,12 +206,18 @@ func TestDataflowChangesCost(t *testing.T) {
 	}
 }
 
+// modelOf runs the model as Evaluate does, canonicalizing m, and keeps the
+// breakdown Evaluate drops.
+func modelOf(c hw.Spatial, m mapping.Spatial, l workload.Layer) (ppa.Metrics, breakdown, error) {
+	b := Engine{}.Bind(c)
+	return b.model(m.Canon(l), &l)
+}
+
 // TestModelBreakdown: the breakdown behind a metric is consistent with it.
 func TestModelBreakdown(t *testing.T) {
-	var e Engine
 	c, l := testHW(), testLayer()
 	m := minimalMapping(l)
-	met, b, err := e.model(c, m, l)
+	met, b, err := modelOf(c, m, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +248,6 @@ func TestModelBreakdown(t *testing.T) {
 // bound by the array on a one-PE machine, and by the NoC or DRAM on a wide
 // array with a narrow NoC.
 func TestModelBottleneckShifts(t *testing.T) {
-	var e Engine
 	l := workload.Conv("ch", 512, 512, 14, 14, 1, 1, 1, 1)
 	m := minimalMapping(l)
 	slowNoC := testHW()
@@ -250,8 +256,8 @@ func TestModelBottleneckShifts(t *testing.T) {
 	fast := testHW()
 	fast.PEX, fast.PEY = 1, 1
 	fast.NoCBW = 128
-	_, a, err1 := e.model(slowNoC, m, l)
-	_, b, err2 := e.model(fast, m, l)
+	_, a, err1 := modelOf(slowNoC, m, l)
+	_, b, err2 := modelOf(fast, m, l)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

@@ -14,7 +14,7 @@ import (
 
 func mustModel(t *testing.T, tr triple) (ppa.Metrics, breakdown) {
 	t.Helper()
-	met, b, err := (Engine{}).model(tr.cfg, tr.m, tr.l)
+	met, b, err := modelOf(tr.cfg, tr.m, tr.l)
 	if err != nil {
 		t.Fatalf("%v / %v / %v: %v", tr.cfg, tr.m, tr.l, err)
 	}

@@ -307,8 +307,9 @@ func NewSpatialMoves(l workload.Layer) SpatialMoves {
 	return mv
 }
 
-// Layer returns the layer the moves are for.
-func (mv *SpatialMoves) Layer() workload.Layer { return mv.layer }
+// Layer returns the layer the moves are for, in place: the caller reads it
+// and must not change it.
+func (mv *SpatialMoves) Layer() *workload.Layer { return &mv.layer }
 
 // Canon is Spatial.Canon for the moves' layer.
 func (mv *SpatialMoves) Canon(m Spatial) Spatial { return m.canon(&mv.layer) }

@@ -57,11 +57,12 @@ func (lay *ascendLayer) walkPast(n int) ([]mapping.Ascend, bool) {
 // ascendProblem is one layer on one Ascend-like core configuration: the
 // moves, evaluation oracle and seeds of its depth-first search. Like
 // spatialProblem, a job's problems are one slice and its searchers hold
-// pointers into it.
+// pointers into it; they count their engine calls in the job's tally.
 type ascendProblem struct {
 	eng   AscendEngine
 	cfg   hw.Ascend
 	layer *ascendLayer
+	tally *tally
 }
 
 func (p *ascendProblem) Random(rng *rand.Rand) mapping.Ascend {
@@ -73,7 +74,9 @@ func (p *ascendProblem) Mutate(rng *rand.Rand, m mapping.Ascend) mapping.Ascend 
 }
 
 func (p *ascendProblem) Evaluate(m mapping.Ascend) (ppa.Metrics, error) {
-	return p.eng.Evaluate(p.cfg, m, p.layer.moves.Layer())
+	met, err := p.eng.Evaluate(p.cfg, m, p.layer.moves.Layer())
+	p.tally.count(err)
+	return met, err
 }
 
 // seeds returns the n warm-start schedules: the single-intrinsic tile
@@ -314,11 +317,12 @@ func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, _ A
 // does.
 func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, seed int64) *NetworkSearcher {
 	lays := n.ascendLayers()
+	layers := make([]LayerSearcher, len(lays))
+	s := n.searcher(layers, eng.Area(cfg), &camodelMeter)
 	probs := make([]ascendProblem, len(lays))
-	layers := make([]LayerSearcher, len(probs))
 	for i := range probs {
-		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: lays[i]}
+		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: lays[i], tally: &s.tally}
 		layers[i] = newDepthFirstFusion(&probs[i], newLayerRand(seed, i))
 	}
-	return n.searcher(layers, eng.Area(cfg))
+	return s
 }

@@ -257,9 +257,15 @@ func (e recordingEngine) Evaluate(_ hw.Ascend, m mapping.Ascend, _ workload.Laye
 func (recordingEngine) Area(hw.Ascend) float64   { return 1 }
 func (recordingEngine) EvalCostSeconds() float64 { return 1 }
 
+// problemOn is a layer's problem on core cfg, counting its engine calls in
+// a tally of its own.
+func problemOn(eng AscendEngine, cfg hw.Ascend, lay *ascendLayer) *ascendProblem {
+	return &ascendProblem{eng: eng, cfg: cfg, layer: lay, tally: &tally{meter: &camodelMeter}}
+}
+
 // depthFirstOn builds the depth-first searcher of layer l on core cfg.
 func depthFirstOn(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.Rand) *DepthFirstFusion {
-	return newDepthFirstFusion(&ascendProblem{eng: eng, cfg: cfg, layer: newAscendLayer(l)}, rng)
+	return newDepthFirstFusion(problemOn(eng, cfg, newAscendLayer(l)), rng)
 }
 
 // eagerSteps replays the searcher as it was before the walk was generated
@@ -267,7 +273,7 @@ func depthFirstOn(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.R
 // — and returns the schedules it evaluates and the index of the first one
 // drawn from the rng.
 func eagerSteps(eng AscendEngine, cfg hw.Ascend, l workload.Layer, rng *rand.Rand, steps int) (cands []mapping.Ascend, handoff int) {
-	prob := ascendProblem{eng: eng, cfg: cfg, layer: newAscendLayer(l)}
+	prob := problemOn(eng, cfg, newAscendLayer(l))
 	tms, tks, tns := layerLadders(l)
 	seeds, n := prob.seeds()
 	walk := append(seeds[:n:n], buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)...)
@@ -422,12 +428,12 @@ func (volumeEngine) EvalCostSeconds() float64 { return 1 }
 func TestDepthFirstStepOnWalkAllocatesNothing(t *testing.T) {
 	l := workload.Conv("c", 56, 12, 120, 320, 3, 3, 1, 1)
 	lay := newAscendLayer(l)
-	prob := ascendProblem{eng: volumeEngine{}, cfg: hw.DefaultAscend(), layer: lay}
-	ahead := newDepthFirstFusion(&prob, rand.New(rand.NewSource(1)))
+	prob := problemOn(volumeEngine{}, hw.DefaultAscend(), lay)
+	ahead := newDepthFirstFusion(prob, rand.New(rand.NewSource(1)))
 	for i := 0; i < 400; i++ {
 		ahead.Step()
 	}
-	d := newDepthFirstFusion(&prob, rand.New(rand.NewSource(2)))
+	d := newDepthFirstFusion(prob, rand.New(rand.NewSource(2)))
 	for i := 0; i < 10; i++ {
 		d.Step()
 	}
@@ -475,7 +481,7 @@ func TestAscendSeedsFeasibleOnDefault(t *testing.T) {
 	cfg := hw.DefaultAscend()
 	for _, w := range workload.All() {
 		for _, l := range w.Layers {
-			p := ascendProblem{eng: eng, cfg: cfg, layer: newAscendLayer(l)}
+			p := problemOn(eng, cfg, newAscendLayer(l))
 			seeds, n := p.seeds()
 			if n == 0 {
 				t.Fatalf("%s/%s: no seeds", w.Name, l.Name)

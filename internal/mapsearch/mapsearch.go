@@ -18,11 +18,11 @@
 // once, the best-so-far loss is monotone non-increasing in budget, and
 // searches are resumable so successive halving can hand out budget in
 // installments. A Step does only new work: a layer's moves and its
-// depth-first walk are built once per workload (Network), seeds are
-// computed at the first Step, and the annealer takes a proposal equal to
-// its current schedule at the metrics it already holds — engines are pure,
-// so that is the engine's answer, and the step's budget is spent all the
-// same.
+// depth-first walk are built once per workload (Network), a spatial job
+// binds maestro's model to its hardware once, seeds are computed at the
+// first Step, and the annealer takes a proposal equal to its current
+// schedule at the metrics it already holds — engines are pure, so that is
+// the engine's answer, and the step's budget is spent all the same.
 //
 // A NetworkSearcher aggregates per-layer searchers into the network-level
 // search the co-optimizer drives: each budget unit advances one layer

@@ -13,8 +13,8 @@ import (
 	"unico/internal/workload"
 )
 
-// stepCount is the global layer-step counter (one increment per
-// LayerSearcher.Step across every concurrent search).
+// stepCount is the global layer-step counter: each advance adds the steps
+// it took.
 var stepCount = telemetry.MapSearchSteps()
 
 // PenaltyLoss is the finite loss recorded while a network has no feasible
@@ -94,6 +94,7 @@ type NetworkSearcher struct {
 	repeats []int
 	order   *layerOrder
 	area    float64 // hardware area, constant across mappings
+	tally   tally   // engine calls since the last advance
 	spent   int
 	hist    ppa.History
 	rawHist ppa.History
@@ -173,6 +174,7 @@ type Network struct {
 	w       workload.Workload
 	repeats []int
 	order   *layerOrder
+	valid   bool // every layer validates, so a job may bind its engine
 
 	spatialOnce sync.Once
 	spatial     []mapping.SpatialMoves
@@ -182,9 +184,10 @@ type Network struct {
 
 // NewNetwork prepares the mapping searches of workload w.
 func NewNetwork(w workload.Workload) *Network {
-	n := &Network{w: w, repeats: make([]int, len(w.Layers))}
+	n := &Network{w: w, repeats: make([]int, len(w.Layers)), valid: true}
 	weights := make([]float64, len(w.Layers))
 	for i, l := range w.Layers {
+		n.valid = n.valid && l.Validate() == nil
 		n.repeats[i] = l.Repeat
 		weights[i] = float64(l.MACs() * int64(l.Repeat))
 	}
@@ -218,9 +221,11 @@ func (n *Network) ascendLayers() []*ascendLayer {
 // Workload returns the workload the network searches.
 func (n *Network) Workload() workload.Workload { return n.w }
 
-// searcher assembles a network search over one searcher per layer.
-func (n *Network) searcher(layers []LayerSearcher, area float64) *NetworkSearcher {
-	return &NetworkSearcher{layers: layers, repeats: n.repeats, order: n.order, area: area}
+// searcher assembles a network search over one searcher per layer, whose
+// engine calls are counted under meter.
+func (n *Network) searcher(layers []LayerSearcher, area float64, meter *engineMeter) *NetworkSearcher {
+	return &NetworkSearcher{layers: layers, repeats: n.repeats, order: n.order, area: area,
+		tally: tally{meter: meter}}
 }
 
 // Advance spends budget more units (budget × len(layers) layer steps).
@@ -230,23 +235,29 @@ func (n *NetworkSearcher) Advance(budget int) { n.advance(budget, nil) }
 // is canceled. Uncanceled it is identical to Advance, unit for unit, so
 // enabling cancellation never perturbs a run's determinism.
 func (n *NetworkSearcher) AdvanceContext(ctx context.Context, budget int) {
-	n.advance(budget, ctx.Err)
+	n.advance(budget, ctx.Done())
 }
 
-// advance spends up to budget units, checking canceled (when not nil)
-// before each.
-func (n *NetworkSearcher) advance(budget int, canceled func() error) {
+// advance spends up to budget units, stopping before the next once done is
+// closed (a nil done never is). A receive that does not block takes no
+// lock, so the jobs of one context do not contend for it once per unit.
+// The steps and the tally of engine calls go to the process's counters once,
+// at the end.
+func (n *NetworkSearcher) advance(budget int, done <-chan struct{}) {
 	if budget <= 0 {
 		return
 	}
 	order := n.order.upTo(n.spent + budget - 1)
 	n.hist = slices.Grow(n.hist, budget)
 	n.rawHist = slices.Grow(n.rawHist, budget)
-	for u := 0; u < budget; u++ {
-		if canceled != nil && canceled() != nil {
-			return
+	units := 0
+steps:
+	for ; units < budget; units++ {
+		select {
+		case <-done:
+			break steps
+		default:
 		}
-		stepCount.Add(uint64(len(n.layers)))
 		if n.spent == 0 {
 			// Bootstrap pass: every layer evaluates its first (seed)
 			// schedule, establishing feasibility in one unit.
@@ -284,6 +295,8 @@ func (n *NetworkSearcher) advance(budget int, canceled func() error) {
 			n.rawHist = append(n.rawHist, ppa.Point{Budget: n.spent, Loss: PenaltyLoss})
 		}
 	}
+	stepCount.Add(uint64(units * len(n.layers)))
+	n.tally.flush()
 }
 
 // aggregate sums latency and energy of the per-layer bests, each times its

@@ -5,6 +5,7 @@ import (
 
 	"unico/internal/hw"
 	"unico/internal/lfg"
+	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
 	"unico/internal/workload"
@@ -40,13 +41,23 @@ func (a Algo) String() string {
 	}
 }
 
+// spatialJob is what the layer problems of one job share: the engine and
+// configuration, the engine's model bound to the configuration when it
+// offers one (spatialBinder), and the job's tally of engine calls.
+type spatialJob struct {
+	eng   SpatialEngine
+	cfg   hw.Spatial
+	bound maestro.Bound
+	bind  bool // evaluate through bound, not eng.Evaluate
+	tally *tally
+}
+
 // spatialProblem adapts one layer on one spatial-accelerator configuration
 // to the Problem interface. A job's problems are one slice, built by
 // Network.Spatial, and its searchers hold pointers into it; the layer's moves
 // are the Network's, shared by every job of the workload.
 type spatialProblem struct {
-	eng   SpatialEngine
-	cfg   hw.Spatial
+	job   *spatialJob
 	moves *mapping.SpatialMoves
 }
 
@@ -58,8 +69,18 @@ func (p *spatialProblem) Mutate(rng *rand.Rand, m mapping.Spatial) mapping.Spati
 	return p.moves.Mutate(rng, m)
 }
 
+// Evaluate evaluates m, which the moves made canonical, and counts the call.
 func (p *spatialProblem) Evaluate(m mapping.Spatial) (ppa.Metrics, error) {
-	return p.eng.Evaluate(p.cfg, m, p.moves.Layer())
+	j := p.job
+	var met ppa.Metrics
+	var err error
+	if j.bind {
+		met, err = j.bound.Evaluate(m, p.moves.Layer())
+	} else {
+		met, err = j.eng.Evaluate(j.cfg, m, *p.moves.Layer())
+	}
+	j.tally.count(err)
+	return met, err
 }
 
 // Seeds returns the warm-start schedules: the minimal (always smallest) tile
@@ -79,7 +100,7 @@ func (p *spatialProblem) Seeds() []mapping.Spatial {
 		in := inC * ((m.TY-1)*l.Stride + m.TR) * ((m.TX-1)*l.Stride + m.TS)
 		w := m.TK * m.TC * m.TR * m.TS
 		out := 2 * m.TK * m.TY * m.TX
-		return 2*(in+w+out) <= p.cfg.L1Bytes
+		return 2*(in+w+out) <= p.job.cfg.L1Bytes
 	}
 	for progress := true; progress; {
 		progress = false
@@ -127,14 +148,20 @@ func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, 
 }
 
 // Spatial builds the network's mapping search for one spatial hardware
-// configuration, one annealer per layer, as NewSpatialSearcher does.
+// configuration, one annealer per layer, as NewSpatialSearcher does. An
+// engine that offers spatialBinder is bound to cfg here, once for the job.
 func (n *Network) Spatial(eng SpatialEngine, cfg hw.Spatial, seed int64) *NetworkSearcher {
 	moves := n.spatialMoves()
+	layers := make([]LayerSearcher, len(moves))
+	s := n.searcher(layers, eng.Area(cfg), &maestroMeter)
+	job := &spatialJob{eng: eng, cfg: cfg, tally: &s.tally}
+	if b, ok := eng.(spatialBinder); ok && n.valid {
+		job.bound, job.bind = b.Bind(cfg), true
+	}
 	probs := make([]spatialProblem, len(moves))
-	layers := make([]LayerSearcher, len(probs))
 	for i := range probs {
-		probs[i] = spatialProblem{eng: eng, cfg: cfg, moves: &moves[i]}
+		probs[i] = spatialProblem{job: job, moves: &moves[i]}
 		layers[i] = NewAnnealer[mapping.Spatial](&probs[i], newLayerRand(seed, i))
 	}
-	return n.searcher(layers, eng.Area(cfg))
+	return s
 }

@@ -30,11 +30,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Next adds one and returns the new count: every caller sees a distinct
-// value, so a hot path can sample 1 in k of its calls (Next()%k == 0) on the
-// one atomic add it already pays to be counted.
-func (c *Counter) Next() uint64 { return c.v.Add(1) }
-
 // Add adds n (n must be non-negative by the counter contract).
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -48,34 +47,6 @@ func TestConcurrentUpdates(t *testing.T) {
 
 // TestSameInstanceReturned verifies registry memoization: the same
 // (name, labels) pair always yields the same metric.
-// TestCounterNextSamplesExactly checks what 1-in-k sampling on Next rests
-// on: concurrent callers each get a distinct count, so exactly one call in
-// PPAEvalSampleEvery sees a multiple of it.
-func TestCounterNextSamplesExactly(t *testing.T) {
-	c := NewRegistry().Counter("c_total", "counter", nil)
-	const workers, perWorker = 16, 25 * PPAEvalSampleEvery
-	var sampled atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if c.Next()%PPAEvalSampleEvery == 0 {
-					sampled.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*perWorker {
-		t.Errorf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := sampled.Load(); got != workers*perWorker/PPAEvalSampleEvery {
-		t.Errorf("%d calls sampled, want %d", got, workers*perWorker/PPAEvalSampleEvery)
-	}
-}
-
 func TestSameInstanceReturned(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", "", Labels{"k": "v", "a": "b"})

@@ -144,12 +144,6 @@ func FleetReplays() *Counter { return fleetReplays }
 // FleetProbeSeconds observes health-probe round-trip latency.
 func FleetProbeSeconds() *Histogram { return fleetProbeSeconds }
 
-// PPAEvalSampleEvery is the sampling period of the in-process engines'
-// latency histogram: an analytical evaluation costs about as much as reading
-// the clock twice and observing the result, so "maestro" and "camodel" time
-// the calls whose PPAEvals count is a multiple of it. The counters stay exact.
-const PPAEvalSampleEvery = 64
-
 // Bucket layouts of the histograms.
 var (
 	// ppaEvalBuckets span host-side evaluation latencies from the analytical
@@ -205,25 +199,30 @@ func (l *labelled[M]) get(value string) *M {
 	return m
 }
 
-// PPAEvals counts PPA-engine calls for one engine ("maestro", "camodel",
-// ...). A mapping-search layer step calls its engine at most once, so the
-// count is at most the layer steps (unico_mapsearch_steps_total): an
-// annealer's proposal equal to its current schedule reuses that schedule's
-// metrics and spends budget without a call.
+// PPAEvals counts PPA-engine calls for one engine ("maestro", "camodel").
+// The engines write no metrics: a mapping-search job counts its own calls —
+// a spatial job's under "maestro", an Ascend-like job's under "camodel" —
+// and adds them once per budget installment, and a worker's /v1/ppa handler
+// counts each request. A layer step calls its engine at most once, so a
+// search's count is at most its layer steps (unico_mapsearch_steps_total):
+// an annealer's proposal equal to its current schedule reuses that
+// schedule's metrics and spends budget without a call.
 func PPAEvals(engine string) *Counter {
 	return DefaultRegistry.Counter("unico_ppa_evals_total",
 		"PPA-engine calls by engine; at most the mapping-search layer steps, which spend the evaluation budget.", Labels{"engine": engine})
 }
 
-// PPAInfeasible counts PPA evaluations rejected as infeasible, per engine.
+// PPAInfeasible counts PPA evaluations rejected as infeasible, per engine,
+// where PPAEvals counts the calls.
 func PPAInfeasible(engine string) *Counter {
 	return DefaultRegistry.Counter("unico_ppa_infeasible_total",
 		"PPA evaluations rejected as infeasible, by engine.", Labels{"engine": engine})
 }
 
 // PPAEvalSeconds observes host-side (wall-clock, not simulated) PPA
-// evaluation latency for one engine: every "dist" request, and one
-// "maestro" or "camodel" call in PPAEvalSampleEvery.
+// evaluation latency for one engine. Only "dist" observes it, once per
+// remote evaluation: an in-process call costs about as much as reading the
+// clock twice.
 func PPAEvalSeconds(engine string) *Histogram {
 	return DefaultRegistry.Histogram("unico_ppa_eval_seconds",
 		"Host-side PPA evaluation latency by engine.", ppaEvalBuckets, Labels{"engine": engine})

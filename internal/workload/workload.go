@@ -126,9 +126,10 @@ func (l Layer) OutputBytes() int64 {
 }
 
 // Validate reports an error if any loop bound is non-positive or the shape is
-// internally inconsistent. Both engines call it once per evaluation, so a
-// well-formed layer costs ten comparisons and the message is built only for
-// a bad one.
+// internally inconsistent. maestro.Engine.Evaluate and camodel.Engine.Evaluate
+// call it once per evaluation, and a mapping search's Network once per layer,
+// so a well-formed layer costs ten comparisons and the message is built only
+// for a bad one.
 func (l Layer) Validate() error {
 	if l.N <= 0 || l.K <= 0 || l.C <= 0 || l.Y <= 0 || l.X <= 0 ||
 		l.R <= 0 || l.S <= 0 || l.Stride <= 0 || l.Repeat <= 0 ||
