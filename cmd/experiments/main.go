@@ -78,8 +78,8 @@ func main() {
 	s.Resume = *resume
 	if *progress {
 		s.Progress = func(p core.Progress) {
-			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  front %d  evals %d\n",
-				p.Iter, p.SimHours, p.Hypervolume, p.FrontSize, p.Evals)
+			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  front %d  evals %d\n",
+				p.Iter, p.SimHours, p.FrontSize, p.Evals)
 		}
 	}
 	for _, dir := range []string{*checkpointDir, *flightDir} {

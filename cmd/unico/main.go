@@ -170,8 +170,8 @@ func main() {
 			if !math.IsInf(p.UUL, 0) {
 				uul = fmt.Sprintf("%.4f", p.UUL)
 			}
-			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  hv %.4g  uul %s  front %d  evals %d\n",
-				p.Iter, p.SimHours, p.Hypervolume, uul, p.FrontSize, p.Evaluations)
+			fmt.Fprintf(os.Stderr, "iter %3d  sim %7.2f h  uul %s  front %d  evals %d\n",
+				p.Iter, p.SimHours, uul, p.FrontSize, p.Evaluations)
 		}
 	}
 

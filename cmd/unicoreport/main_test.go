@@ -13,16 +13,17 @@ import (
 	"unico/internal/flightrec"
 )
 
-// writeFlight records a finished run with one iteration per hypervolume.
-func writeFlight(t *testing.T, path, runID string, hvs ...float64) {
+// writeFlight records a finished run with one iteration per latency of its
+// one-point front.
+func writeFlight(t *testing.T, path, runID string, latencies ...float64) {
 	t.Helper()
 	r, err := flightrec.Create(path, flightrec.Header{RunID: runID, Method: "UNICO", Seed: 1, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, hv := range hvs {
-		r.RecordIteration(flightrec.Iteration{Iter: i + 1, Hypervolume: hv, Evals: 10 * (i + 1),
-			Front: [][]float64{{1, 2, 3}}, RungAlive: []int{4, 2}})
+	for i, lat := range latencies {
+		r.RecordIteration(flightrec.Iteration{Iter: i + 1, Evals: 10 * (i + 1),
+			Front: [][]float64{{lat, 2, 3}}, RungAlive: []int{4, 2}})
 	}
 	if err := r.Finish(flightrec.Summary{}); err != nil {
 		t.Fatal(err)
@@ -68,8 +69,8 @@ func writeSpans(t *testing.T, path string, evs ...disttrace.Event) {
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	at := func(name string) string { return filepath.Join(dir, name) }
-	writeFlight(t, at("run.jsonl"), "small", 0.5, 0.7)
-	writeFlight(t, at("worse.jsonl"), "other", 0.5, 0.1)
+	writeFlight(t, at("run.jsonl"), "small", 0.7, 0.5)
+	writeFlight(t, at("worse.jsonl"), "other", 0.7, 0.7)
 	// "small" has one eval chain, "big" two: the largest-trace guess would
 	// pick "big", so only the flight header's run ID selects "small".
 	writeSpans(t, at("spans_a.jsonl"), append(chain("small", "s1", 1_000), chain("big", "b1", 2_000)...)...)
@@ -146,7 +147,7 @@ func TestRun(t *testing.T) {
 func TestRunPage(t *testing.T) {
 	dir := t.TempDir()
 	flight, spans, page := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "spans.jsonl"), filepath.Join(dir, "page.html")
-	writeFlight(t, flight, "r1", 0.2, 0.4)
+	writeFlight(t, flight, "r1", 0.4, 0.2)
 	writeSpans(t, spans, chain("r1", "c", 1_000)...)
 	var out bytes.Buffer
 	if code := run([]string{"-o", page, flight}, &out, &out); code != 0 {
@@ -189,8 +190,8 @@ func TestRunPageOfRunInProgress(t *testing.T) {
 	}
 	const iters = 3
 	for i := 1; i <= iters; i++ {
-		r.RecordIteration(flightrec.Iteration{Iter: i, Hypervolume: 0.1 * float64(i), Evals: 10 * i,
-			Front: [][]float64{{1, 2, 3}}, RungAlive: []int{4, 2}})
+		r.RecordIteration(flightrec.Iteration{Iter: i, Evals: 10 * i,
+			Front: [][]float64{{1 / float64(i), 2, 3}}, RungAlive: []int{4, 2}})
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestRunPageOfRunInProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"iteration","iter":4,"hyperv`); err != nil {
+	if _, err := f.WriteString(`{"type":"iteration","iter":4,"sim_ho`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

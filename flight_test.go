@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,9 +21,8 @@ func flightConfig(dir string) Config {
 }
 
 // TestFlightRecordMatchesProgress pins the acceptance criterion that the
-// durable artifact's per-iteration hypervolume (and costs) are exactly the
-// values the Progress callback reported — one source of truth, recorded at
-// the same boundary.
+// durable artifact's per-iteration costs are exactly the values the Progress
+// callback reported — one source of truth, recorded at the same boundary.
 func TestFlightRecordMatchesProgress(t *testing.T) {
 	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
 	if err != nil {
@@ -57,11 +57,9 @@ func TestFlightRecordMatchesProgress(t *testing.T) {
 	}
 	for i, it := range d.Iters {
 		ip := seen[i]
-		if it.Iter != ip.Iter || it.Hypervolume != ip.Hypervolume ||
-			it.SimHours != ip.SimHours || it.Evals != ip.Evaluations {
-			t.Errorf("iteration %d: artifact {iter %d hv %v sim %v evals %d} != progress {iter %d hv %v sim %v evals %d}",
-				i, it.Iter, it.Hypervolume, it.SimHours, it.Evals,
-				ip.Iter, ip.Hypervolume, ip.SimHours, ip.Evaluations)
+		if it.Iter != ip.Iter || it.SimHours != ip.SimHours || it.Evals != ip.Evaluations {
+			t.Errorf("iteration %d: artifact {iter %d sim %v evals %d} != progress {iter %d sim %v evals %d}",
+				i, it.Iter, it.SimHours, it.Evals, ip.Iter, ip.SimHours, ip.Evaluations)
 		}
 		if math.IsNaN(float64(it.UUL)) {
 			t.Errorf("iteration %d: NaN UUL", it.Iter)
@@ -235,8 +233,9 @@ func TestFlightRecordingDoesNotPerturbSearch(t *testing.T) {
 
 // TestParentFlightRecordReadsTheSame: testdata/parent/flight.jsonl is the
 // flightConfig run's record as an older commit wrote it, with each
-// iteration's objective bests and phase window and a summary that repeated
-// the last iteration's totals (see testdata/parent/README.md). It must still load
+// iteration's objective bests, running hypervolume and phase window and a
+// summary that repeated the last iteration's totals (see
+// testdata/parent/README.md). It must still load
 // whole, hold the same records as this code's record of the same run, and
 // read the same in its state line and report.
 func TestParentFlightRecordReadsTheSame(t *testing.T) {
@@ -245,7 +244,7 @@ func TestParentFlightRecordReadsTheSame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"best":`, `"phases":`, `"front_size":`} {
+	for _, field := range []string{`"best":`, `"hypervolume":`, `"phases":`, `"front_size":`} {
 		if !strings.Contains(string(raw), field) {
 			t.Fatalf("%s holds no %s: it is not the older format", path, field)
 		}
@@ -288,5 +287,49 @@ func TestParentFlightRecordReadsTheSame(t *testing.T) {
 	}
 	if got, want := flightrec.ReportBody(*old), flightrec.ReportBody(*cur); got != want {
 		t.Errorf("ReportBody differs:\n%s\nthis code's:\n%s", got, want)
+	}
+}
+
+// TestReportCurveNeverFalls: the report's hypervolume curve is drawn against
+// one reference for the whole record, so it rises or holds as the front
+// improves. At iteration 2 this run's front loses its highest-power and
+// largest-area points: a curve measured against each iteration's own nadir
+// falls there.
+func TestReportCurveNeverFalls(t *testing.T) {
+	p, err := OpenSourcePlatform(Edge, "MobileNetV3-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{BatchSize: 6, Iterations: 12, BudgetMax: 15, Seed: 2,
+		FlightRecordFile: filepath.Join(t.TempDir(), "run.jsonl")}
+	if _, err := OptimizeContext(context.Background(), p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := flightrec.Load(cfg.FlightRecordFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := flightrec.ReportBody(*d)
+	const open = `<polyline points="`
+	i := strings.Index(body, open)
+	if i < 0 {
+		t.Fatalf("report has no curve:\n%s", body)
+	}
+	pts := strings.Fields(body[i+len(open) : i+len(open)+strings.IndexByte(body[i+len(open):], '"')])
+	if len(pts) != cfg.Iterations {
+		t.Fatalf("curve has %d points for %d iterations", len(pts), cfg.Iterations)
+	}
+	// SVG y grows downward: a falling curve is a growing y.
+	prev := math.Inf(1)
+	for k, pt := range pts {
+		_, ys, _ := strings.Cut(pt, ",")
+		y, err := strconv.ParseFloat(ys, 64)
+		if err != nil {
+			t.Fatalf("point %q: %v", pt, err)
+		}
+		if y > prev {
+			t.Errorf("curve falls at iteration %d: y %v after %v (%s)", k+1, y, prev, pts)
+		}
+		prev = y
 	}
 }

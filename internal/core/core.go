@@ -91,13 +91,13 @@ type Options struct {
 	// many hours (0 = no time cap; MaxIter still applies).
 	TimeBudgetHours float64
 	// Progress, if non-nil, is invoked after every MOBO iteration with the
-	// convergence snapshot of that moment (hypervolume, UUL, front size,
+	// convergence snapshot of that moment (UUL, front size, evaluations,
 	// simulated hours).
 	Progress ProgressFunc
 	// Flight, if non-nil, receives one flight record per completed iteration
-	// (hypervolume, UUL, feasible front, SH survivor curve), emitted at the
-	// same boundary as the checkpoint journal — and durably *before* it, so
-	// a flight artifact is never behind the checkpoint it resumes against.
+	// (UUL, feasible front, SH survivor curve), emitted at the same boundary
+	// as the checkpoint journal — and durably *before* it, so a flight
+	// artifact is never behind the checkpoint it resumes against.
 	// Like tracing and checkpointing, it never influences the search.
 	Flight flightrec.Sink
 	// Checkpoint, if non-nil, receives a journal record after every
@@ -123,9 +123,6 @@ type Progress struct {
 	Iter int
 	// SimHours is the simulated search cost so far.
 	SimHours float64
-	// Hypervolume is the feasible front's hypervolume against the running
-	// nadir reference (componentwise max of all feasible PPA points ×1.1).
-	Hypervolume float64
 	// UUL is the current Upper Update Limit of the high-fidelity rule
 	// (+Inf until the first update).
 	UUL float64
@@ -388,17 +385,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 		res.Trace = append(res.Trace, TracePoint{Iter: iter, Hours: opt.Clock.Hours()})
 
-		// The running hypervolume is for observers: a Progress callback and
-		// the flight record read it, nothing else does, and it is a fresh WFG
-		// over the whole front. A run with neither skips it and its phase.
-		// (The process-wide profiler is always on and would record only the
-		// phase's time.)
-		var hv float64
-		if opt.Progress != nil || opt.Flight != nil {
-			_, phaseHV := perfprof.Start(pctx, "hypervolume")
-			hv = runningHypervolume(res.Front)
-			phaseHV.End()
-		}
 		phaseIter.End()
 		// End the iteration's trace span before recording the flight line,
 		// so the span log's end event is durable by the time the flight
@@ -413,7 +399,6 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			opt.Flight.RecordIteration(flightrec.Iteration{
 				Iter:          iter,
 				SimHours:      opt.Clock.Hours(),
-				Hypervolume:   hv,
 				UUL:           durable.ExtFloat(explorer.UUL()),
 				Evals:         res.Evals,
 				Admitted:      admitted,
@@ -446,13 +431,12 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 
 		if opt.Progress != nil {
 			opt.Progress(Progress{
-				Iter:        iter,
-				SimHours:    opt.Clock.Hours(),
-				Hypervolume: hv,
-				UUL:         explorer.UUL(),
-				FrontSize:   len(res.Front),
-				Evals:       res.Evals,
-				Admitted:    admitted,
+				Iter:      iter,
+				SimHours:  opt.Clock.Hours(),
+				UUL:       explorer.UUL(),
+				FrontSize: len(res.Front),
+				Evals:     res.Evals,
+				Admitted:  admitted,
 			})
 		}
 	}
@@ -536,34 +520,6 @@ func (r Result) Fronts() [][]Candidate {
 		i = j
 	}
 	return fronts
-}
-
-// runningHypervolume is the live convergence signal reported to Progress:
-// the feasible front's hypervolume against a running nadir reference
-// (componentwise max of the front's PPA points, ×1.1). The reference moves
-// as the front grows, so the value is comparable within a run but not
-// across runs — the offline curves of internal/experiments fix a common
-// reference instead.
-func runningHypervolume(front []Candidate) float64 {
-	if len(front) == 0 {
-		return 0
-	}
-	pts := frontPPA(front)
-	ref := make([]float64, len(pts[0]))
-	for _, p := range pts {
-		for j, v := range p {
-			if v > ref[j] {
-				ref[j] = v
-			}
-		}
-	}
-	for j := range ref {
-		ref[j] *= 1.1
-		if ref[j] <= 0 {
-			ref[j] = 1e-9
-		}
-	}
-	return pareto.Hypervolume(pts, ref)
 }
 
 // withinCaps applies the platform's power and area constraints.

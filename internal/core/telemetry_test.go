@@ -32,8 +32,8 @@ func TestProgressFiresPerIteration(t *testing.T) {
 			t.Errorf("simulated hours decreased at iter %d: %v < %v", p.Iter, p.SimHours, prevHours)
 		}
 		prevHours = p.SimHours
-		if p.FrontSize < 0 || p.Hypervolume < 0 {
-			t.Errorf("iter %d: negative front size or hypervolume: %+v", p.Iter, p)
+		if p.FrontSize < 0 {
+			t.Errorf("iter %d: negative front size: %+v", p.Iter, p)
 		}
 		if p.Evals <= 0 {
 			t.Errorf("iter %d: no evaluations reported", p.Iter)
@@ -78,7 +78,7 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 
 // TestRunEmitsExpectedSpans checks the run's phase tree: one span per
 // iteration for each per-iteration phase (iteration, suggestion, job
-// construction, surrogate update, HV computation) and at least one SH rung.
+// construction, surrogate update) and at least one SH rung.
 func TestRunEmitsExpectedSpans(t *testing.T) {
 	prof := perfprof.New()
 	restore := perfprof.SetActive(prof)
@@ -96,52 +96,12 @@ func TestRunEmitsExpectedSpans(t *testing.T) {
 	for _, st := range prof.Report() {
 		count[st.Path[strings.LastIndex(st.Path, perfprof.Separator)+1:]] += st.Count
 	}
-	for _, once := range []string{"iteration", "suggest", "newjob", "update", "hypervolume"} {
+	for _, once := range []string{"iteration", "suggest", "newjob", "update"} {
 		if count[once] != iters {
 			t.Errorf("%d %q spans over %d iterations, want one each (phases %v)", count[once], once, iters, count)
 		}
 	}
 	if count["sh.rung"] == 0 {
 		t.Errorf("no sh.rung span (phases %v)", count)
-	}
-}
-
-// TestHypervolumeOnlyWhenRead checks that a run computes its running
-// hypervolume only for an observer: with no Progress callback or flight
-// record the phase tree holds no hypervolume phase, while
-// a Progress callback gets one phase per iteration and the values it
-// reports, and the result is the same either way.
-func TestHypervolumeOnlyWhenRead(t *testing.T) {
-	hvPhases := func(opt Options) (uint64, Result) {
-		prof := perfprof.New()
-		restore := perfprof.SetActive(prof)
-		defer restore()
-		res := RunContext(context.Background(), testPlatform(), opt)
-		for _, st := range prof.Report() {
-			if strings.HasSuffix(st.Path, "hypervolume") {
-				return st.Count, res
-			}
-		}
-		return 0, res
-	}
-	n, bare := hvPhases(smallOpts(4))
-	if n != 0 {
-		t.Fatalf("a run with no observer computed the hypervolume %d times", n)
-	}
-	opt := smallOpts(4)
-	var hvs []float64
-	opt.Progress = func(p Progress) { hvs = append(hvs, p.Hypervolume) }
-	n, watched := hvPhases(opt)
-	if n != uint64(len(watched.Trace)) || len(hvs) != len(watched.Trace) {
-		t.Fatalf("a watched run of %d iterations had %d hypervolume phases and %d reports", len(watched.Trace), n, len(hvs))
-	}
-	fronts := watched.Fronts()
-	for i, hv := range hvs {
-		if want := runningHypervolume(fronts[i]); hv != want || hv <= 0 {
-			t.Fatalf("iteration %d reported hypervolume %v, want %v", i+1, hv, want)
-		}
-	}
-	if !reflect.DeepEqual(bare, watched) {
-		t.Fatal("watching the run changed its result")
 	}
 }

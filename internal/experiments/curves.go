@@ -8,6 +8,7 @@ import (
 	"unico/internal/baselines"
 	"unico/internal/core"
 	"unico/internal/hw"
+	"unico/internal/pareto"
 	"unico/internal/workload"
 )
 
@@ -159,8 +160,8 @@ func traceComparison(sc hw.Scenario, nets []workload.Workload, methods []methodS
 			}
 			allRuns[mi][ni] = netRun{trace: results[mi].Trace, fronts: results[mi].Fronts()}
 		}
-		refs[ni] = refPoint(pool)
-		bests[ni] = normHV(pool, refs[ni])
+		refs[ni] = pareto.RefPoint(pool)
+		bests[ni] = pareto.NormalizedHypervolume(pool, refs[ni])
 	}
 	if maxHours <= 0 {
 		maxHours = 1
@@ -198,6 +199,8 @@ type netRun struct {
 
 // hvAt returns the normalized hypervolume of the front at the latest trace
 // point at or before time t (0 before the first).
+// It scores the whole front: a score of a subset could fall as a method
+// finds more designs, and the regret curves would rise.
 func hvAt(r netRun, t float64, ref []float64) float64 {
 	idx := sort.Search(len(r.trace), func(i int) bool { return r.trace[i].Hours > t }) - 1
 	if idx < 0 {
@@ -207,7 +210,7 @@ func hvAt(r netRun, t float64, ref []float64) float64 {
 	for i, c := range r.fronts[idx] {
 		pts[i] = c.Objectives(false)
 	}
-	return normHV(pts, ref)
+	return pareto.NormalizedHypervolume(pts, ref)
 }
 
 // printCurves prints a Fig. 7 or Fig. 10 comparison: the curves on their

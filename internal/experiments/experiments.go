@@ -25,7 +25,6 @@ import (
 	"unico/internal/hw"
 	"unico/internal/lifecycle"
 	"unico/internal/mapsearch"
-	"unico/internal/pareto"
 	"unico/internal/platform"
 	"unico/internal/runid"
 	"unico/internal/workload"
@@ -199,53 +198,6 @@ func minEuclidDistance(point []float64, pool [][]float64) float64 {
 		sum += (v / s) * (v / s)
 	}
 	return math.Sqrt(sum)
-}
-
-// refPoint returns the hypervolume reference: 1.1× the per-objective
-// maximum over all supplied PPA points.
-func refPoint(points [][]float64) []float64 {
-	if len(points) == 0 {
-		return nil
-	}
-	d := len(points[0])
-	ref := make([]float64, d)
-	for _, p := range points {
-		for j, v := range p {
-			if v > ref[j] {
-				ref[j] = v
-			}
-		}
-	}
-	for j := range ref {
-		ref[j] *= 1.1
-		if ref[j] <= 0 {
-			ref[j] = 1
-		}
-	}
-	return ref
-}
-
-// normHV computes the hypervolume of front after scaling every objective by
-// ref (so the reference point becomes the unit corner and HV ∈ [0, 1]).
-// It scores the whole front: a score of a subset could fall as a method
-// finds more designs, and the regret curves would rise.
-func normHV(front [][]float64, ref []float64) float64 {
-	if len(front) == 0 || len(ref) == 0 {
-		return 0
-	}
-	scaled := make([][]float64, 0, len(front))
-	unit := make([]float64, len(ref))
-	for j := range unit {
-		unit[j] = 1
-	}
-	for _, p := range front {
-		q := make([]float64, len(p))
-		for j, v := range p {
-			q[j] = v / ref[j]
-		}
-		scaled = append(scaled, q)
-	}
-	return pareto.Hypervolume(scaled, unit)
 }
 
 // fprintf writes formatted output, ignoring nil writers so runners can be

@@ -272,26 +272,6 @@ func TestRunAscend(t *testing.T) {
 	}
 }
 
-func TestHypervolumeHelpers(t *testing.T) {
-	pts := [][]float64{{1, 2, 3}, {2, 1, 3}, {3, 3, 1}}
-	ref := refPoint(pts)
-	for j, v := range ref {
-		if v <= 3 {
-			t.Errorf("ref[%d] = %v, want > max", j, v)
-		}
-	}
-	hv := normHV(pts, ref)
-	if hv <= 0 || hv > 1 {
-		t.Errorf("normHV = %v, want (0, 1]", hv)
-	}
-	if normHV(nil, ref) != 0 {
-		t.Error("normHV(empty) != 0")
-	}
-	if got := refPoint(nil); got != nil {
-		t.Error("refPoint(empty) != nil")
-	}
-}
-
 func TestMinEuclidDistance(t *testing.T) {
 	pool := [][]float64{{10, 100}, {20, 50}}
 	d1 := minEuclidDistance([]float64{10, 100}, pool)

@@ -1,12 +1,13 @@
 // Package flightrec is the co-search flight recorder: a per-run, durable,
 // crash-tolerant `run.jsonl` artifact that captures how a search converged —
 // the run's identity (seed, platform, options fingerprint, run ID), one
-// record per completed optimizer iteration (feasible-front points,
-// hypervolume, UUL, successive-halving survivor curve, eval counters), and a
-// final summary marking the run finished — plus the tools that read it back:
-// the SVG/HTML report the offline `unicoreport` tool renders from it (of a
-// finished run or of one still writing), and the record-by-record comparison
-// of two runs behind `unicoreport -diff`.
+// record per completed optimizer iteration (feasible-front points, UUL,
+// successive-halving survivor curve, eval counters), and a final summary
+// marking the run finished — plus the tools that read it back: the SVG/HTML
+// report the offline `unicoreport` tool renders from it (of a finished run or
+// of one still writing), and the record-by-record comparison of two runs
+// behind `unicoreport -diff`. The record stores no hypervolume: the report
+// derives its curve from the stored fronts.
 //
 // The artifact is line-oriented JSON: the first line is the header, then one
 // iteration record per completed iteration in order, then (for runs that
@@ -81,9 +82,6 @@ type Iteration struct {
 	Iter int `json:"iter"`
 	// SimHours is the simulated search cost at the end of the iteration.
 	SimHours float64 `json:"sim_hours"`
-	// Hypervolume is the feasible front's hypervolume against the running
-	// nadir reference (comparable within a run).
-	Hypervolume float64 `json:"hypervolume"`
 	// UUL is the high-fidelity rule's Upper Update Limit (+Inf until the
 	// first surrogate update).
 	UUL durable.ExtFloat `json:"uul"`

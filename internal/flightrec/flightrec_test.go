@@ -27,17 +27,26 @@ func testHeader() Header {
 	}
 }
 
+// testIteration is iteration i of a run whose front improves every
+// iteration: each of iteration i-1's (latency ms, power mW, area mm²) points
+// is dominated by one of iteration i's, and the front grows to 4 points, as
+// the front of a growing set of designs does.
 func testIteration(i int) Iteration {
+	s := 1 + 1/float64(i)
+	var front [][]float64
+	for j := 0; j < min(i+1, 4); j++ {
+		k := float64(j + 1)
+		front = append(front, []float64{2 * k * s, 120 / k * s, (0.8 + 0.4/k) * s})
+	}
 	return Iteration{
 		Iter:          i,
 		SimHours:      float64(i) * 1.5,
-		Hypervolume:   0.1 * float64(i),
 		UUL:           durable.ExtFloat(math.Inf(1)),
 		Evals:         10 * i,
 		Admitted:      i,
 		TrainSize:     2 * i,
 		BatchFeasible: i,
-		Front:         [][]float64{{1.0 / float64(i), 100, 2}, {2, 50, 1}},
+		Front:         front,
 		RungAlive:     []int{6, 3, 1},
 	}
 }
@@ -83,7 +92,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 		t.Errorf("summary dropped caller fields: %+v", d.Summary)
 	}
 	// The run's totals are read from the last iteration.
-	if got := d.State(); !strings.HasPrefix(got, "interrupted after 3 iterations — 4.5 simulated hours, 30 evals, front 2,") {
+	if got := d.State(); got != "interrupted after 3 iterations — 4.5 simulated hours, 30 evals, front 4" {
 		t.Errorf("State = %q", got)
 	}
 	if last := d.Iters[len(d.Iters)-1].Iter; last != 3 {
@@ -327,8 +336,8 @@ func TestFirstDifference(t *testing.T) {
 		}},
 		{name: "dropped iteration", mutate: func(d *RunData) { d.Iters = append(d.Iters[:1], d.Iters[2:]...) },
 			want: []string{"iteration record 2 differs", `"iter":2`, `"iter":3`}},
-		{name: "higher-hypervolume candidate", mutate: func(d *RunData) { d.Iters[2].Hypervolume = 0.9 },
-			want: []string{"iteration record 3 differs", `"hypervolume":0.9`}},
+		{name: "better front point", mutate: func(d *RunData) { d.Iters[2].Front[1][0] = 0.5 },
+			want: []string{"iteration record 3 differs", `"front":[[2.6666666666666665,160,1.6],[0.5,`}},
 		{name: "one mutated field", mutate: func(d *RunData) { d.Iters[0].Admitted++ },
 			want: []string{"iteration record 1 differs", `"admitted":1`, `"admitted":2`}},
 		{name: "missing tail", mutate: func(d *RunData) { d.Iters = d.Iters[:2] },

@@ -13,6 +13,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"unico/internal/pareto"
 )
 
 // plot geometry shared by the SVG views.
@@ -49,7 +51,11 @@ func scale(v, lo, hi, plo, phi float64) float64 {
 }
 
 // HypervolumeSVG renders the hypervolume-vs-iteration curve — the per-run
-// counterpart of the paper's Fig. 7 convergence curves.
+// counterpart of the paper's Fig. 7 convergence curves. The record stores
+// only fronts, so the curve is derived here against one reference for the
+// whole record: pareto.RefPoint over every front point of every iteration.
+// Each iteration's front is the front of a growing set of designs, so under
+// that one reference the curve never falls.
 func HypervolumeSVG(iters []Iteration) string {
 	var b strings.Builder
 	openSVG(&b, "Hypervolume vs iteration")
@@ -58,17 +64,22 @@ func HypervolumeSVG(iters []Iteration) string {
 		closeSVG(&b)
 		return b.String()
 	}
-	minI, maxI := float64(iters[0].Iter), float64(iters[len(iters)-1].Iter)
-	minV, maxV := math.Inf(1), math.Inf(-1)
+	var all [][]float64
 	for _, it := range iters {
-		minV = math.Min(minV, it.Hypervolume)
-		maxV = math.Max(maxV, it.Hypervolume)
+		all = append(all, it.Front...)
 	}
-	axes(&b, minI, maxI, minV, maxV, "iteration", "hypervolume")
+	ref := pareto.RefPoint(all)
+	hv := make([]float64, len(iters))
+	for i, it := range iters {
+		hv[i] = pareto.NormalizedHypervolume(it.Front, ref)
+	}
+	minI, maxI := float64(iters[0].Iter), float64(iters[len(iters)-1].Iter)
+	minV, maxV := minMax(hv)
+	axes(&b, minI, maxI, minV, maxV, "iteration", "hypervolume (ref 1.1 × this record's max)")
 	var pts []string
-	for _, it := range iters {
+	for i, it := range iters {
 		x := scale(float64(it.Iter), minI, maxI, plotML, plotW-plotMR)
-		y := scale(it.Hypervolume, minV, maxV, plotH-plotMB, plotMT)
+		y := scale(hv[i], minV, maxV, plotH-plotMB, plotMT)
 		pts = append(pts, coord(x)+","+coord(y))
 	}
 	fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="#1f77b4" stroke-width="1.5"/>`,

@@ -30,9 +30,10 @@ func Page(title, css string, sections ...string) []byte {
 }
 
 // ReportBody renders a run's flight record as page markup: run identity,
-// state line, hypervolume curve, the three 2-D projections of the latest
-// feasible front, and the successive-halving survivor table. Deterministic
-// for a given RunData (no wall-clock), so golden tests pin it.
+// state line, hypervolume curve (derived from the stored fronts), the three
+// 2-D projections of the latest feasible front, and the successive-halving
+// survivor table. Deterministic for a given RunData (no wall-clock), so
+// golden tests pin it.
 func ReportBody(d RunData) string {
 	var b strings.Builder
 	h := d.Header
@@ -76,13 +77,12 @@ func (d RunData) State() string {
 		if s.Interrupted {
 			state = "interrupted"
 		}
-		return fmt.Sprintf("%s after %d iterations — %s simulated hours, %d evals, front %d, hypervolume %s",
-			state, last.Iter, fnum(last.SimHours), last.Evals, len(last.Front), fnum(last.Hypervolume))
+		return fmt.Sprintf("%s after %d iterations — %s simulated hours, %d evals, front %d",
+			state, last.Iter, fnum(last.SimHours), last.Evals, len(last.Front))
 	}
 	if len(d.Iters) > 0 {
-		return fmt.Sprintf("running — iteration %d, %s simulated hours, %d evals, front %d, hypervolume %s, UUL %s",
-			last.Iter, fnum(last.SimHours), last.Evals, len(last.Front),
-			fnum(last.Hypervolume), fnum(float64(last.UUL)))
+		return fmt.Sprintf("running — iteration %d, %s simulated hours, %d evals, front %d, UUL %s",
+			last.Iter, fnum(last.SimHours), last.Evals, len(last.Front), fnum(float64(last.UUL)))
 	}
 	return "waiting for the first completed iteration…"
 }

@@ -136,6 +136,53 @@ func limitSet(p []float64, s [][]float64) [][]float64 {
 	return out
 }
 
+// RefPoint returns the hypervolume reference: 1.1× the per-objective
+// maximum over all supplied points (a non-positive coordinate becomes 1).
+// It is nil for no points.
+func RefPoint(points [][]float64) []float64 {
+	if len(points) == 0 {
+		return nil
+	}
+	d := len(points[0])
+	ref := make([]float64, d)
+	for _, p := range points {
+		for j, v := range p {
+			if v > ref[j] {
+				ref[j] = v
+			}
+		}
+	}
+	for j := range ref {
+		ref[j] *= 1.1
+		if ref[j] <= 0 {
+			ref[j] = 1
+		}
+	}
+	return ref
+}
+
+// NormalizedHypervolume is the hypervolume of front after scaling every
+// objective by ref, so the reference becomes the unit corner and the value
+// lies in [0, 1]. Under a fixed ref it never falls as points are added.
+func NormalizedHypervolume(front [][]float64, ref []float64) float64 {
+	if len(front) == 0 || len(ref) == 0 {
+		return 0
+	}
+	scaled := make([][]float64, 0, len(front))
+	unit := make([]float64, len(ref))
+	for j := range unit {
+		unit[j] = 1
+	}
+	for _, p := range front {
+		q := make([]float64, len(p))
+		for j, v := range p {
+			q[j] = v / ref[j]
+		}
+		scaled = append(scaled, q)
+	}
+	return Hypervolume(scaled, unit)
+}
+
 // CrowdingDistance returns the NSGA-II crowding distance of each point in a
 // front (boundary points get +Inf).
 func CrowdingDistance(points [][]float64) []float64 {

@@ -182,6 +182,54 @@ func TestHypervolumePermutationInvariantProperty(t *testing.T) {
 	}
 }
 
+func TestHypervolumeHelpers(t *testing.T) {
+	pts := [][]float64{{1, 2, 3}, {2, 1, 3}, {3, 3, 1}}
+	ref := RefPoint(pts)
+	for j, v := range ref {
+		if v <= 3 {
+			t.Errorf("ref[%d] = %v, want > max", j, v)
+		}
+	}
+	hv := NormalizedHypervolume(pts, ref)
+	if hv <= 0 || hv > 1 {
+		t.Errorf("NormalizedHypervolume = %v, want (0, 1]", hv)
+	}
+	if NormalizedHypervolume(nil, ref) != 0 {
+		t.Error("NormalizedHypervolume(empty) != 0")
+	}
+	if got := RefPoint(nil); got != nil {
+		t.Error("RefPoint(empty) != nil")
+	}
+}
+
+// TestNormalizedHypervolumeNeverFallsProperty: under one reference taken
+// over a whole point set, the normalized hypervolume of the set's growing
+// prefixes never falls and stays in [0, 1] — the property a convergence
+// curve drawn against one reference relies on.
+func TestNormalizedHypervolumeNeverFallsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pts := make([][]float64, 10)
+		for i := range pts {
+			pts[i] = []float64{rng.Float64() * 50, rng.Float64() * 400, rng.Float64() * 3}
+		}
+		ref := RefPoint(pts)
+		prev := 0.0
+		for n := 0; n <= len(pts); n++ {
+			hv := NormalizedHypervolume(pts[:n], ref)
+			if hv < prev || hv < 0 || hv > 1 {
+				t.Logf("seed %d: %d points give %v after %v", seed, n, hv, prev)
+				return false
+			}
+			prev = hv
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCrowdingDistance(t *testing.T) {
 	pts := [][]float64{{0, 4}, {1, 2}, {2, 1}, {4, 0}}
 	cds := CrowdingDistance(pts)

@@ -257,11 +257,11 @@ type Config struct {
 	Resume bool
 	// FlightRecordFile enables the flight recorder: a durable run.jsonl
 	// artifact at this path with the run header (run ID, method, seed,
-	// options fingerprint), one record per completed iteration (hypervolume,
-	// UUL, feasible front, SH survivor curve, eval counters) and a
-	// final summary — readable with cmd/unicoreport or flightrec.Load. With
-	// Resume, the recorder appends past the checkpoint replay boundary
-	// without duplicating records, so a kill/resume run leaves an artifact
+	// options fingerprint), one record per completed iteration (UUL,
+	// feasible front, SH survivor curve, eval counters) and a final summary
+	// — readable with cmd/unicoreport or flightrec.Load. With Resume, the
+	// recorder appends past the checkpoint replay boundary without
+	// duplicating records, so a kill/resume run leaves an artifact
 	// record-identical to an uninterrupted one. Recording never changes the
 	// search result. Not supported for MethodNSGAII.
 	FlightRecordFile string
@@ -283,9 +283,6 @@ type IterationProgress struct {
 	Iter int
 	// SimHours is the simulated search cost so far.
 	SimHours float64
-	// Hypervolume is the feasible front's hypervolume against a running
-	// nadir reference (comparable within a run).
-	Hypervolume float64
 	// UUL is the high-fidelity rule's current Upper Update Limit
 	// (+Inf until the first surrogate update).
 	UUL float64
@@ -396,7 +393,6 @@ func OptimizeContext(ctx context.Context, p *Platform, cfg Config) (*Result, err
 				cfg.Progress(IterationProgress{
 					Iter:        p.Iter,
 					SimHours:    p.SimHours,
-					Hypervolume: p.Hypervolume,
 					UUL:         p.UUL,
 					FrontSize:   p.FrontSize,
 					Evaluations: p.Evals,
