@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test deadapi allows fmt tidy check
+.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test deadapi allows layers fmt tidy check
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,17 @@ allows:
 		} \
 		END { if (over != "") { print "over the allow budget:" over > "/dev/stderr"; exit 1 } }'
 
+## layers fails when a search-core package imports internal/telemetry: a
+## run's work counts ride its flight record, and these packages write no
+## process-wide metric. It reads direct imports only (not -deps), since
+## perfprof, which they use, keeps standalone telemetry histograms. The CI
+## lint job runs it.
+LAYERED = gp mobo mapsearch checkpoint core sh
+layers:
+	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(addprefix ./internal/,$(LAYERED)) | awk ' \
+		{ for (i = 2; i <= NF; i++) if ($$i == "unico/internal/telemetry") { print $$1 " imports unico/internal/telemetry" > "/dev/stderr"; bad = 1 } } \
+		END { exit bad }'
+
 fmt:
 	gofmt -l .
 
@@ -79,4 +90,4 @@ tidy:
 	$(GO) mod tidy -diff
 	cd lint && $(GO) mod tidy -diff
 
-check: fmt tidy build test race lint-test lint deadapi allows
+check: fmt tidy build test race lint-test lint deadapi allows layers

@@ -10,8 +10,8 @@
 //   - P.journal is the write-ahead journal: a durable.Log in CRC framing
 //     with one JSON IterationRecord per completed iteration, appended and
 //     fsynced before the co-search proceeds. A crash mid-append leaves at
-//     most one torn trailing frame, which Load truncates away (counted in
-//     telemetry).
+//     most one torn trailing frame, which Load truncates away (and reports
+//     in ResumeState.TornRecords).
 //
 // A successful snapshot resets the journal, so the journal only ever holds
 // the iterations since the last snapshot; the snapshot grows with the run.
@@ -27,7 +27,6 @@ import (
 
 	"unico/internal/core"
 	"unico/internal/durable"
-	"unico/internal/telemetry"
 )
 
 // ErrNoCheckpoint reports that the checkpoint path has no snapshot to
@@ -109,8 +108,8 @@ func Exists(path string) bool {
 // Load reads the checkpoint at path into a core.ResumeState: the snapshot
 // plus the contiguous journal records after it. A torn trailing journal
 // frame — the expected residue of a crash mid-append — is truncated off the
-// file and counted in telemetry; the state resumes from the last durable
-// record. Returns ErrNoCheckpoint when no snapshot exists.
+// file and counted in the state's TornRecords; the state resumes from the
+// last durable record. Returns ErrNoCheckpoint when no snapshot exists.
 func Load(path string) (*core.ResumeState, error) { return load(durable.OS{}, path) }
 
 func load(fsys durable.FS, path string) (*core.ResumeState, error) {
@@ -140,13 +139,13 @@ func load(fsys durable.FS, path string) (*core.ResumeState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: load journal: %w", err)
 	}
-	if dropped > 0 {
-		telemetry.CheckpointTornRecords().Inc()
-	}
 	// Keep only the contiguous run of records continuing the snapshot; a
 	// crash between snapshot-rename and journal-reset leaves records the
 	// snapshot already covers, which resume must not replay twice.
 	rs := &core.ResumeState{Snapshot: snap}
+	if dropped > 0 {
+		rs.TornRecords = 1
+	}
 	next := snap.Iter + 1
 	for _, rec := range recs {
 		if rec.Iter < next {

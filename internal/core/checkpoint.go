@@ -135,6 +135,9 @@ type ResumeState struct {
 	Snapshot SnapshotRecord
 	// Tail holds the journal records with Iter > Snapshot.Iter, ascending.
 	Tail []IterationRecord
+	// TornRecords counts the torn trailing journal records the load
+	// truncated: the residue of a crash mid-append, so 0 or 1.
+	TornRecords int
 }
 
 // LastIter returns the last completed iteration the state covers.

@@ -95,7 +95,7 @@ type Options struct {
 	// simulated hours).
 	Progress ProgressFunc
 	// Flight, if non-nil, receives one flight record per completed iteration
-	// (UUL, feasible front, SH survivor curve), emitted at the same boundary
+	// (UUL, feasible front, SH survivor curve, work), emitted at the same boundary
 	// as the checkpoint journal — and durably *before* it, so a flight
 	// artifact is never behind the checkpoint it resumes against.
 	// Like tracing and checkpointing, it never influences the search.
@@ -337,6 +337,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		ictx, traceSpan := disttrace.BeginIteration(ctx, traceRun, iter)
 		pctx, phaseIter := perfprof.Start(ictx, "iteration")
 		_, phaseSuggest := perfprof.Start(pctx, "suggest")
+		counts := explorer.Counts()
 		xs := explorer.SuggestBatch(opt.BatchSize)
 		phaseSuggest.End()
 		if len(xs) == 0 {
@@ -375,6 +376,13 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				batchFeasible++
 			}
 		}
+		// The jobs' tally is read here, so the jobs are garbage by the
+		// surrogate update.
+		var tally mapsearch.Tally
+		for _, j := range jobs {
+			t := j.Tally()
+			tally.Calls, tally.Infeasible = tally.Calls+t.Calls, tally.Infeasible+t.Infeasible
+		}
 		CloseJobs(jobs)
 		_, phaseUpdate := perfprof.Start(pctx, "update")
 		admitted := explorer.Update(observations(batch, opt.UseRobustness))
@@ -396,6 +404,9 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		// covers every journaled iteration, which is what lets flightrec.Resume
 		// stitch at the replay boundary without gaps.
 		if opt.Flight != nil {
+			// The work is the explorer's from suggest to the end of update,
+			// so a resumed run's restore falls in no iteration.
+			now := explorer.Counts()
 			opt.Flight.RecordIteration(flightrec.Iteration{
 				Iter:          iter,
 				SimHours:      opt.Clock.Hours(),
@@ -406,7 +417,16 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 				BatchFeasible: batchFeasible,
 				Front:         frontPPA(res.Front),
 				RungAlive:     outcome.RungAlive,
-				TraceSpan:     traceSpan.Context().Span,
+				Work: &flightrec.Work{
+					Fits:             now.Fits - counts.Fits,
+					Extends:          now.Extends - counts.Extends,
+					AcqBounded:       now.Bounded - counts.Bounded,
+					AcqSolved:        now.Solved - counts.Solved,
+					AcqCompleted:     now.Completed - counts.Completed,
+					EngineCalls:      tally.Calls,
+					EngineInfeasible: tally.Infeasible,
+				},
+				TraceSpan: traceSpan.Context().Span,
 			})
 		}
 
@@ -580,16 +600,7 @@ func Representative(front []Candidate) (Candidate, bool) {
 	if len(front) == 0 {
 		return Candidate{}, false
 	}
-	pts := make([][]float64, len(front))
-	for i, c := range front {
-		pts[i] = c.Objectives(false)
-	}
-	return front[pareto.MinEuclid(pts)], true
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("core.Result{front=%d all=%d evals=%d hours=%.2f}",
-		len(r.Front), len(r.All), r.Evals, r.Hours)
+	return front[pareto.MinEuclid(frontPPA(front))], true
 }
 
 // observations is what the explorer learns from candidates: the live loop,

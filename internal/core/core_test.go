@@ -224,6 +224,7 @@ func (s *spendCounter) History() ppa.History      { return nil }
 func (s *spendCounter) RawHistory() ppa.History   { return nil }
 func (s *spendCounter) Spent() int                { return s.spent }
 func (s *spendCounter) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
+func (s *spendCounter) Tally() mapsearch.Tally    { return mapsearch.Tally{} }
 
 // stuckSearcher never advances, like a remote job on a dead worker.
 type stuckSearcher struct{}
@@ -233,6 +234,7 @@ func (stuckSearcher) History() ppa.History      { return nil }
 func (stuckSearcher) RawHistory() ppa.History   { return nil }
 func (stuckSearcher) Spent() int                { return 0 }
 func (stuckSearcher) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
+func (stuckSearcher) Tally() mapsearch.Tally    { return mapsearch.Tally{} }
 
 // deadWorkerPlatform hands out searchers that advance and searchers that
 // never do, alternating.

@@ -9,6 +9,7 @@ import (
 
 	"unico/internal/flightrec"
 	"unico/internal/perfprof"
+	"unico/internal/workload"
 )
 
 // TestProgressFiresPerIteration asserts the Progress callback fires exactly
@@ -103,5 +104,51 @@ func TestRunEmitsExpectedSpans(t *testing.T) {
 	}
 	if count["sh.rung"] == 0 {
 		t.Errorf("no sh.rung span (phases %v)", count)
+	}
+}
+
+// TestFlightRecordsIterationWork: every flight record carries the work of
+// its iteration, the same at any worker count of either pool. An engine call is at most one
+// per layer step, and an iteration's steps are its evaluations times the
+// network's layers.
+func TestFlightRecordsIterationWork(t *testing.T) {
+	run := func(workers, searchWorkers int) flightLog {
+		var flight flightLog
+		opt := smallOpts(7)
+		opt.Workers, opt.SearchWorkers, opt.Flight = workers, searchWorkers, &flight
+		RunContext(context.Background(), testPlatform(), opt)
+		return flight
+	}
+	want := run(1, 1)
+	layers := len(workload.MobileNetV3Small().Layers)
+	var total flightrec.Work
+	evals := 0
+	for _, it := range want {
+		w := it.Work
+		if w == nil {
+			t.Fatalf("iteration %d records no work", it.Iter)
+		}
+		if steps := uint64((it.Evals - evals) * layers); w.EngineCalls == 0 || w.EngineCalls > steps || w.EngineInfeasible > w.EngineCalls {
+			t.Errorf("iteration %d: %d engine calls, %d rejected, over %d layer steps", it.Iter, w.EngineCalls, w.EngineInfeasible, steps)
+		}
+		if w.AcqSolved > w.AcqBounded || w.AcqCompleted > w.AcqSolved {
+			t.Errorf("iteration %d: acquisition %d bounded, %d solved, %d completed", it.Iter, w.AcqBounded, w.AcqSolved, w.AcqCompleted)
+		}
+		evals = it.Evals
+		total.Fits += w.Fits
+		total.AcqBounded += w.AcqBounded
+	}
+	if total.Fits == 0 || total.AcqBounded == 0 {
+		t.Fatalf("the run recorded %d fits and %d bounded candidates: it tests too little", total.Fits, total.AcqBounded)
+	}
+	// The mapping-search pool moves the simulated cost (its makespan), so
+	// only the work is compared across it.
+	for _, workers := range [][2]int{{8, 1}, {1, 8}} {
+		got := run(workers[0], workers[1])
+		for i := range want {
+			if i >= len(got) || !reflect.DeepEqual(got[i].Work, want[i].Work) {
+				t.Fatalf("Workers %d, SearchWorkers %d: iteration %d's work differs from a serial run's", workers[0], workers[1], i+1)
+			}
+		}
 	}
 }

@@ -23,7 +23,8 @@ import (
 // history per budget unit) and equal neighbours folded into runs — the
 // best-so-far History stays constant between improvements, so it is a few
 // runs. This is the only serialized form of a ppa.History: no checkpoint or
-// flight record stores one.
+// flight record stores one. The job's tally (mapsearch.Tally) goes whole,
+// also a pure function of (spec, budget).
 //
 // A 200 answer's body is this little-endian layout, served as
 // application/octet-stream; a rejected request's answer is a JSON error.
@@ -35,9 +36,10 @@ import (
 //	  u32 k                runs
 //	  k × u32              run lengths
 //	  5 blocks of k × f64  loss, latency, power, area, energy
+//	u64 calls, u64 infeasible  the job's engine tally at spent
 //
 // A float64 goes as its IEEE 754 bits, so every value, a -0 or a NaN
-// included, crosses bit for bit. Nothing follows the raw columns.
+// included, crosses bit for bit. Nothing follows the tally.
 
 // answerContentType is the Content-Type of a 200 answer to an advance.
 const answerContentType = "application/octet-stream"
@@ -61,7 +63,7 @@ var runFields = [5]func(ppa.Point) float64{
 // brought to the request's budget, to a caller that holds its points up to
 // from.
 func packAnswer(from int, s mapsearch.Searcher) []byte {
-	st := JobState{Spent: s.Spent(), History: s.History()[from:], Raw: s.RawHistory()[from:]}
+	st := JobState{Spent: s.Spent(), History: s.History()[from:], Raw: s.RawHistory()[from:], Tally: s.Tally()}
 	if met, ok := s.Best(); ok {
 		st.Best, st.Feasible = met, true
 	}
@@ -72,7 +74,7 @@ func packAnswer(from int, s mapsearch.Searcher) []byte {
 // from, in one allocation.
 func encodeAnswer(from int, st JobState) []byte {
 	hist, raw := runStarts(st.History), runStarts(st.Raw)
-	b := make([]byte, 0, answerHeadBytes+2*4+(len(hist)+len(raw))*runBytes)
+	b := make([]byte, 0, answerHeadBytes+2*4+(len(hist)+len(raw))*runBytes+2*8)
 	b = binary.LittleEndian.AppendUint64(b, uint64(from))
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Spent))
 	for _, v := range [4]float64{st.Best.LatencyMs, st.Best.PowerMW, st.Best.AreaMM2, st.Best.EnergyUJ} {
@@ -84,7 +86,9 @@ func encodeAnswer(from int, st JobState) []byte {
 	}
 	b = append(b, feasible)
 	b = appendColumns(b, st.History, hist)
-	return appendColumns(b, st.Raw, raw)
+	b = appendColumns(b, st.Raw, raw)
+	b = binary.LittleEndian.AppendUint64(b, st.Tally.Calls)
+	return binary.LittleEndian.AppendUint64(b, st.Tally.Infeasible)
 }
 
 // runStarts returns the index in h where each run of bit-identical
@@ -192,10 +196,14 @@ func decodeAnswer(body []byte, req AdvanceRequest) (JobState, error) {
 	if err != nil {
 		return JobState{}, fmt.Errorf("raw: %w", err)
 	}
-	if len(r.b) != 0 {
-		return JobState{}, fmt.Errorf("%d bytes after the raw columns", len(r.b))
+	tally := mapsearch.Tally{Calls: r.u64(), Infeasible: r.u64()}
+	if r.err != nil {
+		return JobState{}, fmt.Errorf("tally: %w", r.err)
 	}
-	return JobState{Spent: req.Budget, History: hist, Raw: raw, Best: best, Feasible: feasible[0] == 1}, nil
+	if len(r.b) != 0 {
+		return JobState{}, fmt.Errorf("%d bytes after the tally", len(r.b))
+	}
+	return JobState{Spent: req.Budget, History: hist, Raw: raw, Best: best, Feasible: feasible[0] == 1, Tally: tally}, nil
 }
 
 // points reads one column set and expands it into the n points after

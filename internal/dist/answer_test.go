@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"unico/internal/mapsearch"
 	"unico/internal/ppa"
 )
 
@@ -36,13 +37,15 @@ func answerHistory() ppa.History {
 
 // TestAnswerCarriesThePointsBitForBit: packing the points in (from, to] and
 // unpacking them against the request gives back exactly those points, bit
-// for bit and with their budgets, and folds only identical neighbours.
+// for bit and with their budgets, and folds only identical neighbours; the
+// tally crosses whole, every bit of both words.
 func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 	h := answerHistory()
 	best := ppa.Metrics{LatencyMs: math.Copysign(0, -1), PowerMW: math.Inf(1), AreaMM2: 0.1 + 0.2, EnergyUJ: 7}
 	for from := 0; from <= len(h); from++ {
 		for to := from; to <= len(h); to++ {
-			sent := JobState{Spent: to, History: h[from:to], Raw: h[from:to], Best: best, Feasible: to%2 == 0}
+			tally := mapsearch.Tally{Calls: 1<<63 | uint64(to), Infeasible: math.MaxUint64 - uint64(from)}
+			sent := JobState{Spent: to, History: h[from:to], Raw: h[from:to], Best: best, Feasible: to%2 == 0, Tally: tally}
 			st, err := decodeAnswer(encodeAnswer(from, sent), AdvanceRequest{Seen: from, Budget: to})
 			if err != nil {
 				t.Fatalf("(%d, %d]: %v", from, to, err)
@@ -51,8 +54,8 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 			if to == from {
 				want = nil
 			}
-			if len(st.History) != len(want) || st.Spent != to || st.Feasible != sent.Feasible {
-				t.Fatalf("(%d, %d]: %d points at %d, feasible %v", from, to, len(st.History), st.Spent, st.Feasible)
+			if len(st.History) != len(want) || st.Spent != to || st.Feasible != sent.Feasible || st.Tally != tally {
+				t.Fatalf("(%d, %d]: %d points at %d, feasible %v, tally %+v", from, to, len(st.History), st.Spent, st.Feasible, st.Tally)
 			}
 			if math.Float64bits(st.Best.LatencyMs) != math.Float64bits(best.LatencyMs) || st.Best.PowerMW != best.PowerMW ||
 				st.Best.AreaMM2 != best.AreaMM2 || st.Best.EnergyUJ != best.EnergyUJ {
@@ -75,7 +78,7 @@ func TestAnswerCarriesThePointsBitForBit(t *testing.T) {
 
 // answerBody lays out an answer by hand: the given from, spent and
 // feasible byte, then two column sets of the given runs whose every column
-// holds values.
+// holds values, then a tally of 7 calls and 3 rejections.
 func answerBody(from, spent uint64, feasible byte, runs []uint32, values []float64) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint64(nil, from)
@@ -95,7 +98,8 @@ func answerBody(from, spent uint64, feasible byte, runs []uint32, values []float
 			}
 		}
 	}
-	return b
+	b = le.AppendUint64(b, 7)
+	return le.AppendUint64(b, 3)
 }
 
 // cut returns b without the n bytes at offset at.
@@ -105,13 +109,14 @@ func cut(b []byte, at, n int) []byte {
 
 // TestAnswerRejected: an answer that is not exactly the points asked for is
 // an error — from or spent not the request's, a column short, a run shorter
-// than 1, too few or too many points, a body cut short or run on — and one
-// claiming a billion points in a few bytes allocates none of them.
+// than 1, too few or too many points, a tally short or missing, a body cut
+// short or run on — and one claiming a billion points in a few bytes
+// allocates none of them.
 func TestAnswerRejected(t *testing.T) {
 	req := AdvanceRequest{Seen: 2, Budget: 5}
 	good := answerBody(2, 5, 1, []uint32{1, 2}, []float64{1, 2})
-	if _, err := decodeAnswer(good, req); err != nil {
-		t.Fatalf("a well-formed answer was rejected: %v", err)
+	if st, err := decodeAnswer(good, req); err != nil || st.Tally != (mapsearch.Tally{Calls: 7, Infeasible: 3}) {
+		t.Fatalf("a well-formed answer decoded to tally %+v, %v", st.Tally, err)
 	}
 	// The first column set starts after the head; its power column after
 	// its count, two runs and two columns of two values.
@@ -129,6 +134,9 @@ func TestAnswerRejected(t *testing.T) {
 		"overflowing runs": answerBody(2, 5, 1, []uint32{math.MaxUint32, math.MaxUint32}, []float64{1, 2}),
 		"more runs":        answerBody(2, 5, 1, []uint32{1, 1, 1, 1}, []float64{1, 2, 3, 4}),
 		"truncated":        good[:len(good)-1],
+		"half a tally":     good[:len(good)-8],
+		"no tally":         good[:len(good)-16],
+		"a third word":     append(append([]byte(nil), good...), make([]byte, 8)...),
 		"trailing":         append(append([]byte(nil), good...), 0),
 		"json":             []byte(`{"from":2,"spent":5,"feasible":true}`),
 		"empty":            nil,
@@ -161,8 +169,10 @@ func TestAnswerRejected(t *testing.T) {
 func FuzzAdvanceAnswer(f *testing.F) {
 	good := answerBody(2, 5, 1, []uint32{1, 2}, []float64{1, 2})
 	f.Add(2, 5, good)
-	f.Add(2, 5, encodeAnswer(2, JobState{Spent: 5, History: answerHistory()[2:5], Raw: answerHistory()[2:5]}))
+	f.Add(2, 5, encodeAnswer(2, JobState{Spent: 5, History: answerHistory()[2:5], Raw: answerHistory()[2:5],
+		Tally: mapsearch.Tally{Calls: math.MaxUint64, Infeasible: 1}}))
 	f.Add(2, 5, good[:len(good)-3])
+	f.Add(2, 5, good[:len(good)-16])
 	f.Add(2, 5, cut(good, answerHeadBytes+4+2*4+2*2*8, 8))
 	f.Add(0, 40, answerBody(0, 40, 1, []uint32{1_000_000_000}, []float64{1}))
 	claims := answerBody(0, 40, 1, []uint32{40}, []float64{1})

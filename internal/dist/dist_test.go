@@ -201,10 +201,11 @@ func TestJobLifecycle(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL, srv.Client())
 	spec := testSpec(1)
-	local, err := NewServer().buildSearcher(spec)
-	if err != nil {
+	var lj serverJob
+	if err := lj.build(NewServer(), spec); err != nil {
 		t.Fatal(err)
 	}
+	local := lj.searcher
 	local.Advance(8)
 	// answers reports whether st carries exactly the points in (seen, budget]
 	// of the job's own search.
@@ -659,7 +660,7 @@ func TestJobsOfOneShapeShareAPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []JobSpec{a, b} {
-		if _, err := s.buildSearcher(spec); err != nil {
+		if err := new(serverJob).build(s, spec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 
 	"unico/internal/hw"
 	"unico/internal/mapping"
+	"unico/internal/mapsearch"
 	"unico/internal/ppa"
 	"unico/internal/workload"
 )
@@ -167,4 +168,5 @@ type JobState struct {
 	Raw      ppa.History
 	Best     ppa.Metrics
 	Feasible bool
+	Tally    mapsearch.Tally
 }

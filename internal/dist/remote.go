@@ -348,6 +348,9 @@ func (j *remoteJob) RawHistory() ppa.History { return j.state.Raw }
 // Spent returns the last-seen remote budget spent.
 func (j *remoteJob) Spent() int { return j.state.Spent }
 
+// Tally returns the last-seen remote engine tally.
+func (j *remoteJob) Tally() mapsearch.Tally { return j.state.Tally }
+
 // Best returns the last-seen remote best metrics.
 func (j *remoteJob) Best() (ppa.Metrics, bool) {
 	if j.err != nil || !j.state.Feasible {

@@ -213,12 +213,12 @@ func TestServerSearchIsThePlatforms(t *testing.T) {
 			const seed = 11
 			spec := tc.spec
 			spec.X, spec.Seed = tc.local.Space().Sample(rand.New(rand.NewSource(int64(3+i)))), seed
-			served, err := NewServer().buildSearcher(spec)
-			if err != nil {
+			var served serverJob
+			if err := served.build(NewServer(), spec); err != nil {
 				t.Fatal(err)
 			}
 			local := tc.local.NewJob(spec.X, seed)
-			searchers := map[string]mapsearch.Searcher{"served": served, "master": &remoteJob{pool: pool, spec: spec}}
+			searchers := map[string]mapsearch.Searcher{"served": served.searcher, "master": &remoteJob{pool: pool, spec: spec}}
 			for _, budget := range []int{3, 0, 5, 9} {
 				local.Advance(budget)
 				for name, s := range searchers {
@@ -233,6 +233,9 @@ func TestServerSearchIsThePlatforms(t *testing.T) {
 					wantBest, wantOK := local.Best()
 					if gotBest != wantBest || gotOK != wantOK {
 						t.Fatalf("%s, after %d more: Best %v %v, platform's %v %v", name, budget, gotBest, gotOK, wantBest, wantOK)
+					}
+					if got, want := s.Tally(), local.Tally(); got != want || want.Calls == 0 {
+						t.Fatalf("%s, after %d more: Tally %+v, platform's %+v", name, budget, got, want)
 					}
 				}
 			}

@@ -51,13 +51,17 @@ type Server struct {
 type jobPlatform interface {
 	Space() mobo.Space
 	NewJob(x []float64, seed int64) mapsearch.Searcher
+	Workload() workload.Workload
 }
 
 // serverJob is one held job. mu serializes the advances on it; searcher is
-// nil from the moment the job is indexed until its first advance builds it.
+// nil from the moment the job is indexed until its first advance builds it,
+// which also sets its engine's label and its workload's layer count.
 type serverJob struct {
 	mu       sync.Mutex
 	searcher mapsearch.Searcher
+	engine   string
+	layers   int
 }
 
 // NewServer builds a worker with default engines.
@@ -161,7 +165,9 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: "bad request: " + err.Error()})
 		return
 	}
-	var resp PPAResponse
+	var engine string
+	var infeasible error
+	var evaluate func() (ppa.Metrics, error)
 	switch req.Platform {
 	case "spatial":
 		if req.SpatialHW == nil || req.SpatialMapping == nil {
@@ -169,39 +175,33 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: "spatial_hw and spatial_mapping required"})
 			return
 		}
-		eng := disttrace.StartSpan("", sp.Context(), "engine", "maestro")
-		met, err := s.spatial.Evaluate(*req.SpatialHW, *req.SpatialMapping, req.Layer)
-		resp = ppaResponse(met, err, maestro.ErrInfeasible)
-		countPPA("maestro", resp)
-		eng.End(engineStatus(resp), nil)
+		engine, infeasible = "maestro", maestro.ErrInfeasible
+		evaluate = func() (ppa.Metrics, error) { return s.spatial.Evaluate(*req.SpatialHW, *req.SpatialMapping, req.Layer) }
 	case "ascend":
 		if req.AscendHW == nil || req.AscendMapping == nil {
 			sp.End("error", nil)
 			WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: "ascend_hw and ascend_mapping required"})
 			return
 		}
-		eng := disttrace.StartSpan("", sp.Context(), "engine", "camodel")
-		met, err := s.ascend.Evaluate(*req.AscendHW, *req.AscendMapping, req.Layer)
-		resp = ppaResponse(met, err, camodel.ErrInfeasible)
-		countPPA("camodel", resp)
-		eng.End(engineStatus(resp), nil)
+		engine, infeasible = "camodel", camodel.ErrInfeasible
+		evaluate = func() (ppa.Metrics, error) { return s.ascend.Evaluate(*req.AscendHW, *req.AscendMapping, req.Layer) }
 	default:
 		sp.End("error", nil)
 		WriteJSON(w, http.StatusBadRequest, PPAResponse{Error: fmt.Sprintf("unknown platform %q", req.Platform)})
 		return
 	}
-	sp.End("ok", nil)
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// countPPA meters one /v1/ppa evaluation under its engine's label. The
-// engines write no metrics; a mapping search counts its jobs' calls, and
-// this handler counts its own.
-func countPPA(engine string, resp PPAResponse) {
+	eng := disttrace.StartSpan("", sp.Context(), "engine", engine)
+	met, err := evaluate()
+	resp := ppaResponse(met, err, infeasible)
+	// The engines write no metrics: this handler counts its own calls, as
+	// handleAdvance adds each job's.
 	telemetry.PPAEvals(engine).Inc()
 	if resp.Infeasible {
 		telemetry.PPAInfeasible(engine).Inc()
 	}
+	eng.End(engineStatus(resp), nil)
+	sp.End("ok", nil)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // engineStatus labels an engine span: an infeasible or failed evaluation is
@@ -279,19 +279,21 @@ func lookupNetworks(names []string) ([]workload.Workload, error) {
 	return ws, nil
 }
 
-// buildSearcher materializes the job's network searcher from the spec: every
-// field is checked here, since the spec is outside input, and the search
-// itself is the platform's own NewJob over the server's engine — the same
-// call a local run makes.
-func (s *Server) buildSearcher(spec JobSpec) (mapsearch.Searcher, error) {
+// build materializes the job's network searcher from the spec: every field
+// is checked here, since the spec is outside input, and the search itself is
+// the platform's own NewJob over the server's engine — the same call a local
+// run makes.
+func (j *serverJob) build(s *Server, spec JobSpec) error {
 	p, err := s.platform(spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if dim := p.Space().Dim(); len(spec.X) != dim {
-		return nil, fmt.Errorf("dist: x has %d coords, want %d", len(spec.X), dim)
+		return fmt.Errorf("dist: x has %d coords, want %d", len(spec.X), dim)
 	}
-	return p.NewJob(spec.X, spec.Seed), nil
+	j.searcher, j.layers = p.NewJob(spec.X, spec.Seed), len(p.Workload().Layers)
+	j.engine = map[string]string{"spatial": "maestro", "ascend": "camodel"}[spec.Platform]
+	return nil
 }
 
 // platform returns the platform of the spec's shape — its platform,
@@ -426,13 +428,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	parent := sp.Context()
 	var replay *disttrace.Span
 	if job.searcher == nil || job.searcher.Spent() > req.Budget {
-		searcher, err := s.buildSearcher(req.Spec)
-		if err != nil {
+		if err := job.build(s, req.Spec); err != nil {
 			s.drop(key, job) // a spec that cannot build leaves nothing behind
 			reject(err.Error())
 			return
 		}
-		job.searcher = searcher
 		if req.Seen > 0 {
 			// The caller already watched this job reach Seen somewhere that
 			// no longer answers for it: that much search runs a second time.
@@ -451,7 +451,13 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	eng := disttrace.StartSpan("", parent, "engine", "advance")
 	spend := req.Budget - job.searcher.Spent()
 	if spend > 0 {
+		// The worker's totals add what the advance did, replays included.
+		before := job.searcher.Tally()
 		job.searcher.Advance(spend)
+		after := job.searcher.Tally()
+		telemetry.PPAEvals(job.engine).Add(after.Calls - before.Calls)
+		telemetry.PPAInfeasible(job.engine).Add(after.Infeasible - before.Infeasible)
+		telemetry.MapSearchSteps().Add(uint64(spend * job.layers))
 	}
 	answer := packAnswer(req.Seen, job.searcher)
 	eng.End("ok", map[string]string{"budget": strconv.Itoa(spend)})

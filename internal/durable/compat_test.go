@@ -62,7 +62,6 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		}
 	}
 
-	torn := telemetry.CheckpointTornRecords().Value()
 	rs, err := checkpoint.Load(filepath.Join(dir, "parent.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,7 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 	if rs.Snapshot.Iter != want.Checkpoint.SnapshotIter || !reflect.DeepEqual(rs.Tail, want.Checkpoint.Tail) {
 		t.Errorf("checkpoint: snapshot %d + tail %+v, want %d + %+v", rs.Snapshot.Iter, rs.Tail, want.Checkpoint.SnapshotIter, want.Checkpoint.Tail)
 	}
-	if got := telemetry.CheckpointTornRecords().Value() - torn; got != want.Checkpoint.Torn {
+	if got := uint64(rs.TornRecords); got != want.Checkpoint.Torn {
 		t.Errorf("checkpoint: %d torn records counted, want %d", got, want.Checkpoint.Torn)
 	}
 

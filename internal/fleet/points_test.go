@@ -190,6 +190,7 @@ func readAnswer(b []byte) (answerRuns, bool) {
 		}
 		skip(5 * 8 * uint64(k))
 	}
+	skip(2 * 8) // tally
 	return a, ok && len(b) == 0
 }
 

@@ -2,12 +2,18 @@
 // crash-tolerant `run.jsonl` artifact that captures how a search converged —
 // the run's identity (seed, platform, options fingerprint, run ID), one
 // record per completed optimizer iteration (feasible-front points, UUL,
-// successive-halving survivor curve, eval counters), and a final summary
+// successive-halving survivor curve, eval counters, the work the iteration
+// did), and a final summary
 // marking the run finished — plus the tools that read it back: the SVG/HTML
 // report the offline `unicoreport` tool renders from it (of a finished run or
 // of one still writing), and the record-by-record comparison of two runs
 // behind `unicoreport -diff`. The record stores no hypervolume: the report
 // derives its curve from the stored fronts.
+//
+// An iteration's work counts (Work) are a function of the run's
+// configuration, the same at any worker count or through a worker pool. Its
+// mapping-search layer steps are not stored: every budget unit steps as many
+// layers as the workload has, so they are the growth of Evals times that.
 //
 // The artifact is line-oriented JSON: the first line is the header, then one
 // iteration record per completed iteration in order, then (for runs that
@@ -98,6 +104,8 @@ type Iteration struct {
 	// RungAlive is the successive-halving survivor curve of this batch: the
 	// candidate count alive after each rung, starting with the full batch.
 	RungAlive []int `json:"rung_alive,omitempty"`
+	// Work is what the iteration did; older records hold none.
+	Work *Work `json:"work,omitempty"`
 	// TraceSpan cross-references the distributed-trace span of this
 	// iteration (internal/disttrace, "r<run>-it<iter>"). The ID is a pure
 	// function of the run ordinal and iteration number, and the field is
@@ -105,6 +113,20 @@ type Iteration struct {
 	// flight records bit-identical across kill/resume and across
 	// traced/untraced comparison runs.
 	TraceSpan string `json:"trace_span,omitempty"`
+}
+
+// Work is one iteration's work: the optimizer's counts (mobo.Counts) from
+// its suggestion to the end of its update — surrogate fits and extends, and
+// acquisition candidates bounded, solved and completed — and the sum of the
+// batch's job tallies (mapsearch.Tally): engine calls and rejections.
+type Work struct {
+	Fits             uint64 `json:"gp_fits"`
+	Extends          uint64 `json:"gp_extends"`
+	AcqBounded       uint64 `json:"acq_bounded"`
+	AcqSolved        uint64 `json:"acq_solved"`
+	AcqCompleted     uint64 `json:"acq_completed"`
+	EngineCalls      uint64 `json:"engine_calls"`
+	EngineInfeasible uint64 `json:"engine_infeasible"`
 }
 
 // Summary is the artifact's final line, written when a run returns: its
@@ -140,7 +162,8 @@ type RunData struct {
 // both none), otherwise the first record that differs, both sides as JSON.
 // Headers are not compared: the run ID, start time and revision change with
 // every process, and a resumed run's configuration is already checked
-// against its checkpoint's fingerprint.
+// against its checkpoint's fingerprint. An iteration recorded with no Work
+// (by older code) is compared on its other fields.
 func FirstDifference(a, b *RunData) string {
 	for i := 0; i < max(len(a.Iters), len(b.Iters)); i++ {
 		var x, y any
@@ -149,6 +172,11 @@ func FirstDifference(a, b *RunData) string {
 		}
 		if i < len(b.Iters) {
 			y = b.Iters[i]
+		}
+		if i < len(a.Iters) && i < len(b.Iters) && (a.Iters[i].Work == nil || b.Iters[i].Work == nil) {
+			p, q := a.Iters[i], b.Iters[i]
+			p.Work, q.Work = nil, nil
+			x, y = p, q
 		}
 		if !reflect.DeepEqual(x, y) {
 			return differs(fmt.Sprintf("iteration record %d", i+1), x, y)

@@ -47,6 +47,7 @@ func testIteration(i int) Iteration {
 		TrainSize:     2 * i,
 		BatchFeasible: i,
 		Front:         front,
+		Work:          &Work{Fits: uint64(i), Extends: 3, AcqBounded: 512, AcqSolved: 40, AcqCompleted: 9, EngineCalls: 600, EngineInfeasible: 200},
 		RungAlive:     []int{6, 3, 1},
 	}
 }
@@ -316,8 +317,9 @@ func mustJSON(t testing.TB, v any) string {
 }
 
 // TestFirstDifference: two records agree only when every iteration record
-// and the summary agree in order; the header is not compared, and the first
-// disagreement is named with both sides.
+// and the summary agree in order; the header is not compared, nor the work
+// of an iteration one side recorded none for, and the first disagreement is
+// named with both sides.
 func TestFirstDifference(t *testing.T) {
 	record := func() *RunData {
 		d := &RunData{Header: testHeader(), Summary: &Summary{}}
@@ -340,6 +342,9 @@ func TestFirstDifference(t *testing.T) {
 			want: []string{"iteration record 3 differs", `"front":[[2.6666666666666665,160,1.6],[0.5,`}},
 		{name: "one mutated field", mutate: func(d *RunData) { d.Iters[0].Admitted++ },
 			want: []string{"iteration record 1 differs", `"admitted":1`, `"admitted":2`}},
+		{name: "one work count", mutate: func(d *RunData) { d.Iters[1].Work.EngineCalls++ },
+			want: []string{"iteration record 2 differs", `"engine_calls":600`, `"engine_calls":601`}},
+		{name: "work not recorded", mutate: func(d *RunData) { d.Iters[1].Work = nil }},
 		{name: "missing tail", mutate: func(d *RunData) { d.Iters = d.Iters[:2] },
 			want: []string{"iteration record 3 differs", "b: null"}},
 		{name: "missing summary", mutate: func(d *RunData) { d.Summary = nil },

@@ -340,7 +340,7 @@ func TestDistancePassIsSqDist(t *testing.T) {
 		}
 		check("fitted", gps[0])
 		more, ys := randomData(3, dim, int64(dim)+1)
-		if err := ExtendAll(gps, more, [][]float64{ys, ys}, nil); err != nil {
+		if _, err := ExtendAll(gps, more, [][]float64{ys, ys}, nil); err != nil {
 			t.Fatal(err)
 		}
 		check("extended", gps[1])

@@ -79,16 +79,7 @@ import (
 
 	"unico/internal/linalg"
 	"unico/internal/perfprof"
-	"unico/internal/telemetry"
 )
-
-// fitCount counts surrogate fits process-wide (one per target of a grid
-// fit, not per grid point, so it tracks the number of refit decisions).
-var fitCount = telemetry.GPFits()
-
-// extendCount counts incremental one-observation factor extends, the
-// refactorizations the warm-start path avoided.
-var extendCount = telemetry.GPExtends()
 
 // matern52FromSq evaluates the Matérn-5/2 kernel, the package's one
 // covariance function, from a squared distance:
@@ -210,7 +201,6 @@ func (f *factor) grow(xs [][]float64) (*factor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gp: %w", err)
 		}
-		extendCount.Inc()
 		diag[r] = rowBound(chol, r)
 	}
 	grown := *f
@@ -336,7 +326,6 @@ func FitAutoAll(x [][]float64, ys [][]float64, warm []*Params, fan Fanout) ([]*G
 	if warm != nil && len(warm) != len(ys) {
 		return nil, fmt.Errorf("gp: %d warm starts for %d targets", len(warm), len(ys))
 	}
-	fitCount.Add(uint64(len(ys)))
 	tgs := make([]target, len(ys))
 	union := make([]bool, len(gridLengthscales))
 	for t, y := range ys {
@@ -579,7 +568,8 @@ func buildMaternLower(dst, d2 *linalg.Matrix, lengthscale, variance, noise float
 // receiver is unchanged and the caller should fall back to a full refit.
 // It is ExtendAll's one-GP, one-point case.
 func (g *GP) Extend(xNew []float64, yNew float64) error {
-	return ExtendAll([]*GP{g}, [][]float64{xNew}, [][]float64{{yNew}}, nil)
+	_, err := ExtendAll([]*GP{g}, [][]float64{xNew}, [][]float64{{yNew}}, nil)
+	return err
 }
 
 // ExtendAll appends the observations xs to every GP of gps, GP j taking
@@ -587,19 +577,19 @@ func (g *GP) Extend(xNew []float64, yNew float64) error {
 // calls would leave it, bit for bit. Each distinct factor among the GPs
 // (sameFactor) grows once, by all the points into one new matrix (grow), the
 // distinct factors fanned out over fan, and the GPs that held it hold the
-// grown one; then each GP recomputes its alpha once. On error no GP is
-// changed.
-func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) error {
+// grown one; then each GP recomputes its alpha once. It returns the factor
+// rows it bordered, one per distinct factor and point; on error, no change.
+func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) (int, error) {
 	if len(ys) != len(gps) {
-		return fmt.Errorf("gp: %d target vectors for %d GPs", len(ys), len(gps))
+		return 0, fmt.Errorf("gp: %d target vectors for %d GPs", len(ys), len(gps))
 	}
 	for _, y := range ys {
 		if len(y) != len(xs) {
-			return fmt.Errorf("gp: %d new inputs vs %d targets", len(xs), len(y))
+			return 0, fmt.Errorf("gp: %d new inputs vs %d targets", len(xs), len(y))
 		}
 	}
 	if len(xs) == 0 {
-		return nil
+		return 0, nil
 	}
 	group := make([]int, len(gps))
 	var facs []*factor
@@ -624,7 +614,7 @@ func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) error {
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
-		return err
+		return 0, err
 	}
 	// Every factor is a new one; those on one input set share its transpose.
 	for s, f := range facs {
@@ -644,7 +634,7 @@ func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) error {
 		g.rawY = append(g.rawY, ys[j]...)
 		g.refreshTargets()
 	})
-	return nil
+	return len(facs) * len(xs), nil
 }
 
 // Params reports the hyperparameters the GP was fitted with. Every GP has

@@ -239,11 +239,11 @@ func TestExtendAllMatchesIndependentExtends(t *testing.T) {
 			for j, y := range ys {
 				tails[j] = y[n0 : n0+k]
 			}
-			before := extendCount.Value()
-			if err := ExtendAll(gps, x[n0:n0+k], tails, fan); err != nil {
+			got, err := ExtendAll(gps, x[n0:n0+k], tails, fan)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := extendCount.Value()-before, uint64(3*k); got != want {
+			if want := 3 * k; got != want {
 				t.Fatalf("k=%d: %d factor extends, want %d (three distinct factors)", k, got, want)
 			}
 			if gps[0].factor != gps[3].factor {
@@ -284,12 +284,12 @@ func TestExtendAllSharesByValue(t *testing.T) {
 		}
 		gps[j] = g
 	}
-	before := extendCount.Value()
 	tails := [][]float64{y[25:], y[25:], y[25:]}
-	if err := ExtendAll(gps, x[25:], tails, nil); err != nil {
+	got, err := ExtendAll(gps, x[25:], tails, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := extendCount.Value() - before; got != 5 {
+	if got != 5 {
 		t.Fatalf("%d factor extends for one distinct factor and 5 points, want 5", got)
 	}
 	if gps[0].factor != gps[1].factor || gps[1].factor != gps[2].factor {
@@ -312,8 +312,8 @@ func TestExtendAllFailureChangesNothing(t *testing.T) {
 	}
 	was := []GP{*gps[0], *gps[1]}
 	bad := []float64{math.NaN(), math.NaN()}
-	if err := ExtendAll(gps, [][]float64{x[10], bad}, [][]float64{{1, 2}, {1, 2}}, twoWorkers); err == nil {
-		t.Fatal("a singular extend succeeded")
+	if n, err := ExtendAll(gps, [][]float64{x[10], bad}, [][]float64{{1, 2}, {1, 2}}, twoWorkers); err == nil || n != 0 {
+		t.Fatalf("a singular extend returned %d extends and error %v", n, err)
 	}
 	for j, g := range gps {
 		if diff := sameGP(g, &was[j]); diff != "" {
@@ -358,13 +358,13 @@ func TestExtendAllMatchesOneAtATime(t *testing.T) {
 		batch, each := fit(), fit()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := ExtendAll(batch, x[n0:n0+k], targets(n0, n0+k), nil)
+		_, err := ExtendAll(batch, x[n0:n0+k], targets(n0, n0+k), nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := n0; i < n0+k; i++ {
-			if err := ExtendAll(each, x[i:i+1], targets(i, i+1), nil); err != nil {
+			if _, err := ExtendAll(each, x[i:i+1], targets(i, i+1), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

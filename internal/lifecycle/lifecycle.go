@@ -17,6 +17,7 @@ package lifecycle
 
 import (
 	"context"
+	"log"
 
 	"unico/internal/checkpoint"
 	"unico/internal/core"
@@ -63,6 +64,8 @@ func Run(ctx context.Context, p core.Platform, opt core.Options, spec Spec) (cor
 			if err != nil {
 				return core.Result{}, NotStarted{err}
 			}
+			log.Printf("resuming %s after iteration %d; %d torn journal records truncated",
+				spec.CheckpointPath, rs.LastIter(), rs.TornRecords)
 			opt.Resume = rs
 		}
 		ck, err := checkpoint.Create(spec.CheckpointPath)

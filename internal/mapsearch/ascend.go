@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"unico/internal/camodel"
 	"unico/internal/hw"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
@@ -62,7 +63,7 @@ type ascendProblem struct {
 	eng   AscendEngine
 	cfg   hw.Ascend
 	layer *ascendLayer
-	tally *tally
+	tally *Tally
 }
 
 func (p *ascendProblem) Random(rng *rand.Rand) mapping.Ascend {
@@ -75,7 +76,7 @@ func (p *ascendProblem) Mutate(rng *rand.Rand, m mapping.Ascend) mapping.Ascend 
 
 func (p *ascendProblem) Evaluate(m mapping.Ascend) (ppa.Metrics, error) {
 	met, err := p.eng.Evaluate(p.cfg, m, p.layer.moves.Layer())
-	p.tally.count(err)
+	p.tally.count(err, camodel.ErrInfeasible)
 	return met, err
 }
 
@@ -318,7 +319,7 @@ func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, _ A
 func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, seed int64) *NetworkSearcher {
 	lays := n.ascendLayers()
 	layers := make([]LayerSearcher, len(lays))
-	s := n.searcher(layers, eng.Area(cfg), &camodelMeter)
+	s := n.searcher(layers, eng.Area(cfg))
 	probs := make([]ascendProblem, len(lays))
 	for i := range probs {
 		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: lays[i], tally: &s.tally}

@@ -260,7 +260,7 @@ func (recordingEngine) EvalCostSeconds() float64 { return 1 }
 // problemOn is a layer's problem on core cfg, counting its engine calls in
 // a tally of its own.
 func problemOn(eng AscendEngine, cfg hw.Ascend, lay *ascendLayer) *ascendProblem {
-	return &ascendProblem{eng: eng, cfg: cfg, layer: lay, tally: &tally{meter: &camodelMeter}}
+	return &ascendProblem{eng: eng, cfg: cfg, layer: lay, tally: &Tally{}}
 }
 
 // depthFirstOn builds the depth-first searcher of layer l on core cfg.

@@ -3,12 +3,10 @@ package mapsearch
 import (
 	"errors"
 
-	"unico/internal/camodel"
 	"unico/internal/hw"
 	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/ppa"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -50,44 +48,19 @@ type spatialBinder interface {
 	Bind(c hw.Spatial) maestro.Bound
 }
 
-// engineMeter is where a platform's engine calls are counted: the spatial
-// searches' under "maestro", the Ascend-like ones' under "camodel", whatever
-// engine the platform was given, and a rejection is a capacity one when it
-// is the engine's ErrInfeasible under errors.Is.
-type engineMeter struct {
-	evals, infeasible *telemetry.Counter
-	errInfeasible     error
+// Tally is a job's engine calls and how many of them the engine rejected
+// for capacity (its ErrInfeasible under errors.Is), counted in plain fields
+// as the job steps: no engine call writes memory another job's worker reads,
+// and the tally is a pure function of the job's spec and budget.
+type Tally struct {
+	Calls, Infeasible uint64
 }
 
-var (
-	maestroMeter = engineMeter{telemetry.PPAEvals("maestro"), telemetry.PPAInfeasible("maestro"), maestro.ErrInfeasible}
-	camodelMeter = engineMeter{telemetry.PPAEvals("camodel"), telemetry.PPAInfeasible("camodel"), camodel.ErrInfeasible}
-)
-
-// tally is one job's engine calls and capacity rejections since its last
-// advance, kept in plain fields: a job steps one layer at a time, and
-// NetworkSearcher.advance adds the tally to its meter's counters once, so
-// no engine call writes memory another job's worker reads.
-type tally struct {
-	meter             *engineMeter
-	calls, infeasible uint64
-}
-
-// count records one engine call that returned err.
-func (t *tally) count(err error) {
-	t.calls++
-	if err != nil && errors.Is(err, t.meter.errInfeasible) {
-		t.infeasible++
+// count records one engine call that returned err; errInfeasible is the
+// engine's capacity rejection.
+func (t *Tally) count(err, errInfeasible error) {
+	t.Calls++
+	if err != nil && errors.Is(err, errInfeasible) {
+		t.Infeasible++
 	}
-}
-
-// flush adds the tally to the meter's counters, if it counted any call, and
-// clears it.
-func (t *tally) flush() {
-	if t.calls == 0 {
-		return
-	}
-	t.meter.evals.Add(t.calls)
-	t.meter.infeasible.Add(t.infeasible)
-	t.calls, t.infeasible = 0, 0
 }

@@ -28,6 +28,9 @@
 // search the co-optimizer drives: each budget unit advances one layer
 // (weighted by its share of the network's MACs) and the network history
 // records the aggregate (latency, power, EDP) of the per-layer bests.
+//
+// The package writes no process-wide metric: a job tallies its engine calls
+// and rejections (Searcher.Tally), and its layer steps are Spent × layers.
 package mapsearch
 
 import (

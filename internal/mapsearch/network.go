@@ -9,13 +9,8 @@ import (
 	"unico/internal/mapping"
 	"unico/internal/perfprof"
 	"unico/internal/ppa"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
-
-// stepCount is the global layer-step counter: each advance adds the steps
-// it took.
-var stepCount = telemetry.MapSearchSteps()
 
 // PenaltyLoss is the finite loss recorded while a network has no feasible
 // mapping yet (or a hardware configuration admits none at all). Finite so
@@ -54,6 +49,9 @@ type Searcher interface {
 	// fluctuating loss curve of paper Fig. 5a that the robustness metric R
 	// observes. Unlike History it is not monotone.
 	RawHistory() ppa.History
+	// Tally returns the engine calls and capacity rejections of every
+	// evaluation spent so far.
+	Tally() Tally
 }
 
 // ContextAdvancer is an optional Searcher extension for cancelable budget
@@ -94,7 +92,7 @@ type NetworkSearcher struct {
 	repeats []int
 	order   *layerOrder
 	area    float64 // hardware area, constant across mappings
-	tally   tally   // engine calls since the last advance
+	tally   Tally   // engine calls since the search was built
 	spent   int
 	hist    ppa.History
 	rawHist ppa.History
@@ -221,11 +219,9 @@ func (n *Network) ascendLayers() []*ascendLayer {
 // Workload returns the workload the network searches.
 func (n *Network) Workload() workload.Workload { return n.w }
 
-// searcher assembles a network search over one searcher per layer, whose
-// engine calls are counted under meter.
-func (n *Network) searcher(layers []LayerSearcher, area float64, meter *engineMeter) *NetworkSearcher {
-	return &NetworkSearcher{layers: layers, repeats: n.repeats, order: n.order, area: area,
-		tally: tally{meter: meter}}
+// searcher assembles a network search over one searcher per layer.
+func (n *Network) searcher(layers []LayerSearcher, area float64) *NetworkSearcher {
+	return &NetworkSearcher{layers: layers, repeats: n.repeats, order: n.order, area: area}
 }
 
 // Advance spends budget more units (budget × len(layers) layer steps).
@@ -241,8 +237,6 @@ func (n *NetworkSearcher) AdvanceContext(ctx context.Context, budget int) {
 // advance spends up to budget units, stopping before the next once done is
 // closed (a nil done never is). A receive that does not block takes no
 // lock, so the jobs of one context do not contend for it once per unit.
-// The steps and the tally of engine calls go to the process's counters once,
-// at the end.
 func (n *NetworkSearcher) advance(budget int, done <-chan struct{}) {
 	if budget <= 0 {
 		return
@@ -250,9 +244,8 @@ func (n *NetworkSearcher) advance(budget int, done <-chan struct{}) {
 	order := n.order.upTo(n.spent + budget - 1)
 	n.hist = slices.Grow(n.hist, budget)
 	n.rawHist = slices.Grow(n.rawHist, budget)
-	units := 0
 steps:
-	for ; units < budget; units++ {
+	for range budget {
 		select {
 		case <-done:
 			break steps
@@ -295,8 +288,6 @@ steps:
 			n.rawHist = append(n.rawHist, ppa.Point{Budget: n.spent, Loss: PenaltyLoss})
 		}
 	}
-	stepCount.Add(uint64(units * len(n.layers)))
-	n.tally.flush()
 }
 
 // aggregate sums latency and energy of the per-layer bests, each times its
@@ -341,3 +332,6 @@ func (n *NetworkSearcher) Best() (ppa.Metrics, bool) { return n.aggregate(false)
 
 // RawHistory returns the non-monotone raw sample trajectory.
 func (n *NetworkSearcher) RawHistory() ppa.History { return n.rawHist }
+
+// Tally returns the engine calls the search has made since it was built.
+func (n *NetworkSearcher) Tally() Tally { return n.tally }

@@ -121,7 +121,7 @@ func TestAnnealerReuseMatchesAlwaysEvaluating(t *testing.T) {
 		got := net.Spatial(newCountingEngine(&calls), cfg, seed)
 		refs := make([]*refAnnealer, len(net.spatialMoves()))
 		layers := make([]LayerSearcher, len(refs))
-		want := net.searcher(layers, maestro.Engine{}.Area(cfg), &maestroMeter)
+		want := net.searcher(layers, maestro.Engine{}.Area(cfg))
 		job := &spatialJob{eng: newCountingEngine(&refCalls), cfg: cfg, tally: &want.tally}
 		for i := range refs {
 			prob := &spatialProblem{job: job, moves: &net.spatialMoves()[i]}
@@ -163,6 +163,9 @@ func TestAnnealerReuseMatchesAlwaysEvaluating(t *testing.T) {
 		}
 		if calls.Load() != int64(steps-reuses) {
 			t.Errorf("trial %d: %d engine calls, want steps − reuses = %d − %d", trial, calls.Load(), steps, reuses)
+		}
+		if tl := got.Tally(); tl.Calls != uint64(calls.Load()) || want.Tally().Calls != uint64(refCalls.Load()) {
+			t.Errorf("trial %d: tallies %d and %d calls, the engines saw %d and %d", trial, tl.Calls, want.Tally().Calls, calls.Load(), refCalls.Load())
 		}
 		totalReuses += reuses
 	}

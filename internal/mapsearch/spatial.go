@@ -49,7 +49,7 @@ type spatialJob struct {
 	cfg   hw.Spatial
 	bound maestro.Bound
 	bind  bool // evaluate through bound, not eng.Evaluate
-	tally *tally
+	tally *Tally
 }
 
 // spatialProblem adapts one layer on one spatial-accelerator configuration
@@ -79,7 +79,7 @@ func (p *spatialProblem) Evaluate(m mapping.Spatial) (ppa.Metrics, error) {
 	} else {
 		met, err = j.eng.Evaluate(j.cfg, m, *p.moves.Layer())
 	}
-	j.tally.count(err)
+	j.tally.count(err, maestro.ErrInfeasible)
 	return met, err
 }
 
@@ -153,7 +153,7 @@ func NewSpatialSearcher(eng SpatialEngine, cfg hw.Spatial, w workload.Workload, 
 func (n *Network) Spatial(eng SpatialEngine, cfg hw.Spatial, seed int64) *NetworkSearcher {
 	moves := n.spatialMoves()
 	layers := make([]LayerSearcher, len(moves))
-	s := n.searcher(layers, eng.Area(cfg), &maestroMeter)
+	s := n.searcher(layers, eng.Area(cfg))
 	job := &spatialJob{eng: eng, cfg: cfg, tally: &s.tally}
 	if b, ok := eng.(spatialBinder); ok && n.valid {
 		job.bound, job.bind = b.Bind(cfg), true

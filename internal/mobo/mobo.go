@@ -71,7 +71,6 @@ import (
 	"unico/internal/lfg"
 	"unico/internal/parpool"
 	"unico/internal/perfprof"
-	"unico/internal/telemetry"
 )
 
 // Space abstracts a finite hardware design space embedded in the unit
@@ -199,8 +198,21 @@ type Optimizer struct {
 	// Log-objective normalization bounds over all observations.
 	lo, hi []float64
 
-	acq acqScratch
+	acq    acqScratch
+	counts Counts
 }
+
+// Counts is an optimizer's work since it was built, in fields only it
+// writes: surrogate Fits (one per objective of a grid fit, gp.FitAutoAll)
+// and Extends (factor rows gp.ExtendAll bordered), and the acquisition
+// pool's candidates: all Bounded (gp.Envelope), Solved if the bound could
+// still win (exact means), Completed if the variance solve ran too.
+type Counts struct {
+	Fits, Extends, Bounded, Solved, Completed uint64
+}
+
+// Counts returns the optimizer's work since it was built.
+func (o *Optimizer) Counts() Counts { return o.counts }
 
 // New builds an optimizer over the space.
 func New(space Space, cfg Config, seed int64) *Optimizer {
@@ -406,10 +418,9 @@ func (o *Optimizer) maximizeAcquisition(lambda []float64, exclude map[string]boo
 	}
 	completed += o.scoreCandidates(pool, rest, lambda, threshold)
 	sp.End()
-	solved := len(first) + len(rest)
-	telemetry.MOBOAcqBounded().Add(uint64(len(pool)))
-	telemetry.MOBOAcqSolved().Add(uint64(solved))
-	telemetry.MOBOAcqCompleted().Add(uint64(completed))
+	o.counts.Bounded += uint64(len(pool))
+	o.counts.Solved += uint64(len(first) + len(rest))
+	o.counts.Completed += uint64(completed)
 
 	// Merge: the pool in index order, then the chains, strictly lower wins.
 	bestA := math.Inf(1)
@@ -1081,7 +1092,9 @@ func (o *Optimizer) refit(added int, evicted bool) {
 	// factors on the search worker pool. A failed extend changes no GP; the
 	// full refit rebuilds every objective from o.train.
 	xs, ys := o.trainTargets(o.train[len(o.train)-added:])
-	if err := gp.ExtendAll(o.gps, xs, ys, o.fanOut); err != nil {
+	extends, err := gp.ExtendAll(o.gps, xs, ys, o.fanOut)
+	o.counts.Extends += uint64(extends)
+	if err != nil {
 		o.fitFull(o.warmParams())
 		return
 	}
@@ -1135,6 +1148,7 @@ func (o *Optimizer) fitFull(warm []gp.Params) {
 			prev[j] = &warm[j]
 		}
 	}
+	o.counts.Fits += uint64(len(ys))
 	gps, err := gp.FitAutoAll(xs, ys, prev, o.fanOut)
 	if err != nil {
 		o.clearSurrogates()

@@ -108,21 +108,28 @@ func TestSeekRNGBackwardsFails(t *testing.T) {
 
 // TestSuggestBatchIdenticalAcrossWorkers is the package-level half of the
 // serial-vs-parallel guarantee: every SearchWorkers value must produce
-// bit-identical suggestions, updates and RNG positions.
+// bit-identical suggestions, updates and RNG positions, and count the same
+// work.
 func TestSuggestBatchIdenticalAcrossWorkers(t *testing.T) {
 	const nObj, batch = 3, 8
-	run := func(workers int) ([][][]float64, uint64) {
+	run := func(workers int) ([][][]float64, uint64, Counts) {
 		cfg := DefaultConfig(nObj)
 		cfg.SearchWorkers = workers
 		o := New(testSpace(), cfg, 99)
 		got := drive(o, 6, batch, nObj)
-		return got, o.RNGPos()
+		return got, o.RNGPos(), o.Counts()
 	}
-	want, wantPos := run(1)
+	want, wantPos, wantCounts := run(1)
+	if c := wantCounts; c.Fits == 0 || c.Extends == 0 || c.Solved == 0 || c.Completed > c.Solved || c.Solved > c.Bounded {
+		t.Fatalf("serial counts %+v: want fits, extends and solved candidates, completed ≤ solved ≤ bounded", c)
+	}
 	for _, workers := range []int{2, 8, 32} {
-		got, pos := run(workers)
+		got, pos, counts := run(workers)
 		if pos != wantPos {
 			t.Fatalf("workers=%d: RNG position %d, serial %d", workers, pos, wantPos)
+		}
+		if counts != wantCounts {
+			t.Fatalf("workers=%d: counts %+v, serial %+v", workers, counts, wantCounts)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: suggestions diverged from serial", workers)

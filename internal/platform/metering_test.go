@@ -8,12 +8,12 @@ import (
 
 	"unico/internal/camodel"
 	"unico/internal/core"
+	"unico/internal/flightrec"
 	"unico/internal/hw"
 	"unico/internal/maestro"
 	"unico/internal/mapping"
 	"unico/internal/mapsearch"
 	"unico/internal/ppa"
-	"unico/internal/telemetry"
 	"unico/internal/workload"
 )
 
@@ -59,53 +59,55 @@ func (e countedAscend) Evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer)
 func (e countedAscend) Area(c hw.Ascend) float64 { return e.inner.Area(c) }
 func (e countedAscend) EvalCostSeconds() float64 { return e.inner.EvalCostSeconds() }
 
-// meterDelta runs f and returns how far it moved the engine's call and
-// rejection counters.
-func meterDelta(engine string, f func()) (evals, infeasible uint64) {
-	e0, i0 := telemetry.PPAEvals(engine).Value(), telemetry.PPAInfeasible(engine).Value()
-	f()
-	return telemetry.PPAEvals(engine).Value() - e0, telemetry.PPAInfeasible(engine).Value() - i0
+// recordedWork is what a flight sink records of a run's engine work.
+type recordedWork struct{ calls, infeasible uint64 }
+
+func (w *recordedWork) RecordIteration(it flightrec.Iteration) {
+	w.calls += it.Work.EngineCalls
+	w.infeasible += it.Work.EngineInfeasible
 }
 
-// TestCoSearchMetering holds unico_ppa_evals_total and
-// unico_ppa_infeasible_total to what the engine saw: a fixed co-search on
-// two workers moves them by exactly a counting stub's calls and rejections.
-// On the spatial platform the same co-search runs again on maestro's engine
-// itself, whose jobs evaluate through the bound model, and must move them
-// by the same counts.
+// TestCoSearchMetering holds the engine calls and rejections a co-search's
+// flight record counts to what the engine saw: a fixed co-search on two
+// workers records exactly a counting stub's calls and rejections. On the
+// spatial platform the same co-search runs again on maestro's engine itself,
+// whose jobs evaluate through the bound model, and must record the same
+// counts.
 func TestCoSearchMetering(t *testing.T) {
-	opt := core.UNICOOptions(4, 2, 8, 3)
-	opt.Workers = 2
-	coSearch := func(p core.Platform) func() {
-		return func() { core.RunContext(context.Background(), p, opt) }
+	coSearch := func(p core.Platform) (calls, infeasible uint64) {
+		var w recordedWork
+		opt := core.UNICOOptions(4, 2, 8, 3)
+		opt.Workers, opt.Flight = 2, &w
+		core.RunContext(context.Background(), p, opt)
+		return w.calls, w.infeasible
 	}
 	ws := []workload.Workload{workload.MobileNet()}
 
 	var spatial engineCalls
 	stubbed := NewSpatial(hw.Edge, ws, mapsearch.FlexTensorLike)
 	stubbed.Engine = countedSpatial{n: &spatial}
-	evals, infeasible := meterDelta("maestro", coSearch(stubbed))
+	evals, infeasible := coSearch(stubbed)
 	calls, rejects := spatial.calls.Load(), spatial.infeasible.Load()
 	if calls == 0 || rejects == 0 {
-		t.Fatalf("the co-search made %d calls with %d rejections: it does not test the meters", calls, rejects)
+		t.Fatalf("the co-search made %d calls with %d rejections: it does not test the counts", calls, rejects)
 	}
 	if evals != calls || infeasible != rejects {
-		t.Errorf("Evaluate path: meters moved by %d calls and %d rejections, the engine saw %d and %d", evals, infeasible, calls, rejects)
+		t.Errorf("Evaluate path: the record counts %d calls and %d rejections, the engine saw %d and %d", evals, infeasible, calls, rejects)
 	}
-	evals, infeasible = meterDelta("maestro", coSearch(NewSpatial(hw.Edge, ws, mapsearch.FlexTensorLike)))
+	evals, infeasible = coSearch(NewSpatial(hw.Edge, ws, mapsearch.FlexTensorLike))
 	if evals != calls || infeasible != rejects {
-		t.Errorf("bound path: meters moved by %d calls and %d rejections, the engine saw %d and %d", evals, infeasible, calls, rejects)
+		t.Errorf("bound path: the record counts %d calls and %d rejections, the engine saw %d and %d", evals, infeasible, calls, rejects)
 	}
 
 	var ascend engineCalls
 	asc := NewAscend([]workload.Workload{workload.DLEU()}, mapsearch.DepthFirst)
 	asc.Engine = countedAscend{n: &ascend}
-	evals, infeasible = meterDelta("camodel", coSearch(asc))
+	evals, infeasible = coSearch(asc)
 	calls, rejects = ascend.calls.Load(), ascend.infeasible.Load()
 	if calls == 0 || rejects == 0 {
-		t.Fatalf("the Ascend-like co-search made %d calls with %d rejections: it does not test the meters", calls, rejects)
+		t.Fatalf("the Ascend-like co-search made %d calls with %d rejections: it does not test the counts", calls, rejects)
 	}
 	if evals != calls || infeasible != rejects {
-		t.Errorf("Ascend-like: meters moved by %d calls and %d rejections, the engine saw %d and %d", evals, infeasible, calls, rejects)
+		t.Errorf("Ascend-like: the record counts %d calls and %d rejections, the engine saw %d and %d", evals, infeasible, calls, rejects)
 	}
 }

@@ -37,6 +37,7 @@ func (s *scripted) Advance(budget int) {
 func (s *scripted) History() ppa.History    { return s.hist }
 func (s *scripted) RawHistory() ppa.History { return s.hist }
 func (s *scripted) Spent() int              { return s.spent }
+func (s *scripted) Tally() mapsearch.Tally  { return mapsearch.Tally{} }
 func (s *scripted) Best() (ppa.Metrics, bool) {
 	if len(s.hist) == 0 {
 		return ppa.Metrics{}, false
@@ -226,6 +227,7 @@ func (deadSearcher) History() ppa.History      { return nil }
 func (deadSearcher) RawHistory() ppa.History   { return nil }
 func (deadSearcher) Spent() int                { return 0 }
 func (deadSearcher) Best() (ppa.Metrics, bool) { return ppa.Metrics{}, false }
+func (deadSearcher) Tally() mapsearch.Tally    { return mapsearch.Tally{} }
 
 // TestRunCountsActualEvalsNotPlannedBudget pins the accounting fix: a dead
 // job that never advances must not inflate TotalEvals (or the simulated

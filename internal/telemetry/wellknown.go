@@ -8,17 +8,8 @@ import "sync"
 // families register an instance per label value on first use.
 
 var (
-	mapSearchSteps = DefaultRegistry.Counter("unico_mapsearch_steps_total", "Software-mapping layer search steps.", nil)
-	gpFits         = DefaultRegistry.Counter("unico_gp_fits_total", "Gaussian-process surrogate fits.", nil)
-	gpExtends      = DefaultRegistry.Counter("unico_gp_extends_total", "Incremental Gaussian-process surrogate extends.", nil)
+	mapSearchSteps = DefaultRegistry.Counter("unico_mapsearch_steps_total", "Software-mapping layer search steps of the jobs this worker advanced.", nil)
 	distJobs       = DefaultRegistry.Gauge("unico_dist_jobs", "Mapping-search jobs currently held by this worker.", nil)
-
-	moboAcqBounded = DefaultRegistry.Counter("unico_mobo_acq_bounded_total",
-		"Acquisition pool candidates bounded with no exponential and no solve (envelope means and variances).", nil)
-	moboAcqSolved = DefaultRegistry.Counter("unico_mobo_acq_solved_total",
-		"Acquisition pool candidates whose bound could still win and that paid for exact means.", nil)
-	moboAcqCompleted = DefaultRegistry.Counter("unico_mobo_acq_completed_total",
-		"Exact-scored acquisition pool candidates whose variance solve ran: exact means and envelope variances could still win.", nil)
 
 	evalCacheHits = DefaultRegistry.Counter("unico_evalcache_hits_total",
 		"PPA evaluations served from the content-addressed cache.", nil)
@@ -44,9 +35,6 @@ var (
 	distBytesReceived = DefaultRegistry.Counter("unico_dist_bytes_received_total",
 		"Response body bytes read by this process's HTTP exchanges.", nil)
 
-	checkpointTornRecords = DefaultRegistry.Counter("unico_checkpoint_torn_records_total",
-		"Torn trailing journal records detected and truncated on load.", nil)
-
 	fleetRebalances = DefaultRegistry.Counter("unico_fleet_rebalances_total",
 		"Key-range moves after a shard stopped or started taking new work (down, drained, recovered).", nil)
 	fleetReplays = DefaultRegistry.Counter("unico_fleet_replays_total",
@@ -55,32 +43,10 @@ var (
 		"Fleet health-probe round-trip latency.", fleetProbeBuckets, nil)
 )
 
-// MapSearchSteps counts software-mapping layer search steps.
+// MapSearchSteps counts the software-mapping layer search steps of the jobs
+// a worker advanced: each budget unit is as many steps as the job's
+// workload has layers. A run's own steps are derived from its flight record.
 func MapSearchSteps() *Counter { return mapSearchSteps }
-
-// GPFits counts Gaussian-process surrogate fits.
-func GPFits() *Counter { return gpFits }
-
-// GPExtends counts incremental Gaussian-process surrogate extends — the
-// one-observation Cholesky-border updates that replaced a full refit.
-func GPExtends() *Counter { return gpExtends }
-
-// MOBOAcqBounded counts the pool candidates the acquisition search bounded
-// with no exponential and no solve (gp.Envelope) — every candidate of every
-// pool.
-func MOBOAcqBounded() *Counter { return moboAcqBounded }
-
-// MOBOAcqSolved counts the pool candidates whose bound could still win, the
-// ones that went on to pay for their exact means (kernel columns with their
-// exponentials) toward an exact score. Solved over bounded is the share of
-// the pool the bound did not prune.
-func MOBOAcqSolved() *Counter { return moboAcqSolved }
-
-// MOBOAcqCompleted counts the solved pool candidates whose variance solve
-// ran: those whose acquisition at their exact means and envelope variances
-// could still win. The others skipped it and scored +Inf. Completed over
-// solved is the share of exact scores that paid for the O(n²) solve.
-func MOBOAcqCompleted() *Counter { return moboAcqCompleted }
 
 // DistJobs gauges the mapping-search jobs currently held by a worker.
 func DistJobs() *Gauge { return distJobs }
@@ -127,10 +93,6 @@ func DistBytesSent() *Counter { return distBytesSent }
 // DistBytesReceived counts the response body bytes every dist exchange of
 // this process read.
 func DistBytesReceived() *Counter { return distBytesReceived }
-
-// CheckpointTornRecords counts torn trailing journal records truncated on
-// load (the expected residue of a crash mid-append).
-func CheckpointTornRecords() *Counter { return checkpointTornRecords }
 
 // FleetRebalances counts key-range moves caused by membership changes.
 func FleetRebalances() *Counter { return fleetRebalances }
@@ -199,14 +161,11 @@ func (l *labelled[M]) get(value string) *M {
 	return m
 }
 
-// PPAEvals counts PPA-engine calls for one engine ("maestro", "camodel").
-// The engines write no metrics: a mapping-search job counts its own calls —
-// a spatial job's under "maestro", an Ascend-like job's under "camodel" —
-// and adds them once per budget installment, and a worker's /v1/ppa handler
-// counts each request. A layer step calls its engine at most once, so a
-// search's count is at most its layer steps (unico_mapsearch_steps_total):
-// an annealer's proposal equal to its current schedule reuses that
-// schedule's metrics and spends budget without a call.
+// PPAEvals counts a worker's PPA-engine calls for one engine ("maestro" for
+// spatial jobs, "camodel" for Ascend-like ones): each advance adds its job's
+// tally growth (mapsearch.Tally), and each /v1/ppa request counts one. A
+// layer step calls its engine at most once, so this is at most
+// unico_mapsearch_steps_total. A run's own calls are in its flight record.
 func PPAEvals(engine string) *Counter {
 	return DefaultRegistry.Counter("unico_ppa_evals_total",
 		"PPA-engine calls by engine; at most the mapping-search layer steps, which spend the evaluation budget.", Labels{"engine": engine})

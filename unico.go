@@ -258,8 +258,10 @@ type Config struct {
 	// FlightRecordFile enables the flight recorder: a durable run.jsonl
 	// artifact at this path with the run header (run ID, method, seed,
 	// options fingerprint), one record per completed iteration (UUL,
-	// feasible front, SH survivor curve, eval counters) and a final summary
-	// — readable with cmd/unicoreport or flightrec.Load. With Resume, the
+	// feasible front, SH survivor curve, eval counters, and the work the
+	// iteration did: GP fits and extends, acquisition candidates, engine
+	// calls and rejections) and a final summary — readable with
+	// cmd/unicoreport or flightrec.Load. With Resume, the
 	// recorder appends past the checkpoint replay boundary without
 	// duplicating records, so a kill/resume run leaves an artifact
 	// record-identical to an uninterrupted one. Recording never changes the
