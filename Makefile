@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test deadapi allows layers fmt tidy check
+.PHONY: build test race bench bench-gate bench-e2e lint lint-verbose lint-json lint-test deadapi allows layers nofma fmt tidy check
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,24 @@ layers:
 		{ for (i = 2; i <= NF; i++) if ($$i == "unico/internal/telemetry") { print $$1 " imports unico/internal/telemetry" > "/dev/stderr"; bad = 1 } } \
 		END { exit bad }'
 
+## nofma fails when the compiler fuses a multiply-add in a package whose
+## results a golden or digest pins: an explicit float64(…) around each
+## product keeps one seed's result the same on every GOARCH. It builds each
+## package for every FMA-capable architecture with -S, so it needs no
+## emulator. The CI lint job runs it.
+FUSIONPROOF = camodel
+FMA_MNEMONICS = 'arm64:FMADDD|FMSUBD|FNMADDD|FNMSUBD' 'riscv64:FMADDD|FMSUBD|FNMADDD|FNMSUBD' \
+	'ppc64le:FMADD|FMSUB|FNMADD|FNMSUB' 's390x:FMADD|FMSUB|FNMADD|FNMSUB'
+nofma:
+	@bad=0; for am in $(FMA_MNEMONICS); do arch=$${am%%:*}; ops=$${am#*:}; \
+		for p in $(FUSIONPROOF); do \
+			asm=$$(GOARCH=$$arch $(GO) build -gcflags="unico/internal/$$p=-S" ./internal/$$p 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+			n=$$(printf '%s\n' "$$asm" | grep -cwE "$$ops"); \
+			echo "$$arch internal/$$p: $$n fused multiply-adds"; \
+			if [ "$$n" != 0 ]; then bad=1; fi; \
+		done; \
+	done; exit $$bad
+
 fmt:
 	gofmt -l .
 
@@ -90,4 +108,4 @@ tidy:
 	$(GO) mod tidy -diff
 	cd lint && $(GO) mod tidy -diff
 
-check: fmt tidy build test race lint-test lint deadapi allows layers
+check: fmt tidy build test race lint-test lint deadapi allows layers nofma

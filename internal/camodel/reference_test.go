@@ -315,7 +315,9 @@ func gemmLayer(gm, gk, gn int) workload.Layer {
 
 // TestEvaluateMatchesReference holds Evaluate to referenceEvaluate bit for
 // bit, over a grid built to reach every branch of the tile loop and over
-// seeded random triples, and counts the branches each reached.
+// seeded random triples, and counts the branches each reached. Every
+// feasible triple must take the closed form: a guard that declined them all
+// would pass on the loop's bits, only slower.
 // It fails, for example, when the fetch is added on overlapped steps too,
 // or when the K countdown starts at tilesK-1.
 func TestEvaluateMatchesReference(t *testing.T) {
@@ -331,6 +333,12 @@ func TestEvaluateMatchesReference(t *testing.T) {
 		if gotErr == nil {
 			for _, b := range loopBranches(c, m, l) {
 				hits[b]++
+			}
+			b := e.Bind(c)
+			if _, closed, _ := b.model(m.Canon(l), &l); closed {
+				hits["closed form"]++
+			} else {
+				t.Errorf("Evaluate(%v, %+v, %s) walked the loop", c, m, l.Name)
 			}
 		}
 	}
@@ -364,7 +372,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 
 	want := []string{"overlap", "serial", "tilesK=1", "tilesK>1 not dividing explicit/4",
 		"tilesK>1 dividing explicit/4", "steps<cap", "steps=cap", "steps>cap",
-		"icache>0", "icache=0", "DBufC, 1 L0C bank", "DBufC, >=2 L0C banks"}
+		"icache>0", "icache=0", "DBufC, 1 L0C bank", "DBufC, >=2 L0C banks", "closed form"}
 	for _, b := range want {
 		if hits[b] == 0 {
 			t.Errorf("no feasible triple took branch %q", b)

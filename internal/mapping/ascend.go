@@ -69,7 +69,7 @@ func NewAscendMoves(l workload.Layer) AscendMoves {
 }
 
 // Layer returns the layer the moves are for.
-func (mv *AscendMoves) Layer() workload.Layer { return mv.layer }
+func (mv *AscendMoves) Layer() *workload.Layer { return &mv.layer }
 
 // Random draws a uniformly random well-formed schedule for the layer.
 func (mv *AscendMoves) Random(rng *rand.Rand) Ascend {

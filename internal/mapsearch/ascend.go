@@ -55,15 +55,24 @@ func (lay *ascendLayer) walkPast(n int) ([]mapping.Ascend, bool) {
 	return lay.walk, lay.walkDone
 }
 
+// ascendJob is what the layer problems of one job share: the engine and
+// core configuration, the engine's model bound to the core when it offers
+// one (ascendBinder), and the job's tally of engine calls.
+type ascendJob struct {
+	eng   AscendEngine
+	cfg   hw.Ascend
+	bound camodel.Bound
+	bind  bool // evaluate through bound, not eng.Evaluate
+	tally *Tally
+}
+
 // ascendProblem is one layer on one Ascend-like core configuration: the
 // moves, evaluation oracle and seeds of its depth-first search. Like
 // spatialProblem, a job's problems are one slice and its searchers hold
 // pointers into it; they count their engine calls in the job's tally.
 type ascendProblem struct {
-	eng   AscendEngine
-	cfg   hw.Ascend
+	job   *ascendJob
 	layer *ascendLayer
-	tally *Tally
 }
 
 func (p *ascendProblem) Random(rng *rand.Rand) mapping.Ascend {
@@ -74,9 +83,18 @@ func (p *ascendProblem) Mutate(rng *rand.Rand, m mapping.Ascend) mapping.Ascend 
 	return p.layer.moves.Mutate(rng, m)
 }
 
+// Evaluate evaluates m, which the moves and the walk made canonical, and
+// counts the call.
 func (p *ascendProblem) Evaluate(m mapping.Ascend) (ppa.Metrics, error) {
-	met, err := p.eng.Evaluate(p.cfg, m, p.layer.moves.Layer())
-	p.tally.count(err, camodel.ErrInfeasible)
+	j := p.job
+	var met ppa.Metrics
+	var err error
+	if j.bind {
+		met, err = j.bound.Evaluate(m, p.layer.moves.Layer())
+	} else {
+		met, err = j.eng.Evaluate(j.cfg, m, *p.layer.moves.Layer())
+	}
+	j.tally.count(err, camodel.ErrInfeasible)
 	return met, err
 }
 
@@ -85,14 +103,14 @@ func (p *ascendProblem) Evaluate(m mapping.Ascend) (ppa.Metrics, error) {
 // capacity-guided tile grown greedily into the L1 staging buffer, which
 // comes first.
 func (p *ascendProblem) seeds() (s [2]mapping.Ascend, n int) {
-	l := p.layer.moves.Layer()
+	l, cfg := *p.layer.moves.Layer(), &p.job.cfg
 	minimal := mapping.Ascend{
-		TM: p.cfg.CubeM, TK: p.cfg.CubeK, TN: p.cfg.CubeN, FuseDepth: 1,
+		TM: cfg.CubeM, TK: cfg.CubeK, TN: cfg.CubeN, FuseDepth: 1,
 	}.Canon(l)
 	guided := minimal
 	fits := func(m mapping.Ascend) bool {
 		need := (m.TM*m.TK + m.TK*m.TN + m.TM*m.TN) * m.FuseDepth
-		return need <= p.cfg.L1KB*1024 && m.TM*m.TN <= p.cfg.UBKB*1024
+		return need <= cfg.L1KB*1024 && m.TM*m.TN <= cfg.UBKB*1024
 	}
 	for progress := true; progress; {
 		progress = false
@@ -189,7 +207,7 @@ func newBackoffWalk(lay *ascendLayer) backoffWalk {
 // nothing once the last level or the node cap has been reached.
 func (w *backoffWalk) appendLevel(dst []mapping.Ascend) []mapping.Ascend {
 	c := w.level
-	l, tms, tks, tns := w.lay.moves.Layer(), w.lay.tms, w.lay.tks, w.lay.tns
+	l, tms, tks, tns := *w.lay.moves.Layer(), w.lay.tms, w.lay.tks, w.lay.tns
 	// The deepest level backs every axis off to its last index.
 	last := (maxFuseDepth - 1) + (len(tms) - 1) + (len(tks) - 1) + (len(tns) - 1) + (dbufCombos - 1)
 	if w.left == 0 || c > last {
@@ -315,14 +333,19 @@ func NewAscendSearcher(eng AscendEngine, cfg hw.Ascend, w workload.Workload, _ A
 
 // Ascend builds the network's schedule search for one Ascend-like core
 // configuration, one depth-first search per layer, as NewAscendSearcher
-// does.
+// does. An engine that offers ascendBinder is bound to cfg here, once for
+// the job.
 func (n *Network) Ascend(eng AscendEngine, cfg hw.Ascend, seed int64) *NetworkSearcher {
 	lays := n.ascendLayers()
 	layers := make([]LayerSearcher, len(lays))
 	s := n.searcher(layers, eng.Area(cfg))
+	job := &ascendJob{eng: eng, cfg: cfg, tally: &s.tally}
+	if b, ok := eng.(ascendBinder); ok && n.valid {
+		job.bound, job.bind = b.Bind(cfg), true
+	}
 	probs := make([]ascendProblem, len(lays))
 	for i := range probs {
-		probs[i] = ascendProblem{eng: eng, cfg: cfg, layer: lays[i], tally: &s.tally}
+		probs[i] = ascendProblem{job: job, layer: lays[i]}
 		layers[i] = newDepthFirstFusion(&probs[i], newLayerRand(seed, i))
 	}
 	return s

@@ -260,7 +260,7 @@ func (recordingEngine) EvalCostSeconds() float64 { return 1 }
 // problemOn is a layer's problem on core cfg, counting its engine calls in
 // a tally of its own.
 func problemOn(eng AscendEngine, cfg hw.Ascend, lay *ascendLayer) *ascendProblem {
-	return &ascendProblem{eng: eng, cfg: cfg, layer: lay, tally: &Tally{}}
+	return &ascendProblem{job: &ascendJob{eng: eng, cfg: cfg, tally: &Tally{}}, layer: lay}
 }
 
 // depthFirstOn builds the depth-first searcher of layer l on core cfg.
@@ -393,7 +393,7 @@ func TestSharedWalkMatchesReference(t *testing.T) {
 	}
 	wg.Wait()
 	for _, l := range w.Layers {
-		seeds, n := (&ascendProblem{cfg: cfg, layer: newAscendLayer(l)}).seeds()
+		seeds, n := (&ascendProblem{job: &ascendJob{cfg: cfg}, layer: newAscendLayer(l)}).seeds()
 		tms, tks, tns := layerLadders(l)
 		want := append(seeds[:n:n], buildWalk(l, []int{4, 3, 2, 1}, tms, tks, tns)...)
 		for j, rec := range recs {

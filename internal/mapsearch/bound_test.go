@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"unico/internal/camodel"
 	"unico/internal/hw"
 	"unico/internal/maestro"
 	"unico/internal/mapping"
@@ -104,4 +105,81 @@ func TestInvalidLayerIsNotBound(t *testing.T) {
 	if _, err := s.layers[1].(*Annealer[mapping.Spatial]).prob.Evaluate(mapping.Spatial{}); err == nil || err.Error() != want.Error() {
 		t.Errorf("invalid layer evaluates to %v, want %v", err, want)
 	}
+}
+
+// canonChecked is an AscendEngine without Bind — it embeds the interface,
+// so a job on it calls Evaluate for every candidate — that counts the
+// schedules it is handed which Canon would change.
+type canonChecked struct {
+	AscendEngine
+	nonCanon int
+}
+
+func (e *canonChecked) Evaluate(c hw.Ascend, m mapping.Ascend, l workload.Layer) (ppa.Metrics, error) {
+	if m.Canon(l) != m {
+		e.nonCanon++
+	}
+	return e.AscendEngine.Evaluate(c, m, l)
+}
+
+// TestAscendBoundJobMatchesEvaluate runs DLEU jobs twice on the same
+// Network, seeds and cores: once on camodel's engine, which the job binds
+// to its core, and once on canonChecked around it. History, RawHistory,
+// Best and Tally must be equal after 1, 37 and 200 units, and every
+// schedule a job evaluates must be canonical, which is why the bound path
+// may skip Canon.
+func TestAscendBoundJobMatchesEvaluate(t *testing.T) {
+	net := NewNetwork(workload.DLEU())
+	space := hw.NewAscendSpace()
+	rng := rand.New(rand.NewSource(62))
+	cores := []hw.Ascend{hw.DefaultAscend()}
+	for len(cores) < 4 {
+		cores = append(cores, space.Decode(space.Sample(rng)))
+	}
+	feasible := 0
+	for i, cfg := range cores {
+		seed := int64(i + 1)
+		plainEng := &canonChecked{AscendEngine: camodel.Engine{}}
+		bound := net.Ascend(camodel.Engine{}, cfg, seed)
+		plain := net.Ascend(plainEng, cfg, seed)
+		if !ascendJobOf(bound).bind || ascendJobOf(plain).bind {
+			t.Fatal("only the job on camodel.Engine binds it")
+		}
+		spent := 0
+		for _, units := range []int{1, 37, 200} {
+			bound.Advance(units - spent)
+			plain.Advance(units - spent)
+			spent = units
+			if !reflect.DeepEqual(bound.History(), plain.History()) {
+				t.Fatalf("%v after %d units: History differs", cfg, units)
+			}
+			if !reflect.DeepEqual(bound.RawHistory(), plain.RawHistory()) {
+				t.Fatalf("%v after %d units: RawHistory differs", cfg, units)
+			}
+			bm, bok := bound.Best()
+			pm, pok := plain.Best()
+			if bm != pm || bok != pok {
+				t.Fatalf("%v after %d units: Best %v %v, through Evaluate %v %v", cfg, units, bm, bok, pm, pok)
+			}
+			if bt, pt := bound.Tally(), plain.Tally(); bt != pt {
+				t.Fatalf("%v after %d units: Tally %+v, through Evaluate %+v", cfg, units, bt, pt)
+			}
+		}
+		if plainEng.nonCanon != 0 {
+			t.Errorf("%v: %d of %d evaluated schedules were not canonical", cfg, plainEng.nonCanon, plain.Tally().Calls)
+		}
+		_, ok := bound.Best()
+		if ok {
+			feasible++
+		}
+		t.Logf("%v: %+v, feasible %v", cfg, bound.Tally(), ok)
+	}
+	if feasible == 0 {
+		t.Error("no job found a feasible schedule, so the paths compared only penalties")
+	}
+}
+
+// ascendJobOf returns the Ascend job behind a network search.
+func ascendJobOf(s *NetworkSearcher) *ascendJob {
+	return s.layers[0].(*DepthFirstFusion).prob.job
 }

@@ -3,6 +3,7 @@ package mapsearch
 import (
 	"errors"
 
+	"unico/internal/camodel"
 	"unico/internal/hw"
 	"unico/internal/maestro"
 	"unico/internal/mapping"
@@ -46,6 +47,15 @@ type AscendEngine interface {
 // called: a wrapper embeds SpatialEngine instead.
 type spatialBinder interface {
 	Bind(c hw.Spatial) maestro.Bound
+}
+
+// ascendBinder is the optional AscendEngine extension a job binds to its
+// core once, as camodel.Engine does, with the same contract as
+// spatialBinder: the bound model skips the per-call layer validation, Canon
+// and core arithmetic, and a wrapper embeds AscendEngine, not
+// camodel.Engine.
+type ascendBinder interface {
+	Bind(c hw.Ascend) camodel.Bound
 }
 
 // Tally is a job's engine calls and how many of them the engine rejected
