@@ -88,7 +88,7 @@ layers:
 ## product keeps one seed's result the same on every GOARCH. It builds each
 ## package for every FMA-capable architecture with -S, so it needs no
 ## emulator. The CI lint job runs it.
-FUSIONPROOF = camodel
+FUSIONPROOF = camodel mapsearch pareto ppa robust sh
 FMA_MNEMONICS = 'arm64:FMADDD|FMSUBD|FNMADDD|FNMSUBD' 'riscv64:FMADDD|FMSUBD|FNMADDD|FNMSUBD' \
 	'ppc64le:FMADD|FMSUB|FNMADD|FNMSUB' 's390x:FMADD|FMSUB|FNMADD|FNMSUB'
 nofma:

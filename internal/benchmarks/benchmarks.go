@@ -124,9 +124,9 @@ func AcquisitionPool(b *testing.B) {
 // AcquisitionEdge measures one acquisition maximization on the surrogates a
 // real search leaves: an edge_paper-shaped co-search (Edge, MobileNet,
 // N = 30, b_max = 300, seed 1) stopped after 5 iterations, under ctx and
-// outside the timer, its optimizer rebuilt from the run's final snapshot
-// and searched with one worker. A real run's objectives prune less than
-// AcquisitionPool's smooth bowls.
+// outside the timer, its optimizer rebuilt by replaying the run's final
+// snapshot (as a resume does) and searched with one worker. A real run's
+// objectives prune less than AcquisitionPool's smooth bowls.
 func AcquisitionEdge(ctx context.Context, b *testing.B) {
 	p := platform.NewSpatial(hw.Edge, []workload.Workload{workload.MobileNet()}, mapsearch.FlexTensorLike)
 	opt := core.UNICOOptions(30, 5, 300, 1)
@@ -136,13 +136,8 @@ func AcquisitionEdge(ctx context.Context, b *testing.B) {
 	if res := core.RunContext(ctx, p, opt); res.CheckpointErr != nil {
 		b.Fatal(res.CheckpointErr)
 	}
-	cfg := mobo.DefaultConfig(4)
-	cfg.SearchWorkers = 1
-	obs := make([]mobo.Observation, len(sink.snap.All))
-	for i, c := range sink.snap.All {
-		obs[i] = mobo.Observation{X: c.X, Y: core.NormalizeObjectives(c.Objectives(true))}
-	}
-	o, err := mobo.Restore(p.Space(), cfg, sink.snap.Explorer, obs)
+	opt.SearchWorkers = 1
+	o, err := core.ReplayExplorer(p, opt, &core.ResumeState{Snapshot: sink.snap})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -203,3 +203,80 @@ func FuzzLoad(f *testing.F) {
 		}
 	})
 }
+
+// fuzzResumeCap keeps FuzzResume cheap: a checkpoint holding more candidates
+// than this (replay refits the surrogates once per iteration), or recording
+// an RNG position further than 2^20 draws out, is skipped, not resumed.
+const fuzzResumeCap = 16
+
+// FuzzResume feeds arbitrary bytes to both files of a checkpoint and resumes
+// whatever Load accepts with MaxIter = LastIter(), so the run replays the
+// checkpoint and searches no further. The resume must return an error or a
+// result, never panic, and a result holds every checkpointed candidate.
+func FuzzResume(f *testing.F) {
+	p := spatialTestPlatform()
+	opt := core.UNICOOptions(3, 3, 6, 5)
+	opt.Workers = 1
+	dir := f.TempDir()
+	// files returns the snapshot and journal bytes a run of opt through sink
+	// (wrapping a fresh file sink) leaves behind.
+	files := func(name string, wrap func(*File) core.CheckpointSink) ([]byte, []byte) {
+		path := filepath.Join(dir, name)
+		inner, err := Create(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sopt := opt
+		sopt.Checkpoint = wrap(inner)
+		sopt.CheckpointEvery = 2
+		if res := core.RunContext(context.Background(), p, sopt); res.CheckpointErr != nil {
+			f.Fatal(res.CheckpointErr)
+		}
+		inner.Close()
+		snap, _ := os.ReadFile(path)
+		journal, _ := os.ReadFile(journalPath(path))
+		return snap, journal
+	}
+	genesis, journal := files("genesis.ckpt", func(f *File) core.CheckpointSink { return &dropSnapshotsSink{f: f} })
+	final, _ := files("final.ckpt", func(f *File) core.CheckpointSink { return f })
+	// A journal frame whose checksum holds around a point of 1 coordinate.
+	bad := filepath.Join(dir, "bad.ckpt")
+	sink, err := Create(bad)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sink.AppendIteration(core.IterationRecord{Iter: 1, Candidates: []core.Candidate{{X: []float64{0.5}, Iter: 1}}})
+	sink.Close()
+	short, _ := os.ReadFile(journalPath(bad))
+	f.Add(genesis, journal)
+	f.Add(final, []byte(nil))
+	f.Add(genesis, journal[:len(journal)-4])
+	f.Add(genesis, short)
+	f.Fuzz(func(t *testing.T, snap, journal []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(journalPath(path), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Load(path)
+		if err != nil || rs.LastIter() < 1 {
+			return // MaxIter 0 would mean the default run length
+		}
+		n, far := len(rs.Snapshot.All), rs.Snapshot.Explorer.RNGPos > 1<<20
+		for _, rec := range rs.Tail {
+			n, far = n+len(rec.Candidates), far || rec.RNGPos > 1<<20
+		}
+		if n > fuzzResumeCap || far {
+			t.Skip()
+		}
+		ropt := opt
+		ropt.MaxIter = rs.LastIter()
+		ropt.Resume = rs
+		res := core.RunContext(context.Background(), p, ropt)
+		if res.CheckpointErr == nil && len(res.All) != n {
+			t.Fatalf("resumed %d candidates of the checkpoint's %d", len(res.All), n)
+		}
+	})
+}

@@ -7,11 +7,12 @@
 // The determinism contract that makes resume exact: the MOBO explorer
 // consumes RNG only inside SuggestBatch, never in Update, and every other
 // stage of an iteration (successive halving with per-job seeds, GP refits,
-// Pareto extraction) is a deterministic function of its inputs. Replaying
-// the journal therefore needs only each iteration's candidates — Update
-// rebuilds the surrogate state from their observations — plus the recorded
-// RNG stream position to fast-forward the generator past the suggestion
-// draws that are not re-executed.
+// Pareto extraction) is a deterministic function of its inputs. The
+// explorer's state is therefore a function of the batches it was given, so
+// resume rebuilds it one way only: a fresh explorer replays every recorded
+// iteration's candidates through Update, the snapshot's and then the
+// journal's, and fast-forwards its generator to the recorded RNG stream
+// position past the suggestion draws that are not re-executed.
 package core
 
 import (
@@ -99,15 +100,15 @@ type IterationRecord struct {
 	RNGPos uint64 `json:"rng_pos"`
 }
 
-// SnapshotRecord is an atomic full-state checkpoint: a run restored from it
-// continues without replaying any journal records written before it.
+// SnapshotRecord is an atomic checkpoint of every candidate so far: a run
+// resumed from it needs no journal record written before it.
 type SnapshotRecord struct {
 	// Fingerprint identifies the run configuration the snapshot belongs to.
 	Fingerprint Fingerprint `json:"fingerprint"`
 	// Iter is the last completed iteration (0 for a genesis snapshot).
 	Iter int `json:"iter"`
-	// Explorer is the MOBO optimizer's state, less the observations of All.
-	Explorer mobo.State `json:"explorer"`
+	// Explorer is where the MOBO explorer's RNG stream stood.
+	Explorer ExplorerState `json:"explorer"`
 	// All holds every candidate evaluated so far, in evaluation order. The
 	// fronts and the explorer's observations are recomputed from it on resume.
 	All []Candidate `json:"all"`
@@ -117,6 +118,16 @@ type SnapshotRecord struct {
 	Evals int `json:"evals"`
 	// ClockSeconds is the simulated clock reading.
 	ClockSeconds float64 `json:"clock_seconds"`
+}
+
+// ExplorerState is what a snapshot stores of the MOBO explorer: its RNG
+// stream position. Everything else the explorer holds is rebuilt by
+// replaying the snapshot's candidates. Snapshots of older versions stored the
+// whole optimizer state under this key; decoding keeps rng_pos and ignores
+// the rest.
+type ExplorerState struct {
+	// RNGPos is the explorer's RNG stream position (draws since seeding).
+	RNGPos uint64 `json:"rng_pos"`
 }
 
 // CheckpointSink receives a run's checkpoint stream. AppendIteration must
@@ -160,41 +171,25 @@ func (rs *ResumeState) Check(p Platform, opt Options) error {
 }
 
 // resumeRun reconstructs the mid-flight run state from a loaded checkpoint:
-// the explorer restored from the snapshot with the journal tail replayed
-// through Update (consuming no RNG), the result's candidate list, trace and
-// eval count extended from the tail records, its front derived from them, and
-// the RNG fast-forwarded to the last recorded stream position. Returns the
-// restored explorer, the partial result, and the last completed iteration.
-func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo.Optimizer, Result, int, error) {
-	if err := rs.Check(p, opt); err != nil {
-		return nil, Result{}, 0, err
-	}
-	explorer, err := mobo.Restore(p.Space(), cfg, rs.Snapshot.Explorer, observations(rs.Snapshot.All, opt.UseRobustness))
+// the explorer rebuilt by replay, the result's candidate list, trace and eval
+// count extended from the tail records, its front derived from them, and the
+// clock fast-forwarded to the last recorded reading. Returns the explorer,
+// the partial result, and the last completed iteration.
+func resumeRun(p Platform, opt Options, rs *ResumeState) (*mobo.Optimizer, Result, int, error) {
+	explorer, err := ReplayExplorer(p, opt, rs)
 	if err != nil {
-		return nil, Result{}, 0, fmt.Errorf("core: resume: %w", err)
+		return nil, Result{}, 0, err
 	}
 
 	var res Result
 	res.All = append([]Candidate(nil), rs.Snapshot.All...)
 	res.Trace = append([]TracePoint(nil), rs.Snapshot.Trace...)
 	res.Evals = rs.Snapshot.Evals
-	lastIter := rs.Snapshot.Iter
 	lastSeconds := rs.Snapshot.ClockSeconds
-
 	for _, rec := range rs.Tail {
-		if rec.Iter != lastIter+1 {
-			return nil, Result{}, 0, fmt.Errorf("core: resume: journal gap: record for iteration %d after %d", rec.Iter, lastIter)
-		}
 		res.All = append(res.All, rec.Candidates...)
 		res.Evals = rec.Evals
-		explorer.Update(observations(rec.Candidates, opt.UseRobustness))
-		// The original iteration consumed RNG in SuggestBatch, which replay
-		// skips; catch the stream up to where the iteration left it.
-		if err := explorer.SeekRNG(rec.RNGPos); err != nil {
-			return nil, Result{}, 0, fmt.Errorf("core: resume: iteration %d: %w", rec.Iter, err)
-		}
 		res.Trace = append(res.Trace, TracePoint{Iter: rec.Iter, Hours: rec.ClockSeconds / 3600})
-		lastIter = rec.Iter
 		lastSeconds = rec.ClockSeconds
 	}
 	if fronts := res.Fronts(); len(fronts) > 0 {
@@ -206,5 +201,60 @@ func resumeRun(p Platform, opt Options, cfg mobo.Config, rs *ResumeState) (*mobo
 	if lastSeconds > 0 {
 		opt.Clock.Advance(lastSeconds)
 	}
-	return explorer, res, lastIter, nil
+	return explorer, res, rs.LastIter(), nil
+}
+
+// ReplayExplorer rebuilds the MOBO explorer a run of (p, opt) holds at the
+// end of the checkpointed iterations: a fresh explorer is fed every recorded
+// iteration's candidates through Update, one iteration's batch at a time —
+// the snapshot's, grouped by Candidate.Iter, then each journal record's —
+// and its RNG is sought to the last recorded stream position. The candidates
+// are bytes read from disk, so each iteration must be present, in order, and
+// every candidate must be a point of the space. A state of another run's
+// configuration is refused with ErrResumeMismatch.
+func ReplayExplorer(p Platform, opt Options, rs *ResumeState) (*mobo.Optimizer, error) {
+	opt = opt.normalize()
+	if err := rs.Check(p, opt); err != nil {
+		return nil, err
+	}
+	space := p.Space()
+	explorer := mobo.New(space, moboConfig(opt), opt.Seed)
+	feed := func(cands []Candidate, from, to int) error {
+		for iter := from; iter <= to; iter++ {
+			n := 0
+			for ; n < len(cands) && cands[n].Iter == iter; n++ {
+				if len(cands[n].X) != space.Dim() {
+					return fmt.Errorf("core: resume: iteration %d: candidate has %d coordinates, space has %d", iter, len(cands[n].X), space.Dim())
+				}
+			}
+			if n == 0 {
+				return fmt.Errorf("core: resume: iteration %d: no candidates", iter)
+			}
+			explorer.Update(observations(cands[:n], opt.UseRobustness))
+			cands = cands[n:]
+		}
+		if len(cands) > 0 {
+			return fmt.Errorf("core: resume: candidate of iteration %d after iteration %d", cands[0].Iter, to)
+		}
+		return nil
+	}
+	if err := feed(rs.Snapshot.All, 1, rs.Snapshot.Iter); err != nil {
+		return nil, err
+	}
+	last, pos := rs.Snapshot.Iter, rs.Snapshot.Explorer.RNGPos
+	for _, rec := range rs.Tail {
+		if rec.Iter != last+1 {
+			return nil, fmt.Errorf("core: resume: journal gap: record for iteration %d after %d", rec.Iter, last)
+		}
+		if err := feed(rec.Candidates, rec.Iter, rec.Iter); err != nil {
+			return nil, err
+		}
+		last, pos = rec.Iter, rec.RNGPos
+	}
+	// Replay skips SuggestBatch, the only RNG consumer: catch the stream up
+	// to where the last recorded iteration left it.
+	if err := explorer.SeekRNG(pos); err != nil {
+		return nil, fmt.Errorf("core: resume: %w", err)
+	}
+	return explorer, nil
 }

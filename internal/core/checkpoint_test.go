@@ -185,6 +185,63 @@ func TestResumeReplaysJournalTail(t *testing.T) {
 	sameResult(t, ref, got)
 }
 
+// TestResumeRejectsMalformedCandidates resumes from checkpoints whose
+// records decode but whose candidates cannot have come from a run of this
+// space: a point with the wrong number of coordinates, in the journal or in
+// the snapshot, an iteration with no candidates, a candidate filed under
+// another iteration. Each must come back as Result.CheckpointErr, not a
+// panic. It was shown to catch a replay that checked no journal record: the
+// first case panicked in hw.Grid.Key.
+func TestResumeRejectsMalformedCandidates(t *testing.T) {
+	opt := smallOpts(5)
+	opt.MaxIter = 2
+	ms := &memSink{}
+	copt := opt
+	copt.Checkpoint = ms
+	RunContext(context.Background(), testPlatform(), copt)
+	genesis, final := ms.snaps[0], ms.snaps[len(ms.snaps)-1]
+	if genesis.Iter != 0 || final.Iter != 2 || len(ms.recs) != 2 {
+		t.Fatalf("snapshots at %d and %d, %d records; want genesis, 2 and 2", genesis.Iter, final.Iter, len(ms.recs))
+	}
+	// with returns cands with candidate i changed by edit, leaving cands be.
+	with := func(cands []Candidate, i int, edit func(*Candidate)) []Candidate {
+		out := append([]Candidate(nil), cands...)
+		edit(&out[i])
+		return out
+	}
+	short := func(c *Candidate) { c.X = []float64{0.5} }
+	rec := func(cands []Candidate) IterationRecord {
+		r := ms.recs[0]
+		r.Candidates = cands
+		return r
+	}
+	snap := func(all []Candidate) SnapshotRecord {
+		s := final
+		s.All = all
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		rs   ResumeState
+	}{
+		{"journal point of 1 coordinate", ResumeState{Snapshot: genesis, Tail: []IterationRecord{rec(with(ms.recs[0].Candidates, 0, short))}}},
+		{"snapshot point of 1 coordinate", ResumeState{Snapshot: snap(with(final.All, len(final.All)-1, short))}},
+		{"journal record of no candidates", ResumeState{Snapshot: genesis, Tail: []IterationRecord{rec(nil)}}},
+		{"journal candidate of another iteration", ResumeState{Snapshot: genesis, Tail: []IterationRecord{rec(with(ms.recs[0].Candidates, 1, func(c *Candidate) { c.Iter = 2 }))}}},
+		{"snapshot candidate past its iteration", ResumeState{Snapshot: snap(with(final.All, len(final.All)-1, func(c *Candidate) { c.Iter = 3 }))}},
+		{"snapshot missing an iteration", ResumeState{Snapshot: snap(final.All[:len(ms.recs[0].Candidates)])}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ropt := opt
+			ropt.Resume = &tc.rs
+			res := RunContext(context.Background(), testPlatform(), ropt)
+			if res.CheckpointErr == nil || len(res.All) != 0 {
+				t.Fatalf("resume returned %d candidates and error %v, want none and an error", len(res.All), res.CheckpointErr)
+			}
+		})
+	}
+}
+
 // cancelOnJobPlatform cancels a context when its NewJob call counter reaches
 // a threshold — an abort arriving while a batch is being dispatched.
 type cancelOnJobPlatform struct {
@@ -466,10 +523,10 @@ func jsonKeys(t *testing.T, v any) []string {
 
 // TestRecordShape pins the keys a real two-iteration run writes into its
 // journal and snapshot. Each record holds every fact once: candidates carry
-// no mapping-search history, neither the journal nor the explorer state
-// stores the points or observations the candidates already determine, and a
-// trace point stores no front. A field added back to a record has to change
-// this test.
+// no mapping-search history, the journal stores no points or observations
+// the candidates already determine, the snapshot stores of the explorer only
+// its RNG position (replay rebuilds the rest), and a trace point stores no
+// front. A field added back to a record has to change this test.
 func TestRecordShape(t *testing.T) {
 	opt := smallOpts(5)
 	opt.MaxIter = 2
@@ -486,7 +543,7 @@ func TestRecordShape(t *testing.T) {
 	}{
 		{"IterationRecord", ms.recs[1], []string{"candidates", "clock_seconds", "evals", "iter", "rng_pos"}},
 		{"SnapshotRecord", snap, []string{"all", "clock_seconds", "evals", "explorer", "fingerprint", "iter", "trace"}},
-		{"explorer", snap.Explorer, []string{"d_set", "rng_pos", "seed", "since_refit", "surrogates", "train", "uul", "v_best"}},
+		{"explorer", snap.Explorer, []string{"rng_pos"}},
 		{"Candidate", snap.All[0], []string{"Feasible", "Iter", "Metrics", "Sensitivity", "X"}},
 		{"TracePoint", snap.Trace[0], []string{"Hours", "Iter"}},
 	} {

@@ -108,7 +108,7 @@ type Options struct {
 	Checkpoint CheckpointSink
 	// CheckpointEvery is the snapshot cadence in iterations (default 10).
 	CheckpointEvery int
-	// Resume, if non-nil, restores the run from a loaded checkpoint instead
+	// Resume, if non-nil, continues the run from a loaded checkpoint instead
 	// of starting fresh. The checkpoint's fingerprint must match this run's
 	// platform and options; on mismatch Run returns an empty Result with
 	// CheckpointErr wrapping ErrResumeMismatch.
@@ -252,14 +252,6 @@ var penaltyMetrics = ppa.Metrics{
 // search: results are bit-identical with and without.
 func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	opt = opt.normalize()
-	nObj := 3
-	if opt.UseRobustness {
-		nObj = 4
-	}
-	moboCfg := mobo.DefaultConfig(nObj)
-	moboCfg.Rule = opt.UpdateRule
-	moboCfg.SearchWorkers = opt.SearchWorkers
-
 	var (
 		res      Result
 		explorer *mobo.Optimizer
@@ -267,12 +259,12 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	)
 	if opt.Resume != nil {
 		var err error
-		explorer, res, lastIter, err = resumeRun(p, opt, moboCfg, opt.Resume)
+		explorer, res, lastIter, err = resumeRun(p, opt, opt.Resume)
 		if err != nil {
 			return Result{CheckpointErr: err}
 		}
 	} else {
-		explorer = mobo.New(p.Space(), moboCfg, opt.Seed)
+		explorer = mobo.New(p.Space(), moboConfig(opt), opt.Seed)
 	}
 
 	// sink is nilled out after the first write failure (latched in
@@ -284,33 +276,34 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		}
 		sink = nil
 	}
-	snapshot := func(iter int, st mobo.State, seconds float64) {
-		if sink == nil {
-			return
-		}
-		err := sink.WriteSnapshot(SnapshotRecord{
-			Fingerprint:  fingerprintOf(p, opt),
-			Iter:         iter,
-			Explorer:     st,
-			All:          res.All,
-			Trace:        res.Trace,
-			Evals:        res.Evals,
-			ClockSeconds: seconds,
-		})
-		if err != nil {
-			checkpointFail(fmt.Errorf("core: write snapshot: %w", err))
-		}
-	}
 	// The stream position and clock reading at the end of the last
 	// *completed* iteration: a cancellation mid-iteration must not leak the
 	// discarded batch's RNG draws or clock advances into the final
 	// snapshot, or the resumed run would diverge from an uninterrupted one.
 	lastRNGPos := explorer.RNGPos()
 	lastSeconds := opt.Clock.Seconds()
+	// snapshot writes the state at the end of iteration lastIter.
+	snapshot := func() {
+		if sink == nil {
+			return
+		}
+		err := sink.WriteSnapshot(SnapshotRecord{
+			Fingerprint:  fingerprintOf(p, opt),
+			Iter:         lastIter,
+			Explorer:     ExplorerState{RNGPos: lastRNGPos},
+			All:          res.All,
+			Trace:        res.Trace,
+			Evals:        res.Evals,
+			ClockSeconds: lastSeconds,
+		})
+		if err != nil {
+			checkpointFail(fmt.Errorf("core: write snapshot: %w", err))
+		}
+	}
 	if opt.Resume == nil {
 		// Genesis snapshot: guarantees the checkpoint carries a fingerprint
-		// and explorer state even if the process dies before iteration 1.
-		snapshot(0, explorer.Export(), lastSeconds)
+		// even if the process dies before iteration 1.
+		snapshot()
 	}
 
 	shCfg := sh.Config{
@@ -405,7 +398,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 		// stitch at the replay boundary without gaps.
 		if opt.Flight != nil {
 			// The work is the explorer's from suggest to the end of update,
-			// so a resumed run's restore falls in no iteration.
+			// so a resumed run's replay falls in no iteration.
 			now := explorer.Counts()
 			opt.Flight.RecordIteration(flightrec.Iteration{
 				Iter:          iter,
@@ -445,7 +438,7 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 			if err != nil {
 				checkpointFail(fmt.Errorf("core: journal iteration %d: %w", iter, err))
 			} else if iter%opt.CheckpointEvery == 0 {
-				snapshot(iter, explorer.Export(), lastSeconds)
+				snapshot()
 			}
 		}
 
@@ -463,13 +456,21 @@ func RunContext(ctx context.Context, p Platform, opt Options) Result {
 	// Final snapshot at the last completed-iteration boundary, with the RNG
 	// position and clock reading of that boundary (not of any discarded
 	// partial batch), so the checkpoint resumes bit-identically.
-	if sink != nil {
-		st := explorer.Export()
-		st.RNGPos = lastRNGPos
-		snapshot(lastIter, st, lastSeconds)
-	}
+	snapshot()
 	res.Hours = opt.Clock.Hours()
 	return res
+}
+
+// moboConfig is the explorer configuration of a run of normalized options.
+func moboConfig(opt Options) mobo.Config {
+	nObj := 3
+	if opt.UseRobustness {
+		nObj = 4
+	}
+	cfg := mobo.DefaultConfig(nObj)
+	cfg.Rule = opt.UpdateRule
+	cfg.SearchWorkers = opt.SearchWorkers
+	return cfg
 }
 
 // CloseJobs releases jobs that hold external resources (remote jobs delete
@@ -603,8 +604,8 @@ func Representative(front []Candidate) (Candidate, bool) {
 	return front[pareto.MinEuclid(frontPPA(front))], true
 }
 
-// observations is what the explorer learns from candidates: the live loop,
-// journal replay and snapshot restore all derive the explorer's input here.
+// observations is what the explorer learns from candidates: the live loop
+// and resume's replay both derive the explorer's input here.
 func observations(cands []Candidate, withR bool) []mobo.Observation {
 	obs := make([]mobo.Observation, len(cands))
 	for i, c := range cands {

@@ -34,17 +34,14 @@
 //     observation, each O(n²) (linalg.Border, linalg.CholeskyBorderRow),
 //     the distinct factors on the caller's Fanout; then it recomputes each
 //     GP's alpha. Extend is its one-GP, one-point case. Sharing is judged
-//     by value, so GPs rebuilt apart (FitWithParamsAll, a checkpoint
-//     restore) extend exactly as often as GPs fitted together.
+//     by identity: GPs share a factor because a grid fit or ExtendAll left
+//     them on one object.
 //
 // Because the bordered extend is bit-identical to a from-scratch
 // factorization at the same jitter (see internal/linalg), a GP grown by
 // Extend equals one produced by FitWithParams on the full data with the same
-// hyperparameters and pinned jitter, bit for bit — this is what keeps
-// checkpoint/resume runs identical to uninterrupted ones while the optimizer
-// extends surrogates incrementally. Params/Jitter expose the values a caller
-// must persist to reproduce a fitted GP exactly. The cadence policy (when to
-// warm-refit versus extend) lives in the caller (internal/mobo).
+// hyperparameters and pinned jitter, bit for bit. The cadence policy (when
+// to warm-refit versus extend) lives in the caller (internal/mobo).
 //
 // # Tiled prediction
 //
@@ -75,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"unico/internal/linalg"
@@ -106,7 +104,7 @@ func sqDist(x, y []float64) float64 {
 }
 
 // Params are the hyperparameters FitAuto selects, exposed so callers can
-// persist them (checkpoints) and warm-start later refits.
+// warm-start later refits.
 type Params struct {
 	Lengthscale float64 `json:"lengthscale"`
 	Variance    float64 `json:"variance"`
@@ -169,13 +167,6 @@ func transposed(x [][]float64) []float64 {
 		}
 	}
 	return out
-}
-
-// sameFactor reports whether two factors are the same matrix: the same
-// object, or factors of the same input rows (sameInputs) at equal Params and
-// jitter.
-func sameFactor(a, b *factor) bool {
-	return a == b || a.params == b.params && a.jitter == b.jitter && sameInputs(a.x, b.x)
 }
 
 // grow returns the factor bordered by the inputs xs at the pinned jitter,
@@ -479,56 +470,24 @@ func fitLengthscale(x [][]float64, xt []float64, d2 *linalg.Matrix, li int, tgs 
 }
 
 // FitWithParams trains a GP at exactly the given hyperparameters and
-// diagonal jitter — no grid search, no jitter retry ladder. Checkpoint
-// restores use it to rebuild a surrogate bit-identical to the one a live
-// run held (whether that run produced it by grid search or grew it with
-// Extend). It is FitWithParamsAll's one-target case.
+// diagonal jitter — no grid search, no jitter retry ladder. A GP grown by
+// Extend equals the one it fits on the full data at the grown GP's Params
+// and Jitter, bit for bit.
 func FitWithParams(x [][]float64, y []float64, p Params, jitter float64) (*GP, error) {
-	gps, err := FitWithParamsAll(x, [][]float64{y}, []Params{p}, []float64{jitter})
-	if err != nil {
-		return nil, err
-	}
-	return gps[0], nil
-}
-
-// FitWithParamsAll rebuilds one GP per target vector ys[t] on the shared
-// inputs x at exactly ps[t] and jitters[t]. Targets with equal Params and
-// jitter get one factor, factored once: the sharing a grid fit or
-// ExtendAll leaves them with.
-func FitWithParamsAll(x [][]float64, ys [][]float64, ps []Params, jitters []float64) ([]*GP, error) {
 	defer perfprof.Begin("gp.fit").End()
-	if err := checkData(x, ys); err != nil {
+	if err := checkData(x, [][]float64{y}); err != nil {
 		return nil, err
-	}
-	if len(ps) != len(ys) || len(jitters) != len(ys) {
-		return nil, fmt.Errorf("gp: %d params and %d jitters for %d targets", len(ps), len(jitters), len(ys))
 	}
 	n := len(x)
-	d2, xt := sqDistLower(x), transposed(x)
-	var k *linalg.Matrix
-	gps := make([]*GP, len(ys))
-	for t, p := range ps {
-		var f *factor
-		for s := 0; s < t && f == nil; s++ {
-			if ps[s] == p && jitters[s] == jitters[t] {
-				f = gps[s].factor
-			}
-		}
-		if f == nil {
-			if k == nil {
-				k = linalg.New(n, n)
-			}
-			buildMaternLower(k, d2, p.Lengthscale, p.Variance, p.Noise)
-			chol := linalg.New(n, n)
-			if err := linalg.CholeskyFixedInto(chol, k, jitters[t]); err != nil {
-				return nil, fmt.Errorf("gp: %w", err)
-			}
-			f = newFactor(p, jitters[t], x, xt, chol)
-		}
-		gps[t] = &GP{factor: f, rawY: append([]float64(nil), ys[t]...)}
-		gps[t].refreshTargets()
+	k := linalg.New(n, n)
+	buildMaternLower(k, sqDistLower(x), p.Lengthscale, p.Variance, p.Noise)
+	chol := linalg.New(n, n)
+	if err := linalg.CholeskyFixedInto(chol, k, jitter); err != nil {
+		return nil, fmt.Errorf("gp: %w", err)
 	}
-	return gps, nil
+	g := &GP{factor: newFactor(p, jitter, x, transposed(x), chol), rawY: append([]float64(nil), y...)}
+	g.refreshTargets()
+	return g, nil
 }
 
 // sqDistLower fills the lower triangle of the pairwise squared-distance
@@ -574,8 +533,8 @@ func (g *GP) Extend(xNew []float64, yNew float64) error {
 
 // ExtendAll appends the observations xs to every GP of gps, GP j taking
 // targets ys[j] (one per point): each GP ends exactly as a run of Extend
-// calls would leave it, bit for bit. Each distinct factor among the GPs
-// (sameFactor) grows once, by all the points into one new matrix (grow), the
+// calls would leave it, bit for bit. Each distinct factor object among the
+// GPs grows once, by all the points into one new matrix (grow), the
 // distinct factors fanned out over fan, and the GPs that held it hold the
 // grown one; then each GP recomputes its alpha once. It returns the factor
 // rows it bordered, one per distinct factor and point; on error, no change.
@@ -594,14 +553,8 @@ func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) (int, erro
 	group := make([]int, len(gps))
 	var facs []*factor
 	for j, g := range gps {
-		group[j] = len(facs)
-		for s, f := range facs {
-			if sameFactor(f, g.factor) {
-				group[j] = s
-				break
-			}
-		}
-		if group[j] == len(facs) {
+		if group[j] = slices.Index(facs, g.factor); group[j] < 0 {
+			group[j] = len(facs)
 			facs = append(facs, g.factor)
 		}
 	}
@@ -641,8 +594,8 @@ func ExtendAll(gps []*GP, xs [][]float64, ys [][]float64, fan Fanout) (int, erro
 // them, so the bool is always true.
 func (g *GP) Params() (Params, bool) { return g.params, true }
 
-// Jitter reports the diagonal jitter baked into the current factor.
-// Persist it alongside Params to rebuild the GP exactly via FitWithParams.
+// Jitter reports the diagonal jitter baked into the current factor: with
+// Params, what FitWithParams takes to rebuild the GP exactly.
 func (g *GP) Jitter() float64 { return g.jitter }
 
 // LogMarginalLikelihood returns log p(y|X) of the standardized targets,
@@ -710,8 +663,8 @@ func grow(buf []float64, n int) []float64 {
 // sameInputs reports whether two training-input sets are the same points in
 // the same order, judged by identity: row i of both is the same memory. That
 // is how internal/mobo builds its per-objective GPs (every objective's rows
-// are the optimizer's own observation vectors, through fits, Extends and
-// restores alike), and it is a test that cannot be fooled into sharing
+// are the optimizer's own observation vectors, through fits and Extends
+// alike), and it is a test that cannot be fooled into sharing
 // distances between sets that merely have equal length.
 func sameInputs(a, b [][]float64) bool {
 	if len(a) != len(b) {

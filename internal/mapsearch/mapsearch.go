@@ -151,7 +151,9 @@ func (a *Annealer[M]) Step() {
 	temp := 0.3 * a.curLoss / (1 + float64(a.evals)/40)
 	accept := !a.hasCur || loss <= a.curLoss
 	if !accept && temp > 0 && !math.IsInf(a.curLoss, 1) {
-		accept = a.rng.Float64() < math.Exp(-(loss-a.curLoss)/temp)
+		// loss is a product (an inlined EDP): the conversion keeps it from
+		// fusing into the subtraction.
+		accept = a.rng.Float64() < math.Exp(-(float64(loss)-a.curLoss)/temp)
 	}
 	if accept {
 		a.cur, a.curLoss, a.curMet, a.hasCur = cand, loss, met, true

@@ -305,7 +305,7 @@ func TestMaximizeAcquisitionMatchesExhaustive(t *testing.T) {
 	clone := func(workers int, script [][]float64) (*Optimizer, *scriptedSpace) {
 		cfg := base.cfg
 		cfg.SearchWorkers = workers
-		o := throughJSON(t, base, cfg)
+		o := replayed(t, base, cfg, 21, 12)
 		sp := &scriptedSpace{Space: real, script: script}
 		o.space = sp
 		return o, sp
@@ -475,7 +475,7 @@ func TestMaximizeAcquisitionMatchesExhaustiveAcrossBatches(t *testing.T) {
 	cfg.SearchWorkers = 2
 	o := New(testSpace(), cfg, 31)
 	drive(o, 2, 10, nObj)
-	ref := throughJSON(t, o, cfg)
+	ref := replayed(t, o, cfg, 31, 10)
 	for round := 0; round < 4; round++ {
 		o.acq.dropMemo()
 		exclude := map[string]bool{}

@@ -19,10 +19,6 @@
 // updates, when the per-point log marginal likelihood degrades past a
 // tolerance, or when eviction rewrote the training set.
 // Both fan their independent factor work out over the search worker pool.
-// The exported State carries each surrogate's hyperparameters, jitter and
-// refit reference, so a checkpoint restore rebuilds bit-identical GPs with
-// gp.FitWithParamsAll instead of re-running (and possibly re-deciding) the
-// grid search.
 //
 // # Tiled acquisition, deterministic results
 //
@@ -171,7 +167,6 @@ func DefaultConfig(nObj int) Config {
 type Optimizer struct {
 	space Space
 	cfg   Config
-	seed  int64
 	rng   *rand.Rand
 	src   *countingSource
 
@@ -230,7 +225,6 @@ func New(space Space, cfg Config, seed int64) *Optimizer {
 	return &Optimizer{
 		space: space,
 		cfg:   cfg,
-		seed:  seed,
 		rng:   rand.New(src),
 		src:   src,
 		seen:  map[string]bool{},
@@ -1127,10 +1121,6 @@ func (o *Optimizer) warmParams() []gp.Params {
 func (o *Optimizer) clearSurrogates() {
 	o.gps, o.refLML, o.sinceRefit = nil, nil, 0
 }
-
-// fit refits one GP per objective on the training set from scratch
-// (Restore's fallback and the cold-start path).
-func (o *Optimizer) fit() { o.fitFull(nil) }
 
 // fitFull runs the full per-objective hyperparameter selection, seeded at
 // warm (one Params per objective) when non-nil: one shared grid fit

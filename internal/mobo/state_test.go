@@ -1,8 +1,6 @@
 package mobo
 
 import (
-	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 )
@@ -22,10 +20,26 @@ func drive(o *Optimizer, iters, batch, nObj int) [][][]float64 {
 	return suggested
 }
 
-// TestExportRestoreBitIdentical is the package-level half of the resume
-// guarantee: an optimizer restored from an exported State suggests exactly
-// the same future batches as the original would have.
-func TestExportRestoreBitIdentical(t *testing.T) {
+// replayed rebuilds o the way a resume does: a fresh optimizer on cfg and
+// seed takes o's observations through Update, batch at a time, and seeks its
+// RNG to o's position.
+func replayed(t *testing.T, o *Optimizer, cfg Config, seed int64, batch int) *Optimizer {
+	t.Helper()
+	r := New(o.space, cfg, seed)
+	for i := 0; i < len(o.all); i += batch {
+		r.Update(o.all[i:min(i+batch, len(o.all))])
+	}
+	if err := r.SeekRNG(o.RNGPos()); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestReplayBitIdentical is the package-level half of the resume guarantee:
+// an optimizer rebuilt by replaying another's batches through Update, which
+// draws no RNG, suggests exactly the batches the original goes on to
+// suggest, after fitting and extending its surrogates as often.
+func TestReplayBitIdentical(t *testing.T) {
 	const nObj, batch = 3, 8
 	cfg := DefaultConfig(nObj)
 
@@ -35,62 +49,16 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 
 	cut := New(testSpace(), cfg, 42)
 	drive(cut, 3, batch, nObj)
-	st := cut.Export()
-
-	// Round-trip the state through JSON, as the checkpoint file does.
-	raw, err := json.Marshal(st)
-	if err != nil {
-		t.Fatalf("marshal state: %v", err)
+	r := replayed(t, cut, cfg, 42, batch)
+	if r.TrainSize() != cut.TrainSize() {
+		t.Fatalf("train size %d, want %d", r.TrainSize(), cut.TrainSize())
 	}
-	var back State
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("unmarshal state: %v", err)
+	if got, want := r.Counts(), cut.Counts(); got.Fits != want.Fits || got.Extends != want.Extends {
+		t.Fatalf("replay made %d fits and %d extends, the original %d and %d", got.Fits, got.Extends, want.Fits, want.Extends)
 	}
-	restored, err := Restore(testSpace(), cfg, back, cut.all)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if restored.RNGPos() != cut.RNGPos() {
-		t.Fatalf("RNG position %d, want %d", restored.RNGPos(), cut.RNGPos())
-	}
-	if restored.TrainSize() != cut.TrainSize() {
-		t.Fatalf("train size %d, want %d", restored.TrainSize(), cut.TrainSize())
-	}
-	got := drive(restored, 3, batch, nObj)
+	got := drive(r, 3, batch, nObj)
 	if !reflect.DeepEqual(got, tail) {
-		t.Fatalf("restored optimizer diverged from original:\n got %v\nwant %v", got, tail)
-	}
-}
-
-// TestExportBeforeFirstUpdate pins that the +Inf v_best/UUL of a fresh
-// optimizer survive the JSON round trip.
-func TestExportBeforeFirstUpdate(t *testing.T) {
-	o := New(testSpace(), DefaultConfig(3), 1)
-	st := o.Export()
-	raw, err := json.Marshal(st)
-	if err != nil {
-		t.Fatalf("marshal fresh state: %v", err)
-	}
-	var back State
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("unmarshal fresh state: %v", err)
-	}
-	if !math.IsInf(float64(back.VBest), 1) || !math.IsInf(float64(back.UUL), 1) {
-		t.Fatalf("Inf fields did not round-trip: vBest=%v uul=%v", back.VBest, back.UUL)
-	}
-	if _, err := Restore(testSpace(), DefaultConfig(3), back, nil); err != nil {
-		t.Fatalf("restore fresh state: %v", err)
-	}
-}
-
-// TestRestoreRejectsObjectiveMismatch guards against resuming a run with a
-// different objective count (e.g. robustness toggled between runs).
-func TestRestoreRejectsObjectiveMismatch(t *testing.T) {
-	o := New(testSpace(), DefaultConfig(4), 1)
-	drive(o, 1, 4, 4)
-	st := o.Export()
-	if _, err := Restore(testSpace(), DefaultConfig(3), st, o.all); err == nil {
-		t.Fatal("restore with mismatched objective count succeeded")
+		t.Fatalf("replayed optimizer diverged from original:\n got %v\nwant %v", got, tail)
 	}
 }
 
@@ -167,55 +135,4 @@ func TestWarmRefitCadence(t *testing.T) {
 	if !sawReset {
 		t.Error("cadence never forced a full refit")
 	}
-}
-
-// fuzzRestoreCap keeps FuzzRestore on the decoder: a state that decodes to
-// more observations than this (a surrogate rebuild is cubic in the training
-// points), or to an RNG position further than 2^20 draws out, is skipped, not
-// run.
-const fuzzRestoreCap = 16
-
-// restoreInput is a State together with the observation history Restore
-// takes beside it, decoded from one JSON object.
-type restoreInput struct {
-	State
-	All []Observation `json:"all"`
-}
-
-// FuzzRestore feeds arbitrary bytes, decoded as the checkpoint decodes them,
-// to Restore: it must not panic, and an optimizer it does return stands where
-// the state says — same training set, same RNG position — and exports a state
-// a second Restore accepts.
-func FuzzRestore(f *testing.F) {
-	const nObj = 3
-	cfg := DefaultConfig(nObj)
-	warm := New(testSpace(), cfg, 7)
-	drive(warm, 2, 6, nObj)
-	for _, o := range []*Optimizer{New(testSpace(), cfg, 1), warm} {
-		raw, err := json.Marshal(restoreInput{State: o.Export(), All: o.all})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	f.Add([]byte(`{"seed":1,"train":[{"X":[0.5],"Y":[1,2,3]}],"all":[{"X":[],"Y":[1,2,3]}]}`))
-	f.Add([]byte(`{"seed":1,"train":[{"X":[0.1,0.2,0.3,0.4,0.5,0.6],"Y":[1,2,3]}],"surrogates":[{"lengthscale":0},{"variance":-1},{"noise":1e308}]}`))
-	f.Add([]byte(`{"seed":1,"rng_pos":18446744073709551615,"d_set":[null]}`))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		var in restoreInput
-		st := &in.State
-		if json.Unmarshal(raw, &in) != nil || len(st.Train) > fuzzRestoreCap || len(in.All) > fuzzRestoreCap || st.RNGPos > 1<<20 {
-			t.Skip()
-		}
-		o, err := Restore(testSpace(), cfg, *st, in.All)
-		if err != nil {
-			return
-		}
-		if o.TrainSize() != len(st.Train) || o.RNGPos() != st.RNGPos {
-			t.Fatalf("restored at train=%d rng=%d, state says %d and %d", o.TrainSize(), o.RNGPos(), len(st.Train), st.RNGPos)
-		}
-		if _, err := Restore(testSpace(), cfg, o.Export(), o.all); err != nil {
-			t.Fatalf("Restore refuses what the restored optimizer exports: %v", err)
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package mobo
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -54,25 +53,6 @@ func trained(t *testing.T, seed int64) *Optimizer {
 	return o
 }
 
-// throughJSON restores o from its exported state after a JSON round trip,
-// as a checkpoint resume does.
-func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
-	t.Helper()
-	raw, err := json.Marshal(o.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st State
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(o.space, cfg, st, o.all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 // TestScorePoolMatchesPerCandidate checks both ways a pool candidate gets an
 // exact score against the per-candidate reference (a full gp.PredictTile of
 // that candidate alone, through Predict): scoreCandidates, the search's own
@@ -82,7 +62,7 @@ func throughJSON(t *testing.T, o *Optimizer, cfg Config) *Optimizer {
 // on. Before it, the bound pass (boundPoolTile) must give every candidate,
 // excluded or not, a bound no higher than its reference. Pool sizes
 // sit on every side of the tile and pool boundaries, at several worker
-// counts, on a live optimizer and on one rebuilt by Restore; excluded
+// counts, on a live optimizer and on one rebuilt by replay; excluded
 // candidates read +Inf from the exhaustive scoring.
 func TestScorePoolMatchesPerCandidate(t *testing.T) {
 	live := trained(t, 11)
@@ -98,7 +78,7 @@ func TestScorePoolMatchesPerCandidate(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			cfg := live.cfg
 			cfg.SearchWorkers = workers
-			for name, o := range map[string]*Optimizer{"live": live, "restored": throughJSON(t, live, cfg)} {
+			for name, o := range map[string]*Optimizer{"live": live, "replayed": replayed(t, live, cfg, 11, 12)} {
 				o.cfg.SearchWorkers = workers
 				o.acq = newAcqScratch(size, o.NumObjectives())
 				o.fanOut((size+gp.TileWidth-1)/gp.TileWidth, func(t int) { o.boundPoolTile(pool, t, lambda) })

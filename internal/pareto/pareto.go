@@ -246,7 +246,7 @@ func MinEuclid(points [][]float64) int {
 				continue
 			}
 			nv := (v - lo[j]) / span
-			sum += nv * nv
+			sum += float64(nv * nv)
 		}
 		if sum < bestDist {
 			best, bestDist = i, sum

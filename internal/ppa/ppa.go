@@ -99,7 +99,7 @@ func (h History) AUC() float64 {
 		w := float64(h[i].Budget - h[i-1].Budget)
 		a := h[i-1].Loss - end
 		b := h[i].Loss - end
-		area += w * (a + b) / 2
+		area += float64(w * (a + b) / 2)
 	}
 	return area
 }

@@ -45,7 +45,7 @@ const RInfeasible = 10.0
 // F is the paper's angular penalty polynomial. F(0) = 1, F(π/2) = 0,
 // F(π) = 2.
 func F(theta float64) float64 {
-	return 6/(math.Pi*math.Pi)*theta*theta - 5/math.Pi*theta + 1
+	return float64(6/(math.Pi*math.Pi)*theta*theta) - float64(5/math.Pi*theta) + 1
 }
 
 // Theta returns the improvement angle of the displacement from the
@@ -77,7 +77,7 @@ func Delta(optimal, suboptimal ppa.Metrics) float64 {
 	}
 	dl := (suboptimal.LatencyMs - optimal.LatencyMs) / optimal.LatencyMs
 	dp := (suboptimal.PowerMW - optimal.PowerMW) / optimal.PowerMW
-	return math.Sqrt(dl*dl + dp*dp)
+	return math.Sqrt(float64(dl*dl) + float64(dp*dp))
 }
 
 // Sensitivity computes R from a mapping search's raw loss history with the
@@ -104,7 +104,7 @@ func Sensitivity(h ppa.History, alpha float64) float64 {
 	// plateau width, its band mean is not.
 	sum := 0.0
 	for _, sub := range band {
-		sum += Delta(optimal.M, sub.M) * (1 + F(Theta(optimal.M, sub.M)))
+		sum += float64(Delta(optimal.M, sub.M) * (1 + F(Theta(optimal.M, sub.M))))
 	}
 	r := sum / float64(len(band))
 	if r > RInfeasible {
